@@ -173,17 +173,25 @@ fn main() {
     let overhead_schemas = SchemaCatalog::from_catalog(&overhead_catalog);
     let probe = medical_query(Some("CT"));
     const VALIDATIONS: usize = 2_000;
-    // LINT: wall-clock — measuring real validation time is the point here.
-    let t0 = Instant::now();
+    // The fastest of five loops: on a shared host the neighbours only ever
+    // add time, and a cold job no longer executes its fragments twice, so
+    // the denominator left this gate too little room for a loud loop.
+    const LOOPS: usize = 5;
+    let mut mean_validation_s = f64::INFINITY;
     let mut error_acc = 0usize;
-    for _ in 0..VALIDATIONS {
-        let analyses = analyze_fragment_plans(
-            &[&probe.left_prepare, &probe.right_prepare, &probe.combine],
-            &overhead_schemas,
-        );
-        error_acc += analyses.iter().map(|a| a.errors().count()).sum::<usize>();
+    for _ in 0..LOOPS {
+        // LINT: wall-clock — measuring real validation time is the point here.
+        let t0 = Instant::now();
+        for _ in 0..VALIDATIONS {
+            let analyses = analyze_fragment_plans(
+                &[&probe.left_prepare, &probe.right_prepare, &probe.combine],
+                &overhead_schemas,
+            );
+            error_acc += analyses.iter().map(|a| a.errors().count()).sum::<usize>();
+        }
+        mean_validation_s =
+            mean_validation_s.min(t0.elapsed().as_secs_f64() / VALIDATIONS as f64);
     }
-    let mean_validation_s = t0.elapsed().as_secs_f64() / VALIDATIONS as f64;
     assert_eq!(error_acc, 0, "the probe query must validate cleanly");
     let overhead_ratio = mean_validation_s / mean_job_s;
 

@@ -28,6 +28,14 @@
 //! during a wave of independent fragments, those fragments can execute
 //! *concurrently* (see [`SharedExecutor::with_parallel_fragments`]) while
 //! the simulation bookkeeping still runs in deterministic fragment order.
+//!
+//! **Each fragment runs once per job.** Planning profiles a query by
+//! running its fragments ([`profile_fragments`]); a run that is handed
+//! those [`ProfiledFragment`]s takes each matching output in place of
+//! executing the plan again. Outputs and work profiles do not depend on
+//! the chosen site, engine or instance — the simulation phase applies
+//! those afterwards — so a handed-over run is bit-identical to a run
+//! that executed.
 
 use crate::cache::{CacheKey, CacheScope, CachedFragment, FragmentResultCache, PlanFingerprint};
 use crate::catalog::Catalog;
@@ -76,6 +84,53 @@ pub struct FragmentOutcome {
     pub work: WorkProfile,
 }
 
+/// One fragment output computed ahead of the run by
+/// [`profile_fragments`], carrying the plan that produced it so a run can
+/// never apply it to a different fragment.
+#[derive(Debug, Clone)]
+pub struct ProfiledFragment {
+    /// The plan that was executed, compared by equality against the
+    /// fragment it is offered to.
+    pub plan: PhysicalPlan,
+    /// The plan's output table.
+    pub table: Arc<Table>,
+    /// The operator work the execution performed.
+    pub work: WorkProfile,
+}
+
+/// Runs `plans` in order as the fragments of one query, outside any
+/// simulation: plan `i` may scan `@frag<j>` for `j < i`, exactly as in a
+/// [`FederatedQuery`], and every plan goes through the same fused executor
+/// [`SharedExecutor`] uses, so each output is what a run over the same
+/// `base_tables` would compute for that fragment. The per-plan catalog is
+/// seeded like a run's: only the base tables the plans scan, by
+/// `Arc::clone`.
+pub fn profile_fragments(
+    plans: &[&PhysicalPlan],
+    base_tables: &Catalog,
+    partition_degree: usize,
+) -> Result<Vec<ProfiledFragment>, EngineError> {
+    let mut catalog = Catalog::new();
+    let mut profiled = Vec::with_capacity(plans.len());
+    for (idx, &plan) in plans.iter().enumerate() {
+        for name in referenced_base_tables(plan) {
+            if let Some(table) = base_tables.get_shared(&name) {
+                catalog.insert_shared(name, Arc::clone(table));
+            }
+        }
+        let (table, work) =
+            crate::fused::execute_fused_with_partitions(plan, &catalog, partition_degree)?;
+        let table = Arc::new(table);
+        catalog.insert_shared(format!("@frag{idx}"), Arc::clone(&table));
+        profiled.push(ProfiledFragment {
+            plan: plan.clone(),
+            table,
+            work,
+        });
+    }
+    Ok(profiled)
+}
+
 /// The result of executing a federated query.
 #[derive(Debug, Clone)]
 pub struct ExecutionOutcome {
@@ -100,6 +155,10 @@ pub struct ExecutionOutcome {
     /// tables and work profiles are bit-identical to recomputation; only
     /// wall-clock changes — see [`crate::cache`]).
     pub cache_hits: u32,
+    /// Fragments whose output was taken from the planning hand-off (see
+    /// [`SharedExecutor::with_profiled_fragments`]) instead of executing.
+    /// Disjoint from `cache_hits`: the result cache is consulted first.
+    pub reused_fragments: u32,
     /// Per-fragment breakdown.
     pub fragments: Vec<FragmentOutcome>,
 }
@@ -194,6 +253,19 @@ impl<'a> Executor<'a> {
         base_tables: &Catalog,
         work_scale: f64,
     ) -> Result<ExecutionOutcome, EngineError> {
+        self.run_profiled(query, base_tables, work_scale, &[])
+    }
+
+    /// [`Executor::run_with_scale`] handed the outputs planning already
+    /// computed over the same `base_tables` (see
+    /// [`SharedExecutor::with_profiled_fragments`] for the contract).
+    pub fn run_profiled(
+        &mut self,
+        query: &FederatedQuery,
+        base_tables: &Catalog,
+        work_scale: f64,
+        profiled: &[ProfiledFragment],
+    ) -> Result<ExecutionOutcome, EngineError> {
         run_federated(
             self.federation,
             &mut EnvHandle::Exclusive(&mut self.env),
@@ -205,6 +277,7 @@ impl<'a> Executor<'a> {
                 partition_degree: self.partition_degree,
                 faults: None,
                 cache: None,
+                profiled,
             },
             query,
             base_tables,
@@ -272,6 +345,9 @@ struct RunOptions<'a> {
     faults: Option<FaultContext<'a>>,
     /// Shared fragment-result cache (`None` = always execute cold).
     cache: Option<ResultCacheBinding<'a>>,
+    /// Fragment outputs handed over by planning, by fragment index (empty =
+    /// execute everything).
+    profiled: &'a [ProfiledFragment],
 }
 
 /// How a run reaches the simulation environment: exclusively (the legacy
@@ -333,6 +409,7 @@ pub struct SharedExecutor<'a> {
     partition_degree: usize,
     faults: Option<FaultContext<'a>>,
     cache: Option<ResultCacheBinding<'a>>,
+    profiled: &'a [ProfiledFragment],
 }
 
 impl<'a> SharedExecutor<'a> {
@@ -352,6 +429,7 @@ impl<'a> SharedExecutor<'a> {
             partition_degree: 1,
             faults: None,
             cache: None,
+            profiled: &[],
         }
     }
 
@@ -427,6 +505,22 @@ impl<'a> SharedExecutor<'a> {
         self
     }
 
+    /// Hands the run the fragment outputs planning already computed
+    /// ([`profile_fragments`] over the **same** `base_tables` the run will
+    /// be given), `profiled[i]` for fragment `i`. Fragment `i` takes its
+    /// entry *in place of executing its plan* when the entry's plan equals
+    /// the fragment's and every fragment it reads from matched too;
+    /// otherwise — a short or empty list, a hand-built or re-planned query
+    /// — it executes as if nothing had been handed over. Everything around
+    /// the execution is unchanged: the outage check, the result-cache
+    /// lookup (a hit still wins), the site permit, the paced occupancy,
+    /// the cache insert and the whole simulation phase, so simulated
+    /// outcomes are bit-identical with or without a hand-off.
+    pub fn with_profiled_fragments(mut self, profiled: &'a [ProfiledFragment]) -> Self {
+        self.profiled = profiled;
+        self
+    }
+
     /// Executes a federated query against base tables (logical scale 1).
     pub fn run(
         &self,
@@ -455,6 +549,7 @@ impl<'a> SharedExecutor<'a> {
                 partition_degree: self.partition_degree,
                 faults: self.faults,
                 cache: self.cache,
+                profiled: self.profiled,
             },
             query,
             base_tables,
@@ -471,9 +566,11 @@ impl<'a> SharedExecutor<'a> {
 ///    wave is its depth in the `@frag` dependency DAG, so fragments of one
 ///    wave are mutually independent.
 /// 2. **Relational phase**, wave by wave: each fragment acquires its site
-///    permit, runs [`execute`] over the catalog, holds the permit through
-///    its paced occupancy, then releases. With `parallel` on, a wave's
-///    fragments do this on scoped threads concurrently. Cross-site
+///    permit, obtains its output — the planning hand-off's when one
+///    matches (see [`SharedExecutor::with_profiled_fragments`]), else by
+///    running the fused executor over the catalog — holds the permit
+///    through its paced occupancy, then releases. With `parallel` on, a
+///    wave's fragments do this on scoped threads concurrently. Cross-site
 ///    transfer costs and instance shapes are resolved before the wave
 ///    (pure functions of earlier waves' outputs).
 /// 3. **Simulation phase**: after each wave, one env section per newly
@@ -511,6 +608,7 @@ fn run_federated(
         partition_degree,
         faults,
         cache,
+        profiled,
     } = opts;
     let work_scale = if work_scale.is_finite() && work_scale > 0.0 {
         work_scale
@@ -533,6 +631,18 @@ fn run_federated(
         deps.push(frag_deps);
     }
     let n_waves = wave_of.iter().max().map_or(0, |&w| w + 1);
+
+    // Which fragments may take their output from the planning hand-off:
+    // the entry at the fragment's index was produced by an equal plan, and
+    // so was every fragment it reads from (a combine output is only valid
+    // over the prepared sides it was computed from).
+    let mut handed: Vec<Option<&ProfiledFragment>> = Vec::with_capacity(n);
+    for (idx, fragment) in query.fragments.iter().enumerate() {
+        let entry = profiled.get(idx).filter(|p| {
+            p.plan == fragment.plan && deps[idx].iter().all(|&d| handed[d].is_some())
+        });
+        handed.push(entry);
+    }
 
     // Result-cache keys, one per fragment. A fragment's key covers its
     // whole dependency *closure* — the canonical fingerprint of every plan
@@ -611,6 +721,7 @@ fn run_federated(
     let mut transfers: Vec<(f64, Money, u64)> = vec![(0.0, Money::ZERO, 0); n];
     let mut frag_bytes: Vec<u64> = vec![0; n];
     let mut cache_hits = 0u32;
+    let mut reused_fragments = 0u32;
     let mut sim = SimCursor::new(n);
 
     for wave in 0..n_waves {
@@ -660,7 +771,7 @@ fn run_federated(
         // regardless of interleaving — throughput comparisons across
         // worker counts (and fragment-parallel modes) measure overlap,
         // not luck.
-        let run_one = |idx: usize| -> Result<(Arc<Table>, WorkProfile, bool), EngineError> {
+        let run_one = |idx: usize| -> FragmentRun {
             let fragment = &query.fragments[idx];
             // Injected outage: the site refuses the fragment before a slot
             // is even taken (a down site has no queue to wait in) — and
@@ -680,15 +791,27 @@ fn run_federated(
             // billing, transfers) is unchanged.
             if let (Some(binding), Some(key)) = (cache, &cache_keys[idx]) {
                 if let Some(hit) = binding.cache.get(key) {
-                    return Ok((Arc::clone(&hit.table), hit.work.clone(), true));
+                    let hit = (Arc::clone(&hit.table), hit.work.clone(), FragmentSource::Cache);
+                    return Ok(hit);
                 }
             }
             let capped = faults.is_some_and(|f| f.capped(fragment.site));
             let permit = admission.map(|a| a.acquire_capped(fragment.site, capped));
-            let result =
-                crate::fused::execute_fused_with_partitions(&fragment.plan, &catalog, partition_degree);
+            // Planning already ran this plan over these tables: take its
+            // output in place of running it again — and nothing else; the
+            // permit above and the pacing and cache insert below apply to
+            // a handed-over fragment exactly as to an executed one.
+            let result = match handed[idx] {
+                Some(p) => Ok((Arc::clone(&p.table), p.work.clone(), FragmentSource::HandOff)),
+                None => crate::fused::execute_fused_with_partitions(
+                    &fragment.plan,
+                    &catalog,
+                    partition_degree,
+                )
+                .map(|(table, work)| (Arc::new(table), work, FragmentSource::Executed)),
+            };
             if pacing > 0.0 {
-                if let (Ok((_, work)), Some(Ok(shape))) = (&result, &shapes[idx]) {
+                if let (Ok((_, work, _)), Some(Ok(shape))) = (&result, &shapes[idx]) {
                     let workers = fragment.vm_count.max(1) * shape.vcpus.max(1);
                     let profile = EngineProfile::for_engine(fragment.engine);
                     let nominal_s = transfers[idx].0
@@ -699,8 +822,7 @@ fn run_federated(
                 }
             }
             drop(permit);
-            let (table, work) = result?;
-            let table = Arc::new(table);
+            let (table, work, source) = result?;
             if let (Some(binding), Some(key)) = (cache, &cache_keys[idx]) {
                 binding.cache.insert(
                     key.clone(),
@@ -711,7 +833,7 @@ fn run_federated(
                     binding.tenant,
                 );
             }
-            Ok((table, work, false))
+            Ok((table, work, source))
         };
         // Admission-aware LPT launch order: within a *parallel* wave, start
         // the fragment with the largest estimated relational input first.
@@ -736,8 +858,6 @@ fn run_federated(
         } else {
             members.clone()
         };
-        // (table, work profile, served-from-cache) per fragment.
-        type FragmentRun = Result<(Arc<Table>, WorkProfile, bool), EngineError>;
         let results: Vec<FragmentRun> =
             if parallel && launch_order.len() > 1 {
                 std::thread::scope(|scope| {
@@ -765,7 +885,7 @@ fn run_federated(
         let mut collected: Vec<_> = launch_order.into_iter().zip(results).collect();
         collected.sort_by_key(|(idx, _)| *idx);
         for (idx, result) in collected {
-            let (table, work, hit) = match result {
+            let (table, work, source) = match result {
                 Ok(ok) => ok,
                 Err(e) => {
                     sim.advance(env, federation, query, &mut executed, &mut shapes, &transfers, work_scale, faults);
@@ -776,7 +896,8 @@ fn run_federated(
                 sim.advance(env, federation, query, &mut executed, &mut shapes, &transfers, work_scale, faults);
                 return Err(shapes[idx].take().expect("staged").unwrap_err());
             }
-            cache_hits += hit as u32;
+            cache_hits += (source == FragmentSource::Cache) as u32;
+            reused_fragments += (source == FragmentSource::HandOff) as u32;
             frag_bytes[idx] = table.estimated_bytes();
             catalog.insert_shared(format!("@frag{idx}"), Arc::clone(&table));
             executed[idx] = Some((table, work));
@@ -800,9 +921,24 @@ fn run_federated(
         catalog_shared_bytes,
         catalog_cloned_bytes,
         cache_hits,
+        reused_fragments,
         fragments: sim.outcomes,
     })
 }
+
+/// Where one fragment's output came from in the relational phase.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum FragmentSource {
+    /// The fused executor ran the plan.
+    Executed,
+    /// The shared result cache held it.
+    Cache,
+    /// Planning handed it over.
+    HandOff,
+}
+
+/// What the relational phase yields per fragment.
+type FragmentRun = Result<(Arc<Table>, WorkProfile, FragmentSource), EngineError>;
 
 /// The simulation-phase cursor of [`run_federated`]: consumes completed
 /// fragments strictly in index order, giving each its env section (read
@@ -1075,12 +1211,16 @@ mod tests {
         }
     }
 
-    fn executor(fed: &Federation) -> Executor<'_> {
+    fn mild_env(fed: &Federation) -> SimulationEnv {
         let mut env = SimulationEnv::new();
         for site in fed.site_ids() {
             env.register_site(site, 42, DriftIntensity::Mild);
         }
-        Executor::new(fed, env)
+        env
+    }
+
+    fn executor(fed: &Federation) -> Executor<'_> {
+        Executor::new(fed, mild_env(fed))
     }
 
     #[test]
@@ -1341,6 +1481,149 @@ mod tests {
             .run(&q, &tables)
             .unwrap();
         assert_eq!(refreshed.cache_hits, 0);
+    }
+
+    /// What planning would hand over for `q` over `base_tables(100)`.
+    fn profile_of(q: &FederatedQuery) -> Vec<ProfiledFragment> {
+        let plans: Vec<&PhysicalPlan> = q.fragments.iter().map(|f| &f.plan).collect();
+        profile_fragments(&plans, &base_tables(100), 1).unwrap()
+    }
+
+    /// Runs `q` over `base_tables(100)` on a fresh seeded env with the
+    /// given hand-off.
+    fn run_handed(
+        fed: &Federation,
+        q: &FederatedQuery,
+        profiled: &[ProfiledFragment],
+    ) -> ExecutionOutcome {
+        executor(fed)
+            .run_profiled(q, &base_tables(100), 1.0, profiled)
+            .unwrap()
+    }
+
+    fn assert_same_outcome(a: &ExecutionOutcome, b: &ExecutionOutcome) {
+        assert_eq!(a.result, b.result);
+        assert_eq!(a.elapsed_s.to_bits(), b.elapsed_s.to_bits());
+        assert_eq!(a.money, b.money);
+        assert_eq!(a.intermediate_bytes, b.intermediate_bytes);
+        for (x, y) in a.fragments.iter().zip(&b.fragments) {
+            assert_eq!(x.work, y.work);
+            assert_eq!(x.elapsed_s.to_bits(), y.elapsed_s.to_bits());
+            assert_eq!(x.ingress_bytes, y.ingress_bytes);
+        }
+    }
+
+    #[test]
+    fn handed_over_fragments_replace_execution_bit_for_bit() {
+        let (fed, a, b) = example_federation();
+        let q = two_fragment_query(a, b);
+        let profiled = profile_of(&q);
+        let cold = run_handed(&fed, &q, &[]);
+        assert_eq!((cold.reused_fragments, cold.cache_hits), (0, 0));
+        let handed = run_handed(&fed, &q, &profiled);
+        assert_eq!((handed.reused_fragments, handed.cache_hits), (2, 0));
+        assert_same_outcome(&handed, &cold);
+        // A short list hands over what it has and executes the rest.
+        let short = run_handed(&fed, &q, &profiled[..1]);
+        assert_eq!(short.reused_fragments, 1);
+        assert_same_outcome(&short, &cold);
+        // The hand-off is independent of the chosen configuration: a run
+        // at another site/engine/allocation takes the same outputs.
+        let mut moved = q.clone();
+        moved.fragments[1].site = b;
+        moved.fragments[1].engine = EngineKind::PostgreSql;
+        moved.fragments[1].instance = "B2S".to_string();
+        let moved_handed = run_handed(&fed, &moved, &profiled);
+        assert_eq!(moved_handed.reused_fragments, 2);
+        assert_same_outcome(&moved_handed, &run_handed(&fed, &moved, &[]));
+    }
+
+    #[test]
+    fn a_hand_off_is_never_applied_to_a_different_fragment() {
+        let (fed, a, b) = example_federation();
+        let q = two_fragment_query(a, b);
+        let cold = run_handed(&fed, &q, &[]);
+        // Profile a *different* query: its fragment 0 keeps only k >= 10,
+        // its fragment 1 is plan-for-plan the same join over `@frag0`.
+        let mut other = q.clone();
+        other.fragments[0].plan = PhysicalPlan::Filter {
+            input: Box::new(PhysicalPlan::Scan {
+                table: "right".to_string(),
+            }),
+            predicate: Expr::col(0).ge(Expr::int(10)),
+        };
+        let foreign = profile_of(&other);
+        assert_eq!(foreign[1].plan, q.fragments[1].plan);
+        assert_ne!(foreign[1].table.n_rows(), cold.result.n_rows());
+        // Entry 0's plan differs, so fragment 0 executes; entry 1's plan is
+        // equal but was computed over the other fragment 0, so fragment 1
+        // executes too.
+        let out = run_handed(&fed, &q, &foreign);
+        assert_eq!(out.reused_fragments, 0);
+        assert_same_outcome(&out, &cold);
+        // A matching entry 0 beside a mismatching entry 1 hands over one.
+        let own = profile_of(&q);
+        let mixed = vec![own[0].clone(), foreign[0].clone()];
+        let out = run_handed(&fed, &q, &mixed);
+        assert_eq!(out.reused_fragments, 1);
+        assert_same_outcome(&out, &cold);
+        // More entries than fragments: the surplus is ignored.
+        let long = vec![own[0].clone(), own[1].clone(), foreign[0].clone()];
+        assert_eq!(run_handed(&fed, &q, &long).reused_fragments, 2);
+    }
+
+    #[test]
+    fn outage_and_result_cache_are_consulted_before_the_hand_off() {
+        let (fed, a, b) = example_federation();
+        let q = two_fragment_query(a, b);
+        let tables = base_tables(100);
+        let profiled = profile_of(&q);
+        let mk_env = || Mutex::new(mild_env(&fed));
+        let admission = SiteAdmission::unmetered();
+        // A down site refuses its fragment even though its output is at
+        // hand, and the fragment before it still ticks the clock.
+        let faults = FaultPlan::none().outage(a, 0, 1);
+        let env = mk_env();
+        let err = SharedExecutor::new(&fed, &env, &admission)
+            .with_faults(&faults, 0)
+            .with_profiled_fragments(&profiled)
+            .run(&q, &tables);
+        assert!(matches!(err, Err(EngineError::SiteUnavailable { site }) if site == a));
+        let env_cold = mk_env();
+        let _ = SharedExecutor::new(&fed, &env_cold, &admission)
+            .with_faults(&faults, 0)
+            .run(&q, &tables);
+        assert_eq!(
+            env.lock().unwrap().clock_s.to_bits(),
+            env_cold.lock().unwrap().clock_s.to_bits()
+        );
+        // A warm result cache wins over the hand-off; a cold one is filled
+        // from it.
+        let ids: HashMap<String, u64> =
+            [("left".to_string(), 1), ("right".to_string(), 2)].into();
+        let cache = FragmentResultCache::new(16 << 20);
+        let binding = ResultCacheBinding {
+            cache: &cache,
+            scope: CacheScope::FederationGlobal,
+            tenant: "h-A",
+            table_ids: &ids,
+        };
+        let env = mk_env();
+        let first = SharedExecutor::new(&fed, &env, &admission)
+            .with_result_cache(binding)
+            .with_profiled_fragments(&profiled)
+            .run(&q, &tables)
+            .unwrap();
+        assert_eq!((first.reused_fragments, first.cache_hits), (2, 0));
+        assert_eq!(cache.stats().insertions, 2);
+        let env = mk_env();
+        let second = SharedExecutor::new(&fed, &env, &admission)
+            .with_result_cache(binding)
+            .with_profiled_fragments(&profiled)
+            .run(&q, &tables)
+            .unwrap();
+        assert_eq!((second.reused_fragments, second.cache_hits), (0, 2));
+        assert_same_outcome(&second, &first);
     }
 
     #[test]

@@ -51,7 +51,10 @@ pub use catalog::Catalog;
 pub use data::{Column, ColumnData, DataType, Table, Value};
 pub use engine::{EngineKind, EngineProfile};
 pub use error::EngineError;
-pub use exec::{ExecutionOutcome, Executor, QepConfig, ResultCacheBinding, SharedExecutor};
+pub use exec::{
+    profile_fragments, ExecutionOutcome, Executor, ProfiledFragment, QepConfig, ResultCacheBinding,
+    SharedExecutor,
+};
 pub use expr::Expr;
 pub use fused::{
     execute_fused, execute_fused_versioned, execute_fused_with_partitions, MORSEL_ROWS,

@@ -7,12 +7,19 @@
 //! microseconds: engine profile + Amdahl scaling + transfer + pricing, at
 //! nominal load (the optimizer plans against expected conditions; the
 //! *executed* plan then experiences drift and noise).
+//!
+//! "Exactly once" holds for the whole job, not only for planning:
+//! [`PlanCostModel::profile`] returns the fragment outputs beside the
+//! model, and the executors take them in place of running the chosen
+//! plan's fragments again (`SharedExecutor::with_profiled_fragments`) —
+//! a fragment's table and work profile do not depend on which
+//! configuration was chosen.
 
 use crate::enumerate::CandidateConfig;
 use midas_cloud::{Federation, Money, SiteId};
 use midas_engines::engine::EngineProfile;
-use midas_engines::exec::simulate_fragment_seconds;
-use midas_engines::ops::{execute, WorkProfile};
+use midas_engines::exec::{profile_fragments, simulate_fragment_seconds, ProfiledFragment};
+use midas_engines::ops::WorkProfile;
 use midas_engines::version::CatalogVersion;
 use midas_engines::{Catalog, EngineError, EngineKind, Placement};
 use midas_tpch::TwoTableQuery;
@@ -79,39 +86,50 @@ pub struct PlanCostModel {
 }
 
 impl PlanCostModel {
-    /// Builds the model by executing the query's fragments once.
+    /// Builds the model by executing the query's fragments once
+    /// ([`PlanCostModel::profile`] at partition degree 1, outputs dropped).
     pub fn build(
         placement: &Placement,
         query: &TwoTableQuery,
         tables: &Catalog,
     ) -> Result<Self, EngineError> {
+        Self::profile(placement, query, tables, 1).map(|(model, _)| model)
+    }
+
+    /// Builds the model by executing the query's fragments once, and
+    /// returns what they computed: `[left_prepare, right_prepare, combine]`
+    /// in the fragment order of [`assemble`](crate::assemble), ready to be
+    /// handed to an executor running any configuration of this query over
+    /// the same `tables`. The model is the same at every
+    /// `partition_degree` (work profiles are bit-identical across degrees).
+    pub fn profile(
+        placement: &Placement,
+        query: &TwoTableQuery,
+        tables: &Catalog,
+        partition_degree: usize,
+    ) -> Result<(Self, Vec<ProfiledFragment>), EngineError> {
         let left = placement.locate(&query.left_table)?;
         let right = placement.locate(&query.right_table)?;
 
-        let (left_table, work_left) = execute(&query.left_prepare, tables)?;
-        let (right_table, work_right) = execute(&query.right_prepare, tables)?;
-        let left_bytes = left_table.estimated_bytes();
-        let right_bytes = right_table.estimated_bytes();
-
-        // Cloning a catalog copies Arc handles, not table bytes; only the
-        // two prepared intermediates are owned here.
-        let mut catalog = tables.clone();
-        catalog.insert("@frag0", left_table);
-        catalog.insert("@frag1", right_table);
-        let (_, work_combine) = execute(&query.combine, &catalog)?;
-
-        Ok(PlanCostModel {
+        let profiled = profile_fragments(
+            &[&query.left_prepare, &query.right_prepare, &query.combine],
+            tables,
+            partition_degree,
+        )?;
+        // One entry per plan, in the order given.
+        let model = PlanCostModel {
             left_site: left.site,
             right_site: right.site,
             left_engine: left.engine,
             right_engine: right.engine,
-            work_left,
-            work_right,
-            work_combine,
-            left_bytes,
-            right_bytes,
+            work_left: profiled[0].work.clone(),
+            work_right: profiled[1].work.clone(),
+            work_combine: profiled[2].work.clone(),
+            left_bytes: profiled[0].table.estimated_bytes(),
+            right_bytes: profiled[1].table.estimated_bytes(),
             site_factors: Vec::new(),
-        })
+        };
+        Ok((model, profiled))
     }
 
     /// Multiplies `factor` into a site's pressure entry (creating it at

@@ -8,7 +8,7 @@
 use crate::enumerate::{assemble, CandidateConfig};
 use midas_cloud::Federation;
 use midas_dream::EstimationError;
-use midas_engines::exec::{ExecutionOutcome, Executor};
+use midas_engines::exec::{ExecutionOutcome, Executor, ProfiledFragment};
 use midas_engines::sim::{DriftIntensity, SimulationEnv};
 use midas_engines::version::CatalogVersion;
 use midas_engines::{Catalog, EngineError, Placement};
@@ -177,6 +177,21 @@ impl<'a> Scheduler<'a> {
         config: &CandidateConfig,
         tables: &Catalog,
     ) -> Result<ExecutedQuery, SchedulerError> {
+        self.execute_profiled(query, config, tables, &[])
+    }
+
+    /// [`Scheduler::execute_with_config`] handed the fragment outputs
+    /// [`PlanCostModel::profile`](crate::PlanCostModel::profile) computed
+    /// for this query over the same `tables`, so the fragments are not run
+    /// a second time. Signals are bit-identical to executing without the
+    /// hand-off (an empty one executes everything).
+    pub fn execute_profiled(
+        &mut self,
+        query: &TwoTableQuery,
+        config: &CandidateConfig,
+        tables: &Catalog,
+        profiled: &[ProfiledFragment],
+    ) -> Result<ExecutedQuery, SchedulerError> {
         let federated = assemble(self.federation, &self.placement, query, config)?;
         let left_rows = base_rows(tables, &query.left_table)?;
         let right_rows = base_rows(tables, &query.right_table)?;
@@ -194,7 +209,7 @@ impl<'a> Scheduler<'a> {
         }
         let outcome = self
             .executor
-            .run_with_scale(&federated, tables, self.work_scale)?;
+            .run_profiled(&federated, tables, self.work_scale, profiled)?;
         let features = features_from(left_rows, right_rows, &outcome, self.work_scale);
         let costs = outcome.cost_vector();
         Ok(ExecutedQuery {

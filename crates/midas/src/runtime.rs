@@ -72,7 +72,7 @@ use midas_engines::cache::{
     CacheKey, CacheScope, CacheStats, FragmentResultCache, PlanFingerprint, ScopedCache,
 };
 use midas_engines::data::Table;
-use midas_engines::exec::{ResultCacheBinding, SharedExecutor};
+use midas_engines::exec::{ProfiledFragment, ResultCacheBinding, SharedExecutor};
 use midas_engines::sim::{AdmissionStats, DriftIntensity, FaultPlan, SimulationEnv, SiteAdmission};
 use midas_engines::version::{CatalogVersion, IngestReceipt, IngestStats, VersionedCatalog};
 use midas_engines::{Catalog, EngineError, Placement};
@@ -290,6 +290,11 @@ pub struct TenantReport {
     /// Cached fragments are bit-identical to recomputation — this only
     /// tells you how much work the job *skipped*.
     pub cache_hits: u32,
+    /// Fragments of the successful attempt whose output planning had
+    /// already computed while profiling the query (a plan-cache miss) and
+    /// handed to execution instead of running them a second time. 3 on a
+    /// plan-cache miss that hit no cached fragment, 0 on a plan-cache hit.
+    pub reused_fragments: u32,
     /// The number of the catalog version the job pinned at admission.
     pub pinned_version: u64,
     /// The pinned catalog version itself — `Some` only under
@@ -429,6 +434,10 @@ pub struct RuntimeReport {
     pub replans: u64,
     /// Re-plans that actually switched the executed plan.
     pub plan_switches: u64,
+    /// Fragment executions this call saved by handing planning's profiled
+    /// outputs to execution ([`TenantReport::reused_fragments`] summed over
+    /// completed jobs). Not a cache counter: nothing outlives its job.
+    pub reused_fragments: u64,
     /// Federation-wide tail-latency percentiles over all completed jobs.
     pub latency: LatencyStats,
 }
@@ -975,6 +984,7 @@ struct ProcessOutcome {
     report: MidasReport,
     attempts: usize,
     cache_hits: u32,
+    reused_fragments: u32,
     /// Speculative re-plan evaluations this job ran.
     replans: u32,
     /// Whether a re-plan switched the executed configuration.
@@ -1382,6 +1392,7 @@ impl<'a> FederationRuntime<'a> {
                         report,
                         attempts,
                         cache_hits,
+                        reused_fragments,
                         replans,
                         plan_switched,
                     }) => sink.completed.push(TenantReport {
@@ -1399,6 +1410,7 @@ impl<'a> FederationRuntime<'a> {
                         plan_switched,
                         attempts,
                         cache_hits,
+                        reused_fragments,
                         pinned_version: admitted.pinned.version(),
                         pinned: self
                             .config
@@ -1438,6 +1450,7 @@ impl<'a> FederationRuntime<'a> {
         let mut latencies: HashMap<String, Vec<f64>> = HashMap::new();
         let mut replans: u64 = 0;
         let mut plan_switches: u64 = 0;
+        let mut reused_fragments: u64 = 0;
         for r in &completed {
             let t = tenants.entry(r.tenant.clone()).or_default();
             t.queries += 1;
@@ -1450,6 +1463,7 @@ impl<'a> FederationRuntime<'a> {
                 .push(r.completed_s - r.queued_s);
             replans += u64::from(r.replans);
             plan_switches += u64::from(r.plan_switched);
+            reused_fragments += u64::from(r.reused_fragments);
         }
         // Queue counters cover every tenant that ever submitted, including
         // ones whose jobs all failed — register them so the report shows
@@ -1491,6 +1505,7 @@ impl<'a> FederationRuntime<'a> {
             cache: self.cache_stats(),
             replans,
             plan_switches,
+            reused_fragments,
         }
     }
 
@@ -1521,11 +1536,12 @@ impl<'a> FederationRuntime<'a> {
             .then(|| admitted.pinned.table_ids());
         // Plan once: enumerate the QEP space and profile the fragments.
         // Pure CPU — runs fully in parallel. Retries re-*select* from the
-        // same space under hot-site pressure; they do not re-profile. Both
-        // halves are pure functions of (federation, placement, query
-        // shape, pinned table contents), so the plan cache serves them by
-        // (scope, prepare/combine fingerprints, pinned table identities) —
-        // an ingest publish retires the identities and forces a rebuild.
+        // same space under hot-site pressure; they do not re-profile and
+        // do not re-execute (see `profiled` below). Both halves are pure
+        // functions of (federation, placement, query shape, pinned table
+        // contents), so the plan cache serves them by (scope,
+        // prepare/combine fingerprints, pinned table identities) — an
+        // ingest publish retires the identities and forces a rebuild.
         let plan_key = self.plan_cache.as_ref().and(table_ids.as_ref()).and_then(|ids| {
             let left_id = *ids.get(&query.left_table)?;
             let right_id = *ids.get(&query.right_table)?;
@@ -1554,6 +1570,12 @@ impl<'a> FederationRuntime<'a> {
             (Some(cache), Some(key)) => cache.get(key),
             _ => None,
         };
+        // What profiling computed, kept for this job only: every attempt
+        // below takes these outputs in place of executing the fragments
+        // again, and they drop with the job. Never stored in the plan
+        // cache (its entries stay a few hundred bytes); a plan-cache hit
+        // profiles nothing, hands over nothing and executes as before.
+        let mut profiled: Vec<ProfiledFragment> = Vec::new();
         let planned = match cached_plan {
             Some(hit) => hit,
             None => {
@@ -1564,8 +1586,14 @@ impl<'a> FederationRuntime<'a> {
                     self.config.max_vms,
                 )
                 .map_err(|e| scheduler_err(SchedulerError::Engine(e)))?;
-                let model = PlanCostModel::build(self.placement, query, &catalog)
-                    .map_err(|e| scheduler_err(SchedulerError::Engine(e)))?;
+                let model;
+                (model, profiled) = PlanCostModel::profile(
+                    self.placement,
+                    query,
+                    &catalog,
+                    self.config.partition_degree,
+                )
+                .map_err(|e| scheduler_err(SchedulerError::Engine(e)))?;
                 let entry = Arc::new(CachedPlan { space, model });
                 if let (Some(cache), Some(key)) = (&self.plan_cache, &plan_key) {
                     // Nominal footprint: the space's candidate list plus a
@@ -1666,7 +1694,8 @@ impl<'a> FederationRuntime<'a> {
             let mut executor = SharedExecutor::new(self.federation, &self.env, &self.admission)
                 .with_pacing(self.config.pacing)
                 .with_parallel_fragments(self.config.parallel_fragments)
-                .with_partition_degree(self.config.partition_degree);
+                .with_partition_degree(self.config.partition_degree)
+                .with_profiled_fragments(&profiled);
             if let Some(binding) = self
                 .fragment_cache
                 .as_ref()
@@ -1748,6 +1777,7 @@ impl<'a> FederationRuntime<'a> {
                 },
                 attempts: attempt + 1,
                 cache_hits: executed.cache_hits,
+                reused_fragments: executed.reused_fragments,
                 replans,
                 plan_switched,
             });

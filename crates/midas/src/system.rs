@@ -196,6 +196,7 @@ impl Midas {
             scheduler,
             modelling: HashMap::new(),
             max_vms: 8,
+            partition_degree: self.partition_degree,
         }
     }
 }
@@ -207,6 +208,7 @@ pub struct MidasSession<'a> {
     scheduler: Scheduler<'a>,
     modelling: HashMap<String, Modelling>,
     max_vms: u32,
+    partition_degree: usize,
 }
 
 impl MidasSession<'_> {
@@ -226,8 +228,11 @@ impl MidasSession<'_> {
         let space =
             EnumerationSpace::for_query(self.federation, self.placement, query, self.max_vms)
                 .map_err(SchedulerError::Engine)?;
-        let model = PlanCostModel::build(self.placement, query, tables)
-            .map_err(SchedulerError::Engine)?;
+        // Profile once: the cost model and the fragment outputs the chosen
+        // plan's execution takes over instead of recomputing.
+        let (model, profiled) =
+            PlanCostModel::profile(self.placement, query, tables, self.partition_degree)
+                .map_err(SchedulerError::Engine)?;
         let weights = WeightedSumModel::new(&policy.weights);
         let outcome: MoqpOutcome = moqp_exhaustive(
             &space,
@@ -239,7 +244,7 @@ impl MidasSession<'_> {
 
         let executed = self
             .scheduler
-            .execute_with_config(query, &outcome.chosen, tables)?;
+            .execute_profiled(query, &outcome.chosen, tables, &profiled)?;
 
         // Learn: per query class (Q12, Q13, …), keyed by the class prefix.
         let n_features = executed.features.len();

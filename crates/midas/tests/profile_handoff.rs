@@ -1,0 +1,466 @@
+//! Differential harness for the planning → execution hand-off.
+//!
+//! On a plan-cache miss the runtime profiles the query's three fragments
+//! once (`PlanCostModel::profile`) and hands their outputs to execution,
+//! which takes them in place of running the fragments a second time. The
+//! flow it replaced — `PlanCostModel::build`, outputs thrown away, then a
+//! `SharedExecutor` that executes everything — is still reachable through
+//! the public API, and [`Reference`] below is exactly that flow, job after
+//! job on one thread. The two must agree bit for bit: chosen plans,
+//! predicted and simulated cost vectors, DREAM windows, result
+//! fingerprints, fragment-cache hits, per-site admissions and the
+//! simulated clock — under every combination of fragment cache, plan
+//! cache, wave parallelism, partition degree and worker count, and across
+//! a fault-injected retry.
+
+use midas::runtime::{FederationRuntime, RuntimeConfig, RuntimeJob, RuntimeReport};
+use midas::{Midas, QueryPolicy};
+use midas_cloud::SiteId;
+use midas_engines::cache::FragmentResultCache;
+use midas_engines::exec::{ResultCacheBinding, SharedExecutor};
+use midas_engines::sim::{FaultPlan, SimulationEnv, SiteAdmission};
+use midas_engines::version::VersionedCatalog;
+use midas_engines::{execute_fused, Catalog, EngineError};
+use midas_ires::optimizer::moqp_exhaustive;
+use midas_ires::scheduler::{base_rows, features_from, Scheduler, SchedulerConfig};
+use midas_ires::{assemble, CandidateConfig, EnumerationSpace, ModellingRegistry, PlanCostModel};
+use midas_moo::WeightedSumModel;
+use midas_tpch::gen::{GenConfig, TpchDb};
+use midas_tpch::queries::{q12, q13, q14, q17};
+use std::collections::HashMap;
+use std::sync::Mutex;
+
+/// What one job left in the ledgers that must not depend on the hand-off.
+#[derive(Debug, Clone, PartialEq)]
+struct Ledger {
+    label: String,
+    chosen: CandidateConfig,
+    space_size: usize,
+    pareto_size: usize,
+    predicted: Vec<u64>,
+    actual: Vec<u64>,
+    dream_window: Option<usize>,
+    result_rows: usize,
+    result_fingerprint: u64,
+    attempts: usize,
+    cache_hits: u32,
+}
+
+fn bits(costs: &[f64]) -> Vec<u64> {
+    costs.iter().map(|c| c.to_bits()).collect()
+}
+
+/// The pre-hand-off flow: `FederationRuntime::process` for a closed batch
+/// on one worker with pressure feedback off, written against the public
+/// layer functions, profiling with `PlanCostModel::build` and executing
+/// every fragment of every attempt. It keeps no plan cache — `build` and
+/// `for_query` are pure, so a cached plan is the plan it rebuilds.
+struct Reference<'a> {
+    midas: &'a Midas,
+    config: RuntimeConfig,
+    catalog: Catalog,
+    env: Mutex<SimulationEnv>,
+    admission: SiteAdmission,
+    registry: ModellingRegistry,
+    fragment_cache: Option<FragmentResultCache>,
+    /// Identities of the (never republished) tables, as the runtime's
+    /// version 0 would mint them: the table component of every cache key.
+    table_ids: HashMap<String, u64>,
+    faults: Option<FaultPlan>,
+}
+
+impl<'a> Reference<'a> {
+    fn new(
+        midas: &'a Midas,
+        catalog: &Catalog,
+        config: RuntimeConfig,
+        faults: Option<FaultPlan>,
+    ) -> Self {
+        let federation = midas.federation();
+        let mut env = SimulationEnv::new();
+        for site in federation.site_ids() {
+            env.register_site(site, config.seed, config.drift);
+        }
+        Reference {
+            midas,
+            config,
+            catalog: catalog.clone(),
+            env: Mutex::new(env),
+            admission: SiteAdmission::new(federation.admission_capacities()),
+            registry: ModellingRegistry::dream_defaults(2),
+            fragment_cache: (config.fragment_cache_bytes > 0)
+                .then(|| FragmentResultCache::new(config.fragment_cache_bytes)),
+            table_ids: VersionedCatalog::new(catalog.clone()).current().table_ids(),
+            faults,
+        }
+    }
+
+    fn job(&self, sequence: usize, job: &RuntimeJob) -> Ledger {
+        let (federation, placement) = (self.midas.federation(), self.midas.placement());
+        let query = &job.query;
+        let space = EnumerationSpace::for_query(federation, placement, query, self.config.max_vms)
+            .expect("enumerable");
+        let base_model = PlanCostModel::build(placement, query, &self.catalog).expect("profiled");
+        let weights = WeightedSumModel::new(&job.policy.weights);
+        let left_rows = base_rows(&self.catalog, &query.left_table).expect("left table");
+        let right_rows = base_rows(&self.catalog, &query.right_table).expect("right table");
+        let mut hot_sites: Vec<SiteId> = Vec::new();
+        for attempt in 0..self.config.max_attempts {
+            let model = base_model
+                .clone()
+                .with_hot_sites(&hot_sites, self.config.hot_site_penalty)
+                .expect("valid penalty");
+            let outcome =
+                moqp_exhaustive(&space, &model, federation, &weights, &job.policy.constraints);
+            let federated =
+                assemble(federation, placement, query, &outcome.chosen).expect("assembled");
+            let mut executor = SharedExecutor::new(federation, &self.env, &self.admission)
+                .with_parallel_fragments(self.config.parallel_fragments)
+                .with_partition_degree(self.config.partition_degree);
+            if let Some(cache) = &self.fragment_cache {
+                executor = executor.with_result_cache(ResultCacheBinding {
+                    cache,
+                    scope: self.config.cache_scope,
+                    tenant: &job.tenant,
+                    table_ids: &self.table_ids,
+                });
+            }
+            if let Some(plan) = &self.faults {
+                executor = executor.with_faults(plan, (sequence + attempt) as u64);
+            }
+            let executed = match executor.run_with_scale(
+                &federated,
+                &self.catalog,
+                self.config.work_scale,
+            ) {
+                Ok(executed) => executed,
+                Err(EngineError::SiteUnavailable { site }) => {
+                    if !hot_sites.contains(&site) {
+                        hot_sites.push(site);
+                    }
+                    continue;
+                }
+                Err(e) => panic!("reference job {sequence} failed: {e}"),
+            };
+            assert_eq!(executed.reused_fragments, 0, "nothing was handed over");
+            let features =
+                features_from(left_rows, right_rows, &executed, self.config.work_scale);
+            let costs = executed.cost_vector();
+            let fit = self
+                .registry
+                .observe(query.class(), &features, &costs)
+                .expect("observed");
+            return Ledger {
+                label: query.label.clone(),
+                chosen: outcome.chosen,
+                space_size: space.len(),
+                pareto_size: outcome.pareto.len(),
+                predicted: bits(&outcome.chosen_costs),
+                actual: bits(&costs),
+                dream_window: fit.map(|report| report.window_used),
+                result_rows: executed.result.n_rows(),
+                result_fingerprint: executed.result.fingerprint(),
+                attempts: attempt + 1,
+                cache_hits: executed.cache_hits,
+            };
+        }
+        panic!("reference job {sequence} exhausted its attempts");
+    }
+
+    fn run(&self, jobs: &[RuntimeJob]) -> Vec<Ledger> {
+        jobs.iter()
+            .enumerate()
+            .map(|(sequence, job)| self.job(sequence, job))
+            .collect()
+    }
+
+    fn clock_bits(&self) -> u64 {
+        self.env.lock().unwrap().clock_s.to_bits()
+    }
+
+    fn admitted(&self) -> Vec<u64> {
+        self.admission.stats().iter().map(|(_, s)| s.admitted).collect()
+    }
+}
+
+fn ledgers(report: &RuntimeReport) -> Vec<Ledger> {
+    report
+        .completed
+        .iter()
+        .map(|r| Ledger {
+            label: r.report.label.clone(),
+            chosen: r.report.chosen.clone(),
+            space_size: r.report.space_size,
+            pareto_size: r.report.pareto_size,
+            predicted: bits(&r.report.predicted_costs),
+            actual: bits(&r.report.actual_costs),
+            dream_window: r.report.dream_window,
+            result_rows: r.report.result_rows,
+            result_fingerprint: r.report.result_fingerprint,
+            attempts: r.attempts,
+            cache_hits: r.cache_hits,
+        })
+        .collect()
+}
+
+/// The fields that do not depend on the order workers served the jobs in.
+fn order_free(ledger: &Ledger) -> Ledger {
+    Ledger {
+        actual: Vec::new(),
+        dream_window: None,
+        cache_hits: 0,
+        ..ledger.clone()
+    }
+}
+
+/// One job per tenant per round, so a single worker's round-robin serves
+/// them in submission order. Q13 and Q17 repeat unchanged every round (a
+/// plan-cache hit from round 1 on, nothing handed over); Q12 and Q14
+/// change instance every round (a miss, three fragments handed over).
+fn mixed_jobs(rounds: usize) -> Vec<RuntimeJob> {
+    let modes = [("MAIL", "SHIP"), ("AIR", "RAIL"), ("TRUCK", "FOB"), ("REG AIR", "SHIP")];
+    let mut jobs = Vec::new();
+    for round in 0..rounds {
+        let (m1, m2) = modes[round % modes.len()];
+        let year = 1993 + (round % 5) as i32;
+        jobs.push(RuntimeJob::new("hospital-A", q12(m1, m2, year), QueryPolicy::balanced()));
+        jobs.push(RuntimeJob::new(
+            "hospital-B",
+            q13("special", "requests"),
+            QueryPolicy::fastest(),
+        ));
+        jobs.push(RuntimeJob::new(
+            "hospital-C",
+            q14(year, 1 + (round % 12) as u32),
+            QueryPolicy::cheapest(),
+        ));
+        jobs.push(RuntimeJob::new(
+            "hospital-D",
+            q17("Brand#23", "MED BOX"),
+            QueryPolicy::balanced().with_money_budget(50.0),
+        ));
+    }
+    jobs
+}
+
+fn deployment() -> (Midas, TpchDb) {
+    let (midas, _, _) = Midas::example_deployment(&["lineitem", "customer"], &["orders", "part"]);
+    (midas, TpchDb::generate(GenConfig::new(0.002, 5)))
+}
+
+fn runtime<'a>(midas: &'a Midas, db: &TpchDb, config: RuntimeConfig) -> FederationRuntime<'a> {
+    FederationRuntime::new(
+        midas.federation(),
+        midas.placement(),
+        db.catalog().clone(),
+        config,
+    )
+}
+
+/// Runs `jobs` through a one-worker runtime (hand-off) and through the
+/// reference (no hand-off) and pins every ledger, the clock and the
+/// per-site admission counts. Returns the runtime's report.
+fn assert_one_worker_matches_reference(
+    midas: &Midas,
+    db: &TpchDb,
+    config: RuntimeConfig,
+    faults: Option<FaultPlan>,
+    jobs: &[RuntimeJob],
+    ctx: &str,
+) -> (RuntimeReport, Vec<Ledger>) {
+    let reference = Reference::new(midas, db.catalog(), config, faults.clone());
+    let expected = reference.run(jobs);
+    let mut rt = runtime(midas, db, RuntimeConfig { workers: 1, ..config });
+    if let Some(plan) = faults {
+        rt = rt.with_fault_plan(plan);
+    }
+    let report = rt.run(jobs.to_vec());
+    assert!(report.failed.is_empty(), "{ctx}: failures {:?}", report.failed);
+    assert_eq!(ledgers(&report), expected, "{ctx}");
+    assert_eq!(report.sim_clock_s.to_bits(), reference.clock_bits(), "{ctx}: clock");
+    let admitted: Vec<u64> = report.admission.iter().map(|(_, s)| s.admitted).collect();
+    assert_eq!(admitted, reference.admitted(), "{ctx}: admissions");
+    (report, expected)
+}
+
+#[test]
+fn hand_off_matches_build_then_execute_across_the_config_matrix() {
+    let (midas, db) = deployment();
+    let jobs = mixed_jobs(3);
+    for fragment_cache_bytes in [0, 64 << 20] {
+        for plan_cache_bytes in [0, 8 << 20] {
+            for parallel_fragments in [false, true] {
+                for partition_degree in [1, 4] {
+                    let config = RuntimeConfig {
+                        max_vms: 2,
+                        fragment_cache_bytes,
+                        plan_cache_bytes,
+                        parallel_fragments,
+                        partition_degree,
+                        ..RuntimeConfig::default()
+                    };
+                    let ctx = format!(
+                        "frag={fragment_cache_bytes} plan={plan_cache_bytes} \
+                         parallel={parallel_fragments} degree={partition_degree}"
+                    );
+                    let (one, expected) =
+                        assert_one_worker_matches_reference(&midas, &db, config, None, &jobs, &ctx);
+                    // Misses hand over all three fragments, hits none
+                    // (a fragment cache would serve some of them first).
+                    let misses = if plan_cache_bytes == 0 { 12 } else { 8 };
+                    let handed: Vec<u32> =
+                        one.completed.iter().map(|r| r.reused_fragments).collect();
+                    if fragment_cache_bytes == 0 {
+                        assert_eq!(one.reused_fragments, 3 * misses, "{ctx}: {handed:?}");
+                        assert!(handed.iter().all(|&h| h == 0 || h == 3), "{ctx}: {handed:?}");
+                    }
+
+                    // Four racing workers serve in another order, so the
+                    // drifting env differs; everything else may not.
+                    let four = runtime(&midas, &db, RuntimeConfig { workers: 4, ..config })
+                        .run(jobs.clone());
+                    assert!(four.failed.is_empty(), "{ctx}: failures {:?}", four.failed);
+                    let four: Vec<Ledger> = ledgers(&four).iter().map(order_free).collect();
+                    let expected: Vec<Ledger> = expected.iter().map(order_free).collect();
+                    assert_eq!(four, expected, "{ctx} at 4 workers");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn dream_windows_are_unchanged_once_the_history_is_deep_enough_to_fit() {
+    // Eight observations per class: DREAM fits from the sixth on, so the
+    // learned windows are real numbers, not `None == None`.
+    let (midas, db) = deployment();
+    let config = RuntimeConfig {
+        max_vms: 2,
+        ..RuntimeConfig::default()
+    };
+    let (report, _) =
+        assert_one_worker_matches_reference(&midas, &db, config, None, &mixed_jobs(8), "deep");
+    assert!(report.completed.iter().any(|r| r.report.dream_window.is_some()));
+}
+
+#[test]
+fn an_outage_fails_before_the_hand_off_and_the_retry_reuses_it() {
+    let (midas, db) = deployment();
+    let orders_site = midas.placement().locate("orders").expect("placed").site;
+    // Position 0 only: job 0 (Q12, lineitem ⋈ orders) runs its lineitem
+    // fragment, is refused at the orders site, and retries at position 1.
+    let faults = FaultPlan::none().outage(orders_site, 0, 1);
+    for (fragment_cache_bytes, plan_cache_bytes) in [(0, 0), (64 << 20, 8 << 20)] {
+        let config = RuntimeConfig {
+            max_vms: 2,
+            fragment_cache_bytes,
+            plan_cache_bytes,
+            ..RuntimeConfig::default()
+        };
+        let ctx = format!("outage frag={fragment_cache_bytes} plan={plan_cache_bytes}");
+        let (report, _) = assert_one_worker_matches_reference(
+            &midas,
+            &db,
+            config,
+            Some(faults.clone()),
+            &mixed_jobs(2),
+            &ctx,
+        );
+        let retried = &report.completed[0];
+        assert_eq!(retried.attempts, 2, "{ctx}: the outage still raised SiteUnavailable");
+        // With the fragment cache on, the failed attempt's lineitem
+        // fragment was cached on its way through and now hits; the other
+        // two still come from the same hand-off.
+        let (reused, hits) = if fragment_cache_bytes == 0 { (3, 0) } else { (2, 1) };
+        assert_eq!((retried.reused_fragments, retried.cache_hits), (reused, hits), "{ctx}");
+    }
+}
+
+#[test]
+fn reused_fragments_says_which_jobs_executed_nothing_twice() {
+    let (midas, db) = deployment();
+    let job = |tenant: &str| {
+        RuntimeJob::new(tenant, q12("MAIL", "SHIP", 1994), QueryPolicy::balanced())
+    };
+    let run = |fragment_cache_bytes: u64, plan_cache_bytes: u64| {
+        let config = RuntimeConfig {
+            workers: 1,
+            max_vms: 2,
+            fragment_cache_bytes,
+            plan_cache_bytes,
+            ..RuntimeConfig::default()
+        };
+        let report = runtime(&midas, &db, config).run(vec![job("hospital-A"), job("hospital-B")]);
+        assert!(report.failed.is_empty(), "failures: {:?}", report.failed);
+        let per_job: Vec<(u32, u32)> = report
+            .completed
+            .iter()
+            .map(|r| (r.reused_fragments, r.cache_hits))
+            .collect();
+        (per_job, report.reused_fragments)
+    };
+    // Plan-cache miss: all three fragments come from planning. Plan-cache
+    // hit: nothing was profiled, so nothing is handed over — the fragment
+    // cache serves the repeat, or (when off) the fragments execute.
+    assert_eq!(run(64 << 20, 8 << 20), (vec![(3, 0), (0, 3)], 3));
+    assert_eq!(run(0, 8 << 20), (vec![(3, 0), (0, 0)], 3));
+    // No plan cache: every job is a miss. The second job's fragments are
+    // in the fragment cache, which is consulted first.
+    assert_eq!(run(0, 0), (vec![(3, 0), (3, 0)], 6));
+    assert_eq!(run(64 << 20, 0), (vec![(3, 0), (0, 3)], 3));
+}
+
+#[test]
+fn a_cold_job_scans_what_one_standalone_execution_scans() {
+    let (midas, db) = deployment();
+    let query = q12("MAIL", "SHIP", 1994);
+    let tables = db.catalog();
+    // Standalone: each fragment once.
+    let (left, work_left) = execute_fused(&query.left_prepare, tables).unwrap();
+    let (right, work_right) = execute_fused(&query.right_prepare, tables).unwrap();
+    let mut prepared = Catalog::new();
+    prepared.insert("@frag0", left);
+    prepared.insert("@frag1", right);
+    let (result, work_combine) = execute_fused(&query.combine, &prepared).unwrap();
+    let standalone_rows: u64 = [&work_left, &work_right, &work_combine]
+        .iter()
+        .map(|w| w.scanned_rows())
+        .sum();
+
+    // The job: profile (the only executions), then a run that is handed
+    // all three outputs and so executes nothing.
+    let (_, profiled) = PlanCostModel::profile(midas.placement(), &query, tables, 1).unwrap();
+    let executed_rows: u64 = profiled.iter().map(|p| p.work.scanned_rows()).sum();
+    assert_eq!(executed_rows, standalone_rows);
+    let mut scheduler = Scheduler::new(
+        midas.federation(),
+        midas.placement().clone(),
+        SchedulerConfig::default(),
+    );
+    let config = CandidateConfig {
+        join_site: SiteId(0),
+        join_engine: midas_engines::EngineKind::Spark,
+        instance_idx: 1,
+        vm_count: 2,
+    };
+    let run = scheduler
+        .execute_profiled(&query, &config, tables, &profiled)
+        .unwrap();
+    assert_eq!(run.outcome.reused_fragments, 3);
+    assert_eq!(run.outcome.result.fingerprint(), result.fingerprint());
+    // The ledger attributes one execution's work to the job.
+    let attributed: u64 = run.outcome.fragments.iter().map(|f| f.work.scanned_rows()).sum();
+    assert_eq!(attributed, standalone_rows);
+
+    // Same signals as executing without the hand-off, from the same seed.
+    let mut cold_scheduler = Scheduler::new(
+        midas.federation(),
+        midas.placement().clone(),
+        SchedulerConfig::default(),
+    );
+    let cold = cold_scheduler.execute_with_config(&query, &config, tables).unwrap();
+    assert_eq!(cold.outcome.reused_fragments, 0);
+    assert_eq!(bits(&run.costs), bits(&cold.costs));
+    assert_eq!(run.features, cold.features);
+    assert_eq!(scheduler.clock_s().to_bits(), cold_scheduler.clock_s().to_bits());
+}

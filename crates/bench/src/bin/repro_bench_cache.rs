@@ -88,6 +88,9 @@ struct Measured {
     cold_qps: f64,
     warm_qps: f64,
     speedup: f64,
+    /// Mean worker-side wall time of one warm job (dequeue to report), so
+    /// the hit path's absolute cost is on record beside the ratio.
+    warm_job_us: f64,
     fragment_hit_rate: f64,
     plan_hit_rate: f64,
 }
@@ -168,6 +171,9 @@ fn main() {
                 cold_qps: cold.throughput_qps,
                 warm_qps: warm.throughput_qps,
                 speedup,
+                warm_job_us: warm.completed.iter().map(|r| r.wall_latency_s).sum::<f64>()
+                    / n_jobs as f64
+                    * 1e6,
                 fragment_hit_rate,
                 plan_hit_rate,
             },
@@ -236,7 +242,7 @@ fn main() {
     );
 
     print_table(
-        &["workers", "cold qps", "warm qps", "speedup", "frag hit rate", "plan hit rate"],
+        &["workers", "cold qps", "warm qps", "speedup", "warm us/job", "frag hit rate", "plan hit rate"],
         &sweep
             .iter()
             .map(|(workers, m)| {
@@ -245,6 +251,7 @@ fn main() {
                     format!("{:.1}", m.cold_qps),
                     format!("{:.1}", m.warm_qps),
                     format!("{:.2}x", m.speedup),
+                    format!("{:.1}", m.warm_job_us),
                     format!("{:.1}%", m.fragment_hit_rate * 100.0),
                     format!("{:.1}%", m.plan_hit_rate * 100.0),
                 ]
@@ -278,6 +285,7 @@ fn main() {
                         "cold_qps": m.cold_qps,
                         "warm_qps": m.warm_qps,
                         "speedup": m.speedup,
+                        "warm_job_us": m.warm_job_us,
                         "fragment_hit_rate": m.fragment_hit_rate,
                         "plan_hit_rate": m.plan_hit_rate,
                     })

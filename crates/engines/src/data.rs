@@ -384,6 +384,12 @@ pub struct Table {
     /// Memoized [`Table::utf8_len_sums`]; excluded from `PartialEq` and
     /// `Debug` for the same reason as `bytes_cache`.
     len_sums_cache: OnceLock<Vec<usize>>,
+    /// Memoized [`Table::fingerprint`], under the same rules: the rows
+    /// cannot change after construction (`columns` is private, no method
+    /// takes `&mut self`, and the public `name` is not hashed), so the
+    /// O(bytes) hash runs at most once per table — a result that lives in
+    /// a cache behind an `Arc` is hashed once, not once per hit.
+    fingerprint_cache: OnceLock<u64>,
 }
 
 impl fmt::Debug for Table {
@@ -411,23 +417,25 @@ impl Table {
                 table: name.to_string(),
             });
         }
-        Ok(Table {
-            name: name.to_string(),
-            columns,
-            n_rows,
-            bytes_cache: OnceLock::new(),
-            len_sums_cache: OnceLock::new(),
-        })
+        Ok(Table::from_parts(name.to_string(), columns, n_rows))
     }
 
     /// An empty, zero-column table.
     pub fn empty(name: &str) -> Self {
+        Table::from_parts(name.to_string(), Vec::new(), 0)
+    }
+
+    /// The one place a table is put together: `columns` all hold `n_rows`
+    /// rows (the caller's invariant), and every memo starts empty — a new
+    /// table never inherits what was measured on the rows it was cut from.
+    fn from_parts(name: String, columns: Vec<Column>, n_rows: usize) -> Self {
         Table {
-            name: name.to_string(),
-            columns: Vec::new(),
-            n_rows: 0,
+            name,
+            columns,
+            n_rows,
             bytes_cache: OnceLock::new(),
             len_sums_cache: OnceLock::new(),
+            fingerprint_cache: OnceLock::new(),
         }
     }
 
@@ -482,13 +490,7 @@ impl Table {
     /// Gathers the rows at a `u32` selection vector.
     pub fn take_ids(&self, indices: &[u32]) -> Table {
         let columns = self.columns.iter().map(|c| c.take_ids(indices)).collect();
-        Table {
-            name: self.name.clone(),
-            columns,
-            n_rows: indices.len(),
-            bytes_cache: OnceLock::new(),
-            len_sums_cache: OnceLock::new(),
-        }
+        Table::from_parts(self.name.clone(), columns, indices.len())
     }
 
     /// Total byte length of the string values of each column (`0` for
@@ -543,25 +545,13 @@ impl Table {
     pub fn filter(&self, mask: &[bool]) -> Table {
         let columns = self.columns.iter().map(|c| c.filter(mask)).collect();
         let n_rows = mask.iter().filter(|&&m| m).count();
-        Table {
-            name: self.name.clone(),
-            columns,
-            n_rows,
-            bytes_cache: OnceLock::new(),
-            len_sums_cache: OnceLock::new(),
-        }
+        Table::from_parts(self.name.clone(), columns, n_rows)
     }
 
     /// Gathers the rows at `indices`.
     pub fn take(&self, indices: &[usize]) -> Table {
         let columns = self.columns.iter().map(|c| c.take(indices)).collect();
-        Table {
-            name: self.name.clone(),
-            columns,
-            n_rows: indices.len(),
-            bytes_cache: OnceLock::new(),
-            len_sums_cache: OnceLock::new(),
-        }
+        Table::from_parts(self.name.clone(), columns, indices.len())
     }
 
     /// Extracts row `i` as values (for tests and display).
@@ -646,13 +636,7 @@ impl Table {
                 validity,
             });
         }
-        Ok(Table {
-            name: name.to_string(),
-            columns,
-            n_rows,
-            bytes_cache: OnceLock::new(),
-            len_sums_cache: OnceLock::new(),
-        })
+        Ok(Table::from_parts(name.to_string(), columns, n_rows))
     }
 
     /// An order-sensitive 64-bit content fingerprint (FNV-1a over schema,
@@ -666,7 +650,15 @@ impl Table {
     /// default, an operator's scratch value) never reaches the hash, so two
     /// *logically* identical tables fingerprint equal no matter how their
     /// dead slots differ.
+    ///
+    /// Memoized like [`Table::estimated_bytes`]: the first call hashes the
+    /// table, every later call — on this table or a clone of it — reads
+    /// the stored value.
     pub fn fingerprint(&self) -> u64 {
+        *self.fingerprint_cache.get_or_init(|| self.compute_fingerprint())
+    }
+
+    fn compute_fingerprint(&self) -> u64 {
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x0000_0100_0000_01b3;
         let mut h = OFFSET;
@@ -1019,6 +1011,42 @@ mod tests {
         )
         .unwrap();
         assert_ne!(d.fingerprint(), e.fingerprint());
+    }
+
+    #[test]
+    fn fingerprint_memo_is_invisible_and_never_inherited() {
+        let hashed = sample();
+        assert!(hashed.fingerprint_cache.get().is_none(), "nothing is precomputed");
+        let fp = hashed.fingerprint();
+        // The memo holds exactly what a fresh computation yields, and a
+        // second call reads it.
+        assert_eq!(hashed.fingerprint_cache.get(), Some(&fp));
+        assert_eq!(fp, hashed.compute_fingerprint());
+        assert_eq!(fp, hashed.fingerprint());
+        assert_eq!(fp, sample().compute_fingerprint());
+        // `==` and `Debug` cannot tell a hashed table from an unhashed one.
+        let fresh = sample();
+        assert_eq!(hashed, fresh);
+        assert_eq!(format!("{hashed:?}"), format!("{fresh:?}"));
+        assert!(fresh.fingerprint_cache.get().is_none());
+        // A clone holds the same rows, so it carries the memo.
+        assert_eq!(hashed.clone().fingerprint_cache.get(), Some(&fp));
+        // Every table cut from a hashed one starts unmemoised and hashes
+        // its own rows — an identity cut hashes equal, any other differs.
+        let derived = [
+            hashed.filter(&[true, false, true]),
+            hashed.take(&[2, 0]),
+            hashed.take_ids(&[1]),
+            Table::concat("t", &[&hashed, &hashed]).unwrap(),
+        ];
+        for t in &derived {
+            assert!(t.fingerprint_cache.get().is_none(), "{t:?}");
+            assert_eq!(t.fingerprint(), t.compute_fingerprint());
+            assert_ne!(t.fingerprint(), fp, "{t:?}");
+        }
+        let identity = hashed.take(&[0, 1, 2]);
+        assert!(identity.fingerprint_cache.get().is_none());
+        assert_eq!(identity.fingerprint(), fp);
     }
 
     #[test]

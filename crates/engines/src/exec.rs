@@ -134,8 +134,13 @@ pub fn profile_fragments(
 /// The result of executing a federated query.
 #[derive(Debug, Clone)]
 pub struct ExecutionOutcome {
-    /// The final fragment's output table.
-    pub result: Table,
+    /// The final fragment's output table, shared: the same allocation a
+    /// result-cache entry or the planning hand-off holds when the fragment
+    /// came from one, so handing it over is a refcount bump whatever the
+    /// result's size — and its memoized [`Table::fingerprint`] survives
+    /// with the cached table from one hit to the next. Read through
+    /// `Deref`; `(*outcome.result).clone()` is the explicit deep copy.
+    pub result: Arc<Table>,
     /// Total simulated wall-clock seconds.
     pub elapsed_s: f64,
     /// Total billed money.
@@ -499,7 +504,9 @@ impl<'a> SharedExecutor<'a> {
     /// outcomes are bit-identical either way (the executor is
     /// deterministic; see [`crate::cache`]). Injected site outages still
     /// fail *before* the cache lookup, so fault schedules replay
-    /// identically warm or cold.
+    /// identically warm or cold. A hit on the final fragment makes
+    /// [`ExecutionOutcome::result`] the cached `Arc` itself, so a fully
+    /// warm run copies no table bytes at all.
     pub fn with_result_cache(mut self, binding: ResultCacheBinding<'a>) -> Self {
         self.cache = Some(binding);
         self
@@ -905,16 +912,10 @@ fn run_federated(
         sim.advance(env, federation, query, &mut executed, &mut shapes, &transfers, work_scale, faults);
     }
 
-    // The catalog holds the only other reference to the final fragment's
-    // output; dropping it first makes the unwrap zero-copy.
-    drop(catalog);
-    let result = match sim.last_table {
-        Some(table) => Arc::try_unwrap(table).unwrap_or_else(|shared| (*shared).clone()),
-        None => Table::empty("empty"),
-    };
-
     Ok(ExecutionOutcome {
-        result,
+        result: sim
+            .last_table
+            .unwrap_or_else(|| Arc::new(Table::empty("empty"))),
         elapsed_s: sim.total_elapsed,
         money: sim.total_money,
         intermediate_bytes: sim.total_intermediate,
@@ -1441,6 +1442,10 @@ mod tests {
             .unwrap();
         // Every fragment served from cache; outcome bit-identical.
         assert_eq!(warm.cache_hits, 2);
+        // The warm result *is* the table the cold run computed and cached:
+        // a hit hands over a refcount, never a copy. (The gate for a
+        // reintroduced per-job copy, like `catalog_cloned_bytes`.)
+        assert!(Arc::ptr_eq(&warm.result, &cold.result));
         assert_eq!(warm.result, cold.result);
         assert_eq!(
             warm.result.fingerprint(),
@@ -1523,6 +1528,9 @@ mod tests {
         let handed = run_handed(&fed, &q, &profiled);
         assert_eq!((handed.reused_fragments, handed.cache_hits), (2, 0));
         assert_same_outcome(&handed, &cold);
+        // The result is planning's own allocation, not a copy of it.
+        assert!(Arc::ptr_eq(&handed.result, &profiled[1].table));
+        assert!(!Arc::ptr_eq(&cold.result, &profiled[1].table));
         // A short list hands over what it has and executes the rest.
         let short = run_handed(&fed, &q, &profiled[..1]);
         assert_eq!(short.reused_fragments, 1);

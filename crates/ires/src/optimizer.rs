@@ -8,7 +8,14 @@
 //!   weighted sum directly. Every weight change restarts the whole GA.
 //!
 //! An exhaustive evaluator provides ground truth for the small spaces used
-//! in tests and the Figure 3 experiment.
+//! in tests and the Figure 3 experiment, and is what the serving path
+//! runs. It is split where the paper splits it: [`cost_space`] is the
+//! policy-independent half (cost every candidate, keep the exact Pareto
+//! set) and [`select_costed`] is Algorithm 2 over that set. The runtime
+//! keeps the [`CostedSpace`] of a query's pressure-free model beside its
+//! cached plan, so repeated queries — whatever each tenant's weights and
+//! budget — pay only Algorithm 2, exactly the reuse the GA pipeline is
+//! built for.
 
 use crate::costmodel::PlanCostModel;
 use crate::enumerate::{CandidateConfig, EnumerationSpace};
@@ -91,8 +98,59 @@ pub fn moqp_wsm(
     }
 }
 
+/// A configuration space costed under one model: everything the exhaustive
+/// evaluator computes before the user policy enters. A pure function of
+/// `(space, model, federation)`, so it may be kept for as long as those
+/// three are — any number of [`select_costed`] calls then share it.
+#[derive(Debug, Clone)]
+pub struct CostedSpace {
+    /// The exact Pareto set of the space, in enumeration order.
+    pub pareto: Vec<(CandidateConfig, Vec<f64>)>,
+    /// Cost-model evaluations spent building it (the size of the space).
+    pub evaluations: usize,
+}
+
+/// The policy-independent half of [`moqp_exhaustive`]: costs every
+/// configuration of `space` under `model` and keeps the exact Pareto set.
+pub fn cost_space(
+    space: &EnumerationSpace,
+    model: &PlanCostModel,
+    federation: &Federation,
+) -> CostedSpace {
+    let configs = space.all();
+    let costs: Vec<Vec<f64>> = configs
+        .iter()
+        .map(|c| model.cost(federation, c))
+        .collect();
+    let pareto = midas_moo::pareto_front_indices(&costs)
+        .into_iter()
+        .map(|i| (configs[i].clone(), costs[i].clone()))
+        .collect();
+    CostedSpace {
+        pareto,
+        evaluations: configs.len(),
+    }
+}
+
+/// Algorithm 2 over an already costed space: the plan `weights` and
+/// `constraints` select from its Pareto set. No cost-model call.
+pub fn select_costed(
+    costed: &CostedSpace,
+    weights: &WeightedSumModel,
+    constraints: &Constraints,
+) -> MoqpOutcome {
+    let (chosen, chosen_costs) =
+        reselect(&costed.pareto, weights, constraints).expect("non-empty space");
+    MoqpOutcome {
+        chosen,
+        chosen_costs,
+        pareto: costed.pareto.clone(),
+        evaluations: costed.evaluations,
+    }
+}
+
 /// Exhaustive ground truth: evaluates the whole space, exact Pareto set,
-/// Algorithm 2 selection.
+/// Algorithm 2 selection — [`cost_space`] then [`select_costed`].
 pub fn moqp_exhaustive(
     space: &EnumerationSpace,
     model: &PlanCostModel,
@@ -100,24 +158,7 @@ pub fn moqp_exhaustive(
     weights: &WeightedSumModel,
     constraints: &Constraints,
 ) -> MoqpOutcome {
-    let configs = space.all();
-    let costs: Vec<Vec<f64>> = configs
-        .iter()
-        .map(|c| model.cost(federation, c))
-        .collect();
-    let front_idx = midas_moo::pareto_front_indices(&costs);
-    let pareto: Vec<(CandidateConfig, Vec<f64>)> = front_idx
-        .iter()
-        .map(|&i| (configs[i].clone(), costs[i].clone()))
-        .collect();
-    let front_costs: Vec<Vec<f64>> = pareto.iter().map(|(_, c)| c.clone()).collect();
-    let pick = best_in_pareto(&front_costs, weights, constraints).expect("non-empty space");
-    MoqpOutcome {
-        chosen: pareto[pick].0.clone(),
-        chosen_costs: pareto[pick].1.clone(),
-        pareto,
-        evaluations: configs.len(),
-    }
+    select_costed(&cost_space(space, model, federation), weights, constraints)
 }
 
 #[cfg(test)]
@@ -201,6 +242,45 @@ mod tests {
         // Different preferences generally pick different plans.
         if truth.pareto.len() > 1 {
             assert!(cfg_money != cfg_time || costs_money == costs_time);
+        }
+    }
+
+    #[test]
+    fn one_costed_space_serves_every_policy_like_a_fresh_exhaustive_run() {
+        let f = fixture();
+        // Costed once, before any policy is known.
+        let costed = cost_space(&f.space, &f.model, &f.fed);
+        assert_eq!(costed.evaluations, f.space.len());
+        let none = Constraints::none(2);
+        // A money cap that binds: below what the time-optimal plan costs.
+        let fastest =
+            select_costed(&costed, &WeightedSumModel::new(&[1.0, 0.0]), &none);
+        let binding = Constraints::none(2).with_bound(1, fastest.chosen_costs[1] * 0.9);
+        // The four tenant policies of `repro_bench_runtime`, then the cap.
+        let policies = [
+            ([0.5, 0.5], none.clone()),
+            ([1.0, 0.0], none.clone()),
+            ([0.0, 1.0], none.clone()),
+            ([0.5, 0.5], Constraints::none(2).with_bound(1, 100.0)),
+            ([1.0, 0.0], binding.clone()),
+        ];
+        for (w, constraints) in &policies {
+            let weights = WeightedSumModel::new(w);
+            let reused = select_costed(&costed, &weights, constraints);
+            let fresh = moqp_exhaustive(&f.space, &f.model, &f.fed, &weights, constraints);
+            assert_eq!(reused.chosen, fresh.chosen, "{w:?}");
+            assert_eq!(reused.chosen_costs, fresh.chosen_costs, "{w:?}");
+            assert_eq!(reused.pareto, fresh.pareto, "{w:?}");
+            assert_eq!(reused.evaluations, fresh.evaluations, "{w:?}");
+            let (cfg, costs) = reselect(&costed.pareto, &weights, constraints).unwrap();
+            assert_eq!((cfg, costs), (reused.chosen, reused.chosen_costs), "{w:?}");
+        }
+        // The cap moved the time-first choice whenever the front offers a
+        // cheaper plan.
+        let capped = select_costed(&costed, &WeightedSumModel::new(&[1.0, 0.0]), &binding);
+        if costed.pareto.iter().any(|(_, c)| binding.satisfied_by(c)) {
+            assert_ne!(capped.chosen, fastest.chosen);
+            assert!(binding.satisfied_by(&capped.chosen_costs));
         }
     }
 

@@ -75,8 +75,8 @@ use midas_engines::data::Table;
 use midas_engines::exec::{ProfiledFragment, ResultCacheBinding, SharedExecutor};
 use midas_engines::sim::{AdmissionStats, DriftIntensity, FaultPlan, SimulationEnv, SiteAdmission};
 use midas_engines::version::{CatalogVersion, IngestReceipt, IngestStats, VersionedCatalog};
-use midas_engines::{Catalog, EngineError, Placement};
-use midas_ires::optimizer::moqp_exhaustive;
+use midas_engines::{Catalog, EngineError, Placement, SchemaCatalog};
+use midas_ires::optimizer::{cost_space, moqp_exhaustive, select_costed, CostedSpace};
 use midas_ires::scheduler::{base_rows, features_from, SchedulerError};
 use midas_ires::{assemble, EnumerationSpace, ModellingRegistry, PlanCostModel};
 use midas_moo::WeightedSumModel;
@@ -937,7 +937,9 @@ impl Ingress<'_, '_> {
         let weight = self.runtime.tenant_weight(&job.tenant);
         let clock_s = self.runtime.clock_s();
         let pressure = self.runtime.sample_pressure();
-        let rejection = self.runtime.validate_admission(&job, &pinned);
+        let rejection = self
+            .runtime
+            .validate_admission(&job, &self.runtime.schemas_of(&pinned));
         self.queue
             .submit(job, pinned, weight, clock_s, pressure, rejection)
     }
@@ -971,12 +973,20 @@ impl Ingress<'_, '_> {
     }
 }
 
-/// One cached planning result: the enumerated QEP space plus the profiled
-/// cost model, both pure functions of (federation, placement, query shape,
-/// pinned table contents) — which is exactly what their cache key encodes.
+/// One cached planning result: the enumerated QEP space, the profiled
+/// (pressure-free) cost model, and that space costed under that model —
+/// every candidate's cost vector reduced to the exact Pareto set. All three
+/// are pure functions of (federation, placement, query shape, pinned table
+/// contents), which is exactly what their cache key encodes; none depends
+/// on a tenant's policy, so a hit leaves a job only Algorithm 2 to run
+/// (Figure 3: a policy change re-selects from a reused Pareto set).
 struct CachedPlan {
     space: EnumerationSpace,
     model: PlanCostModel,
+    /// `cost_space(space, model)`: what every attempt whose model *is*
+    /// `model` — no admission pressure folded in, no hot site — selects
+    /// from.
+    costed: CostedSpace,
 }
 
 /// What [`FederationRuntime::process`] hands back for one successful job.
@@ -1016,6 +1026,10 @@ pub struct FederationRuntime<'a> {
     /// The plan/cost-model cache (`None` when
     /// [`RuntimeConfig::plan_cache_bytes`] is 0).
     plan_cache: Option<ScopedCache<CacheKey, Arc<CachedPlan>>>,
+    /// The schema environment admission validates against, kept with the
+    /// number of the catalog version it was read from (see
+    /// [`FederationRuntime::schemas_of`]).
+    admission_schemas: Mutex<Option<(u64, Arc<SchemaCatalog>)>>,
 }
 
 impl<'a> FederationRuntime<'a> {
@@ -1055,6 +1069,7 @@ impl<'a> FederationRuntime<'a> {
                 .then(|| FragmentResultCache::new(config.fragment_cache_bytes)),
             plan_cache: (config.plan_cache_bytes > 0)
                 .then(|| ScopedCache::new(config.plan_cache_bytes)),
+            admission_schemas: Mutex::new(None),
         }
     }
 
@@ -1184,7 +1199,7 @@ impl<'a> FederationRuntime<'a> {
             let clock_s = self.clock_s();
             let pressure = self.sample_pressure();
             let pinned = self.catalog.current();
-            let rejection = self.validate_admission(&job, &pinned);
+            let rejection = self.validate_admission(&job, &self.schemas_of(&pinned));
             queue.submit(job, pinned, weight, clock_s, pressure, rejection);
         }
         queue.close();
@@ -1258,27 +1273,44 @@ impl<'a> FederationRuntime<'a> {
         }
     }
 
-    /// Statically validates a job's query against its pinned catalog
-    /// version at admission time: schema inference and type checking over
-    /// the three fragment plans (left prepare, right prepare, combine with
-    /// its `@frag` wiring). Returns the typed rejection for an invalid
-    /// plan, `None` when the job may proceed to planning.
+    /// The table schemas of `pinned`, read once per catalog version: every
+    /// admission pinning the same version shares one [`SchemaCatalog`], and
+    /// the first admission after a publish rebuilds it. Version numbers
+    /// identify contents — this runtime's catalog only ever publishes
+    /// successors. Schema extraction reads chunk metadata only (no
+    /// `pin()`, no compaction).
+    fn schemas_of(&self, pinned: &CatalogVersion) -> Arc<SchemaCatalog> {
+        let mut slot = lock_recover(&self.admission_schemas);
+        match &*slot {
+            Some((version, schemas)) if *version == pinned.version() => Arc::clone(schemas),
+            _ => {
+                let schemas = Arc::new(SchemaCatalog::from_version(pinned));
+                *slot = Some((pinned.version(), Arc::clone(&schemas)));
+                schemas
+            }
+        }
+    }
+
+    /// Statically validates a job's query against the schemas of its
+    /// pinned catalog version ([`FederationRuntime::schemas_of`]) at
+    /// admission time: schema inference and type checking over the three
+    /// fragment plans (left prepare, right prepare, combine with its
+    /// `@frag` wiring). Returns the typed rejection for an invalid plan,
+    /// `None` when the job may proceed to planning.
     ///
     /// Runs on the submitting thread, **before** the job enters the queue
     /// — so a rejected job never contends for an admission slot, never
     /// touches the plan or fragment caches, and never reaches the
-    /// enumeration stack. Schema extraction reads chunk metadata only
-    /// (no `pin()`, no compaction), keeping admission O(plan size).
+    /// enumeration stack — and costs O(plan size).
     fn validate_admission(
         &self,
         job: &RuntimeJob,
-        pinned: &CatalogVersion,
+        schemas: &SchemaCatalog,
     ) -> Option<RuntimeError> {
-        let schemas = midas_engines::SchemaCatalog::from_version(pinned);
         let q = &job.query;
         let analyses = midas_engines::analyze_fragment_plans(
             &[&q.left_prepare, &q.right_prepare, &q.combine],
-            &schemas,
+            schemas,
         );
         let diagnostics: Vec<midas_engines::PlanDiagnostic> = analyses
             .iter()
@@ -1594,10 +1626,16 @@ impl<'a> FederationRuntime<'a> {
                     self.config.partition_degree,
                 )
                 .map_err(|e| scheduler_err(SchedulerError::Engine(e)))?;
-                let entry = Arc::new(CachedPlan { space, model });
+                let costed = cost_space(&space, &model, self.federation);
+                let entry = Arc::new(CachedPlan {
+                    space,
+                    model,
+                    costed,
+                });
                 if let (Some(cache), Some(key)) = (&self.plan_cache, &plan_key) {
-                    // Nominal footprint: the space's candidate list plus a
-                    // flat allowance for the model's work profiles.
+                    // Nominal footprint: an allowance per candidate (the
+                    // Pareto set is a subset of them) plus a flat one for
+                    // the model's work profiles.
                     let bytes = 512 + entry.space.len() as u64 * 64;
                     cache.insert(key.clone(), Arc::clone(&entry), bytes, &job.tenant);
                 }
@@ -1606,16 +1644,6 @@ impl<'a> FederationRuntime<'a> {
         };
         let space = &planned.space;
         let base_model = &planned.model;
-        // Congestion-aware costing: fold the job's admission-time pressure
-        // sample into the costing model. The cached `base_model` above is
-        // always pressure-free — pressure is applied to this per-job clone
-        // *after* cache insertion/retrieval, so transient congestion can
-        // never poison the shared plan cache. With pressure feedback off
-        // the sample is empty and this is exactly `base_model.clone()`.
-        let pressured_base = base_model
-            .clone()
-            .with_site_pressure(&admitted.pressure, self.config.pressure_penalty.max(0.0))
-            .map_err(|e| scheduler_err(SchedulerError::CostModel(e)))?;
         let weights = WeightedSumModel::new(&job.policy.weights);
         let left_rows = base_rows(&catalog, &query.left_table).map_err(scheduler_err)?;
         let right_rows = base_rows(&catalog, &query.right_table).map_err(scheduler_err)?;
@@ -1625,24 +1653,37 @@ impl<'a> FederationRuntime<'a> {
         let mut replans: u32 = 0;
         let mut plan_switched = false;
         for attempt in 0..max_attempts {
-            // Select: multi-objective choice under the tenant's policy,
-            // with sites that failed earlier attempts penalized so the
-            // join routes around them.
-            let model = if hot_sites.is_empty() {
-                pressured_base.clone()
+            // Select: multi-objective choice under the tenant's policy.
+            // With no admission pressure sampled (feedback off — the
+            // default) and no site failed yet, the attempt's model is the
+            // cached pressure-free one, whose costed space the plan entry
+            // already holds: only Algorithm 2 runs. Otherwise fold the
+            // job's admission-time pressure sample and the sites that
+            // failed earlier attempts (so the join routes around them)
+            // into a per-attempt clone and cost the space under it —
+            // pressure lands on the clone, after cache insertion/retrieval,
+            // so transient congestion can never poison the shared plan
+            // cache.
+            let mut outcome = if admitted.pressure.is_empty() && hot_sites.is_empty() {
+                select_costed(&planned.costed, &weights, &job.policy.constraints)
             } else {
-                pressured_base
+                let mut model = base_model
                     .clone()
-                    .with_hot_sites(&hot_sites, self.config.hot_site_penalty)
-                    .map_err(|e| scheduler_err(SchedulerError::CostModel(e)))?
+                    .with_site_pressure(&admitted.pressure, self.config.pressure_penalty.max(0.0))
+                    .map_err(|e| scheduler_err(SchedulerError::CostModel(e)))?;
+                if !hot_sites.is_empty() {
+                    model = model
+                        .with_hot_sites(&hot_sites, self.config.hot_site_penalty)
+                        .map_err(|e| scheduler_err(SchedulerError::CostModel(e)))?;
+                }
+                moqp_exhaustive(
+                    space,
+                    &model,
+                    self.federation,
+                    &weights,
+                    &job.policy.constraints,
+                )
             };
-            let mut outcome = moqp_exhaustive(
-                space,
-                &model,
-                self.federation,
-                &weights,
-                &job.policy.constraints,
-            );
 
             // Speculative re-planning: the job waited so long (relative to
             // its predicted execution time) that its admission-time

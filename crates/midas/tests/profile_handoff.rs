@@ -12,6 +12,12 @@
 //! simulated clock — under every combination of fragment cache, plan
 //! cache, wave parallelism, partition degree and worker count, and across
 //! a fault-injected retry.
+//!
+//! The reference also costs the space afresh (`moqp_exhaustive`) for every
+//! attempt of every job, where the runtime selects from the Pareto set its
+//! plan-cache entry keeps — except when admission pressure was sampled or
+//! a site failed, where it too costs a per-attempt model. Both routes are
+//! pinned against the reference here.
 
 use midas::runtime::{FederationRuntime, RuntimeConfig, RuntimeJob, RuntimeReport};
 use midas::{Midas, QueryPolicy};
@@ -50,11 +56,15 @@ fn bits(costs: &[f64]) -> Vec<u64> {
     costs.iter().map(|c| c.to_bits()).collect()
 }
 
-/// The pre-hand-off flow: `FederationRuntime::process` for a closed batch
-/// on one worker with pressure feedback off, written against the public
-/// layer functions, profiling with `PlanCostModel::build` and executing
-/// every fragment of every attempt. It keeps no plan cache — `build` and
-/// `for_query` are pure, so a cached plan is the plan it rebuilds.
+/// The pre-hand-off flow: `FederationRuntime::process` for jobs served one
+/// at a time on one worker, written against the public layer functions,
+/// profiling with `PlanCostModel::build`, costing the whole space for
+/// every attempt and executing every fragment of every attempt. It keeps
+/// no plan cache — `build`, `for_query` and `moqp_exhaustive` are pure, so
+/// a cached plan is the plan it rebuilds. With pressure feedback on it
+/// folds in the gates' pressure as sampled when the job arrives (on one
+/// thread: every gate idle); it never re-plans speculatively, which a job
+/// that did not wait never triggers.
 struct Reference<'a> {
     midas: &'a Midas,
     config: RuntimeConfig,
@@ -104,10 +114,17 @@ impl<'a> Reference<'a> {
         let weights = WeightedSumModel::new(&job.policy.weights);
         let left_rows = base_rows(&self.catalog, &query.left_table).expect("left table");
         let right_rows = base_rows(&self.catalog, &query.right_table).expect("right table");
+        let pressure = if self.config.pressure_penalty > 0.0 {
+            self.admission.pressure()
+        } else {
+            Vec::new()
+        };
         let mut hot_sites: Vec<SiteId> = Vec::new();
         for attempt in 0..self.config.max_attempts {
             let model = base_model
                 .clone()
+                .with_site_pressure(&pressure, self.config.pressure_penalty)
+                .expect("valid penalty")
                 .with_hot_sites(&hot_sites, self.config.hot_site_penalty)
                 .expect("valid penalty");
             let outcome =
@@ -259,7 +276,10 @@ fn runtime<'a>(midas: &'a Midas, db: &TpchDb, config: RuntimeConfig) -> Federati
 
 /// Runs `jobs` through a one-worker runtime (hand-off) and through the
 /// reference (no hand-off) and pins every ledger, the clock and the
-/// per-site admission counts. Returns the runtime's report.
+/// per-site admission counts. Returns the runtime's report. With pressure
+/// feedback on, the jobs are streamed through `serve`, each drained before
+/// the next is submitted — what the reference's arrival-time pressure
+/// sample models.
 fn assert_one_worker_matches_reference(
     midas: &Midas,
     db: &TpchDb,
@@ -274,7 +294,17 @@ fn assert_one_worker_matches_reference(
     if let Some(plan) = faults {
         rt = rt.with_fault_plan(plan);
     }
-    let report = rt.run(jobs.to_vec());
+    let report = if config.pressure_penalty > 0.0 {
+        let ((), report) = rt.serve(|ingress| {
+            for job in jobs {
+                ingress.submit(job.clone());
+                ingress.drain();
+            }
+        });
+        report
+    } else {
+        rt.run(jobs.to_vec())
+    };
     assert!(report.failed.is_empty(), "{ctx}: failures {:?}", report.failed);
     assert_eq!(ledgers(&report), expected, "{ctx}");
     assert_eq!(report.sim_clock_s.to_bits(), reference.clock_bits(), "{ctx}: clock");
@@ -373,6 +403,82 @@ fn an_outage_fails_before_the_hand_off_and_the_retry_reuses_it() {
         // two still come from the same hand-off.
         let (reused, hits) = if fragment_cache_bytes == 0 { (3, 0) } else { (2, 1) };
         assert_eq!((retried.reused_fragments, retried.cache_hits), (reused, hits), "{ctx}");
+    }
+}
+
+#[test]
+fn pressure_feedback_costs_a_per_attempt_model_and_the_ledger_is_unchanged() {
+    let (midas, db) = deployment();
+    for plan_cache_bytes in [0, 8 << 20] {
+        let config = RuntimeConfig {
+            max_vms: 2,
+            plan_cache_bytes,
+            pressure_penalty: 4.0,
+            ..RuntimeConfig::default()
+        };
+        let ctx = format!("pressure feedback on, plan={plan_cache_bytes}");
+        let (report, _) =
+            assert_one_worker_matches_reference(&midas, &db, config, None, &mixed_jobs(3), &ctx);
+        // Every job carried a pressure sample into planning, so none of
+        // them selected from its plan entry's Pareto set — plan-cache hits
+        // (rounds 2 and 3 of Q13 / Q17) included.
+        for r in &report.completed {
+            assert!(!r.pressure.is_empty(), "{ctx}: {} sampled nothing", r.report.label);
+        }
+        if plan_cache_bytes > 0 {
+            assert_eq!(report.cache.plan.hits, 4, "{ctx}");
+        }
+        // Nothing waited, so the reference's missing re-plan block never ran.
+        assert_eq!(report.replans, 0, "{ctx}");
+    }
+}
+
+#[test]
+fn a_hot_site_retry_costs_the_space_again_instead_of_reusing_the_front() {
+    let (midas, db) = deployment();
+    let (federation, placement) = (midas.federation(), midas.placement());
+    // Where job 0 (Q12, balanced) joins when nothing is wrong — what its
+    // plan entry's Pareto set selects, on the first attempt and on any
+    // attempt that wrongly selected from it again.
+    let jobs = mixed_jobs(2);
+    let (query, policy) = (&jobs[0].query, &jobs[0].policy);
+    let space = EnumerationSpace::for_query(federation, placement, query, 2).unwrap();
+    let model = PlanCostModel::build(placement, query, db.catalog()).unwrap();
+    let home = moqp_exhaustive(
+        &space,
+        &model,
+        federation,
+        &WeightedSumModel::new(&policy.weights),
+        &policy.constraints,
+    )
+    .chosen;
+    // That site is down at position 0 only: the first attempt is refused
+    // there, the retry at position 1 plans with it marked hot.
+    let faults = FaultPlan::none().outage(home.join_site, 0, 1);
+    for plan_cache_bytes in [0, 8 << 20] {
+        let config = RuntimeConfig {
+            max_vms: 2,
+            plan_cache_bytes,
+            ..RuntimeConfig::default()
+        };
+        let ctx = format!("hot-site retry, plan={plan_cache_bytes}");
+        let (report, _) = assert_one_worker_matches_reference(
+            &midas,
+            &db,
+            config,
+            Some(faults.clone()),
+            &jobs,
+            &ctx,
+        );
+        let retried = &report.completed[0];
+        assert_eq!(retried.attempts, 2, "{ctx}");
+        assert!(retried.pressure.is_empty(), "{ctx}: feedback is off");
+        // The penalty moved the join: the retry's plan is not one the
+        // pressure-free Pareto set would have selected, and it is the one
+        // the reference's freshly costed hot model selects (ledger above).
+        assert_ne!(retried.report.chosen.join_site, home.join_site, "{ctx}");
+        // Later jobs are back on the pressure-free route, same ledger.
+        assert!(report.completed[1..].iter().all(|r| r.attempts == 1), "{ctx}");
     }
 }
 

@@ -93,8 +93,10 @@
 #      and medical plans through the engines::analyze pre-execution
 #      analyzer (all must be diagnostic-clean), checks a corpus of
 #      malformed plans is fully rejected, and gates admission-time
-#      validation cost at < 1% of mean per-job service time on a mixed
-#      64-job medical workload.
+#      validation cost at < 1% of the mean service time of a job that
+#      plans and executes: a 64-job medical workload served with both
+#      cache tiers off (a cached job costs two orders of magnitude less
+#      and is not what validation guards).
 #  12. the benchmark package's own tests. benchmark/ is a workspace of its
 #      own with path dependencies on crates/*, so stages 1-3 neither build
 #      nor test it: this is the stage that notices when a crates/* API

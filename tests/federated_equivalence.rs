@@ -62,7 +62,7 @@ fn federated_execution_matches_local_execution_for_every_query() {
             .unwrap_or_else(|e| panic!("{} failed: {e}", query.label));
         let local = run_locally(&query, db.catalog());
         assert_eq!(
-            run.outcome.result, local,
+            *run.outcome.result, local,
             "{}: federated result differs from local",
             query.label
         );

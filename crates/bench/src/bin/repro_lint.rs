@@ -4,8 +4,8 @@
 //! Two halves, both registry-free:
 //!
 //! **1. Source lint.** Walks every non-stub crate's `src/` tree and flags
-//! the three constructs that undermine the workspace's determinism and
-//! containment guarantees:
+//! the four constructs that undermine the workspace's determinism,
+//! containment and serving-cost guarantees:
 //!
 //! * **wall-clock** — `Instant::now` / `SystemTime` in code that is
 //!   supposed to run on the simulated clock. Legitimate wall-clock use
@@ -21,7 +21,13 @@
 //!   in execution paths. Surviving sites are guarded internal invariants
 //!   (often the ones the `engines::analyze` pre-execution analyzer
 //!   discharges) and carry a `// LINT: panic-ok` justification naming the
-//!   guard.
+//!   guard;
+//! * **serving-pin** — `CatalogVersion::pin` on the serving path
+//!   (`midas/src/runtime.rs`, `ires/src`, `engines/src/{exec,fused}.rs`):
+//!   it compacts every multi-chunk table of the version, once per publish,
+//!   where the fused executor scans the chunks in place. Flat oracles
+//!   (`MidasSession`, tests, benches) pin; the code that serves jobs must
+//!   not, short of a `// LINT: pin-ok` justification.
 //!
 //! Test code is exempt: `#[cfg(test)]` modules (brace-tracked) and
 //! comment-only lines are skipped. The gate is **zero findings** —
@@ -72,6 +78,7 @@ fn main() {
     let mut findings = Vec::new();
     let mut scanned = 0usize;
     let mut justified = 0usize;
+    let mut serving_path_files = 0usize;
     for file in &files {
         scanned += 1;
         let Ok(text) = fs::read_to_string(file) else {
@@ -82,6 +89,7 @@ fn main() {
             .unwrap_or(file)
             .display()
             .to_string();
+        serving_path_files += on_serving_path(&rel) as usize;
         justified += lint_file(&rel, &text, &mut findings);
     }
 
@@ -233,6 +241,7 @@ fn main() {
             "lint": serde_json::json!({
                 "scanned_files": scanned,
                 "justified_sites": justified,
+                "serving_path_files": serving_path_files,
                 "findings": findings.len(),
             }),
             "analyzer": serde_json::json!({
@@ -296,6 +305,15 @@ fn collect_sources(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
+/// Whether `rel` is code a runtime job runs through — the scope of the
+/// `serving-pin` rule.
+fn on_serving_path(rel: &str) -> bool {
+    rel.ends_with("crates/midas/src/runtime.rs")
+        || rel.contains("crates/ires/src/")
+        || rel.ends_with("crates/engines/src/exec.rs")
+        || rel.ends_with("crates/engines/src/fused.rs")
+}
+
 /// Lints one file; pushes findings, returns the justified-site count.
 fn lint_file(rel: &str, text: &str, findings: &mut Vec<Finding>) -> usize {
     // Patterns are assembled at runtime so this file never contains its
@@ -307,6 +325,8 @@ fn lint_file(rel: &str, text: &str, findings: &mut Vec<Finding>) -> usize {
         format!(".lock(){}", ".unwrap()"),
         format!(".lock(){}", ".expect("),
     ];
+    let pin = format!(".pin{}", "()");
+    let serving = on_serving_path(rel);
     let lines: Vec<&str> = text.lines().collect();
     let mut justified = 0usize;
     // `#[cfg(test)]` module tracking: once the attribute is seen, skip
@@ -355,6 +375,8 @@ fn lint_file(rel: &str, text: &str, findings: &mut Vec<Finding>) -> usize {
                 excerpt: trimmed.to_string(),
             });
             None
+        } else if serving && code.contains(pin.as_str()) {
+            Some("serving-pin")
         } else {
             None
         };

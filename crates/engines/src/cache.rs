@@ -568,14 +568,20 @@ impl<K: Hash + Eq + Clone, V: Clone> ScopedCache<K, V> {
             .filter(|k| pred(k))
             .cloned()
             .collect();
+        // Entries move out under the lock and are freed after it: dropping
+        // a fragment table is the slow part, and `get`s must not wait on it.
+        let mut removed = Vec::with_capacity(doomed.len());
         for key in &doomed {
             if let Some(entry) = inner.entries.remove(key) {
                 inner.stats.resident_bytes -= entry.bytes;
                 inner.stats.resident_entries -= 1;
                 debit_owner(&mut inner.owner_bytes, &entry.owner, entry.bytes);
+                removed.push(entry);
             }
         }
         inner.stats.invalidations += doomed.len() as u64;
+        drop(inner);
+        drop(removed);
         doomed.len() as u64
     }
 

@@ -20,14 +20,17 @@
 //! suite pins this), so every simulation quantity derived from a
 //! profile is unchanged.
 //!
-//! The data plane is zero-copy: base tables live in a shared
-//! [`Catalog`] of `Arc<Table>` entries, the per-query execution catalog is
-//! seeded by `Arc::clone` (a refcount bump, never a byte copy — pinned by
-//! [`ExecutionOutcome::catalog_cloned_bytes`]), and fragment outputs enter
-//! the catalog `Arc::new`-ed exactly once. Because the catalog is immutable
-//! during a wave of independent fragments, those fragments can execute
-//! *concurrently* (see [`SharedExecutor::with_parallel_fragments`]) while
-//! the simulation bookkeeping still runs in deterministic fragment order.
+//! The data plane is zero-copy, over either [`TableSource`]. Base tables
+//! in a shared [`Catalog`] of `Arc<Table>` entries seed the per-query
+//! execution catalog by `Arc::clone` (a refcount bump, never a byte copy —
+//! pinned by [`ExecutionOutcome::catalog_cloned_bytes`]); base tables in a
+//! `CatalogVersion` are not seeded at all — fragments scan the version's
+//! chunks where they are, so a table that grew by appends is never
+//! compacted for a run. Fragment outputs enter the per-query catalog
+//! `Arc::new`-ed exactly once. Because both are immutable during a wave
+//! of independent fragments, those fragments can execute *concurrently*
+//! (see [`SharedExecutor::with_parallel_fragments`]) while the simulation
+//! bookkeeping still runs in deterministic fragment order.
 //!
 //! **Each fragment runs once per job.** Planning profiles a query by
 //! running its fragments ([`profile_fragments`]); a run that is handed
@@ -41,6 +44,7 @@ use crate::cache::{CacheKey, CacheScope, CachedFragment, FragmentResultCache, Pl
 use crate::catalog::Catalog;
 use crate::engine::{EngineKind, EngineProfile};
 use crate::error::EngineError;
+use crate::fused::{execute_fused_over, TableSource};
 use crate::ops::{OpKind, PhysicalPlan, WorkProfile};
 use crate::sim::{FaultPlan, SimulationEnv, SiteAdmission};
 use crate::data::Table;
@@ -102,24 +106,19 @@ pub struct ProfiledFragment {
 /// simulation: plan `i` may scan `@frag<j>` for `j < i`, exactly as in a
 /// [`FederatedQuery`], and every plan goes through the same fused executor
 /// [`SharedExecutor`] uses, so each output is what a run over the same
-/// `base_tables` would compute for that fragment. The per-plan catalog is
-/// seeded like a run's: only the base tables the plans scan, by
-/// `Arc::clone`.
-pub fn profile_fragments(
+/// `base_tables` would compute for that fragment. Base tables are read
+/// where they are — a flat catalog's by reference, a version's chunk by
+/// chunk — and only the `@frag` outputs enter a per-query catalog.
+pub fn profile_fragments<'a>(
     plans: &[&PhysicalPlan],
-    base_tables: &Catalog,
+    base_tables: impl Into<TableSource<'a>>,
     partition_degree: usize,
 ) -> Result<Vec<ProfiledFragment>, EngineError> {
+    let base_tables = base_tables.into();
     let mut catalog = Catalog::new();
     let mut profiled = Vec::with_capacity(plans.len());
     for (idx, &plan) in plans.iter().enumerate() {
-        for name in referenced_base_tables(plan) {
-            if let Some(table) = base_tables.get_shared(&name) {
-                catalog.insert_shared(name, Arc::clone(table));
-            }
-        }
-        let (table, work) =
-            crate::fused::execute_fused_with_partitions(plan, &catalog, partition_degree)?;
+        let (table, work) = execute_fused_over(plan, &catalog, base_tables, partition_degree)?;
         let table = Arc::new(table);
         catalog.insert_shared(format!("@frag{idx}"), Arc::clone(&table));
         profiled.push(ProfiledFragment {
@@ -147,9 +146,11 @@ pub struct ExecutionOutcome {
     pub money: Money,
     /// Total intermediate bytes produced across fragments.
     pub intermediate_bytes: u64,
-    /// Bytes of base-table data the per-query catalog *references* through
-    /// shared `Arc<Table>` handles — the volume the pre-Arc executor
-    /// deep-copied for every job.
+    /// Bytes of base-table data the run reads in place — through shared
+    /// `Arc<Table>` handles seeded from a flat catalog, or chunk by chunk
+    /// from a version (then counted as the contiguous tables would measure,
+    /// so both sources report the same number). The volume the pre-Arc
+    /// executor deep-copied for every job.
     pub catalog_shared_bytes: u64,
     /// Bytes of base-table data deep-copied while seeding the per-query
     /// catalog. Structurally zero on the `Arc` path; surfaced (and recorded
@@ -235,11 +236,12 @@ impl<'a> Executor<'a> {
         &mut self.env
     }
 
-    /// Executes a federated query against a shared base-table catalog.
-    pub fn run(
+    /// Executes a federated query against a shared base-table catalog (or
+    /// one published version of it — see [`TableSource`]).
+    pub fn run<'t>(
         &mut self,
         query: &FederatedQuery,
-        base_tables: &Catalog,
+        base_tables: impl Into<TableSource<'t>>,
     ) -> Result<ExecutionOutcome, EngineError> {
         self.run_with_scale(query, base_tables, 1.0)
     }
@@ -252,10 +254,10 @@ impl<'a> Executor<'a> {
     /// `work_scale = 1 / rescale` makes the *simulated* time, transfer and
     /// billing reflect the nominal data volume while the relational work
     /// stays cheap.
-    pub fn run_with_scale(
+    pub fn run_with_scale<'t>(
         &mut self,
         query: &FederatedQuery,
-        base_tables: &Catalog,
+        base_tables: impl Into<TableSource<'t>>,
         work_scale: f64,
     ) -> Result<ExecutionOutcome, EngineError> {
         self.run_profiled(query, base_tables, work_scale, &[])
@@ -264,10 +266,10 @@ impl<'a> Executor<'a> {
     /// [`Executor::run_with_scale`] handed the outputs planning already
     /// computed over the same `base_tables` (see
     /// [`SharedExecutor::with_profiled_fragments`] for the contract).
-    pub fn run_profiled(
+    pub fn run_profiled<'t>(
         &mut self,
         query: &FederatedQuery,
-        base_tables: &Catalog,
+        base_tables: impl Into<TableSource<'t>>,
         work_scale: f64,
         profiled: &[ProfiledFragment],
     ) -> Result<ExecutionOutcome, EngineError> {
@@ -285,7 +287,7 @@ impl<'a> Executor<'a> {
                 profiled,
             },
             query,
-            base_tables,
+            base_tables.into(),
         )
     }
 }
@@ -529,20 +531,20 @@ impl<'a> SharedExecutor<'a> {
     }
 
     /// Executes a federated query against base tables (logical scale 1).
-    pub fn run(
+    pub fn run<'t>(
         &self,
         query: &FederatedQuery,
-        base_tables: &Catalog,
+        base_tables: impl Into<TableSource<'t>>,
     ) -> Result<ExecutionOutcome, EngineError> {
         self.run_with_scale(query, base_tables, 1.0)
     }
 
     /// Like [`SharedExecutor::run`] with an explicit logical work scale
     /// (see [`Executor::run_with_scale`]).
-    pub fn run_with_scale(
+    pub fn run_with_scale<'t>(
         &self,
         query: &FederatedQuery,
-        base_tables: &Catalog,
+        base_tables: impl Into<TableSource<'t>>,
         work_scale: f64,
     ) -> Result<ExecutionOutcome, EngineError> {
         run_federated(
@@ -559,7 +561,7 @@ impl<'a> SharedExecutor<'a> {
                 profiled: self.profiled,
             },
             query,
-            base_tables,
+            base_tables.into(),
         )
     }
 }
@@ -605,7 +607,7 @@ fn run_federated(
     env: &mut EnvHandle<'_>,
     opts: RunOptions<'_>,
     query: &FederatedQuery,
-    base_tables: &Catalog,
+    base_tables: TableSource<'_>,
 ) -> Result<ExecutionOutcome, EngineError> {
     let RunOptions {
         admission,
@@ -695,29 +697,42 @@ fn run_federated(
         (0..n).map(|_| None).collect()
     };
 
-    // Seed the execution catalog with only the base tables the query's
-    // scans actually reference — by `Arc::clone`, a refcount bump. The
+    // The per-query catalog. Over a flat catalog it is seeded with only
+    // the base tables the query's scans actually reference — by
+    // `Arc::clone`, a refcount bump — and fragments read them from it. The
     // shared/cloned split is *measured* by pointer identity against the
     // base catalog, not assumed: if seeding ever regresses to a deep copy
     // (a fresh allocation), those bytes land in `catalog_cloned_bytes`
-    // and trip the runtime bench's zero-copy gate.
+    // and trip the runtime bench's zero-copy gate. Over a version there is
+    // nothing to seed: scans read its chunks in place, the catalog holds
+    // `@frag` outputs only, and the shared volume is what the same tables
+    // would measure compacted — the two sources report equal bytes.
     let mut catalog = Catalog::new();
     let mut catalog_shared_bytes = 0u64;
     let mut catalog_cloned_bytes = 0u64;
+    let mut scanned: Vec<String> = Vec::new();
     for fragment in &query.fragments {
         for name in referenced_base_tables(&fragment.plan) {
-            if catalog.contains(&name) {
+            if scanned.contains(&name) {
                 continue;
             }
-            if let Some(table) = base_tables.get_shared(&name) {
-                catalog.insert_shared(name.clone(), Arc::clone(table));
-                let seeded = catalog.get_shared(&name).expect("just inserted");
-                if Arc::ptr_eq(seeded, table) {
-                    catalog_shared_bytes += table.estimated_bytes();
-                } else {
-                    catalog_cloned_bytes += table.estimated_bytes();
+            match base_tables {
+                TableSource::Flat(base) => {
+                    if let Some(table) = base.get_shared(&name) {
+                        catalog.insert_shared(name.clone(), Arc::clone(table));
+                        let seeded = catalog.get_shared(&name).expect("just inserted");
+                        if Arc::ptr_eq(seeded, table) {
+                            catalog_shared_bytes += table.estimated_bytes();
+                        } else {
+                            catalog_cloned_bytes += table.estimated_bytes();
+                        }
+                    }
+                }
+                TableSource::Versioned(_) => {
+                    catalog_shared_bytes += base_tables.table_bytes(&name).unwrap_or(0);
                 }
             }
+            scanned.push(name);
         }
     }
 
@@ -810,12 +825,10 @@ fn run_federated(
             // a handed-over fragment exactly as to an executed one.
             let result = match handed[idx] {
                 Some(p) => Ok((Arc::clone(&p.table), p.work.clone(), FragmentSource::HandOff)),
-                None => crate::fused::execute_fused_with_partitions(
-                    &fragment.plan,
-                    &catalog,
-                    partition_degree,
-                )
-                .map(|(table, work)| (Arc::new(table), work, FragmentSource::Executed)),
+                None => {
+                    execute_fused_over(&fragment.plan, &catalog, base_tables, partition_degree)
+                        .map(|(table, work)| (Arc::new(table), work, FragmentSource::Executed))
+                }
             };
             if pacing > 0.0 {
                 if let (Ok((_, work, _)), Some(Ok(shape))) = (&result, &shapes[idx]) {
@@ -858,7 +871,7 @@ fn run_federated(
                 let fragment = &query.fragments[idx];
                 let base: u64 = referenced_base_tables(&fragment.plan)
                     .iter()
-                    .filter_map(|name| catalog.get_shared(name).map(|t| t.estimated_bytes()))
+                    .filter_map(|name| base_tables.table_bytes(name))
                     .sum();
                 base + deps[idx].iter().map(|&d| frag_bytes[d]).sum::<u64>()
             })

@@ -15,11 +15,20 @@
 //!    tree into a [`KernelPlan`] (register steps + deduplicated column
 //!    loads) **once**, then replays the plan per morsel — no per-batch
 //!    tree walk.
-//! 3. **Chunk-native scans + deferred join gather.** Against a
-//!    [`CatalogVersion`] the scan/filter/project pipeline iterates
-//!    [`ChunkedTable`] chunks directly, so hot multi-chunk versions never
-//!    pay `pin()` compaction (asserted via
-//!    [`CatalogVersion::compaction_bytes`] staying 0). An `Aggregate`
+//! 3. **Chunk-native scans + deferred join gather.** Scans resolve
+//!    through one [`TableSource`]: against a [`CatalogVersion`] the
+//!    scan/filter/project pipeline iterates a multi-chunk
+//!    [`ChunkedTable`]'s chunks directly, so a version that grew by
+//!    appends never pays `pin()` compaction (asserted via
+//!    [`CatalogVersion::compaction_bytes`] staying 0), while a one-chunk
+//!    table — every table that was never appended to — is borrowed whole
+//!    and runs the flat path unchanged. This is what the runtime serves
+//!    from: planning and execution hand the job's pinned version straight
+//!    down ([`crate::exec`]). An operator that needs one contiguous input
+//!    (a join side, a sort, a non-deferred aggregate) gathers a chunked
+//!    view once, per use — the query shapes served here put
+//!    filter+project between every base scan and such an operator. An
+//!    `Aggregate`
 //!    whose input peels to `[Filter*] → HashJoin` consumes the join as
 //!    `(left row, right row, hit)` index triples and gathers **only the
 //!    columns its filters, group keys and aggregates actually reference**
@@ -59,6 +68,7 @@ use crate::ops::{
     OpWork, PhysicalPlan, TableSlot, WorkProfile, MAX_PARTITION_DEGREE,
 };
 use crate::version::{CatalogVersion, ChunkedTable};
+use std::sync::Arc;
 
 /// Rows per morsel: 16 Ki rows keeps a handful of `f64`/sel temporaries
 /// comfortably inside a per-core L2 slice while amortizing per-morsel
@@ -84,39 +94,124 @@ pub fn execute_fused_with_partitions(
     catalog: &Catalog,
     partition_degree: usize,
 ) -> Result<(Table, WorkProfile), EngineError> {
-    let degree = partition_degree.clamp(1, MAX_PARTITION_DEGREE);
-    let mut profile = WorkProfile::default();
-    let mut scratch = EvalScratch::new();
-    let src = Source::Flat(catalog);
-    let fb = run_fused(plan, &src, &mut profile, degree, &mut scratch)?;
-    Ok((fb.materialize(&mut scratch), profile))
+    execute_fused_over(plan, &Catalog::new(), catalog.into(), partition_degree)
 }
 
 /// Executes `plan` **chunk-natively** against one published
 /// [`CatalogVersion`]: scans iterate [`ChunkedTable`] chunks directly and
 /// the scan→filter→project pipeline stays chunked, so hot multi-chunk
 /// versions are queried without ever materializing a compacted snapshot
-/// (`version.compaction_bytes()` stays 0 for pipeline-only plans).
-/// Results and profiles are bit-identical to pinning the version and
-/// running the flat executors.
+/// (`version.compaction_bytes()` stays 0). Results and profiles are
+/// bit-identical to pinning the version and running the flat executors.
 pub fn execute_fused_versioned(
     plan: &PhysicalPlan,
     version: &CatalogVersion,
     partition_degree: usize,
 ) -> Result<(Table, WorkProfile), EngineError> {
+    execute_fused_over(plan, &Catalog::new(), version.into(), partition_degree)
+}
+
+/// The one fused entry point behind the three above and behind
+/// [`crate::exec`]: a scan resolves in `frags` first — a run's per-query
+/// catalog of `@frag<N>` outputs (and, for a flat source, its seeded base
+/// tables) — then in `base` (see [`resolve`]).
+pub(crate) fn execute_fused_over(
+    plan: &PhysicalPlan,
+    frags: &Catalog,
+    base: TableSource<'_>,
+    partition_degree: usize,
+) -> Result<(Table, WorkProfile), EngineError> {
     let degree = partition_degree.clamp(1, MAX_PARTITION_DEGREE);
     let mut profile = WorkProfile::default();
     let mut scratch = EvalScratch::new();
-    let src = Source::Versioned(version);
+    let src = Tables { frags, base };
     let fb = run_fused(plan, &src, &mut profile, degree, &mut scratch)?;
     Ok((fb.materialize(&mut scratch), profile))
 }
 
-/// Where scans resolve base tables: a flat catalog or a chunked version.
+/// Where base-table scans resolve: a flat [`Catalog`] or one published
+/// [`CatalogVersion`] read chunk by chunk. Every layer that executes plans
+/// over base data — [`crate::exec`], the cost model, the scheduler, the
+/// runtime — takes `impl Into<TableSource>`, so a `&Catalog` and a
+/// `&CatalogVersion` go down one code path and a version is never
+/// compacted on the way.
 #[derive(Clone, Copy)]
-enum Source<'a> {
+pub enum TableSource<'a> {
+    /// Contiguous tables.
     Flat(&'a Catalog),
+    /// Chunked tables of one immutable version.
     Versioned(&'a CatalogVersion),
+}
+
+impl<'a> From<&'a Catalog> for TableSource<'a> {
+    fn from(catalog: &'a Catalog) -> Self {
+        TableSource::Flat(catalog)
+    }
+}
+
+impl<'a> From<&'a CatalogVersion> for TableSource<'a> {
+    fn from(version: &'a CatalogVersion) -> Self {
+        TableSource::Versioned(version)
+    }
+}
+
+impl<'a> From<&'a Arc<CatalogVersion>> for TableSource<'a> {
+    fn from(version: &'a Arc<CatalogVersion>) -> Self {
+        TableSource::Versioned(version)
+    }
+}
+
+impl TableSource<'_> {
+    /// Row count of the table registered under `name`.
+    pub fn table_rows(&self, name: &str) -> Option<usize> {
+        match self {
+            TableSource::Flat(c) => c.get(name).map(Table::n_rows),
+            TableSource::Versioned(v) => v.table_rows(name),
+        }
+    }
+
+    /// [`Table::estimated_bytes`] of the table registered under `name` —
+    /// for a multi-chunk table, of the contiguous table compaction would
+    /// build, to the bit, without building it (integer length sums across
+    /// chunks, then one float expression).
+    pub fn table_bytes(&self, name: &str) -> Option<u64> {
+        match self {
+            TableSource::Flat(c) => c.get(name).map(Table::estimated_bytes),
+            TableSource::Versioned(v) => v.table(name).map(|ct| match ct.chunks() {
+                [one] => one.estimated_bytes(),
+                _ => chunked_bytes(ct, None),
+            }),
+        }
+    }
+}
+
+/// What one fused run scans (see [`execute_fused_over`]).
+struct Tables<'a> {
+    frags: &'a Catalog,
+    base: TableSource<'a>,
+}
+
+/// The one place a scanned name becomes a batch, and the one place flat
+/// vs chunked is decided: a fragment output or a flat catalog's table is
+/// borrowed whole; so is a version's one-chunk table (never appended to —
+/// the chunk *is* the table, and the executor runs exactly the flat
+/// path); only a multi-chunk table becomes a chunk-native view.
+fn resolve<'a>(src: &Tables<'a>, name: &str) -> Result<FBatch<'a>, EngineError> {
+    let flat = |t: &'a Table| FBatch::Flat(Batch::all(TableSlot::Borrowed(t)));
+    let unknown = || EngineError::UnknownTable(name.to_string());
+    if let Some(t) = src.frags.get(name) {
+        return Ok(flat(t));
+    }
+    match src.base {
+        TableSource::Flat(c) => c.get(name).map(flat).ok_or_else(unknown),
+        TableSource::Versioned(v) => {
+            let ct: &'a ChunkedTable = v.table(name).ok_or_else(unknown)?;
+            Ok(match ct.chunks() {
+                [one] => flat(one),
+                _ => FBatch::Chunked { ct, sels: None },
+            })
+        }
+    }
 }
 
 /// A batch flowing between fused operators: either a flat
@@ -179,7 +274,6 @@ impl<'a> FBatch<'a> {
 fn flatten_chunked(ct: &ChunkedTable, sels: Option<&[Vec<u32>]>) -> Table {
     let chunks = ct.chunks();
     match sels {
-        None if chunks.len() == 1 => chunks[0].as_ref().clone(),
         None => {
             let parts: Vec<&Table> = chunks.iter().map(|c| c.as_ref()).collect();
             Table::concat(ct.name(), &parts).expect("chunks of one table share a schema")
@@ -720,114 +814,26 @@ fn filter_project_slab_morsels(
 
 fn run_fused<'a>(
     plan: &PhysicalPlan,
-    src: &Source<'a>,
+    src: &Tables<'a>,
     profile: &mut WorkProfile,
     degree: usize,
     scratch: &mut EvalScratch,
 ) -> Result<FBatch<'a>, EngineError> {
     match plan {
-        PhysicalPlan::Scan { table } => scan_source(src, table, profile),
+        PhysicalPlan::Scan { table } => {
+            let fb = resolve(src, table)?;
+            record_fbatch(profile, OpKind::Scan, fb.len() as u64, &fb);
+            Ok(fb)
+        }
         PhysicalPlan::PrunedScan { table, predicate } => {
-            let kp = predicate.compile();
-            match src {
-                Source::Flat(c) => {
-                    let t = c
-                        .get(table)
-                        .ok_or_else(|| EngineError::UnknownTable(table.clone()))?;
-                    let sel =
-                        filter_morsels(&kp, &KernelCols::Table(t), t.n_rows(), None, scratch)?;
-                    let rows = sel.len() as u64;
-                    let fb = FBatch::Flat(Batch {
-                        slot: TableSlot::Borrowed(t),
-                        sel: Some(sel),
-                    });
-                    record_fbatch(profile, OpKind::Scan, rows, &fb);
-                    Ok(fb)
-                }
-                Source::Versioned(v) => {
-                    let ct = v
-                        .table(table)
-                        .ok_or_else(|| EngineError::UnknownTable(table.clone()))?;
-                    let sels: Vec<Vec<u32>> = ct
-                        .chunks()
-                        .iter()
-                        .map(|ch| {
-                            filter_morsels(&kp, &KernelCols::Table(ch), ch.n_rows(), None, scratch)
-                        })
-                        .collect::<Result<_, _>>()?;
-                    let fb = FBatch::Chunked {
-                        ct,
-                        sels: Some(sels),
-                    };
-                    let rows = fb.len() as u64;
-                    record_fbatch(profile, OpKind::Scan, rows, &fb);
-                    Ok(fb)
-                }
-            }
+            let fb = filter_fbatch(resolve(src, table)?, &predicate.compile(), scratch)?;
+            record_fbatch(profile, OpKind::Scan, fb.len() as u64, &fb);
+            Ok(fb)
         }
         PhysicalPlan::Filter { input, predicate } => {
             let fb = run_fused(input, src, profile, degree, scratch)?;
             let rows_in = fb.len() as u64;
-            let kp = predicate.compile();
-            let nb = match fb {
-                FBatch::Flat(b) => {
-                    let sel = filter_morsels(
-                        &kp,
-                        &KernelCols::Table(b.table()),
-                        b.table().n_rows(),
-                        b.sel_ref(),
-                        scratch,
-                    )?;
-                    let Batch { slot, sel: old } = b;
-                    if let Some(old) = old {
-                        scratch.put_sel(old);
-                    }
-                    FBatch::Flat(Batch {
-                        slot,
-                        sel: Some(sel),
-                    })
-                }
-                FBatch::Chunked { ct, sels } => {
-                    let new_sels: Vec<Vec<u32>> = match &sels {
-                        None => ct
-                            .chunks()
-                            .iter()
-                            .map(|ch| {
-                                filter_morsels(
-                                    &kp,
-                                    &KernelCols::Table(ch),
-                                    ch.n_rows(),
-                                    None,
-                                    scratch,
-                                )
-                            })
-                            .collect::<Result<_, _>>()?,
-                        Some(ss) => ct
-                            .chunks()
-                            .iter()
-                            .zip(ss)
-                            .map(|(ch, s)| {
-                                filter_morsels(
-                                    &kp,
-                                    &KernelCols::Table(ch),
-                                    ch.n_rows(),
-                                    Some(s),
-                                    scratch,
-                                )
-                            })
-                            .collect::<Result<_, _>>()?,
-                    };
-                    if let Some(ss) = sels {
-                        for s in ss {
-                            scratch.put_sel(s);
-                        }
-                    }
-                    FBatch::Chunked {
-                        ct,
-                        sels: Some(new_sels),
-                    }
-                }
-            };
+            let nb = filter_fbatch(fb, &predicate.compile(), scratch)?;
             record_fbatch(profile, OpKind::Filter, rows_in, &nb);
             Ok(nb)
         }
@@ -1087,32 +1093,45 @@ fn recycle_fbatch_sels(fb: FBatch<'_>, scratch: &mut EvalScratch) {
     }
 }
 
-fn scan_source<'a>(
-    src: &Source<'a>,
-    table: &str,
-    profile: &mut WorkProfile,
+/// Narrows a batch to the rows passing `kp`, morsel-wise, keeping it in
+/// the flavour it arrived in (old selections return to the scratch pool).
+fn filter_fbatch<'a>(
+    fb: FBatch<'a>,
+    kp: &KernelPlan<'_>,
+    scratch: &mut EvalScratch,
 ) -> Result<FBatch<'a>, EngineError> {
-    match src {
-        Source::Flat(c) => {
-            let t = c
-                .get(table)
-                .ok_or_else(|| EngineError::UnknownTable(table.to_string()))?;
-            let fb = FBatch::Flat(Batch::all(TableSlot::Borrowed(t)));
-            record_fbatch(profile, OpKind::Scan, t.n_rows() as u64, &fb);
-            Ok(fb)
+    Ok(match fb {
+        FBatch::Flat(b) => {
+            let cols = KernelCols::Table(b.table());
+            let sel = filter_morsels(kp, &cols, b.table().n_rows(), b.sel_ref(), scratch)?;
+            let Batch { slot, sel: old } = b;
+            if let Some(old) = old {
+                scratch.put_sel(old);
+            }
+            FBatch::Flat(Batch {
+                slot,
+                sel: Some(sel),
+            })
         }
-        Source::Versioned(v) => {
-            let ct = v
-                .table(table)
-                .ok_or_else(|| EngineError::UnknownTable(table.to_string()))?;
-            let fb = FBatch::Chunked {
+        FBatch::Chunked { ct, sels } => {
+            let new_sels: Vec<Vec<u32>> = ct
+                .chunks()
+                .iter()
+                .enumerate()
+                .map(|(i, ch)| {
+                    let old = sels.as_ref().map(|ss| ss[i].as_slice());
+                    filter_morsels(kp, &KernelCols::Table(ch), ch.n_rows(), old, scratch)
+                })
+                .collect::<Result<_, _>>()?;
+            for s in sels.into_iter().flatten() {
+                scratch.put_sel(s);
+            }
+            FBatch::Chunked {
                 ct,
-                sels: None,
-            };
-            record_fbatch(profile, OpKind::Scan, ct.n_rows() as u64, &fb);
-            Ok(fb)
+                sels: Some(new_sels),
+            }
         }
-    }
+    })
 }
 
 // ----- aggregate over a deferred join -----
@@ -1330,7 +1349,7 @@ impl AggInput for JoinAggInput<'_, '_> {
 /// rows/bytes the materializing path records.
 #[allow(clippy::too_many_arguments)]
 fn agg_over_join<'a>(
-    src: &Source<'a>,
+    src: &Tables<'a>,
     left: &PhysicalPlan,
     right: &PhysicalPlan,
     left_keys: &[usize],

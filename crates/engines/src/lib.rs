@@ -57,7 +57,8 @@ pub use exec::{
 };
 pub use expr::Expr;
 pub use fused::{
-    execute_fused, execute_fused_versioned, execute_fused_with_partitions, MORSEL_ROWS,
+    execute_fused, execute_fused_versioned, execute_fused_with_partitions, TableSource,
+    MORSEL_ROWS,
 };
 pub use ops::{default_partition_degree, AggExpr, JoinType, PhysicalPlan, WorkProfile};
 pub use placement::Placement;

@@ -10,19 +10,20 @@
 //!   `ChunkedTable` whose prior chunks are `Arc::clone`d handles of the old
 //!   one: **zero bytes of prior data are recopied** — prior chunks carry
 //!   forward as handles by construction ([`AppendStats::shared_bytes`]
-//!   counts them). The byte cost that *can* recur is `pin()`-time
-//!   compaction, so that is what gets measured:
-//!   [`ChunkedTable::compaction_bytes`] reports the bytes materialized by
-//!   [`Table::concat`], and the ingest bench gates that repeated pins of
-//!   one version pay it at most once.
+//!   counts them).
 //! * [`CatalogVersion`] — one immutable published state of every table.
-//!   [`CatalogVersion::pin`] lends it out as a plain [`Catalog`] of
-//!   `Arc<Table>` snapshots, so the whole existing execution stack
-//!   (executors, cost model, scheduler, runtime) reads a version through
-//!   the same zero-copy seeding path it always used. A multi-chunk table
-//!   compacts into one contiguous table **once per version** (cached,
-//!   shared by every query pinning that version); single-chunk tables hand
-//!   out their chunk directly.
+//!   The serving stack (fused executor, cost model, scheduler, runtime)
+//!   reads it **in place**: it takes a `&CatalogVersion` as a
+//!   [`TableSource`](crate::fused::TableSource) and scans chunks, so a
+//!   publish costs its delta and nothing else. [`CatalogVersion::pin`] is
+//!   the other way to read one, for code that needs contiguous tables —
+//!   the sequential `MidasSession`, the scalar and unfused executors,
+//!   tests: a plain [`Catalog`] in which every multi-chunk table has been
+//!   compacted by [`Table::concat`] (once per version, cached) and
+//!   single-chunk tables hand out their chunk. That copy is the one byte
+//!   cost this store can pay per version, so it is measured —
+//!   [`ChunkedTable::compaction_bytes`] — and the ingest bench gates it at
+//!   zero for every version the runtime served.
 //! * [`VersionedCatalog`] — the mutable head: `append`/`append_batch` build
 //!   the next version copy-on-write (handle copies for untouched tables)
 //!   and publish it atomically. Readers that pinned an older version keep
@@ -248,14 +249,14 @@ impl ChunkedTable {
     }
 
     /// Bytes materialized by `pin()`-time compaction of this table — the
-    /// one byte cost the copy-on-write store actually pays per version.
+    /// one byte cost the copy-on-write store can pay per version.
     ///
     /// Single-chunk tables (never appended, or wrapping a pre-shared
     /// snapshot) report 0: their snapshot *is* their chunk, no bytes move.
     /// A multi-chunk table reports its snapshot's size once the snapshot
-    /// has been built, and 0 before — so "repeated pins compact at most
-    /// once" is observable: pin a version twice and this number must not
-    /// grow. The ingest bench gates exactly that.
+    /// has been built, and 0 before — so both "the serving path never
+    /// pins" (0 after any number of jobs) and "repeated pins compact at
+    /// most once" (pin twice, the number does not grow) are observable.
     pub fn compaction_bytes(&self) -> u64 {
         if self.chunks.len() > 1 {
             self.snapshot.get().map_or(0, |s| s.estimated_bytes())
@@ -333,11 +334,13 @@ impl CatalogVersion {
             .collect()
     }
 
-    /// Lends this version out as a plain execution [`Catalog`]: one
-    /// `Arc<Table>` snapshot per table, compacted at most once per version.
-    /// Every downstream consumer (executors, cost model, scheduler,
-    /// runtime workers) reads the version through the same zero-copy
-    /// `Arc`-seeding path as before — `catalog_cloned_bytes` stays 0.
+    /// Lends this version out as a plain [`Catalog`] of contiguous tables:
+    /// one `Arc<Table>` snapshot per table, a multi-chunk table compacted
+    /// (every row copied) on the first call and cached for later ones.
+    /// For consumers that need flat tables — the sequential session, the
+    /// scalar/unfused oracles, tests. Nothing that serves runtime jobs
+    /// calls it (`repro_lint`'s `serving-pin` rule): planning and
+    /// execution take the version itself and scan its chunks.
     pub fn pin(&self) -> Catalog {
         self.tables
             .iter()
@@ -475,8 +478,13 @@ impl VersionedCatalog {
             tables.insert(name, Arc::new(next));
         }
         let version = head.version + 1;
-        *head = Arc::new(CatalogVersion { version, tables });
+        // The superseded version — chunk vectors and any snapshot a flat
+        // oracle compacted — is freed after the head lock is released, so
+        // no `current()` ever waits behind a deallocation.
+        let retired =
+            std::mem::replace(&mut *head, Arc::new(CatalogVersion { version, tables }));
         drop(head);
+        drop(retired);
         let mut stats = self
             .stats
             .lock()

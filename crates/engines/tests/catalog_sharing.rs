@@ -7,12 +7,15 @@
 //!    zero cloned bytes, refcounts return to baseline after the run.
 //! 3. Parallel intra-query fragment execution changes wall-clock overlap
 //!    only — simulated outcomes stay bit-identical to serial execution.
+//! 4. Running over a `CatalogVersion` seeds nothing, compacts nothing, and
+//!    reports the shared volume its compacted copy would — to the byte.
 
 use midas_engines::data::{Column, ColumnData, Table};
 use midas_engines::exec::{FederatedQuery, Fragment, SharedExecutor};
 use midas_engines::expr::Expr;
 use midas_engines::ops::{execute, execute_scalar, AggExpr, JoinType, PhysicalPlan};
 use midas_engines::sim::{DriftIntensity, SimulationEnv, SiteAdmission};
+use midas_engines::version::{CatalogVersion, ChunkedTable};
 use midas_engines::{Catalog, EngineKind};
 use midas_cloud::federation::example_federation;
 use std::sync::{Arc, Mutex};
@@ -249,5 +252,62 @@ fn parallel_fragments_simulate_bit_identically_to_serial() {
         assert_eq!(p.money, s.money);
         assert_eq!(p.ingress_bytes, s.ingress_bytes);
         assert_eq!(p.work, s.work);
+    }
+}
+
+/// `lineitem` in five uneven chunks beside a one-chunk `orders`. The
+/// `mode` strings average a fractional length, and at these cuts the
+/// per-chunk byte estimates truncate to one byte less, summed, than the
+/// whole table's.
+fn chunked_version() -> CatalogVersion {
+    let lineitem = lineitems(600);
+    let chunks = [0u32..23, 23..100, 100..101, 101..350, 350..600]
+        .map(|rows| Arc::new(lineitem.take_ids(&rows.collect::<Vec<u32>>())))
+        .to_vec();
+    CatalogVersion::from_chunked(vec![
+        ChunkedTable::from_chunks("lineitem", chunks).expect("one schema"),
+        ChunkedTable::from_shared("orders", Arc::new(orders(150))),
+    ])
+}
+
+#[test]
+fn versioned_run_shares_the_bytes_its_compacted_copy_would() {
+    let (fed, a, b) = example_federation();
+    let run = |tables: midas_engines::TableSource<'_>| {
+        let mut env = SimulationEnv::new();
+        for site in fed.site_ids() {
+            env.register_site(site, 7, DriftIntensity::Mild);
+        }
+        let env = Mutex::new(env);
+        let admission = SiteAdmission::new(fed.admission_capacities());
+        SharedExecutor::new(&fed, &env, &admission)
+            .with_parallel_fragments(true)
+            .run(&two_site_query(a, b), tables)
+            .expect("runs")
+    };
+    let version = chunked_version();
+    let chunked = run((&version).into());
+    assert_eq!(version.compaction_bytes(), 0, "the run compacted a table");
+    assert_eq!(chunked.catalog_cloned_bytes, 0);
+
+    let pinned = version.pin();
+    let flat = run((&pinned).into());
+    let compacted = pinned.try_get("lineitem").expect("pinned");
+    assert_eq!(
+        chunked.catalog_shared_bytes,
+        compacted.estimated_bytes() + pinned.try_get("orders").expect("pinned").estimated_bytes()
+    );
+    assert_eq!(chunked.catalog_shared_bytes, flat.catalog_shared_bytes);
+    // The sum of per-chunk estimates is a different number: the run must
+    // not have used it.
+    assert_ne!(
+        version.table("lineitem").expect("registered").estimated_bytes(),
+        compacted.estimated_bytes()
+    );
+    assert_eq!(chunked.result, flat.result);
+    assert_eq!(chunked.elapsed_s.to_bits(), flat.elapsed_s.to_bits());
+    assert_eq!(chunked.money, flat.money);
+    for (c, f) in chunked.fragments.iter().zip(flat.fragments.iter()) {
+        assert_eq!(c.work, f.work);
     }
 }

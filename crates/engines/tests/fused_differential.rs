@@ -7,7 +7,9 @@
 //! chunk boundaries** (including empty chunks) against the flat logical
 //! table, pinning the claim that morsel and chunk boundaries are
 //! invisible: scans that never compact a snapshot produce bit-for-bit the
-//! plans' flat results.
+//! plans' flat results. The serving path's entry point,
+//! [`profile_fragments`], is swept the same way over a whole
+//! prepare/prepare/combine query.
 
 use std::sync::Arc;
 
@@ -15,7 +17,9 @@ use midas_engines::data::{Column, ColumnData, Table, Value};
 use midas_engines::expr::Expr;
 use midas_engines::ops::{execute, AggExpr, JoinType, PhysicalPlan};
 use midas_engines::version::{CatalogVersion, ChunkedTable};
-use midas_engines::{execute_fused_versioned, execute_fused_with_partitions, Catalog};
+use midas_engines::{
+    execute_fused_versioned, execute_fused_with_partitions, profile_fragments, Catalog,
+};
 use proptest::prelude::*;
 
 /// Degrees swept by every case: serial, uneven shard counts, and more
@@ -491,6 +495,68 @@ proptest! {
             n: limit,
         };
         fused_matches(&plan, &catalog, &version)?;
+    }
+
+    /// A whole query the way the serving path runs it: two filter+project
+    /// prepares over chunked base tables and a join+aggregate combine over
+    /// their `@frag` outputs, through `profile_fragments`. Over the version
+    /// it compacts nothing, and equals the same call over the version's
+    /// `pin()` — tables, fingerprints and work profiles.
+    #[test]
+    fn profiled_query_over_version_matches_pin(
+        left in rows_strategy(40),
+        right in rows_strategy(40),
+        lcuts in cuts_strategy(),
+        rcuts in cuts_strategy(),
+        t1 in -20i64..20,
+        bits in 0i64..216,
+    ) {
+        let version = CatalogVersion::from_chunked(vec![
+            chunked_of("l", &left, &lcuts),
+            chunked_of("r", &right, &rcuts),
+        ]);
+        let prepare = |table: &str, predicate: Expr| PhysicalPlan::Project {
+            input: Box::new(PhysicalPlan::Filter { input: scan(table), predicate }),
+            exprs: vec![
+                ("a".to_string(), Expr::col(0)),
+                ("s".to_string(), Expr::col(2)),
+                ("ab".to_string(), Expr::col(0).add(Expr::col(1))),
+            ],
+        };
+        let plans = [
+            prepare("l", pred_of(t1, 1.5, 3, -50, bits)),
+            prepare("r", Expr::col(0).ge(Expr::int(t1)).or(Expr::col(2).contains("a"))),
+            PhysicalPlan::Aggregate {
+                input: Box::new(PhysicalPlan::HashJoin {
+                    left: scan("@frag0"),
+                    right: scan("@frag1"),
+                    left_keys: vec![0],
+                    right_keys: vec![0],
+                    join_type: JoinType::LeftOuter,
+                }),
+                group_by: vec![1],
+                aggs: vec![
+                    ("n".to_string(), AggExpr::Count),
+                    ("total".to_string(), AggExpr::Sum(Expr::col(5))),
+                ],
+            },
+        ];
+        let plans: Vec<&PhysicalPlan> = plans.iter().collect();
+        let chunked: Vec<_> = [1usize, 4]
+            .iter()
+            .map(|&degree| profile_fragments(&plans, &version, degree).expect("runs"))
+            .collect();
+        prop_assert_eq!(version.compaction_bytes(), 0);
+        let pinned = version.pin();
+        for (degree, chunked) in [1usize, 4].into_iter().zip(chunked) {
+            let flat = profile_fragments(&plans, &pinned, degree).expect("runs");
+            prop_assert_eq!(chunked.len(), 3);
+            for (c, f) in chunked.iter().zip(flat.iter()) {
+                prop_assert_eq!(&c.table, &f.table, "table differs at degree {}", degree);
+                prop_assert_eq!(c.table.fingerprint(), f.table.fingerprint());
+                prop_assert_eq!(&c.work, &f.work, "profile differs at degree {}", degree);
+            }
+        }
     }
 }
 

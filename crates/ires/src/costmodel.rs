@@ -20,8 +20,7 @@ use midas_cloud::{Federation, Money, SiteId};
 use midas_engines::engine::EngineProfile;
 use midas_engines::exec::{profile_fragments, simulate_fragment_seconds, ProfiledFragment};
 use midas_engines::ops::WorkProfile;
-use midas_engines::version::CatalogVersion;
-use midas_engines::{Catalog, EngineError, EngineKind, Placement};
+use midas_engines::{EngineError, EngineKind, Placement, TableSource};
 use midas_tpch::TwoTableQuery;
 
 /// A penalty argument the pressure mechanism refuses to fold in.
@@ -88,10 +87,10 @@ pub struct PlanCostModel {
 impl PlanCostModel {
     /// Builds the model by executing the query's fragments once
     /// ([`PlanCostModel::profile`] at partition degree 1, outputs dropped).
-    pub fn build(
+    pub fn build<'t>(
         placement: &Placement,
         query: &TwoTableQuery,
-        tables: &Catalog,
+        tables: impl Into<TableSource<'t>>,
     ) -> Result<Self, EngineError> {
         Self::profile(placement, query, tables, 1).map(|(model, _)| model)
     }
@@ -100,12 +99,14 @@ impl PlanCostModel {
     /// returns what they computed: `[left_prepare, right_prepare, combine]`
     /// in the fragment order of [`assemble`](crate::assemble), ready to be
     /// handed to an executor running any configuration of this query over
-    /// the same `tables`. The model is the same at every
+    /// the same `tables` — a flat catalog or a pinned `CatalogVersion`,
+    /// whose chunks are scanned in place (planning against version `v`
+    /// compacts nothing). The model is the same at every
     /// `partition_degree` (work profiles are bit-identical across degrees).
-    pub fn profile(
+    pub fn profile<'t>(
         placement: &Placement,
         query: &TwoTableQuery,
-        tables: &Catalog,
+        tables: impl Into<TableSource<'t>>,
         partition_degree: usize,
     ) -> Result<(Self, Vec<ProfiledFragment>), EngineError> {
         let left = placement.locate(&query.left_table)?;
@@ -209,19 +210,6 @@ impl PlanCostModel {
             .iter()
             .find(|(s, _)| *s == site)
             .map_or(1.0, |(_, f)| *f)
-    }
-
-    /// [`PlanCostModel::build`] against a pinned catalog version — the
-    /// planning entry point of the live-data stack. The version's snapshot
-    /// tables are borrowed by `Arc` handle (compacted at most once per
-    /// version, shared with every other pin), so planning against version
-    /// `v` costs exactly what planning against an immutable catalog did.
-    pub fn build_pinned(
-        placement: &Placement,
-        query: &TwoTableQuery,
-        version: &CatalogVersion,
-    ) -> Result<Self, EngineError> {
-        Self::build(placement, query, &version.pin())
     }
 
     /// Rows of the two prepared inputs — the features DREAM regresses on.
@@ -510,5 +498,98 @@ mod tests {
         // Just assert both are positive and differ — the trade-off is real.
         assert!(at_left[0] > 0.0 && at_right[0] > 0.0);
         assert_ne!(at_left[0], at_right[0]);
+    }
+
+    #[test]
+    fn profile_over_a_version_equals_profile_over_its_pin() {
+        use midas_engines::version::VersionedCatalog;
+        use midas_tpch::gen::DeltaStream;
+        use midas_tpch::queries::{q13, q14, q17};
+        let (fed, mut placement, _, db) = setup();
+        placement.place("customer", SiteId(0), EngineKind::Hive);
+        placement.place("part", SiteId(1), EngineKind::PostgreSql);
+        // Three appends: `lineitem` and `orders` become four-chunk tables,
+        // `customer` and `part` stay one chunk.
+        let versioned = VersionedCatalog::new(db.catalog().clone());
+        let mut stream = DeltaStream::new(&db, 11);
+        for _ in 0..3 {
+            versioned
+                .append_batch(stream.next_batch(25).into_batch())
+                .unwrap();
+        }
+        let version = versioned.current();
+        let queries = [
+            q12("MAIL", "SHIP", 1994),
+            q13("special", "requests"),
+            q14(1995, 3),
+            q17("Brand#23", "MED BOX"),
+        ];
+        let chunked: Vec<_> = queries
+            .iter()
+            .map(|q| PlanCostModel::profile(&placement, q, &version, 2).unwrap())
+            .collect();
+        assert_eq!(version.compaction_bytes(), 0, "planning compacted a table");
+
+        let pinned = version.pin();
+        let configs = [(SiteId(0), 1usize, 2u32), (SiteId(1), 0, 1)].map(|(site, idx, vms)| {
+            CandidateConfig {
+                join_site: site,
+                join_engine: EngineKind::Spark,
+                instance_idx: idx,
+                vm_count: vms,
+            }
+        });
+        for (query, (model, handed)) in queries.iter().zip(chunked) {
+            let (flat_model, flat_handed) =
+                PlanCostModel::profile(&placement, query, &pinned, 2).unwrap();
+            assert_eq!(model.prepared_rows(), flat_model.prepared_rows(), "{}", query.label);
+            for config in &configs {
+                assert_eq!(model.cost(&fed, config), flat_model.cost(&fed, config));
+            }
+            assert_eq!(handed.len(), 3);
+            for (c, f) in handed.iter().zip(flat_handed.iter()) {
+                assert_eq!(c.table, f.table, "{}", query.label);
+                assert_eq!(c.table.fingerprint(), f.table.fingerprint());
+                assert_eq!(c.work, f.work, "{}", query.label);
+            }
+        }
+    }
+
+    #[test]
+    fn one_chunk_version_runs_the_flat_path_for_joins_over_base_scans() {
+        use midas_engines::ops::{AggExpr, JoinType, PhysicalPlan};
+        use midas_engines::version::VersionedCatalog;
+        use midas_engines::{profile_fragments, Expr};
+        let (_, _, _, db) = setup();
+        let scan = |table: &str| {
+            Box::new(PhysicalPlan::Scan {
+                table: table.to_string(),
+            })
+        };
+        // Join and aggregate sit directly on base scans: the operators
+        // that need contiguous inputs get the version's only chunk
+        // borrowed, as they get a flat catalog's table.
+        let plan = PhysicalPlan::Aggregate {
+            input: Box::new(PhysicalPlan::HashJoin {
+                left: scan("orders"),
+                right: scan("customer"),
+                left_keys: vec![1],
+                right_keys: vec![0],
+                join_type: JoinType::Inner,
+            }),
+            group_by: vec![7],
+            aggs: vec![
+                ("n".to_string(), AggExpr::Count),
+                ("balance".to_string(), AggExpr::Sum(Expr::col(9))),
+            ],
+        };
+        let versioned = VersionedCatalog::new(db.catalog().clone());
+        let version = versioned.current();
+        let flat = profile_fragments(&[&plan], db.catalog(), 1).unwrap();
+        let chunked = profile_fragments(&[&plan], &version, 1).unwrap();
+        assert_eq!(chunked[0].table, flat[0].table);
+        assert_eq!(chunked[0].table.fingerprint(), flat[0].table.fingerprint());
+        assert_eq!(chunked[0].work, flat[0].work);
+        assert!(flat[0].table.n_rows() > 0);
     }
 }

@@ -10,8 +10,7 @@ use midas_cloud::Federation;
 use midas_dream::EstimationError;
 use midas_engines::exec::{ExecutionOutcome, Executor, ProfiledFragment};
 use midas_engines::sim::{DriftIntensity, SimulationEnv};
-use midas_engines::version::CatalogVersion;
-use midas_engines::{Catalog, EngineError, Placement};
+use midas_engines::{EngineError, Placement, SchemaCatalog, TableSource};
 use midas_tpch::TwoTableQuery;
 
 /// Scheduler construction parameters.
@@ -171,11 +170,15 @@ impl<'a> Scheduler<'a> {
     /// the two base tables (known from catalog statistics) plus the two
     /// prepared-side row counts (the optimizer's cardinality estimates for
     /// the join inputs).
-    pub fn execute_with_config(
+    ///
+    /// `tables` is a flat catalog or a pinned `CatalogVersion`; over a
+    /// version, snapshot isolation is the version's — however many ingests
+    /// publish while this runs, the query reads exactly its rows.
+    pub fn execute_with_config<'t>(
         &mut self,
         query: &TwoTableQuery,
         config: &CandidateConfig,
-        tables: &Catalog,
+        tables: impl Into<TableSource<'t>>,
     ) -> Result<ExecutedQuery, SchedulerError> {
         self.execute_profiled(query, config, tables, &[])
     }
@@ -185,13 +188,14 @@ impl<'a> Scheduler<'a> {
     /// for this query over the same `tables`, so the fragments are not run
     /// a second time. Signals are bit-identical to executing without the
     /// hand-off (an empty one executes everything).
-    pub fn execute_profiled(
+    pub fn execute_profiled<'t>(
         &mut self,
         query: &TwoTableQuery,
         config: &CandidateConfig,
-        tables: &Catalog,
+        tables: impl Into<TableSource<'t>>,
         profiled: &[ProfiledFragment],
     ) -> Result<ExecutedQuery, SchedulerError> {
+        let tables = tables.into();
         let federated = assemble(self.federation, &self.placement, query, config)?;
         let left_rows = base_rows(tables, &query.left_table)?;
         let right_rows = base_rows(tables, &query.right_table)?;
@@ -200,7 +204,10 @@ impl<'a> Scheduler<'a> {
         // diagnostic set instead of the first runtime error it happens to
         // hit. (Placement errors stay `Engine` — `assemble` above fails
         // first for unplaced tables.)
-        let schemas = midas_engines::SchemaCatalog::from_catalog(tables);
+        let schemas = match tables {
+            TableSource::Flat(catalog) => SchemaCatalog::from_catalog(catalog),
+            TableSource::Versioned(version) => SchemaCatalog::from_version(version),
+        };
         let analysis = midas_engines::analyze_federated(&federated, &schemas, self.federation);
         if !analysis.is_valid() {
             return Err(SchedulerError::InvalidPlan {
@@ -218,19 +225,6 @@ impl<'a> Scheduler<'a> {
             costs,
             outcome,
         })
-    }
-
-    /// [`Scheduler::execute_with_config`] against a pinned catalog version
-    /// — the execution entry point of the live-data stack. Snapshot
-    /// isolation is the version's: however many ingests publish while this
-    /// runs, the query reads exactly the rows of `version`.
-    pub fn execute_pinned(
-        &mut self,
-        query: &TwoTableQuery,
-        config: &CandidateConfig,
-        version: &CatalogVersion,
-    ) -> Result<ExecutedQuery, SchedulerError> {
-        self.execute_with_config(query, config, &version.pin())
     }
 
     /// Lets idle time pass: advances the environment by `ticks` drift steps
@@ -264,10 +258,14 @@ pub fn features_from(
 
 /// Looks up a base table's row count, surfacing a missing table as a
 /// [`SchedulerError::MissingTable`] instead of silently treating it as empty.
-pub fn base_rows(tables: &Catalog, name: &str) -> Result<f64, SchedulerError> {
+pub fn base_rows<'t>(
+    tables: impl Into<TableSource<'t>>,
+    name: &str,
+) -> Result<f64, SchedulerError> {
     tables
-        .get(name)
-        .map(|t| t.n_rows() as f64)
+        .into()
+        .table_rows(name)
+        .map(|rows| rows as f64)
         .ok_or_else(|| SchedulerError::MissingTable {
             table: name.to_string(),
         })
@@ -366,24 +364,36 @@ mod tests {
     #[test]
     fn pinned_execution_matches_flat_catalog_execution() {
         use midas_engines::version::VersionedCatalog;
+        use midas_tpch::gen::DeltaStream;
         let (fed, _, _) = example_federation();
         let (mut sched_flat, db) = setup(&fed);
         let q = q12("MAIL", "SHIP", 1994);
-        let flat = sched_flat
-            .execute_with_config(&q, &config(), db.catalog())
-            .unwrap();
-
-        let (mut sched_pinned, _) = setup(&fed);
+        // Two appends make `lineitem` and `orders` three-chunk tables.
         let versioned = VersionedCatalog::new(db.catalog().clone());
-        let pinned = sched_pinned
-            .execute_pinned(&q, &config(), &versioned.current())
-            .unwrap();
-        // Planning routes through the same pinned snapshot.
-        let model_flat =
-            crate::PlanCostModel::build(sched_flat.placement(), &q, db.catalog()).unwrap();
-        let model_pinned =
-            crate::PlanCostModel::build_pinned(sched_flat.placement(), &q, &versioned.current())
+        let mut stream = DeltaStream::new(&db, 5);
+        for _ in 0..2 {
+            versioned
+                .append_batch(stream.next_batch(40).into_batch())
                 .unwrap();
+        }
+        let version = versioned.current();
+        assert_eq!(version.table("lineitem").unwrap().chunk_count(), 3);
+        let (mut sched_pinned, _) = setup(&fed);
+        let pinned = sched_pinned
+            .execute_with_config(&q, &config(), &version)
+            .unwrap();
+        let model_pinned =
+            crate::PlanCostModel::build(sched_flat.placement(), &q, &version).unwrap();
+        // Neither planning nor execution compacted the version it read.
+        assert_eq!(version.compaction_bytes(), 0);
+
+        // The flat side: the same rows, compacted.
+        let compacted = version.pin();
+        let flat = sched_flat
+            .execute_with_config(&q, &config(), &compacted)
+            .unwrap();
+        let model_flat =
+            crate::PlanCostModel::build(sched_flat.placement(), &q, &compacted).unwrap();
         assert_eq!(model_pinned.prepared_rows(), model_flat.prepared_rows());
         assert_eq!(
             model_pinned.cost(&fed, &config()),
@@ -395,6 +405,10 @@ mod tests {
         assert_eq!(
             pinned.outcome.result.fingerprint(),
             flat.outcome.result.fingerprint()
+        );
+        assert_eq!(
+            pinned.outcome.catalog_shared_bytes,
+            flat.outcome.catalog_shared_bytes
         );
     }
 

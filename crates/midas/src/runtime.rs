@@ -25,7 +25,8 @@
 //!   level, with no locks on the read path.
 //! * **Plan** — QEP enumeration, analytic costing and multi-objective
 //!   selection run against the job's pinned version, fully in parallel
-//!   across workers.
+//!   across workers. Planning and execution scan the version's chunks in
+//!   place — no job compacts a table after a publish.
 //! * **Execute** — relational execution is serialized *per simulated site*
 //!   through the federation's admission queues
 //!   ([`midas_engines::sim::SiteAdmission`]); the drifting
@@ -423,8 +424,9 @@ pub struct RuntimeReport {
     pub catalog_version: u64,
     /// Cumulative ingest accounting of the runtime's versioned catalog
     /// (across all calls on this runtime; prior-chunk bytes are carried by
-    /// `Arc::clone` — the recurring cost is pin-time compaction, measured
-    /// per version by `CatalogVersion::compaction_bytes`).
+    /// `Arc::clone`, and jobs scan the chunks where they are — the runtime
+    /// compacts no version it serves, which
+    /// `CatalogVersion::compaction_bytes` staying 0 shows).
     pub ingest: IngestStats,
     /// Hit/miss/eviction/residency counters of the two cache tiers,
     /// cumulative across all calls on this runtime.
@@ -1558,14 +1560,15 @@ impl<'a> FederationRuntime<'a> {
         let query = &job.query;
         let scheduler_err =
             |e: SchedulerError| RuntimeError::Scheduler(e);
-        // The pinned snapshot as a plain execution catalog: compacted at
-        // most once per version, then shared — seeding below is Arc::clone.
-        let catalog = admitted.pinned.pin();
+        // Planning and execution scan the pinned version's chunks where
+        // they are; nothing on this path compacts a table (`pin()` is for
+        // the flat oracles — `repro_lint`'s `serving-pin` rule keeps it so).
+        let pinned = &admitted.pinned;
         // The pinned tables' identities — the table component of every
         // cache key this job forms. Computed once per job; None when both
         // cache tiers are off.
         let table_ids = (self.fragment_cache.is_some() || self.plan_cache.is_some())
-            .then(|| admitted.pinned.table_ids());
+            .then(|| pinned.table_ids());
         // Plan once: enumerate the QEP space and profile the fragments.
         // Pure CPU — runs fully in parallel. Retries re-*select* from the
         // same space under hot-site pressure; they do not re-profile and
@@ -1622,7 +1625,7 @@ impl<'a> FederationRuntime<'a> {
                 (model, profiled) = PlanCostModel::profile(
                     self.placement,
                     query,
-                    &catalog,
+                    pinned,
                     self.config.partition_degree,
                 )
                 .map_err(|e| scheduler_err(SchedulerError::Engine(e)))?;
@@ -1645,8 +1648,8 @@ impl<'a> FederationRuntime<'a> {
         let space = &planned.space;
         let base_model = &planned.model;
         let weights = WeightedSumModel::new(&job.policy.weights);
-        let left_rows = base_rows(&catalog, &query.left_table).map_err(scheduler_err)?;
-        let right_rows = base_rows(&catalog, &query.right_table).map_err(scheduler_err)?;
+        let left_rows = base_rows(pinned, &query.left_table).map_err(scheduler_err)?;
+        let right_rows = base_rows(pinned, &query.right_table).map_err(scheduler_err)?;
 
         let max_attempts = self.config.max_attempts.max(1);
         let mut hot_sites: Vec<SiteId> = Vec::new();
@@ -1726,7 +1729,8 @@ impl<'a> FederationRuntime<'a> {
             }
 
             // Execute: per-site admission + shared drifting environment,
-            // over the pinned snapshot (seeded per query by Arc::clone).
+            // over the pinned version (the per-query catalog holds only the
+            // fragments' outputs).
             // The fault position advances with the attempt, so a retry can
             // outlive a short outage window even when the failing site is
             // a pinned scan site no re-plan can move.
@@ -1755,7 +1759,7 @@ impl<'a> FederationRuntime<'a> {
                     executor.with_faults(plan, admitted.sequence as u64 + attempt as u64);
             }
             let executed =
-                match executor.run_with_scale(&federated, &catalog, self.config.work_scale) {
+                match executor.run_with_scale(&federated, pinned, self.config.work_scale) {
                     Ok(executed) => executed,
                     Err(EngineError::SiteUnavailable { site }) => {
                         if !hot_sites.contains(&site) {
@@ -1814,6 +1818,7 @@ impl<'a> FederationRuntime<'a> {
                     result_rows: executed.result.n_rows(),
                     result_fingerprint: executed.result.fingerprint(),
                     catalog_cloned_bytes: executed.catalog_cloned_bytes,
+                    catalog_shared_bytes: executed.catalog_shared_bytes,
                     chosen: outcome.chosen,
                 },
                 attempts: attempt + 1,

@@ -82,6 +82,9 @@ pub struct MidasReport {
     /// execution catalog — zero on the shared-`Arc` data plane (the runtime
     /// bench records and gates this).
     pub catalog_cloned_bytes: u64,
+    /// Bytes of base-table data this query's execution read in place —
+    /// the same number over a flat catalog and over a version's chunks.
+    pub catalog_shared_bytes: u64,
     /// The configuration Algorithm 2 selected (join site, engine, instance,
     /// VM count) — the "plan" half of the decision, pinned by the
     /// runtime-vs-scheduler determinism harness.
@@ -270,6 +273,7 @@ impl MidasSession<'_> {
             result_rows: executed.outcome.result.n_rows(),
             result_fingerprint: executed.outcome.result.fingerprint(),
             catalog_cloned_bytes: executed.outcome.catalog_cloned_bytes,
+            catalog_shared_bytes: executed.outcome.catalog_shared_bytes,
             chosen: outcome.chosen,
         })
     }

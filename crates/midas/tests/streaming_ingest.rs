@@ -15,11 +15,16 @@
 //! 3. **Per-tenant fairness** — a chatty tenant's burst must not starve a
 //!    quiet tenant: round-robin service bounds the quiet tenant's delay at
 //!    one job per other tenant, not the burst length.
+//! 4. **Nothing served compacts** — the runtime reads its pinned versions
+//!    chunk by chunk, so every version it served reports zero compaction
+//!    bytes until an oracle `pin()`s it, and the ledger still equals the
+//!    flat oracle's with both cache tiers on.
 
 use midas::runtime::{FederationRuntime, RuntimeConfig, RuntimeJob};
 use midas::{Midas, QueryPolicy};
-use midas_tpch::gen::{GenConfig, TpchDb};
+use midas_tpch::gen::{DeltaStream, GenConfig, TpchDb};
 use midas_tpch::medical::{generate_medical, medical_delta, medical_query};
+use midas_tpch::queries::{q12, q13, q14};
 use midas_tpch::stream::{streaming_workload, StreamEvent, StreamSpec};
 use proptest::prelude::*;
 
@@ -209,13 +214,26 @@ fn concurrent_workers_keep_snapshot_isolation_under_live_ingest() {
         .completed
         .iter()
         .any(|r| r.pinned_version() > 0));
+    // ...the runtime compacted none of the versions it served (checked
+    // for all of them before the oracle below pins any)...
+    let pinned_of = |r: &midas::runtime::TenantReport| {
+        r.pinned
+            .clone()
+            .expect("retain_pinned_snapshots is on for this runtime")
+    };
+    for r in &report.completed {
+        assert_eq!(
+            pinned_of(r).compaction_bytes(),
+            0,
+            "{}: serving compacted v{}",
+            r.report.label,
+            r.pinned_version()
+        );
+    }
     // ...and EVERY result is bit-identical to executing the query alone
     // against its pinned version, no matter how workers interleaved.
     for r in &report.completed {
-        let pinned = r
-            .pinned
-            .as_ref()
-            .expect("retain_pinned_snapshots is on for this runtime");
+        let pinned = pinned_of(r);
         let expected = queries_by_sequence[r.sequence]
             .standalone_fingerprint(&pinned.pin())
             .expect("standalone oracle executes");
@@ -226,6 +244,121 @@ fn concurrent_workers_keep_snapshot_isolation_under_live_ingest() {
             r.pinned_version()
         );
         assert_eq!(r.report.catalog_cloned_bytes, 0);
+    }
+}
+
+/// A hot set repeated across publishes with both cache tiers on: plan
+/// and fragment hits, invalidation and re-planning over multi-chunk
+/// versions, on one worker and on two. The runtime's ledger equals a
+/// `MidasSession` replaying the tape over `pin()`ned flat catalogs, and no
+/// version the runtime served was compacted by it.
+#[test]
+fn cached_stream_over_chunked_versions_matches_the_flat_oracle() {
+    let (midas, _, _) = Midas::example_deployment(&["lineitem", "customer"], &["orders", "part"]);
+    let db = TpchDb::generate(GenConfig::new(0.002, 5));
+    let hot = [
+        q12("MAIL", "SHIP", 1994),
+        q13("special", "requests"),
+        q14(1995, 3),
+    ];
+    let mut stream = DeltaStream::new(&db, 17);
+    let batches: Vec<_> = (0..4).map(|_| stream.next_batch(40).into_batch()).collect();
+    // Five windows of two passes over the hot set, a publish between
+    // windows; `Some(query)` submits, `None` publishes the next batch.
+    let mut tape: Vec<Option<&midas_tpch::TwoTableQuery>> = Vec::new();
+    for window in 0..=batches.len() {
+        if window > 0 {
+            tape.push(None);
+        }
+        tape.extend(hot.iter().chain(hot.iter()).map(Some));
+    }
+    let policy = QueryPolicy::balanced();
+
+    let serve = |workers: usize| {
+        let runtime = FederationRuntime::new(
+            midas.federation(),
+            midas.placement(),
+            db.catalog().clone(),
+            RuntimeConfig {
+                workers,
+                retain_pinned_snapshots: true,
+                ..RuntimeConfig::default()
+            },
+        );
+        let ((), report) = runtime.serve(|ingress| {
+            let mut publishes = batches.iter();
+            for event in &tape {
+                match event {
+                    Some(query) => {
+                        let tenant = format!("hospital-{}", ingress.version() % 2);
+                        ingress.submit(RuntimeJob::new(&tenant, (*query).clone(), policy.clone()));
+                        ingress.drain();
+                    }
+                    None => {
+                        let batch = publishes.next().expect("one batch per publish").clone();
+                        ingress.ingest_batch(batch).expect("ingest");
+                    }
+                }
+            }
+        });
+        assert!(report.failed.is_empty(), "failures: {:?}", report.failed);
+        assert!(report.cache.plan.invalidations > 0);
+        (report, runtime.clock_s())
+    };
+    let (one, one_clock) = serve(1);
+    let (two, two_clock) = serve(2);
+    for report in [&one, &two] {
+        for r in &report.completed {
+            let pinned = r.pinned.as_ref().expect("retained");
+            assert_eq!(pinned.compaction_bytes(), 0, "{}: serving compacted", r.report.label);
+        }
+    }
+    assert!(two.completed.iter().any(|r| r.worker == 1), "second worker idle");
+
+    // The oracle: a sequential session, no caches, flat compacted catalogs.
+    let mut session = midas.session();
+    let oracle_catalog = db.versioned_catalog();
+    let mut publishes = batches.iter();
+    let mut oracle = Vec::new();
+    for event in &tape {
+        match event {
+            Some(query) => {
+                let pinned = oracle_catalog.current().pin();
+                oracle.push((
+                    oracle_catalog.version(),
+                    session.submit(query, &pinned, &policy).expect("submits"),
+                ));
+            }
+            None => {
+                let batch = publishes.next().expect("one batch per publish").clone();
+                oracle_catalog.append_batch(batch).expect("ingest");
+            }
+        }
+    }
+    assert_eq!(oracle.last().expect("non-empty").0, 4);
+
+    for (report, clock) in [(&one, one_clock), (&two, two_clock)] {
+        assert_eq!(report.completed.len(), oracle.len());
+        for (i, (r, (version, expected))) in report.completed.iter().zip(&oracle).enumerate() {
+            let c = &r.report;
+            assert_eq!(r.sequence, i);
+            assert_eq!(r.pinned_version(), *version, "{}", c.label);
+            assert_eq!(c.chosen, expected.chosen, "{}: plan drifted", c.label);
+            assert_eq!(c.predicted_costs, expected.predicted_costs, "{}", c.label);
+            assert_eq!(c.actual_costs, expected.actual_costs, "{}", c.label);
+            assert_eq!(c.dream_window, expected.dream_window, "{}", c.label);
+            assert_eq!(c.result_rows, expected.result_rows, "{}", c.label);
+            assert_eq!(c.result_fingerprint, expected.result_fingerprint, "{}", c.label);
+            assert_eq!(c.catalog_shared_bytes, expected.catalog_shared_bytes, "{}", c.label);
+            assert_eq!(c.catalog_cloned_bytes, 0, "{}", c.label);
+            // The second pass of a window finds every fragment cached; the
+            // two worker counts agree on every job's hits.
+            assert_eq!(r.cache_hits, one.completed[i].cache_hits, "{}", c.label);
+            if i % (2 * hot.len()) >= hot.len() {
+                assert_eq!(r.cache_hits, 3, "{}: job {i} missed", c.label);
+            }
+        }
+        assert_eq!(clock, session.clock_s());
     }
 }
 

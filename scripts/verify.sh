@@ -31,12 +31,12 @@
 #      The same binary also records BENCH_ingest_throughput.json — qps of
 #      the streaming Ingress while hospital delta batches publish new
 #      copy-on-write catalog versions mid-flight — and gates the live-data
-#      plane: every append must Arc-share the prior chunks' bytes, pin-time
-#      compaction must be paid at most once per version (repeated pins
-#      return the cached snapshot), and with 4 workers + parallel fragments
-#      every query result must be bit-identical to standalone execution
-#      against the catalog version it pinned at admission (snapshot
-#      isolation);
+#      plane: every append must Arc-share the prior chunks' bytes, the
+#      serving path compacts nothing (every catalog version the runtime
+#      served reports zero compaction bytes before the bench's flat oracle
+#      pins it), and with 4 workers + parallel fragments every query result
+#      must be bit-identical to standalone execution against the catalog
+#      version it pinned at admission (snapshot isolation);
 #   7. the fault-resilience run, which records BENCH_fault_resilience.json
 #      (target/repro/ and repo root): a skewed 16-tenant workload — one
 #      rogue tenant flooding panicking jobs, weighted and quiet clinics —

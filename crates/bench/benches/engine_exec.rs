@@ -95,8 +95,9 @@ fn bench_federated_execution(c: &mut Criterion) {
 
 /// The headline perf comparison: the vectorized default executor against
 /// the scalar reference path on the paper's two-table queries, full local
-/// pipeline (both prepares plus combine). `repro_bench_engine_exec`
-/// records the same comparison as `BENCH_engine_exec.json`.
+/// pipeline (both prepares plus combine). The two must agree bit for bit
+/// (`executor_equivalence.rs`); this is the place to read how far apart
+/// they run.
 fn bench_scalar_vs_vectorized(c: &mut Criterion) {
     let db = TpchDb::generate(GenConfig::new(0.01, 2));
     let queries: Vec<(&str, TwoTableQuery)> = vec![

@@ -1,5 +1,6 @@
 //! Workspace determinism lint + static-analysis counters, recorded as
-//! `BENCH_static_analysis.json` (target/repro/ and repo root).
+//! `BENCH_static_analysis.json` (the workspace `target/repro/` and a copy
+//! at the repo root; the run fails if either cannot be written).
 //!
 //! Two halves, both registry-free:
 //!
@@ -31,7 +32,7 @@
 //!
 //! Test code is exempt: `#[cfg(test)]` modules (brace-tracked) and
 //! comment-only lines are skipped. The gate is **zero findings** —
-//! verify.sh stage 11 fails on any unjustified site.
+//! verify.sh stage 5 fails on any unjustified site.
 //!
 //! **2. Analyzer counters + admission overhead.** Validates the paper's
 //! query set (Q12/Q13/Q14/Q17) and the medical federated workload through
@@ -235,7 +236,9 @@ fn main() {
         overhead_ratio * 100.0
     );
 
-    write_json(
+    // The record, then its copy at the repo root. Either failing fails the
+    // run: a stale `BENCH_static_analysis.json` must not read as fresh.
+    let written = write_json(
         "BENCH_static_analysis",
         &serde_json::json!({
             "lint": serde_json::json!({
@@ -259,11 +262,14 @@ fn main() {
             }),
         }),
     );
-    let root_copy = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_static_analysis.json");
-    if let Err(e) = std::fs::copy("target/repro/BENCH_static_analysis.json", &root_copy) {
-        eprintln!("warning: could not copy BENCH_static_analysis.json to repo root: {e}");
+    // `write_json` has already said why when there is no file to copy.
+    let Some(path) = written else {
+        std::process::exit(1);
+    };
+    let root_copy = root.join("BENCH_static_analysis.json");
+    if let Err(e) = fs::copy(&path, &root_copy) {
+        eprintln!("cannot copy {path:?} to {root_copy:?}: {e}");
+        std::process::exit(1);
     }
 
     // ---- gates --------------------------------------------------------

@@ -1,7 +1,8 @@
 //! Table formatting and machine-readable result output.
 
 use std::fs;
-use std::path::Path;
+use std::io;
+use std::path::{Path, PathBuf};
 
 /// Prints an aligned text table: a header row then data rows.
 ///
@@ -45,27 +46,33 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
     println!("{}", line('-'));
 }
 
-/// Writes a JSON value under `target/repro/<name>.json` (created on
-/// demand) so EXPERIMENTS.md can be regenerated from machine-readable
-/// results. Errors are reported, not fatal — the printed table is the
-/// primary artifact.
-pub fn write_json(name: &str, value: &serde_json::Value) {
-    let dir = Path::new("target/repro");
-    if let Err(e) = fs::create_dir_all(dir) {
-        eprintln!("warning: cannot create {dir:?}: {e}");
-        return;
-    }
-    let path = dir.join(format!("{name}.json"));
-    match serde_json::to_string_pretty(value) {
-        Ok(s) => {
-            if let Err(e) = fs::write(&path, s) {
-                eprintln!("warning: cannot write {path:?}: {e}");
-            } else {
-                println!("(json: {})", path.display());
-            }
+/// Writes a JSON value as `<workspace>/target/repro/<name>.json` (created
+/// on demand) so EXPERIMENTS.md can be regenerated from machine-readable
+/// results, and returns the path written. The directory is anchored on
+/// this crate's manifest, not the CWD, so a run from any directory (a
+/// `cargo test` included) lands in the one place. Errors are reported, not
+/// fatal — the printed table is the primary artifact — and `None` tells a
+/// caller that needs the file that there is none.
+pub fn write_json(name: &str, value: &serde_json::Value) -> Option<PathBuf> {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/repro");
+    match write_json_in(&dir, name, value) {
+        Ok(path) => {
+            println!("(json: {})", path.display());
+            Some(path)
         }
-        Err(e) => eprintln!("warning: cannot serialize {name}: {e}"),
+        Err(e) => {
+            eprintln!("warning: cannot write {name}.json under {dir:?}: {e}");
+            None
+        }
     }
+}
+
+fn write_json_in(dir: &Path, name: &str, value: &serde_json::Value) -> io::Result<PathBuf> {
+    fs::create_dir_all(dir)?;
+    let path = dir.join(format!("{name}.json"));
+    let text = serde_json::to_string_pretty(value).map_err(io::Error::other)?;
+    fs::write(&path, text)?;
+    Ok(path)
 }
 
 #[cfg(test)]
@@ -82,9 +89,12 @@ mod tests {
 
     #[test]
     fn write_json_smoke() {
-        write_json(
-            "unit_test_artifact",
-            &serde_json::json!({"ok": true, "n": 3}),
-        );
+        let dir = std::env::temp_dir().join(format!("midas-bench-{}", std::process::id()));
+        let value = serde_json::json!({"ok": true, "n": 3});
+        let path = write_json_in(&dir, "unit_test_artifact", &value).expect("temp dir is writable");
+        assert_eq!(path, dir.join("unit_test_artifact.json"));
+        let text = fs::read_to_string(&path).expect("the file was written");
+        assert_eq!(text, serde_json::to_string_pretty(&value).expect("serializes"));
+        fs::remove_dir_all(&dir).expect("temp dir is removable");
     }
 }

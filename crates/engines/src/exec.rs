@@ -218,14 +218,6 @@ impl<'a> Executor<'a> {
         self
     }
 
-    /// Topology-aware fan-out (see
-    /// [`SharedExecutor::with_auto_partition_degree`]): partition degree =
-    /// available parallelism, clamped to the engine maximum.
-    pub fn with_auto_partition_degree(self) -> Self {
-        let degree = crate::ops::default_partition_degree();
-        self.with_partition_degree(degree)
-    }
-
     /// Read access to the simulation environment (for tests/experiments).
     pub fn env(&self) -> &SimulationEnv {
         &self.env
@@ -474,16 +466,6 @@ impl<'a> SharedExecutor<'a> {
         self
     }
 
-    /// Topology-aware fan-out: sets the partition degree to
-    /// [`crate::ops::default_partition_degree`] — the host's available
-    /// parallelism clamped to the engine maximum — so callers get the
-    /// sharded paths exactly when the hardware can overlap them (and the
-    /// deterministic serial path on a single-core host).
-    pub fn with_auto_partition_degree(self) -> Self {
-        let degree = crate::ops::default_partition_degree();
-        self.with_partition_degree(degree)
-    }
-
     /// Runs this executor under an injected fault schedule at the given
     /// fault position (see [`FaultPlan`]): fragments bound to a down site
     /// fail with [`EngineError::SiteUnavailable`] *before* taking an
@@ -703,7 +685,8 @@ fn run_federated(
     // shared/cloned split is *measured* by pointer identity against the
     // base catalog, not assumed: if seeding ever regresses to a deep copy
     // (a fresh allocation), those bytes land in `catalog_cloned_bytes`
-    // and trip the runtime bench's zero-copy gate. Over a version there is
+    // and trip the zero-copy assertions of `catalog_sharing.rs` and the
+    // runtime's integration tests. Over a version there is
     // nothing to seed: scans read its chunks in place, the catalog holds
     // `@frag` outputs only, and the shared volume is what the same tables
     // would measure compacted — the two sources report equal bytes.

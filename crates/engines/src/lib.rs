@@ -60,7 +60,7 @@ pub use fused::{
     execute_fused, execute_fused_versioned, execute_fused_with_partitions, TableSource,
     MORSEL_ROWS,
 };
-pub use ops::{default_partition_degree, AggExpr, JoinType, PhysicalPlan, WorkProfile};
+pub use ops::{AggExpr, JoinType, PhysicalPlan, WorkProfile};
 pub use placement::Placement;
 pub use sim::{split_seed, AdmissionStats, LoadModel, SimulationEnv, SiteAdmission};
 pub use version::{

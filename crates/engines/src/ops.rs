@@ -304,17 +304,6 @@ pub fn execute_with_partitions(
     Ok((batch.materialize(), profile))
 }
 
-/// A topology-aware default for the `partition_degree` knob: the host's
-/// available parallelism, clamped to `[1, MAX_PARTITION_DEGREE]`. On a
-/// single-core box this is 1 (the serial path — scoped threads would only
-/// add overhead); on a 64-way box it saturates at the hard cap. Callers
-/// that want a fixed fan-out can still pass any explicit degree.
-pub fn default_partition_degree() -> usize {
-    std::thread::available_parallelism()
-        .map_or(1, |n| n.get())
-        .clamp(1, MAX_PARTITION_DEGREE)
-}
-
 /// Executes a plan row-at-a-time through the reference scalar operators.
 ///
 /// Kept as the differential oracle for [`execute`] and as the baseline of

@@ -22,8 +22,8 @@
 //!   compacted by [`Table::concat`] (once per version, cached) and
 //!   single-chunk tables hand out their chunk. That copy is the one byte
 //!   cost this store can pay per version, so it is measured —
-//!   [`ChunkedTable::compaction_bytes`] — and the ingest bench gates it at
-//!   zero for every version the runtime served.
+//!   [`ChunkedTable::compaction_bytes`] — and `streaming_ingest.rs` gates
+//!   it at zero for every version the runtime served.
 //! * [`VersionedCatalog`] — the mutable head: `append`/`append_batch` build
 //!   the next version copy-on-write (handle copies for untouched tables)
 //!   and publish it atomically. Readers that pinned an older version keep

@@ -256,7 +256,7 @@ mod tests {
         let fastest =
             select_costed(&costed, &WeightedSumModel::new(&[1.0, 0.0]), &none);
         let binding = Constraints::none(2).with_bound(1, fastest.chosen_costs[1] * 0.9);
-        // The four tenant policies of `repro_bench_runtime`, then the cap.
+        // The benchmark's four tenant policies, then the cap.
         let policies = [
             ([0.5, 0.5], none.clone()),
             ([1.0, 0.0], none.clone()),

@@ -42,9 +42,9 @@
 //!
 //! * a fragment bound to a site inside one of its **outage windows** fails
 //!   typed ([`EngineError::SiteUnavailable`]); the job retries up to
-//!   [`RuntimeConfig::max_attempts`] times with exponential wall-clock
-//!   backoff, **re-planning on every retry** with the failed sites marked
-//!   hot in the cost model so the join routes around them;
+//!   [`RuntimeConfig::max_attempts`] times, **re-planning on every retry**
+//!   with the failed sites marked hot in the cost model so the join routes
+//!   around them;
 //! * a job whose successful attempt overruns its simulated-clock
 //!   [`RuntimeJob::deadline_s`] fails typed
 //!   ([`RuntimeError::DeadlineExceeded`]) without feeding the learners;
@@ -127,10 +127,6 @@ pub struct RuntimeConfig {
     /// join re-plans around it) and the job's fault position advanced (so
     /// short outage windows are escaped); any other error is terminal.
     pub max_attempts: usize,
-    /// Wall-clock seconds slept before retry `k` (1-based):
-    /// `backoff_base_s * 2^(k-1)`. `0.0` (the default) disables the sleep —
-    /// simulated outcomes never depend on it.
-    pub backoff_base_s: f64,
     /// Cost multiplier applied to candidates joining at a site that failed
     /// earlier in the same job (see [`PlanCostModel::with_hot_sites`]).
     pub hot_site_penalty: f64,
@@ -199,7 +195,6 @@ impl Default for RuntimeConfig {
             parallel_fragments: false,
             partition_degree: 1,
             max_attempts: 3,
-            backoff_base_s: 0.0,
             hot_site_penalty: 8.0,
             pressure_penalty: 0.0,
             replan_threshold: 1.0,
@@ -1771,13 +1766,6 @@ impl<'a> FederationRuntime<'a> {
                                 site,
                                 attempts: max_attempts,
                             });
-                        }
-                        // Exponential wall-clock backoff before the retry
-                        // (default base 0.0 = no sleep; simulated outcomes
-                        // never depend on it).
-                        let backoff = self.config.backoff_base_s * f64::powi(2.0, attempt as i32);
-                        if backoff > 0.0 {
-                            std::thread::sleep(std::time::Duration::from_secs_f64(backoff));
                         }
                         continue;
                     }

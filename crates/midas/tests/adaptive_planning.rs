@@ -21,7 +21,7 @@
 
 use midas::runtime::{FederationRuntime, RuntimeConfig, RuntimeJob, RuntimeReport};
 use midas::{Midas, QueryPolicy};
-use midas_engines::sim::FaultPlan;
+use midas_engines::sim::{DriftIntensity, FaultPlan};
 use midas_ires::optimizer::moqp_exhaustive;
 use midas_ires::{EnumerationSpace, PlanCostModel};
 use midas_moo::WeightedSumModel;
@@ -67,8 +67,10 @@ fn assert_reports_identical(a: &RuntimeReport, b: &RuntimeReport, compare_sim: b
     }
 }
 
-/// Interleaving-independent terminal outcomes (same canonicalization as
-/// the fault-resilience suite): what must match across worker counts.
+/// Interleaving-independent terminal outcomes (the fault-resilience
+/// suite's canonicalization, plus the plan): what must match across worker
+/// counts. With pressure feedback off, planning is a pure function of the
+/// pinned catalog version, so the chosen configuration is part of it.
 fn canonical_outcomes(report: &RuntimeReport) -> Vec<(usize, String)> {
     let mut out: Vec<(usize, String)> = report
         .completed
@@ -77,11 +79,15 @@ fn canonical_outcomes(report: &RuntimeReport) -> Vec<(usize, String)> {
             (
                 r.sequence,
                 format!(
-                    "ok tenant={} attempts={} fingerprint={} pinned=v{}",
+                    "ok tenant={} attempts={} fingerprint={} pinned=v{} chosen={:?} \
+                     replans={} switched={}",
                     r.tenant,
                     r.attempts,
                     r.report.result_fingerprint,
-                    r.pinned_version()
+                    r.pinned_version(),
+                    r.report.chosen,
+                    r.replans,
+                    r.plan_switched,
                 ),
             )
         })
@@ -289,6 +295,113 @@ fn pressured_planning_never_poisons_the_plan_cache() {
     let warm = run(1 << 20);
     assert_reports_identical(&warm, &cold, true, "pressured warm vs cold");
     assert!(warm.cache.plan.hits > 0, "plan cache never hit: {:?}", warm.cache.plan);
+}
+
+/// The whole loop through a serving runtime. Four tenants each have a job
+/// in flight on four workers while their favourite join site is congested
+/// (an admission flap pins its gate to one slot, a 20x slowdown stretches
+/// whatever lands there, and `pacing` holds each fragment in its slot);
+/// once a queue has formed at that gate, each tenant submits a second job.
+/// The pressure-aware planner samples the queue, plans those joins at the
+/// other site and re-plans them once they have waited — a re-plan may
+/// bring a join back when the queue has drained by then. The blind planner
+/// does none of it.
+#[test]
+fn a_congested_join_site_is_routed_around_only_when_pressure_is_on() {
+    let (midas, _, _) = Midas::example_deployment(&["patient"], &["generalinfo"]);
+    let tenants = ["hospital-A", "hospital-B", "hospital-C", "clinic-D"];
+    let wave = |modality: &'static str| {
+        tenants.map(|t| RuntimeJob::new(t, medical_query(Some(modality)), QueryPolicy::balanced()))
+    };
+    let runtime = |config: RuntimeConfig, faults: FaultPlan| {
+        FederationRuntime::new(
+            midas.federation(),
+            midas.placement(),
+            generate_medical(1_500, 0.5, 42),
+            config,
+        )
+        .with_fault_plan(faults)
+    };
+    // Every fragment executes and holds its slot: no cache tier.
+    let config = RuntimeConfig {
+        workers: 4,
+        max_vms: 2,
+        replan_threshold: 0.25,
+        drift: DriftIntensity::None,
+        fragment_cache_bytes: 0,
+        plan_cache_bytes: 0,
+        ..RuntimeConfig::default()
+    };
+    // The blind planner's join site on a healthy federation is the one
+    // worth congesting.
+    let probe = runtime(config, FaultPlan::none()).run(wave("CT").to_vec());
+    let hot = probe.completed[0].report.chosen.join_site;
+    let hot_name = &midas.federation().site(hot).name;
+    let n_jobs = 2 * tenants.len();
+    let faults = FaultPlan::none()
+        .flap(hot, 0, n_jobs as u64)
+        .slowdown(hot, 0, n_jobs as u64, 20.0);
+
+    let serve = |pressure_penalty: f64| {
+        let rt = runtime(
+            RuntimeConfig {
+                pacing: 0.05,
+                pressure_penalty,
+                ..config
+            },
+            faults.clone(),
+        );
+        let ((), report) = rt.serve(|ingress| {
+            for job in wave("CT") {
+                ingress.submit(job);
+            }
+            // Not a sleep: the second wave is submitted on the observed
+            // condition its pressure samples are about, a queue at the
+            // hot gate.
+            let queued_at_hot = || {
+                let stats = rt.admission_stats();
+                let (_, gate) = stats.iter().find(|(site, _)| site == hot_name).expect("metered");
+                gate.in_use + gate.waiting
+            };
+            let started = std::time::Instant::now();
+            while queued_at_hot() < 2 {
+                assert!(started.elapsed().as_secs() < 60, "no queue formed at the hot gate");
+                std::thread::yield_now();
+            }
+            for job in wave("MR") {
+                ingress.submit(job);
+            }
+        });
+        assert!(report.failed.is_empty(), "failures: {:?}", report.failed);
+        assert_eq!(report.completed.len(), n_jobs);
+        report
+    };
+
+    let blind = serve(0.0);
+    assert_eq!((blind.replans, blind.plan_switches), (0, 0), "the blind planner re-planned");
+    for r in &blind.completed {
+        assert_eq!(r.report.chosen.join_site, hot, "a blind join moved with no signal");
+    }
+
+    let aware = serve(4.0);
+    assert!(aware.replans > 0, "the congested aware run never re-planned");
+    // Two of the four in-flight jobs at the hot gate (0.5 of its four
+    // slots) outweigh whatever the other two hold elsewhere, so a job that
+    // sampled them planned its join at the other site — and either stayed
+    // there or was re-planned back.
+    let mut routed = 0;
+    for r in &aware.completed[tenants.len()..] {
+        if r.pressure.iter().any(|&(site, score)| site == hot && score >= 0.5) {
+            routed += 1;
+            assert!(
+                r.report.chosen.join_site != hot || r.plan_switched,
+                "job {} sampled {:?} and still planned its join at the hot site",
+                r.sequence,
+                r.pressure
+            );
+        }
+    }
+    assert!(routed > 0, "no second-wave job sampled the queue at the hot gate");
 }
 
 proptest! {

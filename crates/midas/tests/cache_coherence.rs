@@ -107,25 +107,28 @@ fn cached_runs_are_bit_identical_to_cold_at_one_and_four_workers() {
         ..RuntimeConfig::default()
     };
 
-    let run = |config: RuntimeConfig| {
-        let rt = FederationRuntime::new(
+    let build = |config: RuntimeConfig| {
+        FederationRuntime::new(
             midas.federation(),
             midas.placement(),
             generate_medical(200, 0.5, 7),
             config,
-        );
+        )
+    };
+    let run = |rt: &FederationRuntime| {
         let report = rt.run(repeated_jobs());
         assert!(report.failed.is_empty(), "failures: {:?}", report.failed);
         report
     };
 
-    let cold = run(no_cache(config));
-    let warm1 = run(config);
-    let warm4 = run(RuntimeConfig {
+    let cold = run(&build(no_cache(config)));
+    let warm1 = run(&build(config));
+    let rt4 = build(RuntimeConfig {
         workers: 4,
         parallel_fragments: true,
         ..config
     });
+    let warm4 = run(&rt4);
 
     assert_reports_bit_identical(&warm1, &cold, "warm1");
     // Four racing workers serve in a different order, so the shared
@@ -162,6 +165,17 @@ fn cached_runs_are_bit_identical_to_cold_at_one_and_four_workers() {
     let f4 = warm4.cache.fragment;
     assert!(f4.hits > 0, "4-worker run never shared: {f4:?}");
     assert_eq!(f4.hits + f4.misses, 3 * 16);
+
+    // A second pass over the now primed runtime has nothing left to
+    // compute, so racing workers cannot make it miss: all 48 fragment
+    // services and all 16 plans hit, and the results are still the cold
+    // run's.
+    let primed4 = run(&rt4);
+    assert_reports_identical(&primed4, &cold, false, "primed4");
+    let again = primed4.cache;
+    assert_eq!(again.fragment.misses, f4.misses, "primed pass missed: {again:?}");
+    assert_eq!(again.fragment.hits, f4.hits + 3 * 16);
+    assert_eq!(again.plan.misses, warm4.cache.plan.misses, "primed pass re-planned: {again:?}");
 }
 
 #[test]
@@ -376,6 +390,7 @@ fn rogue_tenant_cannot_evict_a_healthy_tenants_hot_entries() {
     // overflow lands while the rogue holds several times the healthy
     // tenant's bytes, so fair-share eviction must reclaim the rogue's
     // *own* cold entries and leave the healthy tenant's alone.
+    let budget = resident[2] - (resident[2] - resident[1]) / 4;
     let runtime = FederationRuntime::new(
         midas.federation(),
         midas.placement(),
@@ -383,11 +398,13 @@ fn rogue_tenant_cannot_evict_a_healthy_tenants_hot_entries() {
         RuntimeConfig {
             workers: 1,
             max_vms: 2,
-            fragment_cache_bytes: resident[2] - (resident[2] - resident[1]) / 4,
+            fragment_cache_bytes: budget,
             ..RuntimeConfig::default()
         },
     );
-    run_phases(&runtime, &mut |_, _| {});
+    run_phases(&runtime, &mut |phase, bytes| {
+        assert!(bytes <= budget, "phase {phase}: {bytes} resident bytes over the {budget} budget");
+    });
     let stats = runtime.cache_stats().fragment;
     assert!(stats.evictions > 0, "budget never bit: {stats:?}");
 

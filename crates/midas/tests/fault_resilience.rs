@@ -432,3 +432,84 @@ fn deadlines_are_terminal_and_do_not_count_toward_quarantine() {
     assert_eq!(report.completed[0].sequence, 1);
     assert!(report.completed[0].report.result_rows > 0);
 }
+
+/// Every contract above at once. A rogue tenant submits 32 poison jobs
+/// *first* — the worst order for FIFO service — ahead of one weight-2
+/// clinic and 14 quiet clinics, while the patient scan site (the one no
+/// re-plan can route around) cycles through a two-position outage
+/// (escapable within the default 3 attempts), a slowdown and an admission
+/// flap every 9 positions for the whole run.
+#[test]
+fn a_rogue_flood_over_a_flapping_site_loses_no_job_and_starves_no_clinic() {
+    quiet_injected_panics();
+    let (midas, patient_site, _) = Midas::example_deployment(&["patient"], &["generalinfo"]);
+    let catalog = generate_medical(250, 0.5, 42);
+    let clinic_job = |tenant: &str, i: usize| {
+        let modalities = ["CT", "MR", "US", "XR", "PET"];
+        RuntimeJob::new(
+            tenant,
+            medical_query(Some(modalities[i % modalities.len()])),
+            QueryPolicy::balanced(),
+        )
+    };
+    const ROGUE_JOBS: usize = 32;
+    let mut jobs: Vec<RuntimeJob> = (0..ROGUE_JOBS)
+        .map(|_| RuntimeJob::new("rogue", medical_query(Some("CT")), poison_policy()))
+        .collect();
+    jobs.extend((0..4).map(|i| clinic_job("priority-clinic", i)));
+    for t in 0..14 {
+        jobs.extend((0..2).map(|j| clinic_job(&format!("clinic-{t:02}"), t + j)));
+    }
+    let positions = jobs.len() as u64 + 3;
+    let plan = (5..positions - 2).step_by(9).fold(FaultPlan::none(), |plan, p| {
+        plan.outage(patient_site, p, p + 2)
+            .slowdown(patient_site, p + 3, p + 6, 2.5)
+            .flap(patient_site, p + 4, p + 8)
+    });
+
+    let run = |workers: usize| {
+        let rt = FederationRuntime::new(
+            midas.federation(),
+            midas.placement(),
+            catalog.clone(),
+            RuntimeConfig {
+                workers,
+                max_vms: 2,
+                ..RuntimeConfig::default()
+            },
+        )
+        .with_fault_plan(plan.clone());
+        rt.set_tenant_weight("priority-clinic", 2);
+        rt.run(jobs.clone())
+    };
+    let serial = run(1);
+    let concurrent = run(4);
+
+    // Zero lost jobs, and the same ledger whoever raced.
+    for report in [&serial, &concurrent] {
+        assert_eq!(report.completed.len() + report.failed.len(), jobs.len());
+    }
+    assert_eq!(canonical_outcomes(&serial), canonical_outcomes(&concurrent));
+
+    // Every clinic job completed — the outages absorbed by retry — and
+    // only the rogue failed: panics up to the quarantine threshold, typed
+    // rejections while it cooled off, nothing else.
+    assert_eq!(serial.completed.len(), jobs.len() - ROGUE_JOBS);
+    assert!(serial.failed.iter().all(|f| f.tenant == "rogue"), "{:?}", serial.failed);
+    let retries = serial.completed.iter().map(|r| r.attempts - 1).sum::<usize>();
+    assert!(retries > 0, "no clinic job needed a retry: the plan injected nothing");
+    let errors = || serial.failed.iter().map(|f| &f.error);
+    let panics = errors().filter(|e| matches!(e, RuntimeError::WorkerPanicked(_))).count();
+    let quarantined = errors().filter(|e| matches!(e, RuntimeError::Quarantined { .. })).count();
+    assert_eq!(panics + quarantined, ROGUE_JOBS, "{:?}", serial.failed);
+    assert!(panics >= RuntimeConfig::default().quarantine_threshold);
+    assert!(quarantined > 0, "the rogue was never quarantined");
+
+    // Weighted deficit round-robin at 1 worker: a service cycle is 16
+    // tenants and 17 outcomes (the weight-2 clinic draws two), so the first
+    // clinic outcome lands inside the first cycle and the last inside the
+    // second. FIFO would have held every clinic behind the 32-job flood.
+    let clinic_completions = || serial.completed.iter().map(|r| r.completion);
+    assert!(clinic_completions().min() < Some(16), "first cycle served no clinic");
+    assert!(clinic_completions().max() < Some(34), "a clinic waited past two cycles");
+}

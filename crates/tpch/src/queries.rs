@@ -139,7 +139,7 @@ impl TwoTableQuery {
     /// makes this the **snapshot-isolation oracle**: a runtime's
     /// `result_fingerprint` for a job must equal this, evaluated on the
     /// catalog version the job pinned at admission. Defined once here so
-    /// the bench gate and the integration tests can never assert against
+    /// the benchmark and the integration tests can never assert against
     /// diverging oracles.
     pub fn standalone_fingerprint(&self, catalog: &Catalog) -> Result<u64, EngineError> {
         let mut catalog = catalog.clone();

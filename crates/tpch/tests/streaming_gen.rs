@@ -5,6 +5,7 @@
 //! database must match flat execution without ever compacting a
 //! snapshot.
 
+use midas_engines::MORSEL_ROWS;
 use midas_tpch::gen::{GenConfig, StringEncoding, TpchDb};
 use midas_tpch::queries::{q12_with, q13, q14, q17_with};
 
@@ -69,12 +70,15 @@ fn streaming_generation_reproduces_materialized_exactly() {
 /// Chunk-native execution of the paper's four queries over the streamed
 /// database matches flat vectorized execution bit-for-bit — tables,
 /// fingerprints and all three work profiles — and pays **zero** snapshot
-/// compaction doing it.
+/// compaction doing it, whether a morsel spans several chunks (4 096-row
+/// chunks) or a chunk spans a morsel boundary (chunks a morsel and a
+/// quarter long), serial and sharded.
 #[test]
 fn chunk_native_queries_match_flat_execution() {
     for config in [GenConfig::new(0.01, 11), GenConfig::new(0.01, 11).dictionary_encoded()] {
         let flat = TpchDb::generate(config);
-        let chunked = TpchDb::generate_chunked(config, 4_096);
+        let streamed = [4_096, MORSEL_ROWS + MORSEL_ROWS / 4]
+            .map(|chunk_rows| TpchDb::generate_chunked(config, chunk_rows));
         let enc = config.encoding;
         let queries = [
             q12_with(enc, "MAIL", "SHIP", 1994),
@@ -87,19 +91,23 @@ fn chunk_native_queries_match_flat_execution() {
             let (ref_out, ref_profiles) = q
                 .execute_local(&mut catalog, midas_engines::ops::execute)
                 .expect("flat execution runs");
-            for degree in [1usize, 3] {
-                let (out, profiles) = q
-                    .execute_fused_chunked(chunked.version(), degree)
-                    .expect("chunk-native execution runs");
-                assert_eq!(out, ref_out, "{} diverges at degree {degree}", q.label);
-                assert_eq!(out.fingerprint(), ref_out.fingerprint());
-                assert_eq!(profiles, ref_profiles, "{} profiles diverge", q.label);
+            for chunked in &streamed {
+                for degree in [1usize, 3, 8] {
+                    let (out, profiles) = q
+                        .execute_fused_chunked(chunked.version(), degree)
+                        .expect("chunk-native execution runs");
+                    assert_eq!(out, ref_out, "{} diverges at degree {degree}", q.label);
+                    assert_eq!(out.fingerprint(), ref_out.fingerprint());
+                    assert_eq!(profiles, ref_profiles, "{} profiles diverge", q.label);
+                }
             }
         }
-        assert_eq!(
-            chunked.version().compaction_bytes(),
-            0,
-            "chunk-native pipeline must never compact a snapshot"
-        );
+        for chunked in &streamed {
+            assert_eq!(
+                chunked.version().compaction_bytes(),
+                0,
+                "chunk-native pipeline must never compact a snapshot"
+            );
+        }
     }
 }

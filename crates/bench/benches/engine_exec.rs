@@ -6,9 +6,10 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use midas_cloud::federation::example_federation;
 use midas_engines::ops::{execute, execute_scalar};
 use midas_engines::sim::{DriftIntensity, SimulationEnv};
-use midas_engines::{EngineKind, Placement};
+use midas_engines::{execute_fused, AggExpr, EngineKind, Expr, PhysicalPlan, Placement};
 use midas_ires::scheduler::{Scheduler, SchedulerConfig};
 use midas_ires::CandidateConfig;
+use midas_tpch::dates::{add_months, ymd};
 use midas_tpch::gen::{GenConfig, TpchDb};
 use midas_tpch::queries::{q12, q13, q14, q17, TwoTableQuery};
 use std::hint::black_box;
@@ -120,11 +121,50 @@ fn bench_scalar_vs_vectorized(c: &mut Criterion) {
     group.finish();
 }
 
+/// The two per-row costs a cold `tpch_cold` job is made of, at its scale
+/// (SF 0.1, 600 k lineitems) and through the executor the runtime serves
+/// with: group discovery into few groups (Q17's `avg(l_quantity) group by
+/// l_partkey`, 20 k groups) and a date-range filter (Q14's shipdate month).
+/// Read them as ns/row = time / 600 k.
+fn bench_cold_path_kernels(c: &mut Criterion) {
+    let db = TpchDb::generate(GenConfig::new(0.1, 42));
+    let scan = || {
+        Box::new(PhysicalPlan::Scan {
+            table: "lineitem".to_string(),
+        })
+    };
+    // lineitem: 1 l_partkey, 3 l_quantity, 6 l_shipdate.
+    let discovery = PhysicalPlan::Aggregate {
+        input: scan(),
+        group_by: vec![1],
+        aggs: vec![("avg_qty".to_string(), AggExpr::Avg(Expr::col(3)))],
+    };
+    let start = ymd(1995, 9, 1);
+    let date_range = PhysicalPlan::Filter {
+        input: scan(),
+        predicate: Expr::col(6)
+            .ge(Expr::date(start))
+            .and(Expr::col(6).lt(Expr::date(add_months(start, 1)))),
+    };
+    let mut group = c.benchmark_group("cold_path_kernels");
+    group.sample_size(10);
+    for (name, plan) in [
+        ("group_discovery_600k_to_20k", &discovery),
+        ("date_range_filter_600k", &date_range),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter(|| black_box(execute_fused(plan, db.catalog()).expect("runs")))
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_generation,
     bench_operators,
     bench_federated_execution,
-    bench_scalar_vs_vectorized
+    bench_scalar_vs_vectorized,
+    bench_cold_path_kernels
 );
 criterion_main!(benches);

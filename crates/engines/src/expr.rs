@@ -421,14 +421,22 @@ fn numeric_pair(l: &Value, r: &Value, op: BinOp) -> Result<(f64, f64), EngineErr
     }
 }
 
+/// The error of ordering a NaN — built only when one turns up: the scalar
+/// and the batch comparison both call this per *failing* row, never per
+/// compared row.
+#[cold]
+fn nan_comparison() -> EngineError {
+    EngineError::TypeMismatch {
+        context: "NaN comparison".to_string(),
+    }
+}
+
 fn compare_values(l: &Value, r: &Value) -> Result<std::cmp::Ordering, EngineError> {
     match (l, r) {
         (Value::Utf8(a), Value::Utf8(b)) => Ok(a.cmp(b)),
         (Value::Bool(a), Value::Bool(b)) => Ok(a.cmp(b)),
         _ => match (l.as_f64(), r.as_f64()) {
-            (Some(a), Some(b)) => a.partial_cmp(&b).ok_or(EngineError::TypeMismatch {
-                context: "NaN comparison".to_string(),
-            }),
+            (Some(a), Some(b)) => a.partial_cmp(&b).ok_or_else(nan_comparison),
             _ => Err(EngineError::TypeMismatch {
                 context: format!("compare {l:?} with {r:?}"),
             }),
@@ -525,7 +533,7 @@ impl<'s> SelView<'s> {
         SelView {
             sel,
             base: 0,
-            n: sel.map_or(table.n_rows(), |s| s.len()),
+            n: sel.map_or_else(|| table.n_rows(), |s| s.len()),
         }
     }
 
@@ -685,7 +693,7 @@ enum NumSide<'v> {
     Const(f64),
 }
 
-impl NumSide<'_> {
+impl<'v> NumSide<'v> {
     #[inline]
     fn at(&self, pos: usize) -> Option<f64> {
         match self {
@@ -696,6 +704,87 @@ impl NumSide<'_> {
             NumSide::Const(c) => Some(*c),
         }
     }
+
+    /// The side as plain values when no slot of it is NULL.
+    #[inline]
+    fn plain(&self) -> Option<PlainNum<'v>> {
+        match self {
+            NumSide::Vec(vals, None) => Some(PlainNum::Slice(vals)),
+            NumSide::Vec(_, Some(_)) => None,
+            NumSide::Const(c) => Some(PlainNum::Const(*c)),
+        }
+    }
+}
+
+/// A numeric operand without a validity mask.
+#[derive(Clone, Copy)]
+enum PlainNum<'v> {
+    Slice(&'v [f64]),
+    Const(f64),
+}
+
+/// `out[pos] = l[pos] op r[pos]` over operands free of NULLs: the operator
+/// is resolved once, outside the loop, and each of the loops below is a
+/// straight pass over slices. A NaN on either side of a compared row is the
+/// same error the generic loop raises (an empty batch compares nothing,
+/// hence raises nothing).
+fn cmp_plain(
+    op: BinOp,
+    l: PlainNum<'_>,
+    r: PlainNum<'_>,
+    out: &mut [bool],
+) -> Result<(), EngineError> {
+    #[inline(always)]
+    fn fill(
+        out: &mut [bool],
+        l: PlainNum<'_>,
+        r: PlainNum<'_>,
+        f: impl Fn(f64, f64) -> bool,
+    ) -> bool {
+        let mut nan = false;
+        match (l, r) {
+            (PlainNum::Slice(a), PlainNum::Slice(b)) => {
+                for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+                    nan |= x.is_nan() | y.is_nan();
+                    *o = f(x, y);
+                }
+            }
+            (PlainNum::Slice(a), PlainNum::Const(y)) => {
+                for (o, &x) in out.iter_mut().zip(a) {
+                    nan |= x.is_nan();
+                    *o = f(x, y);
+                }
+                nan |= y.is_nan() && !out.is_empty();
+            }
+            (PlainNum::Const(x), PlainNum::Slice(b)) => {
+                for (o, &y) in out.iter_mut().zip(b) {
+                    nan |= y.is_nan();
+                    *o = f(x, y);
+                }
+                nan |= x.is_nan() && !out.is_empty();
+            }
+            (PlainNum::Const(x), PlainNum::Const(y)) => {
+                out.fill(f(x, y));
+                nan = (x.is_nan() || y.is_nan()) && !out.is_empty();
+            }
+        }
+        nan
+    }
+    let nan = match op {
+        BinOp::Eq => fill(out, l, r, |x, y| x == y),
+        BinOp::Ne => fill(out, l, r, |x, y| x != y),
+        BinOp::Lt => fill(out, l, r, |x, y| x < y),
+        BinOp::Le => fill(out, l, r, |x, y| x <= y),
+        BinOp::Gt => fill(out, l, r, |x, y| x > y),
+        BinOp::Ge => fill(out, l, r, |x, y| x >= y),
+        // LINT: panic-ok — cmp_batch is only called with the six
+        // comparison operators (bin_batch's dispatch).
+        _ => unreachable!("not a comparison"),
+    };
+    if nan {
+        return Err(nan_comparison());
+    }
+    Ok(())
 }
 
 enum BoolSide<'v> {
@@ -923,19 +1012,21 @@ fn cmp_batch(
     let mut vals = scratch.take_bools(n, false);
     let mut valid: Option<Vec<bool>> = None;
     match (&l, &r) {
-        (Side::N(ls, _), Side::N(rs, _)) => {
-            for pos in 0..n {
-                match (ls.at(pos), rs.at(pos)) {
-                    (Some(x), Some(y)) => {
-                        let ord = x.partial_cmp(&y).ok_or(EngineError::TypeMismatch {
-                            context: "NaN comparison".to_string(),
-                        })?;
-                        vals[pos] = ord_matches(op, ord);
+        (Side::N(ls, _), Side::N(rs, _)) => match (ls.plain(), rs.plain()) {
+            // Neither side carries a NULL: compare plain slices.
+            (Some(l), Some(r)) => cmp_plain(op, l, r, &mut vals)?,
+            _ => {
+                for pos in 0..n {
+                    match (ls.at(pos), rs.at(pos)) {
+                        (Some(x), Some(y)) => {
+                            let ord = x.partial_cmp(&y).ok_or_else(nan_comparison)?;
+                            vals[pos] = ord_matches(op, ord);
+                        }
+                        _ => lazy_mask(&mut valid, scratch, n)[pos] = false,
                     }
-                    _ => lazy_mask(&mut valid, scratch, n)[pos] = false,
                 }
             }
-        }
+        },
         (Side::S(ls), Side::S(rs)) => {
             for pos in 0..n {
                 match (ls.at(sv, pos), rs.at(sv, pos)) {
@@ -1000,6 +1091,16 @@ fn kleene_batch(
         };
     }
     let mut vals = scratch.take_bools(n, false);
+    // Neither side carries a NULL: three-valued logic is two-valued.
+    if let (BoolOperand::Op(BoolSide::Vec(a, None)), BoolOperand::Op(BoolSide::Vec(b, None))) =
+        (&l, &r)
+    {
+        let and = op == BinOp::And;
+        for ((o, &x), &y) in vals.iter_mut().zip(*a).zip(*b) {
+            *o = if and { x & y } else { x | y };
+        }
+        return BatchVals::Bools { vals, valid: None };
+    }
     let mut valid: Option<Vec<bool>> = None;
     for pos in 0..n {
         match combine_kleene(op, at(&l, pos), at(&r, pos)) {
@@ -1021,66 +1122,70 @@ fn combine_kleene(op: BinOp, l: Option<bool>, r: Option<bool>) -> Option<bool> {
     }
 }
 
+/// Gathers `src` under `sv` into `out` (one slot per selected row) through
+/// `conv`. The dense/selected decision is made once, outside the loop: a
+/// dense view is a converting slice copy, a selected one a plain gather.
+#[inline]
+fn gather_into<T: Copy, U>(out: &mut [U], src: &[T], sv: &SelView<'_>, conv: impl Fn(T) -> U) {
+    match sv.sel {
+        None => {
+            for (slot, &x) in out.iter_mut().zip(&src[sv.base..sv.base + sv.n]) {
+                *slot = conv(x);
+            }
+        }
+        Some(sel) => {
+            for (slot, &row) in out.iter_mut().zip(sel) {
+                *slot = conv(src[row as usize]);
+            }
+        }
+    }
+}
+
 /// `Expr::Col` kernel: gathers one column under the selection view into a
 /// typed batch vector (strings stay borrowed in place).
 fn col_batch<'a>(col: &'a Column, sv: &SelView<'_>, scratch: &mut EvalScratch) -> BatchVals<'a> {
     let n = sv.len();
-    fn gather_valid(
-        validity: &Option<Vec<bool>>,
-        sv: &SelView<'_>,
-        scratch: &mut EvalScratch,
-    ) -> Option<Vec<bool>> {
-        validity.as_ref().map(|v| {
-            let n = sv.len();
+    let gather_valid = |scratch: &mut EvalScratch| {
+        col.validity.as_ref().map(|v| {
             let mut out = scratch.take_bools(n, false);
-            for (pos, slot) in out.iter_mut().enumerate() {
-                *slot = v[sv.row(pos)];
-            }
+            gather_into(&mut out, v, sv, |ok| ok);
             out
         })
-    }
+    };
     match &col.data {
         ColumnData::Int64(v) => {
             let mut vals = scratch.take_f64(n);
-            for (pos, slot) in vals.iter_mut().enumerate() {
-                *slot = v[sv.row(pos)] as f64;
-            }
+            gather_into(&mut vals, v, sv, |x| x as f64);
             BatchVals::Num {
                 vals,
-                valid: gather_valid(&col.validity, sv, scratch),
+                valid: gather_valid(scratch),
                 ty: NumTy::Int,
             }
         }
         ColumnData::Float64(v) => {
             let mut vals = scratch.take_f64(n);
-            for (pos, slot) in vals.iter_mut().enumerate() {
-                *slot = v[sv.row(pos)];
-            }
+            gather_into(&mut vals, v, sv, |x| x);
             BatchVals::Num {
                 vals,
-                valid: gather_valid(&col.validity, sv, scratch),
+                valid: gather_valid(scratch),
                 ty: NumTy::Float,
             }
         }
         ColumnData::Date(v) => {
             let mut vals = scratch.take_f64(n);
-            for (pos, slot) in vals.iter_mut().enumerate() {
-                *slot = v[sv.row(pos)] as f64;
-            }
+            gather_into(&mut vals, v, sv, |x| x as f64);
             BatchVals::Num {
                 vals,
-                valid: gather_valid(&col.validity, sv, scratch),
+                valid: gather_valid(scratch),
                 ty: NumTy::Date,
             }
         }
         ColumnData::Bool(v) => {
             let mut vals = scratch.take_bools(n, false);
-            for (pos, slot) in vals.iter_mut().enumerate() {
-                *slot = v[sv.row(pos)];
-            }
+            gather_into(&mut vals, v, sv, |b| b);
             BatchVals::Bools {
                 vals,
-                valid: gather_valid(&col.validity, sv, scratch),
+                valid: gather_valid(scratch),
             }
         }
         ColumnData::Utf8(v) => BatchVals::Str {
@@ -1283,6 +1388,25 @@ fn sel_from_bools(
             Ok(())
         }
         Side::B(BoolSide::Const(false)) | Side::Null => Ok(()),
+        Side::B(BoolSide::Vec(vals, None)) => {
+            match sv.sel {
+                None => {
+                    for (pos, &b) in vals[..n].iter().enumerate() {
+                        if b {
+                            out.push((sv.base + pos) as u32);
+                        }
+                    }
+                }
+                Some(sel) => {
+                    for (&b, &row) in vals.iter().zip(sel) {
+                        if b {
+                            out.push(row);
+                        }
+                    }
+                }
+            }
+            Ok(())
+        }
         Side::B(bs) => {
             for pos in 0..n {
                 if bs.at(pos) == Some(true) {
@@ -1770,6 +1894,101 @@ mod tests {
         .unwrap();
         let e = Expr::col(0).contains("b");
         assert_eq!(e.eval_mask(&t2).unwrap(), vec![true, false]);
+    }
+
+    /// The no-NULL kernels (plain-slice comparison, two-valued AND/OR,
+    /// mask-free selection) against the scalar evaluator, row by row:
+    /// same selected rows, and an error exactly when a selected row
+    /// compares a NaN — never for a NaN outside the selection, never for
+    /// an empty one.
+    #[test]
+    fn plain_kernels_agree_with_scalar_evaluation() {
+        let t = Table::new(
+            "f",
+            vec![
+                Column::new("x", ColumnData::Float64(vec![1.0, -0.0, f64::NAN, 7.5, 0.0])),
+                Column::new("y", ColumnData::Float64(vec![1.0, 0.0, 2.0, f64::INFINITY, -3.0])),
+                Column::new("d", ColumnData::Date(vec![10, 20, 30, 40, 50])),
+                Column::with_validity(
+                    "n",
+                    ColumnData::Float64(vec![1.0, 0.0, 5.0, 0.0, 9.0]),
+                    vec![true, false, true, false, true],
+                ),
+            ],
+        )
+        .unwrap();
+        type Cmp = fn(Expr, Expr) -> Expr;
+        let ops: [Cmp; 6] = [Expr::eq, Expr::ne, Expr::lt, Expr::le, Expr::gt, Expr::ge];
+        let operands = || {
+            vec![
+                Expr::col(0),
+                Expr::col(1),
+                Expr::col(2),
+                Expr::col(3),
+                Expr::float(0.0),
+                Expr::float(f64::NAN),
+                Expr::date(30),
+            ]
+        };
+        let sels: [Option<&[u32]>; 5] = [
+            None,
+            Some(&[0, 1, 3, 4]), // skips the NaN row
+            Some(&[4, 2]),
+            Some(&[3]),
+            Some(&[]),
+        ];
+        let mut predicates = Vec::new();
+        for op in ops {
+            for l in operands() {
+                for r in operands() {
+                    predicates.push(op(l.clone(), r));
+                }
+            }
+        }
+        // Conjunctions and disjunctions of mask-free comparisons.
+        let lo = Expr::col(2).ge(Expr::date(20));
+        let hi = Expr::col(2).lt(Expr::date(50));
+        predicates.push(lo.clone().and(hi.clone()));
+        predicates.push(lo.clone().or(hi.clone().negate()));
+        predicates.push(lo.and(Expr::col(1).gt(Expr::col(0))).and(hi));
+        for p in &predicates {
+            for sel in sels {
+                let rows: Vec<u32> = match sel {
+                    Some(s) => s.to_vec(),
+                    None => (0..t.n_rows() as u32).collect(),
+                };
+                let scalar: Result<Vec<u32>, EngineError> = rows
+                    .iter()
+                    .filter_map(|&r| match p.eval(&t, r as usize) {
+                        Ok(Value::Bool(true)) => Some(Ok(r)),
+                        Ok(_) => None,
+                        Err(e) => Some(Err(e)),
+                    })
+                    .collect();
+                let batch = p.eval_sel(&t, sel);
+                let compiled = {
+                    let mut out = Vec::new();
+                    p.compile()
+                        .eval_sel_into(
+                            &KernelCols::Table(&t),
+                            &SelView::new(&t, sel),
+                            &mut EvalScratch::new(),
+                            &mut out,
+                        )
+                        .map(|()| out)
+                };
+                match scalar {
+                    Ok(want) => {
+                        assert_eq!(batch.as_ref(), Ok(&want), "{p:?} under {sel:?}");
+                        assert_eq!(compiled.as_ref(), Ok(&want), "{p:?} under {sel:?}");
+                    }
+                    Err(_) => {
+                        assert!(batch.is_err(), "{p:?} under {sel:?}: {batch:?}");
+                        assert!(compiled.is_err(), "{p:?} under {sel:?}: {compiled:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

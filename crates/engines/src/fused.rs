@@ -5,12 +5,18 @@
 //! vectorized executor. Three coordinated changes make SF ≥ 1 data
 //! survivable:
 //!
-//! 1. **Morsels.** Filters and projections run over cache-resident row
-//!    ranges of [`MORSEL_ROWS`] rows ([`SelView::range`] /
-//!    [`SelView::over`] slices) instead of whole-column passes, drawing
-//!    every temporary from one [`EvalScratch`] pool that is reused across
-//!    all morsels of a query — the hot loop stops allocating after the
-//!    first few morsels and its working set stays in cache.
+//! 1. **Morsels.** Filters, projections and aggregate inputs run over
+//!    cache-resident row ranges of [`MORSEL_ROWS`] rows
+//!    ([`SelView::range`] / [`SelView::over`] slices) instead of
+//!    whole-column passes, drawing every temporary from one
+//!    [`EvalScratch`] pool that is reused across all morsels of a query —
+//!    the hot loop stops allocating after the first few morsels and its
+//!    working set stays in cache. An aggregate consumes each morsel's
+//!    typed kernel result straight into its per-group states
+//!    (`ops::accumulate_aggs`, shared with the whole-column
+//!    executor), so no operator holds an input-length temporary: what a
+//!    fused run allocates follows what its operators *produce*
+//!    (`tests/alloc_census.rs` counts it).
 //! 2. **Compiled expression kernels.** Every operator resolves its `Expr`
 //!    tree into a [`KernelPlan`] (register steps + deduplicated column
 //!    loads) **once**, then replays the plan per morsel — no per-batch
@@ -62,10 +68,10 @@ use crate::data::{Column, ColumnData, DataType, Table, Value};
 use crate::error::EngineError;
 use crate::expr::{BatchVals, EvalScratch, Expr, KernelCols, KernelPlan, NumTy, SelView};
 use crate::ops::{
-    accumulate_aggs, agg_bool_input, agg_num_input, agg_output_columns, aggregate_vec,
-    hash_join_vec, partitioned_group_ids, partitioned_join_indices, record_batch,
-    serial_group_ids, serial_join_indices, sort_sel, AggExpr, AggInput, Batch, JoinType, OpKind,
-    OpWork, PhysicalPlan, TableSlot, WorkProfile, MAX_PARTITION_DEGREE,
+    accumulate_aggs, agg_output_columns, aggregate_vec, hash_join_vec, partitioned_group_ids,
+    partitioned_join_indices, record_batch, serial_group_ids, serial_join_indices, sort_sel,
+    AggExpr, AggInput, AggView, Batch, JoinType, OpKind, OpWork, PhysicalPlan, TableSlot,
+    WorkProfile, MAX_PARTITION_DEGREE,
 };
 use crate::version::{CatalogVersion, ChunkedTable};
 use std::sync::Arc;
@@ -355,7 +361,7 @@ fn record_fbatch(profile: &mut WorkProfile, kind: OpKind, rows_in: u64, fb: &FBa
 /// present, dense `base..` ranges otherwise). An empty view still runs
 /// one empty morsel so column validation fires exactly as a whole-column
 /// pass would.
-fn for_each_morsel<'s>(
+pub(crate) fn for_each_morsel<'s>(
     n: usize,
     sel: Option<&'s [u32]>,
     mut f: impl FnMut(SelView<'s>) -> Result<(), EngineError>,
@@ -758,8 +764,7 @@ fn project_slab_morsels(
     if kernel_runs.is_empty() {
         return Ok(());
     }
-    let n = sel.map_or(t.n_rows(), <[u32]>::len);
-    for_each_morsel(n, sel, |sv| {
+    for_each_morsel(sv_all.len(), sel, |sv| {
         for run in kernel_runs.iter_mut() {
             let part = match &run.kind {
                 ExprKind::Kernel(kp) => {
@@ -791,7 +796,7 @@ fn filter_project_slab_morsels(
     scratch: &mut EvalScratch,
 ) -> Result<Vec<u32>, EngineError> {
     let cols = KernelCols::Table(t);
-    let n = sel.map_or(t.n_rows(), <[u32]>::len);
+    let n = sel.map_or_else(|| t.n_rows(), <[u32]>::len);
     let mut acc = scratch.take_sel();
     let mut tmp = scratch.take_sel();
     let res = for_each_morsel(n, sel, |sv| {
@@ -1225,7 +1230,7 @@ impl<'t> DeferredJoin<'t> {
     /// misses (`take_opt_ids` emits empty strings there) — the identical
     /// float expression, bit for bit.
     fn bytes_sel(&self, sel: Option<&[u32]>) -> u64 {
-        let n = sel.map_or(self.n(), <[u32]>::len);
+        let n = sel.map_or_else(|| self.n(), <[u32]>::len);
         let mut per_row = 0.0f64;
         for c in self.lt.columns() {
             per_row += match &c.data {
@@ -1281,63 +1286,23 @@ impl<'t> DeferredJoin<'t> {
     }
 }
 
-/// [`AggInput`] over a deferred join: expressions compile to kernel plans
-/// evaluated morsel-wise against the sparse gathered-column cache, at the
-/// live join positions — the same values, in the same order, as the
+/// [`AggInput`] over a deferred join: the accumulator's compiled
+/// expressions run against the sparse gathered-column cache at the live
+/// join positions — the same values, in the same order, as the
 /// materialized-join batch evaluation, so the shared accumulator's float
 /// additions are bit-identical.
 struct JoinAggInput<'x, 't> {
     dj: &'x mut DeferredJoin<'t>,
     positions: &'x [u32],
-    scratch: &'x mut EvalScratch,
-}
-
-impl JoinAggInput<'_, '_> {
-    fn eval_rows_nums(&mut self, e: &Expr, rows: &[u32]) -> Result<Vec<Option<f64>>, EngineError> {
-        let kp = e.compile();
-        self.dj.ensure_refs(kp.referenced_cols());
-        let cols = KernelCols::Cols(&self.dj.cache);
-        let mut out = Vec::with_capacity(rows.len());
-        for_each_morsel(rows.len(), Some(rows), |sv| {
-            let bv = kp.eval(&cols, &sv, self.scratch)?;
-            out.extend(agg_num_input(&bv, &sv));
-            self.scratch.recycle(bv);
-            Ok(())
-        })?;
-        Ok(out)
-    }
 }
 
 impl AggInput for JoinAggInput<'_, '_> {
-    fn eval_bools(&mut self, e: &Expr) -> Result<Vec<Option<bool>>, EngineError> {
-        let kp = e.compile();
+    fn view(&mut self, kp: &KernelPlan<'_>) -> AggView<'_> {
         self.dj.ensure_refs(kp.referenced_cols());
-        let cols = KernelCols::Cols(&self.dj.cache);
-        let mut out = Vec::with_capacity(self.positions.len());
-        for_each_morsel(self.positions.len(), Some(self.positions), |sv| {
-            let bv = kp.eval(&cols, &sv, self.scratch)?;
-            out.extend(agg_bool_input(&bv, &sv));
-            self.scratch.recycle(bv);
-            Ok(())
-        })?;
-        Ok(out)
-    }
-
-    fn eval_nums(&mut self, e: &Expr) -> Result<Vec<Option<f64>>, EngineError> {
-        let positions = self.positions;
-        self.eval_rows_nums(e, positions)
-    }
-
-    fn eval_nums_at(
-        &mut self,
-        e: &Expr,
-        sub_pos: &[u32],
-    ) -> Result<Vec<Option<f64>>, EngineError> {
-        let rows: Vec<u32> = sub_pos
-            .iter()
-            .map(|&p| self.positions[p as usize])
-            .collect();
-        self.eval_rows_nums(e, &rows)
+        AggView {
+            cols: KernelCols::Cols(&self.dj.cache),
+            rows: Some(self.positions),
+        }
     }
 }
 
@@ -1496,9 +1461,8 @@ fn agg_over_join<'a>(
         let mut input = JoinAggInput {
             dj: &mut dj,
             positions: &positions_vec,
-            scratch,
         };
-        accumulate_aggs(&mut input, aggs, &group_ids, n_groups, n_live)?
+        accumulate_aggs(&mut input, aggs, &group_ids, n_groups, n_live, scratch)?
     };
     scratch.put_sel(positions_vec);
 

@@ -24,6 +24,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// An eagerly built `ok_or`/`map_or`/`unwrap_or` argument in a per-row loop
+// is a hidden allocation per row (PR 20: 2.4 M mallocs per Q12 prepare);
+// `scripts/verify.sh` denies warnings, so this keeps the class out.
+#![warn(clippy::or_fun_call)]
 
 pub mod analyze;
 pub mod cache;

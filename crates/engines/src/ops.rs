@@ -6,10 +6,11 @@
 //! limits never materialize intermediate tables. Expressions run through
 //! the batch evaluator ([`Expr::eval_batch`]) against whole columns, joins
 //! hash composite keys into a single `u64`-keyed open-addressing table
-//! with collision verification (no per-row key allocation), and grouped
-//! aggregation accumulates directly from column slices. Projection, join
-//! and aggregation materialize their outputs; everything below them stays
-//! virtual.
+//! with collision verification (no per-row key allocation, and sized by
+//! the distinct keys it holds — see `U64Map`), and grouped aggregation
+//! accumulates morsel by morsel from the typed kernel results. Projection,
+//! join and aggregation materialize their outputs; everything below them
+//! stays virtual.
 //!
 //! The original row-at-a-time path survives as [`execute_scalar`] — the
 //! readable reference implementation that goldens, property tests and the
@@ -23,7 +24,8 @@
 use crate::catalog::Catalog;
 use crate::data::{Column, ColumnData, DataType, Table, Value};
 use crate::error::EngineError;
-use crate::expr::{BatchVals, EvalScratch, Expr, NumTy, SelView};
+use crate::expr::{BatchVals, EvalScratch, Expr, KernelCols, KernelPlan, NumTy, SelView};
+use crate::fused::for_each_morsel;
 use std::collections::HashMap;
 
 /// Join flavours needed by the TPC-H two-table queries.
@@ -1168,12 +1170,36 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
+const KEY_HASH_SEED: u64 = 0x517c_c1b7_2722_0a95;
+
+/// The key columns as one value slice when the key is a single `Int64`
+/// column without NULLs — every `*_key` join and group-by of the TPC-H
+/// plans. Hashing and equality over it ([`int_key_hash`], `==`) skip the
+/// per-row dispatch on column count, type and validity that [`key_hash`] /
+/// [`keys_equal`] pay, and produce the same hashes and verdicts.
+fn sole_int_key<'c>(cols: &[&'c Column]) -> Option<&'c [i64]> {
+    match cols {
+        [Column {
+            data: ColumnData::Int64(v),
+            validity: None,
+            ..
+        }] => Some(v),
+        _ => None,
+    }
+}
+
+/// [`key_hash`] of a one-column, non-NULL `Int64` key.
+#[inline]
+fn int_key_hash(k: i64) -> u64 {
+    hash_combine(KEY_HASH_SEED, mix64(k as u64))
+}
+
 /// Hashes the composite key of `row` into one `u64` — no per-row
 /// allocation. `None` when a key part is NULL and `null_sentinel` is off
 /// (join keys: NULL never matches). With the sentinel on (group-by keys),
 /// NULL hashes like a distinguished constant so NULL groups with NULL.
 fn key_hash(cols: &[&Column], row: usize, null_sentinel: bool) -> Option<u64> {
-    let mut h: u64 = 0x517c_c1b7_2722_0a95;
+    let mut h: u64 = KEY_HASH_SEED;
     for col in cols {
         let k = if !col.is_valid(row) {
             if !null_sentinel {
@@ -1222,17 +1248,32 @@ fn keys_equal(lcols: &[&Column], lrow: usize, rcols: &[&Column], rrow: usize) ->
 /// empty). Linear probing at ≤ 50% load; collision resolution is the
 /// caller's verification of chained entries, so distinct keys sharing a
 /// hash simply share a chain.
+///
+/// **Sizing rule:** the table is sized by the *distinct hashes it holds*,
+/// never by the rows its caller scans. It starts at
+/// [`U64Map::INITIAL_SLOTS`] and doubles whenever a new hash would push it
+/// past 50% load, re-placing the `(hash, head)` pairs; the chains hang off
+/// the heads in the caller's vectors and are untouched, so what `get`
+/// returns is independent of how often the map grew. A group-by of 600 k
+/// rows into 20 k groups therefore holds 1 MiB of slots, not the 32 MiB a
+/// map pre-sized by input rows asks the kernel for — and gives back — on
+/// every job.
 struct U64Map {
     mask: usize,
+    /// Occupied slots (= distinct hashes held).
+    len: usize,
     slots: Vec<(u64, u32)>,
 }
 
 impl U64Map {
-    fn with_capacity(n: usize) -> U64Map {
-        let cap = (n.max(4) * 2).next_power_of_two();
+    /// Slots of an empty map (a power of two).
+    const INITIAL_SLOTS: usize = 16;
+
+    fn new() -> U64Map {
         U64Map {
-            mask: cap - 1,
-            slots: vec![(0, 0); cap],
+            mask: Self::INITIAL_SLOTS - 1,
+            len: 0,
+            slots: vec![(0, 0); Self::INITIAL_SLOTS],
         }
     }
 
@@ -1259,12 +1300,43 @@ impl U64Map {
         }
     }
 
-    /// Mutable chain-head slot for `h`, claiming an empty slot if needed.
+    /// Mutable chain-head slot for `h`, claiming an empty slot if needed
+    /// (growing first when the claim would pass 50% load). The caller must
+    /// leave a non-zero head in a slot it claimed: an occupied slot *is* a
+    /// non-zero head, to `probe` and to `grow` alike.
     #[inline]
     fn entry(&mut self, h: u64) -> &mut u32 {
-        let i = self.probe(h);
-        self.slots[i].0 = h;
+        let mut i = self.probe(h);
+        if self.slots[i].1 == 0 {
+            if (self.len + 1) * 2 > self.slots.len() {
+                self.grow();
+                i = self.probe(h);
+            }
+            self.len += 1;
+            self.slots[i].0 = h;
+        }
         &mut self.slots[i].1
+    }
+
+    /// Doubles the table and re-places every occupied slot. Held hashes
+    /// are distinct, so each lands in the first free slot of its probe
+    /// sequence without comparing.
+    #[cold]
+    fn grow(&mut self) {
+        let cap = self.slots.len() * 2;
+        let mask = cap - 1;
+        let mut slots = vec![(0u64, 0u32); cap];
+        for &(h, head) in &self.slots {
+            if head != 0 {
+                let mut i = (h as usize) & mask;
+                while slots[i].1 != 0 {
+                    i = (i + 1) & mask;
+                }
+                slots[i] = (h, head);
+            }
+        }
+        self.mask = mask;
+        self.slots = slots;
     }
 }
 
@@ -1416,7 +1488,7 @@ pub(crate) fn partitioned_join_indices(
                     let mut build: Vec<(u32, u64)> =
                         Vec::with_capacity(build_keys.shard_len(s));
                     build_keys.for_shard(s, |pos, h| build.push((pos, h)));
-                    let mut map = U64Map::with_capacity(build.len());
+                    let mut map = U64Map::new();
                     let mut next: Vec<u32> = vec![0; build.len()];
                     for local in (0..build.len()).rev() {
                         let head = map.entry(build[local].1);
@@ -1530,19 +1602,37 @@ pub(crate) fn partitioned_join_indices(
 /// the batch, returning each position's group id and the first original
 /// row of every group, in first-seen order.
 pub(crate) fn serial_group_ids(b: &Batch<'_>, gcols: &[&Column], n: usize) -> (Vec<u32>, Vec<u32>) {
+    match sole_int_key(gcols) {
+        Some(v) => group_ids_by(b, n, |row| int_key_hash(v[row]), |x, y| v[x] == v[y]),
+        None => group_ids_by(
+            b,
+            n,
+            |row| key_hash(gcols, row, true).expect("sentinel hashing is total"),
+            |x, y| keys_equal(gcols, x, gcols, y),
+        ),
+    }
+}
+
+/// [`serial_group_ids`] over a key given as a row hash and a row-pair
+/// equality.
+fn group_ids_by(
+    b: &Batch<'_>,
+    n: usize,
+    hash: impl Fn(usize) -> u64,
+    same_key: impl Fn(usize, usize) -> bool,
+) -> (Vec<u32>, Vec<u32>) {
     let mut group_ids: Vec<u32> = Vec::with_capacity(n);
     let mut rep_rows: Vec<u32> = Vec::new();
-    let mut map = U64Map::with_capacity(n);
+    let mut map = U64Map::new();
     let mut chain: Vec<u32> = Vec::new(); // per-group next in hash chain
     for pos in 0..n {
         let row = b.row_id(pos);
-        let h = key_hash(gcols, row, true).expect("sentinel hashing is total");
-        let head = map.entry(h);
+        let head = map.entry(hash(row));
         let mut cur = *head;
         let mut found = None;
         while cur != 0 {
             let g = (cur - 1) as usize;
-            if keys_equal(gcols, row, gcols, rep_rows[g] as usize) {
+            if same_key(row, rep_rows[g] as usize) {
                 found = Some(g);
                 break;
             }
@@ -1595,7 +1685,7 @@ pub(crate) fn partitioned_group_ids(
                 let keys = &keys;
                 scope.spawn(move || {
                     let len = keys.shard_len(s);
-                    let mut map = U64Map::with_capacity(len);
+                    let mut map = U64Map::new();
                     let mut chain: Vec<u32> = Vec::new();
                     let mut first_pos: Vec<u32> = Vec::new();
                     let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(len);
@@ -1761,35 +1851,69 @@ pub(crate) fn serial_join_indices(
     rcols: &[&Column],
     join_type: JoinType,
 ) -> (Vec<u32>, Vec<u32>, Vec<bool>) {
+    match (sole_int_key(lcols), sole_int_key(rcols)) {
+        (Some(l), Some(r)) => join_indices_by(
+            lb,
+            rb,
+            join_type,
+            |lrow| Some(int_key_hash(l[lrow])),
+            |rrow| Some(int_key_hash(r[rrow])),
+            |lrow, rrow| l[lrow] == r[rrow],
+        ),
+        _ => join_indices_by(
+            lb,
+            rb,
+            join_type,
+            |lrow| key_hash(lcols, lrow, false),
+            |rrow| key_hash(rcols, rrow, false),
+            |lrow, rrow| keys_equal(lcols, lrow, rcols, rrow),
+        ),
+    }
+}
+
+/// [`serial_join_indices`] over keys given as per-side row hashes (`None`
+/// = a NULL key part: the row never matches) and a cross-side equality.
+fn join_indices_by(
+    lb: &Batch<'_>,
+    rb: &Batch<'_>,
+    join_type: JoinType,
+    left_hash: impl Fn(usize) -> Option<u64>,
+    right_hash: impl Fn(usize) -> Option<u64>,
+    same_key: impl Fn(usize, usize) -> bool,
+) -> (Vec<u32>, Vec<u32>, Vec<bool>) {
     let ln = lb.len();
     let rn = rb.len();
     // Build over the right batch. Chains are threaded through `next` by
     // batch position; building in reverse keeps each chain in ascending
     // position order, so probe output matches the scalar path row-for-row.
-    let mut map = U64Map::with_capacity(rn);
+    let mut map = U64Map::new();
     let mut next: Vec<u32> = vec![0; rn];
     for pos in (0..rn).rev() {
-        let row = rb.row_id(pos);
-        if let Some(h) = key_hash(rcols, row, false) {
+        if let Some(h) = right_hash(rb.row_id(pos)) {
             let head = map.entry(h);
             next[pos] = *head;
             *head = pos as u32 + 1;
         }
     }
 
-    // Probe from the left.
-    let mut left_out: Vec<u32> = Vec::new();
-    let mut right_out: Vec<u32> = Vec::new();
-    let mut right_hit: Vec<bool> = Vec::new();
+    // Probe from the left. A left-outer join emits at least one row per
+    // probe row; an inner join promises nothing.
+    let at_least = match join_type {
+        JoinType::LeftOuter => ln,
+        JoinType::Inner => 0,
+    };
+    let mut left_out: Vec<u32> = Vec::with_capacity(at_least);
+    let mut right_out: Vec<u32> = Vec::with_capacity(at_least);
+    let mut right_hit: Vec<bool> = Vec::with_capacity(at_least);
     for pos in 0..ln {
         let lrow = lb.row_id(pos);
         let mut matched = false;
-        if let Some(h) = key_hash(lcols, lrow, false) {
+        if let Some(h) = left_hash(lrow) {
             let mut cur = map.get(h);
             while cur != 0 {
                 let rpos = (cur - 1) as usize;
                 let rrow = rb.row_id(rpos);
-                if keys_equal(lcols, lrow, rcols, rrow) {
+                if same_key(lrow, rrow) {
                     left_out.push(lrow as u32);
                     right_out.push(rrow as u32);
                     right_hit.push(true);
@@ -1809,102 +1933,125 @@ pub(crate) fn serial_join_indices(
 
 // ----- vectorized aggregation -----
 
-/// Numeric view with `Value::as_f64` semantics: booleans and strings are
-/// not numeric and silently yield `None`, exactly as the scalar
-/// aggregation steps skip them.
-pub(crate) fn agg_num_input(bv: &BatchVals<'_>, sv: &SelView<'_>) -> Vec<Option<f64>> {
-    let n = sv.len();
+/// Visits the non-NULL numeric slots of one morsel result in position
+/// order, with `Value::as_f64` semantics: booleans and strings are not
+/// numeric and are skipped, exactly as the scalar aggregation steps skip
+/// them.
+#[inline]
+fn for_each_num(bv: &BatchVals<'_>, n: usize, mut f: impl FnMut(usize, f64)) {
     match bv {
-        BatchVals::Num { vals, valid, .. } => (0..n)
-            .map(|p| match valid {
-                Some(v) if !v[p] => None,
-                _ => Some(vals[p]),
-            })
-            .collect(),
-        BatchVals::ConstNum { val, .. } => vec![Some(*val); n],
-        _ => vec![None; n],
+        BatchVals::Num { vals, valid: None, .. } => {
+            for (p, &x) in vals[..n].iter().enumerate() {
+                f(p, x);
+            }
+        }
+        BatchVals::Num { vals, valid: Some(v), .. } => {
+            for p in 0..n {
+                if v[p] {
+                    f(p, vals[p]);
+                }
+            }
+        }
+        BatchVals::ConstNum { val, .. } => {
+            for p in 0..n {
+                f(p, *val);
+            }
+        }
+        _ => {}
     }
 }
 
-/// Boolean view with `matches!(v, Value::Bool(true))` semantics: anything
-/// that is not a valid boolean counts as false, never as an error.
-pub(crate) fn agg_bool_input(bv: &BatchVals<'_>, sv: &SelView<'_>) -> Vec<Option<bool>> {
-    let n = sv.len();
+/// Visits the positions of one morsel result that hold a valid `true`, in
+/// order, with `matches!(v, Value::Bool(true))` semantics: anything that is
+/// not a valid boolean counts as false, never as an error.
+#[inline]
+fn for_each_true(bv: &BatchVals<'_>, n: usize, mut f: impl FnMut(usize)) {
     match bv {
-        BatchVals::Bools { vals, valid } => (0..n)
-            .map(|p| match valid {
-                Some(v) if !v[p] => None,
-                _ => Some(vals[p]),
-            })
-            .collect(),
-        BatchVals::ConstBool(b) => vec![Some(*b); n],
-        _ => vec![None; n],
+        BatchVals::Bools { vals, valid: None } => {
+            for (p, &b) in vals[..n].iter().enumerate() {
+                if b {
+                    f(p);
+                }
+            }
+        }
+        BatchVals::Bools { vals, valid: Some(v) } => {
+            for p in 0..n {
+                if v[p] && vals[p] {
+                    f(p);
+                }
+            }
+        }
+        BatchVals::ConstBool(true) => {
+            for p in 0..n {
+                f(p);
+            }
+        }
+        _ => {}
     }
 }
 
-/// The expression-evaluation surface the shared aggregation accumulator
-/// ([`accumulate_aggs`]) runs against. The vectorized executor implements
-/// it over a [`Batch`]; the fused executor implements it over a *virtual*
-/// join output (deferred-gather columns), so both paths accumulate through
+/// What an aggregate's expressions evaluate against: a column binding and
+/// the original row id behind each batch position.
+pub(crate) struct AggView<'v> {
+    /// The columns the compiled expression resolves its indices in.
+    pub(crate) cols: KernelCols<'v>,
+    /// Row id of each batch position (`None` = position `p` is row `p`).
+    pub(crate) rows: Option<&'v [u32]>,
+}
+
+/// The input surface of the shared aggregation accumulator
+/// ([`accumulate_aggs`]). The vectorized executor implements it over a
+/// [`Batch`]; the fused executor implements it over a *virtual* join output
+/// (deferred-gather columns). Either way the accumulator itself compiles,
+/// evaluates and consumes the expressions, so both paths accumulate through
 /// literally the same float additions in the same order.
 pub(crate) trait AggInput {
-    /// Predicate view of `e` over every batch position, with
-    /// `matches!(v, Value::Bool(true))` semantics.
-    fn eval_bools(&mut self, e: &Expr) -> Result<Vec<Option<bool>>, EngineError>;
-    /// Numeric view of `e` over every batch position (`Value::as_f64`
-    /// semantics).
-    fn eval_nums(&mut self, e: &Expr) -> Result<Vec<Option<f64>>, EngineError>;
-    /// Numeric view of `e` over the given batch positions only (SumIf's
-    /// predicate-true subset).
-    fn eval_nums_at(&mut self, e: &Expr, sub_pos: &[u32])
-        -> Result<Vec<Option<f64>>, EngineError>;
+    /// The view `kp` runs over, with every column `kp` references bound
+    /// (a deferring input gathers them here, once).
+    fn view(&mut self, kp: &KernelPlan<'_>) -> AggView<'_>;
 }
 
-struct BatchAggInput<'x, 'a> {
-    b: &'x Batch<'a>,
-    scratch: &'x mut EvalScratch,
+impl AggInput for &Batch<'_> {
+    fn view(&mut self, _kp: &KernelPlan<'_>) -> AggView<'_> {
+        AggView {
+            cols: KernelCols::Table(self.table()),
+            rows: self.sel_ref(),
+        }
+    }
 }
 
-impl AggInput for BatchAggInput<'_, '_> {
-    fn eval_bools(&mut self, e: &Expr) -> Result<Vec<Option<bool>>, EngineError> {
-        let t = self.b.table();
-        let sel = self.b.sel_ref();
-        let sv = SelView::new(t, sel);
-        let bv = e.eval_batch_in(t, sel, self.scratch)?;
-        let out = agg_bool_input(&bv, &sv);
-        self.scratch.recycle(bv);
-        Ok(out)
-    }
-
-    fn eval_nums(&mut self, e: &Expr) -> Result<Vec<Option<f64>>, EngineError> {
-        let t = self.b.table();
-        let sel = self.b.sel_ref();
-        let sv = SelView::new(t, sel);
-        let bv = e.eval_batch_in(t, sel, self.scratch)?;
-        let out = agg_num_input(&bv, &sv);
-        self.scratch.recycle(bv);
-        Ok(out)
-    }
-
-    fn eval_nums_at(
-        &mut self,
-        e: &Expr,
-        sub_pos: &[u32],
-    ) -> Result<Vec<Option<f64>>, EngineError> {
-        // The scalar path only evaluates SumIf's value on rows where the
-        // predicate holds; mirror that by evaluating the value batch under
-        // the predicate-true sub-selection of original row ids.
-        let t = self.b.table();
-        let sub_rows: Vec<u32> = sub_pos
-            .iter()
-            .map(|&p| self.b.row_id(p as usize) as u32)
-            .collect();
-        let bv = e.eval_batch_in(t, Some(&sub_rows), self.scratch)?;
-        let sub_sv = SelView::new(t, Some(&sub_rows));
-        let out = agg_num_input(&bv, &sub_sv);
-        self.scratch.recycle(bv);
-        Ok(out)
-    }
+/// Evaluates `e` one morsel at a time over the batch positions `at`
+/// (`None` = all `n` positions, in order) and hands each morsel's typed
+/// result to `f` with the index of its first slot and its length. Nothing
+/// of the input's length is ever allocated: a morsel's temporaries come
+/// from, and return to, `scratch`.
+fn eval_morsels(
+    input: &mut dyn AggInput,
+    e: &Expr,
+    n: usize,
+    at: Option<&[u32]>,
+    scratch: &mut EvalScratch,
+    mut f: impl FnMut(usize, &BatchVals<'_>, usize),
+) -> Result<(), EngineError> {
+    let kp = e.compile();
+    let view = input.view(&kp);
+    let sub_rows: Vec<u32>;
+    let (n, rows) = match (at, view.rows) {
+        (None, rows) => (n, rows),
+        (Some(at), None) => (at.len(), Some(at)),
+        (Some(at), Some(rows)) => {
+            sub_rows = at.iter().map(|&p| rows[p as usize]).collect();
+            (sub_rows.len(), Some(sub_rows.as_slice()))
+        }
+    };
+    let mut base = 0;
+    for_each_morsel(n, rows, |sv| {
+        let bv = kp.eval(&view.cols, &sv, scratch)?;
+        f(base, &bv, sv.len());
+        base += sv.len();
+        scratch.recycle(bv);
+        Ok(())
+    })
 }
 
 /// Accumulated output of one aggregate over all groups.
@@ -1913,96 +2060,92 @@ pub(crate) enum AggCol {
     Opt(Vec<Option<f64>>),
 }
 
+fn opt_totals(totals: Vec<f64>, seen: Vec<bool>) -> AggCol {
+    AggCol::Opt(
+        totals
+            .into_iter()
+            .zip(seen)
+            .map(|(tot, s)| if s { Some(tot) } else { None })
+            .collect(),
+    )
+}
+
 /// One pass per aggregate over the batch positions, accumulating straight
-/// into per-group states. Shared verbatim by the vectorized and fused
-/// executors — given identical `group_ids` and an [`AggInput`] that yields
-/// identical per-position values, the accumulation (and so every float
-/// rounding) is bit-identical.
+/// from each morsel's typed kernel result into per-group states — no
+/// input-length temporary exists between the expression and the state.
+/// Shared verbatim by the vectorized and fused executors: given identical
+/// `group_ids` and an [`AggInput`] that binds identical columns, the
+/// accumulation (and so every float rounding) is bit-identical, and morsel
+/// boundaries are invisible because positions are consumed in order.
 pub(crate) fn accumulate_aggs(
     input: &mut dyn AggInput,
     aggs: &[(String, AggExpr)],
     group_ids: &[u32],
     n_groups: usize,
     n: usize,
+    scratch: &mut EvalScratch,
 ) -> Result<Vec<AggCol>, EngineError> {
     let mut agg_cols: Vec<AggCol> = Vec::with_capacity(aggs.len());
     for (_, agg) in aggs {
         let col = match agg {
             AggExpr::Count => {
                 let mut counts = vec![0u64; n_groups];
-                for pos in 0..n {
-                    counts[group_ids[pos] as usize] += 1;
+                for &g in &group_ids[..n] {
+                    counts[g as usize] += 1;
                 }
                 AggCol::Counts(counts)
             }
             AggExpr::CountIf(pred) => {
-                let flags = input.eval_bools(pred)?;
                 let mut counts = vec![0u64; n_groups];
-                for (pos, flag) in flags.iter().enumerate() {
-                    if *flag == Some(true) {
-                        counts[group_ids[pos] as usize] += 1;
-                    }
-                }
+                eval_morsels(input, pred, n, None, scratch, |base, bv, len| {
+                    for_each_true(bv, len, |p| counts[group_ids[base + p] as usize] += 1);
+                })?;
                 AggCol::Counts(counts)
             }
             AggExpr::Sum(e) => {
-                let nums = input.eval_nums(e)?;
                 let mut totals = vec![0.0f64; n_groups];
                 let mut seen = vec![false; n_groups];
-                for (pos, x) in nums.iter().enumerate() {
-                    if let Some(x) = x {
-                        let g = group_ids[pos] as usize;
+                eval_morsels(input, e, n, None, scratch, |base, bv, len| {
+                    for_each_num(bv, len, |p, x| {
+                        let g = group_ids[base + p] as usize;
                         totals[g] += x;
                         seen[g] = true;
-                    }
-                }
-                AggCol::Opt(
-                    totals
-                        .into_iter()
-                        .zip(seen)
-                        .map(|(tot, s)| if s { Some(tot) } else { None })
-                        .collect(),
-                )
+                    });
+                })?;
+                opt_totals(totals, seen)
             }
             AggExpr::SumIf { value, predicate } => {
-                let flags = input.eval_bools(predicate)?;
-                let mut sub_pos: Vec<u32> = Vec::new();
-                for (pos, flag) in flags.iter().enumerate() {
-                    if *flag == Some(true) {
-                        sub_pos.push(pos as u32);
-                    }
-                }
-                let nums = input.eval_nums_at(value, &sub_pos)?;
+                // The scalar path only evaluates the value on rows where
+                // the predicate holds; mirror that by evaluating it under
+                // the predicate-true sub-selection.
+                let mut sub_pos = scratch.take_sel();
+                eval_morsels(input, predicate, n, None, scratch, |base, bv, len| {
+                    for_each_true(bv, len, |p| sub_pos.push((base + p) as u32));
+                })?;
                 let mut totals = vec![0.0f64; n_groups];
+                eval_morsels(input, value, n, Some(&sub_pos), scratch, |base, bv, len| {
+                    for_each_num(bv, len, |p, x| {
+                        totals[group_ids[sub_pos[base + p] as usize] as usize] += x;
+                    });
+                })?;
+                scratch.put_sel(sub_pos);
                 // Every processed row marks its group as seen.
                 let mut seen = vec![false; n_groups];
-                for pos in 0..n {
-                    seen[group_ids[pos] as usize] = true;
+                for &g in &group_ids[..n] {
+                    seen[g as usize] = true;
                 }
-                for (i, x) in nums.iter().enumerate() {
-                    if let Some(x) = x {
-                        totals[group_ids[sub_pos[i] as usize] as usize] += x;
-                    }
-                }
-                AggCol::Opt(
-                    totals
-                        .into_iter()
-                        .zip(seen)
-                        .map(|(tot, s)| if s { Some(tot) } else { None })
-                        .collect(),
-                )
+                opt_totals(totals, seen)
             }
             AggExpr::Avg(e) => {
-                let nums = input.eval_nums(e)?;
                 let mut totals = vec![0.0f64; n_groups];
                 let mut counts = vec![0u64; n_groups];
-                for (pos, x) in nums.iter().enumerate() {
-                    if let Some(x) = x {
-                        let g = group_ids[pos] as usize;
+                eval_morsels(input, e, n, None, scratch, |base, bv, len| {
+                    for_each_num(bv, len, |p, x| {
+                        let g = group_ids[base + p] as usize;
                         totals[g] += x;
                         counts[g] += 1;
-                    }
-                }
+                    });
+                })?;
                 AggCol::Opt(
                     totals
                         .into_iter()
@@ -2013,23 +2156,17 @@ pub(crate) fn accumulate_aggs(
             }
             AggExpr::Min(e) | AggExpr::Max(e) => {
                 let is_min = matches!(agg, AggExpr::Min(_));
-                let nums = input.eval_nums(e)?;
                 let mut best: Vec<Option<f64>> = vec![None; n_groups];
-                for (pos, x) in nums.iter().enumerate() {
-                    if let Some(x) = x {
-                        let g = group_ids[pos] as usize;
+                eval_morsels(input, e, n, None, scratch, |base, bv, len| {
+                    for_each_num(bv, len, |p, x| {
+                        let g = group_ids[base + p] as usize;
                         best[g] = Some(match best[g] {
-                            None => *x,
-                            Some(cur) => {
-                                if is_min {
-                                    cur.min(*x)
-                                } else {
-                                    cur.max(*x)
-                                }
-                            }
+                            None => x,
+                            Some(cur) if is_min => cur.min(x),
+                            Some(cur) => cur.max(x),
                         });
-                    }
-                }
+                    });
+                })?;
                 AggCol::Opt(best)
             }
         };
@@ -2119,11 +2256,11 @@ pub(crate) fn aggregate_vec(
         n_groups = rep_rows.len();
     }
 
-    // Compute aggregates: one pass over the batch per aggregate,
-    // accumulating straight from column slices into per-group states
-    // (shared accumulator — see `accumulate_aggs`).
-    let mut input = BatchAggInput { b, scratch };
-    let agg_cols = accumulate_aggs(&mut input, aggs, &group_ids, n_groups, n)?;
+    // Compute aggregates: one morsel-wise pass over the batch per
+    // aggregate, accumulating straight from the kernel results into
+    // per-group states (shared accumulator — see `accumulate_aggs`).
+    let mut input = b;
+    let agg_cols = accumulate_aggs(&mut input, aggs, &group_ids, n_groups, n, scratch)?;
 
     // Assemble: group-key columns (gathered from representative rows) then
     // aggregate columns, normalized like `column_from_values`.
@@ -2543,6 +2680,146 @@ mod tests {
             let (t, p) = execute_with_partitions(&plans[0], &cat, degree).unwrap();
             let (s, sp) = execute(&plans[0], &cat).unwrap();
             assert_eq!((t, p), (s, sp));
+        }
+    }
+
+    /// Inserts `hashes[i]` with head `i + 1` — a repeated hash overwrites
+    /// its head, as pushing onto a chain does — and returns what `get`
+    /// then answers for every hash.
+    fn heads_after(mut map: U64Map, hashes: &[u64]) -> (U64Map, Vec<u32>) {
+        for (i, &h) in hashes.iter().enumerate() {
+            *map.entry(h) = i as u32 + 1;
+        }
+        let heads = hashes.iter().map(|&h| map.get(h)).collect();
+        (map, heads)
+    }
+
+    /// A map that never grows while it takes `n` hashes: the pre-PR sizing.
+    fn presized(n: usize) -> U64Map {
+        let cap = (n.max(4) * 2).next_power_of_two();
+        U64Map {
+            mask: cap - 1,
+            len: 0,
+            slots: vec![(0, 0); cap],
+        }
+    }
+
+    #[test]
+    fn a_grown_map_answers_like_a_presized_one() {
+        let half = U64Map::INITIAL_SLOTS / 2;
+        type Family = fn(u64) -> u64;
+        let families: [(&str, Family); 4] = [
+            ("mixed", mix64),
+            // Low bits all zero: every hash has home slot 0 in any table
+            // under 2^20 slots, so growth re-places one long probe run.
+            ("colliding", |i| (i + 1) << 20),
+            // Neighbouring homes: runs that wrap around the table's end.
+            ("dense", |i| u64::MAX - i),
+            // Seven distinct hashes, each pushed many times.
+            ("repeated", |i| mix64(i % 7)),
+        ];
+        for n in [1, half, half + 1, 100_000] {
+            for (name, family) in families {
+                if name == "colliding" && n > 2_000 {
+                    continue; // one quadratic probe run; the boundaries cover it
+                }
+                let hashes: Vec<u64> = (0..n as u64).map(family).collect();
+                let (grown, got) = heads_after(U64Map::new(), &hashes);
+                let (fixed, want) = heads_after(presized(n), &hashes);
+                assert_eq!(got, want, "{name} family, {n} keys");
+                assert_eq!(fixed.slots.len(), presized(n).slots.len(), "oracle grew");
+                // Sized by distinct hashes: within the load bound, and no
+                // more than one doubling above it.
+                let slots = grown.slots.len();
+                assert!(grown.len * 2 <= slots, "{name}/{n}: over 50% load");
+                assert!(
+                    slots == U64Map::INITIAL_SLOTS || grown.len * 4 > slots,
+                    "{name}/{n}: {slots} slots for {} hashes",
+                    grown.len
+                );
+                assert_eq!(grown.len, fixed.len, "{name}/{n}: distinct hashes");
+                assert_eq!(grown.get(0x0123_4567_89ab_cdef), 0, "absent hash");
+            }
+        }
+        // The boundary itself: the eighth distinct hash fits, the ninth grows.
+        let (at, _) = heads_after(U64Map::new(), &(0..half as u64).map(mix64).collect::<Vec<_>>());
+        assert_eq!(at.slots.len(), U64Map::INITIAL_SLOTS);
+        let (over, _) = heads_after(
+            U64Map::new(),
+            &(0..half as u64 + 1).map(mix64).collect::<Vec<_>>(),
+        );
+        assert_eq!(over.slots.len(), 2 * U64Map::INITIAL_SLOTS);
+    }
+
+    mod growth_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// A key column over `domain` distinct values, so row counts in
+        /// 0..300 put the number of distinct keys on both sides of several
+        /// growth steps (8, 16, 32, 64, 128 distinct hashes).
+        fn keys(max: usize) -> impl Strategy<Value = (i64, Vec<i64>)> {
+            (1i64..400).prop_flat_map(move |domain| {
+                (Just(domain), proptest::collection::vec(0i64..domain, 0..max))
+            })
+        }
+
+        fn table_of(name: &str, keys: &[i64], null_every: usize) -> Table {
+            let key = ColumnData::Int64(keys.to_vec());
+            let key = if null_every == 0 {
+                Column::new("k", key)
+            } else {
+                let valid = (0..keys.len()).map(|i| i % null_every != 0).collect();
+                Column::with_validity("k", key, valid)
+            };
+            let tag = Column::new("tag", ColumnData::Int64((0..keys.len() as i64).collect()));
+            Table::new(name, vec![key, tag]).unwrap()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// Group discovery: the serial pass (a growing map; the
+            /// single-`Int64`-key loop when the column has no NULLs) against
+            /// the sharded pass (one growing map per shard, generic keys).
+            #[test]
+            fn serial_groups_equal_partitioned((_, ks) in keys(300), null_every in 0usize..4) {
+                let t = table_of("t", &ks, null_every);
+                let b = Batch::all(TableSlot::Borrowed(&t));
+                let one = [t.column(0).unwrap()];
+                let two = [t.column(0).unwrap(), t.column(0).unwrap()];
+                for gcols in [&one[..], &two[..]] {
+                    let serial = serial_group_ids(&b, gcols, ks.len());
+                    for degree in [1usize, 2, 8] {
+                        prop_assert_eq!(&partitioned_group_ids(&b, gcols, degree), &serial);
+                    }
+                }
+            }
+
+            /// Join indices across the build map's growth steps, both join
+            /// types, with and without NULL keys on either side.
+            #[test]
+            fn serial_join_equals_partitioned(
+                (domain, build) in keys(300),
+                probe in proptest::collection::vec(0i64..400, 0..60),
+                nulls in (0usize..4, 0usize..4),
+            ) {
+                let probe: Vec<i64> = probe.iter().map(|k| k % (domain + 3)).collect();
+                let lt = table_of("l", &probe, nulls.0);
+                let rt = table_of("r", &build, nulls.1);
+                let lb = Batch::all(TableSlot::Borrowed(&lt));
+                let rb = Batch::all(TableSlot::Borrowed(&rt));
+                let lcols = [lt.column(0).unwrap()];
+                let rcols = [rt.column(0).unwrap()];
+                for join_type in [JoinType::Inner, JoinType::LeftOuter] {
+                    let serial = serial_join_indices(&lb, &rb, &lcols, &rcols, join_type);
+                    for degree in [1usize, 2, 8] {
+                        let part =
+                            partitioned_join_indices(&lb, &rb, &lcols, &rcols, join_type, degree);
+                        prop_assert_eq!(&part, &serial);
+                    }
+                }
+            }
         }
     }
 

@@ -1,11 +1,15 @@
 //! Bench companion to **Figure 3**: wall-clock of the three MOQP pipelines
-//! (NSGA-II+Algorithm 2, scalarized-WSM GA, exhaustive) over one QEP space.
+//! (NSGA-II+Algorithm 2, scalarized-WSM GA, exhaustive) over one QEP space —
+//! at 12 VMs, at the benchmark's 70 (2 310 candidates), and the exact front
+//! alone over Example 3.1's 18 200-configuration pool. `verify.sh` runs it
+//! in `--test` mode: a front that went quadratic again would turn that
+//! stage from milliseconds into seconds.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use midas_cloud::federation::example_federation;
 use midas_engines::{EngineKind, Placement};
 use midas_ires::optimizer::{moqp_exhaustive, moqp_ga, moqp_wsm};
-use midas_ires::{EnumerationSpace, PlanCostModel};
+use midas_ires::{CandidateConfig, EnumerationSpace, PlanCostModel};
 use midas_moo::select::Constraints;
 use midas_moo::{Nsga2Config, WeightedSumModel};
 use midas_tpch::gen::{GenConfig, TpchDb};
@@ -40,6 +44,35 @@ fn bench_moqp(c: &mut Criterion) {
     });
     group.bench_function("exhaustive", |bch| {
         bch.iter(|| black_box(moqp_exhaustive(&space, &model, &fed, &weights, &none)))
+    });
+
+    // The `estimation_replay` workload's space and GA budget.
+    let space = EnumerationSpace::for_query(&fed, &placement, &query, 70).expect("placed");
+    assert_eq!(space.len(), 2310);
+    group.bench_function("exhaustive_2310", |bch| {
+        bch.iter(|| black_box(moqp_exhaustive(&space, &model, &fed, &weights, &none)))
+    });
+    group.bench_function("nsga2_2310", |bch| {
+        let ga = Nsga2Config::default();
+        bch.iter(|| black_box(moqp_ga(&space, &model, &fed, &weights, &none, ga)))
+    });
+
+    // Example 3.1's pool, as `qep_enumeration.rs` builds it; costed once,
+    // only the front is timed.
+    let n_instances = fed.site(a).catalog.instances().len();
+    let costs: Vec<Vec<f64>> = (0..18_200u64)
+        .map(|i| {
+            let config = CandidateConfig {
+                join_site: a,
+                join_engine: EngineKind::ALL[(i % 3) as usize],
+                instance_idx: (i as usize / 3) % n_instances,
+                vm_count: (i % 16) as u32 + 1,
+            };
+            model.cost(&fed, &config)
+        })
+        .collect();
+    group.bench_function("exhaustive_front_18200", |bch| {
+        bch.iter(|| black_box(midas_moo::pareto_front_indices(black_box(&costs))))
     });
     group.finish();
 }

@@ -47,8 +47,8 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
 }
 
 /// Writes a JSON value as `<workspace>/target/repro/<name>.json` (created
-/// on demand) so EXPERIMENTS.md can be regenerated from machine-readable
-/// results, and returns the path written. The directory is anchored on
+/// on demand), the machine-readable form of the printed table, and returns
+/// the path written. The directory is anchored on
 /// this crate's manifest, not the CWD, so a run from any directory (a
 /// `cargo test` included) lands in the one place. Errors are reported, not
 /// fatal — the printed table is the primary artifact — and `None` tells a

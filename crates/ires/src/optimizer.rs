@@ -55,7 +55,7 @@ pub fn moqp_ga(
         .iter()
         .map(|ind| (space.decode(&ind.genome), ind.costs.clone()))
         .collect();
-    let costs: Vec<Vec<f64>> = pareto.iter().map(|(_, c)| c.clone()).collect();
+    let costs: Vec<&[f64]> = pareto.iter().map(|(_, c)| c.as_slice()).collect();
     let pick = best_in_pareto(&costs, weights, constraints).expect("front is non-empty");
     MoqpOutcome {
         chosen: pareto[pick].0.clone(),
@@ -72,7 +72,7 @@ pub fn reselect(
     weights: &WeightedSumModel,
     constraints: &Constraints,
 ) -> Option<(CandidateConfig, Vec<f64>)> {
-    let costs: Vec<Vec<f64>> = pareto.iter().map(|(_, c)| c.clone()).collect();
+    let costs: Vec<&[f64]> = pareto.iter().map(|(_, c)| c.as_slice()).collect();
     best_in_pareto(&costs, weights, constraints)
         .map(|i| (pareto[i].0.clone(), pareto[i].1.clone()))
 }

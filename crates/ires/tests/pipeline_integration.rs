@@ -3,6 +3,7 @@
 use midas_cloud::federation::example_federation;
 use midas_cloud::Federation;
 use midas_engines::{EngineKind, Placement};
+use midas_ires::optimizer::cost_space;
 use midas_ires::{assemble, CandidateConfig, EnumerationSpace, PlanCostModel};
 use midas_tpch::gen::{GenConfig, TpchDb};
 use midas_tpch::queries::{q12, q13, q14, q17};
@@ -133,4 +134,37 @@ fn prepared_rows_track_query_selectivity() {
     // Q14 filters lineitem to one month; Q17 projects all of it.
     assert!(narrow.prepared_rows().0 < wide.prepared_rows().0);
     let _ = fed;
+}
+
+#[test]
+fn costed_space_keeps_the_front_of_the_definition_in_enumeration_order() {
+    // The benchmark's space (`max_vms = 70`: 2 310 candidates), where
+    // whole runs of candidates tie on time or on money.
+    let (fed, placement, db) = setup();
+    for query in [
+        q12("MAIL", "SHIP", 1994),
+        q13("special", "requests"),
+        q14(1995, 2),
+        q17("Brand#11", "SM CASE"),
+    ] {
+        let space = EnumerationSpace::for_query(&fed, &placement, &query, 70).expect("placed");
+        let model = PlanCostModel::build(&placement, &query, db.catalog()).expect("buildable");
+        let configs = space.all();
+        assert_eq!(configs.len(), 2310);
+        let costs: Vec<Vec<f64>> = configs.iter().map(|c| model.cost(&fed, c)).collect();
+        // The quadratic scan `cost_space` used to run.
+        let want: Vec<(CandidateConfig, Vec<f64>)> = (0..costs.len())
+            .filter(|&i| {
+                !costs
+                    .iter()
+                    .enumerate()
+                    .any(|(j, c)| j != i && midas_moo::dominance::pareto_dominates(c, &costs[i]))
+            })
+            .map(|i| (configs[i].clone(), costs[i].clone()))
+            .collect();
+        let costed = cost_space(&space, &model, &fed);
+        assert_eq!(costed.evaluations, configs.len(), "{}", query.label);
+        assert!(want.len() > 1, "{}: a front worth sweeping", query.label);
+        assert_eq!(costed.pareto, want, "{}", query.label);
+    }
 }

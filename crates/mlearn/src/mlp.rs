@@ -69,11 +69,11 @@ impl MlpRegressor {
         Self::new(MlpConfig::default())
     }
 
-    /// Forward pass on standardized input; returns (hidden activations, output).
-    fn forward(&self, z: &[f64]) -> (Vec<f64>, f64) {
+    /// Forward pass on standardized input: writes the hidden activations
+    /// into `act` (one slot per hidden unit) and returns the output.
+    fn forward(&self, z: &[f64], act: &mut [f64]) -> f64 {
         let h = self.config.hidden;
         let l = self.n_features;
-        let mut act = vec![0.0; h];
         for j in 0..h {
             let mut s = self.w1[j * (l + 1) + l]; // bias
             for (i, zi) in z.iter().enumerate() {
@@ -85,7 +85,7 @@ impl MlpRegressor {
         for j in 0..h {
             out += self.w2[j] * act[j];
         }
-        (act, out)
+        out
     }
 }
 
@@ -131,12 +131,14 @@ impl Regressor for MlpRegressor {
         let decay = self.config.weight_decay;
         let mut g1 = vec![0.0; self.w1.len()];
         let mut g2 = vec![0.0; self.w2.len()];
+        // One activation buffer for every sample of every epoch.
+        let mut act = vec![0.0; h];
 
         for _ in 0..self.config.epochs {
             g1.iter_mut().for_each(|g| *g = 0.0);
             g2.iter_mut().for_each(|g| *g = 0.0);
             for (z, &t) in zs.iter().zip(ts.iter()) {
-                let (act, out) = self.forward(z);
+                let out = self.forward(z, &mut act);
                 let err = out - t; // d(0.5*err²)/d out
                 // Output layer gradients.
                 for j in 0..h {
@@ -176,7 +178,7 @@ impl Regressor for MlpRegressor {
             });
         }
         let z = xsc.transform(x);
-        let (_, out) = self.forward(&z);
+        let out = self.forward(&z, &mut vec![0.0; self.config.hidden]);
         Ok(ysc.inverse(out))
     }
 }
@@ -233,5 +235,106 @@ mod tests {
         let refs: Vec<&[f64]> = xs.iter().map(|r| r.as_slice()).collect();
         assert!(mlp.fit(&refs, &[1.0, 2.0]).is_err());
         assert!(mlp.predict(&[1.0]).is_err());
+    }
+
+    /// The training loop as it was when `forward` returned a fresh
+    /// activation vector per sample per epoch — the oracle for the
+    /// allocation-free loop. Returns `(w1, w2)`.
+    fn reference_weights(config: MlpConfig, xs: &[&[f64]], ys: &[f64]) -> (Vec<f64>, Vec<f64>) {
+        let n = xs.len();
+        let l = xs[0].len();
+        let h = config.hidden;
+        let x_scaler = Standardizer::fit(xs);
+        let y_scaler = ScalarScaler::fit(ys);
+        let zs: Vec<Vec<f64>> = xs.iter().map(|x| x_scaler.transform(x)).collect();
+        let ts: Vec<f64> = ys.iter().map(|&y| y_scaler.transform(y)).collect();
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        let bound1 = (6.0 / (l + h) as f64).sqrt();
+        let bound2 = (6.0 / (h + 1) as f64).sqrt();
+        let mut w1: Vec<f64> = (0..h * (l + 1))
+            .map(|_| rng.gen_range(-bound1..bound1))
+            .collect();
+        let mut w2: Vec<f64> = (0..h + 1).map(|_| rng.gen_range(-bound2..bound2)).collect();
+        let forward = |w1: &[f64], w2: &[f64], z: &[f64]| -> (Vec<f64>, f64) {
+            let mut act = vec![0.0; h];
+            for j in 0..h {
+                let mut s = w1[j * (l + 1) + l];
+                for (i, zi) in z.iter().enumerate() {
+                    s += w1[j * (l + 1) + i] * zi;
+                }
+                act[j] = s.tanh();
+            }
+            let mut out = w2[h];
+            for j in 0..h {
+                out += w2[j] * act[j];
+            }
+            (act, out)
+        };
+        let lr = config.learning_rate / n as f64;
+        let decay = config.weight_decay;
+        let mut g1 = vec![0.0; w1.len()];
+        let mut g2 = vec![0.0; w2.len()];
+        for _ in 0..config.epochs {
+            g1.iter_mut().for_each(|g| *g = 0.0);
+            g2.iter_mut().for_each(|g| *g = 0.0);
+            for (z, &t) in zs.iter().zip(ts.iter()) {
+                let (act, out) = forward(&w1, &w2, z);
+                let err = out - t;
+                for j in 0..h {
+                    g2[j] += err * act[j];
+                }
+                g2[h] += err;
+                for j in 0..h {
+                    let d = err * w2[j] * (1.0 - act[j] * act[j]);
+                    let row = j * (l + 1);
+                    for (i, zi) in z.iter().enumerate() {
+                        g1[row + i] += d * zi;
+                    }
+                    g1[row + l] += d;
+                }
+            }
+            for (w, g) in w1.iter_mut().zip(g1.iter()) {
+                *w -= lr * (g + decay * *w);
+            }
+            for (w, g) in w2.iter_mut().zip(g2.iter()) {
+                *w -= lr * (g + decay * *w);
+            }
+        }
+        (w1, w2)
+    }
+
+    #[test]
+    fn weights_equal_the_per_sample_allocating_reference_bit_for_bit() {
+        let bits = |w: &[f64]| w.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        // The BML tournament's network, on table-size-like features.
+        let config = MlpConfig {
+            hidden: 6,
+            epochs: 250,
+            learning_rate: 0.05,
+            weight_decay: 1e-4,
+            seed: 23,
+        };
+        for n in [3, 6, 60] {
+            let xs: Vec<Vec<f64>> = (0..n)
+                .map(|i| {
+                    let i = i as f64;
+                    vec![
+                        1e4 * (1.0 + (i * 0.7).sin()),
+                        300.0 + 17.0 * i,
+                        (i * 1.3).cos(),
+                    ]
+                })
+                .collect();
+            let refs: Vec<&[f64]> = xs.iter().map(|r| r.as_slice()).collect();
+            let ys: Vec<f64> = xs
+                .iter()
+                .map(|r| 2.0 + r[0] * 1e-3 + (r[1] * 0.01).sin())
+                .collect();
+            let mut mlp = MlpRegressor::new(config);
+            mlp.fit(&refs, &ys).unwrap();
+            let (w1, w2) = reference_weights(config, &refs, &ys);
+            assert_eq!(bits(&mlp.w1), bits(&w1), "n = {n}");
+            assert_eq!(bits(&mlp.w2), bits(&w2), "n = {n}");
+        }
     }
 }

@@ -1,10 +1,18 @@
 //! Best-ML-model selection — the paper's **BML** baseline.
 //!
 //! "In IReS model building process, IReS tests many algorithms and the best
-//! model with the smallest error is selected." (Section 4.3.) We mirror that:
-//! per cost metric, every candidate family is trained on the head of the
-//! observation window and scored on a held-out suffix; the family with the
-//! smallest validation MSE is refitted on the whole window and kept.
+//! model with the smallest error is selected." (Section 4.3.) We mirror that
+//! with a tournament per cost metric, under one of two [`SelectionPolicy`]s:
+//!
+//! * `TrainingError` (the default, the paper's literal reading): every
+//!   candidate family is trained on the whole observation window and scored
+//!   on those same rows; the family with the smallest MSE wins and the model
+//!   the tournament trained *is* the fitted model — nothing is trained twice.
+//! * `HoldoutValidation`: every family is trained on the head of the window
+//!   and scored on a held-out suffix (the most recent quarter); the winner
+//!   is then refitted on the whole window. Only here can a refit fail where
+//!   the tournament's fit succeeded, and only here is the tournament's
+//!   prefix-trained model kept as the fallback.
 //!
 //! The observation window itself is the experimental knob of Tables 3/4:
 //! `N` (= L+2, DREAM's minimum), `2N`, `3N`, or everything (`BML` column).
@@ -159,54 +167,57 @@ impl BmlEstimator {
         self.window
     }
 
-    /// Returns the family index with the smallest error under the selection
-    /// policy.
-    fn select_family(
-        &self,
-        xs: &[&[f64]],
-        ys: &[f64],
-    ) -> Result<usize, EstimationError> {
+    /// Runs the tournament on one metric and returns the model to keep.
+    ///
+    /// The one place the policy is read: it decides how many leading rows
+    /// the families train on, and from that everything else follows — with
+    /// nothing held out the families are scored on their own training rows
+    /// and the winner, already trained on the whole window, is the result;
+    /// with a held-out suffix the winner is refitted on the whole window.
+    fn fit_best(&self, xs: &[&[f64]], ys: &[f64]) -> Result<Box<dyn Regressor>, EstimationError> {
         let n = xs.len();
-        // Split only used by holdout selection: the most recent quarter
-        // (at least 1, at most n-2) is the validation set.
-        let n_val = match self.policy {
-            SelectionPolicy::TrainingError => 0,
-            SelectionPolicy::HoldoutValidation => (n / 4).clamp(1, n.saturating_sub(2).max(1)),
+        let l = xs[0].len();
+        let n_train = match self.policy {
+            SelectionPolicy::TrainingError => n,
+            // The most recent quarter (at least 1, at most n-2) validates.
+            SelectionPolicy::HoldoutValidation => n - (n / 4).clamp(1, n.saturating_sub(2).max(1)),
         };
-        let n_train = n - n_val;
+        let scored = if n_train == n { 0..n } else { n_train..n };
 
-        let mut best: Option<(usize, f64)> = None;
+        let mut best: Option<(f64, usize, Box<dyn Regressor>)> = None;
+        let mut fewest_rows: Option<usize> = None;
         for (idx, family) in self.families.iter().enumerate() {
             let mut model = family.build();
-            if n_train < model.min_samples(xs[0].len()) {
+            let min_rows = model.min_samples(l);
+            fewest_rows = Some(fewest_rows.map_or(min_rows, |f| f.min(min_rows)));
+            if n_train < min_rows || model.fit(&xs[..n_train], &ys[..n_train]).is_err() {
                 continue;
             }
-            if model.fit(&xs[..n_train], &ys[..n_train]).is_err() {
-                continue;
-            }
-            let eval_range = if n_val == 0 { 0..n } else { n_train..n };
-            let preds: Result<Vec<f64>, _> = eval_range
-                .clone()
-                .map(|r| model.predict(xs[r]))
-                .collect();
+            let preds: Result<Vec<f64>, _> = scored.clone().map(|r| model.predict(xs[r])).collect();
             let Ok(preds) = preds else { continue };
-            let truth: Vec<f64> = eval_range.map(|r| ys[r]).collect();
-            let err = mse(&preds, &truth);
-            if best.is_none_or(|(_, b)| err < b) {
-                best = Some((idx, err));
+            let err = mse(&preds, &ys[scored.clone()]);
+            if best.as_ref().is_none_or(|(b, ..)| err < *b) {
+                best = Some((err, idx, model));
             }
         }
-        best.map(|(idx, _)| idx).ok_or_else(|| {
-            EstimationError::NotEnoughData {
-                required: self
-                    .families
-                    .iter()
-                    .map(|f| f.build().min_samples(xs[0].len()))
-                    .min()
-                    .unwrap_or(2)
-                    + 1,
+        let Some((_, idx, trained)) = best else {
+            return Err(EstimationError::NotEnoughData {
+                required: fewest_rows.unwrap_or(2) + 1,
                 available: n,
-            }
+            });
+        };
+        if n_train == n {
+            return Ok(trained);
+        }
+        // Holdout only. The whole-window refit can fail where the fit on
+        // the training prefix succeeded (e.g. the extra rows make the
+        // design singular); the tournament's own model is kept then — a
+        // usable model beats an error.
+        let mut refitted = self.families[idx].build();
+        Ok(if refitted.fit(xs, ys).is_ok() {
+            refitted
+        } else {
+            trained
         })
     }
 }
@@ -232,18 +243,7 @@ impl CostEstimator for BmlEstimator {
         let mut chosen = Vec::with_capacity(self.n_metrics);
         for metric in 0..self.n_metrics {
             let ys = History::targets_of(window, metric);
-            let idx = self.select_family(&xs, &ys)?;
-            let mut model = self.families[idx].build();
-            if model.fit(&xs, &ys).is_err() {
-                // The full-window refit can fail where the selection-phase
-                // fit succeeded (e.g. the extra rows make the design
-                // singular). Keep the selection-phase training split —
-                // a usable model beats an error.
-                let n_val = (xs.len() / 4).clamp(1, xs.len().saturating_sub(2).max(1));
-                let n_train = xs.len() - n_val;
-                model = self.families[idx].build();
-                model.fit(&xs[..n_train], &ys[..n_train])?;
-            }
+            let model = self.fit_best(&xs, &ys)?;
             chosen.push(model.family());
             fitted.push(model);
         }
@@ -365,5 +365,69 @@ mod tests {
         bml.fit(&h).unwrap();
         assert_eq!(bml.chosen_families(), &["knn", "knn"]);
         assert_eq!(bml.n_metrics(), 2);
+    }
+
+    /// 60 arrivals of a drifting, non-linear two-metric cost: which family
+    /// wins depends on the window and on the metric.
+    fn drifting_history() -> History {
+        let mut h = History::new(2, 2);
+        for i in 0..60 {
+            let t = i as f64;
+            let x = [
+                1e4 * (1.0 + (t * 0.37).sin().abs()),
+                200.0 + 40.0 * (t * 0.9).cos(),
+            ];
+            let load = if i % 20 < 10 { 1.0 } else { 1.6 };
+            let time = load * (3.0 + x[0] * 2e-4) + (t * 1.7).sin();
+            let money = 0.5 + x[1] * 1e-3 * load + if i % 7 == 0 { 0.4 } else { 0.0 };
+            h.record(&x, &[time, money]).unwrap();
+        }
+        h
+    }
+
+    #[test]
+    fn fit_equals_a_fresh_full_window_fit_of_the_chosen_families_bit_for_bit() {
+        // What `fit` did before the tournament kept its winner: build the
+        // chosen family anew and fit it on the whole window.
+        let h = drifting_history();
+        let family_named = |name: &str| {
+            RegressorFamily::paper_families()
+                .into_iter()
+                .find(|f| f.build().family() == name)
+                .expect("a paper family")
+        };
+        let mut winners = std::collections::BTreeSet::new();
+        for policy in [
+            SelectionPolicy::TrainingError,
+            SelectionPolicy::HoldoutValidation,
+        ] {
+            for spec in [
+                WindowSpec::LatestMultiple(1),
+                WindowSpec::LatestMultiple(2),
+                WindowSpec::LatestMultiple(3),
+                WindowSpec::All,
+            ] {
+                let mut bml = BmlEstimator::new(spec, 2).with_policy(policy);
+                let report = bml.fit(&h).unwrap();
+                let window = h.latest(report.window_used);
+                let xs: Vec<&[f64]> = window.iter().map(|o| o.features.as_slice()).collect();
+                for metric in 0..2 {
+                    let name = bml.chosen_families()[metric];
+                    winners.insert(name);
+                    let mut fresh = family_named(name).build();
+                    fresh
+                        .fit(&xs, &History::targets_of(window, metric))
+                        .unwrap();
+                    for probe in [[1.2e4, 210.0], [2.0e4, 160.0], [0.0, 0.0]] {
+                        assert_eq!(
+                            bml.predict(&probe).unwrap()[metric].to_bits(),
+                            fresh.predict(&probe).unwrap().to_bits(),
+                            "{policy:?} {spec:?} metric {metric} ({name})"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(winners.len() > 1, "one family won everywhere: {winners:?}");
     }
 }

@@ -89,23 +89,24 @@ impl<'p, P: MooProblem> Nsga2<'p, P> {
         let pop_size = self.config.population.max(2);
         let mut evaluations = 0usize;
 
-        let mut genomes: Vec<P::Genome> = (0..pop_size)
-            .map(|_| self.problem.random_genome(&mut rng))
-            .collect();
-        let mut costs: Vec<Vec<f64>> = genomes
-            .iter()
-            .map(|g| {
-                evaluations += 1;
-                self.problem.evaluate(g)
-            })
-            .collect();
+        // Parents first, then (inside a generation) their children; the two
+        // pools are where a generation's members wait to be moved — not
+        // cloned — into the next one.
+        let mut genomes: Vec<P::Genome> = Vec::with_capacity(2 * pop_size);
+        let mut costs: Vec<Vec<f64>> = Vec::with_capacity(2 * pop_size);
+        let mut genome_pool = Vec::with_capacity(2 * pop_size);
+        let mut cost_pool = Vec::with_capacity(2 * pop_size);
+        genomes.extend((0..pop_size).map(|_| self.problem.random_genome(&mut rng)));
+        for g in &genomes {
+            evaluations += 1;
+            costs.push(self.problem.evaluate(g));
+        }
 
         for _ in 0..self.config.generations {
             let (ranks, crowd) = rank_and_crowd(&costs);
 
             // Variation: binary tournaments pick parents, crossover+mutation
             // produce pop_size children.
-            let mut child_genomes = Vec::with_capacity(pop_size);
             for _ in 0..pop_size {
                 let a = tournament(&ranks, &crowd, &mut rng);
                 let b = tournament(&ranks, &crowd, &mut rng);
@@ -117,44 +118,36 @@ impl<'p, P: MooProblem> Nsga2<'p, P> {
                 if rng.gen_bool(self.config.mutation_prob) {
                     self.problem.mutate(&mut child, &mut rng);
                 }
-                child_genomes.push(child);
+                genomes.push(child);
             }
-            let child_costs: Vec<Vec<f64>> = child_genomes
-                .iter()
-                .map(|g| {
-                    evaluations += 1;
-                    self.problem.evaluate(g)
-                })
-                .collect();
+            for g in &genomes[pop_size..] {
+                evaluations += 1;
+                costs.push(self.problem.evaluate(g));
+            }
 
             // Environmental selection over parents + children.
-            genomes.extend(child_genomes);
-            costs.extend(child_costs);
             let survivors = select_survivors(&costs, pop_size);
-            genomes = survivors.iter().map(|&i| genomes[i].clone()).collect();
-            costs = survivors.iter().map(|&i| costs[i].clone()).collect();
+            keep_in_order(&mut genomes, &mut genome_pool, &survivors);
+            keep_in_order(&mut costs, &mut cost_pool, &survivors);
         }
 
         // Final ranking for the caller.
-        let fronts = fast_non_dominated_sort(&costs);
-        let mut rank_of = vec![0usize; costs.len()];
-        for (r, front) in fronts.iter().enumerate() {
-            for &i in front {
-                rank_of[i] = r;
-            }
-        }
-        let (_, crowd) = rank_and_crowd(&costs);
+        let (rank_of, crowd) = rank_and_crowd(&costs);
         let mut order: Vec<usize> = (0..costs.len()).collect();
         order.sort_by(|&a, &b| {
             rank_of[a]
                 .cmp(&rank_of[b])
                 .then(crowd[b].partial_cmp(&crowd[a]).expect("NaN crowding"))
         });
-        let result = order
+        keep_in_order(&mut genomes, &mut genome_pool, &order);
+        keep_in_order(&mut costs, &mut cost_pool, &order);
+        let result = genomes
             .into_iter()
-            .map(|i| RankedIndividual {
-                genome: genomes[i].clone(),
-                costs: costs[i].clone(),
+            .zip(costs)
+            .zip(order)
+            .map(|((genome, costs), i)| RankedIndividual {
+                genome,
+                costs,
                 rank: rank_of[i],
             })
             .collect();
@@ -182,6 +175,19 @@ fn rank_and_crowd(costs: &[Vec<f64>]) -> (Vec<usize>, Vec<f64>) {
         }
     }
     (rank, crowd)
+}
+
+/// Replaces `items` by its members `order[0], order[1], …` (distinct
+/// indices), moving each. `pool` is scratch space, empty between calls, so
+/// once it has grown a generation allocates nothing here.
+fn keep_in_order<T>(items: &mut Vec<T>, pool: &mut Vec<Option<T>>, order: &[usize]) {
+    pool.extend(items.drain(..).map(Some));
+    items.extend(
+        order
+            .iter()
+            .map(|&i| pool[i].take().expect("selected indices are distinct")),
+    );
+    pool.clear();
 }
 
 /// Binary tournament on (rank asc, crowding desc).
@@ -409,5 +415,232 @@ mod tests {
     #[should_panic(expected = "at least one value")]
     fn zero_cardinality_panics() {
         let _ = IntBoxProblem::new(vec![0], 1, |_| vec![0.0]);
+    }
+
+    // ---- The implementation before the pair-once / move-not-clone rewrite,
+    // ---- kept verbatim as the oracle `run` is pinned against.
+
+    fn legacy_fast_non_dominated_sort(costs: &[Vec<f64>]) -> Vec<Vec<usize>> {
+        use crate::dominance::pareto_dominates;
+        let n = costs.len();
+        if n == 0 {
+            return Vec::new();
+        }
+        let mut dominated: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut counts = vec![0usize; n];
+        for i in 0..n {
+            for j in (i + 1)..n {
+                if pareto_dominates(&costs[i], &costs[j]) {
+                    dominated[i].push(j);
+                    counts[j] += 1;
+                } else if pareto_dominates(&costs[j], &costs[i]) {
+                    dominated[j].push(i);
+                    counts[i] += 1;
+                }
+            }
+        }
+        let mut fronts: Vec<Vec<usize>> = Vec::new();
+        let mut current: Vec<usize> = (0..n).filter(|&i| counts[i] == 0).collect();
+        while !current.is_empty() {
+            let mut next = Vec::new();
+            for &i in &current {
+                for &j in &dominated[i] {
+                    counts[j] -= 1;
+                    if counts[j] == 0 {
+                        next.push(j);
+                    }
+                }
+            }
+            fronts.push(std::mem::take(&mut current));
+            current = next;
+        }
+        fronts
+    }
+
+    fn legacy_rank_and_crowd(costs: &[Vec<f64>]) -> (Vec<usize>, Vec<f64>) {
+        let fronts = legacy_fast_non_dominated_sort(costs);
+        let mut rank = vec![0usize; costs.len()];
+        let mut crowd = vec![0.0f64; costs.len()];
+        for (r, front) in fronts.iter().enumerate() {
+            let refs: Vec<&[f64]> = front.iter().map(|&i| costs[i].as_slice()).collect();
+            let d = crowding_distance(&refs);
+            for (&i, &di) in front.iter().zip(d.iter()) {
+                rank[i] = r;
+                crowd[i] = di;
+            }
+        }
+        (rank, crowd)
+    }
+
+    fn legacy_select_survivors(costs: &[Vec<f64>], target: usize) -> Vec<usize> {
+        let fronts = legacy_fast_non_dominated_sort(costs);
+        let mut chosen = Vec::with_capacity(target);
+        for front in fronts {
+            if chosen.len() + front.len() <= target {
+                chosen.extend(front);
+                if chosen.len() == target {
+                    break;
+                }
+            } else {
+                let refs: Vec<&[f64]> = front.iter().map(|&i| costs[i].as_slice()).collect();
+                let d = crowding_distance(&refs);
+                let mut by_crowd: Vec<usize> = (0..front.len()).collect();
+                by_crowd.sort_by(|&a, &b| d[b].partial_cmp(&d[a]).expect("NaN crowding"));
+                for &k in by_crowd.iter().take(target - chosen.len()) {
+                    chosen.push(front[k]);
+                }
+                break;
+            }
+        }
+        chosen
+    }
+
+    fn legacy_run<P: MooProblem>(
+        problem: &P,
+        config: Nsga2Config,
+    ) -> (Vec<RankedIndividual<P::Genome>>, usize) {
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        let pop_size = config.population.max(2);
+        let mut evaluations = 0usize;
+
+        let mut genomes: Vec<P::Genome> = (0..pop_size)
+            .map(|_| problem.random_genome(&mut rng))
+            .collect();
+        let mut costs: Vec<Vec<f64>> = genomes
+            .iter()
+            .map(|g| {
+                evaluations += 1;
+                problem.evaluate(g)
+            })
+            .collect();
+
+        for _ in 0..config.generations {
+            let (ranks, crowd) = legacy_rank_and_crowd(&costs);
+            let mut child_genomes = Vec::with_capacity(pop_size);
+            for _ in 0..pop_size {
+                let a = tournament(&ranks, &crowd, &mut rng);
+                let b = tournament(&ranks, &crowd, &mut rng);
+                let mut child = if rng.gen_bool(config.crossover_prob) {
+                    problem.crossover(&genomes[a], &genomes[b], &mut rng)
+                } else {
+                    genomes[a].clone()
+                };
+                if rng.gen_bool(config.mutation_prob) {
+                    problem.mutate(&mut child, &mut rng);
+                }
+                child_genomes.push(child);
+            }
+            let child_costs: Vec<Vec<f64>> = child_genomes
+                .iter()
+                .map(|g| {
+                    evaluations += 1;
+                    problem.evaluate(g)
+                })
+                .collect();
+            genomes.extend(child_genomes);
+            costs.extend(child_costs);
+            let survivors = legacy_select_survivors(&costs, pop_size);
+            genomes = survivors.iter().map(|&i| genomes[i].clone()).collect();
+            costs = survivors.iter().map(|&i| costs[i].clone()).collect();
+        }
+
+        let fronts = legacy_fast_non_dominated_sort(&costs);
+        let mut rank_of = vec![0usize; costs.len()];
+        for (r, front) in fronts.iter().enumerate() {
+            for &i in front {
+                rank_of[i] = r;
+            }
+        }
+        let (_, crowd) = legacy_rank_and_crowd(&costs);
+        let mut order: Vec<usize> = (0..costs.len()).collect();
+        order.sort_by(|&a, &b| {
+            rank_of[a]
+                .cmp(&rank_of[b])
+                .then(crowd[b].partial_cmp(&crowd[a]).expect("NaN crowding"))
+        });
+        let result = order
+            .into_iter()
+            .map(|i| RankedIndividual {
+                genome: genomes[i].clone(),
+                costs: costs[i].clone(),
+                rank: rank_of[i],
+            })
+            .collect();
+        (result, evaluations)
+    }
+
+    /// A QEP-shaped space (engine × instance × site × 70 VM counts) whose
+    /// costs are rounded to one decimal: most of the population ties on an
+    /// objective, so crowding boundaries and tournament ties — where a slip
+    /// in member order would show — decide who survives.
+    fn duplicate_heavy_problem() -> IntBoxProblem<impl Fn(&[usize]) -> Vec<f64>> {
+        IntBoxProblem::new(vec![2, 3, 4, 70], 2, |g| {
+            let vms = (g[3] + 1) as f64;
+            let time = 40.0 / vms + 3.0 * g[0] as f64 + g[1] as f64;
+            let money = 0.07 * vms * (g[2] + 1) as f64 + 0.5 * g[1] as f64;
+            vec![(time * 10.0).round() / 10.0, (money * 10.0).round() / 10.0]
+        })
+    }
+
+    fn assert_run_matches_legacy<P>(problem: &P, what: &str)
+    where
+        P: MooProblem,
+        P::Genome: PartialEq + std::fmt::Debug,
+    {
+        for seed in [1, 2, 3, 7, 42, 1234] {
+            let config = Nsga2Config {
+                population: 40,
+                generations: 25,
+                seed,
+                ..Nsga2Config::default()
+            };
+            let (want, want_evals) = legacy_run(problem, config);
+            let (got, got_evals) = Nsga2::new(problem, config).run();
+            assert_eq!(got_evals, want_evals, "{what} seed {seed}");
+            assert_eq!(got_evals, 40 * 26, "{what} seed {seed}: no memoisation");
+            assert_eq!(got.len(), want.len(), "{what} seed {seed}");
+            for (k, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(g.genome, w.genome, "{what} seed {seed} member {k}");
+                assert_eq!(g.rank, w.rank, "{what} seed {seed} member {k}");
+                let bits = |c: &[f64]| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&g.costs),
+                    bits(&w.costs),
+                    "{what} seed {seed} member {k}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn run_reproduces_the_legacy_population_bit_for_bit() {
+        assert_run_matches_legacy(&convex_problem(), "convex");
+        assert_run_matches_legacy(&segment_problem(), "segment");
+        assert_run_matches_legacy(&duplicate_heavy_problem(), "duplicate-heavy");
+    }
+
+    #[test]
+    fn sort_keeps_the_legacy_member_order() {
+        let p = duplicate_heavy_problem();
+        let mut rng = StdRng::seed_from_u64(9);
+        for n in [0, 1, 2, 63, 64, 65, 120, 200] {
+            // Two objectives (the flat path), then the same points lifted
+            // to three (the general one).
+            let two: Vec<Vec<f64>> = (0..n)
+                .map(|_| p.evaluate(&p.random_genome(&mut rng)))
+                .collect();
+            let three: Vec<Vec<f64>> = two
+                .iter()
+                .map(|c| vec![c[0], c[1], ((c[0] * 7.0 + c[1]) % 5.0).round()])
+                .collect();
+            for costs in [two, three] {
+                assert_eq!(
+                    fast_non_dominated_sort(&costs),
+                    legacy_fast_non_dominated_sort(&costs),
+                    "n = {n}, arity {}",
+                    costs.first().map_or(0, |c| c.len())
+                );
+            }
+        }
     }
 }

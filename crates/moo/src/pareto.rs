@@ -4,43 +4,126 @@
 //! Multi-Objective Optimizer uses to turn a set of estimated plan-cost
 //! vectors into a Pareto plan set.
 
-use crate::dominance::pareto_dominates;
+use crate::dominance::{compare, pareto_dominates, Dominance};
+use std::cmp::Ordering;
 
-/// Indices of the non-dominated cost vectors (the Pareto front).
+/// Total order on one objective that agrees with `<` wherever `<` decides:
+/// `-0.0` and `0.0` tie (as they do in [`compare`]), and NaN — which `<`
+/// cannot place — sorts where `f64::total_cmp` puts it: after `+∞` with the
+/// sign bit clear, before `-∞` with it set.
+fn objective_cmp(a: f64, b: f64) -> Ordering {
+    (a + 0.0).total_cmp(&(b + 0.0))
+}
+
+/// Indices of the non-dominated cost vectors (the Pareto front), ascending.
 ///
 /// Duplicated cost vectors are all kept — they do not dominate each other.
+///
+/// Sort-and-sweep: a vector can only be dominated by one that sorts
+/// lexicographically before it, and then also by a front member, so each
+/// vector is checked against the front built so far and never against the
+/// whole input — `O(n log n)` for two objectives, `O(n log n + n·|front|)`
+/// otherwise. A NaN coordinate never panics; it is neither better nor worse
+/// than anything ([`compare`]), so dominance stops being transitive and
+/// which NaN-bearing vectors are kept follows their sort position (see
+/// [`objective_cmp`]).
 pub fn pareto_front_indices(costs: &[Vec<f64>]) -> Vec<usize> {
-    (0..costs.len())
-        .filter(|&i| {
-            !costs
-                .iter()
-                .enumerate()
-                .any(|(j, c)| j != i && pareto_dominates(c, &costs[i]))
+    let points: Option<Vec<(f64, f64, usize)>> = costs
+        .iter()
+        .enumerate()
+        .map(|(i, c)| match c[..] {
+            [x, y] => Some((x, y, i)),
+            _ => None,
         })
-        .collect()
+        .collect();
+    let mut front = match points {
+        Some(points) => two_objective_front(points),
+        None => lexicographic_front(costs),
+    };
+    front.sort_unstable();
+    front
+}
+
+/// The two-objective sweep over `(x, y, index)` points: once sorted by
+/// `(x, y)`, every earlier point has an `x` no larger, so a point is
+/// dominated exactly when the smallest `y` seen so far is smaller than its
+/// own, or equal to it and first reached at a strictly smaller `x`.
+fn two_objective_front(mut points: Vec<(f64, f64, usize)>) -> Vec<usize> {
+    points.sort_unstable_by(|a, b| {
+        objective_cmp(a.0, b.0)
+            .then(objective_cmp(a.1, b.1))
+            .then(a.2.cmp(&b.2))
+    });
+    let mut front = Vec::new();
+    // The earliest of the points with the smallest `y` so far.
+    let mut lowest: Option<(f64, f64)> = None;
+    for &(x, y, i) in &points {
+        if !lowest.is_some_and(|(lx, ly)| ly < y || (ly == y && lx < x)) {
+            front.push(i);
+        }
+        if lowest.is_none_or(|(_, ly)| y < ly) {
+            lowest = Some((x, y));
+        }
+    }
+    front
+}
+
+/// Any arity: visit in lexicographic order, keep what no kept vector
+/// dominates.
+fn lexicographic_front(costs: &[Vec<f64>]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..costs.len()).collect();
+    order.sort_unstable_by(|&a, &b| {
+        costs[a]
+            .iter()
+            .zip(&costs[b])
+            .map(|(&x, &y)| objective_cmp(x, y))
+            .find(|o| o.is_ne())
+            .unwrap_or(Ordering::Equal)
+            .then(a.cmp(&b))
+    });
+    let mut front: Vec<usize> = Vec::new();
+    for i in order {
+        if !front
+            .iter()
+            .any(|&f| pareto_dominates(&costs[f], &costs[i]))
+        {
+            front.push(i);
+        }
+    }
+    front
 }
 
 /// Fast non-dominated sort: partitions indices into fronts `F₁, F₂, …` where
 /// `F₁` is the Pareto front, `F₂` the front once `F₁` is removed, and so on.
 ///
-/// Runs in `O(M·n²)` like the original formulation.
+/// Runs in `O(M·n²)` like the original formulation, comparing each pair
+/// once.
 pub fn fast_non_dominated_sort(costs: &[Vec<f64>]) -> Vec<Vec<usize>> {
-    let n = costs.len();
-    if n == 0 {
-        return Vec::new();
+    // Two objectives (every QEP cost vector) are compared from one flat
+    // fixed-arity copy instead of through `n` separate heap rows.
+    let pairs: Option<Vec<[f64; 2]>> = costs.iter().map(|c| c[..].try_into().ok()).collect();
+    match pairs {
+        Some(pairs) => sort_rows(&pairs),
+        None => sort_rows(costs),
     }
-    // dominated_by[i] = set of indices i dominates; counts[i] = #dominators.
-    let mut dominated: Vec<Vec<usize>> = vec![Vec::new(); n];
+}
+
+fn sort_rows<R: AsRef<[f64]>>(rows: &[R]) -> Vec<Vec<usize>> {
+    let n = rows.len();
+    // Row `i` of `dominated` is the bit set of the indices `i` dominates;
+    // counts[i] = #dominators of `i`.
+    let words = n.div_ceil(64);
+    let mut dominated = vec![0u64; n * words];
     let mut counts = vec![0usize; n];
     for i in 0..n {
         for j in (i + 1)..n {
-            if pareto_dominates(&costs[i], &costs[j]) {
-                dominated[i].push(j);
-                counts[j] += 1;
-            } else if pareto_dominates(&costs[j], &costs[i]) {
-                dominated[j].push(i);
-                counts[i] += 1;
-            }
+            let (winner, loser) = match compare(rows[i].as_ref(), rows[j].as_ref()) {
+                Dominance::Dominates => (i, j),
+                Dominance::DominatedBy => (j, i),
+                Dominance::Equal | Dominance::Incomparable => continue,
+            };
+            dominated[winner * words + loser / 64] |= 1 << (loser % 64);
+            counts[loser] += 1;
         }
     }
     let mut fronts: Vec<Vec<usize>> = Vec::new();
@@ -48,15 +131,20 @@ pub fn fast_non_dominated_sort(costs: &[Vec<f64>]) -> Vec<Vec<usize>> {
     while !current.is_empty() {
         let mut next = Vec::new();
         for &i in &current {
-            for &j in &dominated[i] {
-                counts[j] -= 1;
-                if counts[j] == 0 {
-                    next.push(j);
+            // Ascending `j`, the order the pair loop would have listed them.
+            for (w, &word) in dominated[i * words..(i + 1) * words].iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    let j = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    counts[j] -= 1;
+                    if counts[j] == 0 {
+                        next.push(j);
+                    }
                 }
             }
         }
-        fronts.push(std::mem::take(&mut current));
-        current = next;
+        fronts.push(std::mem::replace(&mut current, next));
     }
     fronts
 }

@@ -60,8 +60,9 @@ impl Constraints {
 /// Returns `None` only when `pareto_costs` is empty. The weighted-sum scores
 /// are min–max normalized over whichever candidate subset is being ranked
 /// (the budget-satisfying subset when non-empty, the full set otherwise).
+/// The cost vectors are only read — rows may be borrowed (`&[f64]`) or owned.
 pub fn best_in_pareto(
-    pareto_costs: &[Vec<f64>],
+    pareto_costs: &[impl AsRef<[f64]>],
     weights: &WeightedSumModel,
     constraints: &Constraints,
 ) -> Option<usize> {
@@ -69,14 +70,14 @@ pub fn best_in_pareto(
         return None;
     }
     let feasible: Vec<usize> = (0..pareto_costs.len())
-        .filter(|&i| constraints.satisfied_by(&pareto_costs[i]))
+        .filter(|&i| constraints.satisfied_by(pareto_costs[i].as_ref()))
         .collect();
     let pool: Vec<usize> = if feasible.is_empty() {
         (0..pareto_costs.len()).collect()
     } else {
         feasible
     };
-    let subset: Vec<Vec<f64>> = pool.iter().map(|&i| pareto_costs[i].clone()).collect();
+    let subset: Vec<&[f64]> = pool.iter().map(|&i| pareto_costs[i].as_ref()).collect();
     weights.best_index(&subset).map(|k| pool[k])
 }
 
@@ -123,7 +124,10 @@ mod tests {
     #[test]
     fn empty_front_returns_none() {
         let wsm = WeightedSumModel::new(&[1.0]);
-        assert_eq!(best_in_pareto(&[], &wsm, &Constraints::none(1)), None);
+        assert_eq!(
+            best_in_pareto(&[] as &[Vec<f64>], &wsm, &Constraints::none(1)),
+            None
+        );
     }
 
     #[test]

@@ -49,7 +49,7 @@ impl WeightedSumModel {
 
     /// Scores every candidate: min–max normalize each objective over the
     /// set, then apply the weighted sum. Returns one score per candidate.
-    pub fn scores(&self, candidates: &[Vec<f64>]) -> Vec<f64> {
+    pub fn scores(&self, candidates: &[impl AsRef<[f64]>]) -> Vec<f64> {
         if candidates.is_empty() {
             return Vec::new();
         }
@@ -57,6 +57,7 @@ impl WeightedSumModel {
         let mut lo = vec![f64::INFINITY; m];
         let mut hi = vec![f64::NEG_INFINITY; m];
         for c in candidates {
+            let c = c.as_ref();
             for k in 0..m {
                 lo[k] = lo[k].min(c[k]);
                 hi[k] = hi[k].max(c[k]);
@@ -65,6 +66,7 @@ impl WeightedSumModel {
         candidates
             .iter()
             .map(|c| {
+                let c = c.as_ref();
                 (0..m)
                     .map(|k| {
                         let range = hi[k] - lo[k];
@@ -81,7 +83,7 @@ impl WeightedSumModel {
     }
 
     /// Index of the best (lowest-score) candidate, `None` when empty.
-    pub fn best_index(&self, candidates: &[Vec<f64>]) -> Option<usize> {
+    pub fn best_index(&self, candidates: &[impl AsRef<[f64]>]) -> Option<usize> {
         let scores = self.scores(candidates);
         scores
             .iter()
@@ -224,7 +226,7 @@ mod tests {
         // All weight on objective 1: candidate 0 wins.
         let wsm = WeightedSumModel::new(&[0.0, 1.0]);
         assert_eq!(wsm.best_index(&candidates), Some(0));
-        assert_eq!(wsm.best_index(&[]), None);
+        assert_eq!(wsm.best_index(&[] as &[Vec<f64>]), None);
     }
 
     #[test]

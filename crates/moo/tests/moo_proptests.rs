@@ -8,6 +8,80 @@ use midas_moo::{
 };
 use proptest::prelude::*;
 
+/// The Pareto front by its definition: the quadratic scan that
+/// `pareto_front_indices` replaced with a sort and a sweep, kept as the oracle.
+fn front_by_definition(costs: &[Vec<f64>]) -> Vec<usize> {
+    (0..costs.len())
+        .filter(|&i| {
+            !costs
+                .iter()
+                .enumerate()
+                .any(|(j, c)| j != i && midas_moo::dominance::pareto_dominates(c, &costs[i]))
+        })
+        .collect()
+}
+
+/// A grid small enough that duplicates, equal-first-axis groups and exact
+/// ties are the common case, with both zeros and both infinities on it
+/// (`PlanCostModel::with_hot_sites(∞)` produces all-∞ vectors).
+const GRID: [f64; 8] = [
+    f64::NEG_INFINITY,
+    -1.0,
+    -0.0,
+    0.0,
+    1.0,
+    2.0,
+    3.0,
+    f64::INFINITY,
+];
+
+fn grid_costs() -> impl Strategy<Value = Vec<Vec<f64>>> {
+    (1usize..=3).prop_flat_map(|arity| {
+        let on_grid = (0..GRID.len()).prop_map(|k| GRID[k]);
+        proptest::collection::vec(proptest::collection::vec(on_grid, arity), 0..=500usize)
+    })
+}
+
+#[test]
+fn front_of_nothing_one_and_all_infinite() {
+    assert_eq!(midas_moo::pareto_front_indices(&[]), Vec::<usize>::new());
+    for arity in 0..4 {
+        assert_eq!(
+            midas_moo::pareto_front_indices(&[vec![1.5; arity]]),
+            vec![0]
+        );
+    }
+    let banned = vec![vec![f64::INFINITY, f64::INFINITY]; 5];
+    assert_eq!(
+        midas_moo::pareto_front_indices(&banned),
+        vec![0, 1, 2, 3, 4]
+    );
+}
+
+#[test]
+fn front_of_nan_bearing_input_returns_without_panicking() {
+    let nan = f64::NAN;
+    for arity in 1..4 {
+        let mut costs: Vec<Vec<f64>> = (0..40)
+            .map(|i| {
+                (0..arity)
+                    .map(|k| GRID[(i * 3 + k * 5) % GRID.len()])
+                    .collect()
+            })
+            .collect();
+        for (n, i) in [0, 7, 8, 21, 39].into_iter().enumerate() {
+            costs[i][n % arity] = if n % 2 == 0 { nan } else { -nan };
+        }
+        costs.push(vec![nan; arity]);
+        let front = midas_moo::pareto_front_indices(&costs);
+        assert!(
+            front.windows(2).all(|w| w[0] < w[1]),
+            "ascending, no repeats"
+        );
+        assert!(front.iter().all(|&i| i < costs.len()));
+    }
+}
+
 fn cost_vecs(dims: usize, n: impl Into<proptest::collection::SizeRange>) -> impl Strategy<Value = Vec<Vec<f64>>> {
     proptest::collection::vec(proptest::collection::vec(0.0..100.0f64, dims), n)
 }
@@ -31,6 +105,13 @@ proptest! {
         if dominates(&a, &b) && dominates(&b, &c) {
             prop_assert!(dominates(&a, &c), "transitivity");
         }
+    }
+
+    /// The sorted sweep returns the front of the definition — same indices,
+    /// ascending — where ties and duplicates are the rule, not the exception.
+    #[test]
+    fn front_equals_its_definition(costs in grid_costs()) {
+        prop_assert_eq!(midas_moo::pareto_front_indices(&costs), front_by_definition(&costs));
     }
 
     /// Fronts are a partition: every index appears exactly once, and

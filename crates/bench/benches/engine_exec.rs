@@ -6,7 +6,10 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use midas_cloud::federation::example_federation;
 use midas_engines::ops::{execute, execute_scalar};
 use midas_engines::sim::{DriftIntensity, SimulationEnv};
-use midas_engines::{execute_fused, AggExpr, EngineKind, Expr, PhysicalPlan, Placement};
+use midas_engines::{
+    execute_fused, AggExpr, Column, ColumnData, EngineKind, Expr, JoinType, PhysicalPlan, Placement,
+    Table,
+};
 use midas_ires::scheduler::{Scheduler, SchedulerConfig};
 use midas_ires::CandidateConfig;
 use midas_tpch::dates::{add_months, ymd};
@@ -121,27 +124,60 @@ fn bench_scalar_vs_vectorized(c: &mut Criterion) {
     group.finish();
 }
 
-/// The two per-row costs a cold `tpch_cold` job is made of, at its scale
+/// The per-row costs a cold `tpch_cold` job is made of, at its scale
 /// (SF 0.1, 600 k lineitems) and through the executor the runtime serves
-/// with: group discovery into few groups (Q17's `avg(l_quantity) group by
-/// l_partkey`, 20 k groups) and a date-range filter (Q14's shipdate month).
-/// Read them as ns/row = time / 600 k.
+/// with. Each kernel that sizes its work by its smaller side sits beside the
+/// case that cannot:
+///
+/// * group discovery into 20 k groups (Q17's `avg(l_quantity) group by
+///   l_partkey`) — over the dense `l_partkey` (addressed directly) and over
+///   the same rows with the keys spread out (hashed);
+/// * Q12's combine join, 3 k lineitems with 150 k orders, in both argument
+///   orders — the table is built on the 3 k either way;
+/// * Q12's five-conjunct left filter (the string `IN` runs on the survivors
+///   of the four date conjuncts) and Q14's date range (nothing to stage).
+///
+/// Read the 600 k-row cases as ns/row = time / 600 k.
 fn bench_cold_path_kernels(c: &mut Criterion) {
     let db = TpchDb::generate(GenConfig::new(0.1, 42));
-    let scan = || {
+    let scan = |table: &str| {
         Box::new(PhysicalPlan::Scan {
-            table: "lineitem".to_string(),
+            table: table.to_string(),
         })
     };
+    let mut catalog = db.catalog().clone();
+    let lineitem = db.catalog().get("lineitem").expect("generated");
     // lineitem: 1 l_partkey, 3 l_quantity, 6 l_shipdate.
-    let discovery = PhysicalPlan::Aggregate {
-        input: scan(),
-        group_by: vec![1],
-        aggs: vec![("avg_qty".to_string(), AggExpr::Avg(Expr::col(3)))],
+    let discovery = |table: &str, key: usize, value: usize| PhysicalPlan::Aggregate {
+        input: scan(table),
+        group_by: vec![key],
+        aggs: vec![("avg_qty".to_string(), AggExpr::Avg(Expr::col(value)))],
+    };
+    let ColumnData::Int64(partkeys) = &lineitem.column(1).expect("l_partkey").data else {
+        panic!("l_partkey is an Int64 column");
+    };
+    let sparse = Column::new("k", ColumnData::Int64(partkeys.iter().map(|k| k * 1009).collect()));
+    let quantity = lineitem.column(3).expect("l_quantity").clone();
+    catalog.insert("sparse", Table::new("sparse", vec![sparse, quantity]).expect("aligned"));
+
+    let q = q12("MAIL", "SHIP", 1994);
+    let PhysicalPlan::Project { input: q12_filter, .. } = &q.left_prepare else {
+        panic!("Q12's left prepare projects its filter's output");
+    };
+    for (name, prepare) in [("@frag0", &q.left_prepare), ("@frag1", &q.right_prepare)] {
+        let (fragment, _) = execute_fused(prepare, db.catalog()).expect("runs");
+        catalog.insert(name, fragment);
+    }
+    let join = |left: &str, right: &str| PhysicalPlan::HashJoin {
+        left: scan(left),
+        right: scan(right),
+        left_keys: vec![0],
+        right_keys: vec![0],
+        join_type: JoinType::Inner,
     };
     let start = ymd(1995, 9, 1);
     let date_range = PhysicalPlan::Filter {
-        input: scan(),
+        input: scan("lineitem"),
         predicate: Expr::col(6)
             .ge(Expr::date(start))
             .and(Expr::col(6).lt(Expr::date(add_months(start, 1)))),
@@ -149,11 +185,15 @@ fn bench_cold_path_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("cold_path_kernels");
     group.sample_size(10);
     for (name, plan) in [
-        ("group_discovery_600k_to_20k", &discovery),
+        ("group_600k_dense_20k", &discovery("lineitem", 1, 3)),
+        ("group_discovery_600k_to_20k", &discovery("sparse", 0, 1)),
+        ("join_3k_probe_150k", &join("@frag0", "@frag1")),
+        ("join_150k_probe_3k", &join("@frag1", "@frag0")),
+        ("filter_q12_left", &**q12_filter),
         ("date_range_filter_600k", &date_range),
     ] {
         group.bench_function(name, |b| {
-            b.iter(|| black_box(execute_fused(plan, db.catalog()).expect("runs")))
+            b.iter(|| black_box(execute_fused(plan, &catalog).expect("runs")))
         });
     }
     group.finish();

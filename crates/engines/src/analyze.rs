@@ -440,13 +440,13 @@ pub fn analyze_federated(
 /// `Float64` and `Date` all compare and combine through `as_f64`; `Utf8`
 /// and `Bool` only meet their own kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Family {
+pub(crate) enum Family {
     Numeric,
     Text,
     Boolean,
 }
 
-fn family(ty: DataType) -> Family {
+pub(crate) fn family(ty: DataType) -> Family {
     match ty {
         DataType::Int64 | DataType::Float64 | DataType::Date => Family::Numeric,
         DataType::Utf8 => Family::Text,

@@ -38,7 +38,8 @@
 // parallel-array structure without changing the generated code.
 #![allow(clippy::needless_range_loop)]
 
-use crate::data::{Column, ColumnData, Table, Value};
+use crate::analyze::{family, Family};
+use crate::data::{Column, ColumnData, DataType, Table, Value};
 use crate::error::EngineError;
 
 /// Binary operators.
@@ -1309,10 +1310,39 @@ fn contains_batch(
     }
 }
 
+/// An `IN`-list's candidates, split once by the family of probe they can
+/// equal (`values_equal` semantics: a numeric probe only ever equals a
+/// numeric candidate, a boolean a boolean, a string a string). A compiled
+/// plan holds one per `IN` node, so no morsel rebuilds the lists.
+struct InCands<'e> {
+    nums: Vec<f64>,
+    bools: Vec<bool>,
+    strs: Vec<&'e str>,
+}
+
+impl<'e> InCands<'e> {
+    fn new(list: &'e [Value]) -> Self {
+        let mut cands = InCands {
+            nums: Vec::new(),
+            bools: Vec::new(),
+            strs: Vec::new(),
+        };
+        for v in list {
+            match v {
+                Value::Utf8(s) => cands.strs.push(s),
+                Value::Bool(b) => cands.bools.push(*b),
+                Value::Null => {}
+                num => cands.nums.extend(num.as_f64()),
+            }
+        }
+        cands
+    }
+}
+
 /// `Expr::InList` kernel.
 fn in_list_batch(
     inner: &BatchVals<'_>,
-    list: &[Value],
+    cands: &InCands<'_>,
     sv: &SelView<'_>,
     scratch: &mut EvalScratch,
 ) -> Result<BatchVals<'static>, EngineError> {
@@ -1320,30 +1350,14 @@ fn in_list_batch(
     match classify(inner) {
         Side::Null => Ok(BatchVals::ConstNull),
         Side::N(ns, _) => {
-            // Only numeric candidates can match a numeric probe
-            // (values_equal semantics).
-            let cands: Vec<f64> = list.iter().filter_map(|v| v.as_f64()).collect();
-            in_list_kernel(n, scratch, |pos| ns.at(pos), |x| cands.contains(&x))
+            in_list_kernel(n, scratch, |pos| ns.at(pos), |x| cands.nums.contains(&x))
         }
         Side::B(bs) => {
-            let cands: Vec<bool> = list
-                .iter()
-                .filter_map(|v| match v {
-                    Value::Bool(b) => Some(*b),
-                    _ => None,
-                })
-                .collect();
-            in_list_kernel(n, scratch, |pos| bs.at(pos), |x| cands.contains(&x))
+            in_list_kernel(n, scratch, |pos| bs.at(pos), |x| cands.bools.contains(&x))
         }
-        Side::S(ss) => in_list_kernel(
-            n,
-            scratch,
-            |pos| ss.at(sv, pos),
-            |x| {
-                list.iter()
-                    .any(|cand| matches!(cand, Value::Utf8(c) if c.as_str() == x))
-            },
-        ),
+        Side::S(ss) => {
+            in_list_kernel(n, scratch, |pos| ss.at(sv, pos), |x| cands.strs.contains(&x))
+        }
     }
 }
 
@@ -1476,7 +1490,7 @@ impl Expr {
             }
             Expr::InList { expr, list } => {
                 let inner = expr.eval_batch_in(table, sel, scratch)?;
-                let out = in_list_batch(&inner, list, &sv, scratch);
+                let out = in_list_batch(&inner, &InCands::new(list), &sv, scratch);
                 scratch.recycle(inner);
                 out
             }
@@ -1578,7 +1592,7 @@ enum KStep<'e> {
     /// Literal-list membership.
     InList {
         src: usize,
-        list: &'e [Value],
+        cands: InCands<'e>,
         dst: usize,
     },
 }
@@ -1589,6 +1603,9 @@ pub struct KernelPlan<'e> {
     out: usize,
     n_regs: usize,
     cols: Vec<usize>,
+    /// The source expression's top-level `AND` chain, in source order, when
+    /// it has one (what [`KernelPlan::bind_filter`] may stage); else empty.
+    conjuncts: Vec<&'e Expr>,
 }
 
 /// The column binding a [`KernelPlan`] evaluates against: either a whole
@@ -1621,15 +1638,88 @@ impl Expr {
     /// Compiles the expression into a [`KernelPlan`] — done once per
     /// operator; each batch then replays the flat step program.
     pub fn compile(&self) -> KernelPlan<'_> {
-        let mut plan = KernelPlan {
-            steps: Vec::new(),
-            out: 0,
-            n_regs: 0,
-            cols: Vec::new(),
-        };
-        let mut col_regs: Vec<(usize, usize)> = Vec::new();
-        plan.out = compile_node(self, &mut plan, &mut col_regs);
+        let mut plan = KernelPlan::conjunction(&[self]);
+        if matches!(self, Expr::Bin { op: BinOp::And, .. }) {
+            self.push_conjuncts(&mut plan.conjuncts);
+        }
         plan
+    }
+
+    /// Appends the operands of this expression's top-level `AND` chain, in
+    /// source order. `NOT (a AND b)` is one operand: under `NOT` a NULL `a`
+    /// makes `b` observable, so only a bare `AND` splits.
+    fn push_conjuncts<'e>(&'e self, out: &mut Vec<&'e Expr>) {
+        match self {
+            Expr::Bin {
+                op: BinOp::And,
+                left,
+                right,
+            } => {
+                left.push_conjuncts(out);
+                right.push_conjuncts(out);
+            }
+            other => out.push(other),
+        }
+    }
+
+    /// **Totality.** `Some(family)` when this expression is *total* over
+    /// `cols`: on every row it yields a value of that [`Family`] or NULL
+    /// and can raise nothing — no `DivisionByZero`, no NaN comparison, no
+    /// lazily-validated `TypeMismatch`, no `ColumnIndex` — so whether, and
+    /// over which rows, it is evaluated cannot be observed. Total are:
+    ///
+    /// * a column that **exists** in `cols` and is typed `Int64`, `Date`,
+    ///   `Bool` or `Utf8` — never `Float64`, which may hold a NaN;
+    /// * a literal that is neither NULL nor NaN;
+    /// * a comparison of two total operands of one family;
+    /// * `IS NULL` and `IN (…)` of a total operand (membership compares
+    ///   with `values_equal`, which raises for no candidate), `CONTAINS` of
+    ///   a total `Text` operand;
+    /// * `NOT`, `AND`, `OR` of total `Boolean` operands.
+    ///
+    /// Everything else — arithmetic above all — is opaque (`None`). The
+    /// answer depends on the binding: an all-NULL column is stored as
+    /// `Int64`, so chunks of one table may type a column differently.
+    fn total_family(&self, cols: &KernelCols<'_>) -> Option<Family> {
+        let boolean = |ok: bool| ok.then_some(Family::Boolean);
+        match self {
+            Expr::Col(i) => match cols.column(*i).ok()?.data.data_type() {
+                DataType::Float64 => None,
+                ty => Some(family(ty)),
+            },
+            Expr::Lit(Value::Float64(x)) if x.is_nan() => None,
+            Expr::Lit(v) => v.data_type().map(family),
+            Expr::Not(e) => boolean(e.total_family(cols)? == Family::Boolean),
+            Expr::IsNull(e) | Expr::InList { expr: e, .. } => {
+                boolean(e.total_family(cols).is_some())
+            }
+            Expr::Contains { expr, .. } => boolean(expr.total_family(cols)? == Family::Text),
+            Expr::Bin { op, left, right } => {
+                let (l, r) = (left.total_family(cols)?, right.total_family(cols)?);
+                match op {
+                    BinOp::And | BinOp::Or => boolean(l == Family::Boolean && r == Family::Boolean),
+                    op if cmp_op(*op) => boolean(l == r),
+                    _ => None,
+                }
+            }
+        }
+    }
+
+    /// Does the expression read a `Utf8` column of `cols`? Such a read
+    /// chases one pointer per row, where every other column is a dense
+    /// slice.
+    fn reads_text(&self, cols: &KernelCols<'_>) -> bool {
+        match self {
+            Expr::Col(i) => {
+                cols.column(*i).is_ok_and(|c| c.data.data_type() == DataType::Utf8)
+            }
+            Expr::Lit(_) => false,
+            Expr::Not(e)
+            | Expr::IsNull(e)
+            | Expr::InList { expr: e, .. }
+            | Expr::Contains { expr: e, .. } => e.reads_text(cols),
+            Expr::Bin { left, right, .. } => left.reads_text(cols) || right.reads_text(cols),
+        }
     }
 }
 
@@ -1638,11 +1728,6 @@ fn compile_node<'e>(
     plan: &mut KernelPlan<'e>,
     col_regs: &mut Vec<(usize, usize)>,
 ) -> usize {
-    let alloc = |plan: &mut KernelPlan<'e>| {
-        let reg = plan.n_regs;
-        plan.n_regs += 1;
-        reg
-    };
     match e {
         Expr::Col(i) => {
             // Deduplicated: the first reference gathers, later ones reuse
@@ -1651,45 +1736,49 @@ fn compile_node<'e>(
             if let Some(&(_, reg)) = col_regs.iter().find(|(c, _)| c == i) {
                 return reg;
             }
-            let dst = alloc(plan);
+            let dst = plan.alloc();
             plan.steps.push(KStep::Col { col: *i, dst });
             plan.cols.push(*i);
             col_regs.push((*i, dst));
             dst
         }
         Expr::Lit(v) => {
-            let dst = alloc(plan);
+            let dst = plan.alloc();
             plan.steps.push(KStep::Lit { v, dst });
             dst
         }
         Expr::Not(inner) => {
             let src = compile_node(inner, plan, col_regs);
-            let dst = alloc(plan);
+            let dst = plan.alloc();
             plan.steps.push(KStep::Not { src, dst });
             dst
         }
         Expr::IsNull(inner) => {
             let src = compile_node(inner, plan, col_regs);
-            let dst = alloc(plan);
+            let dst = plan.alloc();
             plan.steps.push(KStep::IsNull { src, dst });
             dst
         }
         Expr::Contains { expr, needle } => {
             let src = compile_node(expr, plan, col_regs);
-            let dst = alloc(plan);
+            let dst = plan.alloc();
             plan.steps.push(KStep::Contains { src, needle, dst });
             dst
         }
         Expr::InList { expr, list } => {
             let src = compile_node(expr, plan, col_regs);
-            let dst = alloc(plan);
-            plan.steps.push(KStep::InList { src, list, dst });
+            let dst = plan.alloc();
+            plan.steps.push(KStep::InList {
+                src,
+                cands: InCands::new(list),
+                dst,
+            });
             dst
         }
         Expr::Bin { op, left, right } => {
             let l = compile_node(left, plan, col_regs);
             let r = compile_node(right, plan, col_regs);
-            let dst = alloc(plan);
+            let dst = plan.alloc();
             plan.steps.push(KStep::Bin {
                 op: *op,
                 l,
@@ -1708,6 +1797,81 @@ fn reg<'r, 'a>(regs: &'r [Option<BatchVals<'a>>], i: usize) -> &'r BatchVals<'a>
 }
 
 impl<'e> KernelPlan<'e> {
+    fn alloc(&mut self) -> usize {
+        self.n_regs += 1;
+        self.n_regs - 1
+    }
+
+    /// One program for `exprs[0] AND exprs[1] AND …` over a single register
+    /// file, so a column several of them read is gathered once.
+    fn conjunction(exprs: &[&'e Expr]) -> KernelPlan<'e> {
+        let mut plan = KernelPlan {
+            steps: Vec::new(),
+            out: 0,
+            n_regs: 0,
+            cols: Vec::new(),
+            conjuncts: Vec::new(),
+        };
+        let mut col_regs: Vec<(usize, usize)> = Vec::new();
+        for (k, e) in exprs.iter().enumerate() {
+            let r = compile_node(e, &mut plan, &mut col_regs);
+            plan.out = if k == 0 {
+                r
+            } else {
+                let dst = plan.alloc();
+                plan.steps.push(KStep::Bin {
+                    op: BinOp::And,
+                    l: plan.out,
+                    r,
+                    dst,
+                });
+                dst
+            };
+        }
+        plan
+    }
+
+    /// Binds the plan, as a filter predicate, to one slab of columns (a
+    /// table, a chunk, a deferred join's gathered columns) — once per slab,
+    /// not per morsel. When **every** top-level conjunct is total over
+    /// `cols` (`Expr::total_family`) and boolean, some of them read a
+    /// `Utf8` column and some do not, the filter is *staged*: each morsel
+    /// runs the conjuncts that read only dense columns as one program, then
+    /// each string-reading conjunct, in source order, over the survivors of
+    /// everything before it. A row passes a filter exactly when every
+    /// conjunct is TRUE, so the selected rows are the same ascending list;
+    /// nothing staged can raise, so skipping a conjunct on rows an earlier
+    /// one rejected is unobservable. Any other predicate — one opaque
+    /// conjunct is enough — runs the single program.
+    ///
+    /// A dense compare beats a gathered one until the selection is small,
+    /// which is why the dense conjuncts stay one pass and only string
+    /// conjuncts run narrowed.
+    pub fn bind_filter<'k>(&'k self, cols: &KernelCols<'_>) -> BoundFilter<'k, 'e> {
+        BoundFilter {
+            whole: self,
+            staged: self.stage(cols),
+        }
+    }
+
+    /// The staged form of the plan over `cols` — the dense conjuncts as one
+    /// program, then each string conjunct — when [`Self::bind_filter`]'s
+    /// conditions hold.
+    fn stage(&self, cols: &KernelCols<'_>) -> Option<(KernelPlan<'e>, Vec<KernelPlan<'e>>)> {
+        let total = |c: &&Expr| c.total_family(cols) == Some(Family::Boolean);
+        if !self.conjuncts.iter().all(total) {
+            return None;
+        }
+        let (costly, cheap): (Vec<&Expr>, Vec<&Expr>) =
+            self.conjuncts.iter().partition(|c| c.reads_text(cols));
+        (!costly.is_empty() && !cheap.is_empty()).then(|| {
+            (
+                KernelPlan::conjunction(&cheap),
+                costly.iter().map(|c| c.compile()).collect(),
+            )
+        })
+    }
+
     /// Distinct column indices the plan reads, in first-use order.
     pub fn referenced_cols(&self) -> &[usize] {
         &self.cols
@@ -1732,8 +1896,8 @@ impl<'e> KernelPlan<'e> {
                 KStep::Contains { src, needle, dst } => {
                     (*dst, contains_batch(reg(&regs, *src), needle, sv, scratch)?)
                 }
-                KStep::InList { src, list, dst } => {
-                    (*dst, in_list_batch(reg(&regs, *src), list, sv, scratch)?)
+                KStep::InList { src, cands, dst } => {
+                    (*dst, in_list_batch(reg(&regs, *src), cands, sv, scratch)?)
                 }
                 KStep::Bin { op, l, r, dst } => (
                     *dst,
@@ -1764,6 +1928,47 @@ impl<'e> KernelPlan<'e> {
         let bv = self.eval(cols, sv, scratch)?;
         let res = sel_from_bools(&bv, sv, out);
         scratch.recycle(bv);
+        res
+    }
+}
+
+/// A filter predicate bound to one slab of columns: see
+/// [`KernelPlan::bind_filter`].
+pub struct BoundFilter<'k, 'e> {
+    whole: &'k KernelPlan<'e>,
+    /// The dense conjuncts as one program, then each string conjunct.
+    staged: Option<(KernelPlan<'e>, Vec<KernelPlan<'e>>)>,
+}
+
+impl BoundFilter<'_, '_> {
+    /// Whether the string conjuncts run on the survivors of the others.
+    pub fn is_staged(&self) -> bool {
+        self.staged.is_some()
+    }
+
+    /// [`KernelPlan::eval_sel_into`] of the bound plan, over the slab it
+    /// was bound to.
+    pub fn eval_sel_into(
+        &self,
+        cols: &KernelCols<'_>,
+        sv: &SelView<'_>,
+        scratch: &mut EvalScratch,
+        out: &mut Vec<u32>,
+    ) -> Result<(), EngineError> {
+        let Some((cheap, costly)) = &self.staged else {
+            return self.whole.eval_sel_into(cols, sv, scratch, out);
+        };
+        let mut next = scratch.take_sel();
+        let mut res = cheap.eval_sel_into(cols, sv, scratch, out);
+        for kp in costly {
+            if res.is_err() || out.is_empty() {
+                break;
+            }
+            let survivors = SelView::over(out.len(), Some(out));
+            res = kp.eval_sel_into(cols, &survivors, scratch, &mut next);
+            std::mem::swap(out, &mut next);
+        }
+        scratch.put_sel(next);
         res
     }
 }
@@ -1988,6 +2193,228 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// The staged filter ([`KernelPlan::bind_filter`]) against the single
+    /// program and the scalar evaluator, and its classifier against the
+    /// totality rule ([`Expr::total_family`]) restated by hand per conjunct.
+    mod staged_filter_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// What the totality rule says of one conjunct of [`conjuncts`].
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        enum Kind {
+            /// Total, reads no `Utf8` column.
+            Cheap,
+            /// Total, reads a `Utf8` column.
+            Costly,
+            /// Not total: may raise, or is not boolean.
+            Opaque,
+        }
+
+        /// Columns: 0 `a` Int64 · 1 `d` Date with NULLs · 2 `s` Utf8 with
+        /// NULLs · 3 `f` Float64 holding NaNs · 4 `b` Bool · 5 `z` Int64 with
+        /// zeros · 6 `n` all-NULL (stored as `Int64`) · 7 `u` Utf8, all NULL.
+        fn table(rows: &[(i64, i64, u8, u8, i64)]) -> Table {
+            let strings = ["x", "y", "zz", ""];
+            let n = rows.len();
+            Table::new(
+                "t",
+                vec![
+                    Column::new("a", ColumnData::Int64(rows.iter().map(|r| r.0).collect())),
+                    Column::with_validity(
+                        "d",
+                        ColumnData::Date(rows.iter().map(|r| r.1 as i32).collect()),
+                        rows.iter().map(|r| r.1 != 0).collect(),
+                    ),
+                    Column::with_validity(
+                        "s",
+                        ColumnData::Utf8(
+                            rows.iter().map(|r| strings[r.2 as usize % 4].into()).collect(),
+                        ),
+                        rows.iter().map(|r| r.2 < 4).collect(),
+                    ),
+                    Column::new(
+                        "f",
+                        ColumnData::Float64(
+                            rows.iter()
+                                .map(|r| if r.3 == 0 { f64::NAN } else { r.3 as f64 })
+                                .collect(),
+                        ),
+                    ),
+                    Column::new("b", ColumnData::Bool(rows.iter().map(|r| r.3 % 2 == 0).collect())),
+                    Column::new("z", ColumnData::Int64(rows.iter().map(|r| r.4).collect())),
+                    Column::with_validity("n", ColumnData::Int64(vec![0; n]), vec![false; n]),
+                    Column::with_validity(
+                        "u",
+                        ColumnData::Utf8(vec![String::new(); n]),
+                        vec![false; n],
+                    ),
+                ],
+            )
+            .unwrap()
+        }
+
+        fn conjuncts() -> Vec<(Kind, Expr)> {
+            use Kind::*;
+            let mixed = || {
+                vec![
+                    Value::Int64(1),
+                    Value::Utf8("x".into()),
+                    Value::Float64(2.0),
+                    Value::Bool(true),
+                    Value::Null,
+                ]
+            };
+            vec![
+                (Cheap, Expr::col(0).lt(Expr::int(3))),
+                (Cheap, Expr::col(1).ge(Expr::date(2))),
+                (Cheap, Expr::col(1).lt(Expr::col(0))),
+                (Cheap, Expr::col(4)),
+                (Cheap, Expr::col(4).eq(Expr::Lit(Value::Bool(true)))),
+                (Cheap, Expr::col(0).in_list(mixed())),
+                (Cheap, Expr::col(1).is_null()),
+                (Cheap, Expr::col(0).lt(Expr::int(2)).or(Expr::col(1).gt(Expr::date(3))).negate()),
+                (Cheap, Expr::col(6).lt(Expr::float(3.5))),
+                (Cheap, Expr::col(6).is_null()),
+                (Costly, Expr::col(2).in_list(mixed())),
+                (Costly, Expr::col(2).contains("z")),
+                (Costly, Expr::col(2).eq(Expr::str("y"))),
+                (Costly, Expr::col(2).ge(Expr::col(7))),
+                (Costly, Expr::col(2).is_null().negate()),
+                (Costly, Expr::col(2).eq(Expr::str("x")).or(Expr::col(0).lt(Expr::int(2)))),
+                (Costly, Expr::col(7).contains("")),
+                // A Float64 column may hold a NaN; a NaN literal always does.
+                (Opaque, Expr::col(3).lt(Expr::float(2.0))),
+                (Opaque, Expr::col(3).is_null()),
+                (Opaque, Expr::col(0).lt(Expr::float(f64::NAN))),
+                // Arithmetic: zero divisors, and a non-boolean conjunct.
+                (Opaque, Expr::col(0).div(Expr::col(5)).gt(Expr::int(1))),
+                (Opaque, Expr::col(0).add(Expr::int(1))),
+                (Opaque, Expr::col(0)),
+                // Validated lazily: an out-of-range column, mixed families
+                // (raises only where both sides are non-NULL), a NULL literal.
+                (Opaque, Expr::col(99).lt(Expr::int(1))),
+                (Opaque, Expr::col(2).lt(Expr::int(3))),
+                (Opaque, Expr::col(6).contains("x")),
+                (Opaque, Expr::col(0).eq(Expr::Lit(Value::Null))),
+            ]
+        }
+
+        type Sel = Result<Vec<u32>, EngineError>;
+
+        /// The three evaluations of `p` over `sel` — scalar ([`Expr::eval`],
+        /// row by row; [`Expr::eval_mask`] itself when nothing is selected
+        /// out), the single program, the bound filter — and whether the
+        /// filter staged.
+        fn evaluate(p: &Expr, t: &Table, sel: Option<&[u32]>) -> (Sel, Sel, Sel, bool) {
+            let scalar = match sel {
+                None => p.eval_mask(t).map(|mask| {
+                    (0..t.n_rows() as u32).filter(|&r| mask[r as usize]).collect()
+                }),
+                Some(rows) => rows
+                    .iter()
+                    .filter_map(|&r| match p.eval(t, r as usize) {
+                        Ok(Value::Bool(true)) => Some(Ok(r)),
+                        Ok(Value::Bool(false) | Value::Null) => None,
+                        Ok(other) => Some(Err(EngineError::TypeMismatch {
+                            context: format!("predicate produced {other:?}"),
+                        })),
+                        Err(e) => Some(Err(e)),
+                    })
+                    .collect(),
+            };
+            let (cols, sv) = (KernelCols::Table(t), SelView::new(t, sel));
+            let mut scratch = EvalScratch::new();
+            let kp = p.compile();
+            let single = kp.eval(&cols, &sv, &mut scratch).and_then(|bv| {
+                let mut out = Vec::new();
+                sel_from_bools(&bv, &sv, &mut out).map(|()| out)
+            });
+            let filter = kp.bind_filter(&cols);
+            let mut out = Vec::new();
+            let bound = filter.eval_sel_into(&cols, &sv, &mut scratch, &mut out).map(|()| out);
+            (scalar, single, bound, filter.is_staged())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn staged_filter_equals_single_program_equals_scalar(
+                rows in proptest::collection::vec(
+                    (0i64..5, 0i64..6, 0u8..6, 0u8..5, 0i64..3),
+                    0..40,
+                ),
+                picks in proptest::collection::vec((0usize..1000, 0usize..2, 0usize..4), 1..6),
+                keep in 0u32..4,
+            ) {
+                let t = table(&rows);
+                let pool = conjuncts();
+                // An AND chain nested to the left or to the right at random.
+                let mut kinds = Vec::new();
+                let mut p: Option<Expr> = None;
+                let total = pool.iter().filter(|(kind, _)| *kind != Kind::Opaque).count();
+                for &(pick, right, any) in &picks {
+                    // Three picks in four are total, so chains often stage.
+                    let (kind, c) = pool[pick % if any == 0 { pool.len() } else { total }].clone();
+                    kinds.push(kind);
+                    p = Some(match p {
+                        None => c,
+                        Some(acc) if right == 1 => c.and(acc),
+                        Some(acc) => acc.and(c),
+                    });
+                }
+                let p = p.expect("at least one pick");
+                let staged = kinds.len() > 1
+                    && !kinds.contains(&Kind::Opaque)
+                    && kinds.contains(&Kind::Cheap)
+                    && kinds.contains(&Kind::Costly);
+                // All rows, a subset, none.
+                let subset: Vec<u32> = (0..rows.len() as u32).filter(|r| r % 4 >= keep).collect();
+                for sel in [None, Some(&subset[..]), Some(&[][..])] {
+                    let (scalar, single, bound, is_staged) = evaluate(&p, &t, sel);
+                    prop_assert_eq!(is_staged, staged, "{:?}: {:?}", kinds, p);
+                    // The bound filter is the single program, to the error.
+                    prop_assert_eq!(&bound, &single, "{:?} under {:?}", p, sel);
+                    // Over no rows the scalar evaluator looks at nothing,
+                    // where a batch still resolves its columns.
+                    if sel.map_or(rows.len(), <[u32]>::len) > 0 {
+                        match scalar {
+                            Ok(want) => {
+                                prop_assert_eq!(bound.as_ref(), Ok(&want), "{:?} under {:?}", p, sel)
+                            }
+                            Err(_) => {
+                                prop_assert!(bound.is_err(), "{:?} under {:?}: {:?}", p, sel, bound)
+                            }
+                        }
+                    }
+                }
+            }
+        }
+
+        /// The raising row lies outside the dense conjunct's survivors — it
+        /// has none. The predicate is not staged, so the division by zero
+        /// still surfaces, as it does from the scalar evaluator.
+        #[test]
+        fn an_opaque_conjunct_raises_outside_the_survivors() {
+            let t = table(&[(1, 1, 0, 1, 0), (2, 2, 1, 2, 1)]);
+            let p = Expr::col(0)
+                .lt(Expr::int(0))
+                .and(Expr::col(2).eq(Expr::str("x")))
+                .and(Expr::col(0).div(Expr::col(5)).gt(Expr::int(1)));
+            let (scalar, single, bound, is_staged) = evaluate(&p, &t, None);
+            assert!(!is_staged);
+            assert_eq!(scalar, Err(EngineError::DivisionByZero));
+            assert_eq!(single, Err(EngineError::DivisionByZero));
+            assert_eq!(bound, Err(EngineError::DivisionByZero));
+            // Without the division the same predicate stages and selects nothing.
+            let p = Expr::col(0).lt(Expr::int(0)).and(Expr::col(2).eq(Expr::str("x")));
+            let (scalar, _, bound, is_staged) = evaluate(&p, &t, None);
+            assert!(is_staged);
+            assert_eq!((scalar, bound), (Ok(vec![]), Ok(vec![])));
         }
     }
 

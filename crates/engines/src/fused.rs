@@ -2,7 +2,7 @@
 //! inputs.
 //!
 //! This is the scale-jump counterpart of [`crate::ops`]'s whole-column
-//! vectorized executor. Three coordinated changes make SF ≥ 1 data
+//! vectorized executor. Four coordinated changes make SF ≥ 1 data
 //! survivable:
 //!
 //! 1. **Morsels.** Filters, projections and aggregate inputs run over
@@ -44,6 +44,16 @@
 //!    never-materialized join output is *virtual*: the same float
 //!    expression `Table::estimated_bytes_sel` would compute, evaluated
 //!    from the gather indices.
+//! 4. **Staged filters.** A filter binds its compiled predicate to each
+//!    slab it scans — a table, a chunk, a deferred join's gathered columns
+//!    — once ([`KernelPlan::bind_filter`]). When every top-level conjunct
+//!    is *total* over that slab (can raise nothing: the definition is on
+//!    `Expr::total_family`), each morsel runs the conjuncts over dense
+//!    columns as one program and the conjuncts that read a `Utf8` column
+//!    only on the survivors, in source order: Q12's `l_shipmode IN (…)`
+//!    chases ~1 string pointer in 50 instead of 600 k. Same selected rows
+//!    by construction; one opaque conjunct and the filter runs its single
+//!    program as before.
 //!
 //! **Bit-for-bit parity.** For every plan, [`execute_fused`] (and the
 //! partitioned/versioned variants) produces the same result [`Table`]
@@ -68,8 +78,9 @@ use crate::data::{Column, ColumnData, DataType, Table, Value};
 use crate::error::EngineError;
 use crate::expr::{BatchVals, EvalScratch, Expr, KernelCols, KernelPlan, NumTy, SelView};
 use crate::ops::{
-    accumulate_aggs, agg_output_columns, aggregate_vec, hash_join_vec, partitioned_group_ids,
-    partitioned_join_indices, record_batch, serial_group_ids, serial_join_indices, sort_sel,
+    accumulate_aggs, agg_output_columns, aggregate_vec, hash_join_vec, join_key_columns,
+    partitioned_group_ids, partitioned_join_indices, record_batch, serial_group_ids,
+    serial_join_indices, sort_sel,
     AggExpr, AggInput, AggView, Batch, JoinType, OpKind, OpWork, PhysicalPlan, TableSlot,
     WorkProfile, MAX_PARTITION_DEGREE,
 };
@@ -393,10 +404,11 @@ fn filter_morsels(
     scratch: &mut EvalScratch,
 ) -> Result<Vec<u32>, EngineError> {
     let n = sel.map_or(n_all, <[u32]>::len);
+    let filter = kp.bind_filter(cols);
     let mut acc = scratch.take_sel();
     let mut tmp = scratch.take_sel();
     let res = for_each_morsel(n, sel, |sv| {
-        kp.eval_sel_into(cols, &sv, scratch, &mut tmp)?;
+        filter.eval_sel_into(cols, &sv, scratch, &mut tmp)?;
         acc.extend_from_slice(&tmp);
         Ok(())
     });
@@ -796,11 +808,12 @@ fn filter_project_slab_morsels(
     scratch: &mut EvalScratch,
 ) -> Result<Vec<u32>, EngineError> {
     let cols = KernelCols::Table(t);
+    let filter = kp.bind_filter(&cols);
     let n = sel.map_or_else(|| t.n_rows(), <[u32]>::len);
     let mut acc = scratch.take_sel();
     let mut tmp = scratch.take_sel();
     let res = for_each_morsel(n, sel, |sv| {
-        kp.eval_sel_into(&cols, &sv, scratch, &mut tmp)?;
+        filter.eval_sel_into(&cols, &sv, scratch, &mut tmp)?;
         acc.extend_from_slice(&tmp);
         let msv = SelView::over(tmp.len(), Some(&tmp));
         apply_project_morsel(runs, t, &msv, scratch)
@@ -1331,38 +1344,13 @@ fn agg_over_join<'a>(
     let rb = run_fused(right, src, profile, degree, scratch)?.into_flat(scratch);
     let rows_in_join = (lb.len() + rb.len()) as u64;
 
-    if left_keys.len() != right_keys.len() {
-        return Err(EngineError::TypeMismatch {
-            context: "join key arity mismatch".to_string(),
-        });
-    }
-    let lt = lb.table();
-    let rt = rb.table();
-    // Key columns resolve lazily (only when the side has rows) and right
-    // before left — the same order, hence the same first error, as
-    // `hash_join_vec`.
-    let rcols: Vec<&Column> = if rb.len() > 0 {
-        right_keys
-            .iter()
-            .map(|&k| rt.column(k))
-            .collect::<Result<_, _>>()?
-    } else {
-        Vec::new()
-    };
-    let lcols: Vec<&Column> = if lb.len() > 0 {
-        left_keys
-            .iter()
-            .map(|&k| lt.column(k))
-            .collect::<Result<_, _>>()?
-    } else {
-        Vec::new()
-    };
+    let (lcols, rcols) = join_key_columns(&lb, &rb, left_keys, right_keys)?;
     let (left_out, right_out, right_hit) = if degree > 1 {
         partitioned_join_indices(&lb, &rb, &lcols, &rcols, join_type, degree)
     } else {
         serial_join_indices(&lb, &rb, &lcols, &rcols, join_type)
     };
-    let mut dj = DeferredJoin::new(lt, rt, left_out, right_out, right_hit);
+    let mut dj = DeferredJoin::new(lb.table(), rb.table(), left_out, right_out, right_hit);
     let n_join = dj.n();
     profile.ops.push(OpWork {
         kind: OpKind::Join,

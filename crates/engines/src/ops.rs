@@ -1257,7 +1257,10 @@ fn keys_equal(lcols: &[&Column], lrow: usize, rcols: &[&Column], rrow: usize) ->
 /// returns is independent of how often the map grew. A group-by of 600 k
 /// rows into 20 k groups therefore holds 1 MiB of slots, not the 32 MiB a
 /// map pre-sized by input rows asks the kernel for — and gives back — on
-/// every job.
+/// every job. (When those 20 k keys are one `Int64` column spanning fewer
+/// integers than the rows grouped, [`dense_group_ids`] holds no map at all:
+/// a direct-address table no longer than the group ids the operator
+/// produces anyway.)
 struct U64Map {
     mask: usize,
     /// Occupied slots (= distinct hashes held).
@@ -1598,12 +1601,16 @@ pub(crate) fn partitioned_join_indices(
     (left_out, right_out, right_hit)
 }
 
-/// The serial first-seen group-id assignment: one hash-chained pass over
-/// the batch, returning each position's group id and the first original
-/// row of every group, in first-seen order.
+/// The serial first-seen group-id assignment: one pass over the batch,
+/// returning each position's group id and the first original row of every
+/// group, in first-seen order. A single `Int64` key whose live values span
+/// fewer integers than there are rows is addressed directly
+/// ([`dense_group_ids`]); every other key goes through the hash chains.
 pub(crate) fn serial_group_ids(b: &Batch<'_>, gcols: &[&Column], n: usize) -> (Vec<u32>, Vec<u32>) {
     match sole_int_key(gcols) {
-        Some(v) => group_ids_by(b, n, |row| int_key_hash(v[row]), |x, y| v[x] == v[y]),
+        Some(v) => dense_group_ids(b, v, n).unwrap_or_else(|| {
+            group_ids_by(b, n, |row| int_key_hash(v[row]), |x, y| v[x] == v[y])
+        }),
         None => group_ids_by(
             b,
             n,
@@ -1611,6 +1618,34 @@ pub(crate) fn serial_group_ids(b: &Batch<'_>, gcols: &[&Column], n: usize) -> (V
             |x, y| keys_equal(gcols, x, gcols, y),
         ),
     }
+}
+
+/// [`serial_group_ids`] of a dense key: when `max − min < n` over the live
+/// positions, a table of `max − min + 1` slots maps `key − min` to its
+/// group id + 1 (`0` = not seen yet) — no hashing, no chain walk, no
+/// re-read of a representative row's key. Ids are handed out in first-seen
+/// order, so the result equals the hashed pass's. `None` when the key is
+/// sparse (or the batch empty): the caller hashes.
+fn dense_group_ids(b: &Batch<'_>, keys: &[i64], n: usize) -> Option<(Vec<u32>, Vec<u32>)> {
+    let (min, max) = (0..n).fold((i64::MAX, i64::MIN), |(lo, hi), pos| {
+        let k = keys[b.row_id(pos)];
+        (lo.min(k), hi.max(k))
+    });
+    // `abs_diff` cannot overflow, and on an empty batch it is `u64::MAX`.
+    let span = usize::try_from(max.abs_diff(min)).ok().filter(|&s| s < n)?;
+    let mut id_of = vec![0u32; span + 1];
+    let mut group_ids: Vec<u32> = Vec::with_capacity(n);
+    let mut rep_rows: Vec<u32> = Vec::new();
+    for pos in 0..n {
+        let row = b.row_id(pos);
+        let slot = &mut id_of[keys[row].abs_diff(min) as usize];
+        if *slot == 0 {
+            rep_rows.push(row as u32);
+            *slot = rep_rows.len() as u32;
+        }
+        group_ids.push(*slot - 1);
+    }
+    Some((group_ids, rep_rows))
 }
 
 /// [`serial_group_ids`] over a key given as a row hash and a row-pair
@@ -1754,6 +1789,33 @@ pub(crate) fn partitioned_group_ids(
 
 // ----- vectorized join -----
 
+/// Resolves a join's key columns, `(left, right)`, for both join entry
+/// points ([`hash_join_vec`] and the fused executor's deferred join). The
+/// first error is fixed here, once: key arity, then the right side's
+/// columns, then the left's — and a side's columns are looked up only when
+/// that side has rows (an empty side yields no columns), matching the
+/// scalar path's per-row, hence lazy, validation.
+pub(crate) fn join_key_columns<'b>(
+    lb: &'b Batch<'_>,
+    rb: &'b Batch<'_>,
+    left_keys: &[usize],
+    right_keys: &[usize],
+) -> Result<(Vec<&'b Column>, Vec<&'b Column>), EngineError> {
+    if left_keys.len() != right_keys.len() {
+        return Err(EngineError::TypeMismatch {
+            context: "join key arity mismatch".to_string(),
+        });
+    }
+    let resolve = |b: &'b Batch<'_>, keys: &[usize]| -> Result<Vec<&'b Column>, EngineError> {
+        if b.len() == 0 {
+            return Ok(Vec::new());
+        }
+        keys.iter().map(|&k| b.table().column(k)).collect()
+    };
+    let rcols = resolve(rb, right_keys)?;
+    Ok((resolve(lb, left_keys)?, rcols))
+}
+
 pub(crate) fn hash_join_vec(
     lb: &Batch<'_>,
     rb: &Batch<'_>,
@@ -1762,27 +1824,9 @@ pub(crate) fn hash_join_vec(
     join_type: JoinType,
     degree: usize,
 ) -> Result<Table, EngineError> {
-    if left_keys.len() != right_keys.len() {
-        return Err(EngineError::TypeMismatch {
-            context: "join key arity mismatch".to_string(),
-        });
-    }
+    let (lcols, rcols) = join_key_columns(lb, rb, left_keys, right_keys)?;
     let lt = lb.table();
     let rt = rb.table();
-    let ln = lb.len();
-    let rn = rb.len();
-    // Key columns are resolved only when the side has rows, matching the
-    // scalar path's per-row (hence lazy) validation.
-    let rcols: Vec<&Column> = if rn > 0 {
-        right_keys.iter().map(|&k| rt.column(k)).collect::<Result<_, _>>()?
-    } else {
-        Vec::new()
-    };
-    let lcols: Vec<&Column> = if ln > 0 {
-        left_keys.iter().map(|&k| lt.column(k)).collect::<Result<_, _>>()?
-    } else {
-        Vec::new()
-    };
 
     let (left_out, right_out, right_hit) = if degree > 1 {
         partitioned_join_indices(lb, rb, &lcols, &rcols, join_type, degree)
@@ -1843,7 +1887,8 @@ pub(crate) fn hash_join_vec(
 
 /// The serial build/probe producing the join's gather indices:
 /// `(left row, right row, right matched)` triples flattened into three
-/// vectors, in probe order with matches in build-chain order.
+/// vectors, ordered by (left position, right position) whichever side the
+/// table was built on ([`join_indices_by`]).
 pub(crate) fn serial_join_indices(
     lb: &Batch<'_>,
     rb: &Batch<'_>,
@@ -1873,6 +1918,23 @@ pub(crate) fn serial_join_indices(
 
 /// [`serial_join_indices`] over keys given as per-side row hashes (`None`
 /// = a NULL key part: the row never matches) and a cross-side equality.
+///
+/// **Build-side rule:** the hash table is built over the side with fewer
+/// rows (a tie builds on the right) and probed with the other, for both
+/// join types — an inner join of 3 000 lineitems with 150 000 orders holds
+/// 3 000 keys, not 150 000.
+///
+/// **Order:** the triples come out by (left position, right position),
+/// both ascending, whichever side was built. Probing from the left emits
+/// them that way directly: probe rows ascend and every chain ascends. With
+/// the left side built, the right side probes in ascending position and
+/// each match is staged as `(left position, right row)`; one stable
+/// counting sort by left position (prefix-summed match counts, a left-outer
+/// position without a match owning one `(left row, 0, false)` slot) then
+/// places them, so within a left position the right rows keep the ascending
+/// order they were found in. The two orders are equal element for element,
+/// which is what keeps `DeferredJoin`'s gathers, the aggregates' float
+/// additions and the virtual byte accounting independent of the choice.
 fn join_indices_by(
     lb: &Batch<'_>,
     rb: &Batch<'_>,
@@ -1882,53 +1944,119 @@ fn join_indices_by(
     same_key: impl Fn(usize, usize) -> bool,
 ) -> (Vec<u32>, Vec<u32>, Vec<bool>) {
     let ln = lb.len();
-    let rn = rb.len();
-    // Build over the right batch. Chains are threaded through `next` by
-    // batch position; building in reverse keeps each chain in ascending
-    // position order, so probe output matches the scalar path row-for-row.
+    let outer = join_type == JoinType::LeftOuter;
+    if ln >= rb.len() {
+        // A left-outer join emits at least one row per probe row; an inner
+        // join promises nothing.
+        let at_least = if outer { ln } else { 0 };
+        let mut left_out: Vec<u32> = Vec::with_capacity(at_least);
+        let mut right_out: Vec<u32> = Vec::with_capacity(at_least);
+        let mut right_hit: Vec<bool> = Vec::with_capacity(at_least);
+        probe_chained(
+            rb,
+            lb,
+            right_hash,
+            left_hash,
+            |rrow, lrow| same_key(lrow, rrow),
+            |lrow, hit| match hit {
+                Some(rpos) => {
+                    left_out.push(lrow as u32);
+                    right_out.push(rb.row_id(rpos) as u32);
+                    right_hit.push(true);
+                }
+                None if outer => {
+                    left_out.push(lrow as u32);
+                    right_out.push(0);
+                    right_hit.push(false);
+                }
+                None => {}
+            },
+        );
+        return (left_out, right_out, right_hit);
+    }
+
+    // Left side built: stage the matches in fixed blocks (what is staged is
+    // what is produced — no doubling, no block sized by the probe side),
+    // then scatter them into left order.
+    let mut slots = vec![0usize; ln]; // matches per left position, then its cursor
+    let mut staged: Vec<Vec<(u32, u32)>> = Vec::new();
+    probe_chained(lb, rb, left_hash, right_hash, same_key, |rrow, hit| {
+        if let Some(lpos) = hit {
+            slots[lpos] += 1;
+            if staged.last().is_none_or(|block| block.len() == STAGE_BLOCK) {
+                staged.push(Vec::with_capacity(STAGE_BLOCK));
+            }
+            let block = staged.last_mut().expect("a block with room was ensured above");
+            block.push((lpos as u32, rrow as u32));
+        }
+    });
+    let owned = |matches: usize| if outer { matches.max(1) } else { matches };
+    let total: usize = slots.iter().map(|&k| owned(k)).sum();
+    let mut left_out: Vec<u32> = Vec::with_capacity(total);
+    for (lpos, slot) in slots.iter_mut().enumerate() {
+        let n_owned = owned(*slot);
+        *slot = left_out.len();
+        left_out.extend(std::iter::repeat_n(lb.row_id(lpos) as u32, n_owned));
+    }
+    // A slot no match is scattered into stays `(left row, 0, false)`.
+    let mut right_out = vec![0u32; total];
+    let mut right_hit = vec![false; total];
+    for (lpos, rrow) in staged.into_iter().flatten() {
+        let at = slots[lpos as usize];
+        slots[lpos as usize] += 1;
+        right_out[at] = rrow;
+        right_hit[at] = true;
+    }
+    (left_out, right_out, right_hit)
+}
+
+/// Pairs per block of the staged match list.
+const STAGE_BLOCK: usize = 2048;
+
+/// The one build/probe loop: chains `build`'s rows by key hash and probes
+/// the chains with `probe`'s rows in ascending position. `visit` receives
+/// the probe row with the build position of each match, in ascending build
+/// position, and once with `None` for a probe row that matched nothing.
+/// Hashes are per side (`None` = a NULL key part: the row is neither chained
+/// nor probed); `same_key` takes (build row, probe row).
+fn probe_chained(
+    build: &Batch<'_>,
+    probe: &Batch<'_>,
+    build_hash: impl Fn(usize) -> Option<u64>,
+    probe_hash: impl Fn(usize) -> Option<u64>,
+    same_key: impl Fn(usize, usize) -> bool,
+    mut visit: impl FnMut(usize, Option<usize>),
+) {
+    // Chains are threaded through `next` by batch position; building in
+    // reverse keeps each chain in ascending position order.
+    let bn = build.len();
     let mut map = U64Map::new();
-    let mut next: Vec<u32> = vec![0; rn];
-    for pos in (0..rn).rev() {
-        if let Some(h) = right_hash(rb.row_id(pos)) {
+    let mut next: Vec<u32> = vec![0; bn];
+    for pos in (0..bn).rev() {
+        if let Some(h) = build_hash(build.row_id(pos)) {
             let head = map.entry(h);
             next[pos] = *head;
             *head = pos as u32 + 1;
         }
     }
-
-    // Probe from the left. A left-outer join emits at least one row per
-    // probe row; an inner join promises nothing.
-    let at_least = match join_type {
-        JoinType::LeftOuter => ln,
-        JoinType::Inner => 0,
-    };
-    let mut left_out: Vec<u32> = Vec::with_capacity(at_least);
-    let mut right_out: Vec<u32> = Vec::with_capacity(at_least);
-    let mut right_hit: Vec<bool> = Vec::with_capacity(at_least);
-    for pos in 0..ln {
-        let lrow = lb.row_id(pos);
+    for pos in 0..probe.len() {
+        let prow = probe.row_id(pos);
         let mut matched = false;
-        if let Some(h) = left_hash(lrow) {
+        if let Some(h) = probe_hash(prow) {
             let mut cur = map.get(h);
             while cur != 0 {
-                let rpos = (cur - 1) as usize;
-                let rrow = rb.row_id(rpos);
-                if same_key(lrow, rrow) {
-                    left_out.push(lrow as u32);
-                    right_out.push(rrow as u32);
-                    right_hit.push(true);
+                let bpos = (cur - 1) as usize;
+                if same_key(build.row_id(bpos), prow) {
+                    visit(prow, Some(bpos));
                     matched = true;
                 }
-                cur = next[rpos];
+                cur = next[bpos];
             }
         }
-        if !matched && join_type == JoinType::LeftOuter {
-            left_out.push(lrow as u32);
-            right_out.push(0);
-            right_hit.push(false);
+        if !matched {
+            visit(prow, None);
         }
     }
-    (left_out, right_out, right_hit)
 }
 
 // ----- vectorized aggregation -----
@@ -2820,6 +2948,189 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// The two kernels that size their work by the smaller side, each
+    /// against an oracle sharing no code with it.
+    mod smaller_side_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// One join side: `(first key part, second key part)` per row; a
+        /// `None` first part is a NULL key. Few distinct values, so both
+        /// sides carry duplicates.
+        type Side = Vec<(Option<i64>, u8)>;
+
+        fn side(max: usize) -> impl Strategy<Value = Side> {
+            proptest::collection::vec((0i64..7, 0u8..2), 0..max).prop_map(|rows| {
+                rows.into_iter()
+                    .map(|(k, tag)| ((k != 6).then_some(k), tag))
+                    .collect()
+            })
+        }
+
+        /// `k` (`Int64`, NULL where the first part is `None`) and `tag`
+        /// (`Utf8`) — a NULL-free `k` carries no mask, so a one-column key
+        /// over it takes the `sole_int_key` loop.
+        fn side_table(rows: &Side) -> Table {
+            let k = ColumnData::Int64(rows.iter().map(|r| r.0.unwrap_or(0)).collect());
+            let k = if rows.iter().all(|r| r.0.is_some()) {
+                Column::new("k", k)
+            } else {
+                Column::with_validity("k", k, rows.iter().map(|r| r.0.is_some()).collect())
+            };
+            let tag = ColumnData::Utf8(rows.iter().map(|r| r.1.to_string()).collect());
+            Table::new("side", vec![k, Column::new("tag", tag)]).unwrap()
+        }
+
+        /// The first `parts` columns as the key; a side without rows
+        /// resolves none ([`join_key_columns`]).
+        fn key_cols(t: &Table, n: usize, parts: usize) -> Vec<&Column> {
+            if n == 0 {
+                Vec::new()
+            } else {
+                t.columns()[..parts].iter().collect()
+            }
+        }
+
+        /// One NULL-free `Int64` column `k`.
+        fn key_table(keys: &[i64]) -> Table {
+            Table::new("t", vec![Column::new("k", ColumnData::Int64(keys.to_vec()))]).unwrap()
+        }
+
+        /// Every other row — a selection, so positions and rows differ.
+        fn odd_rows(n: usize) -> Vec<u32> {
+            (0..n as u32).filter(|r| r % 2 == 1).collect()
+        }
+
+        /// The join by its definition: for each left position, each right
+        /// position, both ascending.
+        fn nested_loop(
+            l: &Side,
+            lrows: &[u32],
+            r: &Side,
+            rrows: &[u32],
+            parts: usize,
+            join_type: JoinType,
+        ) -> (Vec<u32>, Vec<u32>, Vec<bool>) {
+            let key = |row: &(Option<i64>, u8)| (row.0, if parts == 2 { row.1 } else { 0 });
+            let mut out = (Vec::new(), Vec::new(), Vec::new());
+            let mut emit = |lrow: u32, rrow: u32, hit: bool| {
+                out.0.push(lrow);
+                out.1.push(rrow);
+                out.2.push(hit);
+            };
+            for &lrow in lrows {
+                let lk = key(&l[lrow as usize]);
+                let mut matched = false;
+                for &rrow in rrows {
+                    if lk.0.is_some() && lk == key(&r[rrow as usize]) {
+                        emit(lrow, rrow, true);
+                        matched = true;
+                    }
+                }
+                if !matched && join_type == JoinType::LeftOuter {
+                    emit(lrow, 0, false);
+                }
+            }
+            out
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            /// Equal triples, not equal sets: whichever side is built, the
+            /// output is ordered by (left position, right position).
+            #[test]
+            fn serial_join_equals_nested_loop(l in side(24), r in side(24)) {
+                // As drawn (`ln < rn`, `ln > rn`, empty sides) and cut to one
+                // length (`ln == rn`, the tie that builds on the right).
+                let m = l.len().min(r.len());
+                for (l, r) in [(&l[..], &r[..]), (&l[..m], &r[..m])] {
+                    let (l, r) = (l.to_vec(), r.to_vec());
+                    let (lt, rt) = (side_table(&l), side_table(&r));
+                    for selected in [false, true] {
+                        let rows = |n: usize| match selected {
+                            true => odd_rows(n),
+                            false => (0..n as u32).collect(),
+                        };
+                        let (lrows, rrows) = (rows(l.len()), rows(r.len()));
+                        let batch = |t, rows: &Vec<u32>| Batch {
+                            slot: TableSlot::Borrowed(t),
+                            sel: selected.then(|| rows.clone()),
+                        };
+                        let (lb, rb) = (batch(&lt, &lrows), batch(&rt, &rrows));
+                        for parts in [1usize, 2] {
+                            let lcols = key_cols(&lt, lrows.len(), parts);
+                            let rcols = key_cols(&rt, rrows.len(), parts);
+                            for join_type in [JoinType::Inner, JoinType::LeftOuter] {
+                                let want = nested_loop(&l, &lrows, &r, &rrows, parts, join_type);
+                                let got = serial_join_indices(&lb, &rb, &lcols, &rcols, join_type);
+                                prop_assert_eq!(
+                                    &got, &want,
+                                    "{:?}, {} key part(s), selected: {}, l = {:?}, r = {:?}",
+                                    join_type, parts, selected, l, r
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+
+            /// Dense addressing against the hashed pass, with the key span on
+            /// both sides of `max − min < n`, at both ends of `i64`, and over
+            /// a selection whose dead rows hold keys far outside the span.
+            #[test]
+            fn dense_groups_equal_hashed_groups(
+                offsets in proptest::collection::vec(0u64..1000, 2..48),
+                slack in 0usize..4,
+                base in 0usize..4,
+                selected in 0usize..2,
+            ) {
+                let n = offsets.len();
+                // span ∈ {n − 2, n − 1, n, n + 1}: dense below n, hashed from n.
+                let span = (n + slack).saturating_sub(2) as u64;
+                let base = [i64::MIN, -7, 0, i64::MAX - 64][base];
+                let mut live: Vec<i64> = offsets
+                    .iter()
+                    .map(|o| base + (o % (span + 1)) as i64)
+                    .collect();
+                // Both ends present, so the span is exactly `span`.
+                live[0] = base;
+                live[n - 1] = base + span as i64;
+                let (keys, sel): (Vec<i64>, Option<Vec<u32>>) = if selected == 1 {
+                    // Live keys at odd rows; `i64::MIN`/`i64::MAX` between them.
+                    let wild = [i64::MIN, i64::MAX];
+                    let keys = (0..2 * n)
+                        .map(|row| if row % 2 == 1 { live[row / 2] } else { wild[row / 2 % 2] })
+                        .collect();
+                    (keys, Some(odd_rows(2 * n)))
+                } else {
+                    (live, None)
+                };
+                let t = key_table(&keys);
+                let b = Batch { slot: TableSlot::Borrowed(&t), sel };
+                let hashed =
+                    group_ids_by(&b, n, |row| int_key_hash(keys[row]), |x, y| keys[x] == keys[y]);
+                let dense = dense_group_ids(&b, &keys, n);
+                prop_assert_eq!(dense.is_some(), span < n as u64, "span {}, n {}", span, n);
+                prop_assert_eq!(&dense.unwrap_or_else(|| hashed.clone()), &hashed);
+                prop_assert_eq!(&serial_group_ids(&b, &[t.column(0).unwrap()], n), &hashed);
+            }
+        }
+
+        /// `i64::MIN` and `i64::MAX` in one batch: the span is `u64::MAX`,
+        /// computed without overflow, and the pass hashes.
+        #[test]
+        fn a_key_spanning_all_of_i64_is_hashed() {
+            let keys = vec![i64::MAX, i64::MIN, 0, i64::MAX];
+            let t = key_table(&keys);
+            let b = Batch::all(TableSlot::Borrowed(&t));
+            assert!(dense_group_ids(&b, &keys, 4).is_none());
+            assert!(dense_group_ids(&b, &keys, 0).is_none(), "an empty batch has no span");
+            let (ids, reps) = serial_group_ids(&b, &[t.column(0).unwrap()], 4);
+            assert_eq!((ids, reps), (vec![0, 1, 2, 0], vec![0, 1, 2]));
         }
     }
 

@@ -13,7 +13,10 @@
 //! * no block of Q17's combine is larger than one 8-byte column of its
 //!   input (a hash table sized by input rows was 56 B × rows for 2 000
 //!   groups);
-//! * the bytes a combine requests stay a small multiple of its input rows.
+//! * the bytes a combine requests stay a small multiple of its input rows,
+//!   and Q12's — a join of few rows with many — a small multiple of the few;
+//! * a filter's further morsels each ask for one block (the evaluation's
+//!   register file), not one more per `IN`-list.
 //!
 //! Every threshold but one (Q13's bytes, explained there) sits at or below
 //! half of what the parent of the PR that added this file read; both
@@ -26,9 +29,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use midas_engines::data::Table;
 use midas_engines::ops::PhysicalPlan;
-use midas_engines::{execute_fused, Catalog};
-use midas_tpch::gen::{GenConfig, TpchDb};
-use midas_tpch::queries::{q12, q13, q14, q17, TwoTableQuery};
+use midas_engines::{execute_fused, Catalog, MORSEL_ROWS};
+use midas_tpch::gen::{GenConfig, StringEncoding, TpchDb};
+use midas_tpch::queries::{q12, q12_with, q13, q14, q17, TwoTableQuery};
 
 struct Counting;
 
@@ -138,6 +141,44 @@ fn a_cold_job_allocates_by_what_it_produces() {
     assert!(
         left.count < lineitems / 4, // 240 117 (4.0 per row) → 353
         "Q12 left prepare: {left:?} over {lineitems} rows"
+    );
+
+    // Q12 combine: 300 lineitems joined to 15 000 orders under a two-group
+    // aggregate. The join builds on the 300 — no table, chain vector or
+    // block is sized by the 15 000 it probes with.
+    let ([_, _, combine], rows) = query_census(&q12("MAIL", "SHIP", 1994), base);
+    assert!(
+        combine.bytes <= 16 * rows, // 74.6 B × rows (a 15 000-key build) → 5.2
+        "Q12 combine: {combine:?} over {rows} input rows"
+    );
+    assert!(
+        combine.largest <= 4 * rows, // 34.3 B × rows (the build's table) → 1.1 (300 keys)
+        "Q12 combine: {combine:?} over {rows} input rows"
+    );
+
+    // Q12 left's filter under dictionary codes, where `l_shipmode IN (…)`
+    // probes numbers: the candidates are split once, when the predicate is
+    // compiled. No receipt falls in 1980, so no selection vector grows, and
+    // what the four morsels of `lineitem` request beyond what its first
+    // morsel alone does is one register file per further morsel.
+    let coded = TpchDb::generate(GenConfig::new(0.01, 42).dictionary_encoded());
+    let PhysicalPlan::Project { input: filter, .. } =
+        q12_with(StringEncoding::Dictionary, "MAIL", "SHIP", 1980).left_prepare
+    else {
+        panic!("Q12's left prepare projects its filter's output");
+    };
+    let all = coded.catalog().get("lineitem").expect("generated");
+    let further_morsels = (all.n_rows() as u64).div_ceil(MORSEL_ROWS as u64) - 1;
+    assert_eq!(further_morsels, 3, "SF 0.01 is four morsels of lineitems");
+    let mut first_morsel = Catalog::new();
+    let first_rows: Vec<u32> = (0..MORSEL_ROWS as u32).collect();
+    first_morsel.insert("lineitem", all.take_ids(&first_rows));
+    let (out, whole) = census(&filter, coded.catalog());
+    let (_, one) = census(&filter, &first_morsel);
+    assert_eq!(out.n_rows(), 0, "a year without receipts");
+    assert!(
+        whole.count - one.count <= further_morsels, // 6 (2 per morsel) → 3
+        "Q12 left filter, dictionary codes: {whole:?} over four morsels, {one:?} over one"
     );
 
     // Q14 left: a date-range filter over `lineitem`.

@@ -470,6 +470,38 @@ mod tests {
         TpchDb::generate(GenConfig::new(0.005, 42))
     }
 
+    /// Whether the fused executor stages `prepare`'s filter — string
+    /// conjuncts on the survivors of the dense ones — over `table`.
+    fn filter_is_staged(prepare: &PhysicalPlan, table: &midas_engines::Table) -> bool {
+        use midas_engines::expr::KernelCols;
+        let PhysicalPlan::Project { input, .. } = prepare else {
+            panic!("a prepare projects its filter's output");
+        };
+        let PhysicalPlan::Filter { predicate, .. } = &**input else {
+            panic!("a filtering prepare");
+        };
+        predicate
+            .compile()
+            .bind_filter(&KernelCols::Table(table))
+            .is_staged()
+    }
+
+    /// Q12's left prepare is the filter staging exists for: four date
+    /// conjuncts keep ~1 lineitem in 50 and `l_shipmode IN (…)` runs on
+    /// those. An edit to the totality rule that un-stages it fails here,
+    /// not on a benchmark. Q14's two date conjuncts read no string, and
+    /// under dictionary codes neither does Q12: nothing to stage.
+    #[test]
+    fn q12_left_filter_is_staged_q14_is_not() {
+        let db = db();
+        let lineitem = db.catalog().get("lineitem").unwrap();
+        assert!(filter_is_staged(&q12("MAIL", "SHIP", 1994).left_prepare, lineitem));
+        assert!(!filter_is_staged(&q14(1995, 9).left_prepare, lineitem));
+        let coded = TpchDb::generate(GenConfig::new(0.005, 42).dictionary_encoded());
+        let q = q12_with(StringEncoding::Dictionary, "MAIL", "SHIP", 1994);
+        assert!(!filter_is_staged(&q.left_prepare, coded.catalog().get("lineitem").unwrap()));
+    }
+
     #[test]
     fn q12_produces_per_mode_counts() {
         let db = db();

@@ -82,7 +82,6 @@ fn bench_federated_execution(c: &mut Criterion) {
                     seed: 5,
                     drift: DriftIntensity::Mild,
                     work_scale: 1.0,
-                    ..SchedulerConfig::default()
                 },
             );
             black_box(

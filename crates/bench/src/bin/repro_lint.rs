@@ -5,7 +5,7 @@
 //! Two halves, both registry-free:
 //!
 //! **1. Source lint.** Walks every non-stub crate's `src/` tree and flags
-//! the four constructs that undermine the workspace's determinism,
+//! the five constructs that undermine the workspace's determinism,
 //! containment and serving-cost guarantees:
 //!
 //! * **wall-clock** — `Instant::now` / `SystemTime` in code that is
@@ -28,7 +28,14 @@
 //!   it compacts every multi-chunk table of the version, once per publish,
 //!   where the fused executor scans the chunks in place. Flat oracles
 //!   (`MidasSession`, tests, benches) pin; the code that serves jobs must
-//!   not, short of a `// LINT: pin-ok` justification.
+//!   not, short of a `// LINT: pin-ok` justification;
+//! * **job-thread** — `thread::scope` / `thread::spawn` / `.spawn(` inside
+//!   one job's execution (`engines/src/{ops,fused,exec}.rs`, `ires/src`).
+//!   Parallelism in this system is workers over jobs, in
+//!   `midas/src/runtime.rs`: sharding a join or overlapping a job's
+//!   fragments measured 0.33–1.02× of running them in order on the hosts
+//!   this serves, so a thread launched below the runtime needs a
+//!   `// LINT: thread-ok` justification.
 //!
 //! Test code is exempt: `#[cfg(test)]` modules (brace-tracked) and
 //! comment-only lines are skipped. The gate is **zero findings** —
@@ -320,6 +327,15 @@ fn on_serving_path(rel: &str) -> bool {
         || rel.ends_with("crates/engines/src/fused.rs")
 }
 
+/// Whether `rel` is code that runs inside one job — the scope of the
+/// `job-thread` rule.
+fn inside_a_job(rel: &str) -> bool {
+    rel.contains("crates/ires/src/")
+        || ["ops", "fused", "exec"]
+            .iter()
+            .any(|m| rel.ends_with(&format!("crates/engines/src/{m}.rs")))
+}
+
 /// Lints one file; pushes findings, returns the justified-site count.
 fn lint_file(rel: &str, text: &str, findings: &mut Vec<Finding>) -> usize {
     // Patterns are assembled at runtime so this file never contains its
@@ -333,6 +349,12 @@ fn lint_file(rel: &str, text: &str, findings: &mut Vec<Finding>) -> usize {
     ];
     let pin = format!(".pin{}", "()");
     let serving = on_serving_path(rel);
+    let spawn = [
+        format!("thread::{}", "scope"),
+        format!("thread::{}", "spawn"),
+        format!(".spawn{}", "("),
+    ];
+    let in_job = inside_a_job(rel);
     let lines: Vec<&str> = text.lines().collect();
     let mut justified = 0usize;
     // `#[cfg(test)]` module tracking: once the attribute is seen, skip
@@ -383,6 +405,8 @@ fn lint_file(rel: &str, text: &str, findings: &mut Vec<Finding>) -> usize {
             None
         } else if serving && code.contains(pin.as_str()) {
             Some("serving-pin")
+        } else if in_job && spawn.iter().any(|p| code.contains(p.as_str())) {
+            Some("job-thread")
         } else {
             None
         };

@@ -16,7 +16,7 @@
 //!
 //! The analyzer is **sound with respect to schema/type/DAG errors**: if
 //! [`PlanAnalysis::is_valid`] holds for a plan (no [`Severity::Error`]
-//! diagnostics), executing it — scalar, vectorized, partitioned, or fused —
+//! diagnostics), executing it — scalar, vectorized or fused —
 //! never returns [`EngineError::UnknownColumn`], [`EngineError::UnknownTable`],
 //! [`EngineError::TypeMismatch`], [`EngineError::ColumnIndex`] or
 //! [`EngineError::RaggedTable`], and never reaches one of the executor's
@@ -135,8 +135,8 @@ pub enum DiagnosticKind {
     /// defect class with no typed runtime error to fall back on.
     UnknownSite,
     /// A fragment names an instance type its site's machine catalog does
-    /// not offer. Runtime: [`EngineError::Unavailable`] during wave
-    /// resolution.
+    /// not offer. Runtime: [`EngineError::Unavailable`] when the fragment's
+    /// turn comes.
     UnknownInstance,
 }
 

@@ -32,8 +32,8 @@
 //!    entry from a different table state.
 //!
 //! Because the executor is deterministic (results, fingerprints and
-//! [`WorkProfile`]s are pinned bit-identical across partition degrees,
-//! fused/unfused paths and worker counts by the differential suites),
+//! [`WorkProfile`]s are pinned bit-identical across fused/unfused paths,
+//! chunkings and worker counts by the differential suites),
 //! equal keys imply bit-identical outputs: a cache hit returns exactly
 //! what recomputation would have.
 //!

@@ -10,13 +10,12 @@
 //! fragment inputs.
 //!
 //! **Morsel-driven relational phase.** Fragment plans run through the
-//! fused executor ([`crate::fused::execute_fused_with_partitions`]):
-//! filters and projections stream over cache-resident morsels with
-//! per-operator compiled kernel plans and pooled scratch buffers, and
-//! `Aggregate ∘ Filter* ∘ HashJoin` shapes consume the join as index
-//! triples, gathering only referenced columns. This is purely an engine
-//! substitution — results and work profiles are bit-identical to
-//! [`crate::ops::execute_with_partitions`] (the `fused_differential`
+//! fused executor ([`crate::fused`]): filters and projections stream over
+//! cache-resident morsels with per-operator compiled kernel plans and
+//! pooled scratch buffers, and `Aggregate ∘ Filter* ∘ HashJoin` shapes
+//! consume the join as index triples, gathering only referenced columns.
+//! This is purely an engine substitution — results and work profiles are
+//! bit-identical to [`crate::ops::execute`] (the `fused_differential`
 //! suite pins this), so every simulation quantity derived from a
 //! profile is unchanged.
 //!
@@ -27,10 +26,12 @@
 //! `CatalogVersion` are not seeded at all — fragments scan the version's
 //! chunks where they are, so a table that grew by appends is never
 //! compacted for a run. Fragment outputs enter the per-query catalog
-//! `Arc::new`-ed exactly once. Because both are immutable during a wave
-//! of independent fragments, those fragments can execute *concurrently*
-//! (see [`SharedExecutor::with_parallel_fragments`]) while the simulation
-//! bookkeeping still runs in deterministic fragment order.
+//! `Arc::new`-ed exactly once.
+//!
+//! **A run is one thread.** Fragments execute one at a time, in index
+//! order, on the calling thread; concurrency is many workers each running
+//! their own job through a [`SharedExecutor`] over one locked
+//! [`SimulationEnv`] (the runtime), never threads inside a job.
 //!
 //! **Each fragment runs once per job.** Planning profiles a query by
 //! running its fragments ([`profile_fragments`]); a run that is handed
@@ -112,13 +113,12 @@ pub struct ProfiledFragment {
 pub fn profile_fragments<'a>(
     plans: &[&PhysicalPlan],
     base_tables: impl Into<TableSource<'a>>,
-    partition_degree: usize,
 ) -> Result<Vec<ProfiledFragment>, EngineError> {
     let base_tables = base_tables.into();
     let mut catalog = Catalog::new();
     let mut profiled = Vec::with_capacity(plans.len());
     for (idx, &plan) in plans.iter().enumerate() {
-        let (table, work) = execute_fused_over(plan, &catalog, base_tables, partition_degree)?;
+        let (table, work) = execute_fused_over(plan, &catalog, base_tables)?;
         let table = Arc::new(table);
         catalog.insert_shared(format!("@frag{idx}"), Arc::clone(&table));
         profiled.push(ProfiledFragment {
@@ -153,9 +153,9 @@ pub struct ExecutionOutcome {
     /// executor deep-copied for every job.
     pub catalog_shared_bytes: u64,
     /// Bytes of base-table data deep-copied while seeding the per-query
-    /// catalog. Structurally zero on the `Arc` path; surfaced (and recorded
-    /// by the runtime bench) as a regression gate so a reintroduced
-    /// per-job copy fails loudly.
+    /// catalog. Structurally zero on the `Arc` path; surfaced so a
+    /// reintroduced per-job copy fails loudly (`catalog_sharing.rs` and
+    /// the midas integration tests assert it is 0).
     pub catalog_cloned_bytes: u64,
     /// Fragments served from the result cache instead of executing (their
     /// tables and work profiles are bit-identical to recomputation; only
@@ -188,100 +188,6 @@ pub struct QepConfig {
     pub instance: String,
     /// How many VMs.
     pub vm_count: u32,
-}
-
-/// The federated executor.
-pub struct Executor<'a> {
-    federation: &'a Federation,
-    env: SimulationEnv,
-    partition_degree: usize,
-}
-
-impl<'a> Executor<'a> {
-    /// Binds an executor to a federation with a fresh simulation
-    /// environment.
-    pub fn new(federation: &'a Federation, env: SimulationEnv) -> Self {
-        Executor {
-            federation,
-            env,
-            partition_degree: 1,
-        }
-    }
-
-    /// Sets the intra-operator partition fan-out: hash joins and grouped
-    /// aggregations inside every fragment run `degree`-way partitioned on
-    /// scoped threads (see [`crate::ops::execute_with_partitions`]). Results, work
-    /// profiles and fingerprints are bit-identical at every degree; 0/1 is
-    /// the serial path.
-    pub fn with_partition_degree(mut self, degree: usize) -> Self {
-        self.partition_degree = degree.max(1);
-        self
-    }
-
-    /// Read access to the simulation environment (for tests/experiments).
-    pub fn env(&self) -> &SimulationEnv {
-        &self.env
-    }
-
-    /// Mutable access, e.g. to advance drift between queries.
-    pub fn env_mut(&mut self) -> &mut SimulationEnv {
-        &mut self.env
-    }
-
-    /// Executes a federated query against a shared base-table catalog (or
-    /// one published version of it — see [`TableSource`]).
-    pub fn run<'t>(
-        &mut self,
-        query: &FederatedQuery,
-        base_tables: impl Into<TableSource<'t>>,
-    ) -> Result<ExecutionOutcome, EngineError> {
-        self.run_with_scale(query, base_tables, 1.0)
-    }
-
-    /// Like [`Executor::run`] but treating every physical row as
-    /// `work_scale` logical rows.
-    ///
-    /// Row-capped datasets (see the TPC-H generator's uniform rescale) carry
-    /// fewer physical rows than the scale factor nominally implies; passing
-    /// `work_scale = 1 / rescale` makes the *simulated* time, transfer and
-    /// billing reflect the nominal data volume while the relational work
-    /// stays cheap.
-    pub fn run_with_scale<'t>(
-        &mut self,
-        query: &FederatedQuery,
-        base_tables: impl Into<TableSource<'t>>,
-        work_scale: f64,
-    ) -> Result<ExecutionOutcome, EngineError> {
-        self.run_profiled(query, base_tables, work_scale, &[])
-    }
-
-    /// [`Executor::run_with_scale`] handed the outputs planning already
-    /// computed over the same `base_tables` (see
-    /// [`SharedExecutor::with_profiled_fragments`] for the contract).
-    pub fn run_profiled<'t>(
-        &mut self,
-        query: &FederatedQuery,
-        base_tables: impl Into<TableSource<'t>>,
-        work_scale: f64,
-        profiled: &[ProfiledFragment],
-    ) -> Result<ExecutionOutcome, EngineError> {
-        run_federated(
-            self.federation,
-            &mut EnvHandle::Exclusive(&mut self.env),
-            RunOptions {
-                admission: None,
-                pacing: 0.0,
-                parallel: false,
-                work_scale,
-                partition_degree: self.partition_degree,
-                faults: None,
-                cache: None,
-                profiled,
-            },
-            query,
-            base_tables.into(),
-        )
-    }
 }
 
 /// How one [`run_federated`] call reaches a shared [`FragmentResultCache`]:
@@ -328,56 +234,9 @@ impl FaultContext<'_> {
     }
 }
 
-/// Per-run execution knobs of [`run_federated`].
-struct RunOptions<'a> {
-    /// Per-site admission gates (`None` = unmetered legacy executor).
-    admission: Option<&'a SiteAdmission>,
-    /// Wall seconds slept per nominal simulated second of site occupancy.
-    pacing: f64,
-    /// Run independent fragments of one wave on scoped threads.
-    parallel: bool,
-    /// Logical rows per physical row.
-    work_scale: f64,
-    /// Intra-operator partition fan-out for joins/aggregations.
-    partition_degree: usize,
-    /// Injected faults (`None` = a healthy federation).
-    faults: Option<FaultContext<'a>>,
-    /// Shared fragment-result cache (`None` = always execute cold).
-    cache: Option<ResultCacheBinding<'a>>,
-    /// Fragment outputs handed over by planning, by fragment index (empty =
-    /// execute everything).
-    profiled: &'a [ProfiledFragment],
-}
-
-/// How a run reaches the simulation environment: exclusively (the legacy
-/// single-threaded [`Executor`]) or through a shared lock (the concurrent
-/// [`SharedExecutor`]). Both take the env ops (`load`, `noise`, `tick`) on
-/// exactly the same code path, which is what makes a single-worker shared
-/// run bit-identical to a sequential one.
-enum EnvHandle<'e> {
-    /// Direct mutable access.
-    Exclusive(&'e mut SimulationEnv),
-    /// Lock-per-fragment access.
-    Shared(&'e Mutex<SimulationEnv>),
-}
-
-impl EnvHandle<'_> {
-    fn with<R>(&mut self, f: impl FnOnce(&mut SimulationEnv) -> R) -> R {
-        match self {
-            EnvHandle::Exclusive(env) => f(env),
-            // Recover a poisoned env instead of cascading: the guarded
-            // drift/clock state is plain arithmetic kept consistent at
-            // every unlock, and one panicked job must not abort the whole
-            // runtime's simulation.
-            EnvHandle::Shared(env) => f(&mut env
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)),
-        }
-    }
-}
-
-/// An executor over a *shared* simulation environment, safe to call from
-/// many worker threads at once.
+/// The federated executor: runs a query's fragments over a *shared*
+/// simulation environment, safe to call from many worker threads at once
+/// (one run per thread — a run itself never spawns).
 ///
 /// Three concurrency controls compose here:
 ///
@@ -399,13 +258,16 @@ impl EnvHandle<'_> {
 ///    nominal base is a pure function of plan and data, a workload's total
 ///    paced wall-clock is identical at every worker count — which is what
 ///    makes multi-worker throughput numbers comparable.
+///
+/// A single-threaded caller (the `ires` scheduler, a test) owns the
+/// `Mutex` and passes [`SiteAdmission::unmetered`]; it takes exactly the
+/// env ops (`load`, `noise`, `tick`) a runtime worker takes, which is what
+/// makes a one-worker runtime bit-identical to a sequential session.
 pub struct SharedExecutor<'a> {
     federation: &'a Federation,
     env: &'a Mutex<SimulationEnv>,
     admission: &'a SiteAdmission,
     pacing: f64,
-    parallel_fragments: bool,
-    partition_degree: usize,
     faults: Option<FaultContext<'a>>,
     cache: Option<ResultCacheBinding<'a>>,
     profiled: &'a [ProfiledFragment],
@@ -424,8 +286,6 @@ impl<'a> SharedExecutor<'a> {
             env,
             admission,
             pacing: 0.0,
-            parallel_fragments: false,
-            partition_degree: 1,
             faults: None,
             cache: None,
             profiled: &[],
@@ -443,26 +303,19 @@ impl<'a> SharedExecutor<'a> {
         self
     }
 
-    /// Enables intra-query parallelism: mutually independent fragments (one
-    /// *wave* of the dependency DAG — e.g. the two scan fragments of a
-    /// two-table query) execute concurrently on scoped threads, each under
-    /// its own site admission permit.
-    ///
-    /// Only wall-clock overlap changes: the simulation bookkeeping (load
-    /// reads, noise draws, clock ticks) still runs in fragment order, so
-    /// the *simulated* outcome of a query is bit-for-bit identical with the
-    /// flag on or off.
-    pub fn with_parallel_fragments(mut self, enabled: bool) -> Self {
-        self.parallel_fragments = enabled;
+    // Inert hint, accepted and ignored: fragments of one run execute in
+    // index order on the calling thread. Last caller is
+    // `benchmark/src/replay.rs`; ROADMAP item 2's PR B removes it.
+    #[doc(hidden)]
+    pub fn with_parallel_fragments(self, _enabled: bool) -> Self {
         self
     }
 
-    /// Sets the intra-operator partition fan-out (see
-    /// [`Executor::with_partition_degree`]): wave parallelism overlaps
-    /// *fragments*, this overlaps the join/aggregation *inside* one
-    /// fragment — both compose under the per-site admission permits.
-    pub fn with_partition_degree(mut self, degree: usize) -> Self {
-        self.partition_degree = degree.max(1);
+    // Inert hint, accepted and ignored: joins and groupings are single
+    // pass. Last caller is `benchmark/src/replay.rs`; ROADMAP item 2's
+    // PR B removes it.
+    #[doc(hidden)]
+    pub fn with_partition_degree(self, _degree: usize) -> Self {
         self
     }
 
@@ -512,7 +365,9 @@ impl<'a> SharedExecutor<'a> {
         self
     }
 
-    /// Executes a federated query against base tables (logical scale 1).
+    /// Executes a federated query against a shared base-table catalog (or
+    /// one published version of it — see [`TableSource`]) at logical
+    /// scale 1.
     pub fn run<'t>(
         &self,
         query: &FederatedQuery,
@@ -521,86 +376,61 @@ impl<'a> SharedExecutor<'a> {
         self.run_with_scale(query, base_tables, 1.0)
     }
 
-    /// Like [`SharedExecutor::run`] with an explicit logical work scale
-    /// (see [`Executor::run_with_scale`]).
+    /// Like [`SharedExecutor::run`] but treating every physical row as
+    /// `work_scale` logical rows.
+    ///
+    /// Row-capped datasets (see the TPC-H generator's uniform rescale) carry
+    /// fewer physical rows than the scale factor nominally implies; passing
+    /// `work_scale = 1 / rescale` makes the *simulated* time, transfer and
+    /// billing reflect the nominal data volume while the relational work
+    /// stays cheap.
     pub fn run_with_scale<'t>(
         &self,
         query: &FederatedQuery,
         base_tables: impl Into<TableSource<'t>>,
         work_scale: f64,
     ) -> Result<ExecutionOutcome, EngineError> {
-        run_federated(
-            self.federation,
-            &mut EnvHandle::Shared(self.env),
-            RunOptions {
-                admission: Some(self.admission),
-                pacing: self.pacing,
-                parallel: self.parallel_fragments,
-                work_scale,
-                partition_degree: self.partition_degree,
-                faults: self.faults,
-                cache: self.cache,
-                profiled: self.profiled,
-            },
-            query,
-            base_tables.into(),
-        )
+        run_federated(self, query, base_tables.into(), work_scale)
     }
 }
 
-/// The one federated-execution loop behind both executors.
+/// The one federated-execution loop: fragments run one at a time, in index
+/// order, each through the same steps.
 ///
-/// Execution is staged so the *relational* work (pure data processing over
-/// the shared catalog) decouples from the *simulation* bookkeeping:
+/// 1. **Validation**, up front for the whole query: a fragment may scan
+///    `@frag<j>` only for `j` below its own index. A forward reference
+///    fails here, before any env interaction.
+/// 2. **Relational step.** Cross-site transfer of the upstream outputs the
+///    fragment scans and its instance shape are resolved (pure functions
+///    of earlier fragments); then the fragment obtains its output — from
+///    the result cache, else under its site permit from the planning
+///    hand-off when one matches (see
+///    [`SharedExecutor::with_profiled_fragments`]) or by running the fused
+///    executor — and holds the permit through its paced occupancy. This
+///    step never touches the env.
+/// 3. **Simulation step**: one env section (read load, draw noise, tick
+///    the clock — atomic under one lock, so per-site RNG streams stay
+///    consistent however workers interleave) plus billing.
 ///
-/// 1. **Dependency analysis** groups fragments into waves — fragment `i`'s
-///    wave is its depth in the `@frag` dependency DAG, so fragments of one
-///    wave are mutually independent.
-/// 2. **Relational phase**, wave by wave: each fragment acquires its site
-///    permit, obtains its output — the planning hand-off's when one
-///    matches (see [`SharedExecutor::with_profiled_fragments`]), else by
-///    running the fused executor over the catalog — holds the permit
-///    through its paced occupancy, then releases. With `parallel` on, a
-///    wave's fragments do this on scoped threads concurrently. Cross-site
-///    transfer costs and instance shapes are resolved before the wave
-///    (pure functions of earlier waves' outputs).
-/// 3. **Simulation phase**: after each wave, one env section per newly
-///    completed fragment (read load, draw noise, tick the clock) plus
-///    billing — always consumed in fragment *index* order, advancing a
-///    cursor over the completed prefix. On a failure the cursor still
-///    advances over the fragments that did complete before the error is
-///    surfaced, so a shared env sees the same draws/ticks the historical
-///    fragment-at-a-time loop had already consumed when *it* hit the
-///    error.
-///
-/// Because simulation sections always run in index order and the
-/// relational phase never touches the env, the simulated outcome is
-/// bit-for-bit identical whether a wave executed serially or in parallel —
-/// and identical to the historical fragment-at-a-time loop. One caveat on
-/// *error* paths of non-prefix DAGs (a lower-index fragment scheduled in a
-/// later wave than a failing higher-index one — impossible for the
-/// prepare/prepare/combine plans [`crate::exec`] callers assemble): the
-/// failing wave surfaces its own lowest-index error, and env sections of
-/// lower-index fragments that never executed are not replayed. Malformed
-/// (forward-referencing) queries likewise fail during up-front validation,
-/// before any env interaction.
+/// A failure surfaces at the fragment that hit it, its execution error
+/// before its instance-lookup error; the fragments before it have already
+/// consumed their env sections, so a shared env ends an aborted query in
+/// the state the completed prefix left it in.
 fn run_federated(
-    federation: &Federation,
-    env: &mut EnvHandle<'_>,
-    opts: RunOptions<'_>,
+    ex: &SharedExecutor<'_>,
     query: &FederatedQuery,
     base_tables: TableSource<'_>,
+    work_scale: f64,
 ) -> Result<ExecutionOutcome, EngineError> {
-    let RunOptions {
+    let &SharedExecutor {
+        federation,
+        env,
         admission,
         pacing,
-        parallel,
-        work_scale,
-        partition_degree,
         faults,
         cache,
         profiled,
-    } = opts;
+    } = ex;
     let work_scale = if work_scale.is_finite() && work_scale > 0.0 {
         work_scale
     } else {
@@ -608,9 +438,8 @@ fn run_federated(
     };
     let n = query.fragments.len();
 
-    // Dependency analysis: reject forward references, assign waves.
+    // Dependency analysis: reject forward references.
     let mut deps: Vec<Vec<usize>> = Vec::with_capacity(n);
-    let mut wave_of: Vec<usize> = Vec::with_capacity(n);
     for (idx, fragment) in query.fragments.iter().enumerate() {
         let frag_deps = referenced_fragments(&fragment.plan);
         if let Some(&dep) = frag_deps.iter().find(|&&dep| dep >= idx) {
@@ -618,10 +447,8 @@ fn run_federated(
                 "fragment {idx} references later fragment {dep}"
             )));
         }
-        wave_of.push(frag_deps.iter().map(|&d| wave_of[d] + 1).max().unwrap_or(0));
         deps.push(frag_deps);
     }
-    let n_waves = wave_of.iter().max().map_or(0, |&w| w + 1);
 
     // Which fragments may take their output from the planning hand-off:
     // the entry at the fragment's index was produced by an equal plan, and
@@ -719,114 +546,90 @@ fn run_federated(
         }
     }
 
-    // Per-fragment state filled wave by wave.
-    let mut executed: Vec<Option<(Arc<Table>, WorkProfile)>> = (0..n).map(|_| None).collect();
-    let mut shapes: Vec<Option<Result<InstanceType, EngineError>>> =
-        (0..n).map(|_| None).collect();
-    let mut transfers: Vec<(f64, Money, u64)> = vec![(0.0, Money::ZERO, 0); n];
     let mut frag_bytes: Vec<u64> = vec![0; n];
     let mut cache_hits = 0u32;
     let mut reused_fragments = 0u32;
-    let mut sim = SimCursor::new(n);
+    let mut outcomes: Vec<FragmentOutcome> = Vec::with_capacity(n);
+    let mut last_table: Option<Arc<Table>> = None;
+    let mut total_elapsed = 0.0;
+    let mut total_money = Money::ZERO;
+    let mut total_intermediate = 0u64;
 
-    for wave in 0..n_waves {
-        let members: Vec<usize> = (0..n).filter(|&i| wave_of[i] == wave).collect();
-
+    for (idx, fragment) in query.fragments.iter().enumerate() {
         // Pure pre-computation: cross-site transfer of every upstream
-        // fragment output this wave scans, and instance-shape resolution
-        // (needed in-phase for paced occupancy; its error, if any, is
-        // surfaced in fragment order below).
-        for &idx in &members {
-            let fragment = &query.fragments[idx];
-            let mut transfer_s = 0.0;
-            let mut transfer_money = Money::ZERO;
-            let mut ingress = 0u64;
-            for &dep in &deps[idx] {
-                let from = query.fragments[dep].site;
-                if from != fragment.site {
-                    let bytes = (frag_bytes[dep] as f64 * work_scale) as u64;
-                    let est = federation.transfer(from, fragment.site, bytes);
-                    transfer_s += est.seconds;
-                    transfer_money += federation.transfer_cost(from, fragment.site, bytes);
-                    ingress += bytes;
-                }
+        // fragment output this one scans, and instance-shape resolution
+        // (needed for paced occupancy; its error, if any, is surfaced
+        // after the fragment's own execution error below).
+        let mut transfer_s = 0.0;
+        let mut transfer_money = Money::ZERO;
+        let mut ingress = 0u64;
+        for &dep in &deps[idx] {
+            let from = query.fragments[dep].site;
+            if from != fragment.site {
+                let bytes = (frag_bytes[dep] as f64 * work_scale) as u64;
+                let est = federation.transfer(from, fragment.site, bytes);
+                transfer_s += est.seconds;
+                transfer_money += federation.transfer_cost(from, fragment.site, bytes);
+                ingress += bytes;
             }
-            transfers[idx] = (transfer_s, transfer_money, ingress);
-            shapes[idx] = Some(
-                federation
-                    .site(fragment.site)
-                    .catalog
-                    .by_name(&fragment.instance)
-                    .cloned()
-                    .ok_or_else(|| {
-                        EngineError::Unavailable(format!(
-                            "instance {} at site {}",
-                            fragment.instance,
-                            federation.site(fragment.site).name
-                        ))
-                    }),
-            );
         }
+        let site = federation.site(fragment.site);
+        let shape = site.catalog.by_name(&fragment.instance);
+        let profile = EngineProfile::for_engine(fragment.engine);
+        let workers = |shape: &InstanceType| fragment.vm_count.max(1) * shape.vcpus.max(1);
 
-        // Relational phase. Queue for an execution slot at the fragment's
-        // site; the permit is held across the relational work AND the
-        // paced wait, because that is the span during which the site is
-        // actually busy. Nominal occupancy (unit load, no noise) is a pure
-        // function of plan and data, so every run sleeps the same total
-        // regardless of interleaving — throughput comparisons across
-        // worker counts (and fragment-parallel modes) measure overlap,
-        // not luck.
-        let run_one = |idx: usize| -> FragmentRun {
-            let fragment = &query.fragments[idx];
-            // Injected outage: the site refuses the fragment before a slot
-            // is even taken (a down site has no queue to wait in) — and
-            // before the cache is consulted, so a fault schedule replays
-            // identically whether the cache is warm or cold.
-            if let Some(f) = faults {
-                if f.site_down(fragment.site) {
-                    return Err(EngineError::SiteUnavailable {
-                        site: fragment.site,
-                    });
-                }
-            }
-            // Cache hit: the fragment's output already exists — return it
-            // without taking a site slot, executing, or pacing. The cached
-            // table and work profile are bit-identical to what execution
-            // would produce, so everything downstream (simulation,
-            // billing, transfers) is unchanged.
-            if let (Some(binding), Some(key)) = (cache, &cache_keys[idx]) {
-                if let Some(hit) = binding.cache.get(key) {
-                    let hit = (Arc::clone(&hit.table), hit.work.clone(), FragmentSource::Cache);
-                    return Ok(hit);
-                }
-            }
+        // Injected outage: the site refuses the fragment before a slot is
+        // even taken (a down site has no queue to wait in) — and before
+        // the cache is consulted, so a fault schedule replays identically
+        // whether the cache is warm or cold.
+        if faults.is_some_and(|f| f.site_down(fragment.site)) {
+            return Err(EngineError::SiteUnavailable {
+                site: fragment.site,
+            });
+        }
+        let cache_slot = cache.zip(cache_keys[idx].as_ref());
+        // Cache hit: the fragment's output already exists — take it without
+        // a site slot, executing, or pacing. The cached table and work
+        // profile are bit-identical to what execution would produce, so
+        // everything downstream (simulation, billing, transfers) is
+        // unchanged.
+        let hit = cache_slot.and_then(|(binding, key)| binding.cache.get(key));
+        let (table, work) = if let Some(hit) = hit {
+            cache_hits += 1;
+            (Arc::clone(&hit.table), hit.work.clone())
+        } else {
+            // Queue for an execution slot at the fragment's site; the
+            // permit is held across the relational work AND the paced
+            // wait, because that is the span during which the site is
+            // actually busy.
             let capped = faults.is_some_and(|f| f.capped(fragment.site));
-            let permit = admission.map(|a| a.acquire_capped(fragment.site, capped));
+            let permit = admission.acquire_capped(fragment.site, capped);
             // Planning already ran this plan over these tables: take its
             // output in place of running it again — and nothing else; the
             // permit above and the pacing and cache insert below apply to
             // a handed-over fragment exactly as to an executed one.
             let result = match handed[idx] {
-                Some(p) => Ok((Arc::clone(&p.table), p.work.clone(), FragmentSource::HandOff)),
-                None => {
-                    execute_fused_over(&fragment.plan, &catalog, base_tables, partition_degree)
-                        .map(|(table, work)| (Arc::new(table), work, FragmentSource::Executed))
-                }
+                Some(p) => Ok((Arc::clone(&p.table), p.work.clone())),
+                None => execute_fused_over(&fragment.plan, &catalog, base_tables)
+                    .map(|(table, work)| (Arc::new(table), work)),
             };
+            // Nominal occupancy (unit load, no noise) is a pure function of
+            // plan and data, so every run sleeps the same total regardless
+            // of interleaving — throughput comparisons across worker
+            // counts measure overlap, not luck.
             if pacing > 0.0 {
-                if let (Ok((_, work, _)), Some(Ok(shape))) = (&result, &shapes[idx]) {
-                    let workers = fragment.vm_count.max(1) * shape.vcpus.max(1);
-                    let profile = EngineProfile::for_engine(fragment.engine);
-                    let nominal_s = transfers[idx].0
+                if let (Ok((_, work)), Some(shape)) = (&result, shape) {
+                    let nominal_s = transfer_s
                         + simulate_fragment_seconds_scaled(
-                            work, &profile, workers, 1.0, 1.0, work_scale,
+                            work, &profile, workers(shape), 1.0, 1.0, work_scale,
                         );
                     std::thread::sleep(Duration::from_secs_f64(nominal_s * pacing));
                 }
             }
             drop(permit);
-            let (table, work, source) = result?;
-            if let (Some(binding), Some(key)) = (cache, &cache_keys[idx]) {
+            let (table, work) = result?;
+            reused_fragments += handed[idx].is_some() as u32;
+            if let Some((binding, key)) = cache_slot {
                 binding.cache.insert(
                     key.clone(),
                     Arc::new(CachedFragment {
@@ -836,262 +639,108 @@ fn run_federated(
                     binding.tenant,
                 );
             }
-            Ok((table, work, source))
+            (table, work)
         };
-        // Admission-aware LPT launch order: within a *parallel* wave, start
-        // the fragment with the largest estimated relational input first.
-        // When two fragments of one wave target the same saturated site,
-        // the longest one entering the admission queue first shrinks the
-        // wave's critical path (classic longest-processing-time
-        // scheduling); the estimate is a pure function of the catalog, so
-        // the order is deterministic, and simulated outcomes are unaffected
-        // because the simulation phase below always consumes fragments in
-        // index order. Serial execution and single-fragment waves gain
-        // nothing from reordering, so they keep the historical index order
-        // (and skip the estimation walk entirely).
-        let launch_order = if parallel && members.len() > 1 {
-            lpt_launch_order(&members, |idx| {
-                let fragment = &query.fragments[idx];
-                let base: u64 = referenced_base_tables(&fragment.plan)
-                    .iter()
-                    .filter_map(|name| base_tables.table_bytes(name))
-                    .sum();
-                base + deps[idx].iter().map(|&d| frag_bytes[d]).sum::<u64>()
-            })
-        } else {
-            members.clone()
-        };
-        let results: Vec<FragmentRun> =
-            if parallel && launch_order.len() > 1 {
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = launch_order
-                        .iter()
-                        .map(|&idx| scope.spawn(move || run_one(idx)))
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("fragment thread panicked"))
-                        .collect()
-                })
-            } else {
-                launch_order.iter().map(|&idx| run_one(idx)).collect()
-            };
+        let shape = shape.ok_or_else(|| {
+            EngineError::Unavailable(format!(
+                "instance {} at site {}",
+                fragment.instance, site.name
+            ))
+        })?;
+        frag_bytes[idx] = table.estimated_bytes();
+        catalog.insert_shared(format!("@frag{idx}"), Arc::clone(&table));
 
-        // Collect in fragment order (launch order was LPT; sorting back
-        // restores it); the lowest-index failure wins, with a fragment's
-        // execution error preceding its instance-lookup error — exactly
-        // what the sequential fragment-at-a-time loop surfaced. Before
-        // surfacing an error, the sim cursor advances over the fragments
-        // that *did* complete, consuming the env draws/ticks the
-        // sequential loop had already consumed at that point — a shared
-        // env must end an aborted query in the same state either way.
-        let mut collected: Vec<_> = launch_order.into_iter().zip(results).collect();
-        collected.sort_by_key(|(idx, _)| *idx);
-        for (idx, result) in collected {
-            let (table, work, source) = match result {
-                Ok(ok) => ok,
-                Err(e) => {
-                    sim.advance(env, federation, query, &mut executed, &mut shapes, &transfers, work_scale, faults);
-                    return Err(e);
-                }
-            };
-            if shapes[idx].as_ref().is_some_and(|shape| shape.is_err()) {
-                sim.advance(env, federation, query, &mut executed, &mut shapes, &transfers, work_scale, faults);
-                return Err(shapes[idx].take().expect("staged").unwrap_err());
-            }
-            cache_hits += (source == FragmentSource::Cache) as u32;
-            reused_fragments += (source == FragmentSource::HandOff) as u32;
-            frag_bytes[idx] = table.estimated_bytes();
-            catalog.insert_shared(format!("@frag{idx}"), Arc::clone(&table));
-            executed[idx] = Some((table, work));
-        }
-        sim.advance(env, federation, query, &mut executed, &mut shapes, &transfers, work_scale, faults);
+        // Simulation step: read load, draw noise, advance the world by the
+        // fragment's elapsed time — the three ops atomic under one lock.
+        let elapsed = {
+            // Recover a poisoned env instead of cascading: the guarded
+            // drift/clock state is plain arithmetic kept consistent at
+            // every unlock, and one panicked job must not abort the whole
+            // runtime's simulation.
+            let mut env = env.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+            // An injected slowdown multiplies the site's load; it never
+            // consumes RNG, so positions outside every window simulate
+            // bit-identically to a fault-free run (x * 1.0 == x).
+            let slowdown = faults.map_or(1.0, |f| f.slowdown(fragment.site));
+            let load = env.load(fragment.site) * slowdown;
+            let noise = env.noise(fragment.site);
+            let compute_s = simulate_fragment_seconds_scaled(
+                &work, &profile, workers(shape), load, noise, work_scale,
+            );
+            let elapsed = compute_s + transfer_s;
+            // The world moves on while the fragment runs.
+            env.tick(elapsed);
+            elapsed
+        };
+
+        // Billing: VMs for the fragment duration plus the egress already
+        // accounted.
+        let vm_money = site
+            .pricing
+            .instance_cost(shape, fragment.vm_count.max(1), elapsed);
+        let money = vm_money + transfer_money;
+
+        total_intermediate += work.total_intermediate_bytes();
+        total_elapsed += elapsed;
+        total_money += money;
+        last_table = Some(table);
+        outcomes.push(FragmentOutcome {
+            elapsed_s: elapsed,
+            money,
+            ingress_bytes: ingress,
+            work,
+        });
     }
 
     Ok(ExecutionOutcome {
-        result: sim
-            .last_table
-            .unwrap_or_else(|| Arc::new(Table::empty("empty"))),
-        elapsed_s: sim.total_elapsed,
-        money: sim.total_money,
-        intermediate_bytes: sim.total_intermediate,
+        result: last_table.unwrap_or_else(|| Arc::new(Table::empty("empty"))),
+        elapsed_s: total_elapsed,
+        money: total_money,
+        intermediate_bytes: total_intermediate,
         catalog_shared_bytes,
         catalog_cloned_bytes,
         cache_hits,
         reused_fragments,
-        fragments: sim.outcomes,
+        fragments: outcomes,
     })
 }
 
-/// Where one fragment's output came from in the relational phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FragmentSource {
-    /// The fused executor ran the plan.
-    Executed,
-    /// The shared result cache held it.
-    Cache,
-    /// Planning handed it over.
-    HandOff,
-}
-
-/// What the relational phase yields per fragment.
-type FragmentRun = Result<(Arc<Table>, WorkProfile, FragmentSource), EngineError>;
-
-/// The simulation-phase cursor of [`run_federated`]: consumes completed
-/// fragments strictly in index order, giving each its env section (read
-/// load, draw noise, advance the world by the fragment's elapsed time —
-/// the three ops atomic under one lock, preserving per-site RNG stream
-/// consistency no matter how the relational phase interleaved) and its
-/// billing.
-struct SimCursor {
-    /// Fragments `[0, next)` have been simulated and billed.
-    next: usize,
-    outcomes: Vec<FragmentOutcome>,
-    last_table: Option<Arc<Table>>,
-    total_elapsed: f64,
-    total_money: Money,
-    total_intermediate: u64,
-}
-
-impl SimCursor {
-    fn new(n: usize) -> Self {
-        SimCursor {
-            next: 0,
-            outcomes: Vec::with_capacity(n),
-            last_table: None,
-            total_elapsed: 0.0,
-            total_money: Money::ZERO,
-            total_intermediate: 0,
-        }
+/// Calls `visit` with the table name of every scan in `plan`, left to
+/// right, repeats included — the one place this module learns the plan's
+/// shape ([`PhysicalPlan::children`]).
+fn for_each_scan<'p>(plan: &'p PhysicalPlan, visit: &mut impl FnMut(&'p str)) {
+    if let PhysicalPlan::Scan { table } | PhysicalPlan::PrunedScan { table, .. } = plan {
+        visit(table);
     }
-
-    /// Processes the maximal completed prefix of fragments past the
-    /// cursor. Entries consumed here always have an `Ok` shape — the wave
-    /// collector surfaces shape errors before marking a fragment executed.
-    #[allow(clippy::too_many_arguments)]
-    fn advance(
-        &mut self,
-        env: &mut EnvHandle<'_>,
-        federation: &Federation,
-        query: &FederatedQuery,
-        executed: &mut [Option<(Arc<Table>, WorkProfile)>],
-        shapes: &mut [Option<Result<InstanceType, EngineError>>],
-        transfers: &[(f64, Money, u64)],
-        work_scale: f64,
-        faults: Option<FaultContext<'_>>,
-    ) {
-        while self.next < executed.len() && executed[self.next].is_some() {
-            let idx = self.next;
-            let fragment = &query.fragments[idx];
-            let (table, work) = executed[idx].take().expect("checked above");
-            let shape = shapes[idx]
-                .take()
-                .expect("resolved with its wave")
-                .expect("errors surfaced before execution was recorded");
-            let (transfer_s, transfer_money, ingress) = transfers[idx];
-            let workers = fragment.vm_count.max(1) * shape.vcpus.max(1);
-            let profile = EngineProfile::for_engine(fragment.engine);
-            let elapsed = env.with(|env| {
-                // An injected slowdown multiplies the site's load; it never
-                // consumes RNG, so positions outside every window simulate
-                // bit-identically to a fault-free run (x * 1.0 == x).
-                let slowdown = faults.map_or(1.0, |f| f.slowdown(fragment.site));
-                let load = env.load(fragment.site) * slowdown;
-                let noise = env.noise(fragment.site);
-                let compute_s = simulate_fragment_seconds_scaled(
-                    &work, &profile, workers, load, noise, work_scale,
-                );
-                let elapsed = compute_s + transfer_s;
-                // The world moves on while the fragment runs.
-                env.tick(elapsed);
-                elapsed
-            });
-
-            // Billing: VMs for the fragment duration plus the egress
-            // already accounted.
-            let site = federation.site(fragment.site);
-            let vm_money = site
-                .pricing
-                .instance_cost(&shape, fragment.vm_count.max(1), elapsed);
-            let money = vm_money + transfer_money;
-
-            self.total_intermediate += work.total_intermediate_bytes();
-            self.total_elapsed += elapsed;
-            self.total_money += money;
-            self.last_table = Some(table);
-            self.outcomes.push(FragmentOutcome {
-                elapsed_s: elapsed,
-                money,
-                ingress_bytes: ingress,
-                work,
-            });
-            self.next += 1;
-        }
+    for child in plan.children() {
+        for_each_scan(child, visit);
     }
 }
 
-/// Longest-processing-time launch order for one wave: `members` sorted by
-/// descending `estimate` (estimated relational input bytes), ties broken by
-/// ascending fragment index so the order is fully deterministic.
-fn lpt_launch_order(members: &[usize], estimate: impl Fn(usize) -> u64) -> Vec<usize> {
-    let mut order: Vec<(u64, usize)> = members.iter().map(|&idx| (estimate(idx), idx)).collect();
-    order.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-    order.into_iter().map(|(_, idx)| idx).collect()
-}
-
-/// Base-table scan names (everything but `@frag<N>`) referenced by a plan.
+/// Base-table scan names (everything but `@frag<N>`) referenced by a plan,
+/// each once, in first-scanned order.
 fn referenced_base_tables(plan: &PhysicalPlan) -> Vec<String> {
-    fn walk(plan: &PhysicalPlan, out: &mut Vec<String>) {
-        match plan {
-            PhysicalPlan::Scan { table } | PhysicalPlan::PrunedScan { table, .. } => {
-                if !table.starts_with("@frag") && !out.iter().any(|t| t == table) {
-                    out.push(table.clone());
-                }
-            }
-            PhysicalPlan::Filter { input, .. }
-            | PhysicalPlan::Project { input, .. }
-            | PhysicalPlan::Aggregate { input, .. }
-            | PhysicalPlan::Sort { input, .. }
-            | PhysicalPlan::Limit { input, .. } => walk(input, out),
-            PhysicalPlan::HashJoin { left, right, .. } => {
-                walk(left, out);
-                walk(right, out);
-            }
+    let mut out: Vec<String> = Vec::new();
+    for_each_scan(plan, &mut |table| {
+        if !table.starts_with("@frag") && !out.iter().any(|t| t == table) {
+            out.push(table.to_string());
         }
-    }
-    let mut out = Vec::new();
-    walk(plan, &mut out);
+    });
     out
 }
 
-/// Scan names of the form `@frag<N>` referenced by a plan.
+/// Indices `N` of the scan names of the form `@frag<N>` referenced by a
+/// plan, ascending, each once.
 fn referenced_fragments(plan: &PhysicalPlan) -> Vec<usize> {
     let mut deps = Vec::new();
-    collect_refs(plan, &mut deps);
+    for_each_scan(plan, &mut |table| {
+        if let Some(idx) = table.strip_prefix("@frag").and_then(|rest| rest.parse().ok()) {
+            deps.push(idx);
+        }
+    });
     deps.sort_unstable();
     deps.dedup();
     deps
-}
-
-fn collect_refs(plan: &PhysicalPlan, out: &mut Vec<usize>) {
-    match plan {
-        PhysicalPlan::Scan { table } | PhysicalPlan::PrunedScan { table, .. } => {
-            if let Some(rest) = table.strip_prefix("@frag") {
-                if let Ok(idx) = rest.parse::<usize>() {
-                    out.push(idx);
-                }
-            }
-        }
-        PhysicalPlan::Filter { input, .. }
-        | PhysicalPlan::Project { input, .. }
-        | PhysicalPlan::Aggregate { input, .. }
-        | PhysicalPlan::Sort { input, .. }
-        | PhysicalPlan::Limit { input, .. } => collect_refs(input, out),
-        PhysicalPlan::HashJoin { left, right, .. } => {
-            collect_refs(left, out);
-            collect_refs(right, out);
-        }
-    }
 }
 
 /// Converts a work profile into simulated seconds for one fragment.
@@ -1216,14 +865,53 @@ mod tests {
         env
     }
 
-    fn executor(fed: &Federation) -> Executor<'_> {
-        Executor::new(fed, mild_env(fed))
+    /// A [`SharedExecutor`] over an env of its own: the single-threaded
+    /// caller's shape (what the `ires` scheduler builds).
+    struct Solo<'a> {
+        fed: &'a Federation,
+        env: Mutex<SimulationEnv>,
+        admission: SiteAdmission,
+    }
+
+    impl<'a> Solo<'a> {
+        fn new(fed: &'a Federation, env: SimulationEnv) -> Self {
+            Solo {
+                fed,
+                env: Mutex::new(env),
+                admission: SiteAdmission::unmetered(),
+            }
+        }
+
+        fn env(&self) -> std::sync::MutexGuard<'_, SimulationEnv> {
+            self.env.lock().unwrap()
+        }
+
+        fn shared(&self) -> SharedExecutor<'_> {
+            SharedExecutor::new(self.fed, &self.env, &self.admission)
+        }
+
+        fn run(&self, q: &FederatedQuery, t: &Catalog) -> Result<ExecutionOutcome, EngineError> {
+            self.shared().run(q, t)
+        }
+
+        fn run_with_scale(
+            &self,
+            q: &FederatedQuery,
+            t: &Catalog,
+            work_scale: f64,
+        ) -> Result<ExecutionOutcome, EngineError> {
+            self.shared().run_with_scale(q, t, work_scale)
+        }
+    }
+
+    fn executor(fed: &Federation) -> Solo<'_> {
+        Solo::new(fed, mild_env(fed))
     }
 
     #[test]
     fn runs_and_joins_across_sites() {
         let (fed, a, b) = example_federation();
-        let mut ex = executor(&fed);
+        let ex = executor(&fed);
         let out = ex.run(&two_fragment_query(a, b), &base_tables(100)).unwrap();
         assert_eq!(out.result.n_rows(), 50);
         assert!(out.elapsed_s > 0.0);
@@ -1237,7 +925,7 @@ mod tests {
     #[test]
     fn hive_startup_dominates_small_queries() {
         let (fed, a, b) = example_federation();
-        let mut ex = executor(&fed);
+        let ex = executor(&fed);
         let out = ex.run(&two_fragment_query(a, b), &base_tables(10)).unwrap();
         // Fragment 1 runs on Hive: on a 10-row input its startup latency is
         // essentially the whole cost (Mild drift keeps load within ~0.3 of
@@ -1291,7 +979,7 @@ mod tests {
     fn failed_query_still_consumes_completed_fragments_env_sections() {
         let (fed, a, b) = example_federation();
         // Fragment 0 scans a present table; fragment 1 scans a missing one
-        // (both in wave 0 — no dependencies).
+        // (no dependencies between them).
         let q = FederatedQuery {
             fragments: vec![
                 Fragment {
@@ -1314,91 +1002,19 @@ mod tests {
                 },
             ],
         };
-        let mut ex = executor(&fed);
+        let ex = executor(&fed);
         let err = ex.run(&q, &base_tables(50));
         assert!(matches!(err, Err(EngineError::UnknownTable(_))));
         // The completed fragment's env section (load, noise, tick) was
-        // consumed before the error surfaced — exactly the state the
-        // sequential fragment-at-a-time loop left a shared env in.
+        // consumed before the error surfaced.
         let clock_after_failure = ex.env().clock_s;
         assert!(clock_after_failure > 0.0);
         let q0 = FederatedQuery {
             fragments: vec![q.fragments[0].clone()],
         };
-        let mut ex0 = executor(&fed);
+        let ex0 = executor(&fed);
         ex0.run(&q0, &base_tables(50)).unwrap();
         assert_eq!(ex0.env().clock_s.to_bits(), clock_after_failure.to_bits());
-    }
-
-    #[test]
-    fn lpt_order_is_descending_cost_with_index_ties() {
-        let sizes = [10u64, 40, 40, 5];
-        let order = lpt_launch_order(&[0, 1, 2, 3], |idx| sizes[idx]);
-        assert_eq!(order, vec![1, 2, 0, 3]);
-        // Degenerate waves pass through.
-        assert_eq!(lpt_launch_order(&[7], |_| 0), vec![7]);
-        assert!(lpt_launch_order(&[], |_| 0).is_empty());
-    }
-
-    #[test]
-    fn lpt_launch_keeps_simulated_outcomes_and_error_order() {
-        // Fragment 0 is *smaller* than fragment 1 in wave 0, so a parallel
-        // wave launches 1 before 0 (LPT) — yet the simulated outcome must
-        // be bit-identical to the serial index-order run (the sim cursor
-        // still consumes in index order), and the lowest-index error must
-        // still win.
-        let (fed, a, b) = example_federation();
-        let q = FederatedQuery {
-            fragments: vec![
-                Fragment {
-                    plan: PhysicalPlan::Scan {
-                        table: "right".to_string(),
-                    },
-                    site: b,
-                    engine: EngineKind::PostgreSql,
-                    instance: "B2S".to_string(),
-                    vm_count: 1,
-                },
-                Fragment {
-                    plan: PhysicalPlan::Scan {
-                        table: "left".to_string(),
-                    },
-                    site: a,
-                    engine: EngineKind::Hive,
-                    instance: "a1.large".to_string(),
-                    vm_count: 1,
-                },
-            ],
-        };
-        let tables = base_tables(200);
-        let serial = executor(&fed).run(&q, &tables).unwrap();
-        assert_eq!(serial.fragments.len(), 2);
-        // Parallel (LPT-ordered) execution of the same wave, same seed.
-        let mut env = SimulationEnv::new();
-        for site in fed.site_ids() {
-            env.register_site(site, 42, DriftIntensity::Mild);
-        }
-        let env = Mutex::new(env);
-        let admission = SiteAdmission::unmetered();
-        let parallel = SharedExecutor::new(&fed, &env, &admission)
-            .with_parallel_fragments(true)
-            .run(&q, &tables)
-            .unwrap();
-        assert_eq!(parallel.elapsed_s.to_bits(), serial.elapsed_s.to_bits());
-        assert_eq!(parallel.money, serial.money);
-        assert_eq!(parallel.result, serial.result);
-        // Both orders of a missing-table wave surface the lowest index.
-        let mut ghost = q.clone();
-        ghost.fragments[0].plan = PhysicalPlan::Scan {
-            table: "ghost0".to_string(),
-        };
-        ghost.fragments[1].plan = PhysicalPlan::Scan {
-            table: "ghost1".to_string(),
-        };
-        match executor(&fed).run(&ghost, &tables) {
-            Err(EngineError::UnknownTable(t)) => assert_eq!(t, "ghost0"),
-            other => panic!("expected UnknownTable(ghost0), got {other:?}"),
-        }
     }
 
     #[test]
@@ -1487,7 +1103,7 @@ mod tests {
     /// What planning would hand over for `q` over `base_tables(100)`.
     fn profile_of(q: &FederatedQuery) -> Vec<ProfiledFragment> {
         let plans: Vec<&PhysicalPlan> = q.fragments.iter().map(|f| &f.plan).collect();
-        profile_fragments(&plans, &base_tables(100), 1).unwrap()
+        profile_fragments(&plans, &base_tables(100)).unwrap()
     }
 
     /// Runs `q` over `base_tables(100)` on a fresh seeded env with the
@@ -1498,7 +1114,9 @@ mod tests {
         profiled: &[ProfiledFragment],
     ) -> ExecutionOutcome {
         executor(fed)
-            .run_profiled(q, &base_tables(100), 1.0, profiled)
+            .shared()
+            .with_profiled_fragments(profiled)
+            .run(q, &base_tables(100))
             .unwrap()
     }
 
@@ -1644,7 +1262,7 @@ mod tests {
     #[test]
     fn clock_advances_with_execution() {
         let (fed, a, b) = example_federation();
-        let mut ex = executor(&fed);
+        let ex = executor(&fed);
         assert_eq!(ex.env().clock_s, 0.0);
         let out = ex.run(&two_fragment_query(a, b), &base_tables(50)).unwrap();
         assert!((ex.env().clock_s - out.elapsed_s).abs() < 1e-9);
@@ -1662,10 +1280,10 @@ mod tests {
             }
             env
         };
-        let out1 = Executor::new(&fed, mk_env())
+        let out1 = Solo::new(&fed, mk_env())
             .run_with_scale(&q, &tables, 1.0)
             .unwrap();
-        let out50 = Executor::new(&fed, mk_env())
+        let out50 = Solo::new(&fed, mk_env())
             .run_with_scale(&q, &tables, 50.0)
             .unwrap();
         // Same relational result...
@@ -1686,7 +1304,7 @@ mod tests {
             out1.fragments[1].ingress_bytes * 50
         );
         // Degenerate scales are clamped to 1.0.
-        let bad = Executor::new(&fed, mk_env())
+        let bad = Solo::new(&fed, mk_env())
             .run_with_scale(&q, &tables, f64::NAN)
             .unwrap();
         assert!((bad.elapsed_s - out1.elapsed_s).abs() < out1.elapsed_s * 0.5);
@@ -1707,7 +1325,7 @@ mod tests {
             for site in fed.site_ids() {
                 env.register_site(site, 1, DriftIntensity::None);
             }
-            Executor::new(&fed, env).run(&q1, &tables).unwrap()
+            Solo::new(&fed, env).run(&q1, &tables).unwrap()
         };
         let out8 = {
             let mut q8 = q.clone();
@@ -1716,7 +1334,7 @@ mod tests {
             for site in fed.site_ids() {
                 env.register_site(site, 1, DriftIntensity::None);
             }
-            Executor::new(&fed, env).run(&q8, &tables).unwrap()
+            Solo::new(&fed, env).run(&q8, &tables).unwrap()
         };
         assert!(
             out8.fragments[1].elapsed_s < out1.fragments[1].elapsed_s,

@@ -39,11 +39,11 @@
 //!    `(left row, right row, hit)` index triples and gathers **only the
 //!    columns its filters, group keys and aggregates actually reference**
 //!    — each at most once, full-length, into a sparse side cache
-//!    ([`KernelCols::Cols`]) — removing the serial all-column gather tail
-//!    that bounds the partitioned join's speedup. Byte accounting for the
-//!    never-materialized join output is *virtual*: the same float
-//!    expression `Table::estimated_bytes_sel` would compute, evaluated
-//!    from the gather indices.
+//!    ([`KernelCols::Cols`]) — instead of gathering every column of the
+//!    join output. Byte accounting for the never-materialized join output
+//!    is *virtual*: the same float expression
+//!    `Table::estimated_bytes_sel` would compute, evaluated from the
+//!    gather indices.
 //! 4. **Staged filters.** A filter binds its compiled predicate to each
 //!    slab it scans — a table, a chunk, a deferred join's gathered columns
 //!    — once ([`KernelPlan::bind_filter`]). When every top-level conjunct
@@ -55,23 +55,24 @@
 //!    by construction; one opaque conjunct and the filter runs its single
 //!    program as before.
 //!
-//! **Bit-for-bit parity.** For every plan, [`execute_fused`] (and the
-//! partitioned/versioned variants) produces the same result [`Table`]
+//! **Bit-for-bit parity.** For every plan, [`execute_fused`] (and
+//! [`execute_fused_versioned`]) produces the same result [`Table`]
 //! (including [`Table::fingerprint`]) and the same [`WorkProfile`] as
 //! [`crate::ops::execute`] over the equivalent flat catalog — the
 //! `fused_differential` suite pins scalar vs vectorized vs fused-morsel
-//! and pinned vs chunk-native across randomized chunk boundaries and all
-//! partition degrees. Morsel boundaries are invisible because every
+//! and pinned vs chunk-native across randomized chunk boundaries.
+//! Morsel boundaries are invisible because every
 //! normalization (all-NULL collapse, mask dropping, type selection) is
 //! applied **globally** after the morsel loop, never per morsel. The one
 //! tolerated divergence: when a plan would fail with *multiple distinct
 //! errors*, the fused path may surface a different (equally valid) error
 //! variant than the whole-column path — `Ok`/`Err` always agrees.
 //!
-//! Intra-operator parallelism reuses the partitioned join/group sharding
-//! of [`crate::ops`] unchanged (morsel loops themselves stay serial — the
-//! shards are the parallel unit, morsels are the cache-residency unit),
-//! so fused execution is deterministic at every partition degree.
+//! **One thread per run.** Joins and group discovery are the single-pass
+//! kernels of [`crate::ops`], shared unchanged, and a fragment never
+//! spawns: parallelism in this system is workers over jobs (the runtime),
+//! which scales 2.1× on two vCPUs where sharding a join or a grouping
+//! inside one job measured 0.33–0.76× of the single pass.
 
 use crate::catalog::Catalog;
 use crate::data::{Column, ColumnData, DataType, Table, Value};
@@ -79,10 +80,9 @@ use crate::error::EngineError;
 use crate::expr::{BatchVals, EvalScratch, Expr, KernelCols, KernelPlan, NumTy, SelView};
 use crate::ops::{
     accumulate_aggs, agg_output_columns, aggregate_vec, hash_join_vec, join_key_columns,
-    partitioned_group_ids, partitioned_join_indices, record_batch, serial_group_ids,
-    serial_join_indices, sort_sel,
+    record_batch, serial_group_ids, serial_join_indices, sort_sel,
     AggExpr, AggInput, AggView, Batch, JoinType, OpKind, OpWork, PhysicalPlan, TableSlot,
-    WorkProfile, MAX_PARTITION_DEGREE,
+    WorkProfile,
 };
 use crate::version::{CatalogVersion, ChunkedTable};
 use std::sync::Arc;
@@ -92,26 +92,14 @@ use std::sync::Arc;
 /// dispatch to noise.
 pub const MORSEL_ROWS: usize = 16 * 1024;
 
-/// [`execute_fused_with_partitions`] at degree 1 (serial shards; morsels
-/// still apply).
+/// Executes `plan` with the morsel-driven fused pipelines over a flat
+/// [`Catalog`]. Result table and [`WorkProfile`] are bit-identical to the
+/// unfused executors.
 pub fn execute_fused(
     plan: &PhysicalPlan,
     catalog: &Catalog,
 ) -> Result<(Table, WorkProfile), EngineError> {
-    execute_fused_with_partitions(plan, catalog, 1)
-}
-
-/// Executes `plan` with the morsel-driven fused pipelines over a flat
-/// [`Catalog`], sharding joins/aggregations across `partition_degree`
-/// threads exactly like [`crate::ops::execute_with_partitions`]. Result
-/// table and [`WorkProfile`] are bit-identical to the unfused executors
-/// at every degree.
-pub fn execute_fused_with_partitions(
-    plan: &PhysicalPlan,
-    catalog: &Catalog,
-    partition_degree: usize,
-) -> Result<(Table, WorkProfile), EngineError> {
-    execute_fused_over(plan, &Catalog::new(), catalog.into(), partition_degree)
+    execute_fused_over(plan, &Catalog::new(), catalog.into())
 }
 
 /// Executes `plan` **chunk-natively** against one published
@@ -123,12 +111,11 @@ pub fn execute_fused_with_partitions(
 pub fn execute_fused_versioned(
     plan: &PhysicalPlan,
     version: &CatalogVersion,
-    partition_degree: usize,
 ) -> Result<(Table, WorkProfile), EngineError> {
-    execute_fused_over(plan, &Catalog::new(), version.into(), partition_degree)
+    execute_fused_over(plan, &Catalog::new(), version.into())
 }
 
-/// The one fused entry point behind the three above and behind
+/// The one fused entry point behind the two above and behind
 /// [`crate::exec`]: a scan resolves in `frags` first — a run's per-query
 /// catalog of `@frag<N>` outputs (and, for a flat source, its seeded base
 /// tables) — then in `base` (see [`resolve`]).
@@ -136,13 +123,11 @@ pub(crate) fn execute_fused_over(
     plan: &PhysicalPlan,
     frags: &Catalog,
     base: TableSource<'_>,
-    partition_degree: usize,
 ) -> Result<(Table, WorkProfile), EngineError> {
-    let degree = partition_degree.clamp(1, MAX_PARTITION_DEGREE);
     let mut profile = WorkProfile::default();
     let mut scratch = EvalScratch::new();
     let src = Tables { frags, base };
-    let fb = run_fused(plan, &src, &mut profile, degree, &mut scratch)?;
+    let fb = run_fused(plan, &src, &mut profile, &mut scratch)?;
     Ok((fb.materialize(&mut scratch), profile))
 }
 
@@ -834,7 +819,6 @@ fn run_fused<'a>(
     plan: &PhysicalPlan,
     src: &Tables<'a>,
     profile: &mut WorkProfile,
-    degree: usize,
     scratch: &mut EvalScratch,
 ) -> Result<FBatch<'a>, EngineError> {
     match plan {
@@ -849,7 +833,7 @@ fn run_fused<'a>(
             Ok(fb)
         }
         PhysicalPlan::Filter { input, predicate } => {
-            let fb = run_fused(input, src, profile, degree, scratch)?;
+            let fb = run_fused(input, src, profile, scratch)?;
             let rows_in = fb.len() as u64;
             let nb = filter_fbatch(fb, &predicate.compile(), scratch)?;
             record_fbatch(profile, OpKind::Filter, rows_in, &nb);
@@ -865,7 +849,7 @@ fn run_fused<'a>(
                 predicate,
             } = &**input
             {
-                let fb = run_fused(finner, src, profile, degree, scratch)?;
+                let fb = run_fused(finner, src, profile, scratch)?;
                 let rows_in_filter = fb.len() as u64;
                 let kp = predicate.compile();
                 let mut runs = compile_projection(exprs);
@@ -941,7 +925,7 @@ fn run_fused<'a>(
                 record_fbatch(profile, OpKind::Project, rows_in_project, &nb);
                 return Ok(nb);
             }
-            let fb = run_fused(input, src, profile, degree, scratch)?;
+            let fb = run_fused(input, src, profile, scratch)?;
             let rows_in = fb.len() as u64;
             let mut runs = compile_projection(exprs);
             let out_name = match &fb {
@@ -978,10 +962,10 @@ fn run_fused<'a>(
             right_keys,
             join_type,
         } => {
-            let lb = run_fused(left, src, profile, degree, scratch)?.into_flat(scratch);
-            let rb = run_fused(right, src, profile, degree, scratch)?.into_flat(scratch);
+            let lb = run_fused(left, src, profile, scratch)?.into_flat(scratch);
+            let rb = run_fused(right, src, profile, scratch)?.into_flat(scratch);
             let rows_in = (lb.len() + rb.len()) as u64;
-            let out = hash_join_vec(&lb, &rb, left_keys, right_keys, *join_type, degree)?;
+            let out = hash_join_vec(&lb, &rb, left_keys, right_keys, *join_type)?;
             let nb = FBatch::Flat(Batch::all(TableSlot::Owned(out)));
             record_fbatch(profile, OpKind::Join, rows_in, &nb);
             Ok(nb)
@@ -1015,13 +999,13 @@ fn run_fused<'a>(
                 filters.reverse(); // innermost (first-executed) first
                 return agg_over_join(
                     src, left, right, left_keys, right_keys, *join_type, &filters, group_by,
-                    aggs, profile, degree, scratch,
+                    aggs, profile, scratch,
                 );
             }
-            let fb = run_fused(input, src, profile, degree, scratch)?;
+            let fb = run_fused(input, src, profile, scratch)?;
             let rows_in = fb.len() as u64;
             let b = fb.into_flat(scratch);
-            let out = aggregate_vec(&b, group_by, aggs, degree, scratch)?;
+            let out = aggregate_vec(&b, group_by, aggs, scratch)?;
             if let Some(old) = b.sel {
                 scratch.put_sel(old);
             }
@@ -1030,7 +1014,7 @@ fn run_fused<'a>(
             Ok(nb)
         }
         PhysicalPlan::Sort { input, by } => {
-            let fb = run_fused(input, src, profile, degree, scratch)?;
+            let fb = run_fused(input, src, profile, scratch)?;
             let rows_in = fb.len() as u64;
             let b = fb.into_flat(scratch);
             let sel = sort_sel(&b, by)?;
@@ -1046,7 +1030,7 @@ fn run_fused<'a>(
             Ok(nb)
         }
         PhysicalPlan::Limit { input, n } => {
-            let fb = run_fused(input, src, profile, degree, scratch)?;
+            let fb = run_fused(input, src, profile, scratch)?;
             let rows_in = fb.len() as u64;
             let keep = fb.len().min(*n);
             let nb = match fb {
@@ -1337,19 +1321,15 @@ fn agg_over_join<'a>(
     group_by: &[usize],
     aggs: &[(String, AggExpr)],
     profile: &mut WorkProfile,
-    degree: usize,
     scratch: &mut EvalScratch,
 ) -> Result<FBatch<'a>, EngineError> {
-    let lb = run_fused(left, src, profile, degree, scratch)?.into_flat(scratch);
-    let rb = run_fused(right, src, profile, degree, scratch)?.into_flat(scratch);
+    let lb = run_fused(left, src, profile, scratch)?.into_flat(scratch);
+    let rb = run_fused(right, src, profile, scratch)?.into_flat(scratch);
     let rows_in_join = (lb.len() + rb.len()) as u64;
 
     let (lcols, rcols) = join_key_columns(&lb, &rb, left_keys, right_keys)?;
-    let (left_out, right_out, right_hit) = if degree > 1 {
-        partitioned_join_indices(&lb, &rb, &lcols, &rcols, join_type, degree)
-    } else {
-        serial_join_indices(&lb, &rb, &lcols, &rcols, join_type)
-    };
+    let (left_out, right_out, right_hit) =
+        serial_join_indices(&lb, &rb, &lcols, &rcols, join_type);
     let mut dj = DeferredJoin::new(lb.table(), rb.table(), left_out, right_out, right_hit);
     let n_join = dj.n();
     profile.ops.push(OpWork {
@@ -1394,8 +1374,8 @@ fn agg_over_join<'a>(
 
     // Group discovery — mirrors `aggregate_vec` exactly: empty `group_by`
     // is one global group even over empty input; group columns resolve
-    // lazily (only when rows exist), then the shared serial/partitioned
-    // discovery runs over the gathered key columns at the live positions.
+    // lazily (only when rows exist), then the shared discovery runs over
+    // the gathered key columns at the live positions.
     let group_ids: Vec<u32>;
     let rep_rows: Vec<u32>;
     let n_groups: usize;
@@ -1431,11 +1411,7 @@ fn agg_over_join<'a>(
                 slot: TableSlot::Borrowed(&placeholder),
                 sel: Some(positions_vec),
             };
-            let (gi, rr) = if degree > 1 {
-                partitioned_group_ids(&gb, &gcols, degree)
-            } else {
-                serial_group_ids(&gb, &gcols, n_live)
-            };
+            let (gi, rr) = serial_group_ids(&gb, &gcols, n_live);
             let Batch { sel, .. } = gb;
             (gi, rr, sel.expect("set above"))
         };

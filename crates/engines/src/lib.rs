@@ -56,14 +56,11 @@ pub use data::{Column, ColumnData, DataType, Table, Value};
 pub use engine::{EngineKind, EngineProfile};
 pub use error::EngineError;
 pub use exec::{
-    profile_fragments, ExecutionOutcome, Executor, ProfiledFragment, QepConfig, ResultCacheBinding,
+    profile_fragments, ExecutionOutcome, ProfiledFragment, QepConfig, ResultCacheBinding,
     SharedExecutor,
 };
 pub use expr::Expr;
-pub use fused::{
-    execute_fused, execute_fused_versioned, execute_fused_with_partitions, TableSource,
-    MORSEL_ROWS,
-};
+pub use fused::{execute_fused, execute_fused_versioned, TableSource, MORSEL_ROWS};
 pub use ops::{AggExpr, JoinType, PhysicalPlan, WorkProfile};
 pub use placement::Placement;
 pub use sim::{split_seed, AdmissionStats, LoadModel, SimulationEnv, SiteAdmission};

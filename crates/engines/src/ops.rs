@@ -131,6 +131,24 @@ pub enum PhysicalPlan {
     },
 }
 
+impl PhysicalPlan {
+    /// The operator's direct inputs, left before right. A walk that only
+    /// needs the tree's shape recurses over this instead of matching every
+    /// variant.
+    pub fn children(&self) -> impl Iterator<Item = &PhysicalPlan> {
+        let (first, second) = match self {
+            PhysicalPlan::Scan { .. } | PhysicalPlan::PrunedScan { .. } => (None, None),
+            PhysicalPlan::Filter { input, .. }
+            | PhysicalPlan::Project { input, .. }
+            | PhysicalPlan::Aggregate { input, .. }
+            | PhysicalPlan::Sort { input, .. }
+            | PhysicalPlan::Limit { input, .. } => (Some(&**input), None),
+            PhysicalPlan::HashJoin { left, right, .. } => (Some(&**left), Some(&**right)),
+        };
+        first.into_iter().chain(second)
+    }
+}
+
 /// What kind of work an operator performed (for the cost model).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpKind {
@@ -272,37 +290,9 @@ pub fn execute(
     plan: &PhysicalPlan,
     catalog: &Catalog,
 ) -> Result<(Table, WorkProfile), EngineError> {
-    execute_with_partitions(plan, catalog, 1)
-}
-
-/// [`execute`] with **intra-operator parallelism**: hash joins and grouped
-/// aggregations partition their inputs by the existing `u64` key hash into
-/// `partition_degree` shards (radix-style — selection vectors in, selection
-/// vectors out, no row materialization) and run the shards on scoped
-/// threads.
-///
-/// Because equal keys always share a shard and shard outputs are merged
-/// back in deterministic order, the result table, the [`WorkProfile`] and
-/// [`Table::fingerprint`] are **bit-for-bit identical** to the serial path
-/// at every degree (the `vectorized_differential` suite pins this against
-/// both [`execute`] and [`execute_scalar`]). A degree of 0 or 1 is the
-/// serial path; degrees above [`MAX_PARTITION_DEGREE`] are clamped.
-///
-/// There is deliberately **no small-input fallback**: a degree above 1
-/// always takes the sharded path, so the differential suites (which run
-/// on small tables) genuinely exercise it, and callers opting in via the
-/// knob get exactly what they asked for. On few-row inputs the scoped
-/// threads cost more than they save — leave the degree at 1 (the default
-/// at every layer) unless the workload's joins/aggregations are large.
-pub fn execute_with_partitions(
-    plan: &PhysicalPlan,
-    catalog: &Catalog,
-    partition_degree: usize,
-) -> Result<(Table, WorkProfile), EngineError> {
-    let degree = partition_degree.clamp(1, MAX_PARTITION_DEGREE);
     let mut profile = WorkProfile::default();
     let mut scratch = EvalScratch::new();
-    let batch = run_vec(plan, catalog, &mut profile, degree, &mut scratch)?;
+    let batch = run_vec(plan, catalog, &mut profile, &mut scratch)?;
     Ok((batch.materialize(), profile))
 }
 
@@ -859,7 +849,6 @@ fn run_vec<'a>(
     plan: &PhysicalPlan,
     catalog: &'a Catalog,
     profile: &mut WorkProfile,
-    degree: usize,
     scratch: &mut EvalScratch,
 ) -> Result<Batch<'a>, EngineError> {
     match plan {
@@ -887,7 +876,7 @@ fn run_vec<'a>(
             Ok(batch)
         }
         PhysicalPlan::Filter { input, predicate } => {
-            let b = run_vec(input, catalog, profile, degree, scratch)?;
+            let b = run_vec(input, catalog, profile, scratch)?;
             let rows_in = b.len() as u64;
             let mut sel = scratch.take_sel();
             predicate.eval_sel_in(b.table(), b.sel_ref(), scratch, &mut sel)?;
@@ -902,7 +891,7 @@ fn run_vec<'a>(
             Ok(batch)
         }
         PhysicalPlan::Project { input, exprs } => {
-            let b = run_vec(input, catalog, profile, degree, scratch)?;
+            let b = run_vec(input, catalog, profile, scratch)?;
             let rows_in = b.len() as u64;
             let out = project_vec(&b, exprs, scratch)?;
             let batch = Batch::all(TableSlot::Owned(out));
@@ -916,10 +905,10 @@ fn run_vec<'a>(
             right_keys,
             join_type,
         } => {
-            let lb = run_vec(left, catalog, profile, degree, scratch)?;
-            let rb = run_vec(right, catalog, profile, degree, scratch)?;
+            let lb = run_vec(left, catalog, profile, scratch)?;
+            let rb = run_vec(right, catalog, profile, scratch)?;
             let rows_in = (lb.len() + rb.len()) as u64;
-            let out = hash_join_vec(&lb, &rb, left_keys, right_keys, *join_type, degree)?;
+            let out = hash_join_vec(&lb, &rb, left_keys, right_keys, *join_type)?;
             let batch = Batch::all(TableSlot::Owned(out));
             record_batch(profile, OpKind::Join, rows_in, &batch);
             Ok(batch)
@@ -929,15 +918,15 @@ fn run_vec<'a>(
             group_by,
             aggs,
         } => {
-            let b = run_vec(input, catalog, profile, degree, scratch)?;
+            let b = run_vec(input, catalog, profile, scratch)?;
             let rows_in = b.len() as u64;
-            let out = aggregate_vec(&b, group_by, aggs, degree, scratch)?;
+            let out = aggregate_vec(&b, group_by, aggs, scratch)?;
             let batch = Batch::all(TableSlot::Owned(out));
             record_batch(profile, OpKind::Aggregate, rows_in, &batch);
             Ok(batch)
         }
         PhysicalPlan::Sort { input, by } => {
-            let b = run_vec(input, catalog, profile, degree, scratch)?;
+            let b = run_vec(input, catalog, profile, scratch)?;
             let rows_in = b.len() as u64;
             let sel = sort_sel(&b, by)?;
             let batch = Batch {
@@ -948,7 +937,7 @@ fn run_vec<'a>(
             Ok(batch)
         }
         PhysicalPlan::Limit { input, n } => {
-            let b = run_vec(input, catalog, profile, degree, scratch)?;
+            let b = run_vec(input, catalog, profile, scratch)?;
             let rows_in = b.len() as u64;
             let keep = b.len().min(*n);
             let sel = match b.sel {
@@ -1343,265 +1332,9 @@ impl U64Map {
     }
 }
 
-// ----- partitioned parallel join / aggregation -----
+// ----- group discovery -----
 
-/// Hard cap on the partition fan-out of one join or aggregation operator
-/// (one scoped thread per shard); [`execute_with_partitions`] clamps to it.
-pub const MAX_PARTITION_DEGREE: usize = 64;
-
-/// Which of `p` shards a key hash belongs to. The *high* hash bits pick the
-/// shard so each shard's open-addressing table keeps its full low-bit slot
-/// entropy ([`U64Map::probe`] indexes with `h & mask`); equal keys share a
-/// hash and therefore always share a shard.
-#[inline]
-fn shard_of(h: u64, p: usize) -> usize {
-    ((h >> 32) as usize) % p
-}
-
-/// Keys of one batch, hashed and radix-partitioned in a single
-/// chunk-parallel pass: each scoped thread hashes one contiguous range of
-/// batch positions and bins `(position, hash)` pairs into per-shard
-/// sublists. Within a shard, iterating the chunks in order yields strictly
-/// ascending positions — the invariant every downstream ordering argument
-/// rests on.
-struct PartitionedKeys {
-    /// `parts[chunk][shard]` → (batch position, key hash), ascending.
-    parts: Vec<Vec<Vec<(u32, u64)>>>,
-    /// Positions whose key had a NULL part (join keys only — sentinel
-    /// hashing is total), ascending.
-    nulls: Vec<u32>,
-}
-
-impl PartitionedKeys {
-    /// Number of hashed entries in shard `s`.
-    fn shard_len(&self, s: usize) -> usize {
-        self.parts.iter().map(|chunk| chunk[s].len()).sum()
-    }
-
-    /// Visits shard `s`'s (position, hash) pairs in ascending position
-    /// order.
-    fn for_shard(&self, s: usize, mut f: impl FnMut(u32, u64)) {
-        for chunk in &self.parts {
-            for &(pos, h) in &chunk[s] {
-                f(pos, h);
-            }
-        }
-    }
-}
-
-/// Hashes and partitions a batch's key columns into `p` shards on up to
-/// `p` scoped threads. Pure per-position work plus order-preserving
-/// binning, so the result is independent of the thread split.
-fn partition_keys(
-    b: &Batch<'_>,
-    cols: &[&Column],
-    null_sentinel: bool,
-    p: usize,
-) -> PartitionedKeys {
-    let n = b.len();
-    if n == 0 {
-        return PartitionedKeys {
-            parts: Vec::new(),
-            nulls: Vec::new(),
-        };
-    }
-    let chunk = n.div_ceil(p).max(1);
-    let ranges: Vec<(usize, usize)> = (0..n)
-        .step_by(chunk)
-        .map(|start| (start, (start + chunk).min(n)))
-        .collect();
-    let mut parts = Vec::with_capacity(ranges.len());
-    let mut nulls = Vec::new();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .iter()
-            .map(|&(start, end)| {
-                scope.spawn(move || {
-                    let mut bins: Vec<Vec<(u32, u64)>> = vec![Vec::new(); p];
-                    let mut chunk_nulls: Vec<u32> = Vec::new();
-                    for pos in start..end {
-                        match key_hash(cols, b.row_id(pos), null_sentinel) {
-                            Some(h) => bins[shard_of(h, p)].push((pos as u32, h)),
-                            None => chunk_nulls.push(pos as u32),
-                        }
-                    }
-                    (bins, chunk_nulls)
-                })
-            })
-            .collect();
-        for handle in handles {
-            let (bins, chunk_nulls) = handle.join().expect("partition thread panicked");
-            parts.push(bins);
-            nulls.extend(chunk_nulls);
-        }
-    });
-    PartitionedKeys { parts, nulls }
-}
-
-/// The partitioned counterpart of [`serial_join_indices`]: both sides are
-/// radix-partitioned by key hash into `p` shards (selection vectors of
-/// batch positions — no rows move), each shard builds its own [`U64Map`]
-/// on a scoped thread, probe work is split into bounded-size **probe
-/// tasks** that share the shard's build map read-only, and all task
-/// outputs merge back through a per-probe-position scatter.
-///
-/// The task split is the skew defence: with a plain thread-per-shard
-/// probe, one hot key (every `lineitem` row of one part, say) piles its
-/// whole probe side into a single shard and serializes the phase. Here a
-/// shard whose probe list exceeds its fair share `ceil(total / p)` is
-/// re-partitioned morsel-wise into up to `p` contiguous ranges, so the
-/// hot shard's probes run in parallel against the one shared build map
-/// (probing is read-only — only building needs exclusivity). Total probe
-/// tasks stay ≤ 2·p, keeping the thread fan-out bounded by the clamped
-/// degree.
-///
-/// Determinism: equal keys share a shard, so a shard's hash chains are
-/// exactly the serial chains restricted to its keys (built in reverse →
-/// ascending build position, verified by [`keys_equal`]); and because each
-/// probe position lives in exactly one task, with its matches contiguous
-/// there in chain order, the scatter reproduces the serial output row for
-/// row — bit-for-bit, at every `p` and every task decomposition.
-pub(crate) fn partitioned_join_indices(
-    lb: &Batch<'_>,
-    rb: &Batch<'_>,
-    lcols: &[&Column],
-    rcols: &[&Column],
-    join_type: JoinType,
-    p: usize,
-) -> (Vec<u32>, Vec<u32>, Vec<bool>) {
-    let ln = lb.len();
-    // Build rows with NULL keys never match and are dropped by the
-    // partitioner exactly as the serial build skips them; probe rows with
-    // NULL keys only ever emit the LeftOuter NULL row and are appended as
-    // a pseudo-shard below — the scatter restores probe order regardless.
-    let build_keys = partition_keys(rb, rcols, false, p);
-    let probe_keys = partition_keys(lb, lcols, false, p);
-
-    // Phase 1: per-shard hash-table builds, one scoped thread per shard.
-    struct ShardBuild {
-        build: Vec<(u32, u64)>,
-        map: U64Map,
-        next: Vec<u32>,
-    }
-    let builds: Vec<ShardBuild> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..p)
-            .map(|s| {
-                let build_keys = &build_keys;
-                scope.spawn(move || {
-                    let mut build: Vec<(u32, u64)> =
-                        Vec::with_capacity(build_keys.shard_len(s));
-                    build_keys.for_shard(s, |pos, h| build.push((pos, h)));
-                    let mut map = U64Map::new();
-                    let mut next: Vec<u32> = vec![0; build.len()];
-                    for local in (0..build.len()).rev() {
-                        let head = map.entry(build[local].1);
-                        next[local] = *head;
-                        *head = local as u32 + 1;
-                    }
-                    ShardBuild { build, map, next }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("join build thread panicked"))
-            .collect()
-    });
-
-    // Phase 2: probe tasks — each shard's probe list, split morsel-wise
-    // into contiguous ranges of at most its fair share of positions.
-    let probes: Vec<Vec<(u32, u64)>> = (0..p)
-        .map(|s| {
-            let mut v = Vec::with_capacity(probe_keys.shard_len(s));
-            probe_keys.for_shard(s, |pos, h| v.push((pos, h)));
-            v
-        })
-        .collect();
-    let probe_total: usize = probes.iter().map(|v| v.len()).sum();
-    let fair = probe_total.div_ceil(p).max(1);
-    let mut tasks: Vec<(usize, usize, usize)> = Vec::new(); // (shard, start, end)
-    for (s, v) in probes.iter().enumerate() {
-        if v.is_empty() {
-            continue;
-        }
-        let n_tasks = v.len().div_ceil(fair).min(p);
-        let step = v.len().div_ceil(n_tasks).max(1);
-        let mut start = 0;
-        while start < v.len() {
-            let end = (start + step).min(v.len());
-            tasks.push((s, start, end));
-            start = end;
-        }
-    }
-    let mut shard_outs: Vec<Vec<(u32, u32, bool)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = tasks
-            .iter()
-            .map(|&(s, start, end)| {
-                let (builds, probes) = (&builds, &probes);
-                scope.spawn(move || {
-                    let sb = &builds[s];
-                    let mut out: Vec<(u32, u32, bool)> = Vec::new();
-                    for &(pos, h) in &probes[s][start..end] {
-                        let lrow = lb.row_id(pos as usize);
-                        let mut matched = false;
-                        let mut cur = sb.map.get(h);
-                        while cur != 0 {
-                            let local = (cur - 1) as usize;
-                            let rrow = rb.row_id(sb.build[local].0 as usize);
-                            if keys_equal(lcols, lrow, rcols, rrow) {
-                                out.push((pos, rrow as u32, true));
-                                matched = true;
-                            }
-                            cur = sb.next[local];
-                        }
-                        if !matched && join_type == JoinType::LeftOuter {
-                            out.push((pos, 0, false));
-                        }
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("join probe thread panicked"))
-            .collect()
-    });
-    // NULL-key probe rows are always unmatched; under LeftOuter they emit
-    // their NULL row from a final pseudo-shard.
-    if join_type == JoinType::LeftOuter && !probe_keys.nulls.is_empty() {
-        shard_outs.push(probe_keys.nulls.iter().map(|&pos| (pos, 0, false)).collect());
-    }
-
-    // Scatter-merge back to probe order: per-position output counts →
-    // prefix offsets → each shard writes its (contiguous, chain-ordered)
-    // runs into the positions' slots.
-    let mut offsets = vec![0usize; ln + 1];
-    for shard in &shard_outs {
-        for &(pos, _, _) in shard {
-            offsets[pos as usize + 1] += 1;
-        }
-    }
-    for i in 0..ln {
-        offsets[i + 1] += offsets[i];
-    }
-    let total = offsets[ln];
-    let mut left_out = vec![0u32; total];
-    let mut right_out = vec![0u32; total];
-    let mut right_hit = vec![false; total];
-    for shard in &shard_outs {
-        for &(pos, rrow, hit) in shard {
-            let at = offsets[pos as usize];
-            offsets[pos as usize] += 1;
-            left_out[at] = lb.row_id(pos as usize) as u32;
-            right_out[at] = rrow;
-            right_hit[at] = hit;
-        }
-    }
-    (left_out, right_out, right_hit)
-}
-
-/// The serial first-seen group-id assignment: one pass over the batch,
+/// The first-seen group-id assignment: one pass over the batch,
 /// returning each position's group id and the first original row of every
 /// group, in first-seen order. A single `Int64` key whose live values span
 /// fewer integers than there are rows is addressed directly
@@ -1688,105 +1421,6 @@ fn group_ids_by(
     (group_ids, rep_rows)
 }
 
-/// Per-shard result of partitioned group discovery.
-struct ShardGroups {
-    /// (batch position, local group id) pairs in ascending position order.
-    pairs: Vec<(u32, u32)>,
-    /// Batch position of each local group's first occurrence.
-    first_pos: Vec<u32>,
-}
-
-/// The partitioned counterpart of the serial group-id assignment inside
-/// [`aggregate_vec`]: positions are radix-partitioned by (sentinel) group
-/// hash, each shard discovers its groups on a scoped thread, and the local
-/// groups merge into global first-seen order by ascending first position.
-///
-/// All rows of one group land in one shard, and a shard scans its
-/// positions in ascending batch order, so local first occurrences *are*
-/// global first occurrences — the merged `group_ids` / representative rows
-/// are bit-identical to the serial pass, which keeps the downstream
-/// accumulation (shared code) bit-identical too.
-pub(crate) fn partitioned_group_ids(
-    b: &Batch<'_>,
-    gcols: &[&Column],
-    p: usize,
-) -> (Vec<u32>, Vec<u32>) {
-    let n = b.len();
-    let keys = partition_keys(b, gcols, true, p); // sentinel hashing: no NULLs
-
-    let shard_groups: Vec<ShardGroups> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..p)
-            .map(|s| {
-                let keys = &keys;
-                scope.spawn(move || {
-                    let len = keys.shard_len(s);
-                    let mut map = U64Map::new();
-                    let mut chain: Vec<u32> = Vec::new();
-                    let mut first_pos: Vec<u32> = Vec::new();
-                    let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(len);
-                    keys.for_shard(s, |pos, h| {
-                        let row = b.row_id(pos as usize);
-                        let head = map.entry(h);
-                        let mut cur = *head;
-                        let mut found = None;
-                        while cur != 0 {
-                            let g = (cur - 1) as usize;
-                            if keys_equal(gcols, row, gcols, b.row_id(first_pos[g] as usize)) {
-                                found = Some(g);
-                                break;
-                            }
-                            cur = chain[g];
-                        }
-                        let g = match found {
-                            Some(g) => g,
-                            None => {
-                                let g = first_pos.len();
-                                first_pos.push(pos);
-                                chain.push(*head);
-                                *head = g as u32 + 1;
-                                g
-                            }
-                        };
-                        pairs.push((pos, g as u32));
-                    });
-                    ShardGroups { pairs, first_pos }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("aggregation shard thread panicked"))
-            .collect()
-    });
-
-    // Merge in shard-index order, then rank groups by first position —
-    // first positions are unique, so the rank order *is* the serial
-    // first-seen order.
-    let mut order: Vec<(u32, usize, u32)> = Vec::new();
-    for (s, sg) in shard_groups.iter().enumerate() {
-        for (local, &fp) in sg.first_pos.iter().enumerate() {
-            order.push((fp, s, local as u32));
-        }
-    }
-    order.sort_unstable();
-    let mut global_of: Vec<Vec<u32>> = shard_groups
-        .iter()
-        .map(|sg| vec![0; sg.first_pos.len()])
-        .collect();
-    let mut rep_rows: Vec<u32> = Vec::with_capacity(order.len());
-    for (rank, &(fp, s, local)) in order.iter().enumerate() {
-        global_of[s][local as usize] = rank as u32;
-        rep_rows.push(b.row_id(fp as usize) as u32);
-    }
-    let mut group_ids = vec![0u32; n];
-    for (s, sg) in shard_groups.iter().enumerate() {
-        for &(pos, local) in &sg.pairs {
-            group_ids[pos as usize] = global_of[s][local as usize];
-        }
-    }
-    (group_ids, rep_rows)
-}
-
 // ----- vectorized join -----
 
 /// Resolves a join's key columns, `(left, right)`, for both join entry
@@ -1822,70 +1456,24 @@ pub(crate) fn hash_join_vec(
     left_keys: &[usize],
     right_keys: &[usize],
     join_type: JoinType,
-    degree: usize,
 ) -> Result<Table, EngineError> {
     let (lcols, rcols) = join_key_columns(lb, rb, left_keys, right_keys)?;
     let lt = lb.table();
     let rt = rb.table();
-
-    let (left_out, right_out, right_hit) = if degree > 1 {
-        partitioned_join_indices(lb, rb, &lcols, &rcols, join_type, degree)
-    } else {
-        serial_join_indices(lb, rb, &lcols, &rcols, join_type)
-    };
+    let (left_out, right_out, right_hit) = serial_join_indices(lb, rb, &lcols, &rcols, join_type);
 
     // Assemble output columns: all left columns then all right columns.
-    // Each column's gather is independent, so the partitioned path runs
-    // them on scoped threads — same gathers, same order, just overlapped.
-    // The combined column list is chunked so the thread fan-out stays
-    // bounded by the clamped degree, like every other phase.
-    let columns: Vec<Column> = if degree > 1 && lt.n_columns() + rt.n_columns() > 1 {
-        enum Gather<'a> {
-            Left(&'a Column),
-            Right(&'a Column),
-        }
-        let tasks: Vec<Gather<'_>> = lt
-            .columns()
-            .iter()
-            .map(Gather::Left)
-            .chain(rt.columns().iter().map(Gather::Right))
-            .collect();
-        let chunk = tasks.len().div_ceil(degree).max(1);
-        std::thread::scope(|scope| {
-            let (left_out, right_out, right_hit) = (&left_out, &right_out, &right_hit);
-            let handles: Vec<_> = tasks
-                .chunks(chunk)
-                .map(|group| {
-                    scope.spawn(move || {
-                        group
-                            .iter()
-                            .map(|task| match task {
-                                Gather::Left(c) => c.take_ids(left_out),
-                                Gather::Right(c) => c.take_opt_ids(right_out, right_hit),
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("join gather thread panicked"))
-                .collect()
-        })
-    } else {
-        let mut columns = Vec::with_capacity(lt.n_columns() + rt.n_columns());
-        for c in lt.columns() {
-            columns.push(c.take_ids(&left_out));
-        }
-        for c in rt.columns() {
-            columns.push(c.take_opt_ids(&right_out, &right_hit));
-        }
-        columns
-    };
+    let mut columns = Vec::with_capacity(lt.n_columns() + rt.n_columns());
+    for c in lt.columns() {
+        columns.push(c.take_ids(&left_out));
+    }
+    for c in rt.columns() {
+        columns.push(c.take_opt_ids(&right_out, &right_hit));
+    }
     finish_join_output(lt, columns)
 }
 
-/// The serial build/probe producing the join's gather indices:
+/// The build/probe producing the join's gather indices:
 /// `(left row, right row, right matched)` triples flattened into three
 /// vectors, ordered by (left position, right position) whichever side the
 /// table was built on ([`join_indices_by`]).
@@ -2350,7 +1938,6 @@ pub(crate) fn aggregate_vec(
     b: &Batch<'_>,
     group_by: &[usize],
     aggs: &[(String, AggExpr)],
-    degree: usize,
     scratch: &mut EvalScratch,
 ) -> Result<Table, EngineError> {
     let t = b.table();
@@ -2358,10 +1945,7 @@ pub(crate) fn aggregate_vec(
     let sv = SelView::new(t, sel);
     let n = sv.len();
 
-    // Assign group ids in first-seen order. The partitioned path shards
-    // only this discovery step; the accumulation below is shared code over
-    // identical `group_ids`, so its float additions happen in the same
-    // order either way.
+    // Assign group ids in first-seen order.
     let group_ids: Vec<u32>;
     let rep_rows: Vec<u32>; // first original row per group
     let n_groups;
@@ -2376,11 +1960,7 @@ pub(crate) fn aggregate_vec(
         } else {
             Vec::new()
         };
-        (group_ids, rep_rows) = if degree > 1 && n > 0 {
-            partitioned_group_ids(b, &gcols, degree)
-        } else {
-            serial_group_ids(b, &gcols, n)
-        };
+        (group_ids, rep_rows) = serial_group_ids(b, &gcols, n);
         n_groups = rep_rows.len();
     }
 
@@ -2720,97 +2300,6 @@ mod tests {
         assert_eq!(out.n_rows(), 1); // only the non-NULL 10 matches
     }
 
-    #[test]
-    fn partitioned_execution_is_bit_identical_to_serial() {
-        let mut cat = catalog();
-        // A NULL-bearing key column exercises the null routing of both the
-        // build and probe partitioners.
-        cat.insert(
-            "nullkey",
-            Table::new(
-                "nullkey",
-                vec![
-                    Column::with_validity(
-                        "k",
-                        ColumnData::Int64(vec![10, 0, 20, 0, 10]),
-                        vec![true, false, true, false, true],
-                    ),
-                    Column::new("v", ColumnData::Int64(vec![1, 2, 3, 4, 5])),
-                ],
-            )
-            .unwrap(),
-        );
-        let plans = vec![
-            PhysicalPlan::HashJoin {
-                left: Box::new(scan("customer")),
-                right: Box::new(scan("orders")),
-                left_keys: vec![0],
-                right_keys: vec![1],
-                join_type: JoinType::Inner,
-            },
-            PhysicalPlan::HashJoin {
-                left: Box::new(scan("nullkey")),
-                right: Box::new(scan("orders")),
-                left_keys: vec![0],
-                right_keys: vec![1],
-                join_type: JoinType::LeftOuter,
-            },
-            PhysicalPlan::Aggregate {
-                input: Box::new(scan("nullkey")),
-                group_by: vec![0],
-                aggs: vec![
-                    ("n".to_string(), AggExpr::Count),
-                    ("s".to_string(), AggExpr::Sum(Expr::col(1))),
-                ],
-            },
-            // Join feeding grouped aggregation feeding sort — the combine
-            // shape of the paper's queries.
-            PhysicalPlan::Sort {
-                input: Box::new(PhysicalPlan::Aggregate {
-                    input: Box::new(PhysicalPlan::HashJoin {
-                        left: Box::new(scan("customer")),
-                        right: Box::new(scan("orders")),
-                        left_keys: vec![0],
-                        right_keys: vec![1],
-                        join_type: JoinType::LeftOuter,
-                    }),
-                    group_by: vec![0],
-                    aggs: vec![("n".to_string(), AggExpr::Count)],
-                }),
-                by: vec![(1, true), (0, false)],
-            },
-            // Empty inputs and a global aggregate.
-            PhysicalPlan::Aggregate {
-                input: Box::new(PhysicalPlan::Filter {
-                    input: Box::new(scan("orders")),
-                    predicate: Expr::col(0).gt(Expr::int(99)),
-                }),
-                group_by: vec![1],
-                aggs: vec![("n".to_string(), AggExpr::Count)],
-            },
-        ];
-        for plan in &plans {
-            let (serial, serial_profile) = execute(plan, &cat).unwrap();
-            // Degrees beyond the cap clamp instead of over-spawning.
-            for degree in [2usize, 3, 4, 7, 64, 1000] {
-                let (part, part_profile) =
-                    execute_with_partitions(plan, &cat, degree).unwrap();
-                assert_eq!(part, serial, "table drifted at degree {degree}");
-                assert_eq!(
-                    part_profile, serial_profile,
-                    "work profile drifted at degree {degree}"
-                );
-                assert_eq!(part.fingerprint(), serial.fingerprint());
-            }
-        }
-        // Degree 0/1 are the serial path.
-        for degree in [0usize, 1] {
-            let (t, p) = execute_with_partitions(&plans[0], &cat, degree).unwrap();
-            let (s, sp) = execute(&plans[0], &cat).unwrap();
-            assert_eq!((t, p), (s, sp));
-        }
-    }
-
     /// Inserts `hashes[i]` with head `i + 1` — a repeated hash overwrites
     /// its head, as pushing onto a chain does — and returns what `get`
     /// then answers for every hash.
@@ -2877,78 +2366,6 @@ mod tests {
             &(0..half as u64 + 1).map(mix64).collect::<Vec<_>>(),
         );
         assert_eq!(over.slots.len(), 2 * U64Map::INITIAL_SLOTS);
-    }
-
-    mod growth_props {
-        use super::*;
-        use proptest::prelude::*;
-
-        /// A key column over `domain` distinct values, so row counts in
-        /// 0..300 put the number of distinct keys on both sides of several
-        /// growth steps (8, 16, 32, 64, 128 distinct hashes).
-        fn keys(max: usize) -> impl Strategy<Value = (i64, Vec<i64>)> {
-            (1i64..400).prop_flat_map(move |domain| {
-                (Just(domain), proptest::collection::vec(0i64..domain, 0..max))
-            })
-        }
-
-        fn table_of(name: &str, keys: &[i64], null_every: usize) -> Table {
-            let key = ColumnData::Int64(keys.to_vec());
-            let key = if null_every == 0 {
-                Column::new("k", key)
-            } else {
-                let valid = (0..keys.len()).map(|i| i % null_every != 0).collect();
-                Column::with_validity("k", key, valid)
-            };
-            let tag = Column::new("tag", ColumnData::Int64((0..keys.len() as i64).collect()));
-            Table::new(name, vec![key, tag]).unwrap()
-        }
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(64))]
-
-            /// Group discovery: the serial pass (a growing map; the
-            /// single-`Int64`-key loop when the column has no NULLs) against
-            /// the sharded pass (one growing map per shard, generic keys).
-            #[test]
-            fn serial_groups_equal_partitioned((_, ks) in keys(300), null_every in 0usize..4) {
-                let t = table_of("t", &ks, null_every);
-                let b = Batch::all(TableSlot::Borrowed(&t));
-                let one = [t.column(0).unwrap()];
-                let two = [t.column(0).unwrap(), t.column(0).unwrap()];
-                for gcols in [&one[..], &two[..]] {
-                    let serial = serial_group_ids(&b, gcols, ks.len());
-                    for degree in [1usize, 2, 8] {
-                        prop_assert_eq!(&partitioned_group_ids(&b, gcols, degree), &serial);
-                    }
-                }
-            }
-
-            /// Join indices across the build map's growth steps, both join
-            /// types, with and without NULL keys on either side.
-            #[test]
-            fn serial_join_equals_partitioned(
-                (domain, build) in keys(300),
-                probe in proptest::collection::vec(0i64..400, 0..60),
-                nulls in (0usize..4, 0usize..4),
-            ) {
-                let probe: Vec<i64> = probe.iter().map(|k| k % (domain + 3)).collect();
-                let lt = table_of("l", &probe, nulls.0);
-                let rt = table_of("r", &build, nulls.1);
-                let lb = Batch::all(TableSlot::Borrowed(&lt));
-                let rb = Batch::all(TableSlot::Borrowed(&rt));
-                let lcols = [lt.column(0).unwrap()];
-                let rcols = [rt.column(0).unwrap()];
-                for join_type in [JoinType::Inner, JoinType::LeftOuter] {
-                    let serial = serial_join_indices(&lb, &rb, &lcols, &rcols, join_type);
-                    for degree in [1usize, 2, 8] {
-                        let part =
-                            partitioned_join_indices(&lb, &rb, &lcols, &rcols, join_type, degree);
-                        prop_assert_eq!(&part, &serial);
-                    }
-                }
-            }
-        }
     }
 
     /// The two kernels that size their work by the smaller side, each

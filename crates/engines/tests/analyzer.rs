@@ -9,7 +9,7 @@
 //!   diagnostic), then no executor path may fail with a schema-class
 //!   error (`UnknownTable` / `UnknownColumn` / `ColumnIndex` /
 //!   `TypeMismatch` / `RaggedTable`). Checked across the scalar,
-//!   vectorized, partitioned, fused, and fused-partitioned executors on
+//!   vectorized and fused executors on
 //!   randomized plans over randomized tables. Plans avoid division and
 //!   unbounded floats because `DivisionByZero`/NaN behavior is
 //!   data-dependent — the analyzer only flags *constant*-zero divisors.
@@ -23,8 +23,8 @@
 use midas_engines::analyze::is_schema_error;
 use midas_engines::data::{Column, ColumnData, Table};
 use midas_engines::exec::{FederatedQuery, Fragment};
-use midas_engines::fused::{execute_fused, execute_fused_with_partitions};
-use midas_engines::ops::{execute, execute_scalar, execute_with_partitions};
+use midas_engines::fused::execute_fused;
+use midas_engines::ops::{execute, execute_scalar};
 use midas_engines::{
     analyze_federated, analyze_fragment_plans, analyze_plan, AggExpr, Catalog, DiagnosticKind,
     EngineError, EngineKind, Expr, JoinType, PhysicalPlan, SchemaCatalog, Severity,
@@ -376,9 +376,7 @@ fn all_paths(plan: &PhysicalPlan, cat: &Catalog) -> Vec<Result<Table, EngineErro
     vec![
         execute(plan, cat).map(|(t, _)| t),
         execute_scalar(plan, cat).map(|(t, _)| t),
-        execute_with_partitions(plan, cat, 3).map(|(t, _)| t),
         execute_fused(plan, cat).map(|(t, _)| t),
-        execute_fused_with_partitions(plan, cat, 3).map(|(t, _)| t),
     ]
 }
 

@@ -5,9 +5,7 @@
 //!    by deep-copying every base table into a private catalog per query).
 //! 2. Catalog seeding inside the federated executor is `Arc::clone` only:
 //!    zero cloned bytes, refcounts return to baseline after the run.
-//! 3. Parallel intra-query fragment execution changes wall-clock overlap
-//!    only — simulated outcomes stay bit-identical to serial execution.
-//! 4. Running over a `CatalogVersion` seeds nothing, compacts nothing, and
+//! 3. Running over a `CatalogVersion` seeds nothing, compacts nothing, and
 //!    reports the shared volume its compacted copy would — to the byte.
 
 use midas_engines::data::{Column, ColumnData, Table};
@@ -197,21 +195,6 @@ fn two_site_query(a: midas_cloud::SiteId, b: midas_cloud::SiteId) -> FederatedQu
     }
 }
 
-fn run_shared(parallel: bool) -> midas_engines::ExecutionOutcome {
-    let (fed, a, b) = example_federation();
-    let mut env = SimulationEnv::new();
-    for site in fed.site_ids() {
-        env.register_site(site, 7, DriftIntensity::Strong);
-    }
-    let env = Mutex::new(env);
-    let admission = SiteAdmission::new(fed.admission_capacities());
-    let catalog = owned_map_catalog();
-    SharedExecutor::new(&fed, &env, &admission)
-        .with_parallel_fragments(parallel)
-        .run(&two_site_query(a, b), &catalog)
-        .expect("federated query runs")
-}
-
 #[test]
 fn federated_seeding_is_arc_clone_only() {
     let (fed, a, b) = example_federation();
@@ -236,23 +219,6 @@ fn federated_seeding_is_arc_clone_only() {
     assert_eq!(Arc::strong_count(catalog.get_shared("lineitem").unwrap()), 1);
     assert_eq!(Arc::strong_count(catalog.get_shared("orders").unwrap()), 1);
     assert!(out.result.n_rows() > 0);
-}
-
-#[test]
-fn parallel_fragments_simulate_bit_identically_to_serial() {
-    let serial = run_shared(false);
-    let parallel = run_shared(true);
-    assert_eq!(parallel.result, serial.result);
-    assert_eq!(parallel.elapsed_s.to_bits(), serial.elapsed_s.to_bits());
-    assert_eq!(parallel.money, serial.money);
-    assert_eq!(parallel.intermediate_bytes, serial.intermediate_bytes);
-    assert_eq!(parallel.fragments.len(), serial.fragments.len());
-    for (p, s) in parallel.fragments.iter().zip(serial.fragments.iter()) {
-        assert_eq!(p.elapsed_s.to_bits(), s.elapsed_s.to_bits());
-        assert_eq!(p.money, s.money);
-        assert_eq!(p.ingress_bytes, s.ingress_bytes);
-        assert_eq!(p.work, s.work);
-    }
 }
 
 /// `lineitem` in five uneven chunks beside a one-chunk `orders`. The
@@ -281,7 +247,6 @@ fn versioned_run_shares_the_bytes_its_compacted_copy_would() {
         let env = Mutex::new(env);
         let admission = SiteAdmission::new(fed.admission_capacities());
         SharedExecutor::new(&fed, &env, &admission)
-            .with_parallel_fragments(true)
             .run(&two_site_query(a, b), tables)
             .expect("runs")
     };

@@ -1,8 +1,8 @@
 //! Differential property tests for the morsel-driven fused executor:
-//! [`execute_fused_with_partitions`] must agree with the whole-column
+//! [`execute_fused`] must agree with the whole-column
 //! vectorized executor (`execute`) — identical result tables, identical
-//! fingerprints, identical `WorkProfile`s — on random NULL-bearing tables
-//! at every partition degree. The chunk-native path
+//! fingerprints, identical `WorkProfile`s — on random NULL-bearing
+//! tables. The chunk-native path
 //! ([`execute_fused_versioned`]) is additionally swept over **randomized
 //! chunk boundaries** (including empty chunks) against the flat logical
 //! table, pinning the claim that morsel and chunk boundaries are
@@ -17,14 +17,8 @@ use midas_engines::data::{Column, ColumnData, Table, Value};
 use midas_engines::expr::Expr;
 use midas_engines::ops::{execute, AggExpr, JoinType, PhysicalPlan};
 use midas_engines::version::{CatalogVersion, ChunkedTable};
-use midas_engines::{
-    execute_fused_versioned, execute_fused_with_partitions, profile_fragments, Catalog,
-};
+use midas_engines::{execute_fused, execute_fused_versioned, profile_fragments, Catalog};
 use proptest::prelude::*;
-
-/// Degrees swept by every case: serial, uneven shard counts, and more
-/// shards than most generated tables have rows.
-const DEGREES: [usize; 4] = [1, 2, 3, 7];
 
 const WORDS: [&str; 5] = ["alpha", "beta", "gamma", "delta", ""];
 
@@ -144,7 +138,7 @@ fn scan(t: &str) -> Box<PhysicalPlan> {
 }
 
 /// Runs the whole-column vectorized executor as the oracle, then the
-/// fused morsel executor at every degree over the flat catalog AND over
+/// fused morsel executor over the flat catalog AND over
 /// the chunk-native version — asserting identical tables, fingerprints
 /// and work profiles everywhere (Ok/Err always agrees; when a failing
 /// plan admits several valid first errors the variants may differ, so
@@ -155,35 +149,31 @@ fn fused_matches(
     version: &CatalogVersion,
 ) -> Result<(), proptest::test_runner::TestCaseError> {
     let oracle = execute(plan, catalog);
-    for degree in DEGREES {
-        let flat = execute_fused_with_partitions(plan, catalog, degree);
-        prop_assert_eq!(
-            flat.is_ok(),
-            oracle.is_ok(),
-            "flat fused error disagreement at degree {}: {:?} vs oracle {:?}",
-            degree,
-            flat.as_ref().err(),
-            oracle.as_ref().err()
-        );
-        let chunked = execute_fused_versioned(plan, version, degree);
-        prop_assert_eq!(
-            chunked.is_ok(),
-            oracle.is_ok(),
-            "chunk-native fused error disagreement at degree {}: {:?} vs oracle {:?}",
-            degree,
-            chunked.as_ref().err(),
-            oracle.as_ref().err()
-        );
-        if let Ok(o) = &oracle {
-            let f = flat.expect("agrees with oracle");
-            prop_assert_eq!(&f.0, &o.0, "flat fused table differs at degree {}", degree);
-            prop_assert_eq!(f.0.fingerprint(), o.0.fingerprint());
-            prop_assert_eq!(&f.1, &o.1, "flat fused profile differs at degree {}", degree);
-            let c = chunked.expect("agrees with oracle");
-            prop_assert_eq!(&c.0, &o.0, "chunk-native table differs at degree {}", degree);
-            prop_assert_eq!(c.0.fingerprint(), o.0.fingerprint());
-            prop_assert_eq!(&c.1, &o.1, "chunk-native profile differs at degree {}", degree);
-        }
+    let flat = execute_fused(plan, catalog);
+    prop_assert_eq!(
+        flat.is_ok(),
+        oracle.is_ok(),
+        "flat fused error disagreement: {:?} vs oracle {:?}",
+        flat.as_ref().err(),
+        oracle.as_ref().err()
+    );
+    let chunked = execute_fused_versioned(plan, version);
+    prop_assert_eq!(
+        chunked.is_ok(),
+        oracle.is_ok(),
+        "chunk-native fused error disagreement: {:?} vs oracle {:?}",
+        chunked.as_ref().err(),
+        oracle.as_ref().err()
+    );
+    if let Ok(o) = &oracle {
+        let f = flat.expect("agrees with oracle");
+        prop_assert_eq!(&f.0, &o.0, "flat fused table differs");
+        prop_assert_eq!(f.0.fingerprint(), o.0.fingerprint());
+        prop_assert_eq!(&f.1, &o.1, "flat fused profile differs");
+        let c = chunked.expect("agrees with oracle");
+        prop_assert_eq!(&c.0, &o.0, "chunk-native table differs");
+        prop_assert_eq!(c.0.fingerprint(), o.0.fingerprint());
+        prop_assert_eq!(&c.1, &o.1, "chunk-native profile differs");
     }
     Ok(())
 }
@@ -453,7 +443,7 @@ proptest! {
     }
 
     /// A full pipeline — filter, join, aggregate (deferred), sort, limit —
-    /// matches end-to-end, profile included, at every degree and chunking.
+    /// matches end-to-end, profile included, at every chunking.
     #[test]
     fn full_pipeline_fused(
         left in rows_strategy(30),
@@ -542,64 +532,16 @@ proptest! {
             },
         ];
         let plans: Vec<&PhysicalPlan> = plans.iter().collect();
-        let chunked: Vec<_> = [1usize, 4]
-            .iter()
-            .map(|&degree| profile_fragments(&plans, &version, degree).expect("runs"))
-            .collect();
+        let chunked = profile_fragments(&plans, &version).expect("runs");
         prop_assert_eq!(version.compaction_bytes(), 0);
         let pinned = version.pin();
-        for (degree, chunked) in [1usize, 4].into_iter().zip(chunked) {
-            let flat = profile_fragments(&plans, &pinned, degree).expect("runs");
-            prop_assert_eq!(chunked.len(), 3);
-            for (c, f) in chunked.iter().zip(flat.iter()) {
-                prop_assert_eq!(&c.table, &f.table, "table differs at degree {}", degree);
-                prop_assert_eq!(c.table.fingerprint(), f.table.fingerprint());
-                prop_assert_eq!(&c.work, &f.work, "profile differs at degree {}", degree);
-            }
+        let flat = profile_fragments(&plans, &pinned).expect("runs");
+        prop_assert_eq!(chunked.len(), 3);
+        for (c, f) in chunked.iter().zip(flat.iter()) {
+            prop_assert_eq!(&c.table, &f.table, "table differs");
+            prop_assert_eq!(c.table.fingerprint(), f.table.fingerprint());
+            prop_assert_eq!(&c.work, &f.work, "profile differs");
         }
-    }
-}
-
-/// High partition degrees (more shards than rows, and the MAX clamp) stay
-/// bit-identical on a deterministic pipeline.
-#[test]
-fn extreme_degrees_bit_identical() {
-    let rows: Vec<Row> = (0..257)
-        .map(|i| {
-            (
-                (i % 13, i % 5, (i as f64) * 0.25),
-                ((i % 5) as usize, (i + 1) % 5, i % 90),
-                (i % 2, (i + 2) % 5),
-            )
-        })
-        .collect();
-    let (catalog, version) = fixture(&rows, &[40, 41, 200]);
-    let plan = PhysicalPlan::Aggregate {
-        input: Box::new(PhysicalPlan::Filter {
-            input: Box::new(PhysicalPlan::HashJoin {
-                left: scan("t"),
-                right: scan("t"),
-                left_keys: vec![0],
-                right_keys: vec![0],
-                join_type: JoinType::Inner,
-            }),
-            predicate: Expr::col(3).ge(Expr::date(10)),
-        }),
-        group_by: vec![2],
-        aggs: vec![
-            ("n".to_string(), AggExpr::Count),
-            ("total".to_string(), AggExpr::Sum(Expr::col(6))),
-        ],
-    };
-    let (ot, op) = execute(&plan, &catalog).expect("oracle runs");
-    for degree in [0, 1, 4, 64, 1000] {
-        let (ft, fp) = execute_fused_with_partitions(&plan, &catalog, degree).expect("runs");
-        assert_eq!(ft, ot, "flat fused differs at degree {degree}");
-        assert_eq!(fp, op, "flat fused profile differs at degree {degree}");
-        let (ct, cp) = execute_fused_versioned(&plan, &version, degree).expect("runs");
-        assert_eq!(ct, ot, "chunk-native differs at degree {degree}");
-        assert_eq!(ct.fingerprint(), ot.fingerprint());
-        assert_eq!(cp, op, "chunk-native profile differs at degree {degree}");
     }
 }
 
@@ -614,14 +556,14 @@ fn constant_division_by_zero_over_empty_input() {
         predicate: Expr::int(1).div(Expr::int(0)).gt(Expr::int(5)),
     };
     let o = execute(&plan, &catalog).expect("oracle tolerates empty");
-    let f = execute_fused_with_partitions(&plan, &catalog, 1).expect("fused tolerates empty");
-    let c = execute_fused_versioned(&plan, &version, 1).expect("chunked tolerates empty");
+    let f = execute_fused(&plan, &catalog).expect("fused tolerates empty");
+    let c = execute_fused_versioned(&plan, &version).expect("chunked tolerates empty");
     assert_eq!(f.0, o.0);
     assert_eq!(c.0, o.0);
     let rows: Vec<Row> = vec![((1, 1, 0.5), (0, 1, 0), (0, 1))];
     let (catalog, version) = fixture(&rows, &[]);
-    assert!(execute_fused_with_partitions(&plan, &catalog, 1).is_err());
-    assert!(execute_fused_versioned(&plan, &version, 1).is_err());
+    assert!(execute_fused(&plan, &catalog).is_err());
+    assert!(execute_fused_versioned(&plan, &version).is_err());
 }
 
 /// Regression: Int64 literals beyond 2^53 project exactly through the
@@ -636,8 +578,8 @@ fn huge_int_literal_projects_exactly() {
         exprs: vec![("k".to_string(), Expr::int(big))],
     };
     let (o, _) = execute(&plan, &catalog).expect("runs");
-    let (f, _) = execute_fused_with_partitions(&plan, &catalog, 1).expect("runs");
-    let (c, _) = execute_fused_versioned(&plan, &version, 1).expect("runs");
+    let (f, _) = execute_fused(&plan, &catalog).expect("runs");
+    let (c, _) = execute_fused_versioned(&plan, &version).expect("runs");
     assert_eq!(f, o);
     assert_eq!(c, o);
     assert_eq!(f.row(0)[0], Value::Int64(big));
@@ -673,8 +615,8 @@ fn deferred_join_aggregate_bad_columns_error() {
         aggs: vec![("n".to_string(), AggExpr::Count)],
     };
     assert!(execute(&bad_group, &catalog).is_err());
-    assert!(execute_fused_with_partitions(&bad_group, &catalog, 1).is_err());
-    assert!(execute_fused_versioned(&bad_group, &version, 2).is_err());
+    assert!(execute_fused(&bad_group, &catalog).is_err());
+    assert!(execute_fused_versioned(&bad_group, &version).is_err());
     // Aggregate expression out of range.
     let bad_agg = PhysicalPlan::Aggregate {
         input: join(),
@@ -682,6 +624,6 @@ fn deferred_join_aggregate_bad_columns_error() {
         aggs: vec![("t".to_string(), AggExpr::Sum(Expr::col(11)))],
     };
     assert!(execute(&bad_agg, &catalog).is_err());
-    assert!(execute_fused_with_partitions(&bad_agg, &catalog, 1).is_err());
-    assert!(execute_fused_versioned(&bad_agg, &version, 2).is_err());
+    assert!(execute_fused(&bad_agg, &catalog).is_err());
+    assert!(execute_fused_versioned(&bad_agg, &version).is_err());
 }

@@ -1,24 +1,13 @@
 //! Differential property tests: the vectorized executor (`execute`) must
 //! agree with the reference scalar executor (`execute_scalar`) on random
 //! tables — including NULLs in data, keys and predicates — producing
-//! identical result tables *and* identical `WorkProfile`s. The partitioned
-//! parallel path (`execute_with_partitions`) is swept over several degrees
-//! against both, pinning the bit-for-bit claim of the sharded join and
-//! aggregation operators.
+//! identical result tables *and* identical `WorkProfile`s.
 
 use midas_engines::data::{Column, ColumnData, Table, Value};
 use midas_engines::Catalog;
 use midas_engines::expr::Expr;
-use midas_engines::ops::{
-    execute, execute_scalar, execute_with_partitions, AggExpr, JoinType, PhysicalPlan,
-    WorkProfile,
-};
+use midas_engines::ops::{execute, execute_scalar, AggExpr, JoinType, PhysicalPlan, WorkProfile};
 use proptest::prelude::*;
-
-/// Partition degrees swept by every differential case: serial fallback,
-/// an uneven shard count, and more shards than most generated tables have
-/// rows.
-const DEGREES: [usize; 3] = [2, 3, 7];
 
 const WORDS: [&str; 5] = ["alpha", "beta", "gamma", "delta", ""];
 
@@ -131,15 +120,6 @@ fn both(
     let s = sca_out.expect("both agree");
     prop_assert_eq!(&v.0, &s.0, "result tables differ");
     prop_assert_eq!(&v.1, &s.1, "work profiles differ");
-    // The partitioned path must reproduce both — tables, profiles and
-    // fingerprints — at every degree.
-    for degree in DEGREES {
-        let p = execute_with_partitions(plan, catalog, degree)
-            .expect("serial path succeeded on this plan");
-        prop_assert_eq!(&p.0, &v.0, "partitioned table differs at degree {}", degree);
-        prop_assert_eq!(&p.1, &v.1, "partitioned profile differs at degree {}", degree);
-        prop_assert_eq!(p.0.fingerprint(), v.0.fingerprint());
-    }
     Ok((v, s))
 }
 

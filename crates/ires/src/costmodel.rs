@@ -86,13 +86,13 @@ pub struct PlanCostModel {
 
 impl PlanCostModel {
     /// Builds the model by executing the query's fragments once
-    /// ([`PlanCostModel::profile`] at partition degree 1, outputs dropped).
+    /// ([`PlanCostModel::profile`], outputs dropped).
     pub fn build<'t>(
         placement: &Placement,
         query: &TwoTableQuery,
         tables: impl Into<TableSource<'t>>,
     ) -> Result<Self, EngineError> {
-        Self::profile(placement, query, tables, 1).map(|(model, _)| model)
+        Self::profile(placement, query, tables).map(|(model, _)| model)
     }
 
     /// Builds the model by executing the query's fragments once, and
@@ -101,13 +101,11 @@ impl PlanCostModel {
     /// handed to an executor running any configuration of this query over
     /// the same `tables` — a flat catalog or a pinned `CatalogVersion`,
     /// whose chunks are scanned in place (planning against version `v`
-    /// compacts nothing). The model is the same at every
-    /// `partition_degree` (work profiles are bit-identical across degrees).
+    /// compacts nothing).
     pub fn profile<'t>(
         placement: &Placement,
         query: &TwoTableQuery,
         tables: impl Into<TableSource<'t>>,
-        partition_degree: usize,
     ) -> Result<(Self, Vec<ProfiledFragment>), EngineError> {
         let left = placement.locate(&query.left_table)?;
         let right = placement.locate(&query.right_table)?;
@@ -115,7 +113,6 @@ impl PlanCostModel {
         let profiled = profile_fragments(
             &[&query.left_prepare, &query.right_prepare, &query.combine],
             tables,
-            partition_degree,
         )?;
         // One entry per plan, in the order given.
         let model = PlanCostModel {
@@ -526,7 +523,7 @@ mod tests {
         ];
         let chunked: Vec<_> = queries
             .iter()
-            .map(|q| PlanCostModel::profile(&placement, q, &version, 2).unwrap())
+            .map(|q| PlanCostModel::profile(&placement, q, &version).unwrap())
             .collect();
         assert_eq!(version.compaction_bytes(), 0, "planning compacted a table");
 
@@ -541,7 +538,7 @@ mod tests {
         });
         for (query, (model, handed)) in queries.iter().zip(chunked) {
             let (flat_model, flat_handed) =
-                PlanCostModel::profile(&placement, query, &pinned, 2).unwrap();
+                PlanCostModel::profile(&placement, query, &pinned).unwrap();
             assert_eq!(model.prepared_rows(), flat_model.prepared_rows(), "{}", query.label);
             for config in &configs {
                 assert_eq!(model.cost(&fed, config), flat_model.cost(&fed, config));
@@ -585,8 +582,8 @@ mod tests {
         };
         let versioned = VersionedCatalog::new(db.catalog().clone());
         let version = versioned.current();
-        let flat = profile_fragments(&[&plan], db.catalog(), 1).unwrap();
-        let chunked = profile_fragments(&[&plan], &version, 1).unwrap();
+        let flat = profile_fragments(&[&plan], db.catalog()).unwrap();
+        let chunked = profile_fragments(&[&plan], &version).unwrap();
         assert_eq!(chunked[0].table, flat[0].table);
         assert_eq!(chunked[0].table.fingerprint(), flat[0].table.fingerprint());
         assert_eq!(chunked[0].work, flat[0].work);

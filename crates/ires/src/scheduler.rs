@@ -1,17 +1,18 @@
 //! The submit → enumerate → estimate → select → execute → learn loop.
 //!
-//! `Scheduler` owns the executor (and therefore the drifting simulation
-//! environment) plus one [`Modelling`](crate::modelling::Modelling) per query class, keyed by the query's
+//! `Scheduler` owns the drifting simulation environment plus one
+//! [`Modelling`](crate::modelling::Modelling) per query class, keyed by the query's
 //! [`midas_tpch::QueryId`]-level label. Every execution feeds the history, so
 //! estimators learn online exactly as IReS does.
 
 use crate::enumerate::{assemble, CandidateConfig};
 use midas_cloud::Federation;
 use midas_dream::EstimationError;
-use midas_engines::exec::{ExecutionOutcome, Executor, ProfiledFragment};
-use midas_engines::sim::{DriftIntensity, SimulationEnv};
+use midas_engines::exec::{ExecutionOutcome, ProfiledFragment, SharedExecutor};
+use midas_engines::sim::{DriftIntensity, SimulationEnv, SiteAdmission};
 use midas_engines::{EngineError, Placement, SchemaCatalog, TableSource};
 use midas_tpch::TwoTableQuery;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Scheduler construction parameters.
 #[derive(Debug, Clone, Copy)]
@@ -23,11 +24,6 @@ pub struct SchedulerConfig {
     /// Logical rows per physical row (1.0 for uncapped datasets; pass
     /// `1 / rescale` for row-capped TPC-H databases).
     pub work_scale: f64,
-    /// Intra-operator partition fan-out: hash joins and grouped
-    /// aggregations inside every fragment run this many shards on scoped
-    /// threads (1 = serial). Results are bit-identical at every degree —
-    /// only wall-clock changes.
-    pub partition_degree: usize,
 }
 
 impl Default for SchedulerConfig {
@@ -36,7 +32,6 @@ impl Default for SchedulerConfig {
             seed: 42,
             drift: DriftIntensity::Strong,
             work_scale: 1.0,
-            partition_degree: 1,
         }
     }
 }
@@ -127,7 +122,10 @@ impl From<crate::costmodel::CostModelError> for SchedulerError {
 pub struct Scheduler<'a> {
     federation: &'a Federation,
     placement: Placement,
-    executor: Executor<'a>,
+    /// The scheduler is its env's only user; the lock is what
+    /// [`SharedExecutor`] takes, never contended here.
+    env: Mutex<SimulationEnv>,
+    admission: SiteAdmission,
     work_scale: f64,
 }
 
@@ -142,8 +140,8 @@ impl<'a> Scheduler<'a> {
         Scheduler {
             federation,
             placement,
-            executor: Executor::new(federation, env)
-                .with_partition_degree(config.partition_degree),
+            env: Mutex::new(env),
+            admission: SiteAdmission::unmetered(),
             work_scale: if config.work_scale.is_finite() && config.work_scale > 0.0 {
                 config.work_scale
             } else {
@@ -159,7 +157,13 @@ impl<'a> Scheduler<'a> {
 
     /// The simulated clock (seconds since the run began).
     pub fn clock_s(&self) -> f64 {
-        self.executor.env().clock_s
+        self.env().clock_s
+    }
+
+    fn env(&self) -> MutexGuard<'_, SimulationEnv> {
+        // Nothing else holds this lock, so it cannot be poisoned by another
+        // thread; recover rather than unwrap, as every env lock does.
+        self.env.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Executes one query instance under an explicit configuration and
@@ -214,9 +218,9 @@ impl<'a> Scheduler<'a> {
                 diagnostics: analysis.errors(),
             });
         }
-        let outcome = self
-            .executor
-            .run_profiled(&federated, tables, self.work_scale, profiled)?;
+        let outcome = SharedExecutor::new(self.federation, &self.env, &self.admission)
+            .with_profiled_fragments(profiled)
+            .run_with_scale(&federated, tables, self.work_scale)?;
         let features = features_from(left_rows, right_rows, &outcome, self.work_scale);
         let costs = outcome.cost_vector();
         Ok(ExecutedQuery {
@@ -230,8 +234,9 @@ impl<'a> Scheduler<'a> {
     /// Lets idle time pass: advances the environment by `ticks` drift steps
     /// of `dt_s` simulated seconds each (between-query arrival gaps).
     pub fn idle(&mut self, ticks: usize, dt_s: f64) {
+        let mut env = self.env();
         for _ in 0..ticks {
-            self.executor.env_mut().tick(dt_s);
+            env.tick(dt_s);
         }
     }
 }

@@ -221,7 +221,6 @@ fn record_trace(
             drift: cfg.drift,
             // Row-capped databases simulate at their nominal volume.
             work_scale: 1.0 / db.rescale,
-            ..SchedulerConfig::default()
         },
     );
     // Fixed join configuration, as on the paper's static cluster.

@@ -65,7 +65,8 @@
 //! bit-for-bit, same learned history (the `runtime_concurrency` and
 //! `streaming_ingest` integration tests pin this). Independently of worker
 //! count, every job's *relational result* is bit-identical to executing it
-//! alone against its pinned catalog version (gated by the ingest bench).
+//! alone against its pinned catalog version (`streaming_ingest.rs` pins
+//! it; every benchmark workload re-checks it as `correct`).
 
 use crate::system::{MidasReport, QueryPolicy};
 use midas_cloud::{Federation, SiteId};
@@ -96,7 +97,7 @@ pub struct RuntimeConfig {
     pub seed: u64,
     /// Environment drift intensity.
     pub drift: DriftIntensity,
-    /// Logical rows per physical row (see `Executor::run_with_scale`).
+    /// Logical rows per physical row (see `SharedExecutor::run_with_scale`).
     pub work_scale: f64,
     /// VM-count cap during enumeration.
     pub max_vms: u32,
@@ -108,28 +109,22 @@ pub struct RuntimeConfig {
     /// on one core, and its deterministic base keeps throughput numbers
     /// comparable across worker counts.
     pub pacing: f64,
-    /// Run independent fragments of one query concurrently (scoped threads
-    /// under their per-site admission permits; see
-    /// [`SharedExecutor::with_parallel_fragments`]). Simulated outcomes are
-    /// bit-identical with the flag on or off — only wall-clock overlap
-    /// changes.
+    // Inert hint, accepted and ignored: a job's fragments run in index
+    // order on its worker's thread — parallelism is `workers` over jobs.
+    // Last reader is `benchmark/src/replay.rs`; ROADMAP item 2's PR B
+    // removes it.
+    #[doc(hidden)]
     pub parallel_fragments: bool,
-    /// Intra-operator partition fan-out *inside* one fragment: hash joins
-    /// and grouped aggregations run this many hash-partitioned shards on
-    /// scoped threads (see
-    /// [`SharedExecutor::with_partition_degree`]). Composes with
-    /// `parallel_fragments` (wave overlap) under the same per-site
-    /// admission permits; results, work profiles and fingerprints are
-    /// bit-identical at every degree. 1 = serial.
+    // Inert hint, accepted and ignored: joins and groupings are single
+    // pass. Last reader is `benchmark/src/replay.rs`; ROADMAP item 2's
+    // PR B removes it.
+    #[doc(hidden)]
     pub partition_degree: usize,
     /// Execution attempts per job (>= 1). A `SiteUnavailable` failure
     /// retries with the failed site marked hot in the cost model (so the
     /// join re-plans around it) and the job's fault position advanced (so
     /// short outage windows are escaped); any other error is terminal.
     pub max_attempts: usize,
-    /// Cost multiplier applied to candidates joining at a site that failed
-    /// earlier in the same job (see [`PlanCostModel::with_hot_sites`]).
-    pub hot_site_penalty: f64,
     /// Weight of **live congestion** in planning: each job samples the
     /// per-site admission gauges (queue depth + slot occupancy over
     /// capacity, see [`SiteAdmission::pressure`]) when it is queued, and
@@ -195,7 +190,6 @@ impl Default for RuntimeConfig {
             parallel_fragments: false,
             partition_degree: 1,
             max_attempts: 3,
-            hot_site_penalty: 8.0,
             pressure_penalty: 0.0,
             replan_threshold: 1.0,
             quarantine_threshold: 3,
@@ -1070,13 +1064,6 @@ impl<'a> FederationRuntime<'a> {
         }
     }
 
-    /// Toggles intra-query fragment parallelism (builder style); see
-    /// [`RuntimeConfig::parallel_fragments`].
-    pub fn with_parallel_fragments(mut self, enabled: bool) -> Self {
-        self.config.parallel_fragments = enabled;
-        self
-    }
-
     /// Injects a deterministic fault schedule (builder style): every job
     /// executes at fault position `sequence + attempt`, so a fixed plan
     /// and workload yield bit-identical per-job outcomes at any worker
@@ -1538,6 +1525,10 @@ impl<'a> FederationRuntime<'a> {
         }
     }
 
+    /// Cost multiplier on candidates joining at a site that failed earlier
+    /// in the same job (see [`PlanCostModel::with_hot_sites`]).
+    const HOT_SITE_PENALTY: f64 = 8.0;
+
     /// One pass of the pipeline for one admitted job — the concurrent
     /// counterpart of `MidasSession::submit`, operation for operation,
     /// reading the job's pinned catalog version throughout — wrapped in
@@ -1617,13 +1608,8 @@ impl<'a> FederationRuntime<'a> {
                 )
                 .map_err(|e| scheduler_err(SchedulerError::Engine(e)))?;
                 let model;
-                (model, profiled) = PlanCostModel::profile(
-                    self.placement,
-                    query,
-                    pinned,
-                    self.config.partition_degree,
-                )
-                .map_err(|e| scheduler_err(SchedulerError::Engine(e)))?;
+                (model, profiled) = PlanCostModel::profile(self.placement, query, pinned)
+                    .map_err(|e| scheduler_err(SchedulerError::Engine(e)))?;
                 let costed = cost_space(&space, &model, self.federation);
                 let entry = Arc::new(CachedPlan {
                     space,
@@ -1646,6 +1632,31 @@ impl<'a> FederationRuntime<'a> {
         let left_rows = base_rows(pinned, &query.left_table).map_err(scheduler_err)?;
         let right_rows = base_rows(pinned, &query.right_table).map_err(scheduler_err)?;
 
+        // Algorithm 2 over the space costed under `pressure` and the sites
+        // that failed earlier attempts (so the join routes around them),
+        // both folded into a per-call clone of the cached model — after
+        // cache insertion/retrieval, so transient congestion can never
+        // poison the shared plan cache. Returns the model with its choice.
+        let select_under = |pressure: &[(SiteId, f64)], hot_sites: &[SiteId]| {
+            let mut model = base_model
+                .clone()
+                .with_site_pressure(pressure, self.config.pressure_penalty.max(0.0))
+                .map_err(|e| scheduler_err(SchedulerError::CostModel(e)))?;
+            if !hot_sites.is_empty() {
+                model = model
+                    .with_hot_sites(hot_sites, Self::HOT_SITE_PENALTY)
+                    .map_err(|e| scheduler_err(SchedulerError::CostModel(e)))?;
+            }
+            let outcome = moqp_exhaustive(
+                space,
+                &model,
+                self.federation,
+                &weights,
+                &job.policy.constraints,
+            );
+            Ok::<_, RuntimeError>((model, outcome))
+        };
+
         let max_attempts = self.config.max_attempts.max(1);
         let mut hot_sites: Vec<SiteId> = Vec::new();
         let mut replans: u32 = 0;
@@ -1655,32 +1666,12 @@ impl<'a> FederationRuntime<'a> {
             // With no admission pressure sampled (feedback off — the
             // default) and no site failed yet, the attempt's model is the
             // cached pressure-free one, whose costed space the plan entry
-            // already holds: only Algorithm 2 runs. Otherwise fold the
-            // job's admission-time pressure sample and the sites that
-            // failed earlier attempts (so the join routes around them)
-            // into a per-attempt clone and cost the space under it —
-            // pressure lands on the clone, after cache insertion/retrieval,
-            // so transient congestion can never poison the shared plan
-            // cache.
+            // already holds: only Algorithm 2 runs. Otherwise select under
+            // the job's admission-time pressure sample and its hot sites.
             let mut outcome = if admitted.pressure.is_empty() && hot_sites.is_empty() {
                 select_costed(&planned.costed, &weights, &job.policy.constraints)
             } else {
-                let mut model = base_model
-                    .clone()
-                    .with_site_pressure(&admitted.pressure, self.config.pressure_penalty.max(0.0))
-                    .map_err(|e| scheduler_err(SchedulerError::CostModel(e)))?;
-                if !hot_sites.is_empty() {
-                    model = model
-                        .with_hot_sites(&hot_sites, self.config.hot_site_penalty)
-                        .map_err(|e| scheduler_err(SchedulerError::CostModel(e)))?;
-                }
-                moqp_exhaustive(
-                    space,
-                    &model,
-                    self.federation,
-                    &weights,
-                    &job.policy.constraints,
-                )
+                select_under(&admitted.pressure, &hot_sites)?.1
             };
 
             // Speculative re-planning: the job waited so long (relative to
@@ -1697,23 +1688,8 @@ impl<'a> FederationRuntime<'a> {
                 && waited_s > self.config.replan_threshold * outcome.chosen_costs[0]
             {
                 replans += 1;
-                let live = self.admission.pressure();
-                let mut fresh_model = base_model
-                    .clone()
-                    .with_site_pressure(&live, self.config.pressure_penalty)
-                    .map_err(|e| scheduler_err(SchedulerError::CostModel(e)))?;
-                if !hot_sites.is_empty() {
-                    fresh_model = fresh_model
-                        .with_hot_sites(&hot_sites, self.config.hot_site_penalty)
-                        .map_err(|e| scheduler_err(SchedulerError::CostModel(e)))?;
-                }
-                let fresh = moqp_exhaustive(
-                    space,
-                    &fresh_model,
-                    self.federation,
-                    &weights,
-                    &job.policy.constraints,
-                );
+                let (fresh_model, fresh) =
+                    select_under(&self.admission.pressure(), &hot_sites)?;
                 let stale_under_fresh = fresh_model.cost(self.federation, &outcome.chosen);
                 if fresh.chosen != outcome.chosen
                     && fresh.chosen_costs[0] < stale_under_fresh[0]
@@ -1733,8 +1709,6 @@ impl<'a> FederationRuntime<'a> {
                 .map_err(|e| scheduler_err(SchedulerError::Engine(e)))?;
             let mut executor = SharedExecutor::new(self.federation, &self.env, &self.admission)
                 .with_pacing(self.config.pacing)
-                .with_parallel_fragments(self.config.parallel_fragments)
-                .with_partition_degree(self.config.partition_degree)
                 .with_profiled_fragments(&profiled);
             if let Some(binding) = self
                 .fragment_cache

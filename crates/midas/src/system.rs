@@ -79,8 +79,8 @@ pub struct MidasReport {
     /// version.
     pub result_fingerprint: u64,
     /// Bytes of base-table data deep-copied while seeding this query's
-    /// execution catalog — zero on the shared-`Arc` data plane (the runtime
-    /// bench records and gates this).
+    /// execution catalog — zero on the shared-`Arc` data plane
+    /// (`runtime_concurrency.rs` and `streaming_ingest.rs` assert it).
     pub catalog_cloned_bytes: u64,
     /// Bytes of base-table data this query's execution read in place —
     /// the same number over a flat catalog and over a version's chunks.
@@ -97,7 +97,6 @@ pub struct Midas {
     placement: Placement,
     drift: DriftIntensity,
     seed: u64,
-    partition_degree: usize,
 }
 
 impl Midas {
@@ -118,7 +117,6 @@ impl Midas {
                 placement,
                 drift: DriftIntensity::Strong,
                 seed: 42,
-                partition_degree: 1,
             },
             a,
             b,
@@ -134,16 +132,6 @@ impl Midas {
     /// Overrides the simulation seed (default: 42).
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Sets the intra-operator partition fan-out (default: 1, serial):
-    /// hash joins and grouped aggregations inside every fragment run this
-    /// many hash-partitioned shards on scoped threads, in both
-    /// [`Midas::session`] and [`Midas::runtime`]. Results are bit-identical
-    /// at every degree — only wall-clock parallelism changes.
-    pub fn with_partition_degree(mut self, degree: usize) -> Self {
-        self.partition_degree = degree.max(1);
         self
     }
 
@@ -175,7 +163,6 @@ impl Midas {
                 workers,
                 seed: self.seed,
                 drift: self.drift,
-                partition_degree: self.partition_degree,
                 ..Default::default()
             },
         )
@@ -190,7 +177,6 @@ impl Midas {
                 seed: self.seed,
                 drift: self.drift,
                 work_scale: 1.0,
-                partition_degree: self.partition_degree,
             },
         );
         MidasSession {
@@ -199,7 +185,6 @@ impl Midas {
             scheduler,
             modelling: HashMap::new(),
             max_vms: 8,
-            partition_degree: self.partition_degree,
         }
     }
 }
@@ -211,7 +196,6 @@ pub struct MidasSession<'a> {
     scheduler: Scheduler<'a>,
     modelling: HashMap<String, Modelling>,
     max_vms: u32,
-    partition_degree: usize,
 }
 
 impl MidasSession<'_> {
@@ -233,9 +217,8 @@ impl MidasSession<'_> {
                 .map_err(SchedulerError::Engine)?;
         // Profile once: the cost model and the fragment outputs the chosen
         // plan's execution takes over instead of recomputing.
-        let (model, profiled) =
-            PlanCostModel::profile(self.placement, query, tables, self.partition_degree)
-                .map_err(SchedulerError::Engine)?;
+        let (model, profiled) = PlanCostModel::profile(self.placement, query, tables)
+            .map_err(SchedulerError::Engine)?;
         let weights = WeightedSumModel::new(&policy.weights);
         let outcome: MoqpOutcome = moqp_exhaustive(
             &space,

@@ -471,7 +471,6 @@ proptest! {
         // which legitimately depend on service order) must match.
         let raced = drained(RuntimeConfig {
             workers: 4,
-            parallel_fragments: true,
             ..config
         });
         prop_assert_eq!(canonical_outcomes(&raced), canonical_outcomes(&blind));

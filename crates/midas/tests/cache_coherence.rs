@@ -125,7 +125,6 @@ fn cached_runs_are_bit_identical_to_cold_at_one_and_four_workers() {
     let warm1 = run(&build(config));
     let rt4 = build(RuntimeConfig {
         workers: 4,
-        parallel_fragments: true,
         ..config
     });
     let warm4 = run(&rt4);
@@ -557,7 +556,6 @@ proptest! {
             generate_medical(base_patients, 0.5, seed),
             RuntimeConfig {
                 workers: 4,
-                parallel_fragments: true,
                 max_vms: 2,
                 seed,
                 retain_pinned_snapshots: true,

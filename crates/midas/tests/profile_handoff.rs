@@ -10,8 +10,7 @@
 //! predicted and simulated cost vectors, DREAM windows, result
 //! fingerprints, fragment-cache hits, per-site admissions and the
 //! simulated clock — under every combination of fragment cache, plan
-//! cache, wave parallelism, partition degree and worker count, and across
-//! a fault-injected retry.
+//! cache and worker count, and across a fault-injected retry.
 //!
 //! The reference also costs the space afresh (`moqp_exhaustive`) for every
 //! attempt of every job, where the runtime selects from the Pareto set its
@@ -35,6 +34,10 @@ use midas_tpch::gen::{GenConfig, TpchDb};
 use midas_tpch::queries::{q12, q13, q14, q17};
 use std::collections::HashMap;
 use std::sync::Mutex;
+
+/// The runtime's cost multiplier on a site that failed earlier in the job
+/// (`FederationRuntime::HOT_SITE_PENALTY`, private there).
+const HOT_SITE_PENALTY: f64 = 8.0;
 
 /// What one job left in the ledgers that must not depend on the hand-off.
 #[derive(Debug, Clone, PartialEq)]
@@ -125,15 +128,13 @@ impl<'a> Reference<'a> {
                 .clone()
                 .with_site_pressure(&pressure, self.config.pressure_penalty)
                 .expect("valid penalty")
-                .with_hot_sites(&hot_sites, self.config.hot_site_penalty)
+                .with_hot_sites(&hot_sites, HOT_SITE_PENALTY)
                 .expect("valid penalty");
             let outcome =
                 moqp_exhaustive(&space, &model, federation, &weights, &job.policy.constraints);
             let federated =
                 assemble(federation, placement, query, &outcome.chosen).expect("assembled");
-            let mut executor = SharedExecutor::new(federation, &self.env, &self.admission)
-                .with_parallel_fragments(self.config.parallel_fragments)
-                .with_partition_degree(self.config.partition_degree);
+            let mut executor = SharedExecutor::new(federation, &self.env, &self.admission);
             if let Some(cache) = &self.fragment_cache {
                 executor = executor.with_result_cache(ResultCacheBinding {
                     cache,
@@ -319,42 +320,33 @@ fn hand_off_matches_build_then_execute_across_the_config_matrix() {
     let jobs = mixed_jobs(3);
     for fragment_cache_bytes in [0, 64 << 20] {
         for plan_cache_bytes in [0, 8 << 20] {
-            for parallel_fragments in [false, true] {
-                for partition_degree in [1, 4] {
-                    let config = RuntimeConfig {
-                        max_vms: 2,
-                        fragment_cache_bytes,
-                        plan_cache_bytes,
-                        parallel_fragments,
-                        partition_degree,
-                        ..RuntimeConfig::default()
-                    };
-                    let ctx = format!(
-                        "frag={fragment_cache_bytes} plan={plan_cache_bytes} \
-                         parallel={parallel_fragments} degree={partition_degree}"
-                    );
-                    let (one, expected) =
-                        assert_one_worker_matches_reference(&midas, &db, config, None, &jobs, &ctx);
-                    // Misses hand over all three fragments, hits none
-                    // (a fragment cache would serve some of them first).
-                    let misses = if plan_cache_bytes == 0 { 12 } else { 8 };
-                    let handed: Vec<u32> =
-                        one.completed.iter().map(|r| r.reused_fragments).collect();
-                    if fragment_cache_bytes == 0 {
-                        assert_eq!(one.reused_fragments, 3 * misses, "{ctx}: {handed:?}");
-                        assert!(handed.iter().all(|&h| h == 0 || h == 3), "{ctx}: {handed:?}");
-                    }
-
-                    // Four racing workers serve in another order, so the
-                    // drifting env differs; everything else may not.
-                    let four = runtime(&midas, &db, RuntimeConfig { workers: 4, ..config })
-                        .run(jobs.clone());
-                    assert!(four.failed.is_empty(), "{ctx}: failures {:?}", four.failed);
-                    let four: Vec<Ledger> = ledgers(&four).iter().map(order_free).collect();
-                    let expected: Vec<Ledger> = expected.iter().map(order_free).collect();
-                    assert_eq!(four, expected, "{ctx} at 4 workers");
-                }
+            let config = RuntimeConfig {
+                max_vms: 2,
+                fragment_cache_bytes,
+                plan_cache_bytes,
+                ..RuntimeConfig::default()
+            };
+            let ctx = format!("frag={fragment_cache_bytes} plan={plan_cache_bytes}");
+            let (one, expected) =
+                assert_one_worker_matches_reference(&midas, &db, config, None, &jobs, &ctx);
+            // Misses hand over all three fragments, hits none
+            // (a fragment cache would serve some of them first).
+            let misses = if plan_cache_bytes == 0 { 12 } else { 8 };
+            let handed: Vec<u32> =
+                one.completed.iter().map(|r| r.reused_fragments).collect();
+            if fragment_cache_bytes == 0 {
+                assert_eq!(one.reused_fragments, 3 * misses, "{ctx}: {handed:?}");
+                assert!(handed.iter().all(|&h| h == 0 || h == 3), "{ctx}: {handed:?}");
             }
+
+            // Four racing workers serve in another order, so the
+            // drifting env differs; everything else may not.
+            let four = runtime(&midas, &db, RuntimeConfig { workers: 4, ..config })
+                .run(jobs.clone());
+            assert!(four.failed.is_empty(), "{ctx}: failures {:?}", four.failed);
+            let four: Vec<Ledger> = ledgers(&four).iter().map(order_free).collect();
+            let expected: Vec<Ledger> = expected.iter().map(order_free).collect();
+            assert_eq!(four, expected, "{ctx} at 4 workers");
         }
     }
 }
@@ -535,7 +527,7 @@ fn a_cold_job_scans_what_one_standalone_execution_scans() {
 
     // The job: profile (the only executions), then a run that is handed
     // all three outputs and so executes nothing.
-    let (_, profiled) = PlanCostModel::profile(midas.placement(), &query, tables, 1).unwrap();
+    let (_, profiled) = PlanCostModel::profile(midas.placement(), &query, tables).unwrap();
     let executed_rows: u64 = profiled.iter().map(|p| p.work.scanned_rows()).sum();
     assert_eq!(executed_rows, standalone_rows);
     let mut scheduler = Scheduler::new(

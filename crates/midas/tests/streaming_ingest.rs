@@ -172,7 +172,6 @@ fn concurrent_workers_keep_snapshot_isolation_under_live_ingest() {
         db.catalog().clone(),
         RuntimeConfig {
             workers: 4,
-            parallel_fragments: true,
             retain_pinned_snapshots: true,
             ..RuntimeConfig::default()
         },
@@ -445,7 +444,6 @@ proptest! {
             catalog,
             RuntimeConfig {
                 workers: 2,
-                parallel_fragments: true,
                 max_vms: 2,
                 seed,
                 retain_pinned_snapshots: true,

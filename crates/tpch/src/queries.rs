@@ -25,7 +25,7 @@ use midas_engines::error::EngineError;
 use midas_engines::expr::Expr;
 use midas_engines::ops::{AggExpr, JoinType, PhysicalPlan, WorkProfile};
 use midas_engines::version::CatalogVersion;
-use midas_engines::{execute_fused_versioned, execute_fused_with_partitions, Catalog, Value};
+use midas_engines::{execute_fused, execute_fused_versioned, Catalog, Value};
 
 /// Which of the paper's queries a template instantiates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -119,17 +119,13 @@ impl TwoTableQuery {
     pub fn execute_fused_chunked(
         &self,
         version: &CatalogVersion,
-        partition_degree: usize,
     ) -> Result<(Table, [WorkProfile; 3]), EngineError> {
-        let (left, left_profile) =
-            execute_fused_versioned(&self.left_prepare, version, partition_degree)?;
-        let (right, right_profile) =
-            execute_fused_versioned(&self.right_prepare, version, partition_degree)?;
+        let (left, left_profile) = execute_fused_versioned(&self.left_prepare, version)?;
+        let (right, right_profile) = execute_fused_versioned(&self.right_prepare, version)?;
         let mut frags = Catalog::new();
         frags.insert("@frag0".to_string(), left);
         frags.insert("@frag1".to_string(), right);
-        let (out, combine_profile) =
-            execute_fused_with_partitions(&self.combine, &frags, partition_degree)?;
+        let (out, combine_profile) = execute_fused(&self.combine, &frags)?;
         Ok((out, [left_profile, right_profile, combine_profile]))
     }
 

@@ -6,8 +6,8 @@
 //! interleaved **ingest events** (delta batches from a
 //! [`DeltaStream`] — new orders plus their lineitems, one atomic catalog
 //! version bump each) and **query events** (Q12–Q17 instances drawn from
-//! per-tenant split-seeded [`WorkloadGenerator`] streams, exactly the mix
-//! the runtime benches use).
+//! per-tenant split-seeded [`WorkloadGenerator`] streams, the generator
+//! the benchmark's `tpch_cold` and `ingest_mixed` workloads draw from).
 //!
 //! The tape is a pure function of `(db shape, spec)`: a streaming runtime
 //! consuming it concurrently and a sequential oracle replaying it

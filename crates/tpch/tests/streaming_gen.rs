@@ -72,7 +72,7 @@ fn streaming_generation_reproduces_materialized_exactly() {
 /// fingerprints and all three work profiles — and pays **zero** snapshot
 /// compaction doing it, whether a morsel spans several chunks (4 096-row
 /// chunks) or a chunk spans a morsel boundary (chunks a morsel and a
-/// quarter long), serial and sharded.
+/// quarter long).
 #[test]
 fn chunk_native_queries_match_flat_execution() {
     for config in [GenConfig::new(0.01, 11), GenConfig::new(0.01, 11).dictionary_encoded()] {
@@ -92,14 +92,12 @@ fn chunk_native_queries_match_flat_execution() {
                 .execute_local(&mut catalog, midas_engines::ops::execute)
                 .expect("flat execution runs");
             for chunked in &streamed {
-                for degree in [1usize, 3, 8] {
-                    let (out, profiles) = q
-                        .execute_fused_chunked(chunked.version(), degree)
-                        .expect("chunk-native execution runs");
-                    assert_eq!(out, ref_out, "{} diverges at degree {degree}", q.label);
-                    assert_eq!(out.fingerprint(), ref_out.fingerprint());
-                    assert_eq!(profiles, ref_profiles, "{} profiles diverge", q.label);
-                }
+                let (out, profiles) = q
+                    .execute_fused_chunked(chunked.version())
+                    .expect("chunk-native execution runs");
+                assert_eq!(out, ref_out, "{} diverges", q.label);
+                assert_eq!(out.fingerprint(), ref_out.fingerprint());
+                assert_eq!(profiles, ref_profiles, "{} profiles diverge", q.label);
             }
         }
         for chunked in &streamed {

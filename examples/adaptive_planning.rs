@@ -60,7 +60,6 @@ fn burst() -> Vec<RuntimeJob> {
 fn config(pressure_penalty: f64) -> RuntimeConfig {
     RuntimeConfig {
         workers: 4,
-        parallel_fragments: true,
         max_vms: 2,
         // Dilate simulated site work into real wall time so in-flight
         // fragments occupy their admission slots while later bursts are

@@ -41,7 +41,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         catalog,
         RuntimeConfig {
             workers: 2,
-            parallel_fragments: true,
             max_vms: 4,
             // Keep each job's pinned snapshot on its report so the
             // visibility printout below can count the patients it saw.

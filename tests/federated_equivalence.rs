@@ -54,7 +54,6 @@ fn federated_execution_matches_local_execution_for_every_query() {
                 seed: 4,
                 drift: DriftIntensity::Strong,
                 work_scale: 3.0, // must not affect results, only costs
-                ..SchedulerConfig::default()
             },
         );
         let run = scheduler
@@ -88,7 +87,6 @@ fn join_site_choice_does_not_change_results() {
                 seed: 9,
                 drift: DriftIntensity::Mild,
                 work_scale: 1.0,
-                ..SchedulerConfig::default()
             },
         );
         let config = CandidateConfig {

@@ -43,10 +43,11 @@
 //!   `i` may scan `@frag<j>` for `j < i` (the
 //!   [`TwoTableQuery`](crate::exec::FederatedQuery) shape: left prepare,
 //!   right prepare, combine);
-//! * [`analyze_federated`] — a full [`FederatedQuery`] against a
+//! * [`analyze_federated`] — a full
+//!   [`FederatedQuery`](crate::exec::FederatedQuery) against a
 //!   [`Federation`]: everything above plus site-id bounds (an out-of-range
-//!   [`SiteId`] would *panic* at dispatch) and instance-name resolution
-//!   against each site's machine catalog.
+//!   [`SiteId`](midas_cloud::SiteId) would *panic* at dispatch) and
+//!   instance-name resolution against each site's machine catalog.
 //!
 //! The federation runtime and the IReS scheduler run these at admission and
 //! reject invalid plans with typed errors before any slot is taken — see
@@ -306,7 +307,7 @@ impl PlanAnalysis {
     }
 }
 
-/// The result of analyzing a whole [`FederatedQuery`].
+/// The result of analyzing a whole [`FederatedQuery`](crate::exec::FederatedQuery).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FederatedAnalysis {
     /// Per-fragment plan analyses, in fragment order.
@@ -366,7 +367,7 @@ pub fn analyze_plan_at(plan: &PhysicalPlan, schemas: &SchemaCatalog, root: &str)
 }
 
 /// Analyzes an ordered fragment pipeline: plan `i` may scan `@frag<j>` for
-/// `j < i` (the convention of [`crate::exec::run_federated`] and
+/// `j < i` (the convention of [`crate::exec::SharedExecutor`] and
 /// `TwoTableQuery` — left prepare `@frag0`, right prepare `@frag1`,
 /// combine last). Each plan's inferred output schema is registered before
 /// the next plan is analyzed; forward and dangling `@frag` references are

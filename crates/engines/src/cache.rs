@@ -21,7 +21,8 @@
 //!    is kept and compared on equality — the 64-bit hash is only a table
 //!    index, so hash collisions cannot alias two different plans.
 //! 3. **Table identity** — the `(name, id)` pairs of every base table the
-//!    plan reads, where the id is the [`ChunkedTable`] identity
+//!    plan reads, where the id is the
+//!    [`ChunkedTable`](crate::version::ChunkedTable) identity
 //!    (`ChunkedTable::id`): a process-unique number minted whenever a
 //!    table's content could differ from any previously existing table.
 //!    Appending a delta builds a *new* chunked table with a *new* id,
@@ -491,12 +492,7 @@ impl<K: Hash + Eq + Clone, V: Clone> ScopedCache<K, V> {
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, CacheInner<K, V>> {
-        // A panic between two cache operations leaves the maps consistent
-        // (each op completes its bookkeeping under one lock), so recover
-        // rather than cascade.
-        self.inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        crate::lock_recover(&self.inner)
     }
 
     /// Looks `key` up, refreshing its recency on a hit.

@@ -6,10 +6,9 @@
 //! [`Catalog`]. Entries are [`Arc<Table>`], which is what makes the whole
 //! data plane zero-copy:
 //!
-//! * **Seeding is `Arc::clone`.** A per-query execution catalog references
-//!   the base tables of the deployment-wide catalog by bumping a reference
-//!   count; the table bytes are never copied (the runtime's
-//!   `catalog_cloned_bytes` metric pins this at zero).
+//! * **Nothing is seeded.** A query's fragments scan the base tables of
+//!   the deployment-wide catalog by reference, where they are; its
+//!   per-query catalog holds only its own `@frag<N>` outputs.
 //! * **Cloning a catalog is O(entries), not O(data).** The analytic cost
 //!   model can take a private copy per query and splice in its prepared
 //!   intermediates without duplicating the base data.

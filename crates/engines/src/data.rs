@@ -367,6 +367,35 @@ impl Column {
     }
 }
 
+/// The one *virtual* byte formula: [`Table::estimated_bytes`] of a table
+/// of `n` rows with the schema of `columns` that is never built — a
+/// selection of a table, the concatenation of selected slabs, a join
+/// output known only by its gather indices. `utf8_total(ci, strings)` is
+/// the total byte length of Utf8 column `ci`'s `n` selected values
+/// (`strings` is the schema column's own buffer, for callers that index
+/// it). Totals are exact integers however many pieces they were summed
+/// over; the float average and the product are applied here, once, so
+/// the result is the bit pattern that materializing and then measuring
+/// produces — what keeps work profiles equal across the scalar, batch and
+/// fused executors, and across chunk boundaries.
+pub(crate) fn virtual_bytes<'c>(
+    columns: impl Iterator<Item = &'c Column>,
+    n: usize,
+    mut utf8_total: impl FnMut(usize, &'c [String]) -> usize,
+) -> u64 {
+    let per_row: f64 = columns
+        .enumerate()
+        .map(|(ci, c)| match &c.data {
+            ColumnData::Int64(_) | ColumnData::Float64(_) => 8.0,
+            ColumnData::Date(_) => 4.0,
+            ColumnData::Bool(_) => 1.0,
+            ColumnData::Utf8(_) if n == 0 => 8.0,
+            ColumnData::Utf8(v) => utf8_total(ci, v) as f64 / n as f64,
+        })
+        .sum();
+    (per_row * n as f64) as u64
+}
+
 /// A named, schema-checked collection of equal-length columns.
 #[derive(Clone)]
 pub struct Table {
@@ -514,31 +543,23 @@ impl Table {
     }
 
     /// [`Table::estimated_bytes`] of the *virtual* table selected by `sel`
-    /// (`None` = all rows), without materializing it. Computes the exact
-    /// same floating-point expression as filtering then measuring, so the
-    /// work profiles of the batch and scalar executors agree bit-for-bit.
+    /// (`None` = all rows), without materializing it: the bit pattern that
+    /// gathering the rows and measuring them produces.
     pub fn estimated_bytes_sel(&self, sel: Option<&[u32]>) -> u64 {
         let Some(sel) = sel else {
             return self.estimated_bytes();
         };
-        let n = sel.len();
-        let per_row: f64 = self
-            .columns
-            .iter()
-            .map(|c| match &c.data {
-                ColumnData::Int64(_) | ColumnData::Float64(_) => 8.0,
-                ColumnData::Date(_) => 4.0,
-                ColumnData::Bool(_) => 1.0,
-                ColumnData::Utf8(v) => {
-                    if n == 0 {
-                        8.0
-                    } else {
-                        sel.iter().map(|&i| v[i as usize].len()).sum::<usize>() as f64 / n as f64
-                    }
-                }
-            })
-            .sum();
-        (per_row * n as f64) as u64
+        virtual_bytes(self.columns.iter(), sel.len(), |ci, _| self.utf8_bytes_sel(ci, Some(sel)))
+    }
+
+    /// Total byte length of column `ci`'s string values at the rows `sel`
+    /// (`None` = all rows, memoized); `0` for a non-Utf8 column.
+    pub(crate) fn utf8_bytes_sel(&self, ci: usize, sel: Option<&[u32]>) -> usize {
+        match (sel, &self.columns[ci].data) {
+            (None, _) => self.utf8_len_sums()[ci],
+            (Some(sel), ColumnData::Utf8(v)) => sel.iter().map(|&i| v[i as usize].len()).sum(),
+            (Some(_), _) => 0,
+        }
     }
 
     /// Keeps the rows where `mask` is true.
@@ -1116,6 +1137,60 @@ mod tests {
             })
             .sum();
         assert_eq!((per_row * t.n_rows() as f64) as u64, t.estimated_bytes());
+    }
+
+    /// The property every caller of [`virtual_bytes`] relies on: it is
+    /// `Table::estimated_bytes` of the table its arguments describe, had
+    /// that table been gathered — a (masked, NULL-bearing, possibly empty)
+    /// selection, the concatenation of selected slabs, and a left-outer
+    /// join side whose misses gather as empty strings.
+    #[test]
+    fn virtual_bytes_equal_materialise_then_measure() {
+        let strs = |v: &[&str]| ColumnData::Utf8(v.iter().map(|s| s.to_string()).collect());
+        let slab = |words: &[&str], valid: Vec<bool>| {
+            let n = words.len();
+            Table::new(
+                "t",
+                vec![
+                    Column::new("k", ColumnData::Int64(vec![7; n])),
+                    // A NULL slot keeps whatever string its buffer holds,
+                    // and `take_ids` clones it: it counts.
+                    Column::with_validity("s", strs(words), valid),
+                    Column::new("d", ColumnData::Date(vec![1; n])),
+                    Column::new("b", ColumnData::Bool(vec![true; n])),
+                    Column::new("u", strs(&vec!["xyz"; n])),
+                ],
+            )
+            .unwrap()
+        };
+        let a = slab(&["alpha", "", "hidden", "be"], vec![true, true, false, true]);
+        let b = slab(&[], vec![]);
+        let c = slab(&["gamma", "d"], vec![false, true]);
+
+        // One table under a selection (repeats and the empty one included).
+        for sel in [&[0u32, 2, 2, 3][..], &[1], &[]] {
+            assert_eq!(a.estimated_bytes_sel(Some(sel)), a.take_ids(sel).estimated_bytes());
+        }
+        assert_eq!(b.estimated_bytes_sel(Some(&[])), 0);
+
+        // Several slabs, an empty one between them, each under its own
+        // selection (`None` = every row): the concatenation of the gathers.
+        let slabs: [(&Table, Option<&[u32]>); 3] = [(&a, Some(&[3, 0])), (&b, None), (&c, None)];
+        let n = slabs.iter().map(|(t, s)| s.map_or(t.n_rows(), <[u32]>::len)).sum();
+        let virt = virtual_bytes(a.columns().iter(), n, |ci, _| {
+            slabs.iter().map(|(t, s)| t.utf8_bytes_sel(ci, *s)).sum()
+        });
+        let parts = [a.take_ids(&[3, 0]), b.clone(), c.clone()];
+        let gathered = Table::concat("t", &parts.iter().collect::<Vec<_>>()).unwrap();
+        assert_eq!(virt, gathered.estimated_bytes());
+
+        // A left-outer join's right side: row 1 found no partner.
+        let (ids, hit) = ([2u32, 0, 1, 2], [true, false, true, true]);
+        let right = Table::new("r", a.columns().iter().map(|c| c.take_opt_ids(&ids, &hit)).collect());
+        let virt = virtual_bytes(a.columns().iter(), ids.len(), |_, v| {
+            (ids.iter().zip(&hit)).map(|(&i, &h)| if h { v[i as usize].len() } else { 0 }).sum()
+        });
+        assert_eq!(virt, right.unwrap().estimated_bytes());
     }
 
     #[test]

@@ -19,14 +19,13 @@
 //! suite pins this), so every simulation quantity derived from a
 //! profile is unchanged.
 //!
-//! The data plane is zero-copy, over either [`TableSource`]. Base tables
-//! in a shared [`Catalog`] of `Arc<Table>` entries seed the per-query
-//! execution catalog by `Arc::clone` (a refcount bump, never a byte copy —
-//! pinned by [`ExecutionOutcome::catalog_cloned_bytes`]); base tables in a
-//! `CatalogVersion` are not seeded at all — fragments scan the version's
-//! chunks where they are, so a table that grew by appends is never
-//! compacted for a run. Fragment outputs enter the per-query catalog
-//! `Arc::new`-ed exactly once.
+//! The data plane is zero-copy, over either [`TableSource`]: fragments
+//! scan base tables where they are — a shared [`Catalog`]'s `Arc<Table>`
+//! entries by reference, a `CatalogVersion`'s chunks one slab each, so a
+//! table that grew by appends is never compacted for a run — and nothing
+//! of them is seeded or copied per query. The per-query catalog holds the
+//! `@frag<N>` outputs only, each `Arc::new`-ed exactly once; a scan
+//! resolves there first and in the source second.
 //!
 //! **A run is one thread.** Fragments execute one at a time, in index
 //! order, on the calling thread; concurrency is many workers each running
@@ -146,17 +145,12 @@ pub struct ExecutionOutcome {
     pub money: Money,
     /// Total intermediate bytes produced across fragments.
     pub intermediate_bytes: u64,
-    /// Bytes of base-table data the run reads in place — through shared
-    /// `Arc<Table>` handles seeded from a flat catalog, or chunk by chunk
-    /// from a version (then counted as the contiguous tables would measure,
-    /// so both sources report the same number). The volume the pre-Arc
-    /// executor deep-copied for every job.
+    /// Bytes of base-table data the run reads in place — a flat catalog's
+    /// tables behind their `Arc`s, a version's chunk by chunk (then counted
+    /// as the contiguous tables would measure, so both sources report the
+    /// same number). The volume the pre-Arc executor deep-copied for every
+    /// job; no per-job copy of a base table exists to be counted.
     pub catalog_shared_bytes: u64,
-    /// Bytes of base-table data deep-copied while seeding the per-query
-    /// catalog. Structurally zero on the `Arc` path; surfaced so a
-    /// reintroduced per-job copy fails loudly (`catalog_sharing.rs` and
-    /// the midas integration tests assert it is 0).
-    pub catalog_cloned_bytes: u64,
     /// Fragments served from the result cache instead of executing (their
     /// tables and work profiles are bit-identical to recomputation; only
     /// wall-clock changes — see [`crate::cache`]).
@@ -190,7 +184,7 @@ pub struct QepConfig {
     pub vm_count: u32,
 }
 
-/// How one [`run_federated`] call reaches a shared [`FragmentResultCache`]:
+/// How one [`SharedExecutor`] run reaches a shared [`FragmentResultCache`]:
 /// the cache itself, the sharing-scope policy, who is asking, and the
 /// identity of every pinned base table (see [`crate::cache`] for why these
 /// four pieces make a hit sound).
@@ -506,43 +500,19 @@ fn run_federated(
         (0..n).map(|_| None).collect()
     };
 
-    // The per-query catalog. Over a flat catalog it is seeded with only
-    // the base tables the query's scans actually reference — by
-    // `Arc::clone`, a refcount bump — and fragments read them from it. The
-    // shared/cloned split is *measured* by pointer identity against the
-    // base catalog, not assumed: if seeding ever regresses to a deep copy
-    // (a fresh allocation), those bytes land in `catalog_cloned_bytes`
-    // and trip the zero-copy assertions of `catalog_sharing.rs` and the
-    // runtime's integration tests. Over a version there is
-    // nothing to seed: scans read its chunks in place, the catalog holds
-    // `@frag` outputs only, and the shared volume is what the same tables
-    // would measure compacted — the two sources report equal bytes.
+    // The per-query catalog holds `@frag` outputs only: base tables are
+    // read where they are — a flat catalog's behind its `Arc`, a version's
+    // chunk by chunk — whichever the source. The shared volume is what the
+    // scanned tables measure contiguous, so both sources report equal bytes.
     let mut catalog = Catalog::new();
     let mut catalog_shared_bytes = 0u64;
-    let mut catalog_cloned_bytes = 0u64;
     let mut scanned: Vec<String> = Vec::new();
     for fragment in &query.fragments {
         for name in referenced_base_tables(&fragment.plan) {
-            if scanned.contains(&name) {
-                continue;
+            if !scanned.contains(&name) {
+                catalog_shared_bytes += base_tables.table_bytes(&name).unwrap_or(0);
+                scanned.push(name);
             }
-            match base_tables {
-                TableSource::Flat(base) => {
-                    if let Some(table) = base.get_shared(&name) {
-                        catalog.insert_shared(name.clone(), Arc::clone(table));
-                        let seeded = catalog.get_shared(&name).expect("just inserted");
-                        if Arc::ptr_eq(seeded, table) {
-                            catalog_shared_bytes += table.estimated_bytes();
-                        } else {
-                            catalog_cloned_bytes += table.estimated_bytes();
-                        }
-                    }
-                }
-                TableSource::Versioned(_) => {
-                    catalog_shared_bytes += base_tables.table_bytes(&name).unwrap_or(0);
-                }
-            }
-            scanned.push(name);
         }
     }
 
@@ -653,11 +623,7 @@ fn run_federated(
         // Simulation step: read load, draw noise, advance the world by the
         // fragment's elapsed time — the three ops atomic under one lock.
         let elapsed = {
-            // Recover a poisoned env instead of cascading: the guarded
-            // drift/clock state is plain arithmetic kept consistent at
-            // every unlock, and one panicked job must not abort the whole
-            // runtime's simulation.
-            let mut env = env.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+            let mut env = crate::lock_recover(env);
             // An injected slowdown multiplies the site's load; it never
             // consumes RNG, so positions outside every window simulate
             // bit-identically to a fault-free run (x * 1.0 == x).
@@ -698,7 +664,6 @@ fn run_federated(
         money: total_money,
         intermediate_bytes: total_intermediate,
         catalog_shared_bytes,
-        catalog_cloned_bytes,
         cache_hits,
         reused_fragments,
         fragments: outcomes,
@@ -1055,8 +1020,8 @@ mod tests {
         // Every fragment served from cache; outcome bit-identical.
         assert_eq!(warm.cache_hits, 2);
         // The warm result *is* the table the cold run computed and cached:
-        // a hit hands over a refcount, never a copy. (The gate for a
-        // reintroduced per-job copy, like `catalog_cloned_bytes`.)
+        // a hit hands over a refcount, never a copy — the gate for a
+        // reintroduced per-job copy.
         assert!(Arc::ptr_eq(&warm.result, &cold.result));
         assert_eq!(warm.result, cold.result);
         assert_eq!(

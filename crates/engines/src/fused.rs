@@ -1,49 +1,50 @@
-//! Morsel-driven fused pipeline executor over flat **or chunk-native**
-//! inputs.
+//! Morsel-driven fused pipeline executor over **slabs**: one batch shape,
+//! whether a table is one contiguous allocation or the chunks of a version
+//! that grew by appends.
 //!
 //! This is the scale-jump counterpart of [`crate::ops`]'s whole-column
 //! vectorized executor. Four coordinated changes make SF ≥ 1 data
 //! survivable:
 //!
 //! 1. **Morsels.** Filters, projections and aggregate inputs run over
-//!    cache-resident row ranges of [`MORSEL_ROWS`] rows
-//!    ([`SelView::range`] / [`SelView::over`] slices) instead of
+//!    cache-resident row ranges of [`MORSEL_ROWS`] rows of one slab at a
+//!    time ([`SelView::range`] / [`SelView::over`] slices) instead of
 //!    whole-column passes, drawing every temporary from one
 //!    [`EvalScratch`] pool that is reused across all morsels of a query —
 //!    the hot loop stops allocating after the first few morsels and its
 //!    working set stays in cache. An aggregate consumes each morsel's
 //!    typed kernel result straight into its per-group states
-//!    (`ops::accumulate_aggs`, shared with the whole-column
-//!    executor), so no operator holds an input-length temporary: what a
-//!    fused run allocates follows what its operators *produce*
+//!    (`ops::aggregate_vec`, the one aggregate of both executors), so no
+//!    operator holds an input-length temporary: what a fused run
+//!    allocates follows what its operators *produce*
 //!    (`tests/alloc_census.rs` counts it).
 //! 2. **Compiled expression kernels.** Every operator resolves its `Expr`
 //!    tree into a [`KernelPlan`] (register steps + deduplicated column
 //!    loads) **once**, then replays the plan per morsel — no per-batch
 //!    tree walk.
-//! 3. **Chunk-native scans + deferred join gather.** Scans resolve
-//!    through one [`TableSource`]: against a [`CatalogVersion`] the
-//!    scan/filter/project pipeline iterates a multi-chunk
-//!    [`ChunkedTable`]'s chunks directly, so a version that grew by
-//!    appends never pays `pin()` compaction (asserted via
-//!    [`CatalogVersion::compaction_bytes`] staying 0), while a one-chunk
-//!    table — every table that was never appended to — is borrowed whole
-//!    and runs the flat path unchanged. This is what the runtime serves
-//!    from: planning and execution hand the job's pinned version straight
-//!    down ([`crate::exec`]). An operator that needs one contiguous input
-//!    (a join side, a sort, a non-deferred aggregate) gathers a chunked
-//!    view once, per use — the query shapes served here put
-//!    filter+project between every base scan and such an operator. An
-//!    `Aggregate`
+//! 3. **Slab scans + deferred join gather.** Scans resolve through one
+//!    [`TableSource`] into a list of slabs — (table, selection) pairs in
+//!    row order: a flat catalog's table, a fragment output and a version's
+//!    never-appended table are one slab; a multi-chunk `ChunkedTable` is
+//!    one slab per chunk, borrowed where it lies. Scan, filter, project
+//!    and limit are each one loop over the slabs, so a flat table runs
+//!    that loop once and a version that grew by appends never pays `pin()`
+//!    compaction (asserted via [`CatalogVersion::compaction_bytes`]
+//!    staying 0). This is what the runtime serves from: planning and
+//!    execution hand the job's pinned version straight down
+//!    ([`crate::exec`]). An operator that needs one contiguous input (a
+//!    join side, a sort, a non-deferred aggregate) gathers several slabs
+//!    once, per use — the query shapes served here put filter+project
+//!    between every base scan and such an operator. An `Aggregate`
 //!    whose input peels to `[Filter*] → HashJoin` consumes the join as
 //!    `(left row, right row, hit)` index triples and gathers **only the
 //!    columns its filters, group keys and aggregates actually reference**
 //!    — each at most once, full-length, into a sparse side cache
 //!    ([`KernelCols::Cols`]) — instead of gathering every column of the
-//!    join output. Byte accounting for the never-materialized join output
-//!    is *virtual*: the same float expression
-//!    `Table::estimated_bytes_sel` would compute, evaluated from the
-//!    gather indices.
+//!    join output. Byte accounting for rows that are never gathered —
+//!    a selection, several slabs, the join output — is *virtual*, and
+//!    written once (`data::virtual_bytes`): exact integer string totals,
+//!    then the float expression `Table::estimated_bytes` applies.
 //! 4. **Staged filters.** A filter binds its compiled predicate to each
 //!    slab it scans — a table, a chunk, a deferred join's gathered columns
 //!    — once ([`KernelPlan::bind_filter`]). When every top-level conjunct
@@ -55,13 +56,13 @@
 //!    by construction; one opaque conjunct and the filter runs its single
 //!    program as before.
 //!
-//! **Bit-for-bit parity.** For every plan, [`execute_fused`] (and
-//! [`execute_fused_versioned`]) produces the same result [`Table`]
+//! **Bit-for-bit parity.** For every plan, [`execute_fused`] — over a
+//! catalog or over a version — produces the same result [`Table`]
 //! (including [`Table::fingerprint`]) and the same [`WorkProfile`] as
 //! [`crate::ops::execute`] over the equivalent flat catalog — the
 //! `fused_differential` suite pins scalar vs vectorized vs fused-morsel
 //! and pinned vs chunk-native across randomized chunk boundaries.
-//! Morsel boundaries are invisible because every
+//! Morsel and slab boundaries are invisible because every
 //! normalization (all-NULL collapse, mask dropping, type selection) is
 //! applied **globally** after the morsel loop, never per morsel. The one
 //! tolerated divergence: when a plan would fail with *multiple distinct
@@ -75,16 +76,14 @@
 //! inside one job measured 0.33–0.76× of the single pass.
 
 use crate::catalog::Catalog;
-use crate::data::{Column, ColumnData, DataType, Table, Value};
+use crate::data::{virtual_bytes, Column, ColumnData, DataType, Table, Value};
 use crate::error::EngineError;
 use crate::expr::{BatchVals, EvalScratch, Expr, KernelCols, KernelPlan, NumTy, SelView};
 use crate::ops::{
-    accumulate_aggs, agg_output_columns, aggregate_vec, hash_join_vec, join_key_columns,
-    record_batch, serial_group_ids, serial_join_indices, sort_sel,
-    AggExpr, AggInput, AggView, Batch, JoinType, OpKind, OpWork, PhysicalPlan, TableSlot,
-    WorkProfile,
+    aggregate_vec, hash_join_vec, join_key_columns, serial_join_indices, sort_sel, AggExpr,
+    AggInput, Batch, JoinType, OpKind, OpWork, PhysicalPlan, TableSlot, WorkProfile,
 };
-use crate::version::{CatalogVersion, ChunkedTable};
+use crate::version::CatalogVersion;
 use std::sync::Arc;
 
 /// Rows per morsel: 16 Ki rows keeps a handful of `f64`/sel temporaries
@@ -92,33 +91,23 @@ use std::sync::Arc;
 /// dispatch to noise.
 pub const MORSEL_ROWS: usize = 16 * 1024;
 
-/// Executes `plan` with the morsel-driven fused pipelines over a flat
-/// [`Catalog`]. Result table and [`WorkProfile`] are bit-identical to the
-/// unfused executors.
-pub fn execute_fused(
+/// Executes `plan` with the morsel-driven fused pipelines over `tables` —
+/// a flat [`Catalog`], or one published [`CatalogVersion`] whose
+/// [`ChunkedTable`](crate::version::ChunkedTable)s are scanned chunk by
+/// chunk where they lie, so a hot multi-chunk version is queried without
+/// ever materializing a compacted snapshot (`version.compaction_bytes()`
+/// stays 0). Result table and [`WorkProfile`] are bit-identical to the
+/// unfused executors over the equivalent flat catalog.
+pub fn execute_fused<'a>(
     plan: &PhysicalPlan,
-    catalog: &Catalog,
+    tables: impl Into<TableSource<'a>>,
 ) -> Result<(Table, WorkProfile), EngineError> {
-    execute_fused_over(plan, &Catalog::new(), catalog.into())
+    execute_fused_over(plan, &Catalog::new(), tables.into())
 }
 
-/// Executes `plan` **chunk-natively** against one published
-/// [`CatalogVersion`]: scans iterate [`ChunkedTable`] chunks directly and
-/// the scan→filter→project pipeline stays chunked, so hot multi-chunk
-/// versions are queried without ever materializing a compacted snapshot
-/// (`version.compaction_bytes()` stays 0). Results and profiles are
-/// bit-identical to pinning the version and running the flat executors.
-pub fn execute_fused_versioned(
-    plan: &PhysicalPlan,
-    version: &CatalogVersion,
-) -> Result<(Table, WorkProfile), EngineError> {
-    execute_fused_over(plan, &Catalog::new(), version.into())
-}
-
-/// The one fused entry point behind the two above and behind
-/// [`crate::exec`]: a scan resolves in `frags` first — a run's per-query
-/// catalog of `@frag<N>` outputs (and, for a flat source, its seeded base
-/// tables) — then in `base` (see [`resolve`]).
+/// The fused entry point behind [`execute_fused`] and [`crate::exec`]: a
+/// scan resolves in `frags` first — a run's per-query catalog of
+/// `@frag<N>` outputs — then in `base` (see [`resolve`]).
 pub(crate) fn execute_fused_over(
     plan: &PhysicalPlan,
     frags: &Catalog,
@@ -128,7 +117,7 @@ pub(crate) fn execute_fused_over(
     let mut scratch = EvalScratch::new();
     let src = Tables { frags, base };
     let fb = run_fused(plan, &src, &mut profile, &mut scratch)?;
-    Ok((fb.materialize(&mut scratch), profile))
+    Ok((fb.into_flat(&mut scratch).materialize(), profile))
 }
 
 /// Where base-table scans resolve: a flat [`Catalog`] or one published
@@ -163,7 +152,7 @@ impl<'a> From<&'a Arc<CatalogVersion>> for TableSource<'a> {
     }
 }
 
-impl TableSource<'_> {
+impl<'a> TableSource<'a> {
     /// Row count of the table registered under `name`.
     pub fn table_rows(&self, name: &str) -> Option<usize> {
         match self {
@@ -174,14 +163,29 @@ impl TableSource<'_> {
 
     /// [`Table::estimated_bytes`] of the table registered under `name` —
     /// for a multi-chunk table, of the contiguous table compaction would
-    /// build, to the bit, without building it (integer length sums across
-    /// chunks, then one float expression).
+    /// build, to the bit, without building it: what a scan of it records.
     pub fn table_bytes(&self, name: &str) -> Option<u64> {
+        self.scan(name).map(|fb| fb.bytes())
+    }
+
+    /// The table registered under `name` as the batch a scan of it starts
+    /// from, and the one place the slab count is decided: a flat catalog's
+    /// table is one slab, a version's table one slab per chunk. A table
+    /// that was never appended to *is* its one chunk, name included (that
+    /// chunk is what `pin()` hands a flat oracle); one that grew is named
+    /// as its compaction would be.
+    fn scan(self, name: &str) -> Option<FBatch<'a>> {
         match self {
-            TableSource::Flat(c) => c.get(name).map(Table::estimated_bytes),
+            TableSource::Flat(c) => c.get(name).map(borrowed),
             TableSource::Versioned(v) => v.table(name).map(|ct| match ct.chunks() {
-                [one] => one.estimated_bytes(),
-                _ => chunked_bytes(ct, None),
+                [one] => borrowed(one),
+                chunks => FBatch {
+                    name: ct.name().to_string(),
+                    slabs: chunks
+                        .iter()
+                        .map(|c| Batch::all(TableSlot::Borrowed(c)))
+                        .collect(),
+                },
             }),
         }
     }
@@ -193,163 +197,111 @@ struct Tables<'a> {
     base: TableSource<'a>,
 }
 
-/// The one place a scanned name becomes a batch, and the one place flat
-/// vs chunked is decided: a fragment output or a flat catalog's table is
-/// borrowed whole; so is a version's one-chunk table (never appended to —
-/// the chunk *is* the table, and the executor runs exactly the flat
-/// path); only a multi-chunk table becomes a chunk-native view.
+/// The one place a scanned name becomes a batch: a fragment output (one
+/// slab) shadows the base source's table ([`TableSource::scan`]).
 fn resolve<'a>(src: &Tables<'a>, name: &str) -> Result<FBatch<'a>, EngineError> {
-    let flat = |t: &'a Table| FBatch::Flat(Batch::all(TableSlot::Borrowed(t)));
-    let unknown = || EngineError::UnknownTable(name.to_string());
-    if let Some(t) = src.frags.get(name) {
-        return Ok(flat(t));
-    }
-    match src.base {
-        TableSource::Flat(c) => c.get(name).map(flat).ok_or_else(unknown),
-        TableSource::Versioned(v) => {
-            let ct: &'a ChunkedTable = v.table(name).ok_or_else(unknown)?;
-            Ok(match ct.chunks() {
-                [one] => flat(one),
-                _ => FBatch::Chunked { ct, sels: None },
-            })
-        }
+    let found = src.frags.get(name).map(borrowed).or_else(|| src.base.scan(name));
+    found.ok_or_else(|| EngineError::UnknownTable(name.to_string()))
+}
+
+/// A batch flowing between fused operators: a non-empty, row-ordered list
+/// of slabs — each a (table, optional selection of slab-local row ids)
+/// pair, the whole-column executor's own [`Batch`] — beside the logical
+/// name of the table they are the rows of. A fragment output, an operator's
+/// output, a flat catalog's table and a never-appended version table are
+/// one slab; a table that grew by appends is one slab per chunk, scanned
+/// where the chunks lie. Every operator is one loop over the slabs, so one
+/// slab runs exactly what the whole-table path would and chunk boundaries
+/// have no code of their own.
+struct FBatch<'a> {
+    name: String,
+    slabs: Vec<Batch<'a>>,
+}
+
+/// One slab, named after its table.
+fn one_slab(slab: Batch<'_>) -> FBatch<'_> {
+    FBatch {
+        name: slab.table().name.clone(),
+        slabs: vec![slab],
     }
 }
 
-/// A batch flowing between fused operators: either a flat
-/// (table, selection) pair exactly like [`Batch`], or a chunk-native view
-/// of a [`ChunkedTable`] with one optional selection vector per chunk
-/// (chunk-local row ids; `None` = all rows of every chunk).
-enum FBatch<'a> {
-    Flat(Batch<'a>),
-    Chunked {
-        ct: &'a ChunkedTable,
-        sels: Option<Vec<Vec<u32>>>,
-    },
+fn borrowed(t: &Table) -> FBatch<'_> {
+    one_slab(Batch::all(TableSlot::Borrowed(t)))
+}
+
+fn owned<'a>(t: Table) -> FBatch<'a> {
+    one_slab(Batch::all(TableSlot::Owned(t)))
 }
 
 impl<'a> FBatch<'a> {
     /// Logical row count.
     fn len(&self) -> usize {
-        match self {
-            FBatch::Flat(b) => b.len(),
-            FBatch::Chunked { ct, sels } => match sels {
-                None => ct.n_rows(),
-                Some(ss) => ss.iter().map(Vec::len).sum(),
-            },
+        self.slabs.iter().map(Batch::len).sum()
+    }
+
+    /// [`Table::estimated_bytes`] of the selected rows gathered into one
+    /// table, without gathering them. One slab asks its table (a whole
+    /// table's answer is memoized on it); several sum each string column's
+    /// selected lengths across slabs as exact integers and apply the float
+    /// expression once over the totals — summing per-slab `f64` subtotals
+    /// would not reproduce the compacted table's bit pattern.
+    fn bytes(&self) -> u64 {
+        match self.slabs.as_slice() {
+            [one] => one.table().estimated_bytes_sel(one.sel_ref()),
+            // Slabs of one table share one schema by construction.
+            slabs => virtual_bytes(slabs[0].table().columns().iter(), self.len(), |ci, _| {
+                slabs.iter().map(|b| b.table().utf8_bytes_sel(ci, b.sel_ref())).sum()
+            }),
         }
     }
 
-    /// Converts to a flat [`Batch`], gathering chunked views into one
-    /// owned table (selection vectors return to the scratch pool).
-    fn into_flat(self, scratch: &mut EvalScratch) -> Batch<'a> {
-        match self {
-            FBatch::Flat(b) => b,
-            FBatch::Chunked { ct, sels } => {
-                let t = flatten_chunked(ct, sels.as_deref());
-                if let Some(ss) = sels {
-                    for s in ss {
-                        scratch.put_sel(s);
-                    }
-                }
-                Batch::all(TableSlot::Owned(t))
-            }
-        }
-    }
-
-    /// Materializes the final plan result.
-    fn materialize(self, scratch: &mut EvalScratch) -> Table {
-        match self {
-            FBatch::Flat(b) => b.materialize(),
-            chunked => chunked.into_flat(scratch).materialize(),
-        }
-    }
-}
-
-/// Gathers a chunked view into one contiguous table, bit-identical to
-/// gathering the same selection from the compacted (pinned) table:
-/// per-chunk gathers preserve each chunk's validity-mask presence and
-/// [`Table::concat`] forces a combined mask exactly when any part has one
-/// — the same rule compaction itself applies. Every chunk contributes a
-/// part (even an empty one) so mask presence never depends on which
-/// chunks the selection happens to touch.
-fn flatten_chunked(ct: &ChunkedTable, sels: Option<&[Vec<u32>]>) -> Table {
-    let chunks = ct.chunks();
-    match sels {
-        None => {
-            let parts: Vec<&Table> = chunks.iter().map(|c| c.as_ref()).collect();
-            Table::concat(ct.name(), &parts).expect("chunks of one table share a schema")
-        }
-        Some(sels) => {
-            let parts: Vec<Table> = chunks
-                .iter()
-                .zip(sels)
-                .map(|(c, s)| c.take_ids(s))
-                .collect();
-            let refs: Vec<&Table> = parts.iter().collect();
-            Table::concat(ct.name(), &refs).expect("chunks of one table share a schema")
-        }
-    }
-}
-
-/// [`Table::estimated_bytes_sel`] of the *flattened* chunked view without
-/// flattening it. The per-column string length totals accumulate as exact
-/// integers across chunks; the floating-point average/total expression is
-/// then applied once over the global sums — the identical bit pattern to
-/// measuring the compacted table (summing per-chunk `f64` subtotals would
-/// not be).
-fn chunked_bytes(ct: &ChunkedTable, sels: Option<&[Vec<u32>]>) -> u64 {
-    let chunks = ct.chunks();
-    let n: usize = match sels {
-        None => ct.n_rows(),
-        Some(ss) => ss.iter().map(Vec::len).sum(),
-    };
-    let per_row: f64 = chunks[0]
-        .columns()
-        .iter()
-        .enumerate()
-        .map(|(ci, c)| match &c.data {
-            ColumnData::Int64(_) | ColumnData::Float64(_) => 8.0,
-            ColumnData::Date(_) => 4.0,
-            ColumnData::Bool(_) => 1.0,
-            ColumnData::Utf8(_) => {
-                if n == 0 {
-                    8.0
-                } else {
-                    let total: usize = match sels {
-                        None => chunks.iter().map(|ch| ch.utf8_len_sums()[ci]).sum(),
-                        Some(ss) => chunks
-                            .iter()
-                            .zip(ss)
-                            .map(|(ch, s)| {
-                                // Chunks share one schema by construction.
-                                if let ColumnData::Utf8(v) = &ch.columns()[ci].data {
-                                    s.iter().map(|&i| v[i as usize].len()).sum::<usize>()
-                                } else {
-                                    0
-                                }
-                            })
-                            .sum(),
-                    };
-                    total as f64 / n as f64
-                }
-            }
-        })
-        .sum();
-    (per_row * n as f64) as u64
-}
-
-/// [`record_batch`] for either batch flavour (chunked views account bytes
-/// through [`chunked_bytes`]).
-fn record_fbatch(profile: &mut WorkProfile, kind: OpKind, rows_in: u64, fb: &FBatch<'_>) {
-    match fb {
-        FBatch::Flat(b) => record_batch(profile, kind, rows_in, b),
-        FBatch::Chunked { ct, sels } => profile.ops.push(OpWork {
+    /// Records one operator's work from its output batch; byte accounting
+    /// is identical to measuring the materialized table.
+    fn record(&self, profile: &mut WorkProfile, kind: OpKind, rows_in: u64) {
+        profile.ops.push(OpWork {
             kind,
             rows_in,
-            rows_out: fb.len() as u64,
-            bytes_out: chunked_bytes(ct, sels.as_deref()),
-        }),
+            rows_out: self.len() as u64,
+            bytes_out: self.bytes(),
+        });
+    }
+
+    /// Returns a consumed batch's selection vectors to the scratch pool.
+    fn recycle(self, scratch: &mut EvalScratch) {
+        for sel in self.slabs.into_iter().filter_map(|b| b.sel) {
+            scratch.put_sel(sel);
+        }
+    }
+
+    /// The batch as one slab, for an operator that needs one contiguous
+    /// input (a join side, a sort, an aggregate) and for the final result.
+    /// One slab is returned as it is. Several are gathered into one owned
+    /// table, bit-identical to gathering the same selection from the
+    /// compacted (pinned) table: per-slab gathers preserve each chunk's
+    /// validity-mask presence and [`Table::concat`] forces a combined mask
+    /// exactly when any part has one — the rule compaction itself applies.
+    /// Every slab contributes a part (even an empty one), so mask presence
+    /// never depends on which slabs a selection happens to touch.
+    fn into_flat(mut self, scratch: &mut EvalScratch) -> Batch<'a> {
+        if self.slabs.len() == 1 {
+            return self.slabs.pop().expect("one slab");
+        }
+        let slabs = self.slabs.iter();
+        let gathered: Vec<Option<Table>> =
+            slabs.clone().map(|b| b.sel_ref().map(|s| b.table().take_ids(s))).collect();
+        let parts: Vec<&Table> =
+            slabs.zip(&gathered).map(|(b, g)| g.as_ref().unwrap_or_else(|| b.table())).collect();
+        let t = Table::concat(&self.name, &parts).expect("slabs of one table share a schema");
+        self.recycle(scratch);
+        Batch::all(TableSlot::Owned(t))
+    }
+}
+
+/// Narrows a slab to `sel`; the selection it replaces returns to the pool.
+fn narrow(slab: &mut Batch<'_>, sel: Vec<u32>, scratch: &mut EvalScratch) {
+    if let Some(old) = slab.sel.replace(sel) {
+        scratch.put_sel(old);
     }
 }
 
@@ -824,135 +776,62 @@ fn run_fused<'a>(
     match plan {
         PhysicalPlan::Scan { table } => {
             let fb = resolve(src, table)?;
-            record_fbatch(profile, OpKind::Scan, fb.len() as u64, &fb);
+            fb.record(profile, OpKind::Scan, fb.len() as u64);
             Ok(fb)
         }
         PhysicalPlan::PrunedScan { table, predicate } => {
             let fb = filter_fbatch(resolve(src, table)?, &predicate.compile(), scratch)?;
-            record_fbatch(profile, OpKind::Scan, fb.len() as u64, &fb);
+            // Storage-side pruning: only the surviving rows are charged.
+            fb.record(profile, OpKind::Scan, fb.len() as u64);
             Ok(fb)
         }
         PhysicalPlan::Filter { input, predicate } => {
             let fb = run_fused(input, src, profile, scratch)?;
             let rows_in = fb.len() as u64;
             let nb = filter_fbatch(fb, &predicate.compile(), scratch)?;
-            record_fbatch(profile, OpKind::Filter, rows_in, &nb);
+            nb.record(profile, OpKind::Filter, rows_in);
             Ok(nb)
         }
         PhysicalPlan::Project { input, exprs } => {
+            let mut runs = compile_projection(exprs);
             // Fuse a directly-nested filter into the projection's morsel
             // loop: one pass evaluates the predicate and projects the
             // survivors while they are cache-resident. Work accounting is
             // unchanged — Filter then Project entries, identical numbers.
-            if let PhysicalPlan::Filter {
+            let fb = if let PhysicalPlan::Filter {
                 input: finner,
                 predicate,
             } = &**input
             {
-                let fb = run_fused(finner, src, profile, scratch)?;
-                let rows_in_filter = fb.len() as u64;
+                let mut fb = run_fused(finner, src, profile, scratch)?;
+                let rows_in = fb.len() as u64;
                 let kp = predicate.compile();
-                let mut runs = compile_projection(exprs);
-                let (out_name, rows_in_project, filter_fb) = match fb {
-                    FBatch::Flat(b) => {
-                        let sel = filter_project_slab_morsels(
-                            &kp,
-                            &mut runs,
-                            b.table(),
-                            b.sel_ref(),
-                            scratch,
-                        )?;
-                        let Batch { slot, sel: old } = b;
-                        if let Some(old) = old {
-                            scratch.put_sel(old);
-                        }
-                        let name = match &slot {
-                            TableSlot::Borrowed(t) => t.name.clone(),
-                            TableSlot::Owned(t) => t.name.clone(),
-                        };
-                        let nb = FBatch::Flat(Batch {
-                            slot,
-                            sel: Some(sel),
-                        });
-                        let rows = nb.len() as u64;
-                        (name, rows, nb)
-                    }
-                    FBatch::Chunked { ct, sels } => {
-                        let new_sels: Vec<Vec<u32>> = match &sels {
-                            None => ct
-                                .chunks()
-                                .iter()
-                                .map(|ch| {
-                                    filter_project_slab_morsels(
-                                        &kp, &mut runs, ch, None, scratch,
-                                    )
-                                })
-                                .collect::<Result<_, _>>()?,
-                            Some(ss) => ct
-                                .chunks()
-                                .iter()
-                                .zip(ss)
-                                .map(|(ch, s)| {
-                                    filter_project_slab_morsels(
-                                        &kp,
-                                        &mut runs,
-                                        ch,
-                                        Some(s),
-                                        scratch,
-                                    )
-                                })
-                                .collect::<Result<_, _>>()?,
-                        };
-                        if let Some(ss) = sels {
-                            for s in ss {
-                                scratch.put_sel(s);
-                            }
-                        }
-                        let nb = FBatch::Chunked {
-                            ct,
-                            sels: Some(new_sels),
-                        };
-                        let rows = nb.len() as u64;
-                        (ct.name().to_string(), rows, nb)
-                    }
-                };
-                record_fbatch(profile, OpKind::Filter, rows_in_filter, &filter_fb);
-                // The filter's selection has served its purpose (work
-                // accounting); the projected parts already hold the rows.
-                recycle_fbatch_sels(filter_fb, scratch);
-                let out = finish_projection(&out_name, runs)?;
-                let nb = FBatch::Flat(Batch::all(TableSlot::Owned(out)));
-                record_fbatch(profile, OpKind::Project, rows_in_project, &nb);
-                return Ok(nb);
-            }
-            let fb = run_fused(input, src, profile, scratch)?;
-            let rows_in = fb.len() as u64;
-            let mut runs = compile_projection(exprs);
-            let out_name = match &fb {
-                FBatch::Flat(b) => {
+                for b in &mut fb.slabs {
+                    let sel = filter_project_slab_morsels(
+                        &kp,
+                        &mut runs,
+                        b.table(),
+                        b.sel_ref(),
+                        scratch,
+                    )?;
+                    narrow(b, sel, scratch);
+                }
+                // The filter's selection serves its work accounting only;
+                // the projected parts already hold the rows.
+                fb.record(profile, OpKind::Filter, rows_in);
+                fb
+            } else {
+                let fb = run_fused(input, src, profile, scratch)?;
+                for b in &fb.slabs {
                     project_slab_morsels(&mut runs, b.table(), b.sel_ref(), scratch)?;
-                    b.table().name.clone()
                 }
-                FBatch::Chunked { ct, sels } => {
-                    match sels {
-                        None => {
-                            for ch in ct.chunks() {
-                                project_slab_morsels(&mut runs, ch, None, scratch)?;
-                            }
-                        }
-                        Some(ss) => {
-                            for (ch, s) in ct.chunks().iter().zip(ss) {
-                                project_slab_morsels(&mut runs, ch, Some(s), scratch)?;
-                            }
-                        }
-                    }
-                    ct.name().to_string()
-                }
+                fb
             };
-            recycle_fbatch_sels(fb, scratch);
-            let out = finish_projection(&out_name, runs)?;
-            let nb = FBatch::Flat(Batch::all(TableSlot::Owned(out)));
-            record_fbatch(profile, OpKind::Project, rows_in, &nb);
+            let rows_in = fb.len() as u64;
+            let out = finish_projection(&fb.name, runs)?;
+            fb.recycle(scratch);
+            let nb = owned(out);
+            nb.record(profile, OpKind::Project, rows_in);
             Ok(nb)
         }
         PhysicalPlan::HashJoin {
@@ -965,9 +844,8 @@ fn run_fused<'a>(
             let lb = run_fused(left, src, profile, scratch)?.into_flat(scratch);
             let rb = run_fused(right, src, profile, scratch)?.into_flat(scratch);
             let rows_in = (lb.len() + rb.len()) as u64;
-            let out = hash_join_vec(&lb, &rb, left_keys, right_keys, *join_type)?;
-            let nb = FBatch::Flat(Batch::all(TableSlot::Owned(out)));
-            record_fbatch(profile, OpKind::Join, rows_in, &nb);
+            let nb = owned(hash_join_vec(&lb, &rb, left_keys, right_keys, *join_type)?);
+            nb.record(profile, OpKind::Join, rows_in);
             Ok(nb)
         }
         PhysicalPlan::Aggregate {
@@ -1002,138 +880,57 @@ fn run_fused<'a>(
                     aggs, profile, scratch,
                 );
             }
-            let fb = run_fused(input, src, profile, scratch)?;
-            let rows_in = fb.len() as u64;
-            let b = fb.into_flat(scratch);
-            let out = aggregate_vec(&b, group_by, aggs, scratch)?;
+            let b = run_fused(input, src, profile, scratch)?.into_flat(scratch);
+            let out = aggregate_vec(&mut b.table(), b.sel_ref(), b.len(), group_by, aggs, scratch)?;
+            let nb = owned(out);
+            nb.record(profile, OpKind::Aggregate, b.len() as u64);
             if let Some(old) = b.sel {
                 scratch.put_sel(old);
             }
-            let nb = FBatch::Flat(Batch::all(TableSlot::Owned(out)));
-            record_fbatch(profile, OpKind::Aggregate, rows_in, &nb);
             Ok(nb)
         }
         PhysicalPlan::Sort { input, by } => {
-            let fb = run_fused(input, src, profile, scratch)?;
-            let rows_in = fb.len() as u64;
-            let b = fb.into_flat(scratch);
+            let mut b = run_fused(input, src, profile, scratch)?.into_flat(scratch);
+            let rows_in = b.len() as u64;
             let sel = sort_sel(&b, by)?;
-            let Batch { slot, sel: old } = b;
-            if let Some(old) = old {
-                scratch.put_sel(old);
-            }
-            let nb = FBatch::Flat(Batch {
-                slot,
-                sel: Some(sel),
-            });
-            record_fbatch(profile, OpKind::Sort, rows_in, &nb);
+            narrow(&mut b, sel, scratch);
+            let nb = one_slab(b);
+            nb.record(profile, OpKind::Sort, rows_in);
             Ok(nb)
         }
         PhysicalPlan::Limit { input, n } => {
-            let fb = run_fused(input, src, profile, scratch)?;
+            let mut fb = run_fused(input, src, profile, scratch)?;
             let rows_in = fb.len() as u64;
-            let keep = fb.len().min(*n);
-            let nb = match fb {
-                FBatch::Flat(b) => {
-                    let sel = match b.sel {
-                        Some(mut s) => {
-                            s.truncate(keep);
-                            s
-                        }
-                        None => (0..keep as u32).collect(),
-                    };
-                    FBatch::Flat(Batch {
-                        slot: b.slot,
-                        sel: Some(sel),
-                    })
-                }
-                FBatch::Chunked { ct, sels } => {
-                    let mut remaining = keep;
-                    let new_sels: Vec<Vec<u32>> = match sels {
-                        Some(ss) => ss
-                            .into_iter()
-                            .map(|mut s| {
-                                let k = remaining.min(s.len());
-                                s.truncate(k);
-                                remaining -= k;
-                                s
-                            })
-                            .collect(),
-                        None => ct
-                            .chunks()
-                            .iter()
-                            .map(|ch| {
-                                let k = remaining.min(ch.n_rows());
-                                remaining -= k;
-                                (0..k as u32).collect()
-                            })
-                            .collect(),
-                    };
-                    FBatch::Chunked {
-                        ct,
-                        sels: Some(new_sels),
+            let mut remaining = *n;
+            for b in &mut fb.slabs {
+                let keep = remaining.min(b.len());
+                remaining -= keep;
+                b.sel = Some(match b.sel.take() {
+                    Some(mut s) => {
+                        s.truncate(keep);
+                        s
                     }
-                }
-            };
-            record_fbatch(profile, OpKind::Limit, rows_in, &nb);
-            Ok(nb)
-        }
-    }
-}
-
-/// Returns a consumed batch's selection vectors to the scratch pool.
-fn recycle_fbatch_sels(fb: FBatch<'_>, scratch: &mut EvalScratch) {
-    match fb {
-        FBatch::Flat(Batch { sel: Some(s), .. }) => scratch.put_sel(s),
-        FBatch::Flat(_) => {}
-        FBatch::Chunked { sels: Some(ss), .. } => {
-            for s in ss {
-                scratch.put_sel(s);
+                    None => (0..keep as u32).collect(),
+                });
             }
+            fb.record(profile, OpKind::Limit, rows_in);
+            Ok(fb)
         }
-        FBatch::Chunked { .. } => {}
     }
 }
 
-/// Narrows a batch to the rows passing `kp`, morsel-wise, keeping it in
-/// the flavour it arrived in (old selections return to the scratch pool).
+/// Narrows every slab of a batch to the rows passing `kp`, morsel-wise.
 fn filter_fbatch<'a>(
-    fb: FBatch<'a>,
+    mut fb: FBatch<'a>,
     kp: &KernelPlan<'_>,
     scratch: &mut EvalScratch,
 ) -> Result<FBatch<'a>, EngineError> {
-    Ok(match fb {
-        FBatch::Flat(b) => {
-            let cols = KernelCols::Table(b.table());
-            let sel = filter_morsels(kp, &cols, b.table().n_rows(), b.sel_ref(), scratch)?;
-            let Batch { slot, sel: old } = b;
-            if let Some(old) = old {
-                scratch.put_sel(old);
-            }
-            FBatch::Flat(Batch {
-                slot,
-                sel: Some(sel),
-            })
-        }
-        FBatch::Chunked { ct, sels } => {
-            let new_sels: Vec<Vec<u32>> = ct
-                .chunks()
-                .iter()
-                .enumerate()
-                .map(|(i, ch)| {
-                    let old = sels.as_ref().map(|ss| ss[i].as_slice());
-                    filter_morsels(kp, &KernelCols::Table(ch), ch.n_rows(), old, scratch)
-                })
-                .collect::<Result<_, _>>()?;
-            for s in sels.into_iter().flatten() {
-                scratch.put_sel(s);
-            }
-            FBatch::Chunked {
-                ct,
-                sels: Some(new_sels),
-            }
-        }
-    })
+    for b in &mut fb.slabs {
+        let t = b.table();
+        let sel = filter_morsels(kp, &KernelCols::Table(t), t.n_rows(), b.sel_ref(), scratch)?;
+        narrow(b, sel, scratch);
+    }
+    Ok(fb)
 }
 
 // ----- aggregate over a deferred join -----
@@ -1220,86 +1017,48 @@ impl<'t> DeferredJoin<'t> {
     }
 
     /// [`Table::estimated_bytes_sel`] of the materialized join output
-    /// restricted to `sel` (`None` = all rows), computed from the gather
-    /// indices without materializing: left strings contribute their
-    /// gathered lengths (including the type-default slots `take_ids`
+    /// restricted to the positions `sel` (`None` = all rows), computed from
+    /// the gather indices without materializing: left strings contribute
+    /// their gathered lengths (including the type-default slots `take_ids`
     /// clones under NULLs), right strings contribute 0 for outer-join
-    /// misses (`take_opt_ids` emits empty strings there) — the identical
-    /// float expression, bit for bit.
+    /// misses (`take_opt_ids` emits empty strings there).
     fn bytes_sel(&self, sel: Option<&[u32]>) -> u64 {
+        /// Sums `len_at` over the positions `sel` (`None` = all `n`).
+        fn total(n: usize, sel: Option<&[u32]>, len_at: impl Fn(usize) -> usize) -> usize {
+            match sel {
+                None => (0..n).map(len_at).sum(),
+                Some(s) => s.iter().map(|&p| len_at(p as usize)).sum(),
+            }
+        }
         let n = sel.map_or_else(|| self.n(), <[u32]>::len);
-        let mut per_row = 0.0f64;
-        for c in self.lt.columns() {
-            per_row += match &c.data {
-                ColumnData::Int64(_) | ColumnData::Float64(_) => 8.0,
-                ColumnData::Date(_) => 4.0,
-                ColumnData::Bool(_) => 1.0,
-                ColumnData::Utf8(v) => {
-                    if n == 0 {
-                        8.0
-                    } else {
-                        let total: usize = match sel {
-                            None => self
-                                .left_out
-                                .iter()
-                                .map(|&i| v[i as usize].len())
-                                .sum(),
-                            Some(s) => s
-                                .iter()
-                                .map(|&p| v[self.left_out[p as usize] as usize].len())
-                                .sum(),
-                        };
-                        total as f64 / n as f64
-                    }
-                }
-            };
-        }
-        for c in self.rt.columns() {
-            per_row += match &c.data {
-                ColumnData::Int64(_) | ColumnData::Float64(_) => 8.0,
-                ColumnData::Date(_) => 4.0,
-                ColumnData::Bool(_) => 1.0,
-                ColumnData::Utf8(v) => {
-                    if n == 0 {
-                        8.0
-                    } else {
-                        let len_at = |p: usize| {
-                            if self.right_hit[p] {
-                                v[self.right_out[p] as usize].len()
-                            } else {
-                                0
-                            }
-                        };
-                        let total: usize = match sel {
-                            None => (0..self.n()).map(len_at).sum(),
-                            Some(s) => s.iter().map(|&p| len_at(p as usize)).sum(),
-                        };
-                        total as f64 / n as f64
-                    }
-                }
-            };
-        }
-        (per_row * n as f64) as u64
+        let columns = self.lt.columns().iter().chain(self.rt.columns());
+        virtual_bytes(columns, n, |ci, v| {
+            if ci < self.lc {
+                total(self.n(), sel, |p| v[self.left_out[p] as usize].len())
+            } else {
+                let hit = |p: usize| if self.right_hit[p] { v[self.right_out[p] as usize].len() } else { 0 };
+                total(self.n(), sel, hit)
+            }
+        })
     }
 }
 
-/// [`AggInput`] over a deferred join: the accumulator's compiled
-/// expressions run against the sparse gathered-column cache at the live
-/// join positions — the same values, in the same order, as the
-/// materialized-join batch evaluation, so the shared accumulator's float
-/// additions are bit-identical.
-struct JoinAggInput<'x, 't> {
-    dj: &'x mut DeferredJoin<'t>,
-    positions: &'x [u32],
-}
+/// [`AggInput`] over a deferred join: group keys and the aggregates'
+/// compiled expressions resolve in the sparse gathered-column cache — the
+/// same values, at the same live join positions, as the materialized-join
+/// batch, so the shared aggregate's float additions are bit-identical.
+impl AggInput for DeferredJoin<'_> {
+    fn cols(&mut self, kp: &KernelPlan<'_>) -> KernelCols<'_> {
+        self.ensure_refs(kp.referenced_cols());
+        KernelCols::Cols(&self.cache)
+    }
 
-impl AggInput for JoinAggInput<'_, '_> {
-    fn view(&mut self, kp: &KernelPlan<'_>) -> AggView<'_> {
-        self.dj.ensure_refs(kp.referenced_cols());
-        AggView {
-            cols: KernelCols::Cols(&self.dj.cache),
-            rows: Some(self.positions),
+    fn key_columns(&mut self, keys: &[usize]) -> Result<Vec<&Column>, EngineError> {
+        if let Some(&index) = keys.iter().find(|&&g| g >= self.w) {
+            return Err(EngineError::ColumnIndex { index, width: self.w });
         }
+        self.ensure_refs(keys);
+        Ok(keys.iter().map(|&g| self.cache[g].as_ref().expect("ensured above")).collect())
     }
 }
 
@@ -1366,87 +1125,11 @@ fn agg_over_join<'a>(
     }
 
     let n_live = positions.as_ref().map_or(n_join, Vec::len);
-    let rows_in_agg = n_live as u64;
-    let mut positions_vec: Vec<u32> = match positions {
-        Some(p) => p,
-        None => (0..n_join as u32).collect(),
-    };
-
-    // Group discovery — mirrors `aggregate_vec` exactly: empty `group_by`
-    // is one global group even over empty input; group columns resolve
-    // lazily (only when rows exist), then the shared discovery runs over
-    // the gathered key columns at the live positions.
-    let group_ids: Vec<u32>;
-    let rep_rows: Vec<u32>;
-    let n_groups: usize;
-    if group_by.is_empty() {
-        group_ids = vec![0; n_live];
-        rep_rows = Vec::new();
-        n_groups = 1;
-    } else if n_live == 0 {
-        // `serial_group_ids` over zero rows discovers nothing.
-        group_ids = Vec::new();
-        rep_rows = Vec::new();
-        n_groups = 0;
-    } else {
-        for &g in group_by {
-            if g >= dj.w {
-                return Err(EngineError::ColumnIndex {
-                    index: g,
-                    width: dj.w,
-                });
-            }
-            dj.ensure(g);
-        }
-        let (gi, rr, pv) = {
-            let gcols: Vec<&Column> = group_by
-                .iter()
-                .map(|&g| dj.cache[g].as_ref().expect("ensured above"))
-                .collect();
-            // The discovery pass only reads positions and the key columns
-            // passed alongside — the batch's table is never consulted, so
-            // an empty placeholder carries the explicit position list.
-            let placeholder = Table::empty("join");
-            let gb = Batch {
-                slot: TableSlot::Borrowed(&placeholder),
-                sel: Some(positions_vec),
-            };
-            let (gi, rr) = serial_group_ids(&gb, &gcols, n_live);
-            let Batch { sel, .. } = gb;
-            (gi, rr, sel.expect("set above"))
-        };
-        positions_vec = pv;
-        group_ids = gi;
-        rep_rows = rr;
-        n_groups = rep_rows.len();
+    let out = aggregate_vec(&mut dj, positions.as_deref(), n_live, group_by, aggs, scratch)?;
+    if let Some(old) = positions {
+        scratch.put_sel(old);
     }
-
-    let agg_cols = {
-        let mut input = JoinAggInput {
-            dj: &mut dj,
-            positions: &positions_vec,
-        };
-        accumulate_aggs(&mut input, aggs, &group_ids, n_groups, n_live, scratch)?
-    };
-    scratch.put_sel(positions_vec);
-
-    // Assemble: group-key columns gathered from representative positions
-    // (validated unconditionally, like the materialized path), then the
-    // normalized aggregate columns.
-    let mut columns = Vec::with_capacity(group_by.len() + aggs.len());
-    for &g in group_by {
-        if g >= dj.w {
-            return Err(EngineError::ColumnIndex {
-                index: g,
-                width: dj.w,
-            });
-        }
-        dj.ensure(g);
-        columns.push(dj.cache[g].as_ref().expect("ensured above").take_ids(&rep_rows));
-    }
-    columns.extend(agg_output_columns(aggs, agg_cols));
-    let out = Table::new("agg", columns)?;
-    let nb = Batch::all(TableSlot::Owned(out));
-    record_batch(profile, OpKind::Aggregate, rows_in_agg, &nb);
-    Ok(FBatch::Flat(nb))
+    let nb = owned(out);
+    nb.record(profile, OpKind::Aggregate, n_live as u64);
+    Ok(nb)
 }

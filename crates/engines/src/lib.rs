@@ -43,6 +43,19 @@ pub mod placement;
 pub mod sim;
 pub mod version;
 
+/// Locks `m`, taking the guard out of a poisoned lock instead of panicking
+/// — the one way this workspace locks a mutex outside tests. Recovery is
+/// sound because every mutex here guards state that is valid at each
+/// unlock: queues, counters, maps of handles, append-only histories, the
+/// simulation's clock arithmetic. Each operation finishes its bookkeeping
+/// under one lock and none can panic midway, so a panic elsewhere on a
+/// lock-holding thread leaves nothing half-updated for a later reader —
+/// and one bad job must fail alone, not abort the whole runtime through a
+/// `PoisonError` expect.
+pub fn lock_recover<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 pub use analyze::{
     analyze_federated, analyze_fragment_plans, analyze_plan, DiagnosticKind, FederatedAnalysis,
     PlanAnalysis, PlanDiagnostic, PlanSchema, SchemaCatalog, Severity,
@@ -60,7 +73,7 @@ pub use exec::{
     SharedExecutor,
 };
 pub use expr::Expr;
-pub use fused::{execute_fused, execute_fused_versioned, TableSource, MORSEL_ROWS};
+pub use fused::{execute_fused, TableSource, MORSEL_ROWS};
 pub use ops::{AggExpr, JoinType, PhysicalPlan, WorkProfile};
 pub use placement::Placement;
 pub use sim::{split_seed, AdmissionStats, LoadModel, SimulationEnv, SiteAdmission};

@@ -817,10 +817,7 @@ impl<'a> Batch<'a> {
     /// Original row id of batch position `pos`.
     #[inline]
     pub(crate) fn row_id(&self, pos: usize) -> usize {
-        match &self.sel {
-            Some(s) => s[pos] as usize,
-            None => pos,
-        }
+        row_at(self.sel_ref(), pos)
     }
 
     /// Gathers the batch into a concrete table (the final plan result).
@@ -920,7 +917,7 @@ fn run_vec<'a>(
         } => {
             let b = run_vec(input, catalog, profile, scratch)?;
             let rows_in = b.len() as u64;
-            let out = aggregate_vec(&b, group_by, aggs, scratch)?;
+            let out = aggregate_vec(&mut b.table(), b.sel_ref(), b.len(), group_by, aggs, scratch)?;
             let batch = Batch::all(TableSlot::Owned(out));
             record_batch(profile, OpKind::Aggregate, rows_in, &batch);
             Ok(batch)
@@ -1334,18 +1331,23 @@ impl U64Map {
 
 // ----- group discovery -----
 
-/// The first-seen group-id assignment: one pass over the batch,
-/// returning each position's group id and the first original row of every
-/// group, in first-seen order. A single `Int64` key whose live values span
-/// fewer integers than there are rows is addressed directly
+/// The first-seen group-id assignment: one pass over `n` positions
+/// (`rows` gives each position's row id; `None` = position `p` is row `p`),
+/// returning each position's group id and the first row of every group, in
+/// first-seen order. A single `Int64` key whose live values span fewer
+/// integers than there are rows is addressed directly
 /// ([`dense_group_ids`]); every other key goes through the hash chains.
-pub(crate) fn serial_group_ids(b: &Batch<'_>, gcols: &[&Column], n: usize) -> (Vec<u32>, Vec<u32>) {
+pub(crate) fn serial_group_ids(
+    rows: Option<&[u32]>,
+    gcols: &[&Column],
+    n: usize,
+) -> (Vec<u32>, Vec<u32>) {
     match sole_int_key(gcols) {
-        Some(v) => dense_group_ids(b, v, n).unwrap_or_else(|| {
-            group_ids_by(b, n, |row| int_key_hash(v[row]), |x, y| v[x] == v[y])
+        Some(v) => dense_group_ids(rows, v, n).unwrap_or_else(|| {
+            group_ids_by(rows, n, |row| int_key_hash(v[row]), |x, y| v[x] == v[y])
         }),
         None => group_ids_by(
-            b,
+            rows,
             n,
             |row| key_hash(gcols, row, true).expect("sentinel hashing is total"),
             |x, y| keys_equal(gcols, x, gcols, y),
@@ -1353,24 +1355,30 @@ pub(crate) fn serial_group_ids(b: &Batch<'_>, gcols: &[&Column], n: usize) -> (V
     }
 }
 
+/// Row id of position `pos` under an optional selection.
+#[inline]
+fn row_at(rows: Option<&[u32]>, pos: usize) -> usize {
+    rows.map_or(pos, |s| s[pos] as usize)
+}
+
 /// [`serial_group_ids`] of a dense key: when `max − min < n` over the live
 /// positions, a table of `max − min + 1` slots maps `key − min` to its
 /// group id + 1 (`0` = not seen yet) — no hashing, no chain walk, no
 /// re-read of a representative row's key. Ids are handed out in first-seen
 /// order, so the result equals the hashed pass's. `None` when the key is
-/// sparse (or the batch empty): the caller hashes.
-fn dense_group_ids(b: &Batch<'_>, keys: &[i64], n: usize) -> Option<(Vec<u32>, Vec<u32>)> {
+/// sparse (or there are no positions): the caller hashes.
+fn dense_group_ids(rows: Option<&[u32]>, keys: &[i64], n: usize) -> Option<(Vec<u32>, Vec<u32>)> {
     let (min, max) = (0..n).fold((i64::MAX, i64::MIN), |(lo, hi), pos| {
-        let k = keys[b.row_id(pos)];
+        let k = keys[row_at(rows, pos)];
         (lo.min(k), hi.max(k))
     });
-    // `abs_diff` cannot overflow, and on an empty batch it is `u64::MAX`.
+    // `abs_diff` cannot overflow, and over no positions it is `u64::MAX`.
     let span = usize::try_from(max.abs_diff(min)).ok().filter(|&s| s < n)?;
     let mut id_of = vec![0u32; span + 1];
     let mut group_ids: Vec<u32> = Vec::with_capacity(n);
     let mut rep_rows: Vec<u32> = Vec::new();
     for pos in 0..n {
-        let row = b.row_id(pos);
+        let row = row_at(rows, pos);
         let slot = &mut id_of[keys[row].abs_diff(min) as usize];
         if *slot == 0 {
             rep_rows.push(row as u32);
@@ -1384,7 +1392,7 @@ fn dense_group_ids(b: &Batch<'_>, keys: &[i64], n: usize) -> Option<(Vec<u32>, V
 /// [`serial_group_ids`] over a key given as a row hash and a row-pair
 /// equality.
 fn group_ids_by(
-    b: &Batch<'_>,
+    rows: Option<&[u32]>,
     n: usize,
     hash: impl Fn(usize) -> u64,
     same_key: impl Fn(usize, usize) -> bool,
@@ -1394,7 +1402,7 @@ fn group_ids_by(
     let mut map = U64Map::new();
     let mut chain: Vec<u32> = Vec::new(); // per-group next in hash chain
     for pos in 0..n {
-        let row = b.row_id(pos);
+        let row = row_at(rows, pos);
         let head = map.entry(hash(row));
         let mut cur = *head;
         let mut found = None;
@@ -1706,43 +1714,40 @@ fn for_each_true(bv: &BatchVals<'_>, n: usize, mut f: impl FnMut(usize)) {
     }
 }
 
-/// What an aggregate's expressions evaluate against: a column binding and
-/// the original row id behind each batch position.
-pub(crate) struct AggView<'v> {
-    /// The columns the compiled expression resolves its indices in.
-    pub(crate) cols: KernelCols<'v>,
-    /// Row id of each batch position (`None` = position `p` is row `p`).
-    pub(crate) rows: Option<&'v [u32]>,
-}
-
-/// The input surface of the shared aggregation accumulator
-/// ([`accumulate_aggs`]). The vectorized executor implements it over a
-/// [`Batch`]; the fused executor implements it over a *virtual* join output
-/// (deferred-gather columns). Either way the accumulator itself compiles,
-/// evaluates and consumes the expressions, so both paths accumulate through
-/// literally the same float additions in the same order.
+/// The input surface of the shared aggregation ([`aggregate_vec`]): the
+/// columns an aggregate's expressions and group keys resolve in. The
+/// whole-column executor implements it over a table; the fused executor
+/// also over a *virtual* join output (deferred-gather columns). Either way
+/// the one function discovers the groups, compiles, evaluates and consumes
+/// the expressions, so both accumulate through literally the same float
+/// additions in the same order.
 pub(crate) trait AggInput {
-    /// The view `kp` runs over, with every column `kp` references bound
+    /// The binding `kp` runs over, with every column `kp` references bound
     /// (a deferring input gathers them here, once).
-    fn view(&mut self, kp: &KernelPlan<'_>) -> AggView<'_>;
+    fn cols(&mut self, kp: &KernelPlan<'_>) -> KernelCols<'_>;
+    /// The group-key columns `keys`, in order; the error is the first
+    /// index outside the input's width.
+    fn key_columns(&mut self, keys: &[usize]) -> Result<Vec<&Column>, EngineError>;
 }
 
-impl AggInput for &Batch<'_> {
-    fn view(&mut self, _kp: &KernelPlan<'_>) -> AggView<'_> {
-        AggView {
-            cols: KernelCols::Table(self.table()),
-            rows: self.sel_ref(),
-        }
+impl AggInput for &Table {
+    fn cols(&mut self, _kp: &KernelPlan<'_>) -> KernelCols<'_> {
+        KernelCols::Table(self)
+    }
+
+    fn key_columns(&mut self, keys: &[usize]) -> Result<Vec<&Column>, EngineError> {
+        keys.iter().map(|&g| self.column(g)).collect()
     }
 }
 
 /// Evaluates `e` one morsel at a time over the batch positions `at`
-/// (`None` = all `n` positions, in order) and hands each morsel's typed
-/// result to `f` with the index of its first slot and its length. Nothing
-/// of the input's length is ever allocated: a morsel's temporaries come
-/// from, and return to, `scratch`.
+/// (`None` = all `n` positions, in order; `rows` maps a position to its row
+/// id) and hands each morsel's typed result to `f` with the index of its
+/// first slot and its length. Nothing of the input's length is ever
+/// allocated: a morsel's temporaries come from, and return to, `scratch`.
 fn eval_morsels(
     input: &mut dyn AggInput,
+    rows: Option<&[u32]>,
     e: &Expr,
     n: usize,
     at: Option<&[u32]>,
@@ -1750,9 +1755,9 @@ fn eval_morsels(
     mut f: impl FnMut(usize, &BatchVals<'_>, usize),
 ) -> Result<(), EngineError> {
     let kp = e.compile();
-    let view = input.view(&kp);
+    let cols = input.cols(&kp);
     let sub_rows: Vec<u32>;
-    let (n, rows) = match (at, view.rows) {
+    let (n, rows) = match (at, rows) {
         (None, rows) => (n, rows),
         (Some(at), None) => (at.len(), Some(at)),
         (Some(at), Some(rows)) => {
@@ -1762,7 +1767,7 @@ fn eval_morsels(
     };
     let mut base = 0;
     for_each_morsel(n, rows, |sv| {
-        let bv = kp.eval(&view.cols, &sv, scratch)?;
+        let bv = kp.eval(&cols, &sv, scratch)?;
         f(base, &bv, sv.len());
         base += sv.len();
         scratch.recycle(bv);
@@ -1771,7 +1776,7 @@ fn eval_morsels(
 }
 
 /// Accumulated output of one aggregate over all groups.
-pub(crate) enum AggCol {
+enum AggCol {
     Counts(Vec<u64>),
     Opt(Vec<Option<f64>>),
 }
@@ -1789,12 +1794,10 @@ fn opt_totals(totals: Vec<f64>, seen: Vec<bool>) -> AggCol {
 /// One pass per aggregate over the batch positions, accumulating straight
 /// from each morsel's typed kernel result into per-group states — no
 /// input-length temporary exists between the expression and the state.
-/// Shared verbatim by the vectorized and fused executors: given identical
-/// `group_ids` and an [`AggInput`] that binds identical columns, the
-/// accumulation (and so every float rounding) is bit-identical, and morsel
-/// boundaries are invisible because positions are consumed in order.
-pub(crate) fn accumulate_aggs(
+/// Morsel boundaries are invisible because positions are consumed in order.
+fn accumulate_aggs(
     input: &mut dyn AggInput,
+    rows: Option<&[u32]>,
     aggs: &[(String, AggExpr)],
     group_ids: &[u32],
     n_groups: usize,
@@ -1813,7 +1816,7 @@ pub(crate) fn accumulate_aggs(
             }
             AggExpr::CountIf(pred) => {
                 let mut counts = vec![0u64; n_groups];
-                eval_morsels(input, pred, n, None, scratch, |base, bv, len| {
+                eval_morsels(input, rows, pred, n, None, scratch, |base, bv, len| {
                     for_each_true(bv, len, |p| counts[group_ids[base + p] as usize] += 1);
                 })?;
                 AggCol::Counts(counts)
@@ -1821,7 +1824,7 @@ pub(crate) fn accumulate_aggs(
             AggExpr::Sum(e) => {
                 let mut totals = vec![0.0f64; n_groups];
                 let mut seen = vec![false; n_groups];
-                eval_morsels(input, e, n, None, scratch, |base, bv, len| {
+                eval_morsels(input, rows, e, n, None, scratch, |base, bv, len| {
                     for_each_num(bv, len, |p, x| {
                         let g = group_ids[base + p] as usize;
                         totals[g] += x;
@@ -1835,11 +1838,11 @@ pub(crate) fn accumulate_aggs(
                 // the predicate holds; mirror that by evaluating it under
                 // the predicate-true sub-selection.
                 let mut sub_pos = scratch.take_sel();
-                eval_morsels(input, predicate, n, None, scratch, |base, bv, len| {
+                eval_morsels(input, rows, predicate, n, None, scratch, |base, bv, len| {
                     for_each_true(bv, len, |p| sub_pos.push((base + p) as u32));
                 })?;
                 let mut totals = vec![0.0f64; n_groups];
-                eval_morsels(input, value, n, Some(&sub_pos), scratch, |base, bv, len| {
+                eval_morsels(input, rows, value, n, Some(&sub_pos), scratch, |base, bv, len| {
                     for_each_num(bv, len, |p, x| {
                         totals[group_ids[sub_pos[base + p] as usize] as usize] += x;
                     });
@@ -1855,7 +1858,7 @@ pub(crate) fn accumulate_aggs(
             AggExpr::Avg(e) => {
                 let mut totals = vec![0.0f64; n_groups];
                 let mut counts = vec![0u64; n_groups];
-                eval_morsels(input, e, n, None, scratch, |base, bv, len| {
+                eval_morsels(input, rows, e, n, None, scratch, |base, bv, len| {
                     for_each_num(bv, len, |p, x| {
                         let g = group_ids[base + p] as usize;
                         totals[g] += x;
@@ -1873,7 +1876,7 @@ pub(crate) fn accumulate_aggs(
             AggExpr::Min(e) | AggExpr::Max(e) => {
                 let is_min = matches!(agg, AggExpr::Min(_));
                 let mut best: Vec<Option<f64>> = vec![None; n_groups];
-                eval_morsels(input, e, n, None, scratch, |base, bv, len| {
+                eval_morsels(input, rows, e, n, None, scratch, |base, bv, len| {
                     for_each_num(bv, len, |p, x| {
                         let g = group_ids[base + p] as usize;
                         best[g] = Some(match best[g] {
@@ -1893,8 +1896,8 @@ pub(crate) fn accumulate_aggs(
 
 /// Materializes accumulated aggregates into output columns, normalized
 /// like `column_from_values` (all-NULL collapses to Int64, a fully valid
-/// result drops its mask). Shared by both executors.
-pub(crate) fn agg_output_columns(
+/// result drops its mask).
+fn agg_output_columns(
     aggs: &[(String, AggExpr)],
     agg_cols: Vec<AggCol>,
 ) -> Vec<Column> {
@@ -1934,17 +1937,18 @@ pub(crate) fn agg_output_columns(
         .collect()
 }
 
+/// The one aggregate: group discovery, accumulation and output assembly
+/// over the `n` positions of `input` whose row ids are `rows` (`None` =
+/// position `p` is row `p`) — a batch's table and selection, or a deferred
+/// join's gathered columns and live positions.
 pub(crate) fn aggregate_vec(
-    b: &Batch<'_>,
+    input: &mut dyn AggInput,
+    rows: Option<&[u32]>,
+    n: usize,
     group_by: &[usize],
     aggs: &[(String, AggExpr)],
     scratch: &mut EvalScratch,
 ) -> Result<Table, EngineError> {
-    let t = b.table();
-    let sel = b.sel_ref();
-    let sv = SelView::new(t, sel);
-    let n = sv.len();
-
     // Assign group ids in first-seen order.
     let group_ids: Vec<u32>;
     let rep_rows: Vec<u32>; // first original row per group
@@ -1955,26 +1959,24 @@ pub(crate) fn aggregate_vec(
         rep_rows = Vec::new();
         n_groups = 1;
     } else {
-        let gcols: Vec<&Column> = if n > 0 {
-            group_by.iter().map(|&g| t.column(g)).collect::<Result<_, _>>()?
-        } else {
-            Vec::new()
-        };
-        (group_ids, rep_rows) = serial_group_ids(b, &gcols, n);
+        // Key columns resolve lazily, like the scalar path's per-row
+        // lookups: no rows, no lookup, nothing discovered.
+        let gcols = if n > 0 { input.key_columns(group_by)? } else { Vec::new() };
+        (group_ids, rep_rows) = serial_group_ids(rows, &gcols, n);
         n_groups = rep_rows.len();
     }
 
-    // Compute aggregates: one morsel-wise pass over the batch per
+    // Compute aggregates: one morsel-wise pass over the positions per
     // aggregate, accumulating straight from the kernel results into
-    // per-group states (shared accumulator — see `accumulate_aggs`).
-    let mut input = b;
-    let agg_cols = accumulate_aggs(&mut input, aggs, &group_ids, n_groups, n, scratch)?;
+    // per-group states.
+    let agg_cols = accumulate_aggs(input, rows, aggs, &group_ids, n_groups, n, scratch)?;
 
-    // Assemble: group-key columns (gathered from representative rows) then
-    // aggregate columns, normalized like `column_from_values`.
+    // Assemble: group-key columns (gathered from representative rows, and
+    // validated here even over no rows) then aggregate columns, normalized
+    // like `column_from_values`.
     let mut columns = Vec::with_capacity(group_by.len() + aggs.len());
-    for &g in group_by {
-        columns.push(t.column(g)?.take_ids(&rep_rows));
+    for c in input.key_columns(group_by)? {
+        columns.push(c.take_ids(&rep_rows));
     }
     columns.extend(agg_output_columns(aggs, agg_cols));
     Table::new("agg", columns)
@@ -2527,13 +2529,13 @@ mod tests {
                     (live, None)
                 };
                 let t = key_table(&keys);
-                let b = Batch { slot: TableSlot::Borrowed(&t), sel };
+                let rows = sel.as_deref();
                 let hashed =
-                    group_ids_by(&b, n, |row| int_key_hash(keys[row]), |x, y| keys[x] == keys[y]);
-                let dense = dense_group_ids(&b, &keys, n);
+                    group_ids_by(rows, n, |row| int_key_hash(keys[row]), |x, y| keys[x] == keys[y]);
+                let dense = dense_group_ids(rows, &keys, n);
                 prop_assert_eq!(dense.is_some(), span < n as u64, "span {}, n {}", span, n);
                 prop_assert_eq!(&dense.unwrap_or_else(|| hashed.clone()), &hashed);
-                prop_assert_eq!(&serial_group_ids(&b, &[t.column(0).unwrap()], n), &hashed);
+                prop_assert_eq!(&serial_group_ids(rows, &[t.column(0).unwrap()], n), &hashed);
             }
         }
 
@@ -2543,10 +2545,9 @@ mod tests {
         fn a_key_spanning_all_of_i64_is_hashed() {
             let keys = vec![i64::MAX, i64::MIN, 0, i64::MAX];
             let t = key_table(&keys);
-            let b = Batch::all(TableSlot::Borrowed(&t));
-            assert!(dense_group_ids(&b, &keys, 4).is_none());
-            assert!(dense_group_ids(&b, &keys, 0).is_none(), "an empty batch has no span");
-            let (ids, reps) = serial_group_ids(&b, &[t.column(0).unwrap()], 4);
+            assert!(dense_group_ids(None, &keys, 4).is_none());
+            assert!(dense_group_ids(None, &keys, 0).is_none(), "an empty batch has no span");
+            let (ids, reps) = serial_group_ids(None, &[t.column(0).unwrap()], 4);
             assert_eq!((ids, reps), (vec![0, 1, 2, 0], vec![0, 1, 2]));
         }
     }

@@ -9,6 +9,7 @@
 //! exactly the situation DREAM is designed for: old observations come from
 //! an expired regime.
 
+use crate::lock_recover;
 use midas_cloud::SiteId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -416,14 +417,6 @@ struct Gate {
     freed: Condvar,
 }
 
-/// Locks a gate, recovering from poisoning: the counters inside are kept
-/// consistent at every unlock (plain integer updates that cannot panic
-/// midway), and one panicked fragment must not wedge every later query
-/// bound for the site.
-fn lock_gate(state: &Mutex<GateState>) -> std::sync::MutexGuard<'_, GateState> {
-    state.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
 /// Per-site admission queues: the concurrency counterpart of the load model.
 ///
 /// A cloud site hosts a bounded number of concurrently executing query
@@ -499,7 +492,7 @@ impl SiteAdmission {
         // LINT: wall-clock — measures the real thread-blocking queue wait
         // for the AdmissionStats gauges; simulated outcomes never read it.
         let queued_at = Instant::now();
-        let mut state = lock_gate(&gate.state);
+        let mut state = lock_recover(&gate.state);
         let ticket = state.next_ticket;
         state.next_ticket += 1;
         if state.in_use >= capacity || state.serving != ticket {
@@ -537,7 +530,7 @@ impl SiteAdmission {
             .gates
             .iter()
             .map(|(site, gate)| {
-                let state = lock_gate(&gate.state);
+                let state = lock_recover(&gate.state);
                 let mut stats = state.stats;
                 stats.in_use = state.in_use;
                 stats.waiting = state.waiting;
@@ -560,7 +553,7 @@ impl SiteAdmission {
             .gates
             .iter()
             .map(|(site, gate)| {
-                let state = lock_gate(&gate.state);
+                let state = lock_recover(&gate.state);
                 let backlog = state.in_use + state.waiting;
                 (*site, f64::from(backlog) / f64::from(gate.capacity.max(1)))
             })
@@ -579,7 +572,7 @@ pub struct AdmissionPermit<'a> {
 impl Drop for AdmissionPermit<'_> {
     fn drop(&mut self) {
         if let Some(gate) = self.gate {
-            let mut state = lock_gate(&gate.state);
+            let mut state = lock_recover(&gate.state);
             state.in_use -= 1;
             drop(state);
             gate.freed.notify_all();

@@ -33,6 +33,7 @@
 use crate::catalog::Catalog;
 use crate::data::Table;
 use crate::error::EngineError;
+use crate::lock_recover;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -185,7 +186,10 @@ impl ChunkedTable {
 
     /// Builds the successor table: all prior chunks shared by `Arc::clone`,
     /// plus `delta` as a new chunk. The delta's schema must match; its rows
-    /// append after all existing rows.
+    /// append after all existing rows. A delta of no rows has no successor
+    /// to build: the table itself is handed back — same chunks, same
+    /// [`id`](ChunkedTable::id) — so no cache entry over it is retired for
+    /// no new row and no later scan walks an empty slab.
     ///
     /// Prior chunks carry forward as handle copies *by construction* —
     /// `shared_bytes` reports their volume. (An earlier revision compared
@@ -194,7 +198,10 @@ impl ChunkedTable {
     /// pointer-equal to their source by definition — so the recurring-cost
     /// measurement now lives at `pin()` time instead: see
     /// [`ChunkedTable::compaction_bytes`].)
-    pub fn append(&self, delta: Table) -> Result<(ChunkedTable, AppendStats), EngineError> {
+    pub fn append(
+        self: &Arc<Self>,
+        delta: Table,
+    ) -> Result<(Arc<ChunkedTable>, AppendStats), EngineError> {
         let base = self.chunks.first().expect("a chunked table has >= 1 chunk");
         if delta.schema() != base.schema() {
             return Err(EngineError::TypeMismatch {
@@ -206,24 +213,26 @@ impl ChunkedTable {
                 ),
             });
         }
-        let mut stats = AppendStats {
+        let stats = AppendStats {
             delta_rows: delta.n_rows(),
             delta_bytes: delta.estimated_bytes(),
-            ..AppendStats::default()
+            shared_bytes: self.estimated_bytes(),
         };
+        if delta.n_rows() == 0 {
+            return Ok((Arc::clone(self), stats));
+        }
         let mut chunks = Vec::with_capacity(self.chunks.len() + 1);
         chunks.extend(self.chunks.iter().map(Arc::clone));
-        stats.shared_bytes = self.estimated_bytes();
         let n_rows = self.n_rows + delta.n_rows();
         chunks.push(Arc::new(delta));
         Ok((
-            ChunkedTable {
+            Arc::new(ChunkedTable {
                 name: self.name.clone(),
                 id: next_table_id(),
                 chunks,
                 n_rows,
                 snapshot: OnceLock::new(),
-            },
+            }),
             stats,
         ))
     }
@@ -421,7 +430,7 @@ impl VersionedCatalog {
     /// The currently published version (an atomic handle read; the version
     /// itself is immutable).
     pub fn current(&self) -> Arc<CatalogVersion> {
-        Arc::clone(&self.current.lock().unwrap_or_else(std::sync::PoisonError::into_inner))
+        Arc::clone(&lock_recover(&self.current))
     }
 
     /// The currently published version number.
@@ -455,10 +464,7 @@ impl VersionedCatalog {
         &self,
         deltas: Vec<(String, Table)>,
     ) -> Result<(IngestReceipt, Vec<(String, u64)>), EngineError> {
-        let mut head = self
-            .current
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut head = lock_recover(&self.current);
         let mut tables: HashMap<String, Arc<ChunkedTable>> = head
             .tables
             .iter()
@@ -472,10 +478,13 @@ impl VersionedCatalog {
                 .get(&name)
                 .ok_or_else(|| EngineError::UnknownTable(name.clone()))?;
             let (next, stats) = existing.append(delta)?;
-            superseded.push((name.clone(), existing.id()));
+            // An empty delta hands the table back: nothing was superseded.
+            if next.id() != existing.id() {
+                superseded.push((name.clone(), existing.id()));
+                appends += 1;
+            }
             batch.merge(stats);
-            appends += 1;
-            tables.insert(name, Arc::new(next));
+            tables.insert(name, next);
         }
         let version = head.version + 1;
         // The superseded version — chunk vectors and any snapshot a flat
@@ -485,10 +494,7 @@ impl VersionedCatalog {
             std::mem::replace(&mut *head, Arc::new(CatalogVersion { version, tables }));
         drop(head);
         drop(retired);
-        let mut stats = self
-            .stats
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut stats = lock_recover(&self.stats);
         stats.appends += appends;
         stats.versions_published += 1;
         stats.rows_ingested += batch.delta_rows as u64;
@@ -505,7 +511,7 @@ impl VersionedCatalog {
 
     /// Cumulative ingest accounting since construction.
     pub fn stats(&self) -> IngestStats {
-        *self.stats.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+        *lock_recover(&self.stats)
     }
 }
 

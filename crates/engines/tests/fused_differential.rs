@@ -2,12 +2,12 @@
 //! [`execute_fused`] must agree with the whole-column
 //! vectorized executor (`execute`) — identical result tables, identical
 //! fingerprints, identical `WorkProfile`s — on random NULL-bearing
-//! tables. The chunk-native path
-//! ([`execute_fused_versioned`]) is additionally swept over **randomized
-//! chunk boundaries** (including empty chunks) against the flat logical
-//! table, pinning the claim that morsel and chunk boundaries are
-//! invisible: scans that never compact a snapshot produce bit-for-bit the
-//! plans' flat results. The serving path's entry point,
+//! tables. The chunk-native path ([`execute_fused`] over a
+//! `CatalogVersion`) is additionally swept over **randomized chunk
+//! boundaries** (including empty chunks, interior ones too) against the
+//! flat logical table, pinning the claim that morsel and chunk boundaries
+//! are invisible: scans that never compact a snapshot produce bit-for-bit
+//! the plans' flat results. The serving path's entry point,
 //! [`profile_fragments`], is swept the same way over a whole
 //! prepare/prepare/combine query.
 
@@ -17,7 +17,7 @@ use midas_engines::data::{Column, ColumnData, Table, Value};
 use midas_engines::expr::Expr;
 use midas_engines::ops::{execute, AggExpr, JoinType, PhysicalPlan};
 use midas_engines::version::{CatalogVersion, ChunkedTable};
-use midas_engines::{execute_fused, execute_fused_versioned, profile_fragments, Catalog};
+use midas_engines::{execute_fused, profile_fragments, Catalog};
 use proptest::prelude::*;
 
 const WORDS: [&str; 5] = ["alpha", "beta", "gamma", "delta", ""];
@@ -71,21 +71,20 @@ fn table_of(name: &str, rows: &[Row]) -> Table {
     .expect("aligned")
 }
 
-/// Splits `rows` into chunks at the (modulo-resolved, deduplicated) cut
-/// points. The final chunk may be empty, exercising appends-free empty
-/// tails; every chunk carries the table's own name so flattening and
-/// snapshots are name-identical to the logical table.
+/// Splits `rows` into chunks at the (modulo-resolved) cut points. A cut at
+/// 0, at the row count or at an earlier cut makes an empty chunk — leading,
+/// trailing or interior, which is what a zero-row slab between populated
+/// ones looks like to every operator; every chunk carries the table's own
+/// name so flattening and snapshots are name-identical to the logical
+/// table.
 fn chunked_of(name: &str, rows: &[Row], cuts: &[usize]) -> ChunkedTable {
     let mut bounds: Vec<usize> = cuts.iter().map(|&c| c % (rows.len() + 1)).collect();
     bounds.sort_unstable();
-    bounds.dedup();
     let mut chunks: Vec<Arc<Table>> = Vec::new();
     let mut start = 0usize;
     for &b in &bounds {
-        if b > start {
-            chunks.push(Arc::new(table_of(name, &rows[start..b])));
-            start = b;
-        }
+        chunks.push(Arc::new(table_of(name, &rows[start..b])));
+        start = b;
     }
     chunks.push(Arc::new(table_of(name, &rows[start..])));
     ChunkedTable::from_chunks(name, chunks).expect("chunks share the schema")
@@ -157,7 +156,7 @@ fn fused_matches(
         flat.as_ref().err(),
         oracle.as_ref().err()
     );
-    let chunked = execute_fused_versioned(plan, version);
+    let chunked = execute_fused(plan, version);
     prop_assert_eq!(
         chunked.is_ok(),
         oracle.is_ok(),
@@ -557,13 +556,13 @@ fn constant_division_by_zero_over_empty_input() {
     };
     let o = execute(&plan, &catalog).expect("oracle tolerates empty");
     let f = execute_fused(&plan, &catalog).expect("fused tolerates empty");
-    let c = execute_fused_versioned(&plan, &version).expect("chunked tolerates empty");
+    let c = execute_fused(&plan, &version).expect("chunked tolerates empty");
     assert_eq!(f.0, o.0);
     assert_eq!(c.0, o.0);
     let rows: Vec<Row> = vec![((1, 1, 0.5), (0, 1, 0), (0, 1))];
     let (catalog, version) = fixture(&rows, &[]);
     assert!(execute_fused(&plan, &catalog).is_err());
-    assert!(execute_fused_versioned(&plan, &version).is_err());
+    assert!(execute_fused(&plan, &version).is_err());
 }
 
 /// Regression: Int64 literals beyond 2^53 project exactly through the
@@ -579,7 +578,7 @@ fn huge_int_literal_projects_exactly() {
     };
     let (o, _) = execute(&plan, &catalog).expect("runs");
     let (f, _) = execute_fused(&plan, &catalog).expect("runs");
-    let (c, _) = execute_fused_versioned(&plan, &version).expect("runs");
+    let (c, _) = execute_fused(&plan, &version).expect("runs");
     assert_eq!(f, o);
     assert_eq!(c, o);
     assert_eq!(f.row(0)[0], Value::Int64(big));
@@ -616,7 +615,7 @@ fn deferred_join_aggregate_bad_columns_error() {
     };
     assert!(execute(&bad_group, &catalog).is_err());
     assert!(execute_fused(&bad_group, &catalog).is_err());
-    assert!(execute_fused_versioned(&bad_group, &version).is_err());
+    assert!(execute_fused(&bad_group, &version).is_err());
     // Aggregate expression out of range.
     let bad_agg = PhysicalPlan::Aggregate {
         input: join(),
@@ -625,5 +624,5 @@ fn deferred_join_aggregate_bad_columns_error() {
     };
     assert!(execute(&bad_agg, &catalog).is_err());
     assert!(execute_fused(&bad_agg, &catalog).is_err());
-    assert!(execute_fused_versioned(&bad_agg, &version).is_err());
+    assert!(execute_fused(&bad_agg, &version).is_err());
 }

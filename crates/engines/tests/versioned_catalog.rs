@@ -7,7 +7,8 @@
 use midas_engines::data::{Column, ColumnData, Table};
 use midas_engines::expr::Expr;
 use midas_engines::ops::{execute, PhysicalPlan};
-use midas_engines::{Catalog, VersionedCatalog};
+use midas_engines::{Catalog, EngineError, VersionedCatalog};
+use std::sync::Arc;
 use proptest::prelude::*;
 
 /// A deterministic little fact table of `rows` rows.
@@ -143,4 +144,41 @@ fn old_pins_survive_later_ingest_untouched() {
         versioned.current().pin().get("fact").unwrap().fingerprint(),
         whole.fingerprint()
     );
+}
+
+#[test]
+fn an_empty_delta_publishes_a_version_and_no_chunk() {
+    let whole = fact(60);
+    let mut catalog = Catalog::new();
+    catalog.insert("fact", whole.take(&(0..40).collect::<Vec<_>>()));
+    let versioned = VersionedCatalog::new(catalog);
+    versioned
+        .append("fact", whole.take(&(40..60).collect::<Vec<_>>()))
+        .unwrap();
+    let before = versioned.current();
+    let pinned = before.pin();
+
+    let (receipt, superseded) = versioned
+        .append_batch_traced(vec![("fact".to_string(), whole.take(&[]))])
+        .unwrap();
+    // The version advances and the receipt says what arrived: nothing.
+    assert_eq!((receipt.version, receipt.stats.delta_rows), (2, 0));
+    assert!(superseded.is_empty(), "no table state was retired: {superseded:?}");
+    let after = versioned.current();
+    let (was, is) = (before.table("fact").unwrap(), after.table("fact").unwrap());
+    assert_eq!(is.chunk_count(), 2);
+    assert_eq!(is.id(), was.id());
+    // The compaction the earlier pin paid for is the later pin's too.
+    assert!(Arc::ptr_eq(
+        pinned.get_shared("fact").unwrap(),
+        after.pin().get_shared("fact").unwrap()
+    ));
+
+    // A malformed delta is rejected whether or not it has rows.
+    let wrong = Table::new("fact", vec![Column::new("k", ColumnData::Float64(Vec::new()))]);
+    assert!(matches!(
+        versioned.append("fact", wrong.unwrap()),
+        Err(EngineError::TypeMismatch { .. })
+    ));
+    assert_eq!(versioned.version(), 2);
 }

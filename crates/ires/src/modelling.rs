@@ -6,6 +6,7 @@
 //! own (smaller) "new training set" before fitting.
 
 use midas_dream::{CostEstimator, DreamEstimator, EstimationError, FitReport, History};
+use midas_engines::lock_recover;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -68,14 +69,6 @@ impl Modelling {
 /// Builds the estimator a [`ModellingRegistry`] installs for a new class;
 /// called with the class's feature count.
 pub type EstimatorFactory = Box<dyn Fn(usize) -> Box<dyn CostEstimator> + Send + Sync>;
-
-/// Locks a registry map or modelling module, recovering from poisoning: a
-/// worker that panicked elsewhere in its job must fail that job alone, and
-/// the guarded state (a map of handles; an append-only history plus a
-/// last-fit report) stays consistent between operations.
-fn lock_recover<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 /// The concurrent Modelling store: one lock-guarded [`Modelling`] per query
 /// class, shared by every worker of a federation runtime.

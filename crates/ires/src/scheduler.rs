@@ -10,9 +10,9 @@ use midas_cloud::Federation;
 use midas_dream::EstimationError;
 use midas_engines::exec::{ExecutionOutcome, ProfiledFragment, SharedExecutor};
 use midas_engines::sim::{DriftIntensity, SimulationEnv, SiteAdmission};
-use midas_engines::{EngineError, Placement, SchemaCatalog, TableSource};
+use midas_engines::{lock_recover, EngineError, Placement, SchemaCatalog, TableSource};
 use midas_tpch::TwoTableQuery;
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard};
 
 /// Scheduler construction parameters.
 #[derive(Debug, Clone, Copy)]
@@ -161,9 +161,7 @@ impl<'a> Scheduler<'a> {
     }
 
     fn env(&self) -> MutexGuard<'_, SimulationEnv> {
-        // Nothing else holds this lock, so it cannot be poisoned by another
-        // thread; recover rather than unwrap, as every env lock does.
-        self.env.lock().unwrap_or_else(PoisonError::into_inner)
+        lock_recover(&self.env)
     }
 
     /// Executes one query instance under an explicit configuration and

@@ -77,7 +77,7 @@ use midas_engines::data::Table;
 use midas_engines::exec::{ProfiledFragment, ResultCacheBinding, SharedExecutor};
 use midas_engines::sim::{AdmissionStats, DriftIntensity, FaultPlan, SimulationEnv, SiteAdmission};
 use midas_engines::version::{CatalogVersion, IngestReceipt, IngestStats, VersionedCatalog};
-use midas_engines::{Catalog, EngineError, Placement, SchemaCatalog};
+use midas_engines::{lock_recover, Catalog, EngineError, Placement, SchemaCatalog};
 use midas_ires::optimizer::{cost_space, moqp_exhaustive, select_costed, CostedSpace};
 use midas_ires::scheduler::{base_rows, features_from, SchedulerError};
 use midas_ires::{assemble, EnumerationSpace, ModellingRegistry, PlanCostModel};
@@ -345,7 +345,7 @@ impl LatencyStats {
     }
 }
 
-/// Per-tenant queue-depth and wait accounting, maintained by [`JobQueue`]
+/// Per-tenant queue-depth and wait accounting, maintained by the job queue
 /// across the tenant's whole lifetime (it survives tenant retirement, so a
 /// drained queue still reports what happened).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -598,16 +598,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "non-string panic payload".to_string()
     }
-}
-
-/// Locks runtime-internal state, recovering from poisoning. Every mutex in
-/// this runtime guards plain queues and counters whose invariants hold at
-/// each unlock, so a panic elsewhere on a lock-holding thread cannot leave
-/// them half-updated in a way later readers could observe — and one bad
-/// job must not cascade into a runtime-wide abort through
-/// `PoisonError` expects.
-fn lock_recover<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// One tenant's FIFO in the rotation.
@@ -924,15 +914,7 @@ impl Ingress<'_, '_> {
     /// current service weight (see
     /// [`FederationRuntime::set_tenant_weight`]).
     pub fn submit(&self, job: RuntimeJob) -> usize {
-        let pinned = self.runtime.catalog.current();
-        let weight = self.runtime.tenant_weight(&job.tenant);
-        let clock_s = self.runtime.clock_s();
-        let pressure = self.runtime.sample_pressure();
-        let rejection = self
-            .runtime
-            .validate_admission(&job, &self.runtime.schemas_of(&pinned));
-        self.queue
-            .submit(job, pinned, weight, clock_s, pressure, rejection)
+        self.runtime.admit(self.queue, job)
     }
 
     /// Appends one delta batch to `table` and publishes the successor
@@ -1173,36 +1155,15 @@ impl<'a> FederationRuntime<'a> {
     /// like any two tenants).
     pub fn run(&self, jobs: Vec<RuntimeJob>) -> RuntimeReport {
         let queue = JobQueue::default();
+        // Batch admission happens before any worker runs, so the
+        // submit-time pressure sample is necessarily all-idle; in this mode
+        // congestion feedback flows through speculative re-plans (which
+        // re-sample live pressure), keeping batch admission a pure function
+        // of the job list.
         for job in jobs {
-            let weight = self.tenant_weight(&job.tenant);
-            // Batch admission happens before any worker runs, so the
-            // submit-time pressure sample is necessarily all-idle; in this
-            // mode congestion feedback flows through speculative re-plans
-            // (which re-sample live pressure), keeping batch admission a
-            // pure function of the job list.
-            let clock_s = self.clock_s();
-            let pressure = self.sample_pressure();
-            let pinned = self.catalog.current();
-            let rejection = self.validate_admission(&job, &self.schemas_of(&pinned));
-            queue.submit(job, pinned, weight, clock_s, pressure, rejection);
+            self.admit(&queue, job);
         }
-        queue.close();
-        // LINT: wall-clock — service wall time for the qps report only.
-        let started = Instant::now();
-        let sink = Mutex::new(ResultSink::default());
-        std::thread::scope(|scope| {
-            for worker in 0..self.config.workers.max(1) {
-                let (queue, sink) = (&queue, &sink);
-                scope.spawn(move || self.worker_loop(worker, queue, sink));
-            }
-        });
-        let queue_stats = queue.tenant_stats();
-        self.finish(
-            started,
-            sink.into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner),
-            queue_stats,
-        )
+        self.drain_with_pool(&queue, || ()).1
     }
 
     /// Runs the worker pool as a *streaming* service: `producer` executes
@@ -1214,32 +1175,54 @@ impl<'a> FederationRuntime<'a> {
     /// service report.
     pub fn serve<R>(&self, producer: impl FnOnce(&Ingress<'_, 'a>) -> R) -> (R, RuntimeReport) {
         let queue = JobQueue::default();
+        let ingress = Ingress {
+            runtime: self,
+            queue: &queue,
+        };
+        self.drain_with_pool(&queue, || producer(&ingress))
+    }
+
+    /// Admits one job to `queue`, in the one order every admission takes:
+    /// pin the currently published catalog version, read the tenant's
+    /// service weight, the simulated clock and the admission pressure,
+    /// validate the plan against the pinned schemas, enqueue. Returns the
+    /// job's admission sequence number.
+    fn admit(&self, queue: &JobQueue, job: RuntimeJob) -> usize {
+        let pinned = self.catalog.current();
+        let weight = self.tenant_weight(&job.tenant);
+        let clock_s = self.clock_s();
+        let pressure = self.sample_pressure();
+        let rejection = self.validate_admission(&job, &self.schemas_of(&pinned));
+        queue.submit(job, pinned, weight, clock_s, pressure, rejection)
+    }
+
+    /// Spawns the configured workers over `queue`, runs `producer` on the
+    /// calling thread beside them, closes the queue and blocks until every
+    /// admitted job completed; returns the producer's value and the
+    /// service report.
+    fn drain_with_pool<R>(
+        &self,
+        queue: &JobQueue,
+        producer: impl FnOnce() -> R,
+    ) -> (R, RuntimeReport) {
         // LINT: wall-clock — service wall time for the qps report only.
         let started = Instant::now();
         let sink = Mutex::new(ResultSink::default());
         let value = std::thread::scope(|scope| {
             for worker in 0..self.config.workers.max(1) {
-                let (queue, sink) = (&queue, &sink);
+                let sink = &sink;
                 scope.spawn(move || self.worker_loop(worker, queue, sink));
             }
-            let ingress = Ingress {
-                runtime: self,
-                queue: &queue,
-            };
             // Close on return *and* on unwind: a panicking producer must
             // fail the call, not strand the workers (which the scope would
             // otherwise join forever).
-            let _closer = CloseOnDrop(&queue);
-            producer(&ingress)
+            let _closer = CloseOnDrop(queue);
+            producer()
         });
-        let queue_stats = queue.tenant_stats();
-        let report = self.finish(
-            started,
-            sink.into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner),
-            queue_stats,
-        );
-        (value, report)
+        let sink = sink
+            .into_inner()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        (value, self.finish(started, sink, queue.tenant_stats()))
     }
 
     /// Samples every admission gate's instantaneous pressure score —
@@ -1779,7 +1762,6 @@ impl<'a> FederationRuntime<'a> {
                     dream_window: fit.map(|report| report.window_used),
                     result_rows: executed.result.n_rows(),
                     result_fingerprint: executed.result.fingerprint(),
-                    catalog_cloned_bytes: executed.catalog_cloned_bytes,
                     catalog_shared_bytes: executed.catalog_shared_bytes,
                     chosen: outcome.chosen,
                 },

@@ -78,10 +78,6 @@ pub struct MidasReport {
     /// against executing the query standalone on its pinned catalog
     /// version.
     pub result_fingerprint: u64,
-    /// Bytes of base-table data deep-copied while seeding this query's
-    /// execution catalog — zero on the shared-`Arc` data plane
-    /// (`runtime_concurrency.rs` and `streaming_ingest.rs` assert it).
-    pub catalog_cloned_bytes: u64,
     /// Bytes of base-table data this query's execution read in place —
     /// the same number over a flat catalog and over a version's chunks.
     pub catalog_shared_bytes: u64,
@@ -255,7 +251,6 @@ impl MidasSession<'_> {
             dream_window,
             result_rows: executed.outcome.result.n_rows(),
             result_fingerprint: executed.outcome.result.fingerprint(),
-            catalog_cloned_bytes: executed.outcome.catalog_cloned_bytes,
             catalog_shared_bytes: executed.outcome.catalog_shared_bytes,
             chosen: outcome.chosen,
         })

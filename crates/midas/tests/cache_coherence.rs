@@ -270,6 +270,42 @@ fn ingest_publish_invalidates_exactly_the_affected_tables_entries() {
 }
 
 #[test]
+fn an_empty_ingest_retires_no_cache_entry() {
+    let (midas, _, _) = Midas::example_deployment(&["patient"], &["generalinfo"]);
+    let runtime = FederationRuntime::new(
+        midas.federation(),
+        midas.placement(),
+        generate_medical(150, 0.5, 13),
+        RuntimeConfig {
+            workers: 1,
+            max_vms: 2,
+            ..RuntimeConfig::default()
+        },
+    );
+    let job = || RuntimeJob::new("clinic", medical_query(Some("CT")), QueryPolicy::balanced());
+    assert!(runtime.run(vec![job()]).failed.is_empty());
+    let warm = runtime.cache_stats();
+
+    // A delta of no rows over both tables: a version is published, and it
+    // holds the very tables the first job's entries were keyed on.
+    let delta = medical_delta(0, 0.5, 17, 150);
+    assert_eq!(delta.len(), 2);
+    let (receipt, _) = runtime.serve(|ingress| ingress.ingest_batch(delta).expect("ingest"));
+    assert_eq!((receipt.version, receipt.stats.delta_rows), (1, 0));
+    let after = runtime.cache_stats();
+    assert_eq!(after.fragment.invalidations, 0, "{:?}", after.fragment);
+    assert_eq!(after.plan.invalidations, 0, "{:?}", after.plan);
+
+    let report = runtime.run(vec![job()]);
+    assert!(report.failed.is_empty());
+    assert_eq!(report.completed[0].pinned_version(), 1);
+    assert_eq!(report.completed[0].cache_hits, 3, "every fragment still hits");
+    let again = runtime.cache_stats();
+    assert_eq!(again.plan.hits, warm.plan.hits + 1, "{:?}", again.plan);
+    assert_eq!(again.plan.misses, warm.plan.misses);
+}
+
+#[test]
 fn per_tenant_scope_never_shares_across_tenants() {
     let (midas, _, _) = Midas::example_deployment(&["patient"], &["generalinfo"]);
     let run_with_scope = |scope: CacheScope| {

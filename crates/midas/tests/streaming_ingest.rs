@@ -120,7 +120,6 @@ fn one_worker_stream_matches_the_sequential_replay_oracle() {
             "{}: result drifted",
             c.label
         );
-        assert_eq!(c.catalog_cloned_bytes, 0, "{}", c.label);
     }
 
     // The simulated world and the learned state ended identically.
@@ -242,7 +241,6 @@ fn concurrent_workers_keep_snapshot_isolation_under_live_ingest() {
             r.report.label,
             r.pinned_version()
         );
-        assert_eq!(r.report.catalog_cloned_bytes, 0);
     }
 }
 
@@ -349,7 +347,6 @@ fn cached_stream_over_chunked_versions_matches_the_flat_oracle() {
             assert_eq!(c.result_rows, expected.result_rows, "{}", c.label);
             assert_eq!(c.result_fingerprint, expected.result_fingerprint, "{}", c.label);
             assert_eq!(c.catalog_shared_bytes, expected.catalog_shared_bytes, "{}", c.label);
-            assert_eq!(c.catalog_cloned_bytes, 0, "{}", c.label);
             // The second pass of a window finds every fragment cached; the
             // two worker counts agree on every job's hits.
             assert_eq!(r.cache_hits, one.completed[i].cache_hits, "{}", c.label);

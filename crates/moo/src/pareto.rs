@@ -25,8 +25,8 @@ fn objective_cmp(a: f64, b: f64) -> Ordering {
 /// whole input — `O(n log n)` for two objectives, `O(n log n + n·|front|)`
 /// otherwise. A NaN coordinate never panics; it is neither better nor worse
 /// than anything ([`compare`]), so dominance stops being transitive and
-/// which NaN-bearing vectors are kept follows their sort position (see
-/// [`objective_cmp`]).
+/// which NaN-bearing vectors are kept follows their sort position (where
+/// `f64::total_cmp` puts a NaN).
 pub fn pareto_front_indices(costs: &[Vec<f64>]) -> Vec<usize> {
     let points: Option<Vec<(f64, f64, usize)>> = costs
         .iter()

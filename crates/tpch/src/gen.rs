@@ -334,7 +334,7 @@ impl TpchDb {
 /// held as the base [`CatalogVersion`] of chunk-native tables.
 ///
 /// Queries run against [`TpchChunkedDb::version`] directly (e.g. through
-/// `execute_fused_versioned`) without ever compacting a snapshot —
+/// `execute_fused`) without ever compacting a snapshot —
 /// `self.version().compaction_bytes()` stays 0 until someone explicitly
 /// pins. The logical contents are bit-identical to
 /// [`TpchDb::generate`] with the same [`GenConfig`].

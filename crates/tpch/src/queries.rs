@@ -25,7 +25,7 @@ use midas_engines::error::EngineError;
 use midas_engines::expr::Expr;
 use midas_engines::ops::{AggExpr, JoinType, PhysicalPlan, WorkProfile};
 use midas_engines::version::CatalogVersion;
-use midas_engines::{execute_fused, execute_fused_versioned, Catalog, Value};
+use midas_engines::{execute_fused, Catalog, Value};
 
 /// Which of the paper's queries a template instantiates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -120,8 +120,8 @@ impl TwoTableQuery {
         &self,
         version: &CatalogVersion,
     ) -> Result<(Table, [WorkProfile; 3]), EngineError> {
-        let (left, left_profile) = execute_fused_versioned(&self.left_prepare, version)?;
-        let (right, right_profile) = execute_fused_versioned(&self.right_prepare, version)?;
+        let (left, left_profile) = execute_fused(&self.left_prepare, version)?;
+        let (right, right_profile) = execute_fused(&self.right_prepare, version)?;
         let mut frags = Catalog::new();
         frags.insert("@frag0".to_string(), left);
         frags.insert("@frag1".to_string(), right);

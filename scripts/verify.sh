@@ -31,7 +31,10 @@
 #      own with path dependencies on crates/*, so stages 1-3 neither build
 #      nor test it: this is the stage that notices when a crates/* API
 #      change stops it compiling, and it runs every workload end to end at
-#      --smoke size (replay == runtime job for job).
+#      --smoke size (replay == runtime job for job);
+#   7. rustdoc over the workspace with warnings denied: a doc comment that
+#      links a name a PR deleted, or a private one from public docs, fails
+#      here instead of dangling.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -53,5 +56,7 @@ stage "static analysis + determinism lint (BENCH_static_analysis.json)" \
     cargo run -q --release --offline -p midas-bench --bin repro_lint
 stage "benchmark package tests (benchmark/ is its own workspace)" \
     cargo test --release --offline --manifest-path benchmark/Cargo.toml
+stage "rustdoc (workspace, -D warnings)" \
+    env RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 
 echo "verify: OK ($SECONDS s)"

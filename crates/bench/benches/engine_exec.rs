@@ -133,8 +133,13 @@ fn bench_scalar_vs_vectorized(c: &mut Criterion) {
 ///   the same rows with the keys spread out (hashed);
 /// * Q12's combine join, 3 k lineitems with 150 k orders, in both argument
 ///   orders — the table is built on the 3 k either way;
+/// * Q17's `@frag0 ⋈ @frag1`, 600 k lineitems probing the 24 parts of one
+///   brand and container — chain heads addressed by `p_partkey` — and the
+///   same join over keys × 1 009 (hashed);
 /// * Q12's five-conjunct left filter (the string `IN` runs on the survivors
-///   of the four date conjuncts) and Q14's date range (nothing to stage).
+///   of the four date conjuncts) and Q14's date range (nothing to stage);
+/// * Q12's right prepare, two whole columns of `orders` — shared with the
+///   base table, not copied, 150 k strings included.
 ///
 /// Read the 600 k-row cases as ns/row = time / 600 k.
 fn bench_cold_path_kernels(c: &mut Criterion) {
@@ -152,12 +157,34 @@ fn bench_cold_path_kernels(c: &mut Criterion) {
         group_by: vec![key],
         aggs: vec![("avg_qty".to_string(), AggExpr::Avg(Expr::col(value)))],
     };
-    let ColumnData::Int64(partkeys) = &lineitem.column(1).expect("l_partkey").data else {
+    let ColumnData::Int64(partkeys) = &*lineitem.column(1).expect("l_partkey").data else {
         panic!("l_partkey is an Int64 column");
     };
-    let sparse = Column::new("k", ColumnData::Int64(partkeys.iter().map(|k| k * 1009).collect()));
+    let spread = |keys: &[i64]| {
+        Column::new(
+            "k",
+            ColumnData::Int64(keys.iter().map(|k| k * 1009).collect()),
+        )
+    };
     let quantity = lineitem.column(3).expect("l_quantity").clone();
-    catalog.insert("sparse", Table::new("sparse", vec![sparse, quantity]).expect("aligned"));
+    let sparse = Table::new("sparse", vec![spread(partkeys), quantity]).expect("aligned");
+    catalog.insert("sparse", sparse);
+
+    let q17 = q17("Brand#23", "MED BOX");
+    let q17_sides = [
+        ("q17_lineitem", &q17.left_prepare),
+        ("q17_part", &q17.right_prepare),
+    ];
+    for (name, prepare) in q17_sides {
+        let (fragment, _) = execute_fused(prepare, db.catalog()).expect("runs");
+        catalog.insert(name, fragment);
+    }
+    let parts = catalog.get("q17_part").expect("inserted above");
+    let ColumnData::Int64(partkeys) = &*parts.column(0).expect("p_partkey").data else {
+        panic!("p_partkey is an Int64 column");
+    };
+    let sparse_part = Table::new("sparse_part", vec![spread(partkeys)]).expect("one column");
+    catalog.insert("sparse_part", sparse_part);
 
     let q = q12("MAIL", "SHIP", 1994);
     let PhysicalPlan::Project { input: q12_filter, .. } = &q.left_prepare else {
@@ -188,8 +215,11 @@ fn bench_cold_path_kernels(c: &mut Criterion) {
         ("group_discovery_600k_to_20k", &discovery("sparse", 0, 1)),
         ("join_3k_probe_150k", &join("@frag0", "@frag1")),
         ("join_150k_probe_3k", &join("@frag1", "@frag0")),
+        ("join_600k_probe_dense", &join("q17_lineitem", "q17_part")),
+        ("join_600k_probe_sparse", &join("sparse", "sparse_part")),
         ("filter_q12_left", &**q12_filter),
         ("date_range_filter_600k", &date_range),
+        ("project_whole_string_column", &q.right_prepare),
     ] {
         group.bench_function(name, |b| {
             b.iter(|| black_box(execute_fused(plan, &catalog).expect("runs")))

@@ -85,7 +85,10 @@
 //! currently holding the most resident bytes** (fair-share): a tenant
 //! flooding the cache with distinct entries reclaims its *own* space and
 //! cannot wash out another tenant's hot entries. All tie-breaks are
-//! deterministic (lexicographic owner, oldest stamp).
+//! deterministic (lexicographic owner, oldest stamp). A fragment output is
+//! charged its full estimated bytes even when its columns share buffers
+//! with base data (a whole-column projection's do), so budgets, evictions
+//! and `resident_bytes` do not depend on what else holds those bytes.
 
 use crate::data::Value;
 use crate::expr::Expr;
@@ -678,7 +681,9 @@ impl FragmentResultCache {
     }
 
     /// Admits a fragment output under `key`, owned by `owner` (the
-    /// submitting tenant) for fair-share eviction.
+    /// submitting tenant) for fair-share eviction, charged its full
+    /// [`Table::estimated_bytes`] whatever buffers it shares (see the
+    /// module docs' *Eviction*).
     pub fn insert(&self, key: CacheKey, fragment: Arc<CachedFragment>, owner: &str) -> bool {
         let bytes = fragment.table.estimated_bytes()
             + 48 * fragment.work.ops.len() as u64

@@ -20,7 +20,7 @@
 
 use crate::error::EngineError;
 use std::fmt;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Logical data types.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -140,8 +140,11 @@ impl ColumnData {
 pub struct Column {
     /// Column name.
     pub name: String,
-    /// Typed values.
-    pub data: ColumnData,
+    /// Typed values, shared and immutable once built: a clone of the
+    /// column (or of its table) and a fused projection of the whole column
+    /// point at the same buffer. An operator that produces other values
+    /// builds a new column.
+    pub data: Arc<ColumnData>,
     /// `None` means all rows valid.
     pub validity: Option<Vec<bool>>,
 }
@@ -151,7 +154,7 @@ impl Column {
     pub fn new(name: &str, data: ColumnData) -> Self {
         Column {
             name: name.to_string(),
-            data,
+            data: Arc::new(data),
             validity: None,
         }
     }
@@ -160,7 +163,7 @@ impl Column {
     pub fn with_validity(name: &str, data: ColumnData, validity: Vec<bool>) -> Self {
         Column {
             name: name.to_string(),
-            data,
+            data: Arc::new(data),
             validity: Some(validity),
         }
     }
@@ -185,7 +188,7 @@ impl Column {
         if !self.is_valid(i) {
             return Value::Null;
         }
-        match &self.data {
+        match &*self.data {
             ColumnData::Int64(v) => Value::Int64(v[i]),
             ColumnData::Float64(v) => Value::Float64(v[i]),
             ColumnData::Utf8(v) => Value::Utf8(v[i].clone()),
@@ -199,7 +202,7 @@ impl Column {
     /// column is not Utf8. Lets comparisons avoid cloning the `String`
     /// that [`Column::value`] would have to produce.
     pub fn utf8_at(&self, i: usize) -> Option<Option<&str>> {
-        match &self.data {
+        match &*self.data {
             ColumnData::Utf8(v) => {
                 if self.is_valid(i) {
                     Some(Some(v[i].as_str()))
@@ -214,7 +217,7 @@ impl Column {
     /// Approximate in-memory size of one value of this column, in bytes.
     /// Strings use their average length; everything else its fixed width.
     pub fn avg_value_bytes(&self) -> f64 {
-        match &self.data {
+        match &*self.data {
             ColumnData::Int64(_) | ColumnData::Float64(_) => 8.0,
             ColumnData::Date(_) => 4.0,
             ColumnData::Bool(_) => 1.0,
@@ -237,7 +240,7 @@ impl Column {
                 .map(|(x, _)| x.clone())
                 .collect()
         }
-        let data = match &self.data {
+        let data = match &*self.data {
             ColumnData::Int64(v) => ColumnData::Int64(keep(v, mask)),
             ColumnData::Float64(v) => ColumnData::Float64(keep(v, mask)),
             ColumnData::Utf8(v) => ColumnData::Utf8(keep(v, mask)),
@@ -247,7 +250,7 @@ impl Column {
         let validity = self.validity.as_ref().map(|v| keep(v, mask));
         Column {
             name: self.name.clone(),
-            data,
+            data: Arc::new(data),
             validity,
         }
     }
@@ -257,7 +260,7 @@ impl Column {
         fn gather<T: Clone>(v: &[T], idx: &[usize]) -> Vec<T> {
             idx.iter().map(|&i| v[i].clone()).collect()
         }
-        let data = match &self.data {
+        let data = match &*self.data {
             ColumnData::Int64(v) => ColumnData::Int64(gather(v, indices)),
             ColumnData::Float64(v) => ColumnData::Float64(gather(v, indices)),
             ColumnData::Utf8(v) => ColumnData::Utf8(gather(v, indices)),
@@ -267,7 +270,7 @@ impl Column {
         let validity = self.validity.as_ref().map(|v| gather(v, indices));
         Column {
             name: self.name.clone(),
-            data,
+            data: Arc::new(data),
             validity,
         }
     }
@@ -278,7 +281,7 @@ impl Column {
         fn gather<T: Clone>(v: &[T], idx: &[u32]) -> Vec<T> {
             idx.iter().map(|&i| v[i as usize].clone()).collect()
         }
-        let data = match &self.data {
+        let data = match &*self.data {
             ColumnData::Int64(v) => ColumnData::Int64(gather(v, indices)),
             ColumnData::Float64(v) => ColumnData::Float64(gather(v, indices)),
             ColumnData::Utf8(v) => ColumnData::Utf8(gather(v, indices)),
@@ -288,7 +291,7 @@ impl Column {
         let validity = self.validity.as_ref().map(|v| gather(v, indices));
         Column {
             name: self.name.clone(),
-            data,
+            data: Arc::new(data),
             validity,
         }
     }
@@ -317,7 +320,7 @@ impl Column {
                     .collect()
             };
         }
-        let data = match &self.data {
+        let data = match &*self.data {
             ColumnData::Int64(v) => ColumnData::Int64(gather_opt!(v, 0)),
             ColumnData::Float64(v) => ColumnData::Float64(gather_opt!(v, 0.0)),
             ColumnData::Utf8(v) => ColumnData::Utf8(gather_opt!(v, String::new())),
@@ -326,7 +329,7 @@ impl Column {
         };
         Column {
             name: self.name.clone(),
-            data,
+            data: Arc::new(data),
             validity: Some(validity),
         }
     }
@@ -352,7 +355,7 @@ impl Column {
                     .collect()
             };
         }
-        let data = match &self.data {
+        let data = match &*self.data {
             ColumnData::Int64(v) => ColumnData::Int64(gather_opt!(v, 0)),
             ColumnData::Float64(v) => ColumnData::Float64(gather_opt!(v, 0.0)),
             ColumnData::Utf8(v) => ColumnData::Utf8(gather_opt!(v, String::new())),
@@ -361,7 +364,7 @@ impl Column {
         };
         Column {
             name: self.name.clone(),
-            data,
+            data: Arc::new(data),
             validity: Some(validity),
         }
     }
@@ -385,7 +388,7 @@ pub(crate) fn virtual_bytes<'c>(
 ) -> u64 {
     let per_row: f64 = columns
         .enumerate()
-        .map(|(ci, c)| match &c.data {
+        .map(|(ci, c)| match &*c.data {
             ColumnData::Int64(_) | ColumnData::Float64(_) => 8.0,
             ColumnData::Date(_) => 4.0,
             ColumnData::Bool(_) => 1.0,
@@ -405,10 +408,10 @@ pub struct Table {
     n_rows: usize,
     /// Memoized [`Table::estimated_bytes`]. Tables are immutable once
     /// built (every operator returns a new table), so the O(rows) Utf8
-    /// sizing pass runs at most once per table instead of per append /
-    /// per LPT sort. Deliberately excluded from `PartialEq` and `Debug`:
-    /// two tables with identical rows are equal whether or not either has
-    /// been measured yet.
+    /// sizing pass runs at most once per table instead of once per scan,
+    /// profile or cache charge that asks. Deliberately excluded from
+    /// `PartialEq` and `Debug`: two tables with identical rows are equal
+    /// whether or not either has been measured yet.
     bytes_cache: OnceLock<u64>,
     /// Memoized [`Table::utf8_len_sums`]; excluded from `PartialEq` and
     /// `Debug` for the same reason as `bytes_cache`.
@@ -534,7 +537,7 @@ impl Table {
         self.len_sums_cache.get_or_init(|| {
             self.columns
                 .iter()
-                .map(|c| match &c.data {
+                .map(|c| match &*c.data {
                     ColumnData::Utf8(v) => v.iter().map(|s| s.len()).sum(),
                     _ => 0,
                 })
@@ -555,7 +558,7 @@ impl Table {
     /// Total byte length of column `ci`'s string values at the rows `sel`
     /// (`None` = all rows, memoized); `0` for a non-Utf8 column.
     pub(crate) fn utf8_bytes_sel(&self, ci: usize, sel: Option<&[u32]>) -> usize {
-        match (sel, &self.columns[ci].data) {
+        match (sel, &*self.columns[ci].data) {
             (None, _) => self.utf8_len_sums()[ci],
             (Some(sel), ColumnData::Utf8(v)) => sel.iter().map(|&i| v[i as usize].len()).sum(),
             (Some(_), _) => 0,
@@ -622,7 +625,7 @@ impl Table {
                 ($variant:ident) => {{
                     let mut out = Vec::with_capacity(n_rows);
                     for part in &parts {
-                        match &part.data {
+                        match &*part.data {
                             ColumnData::$variant(v) => out.extend_from_slice(v),
                             // LINT: panic-ok — concat verifies every part
                             // shares the schema before splicing.
@@ -632,7 +635,7 @@ impl Table {
                     ColumnData::$variant(out)
                 }};
             }
-            let data = match &first.columns[col_idx].data {
+            let data = match &*first.columns[col_idx].data {
                 ColumnData::Int64(_) => splice!(Int64),
                 ColumnData::Float64(_) => splice!(Float64),
                 ColumnData::Utf8(_) => splice!(Utf8),
@@ -653,7 +656,7 @@ impl Table {
             };
             columns.push(Column {
                 name: first.columns[col_idx].name.clone(),
-                data,
+                data: Arc::new(data),
                 validity,
             });
         }
@@ -699,7 +702,7 @@ impl Table {
             }
             // Invalid rows are skipped: the validity bytes above already
             // disambiguate which positions were NULL.
-            match &c.data {
+            match &*c.data {
                 ColumnData::Int64(v) => {
                     eat(&[0]);
                     for (i, x) in v.iter().enumerate() {
@@ -1131,7 +1134,7 @@ mod tests {
             .columns()
             .iter()
             .zip(t.utf8_len_sums())
-            .map(|(c, &sum)| match &c.data {
+            .map(|(c, &sum)| match &*c.data {
                 ColumnData::Utf8(_) => sum as f64 / t.n_rows() as f64,
                 _ => c.avg_value_bytes(),
             })

@@ -23,9 +23,12 @@
 //! scan base tables where they are — a shared [`Catalog`]'s `Arc<Table>`
 //! entries by reference, a `CatalogVersion`'s chunks one slab each, so a
 //! table that grew by appends is never compacted for a run — and nothing
-//! of them is seeded or copied per query. The per-query catalog holds the
-//! `@frag<N>` outputs only, each `Arc::new`-ed exactly once; a scan
-//! resolves there first and in the source second.
+//! of them is seeded or copied per query. A fragment that projects a
+//! whole mask-free column of one slab outputs that column's own buffer
+//! (column data is an `Arc`), so Q12's right and Q17's left prepares copy
+//! no values. The per-query catalog holds the `@frag<N>` outputs only,
+//! each `Arc::new`-ed exactly once; a scan resolves there first and in
+//! the source second.
 //!
 //! **A run is one thread.** Fragments execute one at a time, in index
 //! order, on the calling thread; concurrency is many workers each running

@@ -1153,7 +1153,7 @@ fn col_batch<'a>(col: &'a Column, sv: &SelView<'_>, scratch: &mut EvalScratch) -
             out
         })
     };
-    match &col.data {
+    match &*col.data {
         ColumnData::Int64(v) => {
             let mut vals = scratch.take_f64(n);
             gather_into(&mut vals, v, sv, |x| x as f64);

@@ -387,19 +387,28 @@ struct ExprRun<'e> {
 enum Part {
     /// `n` all-NULL rows of undetermined type (a NULL literal morsel).
     Null(usize),
-    /// Typed values (defaults in NULL slots) plus an optional mask.
+    /// Typed values (defaults in NULL slots) plus an optional mask. The
+    /// values are the source column's own buffer when the part is the
+    /// whole of a mask-free column ([`part_from_col`]).
     Data {
-        data: ColumnData,
+        data: Arc<ColumnData>,
         validity: Option<Vec<bool>>,
-        n: usize,
     },
 }
 
 impl Part {
+    /// A part over freshly built values.
+    fn new(data: ColumnData, validity: Option<Vec<bool>>) -> Part {
+        Part::Data {
+            data: Arc::new(data),
+            validity,
+        }
+    }
+
     fn len(&self) -> usize {
         match self {
             Part::Null(k) => *k,
-            Part::Data { n, .. } => *n,
+            Part::Data { data, .. } => data.len(),
         }
     }
 }
@@ -447,22 +456,13 @@ fn apply_project_morsel(
 /// minus the global normalization.
 fn part_from_col(col: &Column, sv: &SelView<'_>) -> Part {
     let n = sv.len();
-    // Dense view over an all-valid column: the gather is a slice copy.
-    if col.validity.is_none() {
-        if let Some(r) = sv.dense_range() {
-            let data = match &col.data {
-                ColumnData::Int64(v) => ColumnData::Int64(v[r].to_vec()),
-                ColumnData::Float64(v) => ColumnData::Float64(v[r].to_vec()),
-                ColumnData::Utf8(v) => ColumnData::Utf8(v[r].to_vec()),
-                ColumnData::Date(v) => ColumnData::Date(v[r].to_vec()),
-                ColumnData::Bool(v) => ColumnData::Bool(v[r].to_vec()),
-            };
-            return Part::Data {
-                data,
-                validity: None,
-                n,
-            };
-        }
+    // Every row of an all-valid column, in order: the column's own buffer,
+    // shared. (The only dense view a caller passes is a whole slab.)
+    if col.validity.is_none() && sv.dense_range() == Some(0..col.len()) {
+        return Part::Data {
+            data: Arc::clone(&col.data),
+            validity: None,
+        };
     }
     let validity: Option<Vec<bool>> = col
         .validity
@@ -482,14 +482,14 @@ fn part_from_col(col: &Column, sv: &SelView<'_>) -> Part {
                 .collect()
         };
     }
-    let data = match &col.data {
+    let data = match &*col.data {
         ColumnData::Int64(v) => ColumnData::Int64(gather!(v, 0, |x: &i64| *x)),
         ColumnData::Float64(v) => ColumnData::Float64(gather!(v, 0.0, |x: &f64| *x)),
         ColumnData::Utf8(v) => ColumnData::Utf8(gather!(v, String::new(), |x: &String| x.clone())),
         ColumnData::Date(v) => ColumnData::Date(gather!(v, 0, |x: &i32| *x)),
         ColumnData::Bool(v) => ColumnData::Bool(gather!(v, false, |x: &bool| *x)),
     };
-    Part::Data { data, validity, n }
+    Part::new(data, validity)
 }
 
 /// One morsel of a literal broadcast — `broadcast_value` minus the global
@@ -503,11 +503,7 @@ fn part_from_value(v: &Value, n: usize) -> Part {
         Value::Date(d) => ColumnData::Date(vec![*d; n]),
         Value::Bool(b) => ColumnData::Bool(vec![*b; n]),
     };
-    Part::Data {
-        data,
-        validity: None,
-        n,
-    }
+    Part::new(data, None)
 }
 
 /// One morsel of a kernel result — `column_from_batch` minus the global
@@ -522,22 +518,10 @@ fn part_from_bv(bv: &BatchVals<'_>, sv: &SelView<'_>) -> Part {
                 NumTy::Float => ColumnData::Float64(vec![*val; n]),
                 NumTy::Date => ColumnData::Date(vec![*val as i32; n]),
             };
-            Part::Data {
-                data,
-                validity: None,
-                n,
-            }
+            Part::new(data, None)
         }
-        BatchVals::ConstBool(b) => Part::Data {
-            data: ColumnData::Bool(vec![*b; n]),
-            validity: None,
-            n,
-        },
-        BatchVals::ConstStr(s) => Part::Data {
-            data: ColumnData::Utf8(vec![s.to_string(); n]),
-            validity: None,
-            n,
-        },
+        BatchVals::ConstBool(b) => Part::new(ColumnData::Bool(vec![*b; n]), None),
+        BatchVals::ConstStr(s) => Part::new(ColumnData::Utf8(vec![s.to_string(); n]), None),
         BatchVals::Num { vals, valid, ty } => {
             let ok = |p: usize| valid.as_ref().is_none_or(|v| v[p]);
             let data = match ty {
@@ -551,21 +535,13 @@ fn part_from_bv(bv: &BatchVals<'_>, sv: &SelView<'_>) -> Part {
                     (0..n).map(|p| if ok(p) { vals[p] as i32 } else { 0 }).collect(),
                 ),
             };
-            Part::Data {
-                data,
-                validity: valid.clone(),
-                n,
-            }
+            Part::new(data, valid.clone())
         }
         BatchVals::Bools { vals, valid } => {
             let ok = |p: usize| valid.as_ref().is_none_or(|v| v[p]);
             let data =
                 ColumnData::Bool((0..n).map(|p| if ok(p) { vals[p] } else { false }).collect());
-            Part::Data {
-                data,
-                validity: valid.clone(),
-                n,
-            }
+            Part::new(data, valid.clone())
         }
         BatchVals::Str { vals, valid } => {
             let validity: Vec<bool> = (0..n)
@@ -582,11 +558,7 @@ fn part_from_bv(bv: &BatchVals<'_>, sv: &SelView<'_>) -> Part {
                     })
                     .collect(),
             );
-            Part::Data {
-                data,
-                validity: Some(validity),
-                n,
-            }
+            Part::new(data, Some(validity))
         }
     }
 }
@@ -604,7 +576,7 @@ fn merge_parts(name: &str, parts: Vec<Part>) -> Result<Column, EngineError> {
     }
     let any_valid = parts.iter().any(|p| match p {
         Part::Null(_) => false,
-        Part::Data { validity: None, n, .. } => *n > 0,
+        Part::Data { validity: None, data } => !data.is_empty(),
         Part::Data { validity: Some(v), .. } => v.iter().any(|&ok| ok),
     });
     if !any_valid {
@@ -616,12 +588,14 @@ fn merge_parts(name: &str, parts: Vec<Part>) -> Result<Column, EngineError> {
     }
     // One part covering everything: adopt its buffers outright instead of
     // re-copying them (the common case for single-chunk slabs and pure
-    // column projections, which emit one part per slab).
+    // column projections, which emit one part per slab) — a part that is a
+    // whole source column stays shared with it.
     if parts.len() == 1 {
-        if let Some(Part::Data { data, validity, .. }) = parts.into_iter().next() {
-            return Ok(match validity {
-                Some(v) if !v.iter().all(|&ok| ok) => Column::with_validity(name, data, v),
-                _ => Column::new(name, data),
+        if let Some(Part::Data { data, validity }) = parts.into_iter().next() {
+            return Ok(Column {
+                name: name.to_string(),
+                data,
+                validity: validity.filter(|v| !v.iter().all(|&ok| ok)),
             });
         }
         // LINT: panic-ok — the any_valid check above guarantees at least
@@ -648,8 +622,11 @@ fn merge_parts(name: &str, parts: Vec<Part>) -> Result<Column, EngineError> {
                         vals.extend(std::iter::repeat_with(|| $default).take(k));
                         validity.extend(std::iter::repeat(false).take(k));
                     }
-                    Part::Data { data, validity: pv, n: k } => {
-                        if let ColumnData::$variant(v) = data {
+                    Part::Data { data, validity: pv } => {
+                        let k = data.len();
+                        // Owned values move; a shared buffer is copied, as a
+                        // slice of it would have been.
+                        if let ColumnData::$variant(v) = Arc::unwrap_or_clone(data) {
                             vals.extend(v);
                         } else {
                             return Err(EngineError::TypeMismatch {
@@ -694,7 +671,8 @@ fn finish_projection(out_name: &str, runs: Vec<ExprRun<'_>>) -> Result<Table, En
 /// morsel-wise (scratch reuse, cache-resident temporaries); bare column
 /// references and literals gain nothing from morselization — they are
 /// pure copies — so they emit one part for the whole slab in a single
-/// pass, a slice copy when the slab is dense.
+/// pass: a mask-free column of a selection-free slab is shared, not copied
+/// ([`part_from_col`]).
 fn project_slab_morsels(
     runs: &mut [ExprRun<'_>],
     t: &Table,

@@ -7,7 +7,8 @@
 //! the batch evaluator ([`Expr::eval_batch`]) against whole columns, joins
 //! hash composite keys into a single `u64`-keyed open-addressing table
 //! with collision verification (no per-row key allocation, and sized by
-//! the distinct keys it holds — see `U64Map`), and grouped aggregation
+//! the distinct keys it holds — see `U64Map`) or, for a dense `Int64` key,
+//! address their chains directly, and grouped aggregation
 //! accumulates morsel by morsel from the typed kernel results. Projection,
 //! join and aggregation materialize their outputs; everything below them
 //! stays virtual.
@@ -269,7 +270,7 @@ fn key_part(col: &Column, row: usize) -> KeyVal<'_> {
     if !col.is_valid(row) {
         return KeyVal::Null;
     }
-    match &col.data {
+    match &*col.data {
         ColumnData::Int64(v) => KeyVal::Int(v[row]),
         ColumnData::Utf8(v) => KeyVal::Str(&v[row]),
         ColumnData::Date(v) => KeyVal::Date(v[row]),
@@ -1014,7 +1015,7 @@ pub(crate) fn gather_normalized(col: &Column, sv: &SelView<'_>, name: &str) -> C
                 .collect()
         };
     }
-    let data = match &col.data {
+    let data = match &*col.data {
         ColumnData::Int64(v) => ColumnData::Int64(gather!(v, 0, |x: &i64| *x)),
         ColumnData::Float64(v) => ColumnData::Float64(gather!(v, 0.0, |x: &f64| *x)),
         ColumnData::Utf8(v) => ColumnData::Utf8(gather!(v, String::new(), |x: &String| x.clone())),
@@ -1165,11 +1166,10 @@ const KEY_HASH_SEED: u64 = 0x517c_c1b7_2722_0a95;
 /// [`keys_equal`] pay, and produce the same hashes and verdicts.
 fn sole_int_key<'c>(cols: &[&'c Column]) -> Option<&'c [i64]> {
     match cols {
-        [Column {
-            data: ColumnData::Int64(v),
-            validity: None,
-            ..
-        }] => Some(v),
+        [col] => match (&*col.data, &col.validity) {
+            (ColumnData::Int64(v), None) => Some(v),
+            _ => None,
+        },
         _ => None,
     }
 }
@@ -1193,7 +1193,7 @@ fn key_hash(cols: &[&Column], row: usize, null_sentinel: bool) -> Option<u64> {
             }
             mix64(0x6e75_6c6c) // "null"
         } else {
-            match &col.data {
+            match &*col.data {
                 ColumnData::Int64(v) => mix64(v[row] as u64),
                 ColumnData::Date(v) => mix64(v[row] as i64 as u64),
                 ColumnData::Float64(v) => mix64(v[row].to_bits()),
@@ -1217,7 +1217,7 @@ fn keys_equal(lcols: &[&Column], lrow: usize, rcols: &[&Column], rrow: usize) ->
         if !lv || !rv {
             return lv == rv;
         }
-        match (&lc.data, &rc.data) {
+        match (&*lc.data, &*rc.data) {
             (ColumnData::Int64(a), ColumnData::Int64(b)) => a[lrow] == b[rrow],
             (ColumnData::Float64(a), ColumnData::Float64(b)) => {
                 a[lrow].to_bits() == b[rrow].to_bits()
@@ -1243,10 +1243,11 @@ fn keys_equal(lcols: &[&Column], lrow: usize, rcols: &[&Column], rrow: usize) ->
 /// returns is independent of how often the map grew. A group-by of 600 k
 /// rows into 20 k groups therefore holds 1 MiB of slots, not the 32 MiB a
 /// map pre-sized by input rows asks the kernel for — and gives back — on
-/// every job. (When those 20 k keys are one `Int64` column spanning fewer
-/// integers than the rows grouped, [`dense_group_ids`] holds no map at all:
-/// a direct-address table no longer than the group ids the operator
-/// produces anyway.)
+/// every job. (A key that is one non-NULL `Int64` column spanning fewer
+/// integers than the operator reads rows ([`dense_span`]) needs no map at
+/// all: a grouping addresses its group ids directly ([`dense_group_ids`]),
+/// a join its build side's chain heads ([`serial_join_indices`]) — tables
+/// no longer than 4 B × those rows. This map serves every other key.)
 struct U64Map {
     mask: usize,
     /// Occupied slots (= distinct hashes held).
@@ -1368,12 +1369,7 @@ fn row_at(rows: Option<&[u32]>, pos: usize) -> usize {
 /// order, so the result equals the hashed pass's. `None` when the key is
 /// sparse (or there are no positions): the caller hashes.
 fn dense_group_ids(rows: Option<&[u32]>, keys: &[i64], n: usize) -> Option<(Vec<u32>, Vec<u32>)> {
-    let (min, max) = (0..n).fold((i64::MAX, i64::MIN), |(lo, hi), pos| {
-        let k = keys[row_at(rows, pos)];
-        (lo.min(k), hi.max(k))
-    });
-    // `abs_diff` cannot overflow, and over no positions it is `u64::MAX`.
-    let span = usize::try_from(max.abs_diff(min)).ok().filter(|&s| s < n)?;
+    let (min, span) = dense_span(n, |pos| row_at(rows, pos), keys, n)?;
     let mut id_of = vec![0u32; span + 1];
     let mut group_ids: Vec<u32> = Vec::with_capacity(n);
     let mut rep_rows: Vec<u32> = Vec::new();
@@ -1387,6 +1383,28 @@ fn dense_group_ids(rows: Option<&[u32]>, keys: &[i64], n: usize) -> Option<(Vec<
         group_ids.push(*slot - 1);
     }
     Some((group_ids, rep_rows))
+}
+
+/// The one rule by which a single `Int64` key is addressed directly:
+/// `(min, max − min)` of `keys` at the rows of `n` positions (`row` maps a
+/// position to its row), when that span is under `limit` — the rows the
+/// operator reads, so a table of `span + 1` slots is never the larger
+/// allocation. `None` over no positions.
+fn dense_span(
+    n: usize,
+    row: impl Fn(usize) -> usize,
+    keys: &[i64],
+    limit: usize,
+) -> Option<(i64, usize)> {
+    let (min, max) = (0..n).fold((i64::MAX, i64::MIN), |(lo, hi), pos| {
+        let k = keys[row(pos)];
+        (lo.min(k), hi.max(k))
+    });
+    // `abs_diff` cannot overflow, and over no positions it is `u64::MAX`.
+    let span = usize::try_from(max.abs_diff(min))
+        .ok()
+        .filter(|&s| s < limit)?;
+    Some((min, span))
 }
 
 /// [`serial_group_ids`] over a key given as a row hash and a row-pair
@@ -1485,6 +1503,13 @@ pub(crate) fn hash_join_vec(
 /// `(left row, right row, right matched)` triples flattened into three
 /// vectors, ordered by (left position, right position) whichever side the
 /// table was built on ([`join_indices_by`]).
+///
+/// A single non-NULL `Int64` key on both sides whose build-side values
+/// span fewer integers than the join reads rows ([`int_key_span`]) keeps
+/// its chain heads in a `Vec<u32>` indexed by `key − min`: no hashing, and
+/// a probe key outside `[min, max]` misses without touching memory. Equal
+/// slots are equal keys, so no key comparison is left to make. Every other
+/// key hashes into a [`U64Map`] and verifies each chained row's key.
 pub(crate) fn serial_join_indices(
     lb: &Batch<'_>,
     rb: &Batch<'_>,
@@ -1493,18 +1518,40 @@ pub(crate) fn serial_join_indices(
     join_type: JoinType,
 ) -> (Vec<u32>, Vec<u32>, Vec<bool>) {
     match (sole_int_key(lcols), sole_int_key(rcols)) {
-        (Some(l), Some(r)) => join_indices_by(
-            lb,
-            rb,
-            join_type,
-            |lrow| Some(int_key_hash(l[lrow])),
-            |rrow| Some(int_key_hash(r[rrow])),
-            |lrow, rrow| l[lrow] == r[rrow],
-        ),
+        (Some(l), Some(r)) => match int_key_span(lb, rb, l, r) {
+            Some((min, span)) => {
+                // `k − min` in wrapping arithmetic: a key below `min` wraps
+                // to `k − min + 2⁶⁴ ≥ span + 1` (`k ≥ i64::MIN`, `min + span
+                // ≤ i64::MAX`), so one comparison bounds both ends.
+                let slot = |k: i64| {
+                    let d = (k as u64).wrapping_sub(min as u64);
+                    (d <= span as u64).then_some(d)
+                };
+                join_indices_by(
+                    lb,
+                    rb,
+                    join_type,
+                    vec![0u32; span + 1],
+                    |lrow| slot(l[lrow]),
+                    |rrow| slot(r[rrow]),
+                    |_, _| true,
+                )
+            }
+            None => join_indices_by(
+                lb,
+                rb,
+                join_type,
+                U64Map::new(),
+                |lrow| Some(int_key_hash(l[lrow])),
+                |rrow| Some(int_key_hash(r[rrow])),
+                |lrow, rrow| l[lrow] == r[rrow],
+            ),
+        },
         _ => join_indices_by(
             lb,
             rb,
             join_type,
+            U64Map::new(),
             |lrow| key_hash(lcols, lrow, false),
             |rrow| key_hash(rcols, rrow, false),
             |lrow, rrow| keys_equal(lcols, lrow, rcols, rrow),
@@ -1512,13 +1559,54 @@ pub(crate) fn serial_join_indices(
     }
 }
 
-/// [`serial_join_indices`] over keys given as per-side row hashes (`None`
-/// = a NULL key part: the row never matches) and a cross-side equality.
+/// `(min, max − min)` of the build side's keys when [`dense_span`] admits
+/// them against the rows the join reads — `dense_group_ids`' rule, so the
+/// direct table is never longer than 4 B × the join's input rows.
+fn int_key_span(lb: &Batch<'_>, rb: &Batch<'_>, l: &[i64], r: &[i64]) -> Option<(i64, usize)> {
+    let (build, keys) = if builds_right(lb, rb) {
+        (rb, r)
+    } else {
+        (lb, l)
+    };
+    let rows_in = lb.len() + rb.len();
+    dense_span(build.len(), |pos| build.row_id(pos), keys, rows_in)
+}
+
+/// The build-side rule of [`join_indices_by`]: the right side, unless the
+/// left has fewer rows.
+fn builds_right(lb: &Batch<'_>, rb: &Batch<'_>) -> bool {
+    lb.len() >= rb.len()
+}
+
+/// Whether the join of `left` and `right` on these keys addresses its
+/// build side's chain heads directly rather than through a hash table:
+/// both keys are one non-NULL `Int64` column, and the build side's keys
+/// span fewer integers than the two sides have rows. For tests that pin
+/// which plans take which path.
+pub fn join_is_direct(
+    left: &Table,
+    right: &Table,
+    left_keys: &[usize],
+    right_keys: &[usize],
+) -> Result<bool, EngineError> {
+    let lb = Batch::all(TableSlot::Borrowed(left));
+    let rb = Batch::all(TableSlot::Borrowed(right));
+    let (lcols, rcols) = join_key_columns(&lb, &rb, left_keys, right_keys)?;
+    Ok(match (sole_int_key(&lcols), sole_int_key(&rcols)) {
+        (Some(l), Some(r)) => int_key_span(&lb, &rb, l, r).is_some(),
+        _ => false,
+    })
+}
+
+/// [`serial_join_indices`] over keys given as per-side row slots (`None`
+/// = the row never matches: a NULL key part, or a key outside a direct
+/// table), the table `heads` that holds the build side's chain heads by
+/// slot, and a cross-side equality.
 ///
-/// **Build-side rule:** the hash table is built over the side with fewer
-/// rows (a tie builds on the right) and probed with the other, for both
-/// join types — an inner join of 3 000 lineitems with 150 000 orders holds
-/// 3 000 keys, not 150 000.
+/// **Build-side rule:** the table is built over the side with fewer rows
+/// (a tie builds on the right, [`builds_right`]) and probed with the
+/// other, for both join types — an inner join of 3 000 lineitems with
+/// 150 000 orders holds 3 000 keys, not 150 000.
 ///
 /// **Order:** the triples come out by (left position, right position),
 /// both ascending, whichever side was built. Probing from the left emits
@@ -1535,13 +1623,14 @@ fn join_indices_by(
     lb: &Batch<'_>,
     rb: &Batch<'_>,
     join_type: JoinType,
-    left_hash: impl Fn(usize) -> Option<u64>,
-    right_hash: impl Fn(usize) -> Option<u64>,
+    heads: impl ChainHeads,
+    left_slot: impl Fn(usize) -> Option<u64>,
+    right_slot: impl Fn(usize) -> Option<u64>,
     same_key: impl Fn(usize, usize) -> bool,
 ) -> (Vec<u32>, Vec<u32>, Vec<bool>) {
     let ln = lb.len();
     let outer = join_type == JoinType::LeftOuter;
-    if ln >= rb.len() {
+    if builds_right(lb, rb) {
         // A left-outer join emits at least one row per probe row; an inner
         // join promises nothing.
         let at_least = if outer { ln } else { 0 };
@@ -1551,8 +1640,9 @@ fn join_indices_by(
         probe_chained(
             rb,
             lb,
-            right_hash,
-            left_hash,
+            heads,
+            right_slot,
+            left_slot,
             |rrow, lrow| same_key(lrow, rrow),
             |lrow, hit| match hit {
                 Some(rpos) => {
@@ -1576,7 +1666,7 @@ fn join_indices_by(
     // then scatter them into left order.
     let mut slots = vec![0usize; ln]; // matches per left position, then its cursor
     let mut staged: Vec<Vec<(u32, u32)>> = Vec::new();
-    probe_chained(lb, rb, left_hash, right_hash, same_key, |rrow, hit| {
+    probe_chained(lb, rb, heads, left_slot, right_slot, same_key, |rrow, hit| {
         if let Some(lpos) = hit {
             slots[lpos] += 1;
             if staged.last().is_none_or(|block| block.len() == STAGE_BLOCK) {
@@ -1609,28 +1699,62 @@ fn join_indices_by(
 /// Pairs per block of the staged match list.
 const STAGE_BLOCK: usize = 2048;
 
-/// The one build/probe loop: chains `build`'s rows by key hash and probes
-/// the chains with `probe`'s rows in ascending position. `visit` receives
-/// the probe row with the build position of each match, in ascending build
-/// position, and once with `None` for a probe row that matched nothing.
-/// Hashes are per side (`None` = a NULL key part: the row is neither chained
+/// Where a join's build side keeps its chain heads (`0` = none), by the
+/// slot of a row's key: its hash in a [`U64Map`], or `key − min` in a
+/// direct-address `Vec<u32>` ([`serial_join_indices`]).
+trait ChainHeads {
+    /// Chain head of `slot`, or 0 when absent.
+    fn head(&self, slot: u64) -> u32;
+    /// Mutable chain head of `slot`; the caller leaves it non-zero.
+    fn head_mut(&mut self, slot: u64) -> &mut u32;
+}
+
+impl ChainHeads for U64Map {
+    #[inline]
+    fn head(&self, slot: u64) -> u32 {
+        self.get(slot)
+    }
+
+    #[inline]
+    fn head_mut(&mut self, slot: u64) -> &mut u32 {
+        self.entry(slot)
+    }
+}
+
+impl ChainHeads for Vec<u32> {
+    #[inline]
+    fn head(&self, slot: u64) -> u32 {
+        self[slot as usize]
+    }
+
+    #[inline]
+    fn head_mut(&mut self, slot: u64) -> &mut u32 {
+        &mut self[slot as usize]
+    }
+}
+
+/// The one build/probe loop: chains `build`'s rows by key slot in `heads`
+/// and probes the chains with `probe`'s rows in ascending position. `visit`
+/// receives the probe row with the build position of each match, in
+/// ascending build position, and once with `None` for a probe row that
+/// matched nothing. Slots are per side (`None` = the row is neither chained
 /// nor probed); `same_key` takes (build row, probe row).
 fn probe_chained(
     build: &Batch<'_>,
     probe: &Batch<'_>,
-    build_hash: impl Fn(usize) -> Option<u64>,
-    probe_hash: impl Fn(usize) -> Option<u64>,
+    mut heads: impl ChainHeads,
+    build_slot: impl Fn(usize) -> Option<u64>,
+    probe_slot: impl Fn(usize) -> Option<u64>,
     same_key: impl Fn(usize, usize) -> bool,
     mut visit: impl FnMut(usize, Option<usize>),
 ) {
     // Chains are threaded through `next` by batch position; building in
     // reverse keeps each chain in ascending position order.
     let bn = build.len();
-    let mut map = U64Map::new();
     let mut next: Vec<u32> = vec![0; bn];
     for pos in (0..bn).rev() {
-        if let Some(h) = build_hash(build.row_id(pos)) {
-            let head = map.entry(h);
+        if let Some(slot) = build_slot(build.row_id(pos)) {
+            let head = heads.head_mut(slot);
             next[pos] = *head;
             *head = pos as u32 + 1;
         }
@@ -1638,8 +1762,8 @@ fn probe_chained(
     for pos in 0..probe.len() {
         let prow = probe.row_id(pos);
         let mut matched = false;
-        if let Some(h) = probe_hash(prow) {
-            let mut cur = map.get(h);
+        if let Some(slot) = probe_slot(prow) {
+            let mut cur = heads.head(slot);
             while cur != 0 {
                 let bpos = (cur - 1) as usize;
                 if same_key(build.row_id(bpos), prow) {
@@ -2018,7 +2142,7 @@ fn cmp_col_rows(c: &Column, a: usize, b: usize) -> std::cmp::Ordering {
         (false, false) => Ordering::Equal,
         (false, true) => Ordering::Less,
         (true, false) => Ordering::Greater,
-        (true, true) => match &c.data {
+        (true, true) => match &*c.data {
             ColumnData::Utf8(v) => v[a].cmp(&v[b]),
             ColumnData::Bool(v) => v[a].cmp(&v[b]),
             ColumnData::Int64(v) => (v[a] as f64)
@@ -2536,6 +2660,75 @@ mod tests {
                 prop_assert_eq!(dense.is_some(), span < n as u64, "span {}, n {}", span, n);
                 prop_assert_eq!(&dense.unwrap_or_else(|| hashed.clone()), &hashed);
                 prop_assert_eq!(&serial_group_ids(rows, &[t.column(0).unwrap()], n), &hashed);
+            }
+
+            /// The direct-address join against the hashed one, triple for
+            /// triple: duplicates on both sides, negative keys and keys at
+            /// both ends of `i64`, probe keys below the build side's `min`
+            /// and above its `max`, empty sides, either side built, inner
+            /// and left-outer, with and without a selection. A side holding
+            /// `i64::MIN` and `i64::MAX` spans all of `i64`: built, it falls
+            /// back to hashing without overflow; probed, its extremes miss.
+            #[test]
+            fn direct_join_equals_hashed_join(
+                l_off in proptest::collection::vec(0i64..24, 0..20),
+                r_off in proptest::collection::vec(0i64..24, 0..20),
+                base in 0usize..4,
+                extremes in 0usize..4,
+                selected in 0usize..2,
+            ) {
+                let base = [i64::MIN, -12, 0, i64::MAX - 23][base];
+                let keys = |off: &[i64], wild: bool| {
+                    let mut keys: Vec<i64> = off.iter().map(|o| base + o).collect();
+                    if wild && keys.len() >= 2 {
+                        let last = keys.len() - 1;
+                        (keys[0], keys[last]) = (i64::MIN, i64::MAX);
+                    }
+                    keys
+                };
+                let (l, r) = (keys(&l_off, extremes & 1 == 1), keys(&r_off, extremes & 2 == 2));
+                let (lt, rt) = (key_table(&l), key_table(&r));
+                let rows = |n: usize| match selected {
+                    1 => odd_rows(n),
+                    _ => (0..n as u32).collect(),
+                };
+                let (lrows, rrows) = (rows(l.len()), rows(r.len()));
+                let batch = |t, rows: &Vec<u32>| Batch {
+                    slot: TableSlot::Borrowed(t),
+                    sel: (selected == 1).then(|| rows.clone()),
+                };
+                let (lb, rb) = (batch(&lt, &lrows), batch(&rt, &rrows));
+                let (lcols, rcols) = (key_cols(&lt, lrows.len(), 1), key_cols(&rt, rrows.len(), 1));
+                // The rule, restated in `i128`: the build side's live keys
+                // span fewer integers than the join reads rows.
+                let (build, build_rows) = match lrows.len() < rrows.len() {
+                    true => (&l, &lrows),
+                    false => (&r, &rrows),
+                };
+                let live = build_rows.iter().map(|&row| build[row as usize] as i128);
+                let span = live.clone().max().zip(live.min()).map(|(hi, lo)| hi - lo);
+                let want_direct = span.is_some_and(|s| s < (lrows.len() + rrows.len()) as i128);
+                prop_assert_eq!(
+                    int_key_span(&lb, &rb, &l, &r).is_some(), want_direct,
+                    "span {:?}, l = {:?}, r = {:?}", span, l, r
+                );
+                for join_type in [JoinType::Inner, JoinType::LeftOuter] {
+                    let hashed = join_indices_by(
+                        &lb,
+                        &rb,
+                        join_type,
+                        U64Map::new(),
+                        |lrow| Some(int_key_hash(l[lrow])),
+                        |rrow| Some(int_key_hash(r[rrow])),
+                        |lrow, rrow| l[lrow] == r[rrow],
+                    );
+                    let got = serial_join_indices(&lb, &rb, &lcols, &rcols, join_type);
+                    prop_assert_eq!(
+                        &got, &hashed,
+                        "{:?}, direct: {}, selected: {}, l = {:?}, r = {:?}",
+                        join_type, want_direct, selected, l, r
+                    );
+                }
             }
         }
 

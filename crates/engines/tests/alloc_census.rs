@@ -10,9 +10,11 @@
 //! * a filter+project prepare makes far fewer allocations than it scans
 //!   rows (an eagerly built error value per compared row made it 4 and 2
 //!   per row on Q12 and Q14);
-//! * no block of Q17's combine is larger than one 8-byte column of its
+//! * no block of Q17's combine is larger than one 4-byte column of its
 //!   input (a hash table sized by input rows was 56 B × rows for 2 000
-//!   groups);
+//!   groups), its direct-address join tables included;
+//! * a prepare that projects whole columns of a flat table allocates the
+//!   output table, not its values: they are the source's buffers;
 //! * the bytes a combine requests stay a small multiple of its input rows,
 //!   and Q12's — a join of few rows with many — a small multiple of the few;
 //! * a filter's further morsels each ask for one block (the evaluation's
@@ -20,16 +22,20 @@
 //!
 //! Every threshold but one (Q13's bytes, explained there) sits at or below
 //! half of what the parent of the PR that added this file read; both
-//! readings are recorded beside each assertion. These are counts, not
-//! clocks: the same on any host, at any load.
+//! readings are recorded beside each assertion, and a threshold added or
+//! tightened later records its own parent → new readings the same way.
+//! These are counts, not clocks: the same on any host, at any load.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use std::sync::Arc;
+
 use midas_engines::data::Table;
-use midas_engines::ops::PhysicalPlan;
-use midas_engines::{execute_fused, Catalog, MORSEL_ROWS};
+use midas_engines::ops::{PhysicalPlan, WorkProfile};
+use midas_engines::version::{CatalogVersion, ChunkedTable};
+use midas_engines::{execute_fused, Catalog, TableSource, MORSEL_ROWS};
 use midas_tpch::gen::{GenConfig, StringEncoding, TpchDb};
 use midas_tpch::queries::{q12, q12_with, q13, q14, q17, TwoTableQuery};
 
@@ -97,33 +103,37 @@ struct Census {
     largest: u64,
 }
 
-/// Runs `plan` over `catalog` on this thread and returns its output beside
-/// the census of everything the execution requested.
-fn census(plan: &PhysicalPlan, catalog: &Catalog) -> (Table, Census) {
+/// Runs `plan` over `tables` on this thread and returns its output and
+/// work profile beside the census of everything the execution requested.
+fn census<'a>(
+    plan: &PhysicalPlan,
+    tables: impl Into<TableSource<'a>>,
+) -> (Table, WorkProfile, Census) {
     COUNT.store(0, Ordering::Relaxed);
     BYTES.store(0, Ordering::Relaxed);
     LARGEST.store(0, Ordering::Relaxed);
     WATCHED.with(|w| w.set(true));
-    let out = execute_fused(plan, catalog);
+    let out = execute_fused(plan, tables);
     WATCHED.with(|w| w.set(false));
     let c = Census {
         count: COUNT.load(Ordering::Relaxed),
         bytes: BYTES.load(Ordering::Relaxed),
         largest: LARGEST.load(Ordering::Relaxed),
     };
-    (out.expect("the query runs").0, c)
+    let (table, profile) = out.expect("the query runs");
+    (table, profile, c)
 }
 
 /// The three fragments of one query: censuses in execution order (left
 /// prepare, right prepare, combine) and the combine's input rows.
 fn query_census(q: &TwoTableQuery, base: &Catalog) -> ([Census; 3], u64) {
-    let (left, lc) = census(&q.left_prepare, base);
-    let (right, rc) = census(&q.right_prepare, base);
+    let (left, _, lc) = census(&q.left_prepare, base);
+    let (right, _, rc) = census(&q.right_prepare, base);
     let rows_in = (left.n_rows() + right.n_rows()) as u64;
     let mut frags = Catalog::new();
     frags.insert("@frag0".to_string(), left);
     frags.insert("@frag1".to_string(), right);
-    let (_, cc) = census(&q.combine, &frags);
+    let (_, _, cc) = census(&q.combine, &frags);
     ([lc, rc, cc], rows_in)
 }
 
@@ -137,16 +147,51 @@ fn a_cold_job_allocates_by_what_it_produces() {
     let lineitems = base.get("lineitem").expect("generated").n_rows() as u64;
 
     // Q12 left: a five-conjunct filter over `lineitem`, two columns out.
-    let ([left, _, _], _) = query_census(&q12("MAIL", "SHIP", 1994), base);
+    let q = q12("MAIL", "SHIP", 1994);
+    let ([left, right, combine], rows) = query_census(&q, base);
     assert!(
         left.count < lineitems / 4, // 240 117 (4.0 per row) → 353
         "Q12 left prepare: {left:?} over {lineitems} rows"
     );
 
+    // Q12 right: two whole columns of `orders`, one of them strings. A
+    // whole mask-free column of a one-slab table is projected as its own
+    // buffer, so the prepare allocates the output table and nothing per
+    // row — the priority column is `orders`' column itself.
+    let orders = base.get("orders").expect("generated");
+    let n = orders.n_rows();
+    assert!(
+        right.count <= 16, // 15 014 (one `String` per row) → 12
+        "Q12 right prepare: {right:?} over {n} rows"
+    );
+    let (flat, flat_profile, _) = census(&q.right_prepare, base);
+    let priority = flat.column_by_name("o_orderpriority").expect("projected");
+    let source = orders.column(3).expect("o_orderpriority");
+    assert!(Arc::ptr_eq(&priority.data, &source.data));
+    // Over three chunks of `orders` the prepare still concatenates them —
+    // one `String` clone per row — into the table the flat run shares,
+    // fingerprint and work profile included.
+    let cut = |from: usize, to: usize| {
+        Arc::new(orders.take_ids(&(from as u32..to as u32).collect::<Vec<_>>()))
+    };
+    let chunks = vec![cut(0, n / 3), cut(n / 3, 2 * n / 3), cut(2 * n / 3, n)];
+    let orders_in_chunks = ChunkedTable::from_chunks("orders", chunks).expect("one schema");
+    let version = CatalogVersion::from_chunked(vec![orders_in_chunks]);
+    let (chunked, chunked_profile, gathered) = census(&q.right_prepare, &version);
+    assert!(
+        gathered.count >= n as u64, // 15 025 → 15 027
+        "Q12 right prepare over three chunks: {gathered:?} over {n} rows"
+    );
+    assert_eq!(chunked.fingerprint(), flat.fingerprint());
+    assert_eq!(chunked_profile, flat_profile);
+
     // Q12 combine: 300 lineitems joined to 15 000 orders under a two-group
     // aggregate. The join builds on the 300 — no table, chain vector or
-    // block is sized by the 15 000 it probes with.
-    let ([_, _, combine], rows) = query_census(&q12("MAIL", "SHIP", 1994), base);
+    // block is sized by the 15 000 it probes with. Their order keys span
+    // 14 849 integers, fewer than the 15 297 rows the join reads, so its
+    // chain heads are addressed by key: the largest block is that direct
+    // table, by construction under 4 B × those rows (the 300-key hash
+    // table it replaces read 1.1; bytes 5.2 → 7.0).
     assert!(
         combine.bytes <= 16 * rows, // 74.6 B × rows (a 15 000-key build) → 5.2
         "Q12 combine: {combine:?} over {rows} input rows"
@@ -173,8 +218,8 @@ fn a_cold_job_allocates_by_what_it_produces() {
     let mut first_morsel = Catalog::new();
     let first_rows: Vec<u32> = (0..MORSEL_ROWS as u32).collect();
     first_morsel.insert("lineitem", all.take_ids(&first_rows));
-    let (out, whole) = census(&filter, coded.catalog());
-    let (_, one) = census(&filter, &first_morsel);
+    let (out, _, whole) = census(&filter, coded.catalog());
+    let (_, _, one) = census(&filter, &first_morsel);
     assert_eq!(out.n_rows(), 0, "a year without receipts");
     assert!(
         whole.count - one.count <= further_morsels, // 6 (2 per morsel) → 3
@@ -189,14 +234,18 @@ fn a_cold_job_allocates_by_what_it_produces() {
     );
 
     // Q17 combine: `avg(l_quantity) group by l_partkey` over every lineitem
-    // (2 000 groups) and two joins against small build sides.
-    let ([_, _, combine], rows) = query_census(&q17("Brand#23", "MED BOX"), base);
+    // (2 000 groups) and two joins against small build sides, both
+    // addressed by key (Brand#13 / MED BOX selects three parts at this
+    // scale; Brand#23 selected none, leaving the first join nothing to
+    // build). Neither direct table outgrows the group ids: no block tops
+    // 4 B × input rows.
+    let ([_, _, combine], rows) = query_census(&q17("Brand#13", "MED BOX"), base);
     assert!(
-        combine.largest <= 8 * rows, // 35.0 B × rows (the group map) → 4.0 (the group ids)
+        combine.largest <= 4 * rows, // 35.0 B × rows (the group map) → 4.0 (the group ids)
         "Q17 combine: {combine:?} over {rows} input rows"
     );
     assert!(
-        combine.bytes <= 24 * rows, // 66.2 B × rows → 12.7
+        combine.bytes <= 24 * rows, // 66.2 B × rows → 12.7 (Brand#13: 8.5 → 8.7)
         "Q17 combine: {combine:?} over {rows} input rows"
     );
 
@@ -209,12 +258,13 @@ fn a_cold_job_allocates_by_what_it_produces() {
     );
     // Not half of the parent, and the one threshold here that is not: what
     // is left is what the operators produce — the join's three index
-    // vectors (27 B × rows with their doublings), the two gathered columns
-    // the aggregate reads (16), group ids and positions (7), the two hash
-    // tables sized by distinct keys (16) — plus one morsel of kernel
-    // temporaries (10, a constant that SF 0.01 spreads over few rows).
+    // vectors with their doublings, the two gathered columns the aggregate
+    // reads, group ids and positions — plus one morsel of kernel
+    // temporaries (a constant that SF 0.01 spreads over few rows). The
+    // join's chain heads are addressed by `c_custkey`, 4 B per customer,
+    // where a hash table held 16 B per distinct key.
     assert!(
-        combine.bytes <= 96 * rows, // 133.2 B × rows → 84.4
+        combine.bytes <= 64 * rows, // 133.2 B × rows → 84.4; later 57.7 → 49.7
         "Q13 combine: {combine:?} over {rows} input rows"
     );
 }

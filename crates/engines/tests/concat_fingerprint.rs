@@ -77,7 +77,7 @@ fn chunks_of(t: &Table, cuts: &[usize]) -> Vec<Table> {
                 .map(|c| {
                     let all_valid = (0..c.len()).all(|i| c.is_valid(i));
                     if all_valid {
-                        Column::new(&c.name, c.data.clone())
+                        Column::new(&c.name, (*c.data).clone())
                     } else {
                         c.clone()
                     }

@@ -76,10 +76,12 @@ impl EstimatorKind {
                 Box::new(BmlEstimator::new(WindowSpec::LatestMultiple(3), n_metrics))
             }
             EstimatorKind::BmlAll => Box::new(BmlEstimator::new(WindowSpec::All, n_metrics)),
-            // Adjusted R² gates the window (see `QualityMetric::AdjustedR2`
-            // for why the plain statistic is uninformative at m = L + 2) and
-            // standardized ridge keeps locally-collinear windows from
-            // extrapolating absurd costs at data-volume cliffs.
+            // The paper's plain R² gates the window (`DreamConfig::uniform`
+            // keeps the default `QualityMetric::R2`, whose adjusted variant's
+            // doc explains why the plain one is near 1 at m = L + 2 — ROADMAP
+            // item 1 asks which the experiments should use), and standardized
+            // ridge 0.05 keeps locally-collinear windows from extrapolating
+            // absurd costs at data-volume cliffs.
             EstimatorKind::Dream => Box::new(DreamEstimator::new(DreamConfig {
                 solver: midas_dream::SolveMethod::Ridge(0.05),
                 ..DreamConfig::uniform(r2, n_metrics, m_max)

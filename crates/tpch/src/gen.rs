@@ -894,13 +894,13 @@ fn gen_lineitem_chunks<'o>(
     let mut chunks = Vec::new();
     let mut b = LineitemBuilder::default();
     for orders in orders_chunks {
-        let okeys = match &orders.column_by_name("o_orderkey").expect("schema").data {
+        let okeys = match &*orders.column_by_name("o_orderkey").expect("schema").data {
             ColumnData::Int64(v) => v,
             // LINT: panic-ok — the orders generator in this file fixes the
             // column type.
             _ => unreachable!("o_orderkey is Int64"),
         };
-        let odates = match &orders.column_by_name("o_orderdate").expect("schema").data {
+        let odates = match &*orders.column_by_name("o_orderdate").expect("schema").data {
             ColumnData::Date(v) => v,
             // LINT: panic-ok — the orders generator in this file fixes the
             // column type.
@@ -1023,11 +1023,11 @@ mod tests {
     fn date_invariants_hold() {
         let db = tiny();
         let li = db.table("lineitem").unwrap();
-        let ship = match &li.column_by_name("l_shipdate").unwrap().data {
+        let ship = match &*li.column_by_name("l_shipdate").unwrap().data {
             ColumnData::Date(v) => v,
             _ => panic!(),
         };
-        let receipt = match &li.column_by_name("l_receiptdate").unwrap().data {
+        let receipt = match &*li.column_by_name("l_receiptdate").unwrap().data {
             ColumnData::Date(v) => v,
             _ => panic!(),
         };
@@ -1041,7 +1041,7 @@ mod tests {
         let db = tiny();
         let n_cust = db.table("customer").unwrap().n_rows() as i64;
         let orders = db.table("orders").unwrap();
-        let custs = match &orders.column_by_name("o_custkey").unwrap().data {
+        let custs = match &*orders.column_by_name("o_custkey").unwrap().data {
             ColumnData::Int64(v) => v,
             _ => panic!(),
         };
@@ -1074,14 +1074,14 @@ mod tests {
         let second = stream.next_batch(25);
         assert_eq!(first.orders.n_rows(), 40);
         // Keys continue strictly past the base and the prior batch.
-        let keys = |t: &Table| match &t.column_by_name("o_orderkey").unwrap().data {
+        let keys = |t: &Table| match &*t.column_by_name("o_orderkey").unwrap().data {
             ColumnData::Int64(v) => v.clone(),
             _ => panic!(),
         };
         assert_eq!(keys(&first.orders)[0], n_orders + 1);
         assert_eq!(keys(&second.orders)[0], n_orders + 41);
         // Lineitems reference their own batch's orders.
-        let li_keys = match &first.lineitem.column_by_name("l_orderkey").unwrap().data {
+        let li_keys = match &*first.lineitem.column_by_name("l_orderkey").unwrap().data {
             ColumnData::Int64(v) => v.clone(),
             _ => panic!(),
         };
@@ -1106,7 +1106,7 @@ mod tests {
     fn ship_modes_are_from_the_domain() {
         let db = tiny();
         let li = db.table("lineitem").unwrap();
-        let modes = match &li.column_by_name("l_shipmode").unwrap().data {
+        let modes = match &*li.column_by_name("l_shipmode").unwrap().data {
             ColumnData::Utf8(v) => v,
             _ => panic!(),
         };

@@ -498,6 +498,65 @@ mod tests {
         assert!(!filter_is_staged(&q.left_prepare, coded.catalog().get("lineitem").unwrap()));
     }
 
+    /// The key columns of `plan`'s join of `@frag0` with `@frag1`.
+    fn frag_join_keys(plan: &PhysicalPlan) -> Option<(&[usize], &[usize])> {
+        if let PhysicalPlan::HashJoin {
+            left,
+            right,
+            left_keys,
+            right_keys,
+            ..
+        } = plan
+        {
+            if let (PhysicalPlan::Scan { table: l }, PhysicalPlan::Scan { table: r }) =
+                (&**left, &**right)
+            {
+                if (l.as_str(), r.as_str()) == ("@frag0", "@frag1") {
+                    return Some((left_keys, right_keys));
+                }
+            }
+        }
+        plan.children().find_map(frag_join_keys)
+    }
+
+    /// Whether `q`'s combine join over its prepared sides — with the first
+    /// column of both multiplied by `stretch` — addresses its build side
+    /// directly.
+    fn combine_join_is_direct(q: &TwoTableQuery, db: &TpchDb, stretch: i64) -> bool {
+        use midas_engines::{Column, ColumnData};
+        let side = |prepare: &PhysicalPlan| {
+            let (t, _) = execute_fused(prepare, db.catalog()).unwrap();
+            let mut columns = t.columns().to_vec();
+            let ColumnData::Int64(keys) = &*columns[0].data else {
+                panic!("an Int64 join key");
+            };
+            let keys = keys.iter().map(|k| k * stretch).collect();
+            columns[0] = Column::new(&columns[0].name, ColumnData::Int64(keys));
+            Table::new(&t.name, columns).unwrap()
+        };
+        let (left_keys, right_keys) = frag_join_keys(&q.combine).expect("a join of the two sides");
+        let (left, right) = (side(&q.left_prepare), side(&q.right_prepare));
+        midas_engines::ops::join_is_direct(&left, &right, left_keys, right_keys).unwrap()
+    }
+
+    /// Q17's `@frag0 ⋈ @frag1` probes every lineitem against the few parts
+    /// of one brand and container, and Q13's combine joins every customer
+    /// to its orders: both build on a side whose keys span fewer integers
+    /// than the join reads rows, so their chain heads are addressed by key.
+    /// The same lineitems and parts under keys × 1 009 (`engine_exec`'s
+    /// `sparse` table) hash. A change to the rule that moves either fails
+    /// here, not on a benchmark. (The brand and container select two parts
+    /// at this scale; with none, the build side is empty and nothing is
+    /// addressed either way.)
+    #[test]
+    fn q17_and_q13_joins_address_directly_a_sparse_key_does_not() {
+        let db = db();
+        let q17 = q17("Brand#21", "LG BOX");
+        assert!(combine_join_is_direct(&q17, &db, 1));
+        assert!(combine_join_is_direct(&q13("special", "requests"), &db, 1));
+        assert!(!combine_join_is_direct(&q17, &db, 1009));
+    }
+
     #[test]
     fn q12_produces_per_mode_counts() {
         let db = db();

@@ -44,7 +44,7 @@ fn encodings_generate_the_same_logical_rows() {
         assert_eq!(d.data.data_type(), DataType::Int64, "{table}.{column}");
         // ...and every code decodes to exactly the plain string.
         let domain = dicts.for_column(table, column).expect("encoded column");
-        let (ColumnData::Utf8(strings), ColumnData::Int64(codes)) = (&p.data, &d.data) else {
+        let (ColumnData::Utf8(strings), ColumnData::Int64(codes)) = (&*p.data, &*d.data) else {
             panic!("unexpected column layouts for {table}.{column}");
         };
         assert_eq!(strings.len(), codes.len());

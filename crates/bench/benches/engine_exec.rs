@@ -6,9 +6,10 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use midas_cloud::federation::example_federation;
 use midas_engines::ops::{execute, execute_scalar};
 use midas_engines::sim::{DriftIntensity, SimulationEnv};
+use midas_engines::version::{CatalogVersion, ChunkedTable};
 use midas_engines::{
     execute_fused, AggExpr, Column, ColumnData, EngineKind, Expr, JoinType, PhysicalPlan, Placement,
-    Table,
+    Table, TableSource,
 };
 use midas_ires::scheduler::{Scheduler, SchedulerConfig};
 use midas_ires::CandidateConfig;
@@ -16,6 +17,7 @@ use midas_tpch::dates::{add_months, ymd};
 use midas_tpch::gen::{GenConfig, TpchDb};
 use midas_tpch::queries::{q12, q13, q14, q17, TwoTableQuery};
 use std::hint::black_box;
+use std::sync::Arc;
 
 fn bench_generation(c: &mut Criterion) {
     let mut group = c.benchmark_group("tpch_generate");
@@ -134,12 +136,18 @@ fn bench_scalar_vs_vectorized(c: &mut Criterion) {
 /// * Q12's combine join, 3 k lineitems with 150 k orders, in both argument
 ///   orders — the table is built on the 3 k either way;
 /// * Q17's `@frag0 ⋈ @frag1`, 600 k lineitems probing the 24 parts of one
-///   brand and container — chain heads addressed by `p_partkey` — and the
-///   same join over keys × 1 009 (hashed);
-/// * Q12's five-conjunct left filter (the string `IN` runs on the survivors
-///   of the four date conjuncts) and Q14's date range (nothing to stage);
+///   brand and container — chain heads addressed by `p_partkey`, a key
+///   outside their range reading the sentinel head — and the same join over
+///   keys × 1 009 (hashed);
+/// * the selection programs: Q12's five-conjunct left filter (the string
+///   `IN` runs on the survivors of the four date comparisons), Q14's date
+///   range, and Q13's right prepare, `NOT (CONTAINS w1 AND CONTAINS w2)`
+///   over 150 k order comments (`w2` tested only where `w1` hit; the `NOT`
+///   is the complement);
 /// * Q12's right prepare, two whole columns of `orders` — shared with the
-///   base table, not copied, 150 k strings included.
+///   base table, not copied, 150 k strings included — and Q17's left
+///   prepare, three whole numeric columns of `lineitem` cut into three
+///   chunks, each value copied once from its chunk.
 ///
 /// Read the 600 k-row cases as ns/row = time / 600 k.
 fn bench_cold_path_kernels(c: &mut Criterion) {
@@ -208,21 +216,32 @@ fn bench_cold_path_kernels(c: &mut Criterion) {
             .ge(Expr::date(start))
             .and(Expr::col(6).lt(Expr::date(add_months(start, 1)))),
     };
+    let q13 = q13("special", "requests");
+    let n = lineitem.n_rows();
+    let cut = |from: usize, to: usize| {
+        Arc::new(lineitem.take_ids(&(from as u32..to as u32).collect::<Vec<_>>()))
+    };
+    let chunks = vec![cut(0, n / 3), cut(n / 3, 2 * n / 3), cut(2 * n / 3, n)];
+    let chunked = ChunkedTable::from_chunks("lineitem", chunks).expect("one schema");
+    let three_chunks = CatalogVersion::from_chunked(vec![chunked]);
+    let flat = TableSource::from(&catalog);
     let mut group = c.benchmark_group("cold_path_kernels");
     group.sample_size(10);
-    for (name, plan) in [
-        ("group_600k_dense_20k", &discovery("lineitem", 1, 3)),
-        ("group_discovery_600k_to_20k", &discovery("sparse", 0, 1)),
-        ("join_3k_probe_150k", &join("@frag0", "@frag1")),
-        ("join_150k_probe_3k", &join("@frag1", "@frag0")),
-        ("join_600k_probe_dense", &join("q17_lineitem", "q17_part")),
-        ("join_600k_probe_sparse", &join("sparse", "sparse_part")),
-        ("filter_q12_left", &**q12_filter),
-        ("date_range_filter_600k", &date_range),
-        ("project_whole_string_column", &q.right_prepare),
+    for (name, plan, tables) in [
+        ("group_600k_dense_20k", &discovery("lineitem", 1, 3), flat),
+        ("group_discovery_600k_to_20k", &discovery("sparse", 0, 1), flat),
+        ("join_3k_probe_150k", &join("@frag0", "@frag1"), flat),
+        ("join_150k_probe_3k", &join("@frag1", "@frag0"), flat),
+        ("join_600k_probe_dense", &join("q17_lineitem", "q17_part"), flat),
+        ("join_600k_probe_sparse", &join("sparse", "sparse_part"), flat),
+        ("filter_q12_left", &**q12_filter, flat),
+        ("date_range_filter_600k", &date_range, flat),
+        ("filter_q13_not_contains_pair", &q13.right_prepare, flat),
+        ("project_whole_string_column", &q.right_prepare, flat),
+        ("project_numeric_three_chunks", &q17.left_prepare, (&three_chunks).into()),
     ] {
         group.bench_function(name, |b| {
-            b.iter(|| black_box(execute_fused(plan, &catalog).expect("runs")))
+            b.iter(|| black_box(execute_fused(plan, tables).expect("runs")))
         });
     }
     group.finish();

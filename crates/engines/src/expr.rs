@@ -28,10 +28,16 @@
 //!
 //! All three paths funnel into the same kernel functions
 //! (`arith_batch`, `cmp_batch`, `kleene_batch`, …), so batch and compiled
-//! evaluation are bit-identical by construction. Kernel temporaries
-//! (value vectors, validity masks, selection vectors) are drawn from an
-//! [`EvalScratch`] pool that callers can carry across batches, so
-//! per-morsel evaluation does not allocate on the hot path.
+//! evaluation are bit-identical by construction. A filter binds its plan
+//! to a slab ([`KernelPlan::bind_filter`]); a predicate that can raise
+//! nothing there becomes a **selection program** instead: a tree that maps
+//! an input selection to the rows where the predicate is TRUE (and, when
+//! asked, FALSE), reading `Int64`/`Date` comparisons straight from the
+//! column slices and running each remaining kernel only on the rows still
+//! undecided. Kernel temporaries (value vectors, validity masks, selection
+//! vectors) are drawn from an [`EvalScratch`] pool that callers can carry
+//! across batches, so per-morsel evaluation does not allocate on the hot
+//! path.
 
 // Kernel loops index `vals[pos]` in lockstep with operand accessors and a
 // lazily-materialized validity mask; an iterator rewrite would obscure the
@@ -593,9 +599,11 @@ impl<'s> SelView<'s> {
 /// tree walk / plan executor returns consumed intermediates to it, so an
 /// operator that carries a scratch across batches (the morsel executor
 /// evaluates thousands of cache-resident batches per query) allocates
-/// only on the first few morsels. A `Default`-constructed scratch is
-/// always valid; pooling is purely an optimization and never changes
-/// results.
+/// only on the first few morsels. A selection vector a filter writes grows
+/// to a whole morsel the first time it grows at all, so whichever of them
+/// a later morsel draws already has room. A `Default`-constructed
+/// scratch is always valid; pooling is purely an optimization and never
+/// changes results.
 #[derive(Default)]
 pub struct EvalScratch {
     f64s: Vec<Vec<f64>>,
@@ -1387,60 +1395,6 @@ fn bin_batch(
     }
 }
 
-/// Converts a predicate's batch result into a selection vector of
-/// original row ids (shared by `eval_sel` and `KernelPlan::eval_sel_into`).
-fn sel_from_bools(
-    bv: &BatchVals<'_>,
-    sv: &SelView<'_>,
-    out: &mut Vec<u32>,
-) -> Result<(), EngineError> {
-    out.clear();
-    let n = sv.len();
-    match classify(bv) {
-        Side::B(BoolSide::Const(true)) => {
-            out.extend((0..n).map(|pos| sv.row(pos) as u32));
-            Ok(())
-        }
-        Side::B(BoolSide::Const(false)) | Side::Null => Ok(()),
-        Side::B(BoolSide::Vec(vals, None)) => {
-            match sv.sel {
-                None => {
-                    for (pos, &b) in vals[..n].iter().enumerate() {
-                        if b {
-                            out.push((sv.base + pos) as u32);
-                        }
-                    }
-                }
-                Some(sel) => {
-                    for (&b, &row) in vals.iter().zip(sel) {
-                        if b {
-                            out.push(row);
-                        }
-                    }
-                }
-            }
-            Ok(())
-        }
-        Side::B(bs) => {
-            for pos in 0..n {
-                if bs.at(pos) == Some(true) {
-                    out.push(sv.row(pos) as u32);
-                }
-            }
-            Ok(())
-        }
-        other => {
-            if side_any_valid(&other, sv) {
-                Err(EngineError::TypeMismatch {
-                    context: "predicate produced a non-boolean batch".to_string(),
-                })
-            } else {
-                Ok(())
-            }
-        }
-    }
-}
-
 impl Expr {
     /// Evaluates the expression over the rows of `table` selected by `sel`
     /// (`None` = all rows), producing a typed batch vector.
@@ -1527,7 +1481,7 @@ impl Expr {
     ) -> Result<(), EngineError> {
         let sv = SelView::new(table, sel);
         let bv = self.eval_batch_in(table, sel, scratch)?;
-        let res = sel_from_bools(&bv, &sv, out);
+        let res = split_batch(&bv, &sv, Some(out), None);
         scratch.recycle(bv);
         res
     }
@@ -1603,14 +1557,14 @@ pub struct KernelPlan<'e> {
     out: usize,
     n_regs: usize,
     cols: Vec<usize>,
-    /// The source expression's top-level `AND` chain, in source order, when
-    /// it has one (what [`KernelPlan::bind_filter`] may stage); else empty.
-    conjuncts: Vec<&'e Expr>,
+    /// The source expression (what [`KernelPlan::bind_filter`] binds).
+    expr: &'e Expr,
 }
 
 /// The column binding a [`KernelPlan`] evaluates against: either a whole
 /// table, or an index-aligned sparse slice of pre-gathered columns (only
 /// the plan's [`KernelPlan::referenced_cols`] need be present).
+#[derive(Clone, Copy)]
 pub enum KernelCols<'a> {
     /// Resolve column indices against a table.
     Table(&'a Table),
@@ -1638,27 +1592,41 @@ impl Expr {
     /// Compiles the expression into a [`KernelPlan`] — done once per
     /// operator; each batch then replays the flat step program.
     pub fn compile(&self) -> KernelPlan<'_> {
-        let mut plan = KernelPlan::conjunction(&[self]);
-        if matches!(self, Expr::Bin { op: BinOp::And, .. }) {
-            self.push_conjuncts(&mut plan.conjuncts);
-        }
+        let mut plan = KernelPlan {
+            steps: Vec::new(),
+            out: 0,
+            n_regs: 0,
+            cols: Vec::new(),
+            expr: self,
+        };
+        plan.out = compile_node(self, &mut plan, &mut Vec::new());
         plan
     }
 
-    /// Appends the operands of this expression's top-level `AND` chain, in
-    /// source order. `NOT (a AND b)` is one operand: under `NOT` a NULL `a`
-    /// makes `b` observable, so only a bare `AND` splits.
-    fn push_conjuncts<'e>(&'e self, out: &mut Vec<&'e Expr>) {
+    /// Appends the operands of this expression's top-level chain of `op`
+    /// (`AND` or `OR`), in source order.
+    fn push_chain<'e>(&'e self, op: BinOp, out: &mut Vec<&'e Expr>) {
         match self {
-            Expr::Bin {
-                op: BinOp::And,
-                left,
-                right,
-            } => {
-                left.push_conjuncts(out);
-                right.push_conjuncts(out);
+            Expr::Bin { op: o, left, right } if *o == op => {
+                left.push_chain(op, out);
+                right.push_chain(op, out);
             }
             other => out.push(other),
+        }
+    }
+
+    /// Whether the expression may be NULL on some row of `cols`: it reads a
+    /// column with a validity mask or holds a NULL literal, outside an
+    /// `IS NULL`. Where it may not, every row is TRUE or FALSE.
+    fn may_be_null(&self, cols: &KernelCols<'_>) -> bool {
+        match self {
+            Expr::Col(i) => cols.column(*i).is_ok_and(|c| c.validity.is_some()),
+            Expr::Lit(v) => matches!(v, Value::Null),
+            Expr::IsNull(_) => false,
+            Expr::Not(e) | Expr::InList { expr: e, .. } | Expr::Contains { expr: e, .. } => {
+                e.may_be_null(cols)
+            }
+            Expr::Bin { left, right, .. } => left.may_be_null(cols) || right.may_be_null(cols),
         }
     }
 
@@ -1802,74 +1770,29 @@ impl<'e> KernelPlan<'e> {
         self.n_regs - 1
     }
 
-    /// One program for `exprs[0] AND exprs[1] AND …` over a single register
-    /// file, so a column several of them read is gathered once.
-    fn conjunction(exprs: &[&'e Expr]) -> KernelPlan<'e> {
-        let mut plan = KernelPlan {
-            steps: Vec::new(),
-            out: 0,
-            n_regs: 0,
-            cols: Vec::new(),
-            conjuncts: Vec::new(),
-        };
-        let mut col_regs: Vec<(usize, usize)> = Vec::new();
-        for (k, e) in exprs.iter().enumerate() {
-            let r = compile_node(e, &mut plan, &mut col_regs);
-            plan.out = if k == 0 {
-                r
-            } else {
-                let dst = plan.alloc();
-                plan.steps.push(KStep::Bin {
-                    op: BinOp::And,
-                    l: plan.out,
-                    r,
-                    dst,
-                });
-                dst
-            };
-        }
-        plan
-    }
-
     /// Binds the plan, as a filter predicate, to one slab of columns (a
     /// table, a chunk, a deferred join's gathered columns) — once per slab,
-    /// not per morsel. When **every** top-level conjunct is total over
-    /// `cols` (`Expr::total_family`) and boolean, some of them read a
-    /// `Utf8` column and some do not, the filter is *staged*: each morsel
-    /// runs the conjuncts that read only dense columns as one program, then
-    /// each string-reading conjunct, in source order, over the survivors of
-    /// everything before it. A row passes a filter exactly when every
-    /// conjunct is TRUE, so the selected rows are the same ascending list;
-    /// nothing staged can raise, so skipping a conjunct on rows an earlier
-    /// one rejected is unobservable. Any other predicate — one opaque
-    /// conjunct is enough — runs the single program.
+    /// not per morsel. When the predicate is *total* over `cols`
+    /// (`Expr::total_family`: boolean, and it can raise nothing there) it
+    /// binds as a **selection program**, a tree that maps each morsel's
+    /// selection to the rows where the predicate is TRUE: an `Int64`/`Date`
+    /// comparison reads the column slices themselves, each operand of an
+    /// `AND`/`OR` (those reading no string first) runs only on the rows the
+    /// earlier ones left undecided, and `NOT` swaps its child's TRUE and
+    /// FALSE rows. Any other predicate runs the single register program and
+    /// selects from its booleans.
     ///
-    /// A dense compare beats a gathered one until the selection is small,
-    /// which is why the dense conjuncts stay one pass and only string
-    /// conjuncts run narrowed.
-    pub fn bind_filter<'k>(&'k self, cols: &KernelCols<'_>) -> BoundFilter<'k, 'e> {
+    /// Both select the same ascending rows: a row passes exactly where the
+    /// predicate is TRUE, and since nothing total can raise, leaving an
+    /// operand unevaluated on rows an earlier one already decided is
+    /// unobservable.
+    pub fn bind_filter<'k, 'c>(&'k self, cols: &KernelCols<'c>) -> BoundFilter<'k, 'e, 'c> {
+        let total = self.expr.total_family(cols) == Some(Family::Boolean);
         BoundFilter {
             whole: self,
-            staged: self.stage(cols),
+            cols: *cols,
+            program: total.then(|| SelNode::bind(self.expr, cols)),
         }
-    }
-
-    /// The staged form of the plan over `cols` — the dense conjuncts as one
-    /// program, then each string conjunct — when [`Self::bind_filter`]'s
-    /// conditions hold.
-    fn stage(&self, cols: &KernelCols<'_>) -> Option<(KernelPlan<'e>, Vec<KernelPlan<'e>>)> {
-        let total = |c: &&Expr| c.total_family(cols) == Some(Family::Boolean);
-        if !self.conjuncts.iter().all(total) {
-            return None;
-        }
-        let (costly, cheap): (Vec<&Expr>, Vec<&Expr>) =
-            self.conjuncts.iter().partition(|c| c.reads_text(cols));
-        (!costly.is_empty() && !cheap.is_empty()).then(|| {
-            (
-                KernelPlan::conjunction(&cheap),
-                costly.iter().map(|c| c.compile()).collect(),
-            )
-        })
     }
 
     /// Distinct column indices the plan reads, in first-use order.
@@ -1926,7 +1849,7 @@ impl<'e> KernelPlan<'e> {
         out: &mut Vec<u32>,
     ) -> Result<(), EngineError> {
         let bv = self.eval(cols, sv, scratch)?;
-        let res = sel_from_bools(&bv, sv, out);
+        let res = split_batch(&bv, sv, Some(out), None);
         scratch.recycle(bv);
         res
     }
@@ -1934,42 +1857,320 @@ impl<'e> KernelPlan<'e> {
 
 /// A filter predicate bound to one slab of columns: see
 /// [`KernelPlan::bind_filter`].
-pub struct BoundFilter<'k, 'e> {
+pub struct BoundFilter<'k, 'e, 'c> {
     whole: &'k KernelPlan<'e>,
-    /// The dense conjuncts as one program, then each string conjunct.
-    staged: Option<(KernelPlan<'e>, Vec<KernelPlan<'e>>)>,
+    cols: KernelCols<'c>,
+    /// The selection program, when the predicate is total over `cols`.
+    program: Option<SelNode<'e, 'c>>,
 }
 
-impl BoundFilter<'_, '_> {
-    /// Whether the string conjuncts run on the survivors of the others.
-    pub fn is_staged(&self) -> bool {
-        self.staged.is_some()
+impl BoundFilter<'_, '_, '_> {
+    /// Whether the predicate binds as a selection program (it is total over
+    /// the slab) rather than as the single register program.
+    pub fn is_selection_program(&self) -> bool {
+        self.program.is_some()
     }
 
-    /// [`KernelPlan::eval_sel_into`] of the bound plan, over the slab it
-    /// was bound to.
+    /// Fills `out` with the rows of `sv` where the predicate is TRUE,
+    /// ascending — [`KernelPlan::eval_sel_into`] of the bound plan over the
+    /// slab it was bound to.
     pub fn eval_sel_into(
         &self,
-        cols: &KernelCols<'_>,
         sv: &SelView<'_>,
         scratch: &mut EvalScratch,
         out: &mut Vec<u32>,
     ) -> Result<(), EngineError> {
-        let Some((cheap, costly)) = &self.staged else {
-            return self.whole.eval_sel_into(cols, sv, scratch, out);
+        match &self.program {
+            Some(node) => node.select(&self.cols, sv, Some(out), None, scratch),
+            None => self.whole.eval_sel_into(&self.cols, sv, scratch, out),
+        }
+    }
+}
+
+// ============================ selection programs ============================
+//
+// A total predicate does not need its value on every row, only the rows
+// where it is TRUE: the two-output `Select` of vectorized engines
+// (MonetDB/X100's selection vectors, DuckDB's `ExpressionExecutor::Select`).
+// Each node maps an input selection to the rows where its subexpression is
+// TRUE and, when asked, those where it is FALSE; a row where it is NULL goes
+// to neither. Outputs ascend with the input, and each is written without a
+// branch per row: the row id is stored at the cursor, then the cursor
+// advances by the verdict.
+
+/// One node of a selection program: see [`KernelPlan::bind_filter`].
+enum SelNode<'e, 'c> {
+    /// A comparison of two unmasked `Int64`/`Date` columns or literals, read
+    /// from the source slices.
+    Cmp {
+        op: BinOp,
+        l: Widened<'c>,
+        r: Widened<'c>,
+    },
+    /// Any other total subexpression: its kernel program over the input
+    /// selection, split by value.
+    Leaf(KernelPlan<'e>),
+    /// `NOT`: the child's two outputs, swapped.
+    Not(Box<SelNode<'e, 'c>>),
+    /// An `AND` chain (`or == false`) or an `OR` chain, operands reading no
+    /// string first. Each operand runs on the rows every earlier one
+    /// *passed* — was TRUE for, in an `AND`; FALSE for, in an `OR` — so the
+    /// survivors are the chain's pass set, and where the chain cannot be
+    /// NULL its other output is their complement. `whole` is the chain's
+    /// own program where it may be NULL, for when that output is asked.
+    Chain {
+        or: bool,
+        ops: Vec<SelNode<'e, 'c>>,
+        whole: Option<KernelPlan<'e>>,
+    },
+}
+
+/// An operand of [`SelNode::Cmp`], widened to `f64` per row exactly as
+/// `col_batch` and `lit_batch` widen it.
+#[derive(Clone, Copy)]
+enum Widened<'c> {
+    Int(&'c [i64]),
+    Date(&'c [i32]),
+    Const(f64),
+}
+
+/// An output of a selection: row ids, when asked for.
+type Out<'a> = Option<&'a mut Vec<u32>>;
+
+/// Clears `v` and sizes it to `n` slots, growing it to a whole morsel (at
+/// least) the first time it grows.
+fn reset_sel(v: &mut Vec<u32>, n: usize) {
+    v.clear();
+    if v.capacity() < n {
+        v.reserve(n.max(crate::fused::MORSEL_ROWS));
+    }
+    v.resize(n, 0);
+}
+
+/// Writes the rows of `sv` where `keep(position, row)` holds into `out`;
+/// the dense/selected decision is made once, outside the loop. (The loop
+/// writes through a slice: through the `Vec`, every store could alias its
+/// length, which is then reloaded per row.)
+#[inline(always)]
+fn keep_rows(sv: &SelView<'_>, out: &mut Vec<u32>, mut keep: impl FnMut(usize, usize) -> bool) {
+    reset_sel(out, sv.len());
+    let (slots, mut k) = (&mut out[..], 0);
+    match sv.sel {
+        None => {
+            for pos in 0..slots.len() {
+                slots[k] = (sv.base + pos) as u32;
+                k += keep(pos, sv.base + pos) as usize;
+            }
+        }
+        Some(sel) => {
+            for (pos, &row) in sel.iter().enumerate() {
+                slots[k] = row;
+                k += keep(pos, row as usize) as usize;
+            }
+        }
+    }
+    out.truncate(k);
+}
+
+/// Writes the rows of `sv` into `t` and `f`, each when asked, by
+/// `verdict(position, row) = (TRUE, FALSE)`.
+#[inline(always)]
+fn split_rows(
+    sv: &SelView<'_>,
+    t: Out<'_>,
+    f: Out<'_>,
+    verdict: impl Fn(usize, usize) -> (bool, bool),
+) {
+    if let Some(t) = t {
+        keep_rows(sv, t, |pos, row| verdict(pos, row).0);
+    }
+    if let Some(f) = f {
+        keep_rows(sv, f, |pos, row| verdict(pos, row).1);
+    }
+}
+
+/// Splits the rows of `sv` by a predicate's batch result — TRUE rows into
+/// `t`, FALSE rows into `f`, NULL rows into neither. A batch that is not
+/// boolean is an error unless every slot of it is NULL.
+fn split_batch(
+    bv: &BatchVals<'_>,
+    sv: &SelView<'_>,
+    t: Out<'_>,
+    f: Out<'_>,
+) -> Result<(), EngineError> {
+    match bv {
+        BatchVals::Bools { vals, valid: None } => {
+            split_rows(sv, t, f, |pos, _| (vals[pos], !vals[pos]))
+        }
+        BatchVals::Bools {
+            vals,
+            valid: Some(ok),
+        } => split_rows(sv, t, f, |pos, _| (vals[pos] & ok[pos], !vals[pos] & ok[pos])),
+        BatchVals::ConstBool(b) => split_rows(sv, t, f, |_, _| (*b, !*b)),
+        other if side_any_valid(&classify(other), sv) => {
+            return Err(EngineError::TypeMismatch {
+                context: "predicate produced a non-boolean batch".to_string(),
+            })
+        }
+        _ => split_rows(sv, t, f, |_, _| (false, false)),
+    }
+    Ok(())
+}
+
+/// The rows of `sv` not in `pass`, a subset of them: the other output of a
+/// chain that cannot be NULL.
+fn complement(sv: &SelView<'_>, pass: &[u32], out: &mut Vec<u32>) {
+    let mut j = 0;
+    keep_rows(sv, out, |_, row| {
+        let hit = pass.get(j) == Some(&(row as u32));
+        j += hit as usize;
+        !hit
+    });
+}
+
+/// [`SelNode::Cmp`] over the rows of `sv`, monomorphised per operand shape
+/// (each a closure reading one row) and operator.
+fn select_cmp(op: BinOp, l: Widened<'_>, r: Widened<'_>, sv: &SelView<'_>, t: Out<'_>, f: Out<'_>) {
+    macro_rules! by_op {
+        ($l:expr, $r:expr) => {{
+            let (l, r, both) = ($l, $r, |x: bool| (x, !x));
+            match op {
+                BinOp::Eq => split_rows(sv, t, f, |_, row| both(l(row) == r(row))),
+                BinOp::Ne => split_rows(sv, t, f, |_, row| both(l(row) != r(row))),
+                BinOp::Lt => split_rows(sv, t, f, |_, row| both(l(row) < r(row))),
+                BinOp::Le => split_rows(sv, t, f, |_, row| both(l(row) <= r(row))),
+                BinOp::Gt => split_rows(sv, t, f, |_, row| both(l(row) > r(row))),
+                BinOp::Ge => split_rows(sv, t, f, |_, row| both(l(row) >= r(row))),
+                // LINT: panic-ok — `SelNode::bind` builds `Cmp` for the six
+                // comparison operators only.
+                _ => unreachable!("not a comparison"),
+            }
+        }};
+    }
+    macro_rules! by_right {
+        ($l:expr) => {
+            match r {
+                Widened::Int(r) => by_op!($l, |row: usize| r[row] as f64),
+                Widened::Date(r) => by_op!($l, |row: usize| r[row] as f64),
+                Widened::Const(r) => by_op!($l, |_: usize| r),
+            }
         };
+    }
+    match l {
+        Widened::Int(l) => by_right!(|row: usize| l[row] as f64),
+        Widened::Date(l) => by_right!(|row: usize| l[row] as f64),
+        Widened::Const(l) => by_right!(|_: usize| l),
+    }
+}
+
+impl<'e, 'c> SelNode<'e, 'c> {
+    /// The program of `e`, a total boolean expression over `cols`.
+    fn bind(e: &'e Expr, cols: &KernelCols<'c>) -> Self {
+        let widened = |e: &Expr| match e {
+            Expr::Col(i) => match &*cols.column(*i).ok().filter(|c| c.validity.is_none())?.data {
+                ColumnData::Int64(v) => Some(Widened::Int(v)),
+                ColumnData::Date(v) => Some(Widened::Date(v)),
+                _ => None,
+            },
+            Expr::Lit(v) => match lit_batch(v) {
+                BatchVals::ConstNum { val, .. } => Some(Widened::Const(val)),
+                _ => None,
+            },
+            _ => None,
+        };
+        match e {
+            Expr::Not(inner) => SelNode::Not(Box::new(SelNode::bind(inner, cols))),
+            Expr::Bin {
+                op: op @ (BinOp::And | BinOp::Or),
+                ..
+            } => {
+                let mut operands = Vec::new();
+                e.push_chain(*op, &mut operands);
+                // A string read chases a pointer per row; a stable sort
+                // keeps source order within each kind.
+                operands.sort_by_key(|o| o.reads_text(cols));
+                SelNode::Chain {
+                    or: *op == BinOp::Or,
+                    ops: operands.into_iter().map(|o| SelNode::bind(o, cols)).collect(),
+                    whole: e.may_be_null(cols).then(|| e.compile()),
+                }
+            }
+            Expr::Bin { op, left, right } if cmp_op(*op) => match (widened(left), widened(right)) {
+                (Some(l), Some(r)) => SelNode::Cmp { op: *op, l, r },
+                _ => SelNode::Leaf(e.compile()),
+            },
+            _ => SelNode::Leaf(e.compile()),
+        }
+    }
+
+    /// Writes the rows of `sv` where the node is TRUE into `t` and those
+    /// where it is FALSE into `f`, each when asked.
+    fn select(
+        &self,
+        cols: &KernelCols<'_>,
+        sv: &SelView<'_>,
+        t: Out<'_>,
+        f: Out<'_>,
+        scratch: &mut EvalScratch,
+    ) -> Result<(), EngineError> {
+        let leaf = |kp: &KernelPlan<'_>, t: Out<'_>, f: Out<'_>, scratch: &mut EvalScratch| {
+            let bv = kp.eval(cols, sv, scratch)?;
+            let res = split_batch(&bv, sv, t, f);
+            scratch.recycle(bv);
+            res
+        };
+        match self {
+            SelNode::Cmp { op, l, r } => {
+                select_cmp(*op, *l, *r, sv, t, f);
+                Ok(())
+            }
+            SelNode::Leaf(kp) => leaf(kp, t, f, scratch),
+            SelNode::Not(child) => child.select(cols, sv, f, t, scratch),
+            SelNode::Chain { or, ops, whole } => {
+                let (pass, fail) = if *or { (f, t) } else { (t, f) };
+                match (fail, whole) {
+                    (None, _) => match pass {
+                        Some(pass) => Self::chain_pass(*or, ops, cols, sv, pass, scratch),
+                        None => Ok(()),
+                    },
+                    (Some(fail), Some(kp)) if *or => leaf(kp, Some(fail), pass, scratch),
+                    (Some(fail), Some(kp)) => leaf(kp, pass, Some(fail), scratch),
+                    (Some(fail), None) => {
+                        let mut own = scratch.take_sel();
+                        let pass = pass.unwrap_or(&mut own);
+                        let res = Self::chain_pass(*or, ops, cols, sv, pass, scratch);
+                        complement(sv, pass, fail);
+                        scratch.put_sel(own);
+                        res
+                    }
+                }
+            }
+        }
+    }
+
+    /// The pass set of a chain: each operand over the survivors of those
+    /// before it, until none survive.
+    fn chain_pass(
+        or: bool,
+        ops: &[SelNode<'_, '_>],
+        cols: &KernelCols<'_>,
+        sv: &SelView<'_>,
+        out: &mut Vec<u32>,
+        scratch: &mut EvalScratch,
+    ) -> Result<(), EngineError> {
         let mut next = scratch.take_sel();
-        let mut res = cheap.eval_sel_into(cols, sv, scratch, out);
-        for kp in costly {
-            if res.is_err() || out.is_empty() {
+        for (k, op) in ops.iter().enumerate() {
+            let input = if k == 0 { *sv } else { SelView::over(out.len(), Some(out)) };
+            // An `AND` operand passes on its TRUE rows, an `OR` operand its FALSE ones.
+            let (t, f) = if or { (None, Some(&mut next)) } else { (Some(&mut next), None) };
+            op.select(cols, &input, t, f, scratch)?;
+            std::mem::swap(out, &mut next);
+            if out.is_empty() {
                 break;
             }
-            let survivors = SelView::over(out.len(), Some(out));
-            res = kp.eval_sel_into(cols, &survivors, scratch, &mut next);
-            std::mem::swap(out, &mut next);
         }
         scratch.put_sel(next);
-        res
+        Ok(())
     }
 }
 
@@ -2196,14 +2397,16 @@ mod tests {
         }
     }
 
-    /// The staged filter ([`KernelPlan::bind_filter`]) against the single
-    /// program and the scalar evaluator, and its classifier against the
-    /// totality rule ([`Expr::total_family`]) restated by hand per conjunct.
-    mod staged_filter_props {
+    /// The bound filter ([`KernelPlan::bind_filter`]) over random AND/OR/NOT
+    /// trees against the single program and the scalar evaluator, each node
+    /// of a selection program against [`Expr::eval`], and the classifier
+    /// against the totality rule ([`Expr::total_family`]) restated by hand
+    /// per leaf.
+    mod selection_program_props {
         use super::*;
         use proptest::prelude::*;
 
-        /// What the totality rule says of one conjunct of [`conjuncts`].
+        /// What the totality rule says of one leaf of [`conjuncts`].
         #[derive(Debug, Clone, Copy, PartialEq)]
         enum Kind {
             /// Total, reads no `Utf8` column.
@@ -2305,78 +2508,109 @@ mod tests {
 
         type Sel = Result<Vec<u32>, EngineError>;
 
-        /// The three evaluations of `p` over `sel` — scalar ([`Expr::eval`],
-        /// row by row; [`Expr::eval_mask`] itself when nothing is selected
-        /// out), the single program, the bound filter — and whether the
-        /// filter staged.
+        /// The rows of `rows` where scalar evaluation ([`Expr::eval`]) of `p`
+        /// is `Bool(want)`, or its first error.
+        fn scalar(p: &Expr, t: &Table, rows: &[u32], want: bool) -> Sel {
+            rows.iter()
+                .filter_map(|&r| match p.eval(t, r as usize) {
+                    Ok(Value::Bool(b)) => (b == want).then_some(Ok(r)),
+                    Ok(Value::Null) => None,
+                    Ok(other) => Some(Err(EngineError::TypeMismatch {
+                        context: format!("predicate produced {other:?}"),
+                    })),
+                    Err(e) => Some(Err(e)),
+                })
+                .collect()
+        }
+
+        /// The three evaluations of `p` over `sel` — scalar (row by row;
+        /// [`Expr::eval_mask`] itself when nothing is selected out), the
+        /// single program, the bound filter — and whether the filter binds
+        /// as a selection program.
         fn evaluate(p: &Expr, t: &Table, sel: Option<&[u32]>) -> (Sel, Sel, Sel, bool) {
             let scalar = match sel {
                 None => p.eval_mask(t).map(|mask| {
                     (0..t.n_rows() as u32).filter(|&r| mask[r as usize]).collect()
                 }),
-                Some(rows) => rows
-                    .iter()
-                    .filter_map(|&r| match p.eval(t, r as usize) {
-                        Ok(Value::Bool(true)) => Some(Ok(r)),
-                        Ok(Value::Bool(false) | Value::Null) => None,
-                        Ok(other) => Some(Err(EngineError::TypeMismatch {
-                            context: format!("predicate produced {other:?}"),
-                        })),
-                        Err(e) => Some(Err(e)),
-                    })
-                    .collect(),
+                Some(rows) => scalar(p, t, rows, true),
             };
             let (cols, sv) = (KernelCols::Table(t), SelView::new(t, sel));
             let mut scratch = EvalScratch::new();
             let kp = p.compile();
             let single = kp.eval(&cols, &sv, &mut scratch).and_then(|bv| {
                 let mut out = Vec::new();
-                sel_from_bools(&bv, &sv, &mut out).map(|()| out)
+                split_batch(&bv, &sv, Some(&mut out), None).map(|()| out)
             });
             let filter = kp.bind_filter(&cols);
             let mut out = Vec::new();
-            let bound = filter.eval_sel_into(&cols, &sv, &mut scratch, &mut out).map(|()| out);
-            (scalar, single, bound, filter.is_staged())
+            let bound = filter.eval_sel_into(&sv, &mut scratch, &mut out).map(|()| out);
+            (scalar, single, bound, filter.is_selection_program())
+        }
+
+        /// `e` and every boolean node below it.
+        fn nodes<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
+            out.push(e);
+            match e {
+                Expr::Not(inner) => nodes(inner, out),
+                Expr::Bin {
+                    op: BinOp::And | BinOp::Or,
+                    left,
+                    right,
+                } => {
+                    nodes(left, out);
+                    nodes(right, out);
+                }
+                _ => {}
+            }
+        }
+
+        /// A random tree over the leaves `picks` name — AND and OR chains
+        /// nested either way, under NOTs — and whether a leaf is opaque.
+        /// With `any` false, every leaf is total.
+        fn tree(picks: &[(usize, usize, usize)], any: bool) -> (Expr, bool) {
+            let pool = conjuncts();
+            let total = pool.iter().filter(|(kind, _)| *kind != Kind::Opaque).count();
+            let mut opaque = false;
+            let mut p: Option<Expr> = None;
+            for &(pick, shape, from) in picks {
+                // Three picks in four are total, so trees often bind as
+                // selection programs.
+                let n = if any && from == 0 { pool.len() } else { total };
+                let (kind, c) = pool[pick % n].clone();
+                opaque |= kind == Kind::Opaque;
+                p = Some(match (p, shape) {
+                    (None, 0..=3) => c,
+                    (None, _) => c.negate(),
+                    (Some(acc), 0) => acc.and(c),
+                    (Some(acc), 1) => c.and(acc),
+                    (Some(acc), 2) => acc.or(c),
+                    (Some(acc), 3) => c.or(acc),
+                    (Some(acc), 4) => acc.negate().and(c),
+                    (Some(acc), _) => acc.or(c).negate(),
+                });
+            }
+            (p.expect("at least one pick"), opaque)
         }
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(256))]
 
             #[test]
-            fn staged_filter_equals_single_program_equals_scalar(
+            fn selection_program_equals_single_program_equals_scalar(
                 rows in proptest::collection::vec(
                     (0i64..5, 0i64..6, 0u8..6, 0u8..5, 0i64..3),
                     0..40,
                 ),
-                picks in proptest::collection::vec((0usize..1000, 0usize..2, 0usize..4), 1..6),
+                picks in proptest::collection::vec((0usize..1000, 0usize..6, 0usize..4), 1..6),
                 keep in 0u32..4,
             ) {
                 let t = table(&rows);
-                let pool = conjuncts();
-                // An AND chain nested to the left or to the right at random.
-                let mut kinds = Vec::new();
-                let mut p: Option<Expr> = None;
-                let total = pool.iter().filter(|(kind, _)| *kind != Kind::Opaque).count();
-                for &(pick, right, any) in &picks {
-                    // Three picks in four are total, so chains often stage.
-                    let (kind, c) = pool[pick % if any == 0 { pool.len() } else { total }].clone();
-                    kinds.push(kind);
-                    p = Some(match p {
-                        None => c,
-                        Some(acc) if right == 1 => c.and(acc),
-                        Some(acc) => acc.and(c),
-                    });
-                }
-                let p = p.expect("at least one pick");
-                let staged = kinds.len() > 1
-                    && !kinds.contains(&Kind::Opaque)
-                    && kinds.contains(&Kind::Cheap)
-                    && kinds.contains(&Kind::Costly);
+                let (p, opaque) = tree(&picks, true);
                 // All rows, a subset, none.
                 let subset: Vec<u32> = (0..rows.len() as u32).filter(|r| r % 4 >= keep).collect();
                 for sel in [None, Some(&subset[..]), Some(&[][..])] {
-                    let (scalar, single, bound, is_staged) = evaluate(&p, &t, sel);
-                    prop_assert_eq!(is_staged, staged, "{:?}: {:?}", kinds, p);
+                    let (scalar, single, bound, is_program) = evaluate(&p, &t, sel);
+                    prop_assert_eq!(is_program, !opaque, "{:?}", p);
                     // The bound filter is the single program, to the error.
                     prop_assert_eq!(&bound, &single, "{:?} under {:?}", p, sel);
                     // Over no rows the scalar evaluator looks at nothing,
@@ -2393,11 +2627,49 @@ mod tests {
                     }
                 }
             }
+
+            /// Every node of a selection program — leaf, `NOT`, chain —
+            /// selects the rows where its subexpression is `Bool(true)` and
+            /// those where it is `Bool(false)`, asked for together and one
+            /// at a time.
+            #[test]
+            fn each_node_selects_its_true_and_false_rows(
+                rows in proptest::collection::vec(
+                    (0i64..5, 0i64..6, 0u8..6, 0u8..5, 0i64..3),
+                    0..40,
+                ),
+                picks in proptest::collection::vec((0usize..1000, 0usize..6, 0usize..1), 1..6),
+                keep in 0u32..4,
+            ) {
+                let t = table(&rows);
+                let (p, _) = tree(&picks, false);
+                let mut ns = Vec::new();
+                nodes(&p, &mut ns);
+                let (cols, mut scratch) = (KernelCols::Table(&t), EvalScratch::new());
+                let all: Vec<u32> = (0..rows.len() as u32).collect();
+                let subset: Vec<u32> = all.iter().copied().filter(|r| r % 4 >= keep).collect();
+                for sel in [&all, &subset, &Vec::new()] {
+                    let sv = SelView::over(t.n_rows(), Some(sel));
+                    for n in &ns {
+                        let want = (scalar(n, &t, sel, true), scalar(n, &t, sel, false));
+                        let node = SelNode::bind(n, &cols);
+                        let (mut yes, mut no) = (Vec::new(), Vec::new());
+                        node.select(&cols, &sv, Some(&mut yes), Some(&mut no), &mut scratch)
+                            .unwrap();
+                        let got = (Ok(yes.clone()), Ok(no.clone()));
+                        prop_assert_eq!(got, want.clone(), "{:?} under {:?}", n, sel);
+                        node.select(&cols, &sv, Some(&mut yes), None, &mut scratch).unwrap();
+                        node.select(&cols, &sv, None, Some(&mut no), &mut scratch).unwrap();
+                        prop_assert_eq!((Ok(yes), Ok(no)), want, "{:?} under {:?}", n, sel);
+                    }
+                }
+            }
         }
 
         /// The raising row lies outside the dense conjunct's survivors — it
-        /// has none. The predicate is not staged, so the division by zero
-        /// still surfaces, as it does from the scalar evaluator.
+        /// has none. The predicate is not total, so it keeps the single
+        /// program and the division by zero still surfaces, as it does from
+        /// the scalar evaluator.
         #[test]
         fn an_opaque_conjunct_raises_outside_the_survivors() {
             let t = table(&[(1, 1, 0, 1, 0), (2, 2, 1, 2, 1)]);
@@ -2405,15 +2677,16 @@ mod tests {
                 .lt(Expr::int(0))
                 .and(Expr::col(2).eq(Expr::str("x")))
                 .and(Expr::col(0).div(Expr::col(5)).gt(Expr::int(1)));
-            let (scalar, single, bound, is_staged) = evaluate(&p, &t, None);
-            assert!(!is_staged);
+            let (scalar, single, bound, is_program) = evaluate(&p, &t, None);
+            assert!(!is_program);
             assert_eq!(scalar, Err(EngineError::DivisionByZero));
             assert_eq!(single, Err(EngineError::DivisionByZero));
             assert_eq!(bound, Err(EngineError::DivisionByZero));
-            // Without the division the same predicate stages and selects nothing.
+            // Without the division the same predicate is a selection program
+            // and selects nothing.
             let p = Expr::col(0).lt(Expr::int(0)).and(Expr::col(2).eq(Expr::str("x")));
-            let (scalar, _, bound, is_staged) = evaluate(&p, &t, None);
-            assert!(is_staged);
+            let (scalar, _, bound, is_program) = evaluate(&p, &t, None);
+            assert!(is_program);
             assert_eq!((scalar, bound), (Ok(vec![]), Ok(vec![])));
         }
     }

@@ -45,16 +45,19 @@
 //!    a selection, several slabs, the join output — is *virtual*, and
 //!    written once (`data::virtual_bytes`): exact integer string totals,
 //!    then the float expression `Table::estimated_bytes` applies.
-//! 4. **Staged filters.** A filter binds its compiled predicate to each
-//!    slab it scans — a table, a chunk, a deferred join's gathered columns
-//!    — once ([`KernelPlan::bind_filter`]). When every top-level conjunct
-//!    is *total* over that slab (can raise nothing: the definition is on
-//!    `Expr::total_family`), each morsel runs the conjuncts over dense
-//!    columns as one program and the conjuncts that read a `Utf8` column
-//!    only on the survivors, in source order: Q12's `l_shipmode IN (…)`
-//!    chases ~1 string pointer in 50 instead of 600 k. Same selected rows
-//!    by construction; one opaque conjunct and the filter runs its single
-//!    program as before.
+//! 4. **Selection programs.** A filter binds its compiled predicate to
+//!    each slab it scans — a table, a chunk, a deferred join's gathered
+//!    columns — once ([`KernelPlan::bind_filter`]). When the predicate is
+//!    *total* over that slab (can raise nothing: the definition is on
+//!    `Expr::total_family`), it binds as a selection program: each morsel
+//!    maps its selection to the rows where the predicate is TRUE, without
+//!    computing a boolean per row. `Int64`/`Date` comparisons read the
+//!    column slices and write row ids branch-free; each `AND` operand runs
+//!    on the survivors of the earlier ones, string readers last, so Q12's
+//!    `l_shipmode IN (…)` chases ~1 string pointer in 50; `NOT` swaps a
+//!    node's TRUE and FALSE rows, so Q13's `NOT (CONTAINS w1 AND CONTAINS
+//!    w2)` tests `w2` only where `w1` hit. Same selected rows by
+//!    construction; a predicate that is not total runs its single program.
 //!
 //! **Bit-for-bit parity.** For every plan, [`execute_fused`] — over a
 //! catalog or over a version — produces the same result [`Table`]
@@ -345,7 +348,7 @@ fn filter_morsels(
     let mut acc = scratch.take_sel();
     let mut tmp = scratch.take_sel();
     let res = for_each_morsel(n, sel, |sv| {
-        filter.eval_sel_into(cols, &sv, scratch, &mut tmp)?;
+        filter.eval_sel_into(&sv, scratch, &mut tmp)?;
         acc.extend_from_slice(&tmp);
         Ok(())
     });
@@ -612,7 +615,14 @@ fn merge_parts(name: &str, parts: Vec<Part>) -> Result<Column, EngineError> {
             Part::Null(_) => None,
         })
         .expect("any_valid implies a typed part");
-    let mut validity: Vec<bool> = Vec::with_capacity(n);
+    // A mask is built only when some part has one, or is a NULL morsel.
+    let mut validity: Option<Vec<bool>> = parts
+        .iter()
+        .any(|p| !matches!(p, Part::Data { validity: None, .. }))
+        .then(|| Vec::with_capacity(n));
+    let drift = || EngineError::TypeMismatch {
+        context: "fused projection: morsel part type drift".to_string(),
+    };
     macro_rules! build {
         ($variant:ident, $t:ty, $default:expr) => {{
             let mut vals: Vec<$t> = Vec::with_capacity(n);
@@ -620,22 +630,27 @@ fn merge_parts(name: &str, parts: Vec<Part>) -> Result<Column, EngineError> {
                 match part {
                     Part::Null(k) => {
                         vals.extend(std::iter::repeat_with(|| $default).take(k));
-                        validity.extend(std::iter::repeat(false).take(k));
+                        if let Some(v) = &mut validity {
+                            v.extend(std::iter::repeat(false).take(k));
+                        }
                     }
                     Part::Data { data, validity: pv } => {
                         let k = data.len();
-                        // Owned values move; a shared buffer is copied, as a
-                        // slice of it would have been.
-                        if let ColumnData::$variant(v) = Arc::unwrap_or_clone(data) {
-                            vals.extend(v);
-                        } else {
-                            return Err(EngineError::TypeMismatch {
-                                context: "fused projection: morsel part type drift".to_string(),
-                            });
+                        match Arc::try_unwrap(data) {
+                            // Owned values move.
+                            Ok(ColumnData::$variant(v)) => vals.extend(v),
+                            // A shared buffer — a whole source column — is
+                            // copied once, from where it lies.
+                            Err(shared) => match &*shared {
+                                ColumnData::$variant(v) => vals.extend_from_slice(v),
+                                _ => return Err(drift()),
+                            },
+                            Ok(_) => return Err(drift()),
                         }
-                        match pv {
-                            Some(pvv) => validity.extend(pvv),
-                            None => validity.extend(std::iter::repeat(true).take(k)),
+                        match (&mut validity, pv) {
+                            (Some(v), Some(pvv)) => v.extend(pvv),
+                            (Some(v), None) => v.extend(std::iter::repeat(true).take(k)),
+                            (None, _) => {}
                         }
                     }
                 }
@@ -650,10 +665,9 @@ fn merge_parts(name: &str, parts: Vec<Part>) -> Result<Column, EngineError> {
         DataType::Date => build!(Date, i32, 0i32),
         DataType::Bool => build!(Bool, bool, false),
     };
-    Ok(if validity.iter().all(|&ok| ok) {
-        Column::new(name, data)
-    } else {
-        Column::with_validity(name, data, validity)
+    Ok(match validity {
+        Some(v) if !v.iter().all(|&ok| ok) => Column::with_validity(name, data, v),
+        _ => Column::new(name, data),
     })
 }
 
@@ -728,7 +742,7 @@ fn filter_project_slab_morsels(
     let mut acc = scratch.take_sel();
     let mut tmp = scratch.take_sel();
     let res = for_each_morsel(n, sel, |sv| {
-        filter.eval_sel_into(&cols, &sv, scratch, &mut tmp)?;
+        filter.eval_sel_into(&sv, scratch, &mut tmp)?;
         acc.extend_from_slice(&tmp);
         let msv = SelView::over(tmp.len(), Some(&tmp));
         apply_project_morsel(runs, t, &msv, scratch)

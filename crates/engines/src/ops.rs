@@ -1506,10 +1506,12 @@ pub(crate) fn hash_join_vec(
 ///
 /// A single non-NULL `Int64` key on both sides whose build-side values
 /// span fewer integers than the join reads rows ([`int_key_span`]) keeps
-/// its chain heads in a `Vec<u32>` indexed by `key − min`: no hashing, and
-/// a probe key outside `[min, max]` misses without touching memory. Equal
-/// slots are equal keys, so no key comparison is left to make. Every other
-/// key hashes into a [`U64Map`] and verifies each chained row's key.
+/// its chain heads in a `Vec<u32>` indexed by `key − min`, with one
+/// sentinel head past the end: no hashing, and a probe key outside
+/// `[min, max]` reads the sentinel head — never written, since every build
+/// key lies inside — instead of branching on the range. Equal slots are
+/// equal keys, so no key comparison is left to make. Every other key
+/// hashes into a [`U64Map`] and verifies each chained row's key.
 pub(crate) fn serial_join_indices(
     lb: &Batch<'_>,
     rb: &Batch<'_>,
@@ -1522,16 +1524,15 @@ pub(crate) fn serial_join_indices(
             Some((min, span)) => {
                 // `k − min` in wrapping arithmetic: a key below `min` wraps
                 // to `k − min + 2⁶⁴ ≥ span + 1` (`k ≥ i64::MIN`, `min + span
-                // ≤ i64::MAX`), so one comparison bounds both ends.
-                let slot = |k: i64| {
-                    let d = (k as u64).wrapping_sub(min as u64);
-                    (d <= span as u64).then_some(d)
-                };
+                // ≤ i64::MAX`), so one `min` sends both ends to the
+                // sentinel slot `span + 1`.
+                let sentinel = span as u64 + 1;
+                let slot = |k: i64| Some((k as u64).wrapping_sub(min as u64).min(sentinel));
                 join_indices_by(
                     lb,
                     rb,
                     join_type,
-                    vec![0u32; span + 1],
+                    vec![0u32; span + 2],
                     |lrow| slot(l[lrow]),
                     |rrow| slot(r[rrow]),
                     |_, _| true,
@@ -1561,7 +1562,8 @@ pub(crate) fn serial_join_indices(
 
 /// `(min, max − min)` of the build side's keys when [`dense_span`] admits
 /// them against the rows the join reads — `dense_group_ids`' rule, so the
-/// direct table is never longer than 4 B × the join's input rows.
+/// direct table of `span + 1` heads and the sentinel is never longer than
+/// 4 B × (the join's input rows + 1).
 fn int_key_span(lb: &Batch<'_>, rb: &Batch<'_>, l: &[i64], r: &[i64]) -> Option<(i64, usize)> {
     let (build, keys) = if builds_right(lb, rb) {
         (rb, r)
@@ -1599,9 +1601,8 @@ pub fn join_is_direct(
 }
 
 /// [`serial_join_indices`] over keys given as per-side row slots (`None`
-/// = the row never matches: a NULL key part, or a key outside a direct
-/// table), the table `heads` that holds the build side's chain heads by
-/// slot, and a cross-side equality.
+/// = the row never matches: a NULL key part), the table `heads` that holds
+/// the build side's chain heads by slot, and a cross-side equality.
 ///
 /// **Build-side rule:** the table is built over the side with fewer rows
 /// (a tie builds on the right, [`builds_right`]) and probed with the

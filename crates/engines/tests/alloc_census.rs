@@ -18,7 +18,9 @@
 //! * the bytes a combine requests stay a small multiple of its input rows,
 //!   and Q12's — a join of few rows with many — a small multiple of the few;
 //! * a filter's further morsels each ask for one block (the evaluation's
-//!   register file), not one more per `IN`-list.
+//!   register file), not one more per `IN`-list;
+//! * a projection over several chunks copies each value once, straight
+//!   from the chunk it lies in.
 //!
 //! Every threshold but one (Q13's bytes, explained there) sits at or below
 //! half of what the parent of the PR that added this file read; both
@@ -137,6 +139,17 @@ fn query_census(q: &TwoTableQuery, base: &Catalog) -> ([Census; 3], u64) {
     ([lc, rc, cc], rows_in)
 }
 
+/// A version holding `t` alone, cut into three chunks of a third each.
+fn three_chunks(t: &Table) -> CatalogVersion {
+    let n = t.n_rows();
+    let cut = |from: usize, to: usize| {
+        Arc::new(t.take_ids(&(from as u32..to as u32).collect::<Vec<_>>()))
+    };
+    let chunks = vec![cut(0, n / 3), cut(n / 3, 2 * n / 3), cut(2 * n / 3, n)];
+    let chunked = ChunkedTable::from_chunks(&t.name, chunks).expect("one schema");
+    CatalogVersion::from_chunked(vec![chunked])
+}
+
 /// One test, so the readings cannot interleave with another census. The
 /// trailing comments are `parent reading → reading of the PR that added
 /// this file`, at SF 0.01 (59 941 lineitems).
@@ -171,13 +184,7 @@ fn a_cold_job_allocates_by_what_it_produces() {
     // Over three chunks of `orders` the prepare still concatenates them —
     // one `String` clone per row — into the table the flat run shares,
     // fingerprint and work profile included.
-    let cut = |from: usize, to: usize| {
-        Arc::new(orders.take_ids(&(from as u32..to as u32).collect::<Vec<_>>()))
-    };
-    let chunks = vec![cut(0, n / 3), cut(n / 3, 2 * n / 3), cut(2 * n / 3, n)];
-    let orders_in_chunks = ChunkedTable::from_chunks("orders", chunks).expect("one schema");
-    let version = CatalogVersion::from_chunked(vec![orders_in_chunks]);
-    let (chunked, chunked_profile, gathered) = census(&q.right_prepare, &version);
+    let (chunked, chunked_profile, gathered) = census(&q.right_prepare, &three_chunks(orders));
     assert!(
         gathered.count >= n as u64, // 15 025 → 15 027
         "Q12 right prepare over three chunks: {gathered:?} over {n} rows"
@@ -247,6 +254,18 @@ fn a_cold_job_allocates_by_what_it_produces() {
     assert!(
         combine.bytes <= 24 * rows, // 66.2 B × rows → 12.7 (Brand#13: 8.5 → 8.7)
         "Q17 combine: {combine:?} over {rows} input rows"
+    );
+
+    // Q17 left over three chunks of `lineitem`: three whole numeric
+    // columns, each concatenated once from the chunks' own buffers — no
+    // chunk's column is copied out before it is copied in.
+    let lineitem = base.get("lineitem").expect("generated");
+    let q = q17("Brand#13", "MED BOX");
+    let (out, _, merged) = census(&q.left_prepare, &three_chunks(lineitem));
+    let out_bytes = out.estimated_bytes();
+    assert!(
+        10 * merged.bytes <= 11 * out_bytes, // 2.13 × output bytes → 1.00
+        "Q17 left prepare over three chunks: {merged:?} for {out_bytes} output bytes"
     );
 
     // Q13 combine: a 14 k-row left-outer join over a 14 k-row build side

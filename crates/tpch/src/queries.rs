@@ -466,10 +466,18 @@ mod tests {
         TpchDb::generate(GenConfig::new(0.005, 42))
     }
 
-    /// Whether the fused executor stages `prepare`'s filter — string
-    /// conjuncts on the survivors of the dense ones — over `table`.
-    fn filter_is_staged(prepare: &PhysicalPlan, table: &midas_engines::Table) -> bool {
+    /// Whether the fused executor binds `predicate` over `table` as a
+    /// selection program rather than as its single register program.
+    fn selects(predicate: &Expr, table: &midas_engines::Table) -> bool {
         use midas_engines::expr::KernelCols;
+        predicate
+            .compile()
+            .bind_filter(&KernelCols::Table(table))
+            .is_selection_program()
+    }
+
+    /// The predicate of a prepare that projects its filter's output.
+    fn filter_of(prepare: &PhysicalPlan) -> &Expr {
         let PhysicalPlan::Project { input, .. } = prepare else {
             panic!("a prepare projects its filter's output");
         };
@@ -477,25 +485,31 @@ mod tests {
             panic!("a filtering prepare");
         };
         predicate
-            .compile()
-            .bind_filter(&KernelCols::Table(table))
-            .is_staged()
     }
 
-    /// Q12's left prepare is the filter staging exists for: four date
-    /// conjuncts keep ~1 lineitem in 50 and `l_shipmode IN (…)` runs on
-    /// those. An edit to the totality rule that un-stages it fails here,
-    /// not on a benchmark. Q14's two date conjuncts read no string, and
-    /// under dictionary codes neither does Q12: nothing to stage.
+    /// The paper queries' filters are what selection programs exist for:
+    /// Q12's four date conjuncts keep ~1 lineitem in 50 and `l_shipmode IN
+    /// (…)` runs on those (under dictionary codes too), Q14's date range
+    /// reads the date slice itself, and Q13's `NOT (CONTAINS w1 AND
+    /// CONTAINS w2)` tests `w2` only where `w1` hit. An edit to the totality
+    /// rule that moves any of them back to the single program fails here,
+    /// not on a benchmark. One opaque conjunct — a division that may raise
+    /// — keeps the single program.
     #[test]
-    fn q12_left_filter_is_staged_q14_is_not() {
+    fn paper_filters_bind_as_selection_programs_an_opaque_one_does_not() {
         let db = db();
         let lineitem = db.catalog().get("lineitem").unwrap();
-        assert!(filter_is_staged(&q12("MAIL", "SHIP", 1994).left_prepare, lineitem));
-        assert!(!filter_is_staged(&q14(1995, 9).left_prepare, lineitem));
+        let orders = db.catalog().get("orders").unwrap();
+        let q12_filter = filter_of(&q12("MAIL", "SHIP", 1994).left_prepare).clone();
+        assert!(selects(&q12_filter, lineitem));
+        assert!(selects(filter_of(&q14(1995, 9).left_prepare), lineitem));
+        assert!(selects(filter_of(&q13("special", "requests").right_prepare), orders));
         let coded = TpchDb::generate(GenConfig::new(0.005, 42).dictionary_encoded());
         let q = q12_with(StringEncoding::Dictionary, "MAIL", "SHIP", 1994);
-        assert!(!filter_is_staged(&q.left_prepare, coded.catalog().get("lineitem").unwrap()));
+        assert!(selects(filter_of(&q.left_prepare), coded.catalog().get("lineitem").unwrap()));
+        // `l_quantity / l_discount > 1`: a division may raise.
+        let opaque = q12_filter.and(Expr::col(3).div(Expr::col(5)).gt(Expr::int(1)));
+        assert!(!selects(&opaque, lineitem));
     }
 
     /// The key columns of `plan`'s join of `@frag0` with `@frag1`.

@@ -4,12 +4,12 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use midas_cloud::federation::example_federation;
-use midas_engines::ops::{execute, execute_scalar};
+use midas_engines::ops::execute_scalar;
 use midas_engines::sim::{DriftIntensity, SimulationEnv};
 use midas_engines::version::{CatalogVersion, ChunkedTable};
 use midas_engines::{
-    execute_fused, AggExpr, Column, ColumnData, EngineKind, Expr, JoinType, PhysicalPlan, Placement,
-    Table, TableSource,
+    execute_fused, AggExpr, Catalog, Column, ColumnData, EngineKind, Expr, JoinType, PhysicalPlan,
+    Placement, Table, TableSource,
 };
 use midas_ires::scheduler::{Scheduler, SchedulerConfig};
 use midas_ires::CandidateConfig;
@@ -32,7 +32,7 @@ fn bench_generation(c: &mut Criterion) {
 
 fn bench_operators(c: &mut Criterion) {
     let db = TpchDb::generate(GenConfig::new(0.01, 2));
-    let catalog = db.catalog().clone();
+    let catalog = db.catalog();
     let queries: Vec<(&str, TwoTableQuery)> = vec![
         ("q12", q12("MAIL", "SHIP", 1994)),
         ("q13", q13("special", "requests")),
@@ -43,21 +43,9 @@ fn bench_operators(c: &mut Criterion) {
     group.sample_size(10);
     for (name, q) in &queries {
         group.bench_function(BenchmarkId::new("prepare_left", *name), |b| {
-            b.iter(|| black_box(execute(&q.left_prepare, &catalog).expect("runs")))
+            b.iter(|| black_box(execute_fused(&q.left_prepare, catalog).expect("runs")))
         });
     }
-    // Full local pipeline of the heaviest query.
-    let q = &queries[3].1;
-    group.bench_function("q17_full_local", |b| {
-        b.iter(|| {
-            let mut cat = catalog.clone();
-            let (l, _) = execute(&q.left_prepare, &cat).expect("runs");
-            let (r, _) = execute(&q.right_prepare, &cat).expect("runs");
-            cat.insert("@frag0".to_string(), l);
-            cat.insert("@frag1".to_string(), r);
-            black_box(execute(&q.combine, &cat).expect("runs"))
-        })
-    });
     group.finish();
 }
 
@@ -98,12 +86,12 @@ fn bench_federated_execution(c: &mut Criterion) {
     let _ = SimulationEnv::new();
 }
 
-/// The headline perf comparison: the vectorized default executor against
-/// the scalar reference path on the paper's two-table queries, full local
-/// pipeline (both prepares plus combine). The two must agree bit for bit
-/// (`executor_equivalence.rs`); this is the place to read how far apart
-/// they run.
-fn bench_scalar_vs_vectorized(c: &mut Criterion) {
+/// The headline perf comparison: the fused executor the runtime serves with
+/// against the scalar reference path on the paper's two-table queries,
+/// full local pipeline (both prepares plus combine). The two must agree bit
+/// for bit (`executor_equivalence.rs`); this is the place to read how far
+/// apart they run.
+fn bench_scalar_vs_fused(c: &mut Criterion) {
     let db = TpchDb::generate(GenConfig::new(0.01, 2));
     let queries: Vec<(&str, TwoTableQuery)> = vec![
         ("q12", q12("MAIL", "SHIP", 1994)),
@@ -111,15 +99,16 @@ fn bench_scalar_vs_vectorized(c: &mut Criterion) {
         ("q14", q14(1995, 9)),
         ("q17", q17("Brand#23", "MED BOX")),
     ];
-    let mut group = c.benchmark_group("scalar_vs_vectorized");
+    let fused = |plan: &PhysicalPlan, c: &Catalog| execute_fused(plan, c);
+    let mut group = c.benchmark_group("scalar_vs_fused");
     group.sample_size(10);
     for (name, q) in &queries {
         let mut cat = db.catalog().clone();
         group.bench_function(BenchmarkId::new("scalar", *name), |b| {
             b.iter(|| black_box(q.execute_local(&mut cat, execute_scalar).expect("runs")))
         });
-        group.bench_function(BenchmarkId::new("vectorized", *name), |b| {
-            b.iter(|| black_box(q.execute_local(&mut cat, execute).expect("runs")))
+        group.bench_function(BenchmarkId::new("fused", *name), |b| {
+            b.iter(|| black_box(q.execute_local(&mut cat, fused).expect("runs")))
         });
     }
     group.finish();
@@ -252,7 +241,7 @@ criterion_group!(
     bench_generation,
     bench_operators,
     bench_federated_execution,
-    bench_scalar_vs_vectorized,
+    bench_scalar_vs_fused,
     bench_cold_path_kernels
 );
 criterion_main!(benches);

@@ -16,7 +16,7 @@
 //!
 //! The analyzer is **sound with respect to schema/type/DAG errors**: if
 //! [`PlanAnalysis::is_valid`] holds for a plan (no [`Severity::Error`]
-//! diagnostics), executing it — scalar, vectorized or fused —
+//! diagnostics), executing it — scalar or fused —
 //! never returns [`EngineError::UnknownColumn`], [`EngineError::UnknownTable`],
 //! [`EngineError::TypeMismatch`], [`EngineError::ColumnIndex`] or
 //! [`EngineError::RaggedTable`], and never reaches one of the executor's
@@ -119,7 +119,7 @@ pub enum DiagnosticKind {
     JoinKeyTypeMismatch,
     /// Division by a literal zero. Runtime: [`EngineError::DivisionByZero`]
     /// on the first row where the numerator is non-NULL (immediately, on
-    /// the vectorized path, when both operands are literals).
+    /// the fused path, when both operands are literals).
     DivisionByConstantZero,
     /// A predicate that can never be true: a false literal comparison, a
     /// contradictory conjunction of range bounds on one column, or an

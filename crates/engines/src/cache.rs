@@ -33,7 +33,7 @@
 //!    entry from a different table state.
 //!
 //! Because the executor is deterministic (results, fingerprints and
-//! [`WorkProfile`]s are pinned bit-identical across fused/unfused paths,
+//! [`WorkProfile`]s are pinned bit-identical across fused/scalar paths,
 //! chunkings and worker counts by the differential suites),
 //! equal keys imply bit-identical outputs: a cache hit returns exactly
 //! what recomputation would have.

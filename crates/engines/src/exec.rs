@@ -15,9 +15,9 @@
 //! pooled scratch buffers, and `Aggregate ∘ Filter* ∘ HashJoin` shapes
 //! consume the join as index triples, gathering only referenced columns.
 //! This is purely an engine substitution — results and work profiles are
-//! bit-identical to [`crate::ops::execute`] (the `fused_differential`
-//! suite pins this), so every simulation quantity derived from a
-//! profile is unchanged.
+//! bit-identical to [`crate::ops::execute_scalar`], the row-at-a-time
+//! reference (the `fused_differential` suite pins this), so every
+//! simulation quantity derived from a profile is unchanged.
 //!
 //! The data plane is zero-copy, over either [`TableSource`]: fragments
 //! scan base tables where they are — a shared [`Catalog`]'s `Arc<Table>`

@@ -1,5 +1,5 @@
-//! Expressions over tables: a reference scalar evaluator and the default
-//! vectorized batch evaluator.
+//! Expressions over tables: a reference scalar evaluator and the compiled
+//! batch evaluator the fused executor runs.
 //!
 //! The expression language covers what the TPC-H two-table queries need:
 //! column references, literals, arithmetic, comparisons, boolean logic, an
@@ -7,28 +7,24 @@
 //! NULL propagates Kleene-style through comparisons and arithmetic; `AND`
 //! and `OR` use three-valued logic collapsed to "NULL is not true".
 //!
-//! Three evaluation paths share those semantics:
+//! Two evaluation paths share those semantics:
 //!
 //! * [`Expr::eval`] / [`Expr::eval_mask`] — row-at-a-time over `Value`s;
 //!   the readable reference implementation and differential oracle;
-//! * [`Expr::eval_batch`] / [`Expr::eval_sel`] — vector-at-a-time over
-//!   whole columns under a selection vector, producing typed vectors plus
-//!   a validity bitmask with no per-row `Value` boxing and no string
-//!   cloning. This is what the default executor in [`crate::ops`] uses.
 //! * [`Expr::compile`] → [`KernelPlan`] — the **kernel-plan layer**: the
 //!   tree is resolved *once per operator* into a flat post-order program
 //!   of register-machine steps (column loads with duplicate references
 //!   deduplicated, literal broadcasts, one kernel call per node). Each
-//!   batch then replays the program instead of re-walking the tree, and
-//!   the plan can be bound either to a whole [`Table`] or to a sparse
-//!   slice of pre-gathered columns ([`KernelCols`]) — which is how the
+//!   batch then replays the program over typed vectors plus a validity
+//!   mask — no per-row `Value` boxing, no string cloning — and the plan
+//!   can be bound either to a whole [`Table`] or to a sparse slice of
+//!   pre-gathered columns ([`KernelCols`]), which is how the
 //!   morsel-driven executor in [`crate::fused`] evaluates expressions
 //!   over deferred join output without materializing unreferenced
 //!   columns.
 //!
-//! All three paths funnel into the same kernel functions
-//! (`arith_batch`, `cmp_batch`, `kleene_batch`, …), so batch and compiled
-//! evaluation are bit-identical by construction. A filter binds its plan
+//! Every step of a plan is one kernel function (`arith_batch`,
+//! `cmp_batch`, `kleene_batch`, …). A filter binds its plan
 //! to a slab ([`KernelPlan::bind_filter`]); a predicate that can raise
 //! nothing there becomes a **selection program** instead: a tree that maps
 //! an input selection to the rows where the predicate is TRUE (and, when
@@ -238,8 +234,8 @@ impl Expr {
     /// Evaluates the expression at row `row` of `table`.
     ///
     /// This is the reference scalar path, kept for goldens, property tests
-    /// and as the differential oracle for the batch evaluator
-    /// ([`Expr::eval_batch`]). String comparisons, `IN` lists and
+    /// and as the differential oracle for the compiled batch evaluator
+    /// ([`KernelPlan::eval`]). String comparisons, `IN` lists and
     /// `CONTAINS` borrow values straight out of Utf8 columns instead of
     /// cloning them.
     pub fn eval(&self, table: &Table, row: usize) -> Result<Value, EngineError> {
@@ -451,15 +447,15 @@ fn compare_values(l: &Value, r: &Value) -> Result<std::cmp::Ordering, EngineErro
     }
 }
 
-// ======================= vectorized (batch) evaluation =======================
+// ============================ batch kernels ============================
 //
-// The batch evaluator computes an expression against whole columns at once,
-// under an optional selection vector, producing typed result vectors plus a
-// validity mask. There is no per-row `Value` boxing and strings are never
-// cloned: column strings are referenced in place and literal strings are
-// borrowed from the expression tree. Semantics (Kleene NULL logic, numeric
-// widening, error conditions) match `Expr::eval` exactly — the differential
-// property tests in `tests/vectorized_differential.rs` enforce this.
+// A kernel computes one expression node over a batch of rows under a
+// selection view, producing typed result vectors plus a validity mask.
+// There is no per-row `Value` boxing and strings are never cloned: column
+// strings are referenced in place and literal strings are borrowed from the
+// expression tree. Semantics (Kleene NULL logic, numeric widening, error
+// conditions) match `Expr::eval` exactly — the differential property tests
+// in `tests/fused_differential.rs` enforce this.
 
 /// Numeric type tag of a batch vector. Mirrors `Value`'s numeric variants:
 /// arithmetic on two `Int` operands yields `Int` (except division), every
@@ -535,18 +531,7 @@ pub struct SelView<'s> {
 }
 
 impl<'s> SelView<'s> {
-    /// A view over `table` restricted to `sel` (`None` = all rows).
-    pub fn new(table: &Table, sel: Option<&'s [u32]>) -> Self {
-        SelView {
-            sel,
-            base: 0,
-            n: sel.map_or_else(|| table.n_rows(), |s| s.len()),
-        }
-    }
-
-    /// A view over `n` rows restricted to `sel` (`None` = all `n` rows),
-    /// without needing a `Table` — used when evaluating against
-    /// pre-gathered columns ([`KernelCols::Cols`]).
+    /// A view over `n` rows restricted to `sel` (`None` = all `n` rows).
     pub fn over(n: usize, sel: Option<&'s [u32]>) -> Self {
         SelView {
             sel,
@@ -596,7 +581,7 @@ impl<'s> SelView<'s> {
 /// and selection vectors.
 ///
 /// Every batch kernel draws its output buffers from one of these and the
-/// tree walk / plan executor returns consumed intermediates to it, so an
+/// plan executor returns consumed intermediates to it, so an
 /// operator that carries a scratch across batches (the morsel executor
 /// evaluates thousands of cache-resident batches per query) allocates
 /// only on the first few morsels. A selection vector a filter writes grows
@@ -1395,98 +1380,6 @@ fn bin_batch(
     }
 }
 
-impl Expr {
-    /// Evaluates the expression over the rows of `table` selected by `sel`
-    /// (`None` = all rows), producing a typed batch vector.
-    ///
-    /// Agrees with [`Expr::eval`] row-by-row: slot `i` of the result equals
-    /// `self.eval(table, sel[i])`, with NULLs carried in the validity mask.
-    /// Errors are raised iff scalar evaluation of some selected row errs
-    /// (the specific message may name the batch, not the row).
-    pub fn eval_batch<'a>(
-        &'a self,
-        table: &'a Table,
-        sel: Option<&[u32]>,
-    ) -> Result<BatchVals<'a>, EngineError> {
-        let mut scratch = EvalScratch::default();
-        self.eval_batch_in(table, sel, &mut scratch)
-    }
-
-    /// [`Expr::eval_batch`] with caller-provided scratch buffers, so
-    /// operators evaluating many batches reuse allocations across them.
-    pub fn eval_batch_in<'a>(
-        &'a self,
-        table: &'a Table,
-        sel: Option<&[u32]>,
-        scratch: &mut EvalScratch,
-    ) -> Result<BatchVals<'a>, EngineError> {
-        let sv = SelView::new(table, sel);
-        match self {
-            Expr::Col(i) => Ok(col_batch(table.column(*i)?, &sv, scratch)),
-            Expr::Lit(v) => Ok(lit_batch(v)),
-            Expr::Not(e) => {
-                let inner = e.eval_batch_in(table, sel, scratch)?;
-                let out = not_batch(&inner, &sv, scratch);
-                scratch.recycle(inner);
-                out
-            }
-            Expr::IsNull(e) => {
-                let inner = e.eval_batch_in(table, sel, scratch)?;
-                let out = is_null_batch(&inner, &sv, scratch);
-                scratch.recycle(inner);
-                Ok(out)
-            }
-            Expr::Contains { expr, needle } => {
-                let inner = expr.eval_batch_in(table, sel, scratch)?;
-                let out = contains_batch(&inner, needle, &sv, scratch);
-                scratch.recycle(inner);
-                out
-            }
-            Expr::InList { expr, list } => {
-                let inner = expr.eval_batch_in(table, sel, scratch)?;
-                let out = in_list_batch(&inner, &InCands::new(list), &sv, scratch);
-                scratch.recycle(inner);
-                out
-            }
-            Expr::Bin { op, left, right } => {
-                let l = left.eval_batch_in(table, sel, scratch)?;
-                let r = right.eval_batch_in(table, sel, scratch)?;
-                let out = bin_batch(*op, &l, &r, &sv, scratch);
-                scratch.recycle(l);
-                scratch.recycle(r);
-                out
-            }
-        }
-    }
-
-    /// Evaluates the expression as a predicate, returning the selection
-    /// vector of original row ids where it is true (NULL = not selected,
-    /// as in SQL `WHERE`). The batch counterpart of [`Expr::eval_mask`]:
-    /// `eval_sel(t, None)` selects exactly the rows `eval_mask` marks true.
-    pub fn eval_sel(&self, table: &Table, sel: Option<&[u32]>) -> Result<Vec<u32>, EngineError> {
-        let mut scratch = EvalScratch::default();
-        let mut out = Vec::new();
-        self.eval_sel_in(table, sel, &mut scratch, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`Expr::eval_sel`] with caller-provided scratch and output vector;
-    /// `out` is cleared and refilled.
-    pub fn eval_sel_in(
-        &self,
-        table: &Table,
-        sel: Option<&[u32]>,
-        scratch: &mut EvalScratch,
-        out: &mut Vec<u32>,
-    ) -> Result<(), EngineError> {
-        let sv = SelView::new(table, sel);
-        let bv = self.eval_batch_in(table, sel, scratch)?;
-        let res = split_batch(&bv, &sv, Some(out), None);
-        scratch.recycle(bv);
-        res
-    }
-}
-
 /// Shared `IN`-list loop: `get` yields the probe value per position, `hit`
 /// tests membership.
 fn in_list_kernel<T>(
@@ -1516,9 +1409,9 @@ fn in_list_kernel<T>(
 // the fused executor bind a plan to a *sparse* set of gathered columns —
 // the basis of selection-aware deferred join gathering.
 //
-// Step execution calls the exact same kernel functions as
-// `Expr::eval_batch_in`, in the same post-order, so results and the
-// ok-vs-err outcome are identical by construction.
+// Steps run in post-order, each one kernel call, so an expression raises
+// an error on a batch exactly when `Expr::eval` raises one on a row of it
+// (the kernels' contract; `tests/fused_differential.rs` checks it).
 
 /// One step of a compiled plan. `dst`/`src` are register indices.
 enum KStep<'e> {
@@ -1700,7 +1593,7 @@ fn compile_node<'e>(
         Expr::Col(i) => {
             // Deduplicated: the first reference gathers, later ones reuse
             // the register (the first gather also carries any column-index
-            // error, matching the tree walk's first visit).
+            // error, matching the scalar evaluator's first visit).
             if let Some(&(_, reg)) = col_regs.iter().find(|(c, _)| c == i) {
                 return reg;
             }
@@ -1800,8 +1693,11 @@ impl<'e> KernelPlan<'e> {
         &self.cols
     }
 
-    /// Evaluates the plan over the rows selected by `sv` against `cols`.
-    /// Identical to [`Expr::eval_batch`] of the source expression.
+    /// Evaluates the plan over the rows selected by `sv` against `cols`:
+    /// slot `i` of the result equals [`Expr::eval`] of the source
+    /// expression at row `sv.row(i)`, with NULLs carried in the validity
+    /// mask. Errors are raised iff scalar evaluation of some selected row
+    /// errs (the specific message may name the batch, not the row).
     pub fn eval<'a>(
         &'a self,
         cols: &KernelCols<'a>,
@@ -1839,8 +1735,9 @@ impl<'e> KernelPlan<'e> {
     }
 
     /// Evaluates the plan as a predicate, filling `out` with the selected
-    /// original row ids. Identical to [`Expr::eval_sel`] of the source
-    /// expression.
+    /// original row ids where it is true (NULL = not selected, as in SQL
+    /// `WHERE`): over a whole table, exactly the rows [`Expr::eval_mask`]
+    /// marks true.
     pub fn eval_sel_into(
         &self,
         cols: &KernelCols<'_>,
@@ -2371,27 +2268,20 @@ mod tests {
                         Err(e) => Some(Err(e)),
                     })
                     .collect();
-                let batch = p.eval_sel(&t, sel);
                 let compiled = {
                     let mut out = Vec::new();
                     p.compile()
                         .eval_sel_into(
                             &KernelCols::Table(&t),
-                            &SelView::new(&t, sel),
+                            &SelView::over(t.n_rows(), sel),
                             &mut EvalScratch::new(),
                             &mut out,
                         )
                         .map(|()| out)
                 };
                 match scalar {
-                    Ok(want) => {
-                        assert_eq!(batch.as_ref(), Ok(&want), "{p:?} under {sel:?}");
-                        assert_eq!(compiled.as_ref(), Ok(&want), "{p:?} under {sel:?}");
-                    }
-                    Err(_) => {
-                        assert!(batch.is_err(), "{p:?} under {sel:?}: {batch:?}");
-                        assert!(compiled.is_err(), "{p:?} under {sel:?}: {compiled:?}");
-                    }
+                    Ok(want) => assert_eq!(compiled.as_ref(), Ok(&want), "{p:?} under {sel:?}"),
+                    Err(_) => assert!(compiled.is_err(), "{p:?} under {sel:?}: {compiled:?}"),
                 }
             }
         }
@@ -2534,7 +2424,7 @@ mod tests {
                 }),
                 Some(rows) => scalar(p, t, rows, true),
             };
-            let (cols, sv) = (KernelCols::Table(t), SelView::new(t, sel));
+            let (cols, sv) = (KernelCols::Table(t), SelView::over(t.n_rows(), sel));
             let mut scratch = EvalScratch::new();
             let kp = p.compile();
             let single = kp.eval(&cols, &sv, &mut scratch).and_then(|bv| {

@@ -2,8 +2,8 @@
 //! whether a table is one contiguous allocation or the chunks of a version
 //! that grew by appends.
 //!
-//! This is the scale-jump counterpart of [`crate::ops`]'s whole-column
-//! vectorized executor. Four coordinated changes make SF ≥ 1 data
+//! This is the executor that serves; [`crate::ops::execute_scalar`] is its
+//! row-at-a-time reference. Four coordinated changes make SF ≥ 1 data
 //! survivable:
 //!
 //! 1. **Morsels.** Filters, projections and aggregate inputs run over
@@ -14,7 +14,7 @@
 //!    the hot loop stops allocating after the first few morsels and its
 //!    working set stays in cache. An aggregate consumes each morsel's
 //!    typed kernel result straight into its per-group states
-//!    (`ops::aggregate_vec`, the one aggregate of both executors), so no
+//!    (`ops::aggregate_vec`, over a table or a deferred join), so no
 //!    operator holds an input-length temporary: what a fused run
 //!    allocates follows what its operators *produce*
 //!    (`tests/alloc_census.rs` counts it).
@@ -62,15 +62,16 @@
 //! **Bit-for-bit parity.** For every plan, [`execute_fused`] — over a
 //! catalog or over a version — produces the same result [`Table`]
 //! (including [`Table::fingerprint`]) and the same [`WorkProfile`] as
-//! [`crate::ops::execute`] over the equivalent flat catalog — the
-//! `fused_differential` suite pins scalar vs vectorized vs fused-morsel
-//! and pinned vs chunk-native across randomized chunk boundaries.
+//! [`crate::ops::execute_scalar`] over the equivalent flat catalog — the
+//! `fused_differential` suite pins flat and chunk-native fused runs
+//! against scalar across randomized chunk boundaries.
 //! Morsel and slab boundaries are invisible because every
 //! normalization (all-NULL collapse, mask dropping, type selection) is
 //! applied **globally** after the morsel loop, never per morsel. The one
 //! tolerated divergence: when a plan would fail with *multiple distinct
 //! errors*, the fused path may surface a different (equally valid) error
-//! variant than the whole-column path — `Ok`/`Err` always agrees.
+//! variant than the row-at-a-time scalar path — `Ok`/`Err` always
+//! agrees.
 //!
 //! **One thread per run.** Joins and group discovery are the single-pass
 //! kernels of [`crate::ops`], shared unchanged, and a fragment never
@@ -99,8 +100,8 @@ pub const MORSEL_ROWS: usize = 16 * 1024;
 /// [`ChunkedTable`](crate::version::ChunkedTable)s are scanned chunk by
 /// chunk where they lie, so a hot multi-chunk version is queried without
 /// ever materializing a compacted snapshot (`version.compaction_bytes()`
-/// stays 0). Result table and [`WorkProfile`] are bit-identical to the
-/// unfused executors over the equivalent flat catalog.
+/// stays 0). Result table and [`WorkProfile`] are bit-identical to
+/// [`crate::ops::execute_scalar`] over the equivalent flat catalog.
 pub fn execute_fused<'a>(
     plan: &PhysicalPlan,
     tables: impl Into<TableSource<'a>>,
@@ -209,13 +210,12 @@ fn resolve<'a>(src: &Tables<'a>, name: &str) -> Result<FBatch<'a>, EngineError> 
 
 /// A batch flowing between fused operators: a non-empty, row-ordered list
 /// of slabs — each a (table, optional selection of slab-local row ids)
-/// pair, the whole-column executor's own [`Batch`] — beside the logical
-/// name of the table they are the rows of. A fragment output, an operator's
-/// output, a flat catalog's table and a never-appended version table are
-/// one slab; a table that grew by appends is one slab per chunk, scanned
-/// where the chunks lie. Every operator is one loop over the slabs, so one
-/// slab runs exactly what the whole-table path would and chunk boundaries
-/// have no code of their own.
+/// pair, a [`Batch`] — beside the logical name of the table they are the
+/// rows of. A fragment output, an operator's output, a flat catalog's table
+/// and a never-appended version table are one slab; a table that grew by
+/// appends is one slab per chunk, scanned where the chunks lie. Every
+/// operator is one loop over the slabs, so a flat table runs that loop
+/// once and chunk boundaries have no code of their own.
 struct FBatch<'a> {
     name: String,
     slabs: Vec<Batch<'a>>,
@@ -310,8 +310,7 @@ fn narrow(slab: &mut Batch<'_>, sel: Vec<u32>, scratch: &mut EvalScratch) {
 
 /// Drives `f` over the morsels of an `n`-row view (`sel` slices when
 /// present, dense `base..` ranges otherwise). An empty view still runs
-/// one empty morsel so column validation fires exactly as a whole-column
-/// pass would.
+/// one empty morsel so column validation fires over an empty input too.
 pub(crate) fn for_each_morsel<'s>(
     n: usize,
     sel: Option<&'s [u32]>,
@@ -334,8 +333,8 @@ pub(crate) fn for_each_morsel<'s>(
 }
 
 /// Runs a compiled predicate morsel-wise over an `n_all`-row binding,
-/// returning the selected original row ids (ascending — identical to one
-/// whole-column [`Expr::eval_sel`] pass).
+/// returning the selected original row ids (ascending — the rows
+/// [`Expr::eval_mask`] marks true, whatever the morsel size).
 fn filter_morsels(
     kp: &KernelPlan<'_>,
     cols: &KernelCols<'_>,
@@ -367,9 +366,9 @@ fn filter_morsels(
 /// One projected expression, pre-compiled once per operator.
 enum ExprKind<'e> {
     /// Direct column reference — typed gather, exact for the full i64
-    /// range (mirrors `project_vec`'s shortcut).
+    /// range (kernels widen integers to `f64`).
     Col(usize),
-    /// Literal broadcast (mirrors `broadcast_value`).
+    /// Literal broadcast, exact for the same reason.
     Lit(&'e Value),
     /// Anything else runs through its compiled kernel plan.
     Kernel(KernelPlan<'e>),
@@ -455,8 +454,8 @@ fn apply_project_morsel(
     Ok(())
 }
 
-/// Typed gather of one morsel of a source column — `gather_normalized`
-/// minus the global normalization.
+/// Typed gather of one morsel of a source column; [`merge_parts`]
+/// normalizes.
 fn part_from_col(col: &Column, sv: &SelView<'_>) -> Part {
     let n = sv.len();
     // Every row of an all-valid column, in order: the column's own buffer,
@@ -495,8 +494,7 @@ fn part_from_col(col: &Column, sv: &SelView<'_>) -> Part {
     Part::new(data, validity)
 }
 
-/// One morsel of a literal broadcast — `broadcast_value` minus the global
-/// normalization.
+/// One morsel of a literal broadcast; [`merge_parts`] normalizes.
 fn part_from_value(v: &Value, n: usize) -> Part {
     let data = match v {
         Value::Null => return Part::Null(n),
@@ -509,8 +507,7 @@ fn part_from_value(v: &Value, n: usize) -> Part {
     Part::new(data, None)
 }
 
-/// One morsel of a kernel result — `column_from_batch` minus the global
-/// normalization.
+/// One morsel of a kernel result; [`merge_parts`] normalizes.
 fn part_from_bv(bv: &BatchVals<'_>, sv: &SelView<'_>) -> Part {
     let n = sv.len();
     match bv {
@@ -570,8 +567,8 @@ fn part_from_bv(bv: &BatchVals<'_>, sv: &SelView<'_>) -> Part {
 /// applying `column_from_values`'s normalization **globally**: zero total
 /// rows collapse to an empty `Int64`, a column with no valid slot
 /// anywhere collapses to `Int64` zeros under an all-false mask, and an
-/// everywhere-valid mask is dropped. Identical to what one whole-column
-/// pass would produce, at every morsel decomposition.
+/// everywhere-valid mask is dropped. Identical to the scalar projection's
+/// column, at every morsel decomposition.
 fn merge_parts(name: &str, parts: Vec<Part>) -> Result<Column, EngineError> {
     let n: usize = parts.iter().map(Part::len).sum();
     if n == 0 {
@@ -672,7 +669,7 @@ fn merge_parts(name: &str, parts: Vec<Part>) -> Result<Column, EngineError> {
 }
 
 /// Finishes a morsel projection into its output table (named after the
-/// input, like `project_vec`).
+/// input, like the scalar projection's).
 fn finish_projection(out_name: &str, runs: Vec<ExprRun<'_>>) -> Result<Table, EngineError> {
     let columns = runs
         .into_iter()

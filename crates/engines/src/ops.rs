@@ -1,31 +1,27 @@
-//! Physical operators and the plan executors.
+//! Physical plans, the reference executor and the batch kernels the fused
+//! executor runs.
 //!
-//! Plans are operator trees executed **vector-at-a-time** by default
-//! ([`execute`]): operators exchange *batches* — a table plus an optional
-//! selection vector of live row ids — so filters, pruned scans, sorts and
-//! limits never materialize intermediate tables. Expressions run through
-//! the batch evaluator ([`Expr::eval_batch`]) against whole columns, joins
-//! hash composite keys into a single `u64`-keyed open-addressing table
-//! with collision verification (no per-row key allocation, and sized by
-//! the distinct keys it holds — see `U64Map`) or, for a dense `Int64` key,
-//! address their chains directly, and grouped aggregation
-//! accumulates morsel by morsel from the typed kernel results. Projection,
-//! join and aggregation materialize their outputs; everything below them
-//! stays virtual.
+//! Plans are operator trees. Two executors run them: the morsel-driven
+//! fused executor ([`crate::fused::execute_fused`]), which serves, and
+//! [`execute_scalar`] here, row-at-a-time over materialized tables — the
+//! readable reference implementation that goldens and differential tests
+//! check the fused executor against. Both produce identical result tables
+//! **and identical [`WorkProfile`]s** (bit-for-bit, including the
+//! estimated byte counts); `tests/fused_differential.rs` enforces it
+//! property-test-style.
 //!
-//! The original row-at-a-time path survives as [`execute_scalar`] — the
-//! readable reference implementation that goldens, property tests and the
-//! scalar-vs-vectorized benchmarks run against. Both paths produce
-//! identical result tables **and identical [`WorkProfile`]s** (bit-for-bit,
-//! including the estimated byte counts), so the simulator in
-//! [`crate::exec`], the `ires` cost modelling and every repro binary are
-//! unaffected by which executor runs. `tests/vectorized_differential.rs`
-//! enforces the equivalence property-test-style.
+//! The kernels below serve the fused executor: a `Batch` is a table plus
+//! an optional selection vector of live row ids, joins hash composite keys
+//! into a single `u64`-keyed open-addressing table with collision
+//! verification (no per-row key allocation, and sized by the distinct keys
+//! it holds — see `U64Map`) or, for a dense `Int64` key, address their
+//! chains directly, and grouped aggregation accumulates morsel by morsel
+//! from the typed kernel results.
 
 use crate::catalog::Catalog;
 use crate::data::{Column, ColumnData, DataType, Table, Value};
 use crate::error::EngineError;
-use crate::expr::{BatchVals, EvalScratch, Expr, KernelCols, KernelPlan, NumTy, SelView};
+use crate::expr::{BatchVals, EvalScratch, Expr, KernelCols, KernelPlan};
 use crate::fused::for_each_morsel;
 use std::collections::HashMap;
 
@@ -279,29 +275,11 @@ fn key_part(col: &Column, row: usize) -> KeyVal<'_> {
     }
 }
 
-/// Executes a plan against a [`Catalog`] of base tables using the default
-/// vectorized engine: batch expression evaluation, selection vectors, and
-/// allocation-free hash joins.
-///
-/// Returns the result table and the work profile. Base tables are shared
-/// (borrowed through the catalog's `Arc<Table>` entries), never copied for
-/// scans beyond what operators materialize. Semantics and work accounting
-/// are identical to [`execute_scalar`].
-pub fn execute(
-    plan: &PhysicalPlan,
-    catalog: &Catalog,
-) -> Result<(Table, WorkProfile), EngineError> {
-    let mut profile = WorkProfile::default();
-    let mut scratch = EvalScratch::new();
-    let batch = run_vec(plan, catalog, &mut profile, &mut scratch)?;
-    Ok((batch.materialize(), profile))
-}
-
 /// Executes a plan row-at-a-time through the reference scalar operators.
 ///
-/// Kept as the differential oracle for [`execute`] and as the baseline of
-/// the scalar-vs-vectorized benchmarks; results and [`WorkProfile`]s match
-/// the vectorized path exactly.
+/// The differential oracle of [`crate::fused::execute_fused`] and the
+/// baseline of the `scalar_vs_fused` benchmarks; results and
+/// [`WorkProfile`]s match the fused executor's exactly.
 pub fn execute_scalar(
     plan: &PhysicalPlan,
     catalog: &Catalog,
@@ -499,8 +477,9 @@ fn row_key_into<'a>(cols: &[&'a Column], row: usize, out: &mut Vec<KeyVal<'a>>) 
     }
 }
 
-/// Resolves key columns, but — matching the vectorized executor's lazy
-/// per-row validation — only when the side actually has rows.
+/// Resolves key columns, but — matching the fused executor's lazy per-row
+/// validation ([`join_key_columns`]) — only when the side actually has
+/// rows.
 fn key_columns<'a>(t: &'a Table, keys: &[usize]) -> Result<Vec<&'a Column>, EngineError> {
     if t.n_rows() == 0 {
         return Ok(Vec::new());
@@ -579,7 +558,7 @@ fn hash_join(
 
 /// Disambiguates right-side column names that collide with left-side ones
 /// (with an `r.` prefix) and assembles the join result — shared by the
-/// scalar and vectorized joins so their output schemas can never drift.
+/// scalar and the fused joins so their output schemas can never drift.
 pub(crate) fn finish_join_output(left: &Table, mut columns: Vec<Column>) -> Result<Table, EngineError> {
     let left_names: Vec<String> = left.columns().iter().map(|c| c.name.clone()).collect();
     for col in columns.iter_mut().skip(left.n_columns()) {
@@ -774,13 +753,12 @@ fn cmp_values(a: &Value, b: &Value) -> std::cmp::Ordering {
     }
 }
 
-// ========================= vectorized executor =========================
+// ============================ batch kernels ============================
 
-/// A table flowing between vectorized operators: either borrowed from the
-/// catalog (scans) or owned (materializing operators), plus an optional
-/// selection vector of live original-row ids. Shared with the fused morsel
-/// executor in [`crate::fused`], which builds the same batches from
-/// chunk-native pipelines.
+/// A table flowing between fused operators — one slab of
+/// [`crate::fused`]'s batches: either borrowed from the catalog, a version
+/// chunk or a fragment output (scans), or owned (materializing operators),
+/// plus an optional selection vector of live original-row ids.
 pub(crate) enum TableSlot<'a> {
     Borrowed(&'a Table),
     Owned(Table),
@@ -828,306 +806,6 @@ impl<'a> Batch<'a> {
             (TableSlot::Borrowed(t), None) => t.clone(),
             (TableSlot::Owned(t), Some(sel)) => t.take_ids(&sel),
             (TableSlot::Borrowed(t), Some(sel)) => t.take_ids(&sel),
-        }
-    }
-}
-
-/// Records one operator's work from a batch without materializing it; byte
-/// accounting is identical to measuring the materialized table.
-pub(crate) fn record_batch(profile: &mut WorkProfile, kind: OpKind, rows_in: u64, batch: &Batch<'_>) {
-    profile.ops.push(OpWork {
-        kind,
-        rows_in,
-        rows_out: batch.len() as u64,
-        bytes_out: batch.table().estimated_bytes_sel(batch.sel_ref()),
-    });
-}
-
-fn run_vec<'a>(
-    plan: &PhysicalPlan,
-    catalog: &'a Catalog,
-    profile: &mut WorkProfile,
-    scratch: &mut EvalScratch,
-) -> Result<Batch<'a>, EngineError> {
-    match plan {
-        PhysicalPlan::Scan { table } => {
-            let t = catalog
-                .get(table)
-                .ok_or_else(|| EngineError::UnknownTable(table.clone()))?;
-            let batch = Batch::all(TableSlot::Borrowed(t));
-            record_batch(profile, OpKind::Scan, t.n_rows() as u64, &batch);
-            Ok(batch)
-        }
-        PhysicalPlan::PrunedScan { table, predicate } => {
-            let base = catalog
-                .get(table)
-                .ok_or_else(|| EngineError::UnknownTable(table.clone()))?;
-            let mut sel = scratch.take_sel();
-            predicate.eval_sel_in(base, None, scratch, &mut sel)?;
-            // Storage-side pruning: only the surviving rows are charged.
-            let rows = sel.len() as u64;
-            let batch = Batch {
-                slot: TableSlot::Borrowed(base),
-                sel: Some(sel),
-            };
-            record_batch(profile, OpKind::Scan, rows, &batch);
-            Ok(batch)
-        }
-        PhysicalPlan::Filter { input, predicate } => {
-            let b = run_vec(input, catalog, profile, scratch)?;
-            let rows_in = b.len() as u64;
-            let mut sel = scratch.take_sel();
-            predicate.eval_sel_in(b.table(), b.sel_ref(), scratch, &mut sel)?;
-            if let Some(old) = b.sel {
-                scratch.put_sel(old);
-            }
-            let batch = Batch {
-                slot: b.slot,
-                sel: Some(sel),
-            };
-            record_batch(profile, OpKind::Filter, rows_in, &batch);
-            Ok(batch)
-        }
-        PhysicalPlan::Project { input, exprs } => {
-            let b = run_vec(input, catalog, profile, scratch)?;
-            let rows_in = b.len() as u64;
-            let out = project_vec(&b, exprs, scratch)?;
-            let batch = Batch::all(TableSlot::Owned(out));
-            record_batch(profile, OpKind::Project, rows_in, &batch);
-            Ok(batch)
-        }
-        PhysicalPlan::HashJoin {
-            left,
-            right,
-            left_keys,
-            right_keys,
-            join_type,
-        } => {
-            let lb = run_vec(left, catalog, profile, scratch)?;
-            let rb = run_vec(right, catalog, profile, scratch)?;
-            let rows_in = (lb.len() + rb.len()) as u64;
-            let out = hash_join_vec(&lb, &rb, left_keys, right_keys, *join_type)?;
-            let batch = Batch::all(TableSlot::Owned(out));
-            record_batch(profile, OpKind::Join, rows_in, &batch);
-            Ok(batch)
-        }
-        PhysicalPlan::Aggregate {
-            input,
-            group_by,
-            aggs,
-        } => {
-            let b = run_vec(input, catalog, profile, scratch)?;
-            let rows_in = b.len() as u64;
-            let out = aggregate_vec(&mut b.table(), b.sel_ref(), b.len(), group_by, aggs, scratch)?;
-            let batch = Batch::all(TableSlot::Owned(out));
-            record_batch(profile, OpKind::Aggregate, rows_in, &batch);
-            Ok(batch)
-        }
-        PhysicalPlan::Sort { input, by } => {
-            let b = run_vec(input, catalog, profile, scratch)?;
-            let rows_in = b.len() as u64;
-            let sel = sort_sel(&b, by)?;
-            let batch = Batch {
-                slot: b.slot,
-                sel: Some(sel),
-            };
-            record_batch(profile, OpKind::Sort, rows_in, &batch);
-            Ok(batch)
-        }
-        PhysicalPlan::Limit { input, n } => {
-            let b = run_vec(input, catalog, profile, scratch)?;
-            let rows_in = b.len() as u64;
-            let keep = b.len().min(*n);
-            let sel = match b.sel {
-                Some(mut s) => {
-                    s.truncate(keep);
-                    s
-                }
-                None => (0..keep as u32).collect(),
-            };
-            let batch = Batch {
-                slot: b.slot,
-                sel: Some(sel),
-            };
-            record_batch(profile, OpKind::Limit, rows_in, &batch);
-            Ok(batch)
-        }
-    }
-}
-
-// ----- vectorized projection -----
-
-pub(crate) fn project_vec(
-    b: &Batch<'_>,
-    exprs: &[(String, Expr)],
-    scratch: &mut EvalScratch,
-) -> Result<Table, EngineError> {
-    let t = b.table();
-    let sel = b.sel_ref();
-    let sv = SelView::new(t, sel);
-    let mut columns = Vec::with_capacity(exprs.len());
-    for (name, expr) in exprs {
-        // Direct column references and literals materialize straight from
-        // typed storage — exact for the full i64 range (the batch
-        // evaluator's f64-widened constants are only exact to 2^53);
-        // strings cloned only here.
-        match expr {
-            Expr::Col(i) => columns.push(gather_normalized(t.column(*i)?, &sv, name)),
-            Expr::Lit(v) => columns.push(broadcast_value(name, v, sv.len())),
-            _ => {
-                let bv = expr.eval_batch_in(t, sel, scratch)?;
-                columns.push(column_from_batch(name, &bv, &sv));
-                scratch.recycle(bv);
-            }
-        }
-    }
-    Table::new(&t.name, columns)
-}
-
-/// Gathers a column under a selection with the same normalization
-/// `column_from_values` applies to scalar projection output: NULL slots
-/// hold the type default, an all-NULL (or empty) result collapses to
-/// Int64, and a fully valid result drops its validity mask.
-pub(crate) fn gather_normalized(col: &Column, sv: &SelView<'_>, name: &str) -> Column {
-    let n = sv.len();
-    if n == 0 {
-        return Column::new(name, ColumnData::Int64(Vec::new()));
-    }
-    let validity: Option<Vec<bool>> = col
-        .validity
-        .as_ref()
-        .map(|v| (0..n).map(|pos| v[sv.row(pos)]).collect());
-    let any_valid = validity.as_ref().is_none_or(|v| v.iter().any(|&ok| ok));
-    if !any_valid {
-        return Column::with_validity(name, ColumnData::Int64(vec![0; n]), vec![false; n]);
-    }
-    macro_rules! gather {
-        ($v:expr, $default:expr, $clone:expr) => {
-            (0..n)
-                .map(|pos| {
-                    let row = sv.row(pos);
-                    if col.is_valid(row) {
-                        $clone(&$v[row])
-                    } else {
-                        $default
-                    }
-                })
-                .collect()
-        };
-    }
-    let data = match &*col.data {
-        ColumnData::Int64(v) => ColumnData::Int64(gather!(v, 0, |x: &i64| *x)),
-        ColumnData::Float64(v) => ColumnData::Float64(gather!(v, 0.0, |x: &f64| *x)),
-        ColumnData::Utf8(v) => ColumnData::Utf8(gather!(v, String::new(), |x: &String| x.clone())),
-        ColumnData::Date(v) => ColumnData::Date(gather!(v, 0, |x: &i32| *x)),
-        ColumnData::Bool(v) => ColumnData::Bool(gather!(v, false, |x: &bool| *x)),
-    };
-    match validity {
-        Some(v) if !v.iter().all(|&ok| ok) => Column::with_validity(name, data, v),
-        _ => Column::new(name, data),
-    }
-}
-
-/// Broadcasts one literal value into a column of length `n`, exactly as
-/// `column_from_values(vec![v; n])` would: typed data, all-NULL literals
-/// collapse to Int64, zero rows collapse to an empty Int64 column.
-pub(crate) fn broadcast_value(name: &str, v: &Value, n: usize) -> Column {
-    if n == 0 {
-        return Column::new(name, ColumnData::Int64(Vec::new()));
-    }
-    match v {
-        Value::Int64(x) => Column::new(name, ColumnData::Int64(vec![*x; n])),
-        Value::Float64(x) => Column::new(name, ColumnData::Float64(vec![*x; n])),
-        Value::Utf8(s) => Column::new(name, ColumnData::Utf8(vec![s.clone(); n])),
-        Value::Date(d) => Column::new(name, ColumnData::Date(vec![*d; n])),
-        Value::Bool(b) => Column::new(name, ColumnData::Bool(vec![*b; n])),
-        Value::Null => {
-            Column::with_validity(name, ColumnData::Int64(vec![0; n]), vec![false; n])
-        }
-    }
-}
-
-/// Builds an output column from a batch vector, with `column_from_values`'s
-/// normalization rules (see [`gather_normalized`]).
-pub(crate) fn column_from_batch(name: &str, bv: &BatchVals<'_>, sv: &SelView<'_>) -> Column {
-    let n = sv.len();
-    if n == 0 {
-        return Column::new(name, ColumnData::Int64(Vec::new()));
-    }
-    let finish = |data: ColumnData, valid: Option<&Vec<bool>>| -> Column {
-        match valid {
-            Some(v) if !v.iter().all(|&ok| ok) => {
-                Column::with_validity(name, data, v.clone())
-            }
-            _ => Column::new(name, data),
-        }
-    };
-    let all_null = || -> Column {
-        Column::with_validity(name, ColumnData::Int64(vec![0; n]), vec![false; n])
-    };
-    match bv {
-        BatchVals::ConstNull => all_null(),
-        BatchVals::ConstNum { val, ty } => {
-            let data = match ty {
-                NumTy::Int => ColumnData::Int64(vec![*val as i64; n]),
-                NumTy::Float => ColumnData::Float64(vec![*val; n]),
-                NumTy::Date => ColumnData::Date(vec![*val as i32; n]),
-            };
-            Column::new(name, data)
-        }
-        BatchVals::ConstBool(b) => Column::new(name, ColumnData::Bool(vec![*b; n])),
-        BatchVals::ConstStr(s) => Column::new(name, ColumnData::Utf8(vec![s.to_string(); n])),
-        BatchVals::Num { vals, valid, ty } => {
-            if let Some(v) = valid {
-                if !v.iter().any(|&ok| ok) {
-                    return all_null();
-                }
-            }
-            let ok = |pos: usize| valid.as_ref().is_none_or(|v| v[pos]);
-            let data = match ty {
-                NumTy::Int => ColumnData::Int64(
-                    (0..n).map(|p| if ok(p) { vals[p] as i64 } else { 0 }).collect(),
-                ),
-                NumTy::Float => ColumnData::Float64(
-                    (0..n).map(|p| if ok(p) { vals[p] } else { 0.0 }).collect(),
-                ),
-                NumTy::Date => ColumnData::Date(
-                    (0..n).map(|p| if ok(p) { vals[p] as i32 } else { 0 }).collect(),
-                ),
-            };
-            finish(data, valid.as_ref())
-        }
-        BatchVals::Bools { vals, valid } => {
-            if let Some(v) = valid {
-                if !v.iter().any(|&ok| ok) {
-                    return all_null();
-                }
-            }
-            let ok = |pos: usize| valid.as_ref().is_none_or(|v| v[pos]);
-            let data = ColumnData::Bool(
-                (0..n).map(|p| if ok(p) { vals[p] } else { false }).collect(),
-            );
-            finish(data, valid.as_ref())
-        }
-        BatchVals::Str { vals, valid } => {
-            let validity: Vec<bool> = (0..n)
-                .map(|pos| valid.is_none_or(|v| v[sv.row(pos)]))
-                .collect();
-            if !validity.iter().any(|&ok| ok) {
-                return all_null();
-            }
-            let data = ColumnData::Utf8(
-                (0..n)
-                    .map(|pos| {
-                        if validity[pos] {
-                            vals[sv.row(pos)].clone()
-                        } else {
-                            String::new()
-                        }
-                    })
-                    .collect(),
-            );
-            finish(data, Some(&validity))
         }
     }
 }
@@ -1447,7 +1125,7 @@ fn group_ids_by(
     (group_ids, rep_rows)
 }
 
-// ----- vectorized join -----
+// ----- join -----
 
 /// Resolves a join's key columns, `(left, right)`, for both join entry
 /// points ([`hash_join_vec`] and the fused executor's deferred join). The
@@ -1780,7 +1458,7 @@ fn probe_chained(
     }
 }
 
-// ----- vectorized aggregation -----
+// ----- aggregation -----
 
 /// Visits the non-NULL numeric slots of one morsel result in position
 /// order, with `Value::as_f64` semantics: booleans and strings are not
@@ -1840,12 +1518,12 @@ fn for_each_true(bv: &BatchVals<'_>, n: usize, mut f: impl FnMut(usize)) {
 }
 
 /// The input surface of the shared aggregation ([`aggregate_vec`]): the
-/// columns an aggregate's expressions and group keys resolve in. The
-/// whole-column executor implements it over a table; the fused executor
-/// also over a *virtual* join output (deferred-gather columns). Either way
-/// the one function discovers the groups, compiles, evaluates and consumes
-/// the expressions, so both accumulate through literally the same float
-/// additions in the same order.
+/// columns an aggregate's expressions and group keys resolve in. The fused
+/// executor implements it over a table and over a *virtual* join output
+/// (deferred-gather columns). Either way the one function discovers the
+/// groups, compiles, evaluates and consumes the expressions, so both
+/// accumulate through literally the same float additions in the same
+/// order.
 pub(crate) trait AggInput {
     /// The binding `kp` runs over, with every column `kp` references bound
     /// (a deferring input gathers them here, once).
@@ -2107,7 +1785,7 @@ pub(crate) fn aggregate_vec(
     Table::new("agg", columns)
 }
 
-// ----- vectorized sort -----
+// ----- sort -----
 
 /// Stable-sorts the selection by the sort keys, comparing typed column
 /// slices with `cmp_values` semantics (NULLs first, numerics as f64).
@@ -2161,6 +1839,7 @@ fn cmp_col_rows(c: &Column, a: usize, b: usize) -> std::cmp::Ordering {
 mod tests {
     use super::*;
     use crate::data::{Column, ColumnData};
+    use crate::fused::execute_fused;
 
     fn catalog() -> Catalog {
         let orders = Table::new(
@@ -2205,7 +1884,7 @@ mod tests {
 
     #[test]
     fn scan_unknown_table() {
-        let res = execute(&scan("nope"), &catalog());
+        let res = execute_fused(&scan("nope"), &catalog());
         assert!(matches!(res, Err(EngineError::UnknownTable(_))));
     }
 
@@ -2220,8 +1899,8 @@ mod tests {
             input: Box::new(scan("orders")),
             predicate,
         };
-        let (out_p, prof_p) = execute(&pruned, &catalog()).unwrap();
-        let (out_f, _) = execute(&filtered, &catalog()).unwrap();
+        let (out_p, prof_p) = execute_fused(&pruned, &catalog()).unwrap();
+        let (out_f, _) = execute_fused(&filtered, &catalog()).unwrap();
         // Same semantics…
         assert_eq!(out_p.columns(), out_f.columns());
         // …but the pruned scan charges only the selected rows.
@@ -2236,7 +1915,7 @@ mod tests {
             predicate: Expr::col(0).ge(Expr::int(0)),
         };
         assert!(matches!(
-            execute(&plan, &catalog()),
+            execute_fused(&plan, &catalog()),
             Err(EngineError::UnknownTable(_))
         ));
     }
@@ -2247,7 +1926,7 @@ mod tests {
             input: Box::new(scan("orders")),
             predicate: Expr::col(1).eq(Expr::int(10)),
         };
-        let (out, profile) = execute(&plan, &catalog()).unwrap();
+        let (out, profile) = execute_fused(&plan, &catalog()).unwrap();
         assert_eq!(out.n_rows(), 2);
         assert_eq!(profile.ops.len(), 2);
         assert_eq!(profile.scanned_rows(), 4);
@@ -2264,7 +1943,7 @@ mod tests {
                 ("is_urgent".to_string(), Expr::col(2).eq(Expr::str("1-URGENT"))),
             ],
         };
-        let (out, _) = execute(&plan, &catalog()).unwrap();
+        let (out, _) = execute_fused(&plan, &catalog()).unwrap();
         assert_eq!(out.n_columns(), 2);
         assert_eq!(out.row(0), vec![Value::Int64(2), Value::Bool(true)]);
         assert_eq!(out.row(1), vec![Value::Int64(4), Value::Bool(false)]);
@@ -2279,7 +1958,7 @@ mod tests {
             right_keys: vec![1],
             join_type: JoinType::Inner,
         };
-        let (out, profile) = execute(&plan, &catalog()).unwrap();
+        let (out, profile) = execute_fused(&plan, &catalog()).unwrap();
         // alice(10) x 2 orders + bob(20) x 1 = 3 rows; carol unmatched.
         assert_eq!(out.n_rows(), 3);
         assert_eq!(profile.join_input_rows(), 7);
@@ -2297,7 +1976,7 @@ mod tests {
             right_keys: vec![1],
             join_type: JoinType::LeftOuter,
         };
-        let (out, _) = execute(&plan, &catalog()).unwrap();
+        let (out, _) = execute_fused(&plan, &catalog()).unwrap();
         assert_eq!(out.n_rows(), 4); // 3 matches + carol with NULLs
         let carol_row = (0..out.n_rows())
             .find(|&i| out.row(i)[1] == Value::Utf8("carol".into()))
@@ -2313,7 +1992,7 @@ mod tests {
             group_by: vec![1],
             aggs: vec![("n".to_string(), AggExpr::Count)],
         };
-        let (out, _) = execute(&plan, &catalog()).unwrap();
+        let (out, _) = execute_fused(&plan, &catalog()).unwrap();
         assert_eq!(out.n_rows(), 3);
         // First-seen order: 10, 20, 30.
         assert_eq!(out.row(0), vec![Value::Int64(10), Value::Int64(2)]);
@@ -2340,7 +2019,7 @@ mod tests {
                 ("max_key".to_string(), AggExpr::Max(Expr::col(0))),
             ],
         };
-        let (out, _) = execute(&plan, &catalog()).unwrap();
+        let (out, _) = execute_fused(&plan, &catalog()).unwrap();
         assert_eq!(out.n_rows(), 1);
         assert_eq!(
             out.row(0),
@@ -2368,7 +2047,7 @@ mod tests {
                 },
             )],
         };
-        let (out, _) = execute(&plan, &catalog()).unwrap();
+        let (out, _) = execute_fused(&plan, &catalog()).unwrap();
         assert_eq!(out.row(0), vec![Value::Float64(1.0)]);
     }
 
@@ -2382,7 +2061,7 @@ mod tests {
             group_by: vec![],
             aggs: vec![("n".to_string(), AggExpr::Count)],
         };
-        let (out, _) = execute(&plan, &catalog()).unwrap();
+        let (out, _) = execute_fused(&plan, &catalog()).unwrap();
         assert_eq!(out.n_rows(), 1);
         assert_eq!(out.row(0), vec![Value::Int64(0)]);
     }
@@ -2396,7 +2075,7 @@ mod tests {
             }),
             n: 2,
         };
-        let (out, _) = execute(&plan, &catalog()).unwrap();
+        let (out, _) = execute_fused(&plan, &catalog()).unwrap();
         assert_eq!(out.n_rows(), 2);
         // custkey 10 group first, orderkey desc inside: 3 then 1.
         assert_eq!(out.row(0)[0], Value::Int64(3));
@@ -2423,7 +2102,7 @@ mod tests {
             right_keys: vec![0],
             join_type: JoinType::Inner,
         };
-        let (out, _) = execute(&plan, &cat).unwrap();
+        let (out, _) = execute_fused(&plan, &cat).unwrap();
         assert_eq!(out.n_rows(), 1); // only the non-NULL 10 matches
     }
 
@@ -2759,7 +2438,7 @@ mod tests {
             group_by: vec![0],
             aggs: vec![("n".to_string(), AggExpr::Count)],
         };
-        let (_, profile) = execute(&plan, &catalog()).unwrap();
+        let (_, profile) = execute_fused(&plan, &catalog()).unwrap();
         assert_eq!(profile.scanned_rows(), 7);
         assert!(profile.agg_input_rows() > 0);
         assert!(profile.peak_intermediate_bytes() > 0);

@@ -17,7 +17,7 @@
 //!   [`TableSource`](crate::fused::TableSource) and scans chunks, so a
 //!   publish costs its delta and nothing else. [`CatalogVersion::pin`] is
 //!   the other way to read one, for code that needs contiguous tables —
-//!   the sequential `MidasSession`, the scalar and unfused executors,
+//!   the sequential `MidasSession`, the scalar executor, oracles,
 //!   tests: a plain [`Catalog`] in which every multi-chunk table has been
 //!   compacted by [`Table::concat`] (once per version, cached) and
 //!   single-chunk tables hand out their chunk. That copy is the one byte
@@ -347,7 +347,7 @@ impl CatalogVersion {
     /// one `Arc<Table>` snapshot per table, a multi-chunk table compacted
     /// (every row copied) on the first call and cached for later ones.
     /// For consumers that need flat tables — the sequential session, the
-    /// scalar/unfused oracles, tests. Nothing that serves runtime jobs
+    /// scalar oracle, tests. Nothing that serves runtime jobs
     /// calls it (`repro_lint`'s `serving-pin` rule): planning and
     /// execution take the version itself and scan its chunks.
     pub fn pin(&self) -> Catalog {

@@ -8,9 +8,8 @@
 //! * **Soundness** — if the analyzer accepts a plan (no `Error`-severity
 //!   diagnostic), then no executor path may fail with a schema-class
 //!   error (`UnknownTable` / `UnknownColumn` / `ColumnIndex` /
-//!   `TypeMismatch` / `RaggedTable`). Checked across the scalar,
-//!   vectorized and fused executors on
-//!   randomized plans over randomized tables. Plans avoid division and
+//!   `TypeMismatch` / `RaggedTable`). Checked across the scalar and
+//!   fused executors on randomized plans over randomized tables. Plans avoid division and
 //!   unbounded floats because `DivisionByZero`/NaN behavior is
 //!   data-dependent — the analyzer only flags *constant*-zero divisors.
 //! * **Completeness (for guaranteed defects)** — for defect classes the
@@ -24,7 +23,7 @@ use midas_engines::analyze::is_schema_error;
 use midas_engines::data::{Column, ColumnData, Table};
 use midas_engines::exec::{FederatedQuery, Fragment};
 use midas_engines::fused::execute_fused;
-use midas_engines::ops::{execute, execute_scalar};
+use midas_engines::ops::execute_scalar;
 use midas_engines::{
     analyze_federated, analyze_fragment_plans, analyze_plan, AggExpr, Catalog, DiagnosticKind,
     EngineError, EngineKind, Expr, JoinType, PhysicalPlan, SchemaCatalog, Severity,
@@ -289,7 +288,7 @@ fn inferred_schema_tracks_the_executor_output() {
     let a = analyze_plan(&plan, &schemas);
     assert!(a.is_valid());
     let schema = a.schema.expect("derivable");
-    let (out, _) = execute(&plan, &cat).unwrap();
+    let (out, _) = execute_fused(&plan, &cat).unwrap();
     assert_eq!(schema.width(), out.n_columns());
     for (i, (name, _)) in schema.columns.iter().enumerate() {
         assert_eq!(name, &out.columns()[i].name);
@@ -374,7 +373,6 @@ fn tape_plan(tape: &[TapeOp], ghost: bool) -> PhysicalPlan {
 
 fn all_paths(plan: &PhysicalPlan, cat: &Catalog) -> Vec<Result<Table, EngineError>> {
     vec![
-        execute(plan, cat).map(|(t, _)| t),
         execute_scalar(plan, cat).map(|(t, _)| t),
         execute_fused(plan, cat).map(|(t, _)| t),
     ]

@@ -11,10 +11,10 @@
 use midas_engines::data::{Column, ColumnData, Table};
 use midas_engines::exec::{FederatedQuery, Fragment, SharedExecutor};
 use midas_engines::expr::Expr;
-use midas_engines::ops::{execute, execute_scalar, AggExpr, JoinType, PhysicalPlan};
+use midas_engines::ops::{execute_scalar, AggExpr, JoinType, PhysicalPlan};
 use midas_engines::sim::{DriftIntensity, SimulationEnv, SiteAdmission};
 use midas_engines::version::{CatalogVersion, ChunkedTable};
-use midas_engines::{Catalog, EngineKind};
+use midas_engines::{execute_fused, Catalog, EngineKind};
 use midas_cloud::federation::example_federation;
 use std::sync::{Arc, Mutex};
 
@@ -115,11 +115,11 @@ fn shared_arc_catalog_matches_owned_map_path_bit_for_bit() {
         cat
     };
 
-    let (owned_table, owned_profile) = execute(&plan, &owned).expect("owned path runs");
+    let (owned_table, owned_profile) = execute_scalar(&plan, &owned).expect("owned path runs");
     for _ in 0..3 {
         // Repeated executions over the *same* shared catalog (what the
         // concurrent runtime does) must keep reproducing the owned result.
-        let (t, p) = execute(&plan, &shared).expect("shared path runs");
+        let (t, p) = execute_fused(&plan, &shared).expect("shared path runs");
         assert_eq!(t, owned_table, "result tables drifted");
         assert_eq!(p, owned_profile, "work profiles drifted");
         let (ts, ps) = execute_scalar(&plan, &shared).expect("scalar runs");
@@ -132,12 +132,12 @@ fn shared_arc_catalog_matches_owned_map_path_bit_for_bit() {
 fn concurrent_readers_of_one_catalog_agree() {
     let shared = owned_map_catalog();
     let plan = join_plan();
-    let (expected, expected_profile) = execute(&plan, &shared).expect("baseline runs");
+    let (expected, expected_profile) = execute_scalar(&plan, &shared).expect("baseline runs");
 
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..8)
             .map(|_| {
-                scope.spawn(|| execute(&plan, &shared).expect("threaded run"))
+                scope.spawn(|| execute_fused(&plan, &shared).expect("threaded run"))
             })
             .collect();
         for h in handles {

@@ -1,9 +1,9 @@
 //! Property-based tests of the relational executor's algebraic laws.
 
 use midas_engines::data::{Column, ColumnData, Table, Value};
-use midas_engines::Catalog;
+use midas_engines::{execute_fused, Catalog};
 use midas_engines::expr::Expr;
-use midas_engines::ops::{execute, AggExpr, JoinType, PhysicalPlan};
+use midas_engines::ops::{AggExpr, JoinType, PhysicalPlan};
 use proptest::prelude::*;
 
 fn table_of(name: &str, rows: &[(i64, i64)]) -> Table {
@@ -39,7 +39,7 @@ proptest! {
             group_by: vec![0],
             aggs: vec![("s".to_string(), AggExpr::Sum(Expr::col(1)))],
         };
-        let (out, _) = execute(&grouped, &catalog).expect("agg runs");
+        let (out, _) = execute_fused(&grouped, &catalog).expect("agg runs");
         let mut grouped_total = 0.0;
         for i in 0..out.n_rows() {
             if let Value::Float64(s) = out.row(i)[1] {
@@ -77,8 +77,8 @@ proptest! {
             }),
             predicate: pred,
         };
-        let (a, _) = execute(&filter_then_project, &catalog).expect("runs");
-        let (b, _) = execute(&project_then_filter, &catalog).expect("runs");
+        let (a, _) = execute_fused(&filter_then_project, &catalog).expect("runs");
+        let (b, _) = execute_fused(&project_then_filter, &catalog).expect("runs");
         prop_assert_eq!(a.columns(), b.columns());
     }
 
@@ -98,7 +98,7 @@ proptest! {
             right_keys: vec![0],
             join_type: JoinType::Inner,
         };
-        let (out, _) = execute(&plan, &catalog).expect("join runs");
+        let (out, _) = execute_fused(&plan, &catalog).expect("join runs");
         let mut expected = 0usize;
         for k in 0..6 {
             let l = left.iter().filter(|r| r.0 == k).count();
@@ -125,7 +125,7 @@ proptest! {
             right_keys: vec![0],
             join_type: JoinType::LeftOuter,
         };
-        let (out, _) = execute(&plan, &catalog).expect("join runs");
+        let (out, _) = execute_fused(&plan, &catalog).expect("join runs");
         let mut expected = 0usize;
         for lrow in &left {
             let matches = right.iter().filter(|r| r.0 == lrow.0).count();
@@ -145,7 +145,7 @@ proptest! {
             input: scan("t"),
             by: vec![(0, false)],
         };
-        let (out, _) = execute(&plan, &catalog).expect("sort runs");
+        let (out, _) = execute_fused(&plan, &catalog).expect("sort runs");
         prop_assert_eq!(out.n_rows(), rows.len());
         let mut got: Vec<(i64, i64)> = (0..out.n_rows())
             .map(|i| match (&out.row(i)[0], &out.row(i)[1]) {
@@ -179,8 +179,8 @@ proptest! {
             input: scan("t"),
             predicate: pred,
         };
-        let (a, prof_a) = execute(&pruned, &catalog).expect("runs");
-        let (b, _) = execute(&filtered, &catalog).expect("runs");
+        let (a, prof_a) = execute_fused(&pruned, &catalog).expect("runs");
+        let (b, _) = execute_fused(&filtered, &catalog).expect("runs");
         prop_assert_eq!(a.columns(), b.columns());
         // And the pruned scan charges exactly the selected rows.
         prop_assert_eq!(prof_a.scanned_rows(), a.n_rows() as u64);

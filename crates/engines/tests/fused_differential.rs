@@ -1,21 +1,20 @@
 //! Differential property tests for the morsel-driven fused executor:
-//! [`execute_fused`] must agree with the whole-column
-//! vectorized executor (`execute`) — identical result tables, identical
-//! fingerprints, identical `WorkProfile`s — on random NULL-bearing
-//! tables. The chunk-native path ([`execute_fused`] over a
-//! `CatalogVersion`) is additionally swept over **randomized chunk
-//! boundaries** (including empty chunks, interior ones too) against the
-//! flat logical table, pinning the claim that morsel and chunk boundaries
-//! are invisible: scans that never compact a snapshot produce bit-for-bit
-//! the plans' flat results. The serving path's entry point,
-//! [`profile_fragments`], is swept the same way over a whole
+//! [`execute_fused`] must agree with the row-at-a-time reference executor
+//! (`execute_scalar`) — identical result tables, identical fingerprints,
+//! identical `WorkProfile`s, byte accounting included — on random
+//! NULL-bearing tables, over a flat catalog and chunk-native over a
+//! `CatalogVersion` cut at **randomized chunk boundaries** (including
+//! empty chunks, interior ones too). That pins the claim that morsel and
+//! chunk boundaries are invisible: scans that never compact a snapshot
+//! produce bit-for-bit the plans' flat results. The serving path's entry
+//! point, [`profile_fragments`], is swept the same way over a whole
 //! prepare/prepare/combine query.
 
 use std::sync::Arc;
 
 use midas_engines::data::{Column, ColumnData, Table, Value};
 use midas_engines::expr::Expr;
-use midas_engines::ops::{execute, AggExpr, JoinType, PhysicalPlan};
+use midas_engines::ops::{execute_scalar, AggExpr, JoinType, PhysicalPlan};
 use midas_engines::version::{CatalogVersion, ChunkedTable};
 use midas_engines::{execute_fused, profile_fragments, Catalog};
 use proptest::prelude::*;
@@ -136,18 +135,17 @@ fn scan(t: &str) -> Box<PhysicalPlan> {
     })
 }
 
-/// Runs the whole-column vectorized executor as the oracle, then the
-/// fused morsel executor over the flat catalog AND over
-/// the chunk-native version — asserting identical tables, fingerprints
-/// and work profiles everywhere (Ok/Err always agrees; when a failing
-/// plan admits several valid first errors the variants may differ, so
-/// errors are compared on presence only).
+/// Runs the scalar executor as the oracle, then the fused morsel executor
+/// over the flat catalog AND over the chunk-native version — asserting
+/// identical tables, fingerprints and work profiles everywhere (Ok/Err
+/// always agrees; when a failing plan admits several valid first errors
+/// the variants may differ, so errors are compared on presence only).
 fn fused_matches(
     plan: &PhysicalPlan,
     catalog: &Catalog,
     version: &CatalogVersion,
 ) -> Result<(), proptest::test_runner::TestCaseError> {
-    let oracle = execute(plan, catalog);
+    let oracle = execute_scalar(plan, catalog);
     let flat = execute_fused(plan, catalog);
     prop_assert_eq!(
         flat.is_ok(),
@@ -187,10 +185,10 @@ fn fixture(rows: &[Row], cuts: &[usize]) -> (Catalog, CatalogVersion) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Scan, Filter and PrunedScan: morselized predicate evaluation over
-    /// flat and chunk-native inputs matches the whole-column pass
+    /// flat and chunk-native inputs matches row-at-a-time evaluation
     /// bit-for-bit, including byte accounting of never-flattened chunked
     /// views.
     #[test]
@@ -544,9 +542,10 @@ proptest! {
     }
 }
 
-/// Regression: a constant division by zero over an empty input must not
-/// error (the empty morsel evaluates the kernel exactly like the empty
-/// whole-column batch), and must error on non-empty input.
+/// Regression: over zero rows the scalar path evaluates nothing, so a
+/// constant division by zero over an empty input must not error on the
+/// fused path either (the empty morsel raises nothing) — and both paths
+/// must raise it on a non-empty input.
 #[test]
 fn constant_division_by_zero_over_empty_input() {
     let (catalog, version) = fixture(&[], &[]);
@@ -554,13 +553,14 @@ fn constant_division_by_zero_over_empty_input() {
         input: scan("t"),
         predicate: Expr::int(1).div(Expr::int(0)).gt(Expr::int(5)),
     };
-    let o = execute(&plan, &catalog).expect("oracle tolerates empty");
+    let o = execute_scalar(&plan, &catalog).expect("oracle tolerates empty");
     let f = execute_fused(&plan, &catalog).expect("fused tolerates empty");
     let c = execute_fused(&plan, &version).expect("chunked tolerates empty");
-    assert_eq!(f.0, o.0);
-    assert_eq!(c.0, o.0);
+    assert_eq!(f, o);
+    assert_eq!(c, o);
     let rows: Vec<Row> = vec![((1, 1, 0.5), (0, 1, 0), (0, 1))];
     let (catalog, version) = fixture(&rows, &[]);
+    assert!(execute_scalar(&plan, &catalog).is_err());
     assert!(execute_fused(&plan, &catalog).is_err());
     assert!(execute_fused(&plan, &version).is_err());
 }
@@ -576,7 +576,7 @@ fn huge_int_literal_projects_exactly() {
         input: scan("t"),
         exprs: vec![("k".to_string(), Expr::int(big))],
     };
-    let (o, _) = execute(&plan, &catalog).expect("runs");
+    let (o, _) = execute_scalar(&plan, &catalog).expect("runs");
     let (f, _) = execute_fused(&plan, &catalog).expect("runs");
     let (c, _) = execute_fused(&plan, &version).expect("runs");
     assert_eq!(f, o);
@@ -613,7 +613,7 @@ fn deferred_join_aggregate_bad_columns_error() {
         group_by: vec![12],
         aggs: vec![("n".to_string(), AggExpr::Count)],
     };
-    assert!(execute(&bad_group, &catalog).is_err());
+    assert!(execute_scalar(&bad_group, &catalog).is_err());
     assert!(execute_fused(&bad_group, &catalog).is_err());
     assert!(execute_fused(&bad_group, &version).is_err());
     // Aggregate expression out of range.
@@ -622,7 +622,7 @@ fn deferred_join_aggregate_bad_columns_error() {
         group_by: vec![2],
         aggs: vec![("t".to_string(), AggExpr::Sum(Expr::col(11)))],
     };
-    assert!(execute(&bad_agg, &catalog).is_err());
+    assert!(execute_scalar(&bad_agg, &catalog).is_err());
     assert!(execute_fused(&bad_agg, &catalog).is_err());
     assert!(execute_fused(&bad_agg, &version).is_err());
 }

@@ -2,9 +2,9 @@
 //! with hand-computed expected outputs, plus work-profile invariants.
 
 use midas_engines::data::{Column, ColumnData, Table, Value};
-use midas_engines::Catalog;
+use midas_engines::{execute_fused, Catalog};
 use midas_engines::expr::Expr;
-use midas_engines::ops::{execute, AggExpr, JoinType, PhysicalPlan};
+use midas_engines::ops::{AggExpr, JoinType, PhysicalPlan};
 
 /// Sales: (region, product, qty, price)
 fn sales() -> Table {
@@ -66,7 +66,7 @@ fn revenue_per_region_golden() {
         }),
         by: vec![(1, true)],
     };
-    let (out, profile) = execute(&plan, &catalog()).expect("plan runs");
+    let (out, profile) = execute_fused(&plan, &catalog()).expect("plan runs");
     // Hand-computed: n = 10*2 + 5*4 = 40; s = 3*2 + 8*4 + 2*4 = 46; e = 14.
     assert_eq!(out.n_rows(), 3);
     assert_eq!(out.row(0), vec![Value::Utf8("s".into()), Value::Float64(46.0)]);
@@ -101,7 +101,7 @@ fn named_join_with_conditional_aggregates_golden() {
             ),
         ],
     };
-    let (out, _) = execute(&plan, &catalog()).expect("plan runs");
+    let (out, _) = execute_fused(&plan, &catalog()).expect("plan runs");
     assert_eq!(out.n_rows(), 2); // sprocket never sold
     let mut rows: Vec<(String, f64, i64)> = (0..out.n_rows())
         .map(|i| match (&out.row(i)[0], &out.row(i)[1], &out.row(i)[2]) {
@@ -137,7 +137,7 @@ fn left_outer_preserves_products_without_sales() {
             AggExpr::CountIf(Expr::col(2).is_null().negate()),
         )],
     };
-    let (out, _) = execute(&plan, &catalog()).expect("plan runs");
+    let (out, _) = execute_fused(&plan, &catalog()).expect("plan runs");
     let mut rows: Vec<(String, i64)> = (0..out.n_rows())
         .map(|i| match (&out.row(i)[0], &out.row(i)[1]) {
             (Value::Utf8(n), Value::Int64(c)) => (n.clone(), *c),
@@ -166,7 +166,7 @@ fn limit_after_sort_is_top_k() {
         }),
         n: 2,
     };
-    let (out, profile) = execute(&plan, &catalog()).expect("plan runs");
+    let (out, profile) = execute_fused(&plan, &catalog()).expect("plan runs");
     assert_eq!(out.n_rows(), 2);
     assert_eq!(out.row(0)[2], Value::Int64(10));
     assert_eq!(out.row(1)[2], Value::Int64(8));
@@ -187,7 +187,7 @@ fn intermediate_bytes_accounting_is_additive() {
         }),
         exprs: vec![("qty".to_string(), Expr::col(2))],
     };
-    let (_, profile) = execute(&plan, &catalog()).expect("plan runs");
+    let (_, profile) = execute_fused(&plan, &catalog()).expect("plan runs");
     let sum: u64 = profile.ops.iter().map(|o| o.bytes_out).sum();
     assert_eq!(profile.total_intermediate_bytes(), sum);
     assert!(profile.peak_intermediate_bytes() <= sum);

@@ -6,8 +6,8 @@
 
 use midas_engines::data::{Column, ColumnData, Table};
 use midas_engines::expr::Expr;
-use midas_engines::ops::{execute, PhysicalPlan};
-use midas_engines::{Catalog, EngineError, VersionedCatalog};
+use midas_engines::ops::{execute_scalar, PhysicalPlan};
+use midas_engines::{execute_fused, Catalog, EngineError, VersionedCatalog};
 use std::sync::Arc;
 use proptest::prelude::*;
 
@@ -116,8 +116,9 @@ proptest! {
         };
         let mut flat = Catalog::new();
         flat.insert("fact", fact(rows));
-        let (pinned_result, pinned_work) = execute(&plan, &versioned.current().pin()).unwrap();
-        let (flat_result, flat_work) = execute(&plan, &flat).unwrap();
+        let (pinned_result, pinned_work) =
+            execute_fused(&plan, &versioned.current().pin()).unwrap();
+        let (flat_result, flat_work) = execute_scalar(&plan, &flat).unwrap();
         prop_assert_eq!(pinned_result.fingerprint(), flat_result.fingerprint());
         prop_assert_eq!(pinned_work, flat_work);
     }

@@ -189,7 +189,7 @@ pub fn medical_query(modality: Option<&str>) -> TwoTableQuery {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use midas_engines::ops::execute;
+    use midas_engines::execute_fused;
     use midas_engines::Value;
 
     #[test]
@@ -214,11 +214,11 @@ mod tests {
         let tables = generate_medical(300, 0.5, 3);
         let q = medical_query(None);
         let mut catalog = tables.clone();
-        let (left, _) = execute(&q.left_prepare, &catalog).unwrap();
-        let (right, _) = execute(&q.right_prepare, &catalog).unwrap();
+        let (left, _) = execute_fused(&q.left_prepare, &catalog).unwrap();
+        let (right, _) = execute_fused(&q.right_prepare, &catalog).unwrap();
         catalog.insert("@frag0".to_string(), left);
         catalog.insert("@frag1".to_string(), right.clone());
-        let (out, _) = execute(&q.combine, &catalog).unwrap();
+        let (out, _) = execute_fused(&q.combine, &catalog).unwrap();
         // Inner join: one output row per generalinfo record.
         assert_eq!(out.n_rows(), right.n_rows());
         assert_eq!(out.n_columns(), 2);
@@ -231,8 +231,8 @@ mod tests {
         let tables = generate_medical(400, 0.5, 5);
         let all = medical_query(None);
         let ct = medical_query(Some("CT"));
-        let (left_all, _) = execute(&all.left_prepare, &tables).unwrap();
-        let (left_ct, _) = execute(&ct.left_prepare, &tables).unwrap();
+        let (left_all, _) = execute_fused(&all.left_prepare, &tables).unwrap();
+        let (left_ct, _) = execute_fused(&ct.left_prepare, &tables).unwrap();
         assert!(left_ct.n_rows() < left_all.n_rows());
         assert!(left_ct.n_rows() > 0);
         assert!(ct.label.contains("CT"));

@@ -83,14 +83,14 @@ impl TwoTableQuery {
         self.label.split('(').next().unwrap_or(&self.label)
     }
 
-    /// Runs the whole three-plan pipeline locally through `exec` (either
-    /// [`midas_engines::ops::execute`] or
-    /// [`midas_engines::ops::execute_scalar`]), wiring the prepared sides
-    /// into the catalog as `@frag0` / `@frag1`.
+    /// Runs the whole three-plan pipeline locally through `exec` (the
+    /// fused executor, [`midas_engines::execute_fused`] over the catalog,
+    /// or [`midas_engines::ops::execute_scalar`]), wiring the prepared
+    /// sides into the catalog as `@frag0` / `@frag1`.
     ///
     /// `catalog` must hold the query's base tables; the fragment entries
     /// are (re)inserted in place, so repeated calls — as in the
-    /// scalar-vs-vectorized benchmarks — don't re-clone the base data.
+    /// scalar-vs-fused benchmarks — don't re-clone the base data.
     /// Returns the final table plus the three work profiles in execution
     /// order (left prepare, right prepare, combine).
     pub fn execute_local<E>(
@@ -114,8 +114,8 @@ impl TwoTableQuery {
     /// (scans iterate chunks directly — no snapshot is ever compacted),
     /// and the combine runs fused over the prepared `@frag0` / `@frag1`
     /// fragments. Results and work profiles are bit-identical to
-    /// [`TwoTableQuery::execute_local`] with the vectorized executor on
-    /// the pinned flat catalog.
+    /// [`TwoTableQuery::execute_local`] with either executor on the pinned
+    /// flat catalog.
     pub fn execute_fused_chunked(
         &self,
         version: &CatalogVersion,
@@ -136,10 +136,12 @@ impl TwoTableQuery {
     /// `result_fingerprint` for a job must equal this, evaluated on the
     /// catalog version the job pinned at admission. Defined once here so
     /// the benchmark and the integration tests can never assert against
-    /// diverging oracles.
+    /// diverging oracles. It runs the fused executor over the flat catalog;
+    /// `tests/executor_equivalence.rs` pins it to the scalar reference on
+    /// the paper and medical queries.
     pub fn standalone_fingerprint(&self, catalog: &Catalog) -> Result<u64, EngineError> {
         let mut catalog = catalog.clone();
-        let (out, _) = self.execute_local(&mut catalog, midas_engines::ops::execute)?;
+        let (out, _) = self.execute_local(&mut catalog, |plan, c| execute_fused(plan, c))?;
         Ok(out.fingerprint())
     }
 }
@@ -447,19 +449,15 @@ pub fn q17_with(encoding: StringEncoding, brand: &str, container: &str) -> TwoTa
 mod tests {
     use super::*;
     use crate::gen::{GenConfig, TpchDb};
-    use midas_engines::ops::execute;
     use midas_engines::Value;
 
     /// Runs the three plans of a template locally (no federation), as the
     /// combine plan would see them.
     fn run_locally(q: &TwoTableQuery, db: &TpchDb) -> midas_engines::Table {
         let mut catalog = db.catalog().clone();
-        let (left, _) = execute(&q.left_prepare, &catalog).unwrap();
-        let (right, _) = execute(&q.right_prepare, &catalog).unwrap();
-        catalog.insert("@frag0".to_string(), left);
-        catalog.insert("@frag1".to_string(), right);
-        let (out, _) = execute(&q.combine, &catalog).unwrap();
-        out
+        q.execute_local(&mut catalog, |plan, c| execute_fused(plan, c))
+            .unwrap()
+            .0
     }
 
     fn db() -> TpchDb {
@@ -645,7 +643,7 @@ mod tests {
         let orders = db.table("orders").unwrap().n_rows();
         let mut catalog = db.catalog().clone();
         let q = q13("special", "requests");
-        let (right, _) = execute(&q.right_prepare, &catalog).unwrap();
+        let (right, _) = execute_fused(&q.right_prepare, &catalog).unwrap();
         assert!(right.n_rows() < orders, "filter must drop some orders");
         assert!(right.n_rows() > orders / 2, "but only a small fraction");
         catalog.clear();

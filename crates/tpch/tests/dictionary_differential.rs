@@ -8,7 +8,7 @@
 //! exact strings of the plain path.
 
 use midas_engines::data::{ColumnData, DataType, Value};
-use midas_engines::ops::execute;
+use midas_engines::execute_fused;
 use midas_tpch::gen::{GenConfig, StringEncoding, TpchDb};
 use midas_tpch::queries::{q12, q12_with, q13, q14, q17_with, TwoTableQuery};
 use midas_tpch::TpchDictionaries;
@@ -16,7 +16,9 @@ use std::collections::HashMap;
 
 fn run(q: &TwoTableQuery, db: &TpchDb) -> midas_engines::Table {
     let mut catalog = db.catalog().clone();
-    let (out, _) = q.execute_local(&mut catalog, execute).expect("query runs");
+    let (out, _) = q
+        .execute_local(&mut catalog, |plan, c| execute_fused(plan, c))
+        .expect("query runs");
     out
 }
 

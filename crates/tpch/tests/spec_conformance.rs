@@ -1,19 +1,17 @@
 //! Generator conformance: cardinality ratios, value domains, determinism
 //! and query-result sanity at a fixed seed.
 
-use midas_engines::ops::execute;
-use midas_engines::Value;
+use midas_engines::{execute_fused, Value};
 use midas_tpch::gen::{GenConfig, TpchDb, PRIORITIES, SHIP_MODES};
 use midas_tpch::queries::{q12, q13, q14, q17, QueryId, TwoTableQuery};
 use midas_tpch::workload::WorkloadGenerator;
 
 fn run(q: &TwoTableQuery, db: &TpchDb) -> midas_engines::Table {
     let mut catalog = db.catalog().clone();
-    let (l, _) = execute(&q.left_prepare, &catalog).expect("left runs");
-    let (r, _) = execute(&q.right_prepare, &catalog).expect("right runs");
-    catalog.insert("@frag0".to_string(), l);
-    catalog.insert("@frag1".to_string(), r);
-    execute(&q.combine, &catalog).expect("combine runs").0
+    let (out, _) = q
+        .execute_local(&mut catalog, |plan, c| execute_fused(plan, c))
+        .expect("query runs");
+    out
 }
 
 #[test]

@@ -68,11 +68,11 @@ fn streaming_generation_reproduces_materialized_exactly() {
 }
 
 /// Chunk-native execution of the paper's four queries over the streamed
-/// database matches flat vectorized execution bit-for-bit — tables,
-/// fingerprints and all three work profiles — and pays **zero** snapshot
-/// compaction doing it, whether a morsel spans several chunks (4 096-row
-/// chunks) or a chunk spans a morsel boundary (chunks a morsel and a
-/// quarter long).
+/// database matches the scalar reference over the flat database
+/// bit-for-bit — tables, fingerprints and all three work profiles — and
+/// pays **zero** snapshot compaction doing it, whether a morsel spans
+/// several chunks (4 096-row chunks) or a chunk spans a morsel boundary
+/// (chunks a morsel and a quarter long).
 #[test]
 fn chunk_native_queries_match_flat_execution() {
     for config in [GenConfig::new(0.01, 11), GenConfig::new(0.01, 11).dictionary_encoded()] {
@@ -89,7 +89,7 @@ fn chunk_native_queries_match_flat_execution() {
         for q in &queries {
             let mut catalog = flat.catalog().clone();
             let (ref_out, ref_profiles) = q
-                .execute_local(&mut catalog, midas_engines::ops::execute)
+                .execute_local(&mut catalog, midas_engines::ops::execute_scalar)
                 .expect("flat execution runs");
             for chunked in &streamed {
                 let (out, profiles) = q

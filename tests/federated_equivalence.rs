@@ -3,7 +3,7 @@
 //! the table a single-process execution produces.
 
 use midas_repro::cloud::federation::example_federation;
-use midas_repro::engines::ops::execute;
+use midas_repro::engines::ops::execute_scalar;
 use midas_repro::engines::sim::DriftIntensity;
 use midas_repro::engines::{EngineKind, Placement};
 use midas_repro::ires::scheduler::{Scheduler, SchedulerConfig};
@@ -16,11 +16,9 @@ fn run_locally(
     tables: &midas_repro::engines::Catalog,
 ) -> midas_repro::engines::Table {
     let mut catalog = tables.clone();
-    let (left, _) = execute(&q.left_prepare, &catalog).expect("left prepare runs");
-    let (right, _) = execute(&q.right_prepare, &catalog).expect("right prepare runs");
-    catalog.insert("@frag0".to_string(), left);
-    catalog.insert("@frag1".to_string(), right);
-    let (out, _) = execute(&q.combine, &catalog).expect("combine runs");
+    let (out, _) = q
+        .execute_local(&mut catalog, execute_scalar)
+        .expect("query runs");
     out
 }
 

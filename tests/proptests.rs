@@ -2,9 +2,9 @@
 
 use midas_repro::cloud::{Money, PricingModel};
 use midas_repro::engines::data::{Column, ColumnData, Table};
-use midas_repro::engines::Catalog;
+use midas_repro::engines::{execute_fused, Catalog};
 use midas_repro::engines::expr::Expr;
-use midas_repro::engines::ops::{execute, JoinType, PhysicalPlan};
+use midas_repro::engines::ops::{JoinType, PhysicalPlan};
 use midas_repro::moo::{fast_non_dominated_sort, pareto_front_indices};
 use midas_repro::tpch::gen::{GenConfig, TpchDb};
 use proptest::prelude::*;
@@ -57,7 +57,7 @@ proptest! {
             right_keys: vec![0],
             join_type: JoinType::Inner,
         };
-        let (out, _) = execute(&plan, &catalog).expect("join runs");
+        let (out, _) = execute_fused(&plan, &catalog).expect("join runs");
         let mut got: Vec<(i64, i64, i64, i64)> = (0..out.n_rows())
             .map(|i| {
                 let row = out.row(i);
@@ -90,7 +90,7 @@ proptest! {
             input: Box::new(PhysicalPlan::Scan { table: "t".to_string() }),
             predicate: Expr::col(1).ge(Expr::int(threshold)),
         };
-        let (out, profile) = execute(&plan, &catalog).expect("filter runs");
+        let (out, profile) = execute_fused(&plan, &catalog).expect("filter runs");
         let want = rows.iter().filter(|r| r.1 >= threshold).count();
         prop_assert_eq!(out.n_rows(), want);
         prop_assert_eq!(profile.ops.last().expect("ops recorded").rows_out as usize, want);

@@ -27,7 +27,7 @@
 //!   (`midas/src/runtime.rs`, `ires/src`, `engines/src/{exec,fused}.rs`):
 //!   it compacts every multi-chunk table of the version, once per publish,
 //!   where the fused executor scans the chunks in place. Flat oracles
-//!   (`MidasSession`, tests, benches) pin; the code that serves jobs must
+//!   (tests, benches) pin; the code that serves jobs must
 //!   not, short of a `// LINT: pin-ok` justification;
 //! * **job-thread** — `thread::scope` / `thread::spawn` / `.spawn(` inside
 //!   one job's execution (`engines/src/{ops,fused,exec}.rs`, `ires/src`).

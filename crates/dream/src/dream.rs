@@ -76,22 +76,6 @@ impl QualityMetric {
     }
 }
 
-/// Which Algorithm 1 implementation a [`DreamEstimator`] runs per fit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum FitPath {
-    /// Use the incremental `O(Mmax·L³)` window growth
-    /// ([`crate::incremental::estimate_cost_value_incremental`]) whenever the
-    /// solver supports it (normal equations), falling back to the reference
-    /// per-window refit otherwise. This is the default **online** path: a
-    /// scheduler refitting after every executed query never rebuilds Gram
-    /// matrices from scratch.
-    #[default]
-    IncrementalAuto,
-    /// Always refit every candidate window from scratch (the literal
-    /// Algorithm 1 of the paper; used by equivalence tests and ablations).
-    Reference,
-}
-
 /// Configuration of Algorithm 1.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DreamConfig {
@@ -108,10 +92,6 @@ pub struct DreamConfig {
     /// default (paper-faithful).
     #[serde(default)]
     pub quality: QualityMetric,
-    /// Implementation the [`DreamEstimator`] dispatches to on each fit;
-    /// incremental-when-possible by default.
-    #[serde(default)]
-    pub fit_path: FitPath,
 }
 
 impl DreamConfig {
@@ -123,7 +103,6 @@ impl DreamConfig {
             growth: GrowthPolicy::default(),
             solver: SolveMethod::default(),
             quality: QualityMetric::default(),
-            fit_path: FitPath::default(),
         }
     }
 
@@ -319,9 +298,7 @@ impl CostEstimator for DreamEstimator {
         // Online path: rank-1 Gram updates instead of per-window refits.
         // Only the normal-equation solver shares sums across windows; other
         // solvers (ridge, QR) take the reference path.
-        let incremental = self.config.fit_path == FitPath::IncrementalAuto
-            && self.config.solver == SolveMethod::NormalEquations;
-        let outcome = if incremental {
+        let outcome = if self.config.solver == SolveMethod::NormalEquations {
             crate::incremental::estimate_cost_value_incremental(history, &self.config)?
         } else {
             estimate_cost_value(history, &self.config)?
@@ -472,21 +449,18 @@ mod tests {
 
     #[test]
     fn estimator_default_online_path_is_incremental() {
-        // The two paths agree to floating-point associativity; the estimator
-        // must produce the same windows and near-identical predictions under
-        // either dispatch, with IncrementalAuto the default.
+        // Under the default normal-equation solver the estimator takes the
+        // incremental path, which agrees with the reference Algorithm 1 to
+        // floating-point associativity: same window, near-identical
+        // predictions.
         let h = drifting_history(30, 25);
         let cfg = DreamConfig::paper_defaults(2);
-        assert_eq!(cfg.fit_path, FitPath::IncrementalAuto);
+        assert_eq!(cfg.solver, SolveMethod::NormalEquations);
         let mut auto = DreamEstimator::new(cfg.clone());
-        let mut reference = DreamEstimator::new(DreamConfig {
-            fit_path: FitPath::Reference,
-            ..cfg
-        });
         let ra = auto.fit(&h).unwrap();
-        let rr = reference.fit(&h).unwrap();
-        assert_eq!(ra.window_used, rr.window_used);
-        assert_eq!(ra.satisfied, rr.satisfied);
+        let reference = estimate_cost_value(&h, &cfg).unwrap();
+        assert_eq!(ra.window_used, reference.window);
+        assert_eq!(ra.satisfied, reference.satisfied);
         let pa = auto.predict(&[60.0, 2.0]).unwrap();
         let pr = reference.predict(&[60.0, 2.0]).unwrap();
         for (a, b) in pa.iter().zip(pr.iter()) {

@@ -41,8 +41,7 @@ pub mod incremental;
 pub mod mlr;
 
 pub use crate::dream::{
-    estimate_cost_value, DreamConfig, DreamEstimator, DreamOutcome, FitPath, GrowthPolicy,
-    QualityMetric,
+    estimate_cost_value, DreamConfig, DreamEstimator, DreamOutcome, GrowthPolicy, QualityMetric,
 };
 pub use estimator::{CostEstimator, EstimationError, FitReport};
 pub use incremental::estimate_cost_value_incremental;

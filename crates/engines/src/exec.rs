@@ -173,20 +173,6 @@ impl ExecutionOutcome {
     }
 }
 
-/// A convenience bundle describing the canonical two-table QEP
-/// configuration: where to join and what to buy there.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QepConfig {
-    /// Join/aggregate site.
-    pub join_site: SiteId,
-    /// Engine performing the join.
-    pub join_engine: EngineKind,
-    /// Instance type purchased at the join site.
-    pub instance: String,
-    /// How many VMs.
-    pub vm_count: u32,
-}
-
 /// How one [`SharedExecutor`] run reaches a shared [`FragmentResultCache`]:
 /// the cache itself, the sharing-scope policy, who is asking, and the
 /// identity of every pinned base table (see [`crate::cache`] for why these
@@ -259,7 +245,7 @@ impl FaultContext<'_> {
 /// A single-threaded caller (the `ires` scheduler, a test) owns the
 /// `Mutex` and passes [`SiteAdmission::unmetered`]; it takes exactly the
 /// env ops (`load`, `noise`, `tick`) a runtime worker takes, which is what
-/// makes a one-worker runtime bit-identical to a sequential session.
+/// makes a one-worker runtime bit-identical to a sequential reference.
 pub struct SharedExecutor<'a> {
     federation: &'a Federation,
     env: &'a Mutex<SimulationEnv>,

@@ -69,8 +69,7 @@ pub use data::{Column, ColumnData, DataType, Table, Value};
 pub use engine::{EngineKind, EngineProfile};
 pub use error::EngineError;
 pub use exec::{
-    profile_fragments, ExecutionOutcome, ProfiledFragment, QepConfig, ResultCacheBinding,
-    SharedExecutor,
+    profile_fragments, ExecutionOutcome, ProfiledFragment, ResultCacheBinding, SharedExecutor,
 };
 pub use expr::Expr;
 pub use fused::{execute_fused, TableSource, MORSEL_ROWS};

@@ -17,10 +17,10 @@
 //!   [`TableSource`](crate::fused::TableSource) and scans chunks, so a
 //!   publish costs its delta and nothing else. [`CatalogVersion::pin`] is
 //!   the other way to read one, for code that needs contiguous tables —
-//!   the sequential `MidasSession`, the scalar executor, oracles,
-//!   tests: a plain [`Catalog`] in which every multi-chunk table has been
-//!   compacted by [`Table::concat`] (once per version, cached) and
-//!   single-chunk tables hand out their chunk. That copy is the one byte
+//!   the scalar executor, oracles, tests: a plain [`Catalog`] in which
+//!   every multi-chunk table has been compacted by [`Table::concat`] (once
+//!   per version, cached) and single-chunk tables hand out their chunk.
+//!   That copy is the one byte
 //!   cost this store can pay per version, so it is measured —
 //!   [`ChunkedTable::compaction_bytes`] — and `streaming_ingest.rs` gates
 //!   it at zero for every version the runtime served.
@@ -346,7 +346,7 @@ impl CatalogVersion {
     /// Lends this version out as a plain [`Catalog`] of contiguous tables:
     /// one `Arc<Table>` snapshot per table, a multi-chunk table compacted
     /// (every row copied) on the first call and cached for later ones.
-    /// For consumers that need flat tables — the sequential session, the
+    /// For consumers that need flat tables — the sequential reference, the
     /// scalar oracle, tests. Nothing that serves runtime jobs
     /// calls it (`repro_lint`'s `serving-pin` rule): planning and
     /// execution take the version itself and scan its chunks.

@@ -1,14 +1,17 @@
-//! The submit → enumerate → estimate → select → execute → learn loop.
+//! The fixed-configuration executor.
 //!
-//! `Scheduler` owns the drifting simulation environment plus one
-//! [`Modelling`](crate::modelling::Modelling) per query class, keyed by the query's
-//! [`midas_tpch::QueryId`]-level label. Every execution feeds the history, so
-//! estimators learn online exactly as IReS does.
+//! [`Scheduler`] runs one query instance under a configuration its caller
+//! chose, on a drifting simulation environment of its own, and returns the
+//! learning signals (features and observed costs). It plans nothing and
+//! learns nothing: trace recorders (`midas::experiments::mre`, the
+//! estimation benchmark) feed their own estimators, and the plan → execute
+//! → learn driver is `midas::runtime::FederationRuntime`, which shares
+//! [`features_from`] and [`base_rows`] with it.
 
 use crate::enumerate::{assemble, CandidateConfig};
 use midas_cloud::Federation;
 use midas_dream::EstimationError;
-use midas_engines::exec::{ExecutionOutcome, ProfiledFragment, SharedExecutor};
+use midas_engines::exec::{ExecutionOutcome, SharedExecutor};
 use midas_engines::sim::{DriftIntensity, SimulationEnv, SiteAdmission};
 use midas_engines::{lock_recover, EngineError, Placement, SchemaCatalog, TableSource};
 use midas_tpch::TwoTableQuery;
@@ -106,19 +109,13 @@ impl From<EngineError> for SchedulerError {
     }
 }
 
-impl From<EstimationError> for SchedulerError {
-    fn from(e: EstimationError) -> Self {
-        SchedulerError::Estimation(e)
-    }
-}
-
 impl From<crate::costmodel::CostModelError> for SchedulerError {
     fn from(e: crate::costmodel::CostModelError) -> Self {
         SchedulerError::CostModel(e)
     }
 }
 
-/// The IReS-like scheduler bound to one federation.
+/// The fixed-configuration executor bound to one federation.
 pub struct Scheduler<'a> {
     federation: &'a Federation,
     placement: Placement,
@@ -155,11 +152,6 @@ impl<'a> Scheduler<'a> {
         &self.placement
     }
 
-    /// The simulated clock (seconds since the run began).
-    pub fn clock_s(&self) -> f64 {
-        self.env().clock_s
-    }
-
     fn env(&self) -> MutexGuard<'_, SimulationEnv> {
         lock_recover(&self.env)
     }
@@ -182,21 +174,6 @@ impl<'a> Scheduler<'a> {
         config: &CandidateConfig,
         tables: impl Into<TableSource<'t>>,
     ) -> Result<ExecutedQuery, SchedulerError> {
-        self.execute_profiled(query, config, tables, &[])
-    }
-
-    /// [`Scheduler::execute_with_config`] handed the fragment outputs
-    /// [`PlanCostModel::profile`](crate::PlanCostModel::profile) computed
-    /// for this query over the same `tables`, so the fragments are not run
-    /// a second time. Signals are bit-identical to executing without the
-    /// hand-off (an empty one executes everything).
-    pub fn execute_profiled<'t>(
-        &mut self,
-        query: &TwoTableQuery,
-        config: &CandidateConfig,
-        tables: impl Into<TableSource<'t>>,
-        profiled: &[ProfiledFragment],
-    ) -> Result<ExecutedQuery, SchedulerError> {
         let tables = tables.into();
         let federated = assemble(self.federation, &self.placement, query, config)?;
         let left_rows = base_rows(tables, &query.left_table)?;
@@ -217,7 +194,6 @@ impl<'a> Scheduler<'a> {
             });
         }
         let outcome = SharedExecutor::new(self.federation, &self.env, &self.admission)
-            .with_profiled_fragments(profiled)
             .run_with_scale(&federated, tables, self.work_scale)?;
         let features = features_from(left_rows, right_rows, &outcome, self.work_scale);
         let costs = outcome.cost_vector();
@@ -335,14 +311,14 @@ mod tests {
         let (fed, _, _) = example_federation();
         let (mut sched, db) = setup(&fed);
         let q = q13("special", "requests");
-        assert_eq!(sched.clock_s(), 0.0);
+        assert_eq!(sched.env().clock_s, 0.0);
         sched
             .execute_with_config(&q, &config(), db.catalog())
             .unwrap();
-        let after_exec = sched.clock_s();
+        let after_exec = sched.env().clock_s;
         assert!(after_exec > 0.0);
         sched.idle(10, 30.0);
-        assert!((sched.clock_s() - after_exec - 300.0).abs() < 1e-9);
+        assert!((sched.env().clock_s - after_exec - 300.0).abs() < 1e-9);
     }
 
     #[test]

@@ -18,9 +18,10 @@
 //!     └──────────────────────┘
 //! ```
 //!
-//! [`system`] wires the full submit → estimate → Pareto → select → execute →
-//! learn loop behind one type, and [`experiments`] hosts the drivers that
-//! regenerate the paper's Tables 3/4, Figure 3 and Example 3.1.
+//! [`runtime`] is the one driver of the submit → estimate → Pareto → select
+//! → execute → learn loop, [`system`] holds the deployment and the query
+//! policy it serves, and [`experiments`] hosts the drivers that regenerate
+//! the paper's Tables 3/4, Figure 3 and Example 3.1.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,4 +34,4 @@ pub use runtime::{
     FailedJob, FederationRuntime, Ingress, LatencyStats, RuntimeCacheStats, RuntimeConfig,
     RuntimeError, RuntimeJob, RuntimeReport, TenantQueueStats, TenantReport, TenantStats,
 };
-pub use system::{Midas, MidasReport, MidasSession, QueryPolicy};
+pub use system::{Midas, MidasReport, QueryPolicy};

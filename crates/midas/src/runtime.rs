@@ -1,11 +1,9 @@
 //! The concurrent multi-tenant federation runtime over live data.
 //!
 //! The paper's MIDAS pipeline serves *many hospitals submitting queries
-//! concurrently* to a cloud federation whose data never stops growing,
-//! while [`crate::system::MidasSession`] processes one query at a time
-//! against a frozen catalog. [`FederationRuntime`] turns the same
-//! admit → plan → execute → learn loop into a streaming worker-pool
-//! service:
+//! concurrently* to a cloud federation whose data never stops growing.
+//! [`FederationRuntime`] is the one driver of its admit → plan → execute →
+//! learn loop, run as a streaming worker-pool service:
 //!
 //! * **Admit** — tenants push `(tenant, query, policy)` jobs through an
 //!   mpsc-style [`Ingress`] (`submit` / `ingest` / `drain`) while `workers`
@@ -59,11 +57,13 @@
 //! with a definite outcome, never silently vanish.
 //!
 //! **Determinism.** With `workers == 1` and a tenant-balanced workload the
-//! runtime performs exactly the operation sequence of the sequential
-//! [`Scheduler`](midas_ires::Scheduler)-backed session replaying the same
-//! admission/ingest interleaving — same plans, same simulated costs
-//! bit-for-bit, same learned history (the `runtime_concurrency` and
-//! `streaming_ingest` integration tests pin this). Independently of worker
+//! runtime performs exactly the operation sequence of a sequential
+//! reference written against the public layer functions — build the cost
+//! model, select, execute every fragment, learn — replaying the same
+//! admission/ingest interleaving: same plans, same simulated costs
+//! bit-for-bit, same learned history (the `profile_handoff`,
+//! `runtime_concurrency` and `streaming_ingest` integration tests pin this
+//! against the one reference in `tests/common`). Independently of worker
 //! count, every job's *relational result* is bit-identical to executing it
 //! alone against its pinned catalog version (`streaming_ingest.rs` pins
 //! it; every benchmark workload re-checks it as `correct`).
@@ -92,8 +92,8 @@ use std::time::Instant;
 pub struct RuntimeConfig {
     /// Worker threads draining the admission queue.
     pub workers: usize,
-    /// Simulation seed (shared with the legacy scheduler's derivation so a
-    /// single-worker runtime reproduces it exactly).
+    /// Simulation seed: every site's drift and noise stream derives from it
+    /// (the derivation [`midas_ires::Scheduler`] uses too).
     pub seed: u64,
     /// Environment drift intensity.
     pub drift: DriftIntensity,
@@ -152,12 +152,6 @@ pub struct RuntimeConfig {
     /// Jobs rejected with [`RuntimeError::Quarantined`] once a tenant trips
     /// the threshold, after which service resumes on probation.
     pub quarantine_cooloff: usize,
-    /// Keep each job's whole pinned [`CatalogVersion`] handle alive in its
-    /// [`TenantReport::pinned`] (needed by snapshot-isolation harnesses
-    /// that re-execute queries against exactly the pinned version). Off by
-    /// default: reports then carry only the version *number*, so retired
-    /// catalog versions free as soon as their last in-flight job finishes.
-    pub retain_pinned_snapshots: bool,
     /// The sharing domain of the result/plan caches (see
     /// [`CacheScope`]): `PerTenant` keeps every cached entry private to its
     /// submitting tenant (the medical-privacy setting — no tenant can
@@ -194,7 +188,6 @@ impl Default for RuntimeConfig {
             replan_threshold: 1.0,
             quarantine_threshold: 3,
             quarantine_cooloff: 8,
-            retain_pinned_snapshots: false,
             cache_scope: CacheScope::FederationGlobal,
             fragment_cache_bytes: 64 << 20,
             plan_cache_bytes: 8 << 20,
@@ -286,22 +279,11 @@ pub struct TenantReport {
     /// plan-cache miss that hit no cached fragment, 0 on a plan-cache hit.
     pub reused_fragments: u32,
     /// The number of the catalog version the job pinned at admission.
+    /// Reports keep no catalog snapshot alive: a retired version frees as
+    /// soon as its last in-flight job finishes.
     pub pinned_version: u64,
-    /// The pinned catalog version itself — `Some` only under
-    /// [`RuntimeConfig::retain_pinned_snapshots`], so snapshot-isolation
-    /// harnesses can re-execute the query standalone against exactly this
-    /// version. `None` by default: reports do not keep whole catalog
-    /// snapshots alive for their own lifetime.
-    pub pinned: Option<Arc<CatalogVersion>>,
     /// The full pipeline report.
     pub report: MidasReport,
-}
-
-impl TenantReport {
-    /// The pinned catalog version's number.
-    pub fn pinned_version(&self) -> u64 {
-        self.pinned_version
-    }
 }
 
 /// Nearest-rank percentile summary of completion latency on the
@@ -1013,8 +995,8 @@ impl<'a> FederationRuntime<'a> {
     /// [`VersionedCatalog`] — an `Arc`-handle copy, never a table copy —
     /// and every worker, tenant and concurrently executing fragment reads
     /// *some pinned version* of the same shared tables. Sites are
-    /// registered in the shared simulation environment with the same seed
-    /// derivation the legacy [`midas_ires::Scheduler`] uses, and admission
+    /// registered in the shared simulation environment under
+    /// [`RuntimeConfig::seed`] and [`RuntimeConfig::drift`], and admission
     /// gates are sized from the federation's capacity metadata.
     pub fn new(
         federation: &'a Federation,
@@ -1411,10 +1393,6 @@ impl<'a> FederationRuntime<'a> {
                         cache_hits,
                         reused_fragments,
                         pinned_version: admitted.pinned.version(),
-                        pinned: self
-                            .config
-                            .retain_pinned_snapshots
-                            .then(|| Arc::clone(&admitted.pinned)),
                         report,
                     }),
                     Err(error) => sink.failed.push(FailedJob {
@@ -1512,9 +1490,9 @@ impl<'a> FederationRuntime<'a> {
     /// in the same job (see [`PlanCostModel::with_hot_sites`]).
     const HOT_SITE_PENALTY: f64 = 8.0;
 
-    /// One pass of the pipeline for one admitted job — the concurrent
-    /// counterpart of `MidasSession::submit`, operation for operation,
-    /// reading the job's pinned catalog version throughout — wrapped in
+    /// One pass of the pipeline for one admitted job — enumerate, cost,
+    /// select (Algorithm 2), execute, learn, reading the job's pinned
+    /// catalog version throughout — wrapped in
     /// the resilience loop: up to [`RuntimeConfig::max_attempts`] attempts,
     /// re-planning with failed sites marked hot between them. Returns the
     /// report plus the number of attempts taken.

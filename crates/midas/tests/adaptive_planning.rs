@@ -45,7 +45,7 @@ fn assert_reports_identical(a: &RuntimeReport, b: &RuntimeReport, compare_sim: b
         assert_eq!(x.sequence, y.sequence, "{ctx}/{label}");
         assert_eq!(x.tenant, y.tenant, "{ctx}/{label}");
         assert_eq!(x.attempts, y.attempts, "{ctx}/{label}: attempts drifted");
-        assert_eq!(x.pinned_version(), y.pinned_version(), "{ctx}/{label}");
+        assert_eq!(x.pinned_version, y.pinned_version, "{ctx}/{label}");
         let (r, s) = (&x.report, &y.report);
         assert_eq!(r.label, s.label, "{ctx}");
         assert_eq!(r.chosen, s.chosen, "{ctx}/{label}: plan drifted");
@@ -84,7 +84,7 @@ fn canonical_outcomes(report: &RuntimeReport) -> Vec<(usize, String)> {
                     r.tenant,
                     r.attempts,
                     r.report.result_fingerprint,
-                    r.pinned_version(),
+                    r.pinned_version,
                     r.report.chosen,
                     r.replans,
                     r.plan_switched,

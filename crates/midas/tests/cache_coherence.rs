@@ -49,7 +49,7 @@ fn assert_reports_identical(
         assert_eq!(w.sequence, c.sequence, "{ctx}/{label}");
         assert_eq!(w.tenant, c.tenant, "{ctx}/{label}");
         assert_eq!(w.attempts, c.attempts, "{ctx}/{label}: attempts drifted");
-        assert_eq!(w.pinned_version(), c.pinned_version(), "{ctx}/{label}");
+        assert_eq!(w.pinned_version, c.pinned_version, "{ctx}/{label}");
         let (a, b) = (&w.report, &c.report);
         assert_eq!(a.label, b.label, "{ctx}");
         assert_eq!(a.chosen, b.chosen, "{ctx}/{label}: plan drifted");
@@ -298,7 +298,7 @@ fn an_empty_ingest_retires_no_cache_entry() {
 
     let report = runtime.run(vec![job()]);
     assert!(report.failed.is_empty());
-    assert_eq!(report.completed[0].pinned_version(), 1);
+    assert_eq!(report.completed[0].pinned_version, 1);
     assert_eq!(report.completed[0].cache_hits, 3, "every fragment still hits");
     let again = runtime.cache_stats();
     assert_eq!(again.plan.hits, warm.plan.hits + 1, "{:?}", again.plan);
@@ -594,18 +594,22 @@ proptest! {
                 workers: 4,
                 max_vms: 2,
                 seed,
-                retain_pinned_snapshots: true,
                 ..RuntimeConfig::default()
             },
         );
         let mut queries = Vec::new();
-        let ((), raced) = runtime.serve(|ingress| {
+        // Every version a job can pin, indexed by number: the producer is
+        // the only publisher, so the version current after each publish is
+        // the one later admissions pin.
+        let (versions, raced) = runtime.serve(|ingress| {
+            let mut versions = vec![runtime.versioned_catalog().current()];
             let mut next_uid = base_patients as i64;
             for (i, &(kind, size)) in ops.iter().enumerate() {
                 if kind == 0 {
                     let delta = medical_delta(size, 0.5, seed ^ (i as u64) << 13, next_uid);
                     next_uid += size as i64;
                     ingress.ingest_batch(delta).expect("ingest");
+                    versions.push(runtime.versioned_catalog().current());
                 } else {
                     let tenant = if kind % 2 == 0 { "clinic-A" } else { "clinic-B" };
                     let query = medical_query(Some(modalities[kind % modalities.len()]));
@@ -613,11 +617,13 @@ proptest! {
                     queries.push(query);
                 }
             }
+            versions
         });
         prop_assert!(raced.failed.is_empty(), "failures: {:?}", raced.failed);
         prop_assert_eq!(raced.completed.len(), queries.len());
         for r in &raced.completed {
-            let pinned = r.pinned.as_ref().expect("retain_pinned_snapshots is on");
+            let pinned = &versions[r.pinned_version as usize];
+            prop_assert_eq!(pinned.version(), r.pinned_version);
             let expected = queries[r.sequence]
                 .standalone_fingerprint(&pinned.pin())
                 .expect("standalone oracle executes");
@@ -626,7 +632,7 @@ proptest! {
                 expected,
                 "{} served a stale result (pinned v{}, {} cached fragments)",
                 r.report.label,
-                r.pinned_version(),
+                r.pinned_version,
                 r.cache_hits
             );
         }

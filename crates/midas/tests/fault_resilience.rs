@@ -42,7 +42,7 @@ fn canonical_outcomes(report: &RuntimeReport) -> Vec<(usize, String)> {
                     r.tenant,
                     r.attempts,
                     r.report.result_fingerprint,
-                    r.pinned_version()
+                    r.pinned_version
                 ),
             )
         })

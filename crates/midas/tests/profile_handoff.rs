@@ -5,12 +5,13 @@
 //! which takes them in place of running the fragments a second time. The
 //! flow it replaced — `PlanCostModel::build`, outputs thrown away, then a
 //! `SharedExecutor` that executes everything — is still reachable through
-//! the public API, and [`Reference`] below is exactly that flow, job after
-//! job on one thread. The two must agree bit for bit: chosen plans,
-//! predicted and simulated cost vectors, DREAM windows, result
-//! fingerprints, fragment-cache hits, per-site admissions and the
-//! simulated clock — under every combination of fragment cache, plan
-//! cache and worker count, and across a fault-injected retry.
+//! the public API, and the sequential `Reference` in `common/` is exactly
+//! that flow, job after job on one thread. The two must agree bit for bit:
+//! chosen plans, predicted and simulated cost vectors, DREAM windows,
+//! result fingerprints, base-table bytes read, fragment-cache hits,
+//! per-site admissions, the simulated clock and the learned histories —
+//! under every combination of fragment cache, plan cache and worker count,
+//! and across a fault-injected retry.
 //!
 //! The reference also costs the space afresh (`moqp_exhaustive`) for every
 //! attempt of every job, where the runtime selects from the Pareto set its
@@ -18,208 +19,22 @@
 //! a site failed, where it too costs a per-attempt model. Both routes are
 //! pinned against the reference here.
 
+mod common;
+
+use common::{ledgers, Ledger, Reference};
 use midas::runtime::{FederationRuntime, RuntimeConfig, RuntimeJob, RuntimeReport};
 use midas::{Midas, QueryPolicy};
 use midas_cloud::SiteId;
-use midas_engines::cache::FragmentResultCache;
-use midas_engines::exec::{ResultCacheBinding, SharedExecutor};
+use midas_engines::exec::{ExecutionOutcome, ProfiledFragment, SharedExecutor};
 use midas_engines::sim::{FaultPlan, SimulationEnv, SiteAdmission};
-use midas_engines::version::VersionedCatalog;
-use midas_engines::{execute_fused, Catalog, EngineError};
+use midas_engines::{execute_fused, Catalog, EngineKind};
 use midas_ires::optimizer::moqp_exhaustive;
-use midas_ires::scheduler::{base_rows, features_from, Scheduler, SchedulerConfig};
-use midas_ires::{assemble, CandidateConfig, EnumerationSpace, ModellingRegistry, PlanCostModel};
+use midas_ires::scheduler::SchedulerConfig;
+use midas_ires::{assemble, CandidateConfig, EnumerationSpace, PlanCostModel};
 use midas_moo::WeightedSumModel;
 use midas_tpch::gen::{GenConfig, TpchDb};
 use midas_tpch::queries::{q12, q13, q14, q17};
-use std::collections::HashMap;
 use std::sync::Mutex;
-
-/// The runtime's cost multiplier on a site that failed earlier in the job
-/// (`FederationRuntime::HOT_SITE_PENALTY`, private there).
-const HOT_SITE_PENALTY: f64 = 8.0;
-
-/// What one job left in the ledgers that must not depend on the hand-off.
-#[derive(Debug, Clone, PartialEq)]
-struct Ledger {
-    label: String,
-    chosen: CandidateConfig,
-    space_size: usize,
-    pareto_size: usize,
-    predicted: Vec<u64>,
-    actual: Vec<u64>,
-    dream_window: Option<usize>,
-    result_rows: usize,
-    result_fingerprint: u64,
-    attempts: usize,
-    cache_hits: u32,
-}
-
-fn bits(costs: &[f64]) -> Vec<u64> {
-    costs.iter().map(|c| c.to_bits()).collect()
-}
-
-/// The pre-hand-off flow: `FederationRuntime::process` for jobs served one
-/// at a time on one worker, written against the public layer functions,
-/// profiling with `PlanCostModel::build`, costing the whole space for
-/// every attempt and executing every fragment of every attempt. It keeps
-/// no plan cache — `build`, `for_query` and `moqp_exhaustive` are pure, so
-/// a cached plan is the plan it rebuilds. With pressure feedback on it
-/// folds in the gates' pressure as sampled when the job arrives (on one
-/// thread: every gate idle); it never re-plans speculatively, which a job
-/// that did not wait never triggers.
-struct Reference<'a> {
-    midas: &'a Midas,
-    config: RuntimeConfig,
-    catalog: Catalog,
-    env: Mutex<SimulationEnv>,
-    admission: SiteAdmission,
-    registry: ModellingRegistry,
-    fragment_cache: Option<FragmentResultCache>,
-    /// Identities of the (never republished) tables, as the runtime's
-    /// version 0 would mint them: the table component of every cache key.
-    table_ids: HashMap<String, u64>,
-    faults: Option<FaultPlan>,
-}
-
-impl<'a> Reference<'a> {
-    fn new(
-        midas: &'a Midas,
-        catalog: &Catalog,
-        config: RuntimeConfig,
-        faults: Option<FaultPlan>,
-    ) -> Self {
-        let federation = midas.federation();
-        let mut env = SimulationEnv::new();
-        for site in federation.site_ids() {
-            env.register_site(site, config.seed, config.drift);
-        }
-        Reference {
-            midas,
-            config,
-            catalog: catalog.clone(),
-            env: Mutex::new(env),
-            admission: SiteAdmission::new(federation.admission_capacities()),
-            registry: ModellingRegistry::dream_defaults(2),
-            fragment_cache: (config.fragment_cache_bytes > 0)
-                .then(|| FragmentResultCache::new(config.fragment_cache_bytes)),
-            table_ids: VersionedCatalog::new(catalog.clone()).current().table_ids(),
-            faults,
-        }
-    }
-
-    fn job(&self, sequence: usize, job: &RuntimeJob) -> Ledger {
-        let (federation, placement) = (self.midas.federation(), self.midas.placement());
-        let query = &job.query;
-        let space = EnumerationSpace::for_query(federation, placement, query, self.config.max_vms)
-            .expect("enumerable");
-        let base_model = PlanCostModel::build(placement, query, &self.catalog).expect("profiled");
-        let weights = WeightedSumModel::new(&job.policy.weights);
-        let left_rows = base_rows(&self.catalog, &query.left_table).expect("left table");
-        let right_rows = base_rows(&self.catalog, &query.right_table).expect("right table");
-        let pressure = if self.config.pressure_penalty > 0.0 {
-            self.admission.pressure()
-        } else {
-            Vec::new()
-        };
-        let mut hot_sites: Vec<SiteId> = Vec::new();
-        for attempt in 0..self.config.max_attempts {
-            let model = base_model
-                .clone()
-                .with_site_pressure(&pressure, self.config.pressure_penalty)
-                .expect("valid penalty")
-                .with_hot_sites(&hot_sites, HOT_SITE_PENALTY)
-                .expect("valid penalty");
-            let outcome =
-                moqp_exhaustive(&space, &model, federation, &weights, &job.policy.constraints);
-            let federated =
-                assemble(federation, placement, query, &outcome.chosen).expect("assembled");
-            let mut executor = SharedExecutor::new(federation, &self.env, &self.admission);
-            if let Some(cache) = &self.fragment_cache {
-                executor = executor.with_result_cache(ResultCacheBinding {
-                    cache,
-                    scope: self.config.cache_scope,
-                    tenant: &job.tenant,
-                    table_ids: &self.table_ids,
-                });
-            }
-            if let Some(plan) = &self.faults {
-                executor = executor.with_faults(plan, (sequence + attempt) as u64);
-            }
-            let executed = match executor.run_with_scale(
-                &federated,
-                &self.catalog,
-                self.config.work_scale,
-            ) {
-                Ok(executed) => executed,
-                Err(EngineError::SiteUnavailable { site }) => {
-                    if !hot_sites.contains(&site) {
-                        hot_sites.push(site);
-                    }
-                    continue;
-                }
-                Err(e) => panic!("reference job {sequence} failed: {e}"),
-            };
-            assert_eq!(executed.reused_fragments, 0, "nothing was handed over");
-            let features =
-                features_from(left_rows, right_rows, &executed, self.config.work_scale);
-            let costs = executed.cost_vector();
-            let fit = self
-                .registry
-                .observe(query.class(), &features, &costs)
-                .expect("observed");
-            return Ledger {
-                label: query.label.clone(),
-                chosen: outcome.chosen,
-                space_size: space.len(),
-                pareto_size: outcome.pareto.len(),
-                predicted: bits(&outcome.chosen_costs),
-                actual: bits(&costs),
-                dream_window: fit.map(|report| report.window_used),
-                result_rows: executed.result.n_rows(),
-                result_fingerprint: executed.result.fingerprint(),
-                attempts: attempt + 1,
-                cache_hits: executed.cache_hits,
-            };
-        }
-        panic!("reference job {sequence} exhausted its attempts");
-    }
-
-    fn run(&self, jobs: &[RuntimeJob]) -> Vec<Ledger> {
-        jobs.iter()
-            .enumerate()
-            .map(|(sequence, job)| self.job(sequence, job))
-            .collect()
-    }
-
-    fn clock_bits(&self) -> u64 {
-        self.env.lock().unwrap().clock_s.to_bits()
-    }
-
-    fn admitted(&self) -> Vec<u64> {
-        self.admission.stats().iter().map(|(_, s)| s.admitted).collect()
-    }
-}
-
-fn ledgers(report: &RuntimeReport) -> Vec<Ledger> {
-    report
-        .completed
-        .iter()
-        .map(|r| Ledger {
-            label: r.report.label.clone(),
-            chosen: r.report.chosen.clone(),
-            space_size: r.report.space_size,
-            pareto_size: r.report.pareto_size,
-            predicted: bits(&r.report.predicted_costs),
-            actual: bits(&r.report.actual_costs),
-            dream_window: r.report.dream_window,
-            result_rows: r.report.result_rows,
-            result_fingerprint: r.report.result_fingerprint,
-            attempts: r.attempts,
-            cache_hits: r.cache_hits,
-        })
-        .collect()
-}
 
 /// The fields that do not depend on the order workers served the jobs in.
 fn order_free(ledger: &Ledger) -> Ledger {
@@ -276,8 +91,9 @@ fn runtime<'a>(midas: &'a Midas, db: &TpchDb, config: RuntimeConfig) -> Federati
 }
 
 /// Runs `jobs` through a one-worker runtime (hand-off) and through the
-/// reference (no hand-off) and pins every ledger, the clock and the
-/// per-site admission counts. Returns the runtime's report. With pressure
+/// reference (no hand-off) and pins every ledger, the clock, the per-site
+/// admission counts and the learned histories. Returns the runtime's
+/// report and the reference's ledgers. With pressure
 /// feedback on, the jobs are streamed through `serve`, each drained before
 /// the next is submitted — what the reference's arrival-time pressure
 /// sample models.
@@ -290,7 +106,11 @@ fn assert_one_worker_matches_reference(
     ctx: &str,
 ) -> (RuntimeReport, Vec<Ledger>) {
     let reference = Reference::new(midas, db.catalog(), config, faults.clone());
-    let expected = reference.run(jobs);
+    let expected: Vec<Ledger> = jobs
+        .iter()
+        .enumerate()
+        .map(|(sequence, job)| reference.job(sequence, job, db.catalog()))
+        .collect();
     let mut rt = runtime(midas, db, RuntimeConfig { workers: 1, ..config });
     if let Some(plan) = faults {
         rt = rt.with_fault_plan(plan);
@@ -308,9 +128,7 @@ fn assert_one_worker_matches_reference(
     };
     assert!(report.failed.is_empty(), "{ctx}: failures {:?}", report.failed);
     assert_eq!(ledgers(&report), expected, "{ctx}");
-    assert_eq!(report.sim_clock_s.to_bits(), reference.clock_bits(), "{ctx}: clock");
-    let admitted: Vec<u64> = report.admission.iter().map(|(_, s)| s.admitted).collect();
-    assert_eq!(admitted, reference.admitted(), "{ctx}: admissions");
+    reference.assert_end_state(&rt, ctx);
     (report, expected)
 }
 
@@ -530,35 +348,45 @@ fn a_cold_job_scans_what_one_standalone_execution_scans() {
     let (_, profiled) = PlanCostModel::profile(midas.placement(), &query, tables).unwrap();
     let executed_rows: u64 = profiled.iter().map(|p| p.work.scanned_rows()).sum();
     assert_eq!(executed_rows, standalone_rows);
-    let mut scheduler = Scheduler::new(
-        midas.federation(),
-        midas.placement().clone(),
-        SchedulerConfig::default(),
-    );
+    // One federated plan, executed from the same seed twice: once handed
+    // all three profiled outputs, once executing everything.
     let config = CandidateConfig {
         join_site: SiteId(0),
-        join_engine: midas_engines::EngineKind::Spark,
+        join_engine: EngineKind::Spark,
         instance_idx: 1,
         vm_count: 2,
     };
-    let run = scheduler
-        .execute_profiled(&query, &config, tables, &profiled)
-        .unwrap();
-    assert_eq!(run.outcome.reused_fragments, 3);
-    assert_eq!(run.outcome.result.fingerprint(), result.fingerprint());
+    let federated = assemble(midas.federation(), midas.placement(), &query, &config).unwrap();
+    let seeded = SchedulerConfig::default();
+    let execute = |handed: &[ProfiledFragment]| {
+        let mut env = SimulationEnv::new();
+        for site in midas.federation().site_ids() {
+            env.register_site(site, seeded.seed, seeded.drift);
+        }
+        let env = Mutex::new(env);
+        let admission = SiteAdmission::unmetered();
+        let outcome = SharedExecutor::new(midas.federation(), &env, &admission)
+            .with_profiled_fragments(handed)
+            .run(&federated, tables)
+            .unwrap();
+        let clock = env.lock().unwrap().clock_s;
+        (outcome, clock)
+    };
+    let (run, clock) = execute(&profiled);
+    assert_eq!(run.reused_fragments, 3);
+    assert_eq!(run.result.fingerprint(), result.fingerprint());
     // The ledger attributes one execution's work to the job.
-    let attributed: u64 = run.outcome.fragments.iter().map(|f| f.work.scanned_rows()).sum();
+    let attributed: u64 = run.fragments.iter().map(|f| f.work.scanned_rows()).sum();
     assert_eq!(attributed, standalone_rows);
 
-    // Same signals as executing without the hand-off, from the same seed.
-    let mut cold_scheduler = Scheduler::new(
-        midas.federation(),
-        midas.placement().clone(),
-        SchedulerConfig::default(),
-    );
-    let cold = cold_scheduler.execute_with_config(&query, &config, tables).unwrap();
-    assert_eq!(cold.outcome.reused_fragments, 0);
-    assert_eq!(bits(&run.costs), bits(&cold.costs));
-    assert_eq!(run.features, cold.features);
-    assert_eq!(scheduler.clock_s().to_bits(), cold_scheduler.clock_s().to_bits());
+    // Same signals as executing without the hand-off.
+    let (cold, cold_clock) = execute(&[]);
+    assert_eq!(cold.reused_fragments, 0);
+    let bits = |costs: Vec<f64>| costs.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(run.cost_vector()), bits(cold.cost_vector()));
+    let work = |outcome: &ExecutionOutcome| {
+        outcome.fragments.iter().map(|f| f.work.clone()).collect::<Vec<_>>()
+    };
+    assert_eq!(work(&run), work(&cold));
+    assert_eq!(clock.to_bits(), cold_clock.to_bits());
 }

@@ -1,16 +1,20 @@
 //! Concurrency harness for the [`FederationRuntime`]:
 //!
 //! 1. **Determinism** — a fixed-seed single-worker runtime must reproduce
-//!    the legacy sequential `MidasSession` decision-for-decision: identical
-//!    chosen plans, identical predicted and observed cost vectors
-//!    (bit-for-bit `f64` equality, not tolerances), and an identical learned
-//!    per-class history. The two inert parallelism hints `RuntimeConfig`
-//!    still accepts change none of it.
+//!    the sequential `Reference` of `common/` decision-for-decision:
+//!    identical chosen plans, identical predicted and observed cost vectors
+//!    (bit-for-bit `f64` equality, not tolerances), identical cache hits
+//!    and site admissions, and an identical learned per-class history. The
+//!    two inert parallelism hints `RuntimeConfig` still accepts change none
+//!    of it.
 //! 2. **Stress** — N workers × M tenants must lose no observations and grow
 //!    every query class's shared history monotonically across batches; the
 //!    learned *feature* history stays deterministic run to run (features
 //!    are pure relational sizes).
 
+mod common;
+
+use common::{ledgers, Ledger, Reference};
 use midas::runtime::{FederationRuntime, RuntimeConfig, RuntimeJob};
 use midas::{Midas, QueryPolicy};
 use midas_tpch::gen::{GenConfig, TpchDb};
@@ -63,66 +67,28 @@ fn single_worker_runtime_reproduces_the_sequential_scheduler() {
     let (midas, db) = deployment();
     let jobs = mixed_jobs(2);
 
-    // Legacy path: one sequential session, submission order.
-    let mut session = midas.session();
-    let mut legacy = Vec::with_capacity(jobs.len());
-    for job in &jobs {
-        legacy.push(
-            session
-                .submit(&job.query, db.catalog(), &job.policy)
-                .expect("sequential submit succeeds"),
-        );
-    }
-
-    // Concurrent path, one worker, same seed/drift.
+    // Concurrent path, one worker, the deployment's seed and drift.
     let runtime = midas.runtime(db.catalog(), 1);
     let report = runtime.run(jobs.clone());
     assert!(report.failed.is_empty(), "failures: {:?}", report.failed);
-    assert_eq!(report.completed.len(), legacy.len());
 
-    for (concurrent, sequential) in report.completed.iter().zip(legacy.iter()) {
-        let c = &concurrent.report;
-        assert_eq!(c.label, sequential.label);
-        assert_eq!(c.space_size, sequential.space_size);
-        assert_eq!(c.pareto_size, sequential.pareto_size);
-        assert_eq!(c.chosen, sequential.chosen, "{}: plan drifted", c.label);
-        // Bit-for-bit, not approximate: both paths must take the exact same
-        // arithmetic through costing, selection, simulation and learning.
-        assert_eq!(c.predicted_costs, sequential.predicted_costs, "{}", c.label);
-        assert_eq!(c.actual_costs, sequential.actual_costs, "{}", c.label);
-        assert_eq!(c.dream_window, sequential.dream_window, "{}", c.label);
-        assert_eq!(c.result_rows, sequential.result_rows, "{}", c.label);
-        assert_eq!(
-            c.result_fingerprint, sequential.result_fingerprint,
-            "{}: result table drifted",
-            c.label
-        );
-        // A closed batch admits everything at version 0.
-        assert_eq!(concurrent.pinned_version(), 0, "{}", c.label);
-    }
+    // The reference under the same configuration, submission order.
+    let reference = Reference::new(&midas, db.catalog(), *runtime.config(), None);
+    let expected: Vec<Ledger> = jobs
+        .iter()
+        .enumerate()
+        .map(|(sequence, job)| reference.job(sequence, job, db.catalog()))
+        .collect();
 
-    // The simulated world ended in the same state...
-    assert_eq!(runtime.clock_s(), session.clock_s());
+    // Bit-for-bit, not approximate: both paths must take the exact same
+    // arithmetic through costing, selection, simulation and learning.
+    assert_eq!(ledgers(&report), expected);
+    // A closed batch admits everything at version 0.
+    assert!(report.completed.iter().all(|r| r.pinned_version == 0));
 
-    // ...and the learned histories are identical, observation for
-    // observation.
-    for class in runtime.registry().class_names() {
-        let shared = runtime.registry().get(&class).expect("class exists");
-        let shared = shared.lock().expect("modelling lock");
-        let sequential = session
-            .modelling(&class)
-            .unwrap_or_else(|| panic!("legacy session never saw {class}"));
-        assert_eq!(shared.history().len(), sequential.history().len());
-        for (a, b) in shared
-            .history()
-            .all()
-            .iter()
-            .zip(sequential.history().all().iter())
-        {
-            assert_eq!(a.features, b.features, "{class}: features drifted");
-            assert_eq!(a.costs, b.costs, "{class}: costs drifted");
-        }
-    }
+    // The simulated world ended in the same state, and the learned
+    // histories are identical, observation for observation.
+    reference.assert_end_state(&runtime, "one worker");
 }
 
 #[test]

@@ -1,10 +1,11 @@
 //! The live-data harness of the streaming [`FederationRuntime`]:
 //!
 //! 1. **Sequential oracle parity** — a 1-worker streaming runtime consuming
-//!    the deterministic ingest/query tape must reproduce, bit-for-bit, a
-//!    sequential `MidasSession` replaying the *same* admission/ingest
-//!    interleaving against its own copy-on-write catalog: identical plans,
-//!    predicted/observed costs, result fingerprints, learned histories and
+//!    the deterministic ingest/query tape must reproduce, bit-for-bit, the
+//!    sequential `Reference` of `common/` replaying the *same*
+//!    admission/ingest interleaving over `pin()`ned flat copies of its own
+//!    copy-on-write catalog: identical plans, predicted/observed costs,
+//!    result fingerprints, base-table bytes read, learned histories and
 //!    simulated clock — and each job must pin exactly the catalog version
 //!    the tape implies.
 //! 2. **Snapshot isolation under real concurrency** — with multiple
@@ -20,13 +21,18 @@
 //!    bytes until an oracle `pin()`s it, and the ledger still equals the
 //!    flat oracle's with both cache tiers on.
 
-use midas::runtime::{FederationRuntime, RuntimeConfig, RuntimeJob};
+mod common;
+
+use common::{ledgers, Ledger, Reference};
+use midas::runtime::{FederationRuntime, RuntimeConfig, RuntimeJob, TenantReport};
 use midas::{Midas, QueryPolicy};
+use midas_engines::version::CatalogVersion;
 use midas_tpch::gen::{DeltaStream, GenConfig, TpchDb};
 use midas_tpch::medical::{generate_medical, medical_delta, medical_query};
 use midas_tpch::queries::{q12, q13, q14};
 use midas_tpch::stream::{streaming_workload, StreamEvent, StreamSpec};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// The per-tenant policy mix the benches use.
 fn policy_for(tenant: &str) -> QueryPolicy {
@@ -35,6 +41,34 @@ fn policy_for(tenant: &str) -> QueryPolicy {
         "hospital-B" => QueryPolicy::fastest(),
         "hospital-C" => QueryPolicy::cheapest(),
         _ => QueryPolicy::balanced().with_money_budget(100.0),
+    }
+}
+
+/// A reference over flat oracle catalogs: it runs with both cache tiers
+/// off, so its jobs hit nothing the runtime's cache served.
+fn uncached(config: &RuntimeConfig) -> RuntimeConfig {
+    RuntimeConfig {
+        fragment_cache_bytes: 0,
+        plan_cache_bytes: 0,
+        ..*config
+    }
+}
+
+/// The runtime's own version a job pinned, from the versions its producer
+/// captured: `runtime.versioned_catalog().current()` at start and after
+/// every publish. The producer is the only publisher, so `versions[n]` is
+/// the very version `n` the jobs pinned.
+fn pinned_of<'v>(versions: &'v [Arc<CatalogVersion>], r: &TenantReport) -> &'v CatalogVersion {
+    let version = &versions[r.pinned_version as usize];
+    assert_eq!(version.version(), r.pinned_version);
+    version
+}
+
+/// A ledger with the cache hits it owes to the runtime's cache cleared.
+fn cache_free(ledger: &Ledger) -> Ledger {
+    Ledger {
+        cache_hits: 0,
+        ..ledger.clone()
     }
 }
 
@@ -67,25 +101,20 @@ fn one_worker_stream_matches_the_sequential_replay_oracle() {
     });
     assert!(report.failed.is_empty(), "failures: {:?}", report.failed);
 
-    // Oracle side: a sequential session replaying the same tape against
-    // its own copy-on-write catalog.
-    let mut session = midas.session();
+    // Oracle side: the sequential reference replaying the same tape
+    // against its own copy-on-write catalog.
+    let reference = Reference::new(&midas, db.catalog(), uncached(runtime.config()), None);
     let oracle_catalog = db.versioned_catalog();
-    let mut legacy = Vec::new();
-    let mut expected_versions = Vec::new();
+    let mut oracle = Vec::new();
     let mut pinned_lineitem_rows = Vec::new();
     for event in &tape {
         match event {
             StreamEvent::Query { tenant, query, .. } => {
-                expected_versions.push(oracle_catalog.version());
                 let pinned = oracle_catalog.current().pin();
-                pinned_lineitem_rows
-                    .push(pinned.get("lineitem").map_or(0, |t| t.n_rows()));
-                legacy.push(
-                    session
-                        .submit(query, &pinned, &policy_for(tenant))
-                        .expect("sequential submit succeeds"),
-                );
+                pinned_lineitem_rows.push(pinned.get("lineitem").map_or(0, |t| t.n_rows()));
+                let job = RuntimeJob::new(tenant, (**query).clone(), policy_for(tenant));
+                let ledger = reference.job(oracle.len(), &job, &pinned);
+                oracle.push((oracle_catalog.version(), ledger));
             }
             StreamEvent::Ingest { deltas, .. } => {
                 oracle_catalog.append_batch(deltas.clone()).expect("ingest");
@@ -93,54 +122,18 @@ fn one_worker_stream_matches_the_sequential_replay_oracle() {
         }
     }
 
-    assert_eq!(report.completed.len(), legacy.len());
-    for ((concurrent, sequential), version) in report
-        .completed
-        .iter()
-        .zip(legacy.iter())
-        .zip(expected_versions.iter())
-    {
-        let c = &concurrent.report;
-        assert_eq!(
-            concurrent.pinned_version(),
-            *version,
-            "{}: pinned the wrong catalog version",
-            c.label
-        );
-        assert_eq!(c.label, sequential.label);
-        assert_eq!(c.chosen, sequential.chosen, "{}: plan drifted", c.label);
-        // Bit-for-bit, not approximate: both paths must take the exact
-        // same arithmetic through costing, selection, simulation, learning.
-        assert_eq!(c.predicted_costs, sequential.predicted_costs, "{}", c.label);
-        assert_eq!(c.actual_costs, sequential.actual_costs, "{}", c.label);
-        assert_eq!(c.dream_window, sequential.dream_window, "{}", c.label);
-        assert_eq!(c.result_rows, sequential.result_rows, "{}", c.label);
-        assert_eq!(
-            c.result_fingerprint, sequential.result_fingerprint,
-            "{}: result drifted",
-            c.label
-        );
+    // Bit-for-bit, not approximate: both paths must take the exact same
+    // arithmetic through costing, selection, simulation and learning.
+    let served = ledgers(&report);
+    assert_eq!(served.len(), oracle.len());
+    for ((r, ledger), (version, expected)) in report.completed.iter().zip(&served).zip(&oracle) {
+        let label = &ledger.label;
+        assert_eq!(r.pinned_version, *version, "{label}: pinned the wrong catalog version");
+        assert_eq!(cache_free(ledger), *expected, "{label}: ledger drifted");
     }
 
     // The simulated world and the learned state ended identically.
-    assert_eq!(runtime.clock_s(), session.clock_s());
-    for class in runtime.registry().class_names() {
-        let shared = runtime.registry().get(&class).expect("class exists");
-        let shared = shared.lock().expect("modelling lock");
-        let sequential = session
-            .modelling(&class)
-            .unwrap_or_else(|| panic!("oracle never saw {class}"));
-        assert_eq!(shared.history().len(), sequential.history().len());
-        for (a, b) in shared
-            .history()
-            .all()
-            .iter()
-            .zip(sequential.history().all().iter())
-        {
-            assert_eq!(a.features, b.features, "{class}: features drifted");
-            assert_eq!(a.costs, b.costs, "{class}: costs drifted");
-        }
-    }
+    reference.assert_end_state(&runtime, "one-worker stream");
 
     // Both catalogs published the same number of versions, and later
     // queries saw strictly more data than version-0 queries.
@@ -148,7 +141,7 @@ fn one_worker_stream_matches_the_sequential_replay_oracle() {
     assert!(report.ingest.bytes_shared > 0);
     let first = &report.completed[0];
     let last = report.completed.last().expect("non-empty");
-    assert!(last.pinned_version() > first.pinned_version());
+    assert!(last.pinned_version > first.pinned_version);
     // The oracle pinned the same versions (checked bit-for-bit above), and
     // its last pin saw strictly more data than its first.
     assert!(
@@ -171,12 +164,12 @@ fn concurrent_workers_keep_snapshot_isolation_under_live_ingest() {
         db.catalog().clone(),
         RuntimeConfig {
             workers: 4,
-            retain_pinned_snapshots: true,
             ..RuntimeConfig::default()
         },
     );
     let mut queries_by_sequence = Vec::new();
-    let ((), report) = runtime.serve(|ingress| {
+    let (versions, report) = runtime.serve(|ingress| {
+        let mut versions = vec![runtime.versioned_catalog().current()];
         for event in &tape {
             match event {
                 StreamEvent::Query {
@@ -194,9 +187,11 @@ fn concurrent_workers_keep_snapshot_isolation_under_live_ingest() {
                 }
                 StreamEvent::Ingest { deltas, .. } => {
                     ingress.ingest_batch(deltas.clone()).expect("ingest");
+                    versions.push(runtime.versioned_catalog().current());
                 }
             }
         }
+        versions
     });
     assert!(report.failed.is_empty(), "failures: {:?}", report.failed);
     assert_eq!(report.completed.len(), queries_by_sequence.len());
@@ -205,50 +200,44 @@ fn concurrent_workers_keep_snapshot_isolation_under_live_ingest() {
     // Pinned versions are monotone in admission order (the producer thread
     // interleaves submits and ingests sequentially)...
     for pair in report.completed.windows(2) {
-        assert!(pair[0].pinned_version() <= pair[1].pinned_version());
+        assert!(pair[0].pinned_version <= pair[1].pinned_version);
     }
     // ...at least one job saw post-ingest data...
     assert!(report
         .completed
         .iter()
-        .any(|r| r.pinned_version() > 0));
+        .any(|r| r.pinned_version > 0));
     // ...the runtime compacted none of the versions it served (checked
     // for all of them before the oracle below pins any)...
-    let pinned_of = |r: &midas::runtime::TenantReport| {
-        r.pinned
-            .clone()
-            .expect("retain_pinned_snapshots is on for this runtime")
-    };
     for r in &report.completed {
         assert_eq!(
-            pinned_of(r).compaction_bytes(),
+            pinned_of(&versions, r).compaction_bytes(),
             0,
             "{}: serving compacted v{}",
             r.report.label,
-            r.pinned_version()
+            r.pinned_version
         );
     }
     // ...and EVERY result is bit-identical to executing the query alone
     // against its pinned version, no matter how workers interleaved.
     for r in &report.completed {
-        let pinned = pinned_of(r);
         let expected = queries_by_sequence[r.sequence]
-            .standalone_fingerprint(&pinned.pin())
+            .standalone_fingerprint(&pinned_of(&versions, r).pin())
             .expect("standalone oracle executes");
         assert_eq!(
             r.report.result_fingerprint, expected,
             "{}: snapshot isolation violated (pinned v{})",
             r.report.label,
-            r.pinned_version()
+            r.pinned_version
         );
     }
 }
 
 /// A hot set repeated across publishes with both cache tiers on: plan
 /// and fragment hits, invalidation and re-planning over multi-chunk
-/// versions, on one worker and on two. The runtime's ledger equals a
-/// `MidasSession` replaying the tape over `pin()`ned flat catalogs, and no
-/// version the runtime served was compacted by it.
+/// versions, on one worker and on two. The runtime's ledger equals the
+/// sequential `Reference` replaying the tape over `pin()`ned flat catalogs,
+/// and no version the runtime served was compacted by it.
 #[test]
 fn cached_stream_over_chunked_versions_matches_the_flat_oracle() {
     let (midas, _, _) = Midas::example_deployment(&["lineitem", "customer"], &["orders", "part"]);
@@ -270,6 +259,9 @@ fn cached_stream_over_chunked_versions_matches_the_flat_oracle() {
         tape.extend(hot.iter().chain(hot.iter()).map(Some));
     }
     let policy = QueryPolicy::balanced();
+    let job = |version: u64, query: &midas_tpch::TwoTableQuery| {
+        RuntimeJob::new(&format!("hospital-{}", version % 2), query.clone(), policy.clone())
+    };
 
     let serve = |workers: usize| {
         let runtime = FederationRuntime::new(
@@ -278,53 +270,52 @@ fn cached_stream_over_chunked_versions_matches_the_flat_oracle() {
             db.catalog().clone(),
             RuntimeConfig {
                 workers,
-                retain_pinned_snapshots: true,
                 ..RuntimeConfig::default()
             },
         );
-        let ((), report) = runtime.serve(|ingress| {
+        let (versions, report) = runtime.serve(|ingress| {
+            let mut versions = vec![runtime.versioned_catalog().current()];
             let mut publishes = batches.iter();
             for event in &tape {
                 match event {
                     Some(query) => {
-                        let tenant = format!("hospital-{}", ingress.version() % 2);
-                        ingress.submit(RuntimeJob::new(&tenant, (*query).clone(), policy.clone()));
+                        ingress.submit(job(ingress.version(), query));
                         ingress.drain();
                     }
                     None => {
                         let batch = publishes.next().expect("one batch per publish").clone();
                         ingress.ingest_batch(batch).expect("ingest");
+                        versions.push(runtime.versioned_catalog().current());
                     }
                 }
             }
+            versions
         });
         assert!(report.failed.is_empty(), "failures: {:?}", report.failed);
         assert!(report.cache.plan.invalidations > 0);
-        (report, runtime.clock_s())
-    };
-    let (one, one_clock) = serve(1);
-    let (two, two_clock) = serve(2);
-    for report in [&one, &two] {
         for r in &report.completed {
-            let pinned = r.pinned.as_ref().expect("retained");
-            assert_eq!(pinned.compaction_bytes(), 0, "{}: serving compacted", r.report.label);
+            let compacted = pinned_of(&versions, r).compaction_bytes();
+            assert_eq!(compacted, 0, "{}: serving compacted", r.report.label);
         }
-    }
-    assert!(two.completed.iter().any(|r| r.worker == 1), "second worker idle");
+        (runtime, report)
+    };
+    let one = serve(1);
+    let two = serve(2);
+    assert!(two.1.completed.iter().any(|r| r.worker == 1), "second worker idle");
 
-    // The oracle: a sequential session, no caches, flat compacted catalogs.
-    let mut session = midas.session();
+    // The oracle: the sequential reference, no caches, flat compacted
+    // catalogs.
+    let reference = Reference::new(&midas, db.catalog(), uncached(one.0.config()), None);
     let oracle_catalog = db.versioned_catalog();
     let mut publishes = batches.iter();
     let mut oracle = Vec::new();
     for event in &tape {
         match event {
             Some(query) => {
+                let version = oracle_catalog.version();
                 let pinned = oracle_catalog.current().pin();
-                oracle.push((
-                    oracle_catalog.version(),
-                    session.submit(query, &pinned, &policy).expect("submits"),
-                ));
+                let ledger = reference.job(oracle.len(), &job(version, query), &pinned);
+                oracle.push((version, ledger));
             }
             None => {
                 let batch = publishes.next().expect("one batch per publish").clone();
@@ -334,27 +325,24 @@ fn cached_stream_over_chunked_versions_matches_the_flat_oracle() {
     }
     assert_eq!(oracle.last().expect("non-empty").0, 4);
 
-    for (report, clock) in [(&one, one_clock), (&two, two_clock)] {
-        assert_eq!(report.completed.len(), oracle.len());
-        for (i, (r, (version, expected))) in report.completed.iter().zip(&oracle).enumerate() {
-            let c = &r.report;
+    for (runtime, report) in [&one, &two] {
+        let served = ledgers(report);
+        assert_eq!(served.len(), oracle.len());
+        for (i, ((r, ledger), (version, expected))) in
+            report.completed.iter().zip(&served).zip(&oracle).enumerate()
+        {
             assert_eq!(r.sequence, i);
-            assert_eq!(r.pinned_version(), *version, "{}", c.label);
-            assert_eq!(c.chosen, expected.chosen, "{}: plan drifted", c.label);
-            assert_eq!(c.predicted_costs, expected.predicted_costs, "{}", c.label);
-            assert_eq!(c.actual_costs, expected.actual_costs, "{}", c.label);
-            assert_eq!(c.dream_window, expected.dream_window, "{}", c.label);
-            assert_eq!(c.result_rows, expected.result_rows, "{}", c.label);
-            assert_eq!(c.result_fingerprint, expected.result_fingerprint, "{}", c.label);
-            assert_eq!(c.catalog_shared_bytes, expected.catalog_shared_bytes, "{}", c.label);
+            assert_eq!(r.pinned_version, *version, "{}", ledger.label);
+            assert_eq!(cache_free(ledger), *expected, "{}: ledger drifted", ledger.label);
             // The second pass of a window finds every fragment cached; the
             // two worker counts agree on every job's hits.
-            assert_eq!(r.cache_hits, one.completed[i].cache_hits, "{}", c.label);
+            assert_eq!(r.cache_hits, one.1.completed[i].cache_hits, "{}", ledger.label);
             if i % (2 * hot.len()) >= hot.len() {
-                assert_eq!(r.cache_hits, 3, "{}: job {i} missed", c.label);
+                assert_eq!(r.cache_hits, 3, "{}: job {i} missed", ledger.label);
             }
         }
-        assert_eq!(clock, session.clock_s());
+        let workers = runtime.config().workers;
+        reference.assert_end_state(runtime, &format!("cached stream, {workers} workers"));
     }
 }
 
@@ -443,14 +431,14 @@ proptest! {
                 workers: 2,
                 max_vms: 2,
                 seed,
-                retain_pinned_snapshots: true,
                 ..RuntimeConfig::default()
             },
         );
 
         let modalities = ["CT", "MR", "US", "XR", "PET"];
         let mut queries = Vec::new();
-        let ((), report) = runtime.serve(|ingress| {
+        let (versions, report) = runtime.serve(|ingress| {
+            let mut versions = vec![runtime.versioned_catalog().current()];
             let mut next_uid = base_patients as i64;
             for (i, &(kind, size)) in ops.iter().enumerate() {
                 if kind == 0 {
@@ -458,6 +446,7 @@ proptest! {
                     let delta = medical_delta(size, 0.5, seed ^ (i as u64) << 17, next_uid);
                     next_uid += size as i64;
                     ingress.ingest_batch(delta).expect("ingest");
+                    versions.push(runtime.versioned_catalog().current());
                 } else {
                     // Submit a tenant query (kind picks the modality).
                     let query = medical_query(Some(modalities[kind % modalities.len()]));
@@ -466,29 +455,26 @@ proptest! {
                     queries.push(query);
                 }
             }
+            versions
         });
         prop_assert!(report.failed.is_empty(), "failures: {:?}", report.failed);
         prop_assert_eq!(report.completed.len(), queries.len());
         prop_assert!(report.ingest.appends == 0 || report.ingest.bytes_shared > 0);
         for r in &report.completed {
-            let pinned = r
-                .pinned
-                .as_ref()
-                .expect("retain_pinned_snapshots is on for this runtime");
             let expected = queries[r.sequence]
-                .standalone_fingerprint(&pinned.pin())
+                .standalone_fingerprint(&pinned_of(&versions, r).pin())
                 .expect("standalone oracle executes");
             prop_assert_eq!(
                 r.report.result_fingerprint,
                 expected,
                 "{} pinned v{}",
                 r.report.label,
-                r.pinned_version()
+                r.pinned_version
             );
         }
         // Versions pinned are monotone in admission order.
         for pair in report.completed.windows(2) {
-            prop_assert!(pair[0].pinned_version() <= pair[1].pinned_version());
+            prop_assert!(pair[0].pinned_version <= pair[1].pinned_version);
         }
     }
 }

@@ -77,8 +77,8 @@ pub struct TwoTableQuery {
 impl TwoTableQuery {
     /// The query class ("Q12", "Medical", …) under which executions are
     /// recorded and learned: the label up to its parameter binding. The
-    /// sequential session and the concurrent runtime both key their
-    /// Modelling state by this, so it must have exactly one definition.
+    /// runtime and the trace recorders all key their Modelling state by
+    /// this, so it must have exactly one definition.
     pub fn class(&self) -> &str {
         self.label.split('(').next().unwrap_or(&self.label)
     }

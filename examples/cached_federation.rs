@@ -154,10 +154,10 @@ fn main() {
     let served = &fresh.completed[0];
     println!(
         "  re-issued CT query pinned v{} and recomputed ({} cached fragments used)",
-        served.pinned_version(),
+        served.pinned_version,
         served.cache_hits
     );
-    assert_eq!(served.pinned_version(), 1, "the re-issue must see the new version");
+    assert_eq!(served.pinned_version, 1, "the re-issue must see the new version");
     assert_eq!(served.cache_hits, 0, "stale entries must not serve the new version");
 
     println!(

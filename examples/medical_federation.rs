@@ -15,7 +15,7 @@
 //! cargo run --release --example medical_federation
 //! ```
 
-use midas_repro::midas::{Midas, QueryPolicy};
+use midas_repro::midas::{Midas, QueryPolicy, RuntimeJob};
 use midas_repro::tpch::medical::{generate_medical, medical_query};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -30,15 +30,31 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         tables.try_get("generalinfo")?.n_rows()
     );
 
-    let mut session = midas.session();
-
-    // The same query under three policies.
-    for (name, policy) in [
+    // The same query under three policies, then a clinic workload of
+    // modality-filtered variants arriving over the day. One worker serves
+    // them in submission order while DREAM learns the class's cost model.
+    let policies = [
         ("fastest", QueryPolicy::fastest()),
         ("cheapest", QueryPolicy::cheapest()),
         ("balanced + $0.02 budget", QueryPolicy::balanced().with_money_budget(0.02)),
-    ] {
-        let report = session.submit(&medical_query(None), &tables, &policy)?;
+    ];
+    let modalities = ["CT", "MR", "US", "XR", "PET", "CT", "MR", "US"];
+    let jobs = policies
+        .iter()
+        .map(|(_, policy)| RuntimeJob::new("clinic", medical_query(None), policy.clone()))
+        .chain(modalities.iter().map(|&modality| {
+            RuntimeJob::new("clinic", medical_query(Some(modality)), QueryPolicy::balanced())
+        }))
+        .collect();
+    let runtime = midas.runtime(&tables, 1);
+    let served = runtime.run(jobs);
+    if let Some(failed) = served.failed.first() {
+        return Err(failed.error.clone().into());
+    }
+    let (by_policy, workload) = served.completed.split_at(policies.len());
+
+    for ((name, _), r) in policies.iter().zip(by_policy) {
+        let report = &r.report;
         println!(
             "\npolicy {name}:\n  chosen from {} plans (Pareto set {})\n  predicted {:.2} s / ${:.5}   observed {:.2} s / ${:.5}   rows {}",
             report.space_size,
@@ -51,23 +67,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // Clinic workload: modality-filtered variants arrive over the day; DREAM
-    // learns the cost model of this query class online.
     println!("\nclinic workload (DREAM learning online):");
-    for modality in ["CT", "MR", "US", "XR", "PET", "CT", "MR", "US"] {
-        let report = session.submit(
-            &medical_query(Some(modality)),
-            &tables,
-            &QueryPolicy::balanced(),
-        )?;
+    for r in workload {
         println!(
             "  {:28} observed {:6.2} s   DREAM window {:?}",
-            report.label, report.actual_costs[0], report.dream_window
+            r.report.label, r.report.actual_costs[0], r.report.dream_window
         );
     }
     println!(
-        "\nsimulated clock after the session: {:.0} s",
-        session.clock_s()
+        "\nsimulated clock after the workload: {:.0} s",
+        runtime.clock_s()
     );
     Ok(())
 }

@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use midas_repro::midas::{Midas, QueryPolicy};
+use midas_repro::midas::{Midas, QueryPolicy, RuntimeJob};
 use midas_repro::tpch::gen::{GenConfig, TpchDb};
 use midas_repro::tpch::queries::q12;
 
@@ -24,16 +24,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         db.total_bytes() / 1024
     );
 
-    // Submit Q12 with a balanced time/money policy. The session enumerates
-    // the QEP space, costs every candidate, builds the Pareto set, picks a
-    // plan with Algorithm 2, executes it on the simulated engines and feeds
-    // the observation to DREAM.
-    let mut session = midas.session();
-    let report = session.submit(
-        &q12("MAIL", "SHIP", 1994),
-        db.catalog(),
-        &QueryPolicy::balanced(),
-    )?;
+    // Submit Q12 with a balanced time/money policy, then six more
+    // instances of the same query class, to a one-worker runtime that
+    // serves them in order. For each it enumerates the QEP space, costs
+    // every candidate, builds the Pareto set, picks a plan with Algorithm 2,
+    // executes it on the simulated engines and feeds the observation to
+    // DREAM.
+    let years = [1995, 1996, 1997, 1993, 1994, 1995];
+    let first = RuntimeJob::new("clinic", q12("MAIL", "SHIP", 1994), QueryPolicy::balanced());
+    let jobs = std::iter::once(first)
+        .chain(years.iter().map(|&year| {
+            RuntimeJob::new("clinic", q12("AIR", "RAIL", year), QueryPolicy::fastest())
+        }))
+        .collect();
+    let served = midas.runtime(db.catalog(), 1).run(jobs);
+    if let Some(failed) = served.failed.first() {
+        return Err(failed.error.clone().into());
+    }
+    let report = &served.completed[0].report;
 
     println!("\n{}", report.label);
     println!("  QEP space          : {} equivalent plans", report.space_size);
@@ -52,13 +60,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.dream_window
     );
 
-    // Run the same query class a few more times: DREAM comes online once
-    // the history reaches L + 2 observations.
-    for year in [1995, 1996, 1997, 1993, 1994, 1995] {
-        let report = session.submit(&q12("AIR", "RAIL", year), db.catalog(), &QueryPolicy::fastest())?;
+    // DREAM comes online once the class's history reaches L + 2
+    // observations.
+    for (year, r) in years.iter().zip(&served.completed[1..]) {
         println!(
             "year {year}: observed {:.2} s — DREAM window {:?}",
-            report.actual_costs[0], report.dream_window
+            r.report.actual_costs[0], r.report.dream_window
         );
     }
     Ok(())

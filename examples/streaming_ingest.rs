@@ -42,9 +42,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         RuntimeConfig {
             workers: 2,
             max_vms: 4,
-            // Keep each job's pinned snapshot on its report so the
-            // visibility printout below can count the patients it saw.
-            retain_pinned_snapshots: true,
             ..RuntimeConfig::default()
         },
     );
@@ -52,7 +49,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A day at the clinic: each "hour", two tenants query the registry and
     // one admission wave of 150 patients arrives.
     let modalities = ["CT", "MR", "US", "XR"];
-    let ((), report) = runtime.serve(|ingress| {
+    // The producer keeps every version it publishes (index = version
+    // number) so the printout below can count the patients each job saw.
+    let (versions, report) = runtime.serve(|ingress| {
+        let mut versions = vec![runtime.versioned_catalog().current()];
         let mut next_uid = base_patients as i64;
         for hour in 0..4 {
             ingress.submit(RuntimeJob::new(
@@ -68,6 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let receipt = ingress
                 .ingest_batch(medical_delta(150, 0.4, 100 + hour as u64, next_uid))
                 .expect("admission wave ingests");
+            versions.push(runtime.versioned_catalog().current());
             next_uid += 150;
             println!(
                 "hour {hour}: published catalog v{} (+{} rows, {} prior bytes shared)",
@@ -78,7 +79,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         // Wait for the backlog before the "evening report".
         ingress.drain();
+        versions
     });
+    let patients = |version: u64| versions[version as usize].table_rows("patient").unwrap_or(0);
 
     println!("\ncompleted {} queries, {} failed", report.completed.len(), report.failed.len());
     println!(
@@ -94,8 +97,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             r.sequence,
             r.report.label,
             r.tenant,
-            r.pinned_version(),
-            r.pinned.as_ref().and_then(|v| v.table_rows("patient")).unwrap_or(0),
+            r.pinned_version,
+            patients(r.pinned_version),
             r.report.result_rows,
             r.report.actual_costs[0],
             r.report.actual_costs[1],
@@ -107,20 +110,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let early = report
         .completed
         .iter()
-        .find(|r| r.pinned_version() == 0)
+        .find(|r| r.pinned_version == 0)
         .expect("some job pinned version 0");
     let late = report
         .completed
         .iter()
         .rev()
-        .find(|r| r.pinned_version() > 0)
+        .find(|r| r.pinned_version > 0)
         .expect("some job admitted after an ingest");
     println!(
         "\nsnapshot isolation: v{} saw {} patients, v{} saw {}",
-        early.pinned_version(),
-        early.pinned.as_ref().and_then(|v| v.table_rows("patient")).unwrap_or(0),
-        late.pinned_version(),
-        late.pinned.as_ref().and_then(|v| v.table_rows("patient")).unwrap_or(0),
+        early.pinned_version,
+        patients(early.pinned_version),
+        late.pinned_version,
+        patients(late.pinned_version),
     );
     Ok(())
 }

@@ -35,6 +35,10 @@
 #   7. rustdoc over the workspace with warnings denied: a doc comment that
 #      links a name a PR deleted, or a private one from public docs, fails
 #      here instead of dangling.
+#   8. every example under examples/, built in release and run with its
+#      output discarded: an example that stops compiling or exits non-zero
+#      fails here (adaptive_planning takes ~2 s of pacing sleeps, the rest
+#      well under one).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -58,5 +62,16 @@ stage "benchmark package tests (benchmark/ is its own workspace)" \
     cargo test --release --offline --manifest-path benchmark/Cargo.toml
 stage "rustdoc (workspace, -D warnings)" \
     env RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+
+run_examples() {
+    cargo build --release --offline --examples
+    local example
+    for example in examples/*.rs; do
+        example=$(basename "$example" .rs)
+        echo "    example $example"
+        "${CARGO_TARGET_DIR:-target}/release/examples/$example" > /dev/null
+    done
+}
+stage "examples (build, run each)" run_examples
 
 echo "verify: OK ($SECONDS s)"

@@ -1,34 +1,53 @@
-//! End-to-end integration: the full MIDAS pipeline over the umbrella crate.
+//! End-to-end integration: the full MIDAS pipeline over the umbrella crate,
+//! each job served by a one-worker runtime in submission order.
 
-use midas_repro::midas::{Midas, QueryPolicy};
+use midas_repro::engines::sim::DriftIntensity;
+use midas_repro::midas::runtime::{FederationRuntime, RuntimeConfig, RuntimeJob};
+use midas_repro::midas::{Midas, MidasReport, QueryPolicy};
 use midas_repro::tpch::gen::{GenConfig, TpchDb};
 use midas_repro::tpch::medical::{generate_medical, medical_query};
 use midas_repro::tpch::queries::{q12, q13, q14, q17};
+use midas_repro::tpch::TwoTableQuery;
 
 fn db() -> TpchDb {
     TpchDb::generate(GenConfig::new(0.003, 99))
 }
 
+/// Serves `queries` under `policy` on `runtime` and returns their reports
+/// in submission order; any failed job fails the test.
+fn serve(
+    runtime: &FederationRuntime<'_>,
+    queries: impl IntoIterator<Item = TwoTableQuery>,
+    policy: &QueryPolicy,
+) -> Vec<MidasReport> {
+    let jobs = queries
+        .into_iter()
+        .map(|query| RuntimeJob::new("clinic", query, policy.clone()))
+        .collect();
+    let report = runtime.run(jobs);
+    assert!(report.failed.is_empty(), "failures: {:?}", report.failed);
+    report.completed.into_iter().map(|r| r.report).collect()
+}
+
 #[test]
 fn all_four_paper_queries_run_end_to_end() {
-    let (midas, _, _) =
-        Midas::example_deployment(&["lineitem", "customer"], &["orders", "part"]);
+    let (midas, _, _) = Midas::example_deployment(&["lineitem", "customer"], &["orders", "part"]);
     let db = db();
-    let mut session = midas.session();
-    session.set_max_vms(4);
-    for query in [
+    let queries = [
         q12("MAIL", "SHIP", 1994),
         q13("special", "requests"),
         q14(1995, 9),
         q17("Brand#23", "MED BOX"),
-    ] {
-        let report = session
-            .submit(&query, db.catalog(), &QueryPolicy::balanced())
-            .unwrap_or_else(|e| panic!("{} failed: {e}", query.label));
-        assert!(report.space_size > 0, "{}", query.label);
-        assert!(report.pareto_size > 0, "{}", query.label);
-        assert!(report.predicted_costs[0] > 0.0, "{}", query.label);
-        assert!(report.actual_costs[0] > 0.0, "{}", query.label);
+    ];
+    let runtime = midas.runtime(db.catalog(), 1);
+    let reports = serve(&runtime, queries, &QueryPolicy::balanced());
+    assert_eq!(reports.len(), 4);
+    for report in &reports {
+        assert!(report.space_size > 0, "{}", report.label);
+        assert!(report.pareto_size > 0, "{}", report.label);
+        assert!(report.predicted_costs[0] > 0.0, "{}", report.label);
+        assert!(report.actual_costs[0] > 0.0, "{}", report.label);
+        assert!(report.result_rows > 0, "{}", report.label);
     }
 }
 
@@ -36,53 +55,72 @@ fn all_four_paper_queries_run_end_to_end() {
 fn dream_learns_across_a_session_and_windows_stay_bounded() {
     let (midas, _, _) = Midas::example_deployment(&["lineitem"], &["orders"]);
     let db = db();
-    let mut session = midas.session();
-    session.set_max_vms(2);
-    let mut windows = Vec::new();
-    for (i, year) in (1993..=1997).chain(1993..=1997).enumerate() {
+    let runtime = FederationRuntime::new(
+        midas.federation(),
+        midas.placement(),
+        db.catalog().clone(),
+        RuntimeConfig {
+            workers: 1,
+            max_vms: 2,
+            ..RuntimeConfig::default()
+        },
+    );
+    let queries = (1993..=1997).chain(1993..=1997).enumerate().map(|(i, year)| {
         let modes = if i % 2 == 0 { ("MAIL", "SHIP") } else { ("AIR", "RAIL") };
-        let report = session
-            .submit(&q12(modes.0, modes.1, year), db.catalog(), &QueryPolicy::fastest())
-            .expect("pipeline runs");
-        if let Some(w) = report.dream_window {
-            windows.push(w);
-        }
-        session.idle(2, 30.0);
-    }
-    // With L = 4 features DREAM needs 6 runs; 10 runs leave >= 4 fits.
+        q12(modes.0, modes.1, year)
+    });
+    let reports = serve(&runtime, queries, &QueryPolicy::fastest());
+    // With L = 4 features DREAM needs m = L + 2 = 6 runs to fit: the first
+    // five runs never come online.
+    assert!(
+        reports[..5].iter().all(|r| r.dream_window.is_none()),
+        "5 runs < L + 2 = 6: DREAM not fittable yet"
+    );
+    // 10 runs leave >= 4 fits.
+    let windows: Vec<usize> = reports.iter().filter_map(|r| r.dream_window).collect();
     assert!(windows.len() >= 4, "DREAM fits recorded: {windows:?}");
     // Windows stay near the minimum (the paper's observation).
     assert!(windows.iter().all(|&w| (6..=10).contains(&w)), "{windows:?}");
-    let modelling = session.modelling("Q12").expect("class recorded");
+    let modelling = runtime.registry().get("Q12").expect("class recorded");
+    let modelling = modelling.lock().expect("modelling lock");
     assert_eq!(modelling.history().len(), 10);
+    assert_eq!(modelling.estimator_name(), "DREAM");
+}
+
+#[test]
+fn policies_steer_the_choice() {
+    let (midas, _, _) = Midas::example_deployment(&["lineitem"], &["orders"]);
+    let midas = midas.with_drift(DriftIntensity::None);
+    let db = TpchDb::generate(GenConfig::new(0.002, 9));
+    let q = q12("AIR", "TRUCK", 1995);
+    let first = |policy| serve(&midas.runtime(db.catalog(), 1), [q.clone()], &policy).remove(0);
+    let fast = first(QueryPolicy::fastest());
+    let cheap = first(QueryPolicy::cheapest());
+    // The time-first plan must not be slower than the money-first plan
+    // in prediction; the money-first plan must not cost more.
+    assert!(fast.predicted_costs[0] <= cheap.predicted_costs[0] + 1e-9);
+    assert!(cheap.predicted_costs[1] <= fast.predicted_costs[1] + 1e-9);
 }
 
 #[test]
 fn budget_constraints_are_respected_when_feasible() {
     let (midas, _, _) = Midas::example_deployment(&["patient"], &["generalinfo"]);
-    let midas = midas.with_drift(midas_repro::engines::sim::DriftIntensity::None);
+    let midas = midas.with_drift(DriftIntensity::None);
     let tables = generate_medical(800, 0.5, 3);
+    let first =
+        |policy| serve(&midas.runtime(&tables, 1), [medical_query(None)], &policy).remove(0);
     // First find the unconstrained cheapest plan's money cost.
-    let mut session = midas.session();
-    let cheapest = session
-        .submit(&medical_query(None), &tables, &QueryPolicy::cheapest())
-        .expect("pipeline runs");
-    let floor = cheapest.predicted_costs[1];
+    let floor = first(QueryPolicy::cheapest()).predicted_costs[1];
     // A budget above the floor must produce a plan within budget.
-    let mut session = midas.session();
     let budget = floor * 2.0 + 1e-6;
-    let report = session
-        .submit(
-            &medical_query(None),
-            &tables,
-            &QueryPolicy::fastest().with_money_budget(budget),
-        )
-        .expect("pipeline runs");
+    let report = first(QueryPolicy::fastest().with_money_budget(budget));
     assert!(
         report.predicted_costs[1] <= budget + 1e-9,
         "predicted ${} exceeds budget ${budget}",
         report.predicted_costs[1]
     );
+    assert!(report.label.contains("Medical"), "{}", report.label);
+    assert!(report.result_rows > 0);
 }
 
 #[test]
@@ -92,20 +130,14 @@ fn distinct_seeds_produce_distinct_observations() {
     let midas_b = midas_b.with_seed(777);
     let db = db();
     let q = q12("MAIL", "SHIP", 1995);
-    let ra = midas_a
-        .session()
-        .submit(&q, db.catalog(), &QueryPolicy::balanced())
-        .expect("pipeline runs");
-    let rb = midas_b
-        .session()
-        .submit(&q, db.catalog(), &QueryPolicy::balanced())
-        .expect("pipeline runs");
+    let first = |midas: &Midas| {
+        serve(&midas.runtime(db.catalog(), 1), [q.clone()], &QueryPolicy::balanced()).remove(0)
+    };
+    let ra = first(&midas_a);
+    let rb = first(&midas_b);
     assert_ne!(ra.actual_costs[0], rb.actual_costs[0]);
     // Same seed twice: identical.
     let (midas_c, _, _) = Midas::example_deployment(&["lineitem"], &["orders"]);
-    let rc = midas_c
-        .session()
-        .submit(&q, db.catalog(), &QueryPolicy::balanced())
-        .expect("pipeline runs");
+    let rc = first(&midas_c);
     assert_eq!(ra.actual_costs, rc.actual_costs);
 }

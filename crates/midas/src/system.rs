@@ -163,3 +163,45 @@ impl Midas {
         )
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::runtime::{FederationRuntime, RuntimeConfig, RuntimeJob};
+    use midas_tpch::gen::{GenConfig, TpchDb};
+    use midas_tpch::queries::q12;
+
+    #[test]
+    fn dream_comes_online_after_enough_runs() {
+        let (midas, _, _) = Midas::example_deployment(&["lineitem"], &["orders"]);
+        let db = TpchDb::generate(GenConfig::new(0.002, 3));
+        let runtime = FederationRuntime::new(
+            midas.federation(),
+            midas.placement(),
+            db.catalog().clone(),
+            RuntimeConfig {
+                workers: 1,
+                max_vms: 2,
+                seed: midas.seed,
+                drift: midas.drift,
+                ..RuntimeConfig::default()
+            },
+        );
+        let jobs = (1993..=1997)
+            .map(|year| RuntimeJob::new("clinic", q12("MAIL", "SHIP", year), QueryPolicy::fastest()))
+            .collect();
+        let report = runtime.run(jobs);
+        assert!(report.failed.is_empty(), "failures: {:?}", report.failed);
+        assert_eq!(report.completed.len(), 5);
+        // With L = 4 features, m = L + 2 = 6 runs are needed to fit, so
+        // five runs never come online.
+        assert!(
+            report.completed.iter().all(|r| r.report.dream_window.is_none()),
+            "5 runs < L + 2 = 6: DREAM not fittable yet"
+        );
+        let modelling = runtime.registry().get("Q12").expect("class recorded");
+        let modelling = modelling.lock().expect("modelling lock");
+        assert_eq!(modelling.history().len(), 5);
+        assert_eq!(modelling.estimator_name(), "DREAM");
+    }
+}

@@ -70,13 +70,7 @@ fn dream_learns_across_a_session_and_windows_stay_bounded() {
         q12(modes.0, modes.1, year)
     });
     let reports = serve(&runtime, queries, &QueryPolicy::fastest());
-    // With L = 4 features DREAM needs m = L + 2 = 6 runs to fit: the first
-    // five runs never come online.
-    assert!(
-        reports[..5].iter().all(|r| r.dream_window.is_none()),
-        "5 runs < L + 2 = 6: DREAM not fittable yet"
-    );
-    // 10 runs leave >= 4 fits.
+    // With L = 4 features DREAM needs 6 runs; 10 runs leave >= 4 fits.
     let windows: Vec<usize> = reports.iter().filter_map(|r| r.dream_window).collect();
     assert!(windows.len() >= 4, "DREAM fits recorded: {windows:?}");
     // Windows stay near the minimum (the paper's observation).

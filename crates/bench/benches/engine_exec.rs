@@ -14,7 +14,7 @@ use midas_engines::{
 use midas_ires::scheduler::{Scheduler, SchedulerConfig};
 use midas_ires::CandidateConfig;
 use midas_tpch::dates::{add_months, ymd};
-use midas_tpch::gen::{GenConfig, TpchDb};
+use midas_tpch::gen::{DeltaStream, GenConfig, TpchDb};
 use midas_tpch::queries::{q12, q13, q14, q17, TwoTableQuery};
 use std::hint::black_box;
 use std::sync::Arc;
@@ -134,9 +134,12 @@ fn bench_scalar_vs_fused(c: &mut Criterion) {
 ///   over 150 k order comments (`w2` tested only where `w1` hit; the `NOT`
 ///   is the complement);
 /// * Q12's right prepare, two whole columns of `orders` — shared with the
-///   base table, not copied, 150 k strings included — and Q17's left
-///   prepare, three whole numeric columns of `lineitem` cut into three
-///   chunks, each value copied once from its chunk.
+///   base table, not copied, 150 k strings included — and the same prepare
+///   over the 17 chunks `ingest_mixed` leaves `orders` in (16 appended
+///   batches of 60 orders), where the chunks' string bytes are concatenated
+///   with one copy each; and Q17's left prepare, three whole numeric
+///   columns of `lineitem` cut into three chunks, each value copied once
+///   from its chunk.
 ///
 /// Read the 600 k-row cases as ns/row = time / 600 k.
 fn bench_cold_path_kernels(c: &mut Criterion) {
@@ -213,6 +216,12 @@ fn bench_cold_path_kernels(c: &mut Criterion) {
     let chunks = vec![cut(0, n / 3), cut(n / 3, 2 * n / 3), cut(2 * n / 3, n)];
     let chunked = ChunkedTable::from_chunks("lineitem", chunks).expect("one schema");
     let three_chunks = CatalogVersion::from_chunked(vec![chunked]);
+    let ingested = db.versioned_catalog();
+    let mut deltas = DeltaStream::new(&db, 42);
+    for _ in 0..16 {
+        ingested.append_batch(deltas.next_batch(60).into_batch()).expect("one schema");
+    }
+    let ingested = ingested.current();
     let flat = TableSource::from(&catalog);
     let mut group = c.benchmark_group("cold_path_kernels");
     group.sample_size(10);
@@ -227,6 +236,7 @@ fn bench_cold_path_kernels(c: &mut Criterion) {
         ("date_range_filter_600k", &date_range, flat),
         ("filter_q13_not_contains_pair", &q13.right_prepare, flat),
         ("project_whole_string_column", &q.right_prepare, flat),
+        ("project_string_column_17_chunks", &q.right_prepare, (&ingested).into()),
         ("project_numeric_three_chunks", &q17.left_prepare, (&three_chunks).into()),
     ] {
         group.bench_function(name, |b| {

@@ -1122,7 +1122,7 @@ mod tests {
                     Column::new("k", ColumnData::Int64(vec![1, 2])),
                     Column::new(
                         "s",
-                        ColumnData::Utf8(vec!["a".to_string(), "b".to_string()]),
+                        ColumnData::Utf8(vec!["a".to_string(), "b".to_string()].into()),
                     ),
                 ],
             )

@@ -9,17 +9,24 @@
 //! that model needs:
 //!
 //! * `take_ids` / `take_opt_ids` — gather by `u32` selection indices
-//!   (the allocation path joins and final materialization use);
+//!   (the allocation path joins and final materialization use); every
+//!   gather, these included, is one `Column::gather_rows`;
 //! * `estimated_bytes_sel` — byte accounting for a *virtual* filtered
 //!   table, identical bit-for-bit to materializing and measuring it;
 //! * `utf8_at` — a borrowing string accessor so expression evaluation can
 //!   compare strings without cloning them out of the column.
+//!
+//! A string column is a [`Utf8Column`]: offsets into one byte buffer, so a
+//! gather, a concatenation or a broadcast of strings is two exact-size
+//! buffers, never one allocation per row, and a column's total byte length
+//! — what every byte formula divides — is a read, not a pass.
 //!
 //! Scalar row access ([`Column::value`]) remains for tests, display and the
 //! reference scalar executor.
 
 use crate::error::EngineError;
 use std::fmt;
+use std::ops::Index;
 use std::sync::{Arc, OnceLock};
 
 /// Logical data types.
@@ -91,6 +98,143 @@ impl fmt::Display for Value {
     }
 }
 
+/// A string column: every value's bytes back to back in one buffer, and
+/// `len + 1` offsets into it starting at 0 — value `i` is
+/// `bytes[offsets[i]..offsets[i + 1]]`. Two allocations per column however
+/// many rows it holds; equal columns hold equal strings in equal order.
+///
+/// Offsets are `u32`: one column holds at most 4 GiB of text. Every append
+/// checks the running length and panics past that bound rather than wrap.
+#[derive(Clone, PartialEq, Eq)]
+pub struct Utf8Column {
+    offsets: Vec<u32>,
+    bytes: String,
+}
+
+impl Utf8Column {
+    /// An empty column with room for `rows` values of `bytes` bytes in all.
+    pub fn with_capacity(rows: usize, bytes: usize) -> Self {
+        let mut offsets = Vec::with_capacity(rows + 1);
+        offsets.push(0);
+        Utf8Column {
+            offsets,
+            bytes: String::with_capacity(bytes),
+        }
+    }
+
+    /// `s`, `n` times: a literal broadcast.
+    pub fn repeat(s: &str, n: usize) -> Self {
+        let mut out = Utf8Column::with_capacity(n, s.len() * n);
+        (0..n).for_each(|_| out.push(s));
+        out
+    }
+
+    /// Number of values.
+    pub fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// True when there are no values.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Total byte length of all values, O(1).
+    pub fn total_bytes(&self) -> usize {
+        self.bytes.len()
+    }
+
+    /// Byte length of value `i`, read from the offsets alone.
+    pub fn value_len(&self, i: usize) -> usize {
+        (self.offsets[i + 1] - self.offsets[i]) as usize
+    }
+
+    /// The values in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &str> + '_ {
+        self.offsets.windows(2).map(|w| &self.bytes[w[0] as usize..w[1] as usize])
+    }
+
+    /// The offset after `len` bytes of text.
+    fn offset(len: usize) -> u32 {
+        u32::try_from(len).expect("a Utf8 column holds at most 4 GiB of text")
+    }
+
+    /// Appends one value.
+    pub fn push(&mut self, s: &str) {
+        self.bytes.push_str(s);
+        self.offsets.push(Utf8Column::offset(self.bytes.len()));
+    }
+
+    /// Appends one value formatted straight into the buffer
+    /// (`col.push_fmt(format_args!(…))`), without a `String` of its own.
+    pub fn push_fmt(&mut self, args: fmt::Arguments<'_>) {
+        fmt::Write::write_fmt(&mut self.bytes, args).expect("formatting into a String cannot fail");
+        self.offsets.push(Utf8Column::offset(self.bytes.len()));
+    }
+
+    /// Appends every value of `other`: one copy of its bytes, its offsets
+    /// shifted.
+    pub fn extend_from(&mut self, other: &Utf8Column) {
+        let base = Utf8Column::offset(self.bytes.len());
+        // The last shifted offset is the new length: checked once here, it
+        // bounds every other.
+        Utf8Column::offset(self.bytes.len() + other.bytes.len());
+        self.bytes.push_str(&other.bytes);
+        self.offsets.extend(other.offsets[1..].iter().map(|&o| base + o));
+    }
+
+    /// The one string gather: `Some(i)` appends value `i`, `None` an empty
+    /// string (a NULL row's placeholder). Two exact-size passes — the
+    /// lengths, then the bytes — so the output is two allocations.
+    pub fn gather(&self, rows: impl Iterator<Item = Option<usize>> + Clone) -> Utf8Column {
+        let (mut n, mut total) = (0, 0);
+        for row in rows.clone() {
+            n += 1;
+            total += row.map_or(0, |i| self.value_len(i));
+        }
+        let mut out = Utf8Column::with_capacity(n, total);
+        for row in rows {
+            out.push(row.map_or("", |i| &self[i]));
+        }
+        out
+    }
+}
+
+impl Default for Utf8Column {
+    fn default() -> Self {
+        Utf8Column::with_capacity(0, 0)
+    }
+}
+
+impl Index<usize> for Utf8Column {
+    type Output = str;
+
+    fn index(&self, i: usize) -> &str {
+        &self.bytes[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+}
+
+impl fmt::Debug for Utf8Column {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl<S: AsRef<str>> FromIterator<S> for Utf8Column {
+    fn from_iter<I: IntoIterator<Item = S>>(iter: I) -> Self {
+        let iter = iter.into_iter();
+        let mut out = Utf8Column::with_capacity(iter.size_hint().0, 0);
+        iter.for_each(|s| out.push(s.as_ref()));
+        out
+    }
+}
+
+impl From<Vec<String>> for Utf8Column {
+    fn from(v: Vec<String>) -> Self {
+        v.iter().collect()
+    }
+}
+
 /// The typed backing store of one column.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ColumnData {
@@ -99,7 +243,7 @@ pub enum ColumnData {
     /// 64-bit floats.
     Float64(Vec<f64>),
     /// Strings.
-    Utf8(Vec<String>),
+    Utf8(Utf8Column),
     /// Dates (days since epoch).
     Date(Vec<i32>),
     /// Booleans.
@@ -131,6 +275,14 @@ impl ColumnData {
             ColumnData::Utf8(_) => DataType::Utf8,
             ColumnData::Date(_) => DataType::Date,
             ColumnData::Bool(_) => DataType::Bool,
+        }
+    }
+
+    /// Total byte length of a string column's values; 0 for other types.
+    pub(crate) fn utf8_bytes(&self) -> usize {
+        match self {
+            ColumnData::Utf8(v) => v.total_bytes(),
+            _ => 0,
         }
     }
 }
@@ -191,7 +343,7 @@ impl Column {
         match &*self.data {
             ColumnData::Int64(v) => Value::Int64(v[i]),
             ColumnData::Float64(v) => Value::Float64(v[i]),
-            ColumnData::Utf8(v) => Value::Utf8(v[i].clone()),
+            ColumnData::Utf8(v) => Value::Utf8(v[i].to_string()),
             ColumnData::Date(v) => Value::Date(v[i]),
             ColumnData::Bool(v) => Value::Bool(v[i]),
         }
@@ -199,13 +351,13 @@ impl Column {
 
     /// Borrowing string accessor: `Some(Some(s))` for a valid Utf8 row,
     /// `Some(None)` for a NULL row of a Utf8 column, and `None` when the
-    /// column is not Utf8. Lets comparisons avoid cloning the `String`
+    /// column is not Utf8. Lets comparisons avoid building the `String`
     /// that [`Column::value`] would have to produce.
     pub fn utf8_at(&self, i: usize) -> Option<Option<&str>> {
         match &*self.data {
             ColumnData::Utf8(v) => {
                 if self.is_valid(i) {
-                    Some(Some(v[i].as_str()))
+                    Some(Some(&v[i]))
                 } else {
                     Some(None)
                 }
@@ -221,79 +373,59 @@ impl Column {
             ColumnData::Int64(_) | ColumnData::Float64(_) => 8.0,
             ColumnData::Date(_) => 4.0,
             ColumnData::Bool(_) => 1.0,
-            ColumnData::Utf8(v) => {
-                if v.is_empty() {
-                    8.0
-                } else {
-                    v.iter().map(|s| s.len()).sum::<usize>() as f64 / v.len() as f64
-                }
-            }
+            ColumnData::Utf8(v) if v.is_empty() => 8.0,
+            ColumnData::Utf8(v) => v.total_bytes() as f64 / v.len() as f64,
+        }
+    }
+
+    /// The one row gather: `Some(i)` copies row `i`, validity included;
+    /// `None` is a NULL row holding the type's default (`""` for strings).
+    /// A mask is built when the source has one or `mask` asks for it.
+    pub(crate) fn gather_rows(
+        &self,
+        rows: impl Iterator<Item = Option<usize>> + Clone,
+        mask: bool,
+    ) -> (ColumnData, Option<Vec<bool>>) {
+        fn typed<T: Copy + Default>(v: &[T], rows: impl Iterator<Item = Option<usize>>) -> Vec<T> {
+            rows.map(|r| r.map_or_else(T::default, |i| v[i])).collect()
+        }
+        let data = match &*self.data {
+            ColumnData::Int64(v) => ColumnData::Int64(typed(v, rows.clone())),
+            ColumnData::Float64(v) => ColumnData::Float64(typed(v, rows.clone())),
+            ColumnData::Utf8(v) => ColumnData::Utf8(v.gather(rows.clone())),
+            ColumnData::Date(v) => ColumnData::Date(typed(v, rows.clone())),
+            ColumnData::Bool(v) => ColumnData::Bool(typed(v, rows.clone())),
+        };
+        let validity = (mask || self.validity.is_some())
+            .then(|| rows.map(|r| r.is_some_and(|i| self.is_valid(i))).collect());
+        (data, validity)
+    }
+
+    /// [`Column::gather_rows`] as a column of the same name.
+    fn gathered(&self, rows: impl Iterator<Item = Option<usize>> + Clone, mask: bool) -> Column {
+        let (data, validity) = self.gather_rows(rows, mask);
+        Column {
+            name: self.name.clone(),
+            data: Arc::new(data),
+            validity,
         }
     }
 
     /// Builds a new column keeping only rows where `mask[i]` is true.
     pub fn filter(&self, mask: &[bool]) -> Column {
-        fn keep<T: Clone>(v: &[T], mask: &[bool]) -> Vec<T> {
-            v.iter()
-                .zip(mask.iter())
-                .filter(|(_, &m)| m)
-                .map(|(x, _)| x.clone())
-                .collect()
-        }
-        let data = match &*self.data {
-            ColumnData::Int64(v) => ColumnData::Int64(keep(v, mask)),
-            ColumnData::Float64(v) => ColumnData::Float64(keep(v, mask)),
-            ColumnData::Utf8(v) => ColumnData::Utf8(keep(v, mask)),
-            ColumnData::Date(v) => ColumnData::Date(keep(v, mask)),
-            ColumnData::Bool(v) => ColumnData::Bool(keep(v, mask)),
-        };
-        let validity = self.validity.as_ref().map(|v| keep(v, mask));
-        Column {
-            name: self.name.clone(),
-            data: Arc::new(data),
-            validity,
-        }
+        let kept = mask.iter().enumerate().filter(|(_, &m)| m).map(|(i, _)| Some(i));
+        self.gathered(kept, false)
     }
 
     /// Builds a new column from the rows at `indices` (gather).
     pub fn take(&self, indices: &[usize]) -> Column {
-        fn gather<T: Clone>(v: &[T], idx: &[usize]) -> Vec<T> {
-            idx.iter().map(|&i| v[i].clone()).collect()
-        }
-        let data = match &*self.data {
-            ColumnData::Int64(v) => ColumnData::Int64(gather(v, indices)),
-            ColumnData::Float64(v) => ColumnData::Float64(gather(v, indices)),
-            ColumnData::Utf8(v) => ColumnData::Utf8(gather(v, indices)),
-            ColumnData::Date(v) => ColumnData::Date(gather(v, indices)),
-            ColumnData::Bool(v) => ColumnData::Bool(gather(v, indices)),
-        };
-        let validity = self.validity.as_ref().map(|v| gather(v, indices));
-        Column {
-            name: self.name.clone(),
-            data: Arc::new(data),
-            validity,
-        }
+        self.gathered(indices.iter().map(|&i| Some(i)), false)
     }
 
     /// [`Column::take`] over a `u32` selection vector (the executor's
     /// native index width); behaviour is identical.
     pub fn take_ids(&self, indices: &[u32]) -> Column {
-        fn gather<T: Clone>(v: &[T], idx: &[u32]) -> Vec<T> {
-            idx.iter().map(|&i| v[i as usize].clone()).collect()
-        }
-        let data = match &*self.data {
-            ColumnData::Int64(v) => ColumnData::Int64(gather(v, indices)),
-            ColumnData::Float64(v) => ColumnData::Float64(gather(v, indices)),
-            ColumnData::Utf8(v) => ColumnData::Utf8(gather(v, indices)),
-            ColumnData::Date(v) => ColumnData::Date(gather(v, indices)),
-            ColumnData::Bool(v) => ColumnData::Bool(gather(v, indices)),
-        };
-        let validity = self.validity.as_ref().map(|v| gather(v, indices));
-        Column {
-            name: self.name.clone(),
-            data: Arc::new(data),
-            validity,
-        }
+        self.gathered(indices.iter().map(|&i| Some(i as usize)), false)
     }
 
     /// [`Column::take_opt`] over a `u32` selection vector plus a match
@@ -302,71 +434,14 @@ impl Column {
     /// does for `None` indices. The validity mask is always materialized,
     /// matching `take_opt`.
     pub fn take_opt_ids(&self, indices: &[u32], matched: &[bool]) -> Column {
-        let mut validity = Vec::with_capacity(indices.len());
-        macro_rules! gather_opt {
-            ($v:expr, $default:expr) => {
-                indices
-                    .iter()
-                    .zip(matched.iter())
-                    .map(|(&i, &hit)| {
-                        if hit {
-                            validity.push(self.is_valid(i as usize));
-                            $v[i as usize].clone()
-                        } else {
-                            validity.push(false);
-                            $default
-                        }
-                    })
-                    .collect()
-            };
-        }
-        let data = match &*self.data {
-            ColumnData::Int64(v) => ColumnData::Int64(gather_opt!(v, 0)),
-            ColumnData::Float64(v) => ColumnData::Float64(gather_opt!(v, 0.0)),
-            ColumnData::Utf8(v) => ColumnData::Utf8(gather_opt!(v, String::new())),
-            ColumnData::Date(v) => ColumnData::Date(gather_opt!(v, 0)),
-            ColumnData::Bool(v) => ColumnData::Bool(gather_opt!(v, false)),
-        };
-        Column {
-            name: self.name.clone(),
-            data: Arc::new(data),
-            validity: Some(validity),
-        }
+        let rows = indices.iter().zip(matched).map(|(&i, &hit)| hit.then_some(i as usize));
+        self.gathered(rows, true)
     }
 
     /// Like [`Column::take`] but `None` indices produce NULL rows — needed
     /// for the unmatched side of left-outer joins.
     pub fn take_opt(&self, indices: &[Option<usize>]) -> Column {
-        let mut validity = Vec::with_capacity(indices.len());
-        macro_rules! gather_opt {
-            ($v:expr, $default:expr) => {
-                indices
-                    .iter()
-                    .map(|idx| match idx {
-                        Some(i) => {
-                            validity.push(self.is_valid(*i));
-                            $v[*i].clone()
-                        }
-                        None => {
-                            validity.push(false);
-                            $default
-                        }
-                    })
-                    .collect()
-            };
-        }
-        let data = match &*self.data {
-            ColumnData::Int64(v) => ColumnData::Int64(gather_opt!(v, 0)),
-            ColumnData::Float64(v) => ColumnData::Float64(gather_opt!(v, 0.0)),
-            ColumnData::Utf8(v) => ColumnData::Utf8(gather_opt!(v, String::new())),
-            ColumnData::Date(v) => ColumnData::Date(gather_opt!(v, 0)),
-            ColumnData::Bool(v) => ColumnData::Bool(gather_opt!(v, false)),
-        };
-        Column {
-            name: self.name.clone(),
-            data: Arc::new(data),
-            validity: Some(validity),
-        }
+        self.gathered(indices.iter().copied(), true)
     }
 }
 
@@ -375,8 +450,8 @@ impl Column {
 /// selection of a table, the concatenation of selected slabs, a join
 /// output known only by its gather indices. `utf8_total(ci, strings)` is
 /// the total byte length of Utf8 column `ci`'s `n` selected values
-/// (`strings` is the schema column's own buffer, for callers that index
-/// it). Totals are exact integers however many pieces they were summed
+/// (`strings` is the schema column's own values, for callers that index
+/// them). Totals are exact integers however many pieces they were summed
 /// over; the float average and the product are applied here, once, so
 /// the result is the bit pattern that materializing and then measuring
 /// produces — what keeps work profiles equal across the scalar, batch and
@@ -384,7 +459,7 @@ impl Column {
 pub(crate) fn virtual_bytes<'c>(
     columns: impl Iterator<Item = &'c Column>,
     n: usize,
-    mut utf8_total: impl FnMut(usize, &'c [String]) -> usize,
+    mut utf8_total: impl FnMut(usize, &'c Utf8Column) -> usize,
 ) -> u64 {
     let per_row: f64 = columns
         .enumerate()
@@ -406,21 +481,14 @@ pub struct Table {
     pub name: String,
     columns: Vec<Column>,
     n_rows: usize,
-    /// Memoized [`Table::estimated_bytes`]. Tables are immutable once
-    /// built (every operator returns a new table), so the O(rows) Utf8
-    /// sizing pass runs at most once per table instead of once per scan,
-    /// profile or cache charge that asks. Deliberately excluded from
-    /// `PartialEq` and `Debug`: two tables with identical rows are equal
-    /// whether or not either has been measured yet.
-    bytes_cache: OnceLock<u64>,
-    /// Memoized [`Table::utf8_len_sums`]; excluded from `PartialEq` and
-    /// `Debug` for the same reason as `bytes_cache`.
-    len_sums_cache: OnceLock<Vec<usize>>,
-    /// Memoized [`Table::fingerprint`], under the same rules: the rows
+    /// Memoized [`Table::fingerprint`], the table's one memo: the rows
     /// cannot change after construction (`columns` is private, no method
     /// takes `&mut self`, and the public `name` is not hashed), so the
     /// O(bytes) hash runs at most once per table — a result that lives in
     /// a cache behind an `Arc` is hashed once, not once per hit.
+    /// Deliberately excluded from `PartialEq` and `Debug`: two tables with
+    /// identical rows are equal whether or not either has been hashed yet.
+    /// Byte sizes need no memo: a string column knows its total length.
     fingerprint_cache: OnceLock<u64>,
 }
 
@@ -465,8 +533,6 @@ impl Table {
             name,
             columns,
             n_rows,
-            bytes_cache: OnceLock::new(),
-            len_sums_cache: OnceLock::new(),
             fingerprint_cache: OnceLock::new(),
         }
     }
@@ -507,16 +573,12 @@ impl Table {
         self.column(self.column_index(name)?)
     }
 
-    /// Estimated in-memory size of the table's data in bytes.
-    ///
-    /// Memoized: the first call pays the O(rows) Utf8 averaging pass, every
-    /// later call reads the cached value. Tables are immutable once built,
-    /// so the cache can never go stale.
+    /// Estimated in-memory size of the table's data in bytes: the columns'
+    /// average value widths, summed in column order, times the rows.
+    /// O(columns).
     pub fn estimated_bytes(&self) -> u64 {
-        *self.bytes_cache.get_or_init(|| {
-            let per_row: f64 = self.columns.iter().map(|c| c.avg_value_bytes()).sum();
-            (per_row * self.n_rows as f64) as u64
-        })
+        let per_row: f64 = self.columns.iter().map(Column::avg_value_bytes).sum();
+        (per_row * self.n_rows as f64) as u64
     }
 
     /// Gathers the rows at a `u32` selection vector.
@@ -526,23 +588,16 @@ impl Table {
     }
 
     /// Total byte length of the string values of each column (`0` for
-    /// non-Utf8 columns), memoized like [`Table::estimated_bytes`].
+    /// non-Utf8 columns), O(columns).
     ///
-    /// Chunk-native scans use these to reproduce the `estimated_bytes` /
-    /// `estimated_bytes_sel` of a *concatenation* of chunks without ever
-    /// materializing it: the integer length sums accumulate exactly across
-    /// chunks, and applying the same floating-point expression once over
-    /// the global sums yields the identical bit pattern.
-    pub fn utf8_len_sums(&self) -> &[usize] {
-        self.len_sums_cache.get_or_init(|| {
-            self.columns
-                .iter()
-                .map(|c| match &*c.data {
-                    ColumnData::Utf8(v) => v.iter().map(|s| s.len()).sum(),
-                    _ => 0,
-                })
-                .collect()
-        })
+    /// Chunk-native scans sum these per slab (`utf8_bytes_sel`) to
+    /// reproduce the `estimated_bytes` / `estimated_bytes_sel` of a
+    /// *concatenation* of chunks without ever materializing it: the integer
+    /// length sums accumulate exactly across chunks, and applying the same
+    /// floating-point expression once over the global sums yields the
+    /// identical bit pattern.
+    pub fn utf8_len_sums(&self) -> Vec<usize> {
+        self.columns.iter().map(|c| c.data.utf8_bytes()).collect()
     }
 
     /// [`Table::estimated_bytes`] of the *virtual* table selected by `sel`
@@ -556,12 +611,11 @@ impl Table {
     }
 
     /// Total byte length of column `ci`'s string values at the rows `sel`
-    /// (`None` = all rows, memoized); `0` for a non-Utf8 column.
+    /// (`None` = all rows); `0` for a non-Utf8 column.
     pub(crate) fn utf8_bytes_sel(&self, ci: usize, sel: Option<&[u32]>) -> usize {
         match (sel, &*self.columns[ci].data) {
-            (None, _) => self.utf8_len_sums()[ci],
-            (Some(sel), ColumnData::Utf8(v)) => sel.iter().map(|&i| v[i as usize].len()).sum(),
-            (Some(_), _) => 0,
+            (Some(sel), ColumnData::Utf8(v)) => sel.iter().map(|&i| v.value_len(i as usize)).sum(),
+            (_, data) => data.utf8_bytes(),
         }
     }
 
@@ -622,11 +676,14 @@ impl Table {
         for col_idx in 0..first.n_columns() {
             let parts: Vec<&Column> = chunks.iter().map(|c| &c.columns[col_idx]).collect();
             macro_rules! splice {
-                ($variant:ident) => {{
-                    let mut out = Vec::with_capacity(n_rows);
+                ($variant:ident) => {
+                    splice!($variant, Vec::with_capacity(n_rows), extend_from_slice)
+                };
+                ($variant:ident, $out:expr, $extend:ident) => {{
+                    let mut out = $out;
                     for part in &parts {
                         match &*part.data {
-                            ColumnData::$variant(v) => out.extend_from_slice(v),
+                            ColumnData::$variant(v) => out.$extend(v),
                             // LINT: panic-ok — concat verifies every part
                             // shares the schema before splicing.
                             _ => unreachable!("schema checked above"),
@@ -638,7 +695,10 @@ impl Table {
             let data = match &*first.columns[col_idx].data {
                 ColumnData::Int64(_) => splice!(Int64),
                 ColumnData::Float64(_) => splice!(Float64),
-                ColumnData::Utf8(_) => splice!(Utf8),
+                ColumnData::Utf8(_) => {
+                    let bytes = parts.iter().map(|p| p.data.utf8_bytes()).sum();
+                    splice!(Utf8, Utf8Column::with_capacity(n_rows, bytes), extend_from)
+                }
                 ColumnData::Date(_) => splice!(Date),
                 ColumnData::Bool(_) => splice!(Bool),
             };
@@ -761,7 +821,7 @@ mod tests {
                 Column::new("id", ColumnData::Int64(vec![1, 2, 3])),
                 Column::new(
                     "name",
-                    ColumnData::Utf8(vec!["a".into(), "bb".into(), "ccc".into()]),
+                    ColumnData::Utf8(vec!["a".into(), "bb".into(), "ccc".into()].into()),
                 ),
                 Column::new("score", ColumnData::Float64(vec![0.5, 1.5, 2.5])),
             ],
@@ -968,7 +1028,7 @@ mod tests {
                 ),
                 Column::with_validity(
                     "s",
-                    ColumnData::Utf8(vec!["a".into(), String::new(), "c".into()]),
+                    ColumnData::Utf8(vec!["a".into(), String::new(), "c".into()].into()),
                     vec![true, false, true],
                 ),
                 Column::with_validity("d", ColumnData::Date(vec![7, 0, 9]), vec![true, false, true]),
@@ -991,7 +1051,7 @@ mod tests {
                 ),
                 Column::with_validity(
                     "s",
-                    ColumnData::Utf8(vec!["a".into(), "garbage".into(), "c".into()]),
+                    ColumnData::Utf8(vec!["a".into(), "garbage".into(), "c".into()].into()),
                     vec![true, false, true],
                 ),
                 Column::with_validity("d", ColumnData::Date(vec![7, -1, 9]), vec![true, false, true]),
@@ -1080,7 +1140,7 @@ mod tests {
             "t",
             vec![
                 Column::new("k", ColumnData::Int64(vec![1, 2])),
-                Column::new("s", ColumnData::Utf8(vec!["x".into(), "y".into()])),
+                Column::new("s", ColumnData::Utf8(vec!["x".into(), "y".into()].into())),
             ],
         )
         .unwrap();
@@ -1088,7 +1148,7 @@ mod tests {
             "t",
             vec![
                 Column::with_validity("k", ColumnData::Int64(vec![3, 0]), vec![true, false]),
-                Column::new("s", ColumnData::Utf8(vec!["z".into(), "w".into()])),
+                Column::new("s", ColumnData::Utf8(vec!["z".into(), "w".into()].into())),
             ],
         )
         .unwrap();
@@ -1096,7 +1156,7 @@ mod tests {
             "t",
             vec![
                 Column::new("k", ColumnData::Int64(Vec::new())),
-                Column::new("s", ColumnData::Utf8(Vec::new())),
+                Column::new("s", ColumnData::Utf8(Utf8Column::default())),
             ],
         )
         .unwrap();
@@ -1129,11 +1189,11 @@ mod tests {
         let t = sample();
         assert_eq!(t.utf8_len_sums(), &[0, 6, 0]);
         // The global length sums plus the fixed widths rebuild the exact
-        // memoized byte estimate — the identity chunk-native scans rely on.
+        // byte estimate — the identity chunk-native scans rely on.
         let per_row: f64 = t
             .columns()
             .iter()
-            .zip(t.utf8_len_sums())
+            .zip(&t.utf8_len_sums())
             .map(|(c, &sum)| match &*c.data {
                 ColumnData::Utf8(_) => sum as f64 / t.n_rows() as f64,
                 _ => c.avg_value_bytes(),
@@ -1204,7 +1264,7 @@ mod tests {
         assert_eq!(t.column_by_name("id").unwrap().utf8_at(0), None);
         let nullable = Column::with_validity(
             "s",
-            ColumnData::Utf8(vec!["x".into()]),
+            ColumnData::Utf8(vec!["x".into()].into()),
             vec![false],
         );
         assert_eq!(nullable.utf8_at(0), Some(None));

@@ -41,7 +41,7 @@
 #![allow(clippy::needless_range_loop)]
 
 use crate::analyze::{family, Family};
-use crate::data::{Column, ColumnData, DataType, Table, Value};
+use crate::data::{Column, ColumnData, DataType, Table, Utf8Column, Value};
 use crate::error::EngineError;
 
 /// Binary operators.
@@ -499,7 +499,7 @@ pub enum BatchVals<'a> {
     /// A string column referenced in place, indexed by original row id.
     Str {
         /// The column's backing store.
-        vals: &'a [String],
+        vals: &'a Utf8Column,
         /// The column's validity mask (by original row id).
         valid: Option<&'a [bool]>,
     },
@@ -800,7 +800,7 @@ impl BoolSide<'_> {
 }
 
 enum StrSide<'v> {
-    Col(&'v [String], Option<&'v [bool]>),
+    Col(&'v Utf8Column, Option<&'v [bool]>),
     Const(&'v str),
 }
 
@@ -812,7 +812,7 @@ impl StrSide<'_> {
                 let row = sv.row(pos);
                 match valid {
                     Some(v) if !v[row] => None,
-                    _ => Some(vals[row].as_str()),
+                    _ => Some(&vals[row]),
                 }
             }
             StrSide::Const(c) => Some(c),
@@ -2084,7 +2084,7 @@ mod tests {
                 Column::new("b", ColumnData::Float64(vec![1.5, 0.5, 3.5, 2.0])),
                 Column::new(
                     "s",
-                    ColumnData::Utf8(vec!["x".into(), "y".into(), "x".into(), "z".into()]),
+                    ColumnData::Utf8(vec!["x".into(), "y".into(), "x".into(), "z".into()].into()),
                 ),
                 Column::with_validity(
                     "n",
@@ -2190,7 +2190,7 @@ mod tests {
             "s",
             vec![Column::with_validity(
                 "s",
-                ColumnData::Utf8(vec!["abc".into(), String::new()]),
+                ColumnData::Utf8(vec!["abc".into(), String::new()].into()),
                 vec![true, false],
             )],
         )
@@ -2325,7 +2325,7 @@ mod tests {
                     Column::with_validity(
                         "s",
                         ColumnData::Utf8(
-                            rows.iter().map(|r| strings[r.2 as usize % 4].into()).collect(),
+                            rows.iter().map(|r| strings[r.2 as usize % 4]).collect(),
                         ),
                         rows.iter().map(|r| r.2 < 4).collect(),
                     ),
@@ -2342,7 +2342,7 @@ mod tests {
                     Column::with_validity("n", ColumnData::Int64(vec![0; n]), vec![false; n]),
                     Column::with_validity(
                         "u",
-                        ColumnData::Utf8(vec![String::new(); n]),
+                        ColumnData::Utf8(vec![String::new(); n].into()),
                         vec![false; n],
                     ),
                 ],

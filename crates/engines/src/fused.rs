@@ -35,7 +35,11 @@
 //!    ([`crate::exec`]). An operator that needs one contiguous input (a
 //!    join side, a sort, a non-deferred aggregate) gathers several slabs
 //!    once, per use — the query shapes served here put filter+project
-//!    between every base scan and such an operator. An `Aggregate`
+//!    between every base scan and such an operator. Gathering and
+//!    concatenating are buffer copies for every type: a string column is
+//!    offsets into one byte buffer ([`crate::data::Utf8Column`]), so a
+//!    projection over the 17 chunks of an ingested table copies bytes, not
+//!    one `String` per row. An `Aggregate`
 //!    whose input peels to `[Filter*] → HashJoin` consumes the join as
 //!    `(left row, right row, hit)` index triples and gathers **only the
 //!    columns its filters, group keys and aggregates actually reference**
@@ -80,7 +84,7 @@
 //! inside one job measured 0.33–0.76× of the single pass.
 
 use crate::catalog::Catalog;
-use crate::data::{virtual_bytes, Column, ColumnData, DataType, Table, Value};
+use crate::data::{virtual_bytes, Column, ColumnData, DataType, Table, Utf8Column, Value};
 use crate::error::EngineError;
 use crate::expr::{BatchVals, EvalScratch, Expr, KernelCols, KernelPlan, NumTy, SelView};
 use crate::ops::{
@@ -413,6 +417,13 @@ impl Part {
             Part::Data { data, .. } => data.len(),
         }
     }
+
+    fn utf8_bytes(&self) -> usize {
+        match self {
+            Part::Null(_) => 0,
+            Part::Data { data, .. } => data.utf8_bytes(),
+        }
+    }
 }
 
 fn compile_projection(exprs: &[(String, Expr)]) -> Vec<ExprRun<'_>> {
@@ -457,7 +468,6 @@ fn apply_project_morsel(
 /// Typed gather of one morsel of a source column; [`merge_parts`]
 /// normalizes.
 fn part_from_col(col: &Column, sv: &SelView<'_>) -> Part {
-    let n = sv.len();
     // Every row of an all-valid column, in order: the column's own buffer,
     // shared. (The only dense view a caller passes is a whole slab.)
     if col.validity.is_none() && sv.dense_range() == Some(0..col.len()) {
@@ -466,31 +476,12 @@ fn part_from_col(col: &Column, sv: &SelView<'_>) -> Part {
             validity: None,
         };
     }
-    let validity: Option<Vec<bool>> = col
-        .validity
-        .as_ref()
-        .map(|v| (0..n).map(|pos| v[sv.row(pos)]).collect());
-    macro_rules! gather {
-        ($v:expr, $default:expr, $clone:expr) => {
-            (0..n)
-                .map(|pos| {
-                    let row = sv.row(pos);
-                    if col.is_valid(row) {
-                        $clone(&$v[row])
-                    } else {
-                        $default
-                    }
-                })
-                .collect()
-        };
-    }
-    let data = match &*col.data {
-        ColumnData::Int64(v) => ColumnData::Int64(gather!(v, 0, |x: &i64| *x)),
-        ColumnData::Float64(v) => ColumnData::Float64(gather!(v, 0.0, |x: &f64| *x)),
-        ColumnData::Utf8(v) => ColumnData::Utf8(gather!(v, String::new(), |x: &String| x.clone())),
-        ColumnData::Date(v) => ColumnData::Date(gather!(v, 0, |x: &i32| *x)),
-        ColumnData::Bool(v) => ColumnData::Bool(gather!(v, false, |x: &bool| *x)),
-    };
+    // A NULL row gathers its type's default, not what its slot holds.
+    let rows = (0..sv.len()).map(|pos| {
+        let row = sv.row(pos);
+        col.is_valid(row).then_some(row)
+    });
+    let (data, validity) = col.gather_rows(rows, false);
     Part::new(data, validity)
 }
 
@@ -500,7 +491,7 @@ fn part_from_value(v: &Value, n: usize) -> Part {
         Value::Null => return Part::Null(n),
         Value::Int64(x) => ColumnData::Int64(vec![*x; n]),
         Value::Float64(x) => ColumnData::Float64(vec![*x; n]),
-        Value::Utf8(s) => ColumnData::Utf8(vec![s.clone(); n]),
+        Value::Utf8(s) => ColumnData::Utf8(Utf8Column::repeat(s, n)),
         Value::Date(d) => ColumnData::Date(vec![*d; n]),
         Value::Bool(b) => ColumnData::Bool(vec![*b; n]),
     };
@@ -521,7 +512,7 @@ fn part_from_bv(bv: &BatchVals<'_>, sv: &SelView<'_>) -> Part {
             Part::new(data, None)
         }
         BatchVals::ConstBool(b) => Part::new(ColumnData::Bool(vec![*b; n]), None),
-        BatchVals::ConstStr(s) => Part::new(ColumnData::Utf8(vec![s.to_string(); n]), None),
+        BatchVals::ConstStr(s) => Part::new(ColumnData::Utf8(Utf8Column::repeat(s, n)), None),
         BatchVals::Num { vals, valid, ty } => {
             let ok = |p: usize| valid.as_ref().is_none_or(|v| v[p]);
             let data = match ty {
@@ -547,18 +538,8 @@ fn part_from_bv(bv: &BatchVals<'_>, sv: &SelView<'_>) -> Part {
             let validity: Vec<bool> = (0..n)
                 .map(|pos| valid.is_none_or(|v| v[sv.row(pos)]))
                 .collect();
-            let data = ColumnData::Utf8(
-                (0..n)
-                    .map(|pos| {
-                        if validity[pos] {
-                            vals[sv.row(pos)].clone()
-                        } else {
-                            String::new()
-                        }
-                    })
-                    .collect(),
-            );
-            Part::new(data, Some(validity))
+            let data = vals.gather((0..n).map(|pos| validity[pos].then(|| sv.row(pos))));
+            Part::new(ColumnData::Utf8(data), Some(validity))
         }
     }
 }
@@ -620,33 +601,30 @@ fn merge_parts(name: &str, parts: Vec<Part>) -> Result<Column, EngineError> {
     let drift = || EngineError::TypeMismatch {
         context: "fused projection: morsel part type drift".to_string(),
     };
+    // Every part's values are copied once, from where they lie — a shared
+    // source column's buffer or a gathered part — string bytes included.
     macro_rules! build {
-        ($variant:ident, $t:ty, $default:expr) => {{
-            let mut vals: Vec<$t> = Vec::with_capacity(n);
+        ($variant:ident, $default:expr) => {
+            build!($variant, Vec::with_capacity(n), $default, extend_from_slice)
+        };
+        ($variant:ident, $vals:expr, $default:expr, $extend:ident) => {{
+            let mut vals = $vals;
             for part in parts {
                 match part {
                     Part::Null(k) => {
-                        vals.extend(std::iter::repeat_with(|| $default).take(k));
+                        (0..k).for_each(|_| vals.push($default));
                         if let Some(v) = &mut validity {
                             v.extend(std::iter::repeat(false).take(k));
                         }
                     }
                     Part::Data { data, validity: pv } => {
-                        let k = data.len();
-                        match Arc::try_unwrap(data) {
-                            // Owned values move.
-                            Ok(ColumnData::$variant(v)) => vals.extend(v),
-                            // A shared buffer — a whole source column — is
-                            // copied once, from where it lies.
-                            Err(shared) => match &*shared {
-                                ColumnData::$variant(v) => vals.extend_from_slice(v),
-                                _ => return Err(drift()),
-                            },
-                            Ok(_) => return Err(drift()),
+                        match &*data {
+                            ColumnData::$variant(v) => vals.$extend(v),
+                            _ => return Err(drift()),
                         }
                         match (&mut validity, pv) {
                             (Some(v), Some(pvv)) => v.extend(pvv),
-                            (Some(v), None) => v.extend(std::iter::repeat(true).take(k)),
+                            (Some(v), None) => v.extend(std::iter::repeat(true).take(data.len())),
                             (None, _) => {}
                         }
                     }
@@ -656,11 +634,14 @@ fn merge_parts(name: &str, parts: Vec<Part>) -> Result<Column, EngineError> {
         }};
     }
     let data = match ty {
-        DataType::Int64 => build!(Int64, i64, 0i64),
-        DataType::Float64 => build!(Float64, f64, 0.0f64),
-        DataType::Utf8 => build!(Utf8, String, String::new()),
-        DataType::Date => build!(Date, i32, 0i32),
-        DataType::Bool => build!(Bool, bool, false),
+        DataType::Int64 => build!(Int64, 0i64),
+        DataType::Float64 => build!(Float64, 0.0f64),
+        DataType::Utf8 => {
+            let bytes = parts.iter().map(Part::utf8_bytes).sum();
+            build!(Utf8, Utf8Column::with_capacity(n, bytes), "", extend_from)
+        }
+        DataType::Date => build!(Date, 0i32),
+        DataType::Bool => build!(Bool, false),
     };
     Ok(match validity {
         Some(v) if !v.iter().all(|&ok| ok) => Column::with_validity(name, data, v),
@@ -1023,9 +1004,11 @@ impl<'t> DeferredJoin<'t> {
         let columns = self.lt.columns().iter().chain(self.rt.columns());
         virtual_bytes(columns, n, |ci, v| {
             if ci < self.lc {
-                total(self.n(), sel, |p| v[self.left_out[p] as usize].len())
+                total(self.n(), sel, |p| v.value_len(self.left_out[p] as usize))
             } else {
-                let hit = |p: usize| if self.right_hit[p] { v[self.right_out[p] as usize].len() } else { 0 };
+                let hit = |p: usize| {
+                    if self.right_hit[p] { v.value_len(self.right_out[p] as usize) } else { 0 }
+                };
                 total(self.n(), sel, hit)
             }
         })

@@ -65,7 +65,7 @@ pub use cache::{
     ScopedCache,
 };
 pub use catalog::Catalog;
-pub use data::{Column, ColumnData, DataType, Table, Value};
+pub use data::{Column, ColumnData, DataType, Table, Utf8Column, Value};
 pub use engine::{EngineKind, EngineProfile};
 pub use error::EngineError;
 pub use exec::{

@@ -19,7 +19,7 @@
 //! from the typed kernel results.
 
 use crate::catalog::Catalog;
-use crate::data::{Column, ColumnData, DataType, Table, Value};
+use crate::data::{Column, ColumnData, DataType, Table, Utf8Column, Value};
 use crate::error::EngineError;
 use crate::expr::{BatchVals, EvalScratch, Expr, KernelCols, KernelPlan};
 use crate::fused::for_each_morsel;
@@ -434,14 +434,18 @@ fn column_from_values(name: &str, values: Vec<Value>) -> Result<Column, EngineEr
             |v: &Value| v.as_f64(),
             0.0
         ),
-        DataType::Utf8 => build!(
-            Utf8,
-            |v: &Value| match v {
-                Value::Utf8(s) => Some(s.clone()),
-                _ => None,
-            },
-            String::new()
-        ),
+        DataType::Utf8 => {
+            let mut out = Utf8Column::with_capacity(values.len(), 0);
+            for v in &values {
+                let s = match v {
+                    Value::Utf8(s) => Some(s.as_str()),
+                    _ => None,
+                };
+                validity.push(s.is_some());
+                out.push(s.unwrap_or_default());
+            }
+            ColumnData::Utf8(out)
+        }
         DataType::Date => build!(
             Date,
             |v: &Value| match v {
@@ -1854,7 +1858,7 @@ mod tests {
                         "3-MEDIUM".into(),
                         "2-HIGH".into(),
                         "5-LOW".into(),
-                    ]),
+                    ].into()),
                 ),
             ],
         )
@@ -1865,7 +1869,7 @@ mod tests {
                 Column::new("c_custkey", ColumnData::Int64(vec![10, 20, 40])),
                 Column::new(
                     "c_name",
-                    ColumnData::Utf8(vec!["alice".into(), "bob".into(), "carol".into()]),
+                    ColumnData::Utf8(vec!["alice".into(), "bob".into(), "carol".into()].into()),
                 ),
             ],
         )

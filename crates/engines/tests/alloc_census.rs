@@ -20,7 +20,9 @@
 //! * a filter's further morsels each ask for one block (the evaluation's
 //!   register file), not one more per `IN`-list;
 //! * a projection over several chunks copies each value once, straight
-//!   from the chunk it lies in.
+//!   from the chunk it lies in — strings too: a string column is one
+//!   offsets buffer and one byte buffer, so concatenating or gathering
+//!   strings asks for two blocks, however many rows survive.
 //!
 //! Every threshold but one (Q13's bytes, explained there) sits at or below
 //! half of what the parent of the PR that added this file read; both
@@ -36,8 +38,10 @@ use std::sync::Arc;
 
 use midas_engines::data::Table;
 use midas_engines::ops::{PhysicalPlan, WorkProfile};
+use midas_engines::Expr;
 use midas_engines::version::{CatalogVersion, ChunkedTable};
 use midas_engines::{execute_fused, Catalog, TableSource, MORSEL_ROWS};
+use midas_tpch::dates::ymd;
 use midas_tpch::gen::{GenConfig, StringEncoding, TpchDb};
 use midas_tpch::queries::{q12, q12_with, q13, q14, q17, TwoTableQuery};
 
@@ -162,8 +166,9 @@ fn a_cold_job_allocates_by_what_it_produces() {
     // Q12 left: a five-conjunct filter over `lineitem`, two columns out.
     let q = q12("MAIL", "SHIP", 1994);
     let ([left, right, combine], rows) = query_census(&q, base);
+    // Its ≈ 300 survivors' `l_shipmode`s are one gathered string column.
     assert!(
-        left.count < lineitems / 4, // 240 117 (4.0 per row) → 353
+        left.count <= 177, // 240 117 (4.0 per row) → 353; later 354 → 62
         "Q12 left prepare: {left:?} over {lineitems} rows"
     );
 
@@ -181,16 +186,38 @@ fn a_cold_job_allocates_by_what_it_produces() {
     let priority = flat.column_by_name("o_orderpriority").expect("projected");
     let source = orders.column(3).expect("o_orderpriority");
     assert!(Arc::ptr_eq(&priority.data, &source.data));
-    // Over three chunks of `orders` the prepare still concatenates them —
-    // one `String` clone per row — into the table the flat run shares,
-    // fingerprint and work profile included.
+    // Over three chunks of `orders` the prepare concatenates them into the
+    // table the flat run shares, fingerprint and work profile included —
+    // each column one copy of the chunks' buffers, not a `String` per row.
     let (chunked, chunked_profile, gathered) = census(&q.right_prepare, &three_chunks(orders));
     assert!(
-        gathered.count >= n as u64, // 15 025 → 15 027
+        gathered.count <= 16, // 15 025 → 15 027 (one `String` per row); later 15 018 → 16
         "Q12 right prepare over three chunks: {gathered:?} over {n} rows"
     );
     assert_eq!(chunked.fingerprint(), flat.fingerprint());
     assert_eq!(chunked_profile, flat_profile);
+
+    // A filtered string gather: `o_comment` of the orders placed before
+    // 1993 (one year in seven), then before 1998. The survivors' comments
+    // are gathered into one column, so the count does not grow with them.
+    let comments_before = |cut: i32| PhysicalPlan::Project {
+        input: Box::new(PhysicalPlan::Filter {
+            input: Box::new(PhysicalPlan::Scan {
+                table: "orders".to_string(),
+            }),
+            predicate: Expr::col(2).lt(Expr::date(cut)),
+        }),
+        exprs: vec![("o_comment".to_string(), Expr::col(4))],
+    };
+    let (few, _, narrow) = census(&comments_before(ymd(1993, 1, 1)), base);
+    let (many, _, wide) = census(&comments_before(ymd(1998, 1, 1)), base);
+    assert!(many.n_rows() > 5 * few.n_rows(), "{} then {} survivors", few.n_rows(), many.n_rows());
+    assert!(
+        narrow.count <= 24 && wide.count <= narrow.count, // 2 332 / 13 660 → 18 / 18
+        "filtered `o_comment`: {narrow:?} for {} rows, {wide:?} for {}",
+        few.n_rows(),
+        many.n_rows()
+    );
 
     // Q12 combine: 300 lineitems joined to 15 000 orders under a two-group
     // aggregate. The join builds on the 300 — no table, chain vector or

@@ -44,7 +44,7 @@ fn table_of(rows: &[Row], garbage: i64) -> Table {
         "t",
         vec![
             Column::with_validity("i", ColumnData::Int64(ints), int_valid),
-            Column::with_validity("s", ColumnData::Utf8(strs), str_valid),
+            Column::with_validity("s", ColumnData::Utf8(strs.into()), str_valid),
             Column::new("f", ColumnData::Float64(floats)),
         ],
     )

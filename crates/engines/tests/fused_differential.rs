@@ -62,7 +62,7 @@ fn table_of(name: &str, rows: &[Row]) -> Table {
         vec![
             Column::with_validity("a", ColumnData::Int64(a_data), a_valid),
             Column::new("b", ColumnData::Float64(b_data)),
-            Column::with_validity("s", ColumnData::Utf8(s_data), s_valid),
+            Column::with_validity("s", ColumnData::Utf8(s_data.into()), s_valid),
             Column::new("d", ColumnData::Date(d_data)),
             Column::with_validity("c", ColumnData::Bool(c_data), c_valid),
         ],

@@ -36,7 +36,7 @@ fn products() -> Table {
             Column::new("id", ColumnData::Int64(vec![1, 2, 3])),
             Column::new(
                 "name",
-                ColumnData::Utf8(vec!["widget".into(), "gadget".into(), "sprocket".into()]),
+                ColumnData::Utf8(vec!["widget".into(), "gadget".into(), "sprocket".into()].into()),
             ),
         ],
     )

@@ -15,23 +15,24 @@
 //! pins.
 
 use crate::gen::{CONTAINER_KINDS, CONTAINER_SIZES, PRIORITIES, SHIP_MODES};
+use midas_engines::Utf8Column;
 use std::collections::HashMap;
 
 /// An ordered, closed value domain with positional codes.
 #[derive(Debug, Clone)]
 pub struct Dictionary {
-    values: Vec<String>,
+    values: Utf8Column,
     index: HashMap<String, u32>,
 }
 
 impl Dictionary {
     /// Builds a dictionary; a value's code is its position.
     pub fn new(values: impl IntoIterator<Item = String>) -> Self {
-        let values: Vec<String> = values.into_iter().collect();
+        let values: Utf8Column = values.into_iter().collect();
         let index = values
             .iter()
             .enumerate()
-            .map(|(i, v)| (v.clone(), i as u32))
+            .map(|(i, v)| (v.to_string(), i as u32))
             .collect();
         Dictionary { values, index }
     }
@@ -43,7 +44,8 @@ impl Dictionary {
 
     /// The value of a code, if in range.
     pub fn decode(&self, code: u32) -> Option<&str> {
-        self.values.get(code as usize).map(String::as_str)
+        let code = code as usize;
+        (code < self.values.len()).then(|| &self.values[code])
     }
 
     /// Domain cardinality.
@@ -57,7 +59,7 @@ impl Dictionary {
     }
 
     /// The values in code order.
-    pub fn values(&self) -> &[String] {
+    pub fn values(&self) -> &Utf8Column {
         &self.values
     }
 }
@@ -129,7 +131,7 @@ mod tests {
             assert!(!dict.is_empty());
             for (i, v) in dict.values().iter().enumerate() {
                 assert_eq!(dict.code(v), Some(i as u32));
-                assert_eq!(dict.decode(i as u32), Some(v.as_str()));
+                assert_eq!(dict.decode(i as u32), Some(v));
             }
             assert_eq!(dict.code("no such value"), None);
             assert_eq!(dict.decode(dict.len() as u32), None);

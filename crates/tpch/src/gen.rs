@@ -24,7 +24,7 @@
 //! snapshots and chunk-native execution are name-identical too.
 
 use crate::dates;
-use midas_engines::data::{Column, ColumnData, Table};
+use midas_engines::data::{Column, ColumnData, Table, Utf8Column};
 use midas_engines::sim::split_seed;
 use midas_engines::version::{CatalogVersion, ChunkedTable, VersionedCatalog};
 use midas_engines::Catalog;
@@ -473,10 +473,7 @@ fn gen_region() -> Table {
         "region",
         vec![
             Column::new("r_regionkey", ColumnData::Int64((0..5).collect())),
-            Column::new(
-                "r_name",
-                ColumnData::Utf8(names.iter().map(|s| s.to_string()).collect()),
-            ),
+            Column::new("r_name", ColumnData::Utf8(names.into_iter().collect())),
         ],
     )
     .expect("static columns are aligned")
@@ -494,10 +491,7 @@ fn gen_nation() -> Table {
         "nation",
         vec![
             Column::new("n_nationkey", ColumnData::Int64((0..25).collect())),
-            Column::new(
-                "n_name",
-                ColumnData::Utf8(names.iter().map(|s| s.to_string()).collect()),
-            ),
+            Column::new("n_name", ColumnData::Utf8(names.into_iter().collect())),
             Column::new(
                 "n_regionkey",
                 ColumnData::Int64((0..25).map(|i| i % 5).collect()),
@@ -507,16 +501,16 @@ fn gen_nation() -> Table {
     .expect("static columns are aligned")
 }
 
-fn comment(rng: &mut StdRng) -> String {
+/// Writes one comment into `s`, reused from row to row.
+fn comment(rng: &mut StdRng, s: &mut String) {
+    s.clear();
     let n = rng.gen_range(3..=7);
-    let mut s = String::new();
     for i in 0..n {
         if i > 0 {
             s.push(' ');
         }
         s.push_str(WORDS[rng.gen_range(0..WORDS.len())]);
     }
-    s
 }
 
 /// `[start, len)` chunk spans of at most `chunk_rows` rows over `n` rows
@@ -554,16 +548,16 @@ fn gen_customer_chunks(n: usize, chunk_rows: usize, rng: &mut StdRng) -> Vec<Arc
     chunk_spans(n, chunk_rows)
         .map(|(start, len)| {
             let mut keys = Vec::with_capacity(len);
-            let mut names = Vec::with_capacity(len);
+            let mut names = Utf8Column::with_capacity(len, 18 * len);
             let mut nations = Vec::with_capacity(len);
-            let mut segs = Vec::with_capacity(len);
+            let mut segs = Utf8Column::with_capacity(len, 0);
             let mut bals = Vec::with_capacity(len);
             for i in start..start + len {
                 let key = i as i64 + 1;
                 keys.push(key);
-                names.push(format!("Customer#{key:09}"));
+                names.push_fmt(format_args!("Customer#{key:09}"));
                 nations.push(rng.gen_range(0..25i64));
-                segs.push(segments[rng.gen_range(0..segments.len())].to_string());
+                segs.push(segments[rng.gen_range(0..segments.len())]);
                 bals.push(rng.gen_range(-999.99..9999.99));
             }
             Arc::new(
@@ -600,14 +594,14 @@ fn gen_part_chunks(
             // draws in the same order under either encoding, so one seed
             // generates one logical database regardless of physical layout.
             let mut brand_mn = Vec::with_capacity(len);
-            let mut types = Vec::with_capacity(len);
+            let mut types = Utf8Column::with_capacity(len, 0);
             let mut container_sk = Vec::with_capacity(len);
             let mut prices = Vec::with_capacity(len);
             for i in start..start + len {
                 let key = i as i64 + 1;
                 keys.push(key);
                 brand_mn.push((rng.gen_range(1..=5i64), rng.gen_range(1..=5i64)));
-                types.push(format!(
+                types.push_fmt(format_args!(
                     "{} {} {}",
                     TYPE_S1[rng.gen_range(0..TYPE_S1.len())],
                     TYPE_S2[rng.gen_range(0..TYPE_S2.len())],
@@ -620,23 +614,26 @@ fn gen_part_chunks(
                 prices.push(900.0 + (key % 1000) as f64 * 0.1);
             }
             let brand = match encoding {
-                StringEncoding::Plain => ColumnData::Utf8(
-                    brand_mn
-                        .iter()
-                        .map(|(m, n)| format!("Brand#{m}{n}"))
-                        .collect(),
-                ),
+                StringEncoding::Plain => {
+                    let mut brands = Utf8Column::with_capacity(len, 8 * len);
+                    for (m, n) in &brand_mn {
+                        brands.push_fmt(format_args!("Brand#{m}{n}"));
+                    }
+                    ColumnData::Utf8(brands)
+                }
                 StringEncoding::Dictionary => ColumnData::Int64(
                     brand_mn.iter().map(|(m, n)| (m - 1) * 5 + (n - 1)).collect(),
                 ),
             };
             let container = match encoding {
-                StringEncoding::Plain => ColumnData::Utf8(
-                    container_sk
-                        .iter()
-                        .map(|(s, k)| format!("{} {}", CONTAINER_SIZES[*s], CONTAINER_KINDS[*k]))
-                        .collect(),
-                ),
+                StringEncoding::Plain => {
+                    let mut containers = Utf8Column::with_capacity(len, 0);
+                    for &(s, k) in &container_sk {
+                        let (size, kind) = (CONTAINER_SIZES[s], CONTAINER_KINDS[k]);
+                        containers.push_fmt(format_args!("{size} {kind}"));
+                    }
+                    ColumnData::Utf8(containers)
+                }
                 StringEncoding::Dictionary => ColumnData::Int64(
                     container_sk
                         .iter()
@@ -669,11 +666,11 @@ fn gen_supplier_chunks(n: usize, chunk_rows: usize, rng: &mut StdRng) -> Vec<Arc
     chunk_spans(n, chunk_rows)
         .map(|(start, len)| {
             let mut keys = Vec::with_capacity(len);
-            let mut names = Vec::with_capacity(len);
+            let mut names = Utf8Column::with_capacity(len, 18 * len);
             let mut nations = Vec::with_capacity(len);
             for i in start..start + len {
                 keys.push(i as i64 + 1);
-                names.push(format!("Supplier#{:09}", i + 1));
+                names.push_fmt(format_args!("Supplier#{:09}", i + 1));
                 nations.push(rng.gen_range(0..25i64));
             }
             Arc::new(
@@ -751,18 +748,20 @@ fn gen_orders_chunks(
             let mut custs = Vec::with_capacity(len);
             let mut odates = Vec::with_capacity(len);
             let mut prio_idx = Vec::with_capacity(len);
-            let mut comments = Vec::with_capacity(len);
+            let mut comments = Utf8Column::with_capacity(len, 0);
+            let mut text = String::new();
             for i in span_start..span_start + len {
                 keys.push(start_key + i as i64 + 1);
                 custs.push(rng.gen_range(0..n_customers as i64) + 1);
                 odates.push(rng.gen_range(start..=end));
                 prio_idx.push(rng.gen_range(0..PRIORITIES.len()));
-                comments.push(comment(rng));
+                comment(rng, &mut text);
+                comments.push(&text);
             }
             let priority = match encoding {
-                StringEncoding::Plain => ColumnData::Utf8(
-                    prio_idx.iter().map(|&i| PRIORITIES[i].to_string()).collect(),
-                ),
+                StringEncoding::Plain => {
+                    ColumnData::Utf8(prio_idx.iter().map(|&i| PRIORITIES[i]).collect())
+                }
                 StringEncoding::Dictionary => {
                     ColumnData::Int64(prio_idx.iter().map(|&i| i as i64).collect())
                 }
@@ -825,12 +824,9 @@ impl LineitemBuilder {
     fn flush(&mut self, encoding: StringEncoding) -> Arc<Table> {
         let l_shipmode = std::mem::take(&mut self.l_shipmode);
         let shipmode = match encoding {
-            StringEncoding::Plain => ColumnData::Utf8(
-                l_shipmode
-                    .iter()
-                    .map(|&i| SHIP_MODES[i].to_string())
-                    .collect(),
-            ),
+            StringEncoding::Plain => {
+                ColumnData::Utf8(l_shipmode.iter().map(|&i| SHIP_MODES[i]).collect())
+            }
             StringEncoding::Dictionary => {
                 ColumnData::Int64(l_shipmode.iter().map(|&i| i as i64).collect())
             }
@@ -1110,10 +1106,9 @@ mod tests {
             ColumnData::Utf8(v) => v,
             _ => panic!(),
         };
-        assert!(modes.iter().all(|m| SHIP_MODES.contains(&m.as_str())));
+        assert!(modes.iter().all(|m| SHIP_MODES.contains(&m)));
         // All 7 modes appear in a non-trivial dataset.
-        let distinct: std::collections::HashSet<&str> =
-            modes.iter().map(|s| s.as_str()).collect();
+        let distinct: std::collections::HashSet<&str> = modes.iter().collect();
         assert_eq!(distinct.len(), 7);
     }
 }

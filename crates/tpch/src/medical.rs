@@ -12,7 +12,7 @@
 //! from other clinics for a subset of them (mobile patients).
 
 use crate::queries::{QueryId, TwoTableQuery};
-use midas_engines::data::{Column, ColumnData, Table};
+use midas_engines::data::{Column, ColumnData, Table, Utf8Column};
 use midas_engines::expr::Expr;
 use midas_engines::ops::{JoinType, PhysicalPlan};
 use midas_engines::version::VersionedCatalog;
@@ -75,14 +75,14 @@ fn medical_tables(
     let modalities = ["CT", "MR", "US", "XR", "PET"];
 
     let mut uid = Vec::with_capacity(n_patients);
-    let mut sex = Vec::with_capacity(n_patients);
+    let mut sex = Utf8Column::with_capacity(n_patients, n_patients);
     let mut age = Vec::with_capacity(n_patients);
-    let mut modality = Vec::with_capacity(n_patients);
+    let mut modality = Utf8Column::with_capacity(n_patients, 0);
     for i in 0..n_patients {
         uid.push(start_uid + i as i64 + 1);
-        sex.push(sexes[rng.gen_range(0..sexes.len())].to_string());
+        sex.push(sexes[rng.gen_range(0..sexes.len())]);
         age.push(rng.gen_range(0..100i64));
-        modality.push(modalities[rng.gen_range(0..modalities.len())].to_string());
+        modality.push(modalities[rng.gen_range(0..modalities.len())]);
     }
     let patient = Table::new(
         "patient",
@@ -96,16 +96,16 @@ fn medical_tables(
     .expect("generated columns are aligned");
 
     let mut gi_uid = Vec::new();
-    let mut gi_names = Vec::new();
-    let mut gi_hospital = Vec::new();
+    let mut gi_names = Utf8Column::default();
+    let mut gi_hospital = Utf8Column::default();
     for i in 0..n_patients {
         if rng.gen_bool(coverage.clamp(0.0, 1.0)) {
             // Each shared patient has 1..=3 records from other clinics.
             let patient_uid = start_uid + i as i64 + 1;
             for r in 0..rng.gen_range(1..=3) {
                 gi_uid.push(patient_uid);
-                gi_names.push(format!("GeneralName#{patient_uid:06}-{r}"));
-                gi_hospital.push(format!("clinic-{}", rng.gen_range(1..=12)));
+                gi_names.push_fmt(format_args!("GeneralName#{patient_uid:06}-{r}"));
+                gi_hospital.push_fmt(format_args!("clinic-{}", rng.gen_range(1..=12)));
             }
         }
     }

@@ -9,7 +9,7 @@ use midas_engines::sim::{DriftIntensity, SimulationEnv};
 use midas_engines::version::{CatalogVersion, ChunkedTable};
 use midas_engines::{
     execute_fused, AggExpr, Catalog, Column, ColumnData, EngineKind, Expr, JoinType, PhysicalPlan,
-    Placement, Table, TableSource,
+    Placement, RowWiseOutput, Table, TableSource,
 };
 use midas_ires::scheduler::{Scheduler, SchedulerConfig};
 use midas_ires::CandidateConfig;
@@ -216,12 +216,15 @@ fn bench_cold_path_kernels(c: &mut Criterion) {
     let chunks = vec![cut(0, n / 3), cut(n / 3, 2 * n / 3), cut(2 * n / 3, n)];
     let chunked = ChunkedTable::from_chunks("lineitem", chunks).expect("one schema");
     let three_chunks = CatalogVersion::from_chunked(vec![chunked]);
-    let ingested = db.versioned_catalog();
+    let versions = db.versioned_catalog();
     let mut deltas = DeltaStream::new(&db, 42);
-    for _ in 0..16 {
-        ingested.append_batch(deltas.next_batch(60).into_batch()).expect("one schema");
-    }
-    let ingested = ingested.current();
+    let mut publish = || {
+        versions.append_batch(deltas.next_batch(60).into_batch()).expect("one schema");
+        versions.current()
+    };
+    let ingested = (0..16).map(|_| publish()).last().expect("16 publishes");
+    // One version per timed call and the warm-up, each one more delta.
+    let later: Vec<_> = (0..16).map(|_| publish()).collect();
     let flat = TableSource::from(&catalog);
     let mut group = c.benchmark_group("cold_path_kernels");
     group.sample_size(10);
@@ -243,6 +246,14 @@ fn bench_cold_path_kernels(c: &mut Criterion) {
             b.iter(|| black_box(execute_fused(plan, tables).expect("runs")))
         });
     }
+    // What planning runs after a publish: Q13's right prepare over the 17
+    // chunks of `orders`, extended by the next 60-order delta per call.
+    let prepare = &q13.right_prepare;
+    let mut extended = RowWiseOutput::compute(prepare, &ingested).expect("row-wise").expect("runs");
+    let mut next = later.iter();
+    group.bench_function("extend_q13_right_by_one_delta", |b| {
+        b.iter(|| next.next().map(|v| black_box(extended.extend(prepare, v).expect("extends"))))
+    });
     group.finish();
 }
 

@@ -5,7 +5,7 @@
 //! Two halves, both registry-free:
 //!
 //! **1. Source lint.** Walks every non-stub crate's `src/` tree and flags
-//! the five constructs that undermine the workspace's determinism,
+//! the six constructs that undermine the workspace's determinism,
 //! containment and serving-cost guarantees:
 //!
 //! * **wall-clock** — `Instant::now` / `SystemTime` in code that is
@@ -35,7 +35,13 @@
 //!   `midas/src/runtime.rs`: sharding a join or overlapping a job's
 //!   fragments measured 0.33–1.02× of running them in order on the hosts
 //!   this serves, so a thread launched below the runtime needs a
-//!   `// LINT: thread-ok` justification.
+//!   `// LINT: thread-ok` justification;
+//! * **shared-mutation** — `Arc::make_mut` / `Arc::get_mut` /
+//!   `Arc::try_unwrap` in `engines/src`, `ires/src` and
+//!   `midas/src/runtime.rs`. Tables, columns and cached fragments are
+//!   shared behind `Arc`s across jobs, tenants and versions, so a site that
+//!   mutates through one must say why no other holder can see it: a
+//!   `// LINT: unique-ok` justification (this rule accepts no other tag).
 //!
 //! Test code is exempt: `#[cfg(test)]` modules (brace-tracked) and
 //! comment-only lines are skipped. The gate is **zero findings** —
@@ -336,6 +342,14 @@ fn inside_a_job(rel: &str) -> bool {
             .any(|m| rel.ends_with(&format!("crates/engines/src/{m}.rs")))
 }
 
+/// Whether `rel` is code whose `Arc`s other jobs share — the scope of the
+/// `shared-mutation` rule.
+fn shares_arcs(rel: &str) -> bool {
+    rel.contains("crates/engines/src/")
+        || rel.contains("crates/ires/src/")
+        || rel.ends_with("crates/midas/src/runtime.rs")
+}
+
 /// Lints one file; pushes findings, returns the justified-site count.
 fn lint_file(rel: &str, text: &str, findings: &mut Vec<Finding>) -> usize {
     // Patterns are assembled at runtime so this file never contains its
@@ -355,6 +369,8 @@ fn lint_file(rel: &str, text: &str, findings: &mut Vec<Finding>) -> usize {
         format!(".spawn{}", "("),
     ];
     let in_job = inside_a_job(rel);
+    let mutate = ["make_mut(", "get_mut(", "try_unwrap("].map(|m| format!("Arc::{m}"));
+    let shared = shares_arcs(rel);
     let lines: Vec<&str> = text.lines().collect();
     let mut justified = 0usize;
     // `#[cfg(test)]` module tracking: once the attribute is seen, skip
@@ -407,12 +423,15 @@ fn lint_file(rel: &str, text: &str, findings: &mut Vec<Finding>) -> usize {
             Some("serving-pin")
         } else if in_job && spawn.iter().any(|p| code.contains(p.as_str())) {
             Some("job-thread")
+        } else if shared && mutate.iter().any(|p| code.contains(p.as_str())) {
+            Some("shared-mutation")
         } else {
             None
         };
         if let Some(rule) = rule {
             let lo = i.saturating_sub(JUSTIFICATION_WINDOW);
-            let has_justification = (lo..=i).any(|j| lines[j].contains("LINT:"));
+            let tag = if rule == "shared-mutation" { "LINT: unique-ok" } else { "LINT:" };
+            let has_justification = (lo..=i).any(|j| lines[j].contains(tag));
             if has_justification {
                 justified += 1;
             } else {

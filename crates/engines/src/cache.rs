@@ -62,8 +62,26 @@
 //! [`FragmentResultCache::invalidate_tables`] with the superseded
 //! `(name, id)` pairs of exactly the appended tables, dropping their
 //! entries while entries over untouched tables survive. Entries that
-//! escape eager invalidation (e.g. raced publishes) age out through the
-//! LRU byte budget.
+//! escape eager invalidation (e.g. raced publishes, appends made beside
+//! the runtime) age out through the LRU byte budget.
+//!
+//! # Predecessors
+//!
+//! A *row-wise* prepare (a scan under filters and projections) over
+//! version *n + 1* is its output over version *n* followed by its output
+//! over the appended chunks. An entry that planning computed for one
+//! carries a [`RowWiseOutput`]; invalidation keeps those as *predecessors*
+//! — one generation, which the next publish replaces — while counting them
+//! in `invalidations` and dropping them from `resident_*`. A predecessor is
+//! keyed by scope, plan and table name, so under [`CacheScope::PerTenant`]
+//! no tenant extends another's. Planning (`exec::profile_fragments_cached`)
+//! probes a prepare's exact key, then its predecessor, which it extends
+//! over the chunks appended since under the predecessor's own lock (two
+//! planners of one prepare extend once). A version that does not extend
+//! the predecessor — a late job's older one, one another writer grew — is
+//! computed in full and leaves it alone. These probes count in
+//! [`PlanningStats`], never in [`CacheStats`], and touch no recency, so
+//! execution's hits, misses and admissions are what they were.
 //!
 //! # Scopes
 //!
@@ -92,6 +110,7 @@
 
 use crate::data::Value;
 use crate::expr::Expr;
+use crate::fused::RowWiseOutput;
 use crate::ops::{AggExpr, JoinType, PhysicalPlan, WorkProfile};
 use crate::data::Table;
 use midas_cloud::SiteId;
@@ -560,28 +579,25 @@ impl<K: Hash + Eq + Clone, V: Clone> ScopedCache<K, V> {
     /// Removes every entry whose key matches `pred`; returns how many were
     /// dropped (counted as invalidations).
     pub fn invalidate_matching(&self, pred: impl Fn(&K) -> bool) -> u64 {
-        let mut inner = self.lock();
-        let doomed: Vec<K> = inner
-            .entries
-            .keys()
-            .filter(|k| pred(k))
-            .cloned()
-            .collect();
-        // Entries move out under the lock and are freed after it: dropping
-        // a fragment table is the slow part, and `get`s must not wait on it.
-        let mut removed = Vec::with_capacity(doomed.len());
-        for key in &doomed {
-            if let Some(entry) = inner.entries.remove(key) {
-                inner.stats.resident_bytes -= entry.bytes;
-                inner.stats.resident_entries -= 1;
-                debit_owner(&mut inner.owner_bytes, &entry.owner, entry.bytes);
-                removed.push(entry);
-            }
+        self.remove_matching(pred).len() as u64
+    }
+
+    /// [`ScopedCache::invalidate_matching`], handing the dropped entries
+    /// back. They move out under the lock and are freed by the caller after
+    /// it: dropping a fragment table is the slow part, and `get`s must not
+    /// wait on it.
+    fn remove_matching(&self, pred: impl Fn(&K) -> bool) -> Vec<(K, V)> {
+        let mut guard = self.lock();
+        let inner = &mut *guard;
+        let removed: Vec<(K, CacheEntry<V>)> = inner.entries.extract_if(|k, _| pred(k)).collect();
+        for (_, entry) in &removed {
+            inner.stats.resident_bytes -= entry.bytes;
+            inner.stats.resident_entries -= 1;
+            debit_owner(&mut inner.owner_bytes, &entry.owner, entry.bytes);
         }
-        inner.stats.invalidations += doomed.len() as u64;
-        drop(inner);
-        drop(removed);
-        doomed.len() as u64
+        inner.stats.invalidations += removed.len() as u64;
+        drop(guard);
+        removed.into_iter().map(|(key, entry)| (key, entry.value)).collect()
     }
 
     /// Drops every entry (stats counters are preserved, residency zeroed).
@@ -658,6 +674,28 @@ pub struct CachedFragment {
     pub table: Arc<Table>,
     /// The operator work the (original) execution performed.
     pub work: WorkProfile,
+    /// For a row-wise prepare planning computed, what extending it needs
+    /// (see *Predecessors* in the module docs).
+    pub(crate) row_wise: Option<RowWiseOutput>,
+}
+
+/// What planning did for the prepares it profiled through the fragment
+/// cache (`exec::profile_fragments_cached`). Execution's own lookups are
+/// [`CacheStats`]; these count none of them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PlanningStats {
+    /// Prepares taken as they were: an exact cached output, or a
+    /// predecessor another planner had already advanced to the version.
+    pub reused: u64,
+    /// Prepares extended from their predecessor over appended chunks.
+    pub extended: u64,
+    /// Rows of the appended chunks those extensions read.
+    pub extended_rows: u64,
+    /// Prepares computed in full.
+    pub computed: u64,
+    /// Rows those full computations scanned
+    /// ([`WorkProfile::scanned_rows`]).
+    pub computed_rows: u64,
 }
 
 /// The shared fragment-result cache (see the module docs): identical
@@ -665,6 +703,20 @@ pub struct CachedFragment {
 /// instead of recomputing.
 pub struct FragmentResultCache {
     cache: ScopedCache<CacheKey, Arc<CachedFragment>>,
+    /// The one generation of predecessors, keyed by [`slot_key`], each
+    /// behind the lock that advances it.
+    predecessors: Mutex<HashMap<CacheKey, Arc<Mutex<RowWiseOutput>>>>,
+    planning: Mutex<PlanningStats>,
+}
+
+/// The predecessor slot of an exact key: its scope, its plan and its table
+/// names, whatever state of the tables.
+fn slot_key(key: &CacheKey) -> CacheKey {
+    CacheKey {
+        scope: key.scope.clone(),
+        fingerprint: key.fingerprint.clone(),
+        tables: key.tables.iter().map(|(name, _)| (name.clone(), 0)).collect(),
+    }
 }
 
 impl FragmentResultCache {
@@ -672,12 +724,36 @@ impl FragmentResultCache {
     pub fn new(budget_bytes: u64) -> Self {
         FragmentResultCache {
             cache: ScopedCache::new(budget_bytes),
+            predecessors: Mutex::new(HashMap::new()),
+            planning: Mutex::new(PlanningStats::default()),
         }
     }
 
     /// Looks a fragment key up.
     pub fn get(&self, key: &CacheKey) -> Option<Arc<CachedFragment>> {
         self.cache.get(key)
+    }
+
+    /// Planning's look at a fragment key: it counts no hit or miss and
+    /// touches no recency, leaving the cache exactly as it found it.
+    pub fn peek(&self, key: &CacheKey) -> Option<Arc<CachedFragment>> {
+        self.cache.lock().entries.get(key).map(|entry| Arc::clone(&entry.value))
+    }
+
+    /// The predecessor of the prepare `key` names — same scope, plan and
+    /// table, an older state of the table — if the last publish kept one.
+    pub fn predecessor(&self, key: &CacheKey) -> Option<Arc<Mutex<RowWiseOutput>>> {
+        crate::lock_recover(&self.predecessors).get(&slot_key(key)).cloned()
+    }
+
+    /// Counts what planning did for one prepare.
+    pub(crate) fn count_planning(&self, count: impl FnOnce(&mut PlanningStats)) {
+        count(&mut crate::lock_recover(&self.planning));
+    }
+
+    /// A snapshot of the planning counters.
+    pub fn planning_stats(&self) -> PlanningStats {
+        *crate::lock_recover(&self.planning)
     }
 
     /// Admits a fragment output under `key`, owned by `owner` (the
@@ -694,13 +770,31 @@ impl FragmentResultCache {
 
     /// Drops every entry that read any of the superseded `(name, id)`
     /// tables — the ingest-publish hook. Entries over untouched tables
-    /// survive. Returns the number of entries dropped.
+    /// survive. The dropped entries holding a row-wise prepare's output
+    /// become the one generation of predecessors, replacing the last
+    /// publish's (see the module docs). Returns the number of entries
+    /// dropped.
     pub fn invalidate_tables(&self, stale: &[(String, u64)]) -> u64 {
         if stale.is_empty() {
             return 0;
         }
-        self.cache
-            .invalidate_matching(|key| stale.iter().any(|(n, id)| key.reads_table(n, *id)))
+        let removed = self
+            .cache
+            .remove_matching(|key| stale.iter().any(|(n, id)| key.reads_table(n, *id)));
+        let generation: HashMap<_, _> = removed
+            .iter()
+            .filter_map(|(key, fragment)| {
+                let output = fragment.row_wise.clone()?;
+                Some((slot_key(key), Arc::new(Mutex::new(output))))
+            })
+            .collect();
+        let dropped = removed.len() as u64;
+        // The entries go first, so a predecessor is its table's only holder
+        // once no job reads it; the old generation is freed outside the lock.
+        drop(removed);
+        let old = std::mem::replace(&mut *crate::lock_recover(&self.predecessors), generation);
+        drop(old);
+        dropped
     }
 
     /// A snapshot of the cache's counters.
@@ -929,6 +1023,7 @@ mod tests {
         let fragment = Arc::new(CachedFragment {
             table: Arc::clone(&table),
             work: WorkProfile::default(),
+            row_wise: None,
         });
         let key_t7 = CacheKey::new(
             String::new(),

@@ -11,8 +11,9 @@
 //! * `take_ids` / `take_opt_ids` — gather by `u32` selection indices
 //!   (the allocation path joins and final materialization use); every
 //!   gather, these included, is one `Column::gather_rows`;
-//! * `estimated_bytes_sel` — byte accounting for a *virtual* filtered
-//!   table, identical bit-for-bit to materializing and measuring it;
+//! * `virtual_bytes` / `width_bytes` — byte accounting for a *virtual*
+//!   table (a selection, several slabs), identical bit-for-bit to
+//!   materializing and measuring it;
 //! * `utf8_at` — a borrowing string accessor so expression evaluation can
 //!   compare strings without cloning them out of the column.
 //!
@@ -461,14 +462,27 @@ pub(crate) fn virtual_bytes<'c>(
     n: usize,
     mut utf8_total: impl FnMut(usize, &'c Utf8Column) -> usize,
 ) -> u64 {
+    width_bytes(
+        columns.enumerate().map(|(ci, c)| match &*c.data {
+            ColumnData::Utf8(v) if n > 0 => (DataType::Utf8, utf8_total(ci, v)),
+            data => (data.data_type(), 0),
+        }),
+        n,
+    )
+}
+
+/// [`virtual_bytes`] from the schema alone: each column's type and the
+/// total byte length of its `n` string values (0 for other types). The
+/// totals of several runs' outputs add up exactly, so the bytes of their
+/// concatenation are this formula over the sums.
+pub(crate) fn width_bytes(columns: impl Iterator<Item = (DataType, usize)>, n: usize) -> u64 {
     let per_row: f64 = columns
-        .enumerate()
-        .map(|(ci, c)| match &*c.data {
-            ColumnData::Int64(_) | ColumnData::Float64(_) => 8.0,
-            ColumnData::Date(_) => 4.0,
-            ColumnData::Bool(_) => 1.0,
-            ColumnData::Utf8(_) if n == 0 => 8.0,
-            ColumnData::Utf8(v) => utf8_total(ci, v) as f64 / n as f64,
+        .map(|(ty, utf8)| match ty {
+            DataType::Int64 | DataType::Float64 => 8.0,
+            DataType::Date => 4.0,
+            DataType::Bool => 1.0,
+            DataType::Utf8 if n == 0 => 8.0,
+            DataType::Utf8 => utf8 as f64 / n as f64,
         })
         .sum();
     (per_row * n as f64) as u64
@@ -481,11 +495,11 @@ pub struct Table {
     pub name: String,
     columns: Vec<Column>,
     n_rows: usize,
-    /// Memoized [`Table::fingerprint`], the table's one memo: the rows
-    /// cannot change after construction (`columns` is private, no method
-    /// takes `&mut self`, and the public `name` is not hashed), so the
-    /// O(bytes) hash runs at most once per table — a result that lives in
-    /// a cache behind an `Arc` is hashed once, not once per hit.
+    /// Memoized [`Table::fingerprint`], the table's one memo: `columns` is
+    /// private, [`Table::append`] is the one method that changes the rows
+    /// and it empties the memo, and the public `name` is not hashed, so the
+    /// O(bytes) hash runs at most once per table state — a result that
+    /// lives in a cache behind an `Arc` is hashed once, not once per hit.
     /// Deliberately excluded from `PartialEq` and `Debug`: two tables with
     /// identical rows are equal whether or not either has been hashed yet.
     /// Byte sizes need no memo: a string column knows its total length.
@@ -585,29 +599,6 @@ impl Table {
     pub fn take_ids(&self, indices: &[u32]) -> Table {
         let columns = self.columns.iter().map(|c| c.take_ids(indices)).collect();
         Table::from_parts(self.name.clone(), columns, indices.len())
-    }
-
-    /// Total byte length of the string values of each column (`0` for
-    /// non-Utf8 columns), O(columns).
-    ///
-    /// Chunk-native scans sum these per slab (`utf8_bytes_sel`) to
-    /// reproduce the `estimated_bytes` / `estimated_bytes_sel` of a
-    /// *concatenation* of chunks without ever materializing it: the integer
-    /// length sums accumulate exactly across chunks, and applying the same
-    /// floating-point expression once over the global sums yields the
-    /// identical bit pattern.
-    pub fn utf8_len_sums(&self) -> Vec<usize> {
-        self.columns.iter().map(|c| c.data.utf8_bytes()).collect()
-    }
-
-    /// [`Table::estimated_bytes`] of the *virtual* table selected by `sel`
-    /// (`None` = all rows), without materializing it: the bit pattern that
-    /// gathering the rows and measuring them produces.
-    pub fn estimated_bytes_sel(&self, sel: Option<&[u32]>) -> u64 {
-        let Some(sel) = sel else {
-            return self.estimated_bytes();
-        };
-        virtual_bytes(self.columns.iter(), sel.len(), |ci, _| self.utf8_bytes_sel(ci, Some(sel)))
     }
 
     /// Total byte length of column `ci`'s string values at the rows `sel`
@@ -723,6 +714,49 @@ impl Table {
         Ok(Table::from_parts(name.to_string(), columns, n_rows))
     }
 
+    /// Appends `other`'s rows (same schema) after this table's, in place:
+    /// [`Table::concat`] of the two, without copying this table's rows
+    /// where its buffers are its own. A column buffer another table shares
+    /// is copied first, so no other holder ever sees the change, and the
+    /// fingerprint memo empties.
+    pub fn append(&mut self, other: &Table) -> Result<(), EngineError> {
+        if other.schema() != self.schema() {
+            return Err(EngineError::TypeMismatch {
+                context: format!(
+                    "cannot append {:?} ({:?}) to table {:?} ({:?})",
+                    other.name,
+                    other.schema(),
+                    self.name,
+                    self.schema()
+                ),
+            });
+        }
+        for (col, part) in self.columns.iter_mut().zip(&other.columns) {
+            if col.validity.is_some() || part.validity.is_some() {
+                let mut mask = col.validity.take().unwrap_or_else(|| vec![true; col.len()]);
+                match &part.validity {
+                    Some(v) => mask.extend_from_slice(v),
+                    None => mask.resize(mask.len() + part.len(), true),
+                }
+                col.validity = Some(mask);
+            }
+            // LINT: unique-ok — `make_mut` copies a buffer another column
+            // shares before extending it.
+            match (Arc::make_mut(&mut col.data), &*part.data) {
+                (ColumnData::Int64(a), ColumnData::Int64(b)) => a.extend_from_slice(b),
+                (ColumnData::Float64(a), ColumnData::Float64(b)) => a.extend_from_slice(b),
+                (ColumnData::Utf8(a), ColumnData::Utf8(b)) => a.extend_from(b),
+                (ColumnData::Date(a), ColumnData::Date(b)) => a.extend_from_slice(b),
+                (ColumnData::Bool(a), ColumnData::Bool(b)) => a.extend_from_slice(b),
+                // LINT: panic-ok — the schemas were compared above.
+                _ => unreachable!("schema checked above"),
+            }
+        }
+        self.n_rows += other.n_rows;
+        self.fingerprint_cache = OnceLock::new();
+        Ok(())
+    }
+
     /// An order-sensitive 64-bit content fingerprint (FNV-1a over schema,
     /// validity and values). Two tables fingerprint equal iff they hold the
     /// same rows in the same order under the same schema — the cheap
@@ -735,9 +769,9 @@ impl Table {
     /// *logically* identical tables fingerprint equal no matter how their
     /// dead slots differ.
     ///
-    /// Memoized like [`Table::estimated_bytes`]: the first call hashes the
-    /// table, every later call — on this table or a clone of it — reads
-    /// the stored value.
+    /// Memoized: the first call hashes the table, every later call — on
+    /// this table or a clone of it — reads the stored value, until
+    /// [`Table::append`] changes the rows.
     pub fn fingerprint(&self) -> u64 {
         *self.fingerprint_cache.get_or_init(|| self.compute_fingerprint())
     }
@@ -929,29 +963,6 @@ mod tests {
         let got = nullable.take_opt_ids(&[1, 0], &[true, false]);
         assert_eq!(got, nullable.take_opt(&[Some(1), None]));
         assert!(!got.is_valid(0) && !got.is_valid(1));
-    }
-
-    #[test]
-    fn estimated_bytes_sel_matches_materialized_filter() {
-        let t = sample();
-        for mask in [
-            vec![true, false, true],
-            vec![false, false, false],
-            vec![true, true, true],
-        ] {
-            let sel: Vec<u32> = mask
-                .iter()
-                .enumerate()
-                .filter(|(_, &m)| m)
-                .map(|(i, _)| i as u32)
-                .collect();
-            assert_eq!(
-                t.estimated_bytes_sel(Some(&sel)),
-                t.filter(&mask).estimated_bytes(),
-                "mask {mask:?}"
-            );
-        }
-        assert_eq!(t.estimated_bytes_sel(None), t.estimated_bytes());
     }
 
     #[test]
@@ -1184,24 +1195,6 @@ mod tests {
         assert_eq!(empties.schema(), empty.schema());
     }
 
-    #[test]
-    fn utf8_len_sums_reconstruct_estimated_bytes() {
-        let t = sample();
-        assert_eq!(t.utf8_len_sums(), &[0, 6, 0]);
-        // The global length sums plus the fixed widths rebuild the exact
-        // byte estimate — the identity chunk-native scans rely on.
-        let per_row: f64 = t
-            .columns()
-            .iter()
-            .zip(&t.utf8_len_sums())
-            .map(|(c, &sum)| match &*c.data {
-                ColumnData::Utf8(_) => sum as f64 / t.n_rows() as f64,
-                _ => c.avg_value_bytes(),
-            })
-            .sum();
-        assert_eq!((per_row * t.n_rows() as f64) as u64, t.estimated_bytes());
-    }
-
     /// The property every caller of [`virtual_bytes`] relies on: it is
     /// `Table::estimated_bytes` of the table its arguments describe, had
     /// that table been gathered — a (masked, NULL-bearing, possibly empty)
@@ -1231,10 +1224,13 @@ mod tests {
         let c = slab(&["gamma", "d"], vec![false, true]);
 
         // One table under a selection (repeats and the empty one included).
+        let selected = |t: &Table, sel: &[u32]| {
+            virtual_bytes(t.columns().iter(), sel.len(), |ci, _| t.utf8_bytes_sel(ci, Some(sel)))
+        };
         for sel in [&[0u32, 2, 2, 3][..], &[1], &[]] {
-            assert_eq!(a.estimated_bytes_sel(Some(sel)), a.take_ids(sel).estimated_bytes());
+            assert_eq!(selected(&a, sel), a.take_ids(sel).estimated_bytes());
         }
-        assert_eq!(b.estimated_bytes_sel(Some(&[])), 0);
+        assert_eq!(selected(&b, &[]), 0);
 
         // Several slabs, an empty one between them, each under its own
         // selection (`None` = every row): the concatenation of the gathers.

@@ -41,15 +41,20 @@
 //! executing the plan again. Outputs and work profiles do not depend on
 //! the chosen site, engine or instance — the simulation phase applies
 //! those afterwards — so a handed-over run is bit-identical to a run
-//! that executed.
+//! that executed. With a fragment cache, planning profiles through it
+//! ([`profile_fragments_cached`]): a prepare cached at the pinned version
+//! is taken as it is, and one cached before a publish that only appended
+//! to its table is extended over the new chunks (see [`crate::cache`]'s
+//! *Predecessors*).
 
 use crate::cache::{CacheKey, CacheScope, CachedFragment, FragmentResultCache, PlanFingerprint};
 use crate::catalog::Catalog;
 use crate::engine::{EngineKind, EngineProfile};
 use crate::error::EngineError;
-use crate::fused::{execute_fused_over, TableSource};
+use crate::fused::{execute_fused, execute_fused_over, RowWiseOutput, TableSource};
 use crate::ops::{OpKind, PhysicalPlan, WorkProfile};
 use crate::sim::{FaultPlan, SimulationEnv, SiteAdmission};
+use crate::version::CatalogVersion;
 use crate::data::Table;
 use midas_cloud::{Federation, InstanceType, Money, SiteId};
 use std::collections::HashMap;
@@ -103,6 +108,28 @@ pub struct ProfiledFragment {
     pub table: Arc<Table>,
     /// The operator work the execution performed.
     pub work: WorkProfile,
+    /// For a row-wise prepare planned through the fragment cache, what
+    /// extending it after a publish needs; it rides into the cache entry.
+    pub(crate) row_wise: Option<RowWiseOutput>,
+}
+
+impl ProfiledFragment {
+    fn new(plan: &PhysicalPlan, table: Arc<Table>, work: WorkProfile) -> Self {
+        ProfiledFragment {
+            plan: plan.clone(),
+            table,
+            work,
+            row_wise: None,
+        }
+    }
+
+    fn row_wise(plan: &PhysicalPlan, output: RowWiseOutput) -> Self {
+        let (table, work) = (Arc::clone(output.table()), output.work());
+        ProfiledFragment {
+            row_wise: Some(output),
+            ..ProfiledFragment::new(plan, table, work)
+        }
+    }
 }
 
 /// Runs `plans` in order as the fragments of one query, outside any
@@ -116,20 +143,95 @@ pub fn profile_fragments<'a>(
     plans: &[&PhysicalPlan],
     base_tables: impl Into<TableSource<'a>>,
 ) -> Result<Vec<ProfiledFragment>, EngineError> {
-    let base_tables = base_tables.into();
+    let plans: Vec<_> = plans.iter().map(|&plan| (plan, None)).collect();
+    profile(&plans, base_tables.into(), None)
+}
+
+/// [`profile_fragments`] through the fragment cache, over the job's pinned
+/// `version`: a prepare — a plan reading no `@frag` output, given with the
+/// site its cache key names — is its exact cached output, else its
+/// predecessor extended over the chunks appended since, else a full
+/// computation (see [`crate::cache`], *Predecessors*); every other plan is
+/// computed in full. Outputs and work profiles are bit for bit those of
+/// [`profile_fragments`].
+pub fn profile_fragments_cached(
+    plans: &[(&PhysicalPlan, Option<SiteId>)],
+    version: &CatalogVersion,
+    cache: ResultCacheBinding<'_>,
+) -> Result<Vec<ProfiledFragment>, EngineError> {
+    profile(plans, version.into(), Some(cache))
+}
+
+/// Profiles `plans` in order, a prepare with a site through `cache`.
+fn profile(
+    plans: &[(&PhysicalPlan, Option<SiteId>)],
+    base_tables: TableSource<'_>,
+    cache: Option<ResultCacheBinding<'_>>,
+) -> Result<Vec<ProfiledFragment>, EngineError> {
     let mut catalog = Catalog::new();
     let mut profiled = Vec::with_capacity(plans.len());
-    for (idx, &plan) in plans.iter().enumerate() {
-        let (table, work) = execute_fused_over(plan, &catalog, base_tables)?;
-        let table = Arc::new(table);
-        catalog.insert_shared(format!("@frag{idx}"), Arc::clone(&table));
-        profiled.push(ProfiledFragment {
-            plan: plan.clone(),
-            table,
-            work,
-        });
+    for (idx, &(plan, site)) in plans.iter().enumerate() {
+        let prepare = site.zip(cache).filter(|_| referenced_fragments(plan).is_empty());
+        let fragment = match (prepare, base_tables) {
+            (Some((site, binding)), TableSource::Versioned(version)) => {
+                plan_prepare(plan, site, version, binding)?
+            }
+            _ => {
+                let (table, work) = execute_fused_over(plan, &catalog, base_tables)?;
+                ProfiledFragment::new(plan, Arc::new(table), work)
+            }
+        };
+        catalog.insert_shared(format!("@frag{idx}"), Arc::clone(&fragment.table));
+        profiled.push(fragment);
     }
     Ok(profiled)
+}
+
+/// Plans one prepare through the fragment cache (see
+/// [`profile_fragments_cached`]).
+fn plan_prepare(
+    plan: &PhysicalPlan,
+    site: SiteId,
+    version: &CatalogVersion,
+    binding: ResultCacheBinding<'_>,
+) -> Result<ProfiledFragment, EngineError> {
+    let cache = binding.cache;
+    let key = fragment_key(binding, &[plan], site);
+    if let Some(key) = &key {
+        if let Some(hit) = cache.peek(key) {
+            cache.count_planning(|s| s.reused += 1);
+            return Ok(ProfiledFragment {
+                row_wise: hit.row_wise.clone(),
+                ..ProfiledFragment::new(plan, Arc::clone(&hit.table), hit.work.clone())
+            });
+        }
+        // A poisoned predecessor is skipped: a panic may have left it
+        // half advanced.
+        if let Some(Ok(mut output)) = cache.predecessor(key).as_deref().map(Mutex::lock) {
+            if let Some(rows) = output.extend(plan, version) {
+                cache.count_planning(|s| match rows {
+                    0 => s.reused += 1,
+                    rows => {
+                        s.extended += 1;
+                        s.extended_rows += rows as u64;
+                    }
+                });
+                return Ok(ProfiledFragment::row_wise(plan, output.clone()));
+            }
+        }
+    }
+    let fragment = match RowWiseOutput::compute(plan, version) {
+        Some(output) => ProfiledFragment::row_wise(plan, output?),
+        None => {
+            let (table, work) = execute_fused(plan, version)?;
+            ProfiledFragment::new(plan, Arc::new(table), work)
+        }
+    };
+    cache.count_planning(|s| {
+        s.computed += 1;
+        s.computed_rows += fragment.work.scanned_rows();
+    });
+    Ok(fragment)
 }
 
 /// The result of executing a federated query.
@@ -445,13 +547,8 @@ fn run_federated(
         handed.push(entry);
     }
 
-    // Result-cache keys, one per fragment. A fragment's key covers its
-    // whole dependency *closure* — the canonical fingerprint of every plan
-    // it transitively consumes (in ascending fragment order; `@frag`
-    // references inside the plans pin the wiring) plus the pinned identity
-    // of every base table the closure scans. Equal keys therefore imply
-    // the same deterministic computation over the same data. A fragment
-    // scanning a table with no identity in the binding is not cacheable.
+    // Result-cache keys, one per fragment, each over the fragment's whole
+    // dependency *closure* ([`fragment_key`]).
     let cache_keys: Vec<Option<CacheKey>> = if let Some(binding) = cache {
         let mut closures: Vec<Vec<usize>> = Vec::with_capacity(n);
         for (idx, frag_deps) in deps.iter().enumerate() {
@@ -465,24 +562,9 @@ fn run_federated(
         }
         (0..n)
             .map(|idx| {
-                let closure = &closures[idx];
-                let mut tables: Vec<(String, u64)> = Vec::new();
-                for &member in closure {
-                    for name in referenced_base_tables(&query.fragments[member].plan) {
-                        if tables.iter().any(|(t, _)| *t == name) {
-                            continue;
-                        }
-                        let id = *binding.table_ids.get(&name)?;
-                        tables.push((name, id));
-                    }
-                }
-                let fingerprint = PlanFingerprint::of_plans(
-                    closure.iter().map(|&i| &query.fragments[i].plan),
-                );
-                let scope = binding
-                    .scope
-                    .key(binding.tenant, query.fragments[idx].site);
-                Some(CacheKey::new(scope, fingerprint, tables))
+                let plans: Vec<&PhysicalPlan> =
+                    closures[idx].iter().map(|&i| &query.fragments[i].plan).collect();
+                fragment_key(binding, &plans, query.fragments[idx].site)
             })
             .collect()
     } else {
@@ -594,6 +676,7 @@ fn run_federated(
                     Arc::new(CachedFragment {
                         table: Arc::clone(&table),
                         work: work.clone(),
+                        row_wise: handed[idx].and_then(|p| p.row_wise.clone()),
                     }),
                     binding.tenant,
                 );
@@ -657,6 +740,32 @@ fn run_federated(
         reused_fragments,
         fragments: outcomes,
     })
+}
+
+/// The result-cache key of a fragment that runs at `site` and computes
+/// `plans`: its own plan after those of every fragment it transitively
+/// reads, in fragment order (`@frag` references inside the plans pin the
+/// wiring). The key is the binding's scope, the plans' canonical
+/// fingerprint and the pinned identity of every base table they scan, so
+/// equal keys imply the same deterministic computation over the same data.
+/// `None` when a scanned table has no identity in the binding: such a
+/// fragment is not cached.
+fn fragment_key(
+    binding: ResultCacheBinding<'_>,
+    plans: &[&PhysicalPlan],
+    site: SiteId,
+) -> Option<CacheKey> {
+    let mut tables: Vec<(String, u64)> = Vec::new();
+    for plan in plans {
+        for name in referenced_base_tables(plan) {
+            if !tables.iter().any(|(t, _)| *t == name) {
+                let id = *binding.table_ids.get(&name)?;
+                tables.push((name, id));
+            }
+        }
+    }
+    let fingerprint = PlanFingerprint::of_plans(plans.iter().copied());
+    Some(CacheKey::new(binding.scope.key(binding.tenant, site), fingerprint, tables))
 }
 
 /// Calls `visit` with the table name of every scan in `plan`, left to

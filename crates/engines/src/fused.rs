@@ -4,7 +4,7 @@
 //!
 //! This is the executor that serves; [`crate::ops::execute_scalar`] is its
 //! row-at-a-time reference. Four coordinated changes make SF ≥ 1 data
-//! survivable:
+//! survivable, and a fifth makes a table that grows cheap to plan over:
 //!
 //! 1. **Morsels.** Filters, projections and aggregate inputs run over
 //!    cache-resident row ranges of [`MORSEL_ROWS`] rows of one slab at a
@@ -62,6 +62,13 @@
 //!    node's TRUE and FALSE rows, so Q13's `NOT (CONTAINS w1 AND CONTAINS
 //!    w2)` tests `w2` only where `w1` hit. Same selected rows by
 //!    construction; a predicate that is not total runs its single program.
+//! 5. **Row-wise outputs extend.** A scan under filters and projections
+//!    ([`row_wise_table`]) over a table grown by appends outputs its
+//!    previous output followed by its output over the new chunks.
+//!    [`RowWiseOutput`] runs the one executor over the appended chunks,
+//!    appends in place, and composes the work profile from exact totals;
+//!    where a full run's global normalization could differ (validity
+//!    masks, disagreeing types) it declines.
 //!
 //! **Bit-for-bit parity.** For every plan, [`execute_fused`] — over a
 //! catalog or over a version — produces the same result [`Table`]
@@ -84,14 +91,16 @@
 //! inside one job measured 0.33–0.76× of the single pass.
 
 use crate::catalog::Catalog;
-use crate::data::{virtual_bytes, Column, ColumnData, DataType, Table, Utf8Column, Value};
+use crate::data::{
+    virtual_bytes, width_bytes, Column, ColumnData, DataType, Table, Utf8Column, Value,
+};
 use crate::error::EngineError;
 use crate::expr::{BatchVals, EvalScratch, Expr, KernelCols, KernelPlan, NumTy, SelView};
 use crate::ops::{
     aggregate_vec, hash_join_vec, join_key_columns, serial_join_indices, sort_sel, AggExpr,
     AggInput, Batch, JoinType, OpKind, OpWork, PhysicalPlan, TableSlot, WorkProfile,
 };
-use crate::version::CatalogVersion;
+use crate::version::{CatalogVersion, ChunkedTable};
 use std::sync::Arc;
 
 /// Rows per morsel: 16 Ki rows keeps a handful of `f64`/sel temporaries
@@ -101,8 +110,8 @@ pub const MORSEL_ROWS: usize = 16 * 1024;
 
 /// Executes `plan` with the morsel-driven fused pipelines over `tables` —
 /// a flat [`Catalog`], or one published [`CatalogVersion`] whose
-/// [`ChunkedTable`](crate::version::ChunkedTable)s are scanned chunk by
-/// chunk where they lie, so a hot multi-chunk version is queried without
+/// [`ChunkedTable`]s are scanned chunk by chunk where they lie, so a hot
+/// multi-chunk version is queried without
 /// ever materializing a compacted snapshot (`version.compaction_bytes()`
 /// stays 0). Result table and [`WorkProfile`] are bit-identical to
 /// [`crate::ops::execute_scalar`] over the equivalent flat catalog.
@@ -121,11 +130,32 @@ pub(crate) fn execute_fused_over(
     frags: &Catalog,
     base: TableSource<'_>,
 ) -> Result<(Table, WorkProfile), EngineError> {
-    let mut profile = WorkProfile::default();
+    let mut recorder = Recorder::default();
+    let table = run_to_table(plan, frags, base, &mut recorder)?;
+    Ok((table, recorder.work))
+}
+
+/// One fused run of `plan` to its materialized output, recording into
+/// `recorder`.
+fn run_to_table(
+    plan: &PhysicalPlan,
+    frags: &Catalog,
+    base: TableSource<'_>,
+    recorder: &mut Recorder,
+) -> Result<Table, EngineError> {
     let mut scratch = EvalScratch::new();
     let src = Tables { frags, base };
-    let fb = run_fused(plan, &src, &mut profile, &mut scratch)?;
-    Ok((fb.into_flat(&mut scratch).materialize(), profile))
+    let fb = run_fused(plan, &src, recorder, &mut scratch)?;
+    Ok(fb.into_flat(&mut scratch).materialize())
+}
+
+/// What one fused run records: its work profile and, when a row-wise
+/// output is to be extended later ([`RowWiseOutput`]), every operator's
+/// [`OpTotals`].
+#[derive(Default)]
+struct Recorder {
+    work: WorkProfile,
+    totals: Option<Vec<OpTotals>>,
 }
 
 /// Where base-table scans resolve: a flat [`Catalog`] or one published
@@ -248,30 +278,39 @@ impl<'a> FBatch<'a> {
     }
 
     /// [`Table::estimated_bytes`] of the selected rows gathered into one
-    /// table, without gathering them. One slab asks its table (a whole
-    /// table's answer is memoized on it); several sum each string column's
-    /// selected lengths across slabs as exact integers and apply the float
-    /// expression once over the totals — summing per-slab `f64` subtotals
-    /// would not reproduce the compacted table's bit pattern.
+    /// table, without gathering them: each string column's selected
+    /// lengths summed across slabs as exact integers, and the float
+    /// expression applied once over the totals — summing per-slab `f64`
+    /// subtotals would not reproduce the compacted table's bit pattern.
     fn bytes(&self) -> u64 {
-        match self.slabs.as_slice() {
-            [one] => one.table().estimated_bytes_sel(one.sel_ref()),
-            // Slabs of one table share one schema by construction.
-            slabs => virtual_bytes(slabs[0].table().columns().iter(), self.len(), |ci, _| {
-                slabs.iter().map(|b| b.table().utf8_bytes_sel(ci, b.sel_ref())).sum()
-            }),
-        }
+        width_bytes(self.widths(), self.len())
+    }
+
+    /// Per column of the slabs' one schema (slabs of one table share it by
+    /// construction): its type and the total length of its selected string
+    /// values.
+    fn widths(&self) -> impl Iterator<Item = (DataType, usize)> + '_ {
+        let columns = self.slabs[0].table().columns().iter().enumerate();
+        columns.map(move |(ci, c)| {
+            let utf8 = self.slabs.iter().map(|b| b.table().utf8_bytes_sel(ci, b.sel_ref())).sum();
+            (c.data.data_type(), utf8)
+        })
     }
 
     /// Records one operator's work from its output batch; byte accounting
     /// is identical to measuring the materialized table.
-    fn record(&self, profile: &mut WorkProfile, kind: OpKind, rows_in: u64) {
-        profile.ops.push(OpWork {
+    fn record(&self, profile: &mut Recorder, kind: OpKind, rows_in: u64) {
+        let rows_out = self.len() as u64;
+        profile.work.ops.push(OpWork {
             kind,
             rows_in,
-            rows_out: self.len() as u64,
+            rows_out,
             bytes_out: self.bytes(),
         });
+        if let Some(totals) = &mut profile.totals {
+            let columns = self.widths().collect();
+            totals.push(OpTotals { kind, rows_in, rows_out, columns });
+        }
     }
 
     /// Returns a consumed batch's selection vectors to the scratch pool.
@@ -740,7 +779,7 @@ fn filter_project_slab_morsels(
 fn run_fused<'a>(
     plan: &PhysicalPlan,
     src: &Tables<'a>,
-    profile: &mut WorkProfile,
+    profile: &mut Recorder,
     scratch: &mut EvalScratch,
 ) -> Result<FBatch<'a>, EngineError> {
     match plan {
@@ -986,7 +1025,7 @@ impl<'t> DeferredJoin<'t> {
         }
     }
 
-    /// [`Table::estimated_bytes_sel`] of the materialized join output
+    /// [`Table::estimated_bytes`] of the materialized join output
     /// restricted to the positions `sel` (`None` = all rows), computed from
     /// the gather indices without materializing: left strings contribute
     /// their gathered lengths (including the type-default slots `take_ids`
@@ -1051,7 +1090,7 @@ fn agg_over_join<'a>(
     filters: &[&Expr],
     group_by: &[usize],
     aggs: &[(String, AggExpr)],
-    profile: &mut WorkProfile,
+    profile: &mut Recorder,
     scratch: &mut EvalScratch,
 ) -> Result<FBatch<'a>, EngineError> {
     let lb = run_fused(left, src, profile, scratch)?.into_flat(scratch);
@@ -1063,7 +1102,7 @@ fn agg_over_join<'a>(
         serial_join_indices(&lb, &rb, &lcols, &rcols, join_type);
     let mut dj = DeferredJoin::new(lb.table(), rb.table(), left_out, right_out, right_hit);
     let n_join = dj.n();
-    profile.ops.push(OpWork {
+    profile.work.ops.push(OpWork {
         kind: OpKind::Join,
         rows_in: rows_in_join,
         rows_out: n_join as u64,
@@ -1085,7 +1124,7 @@ fn agg_over_join<'a>(
             positions.as_deref(),
             scratch,
         )?;
-        profile.ops.push(OpWork {
+        profile.work.ops.push(OpWork {
             kind: OpKind::Filter,
             rows_in,
             rows_out: sel.len() as u64,
@@ -1104,4 +1143,165 @@ fn agg_over_join<'a>(
     let nb = owned(out);
     nb.record(profile, OpKind::Aggregate, n_live as u64);
     Ok(nb)
+}
+
+// ----- row-wise outputs, extended over appended chunks -----
+
+/// The base table a *row-wise* plan reads: `Scan` or `PrunedScan` of one
+/// table under any number of `Filter` / `Project` nodes, and nothing else,
+/// so that each output row depends on one input row alone.
+pub fn row_wise_table(plan: &PhysicalPlan) -> Option<&str> {
+    match plan {
+        PhysicalPlan::Scan { table } | PhysicalPlan::PrunedScan { table, .. } => Some(table),
+        PhysicalPlan::Filter { input, .. } | PhysicalPlan::Project { input, .. } => {
+            row_wise_table(input)
+        }
+        _ => None,
+    }
+}
+
+/// One operator's output as exact totals: its [`OpWork`] rows and, per
+/// column, the type and total string length [`width_bytes`] measures. Two
+/// runs' totals add up; the bytes are computed once, over the sums.
+#[derive(Debug, Clone)]
+struct OpTotals {
+    kind: OpKind,
+    rows_in: u64,
+    rows_out: u64,
+    columns: Vec<(DataType, usize)>,
+}
+
+impl OpTotals {
+    fn work(&self) -> OpWork {
+        let bytes_out = width_bytes(self.columns.iter().copied(), self.rows_out as usize);
+        OpWork {
+            kind: self.kind,
+            rows_in: self.rows_in,
+            rows_out: self.rows_out,
+            bytes_out,
+        }
+    }
+
+    /// This output followed by `delta`'s, as one run over both records it.
+    /// An empty delta keeps these types, as the full run does; otherwise
+    /// the types must agree (`None`): an empty or all-NULL projection
+    /// collapses to `Int64`, where a full run could decide otherwise.
+    fn then(&self, delta: &OpTotals) -> Option<OpTotals> {
+        let columns = if delta.rows_out == 0 {
+            self.columns.clone()
+        } else {
+            let types = |t: &OpTotals| t.columns.iter().map(|&(ty, _)| ty).collect::<Vec<_>>();
+            if types(self) != types(delta) {
+                return None;
+            }
+            let pairs = self.columns.iter().zip(&delta.columns);
+            pairs.map(|(&(ty, a), &(_, b))| (ty, a + b)).collect()
+        };
+        Some(OpTotals {
+            kind: self.kind,
+            rows_in: self.rows_in + delta.rows_in,
+            rows_out: self.rows_out + delta.rows_out,
+            columns,
+        })
+    }
+}
+
+/// Runs `plan` over `version`, recording every operator's [`OpTotals`].
+fn run_row_wise(
+    plan: &PhysicalPlan,
+    version: &CatalogVersion,
+) -> Result<(Table, Vec<OpTotals>), EngineError> {
+    let mut recorder = Recorder {
+        work: WorkProfile::default(),
+        totals: Some(Vec::new()),
+    };
+    let table = run_to_table(plan, &Catalog::new(), version.into(), &mut recorder)?;
+    let totals = recorder.totals.unwrap_or_default();
+    debug_assert_eq!(recorder.work.ops, totals.iter().map(OpTotals::work).collect::<Vec<_>>());
+    Ok((table, totals))
+}
+
+/// A row-wise plan's output over one state of its base table, with the
+/// chunks it covers and every operator's totals: what extending it over
+/// appended chunks needs ([`crate::cache`], *Predecessors*). Its table and
+/// work are what [`execute_fused`] returns over the version last computed
+/// or extended to, bit for bit.
+#[derive(Debug, Clone)]
+pub struct RowWiseOutput {
+    table: Arc<Table>,
+    chunks: Vec<Arc<Table>>,
+    ops: Vec<OpTotals>,
+}
+
+impl RowWiseOutput {
+    /// Runs `plan` over `version` in full; `None` when the plan is not
+    /// row-wise ([`row_wise_table`]) or its table is not in `version`.
+    pub fn compute(
+        plan: &PhysicalPlan,
+        version: &CatalogVersion,
+    ) -> Option<Result<Self, EngineError>> {
+        let chunks = version.table(row_wise_table(plan)?)?.chunks().to_vec();
+        Some(run_row_wise(plan, version).map(|(table, ops)| RowWiseOutput {
+            table: Arc::new(table),
+            chunks,
+            ops,
+        }))
+    }
+
+    /// The output table.
+    pub fn table(&self) -> &Arc<Table> {
+        &self.table
+    }
+
+    /// The work profile of the run that produced [`RowWiseOutput::table`].
+    pub fn work(&self) -> WorkProfile {
+        WorkProfile {
+            ops: self.ops.iter().map(OpTotals::work).collect(),
+        }
+    }
+
+    /// Advances this output to `version`, whose table's chunks must start
+    /// with the ones this output covers, pointer for pointer: the plan runs
+    /// over the appended chunks alone, and its output is appended in place
+    /// when this output is the table's only holder (after one copy
+    /// otherwise). Returns the appended chunks' rows. `None`, with the
+    /// output unchanged, when `version` does not extend it, when either
+    /// side has a validity mask or their types differ, or when the run
+    /// over the new chunks fails: the caller then computes in full.
+    pub fn extend(&mut self, plan: &PhysicalPlan, version: &CatalogVersion) -> Option<usize> {
+        let grown = version.table(row_wise_table(plan)?)?;
+        let (covered, chunks) = (self.chunks.len(), grown.chunks());
+        let prefix = self.chunks.iter().zip(chunks).all(|(a, b)| Arc::ptr_eq(a, b));
+        if chunks.len() < covered || !prefix {
+            return None;
+        }
+        let appended = &chunks[covered..];
+        if appended.is_empty() {
+            return Some(0);
+        }
+        let only_new = ChunkedTable::from_chunks(grown.name(), appended.to_vec()).ok()?;
+        let (delta, delta_ops) =
+            run_row_wise(plan, &CatalogVersion::from_chunked(vec![only_new])).ok()?;
+        let masked = |t: &Table| t.columns().iter().any(|c| c.validity.is_some());
+        let rows = delta.n_rows() > 0;
+        if masked(&self.table) || masked(&delta) || (rows && delta.schema() != self.table.schema())
+        {
+            return None;
+        }
+        let pairs = self.ops.iter().zip(&delta_ops);
+        let ops = pairs.map(|(a, b)| a.then(b)).collect::<Option<Vec<_>>>()?;
+        // Over two chunks or more a run is named after the table.
+        if rows || self.table.name != grown.name() {
+            // LINT: unique-ok — `make_mut` copies the table (and `append`
+            // each column buffer) that another holder shares.
+            let table = Arc::make_mut(&mut self.table);
+            if rows {
+                table.append(&delta).ok()?;
+            }
+            table.name = grown.name().to_string();
+        }
+        self.chunks = chunks.to_vec();
+        self.ops = ops;
+        Some(appended.iter().map(|c| c.n_rows()).sum())
+    }
 }

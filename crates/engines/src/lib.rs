@@ -62,17 +62,18 @@ pub use analyze::{
 };
 pub use cache::{
     CacheKey, CacheScope, CacheStats, CachedFragment, FragmentResultCache, PlanFingerprint,
-    ScopedCache,
+    PlanningStats, ScopedCache,
 };
 pub use catalog::Catalog;
 pub use data::{Column, ColumnData, DataType, Table, Utf8Column, Value};
 pub use engine::{EngineKind, EngineProfile};
 pub use error::EngineError;
 pub use exec::{
-    profile_fragments, ExecutionOutcome, ProfiledFragment, ResultCacheBinding, SharedExecutor,
+    profile_fragments, profile_fragments_cached, ExecutionOutcome, ProfiledFragment,
+    ResultCacheBinding, SharedExecutor,
 };
 pub use expr::Expr;
-pub use fused::{execute_fused, TableSource, MORSEL_ROWS};
+pub use fused::{execute_fused, row_wise_table, RowWiseOutput, TableSource, MORSEL_ROWS};
 pub use ops::{AggExpr, JoinType, PhysicalPlan, WorkProfile};
 pub use placement::Placement;
 pub use sim::{split_seed, AdmissionStats, LoadModel, SimulationEnv, SiteAdmission};

@@ -22,7 +22,9 @@
 //! * a projection over several chunks copies each value once, straight
 //!   from the chunk it lies in — strings too: a string column is one
 //!   offsets buffer and one byte buffer, so concatenating or gathering
-//!   strings asks for two blocks, however many rows survive.
+//!   strings asks for two blocks, however many rows survive;
+//! * extending a row-wise prepare by one appended chunk asks for as many
+//!   blocks after a fifth of a table as after all of it.
 //!
 //! Every threshold but one (Q13's bytes, explained there) sits at or below
 //! half of what the parent of the PR that added this file read; both
@@ -40,9 +42,9 @@ use midas_engines::data::Table;
 use midas_engines::ops::{PhysicalPlan, WorkProfile};
 use midas_engines::Expr;
 use midas_engines::version::{CatalogVersion, ChunkedTable};
-use midas_engines::{execute_fused, Catalog, TableSource, MORSEL_ROWS};
+use midas_engines::{execute_fused, Catalog, RowWiseOutput, TableSource, MORSEL_ROWS};
 use midas_tpch::dates::ymd;
-use midas_tpch::gen::{GenConfig, StringEncoding, TpchDb};
+use midas_tpch::gen::{DeltaStream, GenConfig, StringEncoding, TpchDb};
 use midas_tpch::queries::{q12, q12_with, q13, q14, q17, TwoTableQuery};
 
 struct Counting;
@@ -115,19 +117,48 @@ fn census<'a>(
     plan: &PhysicalPlan,
     tables: impl Into<TableSource<'a>>,
 ) -> (Table, WorkProfile, Census) {
+    let (out, c) = counted(|| execute_fused(plan, tables));
+    let (table, profile) = out.expect("the query runs");
+    (table, profile, c)
+}
+
+/// Runs `f` on this thread and returns its value beside the census of
+/// everything it requested.
+fn counted<R>(f: impl FnOnce() -> R) -> (R, Census) {
     COUNT.store(0, Ordering::Relaxed);
     BYTES.store(0, Ordering::Relaxed);
     LARGEST.store(0, Ordering::Relaxed);
     WATCHED.with(|w| w.set(true));
-    let out = execute_fused(plan, tables);
+    let out = f();
     WATCHED.with(|w| w.set(false));
     let c = Census {
         count: COUNT.load(Ordering::Relaxed),
         bytes: BYTES.load(Ordering::Relaxed),
         largest: LARGEST.load(Ordering::Relaxed),
     };
-    let (table, profile) = out.expect("the query runs");
-    (table, profile, c)
+    (out, c)
+}
+
+/// Versions of `orders` and `lineitem` that start with `prefix` (the two
+/// tables' first chunks) and grow by `deltas`, one chunk each: version `k`
+/// holds the prefix and the first `k` deltas, sharing every chunk.
+fn grown(prefix: [Table; 2], deltas: &[Vec<(String, Table)>]) -> Vec<CatalogVersion> {
+    let chunks: Vec<Vec<Arc<Table>>> = prefix
+        .into_iter()
+        .enumerate()
+        .map(|(i, first)| {
+            let appended = deltas.iter().map(|batch| Arc::new(batch[i].1.clone()));
+            std::iter::once(Arc::new(first)).chain(appended).collect()
+        })
+        .collect();
+    (0..=deltas.len())
+        .map(|k| {
+            let table = |i: usize, name: &str| {
+                ChunkedTable::from_chunks(name, chunks[i][..=k].to_vec()).expect("one schema")
+            };
+            CatalogVersion::from_chunked(vec![table(0, "orders"), table(1, "lineitem")])
+        })
+        .collect()
 }
 
 /// The three fragments of one query: censuses in execution order (left
@@ -313,4 +344,32 @@ fn a_cold_job_allocates_by_what_it_produces() {
         combine.bytes <= 64 * rows, // 133.2 B × rows → 84.4; later 57.7 → 49.7
         "Q13 combine: {combine:?} over {rows} input rows"
     );
+
+    // Extending a row-wise prepare over 17 chunks by one 60-order delta:
+    // Q13 right (a `CONTAINS` filter over `orders`) and Q17 left (three
+    // whole `lineitem` columns). The plan runs over the new chunk alone and
+    // its output is appended where the old one lies, so what the extension
+    // requests does not depend on how many rows precede the delta: the
+    // same over all of `orders` / `lineitem` as over a fifth of them.
+    let mut stream = DeltaStream::new(&db, 42);
+    let deltas: Vec<_> = (0..17).map(|_| stream.next_batch(60).into_batch()).collect();
+    let first = |name: &str, fifths: usize| {
+        let t = base.get(name).expect("generated");
+        t.take_ids(&(0..(t.n_rows() * fifths / 5) as u32).collect::<Vec<_>>())
+    };
+    for q in [q13("special", "requests").right_prepare, q17("Brand#13", "MED BOX").left_prepare] {
+        let extension = |fifths: usize| {
+            let versions = grown([first("orders", fifths), first("lineitem", fifths)], &deltas);
+            let mut out = RowWiseOutput::compute(&q, &versions[16]).expect("row-wise").unwrap();
+            let (rows, c) = counted(|| out.extend(&q, &versions[17]));
+            assert!(rows.is_some_and(|r| r > 0), "no extension: {rows:?}");
+            assert_eq!(**out.table(), execute_fused(&q, &versions[17]).unwrap().0);
+            c
+        };
+        let (whole, fifth) = (extension(5), extension(1));
+        assert!(
+            whole.count == fifth.count && whole.count <= 96, // (new) Q13 61, Q17 39
+            "extending {q:?}: {whole:?} after every row, {fifth:?} after a fifth"
+        );
+    }
 }

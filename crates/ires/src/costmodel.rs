@@ -18,8 +18,12 @@
 use crate::enumerate::CandidateConfig;
 use midas_cloud::{Federation, Money, SiteId};
 use midas_engines::engine::EngineProfile;
-use midas_engines::exec::{profile_fragments, simulate_fragment_seconds, ProfiledFragment};
-use midas_engines::ops::WorkProfile;
+use midas_engines::exec::{
+    profile_fragments, profile_fragments_cached, simulate_fragment_seconds, ProfiledFragment,
+    ResultCacheBinding,
+};
+use midas_engines::ops::{PhysicalPlan, WorkProfile};
+use midas_engines::version::CatalogVersion;
 use midas_engines::{EngineError, EngineKind, Placement, TableSource};
 use midas_tpch::TwoTableQuery;
 
@@ -107,13 +111,45 @@ impl PlanCostModel {
         query: &TwoTableQuery,
         tables: impl Into<TableSource<'t>>,
     ) -> Result<(Self, Vec<ProfiledFragment>), EngineError> {
+        Self::profile_with(placement, query, |fragments| {
+            profile_fragments(&fragments.map(|(plan, _)| plan), tables)
+        })
+    }
+
+    /// [`PlanCostModel::profile`] planning through the fragment cache the
+    /// job's `cache` binding names, over its pinned `version`: each prepare
+    /// is its exact cached output, its predecessor extended over the chunks
+    /// appended since, or a full computation
+    /// ([`profile_fragments_cached`]); the combine is computed in full.
+    /// Model and outputs are what [`PlanCostModel::profile`] returns, bit
+    /// for bit.
+    pub fn profile_cached(
+        placement: &Placement,
+        query: &TwoTableQuery,
+        version: &CatalogVersion,
+        cache: ResultCacheBinding<'_>,
+    ) -> Result<(Self, Vec<ProfiledFragment>), EngineError> {
+        Self::profile_with(placement, query, |fragments| {
+            profile_fragments_cached(&fragments, version, cache)
+        })
+    }
+
+    /// The model over what `run` profiles: `[left_prepare, right_prepare,
+    /// combine]`, each prepare with the site its table is placed at.
+    fn profile_with(
+        placement: &Placement,
+        query: &TwoTableQuery,
+        run: impl FnOnce(
+            [(&PhysicalPlan, Option<SiteId>); 3],
+        ) -> Result<Vec<ProfiledFragment>, EngineError>,
+    ) -> Result<(Self, Vec<ProfiledFragment>), EngineError> {
         let left = placement.locate(&query.left_table)?;
         let right = placement.locate(&query.right_table)?;
-
-        let profiled = profile_fragments(
-            &[&query.left_prepare, &query.right_prepare, &query.combine],
-            tables,
-        )?;
+        let profiled = run([
+            (&query.left_prepare, Some(left.site)),
+            (&query.right_prepare, Some(right.site)),
+            (&query.combine, None),
+        ])?;
         // One entry per plan, in the order given.
         let model = PlanCostModel {
             left_site: left.site,

@@ -71,7 +71,8 @@
 use crate::system::{MidasReport, QueryPolicy};
 use midas_cloud::{Federation, SiteId};
 use midas_engines::cache::{
-    CacheKey, CacheScope, CacheStats, FragmentResultCache, PlanFingerprint, ScopedCache,
+    CacheKey, CacheScope, CacheStats, FragmentResultCache, PlanFingerprint, PlanningStats,
+    ScopedCache,
 };
 use midas_engines::data::Table;
 use midas_engines::exec::{ProfiledFragment, ResultCacheBinding, SharedExecutor};
@@ -163,8 +164,10 @@ pub struct RuntimeConfig {
     /// combine fragments across tenants share one `Arc`'d output instead
     /// of recomputing). `0` disables the cache entirely. Eviction is
     /// fair-share LRU; ingest publishes invalidate exactly the superseded
-    /// tables' entries. Results are bit-identical warm or cold — the cache
-    /// only removes wall-clock work.
+    /// tables' entries, keeping their row-wise prepares as predecessors
+    /// that planning extends over the appended chunks (see
+    /// [`midas_engines::cache`]). Results are bit-identical warm or cold —
+    /// the cache only removes wall-clock work.
     pub fragment_cache_bytes: u64,
     /// Byte budget of the plan/cost-model cache (`EnumerationSpace` +
     /// `PlanCostModel` per query shape and pinned table identity, instead
@@ -369,6 +372,9 @@ pub struct RuntimeCacheStats {
     pub fragment: CacheStats,
     /// The plan/cost-model cache.
     pub plan: CacheStats,
+    /// How planning served the prepares it profiled through the fragment
+    /// cache: reused, extended over appended chunks, or computed in full.
+    pub planning: PlanningStats,
 }
 
 /// What one [`FederationRuntime::run`] / [`FederationRuntime::serve`] call
@@ -1074,7 +1080,9 @@ impl<'a> FederationRuntime<'a> {
     /// fragment result and plan computed over the superseded table states.
     /// Entries over untouched tables (and over *other* versions of the
     /// appended tables) survive — invalidation is exact, keyed by the
-    /// `(name, id)` identities the publish retired.
+    /// `(name, id)` identities the publish retired. The dropped row-wise
+    /// prepares stay on as the fragment cache's predecessors, so the next
+    /// plan of each costs only the appended rows.
     fn publish(&self, deltas: Vec<(String, Table)>) -> Result<IngestReceipt, EngineError> {
         let (receipt, superseded) = self.catalog.append_batch_traced(deltas)?;
         if let Some(cache) = &self.fragment_cache {
@@ -1100,6 +1108,11 @@ impl<'a> FederationRuntime<'a> {
                 .plan_cache
                 .as_ref()
                 .map(ScopedCache::stats)
+                .unwrap_or_default(),
+            planning: self
+                .fragment_cache
+                .as_ref()
+                .map(FragmentResultCache::planning_stats)
                 .unwrap_or_default(),
         }
     }
@@ -1516,6 +1529,15 @@ impl<'a> FederationRuntime<'a> {
         // cache tiers are off.
         let table_ids = (self.fragment_cache.is_some() || self.plan_cache.is_some())
             .then(|| pinned.table_ids());
+        // How planning and every attempt reach the fragment cache.
+        let binding = self.fragment_cache.as_ref().zip(table_ids.as_ref()).map(|(cache, ids)| {
+            ResultCacheBinding {
+                cache,
+                scope: self.config.cache_scope,
+                tenant: &job.tenant,
+                table_ids: ids,
+            }
+        });
         // Plan once: enumerate the QEP space and profile the fragments.
         // Pure CPU — runs fully in parallel. Retries re-*select* from the
         // same space under hot-site pressure; they do not re-profile and
@@ -1569,8 +1591,16 @@ impl<'a> FederationRuntime<'a> {
                 )
                 .map_err(|e| scheduler_err(SchedulerError::Engine(e)))?;
                 let model;
-                (model, profiled) = PlanCostModel::profile(self.placement, query, pinned)
-                    .map_err(|e| scheduler_err(SchedulerError::Engine(e)))?;
+                // Through the fragment cache when there is one: a prepare
+                // cached at this version, or cached before a publish that
+                // only appended to its table, costs no more than the delta.
+                (model, profiled) = match binding {
+                    Some(binding) => {
+                        PlanCostModel::profile_cached(self.placement, query, pinned, binding)
+                    }
+                    None => PlanCostModel::profile(self.placement, query, pinned),
+                }
+                .map_err(|e| scheduler_err(SchedulerError::Engine(e)))?;
                 let costed = cost_space(&space, &model, self.federation);
                 let entry = Arc::new(CachedPlan {
                     space,
@@ -1671,17 +1701,7 @@ impl<'a> FederationRuntime<'a> {
             let mut executor = SharedExecutor::new(self.federation, &self.env, &self.admission)
                 .with_pacing(self.config.pacing)
                 .with_profiled_fragments(&profiled);
-            if let Some(binding) = self
-                .fragment_cache
-                .as_ref()
-                .zip(table_ids.as_ref())
-                .map(|(cache, ids)| ResultCacheBinding {
-                    cache,
-                    scope: self.config.cache_scope,
-                    tenant: &job.tenant,
-                    table_ids: ids,
-                })
-            {
+            if let Some(binding) = binding {
                 executor = executor.with_result_cache(binding);
             }
             if let Some(plan) = &self.fault_plan {

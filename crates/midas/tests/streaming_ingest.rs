@@ -20,16 +20,23 @@
 //!    chunk by chunk, so every version it served reports zero compaction
 //!    bytes until an oracle `pin()`s it, and the ledger still equals the
 //!    flat oracle's with both cache tiers on.
+//! 5. **A publish costs the next plan its delta** — planning extends the
+//!    row-wise prepares a publish retired over the appended chunks, once
+//!    per window (a count derived from the hot set), never across
+//!    `PerTenant` tenants, never for a job pinned to an older version, and
+//!    without moving any ledger off the cache-off runtime's.
 
 mod common;
 
 use common::{ledgers, Ledger, Reference};
 use midas::runtime::{FederationRuntime, RuntimeConfig, RuntimeJob, TenantReport};
 use midas::{Midas, QueryPolicy};
+use midas_engines::cache::PlanFingerprint;
+use midas_engines::row_wise_table;
 use midas_engines::version::CatalogVersion;
 use midas_tpch::gen::{DeltaStream, GenConfig, TpchDb};
 use midas_tpch::medical::{generate_medical, medical_delta, medical_query};
-use midas_tpch::queries::{q12, q13, q14};
+use midas_tpch::queries::{q12, q13, q14, q17};
 use midas_tpch::stream::{streaming_workload, StreamEvent, StreamSpec};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -344,6 +351,229 @@ fn cached_stream_over_chunked_versions_matches_the_flat_oracle() {
         let workers = runtime.config().workers;
         reference.assert_end_state(runtime, &format!("cached stream, {workers} workers"));
     }
+}
+
+/// Row-wise prepares of `hot` over the tables every publish appends to,
+/// each once: what one window after a publish extends, by construction.
+fn extendable_prepares(hot: &[midas_tpch::TwoTableQuery]) -> u64 {
+    let appended = ["orders", "lineitem"];
+    let mut prepares: Vec<PlanFingerprint> = Vec::new();
+    for plan in hot.iter().flat_map(|q| [&q.left_prepare, &q.right_prepare]) {
+        let fingerprint = PlanFingerprint::of_plan(plan);
+        if row_wise_table(plan).is_some_and(|t| appended.contains(&t))
+            && !prepares.contains(&fingerprint)
+        {
+            prepares.push(fingerprint);
+        }
+    }
+    prepares.len() as u64
+}
+
+/// Nine windows of a hot set, a publish between windows, both cache tiers
+/// on: planning extends each row-wise prepare over the appended chunks,
+/// exactly once per window, and every ledger is the cache-off runtime's
+/// and the sequential `Reference`'s, at one worker and at two. Two workers
+/// racing through whole windows — two planners of one prepare at once —
+/// extend the same number of times and serve every job its own version.
+#[test]
+fn predecessors_extend_once_per_window_and_change_no_ledger() {
+    let (midas, _, _) = Midas::example_deployment(&["lineitem", "customer"], &["orders", "part"]);
+    let db = TpchDb::generate(GenConfig::new(0.002, 5));
+    let hot = [
+        q12("MAIL", "SHIP", 1994),
+        q12("AIR", "REG AIR", 1995),
+        q13("special", "requests"),
+        q14(1995, 3),
+        q17("Brand#23", "MED BOX"),
+        q17("Brand#13", "JUMBO PKG"),
+    ];
+    let windows = 9;
+    let mut stream = DeltaStream::new(&db, 23);
+    let batches: Vec<_> = (1..windows).map(|_| stream.next_batch(40).into_batch()).collect();
+    let policy = QueryPolicy::balanced();
+    let job = |query: &midas_tpch::TwoTableQuery| {
+        RuntimeJob::new("hospital-A", query.clone(), policy.clone())
+    };
+    let serve = |config: RuntimeConfig, drain_each: bool| {
+        let runtime = FederationRuntime::new(
+            midas.federation(),
+            midas.placement(),
+            db.catalog().clone(),
+            config,
+        );
+        let (versions, report) = runtime.serve(|ingress| {
+            let mut versions = vec![runtime.versioned_catalog().current()];
+            for window in 0..windows {
+                if window > 0 {
+                    ingress.ingest_batch(batches[window - 1].clone()).expect("ingest");
+                    versions.push(runtime.versioned_catalog().current());
+                }
+                for query in hot.iter().chain(&hot) {
+                    ingress.submit(job(query));
+                    if drain_each {
+                        ingress.drain();
+                    }
+                }
+                ingress.drain();
+            }
+            versions
+        });
+        assert!(report.failed.is_empty(), "failures: {:?}", report.failed);
+        (runtime, versions, report)
+    };
+    let config = |workers| RuntimeConfig {
+        workers,
+        ..RuntimeConfig::default()
+    };
+    let one = serve(config(1), true);
+    let two = serve(config(2), true);
+    let cold = serve(uncached(&config(1)), true);
+    let raced = serve(config(2), false);
+
+    let extensions = extendable_prepares(&hot) * (windows as u64 - 1);
+    assert_eq!(extendable_prepares(&hot), 6);
+    for (ctx, (_, _, report)) in [("one", &one), ("two", &two), ("raced", &raced)] {
+        let planning = report.cache.planning;
+        assert_eq!(planning.extended, extensions, "{ctx}: {planning:?}");
+        assert!(planning.extended_rows > 0, "{ctx}: {planning:?}");
+    }
+    // Drained, the planners met every prepare in the same order.
+    assert_eq!(one.2.cache.planning, two.2.cache.planning);
+    assert_eq!(cold.2.cache.planning, Default::default(), "no cache, no predecessors");
+
+    let reference = Reference::new(&midas, db.catalog(), uncached(one.0.config()), None);
+    let oracle_catalog = db.versioned_catalog();
+    let mut oracle = Vec::new();
+    for window in 0..windows {
+        if window > 0 {
+            oracle_catalog.append_batch(batches[window - 1].clone()).expect("ingest");
+        }
+        let pinned = oracle_catalog.current().pin();
+        for query in hot.iter().chain(&hot) {
+            oracle.push(reference.job(oracle.len(), &job(query), &pinned));
+        }
+    }
+    let expected: Vec<Ledger> = ledgers(&cold.2).iter().map(cache_free).collect();
+    assert_eq!(expected, oracle, "the cache-off runtime left the reference's ledger");
+    for (ctx, (runtime, _, report)) in [("one", &one), ("two", &two)] {
+        let served: Vec<Ledger> = ledgers(report).iter().map(cache_free).collect();
+        assert_eq!(served, oracle, "{ctx}: ledger drifted");
+        reference.assert_end_state(runtime, ctx);
+    }
+    let (_, versions, report) = &raced;
+    for r in &report.completed {
+        let query = &hot[r.sequence % hot.len()];
+        let expected = query
+            .standalone_fingerprint(&pinned_of(versions, r).pin())
+            .expect("standalone oracle executes");
+        assert_eq!(r.report.result_fingerprint, expected, "{}", r.report.label);
+    }
+}
+
+/// A job pinned to an older version is planned after a newer job advanced
+/// the predecessor of its prepares: it computes them in full over its own
+/// version and leaves the predecessor where the newer job put it. The
+/// newer version comes from an out-of-band append, which retires nothing.
+#[test]
+fn a_late_job_of_an_older_version_computes_its_own_result() {
+    let (midas, _, _) = Midas::example_deployment(&["lineitem", "customer"], &["orders", "part"]);
+    let db = TpchDb::generate(GenConfig::new(0.002, 5));
+    let mut stream = DeltaStream::new(&db, 29);
+    let (first, second) = (stream.next_batch(40), stream.next_batch(40));
+    // Pacing holds the tenant's blocking job on its site for a while, so
+    // the queue order below does not depend on how fast the worker is.
+    let runtime = FederationRuntime::new(
+        midas.federation(),
+        midas.placement(),
+        db.catalog().clone(),
+        RuntimeConfig {
+            workers: 1,
+            pacing: 0.05,
+            ..RuntimeConfig::default()
+        },
+    );
+    let balanced = QueryPolicy::balanced();
+    let q12 = q12("MAIL", "SHIP", 1994);
+    let (versions, report) = runtime.serve(|ingress| {
+        let mut versions = vec![runtime.versioned_catalog().current()];
+        ingress.submit(RuntimeJob::new("hospital-A", q12.clone(), balanced.clone()));
+        ingress.drain();
+        // The publish keeps Q12's prepares as predecessors at version 0.
+        ingress.ingest_batch(first.into_batch()).expect("ingest");
+        versions.push(runtime.versioned_catalog().current());
+        ingress.submit(RuntimeJob::new("hospital-B", q14(1995, 3), balanced.clone()));
+        let busy = || runtime.admission_stats().iter().any(|(_, s)| s.in_use > 0);
+        for _ in 0..10_000 {
+            if busy() {
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        assert!(busy(), "the blocking job never took a site slot");
+        // Queued behind its tenant's job in flight, pinned to version 1.
+        ingress.submit(RuntimeJob::new("hospital-B", q12.clone(), balanced.clone()));
+        runtime.versioned_catalog().append_batch(second.into_batch()).expect("append");
+        versions.push(runtime.versioned_catalog().current());
+        // The rotation reaches hospital-A before hospital-B's next job.
+        ingress.submit(RuntimeJob::new("hospital-A", q12.clone(), balanced.clone()));
+        ingress.drain();
+        versions
+    });
+    assert!(report.failed.is_empty(), "failures: {:?}", report.failed);
+    let [_, _, late, newer] = &report.completed[..] else {
+        panic!("four jobs complete: {:?}", report.completed.len());
+    };
+    assert_eq!((late.pinned_version, newer.pinned_version), (1, 2));
+    assert!(newer.completion < late.completion, "the newer job was planned first");
+    for r in [late, newer] {
+        let expected = q12
+            .standalone_fingerprint(&pinned_of(&versions, r).pin())
+            .expect("standalone oracle executes");
+        assert_eq!(r.report.result_fingerprint, expected, "v{}", r.pinned_version);
+    }
+    // Version 2 extended both Q12 prepares over two appended chunks;
+    // version 1 computed both in full, beside Q14's two and the first job's.
+    let planning = report.cache.planning;
+    assert_eq!((planning.extended, planning.computed), (2, 6), "{planning:?}");
+}
+
+/// Under `PerTenant` a tenant never extends another tenant's prepare: the
+/// second tenant's first plan after a publish computes in full, the first
+/// tenant's extends its own.
+#[test]
+fn per_tenant_scope_never_extends_across_tenants() {
+    let (midas, _, _) = Midas::example_deployment(&["lineitem", "customer"], &["orders", "part"]);
+    let db = TpchDb::generate(GenConfig::new(0.002, 5));
+    let runtime = FederationRuntime::new(
+        midas.federation(),
+        midas.placement(),
+        db.catalog().clone(),
+        RuntimeConfig {
+            workers: 1,
+            cache_scope: midas_engines::cache::CacheScope::PerTenant,
+            ..RuntimeConfig::default()
+        },
+    );
+    let batch = DeltaStream::new(&db, 31).next_batch(40).into_batch();
+    let q12 = q12("MAIL", "SHIP", 1994);
+    let job = |tenant: &str| RuntimeJob::new(tenant, q12.clone(), QueryPolicy::balanced());
+    let mut steps = Vec::new();
+    let ((), report) = runtime.serve(|ingress| {
+        ingress.submit(job("hospital-A"));
+        ingress.drain();
+        ingress.ingest_batch(batch).expect("ingest");
+        for tenant in ["hospital-B", "hospital-A"] {
+            ingress.submit(job(tenant));
+            ingress.drain();
+            steps.push(runtime.cache_stats().planning);
+        }
+    });
+    assert!(report.failed.is_empty(), "failures: {:?}", report.failed);
+    let (b, a) = (steps[0], steps[1]);
+    assert_eq!((b.extended, b.computed), (0, 4), "B extended A's prepare: {b:?}");
+    assert_eq!((a.extended, a.computed), (2, 4), "A did not extend its own: {a:?}");
+    let fingerprints: Vec<u64> = report.completed.iter().map(|r| r.report.result_fingerprint).collect();
+    assert_eq!(fingerprints[1], fingerprints[2], "both tenants read version 1");
 }
 
 #[test]

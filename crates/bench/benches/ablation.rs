@@ -1,20 +1,15 @@
-//! Ablations of the design choices DESIGN.md calls out.
+//! Ablations of the estimators' design choices.
 //!
 //! Accuracy-style ablations (they print MRE-like numbers) are modelled as
 //! one-iteration criterion benches over a shared synthetic drifting trace,
 //! so `cargo bench` exercises them and their *printed* output lands in
 //! `bench_output.txt`:
 //!
-//! 1. window growth policy (`m += 1` vs doubling),
-//! 2. quality metric (plain R² vs adjusted R²),
-//! 3. solver (normal equations vs QR vs ridge),
-//! 4. drift intensity (none / mild / strong),
-//! 5. BML selection policy (training error vs holdout).
+//! 1. DREAM's `R²` requirement (standardized ridge, `Mmax` 30),
+//! 2. BML selection policy (training error vs holdout).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use midas_dream::{
-    estimate_cost_value, DreamConfig, GrowthPolicy, History, SolveMethod,
-};
+use midas_dream::{estimate_cost_value, DreamConfig, History};
 use midas_linalg::stats::mean_relative_error;
 use midas_mlearn::{BmlEstimator, SelectionPolicy, WindowSpec};
 use midas_dream::CostEstimator;
@@ -76,56 +71,14 @@ fn dream_mre(cfg: &DreamConfig, feats: &[Vec<f64>], costs: &[Vec<f64>]) -> (f64,
 fn ablation_report(c: &mut Criterion) {
     let (feats, costs) = trace(70, 11);
 
-    println!("\n=== Ablation 1+2+3: DREAM variants (MRE over 35 test points, mean window) ===");
-    let base = DreamConfig::uniform(0.8, 2, 30);
-    let variants: Vec<(&str, DreamConfig)> = vec![
-        ("paper: R2 + normal equations + m+=1", base.clone()),
-        ("quality: adjusted R2", base.clone().with_adjusted_r2()),
-        (
-            "solver: ridge(0.05)",
-            DreamConfig {
-                solver: SolveMethod::Ridge(0.05),
-                ..base.clone()
-            },
-        ),
-        (
-            "solver: QR",
-            DreamConfig {
-                solver: SolveMethod::Qr,
-                ..base.clone()
-            },
-        ),
-        (
-            "growth: doubling",
-            DreamConfig {
-                growth: GrowthPolicy::Doubling,
-                ..base.clone()
-            },
-        ),
-        (
-            "combined: adjusted R2 + ridge",
-            DreamConfig {
-                solver: SolveMethod::Ridge(0.05),
-                ..base.clone().with_adjusted_r2()
-            },
-        ),
-    ];
-    for (label, cfg) in &variants {
-        let (mre, window) = dream_mre(cfg, &feats, &costs);
-        println!("  {label:40} MRE = {mre:.3}   window = {window:.1}");
-    }
-
-    println!("\n=== Ablation 4: R² requirement sweep (combined config) ===");
+    println!("\n=== Ablation 1: R² requirement sweep (MRE over 35 test points, mean window) ===");
     for &req in &[0.5, 0.7, 0.8, 0.9, 0.95] {
-        let cfg = DreamConfig {
-            solver: SolveMethod::Ridge(0.05),
-            ..DreamConfig::uniform(req, 2, 30).with_adjusted_r2()
-        };
+        let cfg = DreamConfig::uniform(req, 2, 30);
         let (mre, window) = dream_mre(&cfg, &feats, &costs);
         println!("  R2_require = {req:4}   MRE = {mre:.3}   window = {window:.1}");
     }
 
-    println!("\n=== Ablation 5: BML selection policy (window 2N) ===");
+    println!("\n=== Ablation 2: BML selection policy (window 2N) ===");
     for (label, policy) in [
         ("training-error (IReS-faithful)", SelectionPolicy::TrainingError),
         ("holdout validation (modern)", SelectionPolicy::HoldoutValidation),
@@ -152,13 +105,10 @@ fn ablation_report(c: &mut Criterion) {
     }
 
     // A token criterion measurement so the harness records something.
-    let cfg = DreamConfig {
-        solver: SolveMethod::Ridge(0.05),
-        ..DreamConfig::uniform(0.8, 2, 30).with_adjusted_r2()
-    };
+    let cfg = DreamConfig::uniform(0.8, 2, 30);
     let mut group = c.benchmark_group("ablation");
     group.sample_size(10);
-    group.bench_function("dream_combined_prequential", |b| {
+    group.bench_function("dream_prequential", |b| {
         b.iter(|| black_box(dream_mre(&cfg, &feats, &costs)))
     });
     group.finish();

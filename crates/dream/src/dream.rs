@@ -16,82 +16,36 @@
 //! `m` trades recency for statistical support; stopping at the first window
 //! that satisfies `R²` keeps the training set small (the paper measures it
 //! staying near `N = L + 2`) and excludes expired measurements.
+//!
+//! Every window is fitted by standardized ridge regression with penalty
+//! [`RIDGE_LAMBDA`] ([`SolveMethod::Ridge`]): the sizes in a short window
+//! grow together, and unpenalized slopes on such locally collinear designs
+//! extrapolate absurd costs at data-volume cliffs. [`DreamEstimator`] runs
+//! the online path, [`crate::incremental`]; [`estimate_cost_value`] refits
+//! every window from scratch and is its reference.
 
 use crate::estimator::{CostEstimator, EstimationError, FitReport};
 use crate::history::{History, Observation};
 use crate::mlr::{self, MlrModel, SolveMethod};
 use serde::{Deserialize, Serialize};
 
-/// How Algorithm 1 enlarges the candidate window between quality tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum GrowthPolicy {
-    /// The paper's `m = m + 1`.
-    #[default]
-    Increment,
-    /// Geometric growth `m = ⌈m·2⌉` — the ablation variant; fewer refits at
-    /// the price of possibly overshooting the smallest satisfying window.
-    Doubling,
-}
-
-impl GrowthPolicy {
-    fn next(self, m: usize) -> usize {
-        match self {
-            GrowthPolicy::Increment => m + 1,
-            GrowthPolicy::Doubling => m.saturating_mul(2),
-        }
-    }
-}
-
-/// Which fit-quality statistic gates the window test.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum QualityMetric {
-    /// The paper's plain coefficient of determination (Eq. 14).
-    #[default]
-    R2,
-    /// Adjusted `R²`: `1 − (1 − R²)·(m − 1)/(m − L − 1)`.
-    ///
-    /// At the minimum window `m = L + 2` a plain `R²` has a single residual
-    /// degree of freedom and is spuriously close to 1 on almost any data,
-    /// which would freeze Algorithm 1 at the smallest (highest-variance)
-    /// window. The adjustment penalizes exactly that; it degenerates to the
-    /// plain `R²` as `m` grows. The `ablation` bench quantifies the
-    /// difference.
-    AdjustedR2,
-}
-
-impl QualityMetric {
-    /// Evaluates the statistic for a fit of `m` samples over `l` features.
-    pub fn evaluate(&self, r_squared: f64, m: usize, l: usize) -> f64 {
-        match self {
-            QualityMetric::R2 => r_squared,
-            QualityMetric::AdjustedR2 => {
-                if m > l + 1 {
-                    1.0 - (1.0 - r_squared) * (m as f64 - 1.0) / (m as f64 - l as f64 - 1.0)
-                } else {
-                    // No residual degrees of freedom: treat as uninformative.
-                    f64::NEG_INFINITY
-                }
-            }
-        }
-    }
-}
+/// DREAM's ridge penalty `λ`: each window solves `(ZᵀZ + λ·m·I)w = Zᵀy_c`
+/// on its standardized features.
+pub const RIDGE_LAMBDA: f64 = 0.05;
 
 /// Configuration of Algorithm 1.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DreamConfig {
     /// Required `R²` per cost metric (`R²_require`). The paper recommends
     /// 0.8 for "a sufficient quality of service level".
+    ///
+    /// The ridge penalty caps the in-sample `R²` below 1 even on exact
+    /// linear data (one feature: `1 − (λ/(1+λ))² ≈ 0.9977`), so a
+    /// requirement close to 1 may never be met; the walk then returns the
+    /// smallest window with `satisfied = false`.
     pub r2_required: Vec<f64>,
     /// Upper bound on the window size (`Mmax`).
     pub m_max: usize,
-    /// Window enlargement policy; the paper uses [`GrowthPolicy::Increment`].
-    pub growth: GrowthPolicy,
-    /// Least-squares solver; the paper's normal equations by default.
-    pub solver: SolveMethod,
-    /// Quality statistic compared against `r2_required`; plain `R²` by
-    /// default (paper-faithful).
-    #[serde(default)]
-    pub quality: QualityMetric,
 }
 
 impl DreamConfig {
@@ -100,27 +54,7 @@ impl DreamConfig {
         DreamConfig {
             r2_required: vec![r2_required; n_metrics],
             m_max,
-            growth: GrowthPolicy::default(),
-            solver: SolveMethod::default(),
-            quality: QualityMetric::default(),
         }
-    }
-
-    /// The paper's defaults: `R² ≥ 0.8` for every metric, `Mmax = 100`.
-    pub fn paper_defaults(n_metrics: usize) -> Self {
-        Self::uniform(0.8, n_metrics, 100)
-    }
-
-    /// Switches the window test to adjusted `R²` (builder style).
-    pub fn with_adjusted_r2(mut self) -> Self {
-        self.quality = QualityMetric::AdjustedR2;
-        self
-    }
-
-    /// Next window size under the configured growth policy (used by the
-    /// incremental implementation to stay in lockstep with Algorithm 1).
-    pub fn growth_next(&self, m: usize) -> usize {
-        self.growth.next(m)
     }
 }
 
@@ -150,31 +84,23 @@ impl DreamOutcome {
     }
 }
 
-fn fit_window(
-    window: &[Observation],
-    n_metrics: usize,
-    solver: SolveMethod,
-) -> Result<Vec<MlrModel>, EstimationError> {
+fn fit_window(window: &[Observation], n_metrics: usize) -> Result<Vec<MlrModel>, EstimationError> {
     let feats: Vec<&[f64]> = window.iter().map(|o| o.features.as_slice()).collect();
     (0..n_metrics)
         .map(|k| {
             let targets = History::targets_of(window, k);
-            mlr::fit(&feats, &targets, solver)
+            mlr::fit(&feats, &targets, SolveMethod::Ridge(RIDGE_LAMBDA))
         })
         .collect()
 }
 
-/// Algorithm 1: fits per-metric MLR models on the smallest recent window
-/// whose `R²` satisfies the configuration.
-///
-/// Needs at least `L + 2` observations in the history. When even the full
-/// history (capped at `Mmax`) cannot satisfy the requirement, the models of
-/// the largest tried window are returned with `satisfied = false` — the
-/// paper's Modelling module still needs *some* estimate to hand the
-/// optimizer.
-pub fn estimate_cost_value(
+/// Algorithm 1's walk over windows `m = L + 2, L + 3, …, min(Mmax, M)`,
+/// shared by both implementations: `fit(m)` returns every metric's model on
+/// the latest `m` observations, and is called with increasing `m`.
+pub(crate) fn walk_windows(
     history: &History,
     config: &DreamConfig,
+    mut fit: impl FnMut(usize) -> Result<Vec<MlrModel>, EstimationError>,
 ) -> Result<DreamOutcome, EstimationError> {
     if config.r2_required.len() != history.n_metrics() {
         return Err(EstimationError::ArityMismatch {
@@ -193,28 +119,20 @@ pub fn estimate_cost_value(
     }
 
     let limit = config.m_max.min(history.len()).max(minimum);
-    let mut m = minimum;
-    let mut rounds = 0usize;
     let mut best: Option<(Vec<MlrModel>, usize)> = None;
-
-    let l = history.n_features();
-    loop {
-        rounds += 1;
-        let window = history.latest(m);
-        match fit_window(window, history.n_metrics(), config.solver) {
+    for m in minimum..=limit {
+        match fit(m) {
             Ok(models) => {
                 let ok = models
                     .iter()
                     .zip(config.r2_required.iter())
-                    .all(|(model, req)| {
-                        config.quality.evaluate(model.r_squared, m, l) >= *req
-                    });
+                    .all(|(model, req)| model.r_squared >= *req);
                 if ok {
                     return Ok(DreamOutcome {
                         models,
                         window: m,
                         satisfied: true,
-                        rounds,
+                        rounds: m - minimum + 1,
                     });
                 }
                 // Fallback when no window ever satisfies the requirement
@@ -230,15 +148,10 @@ pub fn estimate_cost_value(
                 }
             }
             Err(EstimationError::Numeric(_)) => {
-                // Singular window (e.g. duplicated feature rows): grow past it.
+                // Singular window (e.g. non-finite sums): grow past it.
             }
             Err(e) => return Err(e),
         }
-
-        if m >= limit {
-            break;
-        }
-        m = config.growth.next(m).min(limit);
     }
 
     match best {
@@ -246,12 +159,33 @@ pub fn estimate_cost_value(
             models,
             window,
             satisfied: false,
-            rounds,
+            rounds: limit - minimum + 1,
         }),
         None => Err(EstimationError::Numeric(
             "every candidate window was numerically singular".to_string(),
         )),
     }
+}
+
+/// Algorithm 1: fits per-metric MLR models on the smallest recent window
+/// whose `R²` satisfies the configuration.
+///
+/// Needs at least `L + 2` observations in the history. When even the full
+/// history (capped at `Mmax`) cannot satisfy the requirement, the models of
+/// the smallest window are returned with `satisfied = false` — the paper's
+/// Modelling module still needs *some* estimate to hand the optimizer.
+///
+/// This is the reference implementation: it refits every window from
+/// scratch through [`mlr::fit`]. [`DreamEstimator`] runs
+/// [`crate::incremental::estimate_cost_value_incremental`], which gives the
+/// same windows and models from running sums.
+pub fn estimate_cost_value(
+    history: &History,
+    config: &DreamConfig,
+) -> Result<DreamOutcome, EstimationError> {
+    walk_windows(history, config, |m| {
+        fit_window(history.latest(m), history.n_metrics())
+    })
 }
 
 /// [`CostEstimator`] adapter: DREAM as a drop-in Modelling-module predictor.
@@ -273,9 +207,10 @@ impl DreamEstimator {
         }
     }
 
-    /// The paper-default estimator (`R² ≥ 0.8`, `Mmax = 100`).
+    /// The estimator serving and the experiments run: `R² ≥ 0.8` for every
+    /// metric, `Mmax = 30`.
     pub fn paper_defaults(n_metrics: usize) -> Self {
-        Self::new(DreamConfig::paper_defaults(n_metrics))
+        Self::new(DreamConfig::uniform(0.8, n_metrics, 30))
     }
 
     /// The outcome of the most recent fit, if any.
@@ -295,14 +230,7 @@ impl CostEstimator for DreamEstimator {
     }
 
     fn fit(&mut self, history: &History) -> Result<FitReport, EstimationError> {
-        // Online path: rank-1 Gram updates instead of per-window refits.
-        // Only the normal-equation solver shares sums across windows; other
-        // solvers (ridge, QR) take the reference path.
-        let outcome = if self.config.solver == SolveMethod::NormalEquations {
-            crate::incremental::estimate_cost_value_incremental(history, &self.config)?
-        } else {
-            estimate_cost_value(history, &self.config)?
-        };
+        let outcome = crate::incremental::estimate_cost_value_incremental(history, &self.config)?;
         let report = FitReport {
             window_used: outcome.window,
             r_squared: outcome.r_squared().into_iter().map(Some).collect(),
@@ -346,6 +274,12 @@ mod tests {
         h
     }
 
+    /// The reference ridge fit of every metric on the latest `m`
+    /// observations, the models Algorithm 1 must return for window `m`.
+    fn ridge_oracle(h: &History, m: usize) -> Vec<MlrModel> {
+        fit_window(h.latest(m), h.n_metrics()).unwrap()
+    }
+
     #[test]
     fn stops_at_minimum_window_on_clean_data() {
         let h = drifting_history(0, 30);
@@ -354,10 +288,8 @@ mod tests {
         assert!(out.satisfied);
         assert_eq!(out.window, h.minimum_window());
         assert_eq!(out.rounds, 1);
-        // The fitted model recovers the new regime exactly.
-        let pred = out.predict(&[40.0, 3.0]).unwrap();
-        assert!((pred[0] - (5.0 + 80.0 + 3.0)).abs() < 1e-6);
-        assert!((pred[1] - (1.0 + 20.0)).abs() < 1e-6);
+        // The fitted models are the ridge fits of the minimum window.
+        assert_eq!(out.models, ridge_oracle(&h, h.minimum_window()));
     }
 
     #[test]
@@ -409,27 +341,6 @@ mod tests {
     }
 
     #[test]
-    fn doubling_growth_reaches_satisfaction_with_fewer_rounds() {
-        // Noisy-but-linear data where the minimum window fails but a larger
-        // one succeeds.
-        let mut h = History::new(1, 1);
-        for i in 0..64 {
-            let x = i as f64;
-            let wiggle = if i % 2 == 0 { 3.0 } else { -3.0 };
-            h.record(&[x], &[10.0 + 2.0 * x + wiggle]).unwrap();
-        }
-        let mut inc = DreamConfig::uniform(0.97, 1, 64);
-        inc.growth = GrowthPolicy::Increment;
-        let mut dbl = inc.clone();
-        dbl.growth = GrowthPolicy::Doubling;
-        let out_inc = estimate_cost_value(&h, &inc).unwrap();
-        let out_dbl = estimate_cost_value(&h, &dbl).unwrap();
-        assert!(out_inc.satisfied && out_dbl.satisfied);
-        assert!(out_dbl.rounds <= out_inc.rounds);
-        assert!(out_inc.window <= out_dbl.window);
-    }
-
-    #[test]
     fn estimator_trait_roundtrip() {
         let h = drifting_history(0, 20);
         let mut est = DreamEstimator::paper_defaults(2);
@@ -449,62 +360,22 @@ mod tests {
 
     #[test]
     fn estimator_default_online_path_is_incremental() {
-        // Under the default normal-equation solver the estimator takes the
-        // incremental path, which agrees with the reference Algorithm 1 to
-        // floating-point associativity: same window, near-identical
-        // predictions.
+        // The estimator takes the incremental path, which agrees with the
+        // reference Algorithm 1 to floating-point associativity: same
+        // window, the reference's ridge predictions.
         let h = drifting_history(30, 25);
-        let cfg = DreamConfig::paper_defaults(2);
-        assert_eq!(cfg.solver, SolveMethod::NormalEquations);
-        let mut auto = DreamEstimator::new(cfg.clone());
+        let mut auto = DreamEstimator::paper_defaults(2);
         let ra = auto.fit(&h).unwrap();
-        let reference = estimate_cost_value(&h, &cfg).unwrap();
+        let reference = estimate_cost_value(&h, auto.config()).unwrap();
         assert_eq!(ra.window_used, reference.window);
         assert_eq!(ra.satisfied, reference.satisfied);
+        let oracle = ridge_oracle(&h, ra.window_used);
         let pa = auto.predict(&[60.0, 2.0]).unwrap();
-        let pr = reference.predict(&[60.0, 2.0]).unwrap();
-        for (a, b) in pa.iter().zip(pr.iter()) {
+        for (a, model) in pa.iter().zip(&oracle) {
+            let b = model.predict(&[60.0, 2.0]).unwrap();
             let scale = 1.0 + a.abs().max(b.abs());
-            assert!((a - b).abs() / scale < 1e-7, "{a} vs {b}");
+            assert!((a - b).abs() / scale < 1e-9, "{a} vs {b}");
         }
-        // A non-normal-equation solver silently falls back to the reference
-        // implementation rather than erroring.
-        let mut ridge = DreamEstimator::new(DreamConfig {
-            solver: SolveMethod::Ridge(0.05),
-            ..DreamConfig::paper_defaults(2)
-        });
-        ridge.fit(&h).unwrap();
-    }
-
-    #[test]
-    fn adjusted_r2_penalizes_the_minimum_window() {
-        // Plain R² at m = L + 2 is spuriously high; adjusted R² grows the
-        // window on noisy-but-linear data.
-        let mut h = History::new(1, 1);
-        let mut s = 77u64;
-        for i in 0..40 {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            let noise = ((s % 2000) as f64 / 1000.0 - 1.0) * 4.0;
-            h.record(&[i as f64], &[50.0 + 2.0 * i as f64 + noise]).unwrap();
-        }
-        let plain = DreamConfig::uniform(0.8, 1, 40);
-        let adjusted = plain.clone().with_adjusted_r2();
-        let out_plain = estimate_cost_value(&h, &plain).unwrap();
-        let out_adj = estimate_cost_value(&h, &adjusted).unwrap();
-        assert!(out_adj.window >= out_plain.window);
-    }
-
-    #[test]
-    fn quality_metric_math() {
-        // Adjusted R² equals plain R² asymptotically and is harsher at
-        // small m.
-        let q = QualityMetric::AdjustedR2;
-        assert!(q.evaluate(0.9, 4, 2) < 0.9);
-        assert!((q.evaluate(0.9, 1000, 2) - 0.9).abs() < 1e-2);
-        assert_eq!(q.evaluate(0.5, 3, 2), f64::NEG_INFINITY);
-        assert_eq!(QualityMetric::R2.evaluate(0.73, 4, 2), 0.73);
     }
 
     #[test]

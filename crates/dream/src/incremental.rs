@@ -2,244 +2,188 @@
 //!
 //! Algorithm 1 evaluates windows `m = L+2, L+3, …` over the *most recent*
 //! observations; consecutive windows differ by exactly one (older)
-//! observation. All the quantities the MLR fit needs are sums over the
-//! window:
+//! observation. Everything the standardized ridge fit needs is a sum over
+//! the window. Shift every row by the window's newest observation
+//! `(x⁰, c⁰)`, so `a = (1, x − x⁰)` and `c̃ = c − c⁰`, and keep
 //!
 //! ```text
-//! G  = AᵀA      (Gram, (L+1)×(L+1))          G  += a·aᵀ
-//! v  = AᵀC      ((L+1) vector)               v  += c·a
-//! s₁ = Σc, s₂ = Σc²  (for SST and SSE)       s₁ += c ; s₂ += c²
+//! G  = Σ a·aᵀ   ((L+1)×(L+1); G₀₀ = m, G₀ᵢ = Sᵢ)     G  += a·aᵀ
+//! v  = Σ c̃·a    ((L+1) vector; v₀ = Σc̃)              v  += c̃·a
+//! s₂ = Σ c̃²                                           s₂ += c̃²
 //! ```
 //!
-//! where `a = (1, x₁, …, x_L)` is the incoming row. After each rank-1
-//! update the coefficients come from one `(L+1)×(L+1)` solve and
+//! From them, with `σᵢ² = (Gᵢᵢ − Sᵢ²/m)/m` (clamped as
+//! [`crate::mlr`]'s ridge clamps it):
 //!
 //! ```text
-//! SSE = s₂ − 2·Bᵀv + Bᵀ(G·B)      SST = s₂ − s₁²/m
+//! (ZᵀZ + λ·m·I)·w = Zᵀy_c    ZᵀZᵢⱼ = (Gᵢⱼ − SᵢSⱼ/m)/(σᵢσⱼ)   Zᵀy_cᵢ = (vᵢ − Sᵢv₀/m)/σᵢ
+//! γᵢ = wᵢ/σᵢ    γ₀ = (v₀ − Σ γᵢSᵢ)/m
+//! SSE = s₂ − 2·γᵀv + γᵀGγ    SST = s₂ − v₀²/m
 //! ```
 //!
-//! so one growth round costs `O(L³)` instead of `O(m·L²)` — the whole
-//! Algorithm 1 loop drops from `O(Mmax²·L²)` to `O(Mmax·L³)`. For the
-//! paper's `L ≤ 4` this is a ~10–40x speedup at `Mmax = 100` (see the
-//! `mlr_fit` bench group `dream_incremental`).
+//! and the raw intercept is `c⁰ + γ₀ − Σ γᵢx⁰ᵢ`. The shift keeps the sums
+//! at the scale of the window's spread rather than of features that are row
+//! counts near 10⁶, and a constant column sums to exactly zero.
 //!
-//! Produces the *same* windows, rounds and models as
-//! [`crate::dream::estimate_cost_value`] (same solver path, same gating) up
-//! to floating-point associativity; the equivalence test pins coefficients
-//! to a 1e-7 relative tolerance.
+//! One growth round is a rank-1 update and an `L×L` solve, `O(L³)`, instead
+//! of an `O(m·L²)` refit, so the whole loop drops from `O(Mmax²·L²)` to
+//! `O(Mmax·L³)` (the `mlr_fit` bench group `dream_algorithm1`).
+//!
+//! Produces the same windows, rounds and models as
+//! [`crate::dream::estimate_cost_value`] up to floating-point associativity;
+//! `tests/proptests.rs` pins coefficients, predictions and `R²` to 1e-9
+//! relative.
 
-use crate::dream::{DreamConfig, DreamOutcome};
+use crate::dream::{walk_windows, DreamConfig, DreamOutcome, RIDGE_LAMBDA};
 use crate::estimator::EstimationError;
-use crate::history::History;
-use crate::mlr::{MlrModel, SolveMethod};
+use crate::history::{History, Observation};
+use crate::mlr::{self, MlrModel};
 use midas_linalg::{Cholesky, Matrix};
 
-/// Running sums of one cost metric over the current window.
-#[derive(Debug, Clone)]
-struct MetricSums {
-    /// `AᵀC`.
-    v: Vec<f64>,
-    /// `Σ c`.
-    s1: f64,
-    /// `Σ c²`.
-    s2: f64,
+/// Shifted running sums over the newest `m` observations.
+struct WindowSums {
+    /// The newest observation's features: the shift origin `x⁰`.
+    x0: Vec<f64>,
+    /// The newest observation's costs: the shift origin `c⁰`.
+    c0: Vec<f64>,
+    /// `G = Σ a·aᵀ`, upper triangle.
+    gram: Matrix,
+    /// Per metric, `v = Σ c̃·a`.
+    v: Vec<Vec<f64>>,
+    /// Per metric, `s₂ = Σ c̃²`.
+    s2: Vec<f64>,
+    /// Observations absorbed.
+    m: usize,
+    /// Scratch for the shifted row `a`.
+    row: Vec<f64>,
 }
 
-/// Incremental variant of Algorithm 1.
-///
-/// Restrictions: supports the [`SolveMethod::NormalEquations`] path (the
-/// paper's Eq. 12). Ridge and QR callers should use the reference
-/// implementation — ridge re-standardizes per window, which breaks the
-/// shared-sums trick.
+impl WindowSums {
+    fn new(n_features: usize, n_metrics: usize) -> Self {
+        let p = n_features + 1;
+        WindowSums {
+            x0: Vec::new(),
+            c0: Vec::new(),
+            gram: Matrix::zeros(p, p),
+            v: vec![vec![0.0; p]; n_metrics],
+            s2: vec![0.0; n_metrics],
+            m: 0,
+            row: Vec::with_capacity(p),
+        }
+    }
+
+    /// Folds in the next-older observation.
+    fn absorb(&mut self, obs: &Observation) {
+        if self.m == 0 {
+            self.x0.clone_from(&obs.features);
+            self.c0.clone_from(&obs.costs);
+        }
+        self.row.clear();
+        self.row.push(1.0);
+        self.row
+            .extend(obs.features.iter().zip(&self.x0).map(|(x, x0)| x - x0));
+        let a = &self.row;
+        for i in 0..a.len() {
+            for j in i..a.len() {
+                self.gram[(i, j)] += a[i] * a[j];
+            }
+        }
+        for (k, v) in self.v.iter_mut().enumerate() {
+            let c = obs.costs[k] - self.c0[k];
+            for (vi, ai) in v.iter_mut().zip(a) {
+                *vi += c * ai;
+            }
+            self.s2[k] += c * c;
+        }
+        self.m += 1;
+    }
+
+    /// `Gᵢⱼ` from the upper triangle.
+    fn g(&self, i: usize, j: usize) -> f64 {
+        self.gram[(i.min(j), i.max(j))]
+    }
+
+    /// Every metric's ridge model on the current window.
+    fn fit(&self) -> Result<Vec<MlrModel>, EstimationError> {
+        let p = self.gram.rows();
+        let l = p - 1;
+        let mf = self.m as f64;
+        let numeric = |e: midas_linalg::LinalgError| EstimationError::Numeric(e.to_string());
+
+        // Column sums Sᵢ (of the shifted features) and stds.
+        let sums: Vec<f64> = (1..p).map(|i| self.g(0, i)).collect();
+        let stds: Vec<f64> = (0..l)
+            .map(|i| {
+                let var = (self.g(i + 1, i + 1) - sums[i] * sums[i] / mf) / mf;
+                var.max(0.0).sqrt().max(1e-12)
+            })
+            .collect();
+        let mut zz = Matrix::zeros(l, l);
+        for i in 0..l {
+            for j in i..l {
+                let z = (self.g(i + 1, j + 1) - sums[i] * sums[j] / mf) / (stds[i] * stds[j]);
+                zz[(i, j)] = z;
+                zz[(j, i)] = z;
+            }
+            zz[(i, i)] += RIDGE_LAMBDA * mf;
+        }
+        let chol = Cholesky::decompose(&zz).map_err(numeric)?;
+
+        self.v
+            .iter()
+            .zip(&self.s2)
+            .zip(&self.c0)
+            .map(|((v, &s2), &c0)| {
+                let rhs: Vec<f64> = (0..l)
+                    .map(|i| (v[i + 1] - sums[i] * v[0] / mf) / stds[i])
+                    .collect();
+                let w = chol.solve(&rhs).map_err(numeric)?;
+                // γ in the shifted coordinates.
+                let mut gamma = vec![0.0; p];
+                for i in 0..l {
+                    gamma[i + 1] = w[i] / stds[i];
+                }
+                gamma[0] = (v[0] - (0..l).map(|i| gamma[i + 1] * sums[i]).sum::<f64>()) / mf;
+                let gtv: f64 = gamma.iter().zip(v).map(|(g, v)| g * v).sum();
+                let gtgg: f64 = (0..p)
+                    .map(|i| gamma[i] * (0..p).map(|j| self.g(i, j) * gamma[j]).sum::<f64>())
+                    .sum();
+                let sse = (s2 - 2.0 * gtv + gtgg).max(0.0);
+                let sst = (s2 - v[0] * v[0] / mf).max(0.0);
+                // Back to the raw intercept.
+                gamma[0] += c0 - (0..l).map(|i| gamma[i + 1] * self.x0[i]).sum::<f64>();
+                Ok(MlrModel {
+                    coefficients: gamma,
+                    r_squared: mlr::r_squared(sse, sst, self.m),
+                    sse,
+                    sst,
+                    n_samples: self.m,
+                })
+            })
+            .collect()
+    }
+}
+
+/// Incremental Algorithm 1: the windows, rounds and models of
+/// [`crate::dream::estimate_cost_value`], from running sums.
 pub fn estimate_cost_value_incremental(
     history: &History,
     config: &DreamConfig,
 ) -> Result<DreamOutcome, EstimationError> {
-    if config.solver != SolveMethod::NormalEquations {
-        return Err(EstimationError::Numeric(
-            "incremental Algorithm 1 supports the normal-equation solver only".to_string(),
-        ));
-    }
-    if config.r2_required.len() != history.n_metrics() {
-        return Err(EstimationError::ArityMismatch {
-            expected_features: history.n_features(),
-            got_features: history.n_features(),
-            expected_metrics: history.n_metrics(),
-            got_metrics: config.r2_required.len(),
-        });
-    }
-    let minimum = history.minimum_window();
-    if history.len() < minimum {
-        return Err(EstimationError::NotEnoughData {
-            required: minimum,
-            available: history.len(),
-        });
-    }
-
-    let l = history.n_features();
-    let p = l + 1;
-    let n_metrics = history.n_metrics();
-    let limit = config.m_max.min(history.len()).max(minimum);
     let all = history.all();
-
-    // Accumulators over the newest `m` observations.
-    let mut gram = Matrix::zeros(p, p);
-    let mut sums: Vec<MetricSums> = (0..n_metrics)
-        .map(|_| MetricSums {
-            v: vec![0.0; p],
-            s1: 0.0,
-            s2: 0.0,
-        })
-        .collect();
-
-    let newest = all.len();
-    let mut absorbed = 0usize; // observations folded into the sums so far
-
-    let absorb = |gram: &mut Matrix, sums: &mut Vec<MetricSums>, idx: usize| {
-        let obs = &all[idx];
-        // a = (1, x…)
-        let mut a = Vec::with_capacity(p);
-        a.push(1.0);
-        a.extend_from_slice(&obs.features);
-        for i in 0..p {
-            for j in i..p {
-                gram[(i, j)] += a[i] * a[j];
-            }
+    let mut sums = WindowSums::new(history.n_features(), history.n_metrics());
+    walk_windows(history, config, |m| {
+        while sums.m < m {
+            sums.absorb(&all[all.len() - 1 - sums.m]);
         }
-        for (k, sums_k) in sums.iter_mut().enumerate() {
-            let c = obs.costs[k];
-            for (vi, ai) in sums_k.v.iter_mut().zip(a.iter()) {
-                *vi += c * ai;
-            }
-            sums_k.s1 += c;
-            sums_k.s2 += c * c;
-        }
-    };
-
-    let mut m = minimum;
-    // Fold in the newest `minimum` observations.
-    while absorbed < m {
-        absorb(&mut gram, &mut sums, newest - 1 - absorbed);
-        absorbed += 1;
-    }
-
-    let mut rounds = 0usize;
-    let mut best: Option<(Vec<MlrModel>, usize)> = None;
-
-    loop {
-        rounds += 1;
-        match fit_from_sums(&gram, &sums, m, l) {
-            Ok(models) => {
-                let ok = models
-                    .iter()
-                    .zip(config.r2_required.iter())
-                    .all(|(model, req)| config.quality.evaluate(model.r_squared, m, l) >= *req);
-                if ok {
-                    return Ok(DreamOutcome {
-                        models,
-                        window: m,
-                        satisfied: true,
-                        rounds,
-                    });
-                }
-                if best.is_none() {
-                    best = Some((models, m));
-                }
-            }
-            Err(EstimationError::Numeric(_)) => {}
-            Err(e) => return Err(e),
-        }
-        if m >= limit {
-            break;
-        }
-        // Grow by the configured policy, absorbing the next-older rows.
-        let next = config.growth_next(m).min(limit);
-        while absorbed < next {
-            absorb(&mut gram, &mut sums, newest - 1 - absorbed);
-            absorbed += 1;
-        }
-        m = next;
-    }
-
-    match best {
-        Some((models, window)) => Ok(DreamOutcome {
-            models,
-            window,
-            satisfied: false,
-            rounds,
-        }),
-        None => Err(EstimationError::Numeric(
-            "every candidate window was numerically singular".to_string(),
-        )),
-    }
-}
-
-/// Solves one window's models from the running sums.
-fn fit_from_sums(
-    gram: &Matrix,
-    sums: &[MetricSums],
-    m: usize,
-    l: usize,
-) -> Result<Vec<MlrModel>, EstimationError> {
-    let p = l + 1;
-    // Mirror the lower triangle (the accumulator fills the upper half).
-    let mut g = Matrix::zeros(p, p);
-    for i in 0..p {
-        for j in i..p {
-            g[(i, j)] = gram[(i, j)];
-            g[(j, i)] = gram[(i, j)];
-        }
-    }
-    let chol = match Cholesky::decompose(&g) {
-        Ok(c) => c,
-        Err(_) => {
-            // Same trace-scaled ridge retry as the reference solver.
-            let trace: f64 = (0..p).map(|i| g[(i, i)]).sum();
-            let eps = (trace / p as f64).max(1.0) * 1e-8;
-            let mut ridged = g.clone();
-            for i in 0..p {
-                ridged[(i, i)] += eps;
-            }
-            Cholesky::decompose(&ridged)
-                .map_err(|e| EstimationError::Numeric(e.to_string()))?
-        }
-    };
-
-    sums.iter()
-        .map(|sk| {
-            let beta = chol
-                .solve(&sk.v)
-                .map_err(|e| EstimationError::Numeric(e.to_string()))?;
-            // SSE = s2 - 2 βᵀv + βᵀ G β ; SST = s2 - s1²/m.
-            let gb = g.matvec(&beta).map_err(|e| EstimationError::Numeric(e.to_string()))?;
-            let btgb: f64 = beta.iter().zip(gb.iter()).map(|(a, b)| a * b).sum();
-            let btv: f64 = beta.iter().zip(sk.v.iter()).map(|(a, b)| a * b).sum();
-            let sse = (sk.s2 - 2.0 * btv + btgb).max(0.0);
-            let sst = (sk.s2 - sk.s1 * sk.s1 / m as f64).max(0.0);
-            let r_squared = if sst <= f64::EPSILON * m as f64 {
-                if sse <= 1e-10 {
-                    1.0
-                } else {
-                    0.0
-                }
-            } else {
-                1.0 - sse / sst
-            };
-            Ok(MlrModel {
-                coefficients: beta,
-                r_squared,
-                sse,
-                sst,
-                n_samples: m,
-            })
-        })
-        .collect()
+        sums.fit()
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dream::estimate_cost_value;
+    use crate::mlr::SolveMethod;
 
     fn drifting_history(n: usize) -> History {
         let mut h = History::new(2, 2);
@@ -257,48 +201,26 @@ mod tests {
     }
 
     #[test]
-    fn matches_the_reference_implementation() {
-        let h = drifting_history(60);
-        for req in [0.5, 0.8, 0.95, 0.999] {
-            let cfg = DreamConfig::uniform(req, 2, 40);
-            let reference = estimate_cost_value(&h, &cfg).expect("fits");
-            let incremental = estimate_cost_value_incremental(&h, &cfg).expect("fits");
-            assert_eq!(reference.window, incremental.window, "req {req}");
-            assert_eq!(reference.satisfied, incremental.satisfied);
-            assert_eq!(reference.rounds, incremental.rounds);
-            for (a, b) in reference.models.iter().zip(incremental.models.iter()) {
-                for (x, y) in a.coefficients.iter().zip(b.coefficients.iter()) {
-                    // Summation order differs (per-window rebuild vs
-                    // newest-first accumulation), so compare relatively.
-                    let scale = 1.0 + x.abs().max(y.abs());
-                    assert!((x - y).abs() / scale < 1e-7, "req {req}: {x} vs {y}");
-                }
-                assert!((a.r_squared - b.r_squared).abs() < 1e-7);
-            }
-        }
-    }
-
-    #[test]
-    fn matches_reference_with_adjusted_r2_and_doubling() {
-        let h = drifting_history(64);
-        let cfg = DreamConfig {
-            growth: crate::dream::GrowthPolicy::Doubling,
-            ..DreamConfig::uniform(0.9, 2, 64).with_adjusted_r2()
-        };
-        let reference = estimate_cost_value(&h, &cfg).expect("fits");
-        let incremental = estimate_cost_value_incremental(&h, &cfg).expect("fits");
-        assert_eq!(reference.window, incremental.window);
-        assert_eq!(reference.rounds, incremental.rounds);
-    }
-
-    #[test]
     fn rejects_non_normal_equation_solvers() {
+        // The online path solves the ridge problem of its window, not the
+        // normal equations: on noisy data the two fits differ, and the
+        // incremental models are the reference ridge refit's.
         let h = drifting_history(20);
-        let cfg = DreamConfig {
-            solver: SolveMethod::Ridge(0.05),
-            ..DreamConfig::uniform(0.8, 2, 20)
-        };
-        assert!(estimate_cost_value_incremental(&h, &cfg).is_err());
+        let cfg = DreamConfig::uniform(0.8, 2, 20);
+        let out = estimate_cost_value_incremental(&h, &cfg).expect("fits");
+        let window = h.latest(out.window);
+        let feats: Vec<&[f64]> = window.iter().map(|o| o.features.as_slice()).collect();
+        let targets = History::targets_of(window, 0);
+        let ridge = mlr::fit(&feats, &targets, SolveMethod::Ridge(RIDGE_LAMBDA)).expect("fits");
+        let ols = mlr::fit(&feats, &targets, SolveMethod::NormalEquations).expect("fits");
+        for (x, y) in out.models[0].coefficients.iter().zip(&ridge.coefficients) {
+            assert!((x - y).abs() <= 1e-9 * (1.0 + y.abs()), "{x} vs {y}");
+        }
+        assert!((out.models[0].r_squared - ridge.r_squared).abs() < 1e-9);
+        assert!(
+            ols.r_squared > ridge.r_squared,
+            "ridge shrinks the in-sample fit"
+        );
     }
 
     #[test]

@@ -9,7 +9,6 @@
 //!
 //! ```text
 //! ĉ = β̂₀ + β̂₁·x₁ + … + β̂_L·x_L          (Eq. 6)
-//! B = (AᵀA)⁻¹ AᵀC                        (Eq. 12, normal equations)
 //! R² = 1 − SSE/SST                       (Eq. 14)
 //! ```
 //!
@@ -17,19 +16,27 @@
 //! in expired observations) or on a fixed window (which may be too small for a
 //! reliable fit), Algorithm 1 starts from the statistical minimum window
 //! `m = L + 2` and grows it until every cost metric's `R²` reaches the
-//! user-required threshold (default 0.8) or a cap `Mmax` is hit. See
-//! [`dream::estimate_cost_value`] and [`dream::DreamEstimator`].
+//! user-required threshold (default 0.8) or a cap `Mmax` (default 30) is hit.
+//! Each window is fitted by standardized ridge regression with penalty
+//! [`dream::RIDGE_LAMBDA`] rather than the paper's normal equations
+//! (Eq. 12): windows are small and their sizes grow together, and ridge
+//! keeps such locally collinear fits from extrapolating absurd costs. One
+//! configuration serves everywhere, [`DreamEstimator::paper_defaults`].
 //!
 //! Crate layout:
 //!
 //! * [`history`] — `(feature vector, cost vector)` observations kept in
 //!   arrival order, with cheap recency windows.
-//! * [`mlr`] — the MLR fit itself, through the paper's normal equations
-//!   (Cholesky on the Gram matrix with ridge fallback) or Householder QR.
+//! * [`mlr`] — the MLR fit itself: standardized ridge, and the paper's
+//!   normal equations (Cholesky on the Gram matrix with ridge fallback) or
+//!   Householder QR, which Table 2's exact `R²` needs.
 //! * [`estimator`] — the [`estimator::CostEstimator`] trait shared with the
 //!   baseline learners in `midas-mlearn` and consumed by the IReS Modelling
 //!   module.
-//! * [`dream`] — Algorithm 1 and its configuration.
+//! * [`dream`] — Algorithm 1, its configuration and
+//!   [`dream::estimate_cost_value`], the reference that refits every window.
+//! * [`incremental`] — the online path [`DreamEstimator`] runs: the same
+//!   walk from running sums, one rank-1 update per window.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,7 +48,7 @@ pub mod incremental;
 pub mod mlr;
 
 pub use crate::dream::{
-    estimate_cost_value, DreamConfig, DreamEstimator, DreamOutcome, GrowthPolicy, QualityMetric,
+    estimate_cost_value, DreamConfig, DreamEstimator, DreamOutcome, RIDGE_LAMBDA,
 };
 pub use estimator::{CostEstimator, EstimationError, FitReport};
 pub use incremental::estimate_cost_value_incremental;

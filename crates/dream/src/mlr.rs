@@ -4,7 +4,8 @@
 //! solves the normal equations `B = (AᵀA)⁻¹AᵀC` (Eq. 12); we factor `AᵀA`
 //! with Cholesky (it is SPD for full-rank designs), fall back to a tiny ridge
 //! regularizer when the design is rank-deficient, and also expose a
-//! Householder-QR path for the solver ablation.
+//! Householder-QR path; Table 2's exact `R²` is checked through both. DREAM
+//! fits every window by [`SolveMethod::Ridge`].
 
 use crate::estimator::EstimationError;
 use midas_linalg::{qr::QrDecomposition, stats, Cholesky, Matrix};
@@ -27,8 +28,8 @@ pub enum SolveMethod {
     /// unregularized slopes can explode and extrapolate to absurd costs at
     /// volume cliffs. Standardized ridge shrinks exactly the ill-determined
     /// directions while biasing well-determined ones by `O(λ)`. The
-    /// intercept is never penalized. `λ ≈ 0.05` is a good default for
-    /// DREAM-style small windows.
+    /// intercept is never penalized. DREAM's small windows use
+    /// [`crate::RIDGE_LAMBDA`].
     Ridge(f64),
 }
 
@@ -127,6 +128,9 @@ fn solve_coefficients(
 /// Standardized ridge: center/scale the feature columns (skipping the
 /// leading intercept column of ones), solve `(ZᵀZ + λ·m·I)w = Zᵀy_c`, and
 /// map the coefficients back to the raw scale.
+///
+/// Each column is first shifted by its first row, so a constant column
+/// centres to exactly zero (its mean cannot round) and gets a zero slope.
 fn ridge_coefficients(
     a: &Matrix,
     targets: &[f64],
@@ -136,37 +140,29 @@ fn ridge_coefficients(
     let p = a.cols(); // 1 + L
     let l = p - 1;
     let mf = m as f64;
+    // Feature `j` of row `r`, shifted by the first row (col 0 is the intercept).
+    let shifted = |r: usize, j: usize| a[(r, j + 1)] - a[(0, j + 1)];
 
-    // Column means and stds of the feature columns (col 0 is the intercept).
+    // Means and stds of the shifted feature columns.
     let mut means = vec![0.0; l];
     let mut stds = vec![0.0; l];
     for j in 0..l {
-        let mut s = 0.0;
-        for r in 0..m {
-            s += a[(r, j + 1)];
-        }
-        means[j] = s / mf;
-    }
-    for j in 0..l {
-        let mut s = 0.0;
-        for r in 0..m {
-            let d = a[(r, j + 1)] - means[j];
-            s += d * d;
-        }
-        stds[j] = (s / mf).sqrt().max(1e-12);
+        means[j] = (0..m).map(|r| shifted(r, j)).sum::<f64>() / mf;
+        let ss: f64 = (0..m).map(|r| (shifted(r, j) - means[j]).powi(2)).sum();
+        stds[j] = (ss / mf).sqrt().max(1e-12);
     }
     let y_mean = targets.iter().sum::<f64>() / mf;
 
     // Standardized Gram and right-hand side.
     let mut g = Matrix::zeros(l, l);
     let mut rhs = vec![0.0; l];
-    for r in 0..m {
-        let yc = targets[r] - y_mean;
+    for (r, y) in targets.iter().enumerate() {
+        let yc = y - y_mean;
         for i in 0..l {
-            let zi = (a[(r, i + 1)] - means[i]) / stds[i];
+            let zi = (shifted(r, i) - means[i]) / stds[i];
             rhs[i] += zi * yc;
             for j in i..l {
-                let zj = (a[(r, j + 1)] - means[j]) / stds[j];
+                let zj = (shifted(r, j) - means[j]) / stds[j];
                 g[(i, j)] += zi * zj;
             }
         }
@@ -182,18 +178,31 @@ fn ridge_coefficients(
         .and_then(|ch| ch.solve(&rhs))
         .map_err(|e| EstimationError::Numeric(e.to_string()))?;
 
-    // Back to raw coefficients.
+    // Back to raw coefficients; the raw mean of column `j` is its first row
+    // plus the shifted mean.
     let mut beta = vec![0.0; p];
     for j in 0..l {
         beta[j + 1] = w[j] / stds[j];
     }
     beta[0] = y_mean
-        - beta[1..]
-            .iter()
-            .zip(means.iter())
-            .map(|(b, mu)| b * mu)
+        - (0..l)
+            .map(|j| beta[j + 1] * (a[(0, j + 1)] + means[j]))
             .sum::<f64>();
     Ok(beta)
+}
+
+/// `R² = 1 − SSE/SST` over `m` samples, defined as 1 for an exact fit of
+/// (near-)constant targets and 0 for an inexact one.
+pub(crate) fn r_squared(sse: f64, sst: f64, m: usize) -> f64 {
+    if sst <= f64::EPSILON * m as f64 {
+        if sse <= 1e-10 {
+            1.0
+        } else {
+            0.0
+        }
+    } else {
+        1.0 - sse / sst
+    }
 }
 
 /// Fits an MLR model on `(features[i], targets[i])` pairs.
@@ -244,19 +253,9 @@ pub fn fit(
     let mean = stats::mean(targets).expect("m >= L+2 >= 2 guarantees non-empty");
     let sst: f64 = targets.iter().map(|c| (c - mean) * (c - mean)).sum();
 
-    let r_squared = if sst <= f64::EPSILON * m as f64 {
-        if sse <= 1e-10 {
-            1.0
-        } else {
-            0.0
-        }
-    } else {
-        1.0 - sse / sst
-    };
-
     Ok(MlrModel {
         coefficients,
-        r_squared,
+        r_squared: r_squared(sse, sst, m),
         sse,
         sst,
         n_samples: m,
@@ -392,6 +391,23 @@ mod tests {
             "ridge {ridge_err} should beat OLS {ols_err} out of range"
         );
         assert!(ridge.predict(&probe).unwrap() > 0.0, "cost stays positive");
+    }
+
+    #[test]
+    fn ridge_gives_a_constant_non_integer_column_no_slope() {
+        // A column fixed at 123 456.789 has no variance: ridge must give it
+        // slope 0 and put its level into the intercept, not fit the
+        // rounding error of its mean.
+        let feats: Vec<Vec<f64>> = (0..5).map(|i| vec![i as f64 * 1.5, 123_456.789]).collect();
+        let targets: Vec<f64> = (0..5)
+            .map(|i| 2.0 + 0.8 * i as f64 + (i % 3) as f64 * 0.1)
+            .collect();
+        let ridge = fit(&rows(&feats), &targets, SolveMethod::Ridge(0.05)).unwrap();
+        let without: Vec<Vec<f64>> = feats.iter().map(|f| vec![f[0]]).collect();
+        let reduced = fit(&rows(&without), &targets, SolveMethod::Ridge(0.05)).unwrap();
+        assert_eq!(ridge.coefficients[2], 0.0);
+        assert_eq!(ridge.coefficients[1], reduced.coefficients[1]);
+        assert!((ridge.coefficients[0] - reduced.coefficients[0]).abs() < 1e-12);
     }
 
     #[test]

@@ -1,9 +1,76 @@
 //! Property-based tests for the MLR core and Algorithm 1.
 
 use midas_dream::{
-    estimate_cost_value, mlr, DreamConfig, History, SolveMethod,
+    estimate_cost_value, estimate_cost_value_incremental, mlr, DreamConfig, DreamOutcome, History,
+    SolveMethod,
 };
 use proptest::prelude::*;
+
+/// A history of the shape `family` selects, `n` observations long, drawn
+/// from xorshift state `seed`; every family has three features and two
+/// metrics.
+///
+/// 0. Row counts up to 10⁶ growing slowly (ingest), costs linear in them
+///    with noise and a load drift.
+/// 1. The same beside a constant integer and a constant non-integer column.
+/// 2. Every row repeated one to three times, beside a 10⁹-magnitude column.
+/// 3. Two regimes of small features with a load shift a third of the way in.
+fn numerics_history(family: usize, n: usize, seed: u64) -> History {
+    let mut s = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+    let mut unit = move || {
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        (s % 1_000_000) as f64 / 1_000_000.0
+    };
+    let base = 1e5 + 9e5 * unit();
+    let growth = 1e-4 + 1e-2 * unit();
+    let mut h = History::new(3, 2);
+    let mut i = 0;
+    while h.len() < n {
+        let rows = (base * (1.0 + growth * i as f64)).round();
+        let noise = 1.0 + 0.1 * (unit() - 0.5);
+        let (x, repeats) = match family {
+            0 => ([rows, (rows / 4.0).round(), (unit() * 5e5).round()], 1),
+            1 => ([rows, 6_001_215.0, 123_456.789], 1),
+            2 => (
+                [rows, 1e9 + (unit() * 1e3).round() * 1e6, unit() * 10.0],
+                1 + i % 3,
+            ),
+            _ => ([(i % 17) as f64, unit() * 3.0, (i % 5) as f64 * 0.5], 1),
+        };
+        let load = if family == 3 && 3 * i >= n {
+            2.5
+        } else {
+            1.0 + 1e-3 * i as f64
+        };
+        let time = load * noise * (3.0 + x[0] * 4e-5 + x[2] * 2e-5 + x[1] * 1e-9);
+        let money = 0.2 + 1e-7 * x[0] + 0.01 * unit();
+        for _ in 0..repeats {
+            h.record(&x, &[time, money]).unwrap();
+        }
+        i += 1;
+    }
+    h
+}
+
+/// `|a − b|` within `tol` of the larger magnitude, or of `floor` when both
+/// are smaller than it.
+fn close(a: f64, b: f64, tol: f64, floor: f64) -> bool {
+    (a - b).abs() <= tol * a.abs().max(b.abs()).max(floor)
+}
+
+fn assert_finite(out: &DreamOutcome) -> Result<(), TestCaseError> {
+    for model in &out.models {
+        prop_assert!(
+            model.coefficients.iter().all(|b| b.is_finite()),
+            "{:?}",
+            model
+        );
+        prop_assert!(model.r_squared.is_finite() && model.sse.is_finite() && model.sst.is_finite());
+    }
+    Ok(())
+}
 
 /// Strategy: a well-conditioned regression problem with L features and
 /// M >= L+2 rows, plus true coefficients.
@@ -110,11 +177,7 @@ proptest! {
             let noise = ((s % 2000) as f64 / 1000.0) - 1.0;
             h.record(&[i as f64], &[3.0 + 0.5 * i as f64 + noise]).unwrap();
         }
-        let cfg = DreamConfig {
-            r2_required: vec![r2_req],
-            m_max,
-            ..DreamConfig::uniform(r2_req, 1, m_max)
-        };
+        let cfg = DreamConfig::uniform(r2_req, 1, m_max);
         if h.len() >= h.minimum_window() {
             let out = estimate_cost_value(&h, &cfg).unwrap();
             prop_assert!(out.window >= h.minimum_window());
@@ -144,5 +207,38 @@ proptest! {
         let b = estimate_cost_value(&h, &cfg).unwrap();
         prop_assert_eq!(a.window, b.window);
         prop_assert_eq!(a.models[0].coefficients.clone(), b.models[0].coefficients.clone());
+    }
+
+    /// The online path DREAM serves with agrees with the reference refit:
+    /// the same window, rounds and `satisfied` flag, and coefficients,
+    /// predictions and `R²` within 1e-9 relative, on row counts up to 10⁶,
+    /// constant columns, duplicate rows and a 10⁹-magnitude column.
+    #[test]
+    fn incremental_matches_the_reference(
+        family in 0usize..4,
+        n_obs in 6usize..120,
+        m_max in 4usize..80,
+        r2_req in 0.0..1.0f64,
+        seed in 0u64..1_000_000,
+    ) {
+        let h = numerics_history(family, n_obs, seed);
+        let cfg = DreamConfig::uniform(r2_req, 2, m_max);
+        let reference = estimate_cost_value(&h, &cfg).unwrap();
+        let online = estimate_cost_value_incremental(&h, &cfg).unwrap();
+        assert_finite(&reference)?;
+        assert_finite(&online)?;
+        prop_assert_eq!(reference.window, online.window);
+        prop_assert_eq!(reference.rounds, online.rounds);
+        prop_assert_eq!(reference.satisfied, online.satisfied);
+        let newest = &h.all()[h.len() - 1].features;
+        let probe: Vec<f64> = newest.iter().map(|x| x * 1.01).collect();
+        for (a, b) in reference.models.iter().zip(&online.models) {
+            for (x, y) in a.coefficients.iter().zip(&b.coefficients) {
+                prop_assert!(close(*x, *y, 1e-9, f64::MIN_POSITIVE), "{:?} vs {:?}", a, b);
+            }
+            let (pa, pb) = (a.predict(&probe).unwrap(), b.predict(&probe).unwrap());
+            prop_assert!(close(pa, pb, 1e-9, f64::MIN_POSITIVE), "{} vs {}", pa, pb);
+            prop_assert!(close(a.r_squared, b.r_squared, 1e-9, 1.0), "{:?} vs {:?}", a, b);
+        }
     }
 }

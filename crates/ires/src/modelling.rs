@@ -66,43 +66,29 @@ impl Modelling {
     }
 }
 
-/// Builds the estimator a [`ModellingRegistry`] installs for a new class;
-/// called with the class's feature count.
-pub type EstimatorFactory = Box<dyn Fn(usize) -> Box<dyn CostEstimator> + Send + Sync>;
-
 /// The concurrent Modelling store: one lock-guarded [`Modelling`] per query
 /// class, shared by every worker of a federation runtime.
 ///
 /// Workers executing queries of *different* classes learn fully in parallel
 /// (each class has its own mutex); workers of the *same* class serialize
 /// only for the record + refit critical section. Classes are created on
-/// first observation; the per-class estimator comes from the registry's
-/// factory (DREAM with the paper defaults unless overridden), whose default
-/// online path is the incremental `O(L³)` Algorithm 1 — a concurrent
-/// learner never refits its window sums from scratch.
+/// first observation, each with [`DreamEstimator::paper_defaults`] — the
+/// one DREAM the experiments also run (standardized ridge, `R² ≥ 0.8`,
+/// `Mmax = 30`) — whose online path walks its windows from running sums,
+/// one rank-1 update per window: a concurrent learner never refits a window
+/// from scratch.
 pub struct ModellingRegistry {
     n_metrics: usize,
-    factory: EstimatorFactory,
     classes: Mutex<HashMap<String, Arc<Mutex<Modelling>>>>,
 }
 
 impl ModellingRegistry {
-    /// A registry producing per-class estimators from `factory`.
-    pub fn new(n_metrics: usize, factory: EstimatorFactory) -> Self {
+    /// A registry of DREAM estimators over `n_metrics` cost metrics.
+    pub fn dream_defaults(n_metrics: usize) -> Self {
         ModellingRegistry {
             n_metrics,
-            factory,
             classes: Mutex::new(HashMap::new()),
         }
-    }
-
-    /// A registry of paper-default DREAM estimators over `n_metrics` cost
-    /// metrics.
-    pub fn dream_defaults(n_metrics: usize) -> Self {
-        Self::new(
-            n_metrics,
-            Box::new(move |_n_features| Box::new(DreamEstimator::paper_defaults(n_metrics))),
-        )
     }
 
     /// The shared Modelling module of `class`, created on first use with
@@ -115,7 +101,7 @@ impl ModellingRegistry {
                 Arc::new(Mutex::new(Modelling::new(
                     n_features,
                     self.n_metrics,
-                    (self.factory)(n_features),
+                    Box::new(DreamEstimator::paper_defaults(self.n_metrics)),
                 )))
             })
             .clone()
@@ -180,7 +166,7 @@ impl ModellingRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use midas_dream::DreamEstimator;
+    use midas_dream::{estimate_cost_value, DreamConfig};
     use midas_mlearn::{BmlEstimator, WindowSpec};
 
     fn feed(m: &mut Modelling, n: usize) {
@@ -198,8 +184,15 @@ mod tests {
         let report = m.refit().unwrap();
         assert!(report.satisfied);
         assert_eq!(m.estimator_name(), "DREAM");
+        // The estimate is the reference Algorithm 1's ridge prediction.
+        let reference = estimate_cost_value(m.history(), &DreamConfig::uniform(0.8, 2, 30))
+            .unwrap()
+            .predict(&[30.0, 1.0])
+            .unwrap();
         let est = m.estimate(&[30.0, 1.0]).unwrap();
-        assert!((est[0] - 71.0).abs() < 1e-6);
+        for (a, b) in est.iter().zip(&reference) {
+            assert!((a - b).abs() <= 1e-9 * b.abs(), "{a} vs {b}");
+        }
         assert!(m.last_fit().is_some());
         assert_eq!(m.history().len(), 20);
     }

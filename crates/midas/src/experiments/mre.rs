@@ -76,16 +76,13 @@ impl EstimatorKind {
                 Box::new(BmlEstimator::new(WindowSpec::LatestMultiple(3), n_metrics))
             }
             EstimatorKind::BmlAll => Box::new(BmlEstimator::new(WindowSpec::All, n_metrics)),
-            // The paper's plain R² gates the window (`DreamConfig::uniform`
-            // keeps the default `QualityMetric::R2`, whose adjusted variant's
-            // doc explains why the plain one is near 1 at m = L + 2 — ROADMAP
-            // item 1 asks which the experiments should use), and standardized
-            // ridge 0.05 keeps locally-collinear windows from extrapolating
-            // absurd costs at data-volume cliffs.
-            EstimatorKind::Dream => Box::new(DreamEstimator::new(DreamConfig {
-                solver: midas_dream::SolveMethod::Ridge(0.05),
-                ..DreamConfig::uniform(r2, n_metrics, m_max)
-            })),
+            // The one DREAM serving runs too (`DreamEstimator::paper_defaults`
+            // is this at R² 0.8, Mmax 30): the paper's plain R² gates the
+            // window, and standardized ridge keeps locally-collinear windows
+            // from extrapolating absurd costs at data-volume cliffs.
+            EstimatorKind::Dream => Box::new(DreamEstimator::new(DreamConfig::uniform(
+                r2, n_metrics, m_max,
+            ))),
         }
     }
 }
@@ -367,6 +364,39 @@ mod tests {
             assert!(mre.is_finite(), "{} produced NaN", kind.label());
             assert!(mre >= 0.0);
         }
+    }
+
+    #[test]
+    fn serving_and_the_experiments_run_one_dream() {
+        // Serving's registry and the Tables 3/4 estimator are one DREAM: on a
+        // recorded trace they report bit-identical fits and predict
+        // bit-identical costs at every step.
+        let cfg = MreConfig::smoke(17);
+        let db = TpchDb::generate(cfg.gen);
+        let trace = record_trace(&db, QueryId::Q12, &cfg).unwrap();
+        let registry = midas_ires::ModellingRegistry::dream_defaults(2);
+        let mut history = History::new(trace.features[0].len(), 2);
+        let mut fitted = 0;
+        for (x, c) in trace.features.iter().zip(&trace.costs) {
+            let served = registry.observe("Q12", x, c).unwrap();
+            history.record(x, c).unwrap();
+            let mut experiment = EstimatorKind::Dream.build(2, 30, 0.8);
+            let Ok(report) = experiment.fit(&history) else {
+                assert!(
+                    served.is_none(),
+                    "serving fitted where the experiment could not"
+                );
+                continue;
+            };
+            assert_eq!(served.as_ref(), Some(&report));
+            let modelling = registry.get("Q12").unwrap();
+            let served = modelling.lock().unwrap().estimate(x).unwrap();
+            let expected = experiment.predict(x).unwrap();
+            let bits = |v: &[f64]| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&served), bits(&expected));
+            fitted += 1;
+        }
+        assert_eq!(fitted, trace.features.len() + 1 - history.minimum_window());
     }
 
     #[test]

@@ -9,9 +9,11 @@
 #   1. release build of every crate;
 #   2. the full test suite (unit, golden, property and differential tests);
 #   3. clippy on every workspace crate and target with warnings denied;
-#   4. a smoke run of the engine_exec and moqp criterion benches (--test
-#      mode; moqp includes the exact front over 18 200 candidates, which
-#      takes seconds instead of milliseconds if it is ever quadratic again);
+#   4. a smoke run of the engine_exec, moqp and mlr_fit criterion benches
+#      (--test mode; moqp includes the exact front over 18 200 candidates,
+#      which takes seconds instead of milliseconds if it is ever quadratic
+#      again; mlr_fit runs DREAM's reference and online Algorithm 1 side by
+#      side);
 #   5. the static-analysis run, which records BENCH_static_analysis.json
 #      (the workspace target/repro/ and the repo root; the run fails if it
 #      cannot write either): the workspace determinism lint (repro_lint)
@@ -54,8 +56,8 @@ stage "build (release)" cargo build --release --offline
 stage "tests" cargo test -q --offline
 stage "clippy (workspace, -D warnings)" \
     cargo clippy --offline --workspace --all-targets -- -D warnings
-stage "bench smoke (engine_exec, moqp --test)" \
-    cargo bench --offline -p midas-bench --bench engine_exec --bench moqp -- --test
+stage "bench smoke (engine_exec, moqp, mlr_fit --test)" \
+    cargo bench --offline -p midas-bench --bench engine_exec --bench moqp --bench mlr_fit -- --test
 stage "static analysis + determinism lint (BENCH_static_analysis.json)" \
     cargo run -q --release --offline -p midas-bench --bin repro_lint
 stage "benchmark package tests (benchmark/ is its own workspace)" \

@@ -78,7 +78,7 @@ fn bench_moqp(c: &mut Criterion) {
 }
 
 fn bench_nsga_variants(c: &mut Criterion) {
-    use midas_moo::{IntBoxProblem, Moead, MoeadConfig, Nsga2, NsgaG, NsgaGConfig};
+    use midas_moo::{IntBoxProblem, Nsga2, NsgaG, NsgaGConfig};
     // A pure optimization benchmark on a synthetic 3-gene problem.
     let problem = IntBoxProblem::new(vec![20, 20, 20], 2, |g| {
         let x = g[0] as f64;
@@ -105,22 +105,6 @@ fn bench_nsga_variants(c: &mut Criterion) {
                     NsgaGConfig {
                         base: cfg,
                         divisions: 8,
-                    },
-                )
-                .run(),
-            )
-        })
-    });
-    group.bench_function("moea_d", |b| {
-        b.iter(|| {
-            black_box(
-                Moead::new(
-                    &problem,
-                    MoeadConfig {
-                        population: 50,
-                        generations: 30,
-                        seed: 9,
-                        ..MoeadConfig::default()
                     },
                 )
                 .run(),

@@ -107,11 +107,10 @@ impl ChunkedTable {
         }
     }
 
-    /// Builds a chunked table directly from pre-built chunks — the
-    /// streaming generator's entry point (no materialized intermediate
-    /// table, no compaction debt). All chunks must share one schema;
-    /// at least one chunk is required (a zero-row chunk is fine). A
-    /// single-chunk table pre-seeds its snapshot like
+    /// Builds a chunked table directly from pre-built chunks (no
+    /// materialized intermediate table, no compaction debt). All chunks
+    /// must share one schema; at least one chunk is required (a zero-row
+    /// chunk is fine). A single-chunk table pre-seeds its snapshot like
     /// [`ChunkedTable::from_shared`], so it never pays compaction either.
     pub fn from_chunks(
         name: impl Into<String>,
@@ -292,10 +291,8 @@ impl fmt::Debug for CatalogVersion {
 }
 
 impl CatalogVersion {
-    /// Builds a standalone version 0 directly from chunked tables — how a
-    /// streaming generator publishes a dataset that was never materialized
-    /// as whole tables (so chunk-native scans can run it without any
-    /// `pin()` compaction).
+    /// Builds a standalone version 0 directly from chunked tables, so
+    /// chunk-native scans run it without any `pin()` compaction.
     pub fn from_chunked(tables: Vec<ChunkedTable>) -> CatalogVersion {
         CatalogVersion {
             version: 0,

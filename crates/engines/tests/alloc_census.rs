@@ -42,10 +42,10 @@ use midas_engines::data::Table;
 use midas_engines::ops::{PhysicalPlan, WorkProfile};
 use midas_engines::Expr;
 use midas_engines::version::{CatalogVersion, ChunkedTable};
-use midas_engines::{execute_fused, Catalog, RowWiseOutput, TableSource, MORSEL_ROWS};
+use midas_engines::{execute_fused, Catalog, RowWiseOutput, TableSource, Value, MORSEL_ROWS};
 use midas_tpch::dates::ymd;
-use midas_tpch::gen::{DeltaStream, GenConfig, StringEncoding, TpchDb};
-use midas_tpch::queries::{q12, q12_with, q13, q14, q17, TwoTableQuery};
+use midas_tpch::gen::{DeltaStream, GenConfig, TpchDb};
+use midas_tpch::queries::{q12, q13, q14, q17, TwoTableQuery};
 
 struct Counting;
 
@@ -266,29 +266,35 @@ fn a_cold_job_allocates_by_what_it_produces() {
         "Q12 combine: {combine:?} over {rows} input rows"
     );
 
-    // Q12 left's filter under dictionary codes, where `l_shipmode IN (…)`
-    // probes numbers: the candidates are split once, when the predicate is
-    // compiled. No receipt falls in 1980, so no selection vector grows, and
-    // what the four morsels of `lineitem` request beyond what its first
-    // morsel alone does is one register file per further morsel.
-    let coded = TpchDb::generate(GenConfig::new(0.01, 42).dictionary_encoded());
-    let PhysicalPlan::Project { input: filter, .. } =
-        q12_with(StringEncoding::Dictionary, "MAIL", "SHIP", 1980).left_prepare
-    else {
-        panic!("Q12's left prepare projects its filter's output");
+    // Q12 left's filter with a numeric `IN` in place of the ship modes,
+    // `l_suppkey IN (7, 11)`: the candidates are split once, when the
+    // predicate is compiled. No receipt falls in 1980, so no selection
+    // vector grows, and what the four morsels of `lineitem` request beyond
+    // what its first morsel alone does is one register file per further
+    // morsel.
+    let filter = PhysicalPlan::Filter {
+        input: Box::new(PhysicalPlan::Scan {
+            table: "lineitem".to_string(),
+        }),
+        predicate: Expr::col(2)
+            .in_list(vec![Value::Int64(7), Value::Int64(11)])
+            .and(Expr::col(7).lt(Expr::col(8)))
+            .and(Expr::col(6).lt(Expr::col(7)))
+            .and(Expr::col(8).ge(Expr::date(ymd(1980, 1, 1))))
+            .and(Expr::col(8).lt(Expr::date(ymd(1981, 1, 1)))),
     };
-    let all = coded.catalog().get("lineitem").expect("generated");
+    let all = base.get("lineitem").expect("generated");
     let further_morsels = (all.n_rows() as u64).div_ceil(MORSEL_ROWS as u64) - 1;
     assert_eq!(further_morsels, 3, "SF 0.01 is four morsels of lineitems");
     let mut first_morsel = Catalog::new();
     let first_rows: Vec<u32> = (0..MORSEL_ROWS as u32).collect();
     first_morsel.insert("lineitem", all.take_ids(&first_rows));
-    let (out, _, whole) = census(&filter, coded.catalog());
+    let (out, _, whole) = census(&filter, base);
     let (_, _, one) = census(&filter, &first_morsel);
     assert_eq!(out.n_rows(), 0, "a year without receipts");
     assert!(
-        whole.count - one.count <= further_morsels, // 6 (2 per morsel) → 3
-        "Q12 left filter, dictionary codes: {whole:?} over four morsels, {one:?} over one"
+        whole.count - one.count <= further_morsels, // coded shipmode 6 → 3; l_suppkey 3
+        "Q12 left filter, numeric `IN`: {whole:?} over four morsels, {one:?} over one"
     );
 
     // Q14 left: a date-range filter over `lineitem`.

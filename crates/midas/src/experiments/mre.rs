@@ -116,10 +116,8 @@ impl MreConfig {
     pub fn table3(seed: u64) -> Self {
         MreConfig {
             gen: GenConfig {
-                scale_factor: 0.1,
-                seed,
                 max_lineitem_rows: Some(200_000),
-                encoding: Default::default(),
+                ..GenConfig::new(0.1, seed)
             },
             drift: DriftIntensity::Strong,
             warmup_runs: 40,
@@ -134,10 +132,8 @@ impl MreConfig {
     pub fn table4(seed: u64) -> Self {
         MreConfig {
             gen: GenConfig {
-                scale_factor: 1.0,
-                seed,
                 max_lineitem_rows: Some(400_000),
-                encoding: Default::default(),
+                ..GenConfig::new(1.0, seed)
             },
             ..Self::table3(seed)
         }

@@ -1,9 +1,6 @@
 //! Front-quality indicators used by the Figure 3 experiment and the
 //! optimizer ablation benches.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
 /// Exact 2-D hypervolume of a front w.r.t. a reference point (minimization):
 /// the area dominated by the front and bounded by `reference`.
 ///
@@ -35,58 +32,6 @@ pub fn hypervolume_2d(front: &[Vec<f64>], reference: &[f64; 2]) -> f64 {
         }
     }
     volume
-}
-
-/// Monte-Carlo hypervolume for any dimensionality (seeded, deterministic).
-///
-/// Samples `n_samples` points uniformly in the box `[ideal, reference]` and
-/// returns the dominated fraction times the box volume. `ideal` defaults to
-/// the component-wise minimum of the front when `None`.
-pub fn hypervolume_mc(
-    front: &[Vec<f64>],
-    reference: &[f64],
-    ideal: Option<&[f64]>,
-    n_samples: usize,
-    seed: u64,
-) -> f64 {
-    if front.is_empty() || n_samples == 0 {
-        return 0.0;
-    }
-    let m = reference.len();
-    let ideal: Vec<f64> = match ideal {
-        Some(v) => v.to_vec(),
-        None => (0..m)
-            .map(|k| {
-                front
-                    .iter()
-                    .map(|c| c[k])
-                    .fold(f64::INFINITY, f64::min)
-            })
-            .collect(),
-    };
-    let box_volume: f64 = reference
-        .iter()
-        .zip(ideal.iter())
-        .map(|(r, i)| (r - i).max(0.0))
-        .product();
-    if box_volume <= 0.0 {
-        return 0.0;
-    }
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut dominated = 0usize;
-    let mut sample = vec![0.0; m];
-    for _ in 0..n_samples {
-        for k in 0..m {
-            sample[k] = rng.gen_range(ideal[k]..=reference[k]);
-        }
-        if front
-            .iter()
-            .any(|c| c.iter().zip(sample.iter()).all(|(ci, si)| ci <= si))
-        {
-            dominated += 1;
-        }
-    }
-    box_volume * dominated as f64 / n_samples as f64
 }
 
 /// Schott's spacing metric: standard deviation of nearest-neighbour
@@ -161,25 +106,6 @@ mod tests {
         let hv = hypervolume_2d(&[vec![4.0, 4.0]], &[3.0, 3.0]);
         assert_eq!(hv, 0.0);
         assert_eq!(hypervolume_2d(&[], &[1.0, 1.0]), 0.0);
-    }
-
-    #[test]
-    fn hv_mc_approximates_exact_2d() {
-        let front = vec![vec![1.0, 2.0], vec![2.0, 1.0]];
-        let exact = hypervolume_2d(&front, &[3.0, 3.0]);
-        let approx = hypervolume_mc(&front, &[3.0, 3.0], Some(&[0.0, 0.0]), 40_000, 99);
-        assert!(
-            (exact - approx).abs() / exact < 0.05,
-            "exact {exact} vs mc {approx}"
-        );
-    }
-
-    #[test]
-    fn hv_mc_is_deterministic() {
-        let front = vec![vec![1.0, 1.0, 1.0]];
-        let a = hypervolume_mc(&front, &[2.0, 2.0, 2.0], None, 1000, 5);
-        let b = hypervolume_mc(&front, &[2.0, 2.0, 2.0], None, 1000, 5);
-        assert_eq!(a, b);
     }
 
     #[test]

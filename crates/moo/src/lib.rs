@@ -20,16 +20,11 @@
 //!   [`nsga2::MooProblem`].
 //! * [`nsgag`] — NSGA-G (Le, Kantere, d'Orazio 2018): NSGA-II with
 //!   grid-based survival selection, the authors' own follow-up baseline.
-//! * [`moead`] — MOEA/D (Zhang & Li 2007, the paper's ref \[36\]):
-//!   Tchebycheff decomposition with neighbourhood mating.
 //! * [`wsm`] — the Weighted Sum Model (Helff & Orazio 2016) with
 //!   min–max normalization, plus a scalarized GA for the Figure 3 contrast.
 //! * [`select`] — Algorithm 2: `BestInPareto` under constraints.
-//! * [`param`] — parametric dominance over a parameter space: `Dom`,
-//!   `StriDom` and the Pareto region `PaReg` of Eq. 2–4 on a discretized
-//!   grid (after Trummer & Koch's multi-objective parametric optimization).
-//! * [`indicators`] — front-quality indicators (2-D exact hypervolume,
-//!   Monte-Carlo hypervolume for higher dimensions, spacing, coverage).
+//! * [`indicators`] — front-quality indicators (exact 2-D hypervolume,
+//!   spacing, coverage).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,17 +33,14 @@
 
 pub mod dominance;
 pub mod indicators;
-pub mod moead;
 pub mod nsga2;
 pub mod nsgag;
-pub mod param;
 pub mod pareto;
 pub mod select;
 pub mod wsm;
 
 pub use dominance::{dominates, strictly_dominates, Dominance};
 pub use nsga2::{IntBoxProblem, MooProblem, Nsga2, Nsga2Config, RankedIndividual};
-pub use moead::{Moead, MoeadConfig};
 pub use nsgag::{NsgaG, NsgaGConfig};
 pub use pareto::{crowding_distance, fast_non_dominated_sort, pareto_front_indices};
 pub use select::{best_in_pareto, Constraints};

@@ -1,10 +1,8 @@
-//! Cross-algorithm integration tests: NSGA-II, NSGA-G and MOEA/D on shared
+//! Cross-algorithm integration tests: NSGA-II and NSGA-G on shared
 //! benchmark problems, judged by the indicators module.
 
 use midas_moo::indicators::{coverage, hypervolume_2d};
-use midas_moo::{
-    IntBoxProblem, Moead, MoeadConfig, Nsga2, Nsga2Config, NsgaG, NsgaGConfig, WeightedSumModel,
-};
+use midas_moo::{IntBoxProblem, Nsga2, Nsga2Config, NsgaG, NsgaGConfig, WeightedSumModel};
 
 /// Discretized ZDT1-flavoured problem: convex front f2 = 1 - sqrt(f1).
 fn zdt1ish() -> IntBoxProblem<impl Fn(&[usize]) -> Vec<f64>> {
@@ -39,21 +37,10 @@ fn all_three_algorithms_cover_the_convex_front() {
             .map(|i| i.costs)
             .collect(),
     );
-    let moead_front = front_of(
-        Moead::new(&p, MoeadConfig::default())
-            .pareto_front()
-            .into_iter()
-            .map(|i| i.costs)
-            .collect(),
-    );
 
-    // The true front's hypervolume w.r.t. (2,2) is ~3.67; all three
-    // algorithms must come reasonably close.
-    for (name, front) in [
-        ("nsga2", &nsga2_front),
-        ("nsga_g", &nsgag_front),
-        ("moea_d", &moead_front),
-    ] {
+    // The true front's hypervolume w.r.t. (2,2) is ~3.67; both algorithms
+    // must come reasonably close.
+    for (name, front) in [("nsga2", &nsga2_front), ("nsga_g", &nsgag_front)] {
         let hv = hypervolume_2d(front, &reference);
         assert!(hv > 3.3, "{name} hypervolume {hv} too low ({} pts)", front.len());
     }
@@ -67,14 +54,14 @@ fn nsga2_is_not_dominated_wholesale_by_the_others() {
         .into_iter()
         .map(|i| i.costs)
         .collect();
-    let moead_front: Vec<Vec<f64>> = Moead::new(&p, MoeadConfig::default())
+    let nsgag_front: Vec<Vec<f64>> = NsgaG::new(&p, NsgaGConfig::default())
         .pareto_front()
         .into_iter()
         .map(|i| i.costs)
         .collect();
     // Neither front fully covers the other (both are decent approximations).
-    let c_ab = coverage(&nsga2_front, &moead_front);
-    let c_ba = coverage(&moead_front, &nsga2_front);
+    let c_ab = coverage(&nsga2_front, &nsgag_front);
+    let c_ba = coverage(&nsgag_front, &nsga2_front);
     assert!(c_ab < 1.0 || c_ba < 1.0);
     // And each covers at least part of the other.
     assert!(c_ab + c_ba > 0.0);
@@ -83,7 +70,7 @@ fn nsga2_is_not_dominated_wholesale_by_the_others() {
 #[test]
 fn weighted_sum_cannot_reach_a_concave_front_interior() {
     // Concave front: f2 = sqrt(1 - f1^2). WSM over the *true front points*
-    // always selects an extreme; Tchebycheff-based MOEA/D keeps interior
+    // always selects an extreme, while a Pareto front keeps the interior
     // points. This is the classic WSM limitation the paper's Section 2.6
     // alludes to.
     const K: usize = 100;
@@ -118,10 +105,6 @@ fn weighted_sum_cannot_reach_a_concave_front_interior() {
 fn ranked_population_is_sorted_by_rank() {
     let p = zdt1ish();
     let (pop, _) = NsgaG::new(&p, NsgaGConfig::default()).run();
-    for w in pop.windows(2) {
-        assert!(w[0].rank <= w[1].rank);
-    }
-    let (pop, _) = Moead::new(&p, MoeadConfig::default()).run();
     for w in pop.windows(2) {
         assert!(w[0].rank <= w[1].rank);
     }

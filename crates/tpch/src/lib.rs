@@ -11,7 +11,8 @@
 //!   1992-01-01 .. 1998-12-31),
 //! * [`gen`] — a seeded generator for the eight TPC-H tables with the spec's
 //!   cardinality ratios and a *row cap* that rescales the database uniformly
-//!   (the substitution documented in DESIGN.md),
+//!   (the substitution documented in DESIGN.md): one layout, built by one
+//!   code path, plus [`DeltaStream`] ingest batches that continue its keys,
 //! * [`queries`] — plan templates for Q12/Q13/Q14/Q17 as two-table federated
 //!   queries (prepare-left, prepare-right, combine),
 //! * [`workload`] — parameterized query-instance streams (rotating ship
@@ -26,15 +27,13 @@
 #![warn(missing_docs)]
 
 pub mod dates;
-pub mod dict;
 pub mod gen;
 pub mod medical;
 pub mod queries;
 pub mod stream;
 pub mod workload;
 
-pub use dict::{Dictionary, TpchDictionaries};
-pub use gen::{DeltaStream, GenConfig, StringEncoding, TpchChunkedDb, TpchDb, TpchDelta};
+pub use gen::{DeltaStream, GenConfig, TpchDb, TpchDelta};
 pub use queries::{QueryId, TwoTableQuery};
 pub use stream::{streaming_workload, StreamEvent, StreamSpec};
 pub use workload::{QueryInstance, WorkloadGenerator};

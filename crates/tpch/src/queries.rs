@@ -18,13 +18,10 @@
 //! selectivity under our comment generator.
 
 use crate::dates::{add_months, ymd};
-use crate::dict::TpchDictionaries;
-use crate::gen::StringEncoding;
 use midas_engines::data::Table;
 use midas_engines::error::EngineError;
 use midas_engines::expr::Expr;
 use midas_engines::ops::{AggExpr, JoinType, PhysicalPlan, WorkProfile};
-use midas_engines::version::CatalogVersion;
 use midas_engines::{execute_fused, Catalog, Value};
 
 /// Which of the paper's queries a template instantiates.
@@ -109,26 +106,6 @@ impl TwoTableQuery {
         Ok((out, [left_profile, right_profile, combine_profile]))
     }
 
-    /// Runs the whole three-plan pipeline **chunk-native**: both prepares
-    /// execute against `version` through the morsel-driven fused executor
-    /// (scans iterate chunks directly — no snapshot is ever compacted),
-    /// and the combine runs fused over the prepared `@frag0` / `@frag1`
-    /// fragments. Results and work profiles are bit-identical to
-    /// [`TwoTableQuery::execute_local`] with either executor on the pinned
-    /// flat catalog.
-    pub fn execute_fused_chunked(
-        &self,
-        version: &CatalogVersion,
-    ) -> Result<(Table, [WorkProfile; 3]), EngineError> {
-        let (left, left_profile) = execute_fused(&self.left_prepare, version)?;
-        let (right, right_profile) = execute_fused(&self.right_prepare, version)?;
-        let mut frags = Catalog::new();
-        frags.insert("@frag0".to_string(), left);
-        frags.insert("@frag1".to_string(), right);
-        let (out, combine_profile) = execute_fused(&self.combine, &frags)?;
-        Ok((out, [left_profile, right_profile, combine_profile]))
-    }
-
     /// Fingerprint of the query's result executed *standalone* against
     /// `catalog` — no federation, simulation or scheduling involved. The
     /// relational result is a pure function of `(query, catalog)`, which
@@ -152,36 +129,9 @@ fn scan(t: &str) -> Box<PhysicalPlan> {
     })
 }
 
-/// A literal from a dictionary-encodable column domain: the value's code
-/// under [`StringEncoding::Dictionary`], or the string itself when plain.
-///
-/// A value outside the domain encodes as `-1`, a code no row carries — the
-/// exact analogue of a string literal no row equals — so both encodings
-/// agree that an unknown parameter selects nothing.
-fn domain_literal(encoding: StringEncoding, dict: &crate::dict::Dictionary, value: &str) -> Value {
-    match encoding {
-        StringEncoding::Plain => Value::Utf8(value.to_string()),
-        StringEncoding::Dictionary => {
-            Value::Int64(dict.code(value).map_or(-1, |code| code as i64))
-        }
-    }
-}
-
 /// TPC-H Q12: for lineitems shipped by two given modes and received within a
 /// year, count lines from high-priority vs other orders, per ship mode.
 pub fn q12(mode1: &str, mode2: &str, year: i32) -> TwoTableQuery {
-    q12_with(StringEncoding::Plain, mode1, mode2, year)
-}
-
-/// [`q12`] against a database of the given string encoding: under
-/// [`StringEncoding::Dictionary`] the ship-mode and priority predicates (and
-/// the ship-mode group-by) compare dictionary codes instead of strings.
-///
-/// `encoding` must match the database's layout
-/// ([`crate::gen::TpchDb::encoding`]); a mismatch type-mismatches every
-/// domain predicate and silently selects nothing.
-pub fn q12_with(encoding: StringEncoding, mode1: &str, mode2: &str, year: i32) -> TwoTableQuery {
-    let dicts = TpchDictionaries::cached();
     // lineitem columns: 0 okey 1 pkey 2 skey 3 qty 4 extprice 5 disc
     //                   6 shipdate 7 commitdate 8 receiptdate 9 shipmode
     let left_prepare = PhysicalPlan::Project {
@@ -189,8 +139,8 @@ pub fn q12_with(encoding: StringEncoding, mode1: &str, mode2: &str, year: i32) -
             input: scan("lineitem"),
             predicate: Expr::col(9)
                 .in_list(vec![
-                    domain_literal(encoding, &dicts.ship_mode, mode1),
-                    domain_literal(encoding, &dicts.ship_mode, mode2),
+                    Value::Utf8(mode1.to_string()),
+                    Value::Utf8(mode2.to_string()),
                 ])
                 .and(Expr::col(7).lt(Expr::col(8)))
                 .and(Expr::col(6).lt(Expr::col(7)))
@@ -211,8 +161,8 @@ pub fn q12_with(encoding: StringEncoding, mode1: &str, mode2: &str, year: i32) -
         ],
     };
     let high = Expr::col(3).in_list(vec![
-        domain_literal(encoding, &dicts.priority, "1-URGENT"),
-        domain_literal(encoding, &dicts.priority, "2-HIGH"),
+        Value::Utf8("1-URGENT".to_string()),
+        Value::Utf8("2-HIGH".to_string()),
     ]);
     let combine = PhysicalPlan::Sort {
         input: Box::new(PhysicalPlan::Aggregate {
@@ -367,18 +317,6 @@ pub fn q14(year: i32, month: u32) -> TwoTableQuery {
 /// TPC-H Q17: average yearly revenue lost if small-quantity orders for one
 /// brand/container were no longer taken.
 pub fn q17(brand: &str, container: &str) -> TwoTableQuery {
-    q17_with(StringEncoding::Plain, brand, container)
-}
-
-/// [`q17`] against a database of the given string encoding: under
-/// [`StringEncoding::Dictionary`] the brand and container predicates compare
-/// dictionary codes instead of strings.
-///
-/// `encoding` must match the database's layout
-/// ([`crate::gen::TpchDb::encoding`]); a mismatch type-mismatches every
-/// domain predicate and silently selects nothing.
-pub fn q17_with(encoding: StringEncoding, brand: &str, container: &str) -> TwoTableQuery {
-    let dicts = TpchDictionaries::cached();
     let left_prepare = PhysicalPlan::Project {
         input: scan("lineitem"),
         exprs: vec![
@@ -391,11 +329,8 @@ pub fn q17_with(encoding: StringEncoding, brand: &str, container: &str) -> TwoTa
         input: Box::new(PhysicalPlan::Filter {
             input: scan("part"),
             predicate: Expr::col(1)
-                .eq(Expr::Lit(domain_literal(encoding, &dicts.brand, brand)))
-                .and(
-                    Expr::col(3)
-                        .eq(Expr::Lit(domain_literal(encoding, &dicts.container, container))),
-                ),
+                .eq(Expr::str(brand))
+                .and(Expr::col(3).eq(Expr::str(container))),
         }),
         exprs: vec![("p_partkey".to_string(), Expr::col(0))],
     };
@@ -487,7 +422,7 @@ mod tests {
 
     /// The paper queries' filters are what selection programs exist for:
     /// Q12's four date conjuncts keep ~1 lineitem in 50 and `l_shipmode IN
-    /// (…)` runs on those (under dictionary codes too), Q14's date range
+    /// (…)` runs on those (a numeric `IN` too), Q14's date range
     /// reads the date slice itself, and Q13's `NOT (CONTAINS w1 AND
     /// CONTAINS w2)` tests `w2` only where `w1` hit. An edit to the totality
     /// rule that moves any of them back to the single program fails here,
@@ -502,9 +437,14 @@ mod tests {
         assert!(selects(&q12_filter, lineitem));
         assert!(selects(filter_of(&q14(1995, 9).left_prepare), lineitem));
         assert!(selects(filter_of(&q13("special", "requests").right_prepare), orders));
-        let coded = TpchDb::generate(GenConfig::new(0.005, 42).dictionary_encoded());
-        let q = q12_with(StringEncoding::Dictionary, "MAIL", "SHIP", 1994);
-        assert!(selects(filter_of(&q.left_prepare), coded.catalog().get("lineitem").unwrap()));
+        // Q12's chain with a numeric `IN` in place of the ship modes.
+        let numeric_in = Expr::col(2)
+            .in_list(vec![Value::Int64(7), Value::Int64(11)])
+            .and(Expr::col(7).lt(Expr::col(8)))
+            .and(Expr::col(6).lt(Expr::col(7)))
+            .and(Expr::col(8).ge(Expr::date(ymd(1980, 1, 1))))
+            .and(Expr::col(8).lt(Expr::date(ymd(1981, 1, 1))));
+        assert!(selects(&numeric_in, lineitem));
         // `l_quantity / l_discount > 1`: a division may raise.
         let opaque = q12_filter.and(Expr::col(3).div(Expr::col(5)).gt(Expr::int(1)));
         assert!(!selects(&opaque, lineitem));

@@ -2,7 +2,7 @@
 //! and query-result sanity at a fixed seed.
 
 use midas_engines::{execute_fused, Value};
-use midas_tpch::gen::{GenConfig, TpchDb, PRIORITIES, SHIP_MODES};
+use midas_tpch::gen::{DeltaStream, GenConfig, TpchDb, PRIORITIES, SHIP_MODES};
 use midas_tpch::queries::{q12, q13, q14, q17, QueryId, TwoTableQuery};
 use midas_tpch::workload::WorkloadGenerator;
 
@@ -108,4 +108,65 @@ fn snapshot_per_table_is_independent() {
     assert_eq!(snap.try_get("orders").expect("snapshot").n_rows(), db.table("orders").expect("generated").n_rows());
     assert_eq!(snap.try_get("lineitem").expect("snapshot").n_rows(), (li_full as f64 * 0.5).round() as usize);
     assert_eq!(snap.try_get("customer").expect("snapshot").n_rows(), (cust_full as f64 * 0.25).round() as usize);
+}
+
+/// Row count and `Table::fingerprint` of every generated table.
+fn shape(db: &TpchDb) -> Vec<(&'static str, usize, u64)> {
+    [
+        "region", "nation", "customer", "part", "supplier", "partsupp", "orders", "lineitem",
+    ]
+    .into_iter()
+    .map(|name| {
+        let t = db.table(name).expect("generated");
+        (name, t.n_rows(), t.fingerprint())
+    })
+    .collect()
+}
+
+/// The generator's output pinned byte for byte: row count and fingerprint
+/// of all eight tables at SF 0.01 and under the row cap, and both tables of
+/// the first delta batch. A change to the generator's code that moves an
+/// RNG draw, a column type or a formatted value fails here.
+#[test]
+fn generated_tables_match_their_golden_fingerprints() {
+    let db = TpchDb::generate(GenConfig::new(0.01, 42));
+    assert_eq!(
+        shape(&db),
+        [
+            ("region", 5, 0x5cfbef6244597c34),
+            ("nation", 25, 0x3df228d83ffdc841),
+            ("customer", 1_500, 0xef3dc7608431ad05),
+            ("part", 2_000, 0xbb4d6dd8f90c91b3),
+            ("supplier", 100, 0x35d44be8e3f59fde),
+            ("partsupp", 8_000, 0xd84a040777f0ecc2),
+            ("orders", 15_000, 0x904671996836ccde),
+            ("lineitem", 59_941, 0x8217e6e41759f0a0),
+        ]
+    );
+    let capped = TpchDb::generate(GenConfig {
+        max_lineitem_rows: Some(20_000),
+        ..GenConfig::new(0.02, 7)
+    });
+    assert_eq!(
+        shape(&capped),
+        [
+            ("region", 5, 0x5cfbef6244597c34),
+            ("nation", 25, 0x3df228d83ffdc841),
+            ("customer", 500, 0xcf9f3a0f2f42417e),
+            ("part", 666, 0xa50455930eae49c6),
+            ("supplier", 33, 0x854470dc0916021a),
+            ("partsupp", 2_664, 0x4132b14191118959),
+            ("orders", 5_000, 0x61af56741931ccc6),
+            ("lineitem", 20_010, 0x6e0fe1db9a7969be),
+        ]
+    );
+    let delta = DeltaStream::new(&db, 42).next_batch(60);
+    assert_eq!(
+        (delta.orders.n_rows(), delta.orders.fingerprint()),
+        (60, 0x092170e377d07622)
+    );
+    assert_eq!(
+        (delta.lineitem.n_rows(), delta.lineitem.fingerprint()),
+        (262, 0x3e18e1178b47d92d)
+    );
 }

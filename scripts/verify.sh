@@ -37,10 +37,14 @@
 #   7. rustdoc over the workspace with warnings denied: a doc comment that
 #      links a name a PR deleted, or a private one from public docs, fails
 #      here instead of dangling.
-#   8. every example under examples/, built in release and run with its
-#      output discarded: an example that stops compiling or exits non-zero
-#      fails here (adaptive_planning takes ~2 s of pacing sleeps, the rest
-#      well under one).
+#   8. every example under examples/ and every paper reproduction binary
+#      (repro_table1..4, repro_fig3, repro_example31), built in release and
+#      run with their output discarded: one that stops compiling or exits
+#      non-zero fails here. The examples take a few seconds
+#      (adaptive_planning's pacing sleeps are ~2 s of it); the reproductions
+#      ~16 s on two vCPUs, mostly table3 and table4, which regenerate their
+#      TPC-H databases through GenConfig. Each reproduction also writes
+#      target/repro/<name>.json.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -65,15 +69,19 @@ stage "benchmark package tests (benchmark/ is its own workspace)" \
 stage "rustdoc (workspace, -D warnings)" \
     env RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 
-run_examples() {
-    cargo build --release --offline --examples
-    local example
+run_examples_and_repros() {
+    cargo build --release --offline --examples --bins
+    local release=${CARGO_TARGET_DIR:-target}/release example repro
     for example in examples/*.rs; do
         example=$(basename "$example" .rs)
         echo "    example $example"
-        "${CARGO_TARGET_DIR:-target}/release/examples/$example" > /dev/null
+        "$release/examples/$example" > /dev/null
+    done
+    for repro in repro_table1 repro_table2 repro_table3 repro_table4 repro_fig3 repro_example31; do
+        echo "    $repro"
+        "$release/$repro" > /dev/null
     done
 }
-stage "examples (build, run each)" run_examples
+stage "examples and paper reproductions (build, run each)" run_examples_and_repros
 
 echo "verify: OK ($SECONDS s)"

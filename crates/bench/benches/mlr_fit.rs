@@ -1,5 +1,7 @@
 //! Bench companion to **Table 2**: MLR fit cost as the window size `M`
 //! grows, for all three solvers — the per-round cost of Algorithm 1's loop.
+//! Beside it, the BML baseline of Tables 3/4: one tournament per window of
+//! `estimation_replay`, and its MLP and bagging fits alone.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use midas_dream::mlr::{fit, SolveMethod};
@@ -60,5 +62,72 @@ fn bench_dream_full(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_mlr_fit, bench_dream_full);
+/// 60 arrivals of a drifting two-metric cost over four table-size-like
+/// features (the shape of `features_from`'s base and prepared row counts).
+fn drifting_history() -> midas_dream::History {
+    let mut h = midas_dream::History::new(4, 2);
+    for i in 0..60 {
+        let t = i as f64;
+        let x = [
+            6e5 * (1.0 + 0.3 * (t * 0.21).sin()),
+            1.5e5 * (1.0 + 0.2 * (t * 0.5).cos()),
+            1e4 * (1.0 + (t * 0.37).sin().abs()),
+            200.0 + 40.0 * (t * 0.9).cos(),
+        ];
+        let load = if i % 20 < 10 { 1.0 } else { 1.6 };
+        let time = load * (3.0 + x[2] * 2e-4 + x[0] * 1e-6) + (t * 1.7).sin();
+        let money = 0.5 + x[3] * 1e-3 * load + if i % 7 == 0 { 0.4 } else { 0.0 };
+        h.record(&x, &[time, money]).expect("fixed arity");
+    }
+    h
+}
+
+fn bench_bml_tournament(c: &mut Criterion) {
+    use midas_dream::{CostEstimator, History};
+    use midas_mlearn::{BmlEstimator, RegressorFamily, WindowSpec};
+    let h = drifting_history();
+    let mut group = c.benchmark_group("bml_tournament");
+    group.sample_size(20);
+    for (name, window) in [
+        ("n", WindowSpec::LatestMultiple(1)),
+        ("2n", WindowSpec::LatestMultiple(2)),
+        ("3n", WindowSpec::LatestMultiple(3)),
+        ("all", WindowSpec::All),
+    ] {
+        group.bench_function(BenchmarkId::new("fit", name), |b| {
+            b.iter(|| {
+                let mut bml = BmlEstimator::new(window, 2);
+                bml.fit(black_box(&h)).expect("60 rows")
+            })
+        });
+    }
+    // The two families that dominate a tournament, alone, at the
+    // 3N window and near the whole history.
+    let families = RegressorFamily::paper_families();
+    for rows in [18usize, 50] {
+        let window = h.latest(rows);
+        let xs: Vec<&[f64]> = window.iter().map(|o| o.features.as_slice()).collect();
+        let ys = History::targets_of(window, 0);
+        for family in &families[1..] {
+            let name = family.build().family();
+            group.bench_with_input(BenchmarkId::new(name, rows), &rows, |b, _| {
+                b.iter(|| {
+                    let mut model = family.build();
+                    model
+                        .fit(black_box(&xs), black_box(&ys))
+                        .expect("enough rows");
+                    model
+                })
+            });
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_mlr_fit,
+    bench_dream_full,
+    bench_bml_tournament
+);
 criterion_main!(benches);

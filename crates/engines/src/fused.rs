@@ -301,16 +301,27 @@ impl<'a> FBatch<'a> {
     /// is identical to measuring the materialized table.
     fn record(&self, profile: &mut Recorder, kind: OpKind, rows_in: u64) {
         let rows_out = self.len() as u64;
+        let bytes_out = match &mut profile.totals {
+            // The widths are summed once and serve both records.
+            Some(totals) => {
+                let columns: Vec<_> = self.widths().collect();
+                let bytes_out = width_bytes(columns.iter().copied(), self.len());
+                totals.push(OpTotals {
+                    kind,
+                    rows_in,
+                    rows_out,
+                    columns,
+                });
+                bytes_out
+            }
+            None => self.bytes(),
+        };
         profile.work.ops.push(OpWork {
             kind,
             rows_in,
             rows_out,
-            bytes_out: self.bytes(),
+            bytes_out,
         });
-        if let Some(totals) = &mut profile.totals {
-            let columns = self.widths().collect();
-            totals.push(OpTotals { kind, rows_in, rows_out, columns });
-        }
     }
 
     /// Returns a consumed batch's selection vectors to the scratch pool.

@@ -23,6 +23,7 @@ use midas_cloud::Federation;
 use midas_moo::select::Constraints;
 use midas_moo::wsm::optimize_scalarized;
 use midas_moo::{best_in_pareto, IntBoxProblem, Nsga2, Nsga2Config, WeightedSumModel};
+use std::cell::RefCell;
 
 /// What a MOQP run produced.
 #[derive(Debug, Clone)]
@@ -33,8 +34,38 @@ pub struct MoqpOutcome {
     pub chosen_costs: Vec<f64>,
     /// The Pareto set the selection came from (singleton for WSM).
     pub pareto: Vec<(CandidateConfig, Vec<f64>)>,
-    /// Cost-model evaluations spent.
+    /// Objective evaluations the search requested: the size of the space
+    /// for the exhaustive evaluator, one per population member met for a
+    /// GA — which costs each distinct genome once ([`moqp_ga`]).
     pub evaluations: usize,
+}
+
+/// The GA search problem over `space`: genomes range over
+/// `space.cardinalities()` and cost as their decoded configuration under
+/// `model`. Each distinct genome is costed once and then read back from a
+/// dense table indexed by the genome's mixed-radix value — as many slots
+/// as the cardinalities' product, at most `sites ×` the space's size. A
+/// GA meets the same genome many times (on the benchmark's Q12 space at
+/// seed 42, NSGA-II's 3 060 requests name 547 genomes); the model is a pure
+/// function of the configuration, so every cost vector is the one a
+/// fresh evaluation returns.
+fn ga_problem<'a>(
+    space: &'a EnumerationSpace,
+    model: &'a PlanCostModel,
+    federation: &'a Federation,
+) -> IntBoxProblem<impl Fn(&[usize]) -> Vec<f64> + 'a> {
+    let cardinalities = space.cardinalities();
+    let radices = cardinalities.clone();
+    let memo = RefCell::new(vec![None; cardinalities.iter().product()]);
+    IntBoxProblem::new(cardinalities, 2, move |genome: &[usize]| {
+        let slot = genome
+            .iter()
+            .zip(&radices)
+            .fold(0, |slot, (&g, &radix)| slot * radix + g);
+        memo.borrow_mut()[slot]
+            .get_or_insert_with(|| model.cost(federation, &space.decode(genome)))
+            .clone()
+    })
 }
 
 /// GA pipeline: NSGA-II → Pareto set → Algorithm 2.
@@ -46,9 +77,7 @@ pub fn moqp_ga(
     constraints: &Constraints,
     ga: Nsga2Config,
 ) -> MoqpOutcome {
-    let problem = IntBoxProblem::new(space.cardinalities(), 2, |genome: &[usize]| {
-        model.cost(federation, &space.decode(genome))
-    });
+    let problem = ga_problem(space, model, federation);
     let (population, evaluations) = Nsga2::new(&problem, ga).run();
     let front: Vec<_> = population.into_iter().filter(|i| i.rank == 0).collect();
     let pareto: Vec<(CandidateConfig, Vec<f64>)> = front
@@ -85,9 +114,7 @@ pub fn moqp_wsm(
     weights: &WeightedSumModel,
     ga: Nsga2Config,
 ) -> MoqpOutcome {
-    let problem = IntBoxProblem::new(space.cardinalities(), 2, |genome: &[usize]| {
-        model.cost(federation, &space.decode(genome))
-    });
+    let problem = ga_problem(space, model, federation);
     let out = optimize_scalarized(&problem, weights.weights(), ga);
     let chosen = space.decode(&out.genome);
     MoqpOutcome {

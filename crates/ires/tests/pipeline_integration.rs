@@ -3,10 +3,15 @@
 use midas_cloud::federation::example_federation;
 use midas_cloud::Federation;
 use midas_engines::{EngineKind, Placement};
-use midas_ires::optimizer::cost_space;
-use midas_ires::{assemble, CandidateConfig, EnumerationSpace, PlanCostModel};
+use midas_ires::optimizer::{cost_space, moqp_wsm, MoqpOutcome};
+use midas_ires::{assemble, moqp_ga, CandidateConfig, EnumerationSpace, PlanCostModel};
+use midas_moo::select::Constraints;
+use midas_moo::wsm::optimize_scalarized;
+use midas_moo::{best_in_pareto, IntBoxProblem, Nsga2, Nsga2Config, WeightedSumModel};
 use midas_tpch::gen::{GenConfig, TpchDb};
 use midas_tpch::queries::{q12, q13, q14, q17};
+use std::cell::{Cell, RefCell};
+use std::collections::HashSet;
 
 fn setup() -> (Federation, Placement, TpchDb) {
     let (fed, a, b) = example_federation();
@@ -166,5 +171,103 @@ fn costed_space_keeps_the_front_of_the_definition_in_enumeration_order() {
         assert_eq!(costed.evaluations, configs.len(), "{}", query.label);
         assert!(want.len() > 1, "{}: a front worth sweeping", query.label);
         assert_eq!(costed.pareto, want, "{}", query.label);
+    }
+}
+
+/// `moqp_ga` / `moqp_wsm` as they were before their evaluator kept a
+/// table: the same searches over a problem that runs the cost model at
+/// every request. Also returns how many of NSGA-II's requests named a
+/// genome it had met before.
+fn unmemoized(
+    space: &EnumerationSpace,
+    model: &PlanCostModel,
+    fed: &Federation,
+    weights: &WeightedSumModel,
+    constraints: &Constraints,
+    ga: Nsga2Config,
+) -> (MoqpOutcome, MoqpOutcome, usize) {
+    let seen = RefCell::new(HashSet::new());
+    let repeats = Cell::new(0);
+    let problem = IntBoxProblem::new(space.cardinalities(), 2, |genome: &[usize]| {
+        if !seen.borrow_mut().insert(genome.to_vec()) {
+            repeats.set(repeats.get() + 1);
+        }
+        model.cost(fed, &space.decode(genome))
+    });
+    let (population, evaluations) = Nsga2::new(&problem, ga).run();
+    let nsga2_repeats = repeats.get();
+    let pareto: Vec<(CandidateConfig, Vec<f64>)> = population
+        .into_iter()
+        .filter(|i| i.rank == 0)
+        .map(|ind| (space.decode(&ind.genome), ind.costs))
+        .collect();
+    let costs: Vec<&[f64]> = pareto.iter().map(|(_, c)| c.as_slice()).collect();
+    let pick = best_in_pareto(&costs, weights, constraints).expect("front is non-empty");
+    let nsga2 = MoqpOutcome {
+        chosen: pareto[pick].0.clone(),
+        chosen_costs: pareto[pick].1.clone(),
+        pareto,
+        evaluations,
+    };
+    let out = optimize_scalarized(&problem, weights.weights(), ga);
+    let chosen = space.decode(&out.genome);
+    let wsm = MoqpOutcome {
+        chosen: chosen.clone(),
+        chosen_costs: out.costs.clone(),
+        pareto: vec![(chosen, out.costs)],
+        evaluations: out.evaluations,
+    };
+    (nsga2, wsm, nsga2_repeats)
+}
+
+fn assert_same_outcome(got: &MoqpOutcome, want: &MoqpOutcome, what: &str) {
+    let bits = |c: &[f64]| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(got.chosen, want.chosen, "{what}");
+    assert_eq!(bits(&got.chosen_costs), bits(&want.chosen_costs), "{what}");
+    assert_eq!(got.pareto.len(), want.pareto.len(), "{what}");
+    for ((gc, gv), (wc, wv)) in got.pareto.iter().zip(&want.pareto) {
+        assert_eq!(gc, wc, "{what}");
+        assert_eq!(bits(gv), bits(wv), "{what}");
+    }
+    assert_eq!(got.evaluations, want.evaluations, "{what}");
+}
+
+#[test]
+fn memoized_ga_pipelines_equal_a_cost_model_call_per_request() {
+    let (fed, placement, db) = setup();
+    let policies = [
+        ([0.5, 0.5], Constraints::none(2)),
+        ([1.0, 0.0], Constraints::none(2)),
+        ([0.0, 1.0], Constraints::none(2)),
+        ([0.5, 0.5], Constraints::none(2).with_bound(1, 100.0)),
+    ];
+    let ga = Nsga2Config::default();
+    for query in [
+        q12("MAIL", "SHIP", 1994),
+        q13("special", "requests"),
+        q14(1995, 2),
+        q17("Brand#11", "SM CASE"),
+    ] {
+        let model = PlanCostModel::build(&placement, &query, db.catalog()).expect("placed");
+        for max_vms in [8, 70] {
+            let space =
+                EnumerationSpace::for_query(&fed, &placement, &query, max_vms).expect("placed");
+            for (w, constraints) in &policies {
+                let what = format!("{} max_vms {max_vms} weights {w:?}", query.label);
+                let weights = WeightedSumModel::new(w);
+                let (nsga2, wsm, repeats) =
+                    unmemoized(&space, &model, &fed, &weights, constraints, ga);
+                let got = moqp_ga(&space, &model, &fed, &weights, constraints, ga);
+                assert_same_outcome(&got, &nsga2, &format!("NSGA-II {what}"));
+                let got = moqp_wsm(&space, &model, &fed, &weights, ga);
+                assert_same_outcome(&got, &wsm, &format!("WSM {what}"));
+                // Most requests name a genome met before: what the table saves.
+                let requests = nsga2.evaluations;
+                assert!(
+                    2 * repeats > requests,
+                    "{what}: {repeats} of {requests} repeat"
+                );
+            }
+        }
     }
 }

@@ -5,7 +5,7 @@
 //! seed so experiments are reproducible.
 
 use crate::regressor::Regressor;
-use crate::tree::{RegressionTree, TreeConfig};
+use crate::tree::{RegressionTree, TreeConfig, TreeScratch};
 use midas_dream::EstimationError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -77,17 +77,16 @@ impl Regressor for BaggingRegressor {
         let mut rng = StdRng::seed_from_u64(self.config.seed);
         let n = xs.len();
         self.trees.clear();
+        self.trees.reserve_exact(self.config.n_estimators);
+        // One set of buffers serves every node of every tree.
+        let mut scratch = TreeScratch::default();
         for _ in 0..self.config.n_estimators {
-            // Bootstrap: n draws with replacement.
-            let mut bx: Vec<&[f64]> = Vec::with_capacity(n);
-            let mut by: Vec<f64> = Vec::with_capacity(n);
-            for _ in 0..n {
-                let i = rng.gen_range(0..n);
-                bx.push(xs[i]);
-                by.push(ys[i]);
-            }
+            // Bootstrap: n draws with replacement, which the tree trains
+            // on in draw order.
+            scratch.rows.clear();
+            scratch.rows.extend((0..n).map(|_| rng.gen_range(0..n)));
             let mut tree = RegressionTree::new(self.config.tree);
-            tree.fit(&bx, &by)?;
+            tree.fit_rows(xs, ys, &mut scratch)?;
             self.trees.push(tree);
         }
         Ok(())

@@ -5,6 +5,15 @@
 //! fixed epoch budget. Inputs and targets are standardized (the features are
 //! table sizes spanning orders of magnitude). Weight init and training are
 //! seeded, so fits are reproducible.
+//!
+//! Weights change once per epoch, so an epoch's forward passes are
+//! independent of each other, and training runs each epoch in phases over
+//! all samples at once: pre-activations, one `tanh` pass, outputs, hidden
+//! deltas, then the gradient sums. Every sum adds its terms in the order
+//! the per-sample loop did — a pre-activation from its bias through the
+//! features, a gradient over the samples in order — so the weights are
+//! bit-identical to that loop's, which a unit test keeps as the oracle.
+//! `tanh` itself is most of what is left.
 
 use crate::regressor::{Regressor, ScalarScaler, Standardizer};
 use midas_dream::EstimationError;
@@ -114,7 +123,14 @@ impl Regressor for MlpRegressor {
         self.n_features = l;
         let x_scaler = Standardizer::fit(xs);
         let y_scaler = ScalarScaler::fit(ys);
-        let zs: Vec<Vec<f64>> = xs.iter().map(|x| x_scaler.transform(x)).collect();
+        // Feature-major: column `i` of the standardized inputs is
+        // `zs[i * n..(i + 1) * n]`.
+        let mut zs = vec![0.0; l * n];
+        for (s, x) in xs.iter().enumerate() {
+            for (i, &v) in x.iter().enumerate() {
+                zs[i * n + s] = x_scaler.z(i, v);
+            }
+        }
         let ts: Vec<f64> = ys.iter().map(|&y| y_scaler.transform(y)).collect();
 
         let h = self.config.hidden;
@@ -131,29 +147,58 @@ impl Regressor for MlpRegressor {
         let decay = self.config.weight_decay;
         let mut g1 = vec![0.0; self.w1.len()];
         let mut g2 = vec![0.0; self.w2.len()];
-        // One activation buffer for every sample of every epoch.
-        let mut act = vec![0.0; h];
+        // Unit-major: unit `j`'s value for sample `s` is `[j * n + s]`.
+        let mut act = vec![0.0; h * n];
+        let mut delta = vec![0.0; h * n];
+        let mut err = vec![0.0; n];
 
         for _ in 0..self.config.epochs {
-            g1.iter_mut().for_each(|g| *g = 0.0);
-            g2.iter_mut().for_each(|g| *g = 0.0);
-            for (z, &t) in zs.iter().zip(ts.iter()) {
-                let out = self.forward(z, &mut act);
-                let err = out - t; // d(0.5*err²)/d out
-                // Output layer gradients.
-                for j in 0..h {
-                    g2[j] += err * act[j];
+            let (w1, w2) = (&self.w1, &self.w2);
+            // Pre-activations: the bias, then the features in index order
+            // (`forward`'s order); then one `tanh` pass.
+            for j in 0..h {
+                let row = &w1[j * (l + 1)..(j + 1) * (l + 1)];
+                let a = &mut act[j * n..(j + 1) * n];
+                a.fill(row[l]);
+                for (i, &w) in row[..l].iter().enumerate() {
+                    for (a, &z) in a.iter_mut().zip(&zs[i * n..(i + 1) * n]) {
+                        *a += w * z;
+                    }
                 }
-                g2[h] += err;
-                // Hidden layer gradients through tanh'.
+            }
+            act.iter_mut().for_each(|a| *a = a.tanh());
+            // Outputs, then their errors: d(0.5*err²)/d out.
+            err.fill(w2[h]);
+            for j in 0..h {
+                for (e, &a) in err.iter_mut().zip(&act[j * n..(j + 1) * n]) {
+                    *e += w2[j] * a;
+                }
+            }
+            for (e, &t) in err.iter_mut().zip(&ts) {
+                *e -= t;
+            }
+            // Hidden deltas through tanh'.
+            for j in 0..h {
+                let unit = j * n..(j + 1) * n;
+                for ((d, &a), &e) in delta[unit.clone()].iter_mut().zip(&act[unit]).zip(&err) {
+                    *d = e * w2[j] * (1.0 - a * a);
+                }
+            }
+            // Gradient sums, each over the samples in sample order.
+            g1.fill(0.0);
+            g2.fill(0.0);
+            for (s, &e) in err.iter().enumerate() {
                 for j in 0..h {
-                    let d = err * self.w2[j] * (1.0 - act[j] * act[j]);
+                    let a = act[j * n + s];
+                    let d = delta[j * n + s];
+                    g2[j] += e * a;
                     let row = j * (l + 1);
-                    for (i, zi) in z.iter().enumerate() {
-                        g1[row + i] += d * zi;
+                    for i in 0..l {
+                        g1[row + i] += d * zs[i * n + s];
                     }
                     g1[row + l] += d;
                 }
+                g2[h] += e;
             }
             for (w, g) in self.w1.iter_mut().zip(g1.iter()) {
                 *w -= lr * (g + decay * *w);

@@ -87,6 +87,12 @@ impl Standardizer {
             .collect()
     }
 
+    /// The z-score of value `v` in column `col`: one entry of
+    /// [`Standardizer::transform`], for a caller that lays rows out itself.
+    pub(crate) fn z(&self, col: usize, v: f64) -> f64 {
+        (v - self.means[col]) / self.stds[col]
+    }
+
     /// Number of columns this standardizer was fitted on.
     pub fn width(&self) -> usize {
         self.means.len()

@@ -241,8 +241,11 @@ impl CostEstimator for BmlEstimator {
 
         let mut fitted: Vec<Box<dyn Regressor>> = Vec::with_capacity(self.n_metrics);
         let mut chosen = Vec::with_capacity(self.n_metrics);
+        // One target buffer serves every metric.
+        let mut ys = Vec::with_capacity(window_len);
         for metric in 0..self.n_metrics {
-            let ys = History::targets_of(window, metric);
+            ys.clear();
+            ys.extend(window.iter().map(|o| o.costs[metric]));
             let model = self.fit_best(&xs, &ys)?;
             chosen.push(model.family());
             fitted.push(model);
@@ -429,5 +432,26 @@ mod tests {
             }
         }
         assert!(winners.len() > 1, "one family won everywhere: {winners:?}");
+    }
+
+    #[test]
+    fn a_nan_feature_costs_the_bagging_family_its_place_not_the_fit() {
+        let mut h = History::new(2, 1);
+        for i in 0..20 {
+            let x = [i as f64, if i == 11 { f64::NAN } else { (i % 4) as f64 }];
+            h.record(&x, &[1.0 + x[0] * x[0]]).unwrap();
+        }
+        let window = h.latest(20);
+        let xs: Vec<&[f64]> = window.iter().map(|o| o.features.as_slice()).collect();
+        let ys = History::targets_of(window, 0);
+        let bagging = &RegressorFamily::paper_families()[1];
+        assert!(matches!(
+            bagging.build().fit(&xs, &ys),
+            Err(EstimationError::Numeric(_))
+        ));
+        // The tournament goes on without the family.
+        let mut bml = BmlEstimator::new(WindowSpec::All, 1);
+        assert!(bml.fit(&h).is_ok());
+        assert_ne!(bml.chosen_families(), &["bagging"]);
     }
 }

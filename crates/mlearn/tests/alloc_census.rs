@@ -7,7 +7,11 @@
 //! asserts that each does its work once:
 //!
 //! * an MLP fit allocates the same at 10 epochs as at 250 (one activation
-//!   vector per sample per epoch made it `n` more per epoch);
+//!   vector per sample per epoch made it `n` more per epoch), and no vector
+//!   per row;
+//! * a regression tree, and a bagging ensemble of them, allocates the same
+//!   at depth 1 as at depth 4 (a `Box` per node and vectors per node and
+//!   candidate feature made it grow with the node count);
 //! * a `TrainingError` tournament allocates what fitting and scoring each
 //!   family once per metric allocates, plus a constant (training the
 //!   winner a second time added one more fit per metric);
@@ -23,8 +27,12 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use midas_dream::{CostEstimator, History};
+use midas_mlearn::bagging::BaggingConfig;
 use midas_mlearn::mlp::MlpConfig;
-use midas_mlearn::{BmlEstimator, MlpRegressor, Regressor, RegressorFamily, WindowSpec};
+use midas_mlearn::tree::{RegressionTree, TreeConfig};
+use midas_mlearn::{
+    BaggingRegressor, BmlEstimator, MlpRegressor, Regressor, RegressorFamily, WindowSpec,
+};
 use midas_moo::{IntBoxProblem, Nsga2, Nsga2Config};
 
 struct Counting;
@@ -115,11 +123,59 @@ fn an_mlp_fit_allocates_the_same_at_any_epoch_count() {
         });
         census(|| mlp.fit(&xs, &ys).expect("60 rows")).1
     };
-    // Parent: 668 and 15 068 (60 more per epoch); now 69 and 69.
+    // Parent: 668 and 15 068 (60 more per epoch); then 69 and 69, one
+    // standardized row per sample; now 11 and 11.
     let (short, long) = (fit_allocations(10), fit_allocations(250));
     assert_eq!(short, long, "allocations grew with the epoch count");
-    // Setting up — one standardized row per sample — is all there is.
-    assert!(long <= 60 + 16, "{long} allocations for a 60-row fit");
+    // Setting up — the scalers, the weights and their gradients, and one
+    // feature-major input and one unit-major buffer per phase — is all
+    // there is: no per-row vector.
+    assert!(long <= 11, "{long} allocations for a 60-row fit");
+}
+
+#[test]
+fn a_bagging_fit_allocates_the_same_at_any_depth() {
+    let h = history();
+    let window = h.latest(60);
+    let xs: Vec<&[f64]> = window.iter().map(|o| o.features.as_slice()).collect();
+    let ys = History::targets_of(window, 0);
+    let tree = |max_depth| TreeConfig {
+        max_depth,
+        min_split: 4,
+    };
+    // One tree at depth 1 and at depth 4: more nodes, the same census.
+    let tree_fit = |max_depth| {
+        let mut tree = RegressionTree::new(tree(max_depth));
+        let ((), allocations) = census(|| tree.fit(&xs, &ys).expect("60 rows"));
+        (tree.n_leaves(), allocations)
+    };
+    let ((shallow_leaves, shallow), (deep_leaves, deep)) = (tree_fit(1), tree_fit(4));
+    assert!(
+        deep_leaves > 2 * shallow_leaves,
+        "{shallow_leaves} vs {deep_leaves} leaves"
+    );
+    assert_eq!(
+        shallow, deep,
+        "a tree's allocations grew with its node count"
+    );
+    // The paper's ensemble: 15 trees.
+    let bagging_fit = |max_depth| {
+        let mut bag = BaggingRegressor::new(BaggingConfig {
+            n_estimators: 15,
+            tree: tree(max_depth),
+            seed: 17,
+        });
+        census(|| bag.fit(&xs, &ys).expect("60 rows")).1
+    };
+    // Parent: 230 and 1 447 (a `Box` per node, vectors per node and per
+    // candidate feature, a bootstrap copy per tree); now 22 and 22.
+    let (shallow, deep) = (bagging_fit(1), bagging_fit(4));
+    assert_eq!(
+        shallow, deep,
+        "an ensemble's allocations grew with its node count"
+    );
+    // One node arena per tree, the tree list and the shared scratch.
+    assert!(deep <= 15 + 7, "{deep} allocations for a 15-tree fit");
 }
 
 #[test]
@@ -156,14 +212,21 @@ fn a_training_error_tournament_fits_each_family_once_per_metric() {
             }
         }
     }
-    // What `fit` adds around the tournament: the window's row pointers, a
-    // target vector per metric, the two result vectors and their boxes.
-    // Now 6. Parent: 2 778 — the same plus one more fit of each metric's
-    // winner (1 318 allocations the cheaper of the two, at this commit).
+    // What `fit` adds around the tournament: the window's row pointers, the
+    // target vector, the two result vectors and the report's R² vector.
+    // Now 5 (one target vector serves both metrics). Parent: 2 778 — the
+    // same plus one more fit of each metric's winner (1 318 allocations the
+    // cheaper of the two, at that commit). The slack was 12 while a
+    // winner's fit read ≥ 69; it is the reading itself since a bagging
+    // winner's fit reads 23, so the bar below stays four slacks.
+    const SLACK: u64 = 5;
     let around = whole_fit - tournament;
-    assert!(around <= 12, "{around} allocations around the tournament");
     assert!(
-        cheapest_winner_fit > 4 * 12,
+        around <= SLACK,
+        "{around} allocations around the tournament"
+    );
+    assert!(
+        cheapest_winner_fit > 4 * SLACK,
         "a winner's fit ({cheapest_winner_fit} allocations) must be unmistakable beside that slack"
     );
 }

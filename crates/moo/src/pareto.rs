@@ -96,16 +96,93 @@ fn lexicographic_front(costs: &[Vec<f64>]) -> Vec<usize> {
 /// Fast non-dominated sort: partitions indices into fronts `F₁, F₂, …` where
 /// `F₁` is the Pareto front, `F₂` the front once `F₁` is removed, and so on.
 ///
-/// Runs in `O(M·n²)` like the original formulation, comparing each pair
-/// once.
+/// Two NaN-free objectives (every QEP cost vector) sort in `O(n log n)`;
+/// anything else runs in `O(M·n²)` like the original formulation, comparing
+/// each pair once. Both list every front's members in the same order.
 pub fn fast_non_dominated_sort(costs: &[Vec<f64>]) -> Vec<Vec<usize>> {
-    // Two objectives (every QEP cost vector) are compared from one flat
-    // fixed-arity copy instead of through `n` separate heap rows.
     let pairs: Option<Vec<[f64; 2]>> = costs.iter().map(|c| c[..].try_into().ok()).collect();
     match pairs {
-        Some(pairs) => sort_rows(&pairs),
-        None => sort_rows(costs),
+        Some(pairs) if !pairs.iter().flatten().any(|v| v.is_nan()) => sort_pairs(&pairs),
+        _ => sort_rows(costs),
     }
+}
+
+/// The two-objective sort, in the member order [`sort_rows`] lists.
+///
+/// Swept in `(x, y, index)` order, every dominator of a point comes before
+/// it, and a front's members so far dominate the point exactly when its
+/// running tail does — the lowest `y` so far and the `x` that first reached
+/// it, tested as in [`two_objective_front`]. Without NaN dominance is
+/// transitive, so the fronts that dominate a point are a prefix, and its
+/// front is the first that does not: a binary search over the tails.
+///
+/// Order: front 0 by index; a member of front `r + 1` by the position in
+/// front `r` of its last dominator there, then by index — the order in
+/// which [`sort_rows`] releases it. Along a front's sweep order `x` ascends
+/// and `y` descends, so a point's dominators in it are one contiguous run,
+/// and the last of them is a range maximum over positions.
+fn sort_pairs(rows: &[[f64; 2]]) -> Vec<Vec<usize>> {
+    let mut sweep: Vec<usize> = (0..rows.len()).collect();
+    sweep.sort_unstable_by(|&a, &b| {
+        objective_cmp(rows[a][0], rows[b][0])
+            .then(objective_cmp(rows[a][1], rows[b][1]))
+            .then(a.cmp(&b))
+    });
+    let mut fronts: Vec<Vec<usize>> = Vec::new();
+    let mut tails: Vec<[f64; 2]> = Vec::new();
+    for &i in &sweep {
+        let [x, y] = rows[i];
+        let r = tails.partition_point(|&[tx, ty]| ty < y || (ty == y && tx < x));
+        if r == tails.len() {
+            tails.push([x, y]);
+            fronts.push(Vec::new());
+        } else if y < tails[r][1] {
+            tails[r] = [x, y];
+        }
+        fronts[r].push(i);
+    }
+
+    // `key[i]`: position in the previous front of `i`'s last dominator
+    // there (0 throughout front 0); `at[i]`: `i`'s position in its front.
+    let mut key = vec![0usize; rows.len()];
+    let mut at = vec![0usize; rows.len()];
+    let mut listed: Vec<usize> = Vec::new();
+    let mut max_of: Vec<usize> = Vec::new();
+    for r in 0..fronts.len() {
+        listed.clear();
+        listed.extend_from_slice(&fronts[r]);
+        listed.sort_unstable_by_key(|&i| (key[i], i));
+        for (k, &i) in listed.iter().enumerate() {
+            at[i] = k;
+        }
+        if let Some(next) = fronts.get(r + 1) {
+            // Sparse table over this front's sweep order: row `lv` holds
+            // the largest position in each window of 2^lv members.
+            let front = &fronts[r];
+            let len = front.len();
+            max_of.clear();
+            max_of.extend(front.iter().map(|&i| at[i]));
+            let mut width = 1;
+            while 2 * width <= len {
+                let row = max_of.len() - len;
+                for k in 0..len {
+                    let wider = max_of[row + (k + width).min(len - 1)];
+                    max_of.push(max_of[row + k].max(wider));
+                }
+                width *= 2;
+            }
+            for &j in next {
+                let [x, y] = rows[j];
+                let first = front.partition_point(|&i| rows[i][1] > y);
+                let last = front.partition_point(|&i| rows[i][0] <= x) - 1;
+                let lv = (last + 1 - first).ilog2() as usize;
+                let row = lv * len;
+                key[j] = max_of[row + first].max(max_of[row + last + 1 - (1 << lv)]);
+            }
+        }
+        fronts[r].copy_from_slice(&listed);
+    }
+    fronts
 }
 
 fn sort_rows<R: AsRef<[f64]>>(rows: &[R]) -> Vec<Vec<usize>> {

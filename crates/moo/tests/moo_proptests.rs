@@ -82,8 +82,75 @@ fn front_of_nan_bearing_input_returns_without_panicking() {
     }
 }
 
+/// The non-dominated sort as Deb et al. state it, each pair compared once
+/// into adjacency lists: the member order the NSGA-II replays depend on,
+/// kept as the oracle of the two-objective sort.
+fn sort_by_pair_loop(costs: &[Vec<f64>]) -> Vec<Vec<usize>> {
+    use midas_moo::dominance::pareto_dominates;
+    let n = costs.len();
+    let mut dominated: Vec<Vec<usize>> = vec![Vec::new(); n];
+    let mut counts = vec![0usize; n];
+    for i in 0..n {
+        for j in (i + 1)..n {
+            if pareto_dominates(&costs[i], &costs[j]) {
+                dominated[i].push(j);
+                counts[j] += 1;
+            } else if pareto_dominates(&costs[j], &costs[i]) {
+                dominated[j].push(i);
+                counts[i] += 1;
+            }
+        }
+    }
+    let mut fronts = Vec::new();
+    let mut current: Vec<usize> = (0..n).filter(|&i| counts[i] == 0).collect();
+    while !current.is_empty() {
+        let mut next = Vec::new();
+        for &i in &current {
+            for &j in &dominated[i] {
+                counts[j] -= 1;
+                if counts[j] == 0 {
+                    next.push(j);
+                }
+            }
+        }
+        fronts.push(std::mem::replace(&mut current, next));
+    }
+    fronts
+}
+
+/// Two-objective rows on [`GRID`] — and on it plus NaN of either sign when
+/// `nan` — up to a GA's parents-plus-children and beyond.
+fn grid_pairs(nan: bool) -> impl Strategy<Value = Vec<Vec<f64>>> {
+    let values = GRID.len() + if nan { 2 } else { 0 };
+    let on_grid = (0..values).prop_map(|k| {
+        GRID.get(k)
+            .copied()
+            .unwrap_or(if k % 2 == 0 { f64::NAN } else { -f64::NAN })
+    });
+    proptest::collection::vec(proptest::collection::vec(on_grid, 2), 0..=130usize)
+}
+
 fn cost_vecs(dims: usize, n: impl Into<proptest::collection::SizeRange>) -> impl Strategy<Value = Vec<Vec<f64>>> {
     proptest::collection::vec(proptest::collection::vec(0.0..100.0f64, dims), n)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1000))]
+
+    /// The `O(n log n)` two-objective sort lists every front and every
+    /// member where the pair loop does, across both zeros, both
+    /// infinities and exact duplicates.
+    #[test]
+    fn two_objective_sort_equals_the_pair_loop(costs in grid_pairs(false)) {
+        prop_assert_eq!(fast_non_dominated_sort(&costs), sort_by_pair_loop(&costs));
+    }
+
+    /// A NaN anywhere takes the pairwise path, which agrees with the pair
+    /// loop too.
+    #[test]
+    fn nan_bearing_sort_equals_the_pair_loop(costs in grid_pairs(true)) {
+        prop_assert_eq!(fast_non_dominated_sort(&costs), sort_by_pair_loop(&costs));
+    }
 }
 
 proptest! {

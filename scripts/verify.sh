@@ -13,7 +13,8 @@
 #      (--test mode; moqp includes the exact front over 18 200 candidates,
 #      which takes seconds instead of milliseconds if it is ever quadratic
 #      again; mlr_fit runs DREAM's reference and online Algorithm 1 side by
-#      side);
+#      side, and its bml_tournament group a BML fit per window — N, 2N,
+#      3N, all — plus the MLP and bagging fits alone at 18 and 50 rows);
 #   5. the static-analysis run, which records BENCH_static_analysis.json
 #      (the workspace target/repro/ and the repo root; the run fails if it
 #      cannot write either): the workspace determinism lint (repro_lint)

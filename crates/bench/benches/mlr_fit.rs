@@ -1,7 +1,9 @@
 //! Bench companion to **Table 2**: MLR fit cost as the window size `M`
 //! grows, for all three solvers — the per-round cost of Algorithm 1's loop.
 //! Beside it, the BML baseline of Tables 3/4: one tournament per window of
-//! `estimation_replay`, and its MLP and bagging fits alone.
+//! `estimation_replay`, and its MLP and bagging fits alone; and serving's
+//! learn step, a record into a `ModellingRegistry` class, against the
+//! record-and-fit of `observe`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use midas_dream::mlr::{fit, SolveMethod};
@@ -124,10 +126,48 @@ fn bench_bml_tournament(c: &mut Criterion) {
     group.finish();
 }
 
+/// A warm medical class: five queries' feature vectors in turn, costs
+/// jittered by load, so DREAM never meets `R² ≥ 0.8` and every fit walks
+/// all 25 windows `m = 6..30`.
+fn bench_registry(c: &mut Criterion) {
+    use midas_ires::ModellingRegistry;
+    let stream: Vec<([f64; 4], [f64; 2])> = (0..100)
+        .map(|i| {
+            let q = (i % 5) as f64;
+            let jitter = ((i * 7919) % 101) as f64 / 100.0;
+            (
+                [5_000.0, 2_000.0, 500.0 + 100.0 * q, 1_000.0 + 37.0 * q],
+                [0.8 + 0.1 * q + 0.2 * jitter, 0.004 + 0.001 * jitter],
+            )
+        })
+        .collect();
+    let registry = ModellingRegistry::dream_defaults(2);
+    for (x, c) in &stream {
+        registry.observe("Medical", x, c).expect("one arity");
+    }
+    let mut group = c.benchmark_group("registry");
+    group.sample_size(30);
+    let mut next = stream.iter().cycle();
+    group.bench_function("record", |b| {
+        b.iter(|| {
+            let (x, c) = next.next().expect("cycles");
+            registry.record("Medical", black_box(x), black_box(c))
+        })
+    });
+    group.bench_function("observe", |b| {
+        b.iter(|| {
+            let (x, c) = next.next().expect("cycles");
+            registry.observe("Medical", black_box(x), black_box(c))
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_mlr_fit,
     bench_dream_full,
-    bench_bml_tournament
+    bench_bml_tournament,
+    bench_registry
 );
 criterion_main!(benches);

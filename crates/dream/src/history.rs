@@ -93,14 +93,7 @@ impl History {
     ///
     /// Fails when the observation arity does not match the history schema.
     pub fn push(&mut self, obs: Observation) -> Result<(), EstimationError> {
-        if obs.features.len() != self.n_features || obs.costs.len() != self.n_metrics {
-            return Err(EstimationError::ArityMismatch {
-                expected_features: self.n_features,
-                got_features: obs.features.len(),
-                expected_metrics: self.n_metrics,
-                got_metrics: obs.costs.len(),
-            });
-        }
+        self.check_arity(obs.features.len(), obs.costs.len())?;
         self.observations.push(obs);
         if let Some(cap) = self.capacity {
             if self.observations.len() > cap {
@@ -111,9 +104,32 @@ impl History {
         Ok(())
     }
 
-    /// Convenience push from raw slices.
+    fn check_arity(&self, features: usize, costs: usize) -> Result<(), EstimationError> {
+        if features != self.n_features || costs != self.n_metrics {
+            return Err(EstimationError::ArityMismatch {
+                expected_features: self.n_features,
+                got_features: features,
+                expected_metrics: self.n_metrics,
+                got_metrics: costs,
+            });
+        }
+        Ok(())
+    }
+
+    /// [`History::push`] from raw slices. A full bounded history reuses
+    /// the evicted observation's buffers, so it allocates nothing.
     pub fn record(&mut self, features: &[f64], costs: &[f64]) -> Result<(), EstimationError> {
-        self.push(Observation::new(features, costs))
+        let full = matches!(self.capacity, Some(cap) if cap > 0 && self.observations.len() >= cap);
+        if !full {
+            return self.push(Observation::new(features, costs));
+        }
+        self.check_arity(features.len(), costs.len())?;
+        self.observations.rotate_left(1);
+        if let Some(newest) = self.observations.last_mut() {
+            newest.features.copy_from_slice(features);
+            newest.costs.copy_from_slice(costs);
+        }
+        Ok(())
     }
 
     /// All observations, oldest first.
@@ -193,6 +209,15 @@ mod tests {
         assert_eq!(h.len(), 3);
         assert_eq!(h.all()[0].costs[0], 2.0);
         assert_eq!(h.all()[2].costs[0], 4.0);
+        // `record` into a full history evicts exactly as `push` does.
+        let mut recorded = History::with_capacity_bound(2, 1, 3);
+        for i in 0..5 {
+            let o = obs(i as f64, i as f64);
+            recorded.record(&o.features, &o.costs).unwrap();
+        }
+        assert_eq!(recorded.all(), h.all());
+        assert!(recorded.record(&[1.0], &[1.0]).is_err());
+        assert_eq!(recorded.all(), h.all(), "a rejected record changes nothing");
     }
 
     #[test]

@@ -390,15 +390,16 @@ impl<'a> SharedExecutor<'a> {
 
     // Inert hint, accepted and ignored: fragments of one run execute in
     // index order on the calling thread. Last caller is
-    // `benchmark/src/replay.rs`; ROADMAP item 2's PR B removes it.
+    // `benchmark/src/replay.rs`; the `[stage-trace]` item's PR B removes
+    // it.
     #[doc(hidden)]
     pub fn with_parallel_fragments(self, _enabled: bool) -> Self {
         self
     }
 
     // Inert hint, accepted and ignored: joins and groupings are single
-    // pass. Last caller is `benchmark/src/replay.rs`; ROADMAP item 2's
-    // PR B removes it.
+    // pass. Last caller is `benchmark/src/replay.rs`; the `[stage-trace]`
+    // item's PR B removes it.
     #[doc(hidden)]
     pub fn with_partition_degree(self, _degree: usize) -> Self {
         self

@@ -29,6 +29,6 @@ pub mod scheduler;
 
 pub use costmodel::{CostModelError, PlanCostModel};
 pub use enumerate::{assemble, CandidateConfig, EnumerationSpace};
-pub use modelling::{Modelling, ModellingRegistry};
+pub use modelling::{ClassLearning, Modelling, ModellingRegistry};
 pub use optimizer::{moqp_ga, moqp_wsm, MoqpOutcome};
 pub use scheduler::{ExecutedQuery, Scheduler, SchedulerConfig, SchedulerError};

@@ -30,9 +30,10 @@
 //!   ([`midas_engines::sim::SiteAdmission`]); the drifting
 //!   [`SimulationEnv`] is shared behind one lock with per-fragment
 //!   critical sections.
-//! * **Learn** — observations feed the shared, lock-guarded
-//!   per-query-class [`ModellingRegistry`]; its DREAM estimators default
-//!   to the incremental `O(L³)` Algorithm 1 path.
+//! * **Learn** — a job records its observation into the shared,
+//!   lock-guarded per-query-class [`ModellingRegistry`]; each class's DREAM
+//!   estimator (the incremental `O(L³)` Algorithm 1 path) fits once per
+//!   call, when the report reads it ([`RuntimeReport::learning`]).
 //!
 //! **Resilience.** Production federations see sites stall, fail and flap;
 //! the runtime injects exactly that through an optional seeded
@@ -81,7 +82,7 @@ use midas_engines::version::{CatalogVersion, IngestReceipt, IngestStats, Version
 use midas_engines::{lock_recover, Catalog, EngineError, Placement, SchemaCatalog};
 use midas_ires::optimizer::{cost_space, moqp_exhaustive, select_costed, CostedSpace};
 use midas_ires::scheduler::{base_rows, features_from, SchedulerError};
-use midas_ires::{assemble, EnumerationSpace, ModellingRegistry, PlanCostModel};
+use midas_ires::{assemble, ClassLearning, EnumerationSpace, ModellingRegistry, PlanCostModel};
 use midas_moo::WeightedSumModel;
 use midas_tpch::TwoTableQuery;
 use std::collections::{HashMap, VecDeque};
@@ -112,13 +113,13 @@ pub struct RuntimeConfig {
     pub pacing: f64,
     // Inert hint, accepted and ignored: a job's fragments run in index
     // order on its worker's thread — parallelism is `workers` over jobs.
-    // Last reader is `benchmark/src/replay.rs`; ROADMAP item 2's PR B
-    // removes it.
+    // Last reader is `benchmark/src/replay.rs`; the `[stage-trace]` item's
+    // PR B removes it.
     #[doc(hidden)]
     pub parallel_fragments: bool,
     // Inert hint, accepted and ignored: joins and groupings are single
-    // pass. Last reader is `benchmark/src/replay.rs`; ROADMAP item 2's
-    // PR B removes it.
+    // pass. Last reader is `benchmark/src/replay.rs`; the `[stage-trace]`
+    // item's PR B removes it.
     #[doc(hidden)]
     pub partition_degree: usize,
     /// Execution attempts per job (>= 1). A `SiteUnavailable` failure
@@ -419,6 +420,11 @@ pub struct RuntimeReport {
     pub reused_fragments: u64,
     /// Federation-wide tail-latency percentiles over all completed jobs.
     pub latency: LatencyStats,
+    /// DREAM's learning state per query class, sorted by class, as of the
+    /// end of the call: every class recorded into since its last fit is
+    /// fitted once while the report is built (a job only records its
+    /// observation). Cumulative across calls, like [`Self::cache`].
+    pub learning: Vec<ClassLearning>,
 }
 
 /// One queued unit of admitted work: the job plus its pinned snapshot and
@@ -1434,6 +1440,9 @@ impl<'a> FederationRuntime<'a> {
         } = sink;
         completed.sort_by_key(|r| r.sequence);
         failed.sort_by_key(|f| f.sequence);
+        // Each class recorded into since its last fit fits once, inside the
+        // timed call.
+        let learning = self.registry.learning();
 
         let wall_s = started.elapsed().as_secs_f64();
         let mut tenants: HashMap<String, TenantStats> = HashMap::new();
@@ -1496,6 +1505,7 @@ impl<'a> FederationRuntime<'a> {
             replans,
             plan_switches,
             reused_fragments,
+            learning,
         }
     }
 
@@ -1744,10 +1754,10 @@ impl<'a> FederationRuntime<'a> {
                 features_from(left_rows, right_rows, &executed, self.config.work_scale);
             let costs = executed.cost_vector();
 
-            // Learn: shared per-class modelling, incremental DREAM refit.
-            let fit = self
-                .registry
-                .observe(query.class(), &features, &costs)
+            // Learn: record into the shared per-class modelling; the class
+            // refits when the report reads it (`finish`).
+            self.registry
+                .record(query.class(), &features, &costs)
                 .map_err(|e| scheduler_err(SchedulerError::Estimation(e)))?;
 
             return Ok(ProcessOutcome {
@@ -1757,7 +1767,6 @@ impl<'a> FederationRuntime<'a> {
                     pareto_size: outcome.pareto.len(),
                     predicted_costs: outcome.chosen_costs,
                     actual_costs: costs,
-                    dream_window: fit.map(|report| report.window_used),
                     result_rows: executed.result.n_rows(),
                     result_fingerprint: executed.result.fingerprint(),
                     catalog_shared_bytes: executed.catalog_shared_bytes,

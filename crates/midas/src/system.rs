@@ -63,9 +63,6 @@ pub struct MidasReport {
     pub predicted_costs: Vec<f64>,
     /// Observed `(time, money)` after execution.
     pub actual_costs: Vec<f64>,
-    /// DREAM's training-window size after learning from this run, if the
-    /// modelling history was already deep enough to fit.
-    pub dream_window: Option<usize>,
     /// The result table's row count.
     pub result_rows: usize,
     /// Content fingerprint of the result table (order-sensitive; see
@@ -195,13 +192,22 @@ mod tests {
         assert_eq!(report.completed.len(), 5);
         // With L = 4 features, m = L + 2 = 6 runs are needed to fit, so
         // five runs never come online.
-        assert!(
-            report.completed.iter().all(|r| r.report.dream_window.is_none()),
-            "5 runs < L + 2 = 6: DREAM not fittable yet"
-        );
-        let modelling = runtime.registry().get("Q12").expect("class recorded");
-        let modelling = modelling.lock().expect("modelling lock");
-        assert_eq!(modelling.history().len(), 5);
-        assert_eq!(modelling.estimator_name(), "DREAM");
+        let learning = &report.learning;
+        assert_eq!(learning.len(), 1);
+        assert_eq!((learning[0].class.as_str(), learning[0].observations), ("Q12", 5));
+        assert_eq!(learning[0].fit, Ok(None), "5 runs < L + 2 = 6: DREAM not fittable yet");
+        {
+            let modelling = runtime.registry().get("Q12").expect("class recorded");
+            let modelling = modelling.lock().expect("modelling lock");
+            assert_eq!(modelling.history().len(), 5);
+            assert_eq!(modelling.estimator_name(), "DREAM");
+        }
+        // The sixth run makes the class fittable: its report fits once.
+        let sixth = RuntimeJob::new("clinic", q12("MAIL", "SHIP", 1998), QueryPolicy::fastest());
+        let report = runtime.run(vec![sixth]);
+        assert!(report.failed.is_empty(), "failures: {:?}", report.failed);
+        let fit = report.learning[0].fit.clone().expect("no numeric failure");
+        assert_eq!(fit.map(|f| f.window_used), Some(6));
+        assert_eq!(report.learning[0].observations, 6);
     }
 }

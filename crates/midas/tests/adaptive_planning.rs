@@ -4,7 +4,7 @@
 //! 1. **Blind-planner bit-identity** — with pressure feedback disabled
 //!    (`pressure_penalty == 0`, the default), every outcome is
 //!    bit-identical to the pre-adaptive planner: same plans, predicted and
-//!    simulated costs, result fingerprints and learned windows, at 1 and 4
+//!    simulated costs, result fingerprints and learned fits, at 1 and 4
 //!    workers, under random ingest interleavings and injected faults.
 //!    `replan_threshold` must be completely inert while feedback is off.
 //! 2. **Zero pressure is a no-op** — feedback *enabled* but with nothing
@@ -30,7 +30,7 @@ use proptest::prelude::*;
 
 /// Field-wise bit-identity between two runtime reports, including the
 /// adaptive-planning additions (`queued_s`, sampled pressure). With
-/// `compare_sim`, the simulated cost vectors, learned windows and
+/// `compare_sim`, the simulated cost vectors, learned fits and
 /// admission/completion clocks are pinned too — valid only when both
 /// runtimes served jobs in the same order (same worker count).
 fn assert_reports_identical(a: &RuntimeReport, b: &RuntimeReport, compare_sim: bool, ctx: &str) {
@@ -57,13 +57,15 @@ fn assert_reports_identical(a: &RuntimeReport, b: &RuntimeReport, compare_sim: b
             assert_eq!(x.admitted_s, y.admitted_s, "{ctx}/{label}: admitted clock drifted");
             assert_eq!(x.completed_s, y.completed_s, "{ctx}/{label}: completed clock drifted");
             assert_eq!(r.actual_costs, s.actual_costs, "{ctx}/{label}: costs drifted");
-            assert_eq!(r.dream_window, s.dream_window, "{ctx}/{label}");
         }
         assert_eq!(r.result_rows, s.result_rows, "{ctx}/{label}");
         assert_eq!(
             r.result_fingerprint, s.result_fingerprint,
             "{ctx}/{label}: result drifted"
         );
+    }
+    if compare_sim {
+        assert_eq!(a.learning, b.learning, "{ctx}: learned fits drifted");
     }
 }
 

@@ -3,7 +3,7 @@
 //! 1. **Differential bit-identity** — a runtime with the fragment + plan
 //!    caches enabled must reproduce, bit-for-bit, the reports of a
 //!    cache-disabled runtime over the same workload: identical plans,
-//!    predicted/observed costs, result fingerprints, learned windows and
+//!    predicted/observed costs, result fingerprints, learned fits and
 //!    attempt counts — at 1 and 4 workers, under randomized ingest
 //!    interleavings, and across fault-injected retries. A cache may only
 //!    ever change *how much work ran*, never *what came out*.
@@ -27,7 +27,7 @@ use midas_tpch::medical::{generate_medical, medical_delta, medical_query};
 use proptest::prelude::*;
 
 /// Field-wise bit-identity between two runtime reports. With
-/// `compare_sim`, the simulated cost vectors and learned windows are
+/// `compare_sim`, the simulated cost vectors and learned fits are
 /// pinned too — valid only when both runtimes served jobs in the same
 /// order (same worker count), because the shared drifting environment
 /// advances with service order. Plans, predicted costs, and result
@@ -58,13 +58,15 @@ fn assert_reports_identical(
         assert_eq!(a.predicted_costs, b.predicted_costs, "{ctx}/{label}");
         if compare_sim {
             assert_eq!(a.actual_costs, b.actual_costs, "{ctx}/{label}: costs drifted");
-            assert_eq!(a.dream_window, b.dream_window, "{ctx}/{label}");
         }
         assert_eq!(a.result_rows, b.result_rows, "{ctx}/{label}");
         assert_eq!(
             a.result_fingerprint, b.result_fingerprint,
             "{ctx}/{label}: result drifted"
         );
+    }
+    if compare_sim {
+        assert_eq!(warm.learning, cold.learning, "{ctx}: learned fits drifted");
     }
 }
 

@@ -13,12 +13,16 @@
 //! the job arrives (on one thread: every gate idle); it never re-plans
 //! speculatively, which a job that did not wait never triggers. A
 //! one-worker runtime must leave the same [`Ledger`] per job, the same
-//! simulated clock, the same per-site admissions and the same learned
-//! history, bit for bit.
+//! simulated clock, the same per-site admissions, the same learned history
+//! and the same per-class DREAM fits, bit for bit. The reference learns
+//! eagerly — `ModellingRegistry::observe`, a fit per job — so the runtime's
+//! fit-on-read report is pinned against the fit of every class's last
+//! observation.
 
 use midas::runtime::{FederationRuntime, RuntimeConfig, RuntimeJob, RuntimeReport};
 use midas::Midas;
 use midas_cloud::SiteId;
+use midas_dream::FitReport;
 use midas_engines::cache::FragmentResultCache;
 use midas_engines::exec::{ResultCacheBinding, SharedExecutor};
 use midas_engines::sim::{FaultPlan, SimulationEnv, SiteAdmission};
@@ -26,9 +30,11 @@ use midas_engines::version::VersionedCatalog;
 use midas_engines::{Catalog, EngineError};
 use midas_ires::optimizer::moqp_exhaustive;
 use midas_ires::scheduler::{base_rows, features_from};
-use midas_ires::{assemble, CandidateConfig, EnumerationSpace, ModellingRegistry, PlanCostModel};
+use midas_ires::{
+    assemble, CandidateConfig, ClassLearning, EnumerationSpace, ModellingRegistry, PlanCostModel,
+};
 use midas_moo::WeightedSumModel;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Mutex;
 
 /// The runtime's cost multiplier on a site that failed earlier in the job
@@ -44,7 +50,6 @@ pub struct Ledger {
     pub pareto_size: usize,
     pub predicted: Vec<u64>,
     pub actual: Vec<u64>,
-    pub dream_window: Option<usize>,
     pub result_rows: usize,
     pub result_fingerprint: u64,
     pub catalog_shared_bytes: u64,
@@ -68,7 +73,6 @@ pub fn ledgers(report: &RuntimeReport) -> Vec<Ledger> {
             pareto_size: r.report.pareto_size,
             predicted: bits(&r.report.predicted_costs),
             actual: bits(&r.report.actual_costs),
-            dream_window: r.report.dream_window,
             result_rows: r.report.result_rows,
             result_fingerprint: r.report.result_fingerprint,
             catalog_shared_bytes: r.report.catalog_shared_bytes,
@@ -78,9 +82,10 @@ pub fn ledgers(report: &RuntimeReport) -> Vec<Ledger> {
         .collect()
 }
 
-/// One class's learned history: features and costs of every observation,
-/// as bits, in arrival order.
-type History = Vec<(Vec<u64>, Vec<u64>)>;
+/// One class's learned history: the count of every observation it
+/// recorded, and the features and costs of those its bounded history
+/// retains, as bits, in arrival order.
+type History = (usize, Vec<(Vec<u64>, Vec<u64>)>);
 
 /// Each query class's learned history, classes sorted by name.
 fn learned(registry: &ModellingRegistry) -> Vec<(String, History)> {
@@ -96,7 +101,7 @@ fn learned(registry: &ModellingRegistry) -> Vec<(String, History)> {
                 .iter()
                 .map(|o| (bits(&o.features), bits(&o.costs)))
                 .collect();
-            (class, observations)
+            (class, (modelling.observations(), observations))
         })
         .collect()
 }
@@ -108,6 +113,8 @@ pub struct Reference<'a> {
     env: Mutex<SimulationEnv>,
     admission: SiteAdmission,
     registry: ModellingRegistry,
+    /// Each class's fit after its latest observation, as `observe` made it.
+    fits: Mutex<BTreeMap<String, Option<FitReport>>>,
     fragment_cache: Option<FragmentResultCache>,
     /// Identities of `catalog`'s tables as the runtime's version 0 would
     /// mint them: the table component of every fragment-cache key. A
@@ -134,6 +141,7 @@ impl<'a> Reference<'a> {
             env: Mutex::new(env),
             admission: SiteAdmission::new(federation.admission_capacities()),
             registry: ModellingRegistry::dream_defaults(2),
+            fits: Mutex::new(BTreeMap::new()),
             fragment_cache: (config.fragment_cache_bytes > 0)
                 .then(|| FragmentResultCache::new(config.fragment_cache_bytes)),
             table_ids: VersionedCatalog::new(catalog.clone()).current().table_ids(),
@@ -204,6 +212,10 @@ impl<'a> Reference<'a> {
                 .registry
                 .observe(query.class(), &features, &costs)
                 .expect("observed");
+            self.fits
+                .lock()
+                .expect("fits lock")
+                .insert(query.class().to_string(), fit);
             return Ledger {
                 label: query.label.clone(),
                 chosen: outcome.chosen,
@@ -211,7 +223,6 @@ impl<'a> Reference<'a> {
                 pareto_size: outcome.pareto.len(),
                 predicted: bits(&outcome.chosen_costs),
                 actual: bits(&costs),
-                dream_window: fit.map(|report| report.window_used),
                 result_rows: executed.result.n_rows(),
                 result_fingerprint: executed.result.fingerprint(),
                 catalog_shared_bytes: executed.catalog_shared_bytes,
@@ -222,13 +233,31 @@ impl<'a> Reference<'a> {
         panic!("reference job {sequence} exhausted its attempts");
     }
 
-    /// Pins `runtime`'s simulated clock and learned histories against this
-    /// reference's, and its per-site admission counts too when both ran
-    /// the same fragment cache (a cache hit takes no site slot).
-    pub fn assert_end_state(&self, runtime: &FederationRuntime<'_>, ctx: &str) {
+    /// Pins `runtime`'s simulated clock, learned histories and the
+    /// per-class fits of its last `report` against this reference's, and
+    /// its per-site admission counts too when both ran the same fragment
+    /// cache (a cache hit takes no site slot).
+    pub fn assert_end_state(
+        &self,
+        runtime: &FederationRuntime<'_>,
+        report: &RuntimeReport,
+        ctx: &str,
+    ) {
         let clock = self.env.lock().expect("env lock").clock_s;
         assert_eq!(runtime.clock_s().to_bits(), clock.to_bits(), "{ctx}: clock");
         assert_eq!(learned(runtime.registry()), learned(&self.registry), "{ctx}: learned");
+        let fits = self.fits.lock().expect("fits lock");
+        let eager: Vec<ClassLearning> = self
+            .registry
+            .history_lens()
+            .into_iter()
+            .map(|(class, observations)| ClassLearning {
+                fit: Ok(fits[&class].clone()),
+                class,
+                observations,
+            })
+            .collect();
+        assert_eq!(report.learning, eager, "{ctx}: fits");
         if runtime.config().fragment_cache_bytes == self.config.fragment_cache_bytes {
             let served: Vec<u64> = runtime
                 .admission_stats()

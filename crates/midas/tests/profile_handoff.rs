@@ -40,7 +40,6 @@ use std::sync::Mutex;
 fn order_free(ledger: &Ledger) -> Ledger {
     Ledger {
         actual: Vec::new(),
-        dream_window: None,
         cache_hits: 0,
         ..ledger.clone()
     }
@@ -128,7 +127,7 @@ fn assert_one_worker_matches_reference(
     };
     assert!(report.failed.is_empty(), "{ctx}: failures {:?}", report.failed);
     assert_eq!(ledgers(&report), expected, "{ctx}");
-    reference.assert_end_state(&rt, ctx);
+    reference.assert_end_state(&rt, &report, ctx);
     (report, expected)
 }
 
@@ -172,7 +171,7 @@ fn hand_off_matches_build_then_execute_across_the_config_matrix() {
 #[test]
 fn dream_windows_are_unchanged_once_the_history_is_deep_enough_to_fit() {
     // Eight observations per class: DREAM fits from the sixth on, so the
-    // learned windows are real numbers, not `None == None`.
+    // learned fits the reference pins are real reports, not `None == None`.
     let (midas, db) = deployment();
     let config = RuntimeConfig {
         max_vms: 2,
@@ -180,7 +179,7 @@ fn dream_windows_are_unchanged_once_the_history_is_deep_enough_to_fit() {
     };
     let (report, _) =
         assert_one_worker_matches_reference(&midas, &db, config, None, &mixed_jobs(8), "deep");
-    assert!(report.completed.iter().any(|r| r.report.dream_window.is_some()));
+    assert!(report.learning.iter().all(|c| matches!(c.fit, Ok(Some(_)))));
 }
 
 #[test]

@@ -140,7 +140,7 @@ fn one_worker_stream_matches_the_sequential_replay_oracle() {
     }
 
     // The simulated world and the learned state ended identically.
-    reference.assert_end_state(&runtime, "one-worker stream");
+    reference.assert_end_state(&runtime, &report, "one-worker stream");
 
     // Both catalogs published the same number of versions, and later
     // queries saw strictly more data than version-0 queries.
@@ -349,7 +349,7 @@ fn cached_stream_over_chunked_versions_matches_the_flat_oracle() {
             }
         }
         let workers = runtime.config().workers;
-        reference.assert_end_state(runtime, &format!("cached stream, {workers} workers"));
+        reference.assert_end_state(runtime, report, &format!("cached stream, {workers} workers"));
     }
 }
 
@@ -458,7 +458,7 @@ fn predecessors_extend_once_per_window_and_change_no_ledger() {
     for (ctx, (runtime, _, report)) in [("one", &one), ("two", &two)] {
         let served: Vec<Ledger> = ledgers(report).iter().map(cache_free).collect();
         assert_eq!(served, oracle, "{ctx}: ledger drifted");
-        reference.assert_end_state(runtime, ctx);
+        reference.assert_end_state(runtime, report, ctx);
     }
     let (_, versions, report) = &raced;
     for r in &report.completed {

@@ -69,10 +69,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("\nclinic workload (DREAM learning online):");
     for r in workload {
-        println!(
-            "  {:28} observed {:6.2} s   DREAM window {:?}",
-            r.report.label, r.report.actual_costs[0], r.report.dream_window
-        );
+        println!("  {:28} observed {:6.2} s", r.report.label, r.report.actual_costs[0]);
+    }
+    // The class's fit, made once when the report was built.
+    for class in &served.learning {
+        println!("  DREAM {class}");
     }
     println!(
         "\nsimulated clock after the workload: {:.0} s",

@@ -69,9 +69,18 @@ fn dream_learns_across_a_session_and_windows_stay_bounded() {
         let modes = if i % 2 == 0 { ("MAIL", "SHIP") } else { ("AIR", "RAIL") };
         q12(modes.0, modes.1, year)
     });
-    let reports = serve(&runtime, queries, &QueryPolicy::fastest());
+    // One call per query: each report's per-class entry is DREAM's fit
+    // after that run.
+    let windows: Vec<usize> = queries
+        .filter_map(|query| {
+            let job = RuntimeJob::new("clinic", query, QueryPolicy::fastest());
+            let report = runtime.run(vec![job]);
+            assert!(report.failed.is_empty(), "failures: {:?}", report.failed);
+            let q12 = report.learning.iter().find(|c| c.class == "Q12").expect("learned");
+            q12.fit.clone().expect("no numeric failure").map(|f| f.window_used)
+        })
+        .collect();
     // With L = 4 features DREAM needs 6 runs; 10 runs leave >= 4 fits.
-    let windows: Vec<usize> = reports.iter().filter_map(|r| r.dream_window).collect();
     assert!(windows.len() >= 4, "DREAM fits recorded: {windows:?}");
     // Windows stay near the minimum (the paper's observation).
     assert!(windows.iter().all(|&w| (6..=10).contains(&w)), "{windows:?}");

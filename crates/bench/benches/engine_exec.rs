@@ -9,7 +9,7 @@ use midas_engines::sim::{DriftIntensity, SimulationEnv};
 use midas_engines::version::{CatalogVersion, ChunkedTable};
 use midas_engines::{
     execute_fused, AggExpr, Catalog, Column, ColumnData, EngineKind, Expr, JoinType, PhysicalPlan,
-    Placement, RowWiseOutput, Table, TableSource,
+    Placement, CombineState, RowWiseOutput, Table, TableSource,
 };
 use midas_ires::scheduler::{Scheduler, SchedulerConfig};
 use midas_ires::CandidateConfig;
@@ -139,7 +139,11 @@ fn bench_scalar_vs_fused(c: &mut Criterion) {
 ///   batches of 60 orders), where the chunks' string bytes are concatenated
 ///   with one copy each; and Q17's left prepare, three whole numeric
 ///   columns of `lineitem` cut into three chunks, each value copied once
-///   from its chunk.
+///   from its chunk;
+/// * what planning runs after a publish: Q13's right prepare extended by
+///   one 60-order delta, and Q17's and Q13's whole queries — both prepares
+///   extended, then the combine's delta state advanced over the rows they
+///   appended.
 ///
 /// Read the 600 k-row cases as ns/row = time / 600 k.
 fn bench_cold_path_kernels(c: &mut Criterion) {
@@ -254,6 +258,27 @@ fn bench_cold_path_kernels(c: &mut Criterion) {
     group.bench_function("extend_q13_right_by_one_delta", |b| {
         b.iter(|| next.next().map(|v| black_box(extended.extend(prepare, v).expect("extends"))))
     });
+    // What planning runs for a whole query after a publish: Q17's and
+    // Q13's two prepares extended by the next delta, then the combine's
+    // delta state advanced over the rows they appended.
+    for (name, q) in [("extend_q17_combine_by_one_delta", &q17), ("extend_q13_combine_by_one_delta", &q13)] {
+        let prepare = |plan: &PhysicalPlan| {
+            RowWiseOutput::compute(plan, &ingested).expect("row-wise").expect("runs")
+        };
+        let mut prepared = [prepare(&q.left_prepare), prepare(&q.right_prepare)];
+        let [left, right] = &prepared;
+        let mut state = CombineState::compute(&q.combine, &[left, right]).expect("runs");
+        let mut next = later.iter();
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let v = next.next()?;
+                let [left, right] = &mut prepared;
+                left.extend(&q.left_prepare, v).expect("extends");
+                right.extend(&q.right_prepare, v).expect("extends");
+                Some(black_box(state.extend(&q.combine, &[left, right]).expect("extends")))
+            })
+        });
+    }
     group.finish();
 }
 

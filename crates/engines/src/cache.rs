@@ -83,6 +83,20 @@
 //! [`PlanningStats`], never in [`CacheStats`], and touch no recency, so
 //! execution's hits, misses and admissions are what they were.
 //!
+//! A combine keeps a *delta state* ([`CombineState`]) from the full run
+//! planning makes of it: per-group aggregate states, the preserved rows a
+//! left-outer join matched, a join side an operator produced. The state
+//! rides on the combine's entry, is charged to the byte budget with it
+//! (`CombineState::bytes` on top of the table) and leaves with it when
+//! the LRU evicts it. A publish turns it into a predecessor in the same
+//! generation as the row-wise prepares. Planning has no join site, so the
+//! slot is keyed as planning is: by tenant under [`CacheScope::PerTenant`],
+//! shared otherwise. After a job's prepares are planned, its combine's
+//! predecessor is advanced over the rows they appended, under its own lock
+//! (`fused`'s module docs, §6); a state that cannot advance — a late job's
+//! older version, both sides of a join grown, a poisoned lock — is left as
+//! it is, and the combine is computed in full.
+//!
 //! # Scopes
 //!
 //! Cross-tenant sharing of cached results in a *medical* federation is a
@@ -110,7 +124,7 @@
 
 use crate::data::Value;
 use crate::expr::Expr;
-use crate::fused::RowWiseOutput;
+use crate::fused::{CombineState, RowWiseOutput};
 use crate::ops::{AggExpr, JoinType, PhysicalPlan, WorkProfile};
 use crate::data::Table;
 use midas_cloud::SiteId;
@@ -677,11 +691,21 @@ pub struct CachedFragment {
     /// For a row-wise prepare planning computed, what extending it needs
     /// (see *Predecessors* in the module docs).
     pub(crate) row_wise: Option<RowWiseOutput>,
+    /// For a combine planning computed or extended, its delta state.
+    pub(crate) combine: Option<CombineEntry>,
 }
 
-/// What planning did for the prepares it profiled through the fragment
-/// cache (`exec::profile_fragments_cached`). Execution's own lookups are
-/// [`CacheStats`]; these count none of them.
+/// A combine's delta state beside the predecessor slot planning keys it by
+/// (see *Predecessors* in the module docs).
+#[derive(Debug, Clone)]
+pub(crate) struct CombineEntry {
+    pub(crate) slot: CacheKey,
+    pub(crate) state: CombineState,
+}
+
+/// What planning did for the prepares and combines it profiled through the
+/// fragment cache (`exec::profile_fragments_cached`). Execution's own lookups
+/// are [`CacheStats`]; these count none of them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanningStats {
     /// Prepares taken as they were: an exact cached output, or a
@@ -696,6 +720,14 @@ pub struct PlanningStats {
     /// Rows those full computations scanned
     /// ([`WorkProfile::scanned_rows`]).
     pub computed_rows: u64,
+    /// Combines taken from their delta state: advanced over the rows their
+    /// prepares appended, or found already advanced to them.
+    pub combines_extended: u64,
+    /// Combines computed in full, declined ones included.
+    pub combines_computed: u64,
+    /// Combines computed in full although a delta state was found: it
+    /// could not advance to the job's prepares.
+    pub combines_declined: u64,
 }
 
 /// The shared fragment-result cache (see the module docs): identical
@@ -706,12 +738,14 @@ pub struct FragmentResultCache {
     /// The one generation of predecessors, keyed by [`slot_key`], each
     /// behind the lock that advances it.
     predecessors: Mutex<HashMap<CacheKey, Arc<Mutex<RowWiseOutput>>>>,
+    /// The same generation's combine states, keyed by their planning slot.
+    combines: Mutex<HashMap<CacheKey, Arc<Mutex<CombineState>>>>,
     planning: Mutex<PlanningStats>,
 }
 
 /// The predecessor slot of an exact key: its scope, its plan and its table
 /// names, whatever state of the tables.
-fn slot_key(key: &CacheKey) -> CacheKey {
+pub(crate) fn slot_key(key: &CacheKey) -> CacheKey {
     CacheKey {
         scope: key.scope.clone(),
         fingerprint: key.fingerprint.clone(),
@@ -725,6 +759,7 @@ impl FragmentResultCache {
         FragmentResultCache {
             cache: ScopedCache::new(budget_bytes),
             predecessors: Mutex::new(HashMap::new()),
+            combines: Mutex::new(HashMap::new()),
             planning: Mutex::new(PlanningStats::default()),
         }
     }
@@ -746,7 +781,17 @@ impl FragmentResultCache {
         crate::lock_recover(&self.predecessors).get(&slot_key(key)).cloned()
     }
 
-    /// Counts what planning did for one prepare.
+    /// The delta state the last publish kept in the combine slot `slot`.
+    pub(crate) fn combine_predecessor(&self, slot: &CacheKey) -> Option<Arc<Mutex<CombineState>>> {
+        crate::lock_recover(&self.combines).get(slot).cloned()
+    }
+
+    /// Every combine state the last publish kept, in no particular order.
+    pub fn combine_predecessors(&self) -> Vec<Arc<Mutex<CombineState>>> {
+        crate::lock_recover(&self.combines).values().cloned().collect()
+    }
+
+    /// Counts what planning did for one fragment.
     pub(crate) fn count_planning(&self, count: impl FnOnce(&mut PlanningStats)) {
         count(&mut crate::lock_recover(&self.planning));
     }
@@ -759,9 +804,10 @@ impl FragmentResultCache {
     /// Admits a fragment output under `key`, owned by `owner` (the
     /// submitting tenant) for fair-share eviction, charged its full
     /// [`Table::estimated_bytes`] whatever buffers it shares (see the
-    /// module docs' *Eviction*).
+    /// module docs' *Eviction*), and a combine's delta state on top.
     pub fn insert(&self, key: CacheKey, fragment: Arc<CachedFragment>, owner: &str) -> bool {
         let bytes = fragment.table.estimated_bytes()
+            + fragment.combine.as_ref().map_or(0, |c| c.state.bytes())
             + 48 * fragment.work.ops.len() as u64
             + key.estimated_bytes()
             + 128;
@@ -770,10 +816,10 @@ impl FragmentResultCache {
 
     /// Drops every entry that read any of the superseded `(name, id)`
     /// tables — the ingest-publish hook. Entries over untouched tables
-    /// survive. The dropped entries holding a row-wise prepare's output
-    /// become the one generation of predecessors, replacing the last
-    /// publish's (see the module docs). Returns the number of entries
-    /// dropped.
+    /// survive. The dropped entries holding a row-wise prepare's output or
+    /// a combine's delta state become the one generation of predecessors,
+    /// replacing the last publish's (see the module docs). Returns the
+    /// number of entries dropped.
     pub fn invalidate_tables(&self, stale: &[(String, u64)]) -> u64 {
         if stale.is_empty() {
             return 0;
@@ -788,12 +834,20 @@ impl FragmentResultCache {
                 Some((slot_key(key), Arc::new(Mutex::new(output))))
             })
             .collect();
+        let combines: HashMap<_, _> = removed
+            .iter()
+            .filter_map(|(_, fragment)| {
+                let entry = fragment.combine.clone()?;
+                Some((entry.slot, Arc::new(Mutex::new(entry.state))))
+            })
+            .collect();
         let dropped = removed.len() as u64;
         // The entries go first, so a predecessor is its table's only holder
         // once no job reads it; the old generation is freed outside the lock.
         drop(removed);
         let old = std::mem::replace(&mut *crate::lock_recover(&self.predecessors), generation);
-        drop(old);
+        let old_combines = std::mem::replace(&mut *crate::lock_recover(&self.combines), combines);
+        drop((old, old_combines));
         dropped
     }
 
@@ -1024,6 +1078,7 @@ mod tests {
             table: Arc::clone(&table),
             work: WorkProfile::default(),
             row_wise: None,
+            combine: None,
         });
         let key_t7 = CacheKey::new(
             String::new(),

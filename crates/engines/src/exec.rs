@@ -44,14 +44,20 @@
 //! that executed. With a fragment cache, planning profiles through it
 //! ([`profile_fragments_cached`]): a prepare cached at the pinned version
 //! is taken as it is, and one cached before a publish that only appended
-//! to its table is extended over the new chunks (see [`crate::cache`]'s
-//! *Predecessors*).
+//! to its table is extended over the new chunks; a combine's delta state
+//! kept before such a publish is advanced over the rows its prepares
+//! appended (see [`crate::cache`]'s *Predecessors*).
 
-use crate::cache::{CacheKey, CacheScope, CachedFragment, FragmentResultCache, PlanFingerprint};
+use crate::cache::{
+    slot_key, CacheKey, CacheScope, CachedFragment, CombineEntry, FragmentResultCache,
+    PlanFingerprint,
+};
 use crate::catalog::Catalog;
 use crate::engine::{EngineKind, EngineProfile};
 use crate::error::EngineError;
-use crate::fused::{execute_fused, execute_fused_over, RowWiseOutput, TableSource};
+use crate::fused::{
+    execute_fused, execute_fused_over, frag_number, CombineState, RowWiseOutput, TableSource,
+};
 use crate::ops::{OpKind, PhysicalPlan, WorkProfile};
 use crate::sim::{FaultPlan, SimulationEnv, SiteAdmission};
 use crate::version::CatalogVersion;
@@ -111,6 +117,9 @@ pub struct ProfiledFragment {
     /// For a row-wise prepare planned through the fragment cache, what
     /// extending it after a publish needs; it rides into the cache entry.
     pub(crate) row_wise: Option<RowWiseOutput>,
+    /// For a combine planned through the fragment cache, its delta state;
+    /// it rides into the cache entry too.
+    pub(crate) combine: Option<CombineEntry>,
 }
 
 impl ProfiledFragment {
@@ -120,6 +129,15 @@ impl ProfiledFragment {
             table,
             work,
             row_wise: None,
+            combine: None,
+        }
+    }
+
+    fn combine(plan: &PhysicalPlan, slot: CacheKey, state: CombineState) -> Self {
+        let (table, work) = (Arc::clone(state.table()), state.work());
+        ProfiledFragment {
+            combine: Some(CombineEntry { slot, state }),
+            ..ProfiledFragment::new(plan, table, work)
         }
     }
 
@@ -151,9 +169,11 @@ pub fn profile_fragments<'a>(
 /// `version`: a prepare — a plan reading no `@frag` output, given with the
 /// site its cache key names — is its exact cached output, else its
 /// predecessor extended over the chunks appended since, else a full
-/// computation (see [`crate::cache`], *Predecessors*); every other plan is
-/// computed in full. Outputs and work profiles are bit for bit those of
-/// [`profile_fragments`].
+/// computation; a combine — a plan reading `@frag` outputs only — is its
+/// delta state advanced over the rows its prepares appended, else a full
+/// computation that keeps one (see [`crate::cache`], *Predecessors*).
+/// Every other plan is computed in full. Outputs and work profiles are bit
+/// for bit those of [`profile_fragments`].
 pub fn profile_fragments_cached(
     plans: &[(&PhysicalPlan, Option<SiteId>)],
     version: &CatalogVersion,
@@ -170,21 +190,95 @@ fn profile(
 ) -> Result<Vec<ProfiledFragment>, EngineError> {
     let mut catalog = Catalog::new();
     let mut profiled = Vec::with_capacity(plans.len());
+    let mut closures: Vec<Vec<usize>> = Vec::with_capacity(plans.len());
     for (idx, &(plan, site)) in plans.iter().enumerate() {
-        let prepare = site.zip(cache).filter(|_| referenced_fragments(plan).is_empty());
-        let fragment = match (prepare, base_tables) {
-            (Some((site, binding)), TableSource::Versioned(version)) => {
-                plan_prepare(plan, site, version, binding)?
+        let reads = referenced_fragments(plan);
+        closures.push(closure(idx, &reads, &closures));
+        let fragment = match (cache, base_tables) {
+            (Some(binding), TableSource::Versioned(version)) if reads.is_empty() => match site {
+                Some(site) => plan_prepare(plan, site, version, binding)?,
+                None => full_run(plan, &catalog, base_tables)?,
+            },
+            (Some(binding), TableSource::Versioned(_))
+                if referenced_base_tables(plan).is_empty() =>
+            {
+                let closure: Vec<_> = closures[idx].iter().map(|&i| plans[i].0).collect();
+                plan_combine(plan, &closure, &profiled, &catalog, binding)?
             }
-            _ => {
-                let (table, work) = execute_fused_over(plan, &catalog, base_tables)?;
-                ProfiledFragment::new(plan, Arc::new(table), work)
-            }
+            _ => full_run(plan, &catalog, base_tables)?,
         };
         catalog.insert_shared(format!("@frag{idx}"), Arc::clone(&fragment.table));
         profiled.push(fragment);
     }
     Ok(profiled)
+}
+
+/// One plan run in full over the `@frag` outputs so far and the base tables.
+fn full_run(
+    plan: &PhysicalPlan,
+    frags: &Catalog,
+    base_tables: TableSource<'_>,
+) -> Result<ProfiledFragment, EngineError> {
+    let (table, work) = execute_fused_over(plan, frags, base_tables)?;
+    Ok(ProfiledFragment::new(plan, Arc::new(table), work))
+}
+
+/// Fragment `idx`'s dependency closure: itself and every fragment it
+/// transitively reads (`reads`, each below `idx`, with `closures` of the
+/// fragments before it), ascending. A read at or past `idx` is left out:
+/// such a plan fails when it runs.
+fn closure(idx: usize, reads: &[usize], closures: &[Vec<usize>]) -> Vec<usize> {
+    let mut closure = vec![idx];
+    for &dep in reads.iter().filter(|&&dep| dep < idx) {
+        closure.extend(closures[dep].iter().copied());
+    }
+    closure.sort_unstable();
+    closure.dedup();
+    closure
+}
+
+/// Plans one combine through the fragment cache: the delta state the last
+/// publish kept in its slot, advanced under its own lock over the rows the
+/// job's prepares appended, else a full computation that keeps a state
+/// (see [`profile_fragments_cached`]). Without every earlier fragment's
+/// row-wise lineage, or an identity for every table its closure reads, it
+/// is computed in full and keeps nothing.
+fn plan_combine(
+    plan: &PhysicalPlan,
+    closure: &[&PhysicalPlan],
+    profiled: &[ProfiledFragment],
+    frags: &Catalog,
+    binding: ResultCacheBinding<'_>,
+) -> Result<ProfiledFragment, EngineError> {
+    let cache = binding.cache;
+    let inputs: Option<Vec<&RowWiseOutput>> =
+        profiled.iter().map(|p| p.row_wise.as_ref()).collect();
+    // Planning has no join site: the slot is scoped as the plan cache is.
+    let scope = match binding.scope {
+        CacheScope::PerTenant => binding.scope.key(binding.tenant, SiteId(0)),
+        CacheScope::SiteLocal | CacheScope::FederationGlobal => String::new(),
+    };
+    let slot = fragment_key(binding, closure, scope).map(|key| slot_key(&key));
+    let (Some(inputs), Some(slot)) = (inputs, slot) else {
+        let fragment = full_run(plan, frags, (&Catalog::new()).into())?;
+        cache.count_planning(|s| s.combines_computed += 1);
+        return Ok(fragment);
+    };
+    let mut declined = false;
+    // A poisoned state is skipped: a panic may have left it half advanced.
+    if let Some(Ok(mut state)) = cache.combine_predecessor(&slot).as_deref().map(Mutex::lock) {
+        if state.extend(plan, &inputs).is_some() {
+            cache.count_planning(|s| s.combines_extended += 1);
+            return Ok(ProfiledFragment::combine(plan, slot, state.clone()));
+        }
+        declined = true;
+    }
+    let state = CombineState::compute(plan, &inputs)?;
+    cache.count_planning(|s| {
+        s.combines_computed += 1;
+        s.combines_declined += declined as u64;
+    });
+    Ok(ProfiledFragment::combine(plan, slot, state))
 }
 
 /// Plans one prepare through the fragment cache (see
@@ -196,7 +290,7 @@ fn plan_prepare(
     binding: ResultCacheBinding<'_>,
 ) -> Result<ProfiledFragment, EngineError> {
     let cache = binding.cache;
-    let key = fragment_key(binding, &[plan], site);
+    let key = fragment_key(binding, &[plan], binding.scope.key(binding.tenant, site));
     if let Some(key) = &key {
         if let Some(hit) = cache.peek(key) {
             cache.count_planning(|s| s.reused += 1);
@@ -553,19 +647,14 @@ fn run_federated(
     let cache_keys: Vec<Option<CacheKey>> = if let Some(binding) = cache {
         let mut closures: Vec<Vec<usize>> = Vec::with_capacity(n);
         for (idx, frag_deps) in deps.iter().enumerate() {
-            let mut closure = vec![idx];
-            for &dep in frag_deps {
-                closure.extend(closures[dep].iter().copied());
-            }
-            closure.sort_unstable();
-            closure.dedup();
-            closures.push(closure);
+            closures.push(closure(idx, frag_deps, &closures));
         }
         (0..n)
             .map(|idx| {
                 let plans: Vec<&PhysicalPlan> =
                     closures[idx].iter().map(|&i| &query.fragments[i].plan).collect();
-                fragment_key(binding, &plans, query.fragments[idx].site)
+                let scope = binding.scope.key(binding.tenant, query.fragments[idx].site);
+                fragment_key(binding, &plans, scope)
             })
             .collect()
     } else {
@@ -678,6 +767,7 @@ fn run_federated(
                         table: Arc::clone(&table),
                         work: work.clone(),
                         row_wise: handed[idx].and_then(|p| p.row_wise.clone()),
+                        combine: handed[idx].and_then(|p| p.combine.clone()),
                     }),
                     binding.tenant,
                 );
@@ -743,10 +833,10 @@ fn run_federated(
     })
 }
 
-/// The result-cache key of a fragment that runs at `site` and computes
-/// `plans`: its own plan after those of every fragment it transitively
-/// reads, in fragment order (`@frag` references inside the plans pin the
-/// wiring). The key is the binding's scope, the plans' canonical
+/// The result-cache key, in sharing scope `scope`, of a fragment that
+/// computes `plans`: its own plan after those of every fragment it
+/// transitively reads, in fragment order (`@frag` references inside the
+/// plans pin the wiring). The key is the scope, the plans' canonical
 /// fingerprint and the pinned identity of every base table they scan, so
 /// equal keys imply the same deterministic computation over the same data.
 /// `None` when a scanned table has no identity in the binding: such a
@@ -754,7 +844,7 @@ fn run_federated(
 fn fragment_key(
     binding: ResultCacheBinding<'_>,
     plans: &[&PhysicalPlan],
-    site: SiteId,
+    scope: String,
 ) -> Option<CacheKey> {
     let mut tables: Vec<(String, u64)> = Vec::new();
     for plan in plans {
@@ -766,7 +856,7 @@ fn fragment_key(
         }
     }
     let fingerprint = PlanFingerprint::of_plans(plans.iter().copied());
-    Some(CacheKey::new(binding.scope.key(binding.tenant, site), fingerprint, tables))
+    Some(CacheKey::new(scope, fingerprint, tables))
 }
 
 /// Calls `visit` with the table name of every scan in `plan`, left to
@@ -795,13 +885,9 @@ fn referenced_base_tables(plan: &PhysicalPlan) -> Vec<String> {
 
 /// Indices `N` of the scan names of the form `@frag<N>` referenced by a
 /// plan, ascending, each once.
-fn referenced_fragments(plan: &PhysicalPlan) -> Vec<usize> {
+pub(crate) fn referenced_fragments(plan: &PhysicalPlan) -> Vec<usize> {
     let mut deps = Vec::new();
-    for_each_scan(plan, &mut |table| {
-        if let Some(idx) = table.strip_prefix("@frag").and_then(|rest| rest.parse().ok()) {
-            deps.push(idx);
-        }
-    });
+    for_each_scan(plan, &mut |table| deps.extend(frag_number(table)));
     deps.sort_unstable();
     deps.dedup();
     deps

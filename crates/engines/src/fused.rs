@@ -4,7 +4,8 @@
 //!
 //! This is the executor that serves; [`crate::ops::execute_scalar`] is its
 //! row-at-a-time reference. Four coordinated changes make SF ≥ 1 data
-//! survivable, and a fifth makes a table that grows cheap to plan over:
+//! survivable, and a fifth and a sixth make a table that grows cheap to
+//! plan over:
 //!
 //! 1. **Morsels.** Filters, projections and aggregate inputs run over
 //!    cache-resident row ranges of [`MORSEL_ROWS`] rows of one slab at a
@@ -69,6 +70,40 @@
 //!    appends in place, and composes the work profile from exact totals;
 //!    where a full run's global normalization could differ (validity
 //!    masks, disagreeing types) it declines.
+//! 6. **Combines extend.** A combine's first full run keeps a delta state
+//!    ([`CombineState`]): every operator's exact totals, each aggregate's
+//!    per-group states, the preserved rows a left-outer join matched, and a
+//!    join side that is an operator's own output. When its prepares only
+//!    appended rows, the state advances over those rows, operator by
+//!    operator in the full run's post-order, by four rules that follow from
+//!    the plan shape and from a join's output order, (left position, right
+//!    position):
+//!    - **R1, appends.** A scan of an extended prepare, a filter or
+//!      projection over appended rows, and an inner join whose left input
+//!      only appends and whose right input is unchanged output their old
+//!      rows followed by the delta's: the operator runs over the delta
+//!      alone (the join with the whole right side).
+//!    - **R2, grouped fold.** An aggregate over appended rows keeps its
+//!      per-group states: each group continues its fold in row order, so a
+//!      float `sum` or `avg` is bit-identical, and new groups follow in
+//!      first-seen order.
+//!    - **R3, outer join.** An aggregate grouped on the preserved side of a
+//!      left-outer join whose preserved side is unchanged and whose other
+//!      side only appends keeps integer `Count` / `CountIf` states: the
+//!      delta's matches add to them, and a preserved row matched for the
+//!      first time withdraws its NULL-extended stand-in.
+//!    - **R4, the rest.** An operator above an input that did not only
+//!      append runs again over its inputs' whole outputs, which are small
+//!      here: Q17's `j1 ⋈ avg_q` → filter → sum, Q13's count of counts →
+//!      sort.
+//!
+//!    Everything else declines to the full run: a mask or a type change on
+//!    an appended prepare (as in 5), a prepare of an older version or one
+//!    grown by another writer, a join whose two sides grow (Q12's) or whose
+//!    right side alone does, a sort or limit over appended rows, a delta
+//!    that fails to evaluate. Work profiles compose from exact per-operator
+//!    totals, as in 5, so costs, ledgers and fingerprints are what a full
+//!    run produces.
 //!
 //! **Bit-for-bit parity.** For every plan, [`execute_fused`] — over a
 //! catalog or over a version — produces the same result [`Table`]
@@ -95,10 +130,12 @@ use crate::data::{
     virtual_bytes, width_bytes, Column, ColumnData, DataType, Table, Utf8Column, Value,
 };
 use crate::error::EngineError;
+use crate::exec::referenced_fragments;
 use crate::expr::{BatchVals, EvalScratch, Expr, KernelCols, KernelPlan, NumTy, SelView};
 use crate::ops::{
-    aggregate_vec, hash_join_vec, join_key_columns, serial_join_indices, sort_sel, AggExpr,
-    AggInput, Batch, JoinType, OpKind, OpWork, PhysicalPlan, TableSlot, WorkProfile,
+    accumulate_aggs, agg_output_columns, aggregate_vec, gather_join, hash_join_vec,
+    join_key_columns, serial_group_ids, serial_join_indices, sort_sel, AggAcc, AggExpr, AggInput,
+    Batch, JoinType, OpKind, OpWork, PhysicalPlan, TableSlot, WorkProfile,
 };
 use crate::version::{CatalogVersion, ChunkedTable};
 use std::sync::Arc;
@@ -149,13 +186,84 @@ fn run_to_table(
     Ok(fb.into_flat(&mut scratch).materialize())
 }
 
-/// What one fused run records: its work profile and, when a row-wise
-/// output is to be extended later ([`RowWiseOutput`]), every operator's
-/// [`OpTotals`].
+/// What one fused run records: its work profile and, when its output is to
+/// be extended later ([`RowWiseOutput`], [`CombineState`]), every
+/// operator's [`OpTotals`] and what a combine's operators keep.
 #[derive(Default)]
 struct Recorder {
     work: WorkProfile,
     totals: Option<Vec<OpTotals>>,
+    kept: Option<Vec<(usize, Kept)>>,
+}
+
+impl Recorder {
+    /// A recorder of every operator's totals, and, with `keep`, of what a
+    /// combine's operators keep.
+    fn with_totals(keep: bool) -> Recorder {
+        Recorder {
+            work: WorkProfile::default(),
+            totals: Some(Vec::new()),
+            kept: keep.then(Vec::new),
+        }
+    }
+
+    /// Records one operator's work; `widths` (its output columns' types and
+    /// string totals) is read only when totals are recorded.
+    fn op(
+        &mut self,
+        kind: OpKind,
+        rows_in: u64,
+        rows_out: u64,
+        bytes_out: u64,
+        widths: impl FnOnce() -> Vec<(DataType, usize)>,
+    ) {
+        if let Some(totals) = &mut self.totals {
+            let columns = widths();
+            debug_assert_eq!(width_bytes(columns.iter().copied(), rows_out as usize), bytes_out);
+            totals.push(OpTotals {
+                kind,
+                rows_in,
+                rows_out,
+                columns,
+            });
+        }
+        self.work.ops.push(OpWork {
+            kind,
+            rows_in,
+            rows_out,
+            bytes_out,
+        });
+    }
+
+    /// The index the next recorded operator takes.
+    fn next_op(&self) -> usize {
+        self.work.ops.len()
+    }
+
+    /// Keeps `kept` for operator `at`, when the run builds a combine's state.
+    fn keep(&mut self, at: usize, kept: impl FnOnce() -> Option<Kept>) {
+        if let Some(all) = &mut self.kept {
+            all.extend(kept().map(|k| (at, k)));
+        }
+    }
+
+    /// Keeps the join side `side` (operator `at`, computed by `plan`)
+    /// whole: a later re-run of the join over a changed other side needs
+    /// it ([`CombineState`]). A scan is read again where it lies, and an
+    /// aggregate rebuilds its output from its own state; only an
+    /// operator's own table, unselected, is kept, and it is moved, not
+    /// copied.
+    fn keep_side(&mut self, plan: &PhysicalPlan, at: usize, side: Batch<'_>) {
+        let rebuilt = matches!(
+            plan,
+            PhysicalPlan::Scan { .. }
+                | PhysicalPlan::PrunedScan { .. }
+                | PhysicalPlan::Aggregate { .. }
+        );
+        if let (false, TableSlot::Owned(t), None) = (rebuilt, side.slot, side.sel) {
+            self.keep(at, || Some(Kept::Table(Arc::new(t))));
+        }
+    }
 }
 
 /// Where base-table scans resolve: a flat [`Catalog`] or one published
@@ -301,27 +409,15 @@ impl<'a> FBatch<'a> {
     /// is identical to measuring the materialized table.
     fn record(&self, profile: &mut Recorder, kind: OpKind, rows_in: u64) {
         let rows_out = self.len() as u64;
-        let bytes_out = match &mut profile.totals {
+        match profile.totals {
             // The widths are summed once and serve both records.
-            Some(totals) => {
+            Some(_) => {
                 let columns: Vec<_> = self.widths().collect();
                 let bytes_out = width_bytes(columns.iter().copied(), self.len());
-                totals.push(OpTotals {
-                    kind,
-                    rows_in,
-                    rows_out,
-                    columns,
-                });
-                bytes_out
+                profile.op(kind, rows_in, rows_out, bytes_out, || columns);
             }
-            None => self.bytes(),
-        };
-        profile.work.ops.push(OpWork {
-            kind,
-            rows_in,
-            rows_out,
-            bytes_out,
-        });
+            None => profile.op(kind, rows_in, rows_out, self.bytes(), Vec::new),
+        }
     }
 
     /// Returns a consumed batch's selection vectors to the scratch pool.
@@ -862,10 +958,14 @@ fn run_fused<'a>(
             join_type,
         } => {
             let lb = run_fused(left, src, profile, scratch)?.into_flat(scratch);
+            let left_at = profile.next_op() - 1;
             let rb = run_fused(right, src, profile, scratch)?.into_flat(scratch);
+            let right_at = profile.next_op() - 1;
             let rows_in = (lb.len() + rb.len()) as u64;
             let nb = owned(hash_join_vec(&lb, &rb, left_keys, right_keys, *join_type)?);
             nb.record(profile, OpKind::Join, rows_in);
+            profile.keep_side(left, left_at, lb);
+            profile.keep_side(right, right_at, rb);
             Ok(nb)
         }
         PhysicalPlan::Aggregate {
@@ -901,7 +1001,10 @@ fn run_fused<'a>(
                 );
             }
             let b = run_fused(input, src, profile, scratch)?.into_flat(scratch);
-            let out = aggregate_vec(&mut b.table(), b.sel_ref(), b.len(), group_by, aggs, scratch)?;
+            let (out, accs) =
+                aggregate_vec(&mut b.table(), b.sel_ref(), b.len(), group_by, aggs, scratch)?;
+            let fold = || Some(Kept::Fold(Fold::of(&out, group_by, accs, None)));
+            profile.keep(profile.next_op(), fold);
             let nb = owned(out);
             nb.record(profile, OpKind::Aggregate, b.len() as u64);
             if let Some(old) = b.sel {
@@ -1043,6 +1146,26 @@ impl<'t> DeferredJoin<'t> {
     /// clones under NULLs), right strings contribute 0 for outer-join
     /// misses (`take_opt_ids` emits empty strings there).
     fn bytes_sel(&self, sel: Option<&[u32]>) -> u64 {
+        let n = sel.map_or_else(|| self.n(), <[u32]>::len);
+        let columns = self.lt.columns().iter().chain(self.rt.columns());
+        virtual_bytes(columns, n, |ci, v| self.utf8_total(ci, v, sel))
+    }
+
+    /// What [`DeferredJoin::bytes_sel`] measures, per column: its type and
+    /// the total length of its strings at the positions `sel`.
+    fn widths_sel(&self, sel: Option<&[u32]>) -> Vec<(DataType, usize)> {
+        let n = sel.map_or_else(|| self.n(), <[u32]>::len);
+        let columns = self.lt.columns().iter().chain(self.rt.columns());
+        let width = |(ci, c): (usize, &Column)| match &*c.data {
+            ColumnData::Utf8(v) if n > 0 => (DataType::Utf8, self.utf8_total(ci, v, sel)),
+            data => (data.data_type(), 0),
+        };
+        columns.enumerate().map(width).collect()
+    }
+
+    /// The total length of output column `ci`'s strings (`v` its source
+    /// column's) at the positions `sel` (`None` = all rows).
+    fn utf8_total(&self, ci: usize, v: &Utf8Column, sel: Option<&[u32]>) -> usize {
         /// Sums `len_at` over the positions `sel` (`None` = all `n`).
         fn total(n: usize, sel: Option<&[u32]>, len_at: impl Fn(usize) -> usize) -> usize {
             match sel {
@@ -1050,18 +1173,14 @@ impl<'t> DeferredJoin<'t> {
                 Some(s) => s.iter().map(|&p| len_at(p as usize)).sum(),
             }
         }
-        let n = sel.map_or_else(|| self.n(), <[u32]>::len);
-        let columns = self.lt.columns().iter().chain(self.rt.columns());
-        virtual_bytes(columns, n, |ci, v| {
-            if ci < self.lc {
-                total(self.n(), sel, |p| v.value_len(self.left_out[p] as usize))
-            } else {
-                let hit = |p: usize| {
-                    if self.right_hit[p] { v.value_len(self.right_out[p] as usize) } else { 0 }
-                };
-                total(self.n(), sel, hit)
-            }
-        })
+        if ci < self.lc {
+            total(self.n(), sel, |p| v.value_len(self.left_out[p] as usize))
+        } else {
+            let hit = |p: usize| {
+                if self.right_hit[p] { v.value_len(self.right_out[p] as usize) } else { 0 }
+            };
+            total(self.n(), sel, hit)
+        }
     }
 }
 
@@ -1105,7 +1224,9 @@ fn agg_over_join<'a>(
     scratch: &mut EvalScratch,
 ) -> Result<FBatch<'a>, EngineError> {
     let lb = run_fused(left, src, profile, scratch)?.into_flat(scratch);
+    let left_at = profile.next_op() - 1;
     let rb = run_fused(right, src, profile, scratch)?.into_flat(scratch);
+    let right_at = profile.next_op() - 1;
     let rows_in_join = (lb.len() + rb.len()) as u64;
 
     let (lcols, rcols) = join_key_columns(&lb, &rb, left_keys, right_keys)?;
@@ -1113,12 +1234,8 @@ fn agg_over_join<'a>(
         serial_join_indices(&lb, &rb, &lcols, &rcols, join_type);
     let mut dj = DeferredJoin::new(lb.table(), rb.table(), left_out, right_out, right_hit);
     let n_join = dj.n();
-    profile.work.ops.push(OpWork {
-        kind: OpKind::Join,
-        rows_in: rows_in_join,
-        rows_out: n_join as u64,
-        bytes_out: dj.bytes_sel(None),
-    });
+    let bytes = dj.bytes_sel(None);
+    profile.op(OpKind::Join, rows_in_join, n_join as u64, bytes, || dj.widths_sel(None));
 
     // Peeled filters: each evaluates morsel-wise over the live join
     // positions against the sparse cache, never touching unreferenced
@@ -1135,24 +1252,40 @@ fn agg_over_join<'a>(
             positions.as_deref(),
             scratch,
         )?;
-        profile.work.ops.push(OpWork {
-            kind: OpKind::Filter,
-            rows_in,
-            rows_out: sel.len() as u64,
-            bytes_out: dj.bytes_sel(Some(&sel)),
-        });
+        let (rows_out, bytes) = (sel.len() as u64, dj.bytes_sel(Some(&sel)));
+        profile.op(OpKind::Filter, rows_in, rows_out, bytes, || dj.widths_sel(Some(&sel)));
         if let Some(old) = positions.replace(sel) {
             scratch.put_sel(old);
         }
     }
 
     let n_live = positions.as_ref().map_or(n_join, Vec::len);
-    let out = aggregate_vec(&mut dj, positions.as_deref(), n_live, group_by, aggs, scratch)?;
+    let (out, accs) =
+        aggregate_vec(&mut dj, positions.as_deref(), n_live, group_by, aggs, scratch)?;
     if let Some(old) = positions {
         scratch.put_sel(old);
     }
+    // An outer-join fold also keeps which preserved rows have a match: a
+    // later match must withdraw the row's NULL-extended stand-in.
+    let outer = filters.is_empty()
+        && lb.sel.is_none()
+        && outer_fold_shape(join_type, group_by, aggs, dj.lc);
+    let matched = |dj: &DeferredJoin<'_>| {
+        let mut matched = vec![false; dj.lt.n_rows()];
+        for (&l, &hit) in dj.left_out.iter().zip(&dj.right_hit) {
+            matched[l as usize] |= hit;
+        }
+        matched
+    };
+    profile.keep(profile.next_op(), || {
+        let matched = outer.then(|| matched(&dj));
+        Some(Kept::Fold(Fold::of(&out, group_by, accs, matched)))
+    });
+    drop(dj);
     let nb = owned(out);
     nb.record(profile, OpKind::Aggregate, n_live as u64);
+    profile.keep_side(left, left_at, lb);
+    profile.keep_side(right, right_at, rb);
     Ok(nb)
 }
 
@@ -1183,6 +1316,17 @@ struct OpTotals {
 }
 
 impl OpTotals {
+    /// The totals of an operator that read `rows_in` rows into `out`.
+    fn of(kind: OpKind, rows_in: usize, out: &Table) -> OpTotals {
+        let columns = out.columns().iter().map(|c| (c.data.data_type(), c.data.utf8_bytes()));
+        OpTotals {
+            kind,
+            rows_in: rows_in as u64,
+            rows_out: out.n_rows() as u64,
+            columns: columns.collect(),
+        }
+    }
+
     fn work(&self) -> OpWork {
         let bytes_out = width_bytes(self.columns.iter().copied(), self.rows_out as usize);
         OpWork {
@@ -1215,6 +1359,26 @@ impl OpTotals {
             columns,
         })
     }
+
+    /// This output without `part`, rows of it: the inverse of
+    /// [`OpTotals::then`]. `None` when `part` is not contained in it.
+    fn less(&self, part: &OpTotals) -> Option<OpTotals> {
+        let columns = if part.rows_out == 0 {
+            self.columns.clone()
+        } else {
+            let pairs = self.columns.iter().zip(&part.columns);
+            let less = |(&(ty, a), &(pty, b)): (&(DataType, usize), &(DataType, usize))| {
+                (ty == pty).then(|| a.checked_sub(b)).flatten().map(|w| (ty, w))
+            };
+            pairs.map(less).collect::<Option<Vec<_>>>()?
+        };
+        Some(OpTotals {
+            kind: self.kind,
+            rows_in: self.rows_in.checked_sub(part.rows_in)?,
+            rows_out: self.rows_out.checked_sub(part.rows_out)?,
+            columns,
+        })
+    }
 }
 
 /// Runs `plan` over `version`, recording every operator's [`OpTotals`].
@@ -1222,10 +1386,7 @@ fn run_row_wise(
     plan: &PhysicalPlan,
     version: &CatalogVersion,
 ) -> Result<(Table, Vec<OpTotals>), EngineError> {
-    let mut recorder = Recorder {
-        work: WorkProfile::default(),
-        totals: Some(Vec::new()),
-    };
+    let mut recorder = Recorder::with_totals(false);
     let table = run_to_table(plan, &Catalog::new(), version.into(), &mut recorder)?;
     let totals = recorder.totals.unwrap_or_default();
     debug_assert_eq!(recorder.work.ops, totals.iter().map(OpTotals::work).collect::<Vec<_>>());
@@ -1293,7 +1454,6 @@ impl RowWiseOutput {
         let only_new = ChunkedTable::from_chunks(grown.name(), appended.to_vec()).ok()?;
         let (delta, delta_ops) =
             run_row_wise(plan, &CatalogVersion::from_chunked(vec![only_new])).ok()?;
-        let masked = |t: &Table| t.columns().iter().any(|c| c.validity.is_some());
         let rows = delta.n_rows() > 0;
         if masked(&self.table) || masked(&delta) || (rows && delta.schema() != self.table.schema())
         {
@@ -1315,4 +1475,705 @@ impl RowWiseOutput {
         self.ops = ops;
         Some(appended.iter().map(|c| c.n_rows()).sum())
     }
+}
+
+// ----- combines, extended over the rows their prepares appended -----
+
+/// What a combine's operator keeps between runs ([`CombineState`]).
+#[derive(Debug, Clone)]
+enum Kept {
+    /// A join side's output, whole: a re-run of the join reads it.
+    Table(Arc<Table>),
+    /// An aggregate's per-group state.
+    Fold(Fold),
+}
+
+/// An aggregate's per-group state: its output's group-key columns, each
+/// aggregate's running state and, over a left-outer join, which preserved
+/// rows have a match.
+#[derive(Debug, Clone)]
+struct Fold {
+    keys: Vec<Column>,
+    accs: Vec<AggAcc>,
+    groups: usize,
+    matched: Option<Vec<bool>>,
+}
+
+impl Fold {
+    /// The state behind `out`, an aggregate's output over `group_by`.
+    fn of(out: &Table, group_by: &[usize], accs: Vec<AggAcc>, matched: Option<Vec<bool>>) -> Fold {
+        Fold {
+            keys: out.columns()[..group_by.len()].to_vec(),
+            accs,
+            groups: out.n_rows(),
+            matched,
+        }
+    }
+
+    /// The aggregate's output: the group keys, then one column per
+    /// aggregate, as [`aggregate_vec`] assembles them.
+    fn output(&self, aggs: &[(String, AggExpr)]) -> Option<Table> {
+        let mut columns = self.keys.clone();
+        columns.extend(agg_output_columns(aggs, &self.accs));
+        Table::new("agg", columns).ok()
+    }
+
+    /// The group id of each row of `rows`, discovered after this fold's
+    /// groups as one pass over the old groups' keys followed by the rows
+    /// would discover them, beside the new key columns when a row opened a
+    /// group.
+    fn ids(&self, rows: &Table, group_by: &[usize]) -> Option<(Vec<u32>, Option<Vec<Column>>)> {
+        let n = rows.n_rows();
+        if group_by.is_empty() || n == 0 {
+            return Some((vec![0; n], None));
+        }
+        let old = self.groups;
+        let pairs = self.keys.iter().zip(group_by);
+        let cols = pairs
+            .map(|(key, &g)| concat_columns(key, rows.column(g).ok()?))
+            .collect::<Option<Vec<Column>>>()?;
+        let (ids, reps) = serial_group_ids(None, &cols.iter().collect::<Vec<_>>(), old + n);
+        if reps.len() < old || reps[..old].iter().enumerate().any(|(g, &r)| r as usize != g) {
+            return None;
+        }
+        let keys = (reps.len() > old).then(|| cols.iter().map(|c| c.take_ids(&reps)).collect());
+        Some((ids[old..].to_vec(), keys))
+    }
+
+    /// Folds `rows` — the rows after every row folded so far — into the
+    /// state, in row order.
+    fn absorb(
+        &mut self,
+        rows: &Table,
+        group_by: &[usize],
+        aggs: &[(String, AggExpr)],
+        scratch: &mut EvalScratch,
+    ) -> Option<()> {
+        let (ids, keys) = self.ids(rows, group_by)?;
+        if let Some(keys) = keys {
+            self.groups = keys[0].len();
+            self.keys = keys;
+        }
+        let mut input = rows;
+        let n = rows.n_rows();
+        accumulate_aggs(&mut input, None, aggs, &ids, self.groups, n, &mut self.accs, scratch).ok()
+    }
+
+    fn bytes(&self) -> u64 {
+        let accs: u64 = self.accs.iter().map(AggAcc::bytes).sum();
+        let matched = self.matched.as_ref().map_or(0, Vec::len) as u64;
+        8 * (self.groups * self.keys.len()) as u64 + accs + matched
+    }
+}
+
+/// `a`'s rows followed by `b`'s, named `a`'s; `None` when their types
+/// differ.
+fn concat_columns(a: &Column, b: &Column) -> Option<Column> {
+    let b = Column {
+        name: a.name.clone(),
+        ..b.clone()
+    };
+    let (a, b) = (Table::new("k", vec![a.clone()]).ok()?, Table::new("k", vec![b]).ok()?);
+    Table::concat("k", &[&a, &b]).ok()?.columns().first().cloned()
+}
+
+/// Whether an aggregate directly over a join of this type keeps integer
+/// counts an appended *right* side can extend (R3 in the module docs): a
+/// left-outer join, grouped on preserved-side columns, counting.
+fn outer_fold_shape(
+    join_type: JoinType,
+    group_by: &[usize],
+    aggs: &[(String, AggExpr)],
+    left_width: usize,
+) -> bool {
+    join_type == JoinType::LeftOuter
+        && group_by.iter().all(|&g| g < left_width)
+        && aggs.iter().all(|(_, agg)| matches!(agg, AggExpr::Count | AggExpr::CountIf(_)))
+}
+
+/// Whether any column of `t` carries a validity mask.
+fn masked(t: &Table) -> bool {
+    t.columns().iter().any(|c| c.validity.is_some())
+}
+
+/// The `N` of a scan of `@frag<N>`.
+pub(crate) fn frag_number(table: &str) -> Option<usize> {
+    table.strip_prefix("@frag")?.parse().ok()
+}
+
+/// The prepare outputs a combine reads, as the fragment catalog `@frag<N>`.
+fn frag_catalog(inputs: &[&RowWiseOutput]) -> Catalog {
+    let mut frags = Catalog::new();
+    for (n, input) in inputs.iter().enumerate() {
+        frags.insert_shared(format!("@frag{n}"), Arc::clone(input.table()));
+    }
+    frags
+}
+
+/// One fragment a combine read, as its state last saw it: the base-table
+/// chunks its row-wise prepare covered, its rows, schema and whether any
+/// column had a mask.
+#[derive(Debug, Clone)]
+struct Cover {
+    chunks: Vec<Arc<Table>>,
+    rows: usize,
+    schema: Vec<(String, DataType)>,
+    masked: bool,
+}
+
+/// How a fragment moved since a combine's state read it.
+#[derive(Debug, Clone, Copy)]
+enum Growth {
+    /// The same rows: the same chunks.
+    Same,
+    /// Rows appended after the first `n`.
+    Appended(usize),
+}
+
+impl Cover {
+    fn of(output: &RowWiseOutput) -> Cover {
+        let table = output.table();
+        Cover {
+            chunks: output.chunks.clone(),
+            rows: table.n_rows(),
+            schema: table.schema().into_iter().map(|(n, ty)| (n.to_string(), ty)).collect(),
+            masked: masked(table),
+        }
+    }
+
+    /// How `output`, the same prepare over a later state of its table, grew
+    /// from this one; `None` when it is not this output with rows appended
+    /// — an older version, another writer's chunks, a schema or type
+    /// change — or when either side has a validity mask.
+    fn growth(&self, output: &RowWiseOutput) -> Option<Growth> {
+        let (table, chunks) = (output.table(), &output.chunks);
+        let prefix = self.chunks.iter().zip(chunks).all(|(a, b)| Arc::ptr_eq(a, b));
+        if !prefix || chunks.len() < self.chunks.len() || table.n_rows() < self.rows {
+            return None;
+        }
+        let schema = table.schema().into_iter();
+        if !schema.eq(self.schema.iter().map(|(n, ty)| (n.as_str(), *ty))) {
+            return None;
+        }
+        if chunks.len() == self.chunks.len() {
+            return (table.n_rows() == self.rows).then_some(Growth::Same);
+        }
+        (!self.masked && !masked(table)).then_some(Growth::Appended(self.rows))
+    }
+}
+
+/// A combine's output with what extending it over its prepares' appended
+/// rows needs (module docs, §6): every operator's exact totals, what its
+/// aggregates and join sides keep, and what it read of each prepare. Its
+/// table and work are what [`execute_fused`] returns over the prepare
+/// outputs last computed or extended to, bit for bit. The kept state is
+/// shared between clones, so a clone is cheap and an extension copies what
+/// it changes once.
+#[derive(Debug, Clone)]
+pub struct CombineState {
+    table: Arc<Table>,
+    ops: Vec<OpTotals>,
+    kept: Arc<Vec<Option<Kept>>>,
+    inputs: Vec<Option<Cover>>,
+}
+
+impl CombineState {
+    /// Runs `plan` in full over `inputs` — the prepare outputs the plan
+    /// scans as `@frag<N>`, `inputs[N]` — keeping what extending it needs.
+    /// The run is the one [`execute_fused`] makes; what it keeps is moved
+    /// out of it: each aggregate's per-group states, the preserved rows a
+    /// left-outer join matched, a join side that is an operator's output.
+    pub fn compute(plan: &PhysicalPlan, inputs: &[&RowWiseOutput]) -> Result<Self, EngineError> {
+        let frags = frag_catalog(inputs);
+        let mut recorder = Recorder::with_totals(true);
+        let table = run_to_table(plan, &frags, (&Catalog::new()).into(), &mut recorder)?;
+        let ops = recorder.totals.unwrap_or_default();
+        let mut kept = vec![None; ops.len()];
+        for (at, k) in recorder.kept.unwrap_or_default() {
+            kept[at] = Some(k);
+        }
+        let mut covers = vec![None; inputs.len()];
+        for n in referenced_fragments(plan) {
+            // A scan of a fragment past `inputs` failed the run above.
+            covers[n] = Some(Cover::of(inputs[n]));
+        }
+        Ok(CombineState {
+            table: Arc::new(table),
+            ops,
+            kept: Arc::new(kept),
+            inputs: covers,
+        })
+    }
+
+    /// The output table.
+    pub fn table(&self) -> &Arc<Table> {
+        &self.table
+    }
+
+    /// The work profile of the run that produced [`CombineState::table`].
+    pub fn work(&self) -> WorkProfile {
+        WorkProfile {
+            ops: self.ops.iter().map(OpTotals::work).collect(),
+        }
+    }
+
+    /// Bytes the state holds beside its output table: what a cache entry
+    /// carrying it is charged on top of the table.
+    pub(crate) fn bytes(&self) -> u64 {
+        let kept = self.kept.iter().flatten().map(|k| match k {
+            Kept::Table(t) => t.estimated_bytes(),
+            Kept::Fold(fold) => fold.bytes(),
+        });
+        kept.sum::<u64>() + 64 * self.ops.len() as u64
+    }
+
+    /// Advances the state to `inputs`: the same prepares over later states
+    /// of their tables, each the output this state read followed by
+    /// appended rows (module docs, §6). Returns the appended rows it read,
+    /// `Some(0)` when no input changed. `None`, with the state unchanged,
+    /// when an input is not the one read grown by appends (an older
+    /// version, another writer's chunks, a mask, a type change) or when an
+    /// operator cannot extend (both sides of a join grow, a sort over
+    /// appended rows, a delta that fails to evaluate): the caller then
+    /// computes in full.
+    pub fn extend(&mut self, plan: &PhysicalPlan, inputs: &[&RowWiseOutput]) -> Option<usize> {
+        let growth = self.inputs.iter().enumerate().map(|(n, cover)| match cover {
+            Some(cover) => cover.growth(inputs.get(n)?).map(Some),
+            None => Some(None),
+        });
+        let growth: Vec<Option<Growth>> = growth.collect::<Option<_>>()?;
+        if !growth.iter().any(|g| matches!(g, Some(Growth::Appended(_)))) {
+            return Some(0);
+        }
+        let appended = growth.iter().zip(inputs).map(|(g, input)| match g {
+            Some(Growth::Appended(from)) => input.table().n_rows() - from,
+            _ => 0,
+        });
+        let appended = appended.sum();
+        let frags = frag_catalog(inputs);
+        let mut kept = (*self.kept).clone();
+        let mut walk = Walk {
+            old: &self.ops,
+            ops: Vec::with_capacity(self.ops.len()),
+            kept: &mut kept,
+            growth: &growth,
+            frags: &frags,
+            deltas: vec![None; growth.len()],
+            scratch: EvalScratch::new(),
+        };
+        let step = walk.node(plan)?;
+        let ops = walk.ops;
+        if ops.len() != self.ops.len() {
+            return None;
+        }
+        let mut table = Arc::clone(&self.table);
+        match step {
+            Step::Same => {}
+            Step::Appended(delta) => append_to(&mut table, &delta)?,
+            Step::Changed(out) => table = out,
+        }
+        let covers = self.inputs.iter().zip(inputs);
+        let covers = covers.map(|(c, input)| c.as_ref().map(|_| Cover::of(input))).collect();
+        *self = CombineState {
+            table,
+            ops,
+            kept: Arc::new(kept),
+            inputs: covers,
+        };
+        Some(appended)
+    }
+}
+
+/// Appends `delta` to `table` and takes its name, as one run over both
+/// would name them; a table another holder shares is copied first.
+fn append_to(table: &mut Arc<Table>, delta: &Table) -> Option<()> {
+    if delta.n_rows() == 0 && table.name == delta.name {
+        return Some(());
+    }
+    // LINT: unique-ok — `make_mut` copies a table another holder shares.
+    let t = Arc::make_mut(table);
+    if delta.n_rows() > 0 {
+        t.append(delta).ok()?;
+    }
+    t.name = delta.name.clone();
+    Some(())
+}
+
+/// How an operator's output moved since the state's run.
+enum Step {
+    /// Unchanged: the operator reads only unchanged fragments.
+    Same,
+    /// The old output followed by these rows.
+    Appended(Arc<Table>),
+    /// Replaced by this output.
+    Changed(Arc<Table>),
+}
+
+/// A join input's step, beside its plan and the index of its operator.
+struct Side<'p> {
+    plan: &'p PhysicalPlan,
+    at: usize,
+    step: Step,
+}
+
+/// One extension's walk over a combine's plan. Every operator records one
+/// [`OpTotals`] in the post-order the full run records them, so the
+/// operator at hand is `ops.len()`, and `old[ops.len()]` is its totals at
+/// the state's run.
+struct Walk<'s> {
+    old: &'s [OpTotals],
+    ops: Vec<OpTotals>,
+    kept: &'s mut [Option<Kept>],
+    growth: &'s [Option<Growth>],
+    frags: &'s Catalog,
+    /// Each appended fragment's new rows, sliced once.
+    deltas: Vec<Option<Arc<Table>>>,
+    /// One pool of kernel temporaries for every operator the walk runs.
+    scratch: EvalScratch,
+}
+
+impl Walk<'_> {
+    /// The step of `plan`'s operator after its inputs'.
+    fn node(&mut self, plan: &PhysicalPlan) -> Option<Step> {
+        let step = match plan {
+            PhysicalPlan::Scan { table } => self.scan(table)?,
+            PhysicalPlan::PrunedScan { table, .. } => match self.growth(table)? {
+                Growth::Same => self.same()?,
+                Growth::Appended(_) => return None,
+            },
+            PhysicalPlan::Filter { input, .. } | PhysicalPlan::Project { input, .. } => {
+                match self.node(input)? {
+                    Step::Same => self.same()?,
+                    // R1: a row-wise operator over appended rows appends.
+                    Step::Appended(delta) => {
+                        let (out, totals) = run_operator(plan, &[&delta], &mut self.scratch)?;
+                        let totals = self.old()?.then(&totals)?;
+                        self.ops.push(totals);
+                        Step::Appended(out)
+                    }
+                    Step::Changed(input) => self.rerun(plan, &[&input])?,
+                }
+            }
+            PhysicalPlan::Sort { input, .. } | PhysicalPlan::Limit { input, .. } => {
+                match self.node(input)? {
+                    Step::Same => self.same()?,
+                    Step::Changed(input) => self.rerun(plan, &[&input])?,
+                    Step::Appended(_) => return None,
+                }
+            }
+            PhysicalPlan::HashJoin { left, right, .. } => {
+                let (l, r) = (self.side(left)?, self.side(right)?);
+                self.join(plan, &l, &r)?
+            }
+            PhysicalPlan::Aggregate { input, .. } => match &**input {
+                PhysicalPlan::HashJoin { left, right, .. } => {
+                    let (l, r) = (self.side(left)?, self.side(right)?);
+                    if let (Step::Same, Step::Appended(delta)) = (&l.step, &r.step) {
+                        if self.counts_matches(self.ops.len() + 1) {
+                            return self.outer_fold(plan, input, &l, delta);
+                        }
+                    }
+                    let joined = self.join(input, &l, &r)?;
+                    self.keep_current(&joined)?;
+                    self.aggregate(plan, joined)?
+                }
+                _ => {
+                    let input = self.node(input)?;
+                    self.aggregate(plan, input)?
+                }
+            },
+        };
+        self.keep_current(&step)?;
+        Some(step)
+    }
+
+    /// The step of a join input.
+    fn side<'p>(&mut self, plan: &'p PhysicalPlan) -> Option<Side<'p>> {
+        let step = self.node(plan)?;
+        Some(Side {
+            plan,
+            at: self.ops.len() - 1,
+            step,
+        })
+    }
+
+    /// The state's totals of the operator at hand.
+    fn old(&self) -> Option<&OpTotals> {
+        self.old.get(self.ops.len())
+    }
+
+    /// The operator at hand did not move.
+    fn same(&mut self) -> Option<Step> {
+        let totals = self.old()?.clone();
+        self.ops.push(totals);
+        Some(Step::Same)
+    }
+
+    /// R4: the operator at hand runs again over its inputs' whole outputs.
+    fn rerun(&mut self, plan: &PhysicalPlan, inputs: &[&Arc<Table>]) -> Option<Step> {
+        let (out, totals) = run_operator(plan, inputs, &mut self.scratch)?;
+        self.ops.push(totals);
+        Some(Step::Changed(out))
+    }
+
+    fn growth(&self, table: &str) -> Option<Growth> {
+        *self.growth.get(frag_number(table)?)?
+    }
+
+    /// A scan of a fragment: unchanged, or appended by its new rows (R1).
+    fn scan(&mut self, table: &str) -> Option<Step> {
+        let Growth::Appended(from) = self.growth(table)? else {
+            return self.same();
+        };
+        let n = frag_number(table)?;
+        let delta = match &self.deltas[n] {
+            Some(delta) => Arc::clone(delta),
+            None => {
+                let t = self.frags.get(table)?;
+                let rows: Vec<u32> = (from as u32..t.n_rows() as u32).collect();
+                let delta = Arc::new(t.take_ids(&rows));
+                self.deltas[n] = Some(Arc::clone(&delta));
+                delta
+            }
+        };
+        let totals = self.old()?.then(&OpTotals::of(OpKind::Scan, delta.n_rows(), &delta))?;
+        self.ops.push(totals);
+        Some(Step::Appended(delta))
+    }
+
+    /// A join of two inputs' steps.
+    fn join(&mut self, plan: &PhysicalPlan, l: &Side<'_>, r: &Side<'_>) -> Option<Step> {
+        let PhysicalPlan::HashJoin { join_type, .. } = plan else {
+            return None;
+        };
+        match (&l.step, &r.step) {
+            (Step::Same, Step::Same) => self.same(),
+            // R1: output is ordered by (left position, right position), so
+            // rows appended on the left append their matches.
+            (Step::Appended(delta), Step::Same) if *join_type == JoinType::Inner => {
+                let right = self.whole(r)?;
+                let (out, totals) = run_operator(plan, &[delta, &right], &mut self.scratch)?;
+                let old = self.old()?;
+                let totals = OpTotals {
+                    rows_in: old.rows_in + delta.n_rows() as u64,
+                    ..old.then(&totals)?
+                };
+                self.ops.push(totals);
+                Some(Step::Appended(out))
+            }
+            (Step::Changed(_), _) | (_, Step::Changed(_)) => {
+                let (left, right) = (self.whole(l)?, self.whole(r)?);
+                self.rerun(plan, &[&left, &right])
+            }
+            // Both sides grow, or new right rows would interleave.
+            _ => None,
+        }
+    }
+
+    /// An aggregate over its input's step.
+    fn aggregate(&mut self, plan: &PhysicalPlan, input: Step) -> Option<Step> {
+        let PhysicalPlan::Aggregate { group_by, aggs, .. } = plan else {
+            return None;
+        };
+        match input {
+            Step::Same => self.same(),
+            // R2: each group continues its fold in row order; new groups
+            // follow in first-seen order.
+            Step::Appended(delta) => {
+                let at = self.ops.len();
+                let rows_in = self.old()?.rows_in + delta.n_rows() as u64;
+                let Some(Kept::Fold(fold)) = self.kept.get_mut(at)? else {
+                    return None;
+                };
+                fold.absorb(&delta, group_by, aggs, &mut self.scratch)?;
+                let out = fold.output(aggs)?;
+                self.ops.push(OpTotals::of(OpKind::Aggregate, rows_in as usize, &out));
+                Some(Step::Changed(Arc::new(out)))
+            }
+            // R4; the fold no longer describes the input.
+            Step::Changed(input) => {
+                let at = self.ops.len();
+                *self.kept.get_mut(at)? = None;
+                self.rerun(plan, &[&input])
+            }
+        }
+    }
+
+    /// Whether the aggregate at `at` keeps the matched rows of the
+    /// left-outer join it reads (R3).
+    fn counts_matches(&self, at: usize) -> bool {
+        matches!(self.kept.get(at), Some(Some(Kept::Fold(Fold { matched: Some(_), .. }))))
+    }
+
+    /// R3: an aggregate counting over `left ⟕ right`, where the left side
+    /// is unchanged and `delta` was appended on the right. The delta's
+    /// matches fold in; a preserved row matched for the first time
+    /// withdraws its NULL-extended stand-in. Counts are integers, so this
+    /// is exact in any order.
+    fn outer_fold(
+        &mut self,
+        plan: &PhysicalPlan,
+        join: &PhysicalPlan,
+        l: &Side<'_>,
+        delta: &Arc<Table>,
+    ) -> Option<Step> {
+        let PhysicalPlan::Aggregate { group_by, aggs, .. } = plan else {
+            return None;
+        };
+        let PhysicalPlan::HashJoin {
+            left_keys,
+            right_keys,
+            ..
+        } = join
+        else {
+            return None;
+        };
+        let left = self.whole(l)?;
+        let at = self.ops.len();
+        let old_join = self.old()?.clone();
+        let Some(Kept::Fold(fold)) = self.kept.get_mut(at + 1)? else {
+            return None;
+        };
+        let mut matched = fold.matched.take()?;
+        if matched.len() != left.n_rows() {
+            return None;
+        }
+        let lb = Batch::all(TableSlot::Borrowed(&left));
+        let rb = Batch::all(TableSlot::Borrowed(delta));
+        let (lo, ro, hit) = {
+            let (lcols, rcols) = join_key_columns(&lb, &rb, left_keys, right_keys).ok()?;
+            serial_join_indices(&lb, &rb, &lcols, &rcols, JoinType::Inner)
+        };
+        let mut first_match = |&l: &u32| !std::mem::replace(&mut matched[l as usize], true);
+        let first: Vec<u32> = lo.iter().copied().filter(|l| first_match(l)).collect();
+        fold.matched = Some(matched);
+        let pairs = gather_join(&left, delta, &lo, &ro, &hit).ok()?;
+        let misses = (vec![0; first.len()], vec![false; first.len()]);
+        let stand_ins = gather_join(&left, delta, &first, &misses.0, &misses.1).ok()?;
+        let (pair_ids, opened) = fold.ids(&pairs, group_by)?;
+        let (stand_in_ids, opened_too) = fold.ids(&stand_ins, group_by)?;
+        if opened.is_some() || opened_too.is_some() {
+            return None;
+        }
+        let scratch = &mut self.scratch;
+        let groups = fold.groups;
+        let mut input = &pairs;
+        let n = pairs.n_rows();
+        accumulate_aggs(&mut input, None, aggs, &pair_ids, groups, n, &mut fold.accs, scratch)
+            .ok()?;
+        let mut withdrawn: Vec<AggAcc> =
+            aggs.iter().map(|(_, agg)| AggAcc::new(agg, groups)).collect();
+        let (mut input, n) = (&stand_ins, stand_ins.n_rows());
+        accumulate_aggs(&mut input, None, aggs, &stand_in_ids, groups, n, &mut withdrawn, scratch)
+            .ok()?;
+        for (acc, gone) in fold.accs.iter_mut().zip(&withdrawn) {
+            acc.withdraw(gone)?;
+        }
+        let out = fold.output(aggs)?;
+        let added = OpTotals::of(OpKind::Join, delta.n_rows(), &pairs);
+        let join = old_join.then(&added)?.less(&OpTotals::of(OpKind::Join, 0, &stand_ins))?;
+        let rows_in = join.rows_out as usize;
+        self.ops.push(join);
+        self.ops.push(OpTotals::of(OpKind::Aggregate, rows_in, &out));
+        let step = Step::Changed(Arc::new(out));
+        self.keep_current(&step)?;
+        Some(step)
+    }
+
+    /// A join input's whole output: a changed one's, a kept one's, or an
+    /// unchanged one's run again.
+    fn whole(&self, side: &Side<'_>) -> Option<Arc<Table>> {
+        let kept = match self.kept.get(side.at)? {
+            Some(Kept::Table(t)) => Some(Arc::clone(t)),
+            _ => None,
+        };
+        match &side.step {
+            Step::Changed(out) => Some(Arc::clone(out)),
+            Step::Appended(_) => kept,
+            Step::Same => kept.or_else(|| {
+                let mut recorder = Recorder::default();
+                let base = Catalog::new();
+                let run = run_to_table(side.plan, self.frags, (&base).into(), &mut recorder);
+                run.ok().map(Arc::new)
+            }),
+        }
+    }
+
+    /// Keeps a kept join side current with the step of its operator, the
+    /// last one recorded.
+    fn keep_current(&mut self, step: &Step) -> Option<()> {
+        let at = self.ops.len() - 1;
+        if let Some(Kept::Table(t)) = self.kept.get_mut(at)? {
+            match step {
+                Step::Same => {}
+                Step::Appended(delta) => append_to(t, delta)?,
+                Step::Changed(out) => *t = Arc::clone(out),
+            }
+        }
+        Some(())
+    }
+}
+
+/// Runs `plan`'s own operator over `inputs`, its inputs' outputs in order,
+/// returning its output and totals.
+fn run_operator(
+    plan: &PhysicalPlan,
+    inputs: &[&Arc<Table>],
+    scratch: &mut EvalScratch,
+) -> Option<(Arc<Table>, OpTotals)> {
+    let input = |k: usize| {
+        Box::new(PhysicalPlan::Scan {
+            table: format!("@in{k}"),
+        })
+    };
+    let operator = match plan {
+        PhysicalPlan::Filter { predicate, .. } => PhysicalPlan::Filter {
+            input: input(0),
+            predicate: predicate.clone(),
+        },
+        PhysicalPlan::Project { exprs, .. } => PhysicalPlan::Project {
+            input: input(0),
+            exprs: exprs.clone(),
+        },
+        PhysicalPlan::HashJoin {
+            left_keys,
+            right_keys,
+            join_type,
+            ..
+        } => PhysicalPlan::HashJoin {
+            left: input(0),
+            right: input(1),
+            left_keys: left_keys.clone(),
+            right_keys: right_keys.clone(),
+            join_type: *join_type,
+        },
+        PhysicalPlan::Aggregate { group_by, aggs, .. } => PhysicalPlan::Aggregate {
+            input: input(0),
+            group_by: group_by.clone(),
+            aggs: aggs.clone(),
+        },
+        PhysicalPlan::Sort { by, .. } => PhysicalPlan::Sort {
+            input: input(0),
+            by: by.clone(),
+        },
+        PhysicalPlan::Limit { n, .. } => PhysicalPlan::Limit {
+            input: input(0),
+            n: *n,
+        },
+        PhysicalPlan::Scan { .. } | PhysicalPlan::PrunedScan { .. } => return None,
+    };
+    let mut frags = Catalog::new();
+    for (k, t) in inputs.iter().enumerate() {
+        frags.insert_shared(format!("@in{k}"), Arc::clone(t));
+    }
+    let mut recorder = Recorder::with_totals(false);
+    let empty = Catalog::new();
+    let src = Tables {
+        frags: &frags,
+        base: (&empty).into(),
+    };
+    let out = run_fused(&operator, &src, &mut recorder, scratch).ok()?;
+    let table = out.into_flat(scratch).materialize();
+    let totals = recorder.totals?.pop()?;
+    Some((Arc::new(table), totals))
 }

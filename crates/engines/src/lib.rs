@@ -73,7 +73,9 @@ pub use exec::{
     ResultCacheBinding, SharedExecutor,
 };
 pub use expr::Expr;
-pub use fused::{execute_fused, row_wise_table, RowWiseOutput, TableSource, MORSEL_ROWS};
+pub use fused::{
+    execute_fused, row_wise_table, CombineState, RowWiseOutput, TableSource, MORSEL_ROWS,
+};
 pub use ops::{AggExpr, JoinType, PhysicalPlan, WorkProfile};
 pub use placement::Placement;
 pub use sim::{split_seed, AdmissionStats, LoadModel, SimulationEnv, SiteAdmission};

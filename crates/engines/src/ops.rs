@@ -1166,19 +1166,22 @@ pub(crate) fn hash_join_vec(
     join_type: JoinType,
 ) -> Result<Table, EngineError> {
     let (lcols, rcols) = join_key_columns(lb, rb, left_keys, right_keys)?;
-    let lt = lb.table();
-    let rt = rb.table();
     let (left_out, right_out, right_hit) = serial_join_indices(lb, rb, &lcols, &rcols, join_type);
+    gather_join(lb.table(), rb.table(), &left_out, &right_out, &right_hit)
+}
 
-    // Assemble output columns: all left columns then all right columns.
-    let mut columns = Vec::with_capacity(lt.n_columns() + rt.n_columns());
-    for c in lt.columns() {
-        columns.push(c.take_ids(&left_out));
-    }
-    for c in rt.columns() {
-        columns.push(c.take_opt_ids(&right_out, &right_hit));
-    }
-    finish_join_output(lt, columns)
+/// The join output rows `(left[left_out[i]], right[right_out[i]], or
+/// NULLs where !right_hit[i])`: all left columns, then all right columns.
+pub(crate) fn gather_join(
+    left: &Table,
+    right: &Table,
+    left_out: &[u32],
+    right_out: &[u32],
+    right_hit: &[bool],
+) -> Result<Table, EngineError> {
+    let left_cols = left.columns().iter().map(|c| c.take_ids(left_out));
+    let right_cols = right.columns().iter().map(|c| c.take_opt_ids(right_out, right_hit));
+    finish_join_output(left, left_cols.chain(right_cols).collect())
 }
 
 /// The build/probe producing the join's gather indices:
@@ -1582,55 +1585,109 @@ fn eval_morsels(
     })
 }
 
-/// Accumulated output of one aggregate over all groups.
-enum AggCol {
+/// One aggregate's running per-group state: what a fold over some rows has
+/// accumulated, which more rows continue in row order (the float additions
+/// of a fold over `a ++ b` are those over `a`, then those over `b`).
+#[derive(Debug, Clone)]
+pub(crate) enum AggAcc {
+    /// `COUNT` / `COUNT IF` per group.
     Counts(Vec<u64>),
-    Opt(Vec<Option<f64>>),
+    /// `SUM` / `SUM IF`: the total and whether the group saw a value.
+    Sums { totals: Vec<f64>, seen: Vec<bool> },
+    /// `AVG`: the total and the number of values.
+    Avgs { totals: Vec<f64>, counts: Vec<u64> },
+    /// `MIN` / `MAX`: the best value so far.
+    Best(Vec<Option<f64>>),
 }
 
-fn opt_totals(totals: Vec<f64>, seen: Vec<bool>) -> AggCol {
-    AggCol::Opt(
-        totals
-            .into_iter()
-            .zip(seen)
-            .map(|(tot, s)| if s { Some(tot) } else { None })
-            .collect(),
-    )
+impl AggAcc {
+    /// The state of `agg` over no rows, for `n_groups` groups.
+    pub(crate) fn new(agg: &AggExpr, n_groups: usize) -> AggAcc {
+        match agg {
+            AggExpr::Count | AggExpr::CountIf(_) => AggAcc::Counts(vec![0; n_groups]),
+            AggExpr::Sum(_) | AggExpr::SumIf { .. } => AggAcc::Sums {
+                totals: vec![0.0; n_groups],
+                seen: vec![false; n_groups],
+            },
+            AggExpr::Avg(_) => AggAcc::Avgs {
+                totals: vec![0.0; n_groups],
+                counts: vec![0; n_groups],
+            },
+            AggExpr::Min(_) | AggExpr::Max(_) => AggAcc::Best(vec![None; n_groups]),
+        }
+    }
+
+    /// Adds groups up to `n_groups`, each at the state of no rows.
+    fn grow(&mut self, n_groups: usize) {
+        match self {
+            AggAcc::Counts(c) => c.resize(n_groups, 0),
+            AggAcc::Sums { totals, seen } => {
+                totals.resize(n_groups, 0.0);
+                seen.resize(n_groups, false);
+            }
+            AggAcc::Avgs { totals, counts } => {
+                totals.resize(n_groups, 0.0);
+                counts.resize(n_groups, 0);
+            }
+            AggAcc::Best(b) => b.resize(n_groups, None),
+        }
+    }
+
+    /// Takes `other`'s counts back out of these: a count is exact, so a
+    /// row's contribution can be withdrawn. `None` for any other state, or
+    /// when a count would go below zero.
+    pub(crate) fn withdraw(&mut self, other: &AggAcc) -> Option<()> {
+        let (AggAcc::Counts(mine), AggAcc::Counts(theirs)) = (self, other) else {
+            return None;
+        };
+        for (m, &t) in mine.iter_mut().zip(theirs) {
+            *m = m.checked_sub(t)?;
+        }
+        Some(())
+    }
+
+    /// Heap bytes of the state.
+    pub(crate) fn bytes(&self) -> u64 {
+        (match self {
+            AggAcc::Counts(c) => c.len() * 8,
+            AggAcc::Sums { totals, .. } => totals.len() * 9,
+            AggAcc::Avgs { totals, .. } => totals.len() * 16,
+            AggAcc::Best(b) => b.len() * 16,
+        }) as u64
+    }
 }
 
 /// One pass per aggregate over the batch positions, accumulating straight
-/// from each morsel's typed kernel result into per-group states — no
-/// input-length temporary exists between the expression and the state.
-/// Morsel boundaries are invisible because positions are consumed in order.
-fn accumulate_aggs(
+/// from each morsel's typed kernel result into the per-group states `accs`
+/// (one per aggregate, grown to `n_groups` first) — no input-length
+/// temporary exists between the expression and the state. Morsel boundaries
+/// are invisible because positions are consumed in order, and so are the
+/// boundaries between two calls over consecutive rows.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn accumulate_aggs(
     input: &mut dyn AggInput,
     rows: Option<&[u32]>,
     aggs: &[(String, AggExpr)],
     group_ids: &[u32],
     n_groups: usize,
     n: usize,
+    accs: &mut [AggAcc],
     scratch: &mut EvalScratch,
-) -> Result<Vec<AggCol>, EngineError> {
-    let mut agg_cols: Vec<AggCol> = Vec::with_capacity(aggs.len());
-    for (_, agg) in aggs {
-        let col = match agg {
-            AggExpr::Count => {
-                let mut counts = vec![0u64; n_groups];
+) -> Result<(), EngineError> {
+    for ((_, agg), acc) in aggs.iter().zip(accs.iter_mut()) {
+        acc.grow(n_groups);
+        match (agg, acc) {
+            (AggExpr::Count, AggAcc::Counts(counts)) => {
                 for &g in &group_ids[..n] {
                     counts[g as usize] += 1;
                 }
-                AggCol::Counts(counts)
             }
-            AggExpr::CountIf(pred) => {
-                let mut counts = vec![0u64; n_groups];
+            (AggExpr::CountIf(pred), AggAcc::Counts(counts)) => {
                 eval_morsels(input, rows, pred, n, None, scratch, |base, bv, len| {
                     for_each_true(bv, len, |p| counts[group_ids[base + p] as usize] += 1);
                 })?;
-                AggCol::Counts(counts)
             }
-            AggExpr::Sum(e) => {
-                let mut totals = vec![0.0f64; n_groups];
-                let mut seen = vec![false; n_groups];
+            (AggExpr::Sum(e), AggAcc::Sums { totals, seen }) => {
                 eval_morsels(input, rows, e, n, None, scratch, |base, bv, len| {
                     for_each_num(bv, len, |p, x| {
                         let g = group_ids[base + p] as usize;
@@ -1638,9 +1695,8 @@ fn accumulate_aggs(
                         seen[g] = true;
                     });
                 })?;
-                opt_totals(totals, seen)
             }
-            AggExpr::SumIf { value, predicate } => {
+            (AggExpr::SumIf { value, predicate }, AggAcc::Sums { totals, seen }) => {
                 // The scalar path only evaluates the value on rows where
                 // the predicate holds; mirror that by evaluating it under
                 // the predicate-true sub-selection.
@@ -1648,7 +1704,6 @@ fn accumulate_aggs(
                 eval_morsels(input, rows, predicate, n, None, scratch, |base, bv, len| {
                     for_each_true(bv, len, |p| sub_pos.push((base + p) as u32));
                 })?;
-                let mut totals = vec![0.0f64; n_groups];
                 eval_morsels(input, rows, value, n, Some(&sub_pos), scratch, |base, bv, len| {
                     for_each_num(bv, len, |p, x| {
                         totals[group_ids[sub_pos[base + p] as usize] as usize] += x;
@@ -1656,15 +1711,11 @@ fn accumulate_aggs(
                 })?;
                 scratch.put_sel(sub_pos);
                 // Every processed row marks its group as seen.
-                let mut seen = vec![false; n_groups];
                 for &g in &group_ids[..n] {
                     seen[g as usize] = true;
                 }
-                opt_totals(totals, seen)
             }
-            AggExpr::Avg(e) => {
-                let mut totals = vec![0.0f64; n_groups];
-                let mut counts = vec![0u64; n_groups];
+            (AggExpr::Avg(e), AggAcc::Avgs { totals, counts }) => {
                 eval_morsels(input, rows, e, n, None, scratch, |base, bv, len| {
                     for_each_num(bv, len, |p, x| {
                         let g = group_ids[base + p] as usize;
@@ -1672,17 +1723,9 @@ fn accumulate_aggs(
                         counts[g] += 1;
                     });
                 })?;
-                AggCol::Opt(
-                    totals
-                        .into_iter()
-                        .zip(counts)
-                        .map(|(tot, c)| if c > 0 { Some(tot / c as f64) } else { None })
-                        .collect(),
-                )
             }
-            AggExpr::Min(e) | AggExpr::Max(e) => {
+            (AggExpr::Min(e) | AggExpr::Max(e), AggAcc::Best(best)) => {
                 let is_min = matches!(agg, AggExpr::Min(_));
-                let mut best: Vec<Option<f64>> = vec![None; n_groups];
                 eval_morsels(input, rows, e, n, None, scratch, |base, bv, len| {
                     for_each_num(bv, len, |p, x| {
                         let g = group_ids[base + p] as usize;
@@ -1693,52 +1736,55 @@ fn accumulate_aggs(
                         });
                     });
                 })?;
-                AggCol::Opt(best)
             }
-        };
-        agg_cols.push(col);
+            // LINT: panic-ok — `AggAcc::new` builds each state from the
+            // same aggregate it is paired with here.
+            _ => unreachable!("state/agg pairing is fixed at construction"),
+        }
     }
-    Ok(agg_cols)
+    Ok(())
 }
 
 /// Materializes accumulated aggregates into output columns, normalized
 /// like `column_from_values` (all-NULL collapses to Int64, a fully valid
 /// result drops its mask).
-fn agg_output_columns(
-    aggs: &[(String, AggExpr)],
-    agg_cols: Vec<AggCol>,
-) -> Vec<Column> {
+pub(crate) fn agg_output_columns(aggs: &[(String, AggExpr)], accs: &[AggAcc]) -> Vec<Column> {
     aggs.iter()
-        .zip(agg_cols)
-        .map(|((name, _), col)| match col {
-            AggCol::Counts(v) => Column::new(
-                name,
-                ColumnData::Int64(v.into_iter().map(|c| c as i64).collect()),
-            ),
-            AggCol::Opt(v) => {
-                if v.is_empty() {
-                    Column::new(name, ColumnData::Int64(Vec::new()))
-                } else if v.iter().all(|x| x.is_none()) {
-                    Column::with_validity(
-                        name,
-                        ColumnData::Int64(vec![0; v.len()]),
-                        vec![false; v.len()],
-                    )
-                } else if v.iter().all(|x| x.is_some()) {
-                    Column::new(
-                        name,
-                        ColumnData::Float64(v.into_iter().map(|x| x.unwrap()).collect()),
-                    )
-                } else {
-                    let validity: Vec<bool> = v.iter().map(|x| x.is_some()).collect();
-                    Column::with_validity(
-                        name,
-                        ColumnData::Float64(
-                            v.into_iter().map(|x| x.unwrap_or(0.0)).collect(),
-                        ),
-                        validity,
-                    )
+        .zip(accs)
+        .map(|((name, _), acc)| {
+            let v: Vec<Option<f64>> = match acc {
+                AggAcc::Counts(c) => {
+                    let counts = c.iter().map(|&c| c as i64).collect();
+                    return Column::new(name, ColumnData::Int64(counts));
                 }
+                AggAcc::Sums { totals, seen } => {
+                    totals.iter().zip(seen).map(|(&t, &s)| s.then_some(t)).collect()
+                }
+                AggAcc::Avgs { totals, counts } => totals
+                    .iter()
+                    .zip(counts)
+                    .map(|(&t, &c)| (c > 0).then(|| t / c as f64))
+                    .collect(),
+                AggAcc::Best(b) => b.clone(),
+            };
+            if v.is_empty() {
+                Column::new(name, ColumnData::Int64(Vec::new()))
+            } else if v.iter().all(|x| x.is_none()) {
+                Column::with_validity(
+                    name,
+                    ColumnData::Int64(vec![0; v.len()]),
+                    vec![false; v.len()],
+                )
+            } else if v.iter().all(|x| x.is_some()) {
+                let values = v.into_iter().map(Option::unwrap_or_default).collect();
+                Column::new(name, ColumnData::Float64(values))
+            } else {
+                let validity: Vec<bool> = v.iter().map(|x| x.is_some()).collect();
+                Column::with_validity(
+                    name,
+                    ColumnData::Float64(v.into_iter().map(|x| x.unwrap_or(0.0)).collect()),
+                    validity,
+                )
             }
         })
         .collect()
@@ -1747,7 +1793,8 @@ fn agg_output_columns(
 /// The one aggregate: group discovery, accumulation and output assembly
 /// over the `n` positions of `input` whose row ids are `rows` (`None` =
 /// position `p` is row `p`) — a batch's table and selection, or a deferred
-/// join's gathered columns and live positions.
+/// join's gathered columns and live positions. Returns the output beside
+/// the per-group states it was assembled from ([`AggAcc`]).
 pub(crate) fn aggregate_vec(
     input: &mut dyn AggInput,
     rows: Option<&[u32]>,
@@ -1755,7 +1802,7 @@ pub(crate) fn aggregate_vec(
     group_by: &[usize],
     aggs: &[(String, AggExpr)],
     scratch: &mut EvalScratch,
-) -> Result<Table, EngineError> {
+) -> Result<(Table, Vec<AggAcc>), EngineError> {
     // Assign group ids in first-seen order.
     let group_ids: Vec<u32>;
     let rep_rows: Vec<u32>; // first original row per group
@@ -1776,7 +1823,8 @@ pub(crate) fn aggregate_vec(
     // Compute aggregates: one morsel-wise pass over the positions per
     // aggregate, accumulating straight from the kernel results into
     // per-group states.
-    let agg_cols = accumulate_aggs(input, rows, aggs, &group_ids, n_groups, n, scratch)?;
+    let mut accs: Vec<AggAcc> = aggs.iter().map(|(_, agg)| AggAcc::new(agg, n_groups)).collect();
+    accumulate_aggs(input, rows, aggs, &group_ids, n_groups, n, &mut accs, scratch)?;
 
     // Assemble: group-key columns (gathered from representative rows, and
     // validated here even over no rows) then aggregate columns, normalized
@@ -1785,8 +1833,8 @@ pub(crate) fn aggregate_vec(
     for c in input.key_columns(group_by)? {
         columns.push(c.take_ids(&rep_rows));
     }
-    columns.extend(agg_output_columns(aggs, agg_cols));
-    Table::new("agg", columns)
+    columns.extend(agg_output_columns(aggs, &accs));
+    Ok((Table::new("agg", columns)?, accs))
 }
 
 // ----- sort -----

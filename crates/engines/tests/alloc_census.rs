@@ -24,7 +24,10 @@
 //!   offsets buffer and one byte buffer, so concatenating or gathering
 //!   strings asks for two blocks, however many rows survive;
 //! * extending a row-wise prepare by one appended chunk asks for as many
-//!   blocks after a fifth of a table as after all of it.
+//!   blocks after a fifth of a table as after all of it;
+//! * extending Q17's and Q13's combines by one delta asks for bytes in
+//!   proportion to the groups their states retain and the delta's rows,
+//!   not to the `lineitem` / `orders` rows before it.
 //!
 //! Every threshold but one (Q13's bytes, explained there) sits at or below
 //! half of what the parent of the PR that added this file read; both
@@ -42,7 +45,9 @@ use midas_engines::data::Table;
 use midas_engines::ops::{PhysicalPlan, WorkProfile};
 use midas_engines::Expr;
 use midas_engines::version::{CatalogVersion, ChunkedTable};
-use midas_engines::{execute_fused, Catalog, RowWiseOutput, TableSource, Value, MORSEL_ROWS};
+use midas_engines::{
+    execute_fused, Catalog, CombineState, RowWiseOutput, TableSource, Value, MORSEL_ROWS,
+};
 use midas_tpch::dates::ymd;
 use midas_tpch::gen::{DeltaStream, GenConfig, TpchDb};
 use midas_tpch::queries::{q12, q13, q14, q17, TwoTableQuery};
@@ -376,6 +381,77 @@ fn a_cold_job_allocates_by_what_it_produces() {
         assert!(
             whole.count == fifth.count && whole.count <= 96, // (new) Q13 61, Q17 39
             "extending {q:?}: {whole:?} after every row, {fifth:?} after a fifth"
+        );
+    }
+
+    // Extending Q17's and Q13's combines by the same delta, at two sizes of
+    // `orders` / `lineitem` (all of SF 0.01's and a fifth) beside the whole
+    // `part` / `customer`: the state's folds continue over the delta's rows
+    // and the operators above them run again over the retained groups —
+    // Q17's per-part averages and the few matching lineitems, Q13's
+    // per-customer counts — so the bytes requested follow those groups and
+    // the delta, not the rows before it.
+    for (q, dimension) in [(q17("Brand#13", "MED BOX"), "part"), (q13("special", "requests"), "customer")]
+    {
+        let groups = base.get(dimension).expect("generated").n_rows() as u64;
+        let dimensions = ["customer", "part"].map(|t| Arc::new(base.get(t).expect("generated").clone()));
+        let extension = |fifths: usize| {
+            let versions = grown([first("orders", fifths), first("lineitem", fifths)], &deltas);
+            let with_dimensions = |v: &CatalogVersion| {
+                let chunks = |t: &str| v.table(t).expect("grown").chunks().to_vec();
+                let mut tables: Vec<ChunkedTable> = ["orders", "lineitem"]
+                    .into_iter()
+                    .map(|t| ChunkedTable::from_chunks(t, chunks(t)).expect("one schema"))
+                    .collect();
+                for (t, whole) in ["customer", "part"].into_iter().zip(&dimensions) {
+                    let whole = vec![Arc::clone(whole)];
+                    tables.push(ChunkedTable::from_chunks(t, whole).expect("one chunk"));
+                }
+                CatalogVersion::from_chunked(tables)
+            };
+            let (before, after) = (with_dimensions(&versions[16]), with_dimensions(&versions[17]));
+            let prepare = |plan: &PhysicalPlan| {
+                let mut out = RowWiseOutput::compute(plan, &before).expect("row-wise").unwrap();
+                out.extend(plan, &after).expect("extends");
+                (RowWiseOutput::compute(plan, &before).expect("row-wise").unwrap(), out)
+            };
+            let ((l0, l1), (r0, r1)) = (prepare(&q.left_prepare), prepare(&q.right_prepare));
+            let mut state = CombineState::compute(&q.combine, &[&l0, &r0]).expect("runs");
+            drop((l0, r0));
+            let (rows, c) = counted(|| state.extend(&q.combine, &[&l1, &r1]));
+            let rows = rows.expect("extends") as u64;
+            let mut frags = Catalog::new();
+            frags.insert_shared("@frag0", Arc::clone(l1.table()));
+            frags.insert_shared("@frag1", Arc::clone(r1.table()));
+            let (full, full_census) = counted(|| execute_fused(&q.combine, &frags));
+            let (full, work) = full.expect("runs");
+            assert_eq!((&**state.table(), state.work()), (&full, work));
+            (c, rows, full_census)
+        };
+        let ((whole, rows, full), (fifth, _, _)) = (extension(5), extension(1));
+        // 192 B per retained group or delta row, at both sizes: Q17 121 and
+        // 153 over 2 000 parts and 241 delta lineitems, Q13 67 and 93 over
+        // 1 500 customers and 50 delta orders.
+        let bound = 192 * (groups + rows);
+        assert!(
+            whole.bytes <= bound && fifth.bytes <= bound,
+            "extending {}: {whole:?} after every row, {fifth:?} after a fifth, over {groups} \
+             groups and {rows} delta rows",
+            q.label
+        );
+        // Five times the rows before the delta ask for no more: Q17 0.79×,
+        // Q13 0.72× of the fifth's bytes.
+        assert!(
+            4 * whole.bytes <= 5 * fifth.bytes,
+            "extending {}: {whole:?} after every row, {fifth:?} after a fifth",
+            q.label
+        );
+        // The full run each window made before, after every row: Q17
+        // 636 037 → 270 838 B, Q13 836 412 → 103 737 B.
+        assert!(
+            2 * whole.bytes <= full.bytes,
+            "extending {}: {whole:?}, against a full run's {full:?}",
+            q.label
         );
     }
 }

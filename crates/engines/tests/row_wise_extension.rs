@@ -426,19 +426,24 @@ fn planning_extends_what_a_publish_retired() {
             .unwrap();
         (run.cache_hits, run.reused_fragments)
     };
-    let stats = |reused, extended, extended_rows, computed| PlanningStats {
+    // The combine, a filter over the prepare, is computed at version 0 by
+    // each plan (no publish has kept its state yet), then extended.
+    let stats = |reused, extended, extended_rows, computed, combines: (u64, u64)| PlanningStats {
         reused,
         extended,
         extended_rows,
         computed,
         computed_rows: 25,
+        combines_extended: combines.0,
+        combines_computed: combines.1,
+        combines_declined: 0,
     };
 
     let v0 = versioned.current();
     assert_eq!(plan_and_run(&v0), (0, 2));
-    assert_eq!(cache.planning_stats(), stats(0, 0, 0, 1));
+    assert_eq!(cache.planning_stats(), stats(0, 0, 0, 1, (0, 1)));
     assert_eq!(plan_and_run(&v0), (2, 0), "execution hits what it cached");
-    assert_eq!(cache.planning_stats(), stats(1, 0, 0, 1), "planning reused the output");
+    assert_eq!(cache.planning_stats(), stats(1, 0, 0, 1, (0, 2)), "planning reused the output");
     let execution = cache.stats();
 
     for (step, add) in [(1, 10u64), (2, 5)] {
@@ -450,7 +455,8 @@ fn planning_extends_what_a_publish_retired() {
         let version = versioned.current();
         assert_eq!(plan_and_run(&version), (0, 2), "step {step}");
         let extended_rows = if step == 1 { 10 } else { 15 };
-        assert_eq!(cache.planning_stats(), stats(1, step, extended_rows, 1), "step {step}");
+        let planned = stats(1, step, extended_rows, 1, (step, 2));
+        assert_eq!(cache.planning_stats(), planned, "step {step}");
     }
     // Execution counted a miss per fragment after each publish, as a cache
     // without predecessors would.

@@ -120,7 +120,9 @@ impl PlanCostModel {
     /// job's `cache` binding names, over its pinned `version`: each prepare
     /// is its exact cached output, its predecessor extended over the chunks
     /// appended since, or a full computation
-    /// ([`profile_fragments_cached`]); the combine is computed in full.
+    /// ([`profile_fragments_cached`]); the combine is its delta state
+    /// advanced over the rows the prepares appended, or a full computation
+    /// that keeps one.
     /// Model and outputs are what [`PlanCostModel::profile`] returns, bit
     /// for bit.
     pub fn profile_cached(

@@ -165,10 +165,10 @@ pub struct RuntimeConfig {
     /// combine fragments across tenants share one `Arc`'d output instead
     /// of recomputing). `0` disables the cache entirely. Eviction is
     /// fair-share LRU; ingest publishes invalidate exactly the superseded
-    /// tables' entries, keeping their row-wise prepares as predecessors
-    /// that planning extends over the appended chunks (see
-    /// [`midas_engines::cache`]). Results are bit-identical warm or cold —
-    /// the cache only removes wall-clock work.
+    /// tables' entries, keeping their row-wise prepares and their
+    /// combines' delta states as predecessors that planning extends over
+    /// the appended rows (see [`midas_engines::cache`]). Results are
+    /// bit-identical warm or cold — the cache only removes wall-clock work.
     pub fragment_cache_bytes: u64,
     /// Byte budget of the plan/cost-model cache (`EnumerationSpace` +
     /// `PlanCostModel` per query shape and pinned table identity, instead
@@ -373,8 +373,10 @@ pub struct RuntimeCacheStats {
     pub fragment: CacheStats,
     /// The plan/cost-model cache.
     pub plan: CacheStats,
-    /// How planning served the prepares it profiled through the fragment
-    /// cache: reused, extended over appended chunks, or computed in full.
+    /// How planning served the fragments it profiled through the fragment
+    /// cache: prepares reused, extended over appended chunks or computed in
+    /// full; combines extended from their delta state, computed in full,
+    /// or computed in full beside a state that declined.
     pub planning: PlanningStats,
 }
 

@@ -24,7 +24,10 @@
 //!    row-wise prepares a publish retired over the appended chunks, once
 //!    per window (a count derived from the hot set), never across
 //!    `PerTenant` tenants, never for a job pinned to an older version, and
-//!    without moving any ledger off the cache-off runtime's.
+//!    without moving any ledger off the cache-off runtime's. The combines
+//!    do too: each window after the first advances the delta state of
+//!    every combine whose join has one growing side and computes the rest
+//!    in full, at one worker and at two, ledgers unmoved.
 
 mod common;
 
@@ -470,6 +473,82 @@ fn predecessors_extend_once_per_window_and_change_no_ledger() {
     }
 }
 
+/// Combines of `hot` whose delta state a publish appending to `orders` and
+/// `lineitem` extends: exactly one of the two prepares reads an appended
+/// table, so the join has one growing side. A join whose two sides grow
+/// (Q12's) declines.
+fn extendable_combines(hot: &[midas_tpch::TwoTableQuery]) -> u64 {
+    let appended = ["orders", "lineitem"];
+    let grows = |t: &str| appended.contains(&t);
+    let one_side = |q: &&midas_tpch::TwoTableQuery| grows(&q.left_table) != grows(&q.right_table);
+    hot.iter().filter(one_side).count() as u64
+}
+
+/// Nine windows of a hot set, a publish between windows, both cache tiers
+/// on: planning advances the delta state of Q13's, Q14's and both Q17s'
+/// combines over the rows their prepares appended, once per window after
+/// the first, and computes Q12's (both of its join's sides grow) in full,
+/// declining its state. Every ledger is the cache-off runtime's, at one
+/// worker and at two.
+#[test]
+fn combines_extend_once_per_window_and_change_no_ledger() {
+    let (midas, _, _) = Midas::example_deployment(&["lineitem", "customer"], &["orders", "part"]);
+    let db = TpchDb::generate(GenConfig::new(0.002, 5));
+    let hot = [
+        q12("MAIL", "SHIP", 1994),
+        q12("AIR", "REG AIR", 1995),
+        q13("special", "requests"),
+        q14(1995, 3),
+        q17("Brand#23", "MED BOX"),
+        q17("Brand#13", "JUMBO PKG"),
+    ];
+    let windows = 9;
+    let mut stream = DeltaStream::new(&db, 37);
+    let batches: Vec<_> = (1..windows).map(|_| stream.next_batch(40).into_batch()).collect();
+    let policy = QueryPolicy::balanced();
+    let serve = |config: RuntimeConfig| {
+        let runtime = FederationRuntime::new(
+            midas.federation(),
+            midas.placement(),
+            db.catalog().clone(),
+            config,
+        );
+        let ((), report) = runtime.serve(|ingress| {
+            for window in 0..windows {
+                if window > 0 {
+                    ingress.ingest_batch(batches[window - 1].clone()).expect("ingest");
+                }
+                for query in hot.iter().chain(&hot) {
+                    ingress.submit(RuntimeJob::new("hospital-A", query.clone(), policy.clone()));
+                    ingress.drain();
+                }
+            }
+        });
+        assert!(report.failed.is_empty(), "failures: {:?}", report.failed);
+        report
+    };
+    let config = |workers| RuntimeConfig {
+        workers,
+        ..RuntimeConfig::default()
+    };
+    let cold = serve(uncached(&config(1)));
+    let expected: Vec<Ledger> = ledgers(&cold).iter().map(cache_free).collect();
+    assert_eq!(extendable_combines(&hot), 4);
+    let extended = extendable_combines(&hot) * (windows as u64 - 1);
+    let declined = (hot.len() as u64 - extendable_combines(&hot)) * (windows as u64 - 1);
+    for workers in [1, 2] {
+        let report = serve(config(workers));
+        let planning = report.cache.planning;
+        let ctx = format!("{workers} workers: {planning:?}");
+        assert_eq!(planning.combines_extended, extended, "{ctx}");
+        assert_eq!(planning.combines_declined, declined, "{ctx}");
+        assert_eq!(planning.combines_computed, hot.len() as u64 + declined, "{ctx}");
+        let served: Vec<Ledger> = ledgers(&report).iter().map(cache_free).collect();
+        assert_eq!(served, expected, "{workers} workers: ledger drifted");
+    }
+    assert_eq!(cold.cache.planning, Default::default(), "no cache, no states");
+}
+
 /// A job pinned to an older version is planned after a newer job advanced
 /// the predecessor of its prepares: it computes them in full over its own
 /// version and leaves the predecessor where the newer job put it. The
@@ -574,6 +653,113 @@ fn per_tenant_scope_never_extends_across_tenants() {
     assert_eq!((a.extended, a.computed), (2, 4), "A did not extend its own: {a:?}");
     let fingerprints: Vec<u64> = report.completed.iter().map(|r| r.report.result_fingerprint).collect();
     assert_eq!(fingerprints[1], fingerprints[2], "both tenants read version 1");
+}
+
+/// The combine-level twin of the test above: under `PerTenant` the second
+/// tenant's first Q17 plan after a publish computes its combine in full,
+/// the first tenant's advances its own delta state.
+#[test]
+fn per_tenant_scope_never_extends_another_tenants_combine() {
+    let (midas, _, _) = Midas::example_deployment(&["lineitem", "customer"], &["orders", "part"]);
+    let db = TpchDb::generate(GenConfig::new(0.002, 5));
+    let runtime = FederationRuntime::new(
+        midas.federation(),
+        midas.placement(),
+        db.catalog().clone(),
+        RuntimeConfig {
+            workers: 1,
+            cache_scope: midas_engines::cache::CacheScope::PerTenant,
+            ..RuntimeConfig::default()
+        },
+    );
+    let batch = DeltaStream::new(&db, 31).next_batch(40).into_batch();
+    let q17 = q17("Brand#23", "MED BOX");
+    let job = |tenant: &str| RuntimeJob::new(tenant, q17.clone(), QueryPolicy::balanced());
+    let mut steps = Vec::new();
+    let ((), report) = runtime.serve(|ingress| {
+        ingress.submit(job("hospital-A"));
+        ingress.drain();
+        ingress.ingest_batch(batch).expect("ingest");
+        for tenant in ["hospital-B", "hospital-A"] {
+            ingress.submit(job(tenant));
+            ingress.drain();
+            steps.push(runtime.cache_stats().planning);
+        }
+    });
+    assert!(report.failed.is_empty(), "failures: {:?}", report.failed);
+    let (b, a) = (steps[0], steps[1]);
+    assert_eq!((b.combines_extended, b.combines_computed), (0, 2), "B extended A's state: {b:?}");
+    let a_combines = (a.combines_extended, a.combines_computed);
+    assert_eq!(a_combines, (1, 2), "A did not extend its own: {a:?}");
+    let fingerprints: Vec<u64> = report.completed.iter().map(|r| r.report.result_fingerprint).collect();
+    assert_eq!(fingerprints[1], fingerprints[2], "both tenants read version 1");
+}
+
+/// The combine-level twin of `a_late_job_of_an_older_version_computes_its_
+/// own_result`: a Q17 job pinned to version 1 is planned after a version-2
+/// job advanced its combine's delta state; it declines the state, computes
+/// the combine over its own version, and both results are their versions'.
+#[test]
+fn a_late_job_of_an_older_version_computes_its_own_combine() {
+    let (midas, _, _) = Midas::example_deployment(&["lineitem", "customer"], &["orders", "part"]);
+    let db = TpchDb::generate(GenConfig::new(0.002, 5));
+    let mut stream = DeltaStream::new(&db, 29);
+    let (first, second) = (stream.next_batch(40), stream.next_batch(40));
+    let runtime = FederationRuntime::new(
+        midas.federation(),
+        midas.placement(),
+        db.catalog().clone(),
+        RuntimeConfig {
+            workers: 1,
+            pacing: 0.05,
+            ..RuntimeConfig::default()
+        },
+    );
+    let balanced = QueryPolicy::balanced();
+    let q17 = q17("Brand#23", "MED BOX");
+    let (versions, report) = runtime.serve(|ingress| {
+        let mut versions = vec![runtime.versioned_catalog().current()];
+        ingress.submit(RuntimeJob::new("hospital-A", q17.clone(), balanced.clone()));
+        ingress.drain();
+        // The publish keeps Q17's combine state at version 0.
+        ingress.ingest_batch(first.into_batch()).expect("ingest");
+        versions.push(runtime.versioned_catalog().current());
+        ingress.submit(RuntimeJob::new("hospital-B", q14(1995, 3), balanced.clone()));
+        let busy = || runtime.admission_stats().iter().any(|(_, s)| s.in_use > 0);
+        for _ in 0..10_000 {
+            if busy() {
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        assert!(busy(), "the blocking job never took a site slot");
+        // Queued behind its tenant's job in flight, pinned to version 1.
+        ingress.submit(RuntimeJob::new("hospital-B", q17.clone(), balanced.clone()));
+        runtime.versioned_catalog().append_batch(second.into_batch()).expect("append");
+        versions.push(runtime.versioned_catalog().current());
+        // The rotation reaches hospital-A before hospital-B's next job.
+        ingress.submit(RuntimeJob::new("hospital-A", q17.clone(), balanced.clone()));
+        ingress.drain();
+        versions
+    });
+    assert!(report.failed.is_empty(), "failures: {:?}", report.failed);
+    let [_, _, late, newer] = &report.completed[..] else {
+        panic!("four jobs complete: {:?}", report.completed.len());
+    };
+    assert_eq!((late.pinned_version, newer.pinned_version), (1, 2));
+    assert!(newer.completion < late.completion, "the newer job was planned first");
+    for r in [late, newer] {
+        let expected = q17
+            .standalone_fingerprint(&pinned_of(&versions, r).pin())
+            .expect("standalone oracle executes");
+        assert_eq!(r.report.result_fingerprint, expected, "v{}", r.pinned_version);
+    }
+    // Version 2 advanced the state kept at version 0; version 1 declined
+    // it and computed in full, beside the first job's and Q14's.
+    let planning = report.cache.planning;
+    let combines =
+        (planning.combines_extended, planning.combines_computed, planning.combines_declined);
+    assert_eq!(combines, (1, 3, 1), "{planning:?}");
 }
 
 #[test]

@@ -61,7 +61,8 @@ pub struct GenConfig {
     pub max_lineitem_rows: Option<usize>,
     /// Inert: the generator has one layout. It stays only because the
     /// benchmark's `estimation_replay` workload spells it in a struct
-    /// literal; it goes when that file next changes (ROADMAP item 4, PR B).
+    /// literal; it goes when that file next changes (the `[stage-trace]`
+    /// item's PR B).
     #[doc(hidden)]
     pub encoding: (),
 }

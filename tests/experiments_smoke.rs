@@ -1,7 +1,8 @@
 //! Smoke tests of the paper-experiment drivers at miniature scale — the
 //! structure checks only. The full-size shapes are printed by the `repro_*`
 //! binaries (JSON under `target/repro/`) and recorded nowhere in the
-//! repository; ROADMAP item 1 decides whether a generated record returns.
+//! repository; the `[goldens]` item decides whether a generated record
+//! returns.
 
 use midas_repro::midas::experiments::{
     run_example31, run_fig3, run_mre, EstimatorKind, MreConfig,

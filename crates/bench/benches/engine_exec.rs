@@ -221,6 +221,7 @@ fn bench_cold_path_kernels(c: &mut Criterion) {
     let chunked = ChunkedTable::from_chunks("lineitem", chunks).expect("one schema");
     let three_chunks = CatalogVersion::from_chunked(vec![chunked]);
     let versions = db.versioned_catalog();
+    let generated = versions.current();
     let mut deltas = DeltaStream::new(&db, 42);
     let mut publish = || {
         versions.append_batch(deltas.next_batch(60).into_batch()).expect("one schema");
@@ -277,6 +278,18 @@ fn bench_cold_path_kernels(c: &mut Criterion) {
                 right.extend(&q.right_prepare, v).expect("extends");
                 Some(black_box(state.extend(&q.combine, &[left, right]).expect("extends")))
             })
+        });
+    }
+    // What planning runs for a query class's first job: the combine's one
+    // full run over its two prepares, state kept — Q13's groupjoin and
+    // Q17's key-set aggregate.
+    for (name, q) in [("q13_combine_cold", &q13), ("q17_combine_cold", &q17)] {
+        let prepare = |plan: &PhysicalPlan| {
+            RowWiseOutput::compute(plan, &generated).expect("row-wise").expect("runs")
+        };
+        let [left, right] = [prepare(&q.left_prepare), prepare(&q.right_prepare)];
+        group.bench_function(name, |b| {
+            b.iter(|| black_box(CombineState::compute(&q.combine, &[&left, &right]).expect("runs")))
         });
     }
     group.finish();

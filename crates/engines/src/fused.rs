@@ -4,8 +4,8 @@
 //!
 //! This is the executor that serves; [`crate::ops::execute_scalar`] is its
 //! row-at-a-time reference. Four coordinated changes make SF ≥ 1 data
-//! survivable, and a fifth and a sixth make a table that grows cheap to
-//! plan over:
+//! survivable, a fifth and a sixth make a table that grows cheap to plan
+//! over, and a seventh folds only the groups a join keeps:
 //!
 //! 1. **Morsels.** Filters, projections and aggregate inputs run over
 //!    cache-resident row ranges of [`MORSEL_ROWS`] rows of one slab at a
@@ -104,6 +104,49 @@
 //!    that fails to evaluate. Work profiles compose from exact per-operator
 //!    totals, as in 5, so costs, ledgers and fingerprints are what a full
 //!    run produces.
+//! 7. **Groupjoins.** Two shapes fold in one keyed pass what a join and an
+//!    aggregate would otherwise build and discard ([`fused_paths`] says
+//!    which a run took):
+//!    - **(G) An aggregate grouped on a join's unique left key** (Q13's
+//!      counts per customer): `Aggregate ∘ HashJoin` with no filter
+//!      between, grouped on exactly the left key, which is one non-NULL
+//!      `Int64` column that proves unique while its positions are chained,
+//!      every aggregate reading only right columns (or counting). The
+//!      groups are the left rows (left-outer) or the matched left rows
+//!      (inner), in left order: the first-seen order of a join output
+//!      ordered by (left position, right position). Each matching right
+//!      row folds straight into its left row's state, in ascending right
+//!      order — the order in which a deferred join hands the same state
+//!      its rows — so a float `sum` or `avg` is bit-identical. An
+//!      unmatched left-outer row holds the fold of one NULL-extended right
+//!      row, evaluated once. The Join entry of the profile comes from the
+//!      match counts and each column's string total through `width_bytes`;
+//!      no index triple, gathered column or group discovery is built, and
+//!      R3's `matched` falls out of the counts.
+//!    - **(S) A join over an aggregate grouped on the join key** (Q17's
+//!      `j1 ⋈ avg_q`): the left side runs first, as post-order has it, and
+//!      its key set decides what the aggregate folds. Every key is still
+//!      discovered, in first-seen order, so the aggregate's rows and bytes
+//!      and the join's input rows are the unreduced ones; only the rows
+//!      of a group whose key the left side holds are folded. Every other
+//!      group holds a stand-in, the state of one row of value 0. It applies
+//!      when each aggregate is `COUNT(*)` or a `SUM` / `AVG` / `MIN` /
+//!      `MAX` of an `Int64` or `Float64` column without a validity mask:
+//!      reading one raises nothing on a row that is not folded, and every
+//!      group of the full aggregate has a valid value, as the stand-in
+//!      does, so the output's types and masks are the full one's. Group
+//!      keys are distinct, so a left row matches at most one group and
+//!      only groups whose key it holds: the join output reads folded groups
+//!      alone, whatever order they are in. A combine's state (§6) keeps
+//!      which groups are stand-ins; a group the delta opens has no earlier
+//!      rows and folds whole, and an extension declines when a key its
+//!      left side gains reaches a stand-in.
+//!
+//!    Anything else takes the general paths: for (G) a peeled filter,
+//!    another group key, an aggregate that reads a left column, a
+//!    repeated or NULL left key, a key that is not `Int64`; for (S) a
+//!    `COUNT IF` / `SUM IF`, a value that may be NULL or is not a number,
+//!    a column the run would fail to find.
 //!
 //! **Bit-for-bit parity.** For every plan, [`execute_fused`] — over a
 //! catalog or over a version — produces the same result [`Table`]
@@ -134,8 +177,9 @@ use crate::exec::referenced_fragments;
 use crate::expr::{BatchVals, EvalScratch, Expr, KernelCols, KernelPlan, NumTy, SelView};
 use crate::ops::{
     accumulate_aggs, agg_output_columns, aggregate_vec, gather_join, hash_join_vec,
-    join_key_columns, serial_group_ids, serial_join_indices, sort_sel, AggAcc, AggExpr, AggInput,
-    Batch, JoinType, OpKind, OpWork, PhysicalPlan, TableSlot, WorkProfile,
+    join_key_columns, key_set_groups, serial_group_ids, serial_join_indices, sort_sel, AggAcc,
+    AggExpr, AggInput, Batch, JoinType, OpKind, OpWork, PhysicalPlan, TableSlot, UniqueKeys,
+    WorkProfile,
 };
 use crate::version::{CatalogVersion, ChunkedTable};
 use std::sync::Arc;
@@ -172,6 +216,34 @@ pub(crate) fn execute_fused_over(
     Ok((table, recorder.work))
 }
 
+/// A fast path of the fused executor (module docs, §7) that an operator
+/// took in place of the general one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FusedPath {
+    /// (G) An aggregate grouped on a join's unique left key folded each
+    /// left row's matches in one keyed pass: no join output, not even as
+    /// indices.
+    Groupjoin,
+    /// (S) An aggregate on a join's right, grouped on the join key, folded
+    /// only the groups whose key the join's left side holds.
+    KeySetAggregate,
+}
+
+/// The §7 paths (module docs) that a run of `plan` over `tables` takes, in
+/// the order its operators take them; the run is [`execute_fused`]'s. For
+/// tests that pin which plans take which path.
+pub fn fused_paths<'a>(
+    plan: &PhysicalPlan,
+    tables: impl Into<TableSource<'a>>,
+) -> Result<Vec<FusedPath>, EngineError> {
+    let mut recorder = Recorder {
+        paths: Some(Vec::new()),
+        ..Recorder::default()
+    };
+    run_to_table(plan, &Catalog::new(), tables.into(), &mut recorder)?;
+    Ok(recorder.paths.unwrap_or_default())
+}
+
 /// One fused run of `plan` to its materialized output, recording into
 /// `recorder`.
 fn run_to_table(
@@ -194,6 +266,7 @@ struct Recorder {
     work: WorkProfile,
     totals: Option<Vec<OpTotals>>,
     kept: Option<Vec<(usize, Kept)>>,
+    paths: Option<Vec<FusedPath>>,
 }
 
 impl Recorder {
@@ -201,9 +274,16 @@ impl Recorder {
     /// combine's operators keep.
     fn with_totals(keep: bool) -> Recorder {
         Recorder {
-            work: WorkProfile::default(),
             totals: Some(Vec::new()),
             kept: keep.then(Vec::new),
+            ..Recorder::default()
+        }
+    }
+
+    /// Notes that an operator took `path`, when the run records paths.
+    fn took(&mut self, path: FusedPath) {
+        if let Some(paths) = &mut self.paths {
+            paths.push(path);
         }
     }
 
@@ -238,6 +318,11 @@ impl Recorder {
     /// The index the next recorded operator takes.
     fn next_op(&self) -> usize {
         self.work.ops.len()
+    }
+
+    /// Whether the run builds a combine's state.
+    fn keeps(&self) -> bool {
+        self.kept.is_some()
     }
 
     /// Keeps `kept` for operator `at`, when the run builds a combine's state.
@@ -957,10 +1042,8 @@ fn run_fused<'a>(
             right_keys,
             join_type,
         } => {
-            let lb = run_fused(left, src, profile, scratch)?.into_flat(scratch);
-            let left_at = profile.next_op() - 1;
-            let rb = run_fused(right, src, profile, scratch)?.into_flat(scratch);
-            let right_at = profile.next_op() - 1;
+            let [(lb, left_at), (rb, right_at)] =
+                join_inputs(src, left, right, left_keys, right_keys, profile, scratch)?;
             let rows_in = (lb.len() + rb.len()) as u64;
             let nb = owned(hash_join_vec(&lb, &rb, left_keys, right_keys, *join_type)?);
             nb.record(profile, OpKind::Join, rows_in);
@@ -1001,16 +1084,7 @@ fn run_fused<'a>(
                 );
             }
             let b = run_fused(input, src, profile, scratch)?.into_flat(scratch);
-            let (out, accs) =
-                aggregate_vec(&mut b.table(), b.sel_ref(), b.len(), group_by, aggs, scratch)?;
-            let fold = || Some(Kept::Fold(Fold::of(&out, group_by, accs, None)));
-            profile.keep(profile.next_op(), fold);
-            let nb = owned(out);
-            nb.record(profile, OpKind::Aggregate, b.len() as u64);
-            if let Some(old) = b.sel {
-                scratch.put_sel(old);
-            }
-            Ok(nb)
+            aggregate_batch(b, group_by, aggs, None, profile, scratch)
         }
         PhysicalPlan::Sort { input, by } => {
             let mut b = run_fused(input, src, profile, scratch)?.into_flat(scratch);
@@ -1206,9 +1280,10 @@ impl AggInput for DeferredJoin<'_> {
 /// `Aggregate ∘ [Filter*] ∘ HashJoin` with the join output deferred: the
 /// probe emits `(left row, right row, hit)` index triples, peeled filters
 /// and aggregates evaluate against lazily-gathered referenced columns
-/// only, and the full-width join table is never built. Profile entries
-/// (Join, one Filter per peeled predicate, Aggregate) carry the identical
-/// rows/bytes the materializing path records.
+/// only, and the full-width join table is never built. An aggregate
+/// grouped on a unique left key skips even the triples (§7, (G)). Profile
+/// entries (Join, one Filter per peeled predicate, Aggregate) carry the
+/// identical rows/bytes the materializing path records.
 #[allow(clippy::too_many_arguments)]
 fn agg_over_join<'a>(
     src: &Tables<'a>,
@@ -1223,70 +1298,389 @@ fn agg_over_join<'a>(
     profile: &mut Recorder,
     scratch: &mut EvalScratch,
 ) -> Result<FBatch<'a>, EngineError> {
-    let lb = run_fused(left, src, profile, scratch)?.into_flat(scratch);
-    let left_at = profile.next_op() - 1;
-    let rb = run_fused(right, src, profile, scratch)?.into_flat(scratch);
-    let right_at = profile.next_op() - 1;
+    let [(lb, left_at), (rb, right_at)] =
+        join_inputs(src, left, right, left_keys, right_keys, profile, scratch)?;
     let rows_in_join = (lb.len() + rb.len()) as u64;
-
-    let (lcols, rcols) = join_key_columns(&lb, &rb, left_keys, right_keys)?;
-    let (left_out, right_out, right_hit) =
-        serial_join_indices(&lb, &rb, &lcols, &rcols, join_type);
-    let mut dj = DeferredJoin::new(lb.table(), rb.table(), left_out, right_out, right_hit);
-    let n_join = dj.n();
-    let bytes = dj.bytes_sel(None);
-    profile.op(OpKind::Join, rows_in_join, n_join as u64, bytes, || dj.widths_sel(None));
-
-    // Peeled filters: each evaluates morsel-wise over the live join
-    // positions against the sparse cache, never touching unreferenced
-    // columns.
-    let mut positions: Option<Vec<u32>> = None;
-    for predicate in filters {
-        let rows_in = positions.as_ref().map_or(n_join, Vec::len) as u64;
-        let kp = predicate.compile();
-        dj.ensure_refs(kp.referenced_cols());
-        let sel = filter_morsels(
-            &kp,
-            &KernelCols::Cols(&dj.cache),
-            n_join,
-            positions.as_deref(),
-            scratch,
-        )?;
-        let (rows_out, bytes) = (sel.len() as u64, dj.bytes_sel(Some(&sel)));
-        profile.op(OpKind::Filter, rows_in, rows_out, bytes, || dj.widths_sel(Some(&sel)));
-        if let Some(old) = positions.replace(sel) {
-            scratch.put_sel(old);
-        }
-    }
-
-    let n_live = positions.as_ref().map_or(n_join, Vec::len);
-    let (out, accs) =
-        aggregate_vec(&mut dj, positions.as_deref(), n_live, group_by, aggs, scratch)?;
-    if let Some(old) = positions {
-        scratch.put_sel(old);
-    }
     // An outer-join fold also keeps which preserved rows have a match: a
     // later match must withdraw the row's NULL-extended stand-in.
-    let outer = filters.is_empty()
+    let outer = profile.keeps()
+        && filters.is_empty()
         && lb.sel.is_none()
-        && outer_fold_shape(join_type, group_by, aggs, dj.lc);
-    let matched = |dj: &DeferredJoin<'_>| {
-        let mut matched = vec![false; dj.lt.n_rows()];
-        for (&l, &hit) in dj.left_out.iter().zip(&dj.right_hit) {
-            matched[l as usize] |= hit;
+        && outer_fold_shape(join_type, group_by, aggs, lb.table().n_columns());
+    let grouped = match filters {
+        [] => groupjoin(&lb, &rb, left_keys, right_keys, join_type, group_by, aggs, scratch),
+        _ => None,
+    };
+    let (out, accs, n_live, matched) = match grouped {
+        Some(run) => {
+            let gj = run?;
+            profile.took(FusedPath::Groupjoin);
+            let (rows, widths) = (gj.join_rows, gj.join_widths);
+            let bytes = width_bytes(widths.iter().copied(), rows);
+            profile.op(OpKind::Join, rows_in_join, rows as u64, bytes, || widths);
+            let matched = outer.then(|| gj.matches.iter().map(|&m| m > 0).collect());
+            (gj.out, gj.accs, rows, matched)
         }
-        matched
+        None => {
+            let (lcols, rcols) = join_key_columns(&lb, &rb, left_keys, right_keys)?;
+            let (left_out, right_out, right_hit) =
+                serial_join_indices(&lb, &rb, &lcols, &rcols, join_type);
+            let mut dj = DeferredJoin::new(lb.table(), rb.table(), left_out, right_out, right_hit);
+            let n_join = dj.n();
+            let bytes = dj.bytes_sel(None);
+            profile.op(OpKind::Join, rows_in_join, n_join as u64, bytes, || dj.widths_sel(None));
+
+            // Peeled filters: each evaluates morsel-wise over the live join
+            // positions against the sparse cache, never touching
+            // unreferenced columns.
+            let mut positions: Option<Vec<u32>> = None;
+            for predicate in filters {
+                let rows_in = positions.as_ref().map_or(n_join, Vec::len) as u64;
+                let kp = predicate.compile();
+                dj.ensure_refs(kp.referenced_cols());
+                let sel = filter_morsels(
+                    &kp,
+                    &KernelCols::Cols(&dj.cache),
+                    n_join,
+                    positions.as_deref(),
+                    scratch,
+                )?;
+                let (rows_out, bytes) = (sel.len() as u64, dj.bytes_sel(Some(&sel)));
+                profile.op(OpKind::Filter, rows_in, rows_out, bytes, || dj.widths_sel(Some(&sel)));
+                if let Some(old) = positions.replace(sel) {
+                    scratch.put_sel(old);
+                }
+            }
+
+            let n_live = positions.as_ref().map_or(n_join, Vec::len);
+            let (out, accs) =
+                aggregate_vec(&mut dj, positions.as_deref(), n_live, group_by, aggs, scratch)?;
+            if let Some(old) = positions {
+                scratch.put_sel(old);
+            }
+            let matched = outer.then(|| {
+                let mut matched = vec![false; dj.lt.n_rows()];
+                for (&l, &hit) in dj.left_out.iter().zip(&dj.right_hit) {
+                    matched[l as usize] |= hit;
+                }
+                matched
+            });
+            (out, accs, n_live, matched)
+        }
     };
     profile.keep(profile.next_op(), || {
-        let matched = outer.then(|| matched(&dj));
         Some(Kept::Fold(Fold::of(&out, group_by, accs, matched)))
     });
-    drop(dj);
     let nb = owned(out);
     nb.record(profile, OpKind::Aggregate, n_live as u64);
     profile.keep_side(left, left_at, lb);
     profile.keep_side(right, right_at, rb);
     Ok(nb)
+}
+
+/// A join's two inputs, each as one slab beside the index of the operator
+/// that produced it, run left first (the post-order every profile
+/// records). A right input that aggregates on the right join key folds
+/// only the groups the left side's keys can keep (§7, (S)).
+fn join_inputs<'a>(
+    src: &Tables<'a>,
+    left: &PhysicalPlan,
+    right: &PhysicalPlan,
+    left_keys: &[usize],
+    right_keys: &[usize],
+    profile: &mut Recorder,
+    scratch: &mut EvalScratch,
+) -> Result<[(Batch<'a>, usize); 2], EngineError> {
+    let lb = run_fused(left, src, profile, scratch)?.into_flat(scratch);
+    let left_at = profile.next_op() - 1;
+    let rb = match (right, left_keys, right_keys) {
+        (PhysicalPlan::Aggregate { input, group_by, aggs }, [lk], [0]) if group_by.len() == 1 => {
+            let b = run_fused(input, src, profile, scratch)?.into_flat(scratch);
+            aggregate_batch(b, group_by, aggs, Some((&lb, *lk)), profile, scratch)?
+        }
+        _ => run_fused(right, src, profile, scratch)?,
+    };
+    let rb = rb.into_flat(scratch);
+    let right_at = profile.next_op() - 1;
+    Ok([(lb, left_at), (rb, right_at)])
+}
+
+/// An aggregate over its flattened input `b`, recorded, with its
+/// per-group state kept for a combine. With `keys` — the left side and key
+/// column of the join whose right input this aggregate is, grouped on the
+/// join key — only the groups whose key the left side holds are folded
+/// (§7, (S)), when the aggregates allow it.
+fn aggregate_batch<'a>(
+    b: Batch<'_>,
+    group_by: &[usize],
+    aggs: &[(String, AggExpr)],
+    keys: Option<(&Batch<'_>, usize)>,
+    profile: &mut Recorder,
+    scratch: &mut EvalScratch,
+) -> Result<FBatch<'a>, EngineError> {
+    let reduced = keys.and_then(|(lb, lk)| key_set_aggregate(&b, group_by, aggs, lb, lk, scratch));
+    let (out, accs, folded) = match reduced {
+        Some(run) => {
+            profile.took(FusedPath::KeySetAggregate);
+            run?
+        }
+        None => {
+            let (out, accs) =
+                aggregate_vec(&mut b.table(), b.sel_ref(), b.len(), group_by, aggs, scratch)?;
+            (out, accs, None)
+        }
+    };
+    profile.keep(profile.next_op(), || {
+        let fold = Fold::of(&out, group_by, accs, None);
+        Some(Kept::Fold(Fold { folded, ..fold }))
+    });
+    let nb = owned(out);
+    nb.record(profile, OpKind::Aggregate, b.len() as u64);
+    if let Some(old) = b.sel {
+        scratch.put_sel(old);
+    }
+    Ok(nb)
+}
+
+/// An aggregate's output, its per-group states and, when it folded only
+/// some groups (§7, (S)), which.
+type Folded = (Table, Vec<AggAcc>, Option<Vec<bool>>);
+
+/// (S): `b` aggregated on its one group column, folding only the groups
+/// whose key column `lk` of `lb` holds, under join semantics; every other
+/// group is discovered and holds a stand-in ([`AggAcc::stand_in`]).
+/// Returns the output, the per-group states and which groups were folded.
+/// `None` when the aggregates do not allow it — each must be `COUNT(*)` or
+/// a `SUM` / `AVG` / `MIN` / `MAX` of an `Int64` or `Float64` column
+/// without a validity mask, whose every group has a valid value the
+/// stand-in imitates, and whose reads cannot raise on a row that is not
+/// folded — or when a column is missing, for the general path to report.
+fn key_set_aggregate(
+    b: &Batch<'_>,
+    group_by: &[usize],
+    aggs: &[(String, AggExpr)],
+    lb: &Batch<'_>,
+    lk: usize,
+    scratch: &mut EvalScratch,
+) -> Option<Result<Folded, EngineError>> {
+    let t = b.table();
+    let gcol = t.column(*group_by.first()?).ok()?;
+    let probe_key = match lb.len() {
+        0 => None,
+        _ => Some(lb.table().column(lk).ok()?),
+    };
+    let plain = |e: &Expr| match e {
+        Expr::Col(c) => t.column(*c).is_ok_and(|col| {
+            col.validity.is_none()
+                && matches!(&*col.data, ColumnData::Int64(_) | ColumnData::Float64(_))
+        }),
+        _ => false,
+    };
+    let allowed = aggs.iter().all(|(_, agg)| match agg {
+        AggExpr::Count => true,
+        AggExpr::Sum(e) | AggExpr::Avg(e) | AggExpr::Min(e) | AggExpr::Max(e) => plain(e),
+        AggExpr::CountIf(_) | AggExpr::SumIf { .. } => false,
+    });
+    if !allowed {
+        return None;
+    }
+    let groups = key_set_groups(b.sel_ref(), gcol, b.len(), lb, probe_key);
+    let n_groups = groups.reps.len();
+    let mut accs: Vec<AggAcc> = aggs.iter().map(|(_, agg)| AggAcc::new(agg, n_groups)).collect();
+    let (mut input, n) = (t, groups.rows.len());
+    let rows = Some(groups.rows.as_slice());
+    let ids = &groups.ids;
+    let folded = accumulate_aggs(&mut input, rows, aggs, ids, n_groups, n, &mut accs, scratch);
+    if let Err(e) = folded {
+        return Some(Err(e));
+    }
+    for (g, _) in groups.folded.iter().enumerate().filter(|(_, &folded)| !folded) {
+        accs.iter_mut().for_each(|acc| acc.stand_in(g));
+    }
+    let mut columns = vec![gcol.take_ids(&groups.reps)];
+    columns.extend(agg_output_columns(aggs, &accs));
+    Some(Table::new("agg", columns).map(|out| (out, accs, Some(groups.folded))))
+}
+
+/// The expressions an aggregate evaluates.
+fn agg_exprs(agg: &AggExpr) -> impl Iterator<Item = &Expr> {
+    let exprs = match agg {
+        AggExpr::Count => [None, None],
+        AggExpr::Sum(e)
+        | AggExpr::Avg(e)
+        | AggExpr::Min(e)
+        | AggExpr::Max(e)
+        | AggExpr::CountIf(e) => [Some(e), None],
+        AggExpr::SumIf { value, predicate } => [Some(value), Some(predicate)],
+    };
+    exprs.into_iter().flatten()
+}
+
+/// Join-output columns bound by index where only some are present: what a
+/// groupjoin's aggregates read (§7, (G)).
+struct SparseCols(Vec<Option<Column>>);
+
+impl AggInput for SparseCols {
+    fn cols(&mut self, _kp: &KernelPlan<'_>) -> KernelCols<'_> {
+        KernelCols::Cols(&self.0)
+    }
+
+    fn key_columns(&mut self, keys: &[usize]) -> Result<Vec<&Column>, EngineError> {
+        let width = self.0.len();
+        let column = |&index: &usize| {
+            let found = self.0.get(index).and_then(Option::as_ref);
+            found.ok_or(EngineError::ColumnIndex { index, width })
+        };
+        keys.iter().map(column).collect()
+    }
+}
+
+/// What a groupjoin (§7, (G)) hands its caller to record: the aggregate's
+/// output and per-group states, and the join it stands for — its rows, its
+/// output columns' types and string totals, and the matches of each left
+/// position.
+struct Groupjoin {
+    out: Table,
+    accs: Vec<AggAcc>,
+    join_rows: usize,
+    join_widths: Vec<(DataType, usize)>,
+    matches: Vec<u32>,
+}
+
+/// (G): `Aggregate(group by the left key) ∘ (lb ⋈ rb)` as one keyed pass
+/// over the right rows. The left key proves unique while its positions are
+/// chained ([`UniqueKeys`]), so each matching right row folds straight
+/// into its left position's state, in ascending right order — the order a
+/// deferred join's positions hand them to the same state. A left-outer
+/// position without a match holds the fold of one NULL-extended right row,
+/// evaluated once; an inner join keeps the matched positions, in order.
+/// `None` when the shape or the data does not allow it: a group key other
+/// than the one left key, an aggregate that reads a left column (or one
+/// past the join's width), a left key that is not one non-NULL `Int64`
+/// column with unique values, a right key that is not `Int64`.
+#[allow(clippy::too_many_arguments)]
+fn groupjoin(
+    lb: &Batch<'_>,
+    rb: &Batch<'_>,
+    left_keys: &[usize],
+    right_keys: &[usize],
+    join_type: JoinType,
+    group_by: &[usize],
+    aggs: &[(String, AggExpr)],
+    scratch: &mut EvalScratch,
+) -> Option<Result<Groupjoin, EngineError>> {
+    let (&[lk], &[rk]) = (left_keys, right_keys) else {
+        return None;
+    };
+    if group_by != [lk] {
+        return None;
+    }
+    let (lt, rt) = (lb.table(), rb.table());
+    let (lc, w) = (lt.n_columns(), lt.n_columns() + rt.n_columns());
+    // The right columns the aggregates read, where the join output's would be.
+    let mut bound: Vec<Option<Column>> = vec![None; w];
+    for e in aggs.iter().flat_map(|(_, agg)| agg_exprs(agg)) {
+        for &c in e.compile().referenced_cols() {
+            if c < lc || c >= w {
+                return None;
+            }
+            if bound[c].is_none() {
+                bound[c] = Some(rt.column(c - lc).ok()?.clone());
+            }
+        }
+    }
+    let lkey = lt.column(lk).ok()?;
+    let (ColumnData::Int64(lkeys), None) = (&*lkey.data, &lkey.validity) else {
+        return None;
+    };
+    let rkey = rt.column(rk).ok()?;
+    let ColumnData::Int64(rkeys) = &*rkey.data else {
+        return None;
+    };
+    let (n_left, n_right) = (lb.len(), rb.len());
+    let index = UniqueKeys::build(lb.sel_ref(), n_left, lkeys, n_left + n_right)?;
+
+    let mut input = SparseCols(bound);
+    let mut accs: Vec<AggAcc> = aggs.iter().map(|(_, agg)| AggAcc::new(agg, n_left)).collect();
+    let mut matches = vec![0u32; n_left];
+    let mut right_utf8 = vec![0usize; rt.n_columns()];
+    let (mut rows, mut groups) = (scratch.take_sel(), scratch.take_sel());
+    rows.reserve(n_right.min(MORSEL_ROWS));
+    groups.reserve(n_right.min(MORSEL_ROWS));
+    let folded = for_each_morsel(n_right, rb.sel_ref(), |sv| {
+        rows.clear();
+        groups.clear();
+        for p in 0..sv.len() {
+            let r = sv.row(p);
+            if !rkey.is_valid(r) {
+                continue;
+            }
+            if let Some(l) = index.position(rkeys[r]) {
+                rows.push(r as u32);
+                groups.push(l as u32);
+                matches[l] += 1;
+            }
+        }
+        for (total, c) in right_utf8.iter_mut().zip(rt.columns()) {
+            if let ColumnData::Utf8(v) = &*c.data {
+                *total += rows.iter().map(|&r| v.value_len(r as usize)).sum::<usize>();
+            }
+        }
+        let n = rows.len();
+        accumulate_aggs(&mut input, Some(&rows), aggs, &groups, n_left, n, &mut accs, scratch)
+    });
+    scratch.put_sel(rows);
+    scratch.put_sel(groups);
+    if let Err(e) = folded {
+        return Some(Err(e));
+    }
+
+    let outer = join_type == JoinType::LeftOuter;
+    if outer && matches.contains(&0) {
+        // What every unmatched position folds: one NULL-extended right row.
+        let miss = |c: &Option<Column>| c.as_ref().map(|c| c.take_opt_ids(&[0], &[false]));
+        let mut null_row = SparseCols(input.0.iter().map(miss).collect());
+        let mut one: Vec<AggAcc> = aggs.iter().map(|(_, agg)| AggAcc::new(agg, 1)).collect();
+        if let Err(e) = accumulate_aggs(&mut null_row, None, aggs, &[0], 1, 1, &mut one, scratch) {
+            return Some(Err(e));
+        }
+        for (l, _) in matches.iter().enumerate().filter(|(_, &m)| m == 0) {
+            accs.iter_mut().zip(&one).for_each(|(acc, one)| acc.copy_group(l, one, 0));
+        }
+    }
+    let kept: Vec<bool> = matches.iter().map(|&m| outer || m > 0).collect();
+    if !outer {
+        accs.iter_mut().for_each(|acc| acc.retain_groups(&kept));
+    }
+    let group_rows: Vec<u32> =
+        (0..n_left).filter(|&p| kept[p]).map(|p| lb.row_id(p) as u32).collect();
+
+    // The join the groups stand for: each left position once per match (a
+    // left-outer miss once), each matched right row once.
+    let times = |m: u32| if outer { m.max(1) } else { m } as usize;
+    let join_rows: usize = matches.iter().map(|&m| times(m)).sum();
+    let left_widths = lt.columns().iter().map(|c| match &*c.data {
+        ColumnData::Utf8(v) if join_rows > 0 => {
+            let at = |(p, &m): (usize, &u32)| times(m) * v.value_len(lb.row_id(p));
+            (DataType::Utf8, matches.iter().enumerate().map(at).sum())
+        }
+        data => (data.data_type(), 0),
+    });
+    let right_widths = rt.columns().iter().zip(&right_utf8).map(|(c, &total)| match &*c.data {
+        ColumnData::Utf8(_) if join_rows > 0 => (DataType::Utf8, total),
+        data => (data.data_type(), 0),
+    });
+    let join_widths = left_widths.chain(right_widths).collect();
+
+    let mut columns = vec![lkey.take_ids(&group_rows)];
+    columns.extend(agg_output_columns(aggs, &accs));
+    Some(Table::new("agg", columns).map(|out| Groupjoin {
+        out,
+        accs,
+        join_rows,
+        join_widths,
+        matches,
+    }))
 }
 
 // ----- row-wise outputs, extended over appended chunks -----
@@ -1489,14 +1883,18 @@ enum Kept {
 }
 
 /// An aggregate's per-group state: its output's group-key columns, each
-/// aggregate's running state and, over a left-outer join, which preserved
-/// rows have a match.
+/// aggregate's running state, over a left-outer join which preserved rows
+/// have a match and, for an aggregate that folded only the groups a join
+/// keeps (§7, (S)), which groups hold their whole fold.
 #[derive(Debug, Clone)]
 struct Fold {
     keys: Vec<Column>,
     accs: Vec<AggAcc>,
     groups: usize,
     matched: Option<Vec<bool>>,
+    /// `None` when every group is folded; otherwise `false` marks a group
+    /// whose state is a stand-in, which no join output may read.
+    folded: Option<Vec<bool>>,
 }
 
 impl Fold {
@@ -1507,6 +1905,7 @@ impl Fold {
             accs,
             groups: out.n_rows(),
             matched,
+            folded: None,
         }
     }
 
@@ -1554,6 +1953,10 @@ impl Fold {
             self.groups = keys[0].len();
             self.keys = keys;
         }
+        // A group the rows open has no earlier rows: its fold is whole.
+        if let Some(folded) = &mut self.folded {
+            folded.resize(self.groups, true);
+        }
         let mut input = rows;
         let n = rows.n_rows();
         accumulate_aggs(&mut input, None, aggs, &ids, self.groups, n, &mut self.accs, scratch).ok()
@@ -1561,8 +1964,8 @@ impl Fold {
 
     fn bytes(&self) -> u64 {
         let accs: u64 = self.accs.iter().map(AggAcc::bytes).sum();
-        let matched = self.matched.as_ref().map_or(0, Vec::len) as u64;
-        8 * (self.groups * self.keys.len()) as u64 + accs + matched
+        let marks = [&self.matched, &self.folded].map(|m| m.as_ref().map_or(0, Vec::len));
+        8 * (self.groups * self.keys.len()) as u64 + accs + marks.iter().sum::<usize>() as u64
     }
 }
 
@@ -1952,6 +2355,7 @@ impl Walk<'_> {
             // rows appended on the left append their matches.
             (Step::Appended(delta), Step::Same) if *join_type == JoinType::Inner => {
                 let right = self.whole(r)?;
+                self.reaches_folded_only(plan, r, delta, &right)?;
                 let (out, totals) = run_operator(plan, &[delta, &right], &mut self.scratch)?;
                 let old = self.old()?;
                 let totals = OpTotals {
@@ -1963,10 +2367,37 @@ impl Walk<'_> {
             }
             (Step::Changed(_), _) | (_, Step::Changed(_)) => {
                 let (left, right) = (self.whole(l)?, self.whole(r)?);
+                match &l.step {
+                    Step::Same => {}
+                    Step::Appended(delta) => self.reaches_folded_only(plan, r, delta, &right)?,
+                    Step::Changed(_) => self.reaches_folded_only(plan, r, &left, &right)?,
+                }
                 self.rerun(plan, &[&left, &right])
             }
             // Both sides grow, or new right rows would interleave.
             _ => None,
+        }
+    }
+
+    /// `Some` unless `gained` — left rows a join's left side gained — reach
+    /// a stand-in of the right aggregate `r`, whose whole output is
+    /// `right`: a group its key set left unfolded (§7, (S)), whose state
+    /// lacks the rows before this delta. Every key the left side held
+    /// before reaches only folded groups, so only gained keys are checked;
+    /// a group the delta opened has no earlier rows and is folded.
+    fn reaches_folded_only(
+        &self,
+        plan: &PhysicalPlan,
+        r: &Side<'_>,
+        gained: &Table,
+        right: &Table,
+    ) -> Option<()> {
+        match self.kept.get(r.at)? {
+            Some(Kept::Fold(Fold {
+                folded: Some(folded),
+                ..
+            })) if gained.n_rows() > 0 => reads_folded_only(plan, gained, right, folded),
+            _ => Some(()),
         }
     }
 
@@ -2112,6 +2543,31 @@ impl Walk<'_> {
         }
         Some(())
     }
+}
+
+/// `Some` when the join `plan` of `left` and `right` — an aggregate's
+/// output, row `g` its group `g` — matches no group that `folded` marks as
+/// a stand-in.
+fn reads_folded_only(
+    plan: &PhysicalPlan,
+    left: &Table,
+    right: &Table,
+    folded: &[bool],
+) -> Option<()> {
+    let PhysicalPlan::HashJoin {
+        left_keys,
+        right_keys,
+        ..
+    } = plan
+    else {
+        return None;
+    };
+    let lb = Batch::all(TableSlot::Borrowed(left));
+    let rb = Batch::all(TableSlot::Borrowed(right));
+    let (lcols, rcols) = join_key_columns(&lb, &rb, left_keys, right_keys).ok()?;
+    let (_, groups, hits) = serial_join_indices(&lb, &rb, &lcols, &rcols, JoinType::Inner);
+    let folded = |g: u32| folded.get(g as usize).copied().unwrap_or(false);
+    (!groups.iter().zip(&hits).any(|(&g, &hit)| hit && !folded(g))).then_some(())
 }
 
 /// Runs `plan`'s own operator over `inputs`, its inputs' outputs in order,

@@ -74,7 +74,8 @@ pub use exec::{
 };
 pub use expr::Expr;
 pub use fused::{
-    execute_fused, row_wise_table, CombineState, RowWiseOutput, TableSource, MORSEL_ROWS,
+    execute_fused, fused_paths, row_wise_table, CombineState, FusedPath, RowWiseOutput,
+    TableSource, MORSEL_ROWS,
 };
 pub use ops::{AggExpr, JoinType, PhysicalPlan, WorkProfile};
 pub use placement::Placement;

@@ -1051,7 +1051,7 @@ fn row_at(rows: Option<&[u32]>, pos: usize) -> usize {
 /// order, so the result equals the hashed pass's. `None` when the key is
 /// sparse (or there are no positions): the caller hashes.
 fn dense_group_ids(rows: Option<&[u32]>, keys: &[i64], n: usize) -> Option<(Vec<u32>, Vec<u32>)> {
-    let (min, span) = dense_span(n, |pos| row_at(rows, pos), keys, n)?;
+    let (min, span) = dense_span(n, rows, keys, n)?;
     let mut id_of = vec![0u32; span + 1];
     let mut group_ids: Vec<u32> = Vec::with_capacity(n);
     let mut rep_rows: Vec<u32> = Vec::new();
@@ -1068,20 +1068,23 @@ fn dense_group_ids(rows: Option<&[u32]>, keys: &[i64], n: usize) -> Option<(Vec<
 }
 
 /// The one rule by which a single `Int64` key is addressed directly:
-/// `(min, max − min)` of `keys` at the rows of `n` positions (`row` maps a
-/// position to its row), when that span is under `limit` — the rows the
-/// operator reads, so a table of `span + 1` slots is never the larger
-/// allocation. `None` over no positions.
+/// `(min, max − min)` of `keys` at the rows of `n` positions (`rows` maps a
+/// position to its row; `None` = position `p` is row `p`), when that span
+/// is under `limit` — the rows the operator reads, so a table of
+/// `span + 1` slots is never the larger allocation. `None` over no
+/// positions.
 fn dense_span(
     n: usize,
-    row: impl Fn(usize) -> usize,
+    rows: Option<&[u32]>,
     keys: &[i64],
     limit: usize,
 ) -> Option<(i64, usize)> {
-    let (min, max) = (0..n).fold((i64::MAX, i64::MIN), |(lo, hi), pos| {
-        let k = keys[row(pos)];
-        (lo.min(k), hi.max(k))
-    });
+    let range = |(lo, hi): (i64, i64), k: i64| (lo.min(k), hi.max(k));
+    let (min, max) = match rows {
+        // A straight pass over the slice, which the compiler unrolls.
+        None => keys[..n].iter().copied().fold((i64::MAX, i64::MIN), range),
+        Some(rows) => rows[..n].iter().map(|&r| keys[r as usize]).fold((i64::MAX, i64::MIN), range),
+    };
     // `abs_diff` cannot overflow, and over no positions it is `u64::MAX`.
     let span = usize::try_from(max.abs_diff(min))
         .ok()
@@ -1256,7 +1259,7 @@ fn int_key_span(lb: &Batch<'_>, rb: &Batch<'_>, l: &[i64], r: &[i64]) -> Option<
         (lb, l)
     };
     let rows_in = lb.len() + rb.len();
-    dense_span(build.len(), |pos| build.row_id(pos), keys, rows_in)
+    dense_span(build.len(), build.sel_ref(), keys, rows_in)
 }
 
 /// The build-side rule of [`join_indices_by`]: the right side, unless the
@@ -1465,6 +1468,221 @@ fn probe_chained(
     }
 }
 
+// ----- groupjoin kernels -----
+
+/// A join's build side whose key — one non-NULL `Int64` column — holds
+/// each value once: every key's position, addressed directly when the keys
+/// span fewer integers than the join reads rows ([`dense_span`], the join's
+/// own rule), through hash chains otherwise. Building it is the uniqueness
+/// proof: a repeated key returns `None`. What the fused groupjoin probes
+/// (`fused` module docs, §7).
+pub(crate) struct UniqueKeys<'k> {
+    keys: &'k [i64],
+    rows: Option<&'k [u32]>,
+    slots: KeySlots,
+}
+
+/// Where [`UniqueKeys`] finds a key's position + 1 (`0` = absent).
+enum KeySlots {
+    /// By `key − min`, with one sentinel slot past the end (never written)
+    /// for every key outside `[min, min + span]`.
+    Direct { min: i64, heads: Vec<u32> },
+    /// By hash; `next` threads positions whose keys share a hash.
+    Hashed { map: U64Map, next: Vec<u32> },
+}
+
+impl<'k> UniqueKeys<'k> {
+    /// The positions of `n` keys (`rows` maps a position to its row of
+    /// `keys`), or `None` when a key repeats.
+    pub(crate) fn build(
+        rows: Option<&'k [u32]>,
+        n: usize,
+        keys: &'k [i64],
+        limit: usize,
+    ) -> Option<UniqueKeys<'k>> {
+        let key_at = |pos: usize| keys[row_at(rows, pos)];
+        let slots = match dense_span(n, rows, keys, limit) {
+            Some((min, span)) => {
+                let mut heads = vec![0u32; span + 2];
+                for pos in 0..n {
+                    let head = &mut heads[key_at(pos).abs_diff(min) as usize];
+                    if *head != 0 {
+                        return None;
+                    }
+                    *head = pos as u32 + 1;
+                }
+                KeySlots::Direct { min, heads }
+            }
+            None => {
+                let mut map = U64Map::new();
+                let mut next = vec![0u32; n];
+                for pos in 0..n {
+                    let k = key_at(pos);
+                    let head = map.entry(int_key_hash(k));
+                    let mut cur = *head;
+                    while cur != 0 {
+                        if key_at(cur as usize - 1) == k {
+                            return None;
+                        }
+                        cur = next[cur as usize - 1];
+                    }
+                    next[pos] = *head;
+                    *head = pos as u32 + 1;
+                }
+                KeySlots::Hashed { map, next }
+            }
+        };
+        Some(UniqueKeys { keys, rows, slots })
+    }
+
+    /// The position holding `k`.
+    #[inline]
+    pub(crate) fn position(&self, k: i64) -> Option<usize> {
+        let head = match &self.slots {
+            KeySlots::Direct { min, heads } => {
+                // `serial_join_indices`' wrapping slot: both ends of the
+                // range land on the sentinel.
+                let sentinel = heads.len() as u64 - 1;
+                heads[(k as u64).wrapping_sub(*min as u64).min(sentinel) as usize]
+            }
+            KeySlots::Hashed { map, next } => {
+                let mut cur = map.get(int_key_hash(k));
+                while cur != 0 && self.keys[row_at(self.rows, cur as usize - 1)] != k {
+                    cur = next[cur as usize - 1];
+                }
+                cur
+            }
+        };
+        head.checked_sub(1).map(|p| p as usize)
+    }
+}
+
+/// An aggregate's groups over one key column when a join keeps only the
+/// groups whose key its other side holds (`fused` module docs, §7): every
+/// group is discovered, in first-seen order, but only the rows of the
+/// groups the join can keep are collected for folding.
+pub(crate) struct KeySetGroups {
+    /// The first row of every group, in first-seen order.
+    pub(crate) reps: Vec<u32>,
+    /// The rows of the folded groups, in position order.
+    pub(crate) rows: Vec<u32>,
+    /// The group id of each of `rows`.
+    pub(crate) ids: Vec<u32>,
+    /// Per group, whether its key is in the key set (its rows folded).
+    pub(crate) folded: Vec<bool>,
+}
+
+/// [`KeySetGroups`] of the key `gcol` over `n` positions (`rows` maps a
+/// position to its row), folding the groups whose key equals some key of
+/// `probe` (`probe_key` its key column, `None` when it has no rows) under
+/// join semantics: NULL never matches, and values of different types never
+/// do. A dense `Int64` key discovers and picks in one pass over a table
+/// indexed by `key − min` ([`dense_group_ids`]' rule), with no per-row
+/// group id; any other key discovers its groups as [`serial_group_ids`]
+/// does and joins the groups' keys against the key set.
+pub(crate) fn key_set_groups(
+    rows: Option<&[u32]>,
+    gcol: &Column,
+    n: usize,
+    probe: &Batch<'_>,
+    probe_key: Option<&Column>,
+) -> KeySetGroups {
+    let dense = sole_int_key(&[gcol]).and_then(|keys| {
+        let (min, span) = dense_span(n, rows, keys, n)?;
+        Some((keys, min, span))
+    });
+    let Some((keys, min, span)) = dense else {
+        return key_set_groups_joined(rows, gcol, n, probe, probe_key);
+    };
+    // One slot per key in the span: its group id + 1 (`0` = not seen
+    // yet), with the top bit set where the key set holds the key.
+    let mut slots = vec![0u32; span + 1];
+    if let Some((probe_key, ColumnData::Int64(probe_keys))) = probe_key.map(|c| (c, &*c.data)) {
+        for pos in 0..probe.len() {
+            let row = probe.row_id(pos);
+            let slot = (probe_keys[row] as u64).wrapping_sub(min as u64) as usize;
+            if probe_key.is_valid(row) && slot <= span {
+                slots[slot] = WANTED;
+            }
+        }
+    }
+    let mut groups = KeySetGroups {
+        reps: Vec::new(),
+        rows: Vec::new(),
+        ids: Vec::new(),
+        folded: Vec::new(),
+    };
+    match rows {
+        None => groups.pick(&mut slots, min, keys[..n].iter().copied().enumerate()),
+        Some(rows) => {
+            let pairs = rows[..n].iter().map(|&row| (row as usize, keys[row as usize]));
+            groups.pick(&mut slots, min, pairs)
+        }
+    }
+    groups
+}
+
+impl KeySetGroups {
+    /// One pass over (row, key) pairs against `slots` ([`key_set_groups`]):
+    /// a key seen for the first time opens a group, and a key the key set
+    /// holds has its row picked.
+    fn pick(&mut self, slots: &mut [u32], min: i64, pairs: impl Iterator<Item = (usize, i64)>) {
+        for (row, k) in pairs {
+            let slot = &mut slots[k.abs_diff(min) as usize];
+            if *slot & !WANTED == 0 {
+                self.reps.push(row as u32);
+                self.folded.push(*slot & WANTED != 0);
+                *slot |= self.reps.len() as u32;
+            }
+            if *slot & WANTED != 0 {
+                self.rows.push(row as u32);
+                self.ids.push((*slot & !WANTED) - 1);
+            }
+        }
+    }
+}
+
+/// The top bit of a [`key_set_groups`] slot: the key set holds the key.
+const WANTED: u32 = 1 << 31;
+
+/// [`key_set_groups`] of a key that is not dense: the groups as
+/// [`serial_group_ids`] discovers them, folded where their key joins.
+fn key_set_groups_joined(
+    rows: Option<&[u32]>,
+    gcol: &Column,
+    n: usize,
+    probe: &Batch<'_>,
+    probe_key: Option<&Column>,
+) -> KeySetGroups {
+    let (group_ids, reps) = serial_group_ids(rows, &[gcol], n);
+    let mut folded = vec![false; reps.len()];
+    if let (Some(probe_key), false) = (probe_key, reps.is_empty()) {
+        // One row per group, at its id: the join's right rows are the ids.
+        let group_keys = Table::new("k", vec![gcol.take_ids(&reps)]).expect("one column");
+        let groups = Batch::all(TableSlot::Owned(group_keys));
+        let gkey = groups.table().columns().first().expect("one key column");
+        let (probe_keys, group_keys) = ([probe_key], [gkey]);
+        let (_, hits, _) =
+            serial_join_indices(probe, &groups, &probe_keys, &group_keys, JoinType::Inner);
+        for g in hits {
+            folded[g as usize] = true;
+        }
+    }
+    let (mut picked, mut ids) = (Vec::new(), Vec::new());
+    for (pos, &g) in group_ids.iter().enumerate() {
+        if folded[g as usize] {
+            picked.push(row_at(rows, pos) as u32);
+            ids.push(g);
+        }
+    }
+    KeySetGroups {
+        reps,
+        rows: picked,
+        ids,
+        folded,
+    }
+}
+
 // ----- aggregation -----
 
 /// Visits the non-NULL numeric slots of one morsel result in position
@@ -1644,6 +1862,58 @@ impl AggAcc {
             *m = m.checked_sub(t)?;
         }
         Some(())
+    }
+
+    /// Sets group `g` to group `from_g` of `from`, a state of the same
+    /// aggregate.
+    pub(crate) fn copy_group(&mut self, g: usize, from: &AggAcc, from_g: usize) {
+        match (self, from) {
+            (AggAcc::Counts(c), AggAcc::Counts(f)) => c[g] = f[from_g],
+            (AggAcc::Sums { totals, seen }, AggAcc::Sums { totals: ft, seen: fs }) => {
+                totals[g] = ft[from_g];
+                seen[g] = fs[from_g];
+            }
+            (AggAcc::Avgs { totals, counts }, AggAcc::Avgs { totals: ft, counts: fc }) => {
+                totals[g] = ft[from_g];
+                counts[g] = fc[from_g];
+            }
+            (AggAcc::Best(b), AggAcc::Best(f)) => b[g] = f[from_g],
+            // LINT: panic-ok — both states are built by `AggAcc::new` from
+            // the same aggregate.
+            _ => unreachable!("states of one aggregate share a variant"),
+        }
+    }
+
+    /// Keeps the groups `keep` marks, in order.
+    pub(crate) fn retain_groups(&mut self, keep: &[bool]) {
+        fn retain<T>(v: &mut Vec<T>, keep: &[bool]) {
+            let mut kept = keep.iter();
+            v.retain(|_| kept.next().is_some_and(|&k| k));
+        }
+        match self {
+            AggAcc::Counts(c) => retain(c, keep),
+            AggAcc::Sums { totals, seen } => {
+                retain(totals, keep);
+                retain(seen, keep);
+            }
+            AggAcc::Avgs { totals, counts } => {
+                retain(totals, keep);
+                retain(counts, keep);
+            }
+            AggAcc::Best(b) => retain(b, keep),
+        }
+    }
+
+    /// Puts group `g` in the state of one row whose value is `0`: a group
+    /// no join keeps still outputs a valid value, as every group of an
+    /// aggregate over a column without NULLs does.
+    pub(crate) fn stand_in(&mut self, g: usize) {
+        match self {
+            AggAcc::Counts(_) => {}
+            AggAcc::Sums { seen, .. } => seen[g] = true,
+            AggAcc::Avgs { counts, .. } => counts[g] = 1,
+            AggAcc::Best(b) => b[g] = Some(0.0),
+        }
     }
 
     /// Heap bytes of the state.

@@ -165,14 +165,28 @@ fn right_prepare() -> PhysicalPlan {
 /// Shape 5 grows `r` too: both sides of its join append.
 const BOTH_GROW: usize = 5;
 
+/// Shape 7 is Q17's with `l` sorted by key: a key's first `l` row, the
+/// first of its `avg_q` group, arrives in a later chunk.
+const FIRST_ARRIVALS: usize = 7;
+
+/// Shape 8 is Q17's with `r` growing: the rows `@frag0 ⋈ @frag1` adds
+/// would interleave, so every extension after `r` grew declines.
+const PART_GROWS: usize = 8;
+
+/// Shape 9 joins `@frag0`'s rows with `q > 1` (one in eight) to `@frag0`'s per-key
+/// averages: a key whose earlier rows were all filtered out left its group
+/// unfolded, so a delta row that reaches it may only decline.
+const STAND_INS: usize = 9;
+
 /// The combine shapes under test, over `@frag0` (k, q, p, s) and `@frag1`
 /// (k, t).
 fn combine_of(shape: usize) -> PhysicalPlan {
     let f = |n: usize| *scan(&format!("@frag{n}"));
     match shape {
         // Q17's: `@frag0 ⋈ @frag1` (R1), a per-key average of `@frag0`
-        // (R2), their join, a filter and a sum over both (R4).
-        0 => {
+        // (R2) that folds only the keys `j1` holds, their join, a filter
+        // and a sum over both (R4).
+        0 | FIRST_ARRIVALS | PART_GROWS => {
             // j1: 0 k 1 q 2 p 3 s 4 r.k 5 t; avg: 0 k 1 avg_q.
             let j1 = join(f(0), f(1), JoinType::Inner);
             let avg = aggregate(f(0), vec![0], vec![("avg_q", AggExpr::Avg(Expr::col(1)))]);
@@ -239,6 +253,19 @@ fn combine_of(shape: usize) -> PhysicalPlan {
                 n: 3,
             }
         }
+        // A per-key average folded only for the keys of `@frag0`'s rows
+        // with `q > 1`, joined to those rows (R1, R2, R4).
+        STAND_INS => {
+            let positive = PhysicalPlan::Filter {
+                input: scan("@frag0"),
+                predicate: Expr::col(1).gt(Expr::float(1.0)),
+            };
+            // A projection's output is its own, so the join keeps it.
+            let kept = vec![("k", Expr::col(0)), ("q", Expr::col(1))];
+            let positive = project(Box::new(positive), kept);
+            let avg = aggregate(f(0), vec![0], vec![("avg_p", AggExpr::Avg(Expr::col(2)))]);
+            join(positive, avg, JoinType::Inner)
+        }
         // Both sides of the join grow: declines.
         BOTH_GROW => {
             aggregate(join(f(0), f(1), JoinType::Inner), vec![3], vec![("c", AggExpr::Count)])
@@ -297,15 +324,20 @@ proptest! {
             proptest::collection::vec(0usize..3, 1..6),
         ),
         (r_rows, r_cuts) in (rows_strategy(), proptest::collection::vec(0usize..64, 0..3)),
-        (shape, masks, initial, older) in (0usize..7, 0usize..4, 1usize..3, 0usize..2),
+        (shape, masks, initial, older) in (0usize..10, 0usize..4, 1usize..3, 0usize..2),
     ) {
         let combine = combine_of(shape);
         let (lp, rp) = (left_prepare(), right_prepare());
         // A mask on every chunk of `l` in a quarter of the cases.
         let masked = masks == 0;
+        let mut rows = rows;
+        if shape == FIRST_ARRIVALS {
+            rows.sort_by_key(|row| row.0);
+        }
         let l = chunks_of(&rows, &cuts, |n, r| l_table(n, r, masked), "l");
-        // `r` is one chunk, or grows beside `l` in the both-grow shape.
-        let r_cuts = if shape == BOTH_GROW { r_cuts } else { Vec::new() };
+        // `r` is one chunk, or grows beside `l` in the shapes that grow it.
+        let grows_r = shape == BOTH_GROW || shape == PART_GROWS;
+        let r_cuts = if grows_r { r_cuts } else { Vec::new() };
         let r = chunks_of(&r_rows, &r_cuts, r_table, "r");
         let (n_l, n_r) = (l.len(), r.len());
         let mut covered = (initial.min(n_l), 1);
@@ -351,14 +383,17 @@ proptest! {
             let full = full_run(&combine, &[&p0, &p1]);
             // New `r` rows would interleave with the join's output: when
             // `l` grew too, both sides grew.
-            let right_grew = shape == BOTH_GROW && next.1 > covered.1;
+            let right_grew = grows_r && next.1 > covered.1;
             let both_grew = right_grew && next.0 > covered.0;
             let extended = match &mut state {
                 Some(state) => {
-                    let must = full.is_ok() && !masked && !collapsed && !right_grew;
+                    let must = full.is_ok() && !masked && !collapsed && !right_grew
+                        && shape != STAND_INS;
                     let extended = state.extend(&combine, &[&p0, &p1]);
                     prop_assert!(extended.is_some() || !must, "{}: declined", ctx);
                     prop_assert!(extended.is_none() || !both_grew, "{}: both sides grew", ctx);
+                    let part_grew = shape == PART_GROWS && right_grew;
+                    prop_assert!(extended.is_none() || !part_grew, "{}: `r` grew", ctx);
                     prop_assert!(extended.is_none() || full.is_ok(), "{}: extended an error", ctx);
                     if let Some(rows) = extended {
                         let after = p0.table().n_rows() + p1.table().n_rows();

@@ -16,7 +16,7 @@ use midas_engines::data::{Column, ColumnData, Table, Value};
 use midas_engines::expr::Expr;
 use midas_engines::ops::{execute_scalar, AggExpr, JoinType, PhysicalPlan};
 use midas_engines::version::{CatalogVersion, ChunkedTable};
-use midas_engines::{execute_fused, profile_fragments, Catalog};
+use midas_engines::{execute_fused, fused_paths, profile_fragments, Catalog, FusedPath};
 use proptest::prelude::*;
 
 const WORDS: [&str; 5] = ["alpha", "beta", "gamma", "delta", ""];
@@ -539,6 +539,191 @@ proptest! {
             prop_assert_eq!(c.table.fingerprint(), f.table.fingerprint());
             prop_assert_eq!(&c.work, &f.work, "profile differs");
         }
+    }
+}
+
+/// One row of a keyed table: (key, b, word index, a, a's null knob).
+type KeyedRow = (i64, f64, usize, i64, i64);
+
+fn keyed_rows(max: usize) -> impl Strategy<Value = Vec<KeyedRow>> {
+    proptest::collection::vec((0i64..12, -10.0..10.0f64, 0usize..5, -5i64..5, 0i64..4), 0..max)
+}
+
+/// The keyed table: k Int64 (`key(row, position)`, NULL at the positions
+/// `null_at` marks), b Float64, s Utf8 and a Int64 (NULL where the knob is
+/// 0), none of the last three masked but `a`.
+fn keyed_of(
+    name: &str,
+    rows: &[KeyedRow],
+    key: impl Fn(&KeyedRow, usize) -> i64,
+    null_at: impl Fn(usize) -> bool,
+) -> Table {
+    let k = ColumnData::Int64(rows.iter().enumerate().map(|(i, r)| key(r, i)).collect());
+    let k = if (0..rows.len()).any(&null_at) {
+        Column::with_validity("k", k, (0..rows.len()).map(|i| !null_at(i)).collect())
+    } else {
+        Column::new("k", k)
+    };
+    let a = ColumnData::Int64(rows.iter().map(|r| r.3).collect());
+    Table::new(
+        name,
+        vec![
+            k,
+            Column::new("b", ColumnData::Float64(rows.iter().map(|r| r.1).collect())),
+            Column::new("s", ColumnData::Utf8(rows.iter().map(|r| WORDS[r.2]).collect())),
+            Column::with_validity("a", a, rows.iter().map(|r| r.4 != 0).collect()),
+        ],
+    )
+    .expect("aligned")
+}
+
+/// `t` as one flat catalog entry and as a version cut at `cuts`.
+fn cut(t: &Table, cuts: &[usize]) -> ChunkedTable {
+    let n = t.n_rows();
+    let mut bounds: Vec<usize> = cuts.iter().map(|&c| c % (n + 1)).collect();
+    bounds.sort_unstable();
+    bounds.push(n);
+    let mut start = 0;
+    let chunks = bounds.into_iter().map(|end| {
+        let chunk = Arc::new(t.take_ids(&(start as u32..end as u32).collect::<Vec<_>>()));
+        start = end;
+        chunk
+    });
+    ChunkedTable::from_chunks(&t.name, chunks.collect()).expect("one schema")
+}
+
+/// `l` and `r` over a flat catalog and chunked at `lcuts` / `rcuts`.
+fn two_tables(l: Table, r: Table, lcuts: &[usize], rcuts: &[usize]) -> (Catalog, CatalogVersion) {
+    let version = CatalogVersion::from_chunked(vec![cut(&l, lcuts), cut(&r, rcuts)]);
+    let mut catalog = Catalog::new();
+    catalog.insert("l".to_string(), l);
+    catalog.insert("r".to_string(), r);
+    (catalog, version)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// (G) An aggregate grouped on the left key of `l ⋈ r` runs as a
+    /// groupjoin when that key is one non-NULL, unique `Int64` column and
+    /// every aggregate reads only `r`'s side — dense or sparse keys, inner
+    /// or left-outer, a nullable value column, strings on both sides — and
+    /// falls back to the deferred join on a duplicate or NULL left key or
+    /// an aggregate that reads a left column. Either way it is scalar's
+    /// table, fingerprint and profile, over flat and chunked inputs.
+    #[test]
+    fn groupjoin_fused(
+        (left, right) in (keyed_rows(16), keyed_rows(30)),
+        (lcuts, rcuts) in (cuts_strategy(), cuts_strategy()),
+        (outer, spread, offset) in (0i64..2, 0i64..2, -6i64..6),
+        (duplicate, null_key, reads_left) in (0usize..4, 0usize..4, 0i64..4),
+    ) {
+        let spread = if spread == 0 { 1 } else { 1009 };
+        let n = left.len();
+        // Left keys are unique (position-derived) unless one repeats the
+        // first, or one is NULL.
+        let dup = n.checked_sub(1).filter(|&last| duplicate == 0 && last > 0);
+        let l = keyed_of(
+            "l",
+            &left,
+            |_, i| (if Some(i) == dup { 0 } else { i as i64 } + offset) * spread,
+            |i| null_key == 0 && i == n / 2 && n > 0,
+        );
+        let r = keyed_of("r", &right, |row, _| (row.0 + offset) * spread, |_| false);
+        let clean = dup.is_none() && !(null_key == 0 && n > 0) && reads_left != 0;
+        let (catalog, version) = two_tables(l, r, &lcuts, &rcuts);
+        // Join output: l 0 k 1 b 2 s 3 a, r 4 k 5 b 6 s 7 a.
+        let mut aggs = vec![
+            ("n".to_string(), AggExpr::Count),
+            ("has_a".to_string(), AggExpr::CountIf(Expr::col(7).is_null().negate())),
+            ("sum_b".to_string(), AggExpr::Sum(Expr::col(5))),
+            ("avg_a".to_string(), AggExpr::Avg(Expr::col(7))),
+            ("lo".to_string(), AggExpr::Min(Expr::col(5))),
+            ("hi_a".to_string(), AggExpr::Max(Expr::col(7))),
+            (
+                "b_if_a".to_string(),
+                AggExpr::SumIf { value: Expr::col(5), predicate: Expr::col(6).contains("a") },
+            ),
+        ];
+        if reads_left == 0 {
+            aggs.push(("left_b".to_string(), AggExpr::Sum(Expr::col(1).add(Expr::col(5)))));
+        }
+        let join_type = if outer == 0 { JoinType::Inner } else { JoinType::LeftOuter };
+        let plan = PhysicalPlan::Aggregate {
+            input: Box::new(PhysicalPlan::HashJoin {
+                left: scan("l"),
+                right: scan("r"),
+                left_keys: vec![0],
+                right_keys: vec![0],
+                join_type,
+            }),
+            group_by: vec![0],
+            aggs,
+        };
+        fused_matches(&plan, &catalog, &version)?;
+        let took = fused_paths(&plan, &catalog).expect("runs");
+        prop_assert_eq!(took.contains(&FusedPath::Groupjoin), clean, "{:?}", took);
+    }
+
+    /// (S) A join whose right input aggregates on the right join key folds
+    /// only the groups whose key the left side holds — `Int64` keys dense
+    /// or sparse, NULL group keys, string keys on both sides, inner or
+    /// left-outer, materialized at the root or consumed by a filter and an
+    /// aggregate as in Q17 — and falls back to the whole aggregate when an
+    /// aggregate reads a nullable column. The aggregate's rows and bytes
+    /// stay the unreduced ones: scalar's table, fingerprint and profile,
+    /// over flat and chunked inputs.
+    #[test]
+    fn key_set_aggregate_fused(
+        (left, right) in (keyed_rows(20), keyed_rows(40)),
+        (lcuts, rcuts) in (cuts_strategy(), cuts_strategy()),
+        (outer, spread, strings) in (0i64..2, 0i64..2, 0i64..3),
+        (null_group, nullable_value, above) in (0i64..4, 0i64..4, 0i64..2),
+    ) {
+        let spread = if spread == 0 { 1 } else { 1009 };
+        let l = keyed_of("l", &left, |row, _| row.0 * spread, |i| i % 5 == 3);
+        let null_at = |i: usize| null_group == 0 && i % 4 == 1;
+        let r = keyed_of("r", &right, |row, _| row.0 / 2 * spread, null_at);
+        let (catalog, version) = two_tables(l, r, &lcuts, &rcuts);
+        // The join key: k, or s (strings on both sides).
+        let key = if strings == 0 { 2 } else { 0 };
+        let mut aggs = vec![
+            ("n".to_string(), AggExpr::Count),
+            ("avg_b".to_string(), AggExpr::Avg(Expr::col(1))),
+            ("sum_b".to_string(), AggExpr::Sum(Expr::col(1))),
+            ("lo".to_string(), AggExpr::Min(Expr::col(1))),
+            ("hi".to_string(), AggExpr::Max(Expr::col(1))),
+        ];
+        if nullable_value == 0 {
+            aggs.push(("avg_a".to_string(), AggExpr::Avg(Expr::col(3))));
+        }
+        let aggregate = PhysicalPlan::Aggregate { input: scan("r"), group_by: vec![key], aggs };
+        let join_type = if outer == 0 { JoinType::Inner } else { JoinType::LeftOuter };
+        let join = PhysicalPlan::HashJoin {
+            left: scan("l"),
+            right: Box::new(aggregate),
+            left_keys: vec![key],
+            right_keys: vec![0],
+            join_type,
+        };
+        // Join output: l 0 k 1 b 2 s 3 a, then the group key (4), n (5),
+        // avg_b (6), ….
+        let plan = if above == 0 {
+            join
+        } else {
+            PhysicalPlan::Aggregate {
+                input: Box::new(PhysicalPlan::Filter {
+                    input: Box::new(join),
+                    predicate: Expr::col(1).lt(Expr::float(0.5).mul(Expr::col(6))),
+                }),
+                group_by: vec![],
+                aggs: vec![("total".to_string(), AggExpr::Sum(Expr::col(1)))],
+            }
+        };
+        fused_matches(&plan, &catalog, &version)?;
+        let took = fused_paths(&plan, &catalog).expect("runs");
+        let reduced = took.contains(&FusedPath::KeySetAggregate);
+        prop_assert_eq!(reduced, nullable_value != 0, "{:?}", took);
     }
 }
 

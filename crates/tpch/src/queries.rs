@@ -384,7 +384,7 @@ pub fn q17(brand: &str, container: &str) -> TwoTableQuery {
 mod tests {
     use super::*;
     use crate::gen::{GenConfig, TpchDb};
-    use midas_engines::Value;
+    use midas_engines::{fused_paths, FusedPath, Value};
 
     /// Runs the three plans of a template locally (no federation), as the
     /// combine plan would see them.
@@ -509,6 +509,33 @@ mod tests {
         assert!(!combine_join_is_direct(&q17, &db, 1009));
     }
 
+    /// The §7 paths of the fused executor (`fused_paths`) that `q`'s
+    /// combine takes over its prepared sides.
+    fn combine_paths(q: &TwoTableQuery, db: &TpchDb) -> Vec<FusedPath> {
+        let mut frags = Catalog::new();
+        for (name, prepare) in [("@frag0", &q.left_prepare), ("@frag1", &q.right_prepare)] {
+            let (t, _) = execute_fused(prepare, db.catalog()).unwrap();
+            frags.insert(name.to_string(), t);
+        }
+        fused_paths(&q.combine, &frags).unwrap()
+    }
+
+    /// Q13's combine counts each customer's orders straight into the
+    /// customer's group (a groupjoin: `c_custkey` is unique and the count
+    /// reads only `orders`' side), and Q17's `avg_q` averages only the
+    /// parts `j1` kept (a key-set aggregate). Q12 groups on a right-side
+    /// column and Q14 globally, so both keep the general paths. A plan
+    /// edit that loses either fast path fails here, not on a benchmark.
+    #[test]
+    fn q13_and_q17_combines_take_the_groupjoin_paths_q12_and_q14_do_not() {
+        let db = db();
+        let paths = |q: &TwoTableQuery| combine_paths(q, &db);
+        assert_eq!(paths(&q13("special", "requests")), [FusedPath::Groupjoin]);
+        assert_eq!(paths(&q17("Brand#21", "LG BOX")), [FusedPath::KeySetAggregate]);
+        assert_eq!(paths(&q12("MAIL", "SHIP", 1994)), []);
+        assert_eq!(paths(&q14(1995, 9)), []);
+    }
+
     #[test]
     fn q12_produces_per_mode_counts() {
         let db = db();
@@ -546,35 +573,52 @@ mod tests {
         assert!(total > 0);
     }
 
+    /// Every customer lands in exactly one bucket, the buckets are sorted
+    /// by `custdist` descending, and the zero bucket counts the customers
+    /// no surviving order names — counted here from the two prepares
+    /// alone. Almost every comment holds an `e` and an `s`, so the second
+    /// binding leaves many customers with no order.
     #[test]
     fn q13_customers_with_zero_orders_appear() {
         let db = db();
-        let out = run_locally(&q13("special", "requests"), &db);
-        // Output: (c_count, custdist). The distribution covers every
-        // customer exactly once.
-        let mut customers = 0i64;
-        let mut has_zero_bucket = false;
-        for i in 0..out.n_rows() {
-            if let (Value::Int64(count), Value::Int64(dist)) = (&out.row(i)[0], &out.row(i)[1]) {
-                customers += dist;
-                if *count == 0 {
-                    has_zero_bucket = true;
+        for (q, some_without) in [(q13("special", "requests"), false), (q13("e", "s"), true)] {
+            let out = run_locally(&q, &db);
+            // Output: (c_count, custdist).
+            let mut customers = 0i64;
+            let mut zero_bucket = None;
+            for i in 0..out.n_rows() {
+                if let (Value::Int64(count), Value::Int64(dist)) = (&out.row(i)[0], &out.row(i)[1])
+                {
+                    customers += dist;
+                    if *count == 0 {
+                        zero_bucket = Some(*dist);
+                    }
                 }
             }
+            assert_eq!(customers as usize, db.table("customer").unwrap().n_rows());
+            let keys = |prepare: &PhysicalPlan| {
+                let (t, _) = execute_fused(prepare, db.catalog()).unwrap();
+                let key = |i: usize| match t.row(i)[0] {
+                    Value::Int64(k) => k,
+                    ref other => panic!("an Int64 key, not {other:?}"),
+                };
+                (0..t.n_rows()).map(key).collect::<std::collections::HashSet<i64>>()
+            };
+            let ordering = keys(&q.right_prepare);
+            let without = keys(&q.left_prepare).difference(&ordering).count() as i64;
+            assert!(without > 0 || !some_without, "{}: every customer ordered", q.label);
+            assert_eq!(zero_bucket.unwrap_or(0), without, "{}: the zero bucket", q.label);
+            assert_eq!(zero_bucket.is_some(), without > 0, "{}: the zero bucket", q.label);
+            let dists: Vec<i64> = (0..out.n_rows())
+                .map(|i| match out.row(i)[1] {
+                    Value::Int64(d) => d,
+                    _ => panic!(),
+                })
+                .collect();
+            let mut sorted = dists.clone();
+            sorted.sort_unstable_by(|a, b| b.cmp(a));
+            assert_eq!(dists, sorted);
         }
-        assert_eq!(customers as usize, db.table("customer").unwrap().n_rows());
-        // With 10 orders/customer a zero bucket is unlikely but possible;
-        // just assert the distribution is sorted by custdist descending.
-        let _ = has_zero_bucket;
-        let dists: Vec<i64> = (0..out.n_rows())
-            .map(|i| match out.row(i)[1] {
-                Value::Int64(d) => d,
-                _ => panic!(),
-            })
-            .collect();
-        let mut sorted = dists.clone();
-        sorted.sort_unstable_by(|a, b| b.cmp(a));
-        assert_eq!(dists, sorted);
     }
 
     #[test]

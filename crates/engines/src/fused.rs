@@ -86,7 +86,8 @@
 //!    - **R2, grouped fold.** An aggregate over appended rows keeps its
 //!      per-group states: each group continues its fold in row order, so a
 //!      float `sum` or `avg` is bit-identical, and new groups follow in
-//!      first-seen order.
+//!      first-seen order (a dense `Int64` key numbers only the new rows,
+//!      against a slot table of the old groups' keys).
 //!    - **R3, outer join.** An aggregate grouped on the preserved side of a
 //!      left-outer join whose preserved side is unchanged and whose other
 //!      side only appends keeps integer `Count` / `CountIf` states: the
@@ -110,19 +111,20 @@
 //!    - **(G) An aggregate grouped on a join's unique left key** (Q13's
 //!      counts per customer): `Aggregate ∘ HashJoin` with no filter
 //!      between, grouped on exactly the left key, which is one non-NULL
-//!      `Int64` column that proves unique while its positions are chained,
-//!      every aggregate reading only right columns (or counting). The
-//!      groups are the left rows (left-outer) or the matched left rows
-//!      (inner), in left order: the first-seen order of a join output
-//!      ordered by (left position, right position). Each matching right
-//!      row folds straight into its left row's state, in ascending right
-//!      order — the order in which a deferred join hands the same state
-//!      its rows — so a float `sum` or `avg` is bit-identical. An
-//!      unmatched left-outer row holds the fold of one NULL-extended right
-//!      row, evaluated once. The Join entry of the profile comes from the
-//!      match counts and each column's string total through `width_bytes`;
-//!      no index triple, gathered column or group discovery is built, and
-//!      R3's `matched` falls out of the counts.
+//!      `Int64` column that proves unique once the join's own chains are
+//!      built over its positions, every aggregate reading only right
+//!      columns (or counting). The groups are the left rows (left-outer)
+//!      or the matched left rows (inner), in left order: the first-seen
+//!      order of a join output ordered by (left position, right position).
+//!      Each matching right row folds straight into its left row's state,
+//!      in ascending right order — the order in which a deferred join
+//!      hands the same state its rows — so a float `sum` or `avg` is
+//!      bit-identical. An unmatched left-outer row holds the fold of one
+//!      NULL-extended right row, evaluated once. The Join entry of the
+//!      profile comes from the match counts and each column's string
+//!      total through `width_bytes`; no index triple, gathered column or
+//!      group discovery is built, and R3's `matched` falls out of the
+//!      counts.
 //!    - **(S) A join over an aggregate grouped on the join key** (Q17's
 //!      `j1 ⋈ avg_q`): the left side runs first, as post-order has it, and
 //!      its key set decides what the aggregate folds. Every key is still
@@ -176,10 +178,10 @@ use crate::error::EngineError;
 use crate::exec::referenced_fragments;
 use crate::expr::{BatchVals, EvalScratch, Expr, KernelCols, KernelPlan, NumTy, SelView};
 use crate::ops::{
-    accumulate_aggs, agg_output_columns, aggregate_vec, gather_join, hash_join_vec,
-    join_key_columns, key_set_groups, serial_group_ids, serial_join_indices, sort_sel, AggAcc,
-    AggExpr, AggInput, Batch, JoinType, OpKind, OpWork, PhysicalPlan, TableSlot, UniqueKeys,
-    WorkProfile,
+    accumulate_aggs, agg_output_columns, aggregate_vec, dense_group_ids_after, gather_join,
+    hash_join_vec, join_key_columns, key_set_groups, serial_group_ids, serial_join_indices,
+    sort_sel, AggAcc, AggExpr, AggInput, Batch, JoinType, OpKind, OpWork, PhysicalPlan, TableSlot,
+    UniqueKeys, WorkProfile,
 };
 use crate::version::{CatalogVersion, ChunkedTable};
 use std::sync::Arc;
@@ -1548,12 +1550,13 @@ struct Groupjoin {
 }
 
 /// (G): `Aggregate(group by the left key) ∘ (lb ⋈ rb)` as one keyed pass
-/// over the right rows. The left key proves unique while its positions are
-/// chained ([`UniqueKeys`]), so each matching right row folds straight
-/// into its left position's state, in ascending right order — the order a
-/// deferred join's positions hand them to the same state. A left-outer
-/// position without a match holds the fold of one NULL-extended right row,
-/// evaluated once; an inner join keeps the matched positions, in order.
+/// over the right rows. The left key proves unique once the join's own
+/// chains are built over its positions ([`UniqueKeys`]), so each matching
+/// right row folds straight into its left position's state, in ascending
+/// right order — the order a deferred join's positions hand them to the
+/// same state. A left-outer position without a match holds the fold of one
+/// NULL-extended right row, evaluated once; an inner join keeps the
+/// matched positions, in order.
 /// `None` when the shape or the data does not allow it: a group key other
 /// than the one left key, an aggregate that reads a left column (or one
 /// past the join's width), a left key that is not one non-NULL `Int64`
@@ -1598,7 +1601,7 @@ fn groupjoin(
         return None;
     };
     let (n_left, n_right) = (lb.len(), rb.len());
-    let index = UniqueKeys::build(lb.sel_ref(), n_left, lkeys, n_left + n_right)?;
+    let index = UniqueKeys::build(lb, lkeys, n_left + n_right)?;
 
     let mut input = SparseCols(bound);
     let mut accs: Vec<AggAcc> = aggs.iter().map(|(_, agg)| AggAcc::new(agg, n_left)).collect();
@@ -1926,6 +1929,9 @@ impl Fold {
         if group_by.is_empty() || n == 0 {
             return Some((vec![0; n], None));
         }
+        if let Some(dense) = self.dense_ids(rows, group_by) {
+            return Some(dense);
+        }
         let old = self.groups;
         let pairs = self.keys.iter().zip(group_by);
         let cols = pairs
@@ -1937,6 +1943,33 @@ impl Fold {
         }
         let keys = (reps.len() > old).then(|| cols.iter().map(|c| c.take_ids(&reps)).collect());
         Some((ids[old..].to_vec(), keys))
+    }
+
+    /// [`Fold::ids`] of one non-NULL `Int64` key that is dense over the
+    /// old groups' keys and the rows ([`dense_group_ids_after`]): only the
+    /// rows are numbered, and no column of both is built unless a row opens
+    /// a group. `None` for any other key.
+    fn dense_ids(
+        &self,
+        rows: &Table,
+        group_by: &[usize],
+    ) -> Option<(Vec<u32>, Option<Vec<Column>>)> {
+        let ([key], &[g]) = (&self.keys[..], group_by) else {
+            return None;
+        };
+        let col = rows.column(g).ok()?;
+        let (ColumnData::Int64(old), None) = (&*key.data, &key.validity) else {
+            return None;
+        };
+        let (ColumnData::Int64(new), None) = (&*col.data, &col.validity) else {
+            return None;
+        };
+        let (ids, opened) = dense_group_ids_after(old, new)?;
+        if opened.is_empty() {
+            return Some((ids, None));
+        }
+        let keys = vec![concat_columns(key, &col.take_ids(&opened))?];
+        Some((ids, Some(keys)))
     }
 
     /// Folds `rows` — the rows after every row folded so far — into the

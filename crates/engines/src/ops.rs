@@ -1067,6 +1067,41 @@ fn dense_group_ids(rows: Option<&[u32]>, keys: &[i64], n: usize) -> Option<(Vec<
     Some((group_ids, rep_rows))
 }
 
+/// [`serial_group_ids`] over `groups` — distinct keys, group `g` holding
+/// `groups[g]` — followed by `keys`, without putting the two in one column:
+/// the group id of each of `keys`, and the positions of `keys` that open a
+/// group. Addressed as [`dense_group_ids`] addresses a dense key, over both
+/// slices; `None` when their span is not under their length, or when
+/// `groups` repeats a key (the caller concatenates and discovers).
+pub(crate) fn dense_group_ids_after(groups: &[i64], keys: &[i64]) -> Option<(Vec<u32>, Vec<u32>)> {
+    let range = |(lo, hi): (i64, i64), &k: &i64| (lo.min(k), hi.max(k));
+    let (min, max) = groups.iter().chain(keys).fold((i64::MAX, i64::MIN), range);
+    let limit = groups.len() + keys.len();
+    let span = usize::try_from(max.abs_diff(min))
+        .ok()
+        .filter(|&s| s < limit)?;
+    let mut id_of = vec![0u32; span + 1];
+    for (g, &k) in groups.iter().enumerate() {
+        let slot = &mut id_of[k.abs_diff(min) as usize];
+        if *slot != 0 {
+            return None;
+        }
+        *slot = g as u32 + 1;
+    }
+    let (mut opened, mut seen) = (Vec::new(), groups.len() as u32);
+    let mut id = |(pos, &k): (usize, &i64)| {
+        let slot = &mut id_of[k.abs_diff(min) as usize];
+        if *slot == 0 {
+            opened.push(pos as u32);
+            seen += 1;
+            *slot = seen;
+        }
+        *slot - 1
+    };
+    let ids = keys.iter().enumerate().map(&mut id).collect();
+    Some((ids, opened))
+}
+
 /// The one rule by which a single `Int64` key is addressed directly:
 /// `(min, max − min)` of `keys` at the rows of `n` positions (`rows` maps a
 /// position to its row; `None` = position `p` is row `p`), when that span
@@ -1210,19 +1245,14 @@ pub(crate) fn serial_join_indices(
     match (sole_int_key(lcols), sole_int_key(rcols)) {
         (Some(l), Some(r)) => match int_key_span(lb, rb, l, r) {
             Some((min, span)) => {
-                // `k − min` in wrapping arithmetic: a key below `min` wraps
-                // to `k − min + 2⁶⁴ ≥ span + 1` (`k ≥ i64::MIN`, `min + span
-                // ≤ i64::MAX`), so one `min` sends both ends to the
-                // sentinel slot `span + 1`.
-                let sentinel = span as u64 + 1;
-                let slot = |k: i64| Some((k as u64).wrapping_sub(min as u64).min(sentinel));
+                let slot = direct_slot(min, span);
                 join_indices_by(
                     lb,
                     rb,
                     join_type,
                     vec![0u32; span + 2],
-                    |lrow| slot(l[lrow]),
-                    |rrow| slot(r[rrow]),
+                    |lrow| Some(slot(l[lrow])),
+                    |rrow| Some(slot(r[rrow])),
                     |_, _| true,
                 )
             }
@@ -1246,6 +1276,16 @@ pub(crate) fn serial_join_indices(
             |lrow, rrow| keys_equal(lcols, lrow, rcols, rrow),
         ),
     }
+}
+
+/// The slot of an `Int64` key in a direct table of `span + 2` chain heads
+/// over `[min, min + span]`: `k − min` in wrapping arithmetic, where a key
+/// below `min` wraps to `k − min + 2⁶⁴ ≥ span + 1` (`k ≥ i64::MIN`, `min +
+/// span ≤ i64::MAX`), so one `min` sends both ends of the range to the
+/// sentinel slot `span + 1`.
+fn direct_slot(min: i64, span: usize) -> impl Fn(i64) -> u64 + Copy {
+    let sentinel = span as u64 + 1;
+    move |k| (k as u64).wrapping_sub(min as u64).min(sentinel)
 }
 
 /// `(min, max − min)` of the build side's keys when [`dense_span`] admits
@@ -1326,11 +1366,9 @@ fn join_indices_by(
         let mut left_out: Vec<u32> = Vec::with_capacity(at_least);
         let mut right_out: Vec<u32> = Vec::with_capacity(at_least);
         let mut right_hit: Vec<bool> = Vec::with_capacity(at_least);
-        probe_chained(
+        Chains::build(rb, heads, right_slot).probe(
             rb,
             lb,
-            heads,
-            right_slot,
             left_slot,
             |rrow, lrow| same_key(lrow, rrow),
             |lrow, hit| match hit {
@@ -1355,7 +1393,8 @@ fn join_indices_by(
     // then scatter them into left order.
     let mut slots = vec![0usize; ln]; // matches per left position, then its cursor
     let mut staged: Vec<Vec<(u32, u32)>> = Vec::new();
-    probe_chained(lb, rb, heads, left_slot, right_slot, same_key, |rrow, hit| {
+    let chains = Chains::build(lb, heads, left_slot);
+    chains.probe(lb, rb, right_slot, same_key, |rrow, hit| {
         if let Some(lpos) = hit {
             slots[lpos] += 1;
             if staged.last().is_none_or(|block| block.len() == STAGE_BLOCK) {
@@ -1422,138 +1461,152 @@ impl ChainHeads for Vec<u32> {
     }
 }
 
-/// The one build/probe loop: chains `build`'s rows by key slot in `heads`
-/// and probes the chains with `probe`'s rows in ascending position. `visit`
-/// receives the probe row with the build position of each match, in
-/// ascending build position, and once with `None` for a probe row that
-/// matched nothing. Slots are per side (`None` = the row is neither chained
-/// nor probed); `same_key` takes (build row, probe row).
-fn probe_chained(
-    build: &Batch<'_>,
-    probe: &Batch<'_>,
-    mut heads: impl ChainHeads,
-    build_slot: impl Fn(usize) -> Option<u64>,
-    probe_slot: impl Fn(usize) -> Option<u64>,
-    same_key: impl Fn(usize, usize) -> bool,
-    mut visit: impl FnMut(usize, Option<usize>),
-) {
-    // Chains are threaded through `next` by batch position; building in
-    // reverse keeps each chain in ascending position order.
-    let bn = build.len();
-    let mut next: Vec<u32> = vec![0; bn];
-    for pos in (0..bn).rev() {
-        if let Some(slot) = build_slot(build.row_id(pos)) {
-            let head = heads.head_mut(slot);
-            next[pos] = *head;
-            *head = pos as u32 + 1;
-        }
-    }
-    for pos in 0..probe.len() {
-        let prow = probe.row_id(pos);
-        let mut matched = false;
-        if let Some(slot) = probe_slot(prow) {
-            let mut cur = heads.head(slot);
-            while cur != 0 {
-                let bpos = (cur - 1) as usize;
-                if same_key(build.row_id(bpos), prow) {
-                    visit(prow, Some(bpos));
-                    matched = true;
-                }
-                cur = next[bpos];
+/// A join's build side chained by key slot: the chain heads by slot in
+/// `heads`, each position's successor in `next` (position + 1, `0` = end).
+/// The one build/probe loop of every join, and the index of a groupjoin
+/// ([`UniqueKeys`]).
+struct Chains<H> {
+    heads: H,
+    next: Vec<u32>,
+}
+
+impl<H: ChainHeads> Chains<H> {
+    /// Chains `build`'s rows by `build_slot` (`None` = the row is not
+    /// chained). Building in reverse keeps each chain in ascending position
+    /// order.
+    fn build(build: &Batch<'_>, mut heads: H, build_slot: impl Fn(usize) -> Option<u64>) -> Self {
+        let bn = build.len();
+        let mut next: Vec<u32> = vec![0; bn];
+        for pos in (0..bn).rev() {
+            if let Some(slot) = build_slot(build.row_id(pos)) {
+                let head = heads.head_mut(slot);
+                next[pos] = *head;
+                *head = pos as u32 + 1;
             }
         }
-        if !matched {
-            visit(prow, None);
+        Chains { heads, next }
+    }
+
+    /// Whether some chain holds two positions whose rows `same_key` (build
+    /// row, build row) equates.
+    fn repeats(&self, build: &Batch<'_>, same_key: impl Fn(usize, usize) -> bool) -> bool {
+        (0..self.next.len()).any(|pos| {
+            let mut cur = self.next[pos];
+            while cur != 0 {
+                let later = (cur - 1) as usize;
+                if same_key(build.row_id(pos), build.row_id(later)) {
+                    return true;
+                }
+                cur = self.next[later];
+            }
+            false
+        })
+    }
+
+    /// The positions chained at `slot`, ascending.
+    fn chain(&self, slot: u64) -> impl Iterator<Item = usize> + '_ {
+        let at = |link: u32| link.checked_sub(1).map(|pos| pos as usize);
+        std::iter::successors(at(self.heads.head(slot)), move |&pos| at(self.next[pos]))
+    }
+
+    /// Probes the chains, which it consumes (their tables are then locals of
+    /// the loop), with `probe`'s rows in ascending position. `visit`
+    /// receives the probe row with the build position of each match, in
+    /// ascending build position, and once with `None` for a probe row that
+    /// matched nothing. `probe_slot` = `None`: the row is not probed;
+    /// `same_key` takes (build row, probe row).
+    fn probe(
+        self,
+        build: &Batch<'_>,
+        probe: &Batch<'_>,
+        probe_slot: impl Fn(usize) -> Option<u64>,
+        same_key: impl Fn(usize, usize) -> bool,
+        mut visit: impl FnMut(usize, Option<usize>),
+    ) {
+        let Chains { heads, next } = self;
+        for pos in 0..probe.len() {
+            let prow = probe.row_id(pos);
+            let mut matched = false;
+            if let Some(slot) = probe_slot(prow) {
+                let mut cur = heads.head(slot);
+                while cur != 0 {
+                    let bpos = (cur - 1) as usize;
+                    if same_key(build.row_id(bpos), prow) {
+                        visit(prow, Some(bpos));
+                        matched = true;
+                    }
+                    cur = next[bpos];
+                }
+            }
+            if !matched {
+                visit(prow, None);
+            }
         }
     }
 }
 
 // ----- groupjoin kernels -----
 
-/// A join's build side whose key — one non-NULL `Int64` column — holds
-/// each value once: every key's position, addressed directly when the keys
-/// span fewer integers than the join reads rows ([`dense_span`], the join's
-/// own rule), through hash chains otherwise. Building it is the uniqueness
-/// proof: a repeated key returns `None`. What the fused groupjoin probes
-/// (`fused` module docs, §7).
+/// A join's left side whose key — one non-NULL `Int64` column — holds
+/// each value once: its positions chained as [`serial_join_indices`] chains
+/// a built side, directly by `key − min` when [`dense_span`] admits the keys
+/// against the rows the join reads, through a [`U64Map`] otherwise.
+/// Building it is the uniqueness proof: a chain holding two equal keys
+/// returns `None`. What the fused groupjoin probes (`fused` module docs,
+/// §7).
 pub(crate) struct UniqueKeys<'k> {
     keys: &'k [i64],
     rows: Option<&'k [u32]>,
-    slots: KeySlots,
+    chains: KeyChains,
 }
 
-/// Where [`UniqueKeys`] finds a key's position + 1 (`0` = absent).
-enum KeySlots {
-    /// By `key − min`, with one sentinel slot past the end (never written)
-    /// for every key outside `[min, min + span]`.
-    Direct { min: i64, heads: Vec<u32> },
-    /// By hash; `next` threads positions whose keys share a hash.
-    Hashed { map: U64Map, next: Vec<u32> },
+/// The chains of [`UniqueKeys`], by the slot rule that built them.
+enum KeyChains {
+    Direct {
+        min: i64,
+        span: usize,
+        chains: Chains<Vec<u32>>,
+    },
+    Hashed(Chains<U64Map>),
 }
 
 impl<'k> UniqueKeys<'k> {
-    /// The positions of `n` keys (`rows` maps a position to its row of
-    /// `keys`), or `None` when a key repeats.
-    pub(crate) fn build(
-        rows: Option<&'k [u32]>,
-        n: usize,
-        keys: &'k [i64],
-        limit: usize,
-    ) -> Option<UniqueKeys<'k>> {
-        let key_at = |pos: usize| keys[row_at(rows, pos)];
-        let slots = match dense_span(n, rows, keys, limit) {
+    /// The positions of `lb` by their key, a row of `keys`, or `None` when a
+    /// key repeats; `limit` is the rows the join reads.
+    pub(crate) fn build(lb: &'k Batch<'_>, keys: &'k [i64], limit: usize) -> Option<Self> {
+        let chains = match dense_span(lb.len(), lb.sel_ref(), keys, limit) {
             Some((min, span)) => {
-                let mut heads = vec![0u32; span + 2];
-                for pos in 0..n {
-                    let head = &mut heads[key_at(pos).abs_diff(min) as usize];
-                    if *head != 0 {
-                        return None;
-                    }
-                    *head = pos as u32 + 1;
-                }
-                KeySlots::Direct { min, heads }
+                let slot = direct_slot(min, span);
+                let chains = Chains::build(lb, vec![0u32; span + 2], |row| Some(slot(keys[row])));
+                // Equal direct slots are equal keys.
+                let repeats = chains.repeats(lb, |_, _| true);
+                (!repeats).then_some(KeyChains::Direct { min, span, chains })
             }
             None => {
-                let mut map = U64Map::new();
-                let mut next = vec![0u32; n];
-                for pos in 0..n {
-                    let k = key_at(pos);
-                    let head = map.entry(int_key_hash(k));
-                    let mut cur = *head;
-                    while cur != 0 {
-                        if key_at(cur as usize - 1) == k {
-                            return None;
-                        }
-                        cur = next[cur as usize - 1];
-                    }
-                    next[pos] = *head;
-                    *head = pos as u32 + 1;
-                }
-                KeySlots::Hashed { map, next }
+                let chains = Chains::build(lb, U64Map::new(), |row| Some(int_key_hash(keys[row])));
+                let repeats = chains.repeats(lb, |a, b| keys[a] == keys[b]);
+                (!repeats).then_some(KeyChains::Hashed(chains))
             }
-        };
-        Some(UniqueKeys { keys, rows, slots })
+        }?;
+        Some(UniqueKeys {
+            keys,
+            rows: lb.sel_ref(),
+            chains,
+        })
     }
 
     /// The position holding `k`.
     #[inline]
     pub(crate) fn position(&self, k: i64) -> Option<usize> {
-        let head = match &self.slots {
-            KeySlots::Direct { min, heads } => {
-                // `serial_join_indices`' wrapping slot: both ends of the
-                // range land on the sentinel.
-                let sentinel = heads.len() as u64 - 1;
-                heads[(k as u64).wrapping_sub(*min as u64).min(sentinel) as usize]
+        match &self.chains {
+            KeyChains::Direct { min, span, chains } => {
+                chains.chain(direct_slot(*min, *span)(k)).next()
             }
-            KeySlots::Hashed { map, next } => {
-                let mut cur = map.get(int_key_hash(k));
-                while cur != 0 && self.keys[row_at(self.rows, cur as usize - 1)] != k {
-                    cur = next[cur as usize - 1];
-                }
-                cur
+            KeyChains::Hashed(chains) => {
+                let key_at = |pos: usize| self.keys[row_at(self.rows, pos)];
+                chains.chain(int_key_hash(k)).find(|&pos| key_at(pos) == k)
             }
-        };
-        head.checked_sub(1).map(|p| p as usize)
+        }
     }
 }
 
@@ -1835,19 +1888,26 @@ impl AggAcc {
         }
     }
 
-    /// Adds groups up to `n_groups`, each at the state of no rows.
+    /// Adds groups up to `n_groups`, each at the state of no rows, growing
+    /// each vector to exactly that length: a state gains groups only when a
+    /// combine's extension opens some, in a copy made at its length, so
+    /// room to spare is never used.
     fn grow(&mut self, n_groups: usize) {
+        fn grow<T: Clone>(v: &mut Vec<T>, n: usize, zero: T) {
+            v.reserve_exact(n.saturating_sub(v.len()));
+            v.resize(n, zero);
+        }
         match self {
-            AggAcc::Counts(c) => c.resize(n_groups, 0),
+            AggAcc::Counts(c) => grow(c, n_groups, 0),
             AggAcc::Sums { totals, seen } => {
-                totals.resize(n_groups, 0.0);
-                seen.resize(n_groups, false);
+                grow(totals, n_groups, 0.0);
+                grow(seen, n_groups, false);
             }
             AggAcc::Avgs { totals, counts } => {
-                totals.resize(n_groups, 0.0);
-                counts.resize(n_groups, 0);
+                grow(totals, n_groups, 0.0);
+                grow(counts, n_groups, 0);
             }
-            AggAcc::Best(b) => b.resize(n_groups, None),
+            AggAcc::Best(b) => grow(b, n_groups, None),
         }
     }
 

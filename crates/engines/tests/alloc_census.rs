@@ -27,10 +27,11 @@
 //!   blocks after a fifth of a table as after all of it;
 //! * a cold Q13 / Q17 combine asks for bytes by its groups and the left
 //!   rows its join keeps, not by the rows it joins or aggregates: four
-//!   times the orders or lineitems ask for no more than once;
+//!   times the orders or lineitems ask for at most 1.25× the bytes;
 //! * extending Q17's and Q13's combines by one delta asks for bytes in
 //!   proportion to the groups their states retain and the delta's rows,
-//!   not to the `lineitem` / `orders` rows before it.
+//!   not to the `lineitem` / `orders` rows before it, and for no more than
+//!   a full run over the grown prepares (Q13: half of one).
 //!
 //! Every threshold but one (Q13's bytes, explained there) sits at or below
 //! half of what the parent of the PR that added this file read; both
@@ -360,7 +361,7 @@ fn a_cold_job_allocates_by_what_it_produces() {
     // builds none of the join's vectors or gathered columns: what is left
     // is the per-customer states and one morsel of kernel temporaries.
     assert!(
-        combine.bytes <= 64 * rows, // 133.2 B × rows → 84.4; later 57.7 → 49.7 → 19.5
+        combine.bytes <= 64 * rows, // 133.2 B × rows → 84.4; later 57.7 → 49.7 → 19.9
         "Q13 combine: {combine:?} over {rows} input rows"
     );
 
@@ -370,9 +371,9 @@ fn a_cold_job_allocates_by_what_it_produces() {
     // Q17's `avg_q` folds only the parts `j1` kept (`fused` module docs,
     // §7). With the fact-side prepare repeated four times — four times the
     // orders a customer counts, the lineitems a part averages, each past
-    // one morsel — the combine asks for no more than over it once, and
-    // both stay under 64 B per group or kept left row plus one morsel of
-    // kernel temporaries at 24 B per row.
+    // one morsel — the combine asks for no more than 1.25× the bytes of a
+    // run over it once, and both stay under 32 B per group or kept left row
+    // plus 16 B × `MORSEL_ROWS` of kernel temporaries.
     for (q, fact) in [(q13("special", "requests"), 1), (q17("Brand#13", "MED BOX"), 0)] {
         let prepared =
             [&q.left_prepare, &q.right_prepare].map(|p| execute_fused(p, base).unwrap().0);
@@ -409,9 +410,9 @@ fn a_cold_job_allocates_by_what_it_produces() {
             "{}: {four:?} over four times the rows, {once:?} over them once",
             q.label
         );
-        // Once: Q13 301 473 B over 1 500 customers (parent 781 290), Q17
-        // 221 987 B over 2 000 parts and 89 kept lineitems (parent
-        // 586 159); four times: Q13 341 897 (2 412 515), Q17 263 246
+        // Once: Q13 307 473 B over 1 500 customers (before the groupjoin
+        // 781 290), Q17 222 075 B over 2 000 parts and 89 kept lineitems
+        // (586 159); four times: Q13 347 897 (2 412 515), Q17 263 334
         // over 356 kept lineitems (1 339 046).
         for (c, times) in [(once, 1), (four, 4)] {
             let kept = if fact == 0 { kept * times } else { kept };
@@ -491,14 +492,14 @@ fn a_cold_job_allocates_by_what_it_produces() {
             let mut frags = Catalog::new();
             frags.insert_shared("@frag0", Arc::clone(l1.table()));
             frags.insert_shared("@frag1", Arc::clone(r1.table()));
-            let (full, work) = execute_fused(&q.combine, &frags).expect("runs");
+            let (full, full_census) = counted(|| execute_fused(&q.combine, &frags));
+            let (full, work) = full.expect("runs");
             assert_eq!((&**state.table(), state.work()), (&full, work));
-            (c, rows)
+            (c, rows, full_census)
         };
-        let ((whole, rows), (fifth, _)) = (extension(5), extension(1));
-        // 192 B per retained group or delta row, at both sizes: Q17 118 and
-        // 151 over 2 000 parts and 241 delta lineitems (121 and 153 before
-        // its key-set state kept which groups it folded), Q13 67 and 93 over
+        let ((whole, rows, full), (fifth, _, _)) = (extension(5), extension(1));
+        // 192 B per retained group or delta row, at both sizes: Q17 88 and
+        // 108 over 2 000 parts and 241 delta lineitems, Q13 44 and 48 over
         // 1 500 customers and 50 delta orders.
         let bound = 192 * (groups + rows);
         assert!(
@@ -507,17 +508,24 @@ fn a_cold_job_allocates_by_what_it_produces() {
              groups and {rows} delta rows",
             q.label
         );
-        // Five times the rows before the delta ask for no more: Q17 0.79×,
-        // Q13 0.72× of the fifth's bytes.
+        // Five times the rows before the delta ask for no more: Q17 0.81×,
+        // Q13 0.93× of the fifth's bytes.
         assert!(
             4 * whole.bytes <= 5 * fifth.bytes,
             "extending {}: {whole:?} after every row, {fifth:?} after a fifth",
             q.label
         );
-        // No comparison with a full run: since a cold combine also asks by
-        // its groups (above), the two ask alike — Q17 263 955 B against
-        // 222 730, Q13 103 865 against 315 583 — and what an extension
-        // saves is reading the rows before the delta, a time the
-        // `engine_exec` benches measure.
+        // The full run each window made before, after every row. Q13's
+        // extension asks for at most half of it: 68 321 B against 321 583
+        // (103 737 against 836 412 before the groupjoin). Q17's full run
+        // folds only the parts `j1` keeps (§7), so its extension, which
+        // reruns the join over all of `avg_q`'s groups, asks for no more
+        // than it: 196 403 B against 222 818 (270 838 against 636 037).
+        let share = if dimension == "customer" { 2 } else { 1 };
+        assert!(
+            share * whole.bytes <= full.bytes,
+            "extending {}: {whole:?}, against a full run's {full:?}",
+            q.label
+        );
     }
 }

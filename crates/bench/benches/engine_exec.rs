@@ -9,7 +9,7 @@ use midas_engines::sim::{DriftIntensity, SimulationEnv};
 use midas_engines::version::{CatalogVersion, ChunkedTable};
 use midas_engines::{
     execute_fused, AggExpr, Catalog, Column, ColumnData, EngineKind, Expr, JoinType, PhysicalPlan,
-    Placement, CombineState, RowWiseOutput, Table, TableSource,
+    Placement, DeltaState, Table, TableSource,
 };
 use midas_ires::scheduler::{Scheduler, SchedulerConfig};
 use midas_ires::CandidateConfig;
@@ -254,29 +254,34 @@ fn bench_cold_path_kernels(c: &mut Criterion) {
     // What planning runs after a publish: Q13's right prepare over the 17
     // chunks of `orders`, extended by the next 60-order delta per call.
     let prepare = &q13.right_prepare;
-    let mut extended = RowWiseOutput::compute(prepare, &ingested).expect("row-wise").expect("runs");
+    let mut extended = DeltaState::compute(prepare, &[], &ingested).expect("runs");
     let mut next = later.iter();
     group.bench_function("extend_q13_right_by_one_delta", |b| {
-        b.iter(|| next.next().map(|v| black_box(extended.extend(prepare, v).expect("extends"))))
+        b.iter(|| {
+            next.next()
+                .map(|v| black_box(extended.extend(prepare, &[], v).expect("grows")))
+        })
     });
     // What planning runs for a whole query after a publish: Q17's and
     // Q13's two prepares extended by the next delta, then the combine's
     // delta state advanced over the rows they appended.
     for (name, q) in [("extend_q17_combine_by_one_delta", &q17), ("extend_q13_combine_by_one_delta", &q13)] {
-        let prepare = |plan: &PhysicalPlan| {
-            RowWiseOutput::compute(plan, &ingested).expect("row-wise").expect("runs")
-        };
+        let prepare = |plan| DeltaState::compute(plan, &[], &ingested).expect("runs");
         let mut prepared = [prepare(&q.left_prepare), prepare(&q.right_prepare)];
         let [left, right] = &prepared;
-        let mut state = CombineState::compute(&q.combine, &[left, right]).expect("runs");
+        let mut state = DeltaState::compute(&q.combine, &[left, right], &ingested).expect("runs");
         let mut next = later.iter();
         group.bench_function(name, |b| {
             b.iter(|| {
                 let v = next.next()?;
                 let [left, right] = &mut prepared;
-                left.extend(&q.left_prepare, v).expect("extends");
-                right.extend(&q.right_prepare, v).expect("extends");
-                Some(black_box(state.extend(&q.combine, &[left, right]).expect("extends")))
+                left.extend(&q.left_prepare, &[], v).expect("extends");
+                right.extend(&q.right_prepare, &[], v).expect("extends");
+                Some(black_box(
+                    state
+                        .extend(&q.combine, &[left, right], v)
+                        .expect("extends"),
+                ))
             })
         });
     }
@@ -284,12 +289,12 @@ fn bench_cold_path_kernels(c: &mut Criterion) {
     // full run over its two prepares, state kept — Q13's groupjoin and
     // Q17's key-set aggregate.
     for (name, q) in [("q13_combine_cold", &q13), ("q17_combine_cold", &q17)] {
-        let prepare = |plan: &PhysicalPlan| {
-            RowWiseOutput::compute(plan, &generated).expect("row-wise").expect("runs")
-        };
+        let prepare = |plan| DeltaState::compute(plan, &[], &generated).expect("runs");
         let [left, right] = [prepare(&q.left_prepare), prepare(&q.right_prepare)];
         group.bench_function(name, |b| {
-            b.iter(|| black_box(CombineState::compute(&q.combine, &[&left, &right]).expect("runs")))
+            let inputs = [&left, &right];
+            let combine = || DeltaState::compute(&q.combine, &inputs, &generated).expect("runs");
+            b.iter(|| black_box(combine()))
         });
     }
     group.finish();

@@ -79,7 +79,7 @@ pub struct FitReport {
     /// How many of the latest observations the model actually trained on.
     pub window_used: usize,
     /// Per-metric coefficient of determination of the fitted models, when the
-    /// model family defines one (MLR does; kNN reports `None`).
+    /// model family defines one (MLR does; the BML baselines report `None`).
     pub r_squared: Vec<Option<f64>>,
     /// True when every metric reached the estimator's internal quality bar
     /// (always true for estimators without one).

@@ -67,35 +67,32 @@
 //!
 //! # Predecessors
 //!
-//! A *row-wise* prepare (a scan under filters and projections) over
-//! version *n + 1* is its output over version *n* followed by its output
-//! over the appended chunks. An entry that planning computed for one
-//! carries a [`RowWiseOutput`]; invalidation keeps those as *predecessors*
-//! — one generation, which the next publish replaces — while counting them
-//! in `invalidations` and dropping them from `resident_*`. A predecessor is
-//! keyed by scope, plan and table name, so under [`CacheScope::PerTenant`]
-//! no tenant extends another's. Planning (`exec::profile_fragments_cached`)
-//! probes a prepare's exact key, then its predecessor, which it extends
-//! over the chunks appended since under the predecessor's own lock (two
-//! planners of one prepare extend once). A version that does not extend
-//! the predecessor — a late job's older one, one another writer grew — is
-//! computed in full and leaves it alone. These probes count in
-//! [`PlanningStats`], never in [`CacheStats`], and touch no recency, so
-//! execution's hits, misses and admissions are what they were.
+//! A fragment that planning computes keeps a *delta state*
+//! ([`DeltaState`], `fused`'s module docs, §5): its output with every
+//! operator's exact totals, what its aggregates and join sides keep, and
+//! what it read of each source. The state rides on the fragment's entry,
+//! is charged to the byte budget with it (`DeltaState::bytes` on top of
+//! the table) and leaves with it when the LRU evicts it. Invalidation keeps
+//! the states of the entries it drops as *predecessors* — one generation,
+//! which the next publish replaces, prepares and combines alike — while
+//! counting the entries in `invalidations` and dropping them from
+//! `resident_*`. A predecessor is keyed by a *slot*: scope, plan and table
+//! names, whatever state of the tables, so under [`CacheScope::PerTenant`]
+//! no tenant extends another's. A prepare's slot is its exact key's; a
+//! combine's is scoped as planning is (by tenant under
+//! [`CacheScope::PerTenant`], shared otherwise), since planning has no
+//! join site. A prepare's and a combine's slots never meet: the plans
+//! their keys fingerprint differ.
 //!
-//! A combine keeps a *delta state* ([`CombineState`]) from the full run
-//! planning makes of it: per-group aggregate states, the preserved rows a
-//! left-outer join matched, a join side an operator produced. The state
-//! rides on the combine's entry, is charged to the byte budget with it
-//! (`CombineState::bytes` on top of the table) and leaves with it when
-//! the LRU evicts it. A publish turns it into a predecessor in the same
-//! generation as the row-wise prepares. Planning has no join site, so the
-//! slot is keyed as planning is: by tenant under [`CacheScope::PerTenant`],
-//! shared otherwise. After a job's prepares are planned, its combine's
-//! predecessor is advanced over the rows they appended, under its own lock
-//! (`fused`'s module docs, §6); a state that cannot advance — a late job's
-//! older version, both sides of a join grown, a poisoned lock — is left as
-//! it is, and the combine is computed in full.
+//! Planning (`exec::profile_fragments_cached`) probes a prepare's exact
+//! key, then its slot's predecessor; a combine, once its prepares are
+//! planned, probes its slot alone. A predecessor is advanced over the rows
+//! appended since, under its own lock (two planners of one fragment extend
+//! once). A state that cannot advance — a late job's older version, one
+//! another writer grew, both sides of a join grown, a poisoned lock — is
+//! left as it is, and the fragment is computed in full. These probes count
+//! in [`PlanningStats`], never in [`CacheStats`], and touch no recency, so
+//! execution's hits, misses and admissions are what they were.
 //!
 //! # Scopes
 //!
@@ -124,7 +121,7 @@
 
 use crate::data::Value;
 use crate::expr::Expr;
-use crate::fused::{CombineState, RowWiseOutput};
+use crate::fused::DeltaState;
 use crate::ops::{AggExpr, JoinType, PhysicalPlan, WorkProfile};
 use crate::data::Table;
 use midas_cloud::SiteId;
@@ -688,19 +685,9 @@ pub struct CachedFragment {
     pub table: Arc<Table>,
     /// The operator work the (original) execution performed.
     pub work: WorkProfile,
-    /// For a row-wise prepare planning computed, what extending it needs
-    /// (see *Predecessors* in the module docs).
-    pub(crate) row_wise: Option<RowWiseOutput>,
-    /// For a combine planning computed or extended, its delta state.
-    pub(crate) combine: Option<CombineEntry>,
-}
-
-/// A combine's delta state beside the predecessor slot planning keys it by
-/// (see *Predecessors* in the module docs).
-#[derive(Debug, Clone)]
-pub(crate) struct CombineEntry {
-    pub(crate) slot: CacheKey,
-    pub(crate) state: CombineState,
+    /// For a fragment planning computed or extended, its delta state beside
+    /// its predecessor slot (see *Predecessors* in the module docs).
+    pub(crate) state: Option<(CacheKey, DeltaState)>,
 }
 
 /// What planning did for the prepares and combines it profiled through the
@@ -735,11 +722,9 @@ pub struct PlanningStats {
 /// instead of recomputing.
 pub struct FragmentResultCache {
     cache: ScopedCache<CacheKey, Arc<CachedFragment>>,
-    /// The one generation of predecessors, keyed by [`slot_key`], each
+    /// The one generation of predecessors, keyed by their slot, each
     /// behind the lock that advances it.
-    predecessors: Mutex<HashMap<CacheKey, Arc<Mutex<RowWiseOutput>>>>,
-    /// The same generation's combine states, keyed by their planning slot.
-    combines: Mutex<HashMap<CacheKey, Arc<Mutex<CombineState>>>>,
+    predecessors: Mutex<HashMap<CacheKey, Arc<Mutex<DeltaState>>>>,
     planning: Mutex<PlanningStats>,
 }
 
@@ -759,7 +744,6 @@ impl FragmentResultCache {
         FragmentResultCache {
             cache: ScopedCache::new(budget_bytes),
             predecessors: Mutex::new(HashMap::new()),
-            combines: Mutex::new(HashMap::new()),
             planning: Mutex::new(PlanningStats::default()),
         }
     }
@@ -775,20 +759,11 @@ impl FragmentResultCache {
         self.cache.lock().entries.get(key).map(|entry| Arc::clone(&entry.value))
     }
 
-    /// The predecessor of the prepare `key` names — same scope, plan and
-    /// table, an older state of the table — if the last publish kept one.
-    pub fn predecessor(&self, key: &CacheKey) -> Option<Arc<Mutex<RowWiseOutput>>> {
+    /// The delta state the last publish kept in the slot of `key` — same
+    /// scope, plans and table names, any state of the tables — if it kept
+    /// one.
+    pub fn predecessor(&self, key: &CacheKey) -> Option<Arc<Mutex<DeltaState>>> {
         crate::lock_recover(&self.predecessors).get(&slot_key(key)).cloned()
-    }
-
-    /// The delta state the last publish kept in the combine slot `slot`.
-    pub(crate) fn combine_predecessor(&self, slot: &CacheKey) -> Option<Arc<Mutex<CombineState>>> {
-        crate::lock_recover(&self.combines).get(slot).cloned()
-    }
-
-    /// Every combine state the last publish kept, in no particular order.
-    pub fn combine_predecessors(&self) -> Vec<Arc<Mutex<CombineState>>> {
-        crate::lock_recover(&self.combines).values().cloned().collect()
     }
 
     /// Counts what planning did for one fragment.
@@ -804,10 +779,11 @@ impl FragmentResultCache {
     /// Admits a fragment output under `key`, owned by `owner` (the
     /// submitting tenant) for fair-share eviction, charged its full
     /// [`Table::estimated_bytes`] whatever buffers it shares (see the
-    /// module docs' *Eviction*), and a combine's delta state on top.
+    /// module docs' *Eviction*), and its delta state on top.
     pub fn insert(&self, key: CacheKey, fragment: Arc<CachedFragment>, owner: &str) -> bool {
+        let state = fragment.state.as_ref().map_or(0, |(_, s)| s.bytes());
         let bytes = fragment.table.estimated_bytes()
-            + fragment.combine.as_ref().map_or(0, |c| c.state.bytes())
+            + state
             + 48 * fragment.work.ops.len() as u64
             + key.estimated_bytes()
             + 128;
@@ -816,10 +792,9 @@ impl FragmentResultCache {
 
     /// Drops every entry that read any of the superseded `(name, id)`
     /// tables — the ingest-publish hook. Entries over untouched tables
-    /// survive. The dropped entries holding a row-wise prepare's output or
-    /// a combine's delta state become the one generation of predecessors,
-    /// replacing the last publish's (see the module docs). Returns the
-    /// number of entries dropped.
+    /// survive. The delta states of the dropped entries become the one
+    /// generation of predecessors, replacing the last publish's (see the
+    /// module docs). Returns the number of entries dropped.
     pub fn invalidate_tables(&self, stale: &[(String, u64)]) -> u64 {
         if stale.is_empty() {
             return 0;
@@ -829,16 +804,9 @@ impl FragmentResultCache {
             .remove_matching(|key| stale.iter().any(|(n, id)| key.reads_table(n, *id)));
         let generation: HashMap<_, _> = removed
             .iter()
-            .filter_map(|(key, fragment)| {
-                let output = fragment.row_wise.clone()?;
-                Some((slot_key(key), Arc::new(Mutex::new(output))))
-            })
-            .collect();
-        let combines: HashMap<_, _> = removed
-            .iter()
             .filter_map(|(_, fragment)| {
-                let entry = fragment.combine.clone()?;
-                Some((entry.slot, Arc::new(Mutex::new(entry.state))))
+                let (slot, state) = fragment.state.clone()?;
+                Some((slot, Arc::new(Mutex::new(state))))
             })
             .collect();
         let dropped = removed.len() as u64;
@@ -846,8 +814,7 @@ impl FragmentResultCache {
         // once no job reads it; the old generation is freed outside the lock.
         drop(removed);
         let old = std::mem::replace(&mut *crate::lock_recover(&self.predecessors), generation);
-        let old_combines = std::mem::replace(&mut *crate::lock_recover(&self.combines), combines);
-        drop((old, old_combines));
+        drop(old);
         dropped
     }
 
@@ -1077,8 +1044,7 @@ mod tests {
         let fragment = Arc::new(CachedFragment {
             table: Arc::clone(&table),
             work: WorkProfile::default(),
-            row_wise: None,
-            combine: None,
+            state: None,
         });
         let key_t7 = CacheKey::new(
             String::new(),

@@ -43,21 +43,18 @@
 //! those afterwards — so a handed-over run is bit-identical to a run
 //! that executed. With a fragment cache, planning profiles through it
 //! ([`profile_fragments_cached`]): a prepare cached at the pinned version
-//! is taken as it is, and one cached before a publish that only appended
-//! to its table is extended over the new chunks; a combine's delta state
-//! kept before such a publish is advanced over the rows its prepares
-//! appended (see [`crate::cache`]'s *Predecessors*).
+//! is taken as it is, and a fragment's delta state kept before a publish
+//! that only appended is advanced over the rows appended since (see
+//! [`crate::cache`]'s *Predecessors*).
 
 use crate::cache::{
-    slot_key, CacheKey, CacheScope, CachedFragment, CombineEntry, FragmentResultCache,
-    PlanFingerprint,
+    slot_key, CacheKey, CacheScope, CachedFragment, FragmentResultCache, PlanFingerprint,
+    PlanningStats,
 };
 use crate::catalog::Catalog;
 use crate::engine::{EngineKind, EngineProfile};
 use crate::error::EngineError;
-use crate::fused::{
-    execute_fused, execute_fused_over, frag_number, CombineState, RowWiseOutput, TableSource,
-};
+use crate::fused::{execute_fused_over, frag_number, DeltaState, TableSource};
 use crate::ops::{OpKind, PhysicalPlan, WorkProfile};
 use crate::sim::{FaultPlan, SimulationEnv, SiteAdmission};
 use crate::version::CatalogVersion;
@@ -114,12 +111,10 @@ pub struct ProfiledFragment {
     pub table: Arc<Table>,
     /// The operator work the execution performed.
     pub work: WorkProfile,
-    /// For a row-wise prepare planned through the fragment cache, what
-    /// extending it after a publish needs; it rides into the cache entry.
-    pub(crate) row_wise: Option<RowWiseOutput>,
-    /// For a combine planned through the fragment cache, its delta state;
-    /// it rides into the cache entry too.
-    pub(crate) combine: Option<CombineEntry>,
+    /// For a fragment planned through the fragment cache, its delta state
+    /// beside the predecessor slot it is kept in after a publish; it rides
+    /// into the cache entry.
+    pub(crate) state: Option<(CacheKey, DeltaState)>,
 }
 
 impl ProfiledFragment {
@@ -128,23 +123,14 @@ impl ProfiledFragment {
             plan: plan.clone(),
             table,
             work,
-            row_wise: None,
-            combine: None,
+            state: None,
         }
     }
 
-    fn combine(plan: &PhysicalPlan, slot: CacheKey, state: CombineState) -> Self {
+    fn with_state(plan: &PhysicalPlan, slot: CacheKey, state: DeltaState) -> Self {
         let (table, work) = (Arc::clone(state.table()), state.work());
         ProfiledFragment {
-            combine: Some(CombineEntry { slot, state }),
-            ..ProfiledFragment::new(plan, table, work)
-        }
-    }
-
-    fn row_wise(plan: &PhysicalPlan, output: RowWiseOutput) -> Self {
-        let (table, work) = (Arc::clone(output.table()), output.work());
-        ProfiledFragment {
-            row_wise: Some(output),
+            state: Some((slot, state)),
             ..ProfiledFragment::new(plan, table, work)
         }
     }
@@ -166,14 +152,13 @@ pub fn profile_fragments<'a>(
 }
 
 /// [`profile_fragments`] through the fragment cache, over the job's pinned
-/// `version`: a prepare — a plan reading no `@frag` output, given with the
-/// site its cache key names — is its exact cached output, else its
-/// predecessor extended over the chunks appended since, else a full
-/// computation; a combine — a plan reading `@frag` outputs only — is its
-/// delta state advanced over the rows its prepares appended, else a full
-/// computation that keeps one (see [`crate::cache`], *Predecessors*).
-/// Every other plan is computed in full. Outputs and work profiles are bit
-/// for bit those of [`profile_fragments`].
+/// `version`. A prepare — a plan reading no `@frag` output, given with the
+/// site its cache key names — is its exact cached output; a prepare or a
+/// combine — a plan reading `@frag` outputs — is else its delta state,
+/// advanced over the rows appended since a publish kept it, else a full
+/// computation that keeps one (see [`crate::cache`], *Predecessors*). A
+/// prepare given without a site is computed in full. Outputs and work
+/// profiles are bit for bit those of [`profile_fragments`].
 pub fn profile_fragments_cached(
     plans: &[(&PhysicalPlan, Option<SiteId>)],
     version: &CatalogVersion,
@@ -182,7 +167,7 @@ pub fn profile_fragments_cached(
     profile(plans, version.into(), Some(cache))
 }
 
-/// Profiles `plans` in order, a prepare with a site through `cache`.
+/// Profiles `plans` in order, through `cache` where it applies.
 fn profile(
     plans: &[(&PhysicalPlan, Option<SiteId>)],
     base_tables: TableSource<'_>,
@@ -195,15 +180,14 @@ fn profile(
         let reads = referenced_fragments(plan);
         closures.push(closure(idx, &reads, &closures));
         let fragment = match (cache, base_tables) {
-            (Some(binding), TableSource::Versioned(version)) if reads.is_empty() => match site {
-                Some(site) => plan_prepare(plan, site, version, binding)?,
-                None => full_run(plan, &catalog, base_tables)?,
-            },
-            (Some(binding), TableSource::Versioned(_))
-                if referenced_base_tables(plan).is_empty() =>
+            (Some(binding), TableSource::Versioned(version))
+                if site.is_some() || !reads.is_empty() =>
             {
                 let closure: Vec<_> = closures[idx].iter().map(|&i| plans[i].0).collect();
-                plan_combine(plan, &closure, &profiled, &catalog, binding)?
+                let prepare = site.filter(|_| reads.is_empty());
+                plan_cached(
+                    plan, prepare, &closure, &profiled, &catalog, version, binding,
+                )?
             }
             _ => full_run(plan, &catalog, base_tables)?,
         };
@@ -237,94 +221,76 @@ fn closure(idx: usize, reads: &[usize], closures: &[Vec<usize>]) -> Vec<usize> {
     closure
 }
 
-/// Plans one combine through the fragment cache: the delta state the last
-/// publish kept in its slot, advanced under its own lock over the rows the
-/// job's prepares appended, else a full computation that keeps a state
-/// (see [`profile_fragments_cached`]). Without every earlier fragment's
-/// row-wise lineage, or an identity for every table its closure reads, it
-/// is computed in full and keeps nothing.
-fn plan_combine(
+/// Plans one fragment through the fragment cache (see
+/// [`profile_fragments_cached`]): a prepare (`site` given) first probes
+/// its exact, site-scoped key; then the delta state the last publish kept
+/// in the fragment's slot is advanced under its own lock, else the
+/// fragment is computed in full and keeps a state. A prepare's slot is its
+/// exact key's; a combine's is scoped as planning is, since planning has
+/// no join site. Without a delta state for every earlier fragment, or an
+/// identity for every table its closure reads, it is computed in full and
+/// keeps nothing.
+fn plan_cached(
     plan: &PhysicalPlan,
+    site: Option<SiteId>,
     closure: &[&PhysicalPlan],
     profiled: &[ProfiledFragment],
     frags: &Catalog,
-    binding: ResultCacheBinding<'_>,
-) -> Result<ProfiledFragment, EngineError> {
-    let cache = binding.cache;
-    let inputs: Option<Vec<&RowWiseOutput>> =
-        profiled.iter().map(|p| p.row_wise.as_ref()).collect();
-    // Planning has no join site: the slot is scoped as the plan cache is.
-    let scope = match binding.scope {
-        CacheScope::PerTenant => binding.scope.key(binding.tenant, SiteId(0)),
-        CacheScope::SiteLocal | CacheScope::FederationGlobal => String::new(),
-    };
-    let slot = fragment_key(binding, closure, scope).map(|key| slot_key(&key));
-    let (Some(inputs), Some(slot)) = (inputs, slot) else {
-        let fragment = full_run(plan, frags, (&Catalog::new()).into())?;
-        cache.count_planning(|s| s.combines_computed += 1);
-        return Ok(fragment);
-    };
-    let mut declined = false;
-    // A poisoned state is skipped: a panic may have left it half advanced.
-    if let Some(Ok(mut state)) = cache.combine_predecessor(&slot).as_deref().map(Mutex::lock) {
-        if state.extend(plan, &inputs).is_some() {
-            cache.count_planning(|s| s.combines_extended += 1);
-            return Ok(ProfiledFragment::combine(plan, slot, state.clone()));
-        }
-        declined = true;
-    }
-    let state = CombineState::compute(plan, &inputs)?;
-    cache.count_planning(|s| {
-        s.combines_computed += 1;
-        s.combines_declined += declined as u64;
-    });
-    Ok(ProfiledFragment::combine(plan, slot, state))
-}
-
-/// Plans one prepare through the fragment cache (see
-/// [`profile_fragments_cached`]).
-fn plan_prepare(
-    plan: &PhysicalPlan,
-    site: SiteId,
     version: &CatalogVersion,
     binding: ResultCacheBinding<'_>,
 ) -> Result<ProfiledFragment, EngineError> {
     let cache = binding.cache;
-    let key = fragment_key(binding, &[plan], binding.scope.key(binding.tenant, site));
-    if let Some(key) = &key {
-        if let Some(hit) = cache.peek(key) {
-            cache.count_planning(|s| s.reused += 1);
-            return Ok(ProfiledFragment {
-                row_wise: hit.row_wise.clone(),
-                ..ProfiledFragment::new(plan, Arc::clone(&hit.table), hit.work.clone())
-            });
+    // A prepare reads no earlier fragment.
+    let earlier = if site.is_some() { &[][..] } else { profiled };
+    let inputs: Option<Vec<&DeltaState>> =
+        earlier.iter().map(|p| Some(&p.state.as_ref()?.1)).collect();
+    let scope = match (site, binding.scope) {
+        (None, CacheScope::SiteLocal | CacheScope::FederationGlobal) => String::new(),
+        (site, scope) => scope.key(binding.tenant, site.unwrap_or(SiteId(0))),
+    };
+    let key = fragment_key(binding, closure, scope);
+    let count = |counts: &mut PlanningStats, work: &WorkProfile, declined: bool| match site {
+        Some(_) => {
+            counts.computed += 1;
+            counts.computed_rows += work.scanned_rows();
         }
-        // A poisoned predecessor is skipped: a panic may have left it
-        // half advanced.
-        if let Some(Ok(mut output)) = cache.predecessor(key).as_deref().map(Mutex::lock) {
-            if let Some(rows) = output.extend(plan, version) {
-                cache.count_planning(|s| match rows {
-                    0 => s.reused += 1,
-                    rows => {
-                        s.extended += 1;
-                        s.extended_rows += rows as u64;
-                    }
-                });
-                return Ok(ProfiledFragment::row_wise(plan, output.clone()));
-            }
-        }
-    }
-    let fragment = match RowWiseOutput::compute(plan, version) {
-        Some(output) => ProfiledFragment::row_wise(plan, output?),
         None => {
-            let (table, work) = execute_fused(plan, version)?;
-            ProfiledFragment::new(plan, Arc::new(table), work)
+            counts.combines_computed += 1;
+            counts.combines_declined += declined as u64;
         }
     };
-    cache.count_planning(|s| {
-        s.computed += 1;
-        s.computed_rows += fragment.work.scanned_rows();
-    });
+    let (Some(inputs), Some(key)) = (inputs, key) else {
+        let fragment = full_run(plan, frags, version.into())?;
+        cache.count_planning(|s| count(s, &fragment.work, false));
+        return Ok(fragment);
+    };
+    if let Some(hit) = site.and_then(|_| cache.peek(&key)) {
+        cache.count_planning(|s| s.reused += 1);
+        return Ok(ProfiledFragment {
+            state: hit.state.clone(),
+            ..ProfiledFragment::new(plan, Arc::clone(&hit.table), hit.work.clone())
+        });
+    }
+    let slot = slot_key(&key);
+    let mut declined = false;
+    // A poisoned state is skipped: a panic may have left it half advanced.
+    if let Some(Ok(mut state)) = cache.predecessor(&slot).as_deref().map(Mutex::lock) {
+        if let Some(rows) = state.extend(plan, &inputs, version) {
+            cache.count_planning(|s| match (site, rows) {
+                (Some(_), 0) => s.reused += 1,
+                (Some(_), rows) => {
+                    s.extended += 1;
+                    s.extended_rows += rows as u64;
+                }
+                (None, _) => s.combines_extended += 1,
+            });
+            return Ok(ProfiledFragment::with_state(plan, slot, state.clone()));
+        }
+        declined = true;
+    }
+    let state = DeltaState::compute(plan, &inputs, version)?;
+    let fragment = ProfiledFragment::with_state(plan, slot, state);
+    cache.count_planning(|s| count(s, &fragment.work, declined));
     Ok(fragment)
 }
 
@@ -766,8 +732,7 @@ fn run_federated(
                     Arc::new(CachedFragment {
                         table: Arc::clone(&table),
                         work: work.clone(),
-                        row_wise: handed[idx].and_then(|p| p.row_wise.clone()),
-                        combine: handed[idx].and_then(|p| p.combine.clone()),
+                        state: handed[idx].and_then(|p| p.state.clone()),
                     }),
                     binding.tenant,
                 );
@@ -862,7 +827,7 @@ fn fragment_key(
 /// Calls `visit` with the table name of every scan in `plan`, left to
 /// right, repeats included — the one place this module learns the plan's
 /// shape ([`PhysicalPlan::children`]).
-fn for_each_scan<'p>(plan: &'p PhysicalPlan, visit: &mut impl FnMut(&'p str)) {
+pub(crate) fn for_each_scan<'p>(plan: &'p PhysicalPlan, visit: &mut impl FnMut(&'p str)) {
     if let PhysicalPlan::Scan { table } | PhysicalPlan::PrunedScan { table, .. } = plan {
         visit(table);
     }

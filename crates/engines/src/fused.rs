@@ -4,8 +4,8 @@
 //!
 //! This is the executor that serves; [`crate::ops::execute_scalar`] is its
 //! row-at-a-time reference. Four coordinated changes make SF ≥ 1 data
-//! survivable, a fifth and a sixth make a table that grows cheap to plan
-//! over, and a seventh folds only the groups a join keeps:
+//! survivable, a fifth makes a table that grows cheap to plan over, and a
+//! sixth folds only the groups a join keeps:
 //!
 //! 1. **Morsels.** Filters, projections and aggregate inputs run over
 //!    cache-resident row ranges of [`MORSEL_ROWS`] rows of one slab at a
@@ -63,26 +63,24 @@
 //!    node's TRUE and FALSE rows, so Q13's `NOT (CONTAINS w1 AND CONTAINS
 //!    w2)` tests `w2` only where `w1` hit. Same selected rows by
 //!    construction; a predicate that is not total runs its single program.
-//! 5. **Row-wise outputs extend.** A scan under filters and projections
-//!    ([`row_wise_table`]) over a table grown by appends outputs its
-//!    previous output followed by its output over the new chunks.
-//!    [`RowWiseOutput`] runs the one executor over the appended chunks,
-//!    appends in place, and composes the work profile from exact totals;
-//!    where a full run's global normalization could differ (validity
-//!    masks, disagreeing types) it declines.
-//! 6. **Combines extend.** A combine's first full run keeps a delta state
-//!    ([`CombineState`]): every operator's exact totals, each aggregate's
-//!    per-group states, the preserved rows a left-outer join matched, and a
-//!    join side that is an operator's own output. When its prepares only
-//!    appended rows, the state advances over those rows, operator by
-//!    operator in the full run's post-order, by four rules that follow from
-//!    the plan shape and from a join's output order, (left position, right
-//!    position):
-//!    - **R1, appends.** A scan of an extended prepare, a filter or
-//!      projection over appended rows, and an inner join whose left input
-//!      only appends and whose right input is unchanged output their old
-//!      rows followed by the delta's: the operator runs over the delta
-//!      alone (the join with the whole right side).
+//! 5. **Fragment outputs extend.** A fragment's first full run keeps a
+//!    delta state ([`DeltaState`]): every operator's exact totals, each
+//!    aggregate's per-group states, the preserved rows a left-outer join
+//!    matched, a join side that is an operator's own output, and what it
+//!    read of each source. When its sources only appended (a base table's
+//!    chunks start with the ones read, pointer for pointer; an input
+//!    fragment's rows with the ones read), the state advances over the
+//!    new rows, operator by operator in the full run's post-order, by four
+//!    rules that follow from the plan shape and from a join's output order,
+//!    (left position, right position):
+//!    - **R1, appends.** A row-wise subtree ([`row_wise_table`]) over an
+//!      appended source runs once, through the executor, over the new rows
+//!      alone (a base table's new chunks where they lie, an input's new
+//!      rows) and appends its output; its operators' totals continue the
+//!      old ones. A filter or projection over a join's appended output,
+//!      and an inner join whose left input only appends and whose right
+//!      input is unchanged, append the same way, operator by operator (the
+//!      join with the whole right side).
 //!    - **R2, grouped fold.** An aggregate over appended rows keeps its
 //!      per-group states: each group continues its fold in row order, so a
 //!      float `sum` or `avg` is bit-identical, and new groups follow in
@@ -98,14 +96,16 @@
 //!      here: Q17's `j1 ⋈ avg_q` → filter → sum, Q13's count of counts →
 //!      sort.
 //!
-//!    Everything else declines to the full run: a mask or a type change on
-//!    an appended prepare (as in 5), a prepare of an older version or one
-//!    grown by another writer, a join whose two sides grow (Q12's) or whose
-//!    right side alone does, a sort or limit over appended rows, a delta
-//!    that fails to evaluate. Work profiles compose from exact per-operator
-//!    totals, as in 5, so costs, ledgers and fingerprints are what a full
-//!    run produces.
-//! 7. **Groupjoins.** Two shapes fold in one keyed pass what a join and an
+//!    Everything else declines to the full run: a validity mask on a
+//!    source's rows, a type change (an empty or all-NULL projection
+//!    collapses its columns to `Int64`), a source of an older version or
+//!    grown by another writer, an input that is not row-wise over sources
+//!    that only append, a join whose two sides grow (Q12's) or whose right
+//!    side alone does, a sort or limit over appended rows, a delta that
+//!    fails to evaluate. Work profiles compose from exact per-operator
+//!    totals, so costs, ledgers and fingerprints are what a full run
+//!    produces.
+//! 6. **Groupjoins.** Two shapes fold in one keyed pass what a join and an
 //!    aggregate would otherwise build and discard ([`fused_paths`] says
 //!    which a run took):
 //!    - **(G) An aggregate grouped on a join's unique left key** (Q13's
@@ -139,7 +139,7 @@
 //!      does, so the output's types and masks are the full one's. Group
 //!      keys are distinct, so a left row matches at most one group and
 //!      only groups whose key it holds: the join output reads folded groups
-//!      alone, whatever order they are in. A combine's state (§6) keeps
+//!      alone, whatever order they are in. A delta state (§5) keeps
 //!      which groups are stand-ins; a group the delta opens has no earlier
 //!      rows and folds whole, and an extension declines when a key its
 //!      left side gains reaches a stand-in.
@@ -175,7 +175,7 @@ use crate::data::{
     virtual_bytes, width_bytes, Column, ColumnData, DataType, Table, Utf8Column, Value,
 };
 use crate::error::EngineError;
-use crate::exec::referenced_fragments;
+use crate::exec::for_each_scan;
 use crate::expr::{BatchVals, EvalScratch, Expr, KernelCols, KernelPlan, NumTy, SelView};
 use crate::ops::{
     accumulate_aggs, agg_output_columns, aggregate_vec, dense_group_ids_after, gather_join,
@@ -218,7 +218,7 @@ pub(crate) fn execute_fused_over(
     Ok((table, recorder.work))
 }
 
-/// A fast path of the fused executor (module docs, §7) that an operator
+/// A fast path of the fused executor (module docs, §6) that an operator
 /// took in place of the general one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FusedPath {
@@ -231,7 +231,7 @@ pub enum FusedPath {
     KeySetAggregate,
 }
 
-/// The §7 paths (module docs) that a run of `plan` over `tables` takes, in
+/// The §6 paths (module docs) that a run of `plan` over `tables` takes, in
 /// the order its operators take them; the run is [`execute_fused`]'s. For
 /// tests that pin which plans take which path.
 pub fn fused_paths<'a>(
@@ -261,8 +261,8 @@ fn run_to_table(
 }
 
 /// What one fused run records: its work profile and, when its output is to
-/// be extended later ([`RowWiseOutput`], [`CombineState`]), every
-/// operator's [`OpTotals`] and what a combine's operators keep.
+/// be extended later ([`DeltaState`]), every operator's [`OpTotals`] and
+/// what its operators keep.
 #[derive(Default)]
 struct Recorder {
     work: WorkProfile,
@@ -272,8 +272,8 @@ struct Recorder {
 }
 
 impl Recorder {
-    /// A recorder of every operator's totals, and, with `keep`, of what a
-    /// combine's operators keep.
+    /// A recorder of every operator's totals, and, with `keep`, of what the
+    /// operators keep.
     fn with_totals(keep: bool) -> Recorder {
         Recorder {
             totals: Some(Vec::new()),
@@ -322,12 +322,12 @@ impl Recorder {
         self.work.ops.len()
     }
 
-    /// Whether the run builds a combine's state.
+    /// Whether the run builds a delta state.
     fn keeps(&self) -> bool {
         self.kept.is_some()
     }
 
-    /// Keeps `kept` for operator `at`, when the run builds a combine's state.
+    /// Keeps `kept` for operator `at`, when the run builds a delta state.
     fn keep(&mut self, at: usize, kept: impl FnOnce() -> Option<Kept>) {
         if let Some(all) = &mut self.kept {
             all.extend(kept().map(|k| (at, k)));
@@ -336,7 +336,7 @@ impl Recorder {
 
     /// Keeps the join side `side` (operator `at`, computed by `plan`)
     /// whole: a later re-run of the join over a changed other side needs
-    /// it ([`CombineState`]). A scan is read again where it lies, and an
+    /// it ([`DeltaState`]). A scan is read again where it lies, and an
     /// aggregate rebuilds its output from its own state; only an
     /// operator's own table, unselected, is kept, and it is moved, not
     /// copied.
@@ -1283,7 +1283,7 @@ impl AggInput for DeferredJoin<'_> {
 /// probe emits `(left row, right row, hit)` index triples, peeled filters
 /// and aggregates evaluate against lazily-gathered referenced columns
 /// only, and the full-width join table is never built. An aggregate
-/// grouped on a unique left key skips even the triples (§7, (G)). Profile
+/// grouped on a unique left key skips even the triples (§6, (G)). Profile
 /// entries (Join, one Filter per peeled predicate, Aggregate) carry the
 /// identical rows/bytes the materializing path records.
 #[allow(clippy::too_many_arguments)]
@@ -1383,7 +1383,7 @@ fn agg_over_join<'a>(
 /// A join's two inputs, each as one slab beside the index of the operator
 /// that produced it, run left first (the post-order every profile
 /// records). A right input that aggregates on the right join key folds
-/// only the groups the left side's keys can keep (§7, (S)).
+/// only the groups the left side's keys can keep (§6, (S)).
 fn join_inputs<'a>(
     src: &Tables<'a>,
     left: &PhysicalPlan,
@@ -1408,10 +1408,10 @@ fn join_inputs<'a>(
 }
 
 /// An aggregate over its flattened input `b`, recorded, with its
-/// per-group state kept for a combine. With `keys` — the left side and key
+/// per-group state kept for a delta state. With `keys` — the left side and key
 /// column of the join whose right input this aggregate is, grouped on the
 /// join key — only the groups whose key the left side holds are folded
-/// (§7, (S)), when the aggregates allow it.
+/// (§6, (S)), when the aggregates allow it.
 fn aggregate_batch<'a>(
     b: Batch<'_>,
     group_by: &[usize],
@@ -1445,7 +1445,7 @@ fn aggregate_batch<'a>(
 }
 
 /// An aggregate's output, its per-group states and, when it folded only
-/// some groups (§7, (S)), which.
+/// some groups (§6, (S)), which.
 type Folded = (Table, Vec<AggAcc>, Option<Vec<bool>>);
 
 /// (S): `b` aggregated on its one group column, folding only the groups
@@ -1519,7 +1519,7 @@ fn agg_exprs(agg: &AggExpr) -> impl Iterator<Item = &Expr> {
 }
 
 /// Join-output columns bound by index where only some are present: what a
-/// groupjoin's aggregates read (§7, (G)).
+/// groupjoin's aggregates read (§6, (G)).
 struct SparseCols(Vec<Option<Column>>);
 
 impl AggInput for SparseCols {
@@ -1537,7 +1537,7 @@ impl AggInput for SparseCols {
     }
 }
 
-/// What a groupjoin (§7, (G)) hands its caller to record: the aggregate's
+/// What a groupjoin (§6, (G)) hands its caller to record: the aggregate's
 /// output and per-group states, and the join it stands for — its rows, its
 /// output columns' types and string totals, and the matches of each left
 /// position.
@@ -1686,11 +1686,11 @@ fn groupjoin(
     }))
 }
 
-// ----- row-wise outputs, extended over appended chunks -----
+// ----- delta states: fragment outputs extended over appended rows -----
 
-/// The base table a *row-wise* plan reads: `Scan` or `PrunedScan` of one
-/// table under any number of `Filter` / `Project` nodes, and nothing else,
-/// so that each output row depends on one input row alone.
+/// The source a *row-wise* plan reads: `Scan` or `PrunedScan` of one table
+/// under any number of `Filter` / `Project` nodes, and nothing else, so
+/// that each output row depends on one input row alone.
 pub fn row_wise_table(plan: &PhysicalPlan) -> Option<&str> {
     match plan {
         PhysicalPlan::Scan { table } | PhysicalPlan::PrunedScan { table, .. } => Some(table),
@@ -1778,105 +1778,7 @@ impl OpTotals {
     }
 }
 
-/// Runs `plan` over `version`, recording every operator's [`OpTotals`].
-fn run_row_wise(
-    plan: &PhysicalPlan,
-    version: &CatalogVersion,
-) -> Result<(Table, Vec<OpTotals>), EngineError> {
-    let mut recorder = Recorder::with_totals(false);
-    let table = run_to_table(plan, &Catalog::new(), version.into(), &mut recorder)?;
-    let totals = recorder.totals.unwrap_or_default();
-    debug_assert_eq!(recorder.work.ops, totals.iter().map(OpTotals::work).collect::<Vec<_>>());
-    Ok((table, totals))
-}
-
-/// A row-wise plan's output over one state of its base table, with the
-/// chunks it covers and every operator's totals: what extending it over
-/// appended chunks needs ([`crate::cache`], *Predecessors*). Its table and
-/// work are what [`execute_fused`] returns over the version last computed
-/// or extended to, bit for bit.
-#[derive(Debug, Clone)]
-pub struct RowWiseOutput {
-    table: Arc<Table>,
-    chunks: Vec<Arc<Table>>,
-    ops: Vec<OpTotals>,
-}
-
-impl RowWiseOutput {
-    /// Runs `plan` over `version` in full; `None` when the plan is not
-    /// row-wise ([`row_wise_table`]) or its table is not in `version`.
-    pub fn compute(
-        plan: &PhysicalPlan,
-        version: &CatalogVersion,
-    ) -> Option<Result<Self, EngineError>> {
-        let chunks = version.table(row_wise_table(plan)?)?.chunks().to_vec();
-        Some(run_row_wise(plan, version).map(|(table, ops)| RowWiseOutput {
-            table: Arc::new(table),
-            chunks,
-            ops,
-        }))
-    }
-
-    /// The output table.
-    pub fn table(&self) -> &Arc<Table> {
-        &self.table
-    }
-
-    /// The work profile of the run that produced [`RowWiseOutput::table`].
-    pub fn work(&self) -> WorkProfile {
-        WorkProfile {
-            ops: self.ops.iter().map(OpTotals::work).collect(),
-        }
-    }
-
-    /// Advances this output to `version`, whose table's chunks must start
-    /// with the ones this output covers, pointer for pointer: the plan runs
-    /// over the appended chunks alone, and its output is appended in place
-    /// when this output is the table's only holder (after one copy
-    /// otherwise). Returns the appended chunks' rows. `None`, with the
-    /// output unchanged, when `version` does not extend it, when either
-    /// side has a validity mask or their types differ, or when the run
-    /// over the new chunks fails: the caller then computes in full.
-    pub fn extend(&mut self, plan: &PhysicalPlan, version: &CatalogVersion) -> Option<usize> {
-        let grown = version.table(row_wise_table(plan)?)?;
-        let (covered, chunks) = (self.chunks.len(), grown.chunks());
-        let prefix = self.chunks.iter().zip(chunks).all(|(a, b)| Arc::ptr_eq(a, b));
-        if chunks.len() < covered || !prefix {
-            return None;
-        }
-        let appended = &chunks[covered..];
-        if appended.is_empty() {
-            return Some(0);
-        }
-        let only_new = ChunkedTable::from_chunks(grown.name(), appended.to_vec()).ok()?;
-        let (delta, delta_ops) =
-            run_row_wise(plan, &CatalogVersion::from_chunked(vec![only_new])).ok()?;
-        let rows = delta.n_rows() > 0;
-        if masked(&self.table) || masked(&delta) || (rows && delta.schema() != self.table.schema())
-        {
-            return None;
-        }
-        let pairs = self.ops.iter().zip(&delta_ops);
-        let ops = pairs.map(|(a, b)| a.then(b)).collect::<Option<Vec<_>>>()?;
-        // Over two chunks or more a run is named after the table.
-        if rows || self.table.name != grown.name() {
-            // LINT: unique-ok — `make_mut` copies the table (and `append`
-            // each column buffer) that another holder shares.
-            let table = Arc::make_mut(&mut self.table);
-            if rows {
-                table.append(&delta).ok()?;
-            }
-            table.name = grown.name().to_string();
-        }
-        self.chunks = chunks.to_vec();
-        self.ops = ops;
-        Some(appended.iter().map(|c| c.n_rows()).sum())
-    }
-}
-
-// ----- combines, extended over the rows their prepares appended -----
-
-/// What a combine's operator keeps between runs ([`CombineState`]).
+/// What an operator keeps between runs ([`DeltaState`]).
 #[derive(Debug, Clone)]
 enum Kept {
     /// A join side's output, whole: a re-run of the join reads it.
@@ -1888,7 +1790,7 @@ enum Kept {
 /// An aggregate's per-group state: its output's group-key columns, each
 /// aggregate's running state, over a left-outer join which preserved rows
 /// have a match and, for an aggregate that folded only the groups a join
-/// keeps (§7, (S)), which groups hold their whole fold.
+/// keeps (§6, (S)), which groups hold their whole fold.
 #[derive(Debug, Clone)]
 struct Fold {
     keys: Vec<Column>,
@@ -2037,8 +1939,8 @@ pub(crate) fn frag_number(table: &str) -> Option<usize> {
     table.strip_prefix("@frag")?.parse().ok()
 }
 
-/// The prepare outputs a combine reads, as the fragment catalog `@frag<N>`.
-fn frag_catalog(inputs: &[&RowWiseOutput]) -> Catalog {
+/// The input outputs a plan reads, as the fragment catalog `@frag<N>`.
+fn frag_catalog(inputs: &[&DeltaState]) -> Catalog {
     let mut frags = Catalog::new();
     for (n, input) in inputs.iter().enumerate() {
         frags.insert_shared(format!("@frag{n}"), Arc::clone(input.table()));
@@ -2046,98 +1948,185 @@ fn frag_catalog(inputs: &[&RowWiseOutput]) -> Catalog {
     frags
 }
 
-/// One fragment a combine read, as its state last saw it: the base-table
-/// chunks its row-wise prepare covered, its rows, schema and whether any
-/// column had a mask.
+/// One source a state's run scanned, as the run saw it: the chunks its
+/// rows come from — a base table's own, or every chunk under an input
+/// fragment — its rows and schema, whether any of its rows carry a
+/// validity mask, and whether its rows only append when its chunks do (a
+/// base table, or an input that is row-wise over one that does).
 #[derive(Debug, Clone)]
 struct Cover {
     chunks: Vec<Arc<Table>>,
     rows: usize,
     schema: Vec<(String, DataType)>,
     masked: bool,
+    appends: bool,
 }
 
-/// How a fragment moved since a combine's state read it.
+/// How a source moved since a state's run read it.
 #[derive(Debug, Clone, Copy)]
 enum Growth {
     /// The same rows: the same chunks.
     Same,
-    /// Rows appended after the first `n`.
-    Appended(usize),
+    /// Rows appended after the first `rows`, in chunks after the first
+    /// `chunks`.
+    Appended { rows: usize, chunks: usize },
+}
+
+/// A source as it is now: a base table of the version, or the state of an
+/// input fragment.
+#[derive(Clone, Copy)]
+enum Source<'a> {
+    Table(&'a ChunkedTable),
+    Input(&'a DeltaState),
+}
+
+impl<'a> Source<'a> {
+    /// The source `name` of a run over `inputs` (`@frag<N>` is
+    /// `inputs[N]`) and `version` (every other name).
+    fn of(name: &str, inputs: &[&'a DeltaState], version: &'a CatalogVersion) -> Option<Self> {
+        Some(match frag_number(name) {
+            Some(n) => Source::Input(inputs.get(n)?),
+            None => Source::Table(version.table(name)?),
+        })
+    }
+
+    /// The chunks its rows come from.
+    fn chunks(self) -> impl Iterator<Item = &'a Arc<Table>> {
+        let (own, under) = match self {
+            Source::Table(t) => (t.chunks(), None),
+            Source::Input(state) => {
+                let under = state.covers.iter().flat_map(|(_, cover)| &cover.chunks);
+                (&[][..], Some(under))
+            }
+        };
+        own.iter().chain(under.into_iter().flatten())
+    }
+
+    fn rows(self) -> usize {
+        match self {
+            Source::Table(t) => t.n_rows(),
+            Source::Input(state) => state.table.n_rows(),
+        }
+    }
+
+    /// A table of its schema: a base table's first chunk, an input's output.
+    fn schema(self) -> Option<&'a Table> {
+        match self {
+            Source::Table(t) => t.chunks().first().map(|c| &**c),
+            Source::Input(state) => Some(&state.table),
+        }
+    }
 }
 
 impl Cover {
-    fn of(output: &RowWiseOutput) -> Cover {
-        let table = output.table();
-        Cover {
-            chunks: output.chunks.clone(),
-            rows: table.n_rows(),
-            schema: table.schema().into_iter().map(|(n, ty)| (n.to_string(), ty)).collect(),
-            masked: masked(table),
-        }
+    fn of(source: Source<'_>) -> Option<Cover> {
+        let (masked, appends) = match source {
+            Source::Table(t) => (t.chunks().iter().any(|c| masked(c)), true),
+            Source::Input(state) => (masked(&state.table), state.appends),
+        };
+        let schema = source.schema()?.schema().into_iter();
+        Some(Cover {
+            chunks: source.chunks().cloned().collect(),
+            rows: source.rows(),
+            schema: schema.map(|(name, ty)| (name.to_string(), ty)).collect(),
+            masked,
+            appends,
+        })
     }
 
-    /// How `output`, the same prepare over a later state of its table, grew
-    /// from this one; `None` when it is not this output with rows appended
-    /// — an older version, another writer's chunks, a schema or type
-    /// change — or when either side has a validity mask.
-    fn growth(&self, output: &RowWiseOutput) -> Option<Growth> {
-        let (table, chunks) = (output.table(), &output.chunks);
-        let prefix = self.chunks.iter().zip(chunks).all(|(a, b)| Arc::ptr_eq(a, b));
-        if !prefix || chunks.len() < self.chunks.len() || table.n_rows() < self.rows {
+    /// How `now`, this source at a later state of its tables, grew from
+    /// this one: the same chunks, or more after them, pointer for pointer.
+    /// `None` when it is not this source with rows appended — an older
+    /// version, another writer's chunks, a schema or type change, a source
+    /// that does not only append — or when either side has a validity mask.
+    fn growth(&self, now: Source<'_>) -> Option<Growth> {
+        let mut chunks = now.chunks();
+        let same = |a: &Arc<Table>| chunks.next().is_some_and(|b| Arc::ptr_eq(a, b));
+        let prefix = self.chunks.iter().all(same);
+        let columns = now.schema()?.columns().iter();
+        let schema = columns.map(|c| (c.name.as_str(), c.data.data_type()));
+        let same_schema = schema.eq(self.schema.iter().map(|(name, ty)| (name.as_str(), *ty)));
+        if !prefix || !same_schema || now.rows() < self.rows {
             return None;
         }
-        let schema = table.schema().into_iter();
-        if !schema.eq(self.schema.iter().map(|(n, ty)| (n.as_str(), *ty))) {
-            return None;
+        let mut appended = chunks.peekable();
+        if appended.peek().is_none() {
+            return (now.rows() == self.rows).then_some(Growth::Same);
         }
-        if chunks.len() == self.chunks.len() {
-            return (table.n_rows() == self.rows).then_some(Growth::Same);
-        }
-        (!self.masked && !masked(table)).then_some(Growth::Appended(self.rows))
+        // The rows read were checked; of a base table only its new chunks
+        // are new.
+        let masks = match now {
+            Source::Table(_) => appended.any(|c| masked(c)),
+            Source::Input(state) => masked(&state.table),
+        };
+        let growth = Growth::Appended {
+            rows: self.rows,
+            chunks: self.chunks.len(),
+        };
+        (self.appends && !self.masked && !masks).then_some(growth)
+    }
+
+    /// This cover advanced to `now`, which grew from it by appends, or not
+    /// at all.
+    fn advance(&mut self, now: Source<'_>) {
+        let covered = self.chunks.len();
+        self.chunks.extend(now.chunks().skip(covered).cloned());
+        self.rows = now.rows();
     }
 }
 
-/// A combine's output with what extending it over its prepares' appended
-/// rows needs (module docs, §6): every operator's exact totals, what its
-/// aggregates and join sides keep, and what it read of each prepare. Its
-/// table and work are what [`execute_fused`] returns over the prepare
-/// outputs last computed or extended to, bit for bit. The kept state is
-/// shared between clones, so a clone is cheap and an extension copies what
-/// it changes once.
+/// A fragment's output with what extending it over its sources' appended
+/// rows needs (module docs, §5): every operator's exact totals, what its
+/// aggregates and join sides keep, and what it read of each source — a
+/// prepare's base tables, a combine's input fragments. Its table and work
+/// are what [`execute_fused`] returns over the sources last computed or
+/// extended to, bit for bit. The kept state is shared between clones, so a
+/// clone is cheap and an extension copies what it changes once.
 #[derive(Debug, Clone)]
-pub struct CombineState {
+pub struct DeltaState {
     table: Arc<Table>,
     ops: Vec<OpTotals>,
     kept: Arc<Vec<Option<Kept>>>,
-    inputs: Vec<Option<Cover>>,
+    covers: Vec<(String, Cover)>,
+    /// Whether the output only appends when its sources do: the plan is
+    /// row-wise ([`row_wise_table`]) over a source that only appends.
+    appends: bool,
 }
 
-impl CombineState {
-    /// Runs `plan` in full over `inputs` — the prepare outputs the plan
-    /// scans as `@frag<N>`, `inputs[N]` — keeping what extending it needs.
-    /// The run is the one [`execute_fused`] makes; what it keeps is moved
-    /// out of it: each aggregate's per-group states, the preserved rows a
-    /// left-outer join matched, a join side that is an operator's output.
-    pub fn compute(plan: &PhysicalPlan, inputs: &[&RowWiseOutput]) -> Result<Self, EngineError> {
+impl DeltaState {
+    /// Runs `plan` in full over `inputs` — the fragment outputs it scans as
+    /// `@frag<N>`, `inputs[N]` — and the base tables of `version`, keeping
+    /// what extending it needs. The run is the one [`execute_fused`] makes;
+    /// what it keeps is moved out of it: each aggregate's per-group states,
+    /// the preserved rows a left-outer join matched, a join side that is an
+    /// operator's output.
+    pub fn compute(
+        plan: &PhysicalPlan,
+        inputs: &[&DeltaState],
+        version: &CatalogVersion,
+    ) -> Result<Self, EngineError> {
         let frags = frag_catalog(inputs);
         let mut recorder = Recorder::with_totals(true);
-        let table = run_to_table(plan, &frags, (&Catalog::new()).into(), &mut recorder)?;
+        let table = run_to_table(plan, &frags, version.into(), &mut recorder)?;
         let ops = recorder.totals.unwrap_or_default();
         let mut kept = vec![None; ops.len()];
         for (at, k) in recorder.kept.unwrap_or_default() {
             kept[at] = Some(k);
         }
-        let mut covers = vec![None; inputs.len()];
-        for n in referenced_fragments(plan) {
-            // A scan of a fragment past `inputs` failed the run above.
-            covers[n] = Some(Cover::of(inputs[n]));
+        // Every source resolved, or the run above failed.
+        let mut covers: Vec<(String, Cover)> = Vec::new();
+        for name in scanned_sources(plan) {
+            let cover = Source::of(name, inputs, version).and_then(Cover::of);
+            let cover = cover.ok_or_else(|| EngineError::UnknownTable(name.to_string()))?;
+            covers.push((name.to_string(), cover));
         }
-        Ok(CombineState {
+        let appends = row_wise_table(plan).is_some() && covers.iter().all(|(_, c)| c.appends);
+        Ok(DeltaState {
             table: Arc::new(table),
             ops,
             kept: Arc::new(kept),
-            inputs: covers,
+            covers,
+            appends,
         })
     }
 
@@ -2146,7 +2135,7 @@ impl CombineState {
         &self.table
     }
 
-    /// The work profile of the run that produced [`CombineState::table`].
+    /// The work profile of the run that produced [`DeltaState::table`].
     pub fn work(&self) -> WorkProfile {
         WorkProfile {
             ops: self.ops.iter().map(OpTotals::work).collect(),
@@ -2163,61 +2152,77 @@ impl CombineState {
         kept.sum::<u64>() + 64 * self.ops.len() as u64
     }
 
-    /// Advances the state to `inputs`: the same prepares over later states
-    /// of their tables, each the output this state read followed by
-    /// appended rows (module docs, §6). Returns the appended rows it read,
-    /// `Some(0)` when no input changed. `None`, with the state unchanged,
-    /// when an input is not the one read grown by appends (an older
-    /// version, another writer's chunks, a mask, a type change) or when an
-    /// operator cannot extend (both sides of a join grow, a sort over
-    /// appended rows, a delta that fails to evaluate): the caller then
-    /// computes in full.
-    pub fn extend(&mut self, plan: &PhysicalPlan, inputs: &[&RowWiseOutput]) -> Option<usize> {
-        let growth = self.inputs.iter().enumerate().map(|(n, cover)| match cover {
-            Some(cover) => cover.growth(inputs.get(n)?).map(Some),
-            None => Some(None),
+    /// Advances the state to `inputs` and `version`: the same sources at
+    /// later states of their tables, each the rows this state read followed
+    /// by appended ones (module docs, §5). Returns the appended rows it
+    /// read, `Some(0)` when no source changed. `None`, with the state
+    /// unchanged, when a source is not the one read grown by appends (an
+    /// older version, another writer's chunks, a mask, a type change) or
+    /// when an operator cannot extend (both sides of a join grow, a sort
+    /// over appended rows, a delta that fails to evaluate): the caller then
+    /// computes in full. The output is appended in place when this state is
+    /// its only holder (after one copy otherwise).
+    pub fn extend(
+        &mut self,
+        plan: &PhysicalPlan,
+        inputs: &[&DeltaState],
+        version: &CatalogVersion,
+    ) -> Option<usize> {
+        let moved = self.covers.iter().map(|(name, cover)| {
+            let now = Source::of(name, inputs, version)?;
+            Some((now, cover.growth(now)?))
         });
-        let growth: Vec<Option<Growth>> = growth.collect::<Option<_>>()?;
-        if !growth.iter().any(|g| matches!(g, Some(Growth::Appended(_)))) {
-            return Some(0);
-        }
-        let appended = growth.iter().zip(inputs).map(|(g, input)| match g {
-            Some(Growth::Appended(from)) => input.table().n_rows() - from,
-            _ => 0,
+        let moved: Vec<(Source, Growth)> = moved.collect::<Option<_>>()?;
+        let appended = moved.iter().map(|&(now, growth)| match growth {
+            Growth::Appended { rows, .. } => now.rows() - rows,
+            Growth::Same => 0,
         });
         let appended = appended.sum();
+        if moved.iter().all(|m| matches!(m.1, Growth::Same)) {
+            return Some(0);
+        }
         let frags = frag_catalog(inputs);
-        let mut kept = (*self.kept).clone();
         let mut walk = Walk {
             old: &self.ops,
             ops: Vec::with_capacity(self.ops.len()),
-            kept: &mut kept,
-            growth: &growth,
-            frags: &frags,
-            deltas: vec![None; growth.len()],
+            kept: Arc::clone(&self.kept),
+            covers: &self.covers,
+            moved: &moved,
+            src: Tables {
+                frags: &frags,
+                base: version.into(),
+            },
+            deltas: Vec::new(),
             scratch: EvalScratch::new(),
         };
         let step = walk.node(plan)?;
-        let ops = walk.ops;
+        let (ops, kept) = (walk.ops, walk.kept);
         if ops.len() != self.ops.len() {
             return None;
         }
-        let mut table = Arc::clone(&self.table);
         match step {
             Step::Same => {}
-            Step::Appended(delta) => append_to(&mut table, &delta)?,
-            Step::Changed(out) => table = out,
+            Step::Appended(delta) => append_to(&mut self.table, &delta)?,
+            Step::Changed(out) => self.table = out,
         }
-        let covers = self.inputs.iter().zip(inputs);
-        let covers = covers.map(|(c, input)| c.as_ref().map(|_| Cover::of(input))).collect();
-        *self = CombineState {
-            table,
-            ops,
-            kept: Arc::new(kept),
-            inputs: covers,
-        };
+        self.ops = ops;
+        self.kept = kept;
+        for ((_, cover), &(now, _)) in self.covers.iter_mut().zip(&moved) {
+            cover.advance(now);
+        }
         Some(appended)
     }
+}
+
+/// Each distinct table name `plan` scans, in first-scanned order.
+fn scanned_sources(plan: &PhysicalPlan) -> Vec<&str> {
+    let mut names: Vec<&str> = Vec::new();
+    for_each_scan(plan, &mut |name| {
+        if !names.contains(&name) {
+            names.push(name);
+        }
+    });
+    names
 }
 
 /// Appends `delta` to `table` and takes its name, as one run over both
@@ -2231,13 +2236,15 @@ fn append_to(table: &mut Arc<Table>, delta: &Table) -> Option<()> {
     if delta.n_rows() > 0 {
         t.append(delta).ok()?;
     }
-    t.name = delta.name.clone();
+    if t.name != delta.name {
+        t.name = delta.name.clone();
+    }
     Some(())
 }
 
 /// How an operator's output moved since the state's run.
 enum Step {
-    /// Unchanged: the operator reads only unchanged fragments.
+    /// Unchanged: the operator reads only unchanged sources.
     Same,
     /// The old output followed by these rows.
     Appended(Arc<Table>),
@@ -2252,17 +2259,22 @@ struct Side<'p> {
     step: Step,
 }
 
-/// One extension's walk over a combine's plan. Every operator records one
+/// One extension's walk over a state's plan. Every operator records one
 /// [`OpTotals`] in the post-order the full run records them, so the
 /// operator at hand is `ops.len()`, and `old[ops.len()]` is its totals at
 /// the state's run.
 struct Walk<'s> {
     old: &'s [OpTotals],
     ops: Vec<OpTotals>,
-    kept: &'s mut [Option<Kept>],
-    growth: &'s [Option<Growth>],
-    frags: &'s Catalog,
-    /// Each appended fragment's new rows, sliced once.
+    /// What the operators keep, copied on the first change.
+    kept: Arc<Vec<Option<Kept>>>,
+    covers: &'s [(String, Cover)],
+    /// Each source as it is now, and how it grew.
+    moved: &'s [(Source<'s>, Growth)],
+    /// What a run of the plan reads now.
+    src: Tables<'s>,
+    /// Each appended input fragment's new rows, sliced once (by source,
+    /// once one is).
     deltas: Vec<Option<Arc<Table>>>,
     /// One pool of kernel temporaries for every operator the walk runs.
     scratch: EvalScratch,
@@ -2271,12 +2283,17 @@ struct Walk<'s> {
 impl Walk<'_> {
     /// The step of `plan`'s operator after its inputs'.
     fn node(&mut self, plan: &PhysicalPlan) -> Option<Step> {
-        let step = match plan {
-            PhysicalPlan::Scan { table } => self.scan(table)?,
-            PhysicalPlan::PrunedScan { table, .. } => match self.growth(table)? {
-                Growth::Same => self.same()?,
-                Growth::Appended(_) => return None,
-            },
+        let step = match row_wise_table(plan) {
+            Some(source) => self.row_wise(plan, source)?,
+            None => self.operator(plan)?,
+        };
+        self.keep_current(&step)?;
+        Some(step)
+    }
+
+    /// The step of an operator that is not row-wise over a source.
+    fn operator(&mut self, plan: &PhysicalPlan) -> Option<Step> {
+        Some(match plan {
             PhysicalPlan::Filter { input, .. } | PhysicalPlan::Project { input, .. } => {
                 match self.node(input)? {
                     Step::Same => self.same()?,
@@ -2318,9 +2335,8 @@ impl Walk<'_> {
                     self.aggregate(plan, input)?
                 }
             },
-        };
-        self.keep_current(&step)?;
-        Some(step)
+            PhysicalPlan::Scan { .. } | PhysicalPlan::PrunedScan { .. } => return None,
+        })
     }
 
     /// The step of a join input.
@@ -2352,29 +2368,63 @@ impl Walk<'_> {
         Some(Step::Changed(out))
     }
 
-    fn growth(&self, table: &str) -> Option<Growth> {
-        *self.growth.get(frag_number(table)?)?
-    }
-
-    /// A scan of a fragment: unchanged, or appended by its new rows (R1).
-    fn scan(&mut self, table: &str) -> Option<Step> {
-        let Growth::Appended(from) = self.growth(table)? else {
-            return self.same();
-        };
-        let n = frag_number(table)?;
-        let delta = match &self.deltas[n] {
-            Some(delta) => Arc::clone(delta),
-            None => {
-                let t = self.frags.get(table)?;
-                let rows: Vec<u32> = (from as u32..t.n_rows() as u32).collect();
-                let delta = Arc::new(t.take_ids(&rows));
-                self.deltas[n] = Some(Arc::clone(&delta));
-                delta
+    /// R1 at a source: the row-wise `plan` over `source`, unchanged, or run
+    /// once over the appended rows alone — a base table's new chunks where
+    /// they lie, an input fragment's new rows — with every operator's
+    /// totals continuing its old ones.
+    fn row_wise(&mut self, plan: &PhysicalPlan, source: &str) -> Option<Step> {
+        let at = self.covers.iter().position(|(name, _)| name == source)?;
+        let (now, Growth::Appended { rows, chunks }) = self.moved[at] else {
+            let mut node = plan;
+            loop {
+                self.same()?;
+                match node {
+                    PhysicalPlan::Filter { input, .. } | PhysicalPlan::Project { input, .. } => {
+                        node = input
+                    }
+                    _ => return Some(Step::Same),
+                }
             }
         };
-        let totals = self.old()?.then(&OpTotals::of(OpKind::Scan, delta.n_rows(), &delta))?;
-        self.ops.push(totals);
-        Some(Step::Appended(delta))
+        let (mut frags, empty, mut only_new) = (Catalog::new(), Catalog::new(), None);
+        let (base, grown) = match now {
+            Source::Input(input) => {
+                frags.insert_shared(source, self.frag_delta(at, &input.table, rows));
+                (TableSource::Flat(&empty), None)
+            }
+            Source::Table(grown) => {
+                let appended = grown.chunks()[chunks..].to_vec();
+                let table = ChunkedTable::from_chunks(grown.name(), appended).ok()?;
+                let only_new = only_new.insert(CatalogVersion::from_chunked(vec![table]));
+                (TableSource::Versioned(only_new), Some(grown.name()))
+            }
+        };
+        let mut recorder = Recorder::with_totals(false);
+        let src = Tables {
+            frags: &frags,
+            base,
+        };
+        let out = run_fused(plan, &src, &mut recorder, &mut self.scratch).ok()?;
+        let mut delta = out.into_flat(&mut self.scratch).materialize();
+        // Over two chunks or more, a run is named after the table.
+        if let Some(name) = grown.filter(|&name| name != delta.name) {
+            delta.name = name.to_string();
+        }
+        for totals in recorder.totals? {
+            let totals = self.old()?.then(&totals)?;
+            self.ops.push(totals);
+        }
+        Some(Step::Appended(Arc::new(delta)))
+    }
+
+    /// The rows of input `table` (source `at`) after its first `from`.
+    fn frag_delta(&mut self, at: usize, table: &Table, from: usize) -> Arc<Table> {
+        self.deltas.resize(self.moved.len(), None);
+        let delta = self.deltas[at].get_or_insert_with(|| {
+            let rows: Vec<u32> = (from as u32..table.n_rows() as u32).collect();
+            Arc::new(table.take_ids(&rows))
+        });
+        Arc::clone(delta)
     }
 
     /// A join of two inputs' steps.
@@ -2414,7 +2464,7 @@ impl Walk<'_> {
 
     /// `Some` unless `gained` — left rows a join's left side gained — reach
     /// a stand-in of the right aggregate `r`, whose whole output is
-    /// `right`: a group its key set left unfolded (§7, (S)), whose state
+    /// `right`: a group its key set left unfolded (§6, (S)), whose state
     /// lacks the rows before this delta. Every key the left side held
     /// before reaches only folded groups, so only gained keys are checked;
     /// a group the delta opened has no earlier rows and is folded.
@@ -2446,7 +2496,7 @@ impl Walk<'_> {
             Step::Appended(delta) => {
                 let at = self.ops.len();
                 let rows_in = self.old()?.rows_in + delta.n_rows() as u64;
-                let Some(Kept::Fold(fold)) = self.kept.get_mut(at)? else {
+                let Some(Kept::Fold(fold)) = kept_mut(&mut self.kept, at)? else {
                     return None;
                 };
                 fold.absorb(&delta, group_by, aggs, &mut self.scratch)?;
@@ -2457,7 +2507,7 @@ impl Walk<'_> {
             // R4; the fold no longer describes the input.
             Step::Changed(input) => {
                 let at = self.ops.len();
-                *self.kept.get_mut(at)? = None;
+                *kept_mut(&mut self.kept, at)? = None;
                 self.rerun(plan, &[&input])
             }
         }
@@ -2495,7 +2545,7 @@ impl Walk<'_> {
         let left = self.whole(l)?;
         let at = self.ops.len();
         let old_join = self.old()?.clone();
-        let Some(Kept::Fold(fold)) = self.kept.get_mut(at + 1)? else {
+        let Some(Kept::Fold(fold)) = kept_mut(&mut self.kept, at + 1)? else {
             return None;
         };
         let mut matched = fold.matched.take()?;
@@ -2556,8 +2606,7 @@ impl Walk<'_> {
             Step::Appended(_) => kept,
             Step::Same => kept.or_else(|| {
                 let mut recorder = Recorder::default();
-                let base = Catalog::new();
-                let run = run_to_table(side.plan, self.frags, (&base).into(), &mut recorder);
+                let run = run_to_table(side.plan, self.src.frags, self.src.base, &mut recorder);
                 run.ok().map(Arc::new)
             }),
         }
@@ -2567,7 +2616,10 @@ impl Walk<'_> {
     /// last one recorded.
     fn keep_current(&mut self, step: &Step) -> Option<()> {
         let at = self.ops.len() - 1;
-        if let Some(Kept::Table(t)) = self.kept.get_mut(at)? {
+        if matches!(step, Step::Same) || !matches!(self.kept.get(at)?, Some(Kept::Table(_))) {
+            return Some(());
+        }
+        if let Some(Kept::Table(t)) = kept_mut(&mut self.kept, at)? {
             match step {
                 Step::Same => {}
                 Step::Appended(delta) => append_to(t, delta)?,
@@ -2576,6 +2628,13 @@ impl Walk<'_> {
         }
         Some(())
     }
+}
+
+/// Operator `at`'s kept state, to change: the walk's own copy.
+fn kept_mut(kept: &mut Arc<Vec<Option<Kept>>>, at: usize) -> Option<&mut Option<Kept>> {
+    // LINT: unique-ok — `make_mut` copies the kept states of the state
+    // being extended, once, before the walk's first change.
+    Arc::make_mut(kept).get_mut(at)
 }
 
 /// `Some` when the join `plan` of `left` and `right` — an aggregate's

@@ -73,10 +73,7 @@ pub use exec::{
     ResultCacheBinding, SharedExecutor,
 };
 pub use expr::Expr;
-pub use fused::{
-    execute_fused, fused_paths, row_wise_table, CombineState, FusedPath, RowWiseOutput,
-    TableSource, MORSEL_ROWS,
-};
+pub use fused::{execute_fused, fused_paths, DeltaState, FusedPath, TableSource, MORSEL_ROWS};
 pub use ops::{AggExpr, JoinType, PhysicalPlan, WorkProfile};
 pub use placement::Placement;
 pub use sim::{split_seed, AdmissionStats, LoadModel, SimulationEnv, SiteAdmission};

@@ -51,7 +51,7 @@ use midas_engines::ops::{PhysicalPlan, WorkProfile};
 use midas_engines::Expr;
 use midas_engines::version::{CatalogVersion, ChunkedTable};
 use midas_engines::{
-    execute_fused, Catalog, CombineState, RowWiseOutput, TableSource, Value, MORSEL_ROWS,
+    execute_fused, Catalog, DeltaState, TableSource, Value, MORSEL_ROWS,
 };
 use midas_tpch::dates::ymd;
 use midas_tpch::gen::{DeltaStream, GenConfig, TpchDb};
@@ -369,7 +369,7 @@ fn a_cold_job_allocates_by_what_it_produces() {
     // its join keeps on the left, not by the rows it aggregates: Q13's
     // groupjoin counts each order straight into its customer's group, and
     // Q17's `avg_q` folds only the parts `j1` kept (`fused` module docs,
-    // §7). With the fact-side prepare repeated four times — four times the
+    // §6). With the fact-side prepare repeated four times — four times the
     // orders a customer counts, the lineitems a part averages, each past
     // one morsel — the combine asks for no more than 1.25× the bytes of a
     // run over it once, and both stay under 32 B per group or kept left row
@@ -440,8 +440,8 @@ fn a_cold_job_allocates_by_what_it_produces() {
     for q in [q13("special", "requests").right_prepare, q17("Brand#13", "MED BOX").left_prepare] {
         let extension = |fifths: usize| {
             let versions = grown([first("orders", fifths), first("lineitem", fifths)], &deltas);
-            let mut out = RowWiseOutput::compute(&q, &versions[16]).expect("row-wise").unwrap();
-            let (rows, c) = counted(|| out.extend(&q, &versions[17]));
+            let mut out = DeltaState::compute(&q, &[], &versions[16]).unwrap();
+            let (rows, c) = counted(|| out.extend(&q, &[], &versions[17]));
             assert!(rows.is_some_and(|r| r > 0), "no extension: {rows:?}");
             assert_eq!(**out.table(), execute_fused(&q, &versions[17]).unwrap().0);
             c
@@ -480,14 +480,14 @@ fn a_cold_job_allocates_by_what_it_produces() {
             };
             let (before, after) = (with_dimensions(&versions[16]), with_dimensions(&versions[17]));
             let prepare = |plan: &PhysicalPlan| {
-                let mut out = RowWiseOutput::compute(plan, &before).expect("row-wise").unwrap();
-                out.extend(plan, &after).expect("extends");
-                (RowWiseOutput::compute(plan, &before).expect("row-wise").unwrap(), out)
+                let mut out = DeltaState::compute(plan, &[], &before).unwrap();
+                out.extend(plan, &[], &after).expect("extends");
+                (DeltaState::compute(plan, &[], &before).unwrap(), out)
             };
             let ((l0, l1), (r0, r1)) = (prepare(&q.left_prepare), prepare(&q.right_prepare));
-            let mut state = CombineState::compute(&q.combine, &[&l0, &r0]).expect("runs");
+            let mut state = DeltaState::compute(&q.combine, &[&l0, &r0], &before).expect("runs");
             drop((l0, r0));
-            let (rows, c) = counted(|| state.extend(&q.combine, &[&l1, &r1]));
+            let (rows, c) = counted(|| state.extend(&q.combine, &[&l1, &r1], &after));
             let rows = rows.expect("extends") as u64;
             let mut frags = Catalog::new();
             frags.insert_shared("@frag0", Arc::clone(l1.table()));
@@ -518,7 +518,7 @@ fn a_cold_job_allocates_by_what_it_produces() {
         // The full run each window made before, after every row. Q13's
         // extension asks for at most half of it: 68 321 B against 321 583
         // (103 737 against 836 412 before the groupjoin). Q17's full run
-        // folds only the parts `j1` keeps (§7), so its extension, which
+        // folds only the parts `j1` keeps (§6), so its extension, which
         // reruns the join over all of `avg_q`'s groups, asks for no more
         // than it: 196 403 B against 222 818 (270 838 against 636 037).
         let share = if dimension == "customer" { 2 } else { 1 };

@@ -2,7 +2,7 @@
 //! rows.
 //!
 //! A combine over prepares that only grew by appends keeps a delta state
-//! ([`CombineState`]): per-group aggregate states, the preserved rows a
+//! ([`DeltaState`]): per-group aggregate states, the preserved rows a
 //! left-outer join matched, a join side an operator produced. Extending it
 //! over the appended rows must return exactly what one [`execute_fused`] of
 //! the combine over the final prepare outputs returns: the same table (name
@@ -11,25 +11,21 @@
 //! state is left as it was and a full computation stands in.
 //!
 //! The last tests drive the planner's entry point,
-//! [`profile_fragments_cached`], through publishes: a poisoned state is
-//! skipped, not advanced, and a late job's older version computes in full
-//! and leaves the state alone.
+//! [`midas_engines::profile_fragments_cached`], through publishes: a
+//! poisoned state is skipped, not advanced, and a late job's older version
+//! computes in full and leaves the state alone.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+mod common;
 
-use midas_cloud::federation::example_federation;
-use midas_engines::cache::{CacheScope, FragmentResultCache, PlanningStats};
+use std::sync::Arc;
+
+use common::{chunks_of, computed, plan_and_run, rows_of, same_as, scan, Run};
+use midas_engines::cache::{CacheKey, FragmentResultCache, PlanFingerprint, PlanningStats};
 use midas_engines::data::{Column, ColumnData, Table};
-use midas_engines::exec::{FederatedQuery, Fragment, ResultCacheBinding, SharedExecutor};
 use midas_engines::expr::Expr;
-use midas_engines::ops::{AggExpr, JoinType, PhysicalPlan, WorkProfile};
-use midas_engines::sim::{DriftIntensity, SimulationEnv, SiteAdmission};
-use midas_engines::version::{CatalogVersion, ChunkedTable, VersionedCatalog};
-use midas_engines::{
-    execute_fused, profile_fragments, profile_fragments_cached, Catalog, CombineState,
-    EngineError, EngineKind, RowWiseOutput,
-};
+use midas_engines::ops::{AggExpr, JoinType, PhysicalPlan};
+use midas_engines::version::{CatalogVersion, VersionedCatalog};
+use midas_engines::{execute_fused, Catalog, DeltaState};
 use proptest::prelude::*;
 
 /// Multi-byte text next to ASCII, the empty string and the word the Q14
@@ -42,8 +38,8 @@ const POISON: i64 = 7;
 /// One appended row: (k, q, p, word index, null knob).
 type Row = (i64, i64, f64, usize, i64);
 
-fn rows_strategy() -> impl Strategy<Value = Vec<Row>> {
-    proptest::collection::vec((0i64..8, -4i64..4, -10.0..10.0f64, 0usize..6, 0i64..4), 0..48)
+fn row() -> impl Strategy<Value = Row> {
+    (0i64..8, -4i64..4, -10.0..10.0f64, 0usize..6, 0i64..4)
 }
 
 /// The growing table `l`: k Int64, q Float64 (a few repeated values, so
@@ -82,37 +78,9 @@ fn r_table(name: &str, rows: &[Row]) -> Table {
     .expect("aligned")
 }
 
-/// `rows` cut into chunks at the (modulo-resolved) cut points, empty
-/// chunks included; chunk `i` is named `<table>.c<i>`.
-fn chunks_of(
-    rows: &[Row],
-    cuts: &[usize],
-    table: impl Fn(&str, &[Row]) -> Table,
-    base: &str,
-) -> Vec<Arc<Table>> {
-    let mut bounds: Vec<usize> = cuts.iter().map(|&c| c % (rows.len() + 1)).collect();
-    bounds.sort_unstable();
-    bounds.push(rows.len());
-    let mut start = 0;
-    let chunks = bounds.into_iter().enumerate().map(|(i, end)| {
-        let chunk = Arc::new(table(&format!("{base}.c{i}"), &rows[start..end]));
-        start = end;
-        chunk
-    });
-    chunks.collect()
-}
-
 /// A version holding the first `nl` chunks of `l` and `nr` of `r`.
 fn version_of(l: &[Arc<Table>], nl: usize, r: &[Arc<Table>], nr: usize) -> CatalogVersion {
-    let l = ChunkedTable::from_chunks("l", l[..nl].to_vec()).expect("one schema");
-    let r = ChunkedTable::from_chunks("r", r[..nr].to_vec()).expect("one schema");
-    CatalogVersion::from_chunked(vec![l, r])
-}
-
-fn scan(table: &str) -> Box<PhysicalPlan> {
-    Box::new(PhysicalPlan::Scan {
-        table: table.to_string(),
-    })
+    common::version_of(&[("l", l, nl), ("r", r, nr)])
 }
 
 fn project(input: Box<PhysicalPlan>, exprs: Vec<(&str, Expr)>) -> PhysicalPlan {
@@ -279,10 +247,8 @@ fn combine_of(shape: usize) -> PhysicalPlan {
     }
 }
 
-type Run = Result<(Table, WorkProfile), EngineError>;
-
 /// The combine run in full over the prepare outputs.
-fn full_run(combine: &PhysicalPlan, inputs: &[&RowWiseOutput]) -> Run {
+fn full_run(combine: &PhysicalPlan, inputs: &[&DeltaState]) -> Run {
     let mut frags = Catalog::new();
     for (n, input) in inputs.iter().enumerate() {
         frags.insert_shared(format!("@frag{n}"), Arc::clone(input.table()));
@@ -290,22 +256,11 @@ fn full_run(combine: &PhysicalPlan, inputs: &[&RowWiseOutput]) -> Run {
     execute_fused(combine, &frags)
 }
 
-/// `state` against one full run: table (name included), fingerprint, work.
-fn same_as(state: &CombineState, full: &Run, ctx: &str) -> Result<(), TestCaseError> {
-    let Ok((table, work)) = full else {
-        return Err(TestCaseError::fail(format!("{ctx}: the full run failed: {full:?}")));
-    };
-    prop_assert_eq!(&**state.table(), table, "{}: table", ctx);
-    prop_assert_eq!(state.table().fingerprint(), table.fingerprint(), "{}", ctx);
-    prop_assert_eq!(&state.work(), work, "{}: work profile", ctx);
-    Ok(())
-}
-
 /// The prepare advanced to `version`: extended when it can be, else
 /// computed in full.
-fn advance(prepare: &PhysicalPlan, out: &mut RowWiseOutput, version: &CatalogVersion) {
-    if out.extend(prepare, version).is_none() {
-        *out = RowWiseOutput::compute(prepare, version).expect("row-wise").expect("runs");
+fn advance(prepare: &PhysicalPlan, out: &mut DeltaState, version: &CatalogVersion) {
+    if out.extend(prepare, &[], version).is_none() {
+        *out = DeltaState::compute(prepare, &[], version).expect("runs");
     }
 }
 
@@ -319,11 +274,11 @@ proptest! {
     #[test]
     fn extending_k_times_equals_one_full_run(
         (rows, cuts, steps) in (
-            rows_strategy(),
+            rows_of(row()),
             proptest::collection::vec(0usize..64, 1..7),
             proptest::collection::vec(0usize..3, 1..6),
         ),
-        (r_rows, r_cuts) in (rows_strategy(), proptest::collection::vec(0usize..64, 0..3)),
+        (r_rows, r_cuts) in (rows_of(row()), proptest::collection::vec(0usize..64, 0..3)),
         (shape, masks, initial, older) in (0usize..10, 0usize..4, 1usize..3, 0usize..2),
     ) {
         let combine = combine_of(shape);
@@ -334,27 +289,19 @@ proptest! {
         if shape == FIRST_ARRIVALS {
             rows.sort_by_key(|row| row.0);
         }
-        let l = chunks_of(&rows, &cuts, |n, r| l_table(n, r, masked), "l");
+        let l = chunks_of(&rows, &cuts, |i, r| l_table(&format!("l.c{i}"), r, masked));
         // `r` is one chunk, or grows beside `l` in the shapes that grow it.
         let grows_r = shape == BOTH_GROW || shape == PART_GROWS;
         let r_cuts = if grows_r { r_cuts } else { Vec::new() };
-        let r = chunks_of(&r_rows, &r_cuts, r_table, "r");
+        let r = chunks_of(&r_rows, &r_cuts, |i, r| r_table(&format!("r.c{i}"), r));
         let (n_l, n_r) = (l.len(), r.len());
         let mut covered = (initial.min(n_l), 1);
         let v0 = version_of(&l, covered.0, &r, covered.1);
-        let mut p0 = RowWiseOutput::compute(&lp, &v0).expect("row-wise").expect("runs");
-        let mut p1 = RowWiseOutput::compute(&rp, &v0).expect("row-wise").expect("runs");
+        let mut p0 = DeltaState::compute(&lp, &[], &v0).expect("runs");
+        let mut p1 = DeltaState::compute(&rp, &[], &v0).expect("runs");
         let full = full_run(&combine, &[&p0, &p1]);
-        let mut state = match CombineState::compute(&combine, &[&p0, &p1]) {
-            Ok(state) => {
-                same_as(&state, &full, "compute")?;
-                Some(state)
-            }
-            Err(_) => {
-                prop_assert!(full.is_err(), "compute failed where the full run did not");
-                None
-            }
-        };
+        let computed_at_v0 = DeltaState::compute(&combine, &[&p0, &p1], &v0);
+        let mut state = computed(computed_at_v0, &full, "compute")?;
         let mut counts = steps.clone();
         counts.push(n_l); // the last step appends whatever is left
         for (step, add) in counts.into_iter().enumerate() {
@@ -364,11 +311,12 @@ proptest! {
             // grown by appends, so the state declines and stays as it is.
             if let (true, Some(state)) = (older == 1 && covered.0 > 1, &mut state) {
                 let old = version_of(&l, covered.0 - 1, &r, covered.1);
-                let o0 = RowWiseOutput::compute(&lp, &old).expect("row-wise").expect("runs");
-                let o1 = RowWiseOutput::compute(&rp, &old).expect("row-wise").expect("runs");
+                let o0 = DeltaState::compute(&lp, &[], &old).expect("runs");
+                let o1 = DeltaState::compute(&rp, &[], &old).expect("runs");
                 let before = (Arc::clone(state.table()), state.work());
                 if o0.table().n_rows() < p0.table().n_rows() {
-                    prop_assert_eq!(state.extend(&combine, &[&o0, &o1]), None, "{}: older", ctx);
+                    let older = state.extend(&combine, &[&o0, &o1], &old);
+                    prop_assert_eq!(older, None, "{}: older", ctx);
                 }
                 prop_assert!(Arc::ptr_eq(state.table(), &before.0), "{}: moved", ctx);
                 prop_assert_eq!(state.work(), before.1, "{}: moved", ctx);
@@ -389,7 +337,7 @@ proptest! {
                 Some(state) => {
                     let must = full.is_ok() && !masked && !collapsed && !right_grew
                         && shape != STAND_INS;
-                    let extended = state.extend(&combine, &[&p0, &p1]);
+                    let extended = state.extend(&combine, &[&p0, &p1], &version);
                     prop_assert!(extended.is_some() || !must, "{}: declined", ctx);
                     prop_assert!(extended.is_none() || !both_grew, "{}: both sides grew", ctx);
                     let part_grew = shape == PART_GROWS && right_grew;
@@ -407,16 +355,8 @@ proptest! {
                 same_as(state.as_ref().expect("extended"), &full, &ctx)?;
             } else {
                 // Declined or nothing to extend: compute in full.
-                match CombineState::compute(&combine, &[&p0, &p1]) {
-                    Ok(fresh) => {
-                        same_as(&fresh, &full, &ctx)?;
-                        state = Some(fresh);
-                    }
-                    Err(_) => {
-                        prop_assert!(full.is_err(), "{}: compute failed alone", ctx);
-                        state = None;
-                    }
-                }
+                let fresh = DeltaState::compute(&combine, &[&p0, &p1], &version);
+                state = computed(fresh, &full, &ctx)?;
             }
             covered = next;
         }
@@ -466,46 +406,21 @@ impl Planner {
     /// against `profile_fragments`, and runs it with the hand-off (filling
     /// the cache).
     fn plan_and_run(&self, version: &CatalogVersion, tenant: &str) {
-        let (fed, a, b) = example_federation();
-        let ids: HashMap<String, u64> = version.table_ids();
-        let binding = ResultCacheBinding {
-            cache: &self.cache,
-            scope: CacheScope::FederationGlobal,
-            tenant,
-            table_ids: &ids,
-        };
-        let plans = [(&self.lp, Some(a)), (&self.rp, Some(b)), (&self.combine, None)];
-        let profiled = profile_fragments_cached(&plans, version, binding).unwrap();
-        let expected = profile_fragments(&[&self.lp, &self.rp, &self.combine], version).unwrap();
-        for (got, want) in profiled.iter().zip(&expected) {
-            assert_eq!(got.table, want.table);
-            assert_eq!(got.table.fingerprint(), want.table.fingerprint());
-            assert_eq!(got.work, want.work);
-        }
-        let fragment = |plan: &PhysicalPlan, site| Fragment {
-            plan: plan.clone(),
-            site,
-            engine: EngineKind::PostgreSql,
-            instance: if site == a { "a1.large" } else { "B2S" }.to_string(),
-            vm_count: 1,
-        };
-        let query = FederatedQuery {
-            fragments: vec![
-                fragment(&self.lp, a),
-                fragment(&self.rp, b),
-                fragment(&self.combine, b),
-            ],
-        };
-        let mut env = SimulationEnv::new();
-        for site in fed.site_ids() {
-            env.register_site(site, 7, DriftIntensity::Mild);
-        }
-        let (env, admission) = (Mutex::new(env), SiteAdmission::unmetered());
-        SharedExecutor::new(&fed, &env, &admission)
-            .with_result_cache(binding)
-            .with_profiled_fragments(&profiled)
-            .run(&query, version)
-            .unwrap();
+        let plans = [
+            (&self.lp, Some(0)),
+            (&self.rp, Some(1)),
+            (&self.combine, None),
+        ];
+        plan_and_run(&self.cache, &plans, version, tenant);
+    }
+
+    /// The combine's predecessor: its slot is its closure's plans over `l`
+    /// and `r`, in the shared scope.
+    fn combine_predecessor(&self) -> Option<Arc<std::sync::Mutex<DeltaState>>> {
+        let plans = PlanFingerprint::of_plans([&self.lp, &self.rp, &self.combine]);
+        let tables = vec![("l".to_string(), 0), ("r".to_string(), 0)];
+        self.cache
+            .predecessor(&CacheKey::new(String::new(), plans, tables))
     }
 
     /// The combine counters, as `(extended, computed, declined)`.
@@ -527,9 +442,9 @@ fn a_poisoned_state_is_skipped_not_advanced() {
     let planner = Planner::new(0);
     planner.plan_and_run(&planner.versioned.current(), "h-A");
     planner.publish(6);
-    let [state] = &planner.cache.combine_predecessors()[..] else {
-        panic!("one combine state kept");
-    };
+    let state = &planner
+        .combine_predecessor()
+        .expect("the combine's state kept");
     let kept = state.lock().unwrap().table().fingerprint();
     let holder = Arc::clone(state);
     let poisoner = std::thread::spawn(move || {

@@ -1,34 +1,31 @@
-//! Differential tests for extending row-wise outputs over appended chunks.
+//! Differential tests for extending prepares over appended chunks.
 //!
 //! A row-wise plan (a scan under filters and projections) over a table
 //! that only grew by appends is its previous output followed by its output
-//! over the new chunks. [`RowWiseOutput::extend`] computes it that way,
-//! and must return exactly what one [`execute_fused`] over the final
-//! version returns: the same table (name included), fingerprint, work
-//! profile, and `Ok`/`Err`. Where it declines (validity masks, disagreeing
-//! types, a delta that fails), a full computation stands in.
+//! over the new chunks. [`DeltaState::extend`] computes it that way, and
+//! must return exactly what one [`execute_fused`] over the final version
+//! returns: the same table (name included), fingerprint, work profile, and
+//! `Ok`/`Err`. Where it declines (validity masks, disagreeing types, a
+//! delta that fails), a full computation stands in.
 //!
 //! The last test drives the planner's entry point,
-//! [`profile_fragments_cached`], through publishes: exact cached outputs,
-//! predecessors kept by [`FragmentResultCache::invalidate_tables`] and full
-//! computations all hand execution the outputs [`profile_fragments`]
+//! [`midas_engines::profile_fragments_cached`], through publishes: exact
+//! cached outputs, predecessors kept by
+//! [`FragmentResultCache::invalidate_tables`] and full computations all
+//! hand execution the outputs [`midas_engines::profile_fragments`]
 //! computes.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+mod common;
 
-use midas_cloud::federation::example_federation;
-use midas_engines::cache::{CacheScope, FragmentResultCache, PlanningStats};
+use std::sync::Arc;
+
+use common::{chunks_of, computed, plan_and_run, rows_of, same_as};
+use midas_engines::cache::{FragmentResultCache, PlanningStats};
 use midas_engines::data::{Column, ColumnData, Table, Value};
-use midas_engines::exec::{FederatedQuery, Fragment, ResultCacheBinding, SharedExecutor};
 use midas_engines::expr::Expr;
 use midas_engines::ops::{OpKind, PhysicalPlan, WorkProfile};
-use midas_engines::sim::{DriftIntensity, SimulationEnv, SiteAdmission};
-use midas_engines::version::{CatalogVersion, ChunkedTable, VersionedCatalog};
-use midas_engines::{
-    execute_fused, profile_fragments, profile_fragments_cached, Catalog, EngineError,
-    EngineKind, RowWiseOutput,
-};
+use midas_engines::version::{CatalogVersion, VersionedCatalog};
+use midas_engines::{execute_fused, Catalog, DeltaState, EngineError};
 use proptest::prelude::*;
 
 /// Multi-byte text next to ASCII and the empty string.
@@ -40,10 +37,6 @@ const POISON: i64 = 13;
 
 /// One generated row: (a, b, word index, d, null knob).
 type Row = (i64, f64, usize, i64, i64);
-
-fn rows_strategy() -> impl Strategy<Value = Vec<Row>> {
-    proptest::collection::vec((-20i64..20, -10.0..10.0f64, 0usize..6, -50i64..50, 0i64..4), 0..48)
-}
 
 /// Columns a Int64 (NULL where the knob is 0, when `nulls`), b Float64,
 /// s Utf8, d Date.
@@ -70,34 +63,26 @@ fn named(name: &str, rows: &[Row], nulls: bool) -> Table {
     .expect("aligned")
 }
 
-/// `rows` cut into chunks at the (modulo-resolved) cut points: empty
-/// chunks occur, leading, interior and trailing. Chunk `i` is named `c<i>`
-/// (a run over one chunk is named after it, over several after the table)
-/// and carries a validity mask when `masks(i)`.
-fn chunks_of(rows: &[Row], cuts: &[usize], masks: impl Fn(usize) -> bool) -> Vec<Arc<Table>> {
-    let mut bounds: Vec<usize> = cuts.iter().map(|&c| c % (rows.len() + 1)).collect();
-    bounds.sort_unstable();
-    bounds.push(rows.len());
-    let mut start = 0;
-    let chunks = bounds.into_iter().enumerate().map(|(i, end)| {
-        let chunk = Arc::new(named(&format!("c{i}"), &rows[start..end], masks(i)));
-        start = end;
-        chunk
-    });
-    chunks.collect()
+/// Chunk `i` of `rows`, named `c<i>` (a run over one chunk is named after
+/// it, over several after the table), with a validity mask when `masks(i)`.
+fn chunks(rows: &[Row], cuts: &[usize], masks: impl Fn(usize) -> bool) -> Vec<Arc<Table>> {
+    chunks_of(rows, cuts, |i, rows| {
+        named(&format!("c{i}"), rows, masks(i))
+    })
 }
 
-/// A version holding table `t` as the first `n` of `chunks` — every
-/// version shares its chunks with the others, pointer for pointer.
+/// A version holding table `t` as the first `n` of `chunks`.
 fn version_of(chunks: &[Arc<Table>], n: usize) -> CatalogVersion {
-    let table = ChunkedTable::from_chunks("t", chunks[..n].to_vec()).expect("one schema");
-    CatalogVersion::from_chunked(vec![table])
+    common::version_of(&[("t", chunks, n)])
 }
 
 fn scan() -> Box<PhysicalPlan> {
-    Box::new(PhysicalPlan::Scan {
-        table: "t".to_string(),
-    })
+    common::scan("t")
+}
+
+/// The state of `plan` over `version`, computed in full.
+fn compute(plan: &PhysicalPlan, version: &CatalogVersion) -> Result<DeltaState, EngineError> {
+    DeltaState::compute(plan, &[], version)
 }
 
 /// A total predicate: comparisons and an IN list over multi-byte strings.
@@ -153,19 +138,6 @@ fn plan_of(shape: usize, d1: i64, t1: i64, w: usize) -> PhysicalPlan {
     }
 }
 
-type Run = Result<(Table, WorkProfile), EngineError>;
-
-/// `out` against one full run: table (name included), fingerprint, work.
-fn same_as(out: &RowWiseOutput, full: &Run, ctx: &str) -> Result<(), TestCaseError> {
-    let Ok((table, work)) = full else {
-        return Err(TestCaseError::fail(format!("{ctx}: the full run failed: {full:?}")));
-    };
-    prop_assert_eq!(&**out.table(), table, "{}: table", ctx);
-    prop_assert_eq!(out.table().fingerprint(), table.fingerprint(), "{}", ctx);
-    prop_assert_eq!(&out.work(), work, "{}: work profile", ctx);
-    Ok(())
-}
-
 /// Whether a full result could differ from an extension only by a global
 /// normalization: a projection that selected no row collapses its columns
 /// to `Int64`.
@@ -181,7 +153,7 @@ proptest! {
     #[test]
     fn extending_k_times_equals_one_full_run(
         (mut rows, cuts, steps) in (
-            rows_strategy(),
+            rows_of((-20i64..20, -10.0..10.0f64, 0usize..6, -50i64..50, 0i64..4)),
             proptest::collection::vec(0usize..64, 1..7),
             proptest::collection::vec(0usize..3, 1..6),
         ),
@@ -195,7 +167,7 @@ proptest! {
         let initial = initial.min(n_chunks);
         // The first version's rows never raise; with `poison == 0` one
         // appended row does.
-        let first_rows = chunks_of(&rows, &cuts, masked)[..initial]
+        let first_rows = chunks(&rows, &cuts, masked)[..initial]
             .iter()
             .map(|c| c.n_rows())
             .sum::<usize>();
@@ -207,21 +179,12 @@ proptest! {
         if poison == 0 && first_rows < rows.len() {
             rows[first_rows].0 = POISON;
         }
-        let chunks = chunks_of(&rows, &cuts, masked);
+        let chunks = chunks(&rows, &cuts, masked);
 
         let mut covered = initial;
         let v0 = version_of(&chunks, covered);
         let full = execute_fused(&plan, &v0);
-        let mut out = match RowWiseOutput::compute(&plan, &v0).expect("row-wise") {
-            Ok(out) => {
-                same_as(&out, &full, "compute")?;
-                Some(out)
-            }
-            Err(_) => {
-                prop_assert!(full.is_err(), "compute failed where the full run did not");
-                None
-            }
-        };
+        let mut out = computed(compute(&plan, &v0), &full, "compute")?;
         let mut counts = steps.clone();
         counts.push(n_chunks); // the last step appends whatever is left
         for (step, add) in counts.into_iter().enumerate() {
@@ -233,8 +196,11 @@ proptest! {
             let extended = match &mut out {
                 Some(out) => {
                     let must = masks < 3 && full.is_ok() && !empty_projection(&out.work());
-                    let rows = out.extend(&plan, &version);
+                    let rows = out.extend(&plan, &[], &version);
                     prop_assert!(rows.is_some() || !must, "{}: declined to extend", ctx);
+                    // A mask on a chunk read or appended declines.
+                    let masks_read = (0..next).any(&masked) && next > covered;
+                    prop_assert!(rows.is_none() || !masks_read, "{}: extended a mask", ctx);
                     rows
                 }
                 None => None,
@@ -245,16 +211,7 @@ proptest! {
                     same_as(out.as_ref().expect("extended"), &full, &ctx)?;
                 }
                 // Declined or nothing to extend: compute in full.
-                None => match RowWiseOutput::compute(&plan, &version).expect("row-wise") {
-                    Ok(fresh) => {
-                        same_as(&fresh, &full, &ctx)?;
-                        out = Some(fresh);
-                    }
-                    Err(_) => {
-                        prop_assert!(full.is_err(), "{}: compute failed alone", ctx);
-                        out = None;
-                    }
-                },
+                None => out = computed(compute(&plan, &version), &full, &ctx)?,
             }
             covered = next;
         }
@@ -289,21 +246,22 @@ fn append_is_concat_in_place() {
     assert!(matches!(merged.append(&other), Err(EngineError::TypeMismatch { .. })));
 }
 
-/// A version that is not the covered one grown by appends is declined, as
-/// are plans that are not row-wise; an unchanged version extends by 0.
+/// A version that is not the covered one grown by appends is declined; an
+/// unchanged version extends by 0. A plan that is not row-wise keeps a
+/// state too; a join of the table with itself declines, both sides grown.
 #[test]
 fn only_a_grown_table_extends() {
     let rows: Vec<Row> = (0..30).map(|i| (i, i as f64, (i % 6) as usize, i, 1)).collect();
-    let chunks = chunks_of(&rows, &[10, 20], |_| false);
+    let chunks = chunks(&rows, &[10, 20], |_| false);
     let plan = plan_of(2, -50, 5, 1);
-    let mut out = RowWiseOutput::compute(&plan, &version_of(&chunks, 2)).unwrap().unwrap();
+    let mut out = compute(&plan, &version_of(&chunks, 2)).unwrap();
     // Same rows, other chunk handles: not this table grown.
     let copies: Vec<Arc<Table>> = chunks.iter().map(|c| Arc::new((**c).clone())).collect();
-    assert_eq!(out.extend(&plan, &version_of(&copies, 3)), None);
+    assert_eq!(out.extend(&plan, &[], &version_of(&copies, 3)), None);
     // Fewer chunks than covered: an older version.
-    assert_eq!(out.extend(&plan, &version_of(&chunks, 1)), None);
-    assert_eq!(out.extend(&plan, &version_of(&chunks, 2)), Some(0));
-    assert_eq!(out.extend(&plan, &version_of(&chunks, 3)), Some(10));
+    assert_eq!(out.extend(&plan, &[], &version_of(&chunks, 1)), None);
+    assert_eq!(out.extend(&plan, &[], &version_of(&chunks, 2)), Some(0));
+    assert_eq!(out.extend(&plan, &[], &version_of(&chunks, 3)), Some(10));
     let join = PhysicalPlan::HashJoin {
         left: scan(),
         right: scan(),
@@ -311,8 +269,11 @@ fn only_a_grown_table_extends() {
         right_keys: vec![0],
         join_type: midas_engines::JoinType::Inner,
     };
-    assert!(RowWiseOutput::compute(&join, &version_of(&chunks, 1)).is_none());
-    assert_eq!(midas_engines::row_wise_table(&plan), Some("t"));
+    let mut joined = compute(&join, &version_of(&chunks, 1)).unwrap();
+    // Both sides of the join grow: declined.
+    assert_eq!(joined.extend(&join, &[], &version_of(&chunks, 2)), None);
+    assert_eq!(midas_engines::fused::row_wise_table(&plan), Some("t"));
+    assert_eq!(midas_engines::fused::row_wise_table(&join), None);
 }
 
 /// A projection that selected nothing has collapsed its columns to `Int64`:
@@ -322,12 +283,12 @@ fn only_a_grown_table_extends() {
 fn an_empty_projection_lends_no_types() {
     let rows: Vec<Row> = (0..10).map(|i| (i, i as f64, 1, i, 1)).collect();
     // An empty first chunk; `b - a` is 0 on every row, never above 19.75.
-    let chunks = chunks_of(&rows, &[0], |_| false);
+    let chunks = chunks(&rows, &[0], |_| false);
     let plan = plan_of(4, 0, 79, 0);
-    let mut out = RowWiseOutput::compute(&plan, &version_of(&chunks, 1)).unwrap().unwrap();
-    assert_eq!(out.extend(&plan, &version_of(&chunks, 2)), None);
+    let mut out = compute(&plan, &version_of(&chunks, 1)).unwrap();
+    assert_eq!(out.extend(&plan, &[], &version_of(&chunks, 2)), None);
     let full = execute_fused(&plan, &version_of(&chunks, 2)).unwrap();
-    let fresh = RowWiseOutput::compute(&plan, &version_of(&chunks, 2)).unwrap().unwrap();
+    let fresh = compute(&plan, &version_of(&chunks, 2)).unwrap();
     assert_eq!((&**fresh.table(), &fresh.work()), (&full.0, &full.1));
 }
 
@@ -337,25 +298,26 @@ fn an_empty_projection_lends_no_types() {
 #[test]
 fn extension_appends_in_place_only_where_nothing_else_holds_the_buffers() {
     let rows: Vec<Row> = (0..30).map(|i| (i, i as f64, (i % 6) as usize, i, 1)).collect();
-    let chunks = chunks_of(&rows, &[10, 20], |_| false);
+    let chunks = chunks(&rows, &[10, 20], |_| false);
     let whole_columns = plan_of(3, 0, 0, 0);
+    let extend = |out: &mut DeltaState, n| out.extend(&whole_columns, &[], &version_of(&chunks, n));
     // Over one chunk the projection shares the chunk's column buffers.
-    let mut out = RowWiseOutput::compute(&whole_columns, &version_of(&chunks, 1)).unwrap().unwrap();
+    let mut out = compute(&whole_columns, &version_of(&chunks, 1)).unwrap();
     let chunk_strings = &chunks[0].columns()[2].data;
     assert!(Arc::ptr_eq(&out.table().columns()[0].data, chunk_strings));
-    assert_eq!(out.extend(&whole_columns, &version_of(&chunks, 2)), Some(10));
+    assert_eq!(extend(&mut out, 2), Some(10));
     assert!(!Arc::ptr_eq(&out.table().columns()[0].data, chunk_strings));
     assert_eq!(chunks[0].n_rows(), 10, "the base chunk kept its rows");
     // Now the output owns its buffers: the next extension keeps them.
     let buffer = Arc::as_ptr(&out.table().columns()[0].data);
     let table = Arc::as_ptr(out.table());
-    assert_eq!(out.extend(&whole_columns, &version_of(&chunks, 3)), Some(10));
+    assert_eq!(extend(&mut out, 3), Some(10));
     assert_eq!(Arc::as_ptr(out.table()), table, "the table moved");
     assert_eq!(Arc::as_ptr(&out.table().columns()[0].data), buffer, "the buffer moved");
     // A shared output is copied; the other holder keeps the old rows.
-    let mut out = RowWiseOutput::compute(&whole_columns, &version_of(&chunks, 2)).unwrap().unwrap();
+    let mut out = compute(&whole_columns, &version_of(&chunks, 2)).unwrap();
     let held = Arc::clone(out.table());
-    assert_eq!(out.extend(&whole_columns, &version_of(&chunks, 3)), Some(10));
+    assert_eq!(extend(&mut out, 3), Some(10));
     assert_eq!((held.n_rows(), out.table().n_rows()), (20, 30));
     assert_eq!(**out.table(), execute_fused(&whole_columns, &version_of(&chunks, 3)).unwrap().0);
 }
@@ -367,63 +329,23 @@ fn extension_appends_in_place_only_where_nothing_else_holds_the_buffers() {
 /// and miss counts are the ones a cache without predecessors records.
 #[test]
 fn planning_extends_what_a_publish_retired() {
-    let (fed, a, b) = example_federation();
     let rows: Vec<Row> = (0..40).map(|i| (i, i as f64, (i % 6) as usize, i, 1)).collect();
     let mut base = Catalog::new();
     base.insert("t", table_of(&rows[..25], false));
     let versioned = VersionedCatalog::new(base);
     let prepare = plan_of(2, -50, 5, 1);
     let combine = PhysicalPlan::Filter {
-        input: Box::new(PhysicalPlan::Scan {
-            table: "@frag0".to_string(),
-        }),
+        input: common::scan("@frag0"),
         predicate: Expr::col(0).ge(Expr::int(3)),
-    };
-    let query = FederatedQuery {
-        fragments: vec![
-            Fragment {
-                plan: prepare.clone(),
-                site: a,
-                engine: EngineKind::PostgreSql,
-                instance: "a1.large".to_string(),
-                vm_count: 1,
-            },
-            Fragment {
-                plan: combine.clone(),
-                site: b,
-                engine: EngineKind::PostgreSql,
-                instance: "B2S".to_string(),
-                vm_count: 1,
-            },
-        ],
     };
     let cache = FragmentResultCache::new(16 << 20);
     let plan_and_run = |version: &CatalogVersion| {
-        let ids: HashMap<String, u64> = version.table_ids();
-        let binding = ResultCacheBinding {
-            cache: &cache,
-            scope: CacheScope::FederationGlobal,
-            tenant: "h-A",
-            table_ids: &ids,
-        };
-        let profiled =
-            profile_fragments_cached(&[(&prepare, Some(a)), (&combine, None)], version, binding)
-                .unwrap();
-        let expected = profile_fragments(&[&prepare, &combine], version).unwrap();
-        for (got, want) in profiled.iter().zip(&expected) {
-            assert_eq!(got.table, want.table);
-            assert_eq!(got.work, want.work);
-        }
-        let mut env = SimulationEnv::new();
-        for site in fed.site_ids() {
-            env.register_site(site, 7, DriftIntensity::Mild);
-        }
-        let (env, admission) = (Mutex::new(env), SiteAdmission::unmetered());
-        let run = SharedExecutor::new(&fed, &env, &admission)
-            .with_result_cache(binding)
-            .with_profiled_fragments(&profiled)
-            .run(&query, version)
-            .unwrap();
+        let run = plan_and_run(
+            &cache,
+            &[(&prepare, Some(0)), (&combine, None)],
+            version,
+            "h-A",
+        );
         (run.cache_hits, run.reused_fragments)
     };
     // The combine, a filter over the prepare, is computed at version 0 by

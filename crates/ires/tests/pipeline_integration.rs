@@ -132,13 +132,12 @@ fn bigger_instances_cost_more_money_per_time_saved() {
 
 #[test]
 fn prepared_rows_track_query_selectivity() {
-    let (fed, placement, db) = setup();
+    let (_, placement, db) = setup();
     let narrow = PlanCostModel::build(&placement, &q14(1995, 7), db.catalog()).expect("builds");
     let wide = PlanCostModel::build(&placement, &q17("Brand#11", "SM CASE"), db.catalog())
         .expect("builds");
     // Q14 filters lineitem to one month; Q17 projects all of it.
     assert!(narrow.prepared_rows().0 < wide.prepared_rows().0);
-    let _ = fed;
 }
 
 #[test]

@@ -35,7 +35,7 @@ use common::{ledgers, Ledger, Reference};
 use midas::runtime::{FederationRuntime, RuntimeConfig, RuntimeJob, TenantReport};
 use midas::{Midas, QueryPolicy};
 use midas_engines::cache::PlanFingerprint;
-use midas_engines::row_wise_table;
+use midas_engines::fused::row_wise_table;
 use midas_engines::version::CatalogVersion;
 use midas_tpch::gen::{DeltaStream, GenConfig, TpchDb};
 use midas_tpch::medical::{generate_medical, medical_delta, medical_query};

@@ -14,7 +14,6 @@
 //! * [`tree`] + [`bagging`] — CART-style regression trees and Breiman
 //!   bagging over bootstrap resamples,
 //! * [`mlp`] — a from-scratch multilayer perceptron with backprop,
-//! * [`knn`] — k-nearest-neighbour regression (a cheap extra family),
 //! * [`selection`] — the [`selection::BmlEstimator`]: per cost metric, train
 //!   every family, validate on a held-out suffix, keep the best — behind the
 //!   same [`midas_dream::CostEstimator`] trait DREAM implements.
@@ -28,7 +27,6 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod bagging;
-pub mod knn;
 pub mod mlp;
 pub mod ols;
 pub mod regressor;
@@ -36,7 +34,6 @@ pub mod selection;
 pub mod tree;
 
 pub use bagging::BaggingRegressor;
-pub use knn::KnnRegressor;
 pub use mlp::MlpRegressor;
 pub use ols::OlsRegressor;
 pub use regressor::Regressor;

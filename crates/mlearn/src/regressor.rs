@@ -9,7 +9,7 @@ use midas_dream::EstimationError;
 /// are fitted per cost metric; [`crate::selection::BmlEstimator`] assembles
 /// them into the multi-metric [`midas_dream::CostEstimator`] interface.
 pub trait Regressor: Send + Sync {
-    /// Family name for reports ("ols", "bagging", "mlp", "knn").
+    /// Family name for reports ("ols", "bagging", "mlp").
     fn family(&self) -> &'static str;
 
     /// Fits on parallel `(xs[i], ys[i])` rows. `xs` rows share one length.

@@ -18,7 +18,6 @@
 //! `N` (= L+2, DREAM's minimum), `2N`, `3N`, or everything (`BML` column).
 
 use crate::bagging::{BaggingConfig, BaggingRegressor};
-use crate::knn::KnnRegressor;
 use crate::mlp::{MlpConfig, MlpRegressor};
 use crate::ols::OlsRegressor;
 use crate::regressor::{mse, Regressor};
@@ -80,8 +79,6 @@ pub enum RegressorFamily {
     Bagging(BaggingConfig),
     /// Multilayer perceptron.
     Mlp(MlpConfig),
-    /// k-nearest neighbours.
-    Knn(usize),
 }
 
 impl RegressorFamily {
@@ -91,7 +88,6 @@ impl RegressorFamily {
             RegressorFamily::Ols => Box::new(OlsRegressor::new()),
             RegressorFamily::Bagging(cfg) => Box::new(BaggingRegressor::new(*cfg)),
             RegressorFamily::Mlp(cfg) => Box::new(MlpRegressor::new(*cfg)),
-            RegressorFamily::Knn(k) => Box::new(KnnRegressor::new(*k)),
         }
     }
 
@@ -360,13 +356,16 @@ mod tests {
     #[test]
     fn custom_family_set() {
         let h = linear_history(30);
-        let mut bml = BmlEstimator::with_families(
-            WindowSpec::All,
-            2,
-            vec![RegressorFamily::Knn(3)],
-        );
+        // Least squares fits this history exactly and wins among the paper
+        // families; a set of bagging alone must choose bagging.
+        let bagging = RegressorFamily::Bagging(BaggingConfig {
+            n_estimators: 5,
+            tree: TreeConfig::default(),
+            seed: 3,
+        });
+        let mut bml = BmlEstimator::with_families(WindowSpec::All, 2, vec![bagging]);
         bml.fit(&h).unwrap();
-        assert_eq!(bml.chosen_families(), &["knn", "knn"]);
+        assert_eq!(bml.chosen_families(), &["bagging", "bagging"]);
         assert_eq!(bml.n_metrics(), 2);
     }
 

@@ -6,7 +6,7 @@ use midas_mlearn::bagging::BaggingConfig;
 use midas_mlearn::mlp::MlpConfig;
 use midas_mlearn::tree::TreeConfig;
 use midas_mlearn::{
-    BaggingRegressor, BmlEstimator, KnnRegressor, MlpRegressor, OlsRegressor, Regressor,
+    BaggingRegressor, BmlEstimator, MlpRegressor, OlsRegressor, Regressor,
     RegressorFamily, SelectionPolicy, WindowSpec,
 };
 
@@ -77,18 +77,6 @@ fn mlp_beats_ols_on_smooth_nonlinearity() {
         mse_of(&mlp, &xs, &ys) < mse_of(&ols, &xs, &ys) / 2.0,
         "MLP must fit a sine far better than a line"
     );
-}
-
-#[test]
-fn knn_is_exact_on_training_points() {
-    let xs: Vec<Vec<f64>> = (0..15).map(|i| vec![i as f64 * 3.0, -(i as f64)]).collect();
-    let ys: Vec<f64> = (0..15).map(|i| (i * i) as f64).collect();
-    let refs: Vec<&[f64]> = xs.iter().map(|r| r.as_slice()).collect();
-    let mut knn = KnnRegressor::new(1);
-    knn.fit(&refs, &ys).expect("fits");
-    for (x, y) in xs.iter().zip(ys.iter()) {
-        assert_eq!(knn.predict(x).expect("fitted"), *y);
-    }
 }
 
 #[test]
@@ -165,7 +153,7 @@ fn custom_family_sets_are_honoured() {
         WindowSpec::All,
         1,
         vec![
-            RegressorFamily::Knn(2),
+            RegressorFamily::Mlp(MlpConfig::default()),
             RegressorFamily::Bagging(BaggingConfig {
                 n_estimators: 5,
                 tree: TreeConfig::default(),
@@ -174,5 +162,5 @@ fn custom_family_sets_are_honoured() {
         ],
     );
     bml.fit(&h).expect("fits");
-    assert!(["knn", "bagging"].contains(&bml.chosen_families()[0]));
+    assert!(["mlp", "bagging"].contains(&bml.chosen_families()[0]));
 }

@@ -72,7 +72,8 @@ fn weighted_sum_cannot_reach_a_concave_front_interior() {
     // Concave front: f2 = sqrt(1 - f1^2). WSM over the *true front points*
     // always selects an extreme, while a Pareto front keeps the interior
     // points. This is the classic WSM limitation the paper's Section 2.6
-    // alludes to.
+    // alludes to. Both objectives span [0, 1] on the front, so the model's
+    // min–max normalization leaves them as they are.
     const K: usize = 100;
     let front: Vec<Vec<f64>> = (0..=K)
         .map(|i| {
@@ -82,22 +83,11 @@ fn weighted_sum_cannot_reach_a_concave_front_interior() {
         .collect();
     for w in [0.1, 0.3, 0.5, 0.7, 0.9] {
         let wsm = WeightedSumModel::new(&[w, 1.0 - w]);
-        // Raw weighted sum over the concave front: optimum at an endpoint.
-        let best = front
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| {
-                let sa = w * a[0] + (1.0 - w) * a[1];
-                let sb = w * b[0] + (1.0 - w) * b[1];
-                sa.partial_cmp(&sb).expect("finite")
-            })
-            .map(|(i, _)| i)
-            .expect("front non-empty");
+        let best = wsm.best_index(&front).expect("front non-empty");
         assert!(
             best == 0 || best == K,
-            "raw weighted sum picked interior point {best} at w={w}"
+            "weighted sum picked interior point {best} at w={w}"
         );
-        let _ = wsm; // normalized scores are exercised elsewhere
     }
 }
 

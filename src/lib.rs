@@ -10,8 +10,8 @@
 //! * [`linalg`] — dense matrices, solvers, statistics.
 //! * [`dream`] — the paper's contribution: MLR + Algorithm 1 (adaptive
 //!   training-window regression) behind the [`dream::CostEstimator`] trait.
-//! * [`mlearn`] — the IReS baseline learners (least squares, bagging, MLP,
-//!   kNN) and the Best-ML-model selector ("BML").
+//! * [`mlearn`] — the IReS baseline learners (least squares, bagging, MLP)
+//!   and the Best-ML-model selector ("BML").
 //! * [`moo`] — multi-objective optimization: Pareto dominance, NSGA-II,
 //!   NSGA-G, weighted sum, Algorithm 2 (`best_in_pareto`).
 //! * [`cloud`] — the cloud-federation substrate: providers, Table 1 instance

@@ -2,7 +2,7 @@
 //! TPC-H two-table queries — generation, scan/filter, join and the full
 //! federated execution path.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Bencher, BenchmarkId, Criterion};
 use midas_cloud::federation::example_federation;
 use midas_engines::ops::execute_scalar;
 use midas_engines::sim::{DriftIntensity, SimulationEnv};
@@ -18,6 +18,7 @@ use midas_tpch::gen::{DeltaStream, GenConfig, TpchDb};
 use midas_tpch::queries::{q12, q13, q14, q17, TwoTableQuery};
 use std::hint::black_box;
 use std::sync::Arc;
+use std::time::Instant;
 
 fn bench_generation(c: &mut Criterion) {
     let mut group = c.benchmark_group("tpch_generate");
@@ -141,9 +142,12 @@ fn bench_scalar_vs_fused(c: &mut Criterion) {
 ///   columns of `lineitem` cut into three chunks, each value copied once
 ///   from its chunk;
 /// * what planning runs after a publish: Q13's right prepare extended by
-///   one 60-order delta, and Q17's and Q13's whole queries — both prepares
-///   extended, then the combine's delta state advanced over the rows they
-///   appended.
+///   one 60-order delta, and Q17's, Q13's and Q12's whole queries — both
+///   prepares extended, then the combine's delta state advanced over the
+///   rows they appended. Each sample runs [`RUN`] successive deltas and
+///   reads the time per extension;
+/// * what planning runs for a query class's first job: Q13's, Q17's and
+///   Q12's combines computed in full, state kept.
 ///
 /// Read the 600 k-row cases as ns/row = time / 600 k.
 fn bench_cold_path_kernels(c: &mut Criterion) {
@@ -228,11 +232,14 @@ fn bench_cold_path_kernels(c: &mut Criterion) {
         versions.current()
     };
     let ingested = (0..16).map(|_| publish()).last().expect("16 publishes");
-    // One version per timed call and the warm-up, each one more delta.
-    let later: Vec<_> = (0..16).map(|_| publish()).collect();
+    // One version per delta the extension groups advance over: a run of
+    // `RUN` per timed sample and per warm-up, each one more delta.
+    let later: Vec<_> = (0..(SAMPLES + 1) * RUN as usize)
+        .map(|_| publish())
+        .collect();
     let flat = TableSource::from(&catalog);
     let mut group = c.benchmark_group("cold_path_kernels");
-    group.sample_size(10);
+    group.sample_size(SAMPLES);
     for (name, plan, tables) in [
         ("group_600k_dense_20k", &discovery("lineitem", 1, 3), flat),
         ("group_discovery_600k_to_20k", &discovery("sparse", 0, 1), flat),
@@ -257,38 +264,48 @@ fn bench_cold_path_kernels(c: &mut Criterion) {
     let mut extended = DeltaState::compute(prepare, &[], &ingested).expect("runs");
     let mut next = later.iter();
     group.bench_function("extend_q13_right_by_one_delta", |b| {
-        b.iter(|| {
-            next.next()
-                .map(|v| black_box(extended.extend(prepare, &[], v).expect("grows")))
+        per_extension(b, || {
+            let v = next.next().expect("a version per delta");
+            black_box(extended.extend(prepare, &[], v).expect("grows"));
         })
     });
-    // What planning runs for a whole query after a publish: Q17's and
-    // Q13's two prepares extended by the next delta, then the combine's
-    // delta state advanced over the rows they appended.
-    for (name, q) in [("extend_q17_combine_by_one_delta", &q17), ("extend_q13_combine_by_one_delta", &q13)] {
+    // What planning runs for a whole query after a publish: Q17's, Q13's
+    // and Q12's two prepares extended by the next delta, then the
+    // combine's delta state advanced over the rows they appended (Q12's
+    // over both sides of its join, its first run building the key index).
+    let extensions = [
+        ("extend_q17_combine_by_one_delta", &q17),
+        ("extend_q13_combine_by_one_delta", &q13),
+        ("extend_q12_combine_by_one_delta", &q),
+    ];
+    for (name, q) in extensions {
         let prepare = |plan| DeltaState::compute(plan, &[], &ingested).expect("runs");
         let mut prepared = [prepare(&q.left_prepare), prepare(&q.right_prepare)];
         let [left, right] = &prepared;
         let mut state = DeltaState::compute(&q.combine, &[left, right], &ingested).expect("runs");
         let mut next = later.iter();
         group.bench_function(name, |b| {
-            b.iter(|| {
-                let v = next.next()?;
+            per_extension(b, || {
+                let v = next.next().expect("a version per delta");
                 let [left, right] = &mut prepared;
                 left.extend(&q.left_prepare, &[], v).expect("extends");
                 right.extend(&q.right_prepare, &[], v).expect("extends");
-                Some(black_box(
+                black_box(
                     state
                         .extend(&q.combine, &[left, right], v)
                         .expect("extends"),
-                ))
+                );
             })
         });
     }
     // What planning runs for a query class's first job: the combine's one
-    // full run over its two prepares, state kept — Q13's groupjoin and
-    // Q17's key-set aggregate.
-    for (name, q) in [("q13_combine_cold", &q13), ("q17_combine_cold", &q17)] {
+    // full run over its two prepares, state kept — Q13's groupjoin, Q17's
+    // key-set aggregate and Q12's count over a deferred join.
+    for (name, q) in [
+        ("q13_combine_cold", &q13),
+        ("q17_combine_cold", &q17),
+        ("q12_combine_cold", &q),
+    ] {
         let prepare = |plan| DeltaState::compute(plan, &[], &generated).expect("runs");
         let [left, right] = [prepare(&q.left_prepare), prepare(&q.right_prepare)];
         group.bench_function(name, |b| {
@@ -298,6 +315,26 @@ fn bench_cold_path_kernels(c: &mut Criterion) {
         });
     }
     group.finish();
+}
+
+/// Timed samples per `cold_path_kernels` benchmark.
+const SAMPLES: usize = 10;
+
+/// Successive deltas one timed sample of an extension group advances over:
+/// one extension takes ≈ 10–300 µs, so a sample of one read the timer's
+/// and the host's noise more than the extension.
+const RUN: u32 = 32;
+
+/// Times `extend_next` — one extension by the next delta — over a run of
+/// [`RUN`] calls per sample, and records the time per extension.
+fn per_extension(b: &mut Bencher<'_>, mut extend_next: impl FnMut()) {
+    b.iter_custom(|iters| {
+        let started = Instant::now();
+        for _ in 0..iters * u64::from(RUN) {
+            extend_next();
+        }
+        started.elapsed() / RUN
+    })
 }
 
 criterion_group!(

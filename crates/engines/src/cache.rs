@@ -89,8 +89,9 @@
 //! planned, probes its slot alone. A predecessor is advanced over the rows
 //! appended since, under its own lock (two planners of one fragment extend
 //! once). A state that cannot advance — a late job's older version, one
-//! another writer grew, both sides of a join grown, a poisoned lock — is
-//! left as it is, and the fragment is computed in full. These probes count
+//! another writer grew, a join whose right side grew under anything but a
+//! count, a poisoned lock — is left as it is, and the fragment is computed
+//! in full. These probes count
 //! in [`PlanningStats`], never in [`CacheStats`], and touch no recency, so
 //! execution's hits, misses and admissions are what they were.
 //!

@@ -286,6 +286,39 @@ impl ColumnData {
             _ => 0,
         }
     }
+
+    /// A copy of these rows in buffers with room for `more`'s after them:
+    /// the room an append in place would grow a buffer of exactly these
+    /// rows to, so a shared column is copied once, not copied and then
+    /// grown.
+    fn copy_with_room(&self, more: &ColumnData) -> ColumnData {
+        let n = more.len();
+        match self {
+            ColumnData::Int64(v) => ColumnData::Int64(copy_with_room(v, n)),
+            ColumnData::Float64(v) => ColumnData::Float64(copy_with_room(v, n)),
+            ColumnData::Utf8(v) => {
+                let mut bytes = String::with_capacity(grown(v.bytes.len(), more.utf8_bytes()));
+                bytes.push_str(&v.bytes);
+                let offsets = copy_with_room(&v.offsets, n);
+                ColumnData::Utf8(Utf8Column { offsets, bytes })
+            }
+            ColumnData::Date(v) => ColumnData::Date(copy_with_room(v, n)),
+            ColumnData::Bool(v) => ColumnData::Bool(copy_with_room(v, n)),
+        }
+    }
+}
+
+/// The capacity `Vec` grows a full buffer of `len` elements to when `more`
+/// are appended: twice it, or what they need.
+fn grown(len: usize, more: usize) -> usize {
+    (2 * len).max(len + more)
+}
+
+/// `v` in a buffer of [`grown`] capacity for `more` elements after it.
+fn copy_with_room<T: Clone>(v: &[T], more: usize) -> Vec<T> {
+    let mut out = Vec::with_capacity(grown(v.len(), more));
+    out.extend_from_slice(v);
+    out
 }
 
 /// One named column: data plus an optional validity mask (`false` = NULL).
@@ -717,8 +750,9 @@ impl Table {
     /// Appends `other`'s rows (same schema) after this table's, in place:
     /// [`Table::concat`] of the two, without copying this table's rows
     /// where its buffers are its own. A column buffer another table shares
-    /// is copied first, so no other holder ever sees the change, and the
-    /// fingerprint memo empties.
+    /// is copied first, once, into a buffer with the room the append grows
+    /// it to, so no other holder ever sees the change, and the fingerprint
+    /// memo empties.
     pub fn append(&mut self, other: &Table) -> Result<(), EngineError> {
         if other.schema() != self.schema() {
             return Err(EngineError::TypeMismatch {
@@ -740,8 +774,12 @@ impl Table {
                 }
                 col.validity = Some(mask);
             }
-            // LINT: unique-ok — `make_mut` copies a buffer another column
-            // shares before extending it.
+            // LINT: unique-ok — a buffer another column shares is replaced
+            // by one copy of it, with room for the rows appended.
+            if Arc::get_mut(&mut col.data).is_none() {
+                col.data = Arc::new(col.data.copy_with_room(&part.data));
+            }
+            // LINT: unique-ok — the buffer is this column's own by now.
             match (Arc::make_mut(&mut col.data), &*part.data) {
                 (ColumnData::Int64(a), ColumnData::Int64(b)) => a.extend_from_slice(b),
                 (ColumnData::Float64(a), ColumnData::Float64(b)) => a.extend_from_slice(b),

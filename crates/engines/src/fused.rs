@@ -70,7 +70,7 @@
 //!    read of each source. When its sources only appended (a base table's
 //!    chunks start with the ones read, pointer for pointer; an input
 //!    fragment's rows with the ones read), the state advances over the
-//!    new rows, operator by operator in the full run's post-order, by four
+//!    new rows, operator by operator in the full run's post-order, by five
 //!    rules that follow from the plan shape and from a join's output order,
 //!    (left position, right position):
 //!    - **R1, appends.** A row-wise subtree ([`row_wise_table`]) over an
@@ -94,17 +94,34 @@
 //!    - **R4, the rest.** An operator above an input that did not only
 //!      append runs again over its inputs' whole outputs, which are small
 //!      here: Q17's `j1 ⋈ avg_q` → filter → sum, Q13's count of counts →
-//!      sort.
+//!      sort, Q12's sort of its two groups.
+//!    - **R5, inner join, both sides append.** An aggregate of integer
+//!      `Count` / `CountIf` states directly over an inner join whose inputs
+//!      only appended, one or both (Q12's), folds the join's new rows into
+//!      its groups — counts are exact in any order, as R3 argues: `L ⋈ ΔR`,
+//!      the grown left side probed by the right side's new rows, and `ΔL ⋈
+//!      R`, the left side's new rows against the right side's old ones. The
+//!      latter probe a key index over the right side that the join keeps
+//!      (`ops::KeyIndex`: the join's own chains and direct slots,
+//!      newest first), built by the first extension that needs it and
+//!      linked to each right delta once an extension commits, so an
+//!      extension costs its delta, not a pass over the right side; a full
+//!      run builds nothing. The group order is the full run's first-seen
+//!      order over (left position, right position): each group keeps the
+//!      left position of its first row, a new row at an earlier left
+//!      position moves its group's first sighting, a new group takes its
+//!      place by its first row, and the groups are reordered to match.
 //!
 //!    Everything else declines to the full run: a validity mask on a
 //!    source's rows, a type change (an empty or all-NULL projection
 //!    collapses its columns to `Int64`), a source of an older version or
 //!    grown by another writer, an input that is not row-wise over sources
-//!    that only append, a join whose two sides grow (Q12's) or whose right
-//!    side alone does, a sort or limit over appended rows, a delta that
-//!    fails to evaluate. Work profiles compose from exact per-operator
-//!    totals, so costs, ledgers and fingerprints are what a full run
-//!    produces.
+//!    that only append, a join whose right side grows under anything but
+//!    R5's count — a float aggregate, an operator between the join and the
+//!    aggregate, a left-outer join over a growing preserved side — a sort
+//!    or limit over appended rows, a delta that fails to evaluate. Work
+//!    profiles compose from exact per-operator totals, so costs, ledgers
+//!    and fingerprints are what a full run produces.
 //! 6. **Groupjoins.** Two shapes fold in one keyed pass what a join and an
 //!    aggregate would otherwise build and discard ([`fused_paths`] says
 //!    which a run took):
@@ -180,8 +197,8 @@ use crate::expr::{BatchVals, EvalScratch, Expr, KernelCols, KernelPlan, NumTy, S
 use crate::ops::{
     accumulate_aggs, agg_output_columns, aggregate_vec, dense_group_ids_after, gather_join,
     hash_join_vec, join_key_columns, key_set_groups, serial_group_ids, serial_join_indices,
-    sort_sel, AggAcc, AggExpr, AggInput, Batch, JoinType, OpKind, OpWork, PhysicalPlan, TableSlot,
-    UniqueKeys, WorkProfile,
+    sort_sel, AggAcc, AggExpr, AggInput, Batch, JoinType, KeyIndex, OpKind, OpWork, PhysicalPlan,
+    TableSlot, UniqueKeys, WorkProfile,
 };
 use crate::version::{CatalogVersion, ChunkedTable};
 use std::sync::Arc;
@@ -1309,11 +1326,19 @@ fn agg_over_join<'a>(
         && filters.is_empty()
         && lb.sel.is_none()
         && outer_fold_shape(join_type, group_by, aggs, lb.table().n_columns());
+    // An inner-join fold that counts also keeps each group's first left
+    // position: a later row may open a group, or reach one earlier (R5).
+    let pairs = profile.keeps()
+        && filters.is_empty()
+        && lb.sel.is_none()
+        && rb.sel.is_none()
+        && join_type == JoinType::Inner
+        && counts_only(aggs);
     let grouped = match filters {
         [] => groupjoin(&lb, &rb, left_keys, right_keys, join_type, group_by, aggs, scratch),
         _ => None,
     };
-    let (out, accs, n_live, matched) = match grouped {
+    let (out, accs, n_live, matched, firsts) = match grouped {
         Some(run) => {
             let gj = run?;
             profile.took(FusedPath::Groupjoin);
@@ -1321,7 +1346,12 @@ fn agg_over_join<'a>(
             let bytes = width_bytes(widths.iter().copied(), rows);
             profile.op(OpKind::Join, rows_in_join, rows as u64, bytes, || widths);
             let matched = outer.then(|| gj.matches.iter().map(|&m| m > 0).collect());
-            (gj.out, gj.accs, rows, matched)
+            // The groups are the matched left positions, in order.
+            let firsts = pairs.then(|| {
+                let matches = gj.matches.iter().enumerate().filter(|(_, &m)| m > 0);
+                matches.map(|(p, _)| p as u32).collect()
+            });
+            (gj.out, gj.accs, rows, matched, firsts)
         }
         None => {
             let (lcols, rcols) = join_key_columns(&lb, &rb, left_keys, right_keys)?;
@@ -1355,8 +1385,9 @@ fn agg_over_join<'a>(
             }
 
             let n_live = positions.as_ref().map_or(n_join, Vec::len);
-            let (out, accs) =
+            let (out, accs, reps) =
                 aggregate_vec(&mut dj, positions.as_deref(), n_live, group_by, aggs, scratch)?;
+            let firsts = pairs.then(|| reps.iter().map(|&rep| dj.left_out[rep as usize]).collect());
             if let Some(old) = positions {
                 scratch.put_sel(old);
             }
@@ -1367,11 +1398,12 @@ fn agg_over_join<'a>(
                 }
                 matched
             });
-            (out, accs, n_live, matched)
+            (out, accs, n_live, matched, firsts)
         }
     };
     profile.keep(profile.next_op(), || {
-        Some(Kept::Fold(Fold::of(&out, group_by, accs, matched)))
+        let fold = Fold::of(&out, group_by, accs, matched);
+        Some(Kept::Fold(Fold { firsts, ..fold }))
     });
     let nb = owned(out);
     nb.record(profile, OpKind::Aggregate, n_live as u64);
@@ -1427,7 +1459,7 @@ fn aggregate_batch<'a>(
             run?
         }
         None => {
-            let (out, accs) =
+            let (out, accs, _) =
                 aggregate_vec(&mut b.table(), b.sel_ref(), b.len(), group_by, aggs, scratch)?;
             (out, accs, None)
         }
@@ -1785,11 +1817,16 @@ enum Kept {
     Table(Arc<Table>),
     /// An aggregate's per-group state.
     Fold(Fold),
+    /// An inner join's right side by key, which R5 probes with the left
+    /// side's new rows; shared, so a copy of the kept states does not copy
+    /// it.
+    Index(Arc<KeyIndex>),
 }
 
 /// An aggregate's per-group state: its output's group-key columns, each
 /// aggregate's running state, over a left-outer join which preserved rows
-/// have a match and, for an aggregate that folded only the groups a join
+/// have a match, over an inner join that it counts (R5) each group's first
+/// left position and, for an aggregate that folded only the groups a join
 /// keeps (§6, (S)), which groups hold their whole fold.
 #[derive(Debug, Clone)]
 struct Fold {
@@ -1797,6 +1834,8 @@ struct Fold {
     accs: Vec<AggAcc>,
     groups: usize,
     matched: Option<Vec<bool>>,
+    /// The left position of each group's first row in the join output.
+    firsts: Option<Vec<u32>>,
     /// `None` when every group is folded; otherwise `false` marks a group
     /// whose state is a stand-in, which no join output may read.
     folded: Option<Vec<bool>>,
@@ -1810,6 +1849,7 @@ impl Fold {
             accs,
             groups: out.n_rows(),
             matched,
+            firsts: None,
             folded: None,
         }
     }
@@ -1875,14 +1915,14 @@ impl Fold {
     }
 
     /// Folds `rows` — the rows after every row folded so far — into the
-    /// state, in row order.
+    /// state, in row order, returning each row's group.
     fn absorb(
         &mut self,
         rows: &Table,
         group_by: &[usize],
         aggs: &[(String, AggExpr)],
         scratch: &mut EvalScratch,
-    ) -> Option<()> {
+    ) -> Option<Vec<u32>> {
         let (ids, keys) = self.ids(rows, group_by)?;
         if let Some(keys) = keys {
             self.groups = keys[0].len();
@@ -1894,13 +1934,75 @@ impl Fold {
         }
         let mut input = rows;
         let n = rows.n_rows();
-        accumulate_aggs(&mut input, None, aggs, &ids, self.groups, n, &mut self.accs, scratch).ok()
+        accumulate_aggs(
+            &mut input,
+            None,
+            aggs,
+            &ids,
+            self.groups,
+            n,
+            &mut self.accs,
+            scratch,
+        )
+        .ok()?;
+        Some(ids)
+    }
+
+    /// R5: folds `rows`, new rows of the inner join this state counts, at
+    /// the join positions `at` — (left, right), ascending, each after the
+    /// old rows' right positions or their left ones — into the state. Counts
+    /// add in any order; the groups are then put back in first-seen order:
+    /// a group keeps its first row unless a new row at an earlier left
+    /// position reached it, and a group's rows at one left position follow
+    /// the old ones there, by right position.
+    fn absorb_pairs(
+        &mut self,
+        rows: &Table,
+        at: &[(u32, u32)],
+        group_by: &[usize],
+        aggs: &[(String, AggExpr)],
+        scratch: &mut EvalScratch,
+    ) -> Option<()> {
+        let ids = self.absorb(rows, group_by, aggs, scratch)?;
+        let firsts = self.firsts.as_ref()?;
+        if group_by.is_empty() {
+            return Some(());
+        }
+        // Each group's first new row: the rows ascend.
+        let mut first_new: Vec<Option<(u32, u32)>> = vec![None; self.groups];
+        for (&g, &pair) in ids.iter().zip(at) {
+            first_new[g as usize].get_or_insert(pair);
+        }
+        // (left position, then an old first row before a new one, then the
+        // old order or the right position).
+        let first = |g: usize| match (firsts.get(g), first_new[g]) {
+            (Some(&l), Some((nl, r))) if nl < l => (nl, 1, r),
+            (Some(&l), _) => (l, 0, g as u32),
+            (None, Some((nl, r))) => (nl, 1, r),
+            (None, None) => (u32::MAX, 1, u32::MAX),
+        };
+        let mut order: Vec<u32> = (0..self.groups as u32).collect();
+        order.sort_by_key(|&g| first(g as usize));
+        let firsts: Vec<u32> = order.iter().map(|&g| first(g as usize).0).collect();
+        if order.iter().enumerate().any(|(i, &g)| i as u32 != g) {
+            self.keys = self.keys.iter().map(|key| key.take_ids(&order)).collect();
+            for acc in &mut self.accs {
+                let AggAcc::Counts(counts) = acc else {
+                    return None;
+                };
+                *counts = order.iter().map(|&g| counts[g as usize]).collect();
+            }
+        }
+        self.firsts = Some(firsts);
+        Some(())
     }
 
     fn bytes(&self) -> u64 {
         let accs: u64 = self.accs.iter().map(AggAcc::bytes).sum();
         let marks = [&self.matched, &self.folded].map(|m| m.as_ref().map_or(0, Vec::len));
-        8 * (self.groups * self.keys.len()) as u64 + accs + marks.iter().sum::<usize>() as u64
+        let firsts = 4 * self.firsts.as_ref().map_or(0, Vec::len);
+        let marks = marks.iter().sum::<usize>() + firsts;
+        8 * (self.groups * self.keys.len()) as u64 + accs + marks as u64
     }
 }
 
@@ -1926,7 +2028,13 @@ fn outer_fold_shape(
 ) -> bool {
     join_type == JoinType::LeftOuter
         && group_by.iter().all(|&g| g < left_width)
-        && aggs.iter().all(|(_, agg)| matches!(agg, AggExpr::Count | AggExpr::CountIf(_)))
+        && counts_only(aggs)
+}
+
+/// Whether every aggregate is an integer count, exact in any order.
+fn counts_only(aggs: &[(String, AggExpr)]) -> bool {
+    aggs.iter()
+        .all(|(_, agg)| matches!(agg, AggExpr::Count | AggExpr::CountIf(_)))
 }
 
 /// Whether any column of `t` carries a validity mask.
@@ -2148,6 +2256,7 @@ impl DeltaState {
         let kept = self.kept.iter().flatten().map(|k| match k {
             Kept::Table(t) => t.estimated_bytes(),
             Kept::Fold(fold) => fold.bytes(),
+            Kept::Index(index) => index.bytes(),
         });
         kept.sum::<u64>() + 64 * self.ops.len() as u64
     }
@@ -2158,10 +2267,11 @@ impl DeltaState {
     /// read, `Some(0)` when no source changed. `None`, with the state
     /// unchanged, when a source is not the one read grown by appends (an
     /// older version, another writer's chunks, a mask, a type change) or
-    /// when an operator cannot extend (both sides of a join grow, a sort
-    /// over appended rows, a delta that fails to evaluate): the caller then
-    /// computes in full. The output is appended in place when this state is
-    /// its only holder (after one copy otherwise).
+    /// when an operator cannot extend (a join's right side grows under
+    /// anything but a count, a sort over appended rows, a delta that fails
+    /// to evaluate): the caller then computes in full. The output is
+    /// appended in place when this state is its only holder (after one copy
+    /// otherwise).
     pub fn extend(
         &mut self,
         plan: &PhysicalPlan,
@@ -2193,10 +2303,11 @@ impl DeltaState {
                 base: version.into(),
             },
             deltas: Vec::new(),
+            links: Vec::new(),
             scratch: EvalScratch::new(),
         };
         let step = walk.node(plan)?;
-        let (ops, kept) = (walk.ops, walk.kept);
+        let (ops, kept, links) = (walk.ops, walk.kept, walk.links);
         if ops.len() != self.ops.len() {
             return None;
         }
@@ -2207,10 +2318,35 @@ impl DeltaState {
         }
         self.ops = ops;
         self.kept = kept;
+        for (at, right, keys) in links {
+            self.link(at, &right, &keys);
+        }
         for ((_, cover), &(now, _)) in self.covers.iter_mut().zip(&moved) {
             cover.advance(now);
         }
         Some(appended)
+    }
+
+    /// Links the rows the right side `right` of join `at` gained into the
+    /// key index the join keeps (R5), once the extension that read them has
+    /// committed. An index that cannot hold them is dropped; the next
+    /// extension that needs it builds it again.
+    fn link(&mut self, at: usize, right: &Table, keys: &[usize]) {
+        // LINT: unique-ok — the kept states are this state's own copy once
+        // an extension committed.
+        let Some(slot) = Arc::make_mut(&mut self.kept).get_mut(at) else {
+            return;
+        };
+        let Some(Kept::Index(index)) = slot else {
+            return;
+        };
+        // LINT: unique-ok — the superseded states released the index; one
+        // another holder still shares is copied.
+        let linked = columns_at(right, keys)
+            .and_then(|keys| Arc::make_mut(index).link(&keys, right.n_rows()));
+        if linked.is_none() {
+            *slot = None;
+        }
     }
 }
 
@@ -2276,6 +2412,9 @@ struct Walk<'s> {
     /// Each appended input fragment's new rows, sliced once (by source,
     /// once one is).
     deltas: Vec<Option<Arc<Table>>>,
+    /// Key indexes to link a join's new right rows into once the extension
+    /// commits: the join, its whole right side, its right keys.
+    links: Vec<(usize, Arc<Table>, Vec<usize>)>,
     /// One pool of kernel temporaries for every operator the walk runs.
     scratch: EvalScratch,
 }
@@ -2321,10 +2460,16 @@ impl Walk<'_> {
             PhysicalPlan::Aggregate { input, .. } => match &**input {
                 PhysicalPlan::HashJoin { left, right, .. } => {
                     let (l, r) = (self.side(left)?, self.side(right)?);
+                    let at = self.ops.len();
                     if let (Step::Same, Step::Appended(delta)) = (&l.step, &r.step) {
-                        if self.counts_matches(self.ops.len() + 1) {
+                        if self.counts_matches(at + 1) {
                             return self.outer_fold(plan, input, &l, delta);
                         }
+                    }
+                    let appends = |step: &Step| !matches!(step, Step::Changed(_));
+                    let moved = !matches!((&l.step, &r.step), (Step::Same, Step::Same));
+                    if moved && appends(&l.step) && appends(&r.step) && self.counts_pairs(at + 1) {
+                        return self.inner_fold(plan, input, &l, &r);
                     }
                     let joined = self.join(input, &l, &r)?;
                     self.keep_current(&joined)?;
@@ -2519,6 +2664,108 @@ impl Walk<'_> {
         matches!(self.kept.get(at), Some(Some(Kept::Fold(Fold { matched: Some(_), .. }))))
     }
 
+    /// Whether the aggregate at `at` keeps the first left position of each
+    /// group over the inner join it counts (R5).
+    fn counts_pairs(&self, at: usize) -> bool {
+        matches!(
+            self.kept.get(at),
+            Some(Some(Kept::Fold(Fold {
+                firsts: Some(_),
+                ..
+            })))
+        )
+    }
+
+    /// R5: an aggregate counting over `left ⋈ right`, an inner join whose
+    /// sides only appended, one or both. The join's new rows are `left ⋈
+    /// Δright` — the grown left side probed by the right side's new rows,
+    /// which follow its old ones — and `Δleft ⋈ right` over the right side's
+    /// old rows, which the left side's new rows probe through the key index
+    /// the join keeps: built over the right side at the first extension that
+    /// needs it, it links `Δright` in once the extension commits, so no
+    /// extension passes over the right side. Their counts add to the kept
+    /// groups, which [`Fold::absorb_pairs`] keeps in first-seen order.
+    fn inner_fold(
+        &mut self,
+        plan: &PhysicalPlan,
+        join: &PhysicalPlan,
+        l: &Side<'_>,
+        r: &Side<'_>,
+    ) -> Option<Step> {
+        let PhysicalPlan::Aggregate { group_by, aggs, .. } = plan else {
+            return None;
+        };
+        let PhysicalPlan::HashJoin {
+            left_keys,
+            right_keys,
+            ..
+        } = join
+        else {
+            return None;
+        };
+        let (left, right) = (self.whole(l)?, self.whole(r)?);
+        let delta = |side: &Side<'_>| match &side.step {
+            Step::Appended(delta) if delta.n_rows() > 0 => Some(Arc::clone(delta)),
+            _ => None,
+        };
+        let (dl, dr) = (delta(l), delta(r));
+        let new_rows = |delta: &Option<Arc<Table>>| delta.as_ref().map_or(0, |d| d.n_rows());
+        let old_left = left.n_rows().checked_sub(new_rows(&dl))?;
+        let old_right = right.n_rows().checked_sub(new_rows(&dr))?;
+        let at = self.ops.len();
+        let mut pairs: Vec<(u32, u32)> = Vec::new();
+        if let Some(dr) = &dr {
+            let lb = Batch::all(TableSlot::Borrowed(&left));
+            let rb = Batch::all(TableSlot::Borrowed(dr));
+            let (lcols, rcols) = join_key_columns(&lb, &rb, left_keys, right_keys).ok()?;
+            let (lo, ro, _) = serial_join_indices(&lb, &rb, &lcols, &rcols, JoinType::Inner);
+            pairs.extend(
+                lo.into_iter()
+                    .zip(ro)
+                    .map(|(l, r)| (l, old_right as u32 + r)),
+            );
+        }
+        if let Some(dl) = &dl {
+            self.reaches_folded_only(join, r, dl, &right)?;
+            let (keys, probe) = (columns_at(&right, right_keys)?, columns_at(dl, left_keys)?);
+            let index = match self.kept.get(at)? {
+                Some(Kept::Index(index)) if index.rows() == old_right => Arc::clone(index),
+                _ => {
+                    let index = Arc::new(KeyIndex::build(&keys, old_right)?);
+                    *kept_mut(&mut self.kept, at)? = Some(Kept::Index(Arc::clone(&index)));
+                    index
+                }
+            };
+            let mut found = Vec::new();
+            for row in 0..dl.n_rows() {
+                index.matches(&keys, &probe, row, &mut found);
+                pairs.extend(found.drain(..).map(|r| ((old_left + row) as u32, r)));
+            }
+        }
+        if dr.is_some() && matches!(self.kept.get(at)?, Some(Kept::Index(_))) {
+            self.links
+                .push((at, Arc::clone(&right), right_keys.clone()));
+        }
+        pairs.sort_unstable();
+        let (lo, ro): (Vec<u32>, Vec<u32>) = pairs.iter().copied().unzip();
+        let rows = gather_join(&left, &right, &lo, &ro, &vec![true; lo.len()]).ok()?;
+        let old = self.old()?.clone();
+        let Some(Kept::Fold(fold)) = kept_mut(&mut self.kept, at + 1)? else {
+            return None;
+        };
+        fold.absorb_pairs(&rows, &pairs, group_by, aggs, &mut self.scratch)?;
+        let out = fold.output(aggs)?;
+        let join = OpTotals {
+            rows_in: old.rows_in + (new_rows(&dl) + new_rows(&dr)) as u64,
+            ..old.then(&OpTotals::of(OpKind::Join, 0, &rows))?
+        };
+        let rows_in = join.rows_out as usize;
+        self.ops.push(join);
+        self.ops
+            .push(OpTotals::of(OpKind::Aggregate, rows_in, &out));
+        Some(Step::Changed(Arc::new(out)))
+    }
+
     /// R3: an aggregate counting over `left ⟕ right`, where the left side
     /// is unchanged and `delta` was appended on the right. The delta's
     /// matches fold in; a preserved row matched for the first time
@@ -2594,22 +2841,18 @@ impl Walk<'_> {
         Some(step)
     }
 
-    /// A join input's whole output: a changed one's, a kept one's, or an
-    /// unchanged one's run again.
+    /// A join input's whole output: a changed one's, a kept one's (kept
+    /// current by its step), or one run again over its sources as they are.
     fn whole(&self, side: &Side<'_>) -> Option<Arc<Table>> {
-        let kept = match self.kept.get(side.at)? {
-            Some(Kept::Table(t)) => Some(Arc::clone(t)),
-            _ => None,
-        };
-        match &side.step {
-            Step::Changed(out) => Some(Arc::clone(out)),
-            Step::Appended(_) => kept,
-            Step::Same => kept.or_else(|| {
-                let mut recorder = Recorder::default();
-                let run = run_to_table(side.plan, self.src.frags, self.src.base, &mut recorder);
-                run.ok().map(Arc::new)
-            }),
+        if let Step::Changed(out) = &side.step {
+            return Some(Arc::clone(out));
         }
+        if let Some(Kept::Table(t)) = self.kept.get(side.at)? {
+            return Some(Arc::clone(t));
+        }
+        let mut recorder = Recorder::default();
+        let run = run_to_table(side.plan, self.src.frags, self.src.base, &mut recorder);
+        run.ok().map(Arc::new)
     }
 
     /// Keeps a kept join side current with the step of its operator, the
@@ -2628,6 +2871,11 @@ impl Walk<'_> {
         }
         Some(())
     }
+}
+
+/// `t`'s columns `keys`; `None` when one is missing.
+fn columns_at<'t>(t: &'t Table, keys: &[usize]) -> Option<Vec<&'t Column>> {
+    keys.iter().map(|&k| t.column(k).ok()).collect()
 }
 
 /// Operator `at`'s kept state, to change: the walk's own copy.

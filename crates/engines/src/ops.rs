@@ -930,6 +930,7 @@ fn keys_equal(lcols: &[&Column], lrow: usize, rcols: &[&Column], rrow: usize) ->
 /// all: a grouping addresses its group ids directly ([`dense_group_ids`]),
 /// a join its build side's chain heads ([`serial_join_indices`]) — tables
 /// no longer than 4 B × those rows. This map serves every other key.)
+#[derive(Debug, Clone)]
 struct U64Map {
     mask: usize,
     /// Occupied slots (= distinct hashes held).
@@ -1465,6 +1466,7 @@ impl ChainHeads for Vec<u32> {
 /// `heads`, each position's successor in `next` (position + 1, `0` = end).
 /// The one build/probe loop of every join, and the index of a groupjoin
 /// ([`UniqueKeys`]).
+#[derive(Debug, Clone)]
 struct Chains<H> {
     heads: H,
     next: Vec<u32>,
@@ -1485,6 +1487,21 @@ impl<H: ChainHeads> Chains<H> {
             }
         }
         Chains { heads, next }
+    }
+
+    /// Chains the next position at the head of `slot`'s chain, newest first
+    /// (`None` = the position is not chained).
+    fn push(&mut self, slot: Option<u64>) {
+        let link = match slot {
+            Some(slot) => {
+                let head = self.heads.head_mut(slot);
+                let older = *head;
+                *head = self.next.len() as u32 + 1;
+                older
+            }
+            None => 0,
+        };
+        self.next.push(link);
     }
 
     /// Whether some chain holds two positions whose rows `same_key` (build
@@ -1560,7 +1577,9 @@ pub(crate) struct UniqueKeys<'k> {
     chains: KeyChains,
 }
 
-/// The chains of [`UniqueKeys`], by the slot rule that built them.
+/// The chains of [`UniqueKeys`] and [`KeyIndex`], by the slot rule that
+/// built them.
+#[derive(Debug, Clone)]
 enum KeyChains {
     Direct {
         min: i64,
@@ -1607,6 +1626,134 @@ impl<'k> UniqueKeys<'k> {
                 chains.chain(int_key_hash(k)).find(|&pos| key_at(pos) == k)
             }
         }
+    }
+}
+
+/// A join side's positions by key, kept between runs (`fused` module docs,
+/// §5, R5): rows appended to the side link in, and a probe by a few keys
+/// costs those keys, not a pass over the side. The chains are a join's own
+/// ([`Chains`]) by its slot rule: `key − min` into direct heads when the key
+/// is one non-NULL `Int64` column whose values [`dense_span`] admits against
+/// twice the rows, else a [`key_hash`] into a [`U64Map`], each chained row's
+/// key verified. A chain runs newest first — an appended position is larger
+/// than every chained one, so it links in at its chain's head — and
+/// [`KeyIndex::matches`] hands it back ascending. It is built with room for
+/// an eighth more rows, so the next appends link in place.
+#[derive(Debug, Clone)]
+pub(crate) struct KeyIndex {
+    chains: KeyChains,
+}
+
+impl KeyIndex {
+    /// The first `n` rows of the side whose key columns are `keys`.
+    pub(crate) fn build(keys: &[&Column], n: usize) -> Option<KeyIndex> {
+        let room = n + n / 8;
+        let chains = match sole_int_key(keys).and_then(|k| dense_span(n, None, k, 2 * n + 2)) {
+            Some((min, span)) => {
+                let mut heads = Vec::with_capacity(span + 2 + n / 8);
+                heads.resize(span + 2, 0);
+                let next = Vec::with_capacity(room);
+                KeyChains::Direct {
+                    min,
+                    span,
+                    chains: Chains { heads, next },
+                }
+            }
+            None => KeyChains::Hashed(Chains {
+                heads: U64Map::new(),
+                next: Vec::with_capacity(room),
+            }),
+        };
+        let mut index = KeyIndex { chains };
+        index.link(keys, n)?;
+        Some(index)
+    }
+
+    /// How many of the side's rows it holds, from the first.
+    pub(crate) fn rows(&self) -> usize {
+        match &self.chains {
+            KeyChains::Direct { chains, .. } => chains.next.len(),
+            KeyChains::Hashed(chains) => chains.next.len(),
+        }
+    }
+
+    /// Links the side's rows after those it holds, up to row `n` (`keys` its
+    /// key columns). `None` when a direct index cannot hold a key — one
+    /// below its least, one past twice the rows above it, a NULL — which
+    /// leaves it to be dropped.
+    pub(crate) fn link(&mut self, keys: &[&Column], n: usize) -> Option<()> {
+        match &mut self.chains {
+            KeyChains::Direct { min, span, chains } => {
+                let k = sole_int_key(keys)?;
+                let new = &k[chains.next.len()..n];
+                if new.iter().any(|&key| key < *min) {
+                    return None;
+                }
+                let top = new.iter().map(|&key| key.abs_diff(*min)).max().unwrap_or(0);
+                let top = usize::try_from(top).ok()?;
+                if top > *span {
+                    if top >= 2 * n + 2 {
+                        return None;
+                    }
+                    *span = top;
+                    chains.heads.resize(top + 2, 0);
+                }
+                let slot = direct_slot(*min, *span);
+                new.iter().for_each(|&key| chains.push(Some(slot(key))));
+            }
+            KeyChains::Hashed(chains) => {
+                for row in chains.next.len()..n {
+                    chains.push(key_hash(keys, row, false));
+                }
+            }
+        }
+        Some(())
+    }
+
+    /// Pushes onto `out` every position of the side (`keys` its key columns)
+    /// whose key equals row `row` of the probe columns `probe`, ascending.
+    /// A NULL key matches nothing.
+    pub(crate) fn matches(
+        &self,
+        keys: &[&Column],
+        probe: &[&Column],
+        row: usize,
+        out: &mut Vec<u32>,
+    ) {
+        let from = out.len();
+        match &self.chains {
+            KeyChains::Direct { min, span, chains } => {
+                // Equal direct slots are equal keys; a key of another type
+                // equals none.
+                if let [col] = probe {
+                    if let (ColumnData::Int64(v), true) = (&*col.data, col.is_valid(row)) {
+                        let slot = direct_slot(*min, *span)(v[row]);
+                        out.extend(chains.chain(slot).map(|pos| pos as u32));
+                    }
+                }
+            }
+            KeyChains::Hashed(chains) => {
+                if let Some(slot) = key_hash(probe, row, false) {
+                    let same = |&pos: &usize| keys_equal(probe, row, keys, pos);
+                    out.extend(chains.chain(slot).filter(same).map(|pos| pos as u32));
+                }
+            }
+        }
+        out[from..].reverse();
+    }
+
+    /// Heap bytes of the index.
+    pub(crate) fn bytes(&self) -> u64 {
+        let (heads, next) = match &self.chains {
+            KeyChains::Direct { chains, .. } => {
+                (4 * chains.heads.capacity(), chains.next.capacity())
+            }
+            KeyChains::Hashed(chains) => {
+                let slot = std::mem::size_of::<(u64, u32)>();
+                (slot * chains.heads.slots.capacity(), chains.next.capacity())
+            }
+        };
+        (heads + 4 * next) as u64
     }
 }
 
@@ -2124,7 +2271,8 @@ pub(crate) fn agg_output_columns(aggs: &[(String, AggExpr)], accs: &[AggAcc]) ->
 /// over the `n` positions of `input` whose row ids are `rows` (`None` =
 /// position `p` is row `p`) — a batch's table and selection, or a deferred
 /// join's gathered columns and live positions. Returns the output beside
-/// the per-group states it was assembled from ([`AggAcc`]).
+/// the per-group states it was assembled from ([`AggAcc`]) and each group's
+/// first row (none for a global aggregate).
 pub(crate) fn aggregate_vec(
     input: &mut dyn AggInput,
     rows: Option<&[u32]>,
@@ -2132,7 +2280,7 @@ pub(crate) fn aggregate_vec(
     group_by: &[usize],
     aggs: &[(String, AggExpr)],
     scratch: &mut EvalScratch,
-) -> Result<(Table, Vec<AggAcc>), EngineError> {
+) -> Result<(Table, Vec<AggAcc>, Vec<u32>), EngineError> {
     // Assign group ids in first-seen order.
     let group_ids: Vec<u32>;
     let rep_rows: Vec<u32>; // first original row per group
@@ -2164,7 +2312,7 @@ pub(crate) fn aggregate_vec(
         columns.push(c.take_ids(&rep_rows));
     }
     columns.extend(agg_output_columns(aggs, &accs));
-    Ok((Table::new("agg", columns)?, accs))
+    Ok((Table::new("agg", columns)?, accs, rep_rows))
 }
 
 // ----- sort -----
@@ -2825,5 +2973,53 @@ mod tests {
         assert!(profile.agg_input_rows() > 0);
         assert!(profile.peak_intermediate_bytes() > 0);
         assert!(profile.total_intermediate_bytes() >= profile.peak_intermediate_bytes());
+    }
+
+    /// A key index built over a side's first rows and linked to the rest
+    /// finds, for every probe key, exactly the positions whose key equals it
+    /// under join semantics (NULL matches nothing), ascending — over a dense
+    /// `Int64` key (direct slots), a sparse one and a string key (hashed).
+    /// A direct index refuses a key below its least, or one past twice the
+    /// rows above it, so that it is dropped.
+    #[test]
+    fn a_key_index_grown_by_appends_finds_what_a_scan_finds() {
+        let dense: Vec<i64> = (0..40).map(|i| (i * 7) % 23).collect();
+        let sparse: Vec<i64> = dense.iter().map(|k| k * 1009).collect();
+        let text: Vec<String> = dense.iter().map(|k| format!("k{}", k % 9)).collect();
+        let valid: Vec<bool> = (0..40).map(|i| i % 11 != 3).collect();
+        let columns = [
+            Column::with_validity("k", ColumnData::Int64(dense.clone()), valid.clone()),
+            Column::new("k", ColumnData::Int64(dense)),
+            Column::new("k", ColumnData::Int64(sparse)),
+            Column::with_validity(
+                "k",
+                ColumnData::Utf8(text.iter().map(String::as_str).collect()),
+                valid,
+            ),
+        ];
+        for (c, col) in columns.iter().enumerate() {
+            let keys = [col];
+            let mut index = KeyIndex::build(&keys, 25).expect("any key builds");
+            assert_eq!(index.rows(), 25);
+            // A masked key column has no direct slots to link into.
+            let direct = matches!(index.chains, KeyChains::Direct { .. });
+            assert_eq!(direct, c == 1, "column {c}");
+            index.link(&keys, 40).expect("links");
+            let mut found = Vec::new();
+            for row in 0..40 {
+                found.clear();
+                index.matches(&keys, &keys, row, &mut found);
+                let want: Vec<u32> = (0..40u32)
+                    .filter(|&p| col.is_valid(row) && keys_equal(&keys, row, &keys, p as usize))
+                    .collect();
+                assert_eq!(found, want, "column {c}, row {row}");
+            }
+        }
+        let below = Column::new("k", ColumnData::Int64(vec![5, 6, 7, 4]));
+        let mut index = KeyIndex::build(&[&below], 3).expect("dense");
+        assert_eq!(index.link(&[&below], 4), None, "a key below the least");
+        let far = Column::new("k", ColumnData::Int64(vec![5, 6, 7, 100]));
+        let mut index = KeyIndex::build(&[&far], 3).expect("dense");
+        assert_eq!(index.link(&[&far], 4), None, "a key past twice the rows");
     }
 }

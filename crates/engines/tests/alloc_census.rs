@@ -31,7 +31,13 @@
 //! * extending Q17's and Q13's combines by one delta asks for bytes in
 //!   proportion to the groups their states retain and the delta's rows,
 //!   not to the `lineitem` / `orders` rows before it, and for no more than
-//!   a full run over the grown prepares (Q13: half of one).
+//!   a full run over the grown prepares (Q13: half of one);
+//! * extending Q12's combine, whose join grows on both sides, asks for bytes
+//!   by its two groups and the delta's rows, not by the `orders` before
+//!   them, and for less than a full run: the key index over its `orders`
+//!   side is built once and then linked into;
+//! * the first extension of a prepare that shares its base table's columns
+//!   copies each shared buffer once, into room for the rows appended.
 //!
 //! Every threshold but one (Q13's bytes, explained there) sits at or below
 //! half of what the parent of the PR that added this file read; both
@@ -528,4 +534,84 @@ fn a_cold_job_allocates_by_what_it_produces() {
             q.label
         );
     }
+
+    // The first extension of a prepare whose output shares its base table's
+    // buffers — Q12 right (`o_orderkey` and the strings of
+    // `o_orderpriority`: three buffers) and Q17 left (three numeric
+    // `lineitem` columns) — un-shares each column once: one block per
+    // buffer, sized with the room the append grows it to, beside the
+    // column's new `Arc`. Copying a buffer at its size and then growing it
+    // asked for two. A later extension appends in place, so the first asks
+    // for exactly those blocks more.
+    for (q, columns, buffers) in [
+        (q12("MAIL", "SHIP", 1994).right_prepare, 2, 3),
+        (q.left_prepare, 3, 3),
+    ] {
+        let versions = grown([first("orders", 5), first("lineitem", 5)], &deltas[..2]);
+        let mut out = DeltaState::compute(&q, &[], &versions[0]).unwrap();
+        let (rows, once) = counted(|| out.extend(&q, &[], &versions[1]));
+        assert!(rows.is_some_and(|r| r > 0), "no extension: {rows:?}");
+        let (rows, later) = counted(|| out.extend(&q, &[], &versions[2]));
+        assert!(rows.is_some_and(|r| r > 0), "no extension: {rows:?}");
+        assert_eq!(**out.table(), execute_fused(&q, &versions[2]).unwrap().0);
+        // Blocks more than a later extension's: Q12 right 8 → 5 (921 289 →
+        // 614 921 B), Q17 left 9 → 6 (4 318 512 → 2 879 928 B).
+        assert_eq!(
+            once.count,
+            later.count + columns + buffers,
+            "extending {q:?}: {once:?} first, {later:?} later"
+        );
+    }
+
+    // Extending Q12's combine, whose join's two sides both grow, by one
+    // delta at two sizes of `orders` / `lineitem`, after eight extensions:
+    // the new `lineitem` rows probe the key index the state keeps over the
+    // `orders` side (built by the first extension whose delta has
+    // `lineitem` rows, with room for the next ones' orders) and the new
+    // orders probe the few `lineitem` rows, so the bytes asked for follow
+    // the two groups and the delta's rows, not the `orders` before it, and
+    // stay under a full run's.
+    let q = q12("MAIL", "SHIP", 1994);
+    let extension = |fifths: usize| {
+        let versions = grown(
+            [first("orders", fifths), first("lineitem", fifths)],
+            &deltas,
+        );
+        let prepared: Vec<[DeltaState; 2]> = versions[8..]
+            .iter()
+            .map(|v| {
+                [&q.left_prepare, &q.right_prepare].map(|p| DeltaState::compute(p, &[], v).unwrap())
+            })
+            .collect();
+        let inputs = |k: usize| [&prepared[k][0], &prepared[k][1]];
+        let mut combine = DeltaState::compute(&q.combine, &inputs(0), &versions[8]).unwrap();
+        for k in 1..9 {
+            combine
+                .extend(&q.combine, &inputs(k), &versions[8 + k])
+                .expect("extends");
+        }
+        let (rows, c) = counted(|| combine.extend(&q.combine, &inputs(9), &versions[17]));
+        let rows = rows.expect("extends") as u64;
+        let mut frags = Catalog::new();
+        frags.insert_shared("@frag0", Arc::clone(prepared[9][0].table()));
+        frags.insert_shared("@frag1", Arc::clone(prepared[9][1].table()));
+        let (full, full_census) = counted(|| execute_fused(&q.combine, &frags));
+        let (full, work) = full.expect("runs");
+        assert_eq!((&**combine.table(), combine.work()), (&full, work));
+        (c, rows, full_census, full.n_rows() as u64)
+    };
+    let ((whole, rows, full, groups), (fifth, _, _, _)) = (extension(5), extension(1));
+    // 256 B per group or delta row, at both sizes: 12 736 B over 2 groups
+    // and 62 delta rows, the walk's fixed costs most of it (the full run
+    // each window made before asks for 100 101; the extension that builds
+    // the index asks for its heads, 71 824 in one block).
+    assert!(
+        whole.bytes <= 256 * (groups + rows) && fifth.bytes <= 256 * (groups + rows),
+        "extending Q12: {whole:?} after every row, {fifth:?} after a fifth, over {groups} groups \
+         and {rows} delta rows"
+    );
+    assert!(
+        whole.bytes <= full.bytes,
+        "extending Q12: {whole:?}, against a full run's {full:?}"
+    );
 }

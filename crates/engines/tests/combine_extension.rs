@@ -6,8 +6,10 @@
 //! left-outer join matched, a join side an operator produced. Extending it
 //! over the appended rows must return exactly what one [`execute_fused`] of
 //! the combine over the final prepare outputs returns: the same table (name
-//! included), fingerprint, work profile, and `Ok`/`Err`. Where it declines —
-//! both sides of a join grown, a mask, a prepare of an older version — the
+//! included), fingerprint, work profile, and `Ok`/`Err`. A count over an
+//! inner join whose two sides grow extends too, its groups in first-seen
+//! order. Where it declines — a float aggregate or another operator over a
+//! join whose two sides grow, a mask, a prepare of an older version — the
 //! state is left as it was and a full computation stands in.
 //!
 //! The last tests drive the planner's entry point,
@@ -64,15 +66,23 @@ fn l_table(name: &str, rows: &[Row], nulls: bool) -> Table {
     .expect("aligned")
 }
 
-/// The table `r`: k Int64, NULL on every row whose knob is 0 (an outer
-/// join's preserved rows that never match), t Utf8.
-fn r_table(name: &str, rows: &[Row]) -> Table {
+/// The table `r`: k Int64, with `nulls` NULL on every row whose knob is 0
+/// (an outer join's preserved rows that never match), t Utf8.
+fn r_table(name: &str, rows: &[Row], nulls: bool) -> Table {
     let k = ColumnData::Int64(rows.iter().map(|r| r.0).collect());
+    let k = if nulls {
+        Column::with_validity("k", k, rows.iter().map(|r| r.4 != 0).collect())
+    } else {
+        Column::new("k", k)
+    };
     Table::new(
         name,
         vec![
-            Column::with_validity("k", k, rows.iter().map(|r| r.4 != 0).collect()),
-            Column::new("t", ColumnData::Utf8(rows.iter().map(|r| WORDS[r.3]).collect())),
+            k,
+            Column::new(
+                "t",
+                ColumnData::Utf8(rows.iter().map(|r| WORDS[r.3]).collect()),
+            ),
         ],
     )
     .expect("aligned")
@@ -130,7 +140,8 @@ fn right_prepare() -> PhysicalPlan {
     project(scan("r"), vec![("k", Expr::col(0)), ("t", Expr::col(1))])
 }
 
-/// Shape 5 grows `r` too: both sides of its join append.
+/// Shape 5 grows `r` too: both sides of its join append, under a count
+/// grouped on a left column (R5).
 const BOTH_GROW: usize = 5;
 
 /// Shape 7 is Q17's with `l` sorted by key: a key's first `l` row, the
@@ -145,6 +156,22 @@ const PART_GROWS: usize = 8;
 /// averages: a key whose earlier rows were all filtered out left its group
 /// unfolded, so a delta row that reaches it may only decline.
 const STAND_INS: usize = 9;
+
+/// Shape 10 is shape 5 with a float `Sum` beside the count: over a join
+/// whose right side grew, it declines.
+const FLOAT_SUM: usize = 10;
+
+/// Shape 11 counts over the join of shape 5 grouped on a right column: a
+/// new `r` row opens a group or reaches one at an earlier `l` row than its
+/// first, and the groups keep their first-seen order (R5).
+const RIGHT_GROUPS: usize = 11;
+
+/// Shape 12 counts over a filter over the join of shape 5: the join is read
+/// by an operator that is not the count, so when `r` grew it declines.
+const FILTERED: usize = 12;
+
+/// The shapes whose join's two sides grow: `r` grows beside `l`.
+const GROWS_R: [usize; 5] = [BOTH_GROW, PART_GROWS, FLOAT_SUM, RIGHT_GROUPS, FILTERED];
 
 /// The combine shapes under test, over `@frag0` (k, q, p, s) and `@frag1`
 /// (k, t).
@@ -234,9 +261,25 @@ fn combine_of(shape: usize) -> PhysicalPlan {
             let avg = aggregate(f(0), vec![0], vec![("avg_p", AggExpr::Avg(Expr::col(2)))]);
             join(positive, avg, JoinType::Inner)
         }
-        // Both sides of the join grow: declines.
+        // Both sides of the join grow (R5, or a decline): 0 k 1 q 2 p 3 s
+        // 4 r.k 5 t.
         BOTH_GROW => {
             aggregate(join(f(0), f(1), JoinType::Inner), vec![3], vec![("c", AggExpr::Count)])
+        }
+        FLOAT_SUM => aggregate(join(f(0), f(1), JoinType::Inner), vec![3], vec![
+            ("c", AggExpr::Count),
+            ("sp", AggExpr::Sum(Expr::col(2))),
+        ]),
+        RIGHT_GROUPS => aggregate(join(f(0), f(1), JoinType::Inner), vec![5], vec![
+            ("c", AggExpr::Count),
+            ("positive", AggExpr::CountIf(Expr::col(1).gt(Expr::float(0.0)))),
+        ]),
+        FILTERED => {
+            let positive = PhysicalPlan::Filter {
+                input: Box::new(join(f(0), f(1), JoinType::Inner)),
+                predicate: Expr::col(1).gt(Expr::float(0.0)),
+            };
+            aggregate(positive, vec![3], vec![("c", AggExpr::Count)])
         }
         // An appending output (R1 to the root) under an opaque filter that
         // raises on `k == POISON`.
@@ -279,7 +322,7 @@ proptest! {
             proptest::collection::vec(0usize..3, 1..6),
         ),
         (r_rows, r_cuts) in (rows_of(row()), proptest::collection::vec(0usize..64, 0..3)),
-        (shape, masks, initial, older) in (0usize..10, 0usize..4, 1usize..3, 0usize..2),
+        (shape, masks, initial, older) in (0usize..13, 0usize..4, 1usize..3, 0usize..2),
     ) {
         let combine = combine_of(shape);
         let (lp, rp) = (left_prepare(), right_prepare());
@@ -290,10 +333,11 @@ proptest! {
             rows.sort_by_key(|row| row.0);
         }
         let l = chunks_of(&rows, &cuts, |i, r| l_table(&format!("l.c{i}"), r, masked));
-        // `r` is one chunk, or grows beside `l` in the shapes that grow it.
-        let grows_r = shape == BOTH_GROW || shape == PART_GROWS;
+        // `r` is one chunk with NULL keys, or grows beside `l` without a
+        // mask in the shapes that grow it.
+        let grows_r = GROWS_R.contains(&shape);
         let r_cuts = if grows_r { r_cuts } else { Vec::new() };
-        let r = chunks_of(&r_rows, &r_cuts, |i, r| r_table(&format!("r.c{i}"), r));
+        let r = chunks_of(&r_rows, &r_cuts, |i, r| r_table(&format!("r.c{i}"), r, !grows_r));
         let (n_l, n_r) = (l.len(), r.len());
         let mut covered = (initial.min(n_l), 1);
         let v0 = version_of(&l, covered.0, &r, covered.1);
@@ -323,25 +367,24 @@ proptest! {
             }
             // The input types a full run could normalize differently: an
             // empty projection collapsed to `Int64`.
-            let collapsed = p0.table().n_rows() == 0;
+            let collapsed = p0.table().n_rows() == 0 || (grows_r && p1.table().n_rows() == 0);
             let before = p0.table().n_rows() + p1.table().n_rows();
             let version = version_of(&l, next.0, &r, next.1);
             advance(&lp, &mut p0, &version);
             advance(&rp, &mut p1, &version);
             let full = full_run(&combine, &[&p0, &p1]);
-            // New `r` rows would interleave with the join's output: when
-            // `l` grew too, both sides grew.
+            // New `r` rows interleave with the join's output: only a count
+            // directly over the join extends over them (R5).
             let right_grew = grows_r && next.1 > covered.1;
-            let both_grew = right_grew && next.0 > covered.0;
+            let counts_pairs = shape == BOTH_GROW || shape == RIGHT_GROUPS;
             let extended = match &mut state {
                 Some(state) => {
-                    let must = full.is_ok() && !masked && !collapsed && !right_grew
-                        && shape != STAND_INS;
+                    let must = full.is_ok() && !masked && !collapsed
+                        && (!right_grew || counts_pairs) && shape != STAND_INS;
                     let extended = state.extend(&combine, &[&p0, &p1], &version);
                     prop_assert!(extended.is_some() || !must, "{}: declined", ctx);
-                    prop_assert!(extended.is_none() || !both_grew, "{}: both sides grew", ctx);
-                    let part_grew = shape == PART_GROWS && right_grew;
-                    prop_assert!(extended.is_none() || !part_grew, "{}: `r` grew", ctx);
+                    let declines = right_grew && !counts_pairs;
+                    prop_assert!(extended.is_none() || !declines, "{}: `r` grew", ctx);
                     prop_assert!(extended.is_none() || full.is_ok(), "{}: extended an error", ctx);
                     if let Some(rows) = extended {
                         let after = p0.table().n_rows() + p1.table().n_rows();
@@ -380,7 +423,7 @@ impl Planner {
         let r_rows: Vec<Row> = (0..9).map(|i| (i, 0, 0.0, (i % 6) as usize, i % 4)).collect();
         let mut base = Catalog::new();
         base.insert("l", l_table("l", &rows, false));
-        base.insert("r", r_table("r", &r_rows));
+        base.insert("r", r_table("r", &r_rows, true));
         Planner {
             versioned: VersionedCatalog::new(base),
             lp: left_prepare(),

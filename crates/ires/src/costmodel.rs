@@ -65,6 +65,16 @@ fn check_penalty(penalty: f64) -> Result<f64, CostModelError> {
     }
 }
 
+/// The prepares' share of a candidate's cost ([`PlanCostModel::prepare_costs`]):
+/// their seconds and the money each bills its site.
+#[derive(Debug, Clone, Copy)]
+pub struct PrepareCosts {
+    t_left: f64,
+    t_right: f64,
+    money_left: Money,
+    money_right: Money,
+}
+
 /// A reusable cost evaluator for one query over one database.
 #[derive(Debug, Clone)]
 pub struct PlanCostModel {
@@ -254,6 +264,13 @@ impl PlanCostModel {
 
     /// Expected `(time s, money $)` of one configuration at nominal load.
     pub fn cost(&self, federation: &Federation, config: &CandidateConfig) -> Vec<f64> {
+        self.cost_with(federation, &self.prepare_costs(federation), config)
+    }
+
+    /// The terms of [`PlanCostModel::cost`] that no candidate changes: the
+    /// two prepares run where their tables lie, at fixed allocations. A
+    /// caller costing many candidates computes them once.
+    pub fn prepare_costs(&self, federation: &Federation) -> PrepareCosts {
         let scan_workers = |site: SiteId| -> u32 {
             federation
                 .site(site)
@@ -278,6 +295,40 @@ impl PlanCostModel {
             1.0,
             1.0,
         );
+
+        // Money: each fragment bills its site.
+        let money_left = {
+            let site = federation.site(self.left_site);
+            let shape = &site.catalog.instances()[0];
+            site.pricing.instance_cost(shape, 1, t_left)
+        };
+        let money_right = {
+            let site = federation.site(self.right_site);
+            let shape = &site.catalog.instances()[0];
+            site.pricing.instance_cost(shape, 1, t_right)
+        };
+        PrepareCosts {
+            t_left,
+            t_right,
+            money_left,
+            money_right,
+        }
+    }
+
+    /// [`PlanCostModel::cost`] of `config` with the prepares' terms given:
+    /// the same operations in the same order, so the same bits.
+    pub fn cost_with(
+        &self,
+        federation: &Federation,
+        prepares: &PrepareCosts,
+        config: &CandidateConfig,
+    ) -> Vec<f64> {
+        let PrepareCosts {
+            t_left,
+            t_right,
+            money_left,
+            money_right,
+        } = *prepares;
 
         // Shuffle prepared sides to the join site.
         let mut t_transfer = 0.0;
@@ -306,17 +357,7 @@ impl PlanCostModel {
 
         let time = t_left + t_right + t_transfer + t_join;
 
-        // Money: each fragment bills its site.
-        let money_left = {
-            let site = federation.site(self.left_site);
-            let shape = &site.catalog.instances()[0];
-            site.pricing.instance_cost(shape, 1, t_left)
-        };
-        let money_right = {
-            let site = federation.site(self.right_site);
-            let shape = &site.catalog.instances()[0];
-            site.pricing.instance_cost(shape, 1, t_right)
-        };
+        // Money: the join bills its site; the prepares billed theirs.
         let money_join = join_site
             .pricing
             .instance_cost(shape, config.vm_count.max(1), t_join + t_transfer);
@@ -626,5 +667,135 @@ mod tests {
         assert_eq!(chunked[0].table.fingerprint(), flat[0].table.fingerprint());
         assert_eq!(chunked[0].work, flat[0].work);
         assert!(flat[0].table.n_rows() > 0);
+    }
+
+    /// [`PlanCostModel::cost`] as it was before the prepares' terms were
+    /// split out, verbatim: every term per candidate.
+    fn legacy_cost(
+        model: &PlanCostModel,
+        federation: &Federation,
+        config: &CandidateConfig,
+    ) -> Vec<f64> {
+        let scan_workers = |site: SiteId| -> u32 {
+            federation
+                .site(site)
+                .catalog
+                .instances()
+                .first()
+                .map_or(1, |i| i.vcpus)
+        };
+        let t_left = simulate_fragment_seconds(
+            &model.work_left,
+            &EngineProfile::for_engine(model.left_engine),
+            scan_workers(model.left_site),
+            1.0,
+            1.0,
+        );
+        let t_right = simulate_fragment_seconds(
+            &model.work_right,
+            &EngineProfile::for_engine(model.right_engine),
+            scan_workers(model.right_site),
+            1.0,
+            1.0,
+        );
+        let mut t_transfer = 0.0;
+        let mut egress = Money::ZERO;
+        for (site, bytes) in [
+            (model.left_site, model.left_bytes),
+            (model.right_site, model.right_bytes),
+        ] {
+            if site != config.join_site {
+                t_transfer += federation.transfer(site, config.join_site, bytes).seconds;
+                egress += federation.transfer_cost(site, config.join_site, bytes);
+            }
+        }
+        let join_site = federation.site(config.join_site);
+        let shape = &join_site.catalog.instances()[config.instance_idx];
+        let workers = config.vm_count.max(1) * shape.vcpus.max(1);
+        let t_join = simulate_fragment_seconds(
+            &model.work_combine,
+            &EngineProfile::for_engine(config.join_engine),
+            workers,
+            1.0,
+            1.0,
+        );
+        let time = t_left + t_right + t_transfer + t_join;
+        let money_left = {
+            let site = federation.site(model.left_site);
+            site.pricing
+                .instance_cost(&site.catalog.instances()[0], 1, t_left)
+        };
+        let money_right = {
+            let site = federation.site(model.right_site);
+            site.pricing
+                .instance_cost(&site.catalog.instances()[0], 1, t_right)
+        };
+        let money_join =
+            join_site
+                .pricing
+                .instance_cost(shape, config.vm_count.max(1), t_join + t_transfer);
+        let money = money_left + money_right + money_join + egress;
+        let pressure = model.pressure_factor(config.join_site);
+        vec![time * pressure, money.as_dollars() * pressure]
+    }
+
+    /// The prepares' terms, computed once per space, leave every cost bit
+    /// for bit what a per-candidate computation returns — over the paper
+    /// queries' spaces, with and without pressure and hot sites — and
+    /// `cost_space`'s Pareto set carries those vectors.
+    #[test]
+    fn prepare_costs_once_change_no_bit() {
+        use crate::enumerate::EnumerationSpace;
+        use crate::optimizer::cost_space;
+        use midas_tpch::queries::{q13, q14, q17};
+        let (fed, a, b) = example_federation();
+        let mut placement = Placement::new();
+        placement.place("lineitem", a, EngineKind::Hive);
+        placement.place("customer", a, EngineKind::Spark);
+        placement.place("orders", b, EngineKind::PostgreSql);
+        placement.place("part", b, EngineKind::PostgreSql);
+        let db = TpchDb::generate(GenConfig::new(0.003, 7));
+        let queries = [
+            q12("MAIL", "SHIP", 1994),
+            q13("special", "requests"),
+            q14(1995, 9),
+            q17("Brand#23", "MED BOX"),
+        ];
+        let bits = |costs: &[f64]| costs.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+        for query in &queries {
+            let cold = PlanCostModel::build(&placement, query, db.catalog()).unwrap();
+            let models = [
+                cold.clone(),
+                cold.clone()
+                    .with_site_pressure(&[(a, 0.7), (b, 2.5)], 3.0)
+                    .unwrap(),
+                cold.clone().with_hot_sites(&[b], 8.0).unwrap(),
+            ];
+            for max_vms in [1, 6] {
+                let space = EnumerationSpace::for_query(&fed, &placement, query, max_vms).unwrap();
+                for model in &models {
+                    let prepares = model.prepare_costs(&fed);
+                    for config in space.all() {
+                        let legacy = legacy_cost(model, &fed, &config);
+                        assert_eq!(
+                            bits(&model.cost(&fed, &config)),
+                            bits(&legacy),
+                            "{config:?}"
+                        );
+                        let with = model.cost_with(&fed, &prepares, &config);
+                        assert_eq!(bits(&with), bits(&legacy), "{config:?}");
+                    }
+                    let costed = cost_space(&space, model, &fed);
+                    assert_eq!(costed.evaluations, space.len());
+                    for (config, costs) in &costed.pareto {
+                        assert_eq!(
+                            bits(costs),
+                            bits(&legacy_cost(model, &fed, config)),
+                            "{config:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -57,13 +57,14 @@ fn ga_problem<'a>(
     let cardinalities = space.cardinalities();
     let radices = cardinalities.clone();
     let memo = RefCell::new(vec![None; cardinalities.iter().product()]);
+    let prepares = model.prepare_costs(federation);
     IntBoxProblem::new(cardinalities, 2, move |genome: &[usize]| {
         let slot = genome
             .iter()
             .zip(&radices)
             .fold(0, |slot, (&g, &radix)| slot * radix + g);
         memo.borrow_mut()[slot]
-            .get_or_insert_with(|| model.cost(federation, &space.decode(genome)))
+            .get_or_insert_with(|| model.cost_with(federation, &prepares, &space.decode(genome)))
             .clone()
     })
 }
@@ -138,16 +139,18 @@ pub struct CostedSpace {
 }
 
 /// The policy-independent half of [`moqp_exhaustive`]: costs every
-/// configuration of `space` under `model` and keeps the exact Pareto set.
+/// configuration of `space` under `model` — the prepares' terms once — and
+/// keeps the exact Pareto set.
 pub fn cost_space(
     space: &EnumerationSpace,
     model: &PlanCostModel,
     federation: &Federation,
 ) -> CostedSpace {
     let configs = space.all();
+    let prepares = model.prepare_costs(federation);
     let costs: Vec<Vec<f64>> = configs
         .iter()
-        .map(|c| model.cost(federation, c))
+        .map(|c| model.cost_with(federation, &prepares, c))
         .collect();
     let pareto = midas_moo::pareto_front_indices(&costs)
         .into_iter()

@@ -1,7 +1,8 @@
 //! Offline stand-in for `criterion`.
 //!
 //! Implements the subset the workspace benches use — benchmark groups,
-//! `bench_function` / `bench_with_input`, `BenchmarkId`, `sample_size`,
+//! `bench_function` / `bench_with_input`, `iter` / `iter_custom`,
+//! `BenchmarkId`, `sample_size`,
 //! `criterion_group!` / `criterion_main!` — with real wall-clock
 //! measurement: per benchmark it warms up, takes one timing sample per
 //! iteration up to the configured sample count (bounded by a time budget),
@@ -78,6 +79,29 @@ impl Bencher<'_> {
             let t0 = Instant::now();
             black_box(routine());
             self.samples.push(t0.elapsed());
+            if started.elapsed() > budget && self.samples.len() >= 5 {
+                break;
+            }
+        }
+    }
+}
+
+impl Bencher<'_> {
+    /// Times with `routine(iters)`, which runs `iters` iterations and
+    /// returns the time they took (criterion's `iter_custom`): one sample
+    /// per call, each of one iteration, until the sample target or the time
+    /// budget is reached.
+    pub fn iter_custom<R: FnMut(u64) -> Duration>(&mut self, mut routine: R) {
+        if self.test_mode {
+            black_box(routine(1));
+            return;
+        }
+        // Warmup: one call, its time discarded.
+        black_box(routine(1));
+        let budget = Duration::from_secs(3);
+        let started = Instant::now();
+        for _ in 0..self.target_samples {
+            self.samples.push(routine(1));
             if started.elapsed() > budget && self.samples.len() >= 5 {
                 break;
             }

@@ -333,11 +333,12 @@ proptest! {
             rows.sort_by_key(|row| row.0);
         }
         let l = chunks_of(&rows, &cuts, |i, r| l_table(&format!("l.c{i}"), r, masked));
-        // `r` is one chunk with NULL keys, or grows beside `l` without a
-        // mask in the shapes that grow it.
+        // `r` is one chunk with NULL keys, or grows beside `l` in the shapes
+        // that grow it, with NULL keys in half of those cases.
         let grows_r = GROWS_R.contains(&shape);
+        let r_nulls = !grows_r || masks >= 2;
         let r_cuts = if grows_r { r_cuts } else { Vec::new() };
-        let r = chunks_of(&r_rows, &r_cuts, |i, r| r_table(&format!("r.c{i}"), r, !grows_r));
+        let r = chunks_of(&r_rows, &r_cuts, |i, r| r_table(&format!("r.c{i}"), r, r_nulls));
         let (n_l, n_r) = (l.len(), r.len());
         let mut covered = (initial.min(n_l), 1);
         let v0 = version_of(&l, covered.0, &r, covered.1);
@@ -366,12 +367,15 @@ proptest! {
                 prop_assert_eq!(state.work(), before.1, "{}: moved", ctx);
             }
             // The input types a full run could normalize differently: an
-            // empty projection collapsed to `Int64`.
-            let collapsed = p0.table().n_rows() == 0 || (grows_r && p1.table().n_rows() == 0);
+            // empty projection collapsed to `Int64`, `@frag0`'s before the
+            // step or `@frag1`'s when `r` gains its first rows in it.
+            let l_empty = p0.table().n_rows() == 0;
+            let r_empty = grows_r && p1.table().n_rows() == 0;
             let before = p0.table().n_rows() + p1.table().n_rows();
             let version = version_of(&l, next.0, &r, next.1);
             advance(&lp, &mut p0, &version);
             advance(&rp, &mut p1, &version);
+            let collapsed = l_empty || (r_empty && p1.table().n_rows() > 0);
             let full = full_run(&combine, &[&p0, &p1]);
             // New `r` rows interleave with the join's output: only a count
             // directly over the join extends over them (R5).
@@ -379,8 +383,11 @@ proptest! {
             let counts_pairs = shape == BOTH_GROW || shape == RIGHT_GROUPS;
             let extended = match &mut state {
                 Some(state) => {
-                    let must = full.is_ok() && !masked && !collapsed
-                        && (!right_grew || counts_pairs) && shape != STAND_INS;
+                    // A growth of `r` may decline: a shape that is no count
+                    // over the join, or a mask on its new rows (as on `l`'s).
+                    let r_declines = right_grew && (r_nulls || !counts_pairs);
+                    let must = full.is_ok() && !masked && !collapsed && !r_declines
+                        && shape != STAND_INS;
                     let extended = state.extend(&combine, &[&p0, &p1], &version);
                     prop_assert!(extended.is_some() || !must, "{}: declined", ctx);
                     let declines = right_grew && !counts_pairs;

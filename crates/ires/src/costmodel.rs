@@ -68,7 +68,7 @@ fn check_penalty(penalty: f64) -> Result<f64, CostModelError> {
 /// The prepares' share of a candidate's cost ([`PlanCostModel::prepare_costs`]):
 /// their seconds and the money each bills its site.
 #[derive(Debug, Clone, Copy)]
-pub struct PrepareCosts {
+pub(crate) struct PrepareCosts {
     t_left: f64,
     t_right: f64,
     money_left: Money,
@@ -270,7 +270,7 @@ impl PlanCostModel {
     /// The terms of [`PlanCostModel::cost`] that no candidate changes: the
     /// two prepares run where their tables lie, at fixed allocations. A
     /// caller costing many candidates computes them once.
-    pub fn prepare_costs(&self, federation: &Federation) -> PrepareCosts {
+    pub(crate) fn prepare_costs(&self, federation: &Federation) -> PrepareCosts {
         let scan_workers = |site: SiteId| -> u32 {
             federation
                 .site(site)
@@ -317,7 +317,7 @@ impl PlanCostModel {
 
     /// [`PlanCostModel::cost`] of `config` with the prepares' terms given:
     /// the same operations in the same order, so the same bits.
-    pub fn cost_with(
+    pub(crate) fn cost_with(
         &self,
         federation: &Federation,
         prepares: &PrepareCosts,

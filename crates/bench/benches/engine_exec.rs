@@ -217,6 +217,7 @@ fn bench_cold_path_kernels(c: &mut Criterion) {
             .and(Expr::col(6).lt(Expr::date(add_months(start, 1)))),
     };
     let q13 = q13("special", "requests");
+    let q14 = q14(1995, 9);
     let n = lineitem.n_rows();
     let cut = |from: usize, to: usize| {
         Arc::new(lineitem.take_ids(&(from as u32..to as u32).collect::<Vec<_>>()))
@@ -269,13 +270,15 @@ fn bench_cold_path_kernels(c: &mut Criterion) {
             black_box(extended.extend(prepare, &[], v).expect("grows"));
         })
     });
-    // What planning runs for a whole query after a publish: Q17's, Q13's
-    // and Q12's two prepares extended by the next delta, then the
-    // combine's delta state advanced over the rows they appended (Q12's
-    // over both sides of its join, its first run building the key index).
+    // What planning runs for a whole query after a publish: Q17's, Q13's,
+    // Q14's and Q12's two prepares extended by the next delta, then the
+    // combine's delta state advanced over the rows they appended (Q14's and
+    // Q17's new lineitems probing the key index over the `part` side, Q12's
+    // over both sides of its join; the first run builds the index).
     let extensions = [
         ("extend_q17_combine_by_one_delta", &q17),
         ("extend_q13_combine_by_one_delta", &q13),
+        ("extend_q14_combine_by_one_delta", &q14),
         ("extend_q12_combine_by_one_delta", &q),
     ];
     for (name, q) in extensions {

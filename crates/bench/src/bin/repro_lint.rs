@@ -1,6 +1,7 @@
 //! Workspace determinism lint + static-analysis counters, recorded as
-//! `BENCH_static_analysis.json` (the workspace `target/repro/` and a copy
-//! at the repo root; the run fails if either cannot be written).
+//! `target/repro/BENCH_static_analysis.json` in the workspace (the run
+//! fails if it cannot be written). Nothing is written outside `target/`,
+//! so a run leaves the tree as it found it.
 //!
 //! Two halves, both registry-free:
 //!
@@ -249,8 +250,8 @@ fn main() {
         overhead_ratio * 100.0
     );
 
-    // The record, then its copy at the repo root. Either failing fails the
-    // run: a stale `BENCH_static_analysis.json` must not read as fresh.
+    // The record. Failing to write it fails the run: a stale
+    // `BENCH_static_analysis.json` must not read as fresh.
     let written = write_json(
         "BENCH_static_analysis",
         &serde_json::json!({
@@ -275,13 +276,8 @@ fn main() {
             }),
         }),
     );
-    // `write_json` has already said why when there is no file to copy.
-    let Some(path) = written else {
-        std::process::exit(1);
-    };
-    let root_copy = root.join("BENCH_static_analysis.json");
-    if let Err(e) = fs::copy(&path, &root_copy) {
-        eprintln!("cannot copy {path:?} to {root_copy:?}: {e}");
+    // `write_json` has already said why when there is no file.
+    if written.is_none() {
         std::process::exit(1);
     }
 

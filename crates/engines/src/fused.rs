@@ -70,56 +70,57 @@
 //!    read of each source. When its sources only appended (a base table's
 //!    chunks start with the ones read, pointer for pointer; an input
 //!    fragment's rows with the ones read), the state advances over the
-//!    new rows, operator by operator in the full run's post-order, by five
+//!    new rows, operator by operator in the full run's post-order, by four
 //!    rules that follow from the plan shape and from a join's output order,
 //!    (left position, right position):
 //!    - **R1, appends.** A row-wise subtree ([`row_wise_table`]) over an
 //!      appended source runs once, through the executor, over the new rows
 //!      alone (a base table's new chunks where they lie, an input's new
 //!      rows) and appends its output; its operators' totals continue the
-//!      old ones. A filter or projection over a join's appended output,
-//!      and an inner join whose left input only appends and whose right
-//!      input is unchanged, append the same way, operator by operator (the
-//!      join with the whole right side).
+//!      old ones. A filter or projection over a join's appended output
+//!      appends the same way, and so does a join, inner or left-outer,
+//!      whose left input only appends and whose right input is unchanged:
+//!      its new rows are R3's, all after its old ones.
 //!    - **R2, grouped fold.** An aggregate over appended rows keeps its
 //!      per-group states: each group continues its fold in row order, so a
 //!      float `sum` or `avg` is bit-identical, and new groups follow in
 //!      first-seen order (a dense `Int64` key numbers only the new rows,
 //!      against a slot table of the old groups' keys).
-//!    - **R3, outer join.** An aggregate grouped on the preserved side of a
-//!      left-outer join whose preserved side is unchanged and whose other
-//!      side only appends keeps integer `Count` / `CountIf` states: the
-//!      delta's matches add to them, and a preserved row matched for the
-//!      first time withdraws its NULL-extended stand-in.
+//!    - **R3, join pairs.** A join whose inputs only appended gains `ΔL ⋈ R
+//!      ∪ L′ ⋈ ΔR` (the bilinear rule of DBSP), found one way as `(left,
+//!      right, hit)` positions: the left side's new rows probe a key index
+//!      over the right side's old rows that the join keeps (`ops::KeyIndex`:
+//!      the join's own chains and direct slots, newest first), built by the
+//!      first extension that needs it and linked to each right delta once an
+//!      extension commits, so an extension costs its delta, not a pass over
+//!      the right side, and a full run builds nothing; a left-outer row that
+//!      matches nothing is a miss. The right side's new rows, after every
+//!      old one, probe the whole left side once. When the right side is
+//!      unchanged these rows append (R1). Otherwise they interleave with the
+//!      old ones, and only an aggregate of integer `Count` / `CountIf`
+//!      states directly over the join may fold them, through the deferred
+//!      join, gathering only the columns it counts: counts are exact in any
+//!      order. Over a left-outer join it must group on the preserved side,
+//!      and a preserved row matched for the first time withdraws its
+//!      NULL-extended stand-in; every old preserved row already has its
+//!      group, so only the new ones, after them, open groups. Over an inner
+//!      join the groups keep the full run's first-seen order: each group
+//!      keeps the left position of its first row, a new row at an earlier
+//!      left position moves its group's first sighting, a new group takes
+//!      its place by its first row, and the groups are reordered to match.
 //!    - **R4, the rest.** An operator above an input that did not only
 //!      append runs again over its inputs' whole outputs, which are small
 //!      here: Q17's `j1 ⋈ avg_q` → filter → sum, Q13's count of counts →
 //!      sort, Q12's sort of its two groups.
-//!    - **R5, inner join, both sides append.** An aggregate of integer
-//!      `Count` / `CountIf` states directly over an inner join whose inputs
-//!      only appended, one or both (Q12's), folds the join's new rows into
-//!      its groups — counts are exact in any order, as R3 argues: `L ⋈ ΔR`,
-//!      the grown left side probed by the right side's new rows, and `ΔL ⋈
-//!      R`, the left side's new rows against the right side's old ones. The
-//!      latter probe a key index over the right side that the join keeps
-//!      (`ops::KeyIndex`: the join's own chains and direct slots,
-//!      newest first), built by the first extension that needs it and
-//!      linked to each right delta once an extension commits, so an
-//!      extension costs its delta, not a pass over the right side; a full
-//!      run builds nothing. The group order is the full run's first-seen
-//!      order over (left position, right position): each group keeps the
-//!      left position of its first row, a new row at an earlier left
-//!      position moves its group's first sighting, a new group takes its
-//!      place by its first row, and the groups are reordered to match.
 //!
 //!    Everything else declines to the full run: a validity mask on a
 //!    source's rows, a type change (an empty or all-NULL projection
 //!    collapses its columns to `Int64`), a source of an older version or
 //!    grown by another writer, an input that is not row-wise over sources
 //!    that only append, a join whose right side grows under anything but
-//!    R5's count — a float aggregate, an operator between the join and the
-//!    aggregate, a left-outer join over a growing preserved side — a sort
-//!    or limit over appended rows, a delta that fails to evaluate. Work
+//!    R3's count — a float aggregate, an operator between the join and the
+//!    aggregate, a left-outer count grouped on the other side — a sort or
+//!    limit over appended rows, a delta that fails to evaluate. Work
 //!    profiles compose from exact per-operator totals, so costs, ledgers
 //!    and fingerprints are what a full run produces.
 //! 6. **Groupjoins.** Two shapes fold in one keyed pass what a join and an
@@ -1256,6 +1257,17 @@ impl<'t> DeferredJoin<'t> {
         columns.enumerate().map(width).collect()
     }
 
+    /// The totals of the join output as one run's operator records them,
+    /// with no rows read.
+    fn totals(&self) -> OpTotals {
+        OpTotals {
+            kind: OpKind::Join,
+            rows_in: 0,
+            rows_out: self.n() as u64,
+            columns: self.widths_sel(None),
+        }
+    }
+
     /// The total length of output column `ci`'s strings (`v` its source
     /// column's) at the positions `sel` (`None` = all rows).
     fn utf8_total(&self, ci: usize, v: &Utf8Column, sel: Option<&[u32]>) -> usize {
@@ -1320,20 +1332,18 @@ fn agg_over_join<'a>(
     let [(lb, left_at), (rb, right_at)] =
         join_inputs(src, left, right, left_keys, right_keys, profile, scratch)?;
     let rows_in_join = (lb.len() + rb.len()) as u64;
-    // An outer-join fold also keeps which preserved rows have a match: a
-    // later match must withdraw the row's NULL-extended stand-in.
-    let outer = profile.keeps()
-        && filters.is_empty()
-        && lb.sel.is_none()
-        && outer_fold_shape(join_type, group_by, aggs, lb.table().n_columns());
-    // An inner-join fold that counts also keeps each group's first left
-    // position: a later row may open a group, or reach one earlier (R5).
-    let pairs = profile.keeps()
+    // A count directly over the join keeps what folding the join's new
+    // rows needs (§5, R3): over a left-outer join, which preserved rows
+    // have a match, since a later match withdraws the row's NULL-extended
+    // stand-in; over an inner join, each group's first left position, since
+    // a later row may open a group or reach one earlier.
+    let counts = profile.keeps()
         && filters.is_empty()
         && lb.sel.is_none()
         && rb.sel.is_none()
-        && join_type == JoinType::Inner
-        && counts_only(aggs);
+        && counts_join_shape(join_type, group_by, aggs, lb.table().n_columns());
+    let outer = counts && join_type == JoinType::LeftOuter;
+    let pairs = counts && join_type == JoinType::Inner;
     let grouped = match filters {
         [] => groupjoin(&lb, &rb, left_keys, right_keys, join_type, group_by, aggs, scratch),
         _ => None,
@@ -1817,17 +1827,13 @@ enum Kept {
     Table(Arc<Table>),
     /// An aggregate's per-group state.
     Fold(Fold),
-    /// An inner join's right side by key, which R5 probes with the left
-    /// side's new rows; shared, so a copy of the kept states does not copy
-    /// it.
-    Index(Arc<KeyIndex>),
 }
 
 /// An aggregate's per-group state: its output's group-key columns, each
-/// aggregate's running state, over a left-outer join which preserved rows
-/// have a match, over an inner join that it counts (R5) each group's first
-/// left position and, for an aggregate that folded only the groups a join
-/// keeps (§6, (S)), which groups hold their whole fold.
+/// aggregate's running state, over a left-outer join that it counts which
+/// preserved rows have a match, over an inner join that it counts each
+/// group's first left position (R3) and, for an aggregate that folded only
+/// the groups a join keeps (§6, (S)), which groups hold their whole fold.
 #[derive(Debug, Clone)]
 struct Fold {
     keys: Vec<Column>,
@@ -1862,22 +1868,27 @@ impl Fold {
         Table::new("agg", columns).ok()
     }
 
-    /// The group id of each row of `rows`, discovered after this fold's
-    /// groups as one pass over the old groups' keys followed by the rows
-    /// would discover them, beside the new key columns when a row opened a
-    /// group.
-    fn ids(&self, rows: &Table, group_by: &[usize]) -> Option<(Vec<u32>, Option<Vec<Column>>)> {
-        let n = rows.n_rows();
+    /// The group id of each of the `n` rows of `rows`, discovered after
+    /// this fold's groups as one pass over the old groups' keys followed by
+    /// the rows would discover them, beside the new key columns when a row
+    /// opened a group.
+    fn ids(
+        &self,
+        rows: &mut dyn AggInput,
+        n: usize,
+        group_by: &[usize],
+    ) -> Option<(Vec<u32>, Option<Vec<Column>>)> {
         if group_by.is_empty() || n == 0 {
             return Some((vec![0; n], None));
         }
-        if let Some(dense) = self.dense_ids(rows, group_by) {
+        let cols = rows.key_columns(group_by).ok()?;
+        if let Some(dense) = self.dense_ids(&cols) {
             return Some(dense);
         }
         let old = self.groups;
-        let pairs = self.keys.iter().zip(group_by);
+        let pairs = self.keys.iter().zip(&cols);
         let cols = pairs
-            .map(|(key, &g)| concat_columns(key, rows.column(g).ok()?))
+            .map(|(key, col)| concat_columns(key, col))
             .collect::<Option<Vec<Column>>>()?;
         let (ids, reps) = serial_group_ids(None, &cols.iter().collect::<Vec<_>>(), old + n);
         if reps.len() < old || reps[..old].iter().enumerate().any(|(g, &r)| r as usize != g) {
@@ -1887,19 +1898,15 @@ impl Fold {
         Some((ids[old..].to_vec(), keys))
     }
 
-    /// [`Fold::ids`] of one non-NULL `Int64` key that is dense over the
-    /// old groups' keys and the rows ([`dense_group_ids_after`]): only the
-    /// rows are numbered, and no column of both is built unless a row opens
-    /// a group. `None` for any other key.
-    fn dense_ids(
-        &self,
-        rows: &Table,
-        group_by: &[usize],
-    ) -> Option<(Vec<u32>, Option<Vec<Column>>)> {
-        let ([key], &[g]) = (&self.keys[..], group_by) else {
+    /// [`Fold::ids`] of one non-NULL `Int64` key column `cols` that is
+    /// dense over the old groups' keys and the rows
+    /// ([`dense_group_ids_after`]): only the rows are numbered, and no
+    /// column of both is built unless a row opens a group. `None` for any
+    /// other key.
+    fn dense_ids(&self, cols: &[&Column]) -> Option<(Vec<u32>, Option<Vec<Column>>)> {
+        let ([key], [col]) = (&self.keys[..], cols) else {
             return None;
         };
-        let col = rows.column(g).ok()?;
         let (ColumnData::Int64(old), None) = (&*key.data, &key.validity) else {
             return None;
         };
@@ -1914,16 +1921,18 @@ impl Fold {
         Some((ids, Some(keys)))
     }
 
-    /// Folds `rows` — the rows after every row folded so far — into the
-    /// state, in row order, returning each row's group.
+    /// Folds the `n` rows of `rows` — the rows after every row folded so
+    /// far, or any rows of a count — into the state, in row order,
+    /// returning each row's group.
     fn absorb(
         &mut self,
-        rows: &Table,
+        rows: &mut dyn AggInput,
+        n: usize,
         group_by: &[usize],
         aggs: &[(String, AggExpr)],
         scratch: &mut EvalScratch,
     ) -> Option<Vec<u32>> {
-        let (ids, keys) = self.ids(rows, group_by)?;
+        let (ids, keys) = self.ids(rows, n, group_by)?;
         if let Some(keys) = keys {
             self.groups = keys[0].len();
             self.keys = keys;
@@ -1932,46 +1941,41 @@ impl Fold {
         if let Some(folded) = &mut self.folded {
             folded.resize(self.groups, true);
         }
-        let mut input = rows;
-        let n = rows.n_rows();
-        accumulate_aggs(
-            &mut input,
-            None,
-            aggs,
-            &ids,
-            self.groups,
-            n,
-            &mut self.accs,
-            scratch,
-        )
-        .ok()?;
+        accumulate_aggs(rows, None, aggs, &ids, self.groups, n, &mut self.accs, scratch).ok()?;
         Some(ids)
     }
 
-    /// R5: folds `rows`, new rows of the inner join this state counts, at
-    /// the join positions `at` — (left, right), ascending, each after the
-    /// old rows' right positions or their left ones — into the state. Counts
-    /// add in any order; the groups are then put back in first-seen order:
-    /// a group keeps its first row unless a new row at an earlier left
-    /// position reached it, and a group's rows at one left position follow
-    /// the old ones there, by right position.
+    /// R3: folds `rows`, new rows of the join this state counts — left
+    /// positions counted from `from`, ascending by (left, right) position,
+    /// each after the old rows' right positions or their left ones — into
+    /// the state. Counts add in any order; over an inner join the groups
+    /// are then put back in first-seen order: a group keeps its first row
+    /// unless a new row at an earlier left position reached it, and a
+    /// group's rows at one left position follow the old ones there, by
+    /// right position. Over a left-outer join every old preserved row has
+    /// its group already, so only the new ones, after them, open groups,
+    /// and the order holds as it is.
     fn absorb_pairs(
         &mut self,
-        rows: &Table,
-        at: &[(u32, u32)],
+        rows: &mut DeferredJoin<'_>,
+        from: usize,
         group_by: &[usize],
         aggs: &[(String, AggExpr)],
         scratch: &mut EvalScratch,
     ) -> Option<()> {
-        let ids = self.absorb(rows, group_by, aggs, scratch)?;
-        let firsts = self.firsts.as_ref()?;
+        let n = rows.n();
+        let ids = self.absorb(rows, n, group_by, aggs, scratch)?;
+        let Some(firsts) = &self.firsts else {
+            return self.matched.is_some().then_some(());
+        };
         if group_by.is_empty() {
             return Some(());
         }
         // Each group's first new row: the rows ascend.
         let mut first_new: Vec<Option<(u32, u32)>> = vec![None; self.groups];
-        for (&g, &pair) in ids.iter().zip(at) {
-            first_new[g as usize].get_or_insert(pair);
+        let at = rows.left_out.iter().zip(&rows.right_out);
+        for (&g, (&l, &r)) in ids.iter().zip(at) {
+            first_new[g as usize].get_or_insert((from as u32 + l, r));
         }
         // (left position, then an old first row before a new one, then the
         // old order or the right position).
@@ -1997,6 +2001,28 @@ impl Fold {
         Some(())
     }
 
+    /// R3: takes the `n` rows of `rows` — the NULL-extended stand-ins of
+    /// preserved rows matched for the first time — out of the counts.
+    fn withdraw(
+        &mut self,
+        rows: &mut dyn AggInput,
+        n: usize,
+        group_by: &[usize],
+        aggs: &[(String, AggExpr)],
+        scratch: &mut EvalScratch,
+    ) -> Option<()> {
+        let (ids, None) = self.ids(rows, n, group_by)? else {
+            return None;
+        };
+        let mut gone: Vec<AggAcc> =
+            aggs.iter().map(|(_, agg)| AggAcc::new(agg, self.groups)).collect();
+        accumulate_aggs(rows, None, aggs, &ids, self.groups, n, &mut gone, scratch).ok()?;
+        for (acc, gone) in self.accs.iter_mut().zip(&gone) {
+            acc.withdraw(gone)?;
+        }
+        Some(())
+    }
+
     fn bytes(&self) -> u64 {
         let accs: u64 = self.accs.iter().map(AggAcc::bytes).sum();
         let marks = [&self.matched, &self.folded].map(|m| m.as_ref().map_or(0, Vec::len));
@@ -2018,23 +2044,19 @@ fn concat_columns(a: &Column, b: &Column) -> Option<Column> {
 }
 
 /// Whether an aggregate directly over a join of this type keeps integer
-/// counts an appended *right* side can extend (R3 in the module docs): a
-/// left-outer join, grouped on preserved-side columns, counting.
-fn outer_fold_shape(
+/// counts, exact in any order, that the join's interleaved new rows can
+/// extend (R3 in the module docs): over an inner join, or over a left-outer
+/// join grouped on preserved-side columns, whose groups a first match
+/// cannot move.
+fn counts_join_shape(
     join_type: JoinType,
     group_by: &[usize],
     aggs: &[(String, AggExpr)],
     left_width: usize,
 ) -> bool {
-    join_type == JoinType::LeftOuter
-        && group_by.iter().all(|&g| g < left_width)
-        && counts_only(aggs)
-}
-
-/// Whether every aggregate is an integer count, exact in any order.
-fn counts_only(aggs: &[(String, AggExpr)]) -> bool {
-    aggs.iter()
-        .all(|(_, agg)| matches!(agg, AggExpr::Count | AggExpr::CountIf(_)))
+    let counts = |(_, agg): &(String, AggExpr)| matches!(agg, AggExpr::Count | AggExpr::CountIf(_));
+    aggs.iter().all(counts)
+        && (join_type == JoinType::Inner || group_by.iter().all(|&g| g < left_width))
 }
 
 /// Whether any column of `t` carries a validity mask.
@@ -2195,6 +2217,10 @@ pub struct DeltaState {
     table: Arc<Table>,
     ops: Vec<OpTotals>,
     kept: Arc<Vec<Option<Kept>>>,
+    /// Joins' right sides by key, which their left sides' new rows probe
+    /// (R3), by the join's operator: built by the first extension that
+    /// needs one, shared between clones.
+    indexes: Vec<(usize, Arc<KeyIndex>)>,
     covers: Vec<(String, Cover)>,
     /// Whether the output only appends when its sources do: the plan is
     /// row-wise ([`row_wise_table`]) over a source that only appends.
@@ -2233,6 +2259,7 @@ impl DeltaState {
             table: Arc::new(table),
             ops,
             kept: Arc::new(kept),
+            indexes: Vec::new(),
             covers,
             appends,
         })
@@ -2256,9 +2283,9 @@ impl DeltaState {
         let kept = self.kept.iter().flatten().map(|k| match k {
             Kept::Table(t) => t.estimated_bytes(),
             Kept::Fold(fold) => fold.bytes(),
-            Kept::Index(index) => index.bytes(),
         });
-        kept.sum::<u64>() + 64 * self.ops.len() as u64
+        let indexes = self.indexes.iter().map(|(_, index)| index.bytes());
+        kept.sum::<u64>() + indexes.sum::<u64>() + 64 * self.ops.len() as u64
     }
 
     /// Advances the state to `inputs` and `version`: the same sources at
@@ -2296,6 +2323,7 @@ impl DeltaState {
             old: &self.ops,
             ops: Vec::with_capacity(self.ops.len()),
             kept: Arc::clone(&self.kept),
+            indexes: self.indexes.clone(),
             covers: &self.covers,
             moved: &moved,
             src: Tables {
@@ -2307,7 +2335,7 @@ impl DeltaState {
             scratch: EvalScratch::new(),
         };
         let step = walk.node(plan)?;
-        let (ops, kept, links) = (walk.ops, walk.kept, walk.links);
+        let (ops, kept, indexes, links) = (walk.ops, walk.kept, walk.indexes, walk.links);
         if ops.len() != self.ops.len() {
             return None;
         }
@@ -2318,6 +2346,7 @@ impl DeltaState {
         }
         self.ops = ops;
         self.kept = kept;
+        self.indexes = indexes;
         for (at, right, keys) in links {
             self.link(at, &right, &keys);
         }
@@ -2328,24 +2357,19 @@ impl DeltaState {
     }
 
     /// Links the rows the right side `right` of join `at` gained into the
-    /// key index the join keeps (R5), once the extension that read them has
+    /// key index the join keeps (R3), once the extension that read them has
     /// committed. An index that cannot hold them is dropped; the next
     /// extension that needs it builds it again.
     fn link(&mut self, at: usize, right: &Table, keys: &[usize]) {
-        // LINT: unique-ok — the kept states are this state's own copy once
-        // an extension committed.
-        let Some(slot) = Arc::make_mut(&mut self.kept).get_mut(at) else {
-            return;
-        };
-        let Some(Kept::Index(index)) = slot else {
+        let Some(i) = self.indexes.iter().position(|&(join, _)| join == at) else {
             return;
         };
         // LINT: unique-ok — the superseded states released the index; one
         // another holder still shares is copied.
         let linked = columns_at(right, keys)
-            .and_then(|keys| Arc::make_mut(index).link(&keys, right.n_rows()));
+            .and_then(|keys| Arc::make_mut(&mut self.indexes[i].1).link(&keys, right.n_rows()));
         if linked.is_none() {
-            *slot = None;
+            self.indexes.swap_remove(i);
         }
     }
 }
@@ -2395,6 +2419,21 @@ struct Side<'p> {
     step: Step,
 }
 
+/// The rows a join gained (R3): `(left, right, hit)` positions, ascending by
+/// (left, right) position, into `left` — the left side's rows from join
+/// position `from` on: its new rows alone when the right side's rows are
+/// old, all of them otherwise — and `right`, the right side's whole output;
+/// `read` is the rows its two sides gained.
+struct JoinDelta {
+    left: Arc<Table>,
+    from: usize,
+    right: Arc<Table>,
+    left_out: Vec<u32>,
+    right_out: Vec<u32>,
+    hit: Vec<bool>,
+    read: u64,
+}
+
 /// One extension's walk over a state's plan. Every operator records one
 /// [`OpTotals`] in the post-order the full run records them, so the
 /// operator at hand is `ops.len()`, and `old[ops.len()]` is its totals at
@@ -2404,6 +2443,8 @@ struct Walk<'s> {
     ops: Vec<OpTotals>,
     /// What the operators keep, copied on the first change.
     kept: Arc<Vec<Option<Kept>>>,
+    /// The joins' right-side key indexes.
+    indexes: Vec<(usize, Arc<KeyIndex>)>,
     covers: &'s [(String, Cover)],
     /// Each source as it is now, and how it grew.
     moved: &'s [(Source<'s>, Growth)],
@@ -2460,16 +2501,15 @@ impl Walk<'_> {
             PhysicalPlan::Aggregate { input, .. } => match &**input {
                 PhysicalPlan::HashJoin { left, right, .. } => {
                     let (l, r) = (self.side(left)?, self.side(right)?);
-                    let at = self.ops.len();
-                    if let (Step::Same, Step::Appended(delta)) = (&l.step, &r.step) {
-                        if self.counts_matches(at + 1) {
-                            return self.outer_fold(plan, input, &l, delta);
-                        }
-                    }
                     let appends = |step: &Step| !matches!(step, Step::Changed(_));
                     let moved = !matches!((&l.step, &r.step), (Step::Same, Step::Same));
-                    if moved && appends(&l.step) && appends(&r.step) && self.counts_pairs(at + 1) {
-                        return self.inner_fold(plan, input, &l, &r);
+                    // A count over the join keeps `matched` or `firsts` (R3).
+                    let counts = match self.kept.get(self.ops.len() + 1) {
+                        Some(Some(Kept::Fold(f))) => f.matched.is_some() || f.firsts.is_some(),
+                        _ => false,
+                    };
+                    if moved && appends(&l.step) && appends(&r.step) && counts {
+                        return self.fold_join(plan, input, &l, &r);
                     }
                     let joined = self.join(input, &l, &r)?;
                     self.keep_current(&joined)?;
@@ -2574,26 +2614,22 @@ impl Walk<'_> {
 
     /// A join of two inputs' steps.
     fn join(&mut self, plan: &PhysicalPlan, l: &Side<'_>, r: &Side<'_>) -> Option<Step> {
-        let PhysicalPlan::HashJoin { join_type, .. } = plan else {
-            return None;
-        };
         match (&l.step, &r.step) {
             (Step::Same, Step::Same) => self.same(),
-            // R1: output is ordered by (left position, right position), so
-            // rows appended on the left append their matches.
-            (Step::Appended(delta), Step::Same) if *join_type == JoinType::Inner => {
-                let right = self.whole(r)?;
-                self.reaches_folded_only(plan, r, delta, &right)?;
-                let (out, totals) = run_operator(plan, &[delta, &right], &mut self.scratch)?;
-                let old = self.old()?;
-                let totals = OpTotals {
-                    rows_in: old.rows_in + delta.n_rows() as u64,
-                    ..old.then(&totals)?
-                };
+            // R1: the left side's new rows append their matches.
+            (Step::Appended(_), Step::Same) => {
+                let new = self.join_delta(plan, l, r)?;
+                let (lo, ro, hit) = (&new.left_out, &new.right_out, &new.hit);
+                let rows = gather_join(&new.left, &new.right, lo, ro, hit).ok()?;
+                let totals = OpTotals::of(OpKind::Join, new.read as usize, &rows);
+                let totals = self.old()?.then(&totals)?;
                 self.ops.push(totals);
-                Some(Step::Appended(out))
+                Some(Step::Appended(Arc::new(rows)))
             }
             (Step::Changed(_), _) | (_, Step::Changed(_)) => {
+                // The right side's index no longer describes it.
+                let at = self.ops.len();
+                self.indexes.retain(|&(join, _)| join != at);
                 let (left, right) = (self.whole(l)?, self.whole(r)?);
                 match &l.step {
                     Step::Same => {}
@@ -2620,13 +2656,18 @@ impl Walk<'_> {
         gained: &Table,
         right: &Table,
     ) -> Option<()> {
-        match self.kept.get(r.at)? {
-            Some(Kept::Fold(Fold {
-                folded: Some(folded),
-                ..
-            })) if gained.n_rows() > 0 => reads_folded_only(plan, gained, right, folded),
-            _ => Some(()),
+        let Some(Kept::Fold(Fold {
+            folded: Some(folded),
+            ..
+        })) = self.kept.get(r.at)?
+        else {
+            return Some(());
+        };
+        if gained.n_rows() == 0 {
+            return Some(());
         }
+        let (_, groups) = inner_matches(plan, gained, right)?;
+        groups.iter().all(|&g| folded.get(g as usize) == Some(&true)).then_some(())
     }
 
     /// An aggregate over its input's step.
@@ -2644,7 +2685,8 @@ impl Walk<'_> {
                 let Some(Kept::Fold(fold)) = kept_mut(&mut self.kept, at)? else {
                     return None;
                 };
-                fold.absorb(&delta, group_by, aggs, &mut self.scratch)?;
+                let n = delta.n_rows();
+                fold.absorb(&mut &*delta, n, group_by, aggs, &mut self.scratch)?;
                 let out = fold.output(aggs)?;
                 self.ops.push(OpTotals::of(OpKind::Aggregate, rows_in as usize, &out));
                 Some(Step::Changed(Arc::new(out)))
@@ -2658,34 +2700,101 @@ impl Walk<'_> {
         }
     }
 
-    /// Whether the aggregate at `at` keeps the matched rows of the
-    /// left-outer join it reads (R3).
-    fn counts_matches(&self, at: usize) -> bool {
-        matches!(self.kept.get(at), Some(Some(Kept::Fold(Fold { matched: Some(_), .. }))))
+    /// The rows join `plan` of `l` and `r`, whose sides only appended,
+    /// gained since the state's run (R3): `ΔL ⋈ R ∪ L′ ⋈ ΔR`. The left
+    /// side's new rows probe the key index the join keeps over the right
+    /// side's old rows, built at the first extension that needs it and
+    /// linked to the right side's new rows once the extension commits, so
+    /// no extension passes over the right side; over a left-outer join a
+    /// new left row that matches nothing is a miss. The right side's new
+    /// rows, after every old one, probe the whole left side once.
+    fn join_delta(&mut self, plan: &PhysicalPlan, l: &Side<'_>, r: &Side<'_>) -> Option<JoinDelta> {
+        let PhysicalPlan::HashJoin {
+            left_keys,
+            right_keys,
+            join_type,
+            ..
+        } = plan
+        else {
+            return None;
+        };
+        (left_keys.len() == right_keys.len()).then_some(())?;
+        let delta = |side: &Side<'_>| match &side.step {
+            Step::Appended(delta) if delta.n_rows() > 0 => Some(Arc::clone(delta)),
+            _ => None,
+        };
+        let (dl, dr) = (delta(l), delta(r));
+        let new_left = dl.as_ref().map_or(0, |d| d.n_rows());
+        let new_right = dr.as_ref().map_or(0, |d| d.n_rows());
+        let right = self.whole(r)?;
+        let old_right = right.n_rows().checked_sub(new_right)?;
+        let old_left = self.old.get(l.at)?.rows_out as usize;
+        // The left side's new rows alone when the right side's rows are
+        // old: nothing probes the left side's old rows.
+        let (left, from) = match (&l.step, &dr) {
+            (Step::Appended(dl), None) => (Arc::clone(dl), old_left),
+            _ => (self.whole(l)?, 0),
+        };
+        let at = self.ops.len();
+        let base = old_left - from;
+        // The new left rows a new right row reaches: none of them misses.
+        let mut reached = vec![false; new_left];
+        let mut pairs: Vec<(u32, u32, bool)> = Vec::new();
+        if let Some(dr) = &dr {
+            let (lo, ro) = inner_matches(plan, &left, dr)?;
+            for (l, r) in lo.into_iter().zip(ro) {
+                if let Some(m) = (l as usize).checked_sub(base).and_then(|i| reached.get_mut(i)) {
+                    *m = true;
+                }
+                pairs.push((l, (old_right + r as usize) as u32, true));
+            }
+        }
+        if let Some(dl) = &dl {
+            self.reaches_folded_only(plan, r, dl, &right)?;
+            let (keys, probe) = (columns_at(&right, right_keys)?, columns_at(dl, left_keys)?);
+            let index = match self.indexes.iter().find(|&&(join, _)| join == at) {
+                Some((_, index)) if index.rows() == old_right => Arc::clone(index),
+                _ => {
+                    let index = Arc::new(KeyIndex::build(&keys, old_right)?);
+                    self.indexes.retain(|&(join, _)| join != at);
+                    self.indexes.push((at, Arc::clone(&index)));
+                    index
+                }
+            };
+            let outer = *join_type == JoinType::LeftOuter;
+            let mut found = Vec::new();
+            for (row, &by_new_right) in reached.iter().enumerate() {
+                let l = (base + row) as u32;
+                index.matches(&keys, &probe, row, &mut found);
+                if outer && !by_new_right && found.is_empty() {
+                    pairs.push((l, 0, false));
+                }
+                pairs.extend(found.drain(..).map(|r| (l, r, true)));
+            }
+        }
+        if dr.is_some() && self.indexes.iter().any(|&(join, _)| join == at) {
+            self.links.push((at, Arc::clone(&right), right_keys.clone()));
+        }
+        pairs.sort_unstable();
+        let (left_out, (right_out, hit)) = pairs.into_iter().map(|(l, r, h)| (l, (r, h))).unzip();
+        let read = (new_left + new_right) as u64;
+        Some(JoinDelta {
+            left,
+            from,
+            right,
+            left_out,
+            right_out,
+            hit,
+            read,
+        })
     }
 
-    /// Whether the aggregate at `at` keeps the first left position of each
-    /// group over the inner join it counts (R5).
-    fn counts_pairs(&self, at: usize) -> bool {
-        matches!(
-            self.kept.get(at),
-            Some(Some(Kept::Fold(Fold {
-                firsts: Some(_),
-                ..
-            })))
-        )
-    }
-
-    /// R5: an aggregate counting over `left ⋈ right`, an inner join whose
-    /// sides only appended, one or both. The join's new rows are `left ⋈
-    /// Δright` — the grown left side probed by the right side's new rows,
-    /// which follow its old ones — and `Δleft ⋈ right` over the right side's
-    /// old rows, which the left side's new rows probe through the key index
-    /// the join keeps: built over the right side at the first extension that
-    /// needs it, it links `Δright` in once the extension commits, so no
-    /// extension passes over the right side. Their counts add to the kept
-    /// groups, which [`Fold::absorb_pairs`] keeps in first-seen order.
-    fn inner_fold(
+    /// R3: an aggregate of integer counts directly over the join `join` of
+    /// `l` and `r`, whose sides only appended, folds the join's new rows
+    /// through the deferred join, gathering only the columns it counts. A
+    /// preserved row of a left-outer join matched for the first time
+    /// withdraws its NULL-extended stand-in.
+    fn fold_join(
         &mut self,
         plan: &PhysicalPlan,
         join: &PhysicalPlan,
@@ -2695,150 +2804,47 @@ impl Walk<'_> {
         let PhysicalPlan::Aggregate { group_by, aggs, .. } = plan else {
             return None;
         };
-        let PhysicalPlan::HashJoin {
-            left_keys,
-            right_keys,
-            ..
-        } = join
-        else {
-            return None;
-        };
-        let (left, right) = (self.whole(l)?, self.whole(r)?);
-        let delta = |side: &Side<'_>| match &side.step {
-            Step::Appended(delta) if delta.n_rows() > 0 => Some(Arc::clone(delta)),
-            _ => None,
-        };
-        let (dl, dr) = (delta(l), delta(r));
-        let new_rows = |delta: &Option<Arc<Table>>| delta.as_ref().map_or(0, |d| d.n_rows());
-        let old_left = left.n_rows().checked_sub(new_rows(&dl))?;
-        let old_right = right.n_rows().checked_sub(new_rows(&dr))?;
+        let old_left = self.old.get(l.at)?.rows_out as usize;
+        let new = self.join_delta(join, l, r)?;
         let at = self.ops.len();
-        let mut pairs: Vec<(u32, u32)> = Vec::new();
-        if let Some(dr) = &dr {
-            let lb = Batch::all(TableSlot::Borrowed(&left));
-            let rb = Batch::all(TableSlot::Borrowed(dr));
-            let (lcols, rcols) = join_key_columns(&lb, &rb, left_keys, right_keys).ok()?;
-            let (lo, ro, _) = serial_join_indices(&lb, &rb, &lcols, &rcols, JoinType::Inner);
-            pairs.extend(
-                lo.into_iter()
-                    .zip(ro)
-                    .map(|(l, r)| (l, old_right as u32 + r)),
-            );
-        }
-        if let Some(dl) = &dl {
-            self.reaches_folded_only(join, r, dl, &right)?;
-            let (keys, probe) = (columns_at(&right, right_keys)?, columns_at(dl, left_keys)?);
-            let index = match self.kept.get(at)? {
-                Some(Kept::Index(index)) if index.rows() == old_right => Arc::clone(index),
-                _ => {
-                    let index = Arc::new(KeyIndex::build(&keys, old_right)?);
-                    *kept_mut(&mut self.kept, at)? = Some(Kept::Index(Arc::clone(&index)));
-                    index
-                }
-            };
-            let mut found = Vec::new();
-            for row in 0..dl.n_rows() {
-                index.matches(&keys, &probe, row, &mut found);
-                pairs.extend(found.drain(..).map(|r| ((old_left + row) as u32, r)));
-            }
-        }
-        if dr.is_some() && matches!(self.kept.get(at)?, Some(Kept::Index(_))) {
-            self.links
-                .push((at, Arc::clone(&right), right_keys.clone()));
-        }
-        pairs.sort_unstable();
-        let (lo, ro): (Vec<u32>, Vec<u32>) = pairs.iter().copied().unzip();
-        let rows = gather_join(&left, &right, &lo, &ro, &vec![true; lo.len()]).ok()?;
         let old = self.old()?.clone();
         let Some(Kept::Fold(fold)) = kept_mut(&mut self.kept, at + 1)? else {
             return None;
         };
-        fold.absorb_pairs(&rows, &pairs, group_by, aggs, &mut self.scratch)?;
+        // The left rows whose NULL-extended stand-ins leave the output.
+        let mut first_hits = Vec::new();
+        if let Some(matched) = &mut fold.matched {
+            if matched.len() != old_left {
+                return None;
+            }
+            matched.resize(new.from + new.left.n_rows(), false);
+            for (&l, &hit) in new.left_out.iter().zip(&new.hit) {
+                let p = new.from + l as usize;
+                if hit && !std::mem::replace(&mut matched[p], true) && p < old_left {
+                    first_hits.push(l);
+                }
+            }
+        }
+        let (n, left, right) = (first_hits.len(), &*new.left, &*new.right);
+        let mut rows = DeferredJoin::new(left, right, new.left_out, new.right_out, new.hit);
+        let scratch = &mut self.scratch;
+        fold.absorb_pairs(&mut rows, new.from, group_by, aggs, scratch)?;
+        let mut totals = old.then(&rows.totals())?;
+        if n > 0 {
+            let misses = (vec![0; n], vec![false; n]);
+            let mut stand_ins = DeferredJoin::new(left, right, first_hits, misses.0, misses.1);
+            fold.withdraw(&mut stand_ins, n, group_by, aggs, scratch)?;
+            totals = totals.less(&stand_ins.totals())?;
+        }
         let out = fold.output(aggs)?;
         let join = OpTotals {
-            rows_in: old.rows_in + (new_rows(&dl) + new_rows(&dr)) as u64,
-            ..old.then(&OpTotals::of(OpKind::Join, 0, &rows))?
+            rows_in: old.rows_in + new.read,
+            ..totals
         };
-        let rows_in = join.rows_out as usize;
-        self.ops.push(join);
-        self.ops
-            .push(OpTotals::of(OpKind::Aggregate, rows_in, &out));
-        Some(Step::Changed(Arc::new(out)))
-    }
-
-    /// R3: an aggregate counting over `left ⟕ right`, where the left side
-    /// is unchanged and `delta` was appended on the right. The delta's
-    /// matches fold in; a preserved row matched for the first time
-    /// withdraws its NULL-extended stand-in. Counts are integers, so this
-    /// is exact in any order.
-    fn outer_fold(
-        &mut self,
-        plan: &PhysicalPlan,
-        join: &PhysicalPlan,
-        l: &Side<'_>,
-        delta: &Arc<Table>,
-    ) -> Option<Step> {
-        let PhysicalPlan::Aggregate { group_by, aggs, .. } = plan else {
-            return None;
-        };
-        let PhysicalPlan::HashJoin {
-            left_keys,
-            right_keys,
-            ..
-        } = join
-        else {
-            return None;
-        };
-        let left = self.whole(l)?;
-        let at = self.ops.len();
-        let old_join = self.old()?.clone();
-        let Some(Kept::Fold(fold)) = kept_mut(&mut self.kept, at + 1)? else {
-            return None;
-        };
-        let mut matched = fold.matched.take()?;
-        if matched.len() != left.n_rows() {
-            return None;
-        }
-        let lb = Batch::all(TableSlot::Borrowed(&left));
-        let rb = Batch::all(TableSlot::Borrowed(delta));
-        let (lo, ro, hit) = {
-            let (lcols, rcols) = join_key_columns(&lb, &rb, left_keys, right_keys).ok()?;
-            serial_join_indices(&lb, &rb, &lcols, &rcols, JoinType::Inner)
-        };
-        let mut first_match = |&l: &u32| !std::mem::replace(&mut matched[l as usize], true);
-        let first: Vec<u32> = lo.iter().copied().filter(|l| first_match(l)).collect();
-        fold.matched = Some(matched);
-        let pairs = gather_join(&left, delta, &lo, &ro, &hit).ok()?;
-        let misses = (vec![0; first.len()], vec![false; first.len()]);
-        let stand_ins = gather_join(&left, delta, &first, &misses.0, &misses.1).ok()?;
-        let (pair_ids, opened) = fold.ids(&pairs, group_by)?;
-        let (stand_in_ids, opened_too) = fold.ids(&stand_ins, group_by)?;
-        if opened.is_some() || opened_too.is_some() {
-            return None;
-        }
-        let scratch = &mut self.scratch;
-        let groups = fold.groups;
-        let mut input = &pairs;
-        let n = pairs.n_rows();
-        accumulate_aggs(&mut input, None, aggs, &pair_ids, groups, n, &mut fold.accs, scratch)
-            .ok()?;
-        let mut withdrawn: Vec<AggAcc> =
-            aggs.iter().map(|(_, agg)| AggAcc::new(agg, groups)).collect();
-        let (mut input, n) = (&stand_ins, stand_ins.n_rows());
-        accumulate_aggs(&mut input, None, aggs, &stand_in_ids, groups, n, &mut withdrawn, scratch)
-            .ok()?;
-        for (acc, gone) in fold.accs.iter_mut().zip(&withdrawn) {
-            acc.withdraw(gone)?;
-        }
-        let out = fold.output(aggs)?;
-        let added = OpTotals::of(OpKind::Join, delta.n_rows(), &pairs);
-        let join = old_join.then(&added)?.less(&OpTotals::of(OpKind::Join, 0, &stand_ins))?;
         let rows_in = join.rows_out as usize;
         self.ops.push(join);
         self.ops.push(OpTotals::of(OpKind::Aggregate, rows_in, &out));
-        let step = Step::Changed(Arc::new(out));
-        self.keep_current(&step)?;
-        Some(step)
+        Some(Step::Changed(Arc::new(out)))
     }
 
     /// A join input's whole output: a changed one's, a kept one's (kept
@@ -2885,15 +2891,9 @@ fn kept_mut(kept: &mut Arc<Vec<Option<Kept>>>, at: usize) -> Option<&mut Option<
     Arc::make_mut(kept).get_mut(at)
 }
 
-/// `Some` when the join `plan` of `left` and `right` — an aggregate's
-/// output, row `g` its group `g` — matches no group that `folded` marks as
-/// a stand-in.
-fn reads_folded_only(
-    plan: &PhysicalPlan,
-    left: &Table,
-    right: &Table,
-    folded: &[bool],
-) -> Option<()> {
+/// The `(left, right)` positions of the rows of `left` and `right` that the
+/// join `plan` pairs, as an inner join over them finds them.
+fn inner_matches(plan: &PhysicalPlan, left: &Table, right: &Table) -> Option<(Vec<u32>, Vec<u32>)> {
     let PhysicalPlan::HashJoin {
         left_keys,
         right_keys,
@@ -2905,9 +2905,8 @@ fn reads_folded_only(
     let lb = Batch::all(TableSlot::Borrowed(left));
     let rb = Batch::all(TableSlot::Borrowed(right));
     let (lcols, rcols) = join_key_columns(&lb, &rb, left_keys, right_keys).ok()?;
-    let (_, groups, hits) = serial_join_indices(&lb, &rb, &lcols, &rcols, JoinType::Inner);
-    let folded = |g: u32| folded.get(g as usize).copied().unwrap_or(false);
-    (!groups.iter().zip(&hits).any(|(&g, &hit)| hit && !folded(g))).then_some(())
+    let (lo, ro, _) = serial_join_indices(&lb, &rb, &lcols, &rcols, JoinType::Inner);
+    Some((lo, ro))
 }
 
 /// Runs `plan`'s own operator over `inputs`, its inputs' outputs in order,

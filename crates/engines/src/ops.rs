@@ -1629,16 +1629,17 @@ impl<'k> UniqueKeys<'k> {
     }
 }
 
-/// A join side's positions by key, kept between runs (`fused` module docs,
-/// §5, R5): rows appended to the side link in, and a probe by a few keys
-/// costs those keys, not a pass over the side. The chains are a join's own
-/// ([`Chains`]) by its slot rule: `key − min` into direct heads when the key
-/// is one non-NULL `Int64` column whose values [`dense_span`] admits against
-/// twice the rows, else a [`key_hash`] into a [`U64Map`], each chained row's
-/// key verified. A chain runs newest first — an appended position is larger
-/// than every chained one, so it links in at its chain's head — and
-/// [`KeyIndex::matches`] hands it back ascending. It is built with room for
-/// an eighth more rows, so the next appends link in place.
+/// A join's right side's positions by key, kept between runs (`fused` module
+/// docs, §5, R3): rows appended to the side link in, and a probe by the left
+/// side's few new keys costs those keys, not a pass over the side. The
+/// chains are a join's own ([`Chains`]) by its slot rule: `key − min` into
+/// direct heads when the key is one non-NULL `Int64` column whose values
+/// [`dense_span`] admits against twice the rows, else a [`key_hash`] into a
+/// [`U64Map`], each chained row's key verified. A chain runs newest first —
+/// an appended position is larger than every chained one, so it links in at
+/// its chain's head — and [`KeyIndex::matches`] hands it back ascending. It
+/// is built with room for an eighth more rows, so the next appends link in
+/// place.
 #[derive(Debug, Clone)]
 pub(crate) struct KeyIndex {
     chains: KeyChains,

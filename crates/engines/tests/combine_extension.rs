@@ -8,9 +8,11 @@
 //! the combine over the final prepare outputs returns: the same table (name
 //! included), fingerprint, work profile, and `Ok`/`Err`. A count over an
 //! inner join whose two sides grow extends too, its groups in first-seen
-//! order. Where it declines — a float aggregate or another operator over a
-//! join whose two sides grow, a mask, a prepare of an older version — the
-//! state is left as it was and a full computation stands in.
+//! order, and so does a count over a left-outer join grouped on its
+//! growing preserved side. Where it declines — a float aggregate or another
+//! operator over a join whose two sides grow, an outer count grouped on
+//! the side that grows beside it, a mask, a prepare of an older version —
+//! the state is left as it was and a full computation stands in.
 //!
 //! The last tests drive the planner's entry point,
 //! [`midas_engines::profile_fragments_cached`], through publishes: a
@@ -141,7 +143,7 @@ fn right_prepare() -> PhysicalPlan {
 }
 
 /// Shape 5 grows `r` too: both sides of its join append, under a count
-/// grouped on a left column (R5).
+/// grouped on a left column (R3).
 const BOTH_GROW: usize = 5;
 
 /// Shape 7 is Q17's with `l` sorted by key: a key's first `l` row, the
@@ -163,15 +165,33 @@ const FLOAT_SUM: usize = 10;
 
 /// Shape 11 counts over the join of shape 5 grouped on a right column: a
 /// new `r` row opens a group or reaches one at an earlier `l` row than its
-/// first, and the groups keep their first-seen order (R5).
+/// first, and the groups keep their first-seen order (R3).
 const RIGHT_GROUPS: usize = 11;
 
 /// Shape 12 counts over a filter over the join of shape 5: the join is read
 /// by an operator that is not the count, so when `r` grew it declines.
 const FILTERED: usize = 12;
 
+/// Shape 13 is Q13's, shape 2, with its preserved side `@frag1` growing
+/// beside `@frag0`: its new rows open groups after the old ones, and an old
+/// one matched for the first time withdraws its stand-in (R3).
+const OUTER_GROWS: usize = 13;
+
+/// Shape 14 filters a left-outer join whose preserved side `@frag0` alone
+/// grows: its new rows, a miss among them, append (R1).
+const OUTER_APPENDS: usize = 14;
+
+/// Shape 15 counts over `@frag1 ⟕ @frag0` grouped on a column of `@frag0`,
+/// the side that grows: a first match moves a row out of the NULL group,
+/// so it declines.
+const OUTER_RIGHT_GROUPS: usize = 15;
+
 /// The shapes whose join's two sides grow: `r` grows beside `l`.
-const GROWS_R: [usize; 5] = [BOTH_GROW, PART_GROWS, FLOAT_SUM, RIGHT_GROUPS, FILTERED];
+const GROWS_R: [usize; 6] = [BOTH_GROW, PART_GROWS, FLOAT_SUM, RIGHT_GROUPS, FILTERED, OUTER_GROWS];
+
+/// The shapes that extend over a growth of `r`: a count directly over a
+/// join whose two sides grow (R3).
+const COUNTS_PAIRS: [usize; 3] = [BOTH_GROW, RIGHT_GROUPS, OUTER_GROWS];
 
 /// The combine shapes under test, over `@frag0` (k, q, p, s) and `@frag1`
 /// (k, t).
@@ -211,7 +231,7 @@ fn combine_of(shape: usize) -> PhysicalPlan {
         }
         // Q13's: counts per preserved row of `@frag1 ⟕ @frag0` (R3), a
         // count of counts and a sort (R4). `@frag1`'s NULL keys never match.
-        2 => {
+        2 | OUTER_GROWS => {
             // 0 k 1 t 2 r.k 3 q 4 p 5 s
             let outer = join(f(1), f(0), JoinType::LeftOuter);
             let counts = aggregate(outer, vec![0], vec![
@@ -261,7 +281,7 @@ fn combine_of(shape: usize) -> PhysicalPlan {
             let avg = aggregate(f(0), vec![0], vec![("avg_p", AggExpr::Avg(Expr::col(2)))]);
             join(positive, avg, JoinType::Inner)
         }
-        // Both sides of the join grow (R5, or a decline): 0 k 1 q 2 p 3 s
+        // Both sides of the join grow (R3, or a decline): 0 k 1 q 2 p 3 s
         // 4 r.k 5 t.
         BOTH_GROW => {
             aggregate(join(f(0), f(1), JoinType::Inner), vec![3], vec![("c", AggExpr::Count)])
@@ -281,6 +301,16 @@ fn combine_of(shape: usize) -> PhysicalPlan {
             };
             aggregate(positive, vec![3], vec![("c", AggExpr::Count)])
         }
+        // 0 k 1 q 2 p 3 s 4 r.k 5 t, NULL on the right of a miss.
+        OUTER_APPENDS => PhysicalPlan::Filter {
+            input: Box::new(join(f(0), f(1), JoinType::LeftOuter)),
+            predicate: Expr::col(2).gt(Expr::float(0.0)),
+        },
+        // 0 k 1 t 2 r.k 3 q 4 p 5 s
+        OUTER_RIGHT_GROUPS => aggregate(join(f(1), f(0), JoinType::LeftOuter), vec![5], vec![
+            ("c", AggExpr::Count),
+            ("matched", AggExpr::CountIf(Expr::col(2).is_null().negate())),
+        ]),
         // An appending output (R1 to the root) under an opaque filter that
         // raises on `k == POISON`.
         _ => PhysicalPlan::Filter {
@@ -322,7 +352,7 @@ proptest! {
             proptest::collection::vec(0usize..3, 1..6),
         ),
         (r_rows, r_cuts) in (rows_of(row()), proptest::collection::vec(0usize..64, 0..3)),
-        (shape, masks, initial, older) in (0usize..13, 0usize..4, 1usize..3, 0usize..2),
+        (shape, masks, initial, older) in (0usize..16, 0usize..4, 1usize..3, 0usize..2),
     ) {
         let combine = combine_of(shape);
         let (lp, rp) = (left_prepare(), right_prepare());
@@ -378,19 +408,22 @@ proptest! {
             let collapsed = l_empty || (r_empty && p1.table().n_rows() > 0);
             let full = full_run(&combine, &[&p0, &p1]);
             // New `r` rows interleave with the join's output: only a count
-            // directly over the join extends over them (R5).
+            // directly over the join extends over them (R3). New `l` rows
+            // reach the other side of shape 15's join.
             let right_grew = grows_r && next.1 > covered.1;
-            let counts_pairs = shape == BOTH_GROW || shape == RIGHT_GROUPS;
+            let counts_pairs = COUNTS_PAIRS.contains(&shape);
+            let l_grew = next.0 > covered.0;
             let extended = match &mut state {
                 Some(state) => {
                     // A growth of `r` may decline: a shape that is no count
                     // over the join, or a mask on its new rows (as on `l`'s).
-                    let r_declines = right_grew && (r_nulls || !counts_pairs);
+                    let declines = (right_grew && !counts_pairs)
+                        || (l_grew && shape == OUTER_RIGHT_GROUPS);
+                    let r_declines = right_grew && r_nulls;
                     let must = full.is_ok() && !masked && !collapsed && !r_declines
-                        && shape != STAND_INS;
+                        && !declines && shape != STAND_INS;
                     let extended = state.extend(&combine, &[&p0, &p1], &version);
                     prop_assert!(extended.is_some() || !must, "{}: declined", ctx);
-                    let declines = right_grew && !counts_pairs;
                     prop_assert!(extended.is_none() || !declines, "{}: `r` grew", ctx);
                     prop_assert!(extended.is_none() || full.is_ok(), "{}: extended an error", ctx);
                     if let Some(rows) = extended {

@@ -74,15 +74,6 @@ impl Matrix {
         })
     }
 
-    /// Creates a single-column matrix from a slice.
-    pub fn column_vector(v: &[f64]) -> Self {
-        Matrix {
-            rows: v.len(),
-            cols: 1,
-            data: v.to_vec(),
-        }
-    }
-
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {

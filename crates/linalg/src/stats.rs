@@ -24,11 +24,6 @@ pub fn sample_variance(xs: &[f64]) -> Option<f64> {
     Some(xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64)
 }
 
-/// Population standard deviation.
-pub fn stddev(xs: &[f64]) -> Option<f64> {
-    variance(xs).map(f64::sqrt)
-}
-
 /// Linear-interpolated quantile, `q` in `[0, 1]`; `None` for an empty slice.
 ///
 /// Not resistant to NaNs — callers own input hygiene.

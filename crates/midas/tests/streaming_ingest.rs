@@ -476,7 +476,7 @@ fn predecessors_extend_once_per_window_and_change_no_ledger() {
 /// Combines of `hot` whose delta state a publish appending to `orders` and
 /// `lineitem` extends: a prepare reads an appended table, so the join has
 /// a growing side — Q13's, Q14's and Q17's one, Q12's both, under a count
-/// (R5 in `fused`'s module docs).
+/// (R3 in `fused`'s module docs).
 fn extendable_combines(hot: &[midas_tpch::TwoTableQuery]) -> u64 {
     let appended = ["orders", "lineitem"];
     let grows = |t: &str| appended.contains(&t);

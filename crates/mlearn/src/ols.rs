@@ -10,21 +10,12 @@ use midas_dream::EstimationError;
 #[derive(Debug, Clone, Default)]
 pub struct OlsRegressor {
     model: Option<MlrModel>,
-    solver: SolveMethod,
 }
 
 impl OlsRegressor {
     /// OLS with the default (normal-equation) solver.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// OLS with an explicit solver choice.
-    pub fn with_solver(solver: SolveMethod) -> Self {
-        OlsRegressor {
-            model: None,
-            solver,
-        }
     }
 
     /// The fitted model, if any.
@@ -39,7 +30,7 @@ impl Regressor for OlsRegressor {
     }
 
     fn fit(&mut self, xs: &[&[f64]], ys: &[f64]) -> Result<(), EstimationError> {
-        self.model = Some(mlr::fit(xs, ys, self.solver)?);
+        self.model = Some(mlr::fit(xs, ys, SolveMethod::default())?);
         Ok(())
     }
 

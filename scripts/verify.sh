@@ -15,9 +15,10 @@
 #      again; mlr_fit runs DREAM's reference and online Algorithm 1 side by
 #      side, and its bml_tournament group a BML fit per window — N, 2N,
 #      3N, all — plus the MLP and bagging fits alone at 18 and 50 rows);
-#   5. the static-analysis run, which records BENCH_static_analysis.json
-#      (the workspace target/repro/ and the repo root; the run fails if it
-#      cannot write either): the workspace determinism lint (repro_lint)
+#   5. the static-analysis run, which records
+#      target/repro/BENCH_static_analysis.json (the run fails if it cannot
+#      write it; nothing outside target/ is written, so the stage leaves the
+#      tree as it found it): the workspace determinism lint (repro_lint)
 #      walks every non-stub crate's sources and gates at **zero findings**
 #      — no wall-clock (`Instant::now`/`SystemTime`), `.lock().unwrap()`,
 #      `panic!`/`unreachable!` or serving-path `.pin()` site survives in

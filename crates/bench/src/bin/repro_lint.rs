@@ -506,5 +506,12 @@ fn rejection_corpus() -> Vec<(&'static str, Vec<PhysicalPlan>)> {
                 aggs: vec![("n".to_string(), midas_engines::AggExpr::Count)],
             }],
         ),
+        (
+            "sort-key-out-of-bounds",
+            vec![PhysicalPlan::Sort {
+                input: Box::new(scan("orders")),
+                by: vec![(999, false)],
+            }],
+        ),
     ]
 }

@@ -85,27 +85,6 @@ pub fn azure_b_catalog() -> Catalog {
     )
 }
 
-/// A synthetic Google-flavoured catalog for three-provider federations.
-///
-/// Google is in the paper's architecture (Figure 1) but not in Table 1, so
-/// these shapes interpolate between the two published catalogs.
-pub fn google_synthetic_catalog() -> Catalog {
-    let rows = [
-        ("e2-small", 1u32, 2.0, 0.0084),
-        ("e2-medium", 2, 4.0, 0.0168),
-        ("e2-standard-4", 4, 16.0, 0.0670),
-        ("e2-standard-8", 8, 32.0, 0.1340),
-    ];
-    Catalog::new(
-        Provider::Google,
-        rows.iter()
-            .map(|&(name, vcpus, mem, price)| {
-                InstanceType::new(name, vcpus, mem, Storage::EbsOnly, Money::from_dollars(price))
-            })
-            .collect(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

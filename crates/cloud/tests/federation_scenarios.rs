@@ -1,12 +1,38 @@
 //! Federation-level scenarios: multi-provider assembly, billing goldens,
 //! and the Example 3.1 pool arithmetic.
 
-use midas_cloud::catalog::google_synthetic_catalog;
 use midas_cloud::federation::example_federation;
 use midas_cloud::{
-    amazon_a1_catalog, azure_b_catalog, Federation, Link, Money, PricingModel, Provider,
-    ResourcePool, Site,
+    amazon_a1_catalog, azure_b_catalog, Catalog, Federation, InstanceType, Link, Money,
+    PricingModel, Provider, ResourcePool, Site, Storage,
 };
+
+/// A synthetic Google-flavoured catalog for three-provider federations.
+///
+/// Google is in the paper's architecture (Figure 1) but not in Table 1, so
+/// these shapes interpolate between the two published catalogs.
+fn google_synthetic_catalog() -> Catalog {
+    let rows = [
+        ("e2-small", 1u32, 2.0, 0.0084),
+        ("e2-medium", 2, 4.0, 0.0168),
+        ("e2-standard-4", 4, 16.0, 0.0670),
+        ("e2-standard-8", 8, 32.0, 0.1340),
+    ];
+    Catalog::new(
+        Provider::Google,
+        rows.iter()
+            .map(|&(name, vcpus, mem, price)| {
+                InstanceType::new(
+                    name,
+                    vcpus,
+                    mem,
+                    Storage::EbsOnly,
+                    Money::from_dollars(price),
+                )
+            })
+            .collect(),
+    )
+}
 
 #[test]
 fn three_provider_federation_assembles() {

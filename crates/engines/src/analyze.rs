@@ -55,6 +55,7 @@
 
 use crate::catalog::Catalog;
 use crate::data::DataType;
+#[cfg(doc)]
 use crate::error::EngineError;
 use crate::expr::{BinOp, Expr};
 use crate::ops::{AggExpr, PhysicalPlan};
@@ -496,12 +497,6 @@ impl Ctx<'_> {
         };
         match plan {
             PhysicalPlan::Scan { table } => self.resolve_scan(table, &seg("Scan")),
-            PhysicalPlan::PrunedScan { table, predicate } => {
-                let p = seg("PrunedScan");
-                let schema = self.resolve_scan(table, &p);
-                self.check_predicate(predicate, schema.as_ref(), &format!("{p}.predicate"));
-                schema
-            }
             PhysicalPlan::Filter { input, predicate } => {
                 let p = seg("Filter");
                 let schema = self.infer(input, &p);
@@ -612,7 +607,6 @@ impl Ctx<'_> {
                 self.check_keys(&keys, schema.as_ref(), &format!("{p}.by"));
                 schema
             }
-            PhysicalPlan::Limit { input, .. } => self.infer(input, &seg("Limit")),
         }
     }
 
@@ -1091,20 +1085,6 @@ fn column_vs_literal(e: &Expr) -> Option<(usize, BinOp, &crate::data::Value)> {
         }
         _ => None,
     }
-}
-
-/// Convenience: the [`EngineError`] kinds the analyzer's soundness
-/// guarantee covers. True for errors an analyzer-accepted plan can never
-/// produce.
-pub fn is_schema_error(e: &EngineError) -> bool {
-    matches!(
-        e,
-        EngineError::UnknownColumn(_)
-            | EngineError::UnknownTable(_)
-            | EngineError::TypeMismatch { .. }
-            | EngineError::ColumnIndex { .. }
-            | EngineError::RaggedTable { .. }
-    )
 }
 
 #[cfg(test)]

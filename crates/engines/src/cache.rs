@@ -329,16 +329,13 @@ fn encode_agg(agg: &AggExpr, out: &mut Vec<u8>) {
     }
 }
 
+/// Each operator's tag is fixed (2 and 8 are unused): renumbering them
+/// would move every plan's fingerprint.
 fn encode_plan(plan: &PhysicalPlan, out: &mut Vec<u8>) {
     match plan {
         PhysicalPlan::Scan { table } => {
             out.push(1);
             encode_str(table, out);
-        }
-        PhysicalPlan::PrunedScan { table, predicate } => {
-            out.push(2);
-            encode_str(table, out);
-            encode_expr(predicate, out);
         }
         PhysicalPlan::Filter { input, predicate } => {
             out.push(3);
@@ -401,11 +398,6 @@ fn encode_plan(plan: &PhysicalPlan, out: &mut Vec<u8>) {
                 encode_usize(*col, out);
                 out.push(*desc as u8);
             }
-            encode_plan(input, out);
-        }
-        PhysicalPlan::Limit { input, n } => {
-            out.push(8);
-            encode_usize(*n, out);
             encode_plan(input, out);
         }
     }

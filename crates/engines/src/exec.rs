@@ -828,7 +828,7 @@ fn fragment_key(
 /// right, repeats included — the one place this module learns the plan's
 /// shape ([`PhysicalPlan::children`]).
 pub(crate) fn for_each_scan<'p>(plan: &'p PhysicalPlan, visit: &mut impl FnMut(&'p str)) {
-    if let PhysicalPlan::Scan { table } | PhysicalPlan::PrunedScan { table, .. } = plan {
+    if let PhysicalPlan::Scan { table } = plan {
         visit(table);
     }
     for child in plan.children() {
@@ -887,8 +887,8 @@ pub fn simulate_fragment_seconds_scaled(
             OpKind::Join => n * profile.join_us_per_tuple,
             OpKind::Aggregate => n * profile.agg_us_per_tuple,
             OpKind::Sort => n * profile.sort_us_per_tuple * (n.max(2.0)).log2(),
-            // Filters/projections/limits stream: charge a light per-tuple touch.
-            OpKind::Filter | OpKind::Project | OpKind::Limit => n * 0.15,
+            // Filters and projections stream: charge a light per-tuple touch.
+            OpKind::Filter | OpKind::Project => n * 0.15,
         };
     }
     let io_s =

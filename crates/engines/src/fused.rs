@@ -27,9 +27,9 @@
 //!    [`TableSource`] into a list of slabs — (table, selection) pairs in
 //!    row order: a flat catalog's table, a fragment output and a version's
 //!    never-appended table are one slab; a multi-chunk `ChunkedTable` is
-//!    one slab per chunk, borrowed where it lies. Scan, filter, project
-//!    and limit are each one loop over the slabs, so a flat table runs
-//!    that loop once and a version that grew by appends never pays `pin()`
+//!    one slab per chunk, borrowed where it lies. Scan, filter and project
+//!    are each one loop over the slabs, so a flat table runs that loop
+//!    once and a version that grew by appends never pays `pin()`
 //!    compaction (asserted via [`CatalogVersion::compaction_bytes`]
 //!    staying 0). This is what the runtime serves from: planning and
 //!    execution hand the job's pinned version straight down
@@ -78,9 +78,10 @@
 //!      alone (a base table's new chunks where they lie, an input's new
 //!      rows) and appends its output; its operators' totals continue the
 //!      old ones. A filter or projection over a join's appended output
-//!      appends the same way, and so does a join, inner or left-outer,
-//!      whose left input only appends and whose right input is unchanged:
-//!      its new rows are R3's, all after its old ones.
+//!      appends the same way, taking its own step (`apply`) over the new
+//!      rows; so does a join, inner or left-outer, whose left input only
+//!      appends and whose right input is unchanged: its new rows are R3's,
+//!      all after its old ones.
 //!    - **R2, grouped fold.** An aggregate over appended rows keeps its
 //!      per-group states: each group continues its fold in row order, so a
 //!      float `sum` or `avg` is bit-identical, and new groups follow in
@@ -109,9 +110,10 @@
 //!      left position moves its group's first sighting, a new group takes
 //!      its place by its first row, and the groups are reordered to match.
 //!    - **R4, the rest.** An operator above an input that did not only
-//!      append runs again over its inputs' whole outputs, which are small
-//!      here: Q17's `j1 ⋈ avg_q` → filter → sum, Q13's count of counts →
-//!      sort, Q12's sort of its two groups.
+//!      append takes its own step again — the one a full run takes,
+//!      `apply` or `join` — over its inputs' whole outputs, which are
+//!      small here: Q17's `j1 ⋈ avg_q` → filter → sum, Q13's count of
+//!      counts → sort, Q12's sort of its two groups.
 //!
 //!    Everything else declines to the full run: a validity mask on a
 //!    source's rows, a type change (an empty or all-NULL projection
@@ -119,8 +121,8 @@
 //!    grown by another writer, an input that is not row-wise over sources
 //!    that only append, a join whose right side grows under anything but
 //!    R3's count — a float aggregate, an operator between the join and the
-//!    aggregate, a left-outer count grouped on the other side — a sort or
-//!    limit over appended rows, a delta that fails to evaluate. Work
+//!    aggregate, a left-outer count grouped on the other side — a sort
+//!    over appended rows, a delta that fails to evaluate. Work
 //!    profiles compose from exact per-operator totals, so costs, ledgers
 //!    and fingerprints are what a full run produces.
 //! 6. **Groupjoins.** Two shapes fold in one keyed pass what a join and an
@@ -361,9 +363,7 @@ impl Recorder {
     fn keep_side(&mut self, plan: &PhysicalPlan, at: usize, side: Batch<'_>) {
         let rebuilt = matches!(
             plan,
-            PhysicalPlan::Scan { .. }
-                | PhysicalPlan::PrunedScan { .. }
-                | PhysicalPlan::Aggregate { .. }
+            PhysicalPlan::Scan { .. } | PhysicalPlan::Aggregate { .. }
         );
         if let (false, TableSlot::Owned(t), None) = (rebuilt, side.slot, side.sel) {
             self.keep(at, || Some(Kept::Table(Arc::new(t))));
@@ -900,14 +900,24 @@ fn merge_parts(name: &str, parts: Vec<Part>) -> Result<Column, EngineError> {
     })
 }
 
-/// Finishes a morsel projection into its output table (named after the
-/// input, like the scalar projection's).
-fn finish_projection(out_name: &str, runs: Vec<ExprRun<'_>>) -> Result<Table, EngineError> {
+/// Finishes a morsel projection of `fb` into its output, recorded (named
+/// after the input, like the scalar projection's).
+fn finish_projection<'a>(
+    fb: FBatch<'_>,
+    runs: Vec<ExprRun<'_>>,
+    profile: &mut Recorder,
+    scratch: &mut EvalScratch,
+) -> Result<FBatch<'a>, EngineError> {
+    let rows_in = fb.len() as u64;
     let columns = runs
         .into_iter()
         .map(|r| merge_parts(r.name, r.parts))
         .collect::<Result<Vec<_>, _>>()?;
-    Table::new(out_name, columns)
+    let out = Table::new(&fb.name, columns)?;
+    fb.recycle(scratch);
+    let nb = owned(out);
+    nb.record(profile, OpKind::Project, rows_in);
+    Ok(nb)
 }
 
 /// Projects one (table, selection) slab: kernel expressions run
@@ -988,42 +998,34 @@ fn filter_project_slab_morsels(
 
 // ----- the fused executor -----
 
+/// One fused run of `plan`, in post-order: a scan resolves its table, the
+/// three fused shapes run their inputs and their own step in one — a
+/// projection over a filter, an aggregate over `[Filter*] → HashJoin`
+/// ([`agg_over_join`]) and a join, whose (S) right input sees its left
+/// side's keys ([`join_inputs`]) — and every other operator is [`apply`]d
+/// to its input's batch.
 fn run_fused<'a>(
     plan: &PhysicalPlan,
     src: &Tables<'a>,
     profile: &mut Recorder,
     scratch: &mut EvalScratch,
 ) -> Result<FBatch<'a>, EngineError> {
-    match plan {
+    let input = match plan {
         PhysicalPlan::Scan { table } => {
             let fb = resolve(src, table)?;
             fb.record(profile, OpKind::Scan, fb.len() as u64);
-            Ok(fb)
+            return Ok(fb);
         }
-        PhysicalPlan::PrunedScan { table, predicate } => {
-            let fb = filter_fbatch(resolve(src, table)?, &predicate.compile(), scratch)?;
-            // Storage-side pruning: only the surviving rows are charged.
-            fb.record(profile, OpKind::Scan, fb.len() as u64);
-            Ok(fb)
-        }
-        PhysicalPlan::Filter { input, predicate } => {
-            let fb = run_fused(input, src, profile, scratch)?;
-            let rows_in = fb.len() as u64;
-            let nb = filter_fbatch(fb, &predicate.compile(), scratch)?;
-            nb.record(profile, OpKind::Filter, rows_in);
-            Ok(nb)
-        }
-        PhysicalPlan::Project { input, exprs } => {
-            let mut runs = compile_projection(exprs);
-            // Fuse a directly-nested filter into the projection's morsel
-            // loop: one pass evaluates the predicate and projects the
-            // survivors while they are cache-resident. Work accounting is
-            // unchanged — Filter then Project entries, identical numbers.
-            let fb = if let PhysicalPlan::Filter {
+        // Fuse a directly-nested filter into the projection's morsel loop:
+        // one pass evaluates the predicate and projects the survivors while
+        // they are cache-resident. Work accounting is unchanged — Filter
+        // then Project entries, identical numbers.
+        PhysicalPlan::Project { input, exprs } => match &**input {
+            PhysicalPlan::Filter {
                 input: finner,
                 predicate,
-            } = &**input
-            {
+            } => {
+                let mut runs = compile_projection(exprs);
                 let mut fb = run_fused(finner, src, profile, scratch)?;
                 let rows_in = fb.len() as u64;
                 let kp = predicate.compile();
@@ -1040,21 +1042,10 @@ fn run_fused<'a>(
                 // The filter's selection serves its work accounting only;
                 // the projected parts already hold the rows.
                 fb.record(profile, OpKind::Filter, rows_in);
-                fb
-            } else {
-                let fb = run_fused(input, src, profile, scratch)?;
-                for b in &fb.slabs {
-                    project_slab_morsels(&mut runs, b.table(), b.sel_ref(), scratch)?;
-                }
-                fb
-            };
-            let rows_in = fb.len() as u64;
-            let out = finish_projection(&fb.name, runs)?;
-            fb.recycle(scratch);
-            let nb = owned(out);
-            nb.record(profile, OpKind::Project, rows_in);
-            Ok(nb)
-        }
+                return finish_projection(fb, runs, profile, scratch);
+            }
+            _ => input,
+        },
         PhysicalPlan::HashJoin {
             left,
             right,
@@ -1064,12 +1055,10 @@ fn run_fused<'a>(
         } => {
             let [(lb, left_at), (rb, right_at)] =
                 join_inputs(src, left, right, left_keys, right_keys, profile, scratch)?;
-            let rows_in = (lb.len() + rb.len()) as u64;
-            let nb = owned(hash_join_vec(&lb, &rb, left_keys, right_keys, *join_type)?);
-            nb.record(profile, OpKind::Join, rows_in);
+            let nb = join(&lb, &rb, left_keys, right_keys, *join_type, profile)?;
             profile.keep_side(left, left_at, lb);
             profile.keep_side(right, right_at, rb);
-            Ok(nb)
+            return Ok(nb);
         }
         PhysicalPlan::Aggregate {
             input,
@@ -1103,37 +1092,72 @@ fn run_fused<'a>(
                     aggs, profile, scratch,
                 );
             }
-            let b = run_fused(input, src, profile, scratch)?.into_flat(scratch);
-            aggregate_batch(b, group_by, aggs, None, profile, scratch)
+            input
         }
-        PhysicalPlan::Sort { input, by } => {
-            let mut b = run_fused(input, src, profile, scratch)?.into_flat(scratch);
-            let rows_in = b.len() as u64;
+        PhysicalPlan::Filter { input, .. } | PhysicalPlan::Sort { input, .. } => input,
+    };
+    let fb = run_fused(input, src, profile, scratch)?;
+    apply(plan, fb, profile, scratch)
+}
+
+/// The step of `op`, a one-input operator — Filter, Project, Aggregate or
+/// Sort — over `fb`, its input's batch, already computed: its output,
+/// recorded. What [`run_fused`] does past its fused shapes, and what the
+/// delta walk does to an input it has in hand (§5, R1 and R4); a join's
+/// step is [`join`].
+fn apply<'a>(
+    op: &PhysicalPlan,
+    fb: FBatch<'a>,
+    profile: &mut Recorder,
+    scratch: &mut EvalScratch,
+) -> Result<FBatch<'a>, EngineError> {
+    let rows_in = fb.len() as u64;
+    let (nb, kind) = match op {
+        PhysicalPlan::Filter { predicate, .. } => (
+            filter_fbatch(fb, &predicate.compile(), scratch)?,
+            OpKind::Filter,
+        ),
+        PhysicalPlan::Project { exprs, .. } => {
+            let mut runs = compile_projection(exprs);
+            for b in &fb.slabs {
+                project_slab_morsels(&mut runs, b.table(), b.sel_ref(), scratch)?;
+            }
+            return finish_projection(fb, runs, profile, scratch);
+        }
+        PhysicalPlan::Aggregate { group_by, aggs, .. } => {
+            let b = fb.into_flat(scratch);
+            return aggregate_batch(b, group_by, aggs, None, profile, scratch);
+        }
+        PhysicalPlan::Sort { by, .. } => {
+            let mut b = fb.into_flat(scratch);
             let sel = sort_sel(&b, by)?;
             narrow(&mut b, sel, scratch);
-            let nb = one_slab(b);
-            nb.record(profile, OpKind::Sort, rows_in);
-            Ok(nb)
+            (one_slab(b), OpKind::Sort)
         }
-        PhysicalPlan::Limit { input, n } => {
-            let mut fb = run_fused(input, src, profile, scratch)?;
-            let rows_in = fb.len() as u64;
-            let mut remaining = *n;
-            for b in &mut fb.slabs {
-                let keep = remaining.min(b.len());
-                remaining -= keep;
-                b.sel = Some(match b.sel.take() {
-                    Some(mut s) => {
-                        s.truncate(keep);
-                        s
-                    }
-                    None => (0..keep as u32).collect(),
-                });
-            }
-            fb.record(profile, OpKind::Limit, rows_in);
-            Ok(fb)
+        // LINT: panic-ok — `run_fused` resolves scans and joins itself,
+        // and `run_step` applies one-input operators only.
+        PhysicalPlan::Scan { .. } | PhysicalPlan::HashJoin { .. } => {
+            unreachable!("a scan or a join is not a one-input step")
         }
-    }
+    };
+    nb.record(profile, kind, rows_in);
+    Ok(nb)
+}
+
+/// The step of a hash join over its two sides, each one slab, already
+/// computed: its output, recorded.
+fn join<'a>(
+    lb: &Batch<'_>,
+    rb: &Batch<'_>,
+    left_keys: &[usize],
+    right_keys: &[usize],
+    join_type: JoinType,
+    profile: &mut Recorder,
+) -> Result<FBatch<'a>, EngineError> {
+    let rows_in = (lb.len() + rb.len()) as u64;
+    let nb = owned(hash_join_vec(lb, rb, left_keys, right_keys, join_type)?);
+    nb.record(profile, OpKind::Join, rows_in);
+    Ok(nb)
 }
 
 /// Narrows every slab of a batch to the rows passing `kp`, morsel-wise.
@@ -1730,12 +1754,12 @@ fn groupjoin(
 
 // ----- delta states: fragment outputs extended over appended rows -----
 
-/// The source a *row-wise* plan reads: `Scan` or `PrunedScan` of one table
-/// under any number of `Filter` / `Project` nodes, and nothing else, so
-/// that each output row depends on one input row alone.
+/// The source a *row-wise* plan reads: a `Scan` of one table under any
+/// number of `Filter` / `Project` nodes, and nothing else, so that each
+/// output row depends on one input row alone.
 pub fn row_wise_table(plan: &PhysicalPlan) -> Option<&str> {
     match plan {
-        PhysicalPlan::Scan { table } | PhysicalPlan::PrunedScan { table, .. } => Some(table),
+        PhysicalPlan::Scan { table } => Some(table),
         PhysicalPlan::Filter { input, .. } | PhysicalPlan::Project { input, .. } => {
             row_wise_table(input)
         }
@@ -2479,7 +2503,7 @@ impl Walk<'_> {
                     Step::Same => self.same()?,
                     // R1: a row-wise operator over appended rows appends.
                     Step::Appended(delta) => {
-                        let (out, totals) = run_operator(plan, &[&delta], &mut self.scratch)?;
+                        let (out, totals) = run_step(plan, &[&delta], &mut self.scratch)?;
                         let totals = self.old()?.then(&totals)?;
                         self.ops.push(totals);
                         Step::Appended(out)
@@ -2487,13 +2511,11 @@ impl Walk<'_> {
                     Step::Changed(input) => self.rerun(plan, &[&input])?,
                 }
             }
-            PhysicalPlan::Sort { input, .. } | PhysicalPlan::Limit { input, .. } => {
-                match self.node(input)? {
-                    Step::Same => self.same()?,
-                    Step::Changed(input) => self.rerun(plan, &[&input])?,
-                    Step::Appended(_) => return None,
-                }
-            }
+            PhysicalPlan::Sort { input, .. } => match self.node(input)? {
+                Step::Same => self.same()?,
+                Step::Changed(input) => self.rerun(plan, &[&input])?,
+                Step::Appended(_) => return None,
+            },
             PhysicalPlan::HashJoin { left, right, .. } => {
                 let (l, r) = (self.side(left)?, self.side(right)?);
                 self.join(plan, &l, &r)?
@@ -2520,7 +2542,7 @@ impl Walk<'_> {
                     self.aggregate(plan, input)?
                 }
             },
-            PhysicalPlan::Scan { .. } | PhysicalPlan::PrunedScan { .. } => return None,
+            PhysicalPlan::Scan { .. } => return None,
         })
     }
 
@@ -2548,7 +2570,7 @@ impl Walk<'_> {
 
     /// R4: the operator at hand runs again over its inputs' whole outputs.
     fn rerun(&mut self, plan: &PhysicalPlan, inputs: &[&Arc<Table>]) -> Option<Step> {
-        let (out, totals) = run_operator(plan, inputs, &mut self.scratch)?;
+        let (out, totals) = run_step(plan, inputs, &mut self.scratch)?;
         self.ops.push(totals);
         Some(Step::Changed(out))
     }
@@ -2909,66 +2931,38 @@ fn inner_matches(plan: &PhysicalPlan, left: &Table, right: &Table) -> Option<(Ve
     Some((lo, ro))
 }
 
-/// Runs `plan`'s own operator over `inputs`, its inputs' outputs in order,
-/// returning its output and totals.
-fn run_operator(
+/// `plan`'s own step — the one a full run takes, [`apply`] or [`join`] —
+/// over `inputs`, its inputs' outputs in order: its output and totals.
+fn run_step(
     plan: &PhysicalPlan,
     inputs: &[&Arc<Table>],
     scratch: &mut EvalScratch,
 ) -> Option<(Arc<Table>, OpTotals)> {
-    let input = |k: usize| {
-        Box::new(PhysicalPlan::Scan {
-            table: format!("@in{k}"),
-        })
-    };
-    let operator = match plan {
-        PhysicalPlan::Filter { predicate, .. } => PhysicalPlan::Filter {
-            input: input(0),
-            predicate: predicate.clone(),
-        },
-        PhysicalPlan::Project { exprs, .. } => PhysicalPlan::Project {
-            input: input(0),
-            exprs: exprs.clone(),
-        },
-        PhysicalPlan::HashJoin {
-            left_keys,
-            right_keys,
-            join_type,
-            ..
-        } => PhysicalPlan::HashJoin {
-            left: input(0),
-            right: input(1),
-            left_keys: left_keys.clone(),
-            right_keys: right_keys.clone(),
-            join_type: *join_type,
-        },
-        PhysicalPlan::Aggregate { group_by, aggs, .. } => PhysicalPlan::Aggregate {
-            input: input(0),
-            group_by: group_by.clone(),
-            aggs: aggs.clone(),
-        },
-        PhysicalPlan::Sort { by, .. } => PhysicalPlan::Sort {
-            input: input(0),
-            by: by.clone(),
-        },
-        PhysicalPlan::Limit { n, .. } => PhysicalPlan::Limit {
-            input: input(0),
-            n: *n,
-        },
-        PhysicalPlan::Scan { .. } | PhysicalPlan::PrunedScan { .. } => return None,
-    };
-    let mut frags = Catalog::new();
-    for (k, t) in inputs.iter().enumerate() {
-        frags.insert_shared(format!("@in{k}"), Arc::clone(t));
-    }
     let mut recorder = Recorder::with_totals(false);
-    let empty = Catalog::new();
-    let src = Tables {
-        frags: &frags,
-        base: (&empty).into(),
+    let out = match (plan, inputs) {
+        (
+            PhysicalPlan::HashJoin {
+                left_keys,
+                right_keys,
+                join_type,
+                ..
+            },
+            [left, right],
+        ) => {
+            let lb = Batch::all(TableSlot::Borrowed(left));
+            let rb = Batch::all(TableSlot::Borrowed(right));
+            join(&lb, &rb, left_keys, right_keys, *join_type, &mut recorder)
+        }
+        (
+            PhysicalPlan::Filter { .. }
+            | PhysicalPlan::Project { .. }
+            | PhysicalPlan::Aggregate { .. }
+            | PhysicalPlan::Sort { .. },
+            [input],
+        ) => apply(plan, borrowed(input), &mut recorder, scratch),
+        _ => return None,
     };
-    let out = run_fused(&operator, &src, &mut recorder, scratch).ok()?;
-    let table = out.into_flat(scratch).materialize();
+    let table = out.ok()?.into_flat(scratch).materialize();
     let totals = recorder.totals?.pop()?;
     Some((Arc::new(table), totals))
 }

@@ -7,7 +7,7 @@
 //!
 //! 1. **A real relational executor** ([`data`], [`expr`], [`ops`]): typed
 //!    columnar tables, scalar expressions, and physical operators (scan,
-//!    filter, project, hash join, left-outer join, aggregation, sort, limit)
+//!    filter, project, hash join, left-outer join, aggregation, sort)
 //!    that actually process rows. Running a plan yields both its result table
 //!    and a [`ops::WorkProfile`] — the tuple and byte counts each operator
 //!    touched.

@@ -58,23 +58,14 @@ pub enum AggExpr {
     },
 }
 
-/// A physical query plan.
+/// A physical query plan: a tree of the six operators the served plans
+/// (the paper's TPC-H classes and the medical queries) are built from.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PhysicalPlan {
     /// Leaf: read a named base table.
     Scan {
         /// Base-table name resolved against the execution catalog.
         table: String,
-    },
-    /// Leaf: read a base table with a predicate pushed into the storage
-    /// layer (index range scan / partition pruning). Semantically identical
-    /// to `Filter(Scan)`, but the work profile charges only the *selected*
-    /// rows — storage-side selection never materializes the rejected ones.
-    PrunedScan {
-        /// Base-table name.
-        table: String,
-        /// Storage-evaluable predicate.
-        predicate: Expr,
     },
     /// Row selection.
     Filter {
@@ -119,13 +110,6 @@ pub enum PhysicalPlan {
         /// Sort keys as (column, descending).
         by: Vec<(usize, bool)>,
     },
-    /// Keep the first `n` rows.
-    Limit {
-        /// Input plan.
-        input: Box<PhysicalPlan>,
-        /// Row cap.
-        n: usize,
-    },
 }
 
 impl PhysicalPlan {
@@ -134,12 +118,11 @@ impl PhysicalPlan {
     /// variant.
     pub fn children(&self) -> impl Iterator<Item = &PhysicalPlan> {
         let (first, second) = match self {
-            PhysicalPlan::Scan { .. } | PhysicalPlan::PrunedScan { .. } => (None, None),
+            PhysicalPlan::Scan { .. } => (None, None),
             PhysicalPlan::Filter { input, .. }
             | PhysicalPlan::Project { input, .. }
             | PhysicalPlan::Aggregate { input, .. }
-            | PhysicalPlan::Sort { input, .. }
-            | PhysicalPlan::Limit { input, .. } => (Some(&**input), None),
+            | PhysicalPlan::Sort { input, .. } => (Some(&**input), None),
             PhysicalPlan::HashJoin { left, right, .. } => (Some(&**left), Some(&**right)),
         };
         first.into_iter().chain(second)
@@ -161,8 +144,6 @@ pub enum OpKind {
     Aggregate,
     /// Sort.
     Sort,
-    /// Limit.
-    Limit,
 }
 
 /// Tuple/byte accounting for one executed operator.
@@ -237,11 +218,6 @@ impl WorkProfile {
     pub fn output_rows(&self) -> u64 {
         self.ops.last().map_or(0, |o| o.rows_out)
     }
-
-    /// Bytes of the final operator's output.
-    pub fn output_bytes(&self) -> u64 {
-        self.ops.last().map_or(0, |o| o.bytes_out)
-    }
 }
 
 /// Hashable key for joins and group-by.
@@ -313,17 +289,6 @@ fn run(
             record(profile, OpKind::Scan, rows, &t);
             Ok(t)
         }
-        PhysicalPlan::PrunedScan { table, predicate } => {
-            let base = catalog
-                .get(table)
-                .ok_or_else(|| EngineError::UnknownTable(table.clone()))?;
-            let mask = predicate.eval_mask(base)?;
-            let out = base.filter(&mask);
-            // Storage-side pruning: only the surviving rows are charged.
-            let rows = out.n_rows() as u64;
-            record(profile, OpKind::Scan, rows, &out);
-            Ok(out)
-        }
         PhysicalPlan::Filter { input, predicate } => {
             let t = run(input, catalog, profile)?;
             let mask = predicate.eval_mask(&t)?;
@@ -369,13 +334,6 @@ fn run(
             let t = run(input, catalog, profile)?;
             let out = sort(&t, by)?;
             record(profile, OpKind::Sort, t.n_rows() as u64, &out);
-            Ok(out)
-        }
-        PhysicalPlan::Limit { input, n } => {
-            let t = run(input, catalog, profile)?;
-            let indices: Vec<usize> = (0..t.n_rows().min(*n)).collect();
-            let out = t.take(&indices);
-            record(profile, OpKind::Limit, t.n_rows() as u64, &out);
             Ok(out)
         }
     }
@@ -1570,7 +1528,7 @@ impl<H: ChainHeads> Chains<H> {
 /// against the rows the join reads, through a [`U64Map`] otherwise.
 /// Building it is the uniqueness proof: a chain holding two equal keys
 /// returns `None`. What the fused groupjoin probes (`fused` module docs,
-/// §7).
+/// §6).
 pub(crate) struct UniqueKeys<'k> {
     keys: &'k [i64],
     rows: Option<&'k [u32]>,
@@ -1759,7 +1717,7 @@ impl KeyIndex {
 }
 
 /// An aggregate's groups over one key column when a join keeps only the
-/// groups whose key its other side holds (`fused` module docs, §7): every
+/// groups whose key its other side holds (`fused` module docs, §6): every
 /// group is discovered, in first-seen order, but only the rows of the
 /// groups the join can keep are collected for folding.
 pub(crate) struct KeySetGroups {
@@ -2420,38 +2378,6 @@ mod tests {
     }
 
     #[test]
-    fn pruned_scan_equals_filter_scan_but_charges_less() {
-        let predicate = Expr::col(1).eq(Expr::int(10));
-        let pruned = PhysicalPlan::PrunedScan {
-            table: "orders".to_string(),
-            predicate: predicate.clone(),
-        };
-        let filtered = PhysicalPlan::Filter {
-            input: Box::new(scan("orders")),
-            predicate,
-        };
-        let (out_p, prof_p) = execute_fused(&pruned, &catalog()).unwrap();
-        let (out_f, _) = execute_fused(&filtered, &catalog()).unwrap();
-        // Same semantics…
-        assert_eq!(out_p.columns(), out_f.columns());
-        // …but the pruned scan charges only the selected rows.
-        assert_eq!(prof_p.scanned_rows(), 2);
-        assert_eq!(prof_p.ops.len(), 1);
-    }
-
-    #[test]
-    fn pruned_scan_unknown_table() {
-        let plan = PhysicalPlan::PrunedScan {
-            table: "nope".to_string(),
-            predicate: Expr::col(0).ge(Expr::int(0)),
-        };
-        assert!(matches!(
-            execute_fused(&plan, &catalog()),
-            Err(EngineError::UnknownTable(_))
-        ));
-    }
-
-    #[test]
     fn filter_and_profile() {
         let plan = PhysicalPlan::Filter {
             input: Box::new(scan("orders")),
@@ -2599,15 +2525,12 @@ mod tests {
 
     #[test]
     fn sort_and_limit() {
-        let plan = PhysicalPlan::Limit {
-            input: Box::new(PhysicalPlan::Sort {
-                input: Box::new(scan("orders")),
-                by: vec![(1, false), (0, true)],
-            }),
-            n: 2,
+        let plan = PhysicalPlan::Sort {
+            input: Box::new(scan("orders")),
+            by: vec![(1, false), (0, true)],
         };
         let (out, _) = execute_fused(&plan, &catalog()).unwrap();
-        assert_eq!(out.n_rows(), 2);
+        assert_eq!(out.n_rows(), 4);
         // custkey 10 group first, orderkey desc inside: 3 then 1.
         assert_eq!(out.row(0)[0], Value::Int64(3));
         assert_eq!(out.row(1)[0], Value::Int64(1));

@@ -504,8 +504,8 @@ fn a_cold_job_allocates_by_what_it_produces() {
             (c, rows, full_census)
         };
         let ((whole, rows, full), (fifth, _, _)) = (extension(5), extension(1));
-        // 192 B per retained group or delta row, at both sizes: Q17 88 and
-        // 108 over 2 000 parts and 241 delta lineitems, Q13 44 and 48 over
+        // 192 B per retained group or delta row, at both sizes: Q17 87 and
+        // 108 over 2 000 parts and 241 delta lineitems, Q13 37 and 49 over
         // 1 500 customers and 50 delta orders.
         let bound = 192 * (groups + rows);
         assert!(
@@ -515,18 +515,18 @@ fn a_cold_job_allocates_by_what_it_produces() {
             q.label
         );
         // Five times the rows before the delta ask for no more: Q17 0.81×,
-        // Q13 0.93× of the fifth's bytes.
+        // Q13 0.76× of the fifth's bytes.
         assert!(
             4 * whole.bytes <= 5 * fifth.bytes,
             "extending {}: {whole:?} after every row, {fifth:?} after a fifth",
             q.label
         );
         // The full run each window made before, after every row. Q13's
-        // extension asks for at most half of it: 68 321 B against 321 583
+        // extension asks for at most half of it: 57 746 B against 321 583
         // (103 737 against 836 412 before the groupjoin). Q17's full run
         // folds only the parts `j1` keeps (§6), so its extension, which
         // reruns the join over all of `avg_q`'s groups, asks for no more
-        // than it: 196 403 B against 222 818 (270 838 against 636 037).
+        // than it: 195 563 B against 222 818 (270 838 against 636 037).
         let share = if dimension == "customer" { 2 } else { 1 };
         assert!(
             share * whole.bytes <= full.bytes,
@@ -601,10 +601,10 @@ fn a_cold_job_allocates_by_what_it_produces() {
         (c, rows, full_census, full.n_rows() as u64)
     };
     let ((whole, rows, full, groups), (fifth, _, _, _)) = (extension(5), extension(1));
-    // 256 B per group or delta row, at both sizes: 12 736 B over 2 groups
-    // and 62 delta rows, the walk's fixed costs most of it (the full run
-    // each window made before asks for 100 101; the extension that builds
-    // the index asks for its heads, 71 824 in one block).
+    // 256 B per group or delta row, at both sizes: 12 302 B over 2 groups
+    // and 62 delta rows (the full run each window made before asks for
+    // 100 101; the extension that builds the index asks for its heads,
+    // 71 824 in one block).
     assert!(
         whole.bytes <= 256 * (groups + rows) && fifth.bytes <= 256 * (groups + rows),
         "extending Q12: {whole:?} after every row, {fifth:?} after a fifth, over {groups} groups \

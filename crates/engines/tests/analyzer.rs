@@ -19,7 +19,6 @@
 //!   valid plan makes the analyzer reject with the predicted kind AND
 //!   every executor path fail with the matching `EngineError`.
 
-use midas_engines::analyze::is_schema_error;
 use midas_engines::data::{Column, ColumnData, Table};
 use midas_engines::exec::{FederatedQuery, Fragment};
 use midas_engines::fused::execute_fused;
@@ -331,7 +330,7 @@ fn tape_plan(tape: &[TapeOp], ghost: bool) -> PhysicalPlan {
         table: if ghost { "ghost" } else { "t" }.to_string(),
     };
     for &(op, x, y, flag) in tape {
-        plan = match op % 5 {
+        plan = match op % 4 {
             0 => PhysicalPlan::Filter {
                 input: Box::new(plan),
                 predicate: predicate(x, y, flag),
@@ -358,17 +357,26 @@ fn tape_plan(tape: &[TapeOp], ghost: bool) -> PhysicalPlan {
                     ("s".to_string(), AggExpr::Sum(Expr::col(y))),
                 ],
             },
-            3 => PhysicalPlan::Sort {
+            _ => PhysicalPlan::Sort {
                 input: Box::new(plan),
                 by: vec![(x, flag == 1)],
-            },
-            _ => PhysicalPlan::Limit {
-                input: Box::new(plan),
-                n: x.max(1),
             },
         };
     }
     plan
+}
+
+/// The [`EngineError`] kinds the analyzer's soundness guarantee covers:
+/// errors an analyzer-accepted plan can never produce.
+fn is_schema_error(e: &EngineError) -> bool {
+    matches!(
+        e,
+        EngineError::UnknownColumn(_)
+            | EngineError::UnknownTable(_)
+            | EngineError::TypeMismatch { .. }
+            | EngineError::ColumnIndex { .. }
+            | EngineError::RaggedTable { .. }
+    )
 }
 
 fn all_paths(plan: &PhysicalPlan, cat: &Catalog) -> Vec<Result<Table, EngineError>> {

@@ -253,7 +253,8 @@ fn combine_of(shape: usize) -> PhysicalPlan {
             ("lo", AggExpr::Min(Expr::col(2))),
             ("hi", AggExpr::Max(Expr::col(1))),
         ]),
-        // String groups (R2), then a sort and a limit (R4).
+        // String groups (R2), then a sort and a projection of the sorted
+        // groups (R4, twice in a row).
         4 => {
             let groups = aggregate(f(0), vec![3], vec![
                 ("sq", AggExpr::Sum(Expr::col(1))),
@@ -263,10 +264,10 @@ fn combine_of(shape: usize) -> PhysicalPlan {
                 input: Box::new(groups),
                 by: vec![(2, true), (0, false)],
             };
-            PhysicalPlan::Limit {
-                input: Box::new(sorted),
-                n: 3,
-            }
+            project(Box::new(sorted), vec![
+                ("k", Expr::col(0)),
+                ("c2", Expr::col(2).mul(Expr::int(2))),
+            ])
         }
         // A per-key average folded only for the keys of `@frag0`'s rows
         // with `q > 1`, joined to those rows (R1, R2, R4).

@@ -161,28 +161,4 @@ proptest! {
         want.sort_unstable();
         prop_assert_eq!(got, want);
     }
-
-    /// PrunedScan ≡ Filter(Scan) for any threshold predicate.
-    #[test]
-    fn pruned_scan_equivalence(
-        rows in proptest::collection::vec((0i64..30, -50i64..50), 0..50),
-        threshold in -50i64..50,
-    ) {
-        let mut catalog = Catalog::new();
-        catalog.insert("t".to_string(), table_of("t", &rows));
-        let pred = Expr::col(1).lt(Expr::int(threshold));
-        let pruned = PhysicalPlan::PrunedScan {
-            table: "t".to_string(),
-            predicate: pred.clone(),
-        };
-        let filtered = PhysicalPlan::Filter {
-            input: scan("t"),
-            predicate: pred,
-        };
-        let (a, prof_a) = execute_fused(&pruned, &catalog).expect("runs");
-        let (b, _) = execute_fused(&filtered, &catalog).expect("runs");
-        prop_assert_eq!(a.columns(), b.columns());
-        // And the pruned scan charges exactly the selected rows.
-        prop_assert_eq!(prof_a.scanned_rows(), a.n_rows() as u64);
-    }
 }

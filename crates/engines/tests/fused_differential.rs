@@ -187,7 +187,7 @@ fn fixture(rows: &[Row], cuts: &[usize]) -> (Catalog, CatalogVersion) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Scan, Filter and PrunedScan: morselized predicate evaluation over
+    /// Scan and Filter: morselized predicate evaluation over
     /// flat and chunk-native inputs matches row-at-a-time evaluation
     /// bit-for-bit, including byte accounting of never-flattened chunked
     /// views.
@@ -205,11 +205,6 @@ proptest! {
         let pred = pred_of(t1, f1, w, d1, bits);
         fused_matches(
             &PhysicalPlan::Filter { input: scan("t"), predicate: pred.clone() },
-            &catalog,
-            &version,
-        )?;
-        fused_matches(
-            &PhysicalPlan::PrunedScan { table: "t".to_string(), predicate: pred.clone() },
             &catalog,
             &version,
         )?;
@@ -403,43 +398,35 @@ proptest! {
         fused_matches(&plan, &catalog, &version)?;
     }
 
-    /// Sort + Limit over chunk-native pipelines: chunked limits trim
-    /// per-chunk prefixes; flattening must equal the flat truncation.
+    /// Sort over chunk-native pipelines: a sort flattens its chunks, and
+    /// the flattened order must equal the flat one.
     #[test]
     fn sort_limit_fused(
         rows in rows_strategy(40),
         cuts in cuts_strategy(),
-        limit in 0usize..20,
         desc in 0i64..2,
     ) {
         let (catalog, version) = fixture(&rows, &cuts);
-        // Limit directly over a (possibly filtered) chunk-native scan.
+        // A (possibly filtered) chunk-native scan.
         fused_matches(
-            &PhysicalPlan::Limit {
-                input: Box::new(PhysicalPlan::Filter {
-                    input: scan("t"),
-                    predicate: Expr::col(0).ge(Expr::int(0)),
-                }),
-                n: limit,
+            &PhysicalPlan::Filter {
+                input: scan("t"),
+                predicate: Expr::col(0).ge(Expr::int(0)),
             },
             &catalog,
             &version,
         )?;
-        // Sort flattens; limit then truncates the sorted selection.
         fused_matches(
-            &PhysicalPlan::Limit {
-                input: Box::new(PhysicalPlan::Sort {
-                    input: scan("t"),
-                    by: vec![(0, desc == 1), (2, false), (1, desc == 0)],
-                }),
-                n: limit,
+            &PhysicalPlan::Sort {
+                input: scan("t"),
+                by: vec![(0, desc == 1), (2, false), (1, desc == 0)],
             },
             &catalog,
             &version,
         )?;
     }
 
-    /// A full pipeline — filter, join, aggregate (deferred), sort, limit —
+    /// A full pipeline — filter, join, aggregate (deferred), sort —
     /// matches end-to-end, profile included, at every chunking.
     #[test]
     fn full_pipeline_fused(
@@ -449,7 +436,6 @@ proptest! {
         rcuts in cuts_strategy(),
         t1 in -20i64..20,
         bits in 0i64..216,
-        limit in 1usize..10,
     ) {
         let mut catalog = Catalog::new();
         catalog.insert("l".to_string(), table_of("l", &left));
@@ -458,28 +444,25 @@ proptest! {
             chunked_of("l", &left, &lcuts),
             chunked_of("r", &right, &rcuts),
         ]);
-        let plan = PhysicalPlan::Limit {
-            input: Box::new(PhysicalPlan::Sort {
-                input: Box::new(PhysicalPlan::Aggregate {
-                    input: Box::new(PhysicalPlan::HashJoin {
-                        left: Box::new(PhysicalPlan::Filter {
-                            input: scan("l"),
-                            predicate: pred_of(t1, 1.5, 3, -50, bits),
-                        }),
-                        right: scan("r"),
-                        left_keys: vec![0],
-                        right_keys: vec![0],
-                        join_type: JoinType::LeftOuter,
+        let plan = PhysicalPlan::Sort {
+            input: Box::new(PhysicalPlan::Aggregate {
+                input: Box::new(PhysicalPlan::HashJoin {
+                    left: Box::new(PhysicalPlan::Filter {
+                        input: scan("l"),
+                        predicate: pred_of(t1, 1.5, 3, -50, bits),
                     }),
-                    group_by: vec![2],
-                    aggs: vec![
-                        ("n".to_string(), AggExpr::Count),
-                        ("total".to_string(), AggExpr::Sum(Expr::col(6))),
-                    ],
+                    right: scan("r"),
+                    left_keys: vec![0],
+                    right_keys: vec![0],
+                    join_type: JoinType::LeftOuter,
                 }),
-                by: vec![(1, true), (0, false)],
+                group_by: vec![2],
+                aggs: vec![
+                    ("n".to_string(), AggExpr::Count),
+                    ("total".to_string(), AggExpr::Sum(Expr::col(6))),
+                ],
             }),
-            n: limit,
+            by: vec![(1, true), (0, false)],
         };
         fused_matches(&plan, &catalog, &version)?;
     }

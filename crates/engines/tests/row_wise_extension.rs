@@ -102,12 +102,8 @@ fn plan_of(shape: usize, d1: i64, t1: i64, w: usize) -> PhysicalPlan {
     let filter = |input: Box<PhysicalPlan>, predicate: Expr| PhysicalPlan::Filter { input, predicate };
     match shape {
         0 => filter(scan(), total(d1, t1, w)),
-        1 => PhysicalPlan::PrunedScan {
-            table: "t".to_string(),
-            predicate: total(d1, t1, w),
-        },
         // Kernel projections and literals over a total filter.
-        2 => project(
+        1 => project(
             Box::new(filter(scan(), total(d1, t1, w))),
             vec![
                 ("a", Expr::col(0)),
@@ -117,9 +113,9 @@ fn plan_of(shape: usize, d1: i64, t1: i64, w: usize) -> PhysicalPlan {
             ],
         ),
         // Whole columns: zero-copy over one chunk.
-        3 => project(scan(), vec![("s", Expr::col(2)), ("d", Expr::col(3))]),
+        2 => project(scan(), vec![("s", Expr::col(2)), ("d", Expr::col(3))]),
         // A filter over a projection's output.
-        4 => filter(
+        3 => filter(
             Box::new(project(
                 scan(),
                 vec![("x", Expr::col(1).sub(Expr::col(0))), ("s", Expr::col(2))],
@@ -127,7 +123,7 @@ fn plan_of(shape: usize, d1: i64, t1: i64, w: usize) -> PhysicalPlan {
             Expr::col(0).gt(Expr::float(t1 as f64 / 4.0)),
         ),
         // An opaque filter: raises on a row with `a == POISON`.
-        5 => project(
+        4 => project(
             Box::new(filter(
                 scan(),
                 Expr::int(100).div(Expr::col(0).sub(Expr::int(POISON))).gt(Expr::float(0.0)),
@@ -157,7 +153,7 @@ proptest! {
             proptest::collection::vec(0usize..64, 1..7),
             proptest::collection::vec(0usize..3, 1..6),
         ),
-        (shape, d1, t1, w) in (0usize..7, -50i64..50, -20i64..20, 0usize..6),
+        (shape, d1, t1, w) in (0usize..6, -50i64..50, -20i64..20, 0usize..6),
         (masks, poison, initial) in (0usize..6, 0usize..3, 1usize..3),
     ) {
         // No masks (half the cases), every chunk's, or every other one's.
@@ -253,7 +249,7 @@ fn append_is_concat_in_place() {
 fn only_a_grown_table_extends() {
     let rows: Vec<Row> = (0..30).map(|i| (i, i as f64, (i % 6) as usize, i, 1)).collect();
     let chunks = chunks(&rows, &[10, 20], |_| false);
-    let plan = plan_of(2, -50, 5, 1);
+    let plan = plan_of(1, -50, 5, 1);
     let mut out = compute(&plan, &version_of(&chunks, 2)).unwrap();
     // Same rows, other chunk handles: not this table grown.
     let copies: Vec<Arc<Table>> = chunks.iter().map(|c| Arc::new((**c).clone())).collect();
@@ -284,7 +280,7 @@ fn an_empty_projection_lends_no_types() {
     let rows: Vec<Row> = (0..10).map(|i| (i, i as f64, 1, i, 1)).collect();
     // An empty first chunk; `b - a` is 0 on every row, never above 19.75.
     let chunks = chunks(&rows, &[0], |_| false);
-    let plan = plan_of(4, 0, 79, 0);
+    let plan = plan_of(3, 0, 79, 0);
     let mut out = compute(&plan, &version_of(&chunks, 1)).unwrap();
     assert_eq!(out.extend(&plan, &[], &version_of(&chunks, 2)), None);
     let full = execute_fused(&plan, &version_of(&chunks, 2)).unwrap();
@@ -299,7 +295,7 @@ fn an_empty_projection_lends_no_types() {
 fn extension_appends_in_place_only_where_nothing_else_holds_the_buffers() {
     let rows: Vec<Row> = (0..30).map(|i| (i, i as f64, (i % 6) as usize, i, 1)).collect();
     let chunks = chunks(&rows, &[10, 20], |_| false);
-    let whole_columns = plan_of(3, 0, 0, 0);
+    let whole_columns = plan_of(2, 0, 0, 0);
     let extend = |out: &mut DeltaState, n| out.extend(&whole_columns, &[], &version_of(&chunks, n));
     // Over one chunk the projection shares the chunk's column buffers.
     let mut out = compute(&whole_columns, &version_of(&chunks, 1)).unwrap();
@@ -333,7 +329,7 @@ fn planning_extends_what_a_publish_retired() {
     let mut base = Catalog::new();
     base.insert("t", table_of(&rows[..25], false));
     let versioned = VersionedCatalog::new(base);
-    let prepare = plan_of(2, -50, 5, 1);
+    let prepare = plan_of(1, -50, 5, 1);
     let combine = PhysicalPlan::Filter {
         input: common::scan("@frag0"),
         predicate: Expr::col(0).ge(Expr::int(3)),

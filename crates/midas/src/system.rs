@@ -3,7 +3,6 @@
 
 use midas_cloud::federation::example_federation;
 use midas_cloud::{Federation, SiteId};
-use midas_engines::sim::DriftIntensity;
 use midas_engines::{Catalog, EngineKind, Placement};
 use midas_ires::CandidateConfig;
 use midas_moo::select::Constraints;
@@ -83,8 +82,6 @@ pub struct MidasReport {
 pub struct Midas {
     federation: Federation,
     placement: Placement,
-    drift: DriftIntensity,
-    seed: u64,
 }
 
 impl Midas {
@@ -103,24 +100,10 @@ impl Midas {
             Midas {
                 federation,
                 placement,
-                drift: DriftIntensity::Strong,
-                seed: 42,
             },
             a,
             b,
         )
-    }
-
-    /// Overrides the drift intensity (default: strong).
-    pub fn with_drift(mut self, drift: DriftIntensity) -> Self {
-        self.drift = drift;
-        self
-    }
-
-    /// Overrides the simulation seed (default: 42).
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
     }
 
     /// The federation graph.
@@ -135,10 +118,10 @@ impl Midas {
 
     /// Opens a concurrent multi-tenant runtime over this deployment with
     /// `workers` threads (see [`crate::runtime::FederationRuntime`]) — the
-    /// one plan → execute → learn driver. The runtime inherits the
-    /// deployment's seed and drift and the default [`RuntimeConfig`]
-    /// otherwise; build one with [`FederationRuntime::new`] to set more. The
-    /// catalog is shared by `Arc` handle — no table bytes are copied.
+    /// one plan → execute → learn driver — and the default [`RuntimeConfig`]
+    /// otherwise (seed 42, strong drift); build one with
+    /// [`FederationRuntime::new`] to set more. The catalog is shared by
+    /// `Arc` handle — no table bytes are copied.
     ///
     /// [`RuntimeConfig`]: crate::runtime::RuntimeConfig
     /// [`FederationRuntime::new`]: crate::runtime::FederationRuntime::new
@@ -153,8 +136,6 @@ impl Midas {
             catalog.clone(),
             crate::runtime::RuntimeConfig {
                 workers,
-                seed: self.seed,
-                drift: self.drift,
                 ..Default::default()
             },
         )
@@ -179,8 +160,6 @@ mod tests {
             RuntimeConfig {
                 workers: 1,
                 max_vms: 2,
-                seed: midas.seed,
-                drift: midas.drift,
                 ..RuntimeConfig::default()
             },
         );

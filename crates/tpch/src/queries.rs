@@ -509,7 +509,7 @@ mod tests {
         assert!(!combine_join_is_direct(&q17, &db, 1009));
     }
 
-    /// The §7 paths of the fused executor (`fused_paths`) that `q`'s
+    /// The §6 paths of the fused executor (`fused_paths`) that `q`'s
     /// combine takes over its prepared sides.
     fn combine_paths(q: &TwoTableQuery, db: &TpchDb) -> Vec<FusedPath> {
         let mut frags = Catalog::new();

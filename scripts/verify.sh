@@ -9,12 +9,13 @@
 #   1. release build of every crate;
 #   2. the full test suite (unit, golden, property and differential tests);
 #   3. clippy on every workspace crate and target with warnings denied;
-#   4. a smoke run of the engine_exec, moqp and mlr_fit criterion benches
-#      (--test mode; moqp includes the exact front over 18 200 candidates,
-#      which takes seconds instead of milliseconds if it is ever quadratic
-#      again; mlr_fit runs DREAM's reference and online Algorithm 1 side by
-#      side, and its bml_tournament group a BML fit per window — N, 2N,
-#      3N, all — plus the MLP and bagging fits alone at 18 and 50 rows);
+#   4. a smoke run of every criterion bench of midas-bench (--test mode:
+#      each runs once, so a bench that panics fails here; moqp includes the
+#      exact front over 18 200 candidates, which takes seconds instead of
+#      milliseconds if it is ever quadratic again; mlr_fit runs DREAM's
+#      reference and online Algorithm 1 side by side, and its
+#      bml_tournament group a BML fit per window — N, 2N, 3N, all — plus
+#      the MLP and bagging fits alone at 18 and 50 rows);
 #   5. the static-analysis run, which records
 #      target/repro/BENCH_static_analysis.json (the run fails if it cannot
 #      write it; nothing outside target/ is written, so the stage leaves the
@@ -62,8 +63,8 @@ stage "build (release)" cargo build --release --offline
 stage "tests" cargo test -q --offline
 stage "clippy (workspace, -D warnings)" \
     cargo clippy --offline --workspace --all-targets -- -D warnings
-stage "bench smoke (engine_exec, moqp, mlr_fit --test)" \
-    cargo bench --offline -p midas-bench --bench engine_exec --bench moqp --bench mlr_fit -- --test
+stage "bench smoke (every criterion bench, --test)" \
+    cargo bench --offline -p midas-bench --benches -- --test
 stage "static analysis + determinism lint (BENCH_static_analysis.json)" \
     cargo run -q --release --offline -p midas-bench --bin repro_lint
 stage "benchmark package tests (benchmark/ is its own workspace)" \

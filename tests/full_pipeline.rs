@@ -1,6 +1,7 @@
 //! End-to-end integration: the full MIDAS pipeline over the umbrella crate,
 //! each job served by a one-worker runtime in submission order.
 
+use midas_repro::engines::catalog::Catalog;
 use midas_repro::engines::sim::DriftIntensity;
 use midas_repro::midas::runtime::{FederationRuntime, RuntimeConfig, RuntimeJob};
 use midas_repro::midas::{Midas, MidasReport, QueryPolicy};
@@ -11,6 +12,23 @@ use midas_repro::tpch::TwoTableQuery;
 
 fn db() -> TpchDb {
     TpchDb::generate(GenConfig::new(0.003, 99))
+}
+
+/// A one-worker runtime over `midas`'s deployment with `drift` and `seed`
+/// in place of the default configuration's.
+fn runtime_with<'a>(
+    midas: &'a Midas,
+    catalog: &Catalog,
+    drift: DriftIntensity,
+    seed: u64,
+) -> FederationRuntime<'a> {
+    let config = RuntimeConfig {
+        workers: 1,
+        drift,
+        seed,
+        ..RuntimeConfig::default()
+    };
+    FederationRuntime::new(midas.federation(), midas.placement(), catalog.clone(), config)
 }
 
 /// Serves `queries` under `policy` on `runtime` and returns their reports
@@ -93,10 +111,10 @@ fn dream_learns_across_a_session_and_windows_stay_bounded() {
 #[test]
 fn policies_steer_the_choice() {
     let (midas, _, _) = Midas::example_deployment(&["lineitem"], &["orders"]);
-    let midas = midas.with_drift(DriftIntensity::None);
     let db = TpchDb::generate(GenConfig::new(0.002, 9));
     let q = q12("AIR", "TRUCK", 1995);
-    let first = |policy| serve(&midas.runtime(db.catalog(), 1), [q.clone()], &policy).remove(0);
+    let runtime = || runtime_with(&midas, db.catalog(), DriftIntensity::None, 42);
+    let first = |policy| serve(&runtime(), [q.clone()], &policy).remove(0);
     let fast = first(QueryPolicy::fastest());
     let cheap = first(QueryPolicy::cheapest());
     // The time-first plan must not be slower than the money-first plan
@@ -108,10 +126,9 @@ fn policies_steer_the_choice() {
 #[test]
 fn budget_constraints_are_respected_when_feasible() {
     let (midas, _, _) = Midas::example_deployment(&["patient"], &["generalinfo"]);
-    let midas = midas.with_drift(DriftIntensity::None);
     let tables = generate_medical(800, 0.5, 3);
-    let first =
-        |policy| serve(&midas.runtime(&tables, 1), [medical_query(None)], &policy).remove(0);
+    let runtime = || runtime_with(&midas, &tables, DriftIntensity::None, 42);
+    let first = |policy| serve(&runtime(), [medical_query(None)], &policy).remove(0);
     // First find the unconstrained cheapest plan's money cost.
     let floor = first(QueryPolicy::cheapest()).predicted_costs[1];
     // A budget above the floor must produce a plan within budget.
@@ -128,19 +145,17 @@ fn budget_constraints_are_respected_when_feasible() {
 
 #[test]
 fn distinct_seeds_produce_distinct_observations() {
-    let (midas_a, _, _) = Midas::example_deployment(&["lineitem"], &["orders"]);
-    let (midas_b, _, _) = Midas::example_deployment(&["lineitem"], &["orders"]);
-    let midas_b = midas_b.with_seed(777);
+    let (midas, _, _) = Midas::example_deployment(&["lineitem"], &["orders"]);
     let db = db();
     let q = q12("MAIL", "SHIP", 1995);
-    let first = |midas: &Midas| {
-        serve(&midas.runtime(db.catalog(), 1), [q.clone()], &QueryPolicy::balanced()).remove(0)
+    let first = |seed: u64| {
+        let runtime = runtime_with(&midas, db.catalog(), DriftIntensity::Strong, seed);
+        serve(&runtime, [q.clone()], &QueryPolicy::balanced()).remove(0)
     };
-    let ra = first(&midas_a);
-    let rb = first(&midas_b);
+    let ra = first(42);
+    let rb = first(777);
     assert_ne!(ra.actual_costs[0], rb.actual_costs[0]);
     // Same seed twice: identical.
-    let (midas_c, _, _) = Midas::example_deployment(&["lineitem"], &["orders"]);
-    let rc = first(&midas_c);
+    let rc = first(42);
     assert_eq!(ra.actual_costs, rc.actual_costs);
 }

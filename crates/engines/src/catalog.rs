@@ -7,8 +7,9 @@
 //! data plane zero-copy:
 //!
 //! * **Nothing is seeded.** A query's fragments scan the base tables of
-//!   the deployment-wide catalog by reference, where they are; its
-//!   per-query catalog holds only its own `@frag<N>` outputs.
+//!   the deployment-wide catalog by reference, where they are; its own
+//!   `@frag<N>` outputs are a slice beside it, by position, and never
+//!   enter a catalog.
 //! * **Cloning a catalog is O(entries), not O(data).** The analytic cost
 //!   model can take a private copy per query and splice in its prepared
 //!   intermediates without duplicating the base data.
@@ -17,9 +18,10 @@
 //!   one query; `Table` holds plain column vectors, so `Arc<Table>` is
 //!   `Send + Sync` for free.
 //!
-//! Fragment outputs (`@frag<N>`) enter a catalog as freshly `Arc::new`-ed
-//! tables — owned exactly once, then shared by reference like everything
-//! else.
+//! A fragment output (`@frag<N>`) is `Arc::new`-ed once, at position `N`
+//! of its run's outputs — owned exactly once, then shared by reference
+//! like everything else; a position the run does not hold falls back to
+//! the base tables' entry of that name.
 
 use crate::data::Table;
 use crate::error::EngineError;

@@ -20,15 +20,16 @@
 //! simulation quantity derived from a profile is unchanged.
 //!
 //! The data plane is zero-copy, over either [`TableSource`]: fragments
-//! scan base tables where they are — a shared [`Catalog`]'s `Arc<Table>`
-//! entries by reference, a `CatalogVersion`'s chunks one slab each, so a
-//! table that grew by appends is never compacted for a run — and nothing
-//! of them is seeded or copied per query. A fragment that projects a
-//! whole mask-free column of one slab outputs that column's own buffer
-//! (column data is an `Arc`), so Q12's right and Q17's left prepares copy
-//! no values. The per-query catalog holds the `@frag<N>` outputs only,
-//! each `Arc::new`-ed exactly once; a scan resolves there first and in
-//! the source second.
+//! scan base tables where they are — a shared
+//! [`Catalog`](crate::catalog::Catalog)'s `Arc<Table>` entries by
+//! reference, a `CatalogVersion`'s chunks one slab each, so a table that
+//! grew by appends is never compacted for a run — and nothing of them is
+//! seeded or copied per query. A fragment that projects a whole mask-free
+//! column of one slab outputs that column's own buffer (column data is an
+//! `Arc`), so Q12's right and Q17's left prepares copy no values. A run's
+//! fragment outputs are a slice by position, each `Arc::new`-ed exactly
+//! once: a scan of `@frag<N>` reads its `N`-th entry, and any other name,
+//! or a position the slice does not hold, resolves in the source.
 //!
 //! **A run is one thread.** Fragments execute one at a time, in index
 //! order, on the calling thread; concurrency is many workers each running
@@ -51,7 +52,6 @@ use crate::cache::{
     slot_key, CacheKey, CacheScope, CachedFragment, FragmentResultCache, PlanFingerprint,
     PlanningStats,
 };
-use crate::catalog::Catalog;
 use crate::engine::{EngineKind, EngineProfile};
 use crate::error::EngineError;
 use crate::fused::{execute_fused_over, frag_number, DeltaState, TableSource};
@@ -142,7 +142,7 @@ impl ProfiledFragment {
 /// [`SharedExecutor`] uses, so each output is what a run over the same
 /// `base_tables` would compute for that fragment. Base tables are read
 /// where they are — a flat catalog's by reference, a version's chunk by
-/// chunk — and only the `@frag` outputs enter a per-query catalog.
+/// chunk — and the `@frag` outputs are the outputs so far, by position.
 pub fn profile_fragments<'a>(
     plans: &[&PhysicalPlan],
     base_tables: impl Into<TableSource<'a>>,
@@ -173,7 +173,7 @@ fn profile(
     base_tables: TableSource<'_>,
     cache: Option<ResultCacheBinding<'_>>,
 ) -> Result<Vec<ProfiledFragment>, EngineError> {
-    let mut catalog = Catalog::new();
+    let mut outputs: Vec<Arc<Table>> = Vec::with_capacity(plans.len());
     let mut profiled = Vec::with_capacity(plans.len());
     let mut closures: Vec<Vec<usize>> = Vec::with_capacity(plans.len());
     for (idx, &(plan, site)) in plans.iter().enumerate() {
@@ -186,12 +186,12 @@ fn profile(
                 let closure: Vec<_> = closures[idx].iter().map(|&i| plans[i].0).collect();
                 let prepare = site.filter(|_| reads.is_empty());
                 plan_cached(
-                    plan, prepare, &closure, &profiled, &catalog, version, binding,
+                    plan, prepare, &closure, &profiled, &outputs, version, binding,
                 )?
             }
-            _ => full_run(plan, &catalog, base_tables)?,
+            _ => full_run(plan, &outputs, base_tables)?,
         };
-        catalog.insert_shared(format!("@frag{idx}"), Arc::clone(&fragment.table));
+        outputs.push(Arc::clone(&fragment.table));
         profiled.push(fragment);
     }
     Ok(profiled)
@@ -200,7 +200,7 @@ fn profile(
 /// One plan run in full over the `@frag` outputs so far and the base tables.
 fn full_run(
     plan: &PhysicalPlan,
-    frags: &Catalog,
+    frags: &[Arc<Table>],
     base_tables: TableSource<'_>,
 ) -> Result<ProfiledFragment, EngineError> {
     let (table, work) = execute_fused_over(plan, frags, base_tables)?;
@@ -235,7 +235,7 @@ fn plan_cached(
     site: Option<SiteId>,
     closure: &[&PhysicalPlan],
     profiled: &[ProfiledFragment],
-    frags: &Catalog,
+    frags: &[Arc<Table>],
     version: &CatalogVersion,
     binding: ResultCacheBinding<'_>,
 ) -> Result<ProfiledFragment, EngineError> {
@@ -627,11 +627,12 @@ fn run_federated(
         (0..n).map(|_| None).collect()
     };
 
-    // The per-query catalog holds `@frag` outputs only: base tables are
-    // read where they are — a flat catalog's behind its `Arc`, a version's
-    // chunk by chunk — whichever the source. The shared volume is what the
-    // scanned tables measure contiguous, so both sources report equal bytes.
-    let mut catalog = Catalog::new();
+    // Fragment `i`'s output is `outputs[i]`, which later fragments scan as
+    // `@frag<i>`; base tables are read where they are — a flat catalog's
+    // behind its `Arc`, a version's chunk by chunk — whichever the source.
+    // The shared volume is what the scanned tables measure contiguous, so
+    // both sources report equal bytes.
+    let mut outputs: Vec<Arc<Table>> = Vec::with_capacity(n);
     let mut catalog_shared_bytes = 0u64;
     let mut scanned: Vec<String> = Vec::new();
     for fragment in &query.fragments {
@@ -647,7 +648,6 @@ fn run_federated(
     let mut cache_hits = 0u32;
     let mut reused_fragments = 0u32;
     let mut outcomes: Vec<FragmentOutcome> = Vec::with_capacity(n);
-    let mut last_table: Option<Arc<Table>> = None;
     let mut total_elapsed = 0.0;
     let mut total_money = Money::ZERO;
     let mut total_intermediate = 0u64;
@@ -707,7 +707,7 @@ fn run_federated(
             // a handed-over fragment exactly as to an executed one.
             let result = match handed[idx] {
                 Some(p) => Ok((Arc::clone(&p.table), p.work.clone())),
-                None => execute_fused_over(&fragment.plan, &catalog, base_tables)
+                None => execute_fused_over(&fragment.plan, &outputs, base_tables)
                     .map(|(table, work)| (Arc::new(table), work)),
             };
             // Nominal occupancy (unit load, no noise) is a pure function of
@@ -746,7 +746,6 @@ fn run_federated(
             ))
         })?;
         frag_bytes[idx] = table.estimated_bytes();
-        catalog.insert_shared(format!("@frag{idx}"), Arc::clone(&table));
 
         // Simulation step: read load, draw noise, advance the world by the
         // fragment's elapsed time — the three ops atomic under one lock.
@@ -777,7 +776,7 @@ fn run_federated(
         total_intermediate += work.total_intermediate_bytes();
         total_elapsed += elapsed;
         total_money += money;
-        last_table = Some(table);
+        outputs.push(table);
         outcomes.push(FragmentOutcome {
             elapsed_s: elapsed,
             money,
@@ -787,7 +786,7 @@ fn run_federated(
     }
 
     Ok(ExecutionOutcome {
-        result: last_table.unwrap_or_else(|| Arc::new(Table::empty("empty"))),
+        result: outputs.pop().unwrap_or_else(|| Arc::new(Table::empty("empty"))),
         elapsed_s: total_elapsed,
         money: total_money,
         intermediate_bytes: total_intermediate,
@@ -902,6 +901,7 @@ pub fn simulate_fragment_seconds_scaled(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::Catalog;
     use crate::data::{Column, ColumnData};
     use crate::expr::Expr;
     use crate::ops::JoinType;

@@ -73,13 +73,12 @@
 //!    new rows, operator by operator in the full run's post-order, by four
 //!    rules that follow from the plan shape and from a join's output order,
 //!    (left position, right position):
-//!    - **R1, appends.** A row-wise subtree ([`row_wise_table`]) over an
-//!      appended source runs once, through the executor, over the new rows
-//!      alone (a base table's new chunks where they lie, an input's new
-//!      rows) and appends its output; its operators' totals continue the
-//!      old ones. A filter or projection over a join's appended output
-//!      appends the same way, taking its own step (`apply`) over the new
-//!      rows; so does a join, inner or left-outer, whose left input only
+//!    - **R1, appends.** One rule at every row-wise operator, a scan
+//!      included: a scan of an appended source appends its new rows (a
+//!      base table's new chunk where it lies, an input's new rows), and a
+//!      filter or projection over appended rows appends its own step
+//!      (`apply`) over them alone; each operator's totals continue its old
+//!      ones. So does a join, inner or left-outer, whose left input only
 //!      appends and whose right input is unchanged: its new rows are R3's,
 //!      all after its old ones.
 //!    - **R2, grouped fold.** An aggregate over appended rows keeps its
@@ -222,15 +221,16 @@ pub fn execute_fused<'a>(
     plan: &PhysicalPlan,
     tables: impl Into<TableSource<'a>>,
 ) -> Result<(Table, WorkProfile), EngineError> {
-    execute_fused_over(plan, &Catalog::new(), tables.into())
+    execute_fused_over(plan, &[], tables.into())
 }
 
 /// The fused entry point behind [`execute_fused`] and [`crate::exec`]: a
-/// scan resolves in `frags` first — a run's per-query catalog of
-/// `@frag<N>` outputs — then in `base` (see [`resolve`]).
+/// scan of `@frag<N>` resolves to `frags[N]` — the outputs of a run's
+/// earlier fragments, by position — and every other scan in `base` (see
+/// [`resolve`]).
 pub(crate) fn execute_fused_over(
     plan: &PhysicalPlan,
-    frags: &Catalog,
+    frags: &[Arc<Table>],
     base: TableSource<'_>,
 ) -> Result<(Table, WorkProfile), EngineError> {
     let mut recorder = Recorder::default();
@@ -262,7 +262,7 @@ pub fn fused_paths<'a>(
         paths: Some(Vec::new()),
         ..Recorder::default()
     };
-    run_to_table(plan, &Catalog::new(), tables.into(), &mut recorder)?;
+    run_to_table(plan, &[], tables.into(), &mut recorder)?;
     Ok(recorder.paths.unwrap_or_default())
 }
 
@@ -270,7 +270,7 @@ pub fn fused_paths<'a>(
 /// `recorder`.
 fn run_to_table(
     plan: &PhysicalPlan,
-    frags: &Catalog,
+    frags: &[Arc<Table>],
     base: TableSource<'_>,
     recorder: &mut Recorder,
 ) -> Result<Table, EngineError> {
@@ -444,14 +444,16 @@ impl<'a> TableSource<'a> {
 
 /// What one fused run scans (see [`execute_fused_over`]).
 struct Tables<'a> {
-    frags: &'a Catalog,
+    frags: &'a [Arc<Table>],
     base: TableSource<'a>,
 }
 
-/// The one place a scanned name becomes a batch: a fragment output (one
-/// slab) shadows the base source's table ([`TableSource::scan`]).
+/// The one place a scanned name becomes a batch: `@frag<N>` is the
+/// fragment output at position `N` (one slab), and a name no position
+/// holds is the base source's table ([`TableSource::scan`]).
 fn resolve<'a>(src: &Tables<'a>, name: &str) -> Result<FBatch<'a>, EngineError> {
-    let found = src.frags.get(name).map(borrowed).or_else(|| src.base.scan(name));
+    let frag = frag_number(name).and_then(|n| src.frags.get(n));
+    let found = frag.map(|t| borrowed(t)).or_else(|| src.base.scan(name));
     found.ok_or_else(|| EngineError::UnknownTable(name.to_string()))
 }
 
@@ -2093,13 +2095,9 @@ pub(crate) fn frag_number(table: &str) -> Option<usize> {
     table.strip_prefix("@frag")?.parse().ok()
 }
 
-/// The input outputs a plan reads, as the fragment catalog `@frag<N>`.
-fn frag_catalog(inputs: &[&DeltaState]) -> Catalog {
-    let mut frags = Catalog::new();
-    for (n, input) in inputs.iter().enumerate() {
-        frags.insert_shared(format!("@frag{n}"), Arc::clone(input.table()));
-    }
-    frags
+/// The outputs of `inputs`, which a plan scans by position (`@frag<N>`).
+fn outputs(inputs: &[&DeltaState]) -> Vec<Arc<Table>> {
+    inputs.iter().map(|input| Arc::clone(&input.table)).collect()
 }
 
 /// One source a state's run scanned, as the run saw it: the chunks its
@@ -2168,6 +2166,30 @@ impl<'a> Source<'a> {
         match self {
             Source::Table(t) => t.chunks().first().map(|c| &**c),
             Source::Input(state) => Some(&state.table),
+        }
+    }
+
+    /// Its rows after the first `rows`, which fill its first `chunks`
+    /// chunks, as one table named as a scan of the whole source names
+    /// them: an input's output as it is or sliced, a base table's chunk
+    /// where it lies, several chunks concatenated as
+    /// [`FBatch::into_flat`] gathers them. A scan of a table of several
+    /// chunks is named after the table, of one after its chunk.
+    fn rows_from(self, rows: usize, chunks: usize) -> Option<Arc<Table>> {
+        let t = match self {
+            Source::Input(state) if rows == 0 => return Some(Arc::clone(&state.table)),
+            Source::Input(state) => {
+                let ids: Vec<u32> = (rows as u32..state.table.n_rows() as u32).collect();
+                return Some(Arc::new(state.table.take_ids(&ids)));
+            }
+            Source::Table(t) => t,
+        };
+        match &t.chunks()[chunks..] {
+            [one] if t.chunk_count() == 1 || one.name == t.name() => Some(Arc::clone(one)),
+            new => {
+                let parts: Vec<&Table> = new.iter().map(|c| &**c).collect();
+                Table::concat(t.name(), &parts).ok().map(Arc::new)
+            }
         }
     }
 }
@@ -2263,9 +2285,8 @@ impl DeltaState {
         inputs: &[&DeltaState],
         version: &CatalogVersion,
     ) -> Result<Self, EngineError> {
-        let frags = frag_catalog(inputs);
         let mut recorder = Recorder::with_totals(true);
-        let table = run_to_table(plan, &frags, version.into(), &mut recorder)?;
+        let table = run_to_table(plan, &outputs(inputs), version.into(), &mut recorder)?;
         let ops = recorder.totals.unwrap_or_default();
         let mut kept = vec![None; ops.len()];
         for (at, k) in recorder.kept.unwrap_or_default() {
@@ -2342,7 +2363,6 @@ impl DeltaState {
         if moved.iter().all(|m| matches!(m.1, Growth::Same)) {
             return Some(0);
         }
-        let frags = frag_catalog(inputs);
         let mut walk = Walk {
             old: &self.ops,
             ops: Vec::with_capacity(self.ops.len()),
@@ -2350,11 +2370,9 @@ impl DeltaState {
             indexes: self.indexes.clone(),
             covers: &self.covers,
             moved: &moved,
-            src: Tables {
-                frags: &frags,
-                base: version.into(),
-            },
-            deltas: Vec::new(),
+            inputs,
+            version,
+            deltas: vec![None; moved.len()],
             links: Vec::new(),
             scratch: EvalScratch::new(),
         };
@@ -2472,10 +2490,12 @@ struct Walk<'s> {
     covers: &'s [(String, Cover)],
     /// Each source as it is now, and how it grew.
     moved: &'s [(Source<'s>, Growth)],
-    /// What a run of the plan reads now.
-    src: Tables<'s>,
-    /// Each appended input fragment's new rows, sliced once (by source,
-    /// once one is).
+    /// What a run of the plan reads now: the input fragments, whose outputs
+    /// it scans as `@frag<N>`, and the version.
+    inputs: &'s [&'s DeltaState],
+    version: &'s CatalogVersion,
+    /// Each appended source's new rows, taken once (by source, once one
+    /// is).
     deltas: Vec<Option<Arc<Table>>>,
     /// Key indexes to link a join's new right rows into once the extension
     /// commits: the join, its whole right side, its right keys.
@@ -2485,28 +2505,37 @@ struct Walk<'s> {
 }
 
 impl Walk<'_> {
-    /// The step of `plan`'s operator after its inputs'.
+    /// The step of `plan`'s operator after its inputs', a kept join side
+    /// kept current with it.
     fn node(&mut self, plan: &PhysicalPlan) -> Option<Step> {
-        let step = match row_wise_table(plan) {
-            Some(source) => self.row_wise(plan, source)?,
-            None => self.operator(plan)?,
-        };
+        let step = self.operator(plan)?;
         self.keep_current(&step)?;
         Some(step)
     }
 
-    /// The step of an operator that is not row-wise over a source.
+    /// The step of `plan`'s operator after its inputs'.
     fn operator(&mut self, plan: &PhysicalPlan) -> Option<Step> {
         Some(match plan {
+            // R1 at a source: its new rows append.
+            PhysicalPlan::Scan { table } => {
+                let at = self.covers.iter().position(|(name, _)| name == table)?;
+                let (now, Growth::Appended { rows, chunks }) = self.moved[at] else {
+                    return self.same();
+                };
+                let delta = match &self.deltas[at] {
+                    Some(delta) => Arc::clone(delta),
+                    None => Arc::clone(self.deltas[at].insert(now.rows_from(rows, chunks)?)),
+                };
+                let totals = OpTotals::of(OpKind::Scan, delta.n_rows(), &delta);
+                self.append(delta, &totals)?
+            }
             PhysicalPlan::Filter { input, .. } | PhysicalPlan::Project { input, .. } => {
                 match self.node(input)? {
                     Step::Same => self.same()?,
                     // R1: a row-wise operator over appended rows appends.
                     Step::Appended(delta) => {
                         let (out, totals) = run_step(plan, &[&delta], &mut self.scratch)?;
-                        let totals = self.old()?.then(&totals)?;
-                        self.ops.push(totals);
-                        Step::Appended(out)
+                        self.append(out, &totals)?
                     }
                     Step::Changed(input) => self.rerun(plan, &[&input])?,
                 }
@@ -2542,7 +2571,6 @@ impl Walk<'_> {
                     self.aggregate(plan, input)?
                 }
             },
-            PhysicalPlan::Scan { .. } => return None,
         })
     }
 
@@ -2568,70 +2596,18 @@ impl Walk<'_> {
         Some(Step::Same)
     }
 
+    /// R1: the operator at hand appends `delta`, whose totals are `totals`.
+    fn append(&mut self, delta: Arc<Table>, totals: &OpTotals) -> Option<Step> {
+        let totals = self.old()?.then(totals)?;
+        self.ops.push(totals);
+        Some(Step::Appended(delta))
+    }
+
     /// R4: the operator at hand runs again over its inputs' whole outputs.
     fn rerun(&mut self, plan: &PhysicalPlan, inputs: &[&Arc<Table>]) -> Option<Step> {
         let (out, totals) = run_step(plan, inputs, &mut self.scratch)?;
         self.ops.push(totals);
         Some(Step::Changed(out))
-    }
-
-    /// R1 at a source: the row-wise `plan` over `source`, unchanged, or run
-    /// once over the appended rows alone — a base table's new chunks where
-    /// they lie, an input fragment's new rows — with every operator's
-    /// totals continuing its old ones.
-    fn row_wise(&mut self, plan: &PhysicalPlan, source: &str) -> Option<Step> {
-        let at = self.covers.iter().position(|(name, _)| name == source)?;
-        let (now, Growth::Appended { rows, chunks }) = self.moved[at] else {
-            let mut node = plan;
-            loop {
-                self.same()?;
-                match node {
-                    PhysicalPlan::Filter { input, .. } | PhysicalPlan::Project { input, .. } => {
-                        node = input
-                    }
-                    _ => return Some(Step::Same),
-                }
-            }
-        };
-        let (mut frags, empty, mut only_new) = (Catalog::new(), Catalog::new(), None);
-        let (base, grown) = match now {
-            Source::Input(input) => {
-                frags.insert_shared(source, self.frag_delta(at, &input.table, rows));
-                (TableSource::Flat(&empty), None)
-            }
-            Source::Table(grown) => {
-                let appended = grown.chunks()[chunks..].to_vec();
-                let table = ChunkedTable::from_chunks(grown.name(), appended).ok()?;
-                let only_new = only_new.insert(CatalogVersion::from_chunked(vec![table]));
-                (TableSource::Versioned(only_new), Some(grown.name()))
-            }
-        };
-        let mut recorder = Recorder::with_totals(false);
-        let src = Tables {
-            frags: &frags,
-            base,
-        };
-        let out = run_fused(plan, &src, &mut recorder, &mut self.scratch).ok()?;
-        let mut delta = out.into_flat(&mut self.scratch).materialize();
-        // Over two chunks or more, a run is named after the table.
-        if let Some(name) = grown.filter(|&name| name != delta.name) {
-            delta.name = name.to_string();
-        }
-        for totals in recorder.totals? {
-            let totals = self.old()?.then(&totals)?;
-            self.ops.push(totals);
-        }
-        Some(Step::Appended(Arc::new(delta)))
-    }
-
-    /// The rows of input `table` (source `at`) after its first `from`.
-    fn frag_delta(&mut self, at: usize, table: &Table, from: usize) -> Arc<Table> {
-        self.deltas.resize(self.moved.len(), None);
-        let delta = self.deltas[at].get_or_insert_with(|| {
-            let rows: Vec<u32> = (from as u32..table.n_rows() as u32).collect();
-            Arc::new(table.take_ids(&rows))
-        });
-        Arc::clone(delta)
     }
 
     /// A join of two inputs' steps.
@@ -2644,9 +2620,7 @@ impl Walk<'_> {
                 let (lo, ro, hit) = (&new.left_out, &new.right_out, &new.hit);
                 let rows = gather_join(&new.left, &new.right, lo, ro, hit).ok()?;
                 let totals = OpTotals::of(OpKind::Join, new.read as usize, &rows);
-                let totals = self.old()?.then(&totals)?;
-                self.ops.push(totals);
-                Some(Step::Appended(Arc::new(rows)))
+                self.append(Arc::new(rows), &totals)
             }
             (Step::Changed(_), _) | (_, Step::Changed(_)) => {
                 // The right side's index no longer describes it.
@@ -2870,7 +2844,8 @@ impl Walk<'_> {
     }
 
     /// A join input's whole output: a changed one's, a kept one's (kept
-    /// current by its step), or one run again over its sources as they are.
+    /// current by its step), a bare scan's source as it is, or one run again
+    /// over its sources as they are.
     fn whole(&self, side: &Side<'_>) -> Option<Arc<Table>> {
         if let Step::Changed(out) = &side.step {
             return Some(Arc::clone(out));
@@ -2878,8 +2853,12 @@ impl Walk<'_> {
         if let Some(Kept::Table(t)) = self.kept.get(side.at)? {
             return Some(Arc::clone(t));
         }
-        let mut recorder = Recorder::default();
-        let run = run_to_table(side.plan, self.src.frags, self.src.base, &mut recorder);
+        if let PhysicalPlan::Scan { table } = side.plan {
+            let at = self.covers.iter().position(|(name, _)| name == table)?;
+            return self.moved[at].0.rows_from(0, 0);
+        }
+        let (frags, mut recorder) = (outputs(self.inputs), Recorder::default());
+        let run = run_to_table(side.plan, &frags, self.version.into(), &mut recorder);
         run.ok().map(Arc::new)
     }
 

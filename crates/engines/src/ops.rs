@@ -2524,7 +2524,7 @@ mod tests {
     }
 
     #[test]
-    fn sort_and_limit() {
+    fn sort_orders_by_keys() {
         let plan = PhysicalPlan::Sort {
             input: Box::new(scan("orders")),
             by: vec![(1, false), (0, true)],

@@ -192,7 +192,7 @@ proptest! {
     /// bit-for-bit, including byte accounting of never-flattened chunked
     /// views.
     #[test]
-    fn filter_and_pruned_scan_fused(
+    fn filter_and_stacked_filters_fused(
         rows in rows_strategy(40),
         cuts in cuts_strategy(),
         t1 in -20i64..20,
@@ -401,7 +401,7 @@ proptest! {
     /// Sort over chunk-native pipelines: a sort flattens its chunks, and
     /// the flattened order must equal the flat one.
     #[test]
-    fn sort_limit_fused(
+    fn filter_and_sort_fused(
         rows in rows_strategy(40),
         cuts in cuts_strategy(),
         desc in 0i64..2,

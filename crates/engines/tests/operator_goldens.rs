@@ -156,7 +156,7 @@ fn left_outer_preserves_products_without_sales() {
 }
 
 #[test]
-fn limit_after_sort_is_top_k() {
+fn sort_keeps_every_row_in_key_order() {
     let plan = PhysicalPlan::Sort {
         input: Box::new(PhysicalPlan::Scan {
             table: "sales".to_string(),

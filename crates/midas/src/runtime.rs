@@ -165,10 +165,11 @@ pub struct RuntimeConfig {
     /// combine fragments across tenants share one `Arc`'d output instead
     /// of recomputing). `0` disables the cache entirely. Eviction is
     /// fair-share LRU; ingest publishes invalidate exactly the superseded
-    /// tables' entries, keeping their row-wise prepares and their
-    /// combines' delta states as predecessors that planning extends over
-    /// the appended rows (see [`midas_engines::cache`]). Results are
-    /// bit-identical warm or cold — the cache only removes wall-clock work.
+    /// tables' entries, keeping the delta state every planned prepare and
+    /// combine carries as a predecessor that planning extends over the
+    /// appended rows — one generation, the last publish's (see
+    /// [`midas_engines::cache`]). Results are bit-identical warm or cold —
+    /// the cache only removes wall-clock work.
     pub fragment_cache_bytes: u64,
     /// Byte budget of the plan/cost-model cache (`EnumerationSpace` +
     /// `PlanCostModel` per query shape and pinned table identity, instead
@@ -1088,9 +1089,10 @@ impl<'a> FederationRuntime<'a> {
     /// fragment result and plan computed over the superseded table states.
     /// Entries over untouched tables (and over *other* versions of the
     /// appended tables) survive — invalidation is exact, keyed by the
-    /// `(name, id)` identities the publish retired. The dropped row-wise
-    /// prepares stay on as the fragment cache's predecessors, so the next
-    /// plan of each costs only the appended rows.
+    /// `(name, id)` identities the publish retired. The delta states of the
+    /// dropped prepares and combines stay on as the fragment cache's
+    /// predecessors, replacing the last publish's, so the next plan of each
+    /// that can extend costs only the appended rows.
     fn publish(&self, deltas: Vec<(String, Table)>) -> Result<IngestReceipt, EngineError> {
         let (receipt, superseded) = self.catalog.append_batch_traced(deltas)?;
         if let Some(cache) = &self.fragment_cache {
@@ -1703,8 +1705,8 @@ impl<'a> FederationRuntime<'a> {
             }
 
             // Execute: per-site admission + shared drifting environment,
-            // over the pinned version (the per-query catalog holds only the
-            // fragments' outputs).
+            // over the pinned version (the fragments' outputs are a slice
+            // beside it, by position).
             // The fault position advances with the attempt, so a retry can
             // outlive a short outage window even when the failing site is
             // a pinned scan site no re-plan can move.

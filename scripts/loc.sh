@@ -1,0 +1,26 @@
+#!/usr/bin/env bash
+# Line counts of the serving engine, as ROADMAP and CHANGES quote them.
+#
+# A code line is a non-blank line whose first non-blank characters are not
+# `//` (so `///` and `//!` docs count as comments). Prints, per row, all
+# lines and code lines for each file of crates/engines/src and their total,
+# for the delta walk (`// ----- delta states` to the end of fused.rs), and
+# for crates/midas/src/runtime.rs.
+#
+#   bash scripts/loc.sh
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+# Reads lines on stdin; prints "<all> <code> <label>".
+count() {
+    awk -v label="$1" '{ n++ } !/^[[:space:]]*$/ && !/^[[:space:]]*\/\// { c++ }
+        END { printf "%7d %7d  %s\n", n, c, label }'
+}
+
+printf "%7s %7s  %s\n" all code what
+for f in crates/engines/src/*.rs; do
+    count "$f" < "$f"
+done
+cat crates/engines/src/*.rs | count "crates/engines/src (total)"
+sed -n '/^\/\/ ----- delta states/,$p' crates/engines/src/fused.rs | count "fused.rs walk (delta states to end)"
+count crates/midas/src/runtime.rs < crates/midas/src/runtime.rs

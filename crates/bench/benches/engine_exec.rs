@@ -134,6 +134,9 @@ fn bench_scalar_vs_fused(c: &mut Criterion) {
 ///   range, and Q13's right prepare, `NOT (CONTAINS w1 AND CONTAINS w2)`
 ///   over 150 k order comments (`w2` tested only where `w1` hit; the `NOT`
 ///   is the complement);
+/// * Q12's and Q14's whole left prepares, each a filter over 600 k
+///   lineitems and then a projection over its selection (Q13's right
+///   prepare above is the same shape over `orders`);
 /// * Q12's right prepare, two whole columns of `orders` — shared with the
 ///   base table, not copied, 150 k strings included — and the same prepare
 ///   over the 17 chunks `ingest_mixed` leaves `orders` in (16 appended
@@ -251,6 +254,8 @@ fn bench_cold_path_kernels(c: &mut Criterion) {
         ("filter_q12_left", &**q12_filter, flat),
         ("date_range_filter_600k", &date_range, flat),
         ("filter_q13_not_contains_pair", &q13.right_prepare, flat),
+        ("q12_left_prepare", &q.left_prepare, flat),
+        ("q14_left_prepare", &q14.left_prepare, flat),
         ("project_whole_string_column", &q.right_prepare, flat),
         ("project_string_column_17_chunks", &q.right_prepare, (&ingested).into()),
         ("project_numeric_three_chunks", &q17.left_prepare, (&three_chunks).into()),

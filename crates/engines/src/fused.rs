@@ -694,30 +694,6 @@ fn compile_projection(exprs: &[(String, Expr)]) -> Vec<ExprRun<'_>> {
         .collect()
 }
 
-/// Evaluates every projected expression over one morsel of `t`, pushing
-/// one part per expression.
-fn apply_project_morsel(
-    runs: &mut [ExprRun<'_>],
-    t: &Table,
-    sv: &SelView<'_>,
-    scratch: &mut EvalScratch,
-) -> Result<(), EngineError> {
-    for run in runs.iter_mut() {
-        let part = match &run.kind {
-            ExprKind::Col(i) => part_from_col(t.column(*i)?, sv),
-            ExprKind::Lit(v) => part_from_value(v, sv.len()),
-            ExprKind::Kernel(kp) => {
-                let bv = kp.eval(&KernelCols::Table(t), sv, scratch)?;
-                let part = part_from_bv(&bv, sv);
-                scratch.recycle(bv);
-                part
-            }
-        };
-        run.parts.push(part);
-    }
-    Ok(())
-}
-
 /// Typed gather of one morsel of a source column; [`merge_parts`]
 /// normalizes.
 fn part_from_col(col: &Column, sv: &SelView<'_>) -> Part {
@@ -902,26 +878,6 @@ fn merge_parts(name: &str, parts: Vec<Part>) -> Result<Column, EngineError> {
     })
 }
 
-/// Finishes a morsel projection of `fb` into its output, recorded (named
-/// after the input, like the scalar projection's).
-fn finish_projection<'a>(
-    fb: FBatch<'_>,
-    runs: Vec<ExprRun<'_>>,
-    profile: &mut Recorder,
-    scratch: &mut EvalScratch,
-) -> Result<FBatch<'a>, EngineError> {
-    let rows_in = fb.len() as u64;
-    let columns = runs
-        .into_iter()
-        .map(|r| merge_parts(r.name, r.parts))
-        .collect::<Result<Vec<_>, _>>()?;
-    let out = Table::new(&fb.name, columns)?;
-    fb.recycle(scratch);
-    let nb = owned(out);
-    nb.record(profile, OpKind::Project, rows_in);
-    Ok(nb)
-}
-
 /// Projects one (table, selection) slab: kernel expressions run
 /// morsel-wise (scratch reuse, cache-resident temporaries); bare column
 /// references and literals gain nothing from morselization — they are
@@ -965,47 +921,13 @@ fn project_slab_morsels(
     })
 }
 
-/// The fused filter→project pass over one (table, selection) slab: each
-/// morsel evaluates the predicate, extends the accumulated selection (the
-/// filter's work accounting needs it), and immediately projects the
-/// surviving rows while they are cache-hot — one pass over the data, no
-/// intermediate gather of the full selection.
-fn filter_project_slab_morsels(
-    kp: &KernelPlan<'_>,
-    runs: &mut [ExprRun<'_>],
-    t: &Table,
-    sel: Option<&[u32]>,
-    scratch: &mut EvalScratch,
-) -> Result<Vec<u32>, EngineError> {
-    let cols = KernelCols::Table(t);
-    let filter = kp.bind_filter(&cols);
-    let n = sel.map_or_else(|| t.n_rows(), <[u32]>::len);
-    let mut acc = scratch.take_sel();
-    let mut tmp = scratch.take_sel();
-    let res = for_each_morsel(n, sel, |sv| {
-        filter.eval_sel_into(&sv, scratch, &mut tmp)?;
-        acc.extend_from_slice(&tmp);
-        let msv = SelView::over(tmp.len(), Some(&tmp));
-        apply_project_morsel(runs, t, &msv, scratch)
-    });
-    scratch.put_sel(tmp);
-    match res {
-        Ok(()) => Ok(acc),
-        Err(e) => {
-            scratch.put_sel(acc);
-            Err(e)
-        }
-    }
-}
-
 // ----- the fused executor -----
 
 /// One fused run of `plan`, in post-order: a scan resolves its table, the
-/// three fused shapes run their inputs and their own step in one — a
-/// projection over a filter, an aggregate over `[Filter*] → HashJoin`
-/// ([`agg_over_join`]) and a join, whose (S) right input sees its left
-/// side's keys ([`join_inputs`]) — and every other operator is [`apply`]d
-/// to its input's batch.
+/// two fused shapes run their inputs and their own step in one — an
+/// aggregate over `[Filter*] → HashJoin` ([`agg_over_join`]) and a join,
+/// whose (S) right input sees its left side's keys ([`join_inputs`]) — and
+/// every other operator is [`apply`]d to its input's batch.
 fn run_fused<'a>(
     plan: &PhysicalPlan,
     src: &Tables<'a>,
@@ -1018,36 +940,6 @@ fn run_fused<'a>(
             fb.record(profile, OpKind::Scan, fb.len() as u64);
             return Ok(fb);
         }
-        // Fuse a directly-nested filter into the projection's morsel loop:
-        // one pass evaluates the predicate and projects the survivors while
-        // they are cache-resident. Work accounting is unchanged — Filter
-        // then Project entries, identical numbers.
-        PhysicalPlan::Project { input, exprs } => match &**input {
-            PhysicalPlan::Filter {
-                input: finner,
-                predicate,
-            } => {
-                let mut runs = compile_projection(exprs);
-                let mut fb = run_fused(finner, src, profile, scratch)?;
-                let rows_in = fb.len() as u64;
-                let kp = predicate.compile();
-                for b in &mut fb.slabs {
-                    let sel = filter_project_slab_morsels(
-                        &kp,
-                        &mut runs,
-                        b.table(),
-                        b.sel_ref(),
-                        scratch,
-                    )?;
-                    narrow(b, sel, scratch);
-                }
-                // The filter's selection serves its work accounting only;
-                // the projected parts already hold the rows.
-                fb.record(profile, OpKind::Filter, rows_in);
-                return finish_projection(fb, runs, profile, scratch);
-            }
-            _ => input,
-        },
         PhysicalPlan::HashJoin {
             left,
             right,
@@ -1096,7 +988,9 @@ fn run_fused<'a>(
             }
             input
         }
-        PhysicalPlan::Filter { input, .. } | PhysicalPlan::Sort { input, .. } => input,
+        PhysicalPlan::Filter { input, .. }
+        | PhysicalPlan::Project { input, .. }
+        | PhysicalPlan::Sort { input, .. } => input,
     };
     let fb = run_fused(input, src, profile, scratch)?;
     apply(plan, fb, profile, scratch)
@@ -1104,9 +998,10 @@ fn run_fused<'a>(
 
 /// The step of `op`, a one-input operator — Filter, Project, Aggregate or
 /// Sort — over `fb`, its input's batch, already computed: its output,
-/// recorded. What [`run_fused`] does past its fused shapes, and what the
-/// delta walk does to an input it has in hand (§5, R1 and R4); a join's
-/// step is [`join`].
+/// recorded. Every Filter and Project of a full run takes this step, as
+/// does the delta walk with an input it has in hand (§5, R1 and R4), so a
+/// projection over a filter reads the filter's selection. A join's step is
+/// [`join`].
 fn apply<'a>(
     op: &PhysicalPlan,
     fb: FBatch<'a>,
@@ -1124,7 +1019,14 @@ fn apply<'a>(
             for b in &fb.slabs {
                 project_slab_morsels(&mut runs, b.table(), b.sel_ref(), scratch)?;
             }
-            return finish_projection(fb, runs, profile, scratch);
+            let columns = runs
+                .into_iter()
+                .map(|r| merge_parts(r.name, r.parts))
+                .collect::<Result<Vec<_>, _>>()?;
+            // Named after the input, like the scalar projection's output.
+            let out = Table::new(&fb.name, columns)?;
+            fb.recycle(scratch);
+            (owned(out), OpKind::Project)
         }
         PhysicalPlan::Aggregate { group_by, aggs, .. } => {
             let b = fb.into_flat(scratch);

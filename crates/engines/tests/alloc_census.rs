@@ -215,7 +215,7 @@ fn a_cold_job_allocates_by_what_it_produces() {
     let ([left, right, combine], rows) = query_census(&q, base);
     // Its ≈ 300 survivors' `l_shipmode`s are one gathered string column.
     assert!(
-        left.count <= 177, // 240 117 (4.0 per row) → 353; later 354 → 62
+        left.count <= 48, // 240 117 (4.0 per row) → 353; later 354 → 62 → 42
         "Q12 left prepare: {left:?} over {lineitems} rows"
     );
 
@@ -316,7 +316,7 @@ fn a_cold_job_allocates_by_what_it_produces() {
     // Q14 left: a date-range filter over `lineitem`.
     let ([left, _, _], _) = query_census(&q14(1995, 9), base);
     assert!(
-        left.count < lineitems / 4, // 119 942 (2.0 per row) → 60
+        left.count <= 48, // 119 942 (2.0 per row) → 60; later 60 → 38
         "Q14 left prepare: {left:?} over {lineitems} rows"
     );
 

@@ -214,7 +214,8 @@ fn federated_seeding_is_arc_clone_only() {
     let expected_shared = catalog.try_get("lineitem").expect("seeded").estimated_bytes()
         + catalog.try_get("orders").expect("seeded").estimated_bytes();
     assert_eq!(out.catalog_shared_bytes, expected_shared);
-    // The per-query catalog released its references on completion.
+    // The run's `@frag` outputs, a slice by position, were dropped on
+    // completion: no reference to a base table outlives the run.
     assert_eq!(Arc::strong_count(catalog.get_shared("lineitem").unwrap()), 1);
     assert_eq!(Arc::strong_count(catalog.get_shared("orders").unwrap()), 1);
     assert!(out.result.n_rows() > 0);

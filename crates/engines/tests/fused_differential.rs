@@ -223,8 +223,8 @@ proptest! {
     }
 
     /// Projection — direct columns, literals (incl. NULL), kernels with
-    /// NULL propagation — and the fused filter→project single pass, with
-    /// morsel parts merged across random chunk boundaries.
+    /// NULL propagation — bare and over a filter's selection, with morsel
+    /// parts merged across random chunk boundaries.
     #[test]
     fn projection_fused(
         rows in rows_strategy(40),
@@ -251,7 +251,8 @@ proptest! {
             &catalog,
             &version,
         )?;
-        // Filter directly under Project: the fused single-pass path.
+        // Filter directly under Project: two steps, the projection over the
+        // filter's selection.
         fused_matches(
             &PhysicalPlan::Project {
                 input: Box::new(PhysicalPlan::Filter {

@@ -4,8 +4,10 @@
 # A code line is a non-blank line whose first non-blank characters are not
 # `//` (so `///` and `//!` docs count as comments). Prints, per row, all
 # lines and code lines for each file of crates/engines/src and their total,
+# for fused.rs's executor (its first line up to `// ----- delta states`),
 # for the delta walk (`// ----- delta states` to the end of fused.rs), and
-# for crates/midas/src/runtime.rs.
+# for crates/midas/src/runtime.rs. The executor and walk rows sum to
+# fused.rs's own.
 #
 #   bash scripts/loc.sh
 set -euo pipefail
@@ -22,5 +24,6 @@ for f in crates/engines/src/*.rs; do
     count "$f" < "$f"
 done
 cat crates/engines/src/*.rs | count "crates/engines/src (total)"
+sed '/^\/\/ ----- delta states/,$d' crates/engines/src/fused.rs | count "fused.rs executor (start to delta states)"
 sed -n '/^\/\/ ----- delta states/,$p' crates/engines/src/fused.rs | count "fused.rs walk (delta states to end)"
 count crates/midas/src/runtime.rs < crates/midas/src/runtime.rs

@@ -57,7 +57,12 @@
 //! workload runs with both cache tiers off, so every job is the cold job
 //! validation stands guard in front of (a fully cached job is two orders
 //! of magnitude cheaper and says nothing about what a rejection saves) —
-//! gated at **< 1%**, so static checking stays effectively free.
+//! gated at **< 1%**, so static checking stays effectively free. The
+//! timed loop is one full analysis per admission, what the runtime runs
+//! on a verdict-memo miss: with the plan tier off (the overhead
+//! workload's setting) the runtime keeps no memo and every admission
+//! takes that path; with it on, a repeated plan takes a recorded verdict
+//! instead.
 
 use midas::runtime::{FederationRuntime, RuntimeConfig, RuntimeJob};
 use midas::{Midas, QueryPolicy};
@@ -198,9 +203,9 @@ fn main() {
     );
     let mean_job_s = wall_s / n_jobs as f64;
 
-    // Time the exact per-job admission-validation path (three-plan
-    // analysis; the runtime reads the schemas once per catalog version)
-    // over many repetitions.
+    // Time the admission-validation miss path (three-plan analysis; the
+    // runtime reads its schemas once, at construction) over many
+    // repetitions.
     let overhead_schemas = SchemaCatalog::from_catalog(&overhead_catalog);
     let probe = medical_query(Some("CT"));
     const VALIDATIONS: usize = 2_000;

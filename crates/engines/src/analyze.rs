@@ -52,6 +52,10 @@
 //! The federation runtime and the IReS scheduler run these at admission and
 //! reject invalid plans with typed errors before any slot is taken — see
 //! `midas::RuntimeError::InvalidPlan` / `midas_ires::SchedulerError::InvalidPlan`.
+//! The runtime runs [`analyze_fragment_plans`] once per distinct plan (and
+//! sharing scope) and keeps the verdict: its schema environment is read
+//! once, since a publish appends rows and never changes a schema, so a
+//! verdict holds for every later version.
 
 use crate::catalog::Catalog;
 use crate::data::DataType;
@@ -223,7 +227,7 @@ impl PlanSchema {
 /// [`Catalog`], a [`CatalogVersion`] (without pinning — chunked tables
 /// carry their schema on every chunk), or by hand; fragment analyses
 /// extend it with `@frag<N>` entries as outputs are inferred.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SchemaCatalog {
     /// `None` marks a name that is known to exist but whose schema could
     /// not be derived (a fragment whose own analysis failed): scans of it

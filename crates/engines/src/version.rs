@@ -650,6 +650,36 @@ mod tests {
     }
 
     #[test]
+    fn no_publish_or_refused_append_changes_a_schema() {
+        // What lets admission read its schema environment once: every
+        // version's schemas are version 0's.
+        use crate::analyze::SchemaCatalog;
+        let versioned = VersionedCatalog::new(base());
+        let before = SchemaCatalog::from_version(&versioned.current());
+        assert!(matches!(before.get("t"), Some(Some(schema)) if schema.width() == 2));
+        versioned
+            .append_batch(vec![
+                ("t".to_string(), table("t", 10, 12)),
+                ("fixed".to_string(), table("fixed", 3, 4)),
+            ])
+            .unwrap();
+        let after = versioned.current();
+        assert_eq!(after.table("t").unwrap().chunk_count(), 2);
+        assert_eq!(after.table("fixed").unwrap().chunk_count(), 2);
+        assert_eq!(SchemaCatalog::from_version(&after), before);
+
+        let bad_schema = Table::new(
+            "t",
+            vec![Column::new("k", ColumnData::Float64(vec![1.0]))],
+        )
+        .unwrap();
+        assert!(versioned.append("t", bad_schema).is_err());
+        assert!(versioned.append("ghost", table("ghost", 0, 1)).is_err());
+        assert_eq!(versioned.version(), 1);
+        assert_eq!(SchemaCatalog::from_version(&versioned.current()), before);
+    }
+
+    #[test]
     fn concurrent_ingest_and_pins_stay_isolated() {
         let versioned = VersionedCatalog::new(base());
         std::thread::scope(|scope| {

@@ -79,7 +79,10 @@ use midas_engines::data::Table;
 use midas_engines::exec::{ProfiledFragment, ResultCacheBinding, SharedExecutor};
 use midas_engines::sim::{AdmissionStats, DriftIntensity, FaultPlan, SimulationEnv, SiteAdmission};
 use midas_engines::version::{CatalogVersion, IngestReceipt, IngestStats, VersionedCatalog};
-use midas_engines::{lock_recover, Catalog, EngineError, Placement, SchemaCatalog};
+use midas_engines::{
+    analyze_fragment_plans, lock_recover, Catalog, EngineError, PhysicalPlan, Placement,
+    PlanDiagnostic, SchemaCatalog,
+};
 use midas_ires::optimizer::{cost_space, moqp_exhaustive, select_costed, CostedSpace};
 use midas_ires::scheduler::{base_rows, features_from, SchedulerError};
 use midas_ires::{assemble, ClassLearning, EnumerationSpace, ModellingRegistry, PlanCostModel};
@@ -154,12 +157,14 @@ pub struct RuntimeConfig {
     /// Jobs rejected with [`RuntimeError::Quarantined`] once a tenant trips
     /// the threshold, after which service resumes on probation.
     pub quarantine_cooloff: usize,
-    /// The sharing domain of the result/plan caches (see
-    /// [`CacheScope`]): `PerTenant` keeps every cached entry private to its
-    /// submitting tenant (the medical-privacy setting — no tenant can
-    /// observe, or even time, another tenant's cached work), `SiteLocal`
-    /// shares within a site boundary, `FederationGlobal` (the default)
-    /// shares federation-wide for maximum reuse.
+    /// The sharing domain of the result/plan caches and of the admission
+    /// verdict memo (see [`CacheScope`]): `PerTenant` keeps every cached
+    /// entry private to its submitting tenant (the medical-privacy setting
+    /// — no tenant can observe, or even time, another tenant's cached work
+    /// or validated plan), `SiteLocal` shares within a site boundary (the
+    /// plan tier, which has no execution site, shares as
+    /// `FederationGlobal` does), `FederationGlobal` (the default) shares
+    /// federation-wide for maximum reuse.
     pub cache_scope: CacheScope,
     /// Byte budget of the shared fragment-result cache (identical prepare/
     /// combine fragments across tenants share one `Arc`'d output instead
@@ -173,7 +178,11 @@ pub struct RuntimeConfig {
     pub fragment_cache_bytes: u64,
     /// Byte budget of the plan/cost-model cache (`EnumerationSpace` +
     /// `PlanCostModel` per query shape and pinned table identity, instead
-    /// of re-profiling the fragments on every admission). `0` disables it.
+    /// of re-profiling the fragments on every admission), and, as a budget
+    /// of its own, of the admission verdict memo (the static analyzer's
+    /// verdict per distinct scope and plan, see
+    /// [`RuntimeReport::verdicts`]). `0` disables both: no plan is
+    /// cached and every admission runs the analyzer.
     pub plan_cache_bytes: u64,
 }
 
@@ -412,6 +421,13 @@ pub struct RuntimeReport {
     /// Hit/miss/eviction/residency counters of the two cache tiers,
     /// cumulative across all calls on this runtime.
     pub cache: RuntimeCacheStats,
+    /// Counters of the admission verdict memo, cumulative like
+    /// [`Self::cache`]: one lookup per admitted job, keyed by the plan
+    /// tier's scope and the job's plan fingerprint; a miss runs the static
+    /// analyzer. All zeros when [`RuntimeConfig::plan_cache_bytes`] is 0.
+    /// Kept apart from [`Self::cache`]: admission consults the memo before
+    /// the quarantine gate, and no job past admission reads it.
+    pub verdicts: CacheStats,
     /// Speculative re-plan evaluations across the whole call (always 0 when
     /// [`RuntimeConfig::pressure_penalty`] is 0).
     pub replans: u64,
@@ -430,27 +446,53 @@ pub struct RuntimeReport {
     pub learning: Vec<ClassLearning>,
 }
 
-/// One queued unit of admitted work: the job plus its pinned snapshot and
-/// the admission-time observations its plan will be costed under.
+/// One queued unit of admitted work: the job, what admission observed and
+/// decided of it, and where the queue put it.
 struct AdmittedJob {
     sequence: usize,
-    pinned: Arc<CatalogVersion>,
     job: RuntimeJob,
-    /// Simulated clock at submission (starts the completion-latency timer).
-    queued_clock_s: f64,
+    admission: Admission,
     /// Wall-clock instant at submission (measures real queue wait).
     queued_at: Instant,
+}
+
+/// What [`FederationRuntime::admit`] observed and decided of one job before
+/// it entered the queue: its pinned snapshot, the observations its plan
+/// will be costed under, its plans' fingerprint and the analyzer's verdict.
+struct Admission {
+    pinned: Arc<CatalogVersion>,
+    /// The tenant's service weight at submission.
+    weight: u64,
+    /// Simulated clock at submission (starts the completion-latency timer).
+    queued_clock_s: f64,
     /// Per-site pressure sampled at submission — recorded here so the plan
     /// the job gets is a deterministic function of the job record, not of
     /// whatever the gates look like when a worker happens to dequeue it.
     /// Empty when pressure feedback is disabled.
     pressure: Vec<(SiteId, f64)>,
+    /// The job's three plans (left prepare, right prepare, combine),
+    /// encoded once: the key of the verdict memo and then of the plan
+    /// cache.
+    fingerprint: PlanFingerprint,
     /// `Some` when the static plan analyzer rejected the query at
     /// admission. The job still flows through the queue (so sequencing,
     /// fairness accounting and the per-tenant in-flight discipline are
     /// unchanged), but the worker fails it immediately — no quarantine
     /// gate, no planning, no cache, no site slot.
     rejection: Option<RuntimeError>,
+}
+
+/// What the analyzer said of one distinct plan: its error diagnostics, or
+/// `None` when it is valid. Shared by every admission that hits it.
+type Verdict = Option<Arc<[PlanDiagnostic]>>;
+
+/// `map[name]`, copying `name` into the map only on its first sight: an
+/// `entry` call would allocate a key on every call.
+fn entry_of<'m, V: Default>(map: &'m mut HashMap<String, V>, name: &str) -> &'m mut V {
+    if !map.contains_key(name) {
+        map.insert(name.to_string(), V::default());
+    }
+    map.get_mut(name).expect("inserted above")
 }
 
 /// Why one admitted job failed. Failures are per job: the runtime records
@@ -699,24 +741,16 @@ struct JobQueue {
 }
 
 impl JobQueue {
-    /// Admits a job (with its pinned catalog version, its tenant's service
-    /// weight, the simulated clock at submission, and the admission-time
-    /// pressure sample); returns its admission sequence number. A
-    /// resubmitting tenant's weight updates to the latest value.
-    fn submit(
-        &self,
-        job: RuntimeJob,
-        pinned: Arc<CatalogVersion>,
-        weight: u64,
-        queued_clock_s: f64,
-        pressure: Vec<(SiteId, f64)>,
-        rejection: Option<RuntimeError>,
-    ) -> usize {
+    /// Queues a job with what admission observed and decided of it;
+    /// returns its admission sequence number. A resubmitting tenant's
+    /// weight updates to the latest value.
+    fn submit(&self, job: RuntimeJob, admission: Admission) -> usize {
         let mut guard = lock_recover(&self.state);
         let state = &mut *guard;
         let sequence = state.next_sequence;
         state.next_sequence += 1;
         state.outstanding += 1;
+        let weight = admission.weight.max(1);
         let slot = match state.index.get(&job.tenant) {
             Some(&slot) => slot,
             None => {
@@ -725,27 +759,25 @@ impl JobQueue {
                 state.tenants.push(TenantQueue {
                     name: job.tenant.clone(),
                     jobs: VecDeque::new(),
-                    weight: weight.max(1),
+                    weight,
                     credits: 0,
                     in_flight: false,
                 });
                 slot
             }
         };
-        state.tenants[slot].weight = weight.max(1);
-        state.tenants[slot].jobs.push_back(AdmittedJob {
+        let tenant = &mut state.tenants[slot];
+        tenant.weight = weight;
+        tenant.jobs.push_back(AdmittedJob {
             sequence,
-            pinned,
             job,
-            queued_clock_s,
+            admission,
             // LINT: wall-clock — real queue-wait metric for TenantReport;
             // deterministic replay reads queued_clock_s instead.
             queued_at: Instant::now(),
-            pressure,
-            rejection,
         });
-        let depth = state.tenants[slot].jobs.len();
-        let stats = state.stats.entry(state.tenants[slot].name.clone()).or_default();
+        let depth = tenant.jobs.len();
+        let stats = entry_of(&mut state.stats, &tenant.name);
         stats.submitted += 1;
         stats.peak_depth = stats.peak_depth.max(depth);
         drop(guard);
@@ -791,7 +823,7 @@ impl JobQueue {
                     // burst continues once this job completes.
                     state.cursor = t;
                 }
-                let stats = state.stats.entry(job.job.tenant.clone()).or_default();
+                let stats = entry_of(&mut state.stats, &job.job.tenant);
                 stats.served += 1;
                 stats.total_wait_s += job.queued_at.elapsed().as_secs_f64();
                 return Some(job);
@@ -996,10 +1028,19 @@ pub struct FederationRuntime<'a> {
     /// The plan/cost-model cache (`None` when
     /// [`RuntimeConfig::plan_cache_bytes`] is 0).
     plan_cache: Option<ScopedCache<CacheKey, Arc<CachedPlan>>>,
-    /// The schema environment admission validates against, kept with the
-    /// number of the catalog version it was read from (see
-    /// [`FederationRuntime::schemas_of`]).
-    admission_schemas: Mutex<Option<(u64, Arc<SchemaCatalog>)>>,
+    /// The schema environment admission validates against, read from
+    /// version 0. It is every version's: a publish cannot change a schema
+    /// (`VersionedCatalog::append_batch` refuses an unknown table,
+    /// `ChunkedTable::append` a delta whose schema differs, and
+    /// [`SchemaCatalog::from_version`] reads each table's first chunk,
+    /// which an append never replaces).
+    schemas: SchemaCatalog,
+    /// The admission verdict memo: the analyzer's verdict per (plan scope,
+    /// [`PlanFingerprint`]), budgeted by
+    /// [`RuntimeConfig::plan_cache_bytes`] and owned by the tenant whose
+    /// admission computed it (`None` when that budget is 0). Verdicts
+    /// survive publishes, as schemas do.
+    verdicts: Option<ScopedCache<(String, PlanFingerprint), Verdict>>,
 }
 
 impl<'a> FederationRuntime<'a> {
@@ -1024,10 +1065,12 @@ impl<'a> FederationRuntime<'a> {
             env.register_site(site, config.seed, config.drift);
         }
         let admission = SiteAdmission::new(federation.admission_capacities());
+        let catalog = VersionedCatalog::new(catalog);
+        let schemas = SchemaCatalog::from_version(&catalog.current());
         FederationRuntime {
             federation,
             placement,
-            catalog: VersionedCatalog::new(catalog),
+            catalog,
             config,
             env: Mutex::new(env),
             admission,
@@ -1039,7 +1082,9 @@ impl<'a> FederationRuntime<'a> {
                 .then(|| FragmentResultCache::new(config.fragment_cache_bytes)),
             plan_cache: (config.plan_cache_bytes > 0)
                 .then(|| ScopedCache::new(config.plan_cache_bytes)),
-            admission_schemas: Mutex::new(None),
+            schemas,
+            verdicts: (config.plan_cache_bytes > 0)
+                .then(|| ScopedCache::new(config.plan_cache_bytes)),
         }
     }
 
@@ -1190,15 +1235,27 @@ impl<'a> FederationRuntime<'a> {
     /// Admits one job to `queue`, in the one order every admission takes:
     /// pin the currently published catalog version, read the tenant's
     /// service weight, the simulated clock and the admission pressure,
-    /// validate the plan against the pinned schemas, enqueue. Returns the
-    /// job's admission sequence number.
+    /// fingerprint the job's three plans, validate them (a repeated plan by
+    /// a memo lookup), enqueue with the fingerprint, which the job's plan
+    /// cache key reuses. Returns the job's admission sequence number.
     fn admit(&self, queue: &JobQueue, job: RuntimeJob) -> usize {
         let pinned = self.catalog.current();
         let weight = self.tenant_weight(&job.tenant);
-        let clock_s = self.clock_s();
+        let queued_clock_s = self.clock_s();
         let pressure = self.sample_pressure();
-        let rejection = self.validate_admission(&job, &self.schemas_of(&pinned));
-        queue.submit(job, pinned, weight, clock_s, pressure, rejection)
+        let q = &job.query;
+        let plans = [&q.left_prepare, &q.right_prepare, &q.combine];
+        let fingerprint = PlanFingerprint::of_plans(plans);
+        let rejection = self.validate_admission(&job.tenant, &plans, &fingerprint);
+        let admission = Admission {
+            pinned,
+            weight,
+            queued_clock_s,
+            pressure,
+            fingerprint,
+            rejection,
+        };
+        queue.submit(job, admission)
     }
 
     /// Spawns the configured workers over `queue`, runs `producer` on the
@@ -1245,57 +1302,69 @@ impl<'a> FederationRuntime<'a> {
         }
     }
 
-    /// The table schemas of `pinned`, read once per catalog version: every
-    /// admission pinning the same version shares one [`SchemaCatalog`], and
-    /// the first admission after a publish rebuilds it. Version numbers
-    /// identify contents — this runtime's catalog only ever publishes
-    /// successors. Schema extraction reads chunk metadata only (no
-    /// `pin()`, no compaction).
-    fn schemas_of(&self, pinned: &CatalogVersion) -> Arc<SchemaCatalog> {
-        let mut slot = lock_recover(&self.admission_schemas);
-        match &*slot {
-            Some((version, schemas)) if *version == pinned.version() => Arc::clone(schemas),
-            _ => {
-                let schemas = Arc::new(SchemaCatalog::from_version(pinned));
-                *slot = Some((pinned.version(), Arc::clone(&schemas)));
-                schemas
-            }
+    /// The scope component of a plan-tier key, the plan cache's and the
+    /// verdict memo's. Planning has no execution site, so the scope
+    /// degrades to tenant-private vs shared (SiteLocal shares — plans carry
+    /// no tenant data, only table-derived work profiles).
+    fn plan_scope(&self, tenant: &str) -> String {
+        match self.config.cache_scope {
+            CacheScope::PerTenant => format!("tenant:{tenant}"),
+            CacheScope::SiteLocal | CacheScope::FederationGlobal => String::new(),
         }
     }
 
-    /// Statically validates a job's query against the schemas of its
-    /// pinned catalog version ([`FederationRuntime::schemas_of`]) at
-    /// admission time: schema inference and type checking over the three
-    /// fragment plans (left prepare, right prepare, combine with its
-    /// `@frag` wiring). Returns the typed rejection for an invalid plan,
-    /// `None` when the job may proceed to planning.
+    /// Charge of one verdict memo entry beyond its key's and diagnostics'
+    /// bytes: the key's tuple and `Arc` header, the map slot, the owner.
+    const VERDICT_ENTRY_BYTES: u64 = 128;
+
+    /// Statically validates `tenant`'s job against the runtime's schema
+    /// environment at admission time: schema inference and type checking
+    /// over its three fragment plans (left prepare, right prepare, combine
+    /// with its `@frag` wiring), whose encoding is `fingerprint`. Returns
+    /// the typed rejection for an invalid plan, `None` when the job may
+    /// proceed to planning.
     ///
     /// Runs on the submitting thread, **before** the job enters the queue
     /// — so a rejected job never contends for an admission slot, never
     /// touches the plan or fragment caches, and never reaches the
-    /// enumeration stack — and costs O(plan size).
+    /// enumeration stack. The analyzer runs, at O(plan size), once per
+    /// distinct scope and plan while the verdict memo holds it: schemas
+    /// never change, so a repeated plan takes the recorded verdict, and
+    /// the memo compares the full encoding, so no other plan can take it.
     fn validate_admission(
         &self,
-        job: &RuntimeJob,
-        schemas: &SchemaCatalog,
+        tenant: &str,
+        plans: &[&PhysicalPlan; 3],
+        fingerprint: &PlanFingerprint,
     ) -> Option<RuntimeError> {
-        let q = &job.query;
-        let analyses = midas_engines::analyze_fragment_plans(
-            &[&q.left_prepare, &q.right_prepare, &q.combine],
-            schemas,
-        );
-        let diagnostics: Vec<midas_engines::PlanDiagnostic> = analyses
-            .iter()
-            .flat_map(|a| a.errors().cloned())
-            .collect();
-        if diagnostics.is_empty() {
-            None
-        } else {
-            Some(RuntimeError::InvalidPlan {
-                tenant: job.tenant.clone(),
-                diagnostics,
-            })
-        }
+        let memo = self
+            .verdicts
+            .as_ref()
+            .map(|memo| (memo, (self.plan_scope(tenant), fingerprint.clone())));
+        let verdict = match memo.as_ref().and_then(|(memo, key)| memo.get(key)) {
+            Some(verdict) => verdict,
+            None => {
+                let errors: Vec<PlanDiagnostic> = analyze_fragment_plans(plans, &self.schemas)
+                    .iter()
+                    .flat_map(|a| a.errors().cloned())
+                    .collect();
+                let diagnostics_bytes: usize = errors
+                    .iter()
+                    .map(|d| std::mem::size_of::<PlanDiagnostic>() + d.path.len() + d.message.len())
+                    .sum();
+                let verdict: Verdict = (!errors.is_empty()).then(|| errors.into());
+                if let Some((memo, key)) = memo {
+                    let bytes = Self::VERDICT_ENTRY_BYTES
+                        + (key.0.len() + fingerprint.encoded_len() + diagnostics_bytes) as u64;
+                    memo.insert(key, verdict.clone(), bytes, tenant);
+                }
+                verdict
+            }
+        };
+        verdict.map(|diagnostics| RuntimeError::InvalidPlan {
+            tenant: tenant.to_string(),
+            diagnostics: diagnostics.to_vec(),
+        })
     }
 
     /// Checks the quarantine gate for one popped job: `Some(error)` when
@@ -1303,10 +1372,7 @@ impl<'a> FederationRuntime<'a> {
     /// cool-off unit), `None` when the job may proceed.
     fn quarantine_gate(&self, tenant: &str) -> Option<RuntimeError> {
         let mut health = lock_recover(&self.health);
-        let h = health.entry(tenant.to_string()).or_default();
-        if h.cooloff_remaining == 0 {
-            return None;
-        }
+        let h = health.get_mut(tenant).filter(|h| h.cooloff_remaining > 0)?;
         h.cooloff_remaining -= 1;
         Some(RuntimeError::Quarantined {
             tenant: tenant.to_string(),
@@ -1322,7 +1388,7 @@ impl<'a> FederationRuntime<'a> {
     fn record_health(&self, tenant: &str, outcome: &Result<ProcessOutcome, RuntimeError>) {
         let threshold = self.config.quarantine_threshold;
         let mut health = lock_recover(&self.health);
-        let h = health.entry(tenant.to_string()).or_default();
+        let h = entry_of(&mut health, tenant);
         match outcome {
             Err(RuntimeError::WorkerPanicked(_))
             | Err(RuntimeError::SiteUnavailable { .. }) => {
@@ -1365,14 +1431,15 @@ impl<'a> FederationRuntime<'a> {
             // time elapsed while this job sat in the queue. Drives the
             // speculative-re-plan trigger, so the trigger is deterministic
             // under replay (unlike the wall-clock wait above).
-            let waited_s = admitted_s - admitted.queued_clock_s;
-            let tenant = admitted.job.tenant.clone();
-            let outcome: Result<ProcessOutcome, RuntimeError> = match &admitted.rejection {
+            let waited_s = admitted_s - admitted.admission.queued_clock_s;
+            let tenant = &admitted.job.tenant;
+            let rejection = &admitted.admission.rejection;
+            let outcome: Result<ProcessOutcome, RuntimeError> = match rejection {
                 // Statically rejected at admission: fail immediately —
                 // before the quarantine gate (the rejection is not a
                 // health event) and before any planning or slot traffic.
                 Some(rejected) => Err(rejected.clone()),
-                None => match self.quarantine_gate(&tenant) {
+                None => match self.quarantine_gate(tenant) {
                     Some(rejected) => Err(rejected),
                     None => match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         self.process(&admitted, waited_s)
@@ -1386,7 +1453,7 @@ impl<'a> FederationRuntime<'a> {
             };
             // Ledger first, then sink, then release the tenant's in-flight
             // slot: the tenant's next job must observe this one's verdict.
-            self.record_health(&tenant, &outcome);
+            self.record_health(tenant, &outcome);
             {
                 let mut sink = lock_recover(sink);
                 let completion = sink.completions;
@@ -1406,16 +1473,16 @@ impl<'a> FederationRuntime<'a> {
                         worker,
                         wall_latency_s: dequeued.elapsed().as_secs_f64(),
                         queue_wait_s,
-                        queued_s: admitted.queued_clock_s,
+                        queued_s: admitted.admission.queued_clock_s,
                         admitted_s,
                         completed_s: self.clock_s(),
-                        pressure: admitted.pressure.clone(),
+                        pressure: admitted.admission.pressure.clone(),
                         replans,
                         plan_switched,
                         attempts,
                         cache_hits,
                         reused_fragments,
-                        pinned_version: admitted.pinned.version(),
+                        pinned_version: admitted.admission.pinned.version(),
                         report,
                     }),
                     Err(error) => sink.failed.push(FailedJob {
@@ -1425,7 +1492,7 @@ impl<'a> FederationRuntime<'a> {
                     }),
                 }
             }
-            queue.complete_one(&tenant);
+            queue.complete_one(tenant);
         }
     }
 
@@ -1455,15 +1522,12 @@ impl<'a> FederationRuntime<'a> {
         let mut plan_switches: u64 = 0;
         let mut reused_fragments: u64 = 0;
         for r in &completed {
-            let t = tenants.entry(r.tenant.clone()).or_default();
+            let t = entry_of(&mut tenants, &r.tenant);
             t.queries += 1;
             t.mean_latency_s += r.wall_latency_s;
             t.sim_time_s += r.report.actual_costs[0];
             t.money += r.report.actual_costs[1];
-            latencies
-                .entry(r.tenant.clone())
-                .or_default()
-                .push(r.completed_s - r.queued_s);
+            entry_of(&mut latencies, &r.tenant).push(r.completed_s - r.queued_s);
             replans += u64::from(r.replans);
             plan_switches += u64::from(r.plan_switched);
             reused_fragments += u64::from(r.reused_fragments);
@@ -1506,6 +1570,11 @@ impl<'a> FederationRuntime<'a> {
             catalog_version: self.catalog.version(),
             ingest: self.catalog.stats(),
             cache: self.cache_stats(),
+            verdicts: self
+                .verdicts
+                .as_ref()
+                .map(ScopedCache::stats)
+                .unwrap_or_default(),
             replans,
             plan_switches,
             reused_fragments,
@@ -1537,7 +1606,7 @@ impl<'a> FederationRuntime<'a> {
         // Planning and execution scan the pinned version's chunks where
         // they are; nothing on this path compacts a table (`pin()` is for
         // the flat oracles — `repro_lint`'s `serving-pin` rule keeps it so).
-        let pinned = &admitted.pinned;
+        let pinned = &admitted.admission.pinned;
         // The pinned tables' identities — the table component of every
         // cache key this job forms. Computed once per job; None when both
         // cache tiers are off.
@@ -1558,26 +1627,15 @@ impl<'a> FederationRuntime<'a> {
         // do not re-execute (see `profiled` below). Both halves are pure
         // functions of (federation, placement, query shape, pinned table
         // contents), so the plan cache serves them by (scope,
-        // prepare/combine fingerprints, pinned table identities) — an
-        // ingest publish retires the identities and forces a rebuild.
+        // prepare/combine fingerprints — admission's, encoded once —,
+        // pinned table identities) — an ingest publish retires the
+        // identities and forces a rebuild.
         let plan_key = self.plan_cache.as_ref().and(table_ids.as_ref()).and_then(|ids| {
             let left_id = *ids.get(&query.left_table)?;
             let right_id = *ids.get(&query.right_table)?;
-            // Planning has no execution site: the scope key degrades to
-            // tenant-private vs shared (SiteLocal shares — plans carry no
-            // tenant data, only table-derived work profiles).
-            let scope = match self.config.cache_scope {
-                CacheScope::PerTenant => format!("tenant:{}", job.tenant),
-                CacheScope::SiteLocal | CacheScope::FederationGlobal => String::new(),
-            };
-            let fingerprint = PlanFingerprint::of_plans([
-                &query.left_prepare,
-                &query.right_prepare,
-                &query.combine,
-            ]);
             Some(CacheKey::new(
-                scope,
-                fingerprint,
+                self.plan_scope(&job.tenant),
+                admitted.admission.fingerprint.clone(),
                 vec![
                     (query.left_table.clone(), left_id),
                     (query.right_table.clone(), right_id),
@@ -1673,10 +1731,11 @@ impl<'a> FederationRuntime<'a> {
             // cached pressure-free one, whose costed space the plan entry
             // already holds: only Algorithm 2 runs. Otherwise select under
             // the job's admission-time pressure sample and its hot sites.
-            let mut outcome = if admitted.pressure.is_empty() && hot_sites.is_empty() {
+            let pressure = &admitted.admission.pressure;
+            let mut outcome = if pressure.is_empty() && hot_sites.is_empty() {
                 select_costed(&planned.costed, &weights, &job.policy.constraints)
             } else {
-                select_under(&admitted.pressure, &hot_sites)?.1
+                select_under(pressure, &hot_sites)?.1
             };
 
             // Speculative re-planning: the job waited so long (relative to
@@ -1799,8 +1858,17 @@ mod tests {
         RuntimeJob::new(tenant, q12("MAIL", "SHIP", 1994), QueryPolicy::balanced())
     }
 
-    fn pinned() -> Arc<CatalogVersion> {
-        VersionedCatalog::new(Catalog::new()).current()
+    /// A valid admission at weight `weight` over an empty catalog.
+    fn admission(weight: u64) -> Admission {
+        let q = q12("MAIL", "SHIP", 1994);
+        Admission {
+            pinned: VersionedCatalog::new(Catalog::new()).current(),
+            weight,
+            queued_clock_s: 0.0,
+            pressure: Vec::new(),
+            fingerprint: PlanFingerprint::of_plans([&q.left_prepare, &q.right_prepare, &q.combine]),
+            rejection: None,
+        }
     }
 
     /// Pops one job and immediately completes it (clearing the in-flight
@@ -1817,7 +1885,7 @@ mod tests {
         let q = JobQueue::default();
         for (tenant, n) in [("a", 3usize), ("b", 1), ("c", 2)] {
             for _ in 0..n {
-                q.submit(job(tenant), pinned(), 1, 0.0, Vec::new(), None);
+                q.submit(job(tenant), admission(1));
             }
         }
         q.close();
@@ -1837,10 +1905,10 @@ mod tests {
     fn weighted_tenants_get_proportional_service() {
         let q = JobQueue::default();
         for _ in 0..6 {
-            q.submit(job("heavy"), pinned(), 3, 0.0, Vec::new(), None);
+            q.submit(job("heavy"), admission(3));
         }
         for _ in 0..3 {
-            q.submit(job("light"), pinned(), 1, 0.0, Vec::new(), None);
+            q.submit(job("light"), admission(1));
         }
         q.close();
         let mut order = Vec::new();
@@ -1858,9 +1926,9 @@ mod tests {
     #[test]
     fn in_flight_tenants_are_skipped_until_completion() {
         let q = JobQueue::default();
-        q.submit(job("a"), pinned(), 1, 0.0, Vec::new(), None);
-        q.submit(job("a"), pinned(), 1, 0.0, Vec::new(), None);
-        q.submit(job("b"), pinned(), 1, 0.0, Vec::new(), None);
+        q.submit(job("a"), admission(1));
+        q.submit(job("a"), admission(1));
+        q.submit(job("b"), admission(1));
         q.close();
         // A's first job is in flight; the next pop must skip to b even
         // though a's FIFO still holds a job.
@@ -1880,10 +1948,10 @@ mod tests {
     #[test]
     fn retirement_rebases_the_cursor_onto_the_next_survivor() {
         let q = JobQueue::default();
-        q.submit(job("a"), pinned(), 1, 0.0, Vec::new(), None);
-        q.submit(job("b"), pinned(), 1, 0.0, Vec::new(), None);
-        q.submit(job("c"), pinned(), 1, 0.0, Vec::new(), None);
-        q.submit(job("c"), pinned(), 1, 0.0, Vec::new(), None);
+        q.submit(job("a"), admission(1));
+        q.submit(job("b"), admission(1));
+        q.submit(job("c"), admission(1));
+        q.submit(job("c"), admission(1));
         // Serve a and b while open (cursor now points at c)…
         assert_eq!(pop_complete(&q).unwrap(), "a");
         assert_eq!(pop_complete(&q).unwrap(), "b");
@@ -1905,9 +1973,9 @@ mod tests {
     #[test]
     fn retirement_repoints_the_index_at_survivors_compacted_slots() {
         let q = JobQueue::default();
-        q.submit(job("a"), pinned(), 1, 0.0, Vec::new(), None);
-        q.submit(job("b"), pinned(), 1, 0.0, Vec::new(), None);
-        q.submit(job("b"), pinned(), 1, 0.0, Vec::new(), None);
+        q.submit(job("a"), admission(1));
+        q.submit(job("b"), admission(1));
+        q.submit(job("b"), admission(1));
         assert_eq!(pop_complete(&q).unwrap(), "a");
         q.close();
         // Retirement drops a (slot 0) and compacts b from slot 1 to 0.
@@ -1919,7 +1987,7 @@ mod tests {
         }
         // A submission routed through the index after compaction must land
         // in b's (moved) FIFO, not panic on a stale slot.
-        q.submit(job("b"), pinned(), 1, 0.0, Vec::new(), None);
+        q.submit(job("b"), admission(1));
         assert_eq!(pop_complete(&q).unwrap(), "b");
         assert_eq!(pop_complete(&q).unwrap(), "b");
         assert!(q.pop().is_none());
@@ -1929,7 +1997,7 @@ mod tests {
     fn one_shot_tenants_do_not_accumulate_after_close() {
         let q = JobQueue::default();
         for i in 0..100 {
-            q.submit(job(&format!("tenant-{i}")), pinned(), 1, 0.0, Vec::new(), None);
+            q.submit(job(&format!("tenant-{i}")), admission(1));
         }
         assert_eq!(lock_recover(&q.state).tenants.len(), 100);
         q.close();

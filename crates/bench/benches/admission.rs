@@ -6,6 +6,9 @@
 //!   every plan and fragment is a cache hit and every admission a
 //!   verdict-memo hit: admission, queue, plan-cache probe, selection, the
 //!   hit path of execution, the learning record and the report;
+//! * `warm_medical_run_2w` — the same run on a runtime primed the same way
+//!   at `workers: 2`, the benchmark's shape: two workers share the
+//!   caches, the queue and the learning registry;
 //! * `analyze_medical_miss` — `analyze_fragment_plans` over the medical
 //!   query's three plans, what an admission runs on a verdict-memo miss
 //!   (a sample times 1 000 analyses and records the time per analysis).
@@ -45,31 +48,38 @@ fn bench_admission(c: &mut Criterion) {
     let (midas, _, _) = Midas::example_deployment(&["patient"], &["generalinfo"]);
     let tables = generate_medical(2_000, 0.5, 42);
     let schemas = SchemaCatalog::from_catalog(&tables);
-    let runtime = FederationRuntime::new(
-        midas.federation(),
-        midas.placement(),
-        tables,
-        RuntimeConfig {
-            workers: 1,
-            pacing: 0.0,
-            ..RuntimeConfig::default()
-        },
-    );
-    let priming = runtime.run(jobs(1));
-    assert!(priming.failed.is_empty(), "{:?}", priming.failed);
+    // A runtime of `workers` over the medical tables, primed by one round.
+    let primed = |workers: usize| {
+        let runtime = FederationRuntime::new(
+            midas.federation(),
+            midas.placement(),
+            tables.clone(),
+            RuntimeConfig {
+                workers,
+                pacing: 0.0,
+                ..RuntimeConfig::default()
+            },
+        );
+        let priming = runtime.run(jobs(1));
+        assert!(priming.failed.is_empty(), "{:?}", priming.failed);
+        runtime
+    };
     let batch = jobs(10);
 
     let mut group = c.benchmark_group("admission");
-    group.bench_function("warm_medical_run", |b| {
-        b.iter_custom(|iters| {
-            let batches: Vec<_> = (0..iters).map(|_| batch.clone()).collect();
-            let started = Instant::now();
-            for jobs in batches {
-                black_box(runtime.run(jobs));
-            }
-            started.elapsed()
-        })
-    });
+    for (name, workers) in [("warm_medical_run", 1), ("warm_medical_run_2w", 2)] {
+        let runtime = primed(workers);
+        group.bench_function(name, |b| {
+            b.iter_custom(|iters| {
+                let batches: Vec<_> = (0..iters).map(|_| batch.clone()).collect();
+                let started = Instant::now();
+                for jobs in batches {
+                    black_box(runtime.run(jobs));
+                }
+                started.elapsed()
+            })
+        });
+    }
 
     const ANALYSES: u32 = 1_000;
     let q = medical_query(Some("CT"));

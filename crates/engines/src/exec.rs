@@ -338,7 +338,9 @@ impl ExecutionOutcome {
 /// How one [`SharedExecutor`] run reaches a shared [`FragmentResultCache`]:
 /// the cache itself, the sharing-scope policy, who is asking, and the
 /// identity of every pinned base table (see [`crate::cache`] for why these
-/// four pieces make a hit sound).
+/// four pieces make a hit sound). Keys handed to a run
+/// ([`SharedExecutor::with_fragment_keys`]) must be [`fragment_keys`] under
+/// a binding with the same scope, tenant and identities.
 #[derive(Clone, Copy)]
 pub struct ResultCacheBinding<'a> {
     /// The shared cache.
@@ -348,9 +350,10 @@ pub struct ResultCacheBinding<'a> {
     /// The submitting tenant — the `PerTenant` scope component and the
     /// eviction owner of any entries this run inserts.
     pub tenant: &'a str,
-    /// `name → id` identities of the pinned catalog version's tables
-    /// (see `CatalogVersion::table_ids`). Fragments scanning a table
-    /// absent from this map are simply not cached.
+    /// `name → id` identities of the pinned catalog version's tables —
+    /// `CatalogVersion::table_id_map`, which the version builds once and
+    /// every job pinned to it borrows. Fragments scanning a table absent
+    /// from this map are simply not cached.
     pub table_ids: &'a HashMap<String, u64>,
 }
 
@@ -415,6 +418,7 @@ pub struct SharedExecutor<'a> {
     pacing: f64,
     faults: Option<FaultContext<'a>>,
     cache: Option<ResultCacheBinding<'a>>,
+    keys: &'a [Option<CacheKey>],
     profiled: &'a [ProfiledFragment],
 }
 
@@ -433,6 +437,7 @@ impl<'a> SharedExecutor<'a> {
             pacing: 0.0,
             faults: None,
             cache: None,
+            keys: &[],
             profiled: &[],
         }
     }
@@ -492,6 +497,20 @@ impl<'a> SharedExecutor<'a> {
     /// warm run copies no table bytes at all.
     pub fn with_result_cache(mut self, binding: ResultCacheBinding<'a>) -> Self {
         self.cache = Some(binding);
+        self
+    }
+
+    /// Hands the run its fragments' result-cache keys, `keys[i]` for
+    /// fragment `i`, in place of encoding them: they must be what
+    /// [`fragment_keys`] computes for the query the run is given, under the
+    /// [`ResultCacheBinding`] given to [`SharedExecutor::with_result_cache`].
+    /// A caller that serves one assembled query to many runs — the runtime
+    /// keeps them beside each plan-cache entry's assembled query, per Pareto
+    /// index — computes them once. A list whose length is not the query's
+    /// fragment count is ignored and the run computes the keys itself, as
+    /// it does without this call; without a result cache keys are unused.
+    pub fn with_fragment_keys(mut self, keys: &'a [Option<CacheKey>]) -> Self {
+        self.keys = keys;
         self
     }
 
@@ -575,6 +594,7 @@ fn run_federated(
         pacing,
         faults,
         cache,
+        keys,
         profiled,
     } = ex;
     let work_scale = if work_scale.is_finite() && work_scale > 0.0 {
@@ -608,23 +628,16 @@ fn run_federated(
         handed.push(entry);
     }
 
-    // Result-cache keys, one per fragment, each over the fragment's whole
-    // dependency *closure* ([`fragment_key`]).
-    let cache_keys: Vec<Option<CacheKey>> = if let Some(binding) = cache {
-        let mut closures: Vec<Vec<usize>> = Vec::with_capacity(n);
-        for (idx, frag_deps) in deps.iter().enumerate() {
-            closures.push(closure(idx, frag_deps, &closures));
+    // Result-cache keys, one per fragment: the caller's when it handed
+    // them over, else computed here ([`fragment_keys`]).
+    let computed: Vec<Option<CacheKey>>;
+    let cache_keys: &[Option<CacheKey>] = match cache {
+        Some(_) if keys.len() == n => keys,
+        Some(binding) => {
+            computed = fragment_keys(query, binding);
+            &computed
         }
-        (0..n)
-            .map(|idx| {
-                let plans: Vec<&PhysicalPlan> =
-                    closures[idx].iter().map(|&i| &query.fragments[i].plan).collect();
-                let scope = binding.scope.key(binding.tenant, query.fragments[idx].site);
-                fragment_key(binding, &plans, scope)
-            })
-            .collect()
-    } else {
-        (0..n).map(|_| None).collect()
+        None => &[],
     };
 
     // Fragment `i`'s output is `outputs[i]`, which later fragments scan as
@@ -634,14 +647,14 @@ fn run_federated(
     // both sources report equal bytes.
     let mut outputs: Vec<Arc<Table>> = Vec::with_capacity(n);
     let mut catalog_shared_bytes = 0u64;
-    let mut scanned: Vec<String> = Vec::new();
+    let mut scanned: Vec<&str> = Vec::new();
     for fragment in &query.fragments {
-        for name in referenced_base_tables(&fragment.plan) {
-            if !scanned.contains(&name) {
-                catalog_shared_bytes += base_tables.table_bytes(&name).unwrap_or(0);
+        for_each_scan(&fragment.plan, &mut |name| {
+            if !name.starts_with("@frag") && !scanned.contains(&name) {
+                catalog_shared_bytes += base_tables.table_bytes(name).unwrap_or(0);
                 scanned.push(name);
             }
-        }
+        });
     }
 
     let mut frag_bytes: Vec<u64> = vec![0; n];
@@ -684,7 +697,7 @@ fn run_federated(
                 site: fragment.site,
             });
         }
-        let cache_slot = cache.zip(cache_keys[idx].as_ref());
+        let cache_slot = cache.zip(cache_keys.get(idx).and_then(Option::as_ref));
         // Cache hit: the fragment's output already exists — take it without
         // a site slot, executing, or pacing. The cached table and work
         // profile are bit-identical to what execution would produce, so
@@ -797,6 +810,33 @@ fn run_federated(
     })
 }
 
+/// The result-cache key of each fragment of `query` under `binding`: the
+/// sharing scope at the fragment's site, the canonical fingerprint of the
+/// fragment's dependency-closure plans, and the pinned identity of every
+/// base table they scan (`None` when one has no identity). What a
+/// [`SharedExecutor`] run looks each fragment up by, and what
+/// [`SharedExecutor::with_fragment_keys`] must be handed.
+pub fn fragment_keys(
+    query: &FederatedQuery,
+    binding: ResultCacheBinding<'_>,
+) -> Vec<Option<CacheKey>> {
+    let mut closures: Vec<Vec<usize>> = Vec::with_capacity(query.fragments.len());
+    for (idx, fragment) in query.fragments.iter().enumerate() {
+        closures.push(closure(idx, &referenced_fragments(&fragment.plan), &closures));
+    }
+    query
+        .fragments
+        .iter()
+        .zip(&closures)
+        .map(|(fragment, closure)| {
+            let plans: Vec<&PhysicalPlan> =
+                closure.iter().map(|&i| &query.fragments[i].plan).collect();
+            let scope = binding.scope.key(binding.tenant, fragment.site);
+            fragment_key(binding, &plans, scope)
+        })
+        .collect()
+}
+
 /// The result-cache key, in sharing scope `scope`, of a fragment that
 /// computes `plans`: its own plan after those of every fragment it
 /// transitively reads, in fragment order (`@frag` references inside the
@@ -810,15 +850,10 @@ fn fragment_key(
     plans: &[&PhysicalPlan],
     scope: String,
 ) -> Option<CacheKey> {
-    let mut tables: Vec<(String, u64)> = Vec::new();
-    for plan in plans {
-        for name in referenced_base_tables(plan) {
-            if !tables.iter().any(|(t, _)| *t == name) {
-                let id = *binding.table_ids.get(&name)?;
-                tables.push((name, id));
-            }
-        }
-    }
+    let tables = scanned_base_tables(plans)
+        .into_iter()
+        .map(|name| Some((name.to_string(), *binding.table_ids.get(name)?)))
+        .collect::<Option<Vec<_>>>()?;
     let fingerprint = PlanFingerprint::of_plans(plans.iter().copied());
     Some(CacheKey::new(scope, fingerprint, tables))
 }
@@ -835,15 +870,19 @@ pub(crate) fn for_each_scan<'p>(plan: &'p PhysicalPlan, visit: &mut impl FnMut(&
     }
 }
 
-/// Base-table scan names (everything but `@frag<N>`) referenced by a plan,
-/// each once, in first-scanned order.
-fn referenced_base_tables(plan: &PhysicalPlan) -> Vec<String> {
-    let mut out: Vec<String> = Vec::new();
-    for_each_scan(plan, &mut |table| {
-        if !table.starts_with("@frag") && !out.iter().any(|t| t == table) {
-            out.push(table.to_string());
-        }
-    });
+/// The base tables `plans` scan (every scan name but `@frag<N>`), sorted,
+/// each once.
+pub fn scanned_base_tables<'p>(plans: &[&'p PhysicalPlan]) -> Vec<&'p str> {
+    let mut out: Vec<&str> = Vec::new();
+    for plan in plans {
+        for_each_scan(plan, &mut |table| {
+            if !table.starts_with("@frag") {
+                out.push(table);
+            }
+        });
+    }
+    out.sort_unstable();
+    out.dedup();
     out
 }
 

@@ -414,9 +414,20 @@ impl<'a> TableSource<'a> {
 
     /// [`Table::estimated_bytes`] of the table registered under `name` —
     /// for a multi-chunk table, of the contiguous table compaction would
-    /// build, to the bit, without building it: what a scan of it records.
+    /// build, to the bit, without building it: what a scan of it records
+    /// (`FBatch::bytes` over its chunks), read off the chunks without
+    /// building the scan's batch.
     pub fn table_bytes(&self, name: &str) -> Option<u64> {
-        self.scan(name).map(|fb| fb.bytes())
+        let chunks: &[Arc<Table>] = match *self {
+            TableSource::Flat(c) => std::slice::from_ref(c.get_shared(name)?),
+            TableSource::Versioned(v) => v.table(name)?.chunks(),
+        };
+        let rows = chunks.iter().map(|c| c.n_rows()).sum();
+        let widths = chunks[0].columns().iter().enumerate().map(|(ci, column)| {
+            let utf8 = chunks.iter().map(|c| c.utf8_bytes_sel(ci, None)).sum();
+            (column.data.data_type(), utf8)
+        });
+        Some(width_bytes(widths, rows))
     }
 
     /// The table registered under `name` as the batch a scan of it starts

@@ -278,6 +278,9 @@ impl ChunkedTable {
 pub struct CatalogVersion {
     version: u64,
     tables: HashMap<String, Arc<ChunkedTable>>,
+    /// `name → id` of `tables`, built once with the version (see
+    /// [`CatalogVersion::table_id_map`]).
+    ids: HashMap<String, u64>,
 }
 
 impl fmt::Debug for CatalogVersion {
@@ -291,16 +294,27 @@ impl fmt::Debug for CatalogVersion {
 }
 
 impl CatalogVersion {
+    /// Version `version` over `tables`, with its identity map.
+    fn new(version: u64, tables: HashMap<String, Arc<ChunkedTable>>) -> CatalogVersion {
+        let ids = tables
+            .iter()
+            .map(|(name, table)| (name.clone(), table.id()))
+            .collect();
+        CatalogVersion {
+            version,
+            tables,
+            ids,
+        }
+    }
+
     /// Builds a standalone version 0 directly from chunked tables, so
     /// chunk-native scans run it without any `pin()` compaction.
     pub fn from_chunked(tables: Vec<ChunkedTable>) -> CatalogVersion {
-        CatalogVersion {
-            version: 0,
-            tables: tables
-                .into_iter()
-                .map(|t| (t.name.clone(), Arc::new(t)))
-                .collect(),
-        }
+        let tables = tables
+            .into_iter()
+            .map(|t| (t.name.clone(), Arc::new(t)))
+            .collect();
+        CatalogVersion::new(0, tables)
     }
 
     /// Monotonically increasing version number (0 = the base catalog).
@@ -332,12 +346,15 @@ impl CatalogVersion {
     /// table-identity component of result-cache keys (see
     /// [`ChunkedTable::id`]). Tables untouched since an earlier version
     /// keep their id, so content-identical pins key identically across
-    /// versions.
+    /// versions. Built once, when the version is published: every job
+    /// pinned to it borrows the same map.
+    pub fn table_id_map(&self) -> &HashMap<String, u64> {
+        &self.ids
+    }
+
+    /// An owned copy of [`CatalogVersion::table_id_map`].
     pub fn table_ids(&self) -> HashMap<String, u64> {
-        self.tables
-            .iter()
-            .map(|(name, table)| (name.clone(), table.id()))
-            .collect()
+        self.ids.clone()
     }
 
     /// Lends this version out as a plain [`Catalog`] of contiguous tables:
@@ -419,7 +436,7 @@ impl VersionedCatalog {
             })
             .collect();
         VersionedCatalog {
-            current: Mutex::new(Arc::new(CatalogVersion { version: 0, tables })),
+            current: Mutex::new(Arc::new(CatalogVersion::new(0, tables))),
             stats: Mutex::new(IngestStats::default()),
         }
     }
@@ -488,7 +505,7 @@ impl VersionedCatalog {
         // oracle compacted — is freed after the head lock is released, so
         // no `current()` ever waits behind a deallocation.
         let retired =
-            std::mem::replace(&mut *head, Arc::new(CatalogVersion { version, tables }));
+            std::mem::replace(&mut *head, Arc::new(CatalogVersion::new(version, tables)));
         drop(head);
         drop(retired);
         let mut stats = lock_recover(&self.stats);
@@ -583,6 +600,8 @@ mod tests {
         assert_eq!(ids1["fixed"], ids0["fixed"]);
         // Ids are unique across distinct tables too.
         assert_ne!(ids0["t"], ids0["fixed"]);
+        // The borrowed map is the one the copy was taken from.
+        assert_eq!(v0.table_id_map(), &ids0);
     }
 
     #[test]

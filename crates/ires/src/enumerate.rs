@@ -128,7 +128,10 @@ impl EnumerationSpace {
 ///
 /// Scan fragments run at the hosting sites on one instance of the cheapest
 /// shape (index 0 of each catalog — storage-side scanning); the join
-/// fragment runs per the configuration.
+/// fragment runs per the configuration. The query's three plan trees are
+/// cloned into the fragments, so a caller that serves one configuration
+/// many times keeps the result: the runtime's plan cache holds one per
+/// Pareto point of an entry.
 pub fn assemble(
     federation: &Federation,
     placement: &Placement,

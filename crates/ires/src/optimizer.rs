@@ -14,8 +14,8 @@
 //! set) and [`select_costed`] is Algorithm 2 over that set. The runtime
 //! keeps the [`CostedSpace`] of a query's pressure-free model beside its
 //! cached plan, so repeated queries — whatever each tenant's weights and
-//! budget — pay only Algorithm 2, exactly the reuse the GA pipeline is
-//! built for.
+//! budget — pay only Algorithm 2 ([`CostedSpace::select`], an index into
+//! the kept front), exactly the reuse the GA pipeline is built for.
 
 use crate::costmodel::PlanCostModel;
 use crate::enumerate::{CandidateConfig, EnumerationSpace};
@@ -85,14 +85,24 @@ pub fn moqp_ga(
         .iter()
         .map(|ind| (space.decode(&ind.genome), ind.costs.clone()))
         .collect();
-    let costs: Vec<&[f64]> = pareto.iter().map(|(_, c)| c.as_slice()).collect();
-    let pick = best_in_pareto(&costs, weights, constraints).expect("front is non-empty");
+    let pick = pick(&pareto, weights, constraints).expect("front is non-empty");
     MoqpOutcome {
         chosen: pareto[pick].0.clone(),
         chosen_costs: pareto[pick].1.clone(),
         pareto,
         evaluations,
     }
+}
+
+/// Algorithm 2 over `pareto`: the index of the point `weights` and
+/// `constraints` select, `None` only when `pareto` is empty.
+fn pick(
+    pareto: &[(CandidateConfig, Vec<f64>)],
+    weights: &WeightedSumModel,
+    constraints: &Constraints,
+) -> Option<usize> {
+    let costs: Vec<&[f64]> = pareto.iter().map(|(_, c)| c.as_slice()).collect();
+    best_in_pareto(&costs, weights, constraints)
 }
 
 /// Re-selection from an existing Pareto set under new weights/constraints —
@@ -102,9 +112,7 @@ pub fn reselect(
     weights: &WeightedSumModel,
     constraints: &Constraints,
 ) -> Option<(CandidateConfig, Vec<f64>)> {
-    let costs: Vec<&[f64]> = pareto.iter().map(|(_, c)| c.as_slice()).collect();
-    best_in_pareto(&costs, weights, constraints)
-        .map(|i| (pareto[i].0.clone(), pareto[i].1.clone()))
+    pick(pareto, weights, constraints).map(|i| pareto[i].clone())
 }
 
 /// WSM pipeline: scalarized GA over the same space.
@@ -138,6 +146,16 @@ pub struct CostedSpace {
     pub evaluations: usize,
 }
 
+impl CostedSpace {
+    /// Algorithm 2 over this space: the index into [`CostedSpace::pareto`]
+    /// of the plan `weights` and `constraints` select (`None` only for an
+    /// empty space). No cost-model call, and no copy of the front: a
+    /// caller that keeps the space reads the choice where it lies.
+    pub fn select(&self, weights: &WeightedSumModel, constraints: &Constraints) -> Option<usize> {
+        pick(&self.pareto, weights, constraints)
+    }
+}
+
 /// The policy-independent half of [`moqp_exhaustive`]: costs every
 /// configuration of `space` under `model` — the prepares' terms once — and
 /// keeps the exact Pareto set.
@@ -163,14 +181,18 @@ pub fn cost_space(
 }
 
 /// Algorithm 2 over an already costed space: the plan `weights` and
-/// `constraints` select from its Pareto set. No cost-model call.
+/// `constraints` select from its Pareto set, as an outcome that owns a copy
+/// of the front. No cost-model call. Cloning the front is for callers that
+/// keep the outcome (the experiments, a replay); one that keeps `costed`
+/// itself reads the choice by [`CostedSpace::select`], as the runtime does
+/// on a plan-cache hit.
 pub fn select_costed(
     costed: &CostedSpace,
     weights: &WeightedSumModel,
     constraints: &Constraints,
 ) -> MoqpOutcome {
-    let (chosen, chosen_costs) =
-        reselect(&costed.pareto, weights, constraints).expect("non-empty space");
+    let pick = costed.select(weights, constraints).expect("non-empty space");
+    let (chosen, chosen_costs) = costed.pareto[pick].clone();
     MoqpOutcome {
         chosen,
         chosen_costs,
@@ -303,6 +325,8 @@ mod tests {
             assert_eq!(reused.pareto, fresh.pareto, "{w:?}");
             assert_eq!(reused.evaluations, fresh.evaluations, "{w:?}");
             let (cfg, costs) = reselect(&costed.pareto, &weights, constraints).unwrap();
+            let pick = costed.select(&weights, constraints).unwrap();
+            assert_eq!(costed.pareto[pick], (cfg.clone(), costs.clone()), "{w:?}");
             assert_eq!((cfg, costs), (reused.chosen, reused.chosen_costs), "{w:?}");
         }
         // The cap moved the time-first choice whenever the front offers a

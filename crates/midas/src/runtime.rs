@@ -76,20 +76,25 @@ use midas_engines::cache::{
     ScopedCache,
 };
 use midas_engines::data::Table;
-use midas_engines::exec::{ProfiledFragment, ResultCacheBinding, SharedExecutor};
+use midas_engines::exec::{
+    fragment_keys, scanned_base_tables, FederatedQuery, ProfiledFragment, ResultCacheBinding,
+    SharedExecutor,
+};
 use midas_engines::sim::{AdmissionStats, DriftIntensity, FaultPlan, SimulationEnv, SiteAdmission};
 use midas_engines::version::{CatalogVersion, IngestReceipt, IngestStats, VersionedCatalog};
 use midas_engines::{
     analyze_fragment_plans, lock_recover, Catalog, EngineError, PhysicalPlan, Placement,
     PlanDiagnostic, SchemaCatalog,
 };
-use midas_ires::optimizer::{cost_space, moqp_exhaustive, select_costed, CostedSpace};
+use midas_ires::optimizer::{cost_space, moqp_exhaustive, CostedSpace, MoqpOutcome};
 use midas_ires::scheduler::{base_rows, features_from, SchedulerError};
-use midas_ires::{assemble, ClassLearning, EnumerationSpace, ModellingRegistry, PlanCostModel};
+use midas_ires::{
+    assemble, CandidateConfig, ClassLearning, EnumerationSpace, ModellingRegistry, PlanCostModel,
+};
 use midas_moo::WeightedSumModel;
 use midas_tpch::TwoTableQuery;
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Instant;
 
 /// Construction parameters of a [`FederationRuntime`].
@@ -458,7 +463,8 @@ struct AdmittedJob {
 
 /// What [`FederationRuntime::admit`] observed and decided of one job before
 /// it entered the queue: its pinned snapshot, the observations its plan
-/// will be costed under, its plans' fingerprint and the analyzer's verdict.
+/// will be costed under, its plans' fingerprint and scanned tables, and the
+/// analyzer's verdict.
 struct Admission {
     pinned: Arc<CatalogVersion>,
     /// The tenant's service weight at submission.
@@ -474,6 +480,10 @@ struct Admission {
     /// encoded once: the key of the verdict memo and then of the plan
     /// cache.
     fingerprint: PlanFingerprint,
+    /// Every base table the three plans scan, sorted, as the verdict memo
+    /// recorded it: with the query's two named tables, the table component
+    /// of the job's plan-cache key.
+    scans: Arc<[String]>,
     /// `Some` when the static plan analyzer rejected the query at
     /// admission. The job still flows through the queue (so sequencing,
     /// fairness accounting and the per-tenant in-flight discipline are
@@ -482,9 +492,15 @@ struct Admission {
     rejection: Option<RuntimeError>,
 }
 
-/// What the analyzer said of one distinct plan: its error diagnostics, or
-/// `None` when it is valid. Shared by every admission that hits it.
-type Verdict = Option<Arc<[PlanDiagnostic]>>;
+/// What admission learned of one distinct plan, shared by every admission
+/// that hits it in the verdict memo.
+#[derive(Clone)]
+struct Verdict {
+    /// The analyzer's error diagnostics; `None` when the plans are valid.
+    errors: Option<Arc<[PlanDiagnostic]>>,
+    /// Every base table the plans scan, sorted, each once.
+    scans: Arc<[String]>,
+}
 
 /// `map[name]`, copying `name` into the map only on its first sight: an
 /// `entry` call would allocate a key on every call.
@@ -875,16 +891,9 @@ impl JobQueue {
     }
 
     /// Snapshot of every tenant's queue counters (including retired
-    /// tenants), sorted by tenant name.
-    fn tenant_stats(&self) -> Vec<(String, TenantQueueStats)> {
-        let state = lock_recover(&self.state);
-        let mut out: Vec<_> = state
-            .stats
-            .iter()
-            .map(|(name, stats)| (name.clone(), *stats))
-            .collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
+    /// tenants), by tenant name.
+    fn tenant_stats(&self) -> HashMap<String, TenantQueueStats> {
+        lock_recover(&self.state).stats.clone()
     }
 }
 
@@ -976,12 +985,15 @@ impl Ingress<'_, '_> {
 }
 
 /// One cached planning result: the enumerated QEP space, the profiled
-/// (pressure-free) cost model, and that space costed under that model —
-/// every candidate's cost vector reduced to the exact Pareto set. All three
-/// are pure functions of (federation, placement, query shape, pinned table
-/// contents), which is exactly what their cache key encodes; none depends
-/// on a tenant's policy, so a hit leaves a job only Algorithm 2 to run
-/// (Figure 3: a policy change re-selects from a reused Pareto set).
+/// (pressure-free) cost model, that space costed under that model — every
+/// candidate's cost vector reduced to the exact Pareto set — and, per
+/// Pareto point, what a job that selects it executes. All are pure
+/// functions of (federation, placement, query shape, pinned contents of
+/// every table the query names or scans, cache scope), which is exactly
+/// what their cache key encodes; none depends on a tenant's policy, so a
+/// hit leaves a job only Algorithm 2 to run (Figure 3: a policy change
+/// re-selects from a reused Pareto set), and then no plan tree to clone
+/// and no plan to encode.
 struct CachedPlan {
     space: EnumerationSpace,
     model: PlanCostModel,
@@ -989,6 +1001,79 @@ struct CachedPlan {
     /// `model` — no admission pressure folded in, no hot site — selects
     /// from.
     costed: CostedSpace,
+    /// `served[i]`: Pareto point `i` of `costed`, assembled and keyed by
+    /// the first job that selects it ([`CachedPlan::served`]). Not charged
+    /// to the plan cache's budget: at most one small query per Pareto
+    /// point, and only the points some policy selects.
+    served: Box<[OnceLock<ServedPlan>]>,
+}
+
+/// One Pareto point of a [`CachedPlan`], ready to execute.
+struct ServedPlan {
+    /// `assemble` of the point's configuration.
+    query: FederatedQuery,
+    /// `fragment_keys(query, binding)` — what the run would compute — or
+    /// empty without a fragment cache.
+    keys: Vec<Option<CacheKey>>,
+}
+
+impl CachedPlan {
+    fn new(space: EnumerationSpace, model: PlanCostModel, costed: CostedSpace) -> Self {
+        let served = costed.pareto.iter().map(|_| OnceLock::new()).collect();
+        CachedPlan {
+            space,
+            model,
+            costed,
+            served,
+        }
+    }
+
+    /// Pareto point `index`'s assembled query and fragment keys, built on
+    /// its first use. `binding` is the asking job's: under every scope
+    /// each key it yields is a function of the plan-cache key and the
+    /// point alone — the tenant enters only under `PerTenant`, which puts
+    /// the tenant in the plan-cache key too, and the table ids of every
+    /// scanned table are in that key. Two jobs that race here build equal
+    /// values; the first is kept.
+    fn served(
+        &self,
+        index: usize,
+        federation: &Federation,
+        placement: &Placement,
+        query: &TwoTableQuery,
+        binding: Option<ResultCacheBinding<'_>>,
+    ) -> Result<&ServedPlan, EngineError> {
+        let slot = &self.served[index];
+        if let Some(served) = slot.get() {
+            return Ok(served);
+        }
+        let query = assemble(federation, placement, query, &self.costed.pareto[index].0)?;
+        let keys = binding.map_or_else(Vec::new, |binding| fragment_keys(&query, binding));
+        Ok(slot.get_or_init(|| ServedPlan { query, keys }))
+    }
+}
+
+/// The plan one attempt runs: a point of the cached costed space, by
+/// index, or a fresh selection under admission pressure or hot sites.
+enum Choice {
+    Cached(usize),
+    Fresh(MoqpOutcome),
+}
+
+impl Choice {
+    /// The chosen configuration and its predicted costs, and the size of
+    /// the Pareto set it came from.
+    fn read<'c>(&'c self, costed: &'c CostedSpace) -> (&'c CandidateConfig, &'c [f64], usize) {
+        match self {
+            Choice::Cached(index) => {
+                let (config, costs) = &costed.pareto[*index];
+                (config, costs, costed.pareto.len())
+            }
+            Choice::Fresh(outcome) => {
+                (&outcome.chosen, &outcome.chosen_costs, outcome.pareto.len())
+            }
+        }
+    }
 }
 
 /// What [`FederationRuntime::process`] hands back for one successful job.
@@ -1246,14 +1331,18 @@ impl<'a> FederationRuntime<'a> {
         let q = &job.query;
         let plans = [&q.left_prepare, &q.right_prepare, &q.combine];
         let fingerprint = PlanFingerprint::of_plans(plans);
-        let rejection = self.validate_admission(&job.tenant, &plans, &fingerprint);
+        let verdict = self.validate_admission(&job.tenant, &plans, &fingerprint);
         let admission = Admission {
             pinned,
             weight,
             queued_clock_s,
             pressure,
             fingerprint,
-            rejection,
+            scans: verdict.scans,
+            rejection: verdict.errors.map(|diagnostics| RuntimeError::InvalidPlan {
+                tenant: job.tenant.clone(),
+                diagnostics: diagnostics.to_vec(),
+            }),
         };
         queue.submit(job, admission)
     }
@@ -1313,16 +1402,41 @@ impl<'a> FederationRuntime<'a> {
         }
     }
 
+    /// The plan-cache key of `tenant`'s `query`, whose three plans encode
+    /// as `fingerprint` and scan `scans`: the plan scope, the fingerprint,
+    /// and the pinned identity (`ids`) of each table the query names or
+    /// its plans scan — everything a cached plan is a function of besides
+    /// the runtime's own federation and placement. `None` when one of those
+    /// tables has no identity: such a plan is not cached.
+    fn plan_key(
+        &self,
+        tenant: &str,
+        query: &TwoTableQuery,
+        fingerprint: &PlanFingerprint,
+        scans: &[String],
+        ids: &HashMap<String, u64>,
+    ) -> Option<CacheKey> {
+        let mut tables: Vec<(String, u64)> = Vec::with_capacity(scans.len() + 2);
+        for name in scans.iter().chain([&query.left_table, &query.right_table]) {
+            if !tables.iter().any(|(t, _)| t == name) {
+                tables.push((name.clone(), *ids.get(name)?));
+            }
+        }
+        Some(CacheKey::new(self.plan_scope(tenant), fingerprint.clone(), tables))
+    }
+
     /// Charge of one verdict memo entry beyond its key's and diagnostics'
-    /// bytes: the key's tuple and `Arc` header, the map slot, the owner.
+    /// bytes: the key's tuple and `Arc` headers, the scanned tables'
+    /// names, the map slot, the owner.
     const VERDICT_ENTRY_BYTES: u64 = 128;
 
     /// Statically validates `tenant`'s job against the runtime's schema
     /// environment at admission time: schema inference and type checking
     /// over its three fragment plans (left prepare, right prepare, combine
     /// with its `@frag` wiring), whose encoding is `fingerprint`. Returns
-    /// the typed rejection for an invalid plan, `None` when the job may
-    /// proceed to planning.
+    /// the verdict — error diagnostics for an invalid plan, none when the
+    /// job may proceed to planning — with the base tables the plans scan,
+    /// which the job's plan-cache key names.
     ///
     /// Runs on the submitting thread, **before** the job enters the queue
     /// — so a rejected job never contends for an admission slot, never
@@ -1336,12 +1450,12 @@ impl<'a> FederationRuntime<'a> {
         tenant: &str,
         plans: &[&PhysicalPlan; 3],
         fingerprint: &PlanFingerprint,
-    ) -> Option<RuntimeError> {
+    ) -> Verdict {
         let memo = self
             .verdicts
             .as_ref()
             .map(|memo| (memo, (self.plan_scope(tenant), fingerprint.clone())));
-        let verdict = match memo.as_ref().and_then(|(memo, key)| memo.get(key)) {
+        match memo.as_ref().and_then(|(memo, key)| memo.get(key)) {
             Some(verdict) => verdict,
             None => {
                 let errors: Vec<PlanDiagnostic> = analyze_fragment_plans(plans, &self.schemas)
@@ -1352,7 +1466,10 @@ impl<'a> FederationRuntime<'a> {
                     .iter()
                     .map(|d| std::mem::size_of::<PlanDiagnostic>() + d.path.len() + d.message.len())
                     .sum();
-                let verdict: Verdict = (!errors.is_empty()).then(|| errors.into());
+                let verdict = Verdict {
+                    errors: (!errors.is_empty()).then(|| errors.into()),
+                    scans: scanned_base_tables(plans).into_iter().map(String::from).collect(),
+                };
                 if let Some((memo, key)) = memo {
                     let bytes = Self::VERDICT_ENTRY_BYTES
                         + (key.0.len() + fingerprint.encoded_len() + diagnostics_bytes) as u64;
@@ -1360,11 +1477,7 @@ impl<'a> FederationRuntime<'a> {
                 }
                 verdict
             }
-        };
-        verdict.map(|diagnostics| RuntimeError::InvalidPlan {
-            tenant: tenant.to_string(),
-            diagnostics: diagnostics.to_vec(),
-        })
+        }
     }
 
     /// Checks the quarantine gate for one popped job: `Some(error)` when
@@ -1502,7 +1615,7 @@ impl<'a> FederationRuntime<'a> {
         &self,
         started: Instant,
         sink: ResultSink,
-        queue_stats: Vec<(String, TenantQueueStats)>,
+        queue_stats: HashMap<String, TenantQueueStats>,
     ) -> RuntimeReport {
         let ResultSink {
             mut completed,
@@ -1534,9 +1647,9 @@ impl<'a> FederationRuntime<'a> {
         }
         // Queue counters cover every tenant that ever submitted, including
         // ones whose jobs all failed — register them so the report shows
-        // their queue story too.
-        for (name, _) in &queue_stats {
-            tenants.entry(name.clone()).or_default();
+        // their queue story too. One map probe per tenant.
+        for (name, queue) in queue_stats {
+            tenants.entry(name).or_default().queue = queue;
         }
         let all_samples: Vec<f64> = latencies.values().flatten().copied().collect();
         let mut tenants: Vec<(String, TenantStats)> = tenants
@@ -1546,9 +1659,6 @@ impl<'a> FederationRuntime<'a> {
                 stats.latency = LatencyStats::from_samples(
                     latencies.remove(&name).unwrap_or_default(),
                 );
-                if let Some((_, queue)) = queue_stats.iter().find(|(n, _)| n == &name) {
-                    stats.queue = *queue;
-                }
                 (name, stats)
             })
             .collect();
@@ -1608,12 +1718,12 @@ impl<'a> FederationRuntime<'a> {
         // the flat oracles — `repro_lint`'s `serving-pin` rule keeps it so).
         let pinned = &admitted.admission.pinned;
         // The pinned tables' identities — the table component of every
-        // cache key this job forms. Computed once per job; None when both
-        // cache tiers are off.
+        // cache key this job forms — borrowed from the version, which
+        // builds them once. None when both cache tiers are off.
         let table_ids = (self.fragment_cache.is_some() || self.plan_cache.is_some())
-            .then(|| pinned.table_ids());
+            .then(|| pinned.table_id_map());
         // How planning and every attempt reach the fragment cache.
-        let binding = self.fragment_cache.as_ref().zip(table_ids.as_ref()).map(|(cache, ids)| {
+        let binding = self.fragment_cache.as_ref().zip(table_ids).map(|(cache, ids)| {
             ResultCacheBinding {
                 cache,
                 scope: self.config.cache_scope,
@@ -1628,19 +1738,13 @@ impl<'a> FederationRuntime<'a> {
         // functions of (federation, placement, query shape, pinned table
         // contents), so the plan cache serves them by (scope,
         // prepare/combine fingerprints — admission's, encoded once —,
-        // pinned table identities) — an ingest publish retires the
-        // identities and forces a rebuild.
-        let plan_key = self.plan_cache.as_ref().and(table_ids.as_ref()).and_then(|ids| {
-            let left_id = *ids.get(&query.left_table)?;
-            let right_id = *ids.get(&query.right_table)?;
-            Some(CacheKey::new(
-                self.plan_scope(&job.tenant),
-                admitted.admission.fingerprint.clone(),
-                vec![
-                    (query.left_table.clone(), left_id),
-                    (query.right_table.clone(), right_id),
-                ],
-            ))
+        // pinned identities of the two tables the query names and of
+        // every table its plans scan — admission's list) — an ingest
+        // publish to any of them retires its identity and forces a
+        // rebuild.
+        let plan_key = self.plan_cache.as_ref().and(table_ids).and_then(|ids| {
+            let admission = &admitted.admission;
+            self.plan_key(&job.tenant, query, &admission.fingerprint, &admission.scans, ids)
         });
         let cached_plan = match (&self.plan_cache, &plan_key) {
             (Some(cache), Some(key)) => cache.get(key),
@@ -1674,11 +1778,7 @@ impl<'a> FederationRuntime<'a> {
                 }
                 .map_err(|e| scheduler_err(SchedulerError::Engine(e)))?;
                 let costed = cost_space(&space, &model, self.federation);
-                let entry = Arc::new(CachedPlan {
-                    space,
-                    model,
-                    costed,
-                });
+                let entry = Arc::new(CachedPlan::new(space, model, costed));
                 if let (Some(cache), Some(key)) = (&self.plan_cache, &plan_key) {
                     // Nominal footprint: an allowance per candidate (the
                     // Pareto set is a subset of them) plus a flat one for
@@ -1729,13 +1829,18 @@ impl<'a> FederationRuntime<'a> {
             // With no admission pressure sampled (feedback off — the
             // default) and no site failed yet, the attempt's model is the
             // cached pressure-free one, whose costed space the plan entry
-            // already holds: only Algorithm 2 runs. Otherwise select under
-            // the job's admission-time pressure sample and its hot sites.
+            // already holds: only Algorithm 2 runs, and it names a Pareto
+            // point by index. Otherwise select under the job's
+            // admission-time pressure sample and its hot sites.
             let pressure = &admitted.admission.pressure;
-            let mut outcome = if pressure.is_empty() && hot_sites.is_empty() {
-                select_costed(&planned.costed, &weights, &job.policy.constraints)
+            let mut choice = if pressure.is_empty() && hot_sites.is_empty() {
+                let index = planned
+                    .costed
+                    .select(&weights, &job.policy.constraints)
+                    .expect("a costed space is never empty");
+                Choice::Cached(index)
             } else {
-                select_under(pressure, &hot_sites)?.1
+                Choice::Fresh(select_under(pressure, &hot_sites)?.1)
             };
 
             // Speculative re-planning: the job waited so long (relative to
@@ -1747,33 +1852,47 @@ impl<'a> FederationRuntime<'a> {
             // time **under the same fresh model** (apples to apples — the
             // stale plan is re-costed with current pressure, not compared
             // across incompatible models).
+            let (chosen, chosen_costs, _) = choice.read(&planned.costed);
             if self.config.pressure_penalty > 0.0
                 && self.config.replan_threshold.is_finite()
-                && waited_s > self.config.replan_threshold * outcome.chosen_costs[0]
+                && waited_s > self.config.replan_threshold * chosen_costs[0]
             {
                 replans += 1;
                 let (fresh_model, fresh) =
                     select_under(&self.admission.pressure(), &hot_sites)?;
-                let stale_under_fresh = fresh_model.cost(self.federation, &outcome.chosen);
-                if fresh.chosen != outcome.chosen
-                    && fresh.chosen_costs[0] < stale_under_fresh[0]
-                {
+                let stale_under_fresh = fresh_model.cost(self.federation, chosen);
+                if fresh.chosen != *chosen && fresh.chosen_costs[0] < stale_under_fresh[0] {
                     plan_switched = true;
-                    outcome = fresh;
+                    choice = Choice::Fresh(fresh);
                 }
             }
 
             // Execute: per-site admission + shared drifting environment,
             // over the pinned version (the fragments' outputs are a slice
-            // beside it, by position).
+            // beside it, by position). A cached point's query and fragment
+            // keys are the entry's, built once; a fresh choice assembles
+            // its query and the run keys it.
             // The fault position advances with the attempt, so a retry can
             // outlive a short outage window even when the failing site is
             // a pinned scan site no re-plan can move.
-            let federated = assemble(self.federation, self.placement, query, &outcome.chosen)
-                .map_err(|e| scheduler_err(SchedulerError::Engine(e)))?;
+            let assembled;
+            let (federated, keys) = match &choice {
+                Choice::Cached(index) => {
+                    let served = planned
+                        .served(*index, self.federation, self.placement, query, binding)
+                        .map_err(|e| scheduler_err(SchedulerError::Engine(e)))?;
+                    (&served.query, served.keys.as_slice())
+                }
+                Choice::Fresh(outcome) => {
+                    assembled = assemble(self.federation, self.placement, query, &outcome.chosen)
+                        .map_err(|e| scheduler_err(SchedulerError::Engine(e)))?;
+                    (&assembled, &[][..])
+                }
+            };
             let mut executor = SharedExecutor::new(self.federation, &self.env, &self.admission)
                 .with_pacing(self.config.pacing)
-                .with_profiled_fragments(&profiled);
+                .with_profiled_fragments(&profiled)
+                .with_fragment_keys(keys);
             if let Some(binding) = binding {
                 executor = executor.with_result_cache(binding);
             }
@@ -1782,7 +1901,7 @@ impl<'a> FederationRuntime<'a> {
                     executor.with_faults(plan, admitted.sequence as u64 + attempt as u64);
             }
             let executed =
-                match executor.run_with_scale(&federated, pinned, self.config.work_scale) {
+                match executor.run_with_scale(federated, pinned, self.config.work_scale) {
                     Ok(executed) => executed,
                     Err(EngineError::SiteUnavailable { site }) => {
                         if !hot_sites.contains(&site) {
@@ -1823,17 +1942,18 @@ impl<'a> FederationRuntime<'a> {
                 .record(query.class(), &features, &costs)
                 .map_err(|e| scheduler_err(SchedulerError::Estimation(e)))?;
 
+            let (chosen, chosen_costs, pareto_size) = choice.read(&planned.costed);
             return Ok(ProcessOutcome {
                 report: MidasReport {
                     label: query.label.clone(),
                     space_size: space.len(),
-                    pareto_size: outcome.pareto.len(),
-                    predicted_costs: outcome.chosen_costs,
+                    pareto_size,
+                    predicted_costs: chosen_costs.to_vec(),
                     actual_costs: costs,
                     result_rows: executed.result.n_rows(),
                     result_fingerprint: executed.result.fingerprint(),
                     catalog_shared_bytes: executed.catalog_shared_bytes,
-                    chosen: outcome.chosen,
+                    chosen: chosen.clone(),
                 },
                 attempts: attempt + 1,
                 cache_hits: executed.cache_hits,
@@ -1867,6 +1987,7 @@ mod tests {
             queued_clock_s: 0.0,
             pressure: Vec::new(),
             fingerprint: PlanFingerprint::of_plans([&q.left_prepare, &q.right_prepare, &q.combine]),
+            scans: Arc::from([]),
             rejection: None,
         }
     }
@@ -2011,6 +2132,109 @@ mod tests {
         }
         assert_eq!(served, 100);
         assert!(lock_recover(&q.state).tenants.is_empty());
+    }
+
+    /// A cached plan's memo hands every run the keys `fragment_keys`
+    /// computes from a freshly assembled query, and the very fragments
+    /// `assemble` builds: for the paper's and the medical queries, under
+    /// every scope, at every Pareto index of every entry. Each shared entry
+    /// is checked by a second tenant after the first tenant's check (or its
+    /// jobs) filled it.
+    #[test]
+    fn a_cached_plans_memo_serves_what_assembly_and_keying_compute() {
+        use crate::Midas;
+        use midas_engines::exec::Fragment;
+        use midas_tpch::gen::{GenConfig, TpchDb};
+        use midas_tpch::medical::{generate_medical, medical_query};
+        use midas_tpch::queries::{q13, q14, q17};
+
+        let (tpch, _, _) =
+            Midas::example_deployment(&["lineitem", "customer"], &["orders", "part"]);
+        let (medical, _, _) = Midas::example_deployment(&["patient"], &["generalinfo"]);
+        let deployments = [
+            (
+                tpch,
+                TpchDb::generate(GenConfig::new(0.002, 5)).catalog().clone(),
+                vec![
+                    q12("MAIL", "SHIP", 1994),
+                    q13("special", "requests"),
+                    q14(1995, 3),
+                    q17("Brand#23", "MED BOX"),
+                ],
+            ),
+            (
+                medical,
+                generate_medical(200, 0.5, 7),
+                ["CT", "MR", "US", "XR", "PET"].map(|m| medical_query(Some(m))).to_vec(),
+            ),
+        ];
+        let tenants = ["hospital-a", "hospital-b"];
+        let policies = [QueryPolicy::balanced(), QueryPolicy::fastest(), QueryPolicy::cheapest()];
+        let shape =
+            |f: &Fragment| (f.plan.clone(), f.site, f.engine, f.instance.clone(), f.vm_count);
+        for (midas, catalog, queries) in &deployments {
+            let (federation, placement) = (midas.federation(), midas.placement());
+            for scope in [
+                CacheScope::PerTenant,
+                CacheScope::SiteLocal,
+                CacheScope::FederationGlobal,
+            ] {
+                let runtime = FederationRuntime::new(
+                    federation,
+                    placement,
+                    catalog.clone(),
+                    RuntimeConfig {
+                        workers: 1,
+                        max_vms: 2,
+                        cache_scope: scope,
+                        ..RuntimeConfig::default()
+                    },
+                );
+                let mut jobs = Vec::new();
+                for tenant in tenants {
+                    for query in queries {
+                        for policy in &policies {
+                            jobs.push(RuntimeJob::new(tenant, query.clone(), policy.clone()));
+                        }
+                    }
+                }
+                let report = runtime.run(jobs);
+                assert!(report.failed.is_empty(), "{:?}", report.failed);
+                // A fresh copy of the identities, not the version's own map.
+                let ids = runtime.versioned_catalog().current().table_ids();
+                let plan_cache = runtime.plan_cache.as_ref().expect("plan cache on");
+                for tenant in tenants {
+                    let binding = ResultCacheBinding {
+                        cache: runtime.fragment_cache.as_ref().expect("fragment cache on"),
+                        scope,
+                        tenant,
+                        table_ids: &ids,
+                    };
+                    for query in queries {
+                        let plans = [&query.left_prepare, &query.right_prepare, &query.combine];
+                        let scans: Vec<String> =
+                            scanned_base_tables(&plans).into_iter().map(String::from).collect();
+                        let fingerprint = PlanFingerprint::of_plans(plans);
+                        let key = runtime.plan_key(tenant, query, &fingerprint, &scans, &ids);
+                        let entry = plan_cache.get(&key.expect("keyed")).expect("cached");
+                        for (index, (config, _)) in entry.costed.pareto.iter().enumerate() {
+                            let ctx = format!("{scope:?}/{tenant}/{}/{index}", query.label);
+                            let served = entry
+                                .served(index, federation, placement, query, Some(binding))
+                                .expect("assembles");
+                            let fresh = assemble(federation, placement, query, config)
+                                .expect("assembles");
+                            assert_eq!(served.keys, fragment_keys(&fresh, binding), "{ctx}");
+                            assert_eq!(served.keys.len(), 3, "{ctx}");
+                            assert!(served.keys.iter().all(Option::is_some), "{ctx}");
+                            let memo: Vec<_> = served.query.fragments.iter().map(shape).collect();
+                            let assembled: Vec<_> = fresh.fragments.iter().map(shape).collect();
+                            assert_eq!(memo, assembled, "{ctx}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

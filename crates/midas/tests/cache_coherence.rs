@@ -23,7 +23,9 @@ use midas::{Midas, QueryPolicy};
 use midas_engines::cache::CacheScope;
 use midas_engines::sim::FaultPlan;
 use midas_moo::select::Constraints;
+use midas_tpch::gen::{DeltaStream, GenConfig, TpchDb};
 use midas_tpch::medical::{generate_medical, medical_delta, medical_query};
+use midas_tpch::queries::q12;
 use proptest::prelude::*;
 
 /// Field-wise bit-identity between two runtime reports. With
@@ -269,6 +271,62 @@ fn ingest_publish_invalidates_exactly_the_affected_tables_entries() {
     let rewarmed = runtime.cache_stats();
     assert_eq!(rewarmed.fragment.hits, warm.fragment.hits + 1);
     assert_eq!(rewarmed.fragment.misses, warm.fragment.misses + 2);
+}
+
+/// A plan-cache entry is a function of every table its plans scan, not
+/// only of the two its query names. Q12 with `part` named as its right
+/// table still scans `orders` in its right prepare: each `orders`-only
+/// publish must retire the cached plan, so every window plans over the
+/// orders it pins and the cached run's ledger stays the cache-free one's.
+#[test]
+fn a_publish_to_a_scanned_table_the_query_does_not_name_retires_its_plan() {
+    let (midas, _, _) = Midas::example_deployment(&["lineitem", "customer"], &["orders", "part"]);
+    let db = TpchDb::generate(GenConfig::new(0.002, 5));
+    let mut query = q12("MAIL", "SHIP", 1994);
+    query.right_table = "part".to_string();
+    let mut stream = DeltaStream::new(&db, 43);
+    let publishes: Vec<Vec<_>> = (0..3)
+        .map(|_| {
+            let batch = stream.next_batch(200).into_batch();
+            batch.into_iter().filter(|(name, _)| name == "orders").collect()
+        })
+        .collect();
+    let run = |config: RuntimeConfig| {
+        let catalog = db.catalog().clone();
+        let runtime =
+            FederationRuntime::new(midas.federation(), midas.placement(), catalog, config);
+        // Four windows of two jobs, an orders-only publish between windows.
+        let ((), report) = runtime.serve(|ingress| {
+            for window in 0..=publishes.len() {
+                if window > 0 {
+                    ingress.ingest_batch(publishes[window - 1].clone()).expect("ingest");
+                }
+                for _ in 0..2 {
+                    let job = RuntimeJob::new("clinic", query.clone(), QueryPolicy::balanced());
+                    ingress.submit(job);
+                    ingress.drain();
+                }
+            }
+        });
+        assert!(report.failed.is_empty(), "failures: {:?}", report.failed);
+        report
+    };
+    let config = RuntimeConfig {
+        workers: 1,
+        max_vms: 2,
+        ..RuntimeConfig::default()
+    };
+    let cold = run(no_cache(config));
+    let warm = run(config);
+    assert_eq!(
+        warm.completed.iter().map(|r| r.pinned_version).collect::<Vec<_>>(),
+        [0, 0, 1, 1, 2, 2, 3, 3]
+    );
+    assert_reports_bit_identical(&warm, &cold, "orders-only publishes");
+    // Each publish retired the plan; the window's second job hit the one
+    // its first job built.
+    let p = warm.cache.plan;
+    assert_eq!((p.misses, p.hits, p.invalidations), (4, 4, 3), "{p:?}");
 }
 
 #[test]

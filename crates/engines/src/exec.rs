@@ -506,9 +506,12 @@ impl<'a> SharedExecutor<'a> {
     /// [`ResultCacheBinding`] given to [`SharedExecutor::with_result_cache`].
     /// A caller that serves one assembled query to many runs — the runtime
     /// keeps them beside each plan-cache entry's assembled query, per Pareto
-    /// index — computes them once. A list whose length is not the query's
-    /// fragment count is ignored and the run computes the keys itself, as
-    /// it does without this call; without a result cache keys are unused.
+    /// index — computes them once. An empty list, the default, leaves the
+    /// run to compute the keys itself; any other must hold one key per
+    /// fragment, which debug builds assert. Their values are the caller's
+    /// to keep right: the run cannot check them without encoding the plans
+    /// this call exists to skip (the runtime's own test pins its memo
+    /// against [`fragment_keys`]). Without a result cache keys are unused.
     pub fn with_fragment_keys(mut self, keys: &'a [Option<CacheKey>]) -> Self {
         self.keys = keys;
         self
@@ -630,9 +633,14 @@ fn run_federated(
 
     // Result-cache keys, one per fragment: the caller's when it handed
     // them over, else computed here ([`fragment_keys`]).
+    debug_assert!(
+        keys.is_empty() || keys.len() == n,
+        "{} fragment keys handed over for {n} fragments",
+        keys.len()
+    );
     let computed: Vec<Option<CacheKey>>;
     let cache_keys: &[Option<CacheKey>] = match cache {
-        Some(_) if keys.len() == n => keys,
+        Some(_) if !keys.is_empty() => keys,
         Some(binding) => {
             computed = fragment_keys(query, binding);
             &computed

@@ -423,11 +423,7 @@ impl<'a> TableSource<'a> {
             TableSource::Versioned(v) => v.table(name)?.chunks(),
         };
         let rows = chunks.iter().map(|c| c.n_rows()).sum();
-        let widths = chunks[0].columns().iter().enumerate().map(|(ci, column)| {
-            let utf8 = chunks.iter().map(|c| c.utf8_bytes_sel(ci, None)).sum();
-            (column.data.data_type(), utf8)
-        });
-        Some(width_bytes(widths, rows))
+        Some(width_bytes(slab_widths(chunks.iter().map(|c| (&**c, None))), rows))
     }
 
     /// The table registered under `name` as the batch a scan of it starts
@@ -493,6 +489,22 @@ fn borrowed(t: &Table) -> FBatch<'_> {
     one_slab(Batch::all(TableSlot::Borrowed(t)))
 }
 
+/// Per column of `slabs`' one schema (slabs of one table share it by
+/// construction): its type and the total length of its string values,
+/// each slab's selected rows only (all of them without a selection). What
+/// [`width_bytes`] turns into a byte count, for a scan's batch
+/// ([`FBatch::bytes`]) and for a table read without one
+/// ([`TableSource::table_bytes`]) alike.
+fn slab_widths<'s>(
+    slabs: impl Iterator<Item = (&'s Table, Option<&'s [u32]>)> + Clone + 's,
+) -> impl Iterator<Item = (DataType, usize)> + 's {
+    let first = slabs.clone().next().map(|(table, _)| table.columns());
+    first.unwrap_or_default().iter().enumerate().map(move |(ci, c)| {
+        let utf8 = slabs.clone().map(|(table, sel)| table.utf8_bytes_sel(ci, sel)).sum();
+        (c.data.data_type(), utf8)
+    })
+}
+
 fn owned<'a>(t: Table) -> FBatch<'a> {
     one_slab(Batch::all(TableSlot::Owned(t)))
 }
@@ -512,15 +524,9 @@ impl<'a> FBatch<'a> {
         width_bytes(self.widths(), self.len())
     }
 
-    /// Per column of the slabs' one schema (slabs of one table share it by
-    /// construction): its type and the total length of its selected string
-    /// values.
+    /// [`slab_widths`] of the batch's slabs.
     fn widths(&self) -> impl Iterator<Item = (DataType, usize)> + '_ {
-        let columns = self.slabs[0].table().columns().iter().enumerate();
-        columns.map(move |(ci, c)| {
-            let utf8 = self.slabs.iter().map(|b| b.table().utf8_bytes_sel(ci, b.sel_ref())).sum();
-            (c.data.data_type(), utf8)
-        })
+        slab_widths(self.slabs.iter().map(|b| (b.table(), b.sel_ref())))
     }
 
     /// Records one operator's work from its output batch; byte accounting

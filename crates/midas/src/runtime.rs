@@ -94,6 +94,7 @@ use midas_ires::{
 use midas_moo::WeightedSumModel;
 use midas_tpch::TwoTableQuery;
 use std::collections::{HashMap, VecDeque};
+use std::fmt::Write as _;
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -1003,8 +1004,11 @@ struct CachedPlan {
     costed: CostedSpace,
     /// `served[i]`: Pareto point `i` of `costed`, assembled and keyed by
     /// the first job that selects it ([`CachedPlan::served`]). Not charged
-    /// to the plan cache's budget: at most one small query per Pareto
-    /// point, and only the points some policy selects.
+    /// to the plan cache's budget, so an entry can hold more than its
+    /// charge: a medical query's point holds ≈ 2.6 KB (its three plan
+    /// trees and keys) beyond the entry's 17.4 KB charge (264 candidates,
+    /// 20 Pareto points) — ≈ 10 KB once four policies select four points,
+    /// ≈ 52 KB if every point is selected.
     served: Box<[OnceLock<ServedPlan>]>,
 }
 
@@ -1403,11 +1407,17 @@ impl<'a> FederationRuntime<'a> {
     }
 
     /// The plan-cache key of `tenant`'s `query`, whose three plans encode
-    /// as `fingerprint` and scan `scans`: the plan scope, the fingerprint,
-    /// and the pinned identity (`ids`) of each table the query names or
-    /// its plans scan — everything a cached plan is a function of besides
-    /// the runtime's own federation and placement. `None` when one of those
-    /// tables has no identity: such a plan is not cached.
+    /// as `fingerprint` and scan `scans`: the two tables the query names,
+    /// left then right, before the plan scope; the fingerprint; and the
+    /// pinned identity (`ids`) of each table the query names or its plans
+    /// scan — everything a cached plan is a function of besides the
+    /// runtime's own federation and placement. The named tables enter in
+    /// order because they place the fragments (the left prepare at the
+    /// left table's site, …), which the key's table set, sorted and
+    /// shared with the scanned tables, cannot tell apart; each is
+    /// length-prefixed, so no two (left, right, scope) triples spell the
+    /// same string. `None` when one of the tables has no identity: such a
+    /// plan is not cached.
     fn plan_key(
         &self,
         tenant: &str,
@@ -1422,12 +1432,19 @@ impl<'a> FederationRuntime<'a> {
                 tables.push((name.clone(), *ids.get(name)?));
             }
         }
-        Some(CacheKey::new(self.plan_scope(tenant), fingerprint.clone(), tables))
+        let (left, right, plan_scope) =
+            (&query.left_table, &query.right_table, self.plan_scope(tenant));
+        // Sized up front (two lengths of ≤ 20 digits, two colons): one block.
+        let mut scope = String::with_capacity(left.len() + right.len() + plan_scope.len() + 42);
+        write!(scope, "{}:{left}{}:{right}{plan_scope}", left.len(), right.len())
+            .expect("writing to a String cannot fail");
+        Some(CacheKey::new(scope, fingerprint.clone(), tables))
     }
 
     /// Charge of one verdict memo entry beyond its key's and diagnostics'
-    /// bytes: the key's tuple and `Arc` headers, the scanned tables'
-    /// names, the map slot, the owner.
+    /// bytes: the key's tuple and `Arc` headers, the map slot, the owner.
+    /// The names of the tables the plans scan, which the verdict carries,
+    /// are not charged (two to four short names per distinct plan).
     const VERDICT_ENTRY_BYTES: u64 = 128;
 
     /// Statically validates `tenant`'s job against the runtime's schema
@@ -1736,12 +1753,12 @@ impl<'a> FederationRuntime<'a> {
         // same space under hot-site pressure; they do not re-profile and
         // do not re-execute (see `profiled` below). Both halves are pure
         // functions of (federation, placement, query shape, pinned table
-        // contents), so the plan cache serves them by (scope,
-        // prepare/combine fingerprints — admission's, encoded once —,
-        // pinned identities of the two tables the query names and of
-        // every table its plans scan — admission's list) — an ingest
-        // publish to any of them retires its identity and forces a
-        // rebuild.
+        // contents), so the plan cache serves them by (the two tables the
+        // query names, in order, and scope; prepare/combine fingerprints —
+        // admission's, encoded once —; pinned identities of the named
+        // tables and of every table the plans scan — admission's list) —
+        // an ingest publish to any of them retires its identity and forces
+        // a rebuild.
         let plan_key = self.plan_cache.as_ref().and(table_ids).and_then(|ids| {
             let admission = &admitted.admission;
             self.plan_key(&job.tenant, query, &admission.fingerprint, &admission.scans, ids)

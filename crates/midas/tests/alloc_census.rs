@@ -11,7 +11,9 @@
 //! * admission validates a repeated plan by one verdict-memo lookup, not
 //!   by running the static analyzer again (≈ 95 allocations per job);
 //! * the plan-cache key takes admission's plan fingerprint and scanned
-//!   tables instead of encoding or walking the three plans again;
+//!   tables instead of encoding or walking the three plans again (it
+//!   still copies the table names and spells the two named tables, in
+//!   order, into its scope: one block);
 //! * the queue, the quarantine ledger and the report's per-tenant tallies
 //!   look a tenant up by `&str`, copying its name only on first sight;
 //! * selection reads the chosen Pareto index off the cached costed space
@@ -139,7 +141,8 @@ fn a_warm_medical_job_allocates_at_most_its_bound() {
     let per_job = allocations as f64 / n_jobs as f64;
     // Parent of the change that added this file → that change: 230.5 →
     // 128.8 allocations per job (36 885 → 20 613 over the run); the plan
-    // entry's per-point memo then took it to 38.5 (6 155).
+    // entry's per-point memo then took it to 38.5 (6 155), and naming the
+    // query's two tables in order in the plan key to 39.5 (6 315).
     assert!(
         per_job <= 40.0,
         "a warm job asked for {per_job:.1} allocations ({allocations} over {n_jobs} jobs)"

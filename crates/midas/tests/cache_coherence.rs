@@ -329,6 +329,58 @@ fn a_publish_to_a_scanned_table_the_query_does_not_name_retires_its_plan() {
     assert_eq!((p.misses, p.hits, p.invalidations), (4, 4, 3), "{p:?}");
 }
 
+/// Where a query's fragments are placed follows the two tables it names,
+/// left and right in that order, not only the set of tables its plans
+/// scan. Q12's plans scan `lineitem` and `orders`; naming
+/// (`lineitem`, `part`), (`orders`, `part`), (`lineitem`, `orders`) or
+/// (`orders`, `lineitem`) gives the same plans and the same set of tables
+/// read, but four different plans to cache. Each must plan as it would
+/// with no cache.
+#[test]
+fn queries_that_name_different_tables_over_the_same_plans_never_share_a_plan() {
+    let (midas, _, _) = Midas::example_deployment(&["lineitem", "customer"], &["orders", "part"]);
+    let db = TpchDb::generate(GenConfig::new(0.002, 5));
+    let named = [
+        ("lineitem", "part"),
+        ("orders", "part"),
+        ("lineitem", "orders"),
+        ("orders", "lineitem"),
+    ];
+    let jobs = || -> Vec<RuntimeJob> {
+        (0..2)
+            .flat_map(|_| named)
+            .map(|(left, right)| {
+                let mut query = q12("MAIL", "SHIP", 1994);
+                query.left_table = left.to_string();
+                query.right_table = right.to_string();
+                RuntimeJob::new("clinic", query, QueryPolicy::balanced())
+            })
+            .collect()
+    };
+    let run = |config: RuntimeConfig| {
+        let runtime = FederationRuntime::new(
+            midas.federation(),
+            midas.placement(),
+            db.catalog().clone(),
+            config,
+        );
+        let report = runtime.run(jobs());
+        assert!(report.failed.is_empty(), "failures: {:?}", report.failed);
+        report
+    };
+    let config = RuntimeConfig {
+        workers: 1,
+        max_vms: 2,
+        ..RuntimeConfig::default()
+    };
+    let cold = run(no_cache(config));
+    let warm = run(config);
+    assert_reports_bit_identical(&warm, &cold, "same plans, other named tables");
+    // One plan per naming, each reused by its second job.
+    let p = warm.cache.plan;
+    assert_eq!((p.misses, p.hits), (4, 4), "{p:?}");
+}
+
 #[test]
 fn an_empty_ingest_retires_no_cache_entry() {
     let (midas, _, _) = Midas::example_deployment(&["patient"], &["generalinfo"]);

@@ -76,13 +76,10 @@
 //! the states of the entries it drops as *predecessors* — one generation,
 //! which the next publish replaces, prepares and combines alike — while
 //! counting the entries in `invalidations` and dropping them from
-//! `resident_*`. A predecessor is keyed by a *slot*: scope, plan and table
-//! names, whatever state of the tables, so under [`CacheScope::PerTenant`]
-//! no tenant extends another's. A prepare's slot is its exact key's; a
-//! combine's is scoped as planning is (by tenant under
-//! [`CacheScope::PerTenant`], shared otherwise), since planning has no
-//! join site. A prepare's and a combine's slots never meet: the plans
-//! their keys fingerprint differ.
+//! `resident_*`. A predecessor is keyed by a *slot*: its exact key with
+//! the tables' states dropped — scope, plans and table names — so under
+//! [`CacheScope::PerTenant`] no tenant extends another's. A prepare's and
+//! a combine's slots never meet: the plans their keys fingerprint differ.
 //!
 //! Planning (`exec::profile_fragments_cached`) probes a prepare's exact
 //! key, then its slot's predecessor; a combine, once its prepares are
@@ -99,13 +96,16 @@
 //!
 //! Cross-tenant sharing of cached results in a *medical* federation is a
 //! privacy decision, not just a performance one (cSELENE's problem). The
-//! [`CacheScope`] policy knob picks the sharing domain:
+//! [`CacheScope`] policy knob picks the sharing domain, and with it the
+//! scope component of every key — a fragment's, a predecessor slot's, a
+//! cached plan's and an admission verdict's — from the tenant alone:
 //!
-//! * [`CacheScope::PerTenant`] — entries are keyed by tenant: no tenant
-//!   can ever observe (or time) another tenant's cached work.
-//! * [`CacheScope::SiteLocal`] — entries are keyed by the executing site:
-//!   tenants share within a site boundary, mirroring federations where
-//!   data may not leave a member cloud.
+//! * [`CacheScope::PerTenant`] — every key names the tenant: no tenant
+//!   can hit, extend or read another tenant's cached work. The byte
+//!   budget and its fair-share eviction are still one for all tenants
+//!   (until ROADMAP's `[isolation]`), so one tenant's inserts can evict
+//!   another's entries, which that tenant then sees in its own hits,
+//!   simulated costs and latency.
 //! * [`CacheScope::FederationGlobal`] — one shared domain; maximum reuse.
 //!
 //! # Eviction
@@ -125,7 +125,6 @@ use crate::expr::Expr;
 use crate::fused::DeltaState;
 use crate::ops::{AggExpr, JoinType, PhysicalPlan, WorkProfile};
 use crate::data::Table;
-use midas_cloud::SiteId;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex};
@@ -135,20 +134,16 @@ use std::sync::{Arc, Mutex};
 pub enum CacheScope {
     /// Entries are private to the submitting tenant.
     PerTenant,
-    /// Entries are shared among tenants executing at the same site.
-    SiteLocal,
     /// One federation-wide sharing domain (maximum reuse).
     #[default]
     FederationGlobal,
 }
 
 impl CacheScope {
-    /// The scope component of a cache key for work submitted by `tenant`
-    /// and executed at `site`.
-    pub fn key(&self, tenant: &str, site: SiteId) -> String {
+    /// The scope component of a cache key for work submitted by `tenant`.
+    pub fn key(&self, tenant: &str) -> String {
         match self {
             CacheScope::PerTenant => format!("tenant:{tenant}"),
-            CacheScope::SiteLocal => format!("site:{}", site.0),
             CacheScope::FederationGlobal => String::new(),
         }
     }
@@ -926,20 +921,10 @@ mod tests {
 
     #[test]
     fn scope_keys_differ_by_policy() {
-        let site = SiteId(3);
-        assert_eq!(CacheScope::PerTenant.key("h-A", site), "tenant:h-A");
-        assert_eq!(CacheScope::SiteLocal.key("h-A", site), "site:3");
-        assert_eq!(CacheScope::FederationGlobal.key("h-A", site), "");
-        // Different tenants share under SiteLocal/Global, split under
-        // PerTenant.
-        assert_ne!(
-            CacheScope::PerTenant.key("h-A", site),
-            CacheScope::PerTenant.key("h-B", site)
-        );
-        assert_eq!(
-            CacheScope::SiteLocal.key("h-A", site),
-            CacheScope::SiteLocal.key("h-B", site)
-        );
+        assert_eq!(CacheScope::PerTenant.key("h-A"), "tenant:h-A");
+        assert_eq!(CacheScope::FederationGlobal.key("h-A"), "");
+        // Different tenants split under PerTenant.
+        assert_ne!(CacheScope::PerTenant.key("h-A"), CacheScope::PerTenant.key("h-B"));
     }
 
     #[test]

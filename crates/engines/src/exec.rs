@@ -46,7 +46,10 @@
 //! ([`profile_fragments_cached`]): a prepare cached at the pinned version
 //! is taken as it is, and a fragment's delta state kept before a publish
 //! that only appended is advanced over the rows appended since (see
-//! [`crate::cache`]'s *Predecessors*).
+//! [`crate::cache`]'s *Predecessors*). A fragment's cache key, and the
+//! predecessor slot it names, is a function of its plans, the tables they
+//! read and the binding's scope and tenant — never of its site — so
+//! planning and every run of any configuration of a query key alike.
 
 use crate::cache::{
     slot_key, CacheKey, CacheScope, CachedFragment, FragmentResultCache, PlanFingerprint,
@@ -147,20 +150,18 @@ pub fn profile_fragments<'a>(
     plans: &[&PhysicalPlan],
     base_tables: impl Into<TableSource<'a>>,
 ) -> Result<Vec<ProfiledFragment>, EngineError> {
-    let plans: Vec<_> = plans.iter().map(|&plan| (plan, None)).collect();
-    profile(&plans, base_tables.into(), None)
+    profile(plans, base_tables.into(), None)
 }
 
 /// [`profile_fragments`] through the fragment cache, over the job's pinned
-/// `version`. A prepare — a plan reading no `@frag` output, given with the
-/// site its cache key names — is its exact cached output; a prepare or a
-/// combine — a plan reading `@frag` outputs — is else its delta state,
-/// advanced over the rows appended since a publish kept it, else a full
-/// computation that keeps one (see [`crate::cache`], *Predecessors*). A
-/// prepare given without a site is computed in full. Outputs and work
-/// profiles are bit for bit those of [`profile_fragments`].
+/// `version`. A prepare — a plan reading no `@frag` output — is its exact
+/// cached output; a prepare or a combine — a plan reading `@frag` outputs
+/// — is else its delta state, advanced over the rows appended since a
+/// publish kept it, else a full computation that keeps one (see
+/// [`crate::cache`], *Predecessors*). Outputs and work profiles are bit
+/// for bit those of [`profile_fragments`].
 pub fn profile_fragments_cached(
-    plans: &[(&PhysicalPlan, Option<SiteId>)],
+    plans: &[&PhysicalPlan],
     version: &CatalogVersion,
     cache: ResultCacheBinding<'_>,
 ) -> Result<Vec<ProfiledFragment>, EngineError> {
@@ -169,25 +170,21 @@ pub fn profile_fragments_cached(
 
 /// Profiles `plans` in order, through `cache` where it applies.
 fn profile(
-    plans: &[(&PhysicalPlan, Option<SiteId>)],
+    plans: &[&PhysicalPlan],
     base_tables: TableSource<'_>,
     cache: Option<ResultCacheBinding<'_>>,
 ) -> Result<Vec<ProfiledFragment>, EngineError> {
     let mut outputs: Vec<Arc<Table>> = Vec::with_capacity(plans.len());
     let mut profiled = Vec::with_capacity(plans.len());
     let mut closures: Vec<Vec<usize>> = Vec::with_capacity(plans.len());
-    for (idx, &(plan, site)) in plans.iter().enumerate() {
+    for (idx, &plan) in plans.iter().enumerate() {
         let reads = referenced_fragments(plan);
         closures.push(closure(idx, &reads, &closures));
         let fragment = match (cache, base_tables) {
-            (Some(binding), TableSource::Versioned(version))
-                if site.is_some() || !reads.is_empty() =>
-            {
-                let closure: Vec<_> = closures[idx].iter().map(|&i| plans[i].0).collect();
-                let prepare = site.filter(|_| reads.is_empty());
-                plan_cached(
-                    plan, prepare, &closure, &profiled, &outputs, version, binding,
-                )?
+            (Some(binding), TableSource::Versioned(version)) => {
+                let closure: Vec<_> = closures[idx].iter().map(|&i| plans[i]).collect();
+                let prepare = reads.is_empty();
+                plan_cached(plan, prepare, &closure, &profiled, &outputs, version, binding)?
             }
             _ => full_run(plan, &outputs, base_tables)?,
         };
@@ -222,17 +219,15 @@ fn closure(idx: usize, reads: &[usize], closures: &[Vec<usize>]) -> Vec<usize> {
 }
 
 /// Plans one fragment through the fragment cache (see
-/// [`profile_fragments_cached`]): a prepare (`site` given) first probes
-/// its exact, site-scoped key; then the delta state the last publish kept
-/// in the fragment's slot is advanced under its own lock, else the
-/// fragment is computed in full and keeps a state. A prepare's slot is its
-/// exact key's; a combine's is scoped as planning is, since planning has
-/// no join site. Without a delta state for every earlier fragment, or an
+/// [`profile_fragments_cached`]): a `prepare` first probes its exact key;
+/// then the delta state the last publish kept in the fragment's slot is
+/// advanced under its own lock, else the fragment is computed in full and
+/// keeps a state. Without a delta state for every earlier fragment, or an
 /// identity for every table its closure reads, it is computed in full and
 /// keeps nothing.
 fn plan_cached(
     plan: &PhysicalPlan,
-    site: Option<SiteId>,
+    prepare: bool,
     closure: &[&PhysicalPlan],
     profiled: &[ProfiledFragment],
     frags: &[Arc<Table>],
@@ -241,20 +236,15 @@ fn plan_cached(
 ) -> Result<ProfiledFragment, EngineError> {
     let cache = binding.cache;
     // A prepare reads no earlier fragment.
-    let earlier = if site.is_some() { &[][..] } else { profiled };
+    let earlier = if prepare { &[][..] } else { profiled };
     let inputs: Option<Vec<&DeltaState>> =
         earlier.iter().map(|p| Some(&p.state.as_ref()?.1)).collect();
-    let scope = match (site, binding.scope) {
-        (None, CacheScope::SiteLocal | CacheScope::FederationGlobal) => String::new(),
-        (site, scope) => scope.key(binding.tenant, site.unwrap_or(SiteId(0))),
-    };
-    let key = fragment_key(binding, closure, scope);
-    let count = |counts: &mut PlanningStats, work: &WorkProfile, declined: bool| match site {
-        Some(_) => {
+    let key = fragment_key(binding, closure, binding.scope.key(binding.tenant));
+    let count = |counts: &mut PlanningStats, work: &WorkProfile, declined: bool| {
+        if prepare {
             counts.computed += 1;
             counts.computed_rows += work.scanned_rows();
-        }
-        None => {
+        } else {
             counts.combines_computed += 1;
             counts.combines_declined += declined as u64;
         }
@@ -264,7 +254,7 @@ fn plan_cached(
         cache.count_planning(|s| count(s, &fragment.work, false));
         return Ok(fragment);
     };
-    if let Some(hit) = site.and_then(|_| cache.peek(&key)) {
+    if let Some(hit) = prepare.then(|| cache.peek(&key)).flatten() {
         cache.count_planning(|s| s.reused += 1);
         return Ok(ProfiledFragment {
             state: hit.state.clone(),
@@ -276,13 +266,13 @@ fn plan_cached(
     // A poisoned state is skipped: a panic may have left it half advanced.
     if let Some(Ok(mut state)) = cache.predecessor(&slot).as_deref().map(Mutex::lock) {
         if let Some(rows) = state.extend(plan, &inputs, version) {
-            cache.count_planning(|s| match (site, rows) {
-                (Some(_), 0) => s.reused += 1,
-                (Some(_), rows) => {
+            cache.count_planning(|s| match (prepare, rows) {
+                (true, 0) => s.reused += 1,
+                (true, rows) => {
                     s.extended += 1;
                     s.extended_rows += rows as u64;
                 }
-                (None, _) => s.combines_extended += 1,
+                (false, _) => s.combines_extended += 1,
             });
             return Ok(ProfiledFragment::with_state(plan, slot, state.clone()));
         }
@@ -338,9 +328,11 @@ impl ExecutionOutcome {
 /// How one [`SharedExecutor`] run reaches a shared [`FragmentResultCache`]:
 /// the cache itself, the sharing-scope policy, who is asking, and the
 /// identity of every pinned base table (see [`crate::cache`] for why these
-/// four pieces make a hit sound). Keys handed to a run
-/// ([`SharedExecutor::with_fragment_keys`]) must be [`fragment_keys`] under
-/// a binding with the same scope, tenant and identities.
+/// four pieces make a hit sound). Every key the binding scopes, a
+/// fragment's or a predecessor slot's, takes `scope.key(tenant)` as its
+/// scope. Keys handed to a run ([`SharedExecutor::with_fragment_keys`])
+/// must be [`fragment_keys`] under a binding with the same scope, tenant
+/// and identities.
 #[derive(Clone, Copy)]
 pub struct ResultCacheBinding<'a> {
     /// The shared cache.
@@ -502,11 +494,12 @@ impl<'a> SharedExecutor<'a> {
 
     /// Hands the run its fragments' result-cache keys, `keys[i]` for
     /// fragment `i`, in place of encoding them: they must be what
-    /// [`fragment_keys`] computes for the query the run is given, under the
-    /// [`ResultCacheBinding`] given to [`SharedExecutor::with_result_cache`].
-    /// A caller that serves one assembled query to many runs — the runtime
-    /// keeps them beside each plan-cache entry's assembled query, per Pareto
-    /// index — computes them once. An empty list, the default, leaves the
+    /// [`fragment_keys`] computes for the plans of the query the run is
+    /// given, under the [`ResultCacheBinding`] given to
+    /// [`SharedExecutor::with_result_cache`]. A key names no site, engine
+    /// or instance, so a caller that runs one query's plans under many
+    /// configurations — the runtime keeps one key set per plan-cache entry
+    /// — computes them once. An empty list, the default, leaves the
     /// run to compute the keys itself; any other must hold one key per
     /// fragment, which debug builds assert. Their values are the caller's
     /// to keep right: the run cannot check them without encoding the plans
@@ -642,7 +635,8 @@ fn run_federated(
     let cache_keys: &[Option<CacheKey>] = match cache {
         Some(_) if !keys.is_empty() => keys,
         Some(binding) => {
-            computed = fragment_keys(query, binding);
+            let plans: Vec<&PhysicalPlan> = query.fragments.iter().map(|f| &f.plan).collect();
+            computed = fragment_keys(&plans, binding);
             &computed
         }
         None => &[],
@@ -818,29 +812,27 @@ fn run_federated(
     })
 }
 
-/// The result-cache key of each fragment of `query` under `binding`: the
-/// sharing scope at the fragment's site, the canonical fingerprint of the
-/// fragment's dependency-closure plans, and the pinned identity of every
-/// base table they scan (`None` when one has no identity). What a
-/// [`SharedExecutor`] run looks each fragment up by, and what
-/// [`SharedExecutor::with_fragment_keys`] must be handed.
+/// The result-cache key of each of a query's fragments, whose plans are
+/// `plans` in fragment order, under `binding`: the binding's sharing
+/// scope, the canonical fingerprint of the fragment's dependency-closure
+/// plans, and the pinned identity of every base table they scan (`None`
+/// when one has no identity). What a [`SharedExecutor`] run looks each
+/// fragment up by, and what [`SharedExecutor::with_fragment_keys`] must be
+/// handed.
 pub fn fragment_keys(
-    query: &FederatedQuery,
+    plans: &[&PhysicalPlan],
     binding: ResultCacheBinding<'_>,
 ) -> Vec<Option<CacheKey>> {
-    let mut closures: Vec<Vec<usize>> = Vec::with_capacity(query.fragments.len());
-    for (idx, fragment) in query.fragments.iter().enumerate() {
-        closures.push(closure(idx, &referenced_fragments(&fragment.plan), &closures));
+    let scope = binding.scope.key(binding.tenant);
+    let mut closures: Vec<Vec<usize>> = Vec::with_capacity(plans.len());
+    for (idx, plan) in plans.iter().enumerate() {
+        closures.push(closure(idx, &referenced_fragments(plan), &closures));
     }
-    query
-        .fragments
+    closures
         .iter()
-        .zip(&closures)
-        .map(|(fragment, closure)| {
-            let plans: Vec<&PhysicalPlan> =
-                closure.iter().map(|&i| &query.fragments[i].plan).collect();
-            let scope = binding.scope.key(binding.tenant, fragment.site);
-            fragment_key(binding, &plans, scope)
+        .map(|closure| {
+            let closure: Vec<&PhysicalPlan> = closure.iter().map(|&i| plans[i]).collect();
+            fragment_key(binding, &closure, scope.clone())
         })
         .collect()
 }

@@ -96,11 +96,11 @@ pub fn computed(
     }
 }
 
-/// Plans `plans` — each prepare with the site it runs at, then the
-/// fragments that read them — through `cache` at `version` for `tenant`,
-/// checks every output against `profile_fragments`, and runs them with the
-/// hand-off, filling the cache. A fragment without a site runs at the last
-/// prepare's.
+/// Plans `plans` — the prepares, then the fragments that read them —
+/// through `cache` at `version` for `tenant`, checks every output against
+/// `profile_fragments`, and runs them with the hand-off, filling the cache:
+/// each prepare at the site given with it, a fragment without a site at
+/// the last prepare's.
 pub fn plan_and_run(
     cache: &FragmentResultCache,
     plans: &[(&PhysicalPlan, Option<usize>)],
@@ -120,8 +120,8 @@ pub fn plan_and_run(
         .iter()
         .map(|&(plan, site)| (plan, site.map(|s| sites[s])))
         .collect();
-    let profiled = profile_fragments_cached(&planned, version, binding).unwrap();
     let bare: Vec<&PhysicalPlan> = plans.iter().map(|&(plan, _)| plan).collect();
+    let profiled = profile_fragments_cached(&bare, version, binding).unwrap();
     let expected = profile_fragments(&bare, version).unwrap();
     for (got, want) in profiled.iter().zip(&expected) {
         assert_eq!(got.table, want.table);

@@ -121,9 +121,7 @@ impl PlanCostModel {
         query: &TwoTableQuery,
         tables: impl Into<TableSource<'t>>,
     ) -> Result<(Self, Vec<ProfiledFragment>), EngineError> {
-        Self::profile_with(placement, query, |fragments| {
-            profile_fragments(&fragments.map(|(plan, _)| plan), tables)
-        })
+        Self::profile_with(placement, query, |fragments| profile_fragments(&fragments, tables))
     }
 
     /// [`PlanCostModel::profile`] planning through the fragment cache the
@@ -147,21 +145,15 @@ impl PlanCostModel {
     }
 
     /// The model over what `run` profiles: `[left_prepare, right_prepare,
-    /// combine]`, each prepare with the site its table is placed at.
+    /// combine]`.
     fn profile_with(
         placement: &Placement,
         query: &TwoTableQuery,
-        run: impl FnOnce(
-            [(&PhysicalPlan, Option<SiteId>); 3],
-        ) -> Result<Vec<ProfiledFragment>, EngineError>,
+        run: impl FnOnce([&PhysicalPlan; 3]) -> Result<Vec<ProfiledFragment>, EngineError>,
     ) -> Result<(Self, Vec<ProfiledFragment>), EngineError> {
         let left = placement.locate(&query.left_table)?;
         let right = placement.locate(&query.right_table)?;
-        let profiled = run([
-            (&query.left_prepare, Some(left.site)),
-            (&query.right_prepare, Some(right.site)),
-            (&query.combine, None),
-        ])?;
+        let profiled = run([&query.left_prepare, &query.right_prepare, &query.combine])?;
         // One entry per plan, in the order given.
         let model = PlanCostModel {
             left_site: left.site,

@@ -18,9 +18,10 @@
 //!   look a tenant up by `&str`, copying its name only on first sight;
 //! * selection reads the chosen Pareto index off the cached costed space
 //!   instead of cloning the front (≈ 22 allocations per job);
-//! * the assembled query and its three fragment keys come from the plan
-//!   entry's memo, built once per Pareto point: no plan tree is cloned
-//!   (≈ 28) and no plan encoded (≈ 31) per job;
+//! * the assembled query comes from the plan entry's memo, built once per
+//!   Pareto point, and its three fragment keys from the entry, built once
+//!   with it: no plan tree is cloned (≈ 28) and no plan encoded (≈ 31)
+//!   per job;
 //! * the pinned tables' `name → id` map is the version's own, built once
 //!   (3), and the shared-bytes scan borrows names and reads table widths
 //!   without building a scan batch (8).

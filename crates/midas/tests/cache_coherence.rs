@@ -221,6 +221,82 @@ fn retries_under_injected_faults_stay_bit_identical_with_caching_on() {
     );
 }
 
+/// With pressure feedback on, every attempt selects afresh under its
+/// admission-time pressure sample instead of taking a point of the cached
+/// costed space, and runs with the plan entry's fragment keys. The cached
+/// run must hit exactly where a cached-point run does — the keys name no
+/// configuration — and leave the cache-free run's ledger.
+#[test]
+fn pressured_fresh_selections_hit_the_cache_and_stay_bit_identical() {
+    let (midas, _, _) = Midas::example_deployment(&["patient"], &["generalinfo"]);
+    let run = |config: RuntimeConfig| {
+        let rt = FederationRuntime::new(
+            midas.federation(),
+            midas.placement(),
+            generate_medical(200, 0.5, 7),
+            config,
+        );
+        let report = rt.run(repeated_jobs());
+        assert!(report.failed.is_empty(), "failures: {:?}", report.failed);
+        report
+    };
+    let config = RuntimeConfig {
+        workers: 1,
+        max_vms: 2,
+        pressure_penalty: 4.0,
+        ..RuntimeConfig::default()
+    };
+    let cold = run(no_cache(config));
+    let warm = run(config);
+
+    assert_reports_bit_identical(&warm, &cold, "pressured");
+    // Every job sampled pressure, so none selected a cached point.
+    assert!(warm.completed.iter().all(|r| !r.pressure.is_empty()), "a job sampled no pressure");
+    // The hit split of the cached-point run: the first CT job is cold, the
+    // first MR job hits the shared generalinfo prepare, the rest hit all 3.
+    let split = |hits: u32| warm.completed.iter().filter(|r| r.cache_hits == hits).count();
+    assert_eq!((split(0), split(1), split(3)), (1, 1, 14), "per-job hit split");
+}
+
+/// A retry after an outage selects afresh with the failed site hot and
+/// runs with the plan entry's fragment keys. The outage hits a re-issued
+/// query, so the retry finds its fragments cached: it must hit all three
+/// and leave the cache-free run's ledger.
+#[test]
+fn a_retry_around_a_hot_site_hits_the_cache_and_stays_bit_identical() {
+    let (midas, patient_site, _) = Midas::example_deployment(&["patient"], &["generalinfo"]);
+    // Position 1 is job 1's first attempt: the second CT job.
+    let run = |config: RuntimeConfig| {
+        let rt = FederationRuntime::new(
+            midas.federation(),
+            midas.placement(),
+            generate_medical(200, 0.5, 11),
+            config,
+        )
+        .with_fault_plan(FaultPlan::none().outage(patient_site, 1, 2));
+        let jobs: Vec<RuntimeJob> = ["CT", "CT", "MR", "CT"]
+            .iter()
+            .map(|m| RuntimeJob::new("clinic", medical_query(Some(*m)), QueryPolicy::balanced()))
+            .collect();
+        let report = rt.run(jobs);
+        assert!(report.failed.is_empty(), "failures: {:?}", report.failed);
+        report
+    };
+    let config = RuntimeConfig {
+        workers: 1,
+        max_vms: 2,
+        ..RuntimeConfig::default()
+    };
+    let cold = run(no_cache(config));
+    let warm = run(config);
+
+    let attempts: Vec<usize> = cold.completed.iter().map(|r| r.attempts).collect();
+    assert_eq!(attempts, [1, 2, 1, 1], "job 1 retried past the outage");
+    assert_reports_bit_identical(&warm, &cold, "hot-site retry");
+    let hits: Vec<u32> = warm.completed.iter().map(|r| r.cache_hits).collect();
+    assert_eq!(hits, [0, 3, 1, 3], "the retry hit every fragment");
+}
+
 #[test]
 fn ingest_publish_invalidates_exactly_the_affected_tables_entries() {
     let (midas, _, _) = Midas::example_deployment(&["patient"], &["generalinfo"]);

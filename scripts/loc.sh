@@ -5,9 +5,10 @@
 # `//` (so `///` and `//!` docs count as comments). Prints, per row, all
 # lines and code lines for each file of crates/engines/src and their total,
 # for fused.rs's executor (its first line up to `// ----- delta states`),
-# for the delta walk (`// ----- delta states` to the end of fused.rs), and
-# for crates/midas/src/runtime.rs. The executor and walk rows sum to
-# fused.rs's own.
+# for the delta walk (`// ----- delta states` to the end of fused.rs), for
+# crates/midas/src/runtime.rs, and the totals of crates/ires/src and
+# crates/midas/src (every `.rs` file beneath each). The executor and walk
+# rows sum to fused.rs's own.
 #
 #   bash scripts/loc.sh
 set -euo pipefail
@@ -27,3 +28,6 @@ cat crates/engines/src/*.rs | count "crates/engines/src (total)"
 sed '/^\/\/ ----- delta states/,$d' crates/engines/src/fused.rs | count "fused.rs executor (start to delta states)"
 sed -n '/^\/\/ ----- delta states/,$p' crates/engines/src/fused.rs | count "fused.rs walk (delta states to end)"
 count crates/midas/src/runtime.rs < crates/midas/src/runtime.rs
+for dir in crates/ires/src crates/midas/src; do
+    find "$dir" -name '*.rs' | sort | xargs cat | count "$dir (total)"
+done

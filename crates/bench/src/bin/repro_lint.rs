@@ -25,7 +25,7 @@
 //!   discharges) and carry a `// LINT: panic-ok` justification naming the
 //!   guard;
 //! * **serving-pin** — `CatalogVersion::pin` on the serving path
-//!   (`midas/src/runtime.rs`, `ires/src`, `engines/src/{exec,fused}.rs`):
+//!   (`midas/src/runtime/`, `ires/src`, `engines/src/{exec,fused}.rs`):
 //!   it compacts every multi-chunk table of the version, once per publish,
 //!   where the fused executor scans the chunks in place. Flat oracles
 //!   (tests, benches) pin; the code that serves jobs must
@@ -33,20 +33,22 @@
 //! * **job-thread** — `thread::scope` / `thread::spawn` / `.spawn(` inside
 //!   one job's execution (`engines/src/{ops,fused,exec}.rs`, `ires/src`).
 //!   Parallelism in this system is workers over jobs, in
-//!   `midas/src/runtime.rs`: sharding a join or overlapping a job's
+//!   `midas/src/runtime/`: sharding a join or overlapping a job's
 //!   fragments measured 0.33–1.02× of running them in order on the hosts
 //!   this serves, so a thread launched below the runtime needs a
 //!   `// LINT: thread-ok` justification;
 //! * **shared-mutation** — `Arc::make_mut` / `Arc::get_mut` /
 //!   `Arc::try_unwrap` in `engines/src`, `ires/src` and
-//!   `midas/src/runtime.rs`. Tables, columns and cached fragments are
+//!   `midas/src/runtime/`. Tables, columns and cached fragments are
 //!   shared behind `Arc`s across jobs, tenants and versions, so a site that
 //!   mutates through one must say why no other holder can see it: a
 //!   `// LINT: unique-ok` justification (this rule accepts no other tag).
 //!
 //! Test code is exempt: `#[cfg(test)]` modules (brace-tracked) and
 //! comment-only lines are skipped. The gate is **zero findings** —
-//! verify.sh stage 5 fails on any unjustified site.
+//! verify.sh stage 5 fails on any unjustified site — and it fails as well
+//! when a pattern of the three scoped rules matches no collected file, so
+//! a file that moves cannot leave its rule without a finding.
 //!
 //! **2. Analyzer counters + admission overhead.** Validates the paper's
 //! query set (Q12/Q13/Q14/Q17) and the medical federated workload through
@@ -99,18 +101,28 @@ fn main() {
     let mut scanned = 0usize;
     let mut justified = 0usize;
     let mut serving_path_files = 0usize;
+    let mut rels = Vec::with_capacity(files.len());
     for file in &files {
         scanned += 1;
-        let Ok(text) = fs::read_to_string(file) else {
-            continue;
-        };
         let rel = file
             .strip_prefix(&root)
             .unwrap_or(file)
             .display()
             .to_string();
-        serving_path_files += on_serving_path(&rel) as usize;
+        rels.push(rel.clone());
+        let Ok(text) = fs::read_to_string(file) else {
+            continue;
+        };
+        serving_path_files += in_scope(&rel, SERVING_PATH) as usize;
         justified += lint_file(&rel, &text, &mut findings);
+    }
+    for (rule, scope) in SCOPES {
+        for pattern in scope {
+            assert!(
+                rels.iter().any(|rel| in_scope(rel, &[*pattern])),
+                "the {rule} rule's scope pattern {pattern:?} matches no source file"
+            );
+        }
     }
 
     // ---- half 2: analyzer counters ------------------------------------
@@ -325,30 +337,49 @@ fn collect_sources(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// Whether `rel` is code a runtime job runs through — the scope of the
-/// `serving-pin` rule.
-fn on_serving_path(rel: &str) -> bool {
-    rel.ends_with("crates/midas/src/runtime.rs")
-        || rel.contains("crates/ires/src/")
-        || rel.ends_with("crates/engines/src/exec.rs")
-        || rel.ends_with("crates/engines/src/fused.rs")
-}
+/// Code a runtime job runs through — the scope of the `serving-pin` rule.
+const SERVING_PATH: &[&str] = &[
+    "crates/midas/src/runtime/",
+    "crates/ires/src/",
+    "crates/engines/src/exec.rs",
+    "crates/engines/src/fused.rs",
+];
 
-/// Whether `rel` is code that runs inside one job — the scope of the
-/// `job-thread` rule.
-fn inside_a_job(rel: &str) -> bool {
-    rel.contains("crates/ires/src/")
-        || ["ops", "fused", "exec"]
-            .iter()
-            .any(|m| rel.ends_with(&format!("crates/engines/src/{m}.rs")))
-}
+/// Code that runs inside one job — the scope of the `job-thread` rule.
+const INSIDE_A_JOB: &[&str] = &[
+    "crates/ires/src/",
+    "crates/engines/src/ops.rs",
+    "crates/engines/src/fused.rs",
+    "crates/engines/src/exec.rs",
+];
 
-/// Whether `rel` is code whose `Arc`s other jobs share — the scope of the
-/// `shared-mutation` rule.
-fn shares_arcs(rel: &str) -> bool {
-    rel.contains("crates/engines/src/")
-        || rel.contains("crates/ires/src/")
-        || rel.ends_with("crates/midas/src/runtime.rs")
+/// Code whose `Arc`s other jobs share — the scope of the `shared-mutation`
+/// rule.
+const SHARES_ARCS: &[&str] = &[
+    "crates/engines/src/",
+    "crates/ires/src/",
+    "crates/midas/src/runtime/",
+];
+
+/// The scoped rules, each with its scope. `main` fails when a scope's
+/// pattern matches no collected file: a file or directory that moved would
+/// otherwise drop out of its rule without a finding.
+const SCOPES: [(&str, &[&str]); 3] = [
+    ("serving-pin", SERVING_PATH),
+    ("job-thread", INSIDE_A_JOB),
+    ("shared-mutation", SHARES_ARCS),
+];
+
+/// Whether `rel` is in `scope`: a pattern ending in `/` matches every file
+/// beneath that directory, any other pattern the one file it names.
+fn in_scope(rel: &str, scope: &[&str]) -> bool {
+    scope.iter().any(|pattern| {
+        if pattern.ends_with('/') {
+            rel.contains(pattern)
+        } else {
+            rel.ends_with(pattern)
+        }
+    })
 }
 
 /// Lints one file; pushes findings, returns the justified-site count.
@@ -363,15 +394,15 @@ fn lint_file(rel: &str, text: &str, findings: &mut Vec<Finding>) -> usize {
         format!(".lock(){}", ".expect("),
     ];
     let pin = format!(".pin{}", "()");
-    let serving = on_serving_path(rel);
+    let serving = in_scope(rel, SERVING_PATH);
     let spawn = [
         format!("thread::{}", "scope"),
         format!("thread::{}", "spawn"),
         format!(".spawn{}", "("),
     ];
-    let in_job = inside_a_job(rel);
+    let in_job = in_scope(rel, INSIDE_A_JOB);
     let mutate = ["make_mut(", "get_mut(", "try_unwrap("].map(|m| format!("Arc::{m}"));
-    let shared = shares_arcs(rel);
+    let shared = in_scope(rel, SHARES_ARCS);
     let lines: Vec<&str> = text.lines().collect();
     let mut justified = 0usize;
     // `#[cfg(test)]` module tracking: once the attribute is seen, skip

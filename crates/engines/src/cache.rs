@@ -81,8 +81,9 @@
 //! [`CacheScope::PerTenant`] no tenant extends another's. A prepare's and
 //! a combine's slots never meet: the plans their keys fingerprint differ.
 //!
-//! Planning (`exec::profile_fragments_cached`) probes a prepare's exact
-//! key, then its slot's predecessor; a combine, once its prepares are
+//! Planning (`exec::profile_fragments` with a binding and the fragments'
+//! keys, which `exec::fragment_keys` encodes once per query) probes a
+//! prepare's exact key, then its slot's predecessor; a combine, once its prepares are
 //! planned, probes its slot alone. A predecessor is advanced over the rows
 //! appended since, under its own lock (two planners of one fragment extend
 //! once). A state that cannot advance — a late job's older version, one
@@ -679,8 +680,8 @@ pub struct CachedFragment {
 }
 
 /// What planning did for the prepares and combines it profiled through the
-/// fragment cache (`exec::profile_fragments_cached`). Execution's own lookups
-/// are [`CacheStats`]; these count none of them.
+/// fragment cache (`exec::profile_fragments` with a binding). Execution's
+/// own lookups are [`CacheStats`]; these count none of them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanningStats {
     /// Prepares taken as they were: an exact cached output, or a

@@ -43,13 +43,16 @@
 //! the chosen site, engine or instance — the simulation phase applies
 //! those afterwards — so a handed-over run is bit-identical to a run
 //! that executed. With a fragment cache, planning profiles through it
-//! ([`profile_fragments_cached`]): a prepare cached at the pinned version
-//! is taken as it is, and a fragment's delta state kept before a publish
-//! that only appended is advanced over the rows appended since (see
-//! [`crate::cache`]'s *Predecessors*). A fragment's cache key, and the
-//! predecessor slot it names, is a function of its plans, the tables they
-//! read and the binding's scope and tenant — never of its site — so
-//! planning and every run of any configuration of a query key alike.
+//! (the same [`profile_fragments`], handed a binding and the fragments'
+//! keys): a prepare cached at the pinned version is taken as it is, and a
+//! fragment's delta state kept before a publish that only appended is
+//! advanced over the rows appended since (see [`crate::cache`]'s
+//! *Predecessors*). A fragment's cache key, and the predecessor slot it
+//! names, is a function of its plans, the tables they read and the
+//! binding's scope and tenant — never of its site — so planning and every
+//! run of any configuration of a query key alike: [`fragment_keys`] is
+//! the one function that encodes them, once per query, and planning and
+//! runs take its keys.
 
 use crate::cache::{
     slot_key, CacheKey, CacheScope, CachedFragment, FragmentResultCache, PlanFingerprint,
@@ -146,45 +149,29 @@ impl ProfiledFragment {
 /// `base_tables` would compute for that fragment. Base tables are read
 /// where they are — a flat catalog's by reference, a version's chunk by
 /// chunk — and the `@frag` outputs are the outputs so far, by position.
+///
+/// With `cache` — a binding and the keys [`fragment_keys`] computes for
+/// `plans` under it, one per plan — over a pinned version, planning goes
+/// through the fragment cache: a prepare (a plan reading no `@frag`
+/// output) is its exact cached output; a prepare or a combine (a plan
+/// reading `@frag` outputs) is else its delta state, advanced over the rows
+/// appended since a publish kept it, else a full computation that keeps one
+/// (see [`crate::cache`], *Predecessors*). A plan without a key is computed
+/// in full and keeps nothing. Outputs and work profiles are bit for bit the
+/// same with or without a cache.
 pub fn profile_fragments<'a>(
     plans: &[&PhysicalPlan],
     base_tables: impl Into<TableSource<'a>>,
+    cache: Option<(ResultCacheBinding<'_>, &[Option<CacheKey>])>,
 ) -> Result<Vec<ProfiledFragment>, EngineError> {
-    profile(plans, base_tables.into(), None)
-}
-
-/// [`profile_fragments`] through the fragment cache, over the job's pinned
-/// `version`. A prepare — a plan reading no `@frag` output — is its exact
-/// cached output; a prepare or a combine — a plan reading `@frag` outputs
-/// — is else its delta state, advanced over the rows appended since a
-/// publish kept it, else a full computation that keeps one (see
-/// [`crate::cache`], *Predecessors*). Outputs and work profiles are bit
-/// for bit those of [`profile_fragments`].
-pub fn profile_fragments_cached(
-    plans: &[&PhysicalPlan],
-    version: &CatalogVersion,
-    cache: ResultCacheBinding<'_>,
-) -> Result<Vec<ProfiledFragment>, EngineError> {
-    profile(plans, version.into(), Some(cache))
-}
-
-/// Profiles `plans` in order, through `cache` where it applies.
-fn profile(
-    plans: &[&PhysicalPlan],
-    base_tables: TableSource<'_>,
-    cache: Option<ResultCacheBinding<'_>>,
-) -> Result<Vec<ProfiledFragment>, EngineError> {
+    let base_tables = base_tables.into();
     let mut outputs: Vec<Arc<Table>> = Vec::with_capacity(plans.len());
     let mut profiled = Vec::with_capacity(plans.len());
-    let mut closures: Vec<Vec<usize>> = Vec::with_capacity(plans.len());
     for (idx, &plan) in plans.iter().enumerate() {
-        let reads = referenced_fragments(plan);
-        closures.push(closure(idx, &reads, &closures));
         let fragment = match (cache, base_tables) {
-            (Some(binding), TableSource::Versioned(version)) => {
-                let closure: Vec<_> = closures[idx].iter().map(|&i| plans[i]).collect();
-                let prepare = reads.is_empty();
-                plan_cached(plan, prepare, &closure, &profiled, &outputs, version, binding)?
+            (Some((binding, keys)), TableSource::Versioned(version)) => {
+                let key = keys.get(idx).and_then(Option::as_ref);
+                plan_cached(plan, key, &profiled, &outputs, version, binding)?
             }
             _ => full_run(plan, &outputs, base_tables)?,
         };
@@ -204,31 +191,15 @@ fn full_run(
     Ok(ProfiledFragment::new(plan, Arc::new(table), work))
 }
 
-/// Fragment `idx`'s dependency closure: itself and every fragment it
-/// transitively reads (`reads`, each below `idx`, with `closures` of the
-/// fragments before it), ascending. A read at or past `idx` is left out:
-/// such a plan fails when it runs.
-fn closure(idx: usize, reads: &[usize], closures: &[Vec<usize>]) -> Vec<usize> {
-    let mut closure = vec![idx];
-    for &dep in reads.iter().filter(|&&dep| dep < idx) {
-        closure.extend(closures[dep].iter().copied());
-    }
-    closure.sort_unstable();
-    closure.dedup();
-    closure
-}
-
-/// Plans one fragment through the fragment cache (see
-/// [`profile_fragments_cached`]): a `prepare` first probes its exact key;
-/// then the delta state the last publish kept in the fragment's slot is
-/// advanced under its own lock, else the fragment is computed in full and
-/// keeps a state. Without a delta state for every earlier fragment, or an
-/// identity for every table its closure reads, it is computed in full and
-/// keeps nothing.
+/// Plans one fragment, whose key is `key`, through the fragment cache (see
+/// [`profile_fragments`]): a prepare first probes its exact key; then the
+/// delta state the last publish kept in the fragment's slot is advanced
+/// under its own lock, else the fragment is computed in full and keeps a
+/// state. Without a delta state for every earlier fragment, or a key, it is
+/// computed in full and keeps nothing.
 fn plan_cached(
     plan: &PhysicalPlan,
-    prepare: bool,
-    closure: &[&PhysicalPlan],
+    key: Option<&CacheKey>,
     profiled: &[ProfiledFragment],
     frags: &[Arc<Table>],
     version: &CatalogVersion,
@@ -236,10 +207,11 @@ fn plan_cached(
 ) -> Result<ProfiledFragment, EngineError> {
     let cache = binding.cache;
     // A prepare reads no earlier fragment.
+    let mut prepare = true;
+    for_each_scan(plan, &mut |table| prepare &= frag_number(table).is_none());
     let earlier = if prepare { &[][..] } else { profiled };
     let inputs: Option<Vec<&DeltaState>> =
         earlier.iter().map(|p| Some(&p.state.as_ref()?.1)).collect();
-    let key = fragment_key(binding, closure, binding.scope.key(binding.tenant));
     let count = |counts: &mut PlanningStats, work: &WorkProfile, declined: bool| {
         if prepare {
             counts.computed += 1;
@@ -254,14 +226,14 @@ fn plan_cached(
         cache.count_planning(|s| count(s, &fragment.work, false));
         return Ok(fragment);
     };
-    if let Some(hit) = prepare.then(|| cache.peek(&key)).flatten() {
+    if let Some(hit) = prepare.then(|| cache.peek(key)).flatten() {
         cache.count_planning(|s| s.reused += 1);
         return Ok(ProfiledFragment {
             state: hit.state.clone(),
             ..ProfiledFragment::new(plan, Arc::clone(&hit.table), hit.work.clone())
         });
     }
-    let slot = slot_key(&key);
+    let slot = slot_key(key);
     let mut declined = false;
     // A poisoned state is skipped: a panic may have left it half advanced.
     if let Some(Ok(mut state)) = cache.predecessor(&slot).as_deref().map(Mutex::lock) {
@@ -813,49 +785,47 @@ fn run_federated(
 }
 
 /// The result-cache key of each of a query's fragments, whose plans are
-/// `plans` in fragment order, under `binding`: the binding's sharing
-/// scope, the canonical fingerprint of the fragment's dependency-closure
-/// plans, and the pinned identity of every base table they scan (`None`
-/// when one has no identity). What a [`SharedExecutor`] run looks each
-/// fragment up by, and what [`SharedExecutor::with_fragment_keys`] must be
-/// handed.
+/// `plans` in fragment order, under `binding` — the one place a fragment
+/// key is encoded. A fragment's key names what it computes: its own plan
+/// after those of every fragment it transitively reads, in fragment order
+/// (`@frag` references inside the plans pin the wiring). The key is the
+/// binding's sharing scope, those plans' canonical fingerprint and the
+/// pinned identity of every base table they scan, so equal keys imply the
+/// same deterministic computation over the same data; `None` when a scanned
+/// table has no identity in the binding: such a fragment is not cached.
+/// What a [`SharedExecutor`] run looks each fragment up by, what
+/// [`SharedExecutor::with_fragment_keys`] must be handed, and what
+/// [`profile_fragments`] plans through the cache by.
 pub fn fragment_keys(
     plans: &[&PhysicalPlan],
     binding: ResultCacheBinding<'_>,
 ) -> Vec<Option<CacheKey>> {
     let scope = binding.scope.key(binding.tenant);
+    // Fragment `idx`'s closure: itself and every fragment it transitively
+    // reads, ascending. A read at or past `idx` is left out: such a plan
+    // fails when it runs.
     let mut closures: Vec<Vec<usize>> = Vec::with_capacity(plans.len());
     for (idx, plan) in plans.iter().enumerate() {
-        closures.push(closure(idx, &referenced_fragments(plan), &closures));
+        let mut closure = vec![idx];
+        for dep in referenced_fragments(plan).into_iter().filter(|&dep| dep < idx) {
+            closure.extend(closures[dep].iter().copied());
+        }
+        closure.sort_unstable();
+        closure.dedup();
+        closures.push(closure);
     }
     closures
         .iter()
         .map(|closure| {
             let closure: Vec<&PhysicalPlan> = closure.iter().map(|&i| plans[i]).collect();
-            fragment_key(binding, &closure, scope.clone())
+            let tables = scanned_base_tables(&closure)
+                .into_iter()
+                .map(|name| Some((name.to_string(), *binding.table_ids.get(name)?)))
+                .collect::<Option<Vec<_>>>()?;
+            let fingerprint = PlanFingerprint::of_plans(closure.iter().copied());
+            Some(CacheKey::new(scope.clone(), fingerprint, tables))
         })
         .collect()
-}
-
-/// The result-cache key, in sharing scope `scope`, of a fragment that
-/// computes `plans`: its own plan after those of every fragment it
-/// transitively reads, in fragment order (`@frag` references inside the
-/// plans pin the wiring). The key is the scope, the plans' canonical
-/// fingerprint and the pinned identity of every base table they scan, so
-/// equal keys imply the same deterministic computation over the same data.
-/// `None` when a scanned table has no identity in the binding: such a
-/// fragment is not cached.
-fn fragment_key(
-    binding: ResultCacheBinding<'_>,
-    plans: &[&PhysicalPlan],
-    scope: String,
-) -> Option<CacheKey> {
-    let tables = scanned_base_tables(plans)
-        .into_iter()
-        .map(|name| Some((name.to_string(), *binding.table_ids.get(name)?)))
-        .collect::<Option<Vec<_>>>()?;
-    let fingerprint = PlanFingerprint::of_plans(plans.iter().copied());
-    Some(CacheKey::new(scope, fingerprint, tables))
 }
 
 /// Calls `visit` with the table name of every scan in `plan`, left to
@@ -1257,7 +1227,7 @@ mod tests {
     /// What planning would hand over for `q` over `base_tables(100)`.
     fn profile_of(q: &FederatedQuery) -> Vec<ProfiledFragment> {
         let plans: Vec<&PhysicalPlan> = q.fragments.iter().map(|f| &f.plan).collect();
-        profile_fragments(&plans, &base_tables(100)).unwrap()
+        profile_fragments(&plans, &base_tables(100), None).unwrap()
     }
 
     /// Runs `q` over `base_tables(100)` on a fresh seeded env with the

@@ -69,8 +69,8 @@ pub use data::{Column, ColumnData, DataType, Table, Utf8Column, Value};
 pub use engine::{EngineKind, EngineProfile};
 pub use error::EngineError;
 pub use exec::{
-    fragment_keys, profile_fragments, profile_fragments_cached, scanned_base_tables,
-    ExecutionOutcome, ProfiledFragment, ResultCacheBinding, SharedExecutor,
+    fragment_keys, profile_fragments, scanned_base_tables, ExecutionOutcome, ProfiledFragment,
+    ResultCacheBinding, SharedExecutor,
 };
 pub use expr::Expr;
 pub use fused::{execute_fused, fused_paths, DeltaState, FusedPath, TableSource, MORSEL_ROWS};

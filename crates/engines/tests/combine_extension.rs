@@ -15,7 +15,7 @@
 //! the state is left as it was and a full computation stands in.
 //!
 //! The last tests drive the planner's entry point,
-//! [`midas_engines::profile_fragments_cached`], through publishes: a
+//! [`midas_engines::profile_fragments`] with a binding, through publishes: a
 //! poisoned state is skipped, not advanced, and a late job's older version
 //! computes in full and leaves the state alone.
 

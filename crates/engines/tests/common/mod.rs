@@ -15,9 +15,7 @@ use midas_engines::exec::{
 use midas_engines::ops::{PhysicalPlan, WorkProfile};
 use midas_engines::sim::{DriftIntensity, SimulationEnv, SiteAdmission};
 use midas_engines::version::{CatalogVersion, ChunkedTable};
-use midas_engines::{
-    profile_fragments, profile_fragments_cached, DeltaState, EngineError, EngineKind,
-};
+use midas_engines::{fragment_keys, profile_fragments, DeltaState, EngineError, EngineKind};
 use proptest::prelude::*;
 
 /// Up to 47 generated rows of `row`'s shape.
@@ -121,8 +119,9 @@ pub fn plan_and_run(
         .map(|&(plan, site)| (plan, site.map(|s| sites[s])))
         .collect();
     let bare: Vec<&PhysicalPlan> = plans.iter().map(|&(plan, _)| plan).collect();
-    let profiled = profile_fragments_cached(&bare, version, binding).unwrap();
-    let expected = profile_fragments(&bare, version).unwrap();
+    let profiled =
+        profile_fragments(&bare, version, Some((binding, &fragment_keys(&bare, binding)))).unwrap();
+    let expected = profile_fragments(&bare, version, None).unwrap();
     for (got, want) in profiled.iter().zip(&expected) {
         assert_eq!(got.table, want.table);
         assert_eq!(got.table.fingerprint(), want.table.fingerprint());

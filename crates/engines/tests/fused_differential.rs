@@ -513,10 +513,10 @@ proptest! {
             },
         ];
         let plans: Vec<&PhysicalPlan> = plans.iter().collect();
-        let chunked = profile_fragments(&plans, &version).expect("runs");
+        let chunked = profile_fragments(&plans, &version, None).expect("runs");
         prop_assert_eq!(version.compaction_bytes(), 0);
         let pinned = version.pin();
-        let flat = profile_fragments(&plans, &pinned).expect("runs");
+        let flat = profile_fragments(&plans, &pinned, None).expect("runs");
         prop_assert_eq!(chunked.len(), 3);
         for (c, f) in chunked.iter().zip(flat.iter()) {
             prop_assert_eq!(&c.table, &f.table, "table differs");

@@ -9,11 +9,10 @@
 //! delta that fails), a full computation stands in.
 //!
 //! The last test drives the planner's entry point,
-//! [`midas_engines::profile_fragments_cached`], through publishes: exact
-//! cached outputs, predecessors kept by
+//! [`midas_engines::profile_fragments`] with a binding, through publishes:
+//! exact cached outputs, predecessors kept by
 //! [`FragmentResultCache::invalidate_tables`] and full computations all
-//! hand execution the outputs [`midas_engines::profile_fragments`]
-//! computes.
+//! hand execution the outputs it computes without one.
 
 mod common;
 

@@ -13,18 +13,19 @@
 //! model, and the executors take them in place of running the chosen
 //! plan's fragments again (`SharedExecutor::with_profiled_fragments`) —
 //! a fragment's table and work profile do not depend on which
-//! configuration was chosen.
+//! configuration was chosen. It is the one way a model is profiled, with
+//! or without the fragment cache: handed a binding and the fragments' keys
+//! (`exec::fragment_keys`, which the caller encodes once and keeps for
+//! its runs), it plans through the cache by those keys and encodes none.
 
 use crate::enumerate::CandidateConfig;
 use midas_cloud::{Federation, Money, SiteId};
 use midas_engines::engine::EngineProfile;
 use midas_engines::exec::{
-    profile_fragments, profile_fragments_cached, simulate_fragment_seconds, ProfiledFragment,
-    ResultCacheBinding,
+    profile_fragments, simulate_fragment_seconds, ProfiledFragment, ResultCacheBinding,
 };
-use midas_engines::ops::{PhysicalPlan, WorkProfile};
-use midas_engines::version::CatalogVersion;
-use midas_engines::{EngineError, EngineKind, Placement, TableSource};
+use midas_engines::ops::WorkProfile;
+use midas_engines::{CacheKey, EngineError, EngineKind, Placement, TableSource};
 use midas_tpch::TwoTableQuery;
 
 /// A penalty argument the pressure mechanism refuses to fold in.
@@ -100,13 +101,13 @@ pub struct PlanCostModel {
 
 impl PlanCostModel {
     /// Builds the model by executing the query's fragments once
-    /// ([`PlanCostModel::profile`], outputs dropped).
+    /// ([`PlanCostModel::profile`] with no cache, outputs dropped).
     pub fn build<'t>(
         placement: &Placement,
         query: &TwoTableQuery,
         tables: impl Into<TableSource<'t>>,
     ) -> Result<Self, EngineError> {
-        Self::profile(placement, query, tables).map(|(model, _)| model)
+        Self::profile(placement, query, tables, None).map(|(model, _)| model)
     }
 
     /// Builds the model by executing the query's fragments once, and
@@ -115,45 +116,23 @@ impl PlanCostModel {
     /// handed to an executor running any configuration of this query over
     /// the same `tables` — a flat catalog or a pinned `CatalogVersion`,
     /// whose chunks are scanned in place (planning against version `v`
-    /// compacts nothing).
+    /// compacts nothing). With `cache` — the job's binding and the three
+    /// fragments' keys — over a version, planning goes through the fragment
+    /// cache ([`profile_fragments`]): each prepare is its exact cached
+    /// output, its predecessor extended over the chunks appended since, or
+    /// a full computation; the combine is its delta state advanced over the
+    /// rows the prepares appended, or a full computation that keeps one.
+    /// Model and outputs are bit for bit the same with or without it.
     pub fn profile<'t>(
         placement: &Placement,
         query: &TwoTableQuery,
         tables: impl Into<TableSource<'t>>,
-    ) -> Result<(Self, Vec<ProfiledFragment>), EngineError> {
-        Self::profile_with(placement, query, |fragments| profile_fragments(&fragments, tables))
-    }
-
-    /// [`PlanCostModel::profile`] planning through the fragment cache the
-    /// job's `cache` binding names, over its pinned `version`: each prepare
-    /// is its exact cached output, its predecessor extended over the chunks
-    /// appended since, or a full computation
-    /// ([`profile_fragments_cached`]); the combine is its delta state
-    /// advanced over the rows the prepares appended, or a full computation
-    /// that keeps one.
-    /// Model and outputs are what [`PlanCostModel::profile`] returns, bit
-    /// for bit.
-    pub fn profile_cached(
-        placement: &Placement,
-        query: &TwoTableQuery,
-        version: &CatalogVersion,
-        cache: ResultCacheBinding<'_>,
-    ) -> Result<(Self, Vec<ProfiledFragment>), EngineError> {
-        Self::profile_with(placement, query, |fragments| {
-            profile_fragments_cached(&fragments, version, cache)
-        })
-    }
-
-    /// The model over what `run` profiles: `[left_prepare, right_prepare,
-    /// combine]`.
-    fn profile_with(
-        placement: &Placement,
-        query: &TwoTableQuery,
-        run: impl FnOnce([&PhysicalPlan; 3]) -> Result<Vec<ProfiledFragment>, EngineError>,
+        cache: Option<(ResultCacheBinding<'_>, &[Option<CacheKey>])>,
     ) -> Result<(Self, Vec<ProfiledFragment>), EngineError> {
         let left = placement.locate(&query.left_table)?;
         let right = placement.locate(&query.right_table)?;
-        let profiled = run([&query.left_prepare, &query.right_prepare, &query.combine])?;
+        let plans = [&query.left_prepare, &query.right_prepare, &query.combine];
+        let profiled = profile_fragments(&plans, tables, cache)?;
         // One entry per plan, in the order given.
         let model = PlanCostModel {
             left_site: left.site,
@@ -594,7 +573,7 @@ mod tests {
         ];
         let chunked: Vec<_> = queries
             .iter()
-            .map(|q| PlanCostModel::profile(&placement, q, &version).unwrap())
+            .map(|q| PlanCostModel::profile(&placement, q, &version, None).unwrap())
             .collect();
         assert_eq!(version.compaction_bytes(), 0, "planning compacted a table");
 
@@ -609,7 +588,7 @@ mod tests {
         });
         for (query, (model, handed)) in queries.iter().zip(chunked) {
             let (flat_model, flat_handed) =
-                PlanCostModel::profile(&placement, query, &pinned).unwrap();
+                PlanCostModel::profile(&placement, query, &pinned, None).unwrap();
             assert_eq!(model.prepared_rows(), flat_model.prepared_rows(), "{}", query.label);
             for config in &configs {
                 assert_eq!(model.cost(&fed, config), flat_model.cost(&fed, config));
@@ -653,8 +632,8 @@ mod tests {
         };
         let versioned = VersionedCatalog::new(db.catalog().clone());
         let version = versioned.current();
-        let flat = profile_fragments(&[&plan], db.catalog()).unwrap();
-        let chunked = profile_fragments(&[&plan], &version).unwrap();
+        let flat = profile_fragments(&[&plan], db.catalog(), None).unwrap();
+        let chunked = profile_fragments(&[&plan], &version, None).unwrap();
         assert_eq!(chunked[0].table, flat[0].table);
         assert_eq!(chunked[0].table.fingerprint(), flat[0].table.fingerprint());
         assert_eq!(chunked[0].work, flat[0].work);

@@ -344,7 +344,7 @@ fn a_cold_job_scans_what_one_standalone_execution_scans() {
 
     // The job: profile (the only executions), then a run that is handed
     // all three outputs and so executes nothing.
-    let (_, profiled) = PlanCostModel::profile(midas.placement(), &query, tables).unwrap();
+    let (_, profiled) = PlanCostModel::profile(midas.placement(), &query, tables, None).unwrap();
     let executed_rows: u64 = profiled.iter().map(|p| p.work.scanned_rows()).sum();
     assert_eq!(executed_rows, standalone_rows);
     // One federated plan, executed from the same seed twice: once handed

@@ -6,9 +6,10 @@
 # lines and code lines for each file of crates/engines/src and their total,
 # for fused.rs's executor (its first line up to `// ----- delta states`),
 # for the delta walk (`// ----- delta states` to the end of fused.rs), for
-# crates/midas/src/runtime.rs, and the totals of crates/ires/src and
-# crates/midas/src (every `.rs` file beneath each). The executor and walk
-# rows sum to fused.rs's own.
+# each file of crates/midas/src/runtime (one per stage of a job) and their
+# total, and the totals of crates/ires/src and crates/midas/src (every
+# `.rs` file beneath each). The executor and walk rows sum to fused.rs's
+# own.
 #
 #   bash scripts/loc.sh
 set -euo pipefail
@@ -27,7 +28,10 @@ done
 cat crates/engines/src/*.rs | count "crates/engines/src (total)"
 sed '/^\/\/ ----- delta states/,$d' crates/engines/src/fused.rs | count "fused.rs executor (start to delta states)"
 sed -n '/^\/\/ ----- delta states/,$p' crates/engines/src/fused.rs | count "fused.rs walk (delta states to end)"
-count crates/midas/src/runtime.rs < crates/midas/src/runtime.rs
+for f in crates/midas/src/runtime/*.rs; do
+    count "$f" < "$f"
+done
+cat crates/midas/src/runtime/*.rs | count "crates/midas/src/runtime (total)"
 for dir in crates/ires/src crates/midas/src; do
     find "$dir" -name '*.rs' | sort | xargs cat | count "$dir (total)"
 done

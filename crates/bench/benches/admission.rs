@@ -11,13 +11,19 @@
 //!   caches, the queue and the learning registry;
 //! * `analyze_medical_miss` — `analyze_fragment_plans` over the medical
 //!   query's three plans, what an admission runs on a verdict-memo miss
-//!   (a sample times 1 000 analyses and records the time per analysis).
+//!   (a sample times 1 000 analyses and records the time per analysis);
+//! * `fingerprint_medical` / `fingerprint_tpch_q17` — `PlanFingerprint::
+//!   of_plans` over one query's three plans, what every admission runs
+//!   (the medical query's encoding is 306 bytes; a sample times 1 000
+//!   fingerprints and records the time per fingerprint).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use midas::runtime::{FederationRuntime, RuntimeConfig, RuntimeJob};
 use midas::{Midas, QueryPolicy};
+use midas_engines::cache::PlanFingerprint;
 use midas_engines::{analyze_fragment_plans, SchemaCatalog};
 use midas_tpch::medical::{generate_medical, medical_query};
+use midas_tpch::queries::q17;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -81,18 +87,31 @@ fn bench_admission(c: &mut Criterion) {
         });
     }
 
-    const ANALYSES: u32 = 1_000;
+    const CALLS: u32 = 1_000;
     let q = medical_query(Some("CT"));
     let plans = [&q.left_prepare, &q.right_prepare, &q.combine];
     group.bench_function("analyze_medical_miss", |b| {
         b.iter_custom(|iters| {
             let started = Instant::now();
-            for _ in 0..iters * u64::from(ANALYSES) {
+            for _ in 0..iters * u64::from(CALLS) {
                 black_box(analyze_fragment_plans(black_box(&plans), &schemas));
             }
-            started.elapsed() / ANALYSES
+            started.elapsed() / CALLS
         })
     });
+    let q17 = q17("Brand#23", "MED BOX");
+    for (name, q) in [("fingerprint_medical", &q), ("fingerprint_tpch_q17", &q17)] {
+        let plans = [&q.left_prepare, &q.right_prepare, &q.combine];
+        group.bench_function(name, |b| {
+            b.iter_custom(|iters| {
+                let started = Instant::now();
+                for _ in 0..iters * u64::from(CALLS) {
+                    black_box(PlanFingerprint::of_plans(black_box(plans)));
+                }
+                started.elapsed() / CALLS
+            })
+        });
+    }
     group.finish();
 }
 

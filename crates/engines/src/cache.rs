@@ -153,12 +153,20 @@ impl CacheScope {
 /// A canonical, collision-safe fingerprint of one or more physical plans.
 ///
 /// The full injective encoding is retained and compared on `Eq`; the
-/// precomputed FNV-1a hash only accelerates map lookup. See the module
-/// docs for the injectivity argument.
+/// precomputed hash ([`PlanFingerprint::hash64`], a word-at-a-time mix of
+/// the encoding) only accelerates map lookup. See the module docs for the
+/// injectivity argument.
 #[derive(Debug, Clone)]
 pub struct PlanFingerprint {
     bytes: Arc<[u8]>,
     hash: u64,
+}
+
+thread_local! {
+    /// The encoding buffer [`PlanFingerprint::of_plans`] reuses: a
+    /// thread's fingerprints grow it to their largest encoding once, and
+    /// each one then allocates only its exact-size `Arc`.
+    static ENCODING: std::cell::RefCell<Vec<u8>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
 impl PlanFingerprint {
@@ -170,19 +178,32 @@ impl PlanFingerprint {
     /// Fingerprints an ordered sequence of plan trees (e.g. the prepare
     /// and combine plans of one query) as one canonical unit.
     pub fn of_plans<'a>(plans: impl IntoIterator<Item = &'a PhysicalPlan>) -> Self {
-        let mut bytes = Vec::with_capacity(64);
-        for plan in plans {
-            bytes.push(0xF0); // plan separator (no operator tag uses it)
-            encode_plan(plan, &mut bytes);
-        }
-        let hash = fnv1a(&bytes);
+        ENCODING.with_borrow_mut(|bytes| {
+            bytes.clear();
+            for plan in plans {
+                bytes.push(0xF0); // plan separator (no operator tag uses it)
+                encode_plan(plan, bytes);
+            }
+            PlanFingerprint {
+                hash: mix_words(bytes),
+                bytes: Arc::from(&bytes[..]),
+            }
+        })
+    }
+
+    /// A fingerprint whose hash is forced, to test that equality never
+    /// trusts the hash alone.
+    #[cfg(test)]
+    fn with_hash(bytes: &[u8], hash: u64) -> Self {
         PlanFingerprint {
             bytes: bytes.into(),
             hash,
         }
     }
 
-    /// The 64-bit lookup hash (FNV-1a over the canonical encoding).
+    /// The 64-bit lookup hash of the canonical encoding: its `u64` words,
+    /// then its tail bytes, each folded in by a multiply-rotate step.
+    /// Encodings of one length that differ in any one byte hash apart.
     pub fn hash64(&self) -> u64 {
         self.hash
     }
@@ -209,14 +230,28 @@ impl Hash for PlanFingerprint {
     }
 }
 
-/// FNV-1a over a byte slice.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
+/// The hash of an encoding, a word at a time: each little-endian `u64`
+/// word, then each tail byte, is folded in by `h ← rotl((h ⊕ w) · K, 29)`,
+/// and murmur3's finalizer mixes the result. For a fixed input every step
+/// is a bijection of the state, and for a fixed state an injection of the
+/// input, so two encodings of one length that differ in a single word (or
+/// tail byte) always hash apart.
+fn mix_words(bytes: &[u8]) -> u64 {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15; // odd, so `· K` is a bijection
+    let step = |h: u64, w: u64| (h ^ w).wrapping_mul(K).rotate_left(29);
+    let mut words = bytes.chunks_exact(8);
+    let mut h = (bytes.len() as u64).wrapping_mul(K);
+    for word in &mut words {
+        h = step(h, u64::from_le_bytes(word.try_into().expect("an 8-byte chunk")));
     }
-    h
+    for &b in words.remainder() {
+        h = step(h, u64::from(b));
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+    h ^ (h >> 33)
 }
 
 fn encode_str(s: &str, out: &mut Vec<u8>) {
@@ -888,15 +923,65 @@ mod tests {
     fn equality_checks_full_bytes_not_just_the_hash() {
         // Two fingerprints with forcibly equal hashes but different bytes
         // must not compare equal (the collision-safety contract).
-        let a = PlanFingerprint {
-            bytes: vec![1, 2, 3].into(),
-            hash: 99,
-        };
-        let b = PlanFingerprint {
-            bytes: vec![4, 5, 6].into(),
-            hash: 99,
-        };
+        let a = PlanFingerprint::with_hash(&[1, 2, 3], 99);
+        let b = PlanFingerprint::with_hash(&[4, 5, 6], 99);
+        assert_eq!(a.hash64(), b.hash64());
         assert_ne!(a, b);
+        // Nor does a medical encoding equal any other bytes under its hash.
+        let medical = medical_fingerprint();
+        let forged = PlanFingerprint::with_hash(&medical.bytes[1..], medical.hash64());
+        assert_ne!(medical, forged);
+        assert_eq!(medical, PlanFingerprint::with_hash(&medical.bytes, medical.hash64()));
+    }
+
+    /// The three plans of the medical federation's query restricted to one
+    /// modality (`midas_tpch::medical_query(Some("CT"))`, which this crate
+    /// cannot name), fingerprinted as admission fingerprints them.
+    fn medical_fingerprint() -> PlanFingerprint {
+        let project = |input: PhysicalPlan, cols: [(&str, usize); 2]| PhysicalPlan::Project {
+            input: Box::new(input),
+            exprs: cols.map(|(name, i)| (name.to_string(), Expr::col(i))).to_vec(),
+        };
+        let left = project(
+            PhysicalPlan::Filter {
+                input: Box::new(scan("patient")),
+                predicate: Expr::col(3).eq(Expr::str("CT")),
+            },
+            [("UID", 0), ("PatientSex", 1)],
+        );
+        let right = project(scan("generalinfo"), [("UID", 0), ("GeneralNames", 1)]);
+        let combine = project(
+            PhysicalPlan::HashJoin {
+                left: Box::new(scan("@frag0")),
+                right: Box::new(scan("@frag1")),
+                left_keys: vec![0],
+                right_keys: vec![0],
+                join_type: JoinType::Inner,
+            },
+            [("PatientSex", 1), ("GeneralNames", 3)],
+        );
+        PlanFingerprint::of_plans([&left, &right, &combine])
+    }
+
+    #[test]
+    fn every_byte_of_an_encoding_moves_its_hash() {
+        let medical = medical_fingerprint();
+        assert_eq!(medical, medical_fingerprint());
+        assert_eq!(medical.hash64(), medical_fingerprint().hash64());
+        // Every word, and the tail, of a full-size encoding.
+        assert_eq!(medical.encoded_len(), 306);
+        let bytes = medical.bytes.to_vec();
+        for i in 0..bytes.len() {
+            for flip in [0x01, 0x80, 0xFF] {
+                let mut flipped = bytes.clone();
+                flipped[i] ^= flip;
+                assert_ne!(
+                    mix_words(&flipped),
+                    medical.hash64(),
+                    "byte {i} flipped by {flip:#x}"
+                );
+            }
+        }
     }
 
     #[test]

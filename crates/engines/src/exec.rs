@@ -67,6 +67,7 @@ use crate::version::CatalogVersion;
 use crate::data::Table;
 use midas_cloud::{Federation, InstanceType, Money, SiteId};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -356,10 +357,11 @@ impl FaultContext<'_> {
 ///    slot is acquired from the [`SiteAdmission`] gate of its site; workers
 ///    queue when the site is saturated, exactly like queries queue on a real
 ///    federation site with a bounded resource pool.
-/// 2. **Locked env sections** — the drift/noise/clock bookkeeping of each
-///    fragment happens under one short lock of the shared
-///    [`SimulationEnv`], so per-site RNG streams stay internally
-///    consistent no matter how executions interleave.
+/// 2. **One locked env section per run** — the drift/noise/clock
+///    bookkeeping of all of a run's fragments happens under one short lock
+///    of the shared [`SimulationEnv`], after their relational work, so
+///    per-site RNG streams stay internally consistent no matter how
+///    executions interleave.
 /// 3. **Pacing** — optionally, each fragment *occupies its site slot* for a
 ///    wall-clock duration proportional to its **nominal** occupancy (its
 ///    work profile simulated at unit load with no noise; `pacing` wall
@@ -384,6 +386,7 @@ pub struct SharedExecutor<'a> {
     cache: Option<ResultCacheBinding<'a>>,
     keys: &'a [Option<CacheKey>],
     profiled: &'a [ProfiledFragment],
+    clock: Option<&'a AtomicU64>,
 }
 
 impl<'a> SharedExecutor<'a> {
@@ -403,6 +406,7 @@ impl<'a> SharedExecutor<'a> {
             cache: None,
             keys: &[],
             profiled: &[],
+            clock: None,
         }
     }
 
@@ -438,7 +442,7 @@ impl<'a> SharedExecutor<'a> {
     /// fault position (see [`FaultPlan`]): fragments bound to a down site
     /// fail with [`EngineError::SiteUnavailable`] *before* taking an
     /// admission slot, slowdown windows multiply the site's load inside the
-    /// fragment's env section, and flap windows cap the site's admission
+    /// run's env section, and flap windows cap the site's admission
     /// gate at one slot. Positions outside every window execute exactly the
     /// healthy path — bit-for-bit, since a 1.0 slowdown multiplies load by
     /// exactly 1.0 and consumes no extra RNG draws.
@@ -498,6 +502,16 @@ impl<'a> SharedExecutor<'a> {
         self
     }
 
+    /// Mirrors the env's clock into `mirror` (as `f64::to_bits`): each run
+    /// stores the clock its env section leaves, before the section ends.
+    /// While every tick of the env goes through runs that carry the same
+    /// mirror, a reader gets the clock from the mirror without the env's
+    /// lock.
+    pub fn with_clock_mirror(mut self, mirror: &'a AtomicU64) -> Self {
+        self.clock = Some(mirror);
+        self
+    }
+
     /// Executes a federated query against a shared base-table catalog (or
     /// one published version of it — see [`TableSource`]) at logical
     /// scale 1.
@@ -541,14 +555,19 @@ impl<'a> SharedExecutor<'a> {
 ///    [`SharedExecutor::with_profiled_fragments`]) or by running the fused
 ///    executor — and holds the permit through its paced occupancy. This
 ///    step never touches the env.
-/// 3. **Simulation step**: one env section (read load, draw noise, tick
-///    the clock — atomic under one lock, so per-site RNG streams stay
-///    consistent however workers interleave) plus billing.
+/// 3. **Simulation step**, once every relational step has run: one env
+///    section for the whole attempt, which reads load, draws noise and
+///    ticks the clock for each fragment in index order — atomic under one
+///    lock, so per-site RNG streams stay consistent however workers
+///    interleave — then billing. With one caller the env sees exactly the
+///    operation sequence a section per fragment would give it: a
+///    fragment's relational step never reads the env.
 ///
 /// A failure surfaces at the fragment that hit it, its execution error
-/// before its instance-lookup error; the fragments before it have already
-/// consumed their env sections, so a shared env ends an aborted query in
-/// the state the completed prefix left it in.
+/// before its instance-lookup error. The env section then simulates the
+/// fragments before it, and only them, before the error returns: a shared
+/// env ends an aborted query in the state the completed prefix left it
+/// in.
 fn run_federated(
     ex: &SharedExecutor<'_>,
     query: &FederatedQuery,
@@ -564,6 +583,7 @@ fn run_federated(
         cache,
         keys,
         profiled,
+        clock,
     } = ex;
     let work_scale = if work_scale.is_finite() && work_scale > 0.0 {
         work_scale
@@ -631,15 +651,16 @@ fn run_federated(
         });
     }
 
-    let mut frag_bytes: Vec<u64> = vec![0; n];
+    // `staged[i]` and `outcomes[i]` are what fragment `i`'s relational step
+    // leaves for its simulation step; `outcomes[i]` gets its time and money
+    // there.
+    let mut staged: Vec<Staged<'_>> = Vec::with_capacity(n);
+    let mut outcomes: Vec<FragmentOutcome> = Vec::with_capacity(n);
     let mut cache_hits = 0u32;
     let mut reused_fragments = 0u32;
-    let mut outcomes: Vec<FragmentOutcome> = Vec::with_capacity(n);
-    let mut total_elapsed = 0.0;
-    let mut total_money = Money::ZERO;
-    let mut total_intermediate = 0u64;
 
-    for (idx, fragment) in query.fragments.iter().enumerate() {
+    // Relational steps, in index order, up to the first failure.
+    let relational = query.fragments.iter().enumerate().try_for_each(|(idx, fragment)| {
         // Pure pre-computation: cross-site transfer of every upstream
         // fragment output this one scans, and instance-shape resolution
         // (needed for paced occupancy; its error, if any, is surfaced
@@ -650,7 +671,7 @@ fn run_federated(
         for &dep in &deps[idx] {
             let from = query.fragments[dep].site;
             if from != fragment.site {
-                let bytes = (frag_bytes[dep] as f64 * work_scale) as u64;
+                let bytes = (staged[dep].bytes as f64 * work_scale) as u64;
                 let est = federation.transfer(from, fragment.site, bytes);
                 transfer_s += est.seconds;
                 transfer_money += federation.transfer_cost(from, fragment.site, bytes);
@@ -660,7 +681,6 @@ fn run_federated(
         let site = federation.site(fragment.site);
         let shape = site.catalog.by_name(&fragment.instance);
         let profile = EngineProfile::for_engine(fragment.engine);
-        let workers = |shape: &InstanceType| fragment.vm_count.max(1) * shape.vcpus.max(1);
 
         // Injected outage: the site refuses the fragment before a slot is
         // even taken (a down site has no queue to wait in) — and before
@@ -705,7 +725,12 @@ fn run_federated(
                 if let (Ok((_, work)), Some(shape)) = (&result, shape) {
                     let nominal_s = transfer_s
                         + simulate_fragment_seconds_scaled(
-                            work, &profile, workers(shape), 1.0, 1.0, work_scale,
+                            work,
+                            &profile,
+                            fragment_workers(fragment, shape),
+                            1.0,
+                            1.0,
+                            work_scale,
                         );
                     std::thread::sleep(Duration::from_secs_f64(nominal_s * pacing));
                 }
@@ -732,12 +757,32 @@ fn run_federated(
                 fragment.instance, site.name
             ))
         })?;
-        frag_bytes[idx] = table.estimated_bytes();
+        staged.push(Staged {
+            bytes: table.estimated_bytes(),
+            shape,
+            profile,
+            transfer_s,
+            transfer_money,
+        });
+        outcomes.push(FragmentOutcome {
+            elapsed_s: 0.0,
+            money: Money::ZERO,
+            ingress_bytes: ingress,
+            work,
+        });
+        outputs.push(table);
+        Ok(())
+    });
 
-        // Simulation step: read load, draw noise, advance the world by the
-        // fragment's elapsed time — the three ops atomic under one lock.
-        let elapsed = {
-            let mut env = crate::lock_recover(env);
+    // Simulation steps, in index order, of every fragment whose relational
+    // step completed — a failed query's prefix included: read load, draw
+    // noise, advance the world by the fragment's elapsed time. One env
+    // section for all of them, so per-site RNG streams stay consistent
+    // however workers interleave; the clock mirror, if any, is stored
+    // before the section ends.
+    if !staged.is_empty() {
+        let mut env = crate::lock_recover(env);
+        for ((fragment, s), outcome) in query.fragments.iter().zip(&staged).zip(&mut outcomes) {
             // An injected slowdown multiplies the site's load; it never
             // consumes RNG, so positions outside every window simulate
             // bit-identically to a fault-free run (x * 1.0 == x).
@@ -745,31 +790,38 @@ fn run_federated(
             let load = env.load(fragment.site) * slowdown;
             let noise = env.noise(fragment.site);
             let compute_s = simulate_fragment_seconds_scaled(
-                &work, &profile, workers(shape), load, noise, work_scale,
+                &outcome.work,
+                &s.profile,
+                fragment_workers(fragment, s.shape),
+                load,
+                noise,
+                work_scale,
             );
-            let elapsed = compute_s + transfer_s;
+            outcome.elapsed_s = compute_s + s.transfer_s;
             // The world moves on while the fragment runs.
-            env.tick(elapsed);
-            elapsed
-        };
+            env.tick(outcome.elapsed_s);
+        }
+        if let Some(mirror) = clock {
+            mirror.store(env.clock_s.to_bits(), Ordering::Release);
+        }
+    }
+    relational?;
 
-        // Billing: VMs for the fragment duration plus the egress already
-        // accounted.
-        let vm_money = site
-            .pricing
-            .instance_cost(shape, fragment.vm_count.max(1), elapsed);
-        let money = vm_money + transfer_money;
-
-        total_intermediate += work.total_intermediate_bytes();
-        total_elapsed += elapsed;
-        total_money += money;
-        outputs.push(table);
-        outcomes.push(FragmentOutcome {
-            elapsed_s: elapsed,
-            money,
-            ingress_bytes: ingress,
-            work,
-        });
+    // Billing: VMs for the fragment duration plus the egress already
+    // accounted.
+    let mut total_elapsed = 0.0;
+    let mut total_money = Money::ZERO;
+    let mut total_intermediate = 0u64;
+    for ((fragment, s), outcome) in query.fragments.iter().zip(&staged).zip(&mut outcomes) {
+        let vm_money = federation.site(fragment.site).pricing.instance_cost(
+            s.shape,
+            fragment.vm_count.max(1),
+            outcome.elapsed_s,
+        );
+        outcome.money = vm_money + s.transfer_money;
+        total_intermediate += outcome.work.total_intermediate_bytes();
+        total_elapsed += outcome.elapsed_s;
+        total_money += outcome.money;
     }
 
     Ok(ExecutionOutcome {
@@ -782,6 +834,22 @@ fn run_federated(
         reused_fragments,
         fragments: outcomes,
     })
+}
+
+/// What one fragment's relational step leaves for its simulation step and
+/// billing.
+struct Staged<'f> {
+    /// Its output's estimated bytes, which later fragments transfer.
+    bytes: u64,
+    shape: &'f InstanceType,
+    profile: EngineProfile,
+    transfer_s: f64,
+    transfer_money: Money,
+}
+
+/// The workers a fragment runs on: its VMs times each one's vCPUs.
+fn fragment_workers(fragment: &Fragment, shape: &InstanceType) -> u32 {
+    fragment.vm_count.max(1) * shape.vcpus.max(1)
 }
 
 /// The result-cache key of each of a query's fragments, whose plans are

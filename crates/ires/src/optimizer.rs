@@ -101,8 +101,7 @@ fn pick(
     weights: &WeightedSumModel,
     constraints: &Constraints,
 ) -> Option<usize> {
-    let costs: Vec<&[f64]> = pareto.iter().map(|(_, c)| c.as_slice()).collect();
-    best_in_pareto(&costs, weights, constraints)
+    best_in_pareto(pareto.iter().map(|(_, c)| c), weights, constraints)
 }
 
 /// Re-selection from an existing Pareto set under new weights/constraints —

@@ -3,8 +3,8 @@
 //!
 //! Relational execution is serialized *per simulated site* through the
 //! federation's admission queues ([`midas_engines::sim::SiteAdmission`]);
-//! the drifting [`SimulationEnv`] is shared behind one lock with
-//! per-fragment critical sections. A fragment at a site inside an outage
+//! the drifting [`SimulationEnv`] is shared behind one lock, which an
+//! attempt takes once, for all its fragments' simulation steps. A fragment at a site inside an outage
 //! window fails the attempt, and the job retries with that site marked hot;
 //! the attempt that runs to completion is judged against the job's
 //! deadline, then learns: it records its observation into the shared,
@@ -71,7 +71,8 @@ impl FederationRuntime<'_> {
             let mut executor = SharedExecutor::new(self.federation, &self.env, &self.admission)
                 .with_pacing(self.config.pacing)
                 .with_profiled_fragments(&planned.profiled)
-                .with_fragment_keys(&entry.keys);
+                .with_fragment_keys(&entry.keys)
+                .with_clock_mirror(&self.clock);
             if let Some(binding) = planned.binding {
                 executor = executor.with_result_cache(binding);
             }

@@ -6,6 +6,13 @@
 //! starve the others (a tenant's own jobs still run in submission order,
 //! and at most one job per tenant is in flight at a time — the
 //! serialization that makes quarantine accounting deterministic).
+//!
+//! A worker takes the queue's lock once per job: [`JobQueue::next`]
+//! completes the job it finished and pops its next one in one critical
+//! section. Workers that find nothing serviceable park on a condvar,
+//! counted under the lock, and a submission, completion or close wakes
+//! them only when that count is not 0 — a notify with no waiter still
+//! costs a syscall.
 
 use super::*;
 
@@ -20,8 +27,8 @@ pub(super) struct TenantQueue {
     /// to `weight` when the cursor (re)enters the tenant with 0 credits.
     credits: u64,
     /// A worker holds one of this tenant's jobs right now. At most one job
-    /// per tenant is in flight: `pop` skips in-flight tenants and
-    /// `complete_one` clears the flag. This serializes each tenant's jobs
+    /// per tenant is in flight: `next` skips in-flight tenants, and clears
+    /// the flag when the worker comes back for its next job. This serializes each tenant's jobs
     /// in submission order across any worker count — the property the
     /// quarantine ledger and the failure-determinism harness rely on.
     in_flight: bool,
@@ -39,7 +46,7 @@ pub(super) struct TenantQueue {
 /// the rotation (credits exhaust, the cursor moves on).
 ///
 /// Once the ingress is **closed**, an empty tenant FIFO can never refill;
-/// `pop` retires such departed tenants from the rotation, so a service
+/// `next` retires such departed tenants from the rotation, so a service
 /// that saw thousands of one-shot tenants does not scan (or retain) their
 /// dead queues forever.
 #[derive(Default)]
@@ -56,6 +63,9 @@ pub(super) struct QueueState {
     next_sequence: usize,
     /// Jobs submitted but not yet completed or failed.
     outstanding: usize,
+    /// Workers waiting on `ready` right now: a wake-up with none would
+    /// only cost a syscall.
+    parked: usize,
     /// Per-tenant depth/wait counters, kept here (not in [`TenantQueue`])
     /// so they survive tenant retirement and the final report can still
     /// describe a drained queue.
@@ -104,7 +114,7 @@ impl QueueState {
 #[derive(Default)]
 pub(super) struct JobQueue {
     pub(super) state: Mutex<QueueState>,
-    /// Signalled on submit and close.
+    /// Signalled on submit, completion and close while a worker is parked.
     ready: Condvar,
     /// Signalled on completion (for `drain`).
     idle: Condvar,
@@ -150,18 +160,39 @@ impl JobQueue {
         let stats = entry_of(&mut state.stats, &tenant.name);
         stats.submitted += 1;
         stats.peak_depth = stats.peak_depth.max(depth);
+        let wake = state.parked > 0;
         drop(guard);
-        self.ready.notify_all();
+        if wake {
+            self.ready.notify_all();
+        }
         sequence
     }
 
-    /// Takes the next job in weighted-deficit-round-robin tenant order,
-    /// blocking while no tenant is serviceable (queue empty, or every
-    /// queued tenant already has a job in flight) and the queue is not yet
-    /// closed and drained. `None` once closed and every FIFO is empty. The
-    /// scan indexes the rotation directly — no per-step tenant-name clone.
-    pub(super) fn pop(&self) -> Option<AdmittedJob> {
+    /// Completes the job of tenant `finished` (a worker's previous job, if
+    /// any), then takes the next job in weighted-deficit-round-robin tenant
+    /// order — one critical section. The completion counts the job done
+    /// and releases the tenant's in-flight slot, so its next job becomes
+    /// serviceable. The pop blocks while no tenant is serviceable (queue
+    /// empty, or every queued tenant already has a job in flight) and the
+    /// queue is not yet closed and drained; `None` once closed and every
+    /// FIFO is empty. The scan indexes the rotation directly — no per-step
+    /// tenant-name clone.
+    pub(super) fn next(&self, finished: Option<&str>) -> Option<AdmittedJob> {
         let mut state = lock_recover(&self.state);
+        if let Some(tenant) = finished {
+            if let Some(&slot) = state.index.get(tenant) {
+                state.tenants[slot].in_flight = false;
+            }
+            state.outstanding -= 1;
+            if state.outstanding == 0 {
+                self.idle.notify_all();
+            }
+            // A parked worker may wait on this tenant's in-flight flag, or
+            // to see the closed queue drain.
+            if state.parked > 0 {
+                self.ready.notify_all();
+            }
+        }
         loop {
             if state.closed {
                 state.retire_departed();
@@ -201,28 +232,12 @@ impl JobQueue {
             if state.closed && state.tenants.iter().all(|t| t.jobs.is_empty()) {
                 return None;
             }
+            state.parked += 1;
             state = self
                 .ready
                 .wait(state)
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
-    }
-
-    /// Records one completion (success or failure) and releases the
-    /// tenant's in-flight slot so its next job becomes serviceable.
-    pub(super) fn complete_one(&self, tenant: &str) {
-        let mut state = lock_recover(&self.state);
-        if let Some(&slot) = state.index.get(tenant) {
-            state.tenants[slot].in_flight = false;
-        }
-        state.outstanding -= 1;
-        let drained = state.outstanding == 0;
-        drop(state);
-        // Waiting workers may be parked on the in-flight flag, not just on
-        // submissions — wake them.
-        self.ready.notify_all();
-        if drained {
-            self.idle.notify_all();
+            state.parked -= 1;
         }
     }
 
@@ -240,8 +255,13 @@ impl JobQueue {
     /// Closes the ingress: workers drain what is queued, then exit.
     /// Idempotent.
     pub(super) fn close(&self) {
-        lock_recover(&self.state).closed = true;
-        self.ready.notify_all();
+        let mut state = lock_recover(&self.state);
+        state.closed = true;
+        let wake = state.parked > 0;
+        drop(state);
+        if wake {
+            self.ready.notify_all();
+        }
     }
 
     /// Snapshot of every tenant's queue counters (including retired
@@ -253,7 +273,7 @@ impl JobQueue {
 
 /// Closes the queue when dropped — **also on unwind**, so a panicking
 /// producer closure fails the `serve` call instead of leaving workers
-/// parked forever in [`JobQueue::pop`].
+/// parked forever in [`JobQueue::next`].
 pub(super) struct CloseOnDrop<'q>(pub(super) &'q JobQueue);
 
 impl Drop for CloseOnDrop<'_> {

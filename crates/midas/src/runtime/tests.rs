@@ -22,13 +22,20 @@ fn admission(weight: u64) -> Admission {
     }
 }
 
-/// Pops one job and immediately completes it (clearing the in-flight
-/// flag), returning the tenant it came from.
-fn pop_complete(q: &JobQueue) -> Option<String> {
-    let j = q.pop()?;
-    let tenant = j.job.tenant.clone();
-    q.complete_one(&tenant);
-    Some(tenant)
+/// One worker's view of a queue: each [`Worker::serve`] completes the job
+/// the worker holds, if any, and takes its next one, as `worker_loop` does.
+#[derive(Default)]
+struct Worker {
+    held: Option<String>,
+}
+
+impl Worker {
+    /// The tenant of the job taken, `None` once the closed queue drained.
+    fn serve(&mut self, q: &JobQueue) -> Option<String> {
+        let next = q.next(self.held.as_deref());
+        self.held = next.map(|j| j.job.tenant);
+        self.held.clone()
+    }
 }
 
 #[test]
@@ -41,7 +48,8 @@ fn pop_is_round_robin_and_retires_departed_tenants_once_closed() {
     }
     q.close();
     let mut order = Vec::new();
-    while let Some(tenant) = pop_complete(&q) {
+    let mut w = Worker::default();
+    while let Some(tenant) = w.serve(&q) {
         order.push(tenant);
     }
     // Retirement never perturbs the round-robin service order…
@@ -63,7 +71,8 @@ fn weighted_tenants_get_proportional_service() {
     }
     q.close();
     let mut order = Vec::new();
-    while let Some(tenant) = pop_complete(&q) {
+    let mut w = Worker::default();
+    while let Some(tenant) = w.serve(&q) {
         order.push(tenant);
     }
     // Deficit round-robin: 3 heavy pops per light pop, and the tail
@@ -83,17 +92,13 @@ fn in_flight_tenants_are_skipped_until_completion() {
     q.close();
     // A's first job is in flight; the next pop must skip to b even
     // though a's FIFO still holds a job.
-    let first = q.pop().unwrap();
-    assert_eq!(first.job.tenant, "a");
-    let second = q.pop().unwrap();
-    assert_eq!(second.job.tenant, "b");
+    let (mut w1, mut w2) = (Worker::default(), Worker::default());
+    assert_eq!(w1.serve(&q).unwrap(), "a");
+    assert_eq!(w2.serve(&q).unwrap(), "b");
     // Completing a's job releases its second one.
-    q.complete_one("a");
-    let third = q.pop().unwrap();
-    assert_eq!(third.job.tenant, "a");
-    q.complete_one("b");
-    q.complete_one("a");
-    assert!(q.pop().is_none());
+    assert_eq!(w1.serve(&q).unwrap(), "a");
+    assert!(w2.serve(&q).is_none());
+    assert!(w1.serve(&q).is_none());
 }
 
 #[test]
@@ -104,21 +109,20 @@ fn retirement_rebases_the_cursor_onto_the_next_survivor() {
     q.submit(job("c"), admission(1));
     q.submit(job("c"), admission(1));
     // Serve a and b while open (cursor now points at c)…
-    assert_eq!(pop_complete(&q).unwrap(), "a");
-    assert_eq!(pop_complete(&q).unwrap(), "b");
+    let mut w = Worker::default();
+    assert_eq!(w.serve(&q).unwrap(), "a");
+    assert_eq!(w.serve(&q).unwrap(), "b");
     q.close();
     // …then retirement removes both departed tenants *before* the
     // cursor; service continues exactly at c.
-    let j = q.pop().unwrap();
-    assert_eq!(j.job.tenant, "c");
+    assert_eq!(w.serve(&q).unwrap(), "c");
     {
         let state = lock_recover(&q.state);
         assert_eq!(state.tenants.len(), 1);
         assert_eq!(state.cursor, 0);
     }
-    q.complete_one("c");
-    assert_eq!(pop_complete(&q).unwrap(), "c");
-    assert!(q.pop().is_none());
+    assert_eq!(w.serve(&q).unwrap(), "c");
+    assert!(w.serve(&q).is_none());
 }
 
 #[test]
@@ -127,10 +131,11 @@ fn retirement_repoints_the_index_at_survivors_compacted_slots() {
     q.submit(job("a"), admission(1));
     q.submit(job("b"), admission(1));
     q.submit(job("b"), admission(1));
-    assert_eq!(pop_complete(&q).unwrap(), "a");
+    let mut w = Worker::default();
+    assert_eq!(w.serve(&q).unwrap(), "a");
     q.close();
     // Retirement drops a (slot 0) and compacts b from slot 1 to 0.
-    assert_eq!(pop_complete(&q).unwrap(), "b");
+    assert_eq!(w.serve(&q).unwrap(), "b");
     {
         let state = lock_recover(&q.state);
         assert_eq!(state.index.get("b"), Some(&0));
@@ -139,9 +144,9 @@ fn retirement_repoints_the_index_at_survivors_compacted_slots() {
     // A submission routed through the index after compaction must land
     // in b's (moved) FIFO, not panic on a stale slot.
     q.submit(job("b"), admission(1));
-    assert_eq!(pop_complete(&q).unwrap(), "b");
-    assert_eq!(pop_complete(&q).unwrap(), "b");
-    assert!(q.pop().is_none());
+    assert_eq!(w.serve(&q).unwrap(), "b");
+    assert_eq!(w.serve(&q).unwrap(), "b");
+    assert!(w.serve(&q).is_none());
 }
 
 #[test]
@@ -153,7 +158,8 @@ fn one_shot_tenants_do_not_accumulate_after_close() {
     assert_eq!(lock_recover(&q.state).tenants.len(), 100);
     q.close();
     let mut served = 0;
-    while pop_complete(&q).is_some() {
+    let mut w = Worker::default();
+    while w.serve(&q).is_some() {
         served += 1;
         // Once closed, tenants retire as their FIFOs drain: the
         // rotation shrinks monotonically instead of scanning 100 dead
@@ -295,4 +301,103 @@ fn runtime_error_formats_every_variant_with_context() {
     };
     let text = qe.to_string();
     assert!(text.contains("rogue") && text.contains('7'));
+}
+
+/// A quarantined tenant's ledger counts as unhealthy from its first
+/// countable failure until its cool-off ends, and a success then leaves
+/// the count at 0, so the gate and `record_health` skip the health lock
+/// again.
+#[test]
+fn the_unhealthy_count_returns_to_zero_after_cooloff_and_a_success() {
+    use crate::Midas;
+    use midas_engines::sim::FaultPlan;
+    use midas_tpch::medical::{generate_medical, medical_query};
+
+    let (midas, patient_site, _) = Midas::example_deployment(&["patient"], &["generalinfo"]);
+    // Positions 0..3 are dark at the patient table's pinned site: with
+    // two attempts each, jobs 0 and 1 exhaust, tripping a quarantine of
+    // two cool-off rejections (jobs 2 and 3); job 4 runs past the outage.
+    let rt = FederationRuntime::new(
+        midas.federation(),
+        midas.placement(),
+        generate_medical(200, 0.5, 11),
+        RuntimeConfig {
+            workers: 1,
+            max_vms: 2,
+            max_attempts: 2,
+            quarantine_threshold: 2,
+            quarantine_cooloff: 2,
+            ..RuntimeConfig::default()
+        },
+    )
+    .with_fault_plan(FaultPlan::none().outage(patient_site, 0, 3));
+    let unhealthy = || rt.unhealthy.load(Ordering::Acquire);
+    let job = || RuntimeJob::new("sick", medical_query(Some("CT")), QueryPolicy::balanced());
+    let (counts, report) = rt.serve(|ingress| {
+        let mut counts = Vec::new();
+        for burst in [1, 1, 2, 1] {
+            for _ in 0..burst {
+                ingress.submit(job());
+            }
+            ingress.drain();
+            counts.push(unhealthy());
+        }
+        counts
+    });
+    // A streak of one, then the quarantine, then its end, then a success.
+    assert_eq!(counts, [1, 1, 0, 0]);
+    assert_eq!(report.failed.len(), 4, "{:?}", report.failed);
+    assert!(matches!(
+        report.failed[3].error,
+        RuntimeError::Quarantined { remaining_cooloff: 0, .. }
+    ));
+    assert_eq!(report.completed.len(), 1);
+    assert!(lock_recover(&rt.health).values().all(TenantHealth::is_clean));
+}
+
+/// Workers parked on a tenant's in-flight flag, or on an empty queue, are
+/// woken by every event that could let them proceed or exit: a 50-job
+/// burst from one tenant parks three of four workers on its flag, and
+/// jobs submitted after a drain barrier find parked workers again. A lost
+/// wake-up hangs the service, which fails the test by its timeout instead
+/// of hanging the suite.
+#[test]
+fn parked_workers_miss_no_wake_up() {
+    use crate::Midas;
+    use midas_tpch::medical::{generate_medical, medical_query};
+
+    let (sender, receiver) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let (midas, _, _) = Midas::example_deployment(&["patient"], &["generalinfo"]);
+        let rt = FederationRuntime::new(
+            midas.federation(),
+            midas.placement(),
+            generate_medical(200, 0.5, 3),
+            RuntimeConfig {
+                workers: 4,
+                max_vms: 2,
+                ..RuntimeConfig::default()
+            },
+        );
+        let job = |tenant: &str| {
+            RuntimeJob::new(tenant, medical_query(Some("CT")), QueryPolicy::balanced())
+        };
+        let ((), report) = rt.serve(|ingress| {
+            for _ in 0..50 {
+                ingress.submit(job("burst"));
+            }
+            ingress.drain();
+            for tenant in ["burst", "late-a", "late-b"] {
+                for _ in 0..5 {
+                    ingress.submit(job(tenant));
+                }
+            }
+        });
+        // A closed receiver means the test already failed by timeout.
+        let _ = sender.send((report.completed.len(), report.failed.len()));
+    });
+    let served = receiver
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("the service finished: no parked worker missed its wake-up");
+    assert_eq!(served, (65, 0));
 }

@@ -1,10 +1,11 @@
 //! The one sequential reference the runtime is checked against.
 //!
-//! [`Reference`] is `FederationRuntime::process` for jobs served one at a
-//! time on one thread, written against the public layer functions: it
-//! profiles with `PlanCostModel::build` (outputs thrown away), costs the
-//! whole space for every attempt (`moqp_exhaustive`) and executes every
-//! fragment of every attempt through a `SharedExecutor` with no hand-off.
+//! [`Reference`] is the runtime's `plan` and `execute` stages for jobs
+//! served one at a time on one thread, written against the public layer
+//! functions: it profiles with `PlanCostModel::build` (outputs thrown
+//! away), costs the whole space for every attempt (`moqp_exhaustive`) and
+//! executes every fragment of every attempt through a `SharedExecutor`
+//! with no hand-off.
 //! It keeps no plan cache — `build`, `for_query` and `moqp_exhaustive` are
 //! pure, so a cached plan is the plan it rebuilds — and no cached Pareto
 //! front. It does keep the runtime's fragment cache, fault schedule and

@@ -59,26 +59,60 @@ impl Constraints {
 ///
 /// Returns `None` only when `pareto_costs` is empty. The weighted-sum scores
 /// are min–max normalized over whichever candidate subset is being ranked
-/// (the budget-satisfying subset when non-empty, the full set otherwise).
-/// The cost vectors are only read — rows may be borrowed (`&[f64]`) or owned.
-pub fn best_in_pareto(
-    pareto_costs: &[impl AsRef<[f64]>],
+/// (the budget-satisfying subset when non-empty, the full set otherwise),
+/// and the first of equal minima wins. The cost vectors are only read —
+/// rows may be borrowed (`&[f64]`) or owned, from any re-iterable source.
+///
+/// Two passes over the front and no allocation for up to four objectives:
+/// the first finds each objective's range over the feasible points and over
+/// all of them, the second scores the pool in place.
+pub fn best_in_pareto<C: AsRef<[f64]>, I>(
+    pareto_costs: I,
     weights: &WeightedSumModel,
     constraints: &Constraints,
-) -> Option<usize> {
-    if pareto_costs.is_empty() {
-        return None;
-    }
-    let feasible: Vec<usize> = (0..pareto_costs.len())
-        .filter(|&i| constraints.satisfied_by(pareto_costs[i].as_ref()))
-        .collect();
-    let pool: Vec<usize> = if feasible.is_empty() {
-        (0..pareto_costs.len()).collect()
+) -> Option<usize>
+where
+    I: IntoIterator<Item = C>,
+    I::IntoIter: Clone,
+{
+    let points = pareto_costs.into_iter();
+    let m = weights.weights().len();
+    let mut inline = [(f64::INFINITY, f64::NEG_INFINITY); 2 * WeightedSumModel::INLINE_OBJECTIVES];
+    let mut spilled;
+    let ranges: &mut [(f64, f64)] = if m <= WeightedSumModel::INLINE_OBJECTIVES {
+        &mut inline[..2 * m]
     } else {
-        feasible
+        spilled = vec![(f64::INFINITY, f64::NEG_INFINITY); 2 * m];
+        &mut spilled
     };
-    let subset: Vec<&[f64]> = pool.iter().map(|&i| pareto_costs[i].as_ref()).collect();
-    weights.best_index(&subset).map(|k| pool[k])
+    let (feasible_ranges, all_ranges) = ranges.split_at_mut(m);
+    let mut any_feasible = false;
+    for point in points.clone() {
+        let costs = point.as_ref();
+        WeightedSumModel::widen(all_ranges, costs);
+        if constraints.satisfied_by(costs) {
+            any_feasible = true;
+            WeightedSumModel::widen(feasible_ranges, costs);
+        }
+    }
+    let ranges: &[(f64, f64)] = if any_feasible { feasible_ranges } else { all_ranges };
+    let mut best: Option<(usize, f64)> = None;
+    for (i, point) in points.enumerate() {
+        let costs = point.as_ref();
+        if any_feasible && !constraints.satisfied_by(costs) {
+            continue;
+        }
+        let score = weights.score(costs, ranges);
+        // `Iterator::min_by`'s rule: a later score replaces the best only
+        // when strictly smaller, and a NaN among several scores panics.
+        let better = best.is_none_or(|(_, low)| {
+            low.partial_cmp(&score).expect("NaN score") == std::cmp::Ordering::Greater
+        });
+        if better {
+            best = Some((i, score));
+        }
+    }
+    best.map(|(i, _)| i)
 }
 
 #[cfg(test)]
@@ -99,8 +133,8 @@ mod tests {
         let wsm_time = WeightedSumModel::new(&[1.0, 0.0]);
         let wsm_money = WeightedSumModel::new(&[0.0, 1.0]);
         let none = Constraints::none(2);
-        assert_eq!(best_in_pareto(&front(), &wsm_time, &none), Some(0));
-        assert_eq!(best_in_pareto(&front(), &wsm_money, &none), Some(3));
+        assert_eq!(best_in_pareto(front(), &wsm_time, &none), Some(0));
+        assert_eq!(best_in_pareto(front(), &wsm_money, &none), Some(3));
     }
 
     #[test]
@@ -108,7 +142,7 @@ mod tests {
         // Money budget of 20 rules out the two expensive plans.
         let wsm_time = WeightedSumModel::new(&[1.0, 0.0]);
         let budget = Constraints::none(2).with_bound(1, 20.0);
-        assert_eq!(best_in_pareto(&front(), &wsm_time, &budget), Some(2));
+        assert_eq!(best_in_pareto(front(), &wsm_time, &budget), Some(2));
     }
 
     #[test]
@@ -116,8 +150,8 @@ mod tests {
         // Nothing satisfies time <= 0.5; Algorithm 2 then ranks the full set.
         let wsm = WeightedSumModel::new(&[0.5, 0.5]);
         let impossible = Constraints::none(2).with_bound(0, 0.5);
-        let got = best_in_pareto(&front(), &wsm, &impossible);
-        let unconstrained = best_in_pareto(&front(), &wsm, &Constraints::none(2));
+        let got = best_in_pareto(front(), &wsm, &impossible);
+        let unconstrained = best_in_pareto(front(), &wsm, &Constraints::none(2));
         assert_eq!(got, unconstrained);
     }
 
@@ -145,6 +179,6 @@ mod tests {
     fn single_feasible_plan_wins_regardless_of_weights() {
         let wsm = WeightedSumModel::new(&[1.0, 0.0]);
         let budget = Constraints::none(2).with_bound(0, 31.0).with_bound(1, 3.0);
-        assert_eq!(best_in_pareto(&front(), &wsm, &budget), Some(3));
+        assert_eq!(best_in_pareto(front(), &wsm, &budget), Some(3));
     }
 }

@@ -53,33 +53,44 @@ impl WeightedSumModel {
         if candidates.is_empty() {
             return Vec::new();
         }
-        let m = self.weights.len();
-        let mut lo = vec![f64::INFINITY; m];
-        let mut hi = vec![f64::NEG_INFINITY; m];
+        let mut ranges = vec![(f64::INFINITY, f64::NEG_INFINITY); self.weights.len()];
         for c in candidates {
-            let c = c.as_ref();
-            for k in 0..m {
-                lo[k] = lo[k].min(c[k]);
-                hi[k] = hi[k].max(c[k]);
-            }
+            Self::widen(&mut ranges, c.as_ref());
         }
         candidates
             .iter()
-            .map(|c| {
-                let c = c.as_ref();
-                (0..m)
-                    .map(|k| {
-                        let range = hi[k] - lo[k];
-                        let z = if range <= 0.0 {
-                            0.0
-                        } else {
-                            (c[k] - lo[k]) / range
-                        };
-                        z * self.weights[k]
-                    })
-                    .sum()
-            })
+            .map(|c| self.score(c.as_ref(), &ranges))
             .collect()
+    }
+
+    /// Objectives whose ranges [`crate::best_in_pareto`] keeps on the
+    /// stack; a model with more spills them into one allocation.
+    pub(crate) const INLINE_OBJECTIVES: usize = 4;
+
+    /// Widens each objective's `(lo, hi)` range to cover `costs`.
+    pub(crate) fn widen(ranges: &mut [(f64, f64)], costs: &[f64]) {
+        for (k, (lo, hi)) in ranges.iter_mut().enumerate() {
+            *lo = lo.min(costs[k]);
+            *hi = hi.max(costs[k]);
+        }
+    }
+
+    /// One candidate's score: each objective min–max normalized over its
+    /// `(lo, hi)` range in `ranges` (0 when the range is empty), then the
+    /// weighted sum.
+    pub(crate) fn score(&self, costs: &[f64], ranges: &[(f64, f64)]) -> f64 {
+        (0..self.weights.len())
+            .map(|k| {
+                let (lo, hi) = ranges[k];
+                let range = hi - lo;
+                let z = if range <= 0.0 {
+                    0.0
+                } else {
+                    (costs[k] - lo) / range
+                };
+                z * self.weights[k]
+            })
+            .sum()
     }
 
     /// Index of the best (lowest-score) candidate, `None` when empty.

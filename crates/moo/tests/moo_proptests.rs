@@ -134,8 +134,108 @@ fn cost_vecs(dims: usize, n: impl Into<proptest::collection::SizeRange>) -> impl
     proptest::collection::vec(proptest::collection::vec(0.0..100.0f64, dims), n)
 }
 
+/// Algorithm 2 as it was written before it ranked the front in place,
+/// kept as the oracle of `best_in_pareto`: collect the budget-satisfying
+/// indices (else every index), score that subset, take the first minimum.
+fn best_in_pareto_by_collecting(
+    costs: &[Vec<f64>],
+    weights: &WeightedSumModel,
+    constraints: &Constraints,
+) -> Option<usize> {
+    if costs.is_empty() {
+        return None;
+    }
+    let feasible: Vec<usize> = (0..costs.len())
+        .filter(|&i| constraints.satisfied_by(&costs[i]))
+        .collect();
+    let pool: Vec<usize> = if feasible.is_empty() {
+        (0..costs.len()).collect()
+    } else {
+        feasible
+    };
+    let subset: Vec<&[f64]> = pool.iter().map(|&i| costs[i].as_slice()).collect();
+    let scores = wsm_scores(weights, &subset);
+    scores
+        .iter()
+        .enumerate()
+        .min_by(|(_, a), (_, b)| a.partial_cmp(b).expect("NaN score"))
+        .map(|(k, _)| pool[k])
+}
+
+/// The weighted sum of each candidate, every objective min–max normalized
+/// over the candidates: the oracle's scores.
+fn wsm_scores(weights: &WeightedSumModel, candidates: &[impl AsRef<[f64]>]) -> Vec<f64> {
+    if candidates.is_empty() {
+        return Vec::new();
+    }
+    let weights = weights.weights();
+    let m = weights.len();
+    let mut lo = vec![f64::INFINITY; m];
+    let mut hi = vec![f64::NEG_INFINITY; m];
+    for c in candidates {
+        let c = c.as_ref();
+        for k in 0..m {
+            lo[k] = lo[k].min(c[k]);
+            hi[k] = hi[k].max(c[k]);
+        }
+    }
+    candidates
+        .iter()
+        .map(|c| {
+            let c = c.as_ref();
+            (0..m)
+                .map(|k| {
+                    let range = hi[k] - lo[k];
+                    let z = if range <= 0.0 {
+                        0.0
+                    } else {
+                        (c[k] - lo[k]) / range
+                    };
+                    z * weights[k]
+                })
+                .sum()
+        })
+        .collect()
+}
+
+/// A selection on a five-value grid, so equal scores are the common case:
+/// zero to thirty points of one to five objectives (five spills the
+/// in-place ranges), weights with zeros among them, and per-objective
+/// budgets that are absent, or at −1, which no point satisfies.
+fn tied_selection() -> impl Strategy<Value = (Vec<Vec<f64>>, Vec<f64>, Vec<Option<f64>>)> {
+    (1usize..=5).prop_flat_map(|arity| {
+        (
+            proptest::collection::vec(
+                proptest::collection::vec((0u32..5).prop_map(f64::from), arity),
+                0..=30usize,
+            ),
+            proptest::collection::vec((0u32..3).prop_map(f64::from), arity),
+            proptest::collection::vec(
+                (0usize..7).prop_map(|b| (b < 5).then_some(b as f64 - 1.0)),
+                arity,
+            ),
+        )
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(1000))]
+
+    /// Algorithm 2 ranked in place picks exactly what the collecting
+    /// version picks: over ties, single points, budgets no point meets
+    /// and more objectives than it keeps on the stack.
+    #[test]
+    fn best_in_pareto_equals_the_collecting_oracle(
+        (costs, mut weights, bounds) in tied_selection(),
+    ) {
+        weights[0] += 1.0;
+        let weights = WeightedSumModel::new(&weights);
+        let constraints = Constraints::from_bounds(bounds);
+        prop_assert_eq!(
+            best_in_pareto(&costs, &weights, &constraints),
+            best_in_pareto_by_collecting(&costs, &weights, &constraints)
+        );
+    }
 
     /// The `O(n log n)` two-objective sort lists every front and every
     /// member where the pair loop does, across both zeros, both
@@ -254,15 +354,16 @@ proptest! {
     #[test]
     fn wsm_scale_invariance(costs in cost_vecs(2, 2..15), scale in 1.0..1000.0f64) {
         let weights = WeightedSumModel::new(&[0.4, 0.6]);
-        let best_a = weights.best_index(&costs);
+        let none = Constraints::none(2);
+        let best_a = best_in_pareto(&costs, &weights, &none);
         let scaled: Vec<Vec<f64>> = costs.iter()
             .map(|c| vec![c[0] * scale, c[1]])
             .collect();
-        let best_b = weights.best_index(&scaled);
+        let best_b = best_in_pareto(&scaled, &weights, &none);
         // The argmin may tie, so compare achieved scores instead of indices.
         if let (Some(a), Some(b)) = (best_a, best_b) {
-            let sa = weights.scores(&costs)[a];
-            let sb = weights.scores(&scaled)[b];
+            let sa = wsm_scores(&weights, &costs)[a];
+            let sb = wsm_scores(&weights, &scaled)[b];
             prop_assert!((sa - sb).abs() < 1e-9, "{sa} vs {sb}");
         }
     }

@@ -162,13 +162,6 @@ pub struct PlanFingerprint {
     hash: u64,
 }
 
-thread_local! {
-    /// The encoding buffer [`PlanFingerprint::of_plans`] reuses: a
-    /// thread's fingerprints grow it to their largest encoding once, and
-    /// each one then allocates only its exact-size `Arc`.
-    static ENCODING: std::cell::RefCell<Vec<u8>> = const { std::cell::RefCell::new(Vec::new()) };
-}
-
 impl PlanFingerprint {
     /// Fingerprints a single plan tree.
     pub fn of_plan(plan: &PhysicalPlan) -> Self {
@@ -178,17 +171,16 @@ impl PlanFingerprint {
     /// Fingerprints an ordered sequence of plan trees (e.g. the prepare
     /// and combine plans of one query) as one canonical unit.
     pub fn of_plans<'a>(plans: impl IntoIterator<Item = &'a PhysicalPlan>) -> Self {
-        ENCODING.with_borrow_mut(|bytes| {
-            bytes.clear();
-            for plan in plans {
-                bytes.push(0xF0); // plan separator (no operator tag uses it)
-                encode_plan(plan, bytes);
-            }
-            PlanFingerprint {
-                hash: mix_words(bytes),
-                bytes: Arc::from(&bytes[..]),
-            }
-        })
+        // Room for a medical query's three plans (306 bytes) without growing.
+        let mut bytes = Vec::with_capacity(512);
+        for plan in plans {
+            bytes.push(0xF0); // plan separator (no operator tag uses it)
+            encode_plan(plan, &mut bytes);
+        }
+        PlanFingerprint {
+            hash: mix_words(&bytes),
+            bytes: bytes.into(),
+        }
     }
 
     /// A fingerprint whose hash is forced, to test that equality never

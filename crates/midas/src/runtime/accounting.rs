@@ -343,26 +343,13 @@ impl From<SchedulerError> for RuntimeError {
     }
 }
 
-/// What one worker's jobs of a service call left: each worker fills its
-/// own sink, lock-free, and `finish` takes them merged.
+/// Collected results of one service call, guarded by one lock so the
+/// completion index is consistent with the push order.
 #[derive(Default)]
 pub(super) struct ResultSink {
     completed: Vec<TenantReport>,
     failed: Vec<FailedJob>,
-}
-
-impl ResultSink {
-    /// The workers' sinks as one, in no particular order (`finish` sorts):
-    /// the first sink, extended by the others'.
-    pub(super) fn merge(sinks: Vec<ResultSink>) -> ResultSink {
-        let mut sinks = sinks.into_iter();
-        let mut all = sinks.next().unwrap_or_default();
-        for sink in sinks {
-            all.completed.extend(sink.completed);
-            all.failed.extend(sink.failed);
-        }
-        all
-    }
+    completions: usize,
 }
 
 impl FederationRuntime<'_> {
@@ -397,23 +384,23 @@ impl FederationRuntime<'_> {
     }
 
     /// Records one job's outcome, in the order the tenant's next job
-    /// relies on: the failure ledger first, then the worker's sink — where
-    /// a completed job's report gets its service fields, its completion
-    /// index from `completions` — and only then does the worker release
-    /// the tenant's in-flight slot, so the next job observes this one's
-    /// verdict.
+    /// relies on: the failure ledger first, then the sink — where a
+    /// completed job's report gets its service fields — and only then does
+    /// the worker release the tenant's in-flight slot, so the next job
+    /// observes this one's verdict.
     pub(super) fn account(
         &self,
-        sink: &mut ResultSink,
+        sink: &Mutex<ResultSink>,
         worker: usize,
-        completions: &AtomicUsize,
         admitted: &AdmittedJob,
         dequeued: Instant,
         outcome: Result<TenantReport, RuntimeError>,
     ) {
         let tenant = &admitted.job.tenant;
         self.record_health(tenant, &outcome);
-        let completion = completions.fetch_add(1, Ordering::Relaxed);
+        let mut sink = lock_recover(sink);
+        let completion = sink.completions;
+        sink.completions += 1;
         match outcome {
             Ok(report) => sink.completed.push(TenantReport {
                 completion,
@@ -433,21 +420,20 @@ impl FederationRuntime<'_> {
 
     /// Updates the tenant's failure ledger after one job outcome. Panics
     /// and site-exhausted failures count toward quarantine; a success (or
-    /// any other error kind) resets the streak — without the ledger's
-    /// lock while every tenant's ledger is clean; quarantine rejections
+    /// any other error kind) resets the streak; quarantine rejections
     /// leave the ledger untouched.
     fn record_health(&self, tenant: &str, outcome: &Result<TenantReport, RuntimeError>) {
+        let threshold = self.config.quarantine_threshold;
+        let mut health = lock_recover(&self.health);
+        let h = entry_of(&mut health, tenant);
         match outcome {
             Err(RuntimeError::WorkerPanicked(_))
             | Err(RuntimeError::SiteUnavailable { .. }) => {
-                let threshold = self.config.quarantine_threshold;
-                self.update_health(tenant, |h| {
-                    h.consecutive_failures += 1;
-                    if threshold > 0 && h.consecutive_failures >= threshold {
-                        h.cooloff_remaining = self.config.quarantine_cooloff;
-                        h.consecutive_failures = 0;
-                    }
-                });
+                h.consecutive_failures += 1;
+                if threshold > 0 && h.consecutive_failures >= threshold {
+                    h.cooloff_remaining = self.config.quarantine_cooloff;
+                    h.consecutive_failures = 0;
+                }
             }
             // Admission-time rejections never touched the execution stack:
             // like quarantine rejections they leave the ledger untouched —
@@ -455,28 +441,8 @@ impl FederationRuntime<'_> {
             // launder away a real failure streak.
             Err(RuntimeError::Quarantined { .. })
             | Err(RuntimeError::InvalidPlan { .. }) => {}
-            _ if self.unhealthy.load(Ordering::Acquire) == 0 => {}
-            _ => self.update_health(tenant, |h| h.consecutive_failures = 0),
+            _ => h.consecutive_failures = 0,
         }
-    }
-
-    /// Applies `update` to `tenant`'s ledger under the health lock, and
-    /// keeps the count of tenants whose ledger is not clean in step.
-    pub(super) fn update_health<R>(
-        &self,
-        tenant: &str,
-        update: impl FnOnce(&mut TenantHealth) -> R,
-    ) -> R {
-        let mut health = lock_recover(&self.health);
-        let h = entry_of(&mut health, tenant);
-        let was_clean = h.is_clean();
-        let result = update(h);
-        match (was_clean, h.is_clean()) {
-            (true, false) => self.unhealthy.fetch_add(1, Ordering::Release),
-            (false, true) => self.unhealthy.fetch_sub(1, Ordering::Release),
-            _ => 0,
-        };
-        result
     }
 
     /// Builds the service report from a drained sink and the ingress

@@ -66,9 +66,7 @@ pub(super) struct Verdict {
 
 /// Per-tenant failure ledger behind the quarantine policy. Tenant jobs are
 /// serialized by the queue's in-flight flag, so transitions here happen in
-/// each tenant's submission order no matter how many workers run — and
-/// what a job's ledger update left, the tenant's next job sees, also in
-/// the runtime's count of ledgers that are not clean.
+/// each tenant's submission order no matter how many workers run.
 #[derive(Debug, Clone, Copy, Default)]
 pub(super) struct TenantHealth {
     /// Countable failures (panics, site-exhausted jobs) since the last
@@ -76,13 +74,6 @@ pub(super) struct TenantHealth {
     pub(super) consecutive_failures: usize,
     /// Quarantine rejections still owed before service resumes.
     pub(super) cooloff_remaining: usize,
-}
-
-impl TenantHealth {
-    /// No failure streak and no cool-off: the ledger a tenant starts with.
-    pub(super) fn is_clean(&self) -> bool {
-        self.consecutive_failures == 0 && self.cooloff_remaining == 0
-    }
 }
 
 /// The live ingress of a running [`FederationRuntime::serve`] call: the
@@ -268,19 +259,14 @@ impl FederationRuntime<'_> {
         if let Some(rejected) = &admitted.admission.rejection {
             return Some(rejected.clone());
         }
-        if self.unhealthy.load(Ordering::Acquire) == 0 {
-            return None;
-        }
         let tenant = &admitted.job.tenant;
-        let remaining_cooloff = self.update_health(tenant, |h| {
-            let cooling = h.cooloff_remaining > 0;
-            h.cooloff_remaining -= usize::from(cooling);
-            cooling.then_some(h.cooloff_remaining)
-        })?;
+        let mut health = lock_recover(&self.health);
+        let h = health.get_mut(tenant).filter(|h| h.cooloff_remaining > 0)?;
+        h.cooloff_remaining -= 1;
         Some(RuntimeError::Quarantined {
             tenant: tenant.to_string(),
             failures: self.config.quarantine_threshold,
-            remaining_cooloff,
+            remaining_cooloff: h.cooloff_remaining,
         })
     }
 }

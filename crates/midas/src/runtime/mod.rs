@@ -28,7 +28,7 @@
 //!   [`ModellingRegistry`], whose DREAM estimators fit when the report
 //!   reads them ([`RuntimeReport::learning`]).
 //! * **Account** (`accounting.rs`) — the tenant's failure ledger, the
-//!   worker's result sink, and the [`RuntimeReport`] a call returns.
+//!   result sink, and the [`RuntimeReport`] a call returns.
 //!
 //! **Resilience.** Production federations see sites stall, fail and flap;
 //! the runtime injects exactly that through an optional seeded
@@ -62,10 +62,8 @@
 //! against the one reference in `tests/common`). What keeps a second
 //! worker cheap keeps that sequence too: a job's attempt simulates all its
 //! fragments in one env section, after their relational steps, in the
-//! order a section per fragment would; the clock is read from a mirror the
-//! env section stores ([`FederationRuntime::clock_s`]); each worker fills
-//! its own result sink, with completion indices drawn in service order;
-//! and the quarantine ledger is skipped only while no tenant's is dirty.
+//! order a section per fragment would; and the clock is read from a
+//! mirror the env section stores ([`FederationRuntime::clock_s`]).
 //! Independently of worker count, every job's *relational result* is
 //! bit-identical to executing it alone against its pinned catalog version
 //! (`streaming_ingest.rs` pins it; every benchmark workload re-checks it as
@@ -114,7 +112,7 @@ use midas_moo::WeightedSumModel;
 use midas_tpch::TwoTableQuery;
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -314,10 +312,6 @@ pub struct FederationRuntime<'a> {
     /// The quarantine ledger. Persists across `run`/`serve` calls — a
     /// tenant mid-cool-off stays quarantined into the next batch.
     health: Mutex<HashMap<String, TenantHealth>>,
-    /// Tenants whose ledger in `health` is not clean (a failure streak or
-    /// a cool-off), changed only under that lock: while it reads 0, the
-    /// gate and a success's ledger update skip the lock.
-    unhealthy: AtomicUsize,
     /// The shared fragment-result cache (`None` when
     /// [`RuntimeConfig::fragment_cache_bytes`] is 0). Persists across
     /// `run`/`serve` calls — warm entries keep serving the next batch.
@@ -376,7 +370,6 @@ impl<'a> FederationRuntime<'a> {
             fault_plan: None,
             weights: Mutex::new(HashMap::new()),
             health: Mutex::new(HashMap::new()),
-            unhealthy: AtomicUsize::new(0),
             fragment_cache: (config.fragment_cache_bytes > 0)
                 .then(|| FragmentResultCache::new(config.fragment_cache_bytes)),
             plan_cache: (config.plan_cache_bytes > 0)
@@ -489,35 +482,28 @@ impl<'a> FederationRuntime<'a> {
     ) -> (R, RuntimeReport) {
         // LINT: wall-clock — service wall time for the qps report only.
         let started = Instant::now();
-        let completions = AtomicUsize::new(0);
-        let (value, sinks) = std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..self.config.workers.max(1))
-                .map(|worker| {
-                    let completions = &completions;
-                    scope.spawn(move || self.worker_loop(worker, queue, completions))
-                })
-                .collect();
-            let value = {
-                // Close on return *and* on unwind: a panicking producer
-                // must fail the call, not strand the workers (which the
-                // scope would otherwise join forever).
-                let _closer = CloseOnDrop(queue);
-                producer()
-            };
-            let sinks: Vec<ResultSink> = workers
-                .into_iter()
-                .map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                .collect();
-            (value, sinks)
+        let sink = Mutex::new(ResultSink::default());
+        let value = std::thread::scope(|scope| {
+            for worker in 0..self.config.workers.max(1) {
+                let sink = &sink;
+                scope.spawn(move || self.worker_loop(worker, queue, sink));
+            }
+            // Close on return *and* on unwind: a panicking producer must
+            // fail the call, not strand the workers (which the scope would
+            // otherwise join forever).
+            let _closer = CloseOnDrop(queue);
+            producer()
         });
-        let sink = ResultSink::merge(sinks);
+        let sink = sink
+            .into_inner()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         (value, self.finish(started, sink, queue.tenant_stats()))
     }
 
     /// One worker: pop (weighted round-robin), then the four stages —
     /// admission's gate, plan, execute, account — until the ingress is
-    /// closed and drained; returns what the worker's jobs left in its own
-    /// sink. Completing a job and popping the next is one queue call.
+    /// closed and drained. Completing a job and popping the next is one
+    /// queue call.
     ///
     /// Planning and execution run under `catch_unwind`: a job that panics
     /// — in planning, execution or learning — fails *alone* as
@@ -527,13 +513,7 @@ impl<'a> FederationRuntime<'a> {
     /// mutex whose invariants hold between operations (queues, counters,
     /// append-only histories, the drift RNG), which is exactly the
     /// guarantee the poison-recovering lock helpers rely on.
-    fn worker_loop(
-        &self,
-        worker: usize,
-        queue: &JobQueue,
-        completions: &AtomicUsize,
-    ) -> ResultSink {
-        let mut sink = ResultSink::default();
+    fn worker_loop(&self, worker: usize, queue: &JobQueue, sink: &Mutex<ResultSink>) {
         let mut next = queue.next(None);
         while let Some(admitted) = next {
             // LINT: wall-clock — real per-job latency metric; the
@@ -550,9 +530,8 @@ impl<'a> FederationRuntime<'a> {
                     Err(RuntimeError::WorkerPanicked(panic_message(payload.as_ref())))
                 }),
             };
-            self.account(&mut sink, worker, completions, &admitted, dequeued, outcome);
+            self.account(sink, worker, &admitted, dequeued, outcome);
             next = queue.next(Some(&admitted.job.tenant));
         }
-        sink
     }
 }

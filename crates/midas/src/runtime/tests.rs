@@ -303,58 +303,6 @@ fn runtime_error_formats_every_variant_with_context() {
     assert!(text.contains("rogue") && text.contains('7'));
 }
 
-/// A quarantined tenant's ledger counts as unhealthy from its first
-/// countable failure until its cool-off ends, and a success then leaves
-/// the count at 0, so the gate and `record_health` skip the health lock
-/// again.
-#[test]
-fn the_unhealthy_count_returns_to_zero_after_cooloff_and_a_success() {
-    use crate::Midas;
-    use midas_engines::sim::FaultPlan;
-    use midas_tpch::medical::{generate_medical, medical_query};
-
-    let (midas, patient_site, _) = Midas::example_deployment(&["patient"], &["generalinfo"]);
-    // Positions 0..3 are dark at the patient table's pinned site: with
-    // two attempts each, jobs 0 and 1 exhaust, tripping a quarantine of
-    // two cool-off rejections (jobs 2 and 3); job 4 runs past the outage.
-    let rt = FederationRuntime::new(
-        midas.federation(),
-        midas.placement(),
-        generate_medical(200, 0.5, 11),
-        RuntimeConfig {
-            workers: 1,
-            max_vms: 2,
-            max_attempts: 2,
-            quarantine_threshold: 2,
-            quarantine_cooloff: 2,
-            ..RuntimeConfig::default()
-        },
-    )
-    .with_fault_plan(FaultPlan::none().outage(patient_site, 0, 3));
-    let unhealthy = || rt.unhealthy.load(Ordering::Acquire);
-    let job = || RuntimeJob::new("sick", medical_query(Some("CT")), QueryPolicy::balanced());
-    let (counts, report) = rt.serve(|ingress| {
-        let mut counts = Vec::new();
-        for burst in [1, 1, 2, 1] {
-            for _ in 0..burst {
-                ingress.submit(job());
-            }
-            ingress.drain();
-            counts.push(unhealthy());
-        }
-        counts
-    });
-    // A streak of one, then the quarantine, then its end, then a success.
-    assert_eq!(counts, [1, 1, 0, 0]);
-    assert_eq!(report.failed.len(), 4, "{:?}", report.failed);
-    assert!(matches!(
-        report.failed[3].error,
-        RuntimeError::Quarantined { remaining_cooloff: 0, .. }
-    ));
-    assert_eq!(report.completed.len(), 1);
-    assert!(lock_recover(&rt.health).values().all(TenantHealth::is_clean));
-}
-
 /// Workers parked on a tenant's in-flight flag, or on an empty queue, are
 /// woken by every event that could let them proceed or exit: a 50-job
 /// burst from one tenant parks three of four workers on its flag, and

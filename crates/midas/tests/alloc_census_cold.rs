@@ -106,9 +106,9 @@ fn a_cold_medical_job_allocates_at_most_its_bound() {
     // (3 712 over the run; one run in four read 743.2). Its parent read
     // 776.4–776.8 (3 882–3 884): planning fingerprinted each fragment's
     // dependency closure for its own key, and the plan entry's key set did
-    // it again. An encoding buffer per thread, per-worker result sinks
-    // and an allocation-free Algorithm 2 then took it to 724.8 (3 624, ten
-    // runs of ten; the parent read 3 714 ten times of ten).
+    // it again. A fingerprint buffer that does not grow and an
+    // allocation-free Algorithm 2 then took it to 725.8 (3 629, ten runs
+    // of ten; the parent read 3 714 ten times of ten).
     assert!(
         per_job <= 727.0,
         "a cold job asked for {per_job:.1} allocations ({allocations} over {n_jobs} jobs)"

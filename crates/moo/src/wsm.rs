@@ -8,6 +8,7 @@
 //! `repro_fig3` binary uses both sides of this module.
 
 use crate::nsga2::{MooProblem, Nsga2Config};
+use crate::select::{best_in_pareto, Constraints};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -93,14 +94,10 @@ impl WeightedSumModel {
             .sum()
     }
 
-    /// Index of the best (lowest-score) candidate, `None` when empty.
+    /// Index of the best (lowest-score) candidate, the first of equal
+    /// minima; `None` when empty. Algorithm 2 with no budget.
     pub fn best_index(&self, candidates: &[impl AsRef<[f64]>]) -> Option<usize> {
-        let scores = self.scores(candidates);
-        scores
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| a.partial_cmp(b).expect("NaN score"))
-            .map(|(i, _)| i)
+        best_in_pareto(candidates, self, &Constraints::none(self.weights.len()))
     }
 }
 

@@ -354,16 +354,15 @@ proptest! {
     #[test]
     fn wsm_scale_invariance(costs in cost_vecs(2, 2..15), scale in 1.0..1000.0f64) {
         let weights = WeightedSumModel::new(&[0.4, 0.6]);
-        let none = Constraints::none(2);
-        let best_a = best_in_pareto(&costs, &weights, &none);
+        let best_a = weights.best_index(&costs);
         let scaled: Vec<Vec<f64>> = costs.iter()
             .map(|c| vec![c[0] * scale, c[1]])
             .collect();
-        let best_b = best_in_pareto(&scaled, &weights, &none);
+        let best_b = weights.best_index(&scaled);
         // The argmin may tie, so compare achieved scores instead of indices.
         if let (Some(a), Some(b)) = (best_a, best_b) {
-            let sa = wsm_scores(&weights, &costs)[a];
-            let sb = wsm_scores(&weights, &scaled)[b];
+            let sa = weights.scores(&costs)[a];
+            let sb = weights.scores(&scaled)[b];
             prop_assert!((sa - sb).abs() < 1e-9, "{sa} vs {sb}");
         }
     }

@@ -31,12 +31,14 @@
 //!   (tests, benches) pin; the code that serves jobs must
 //!   not, short of a `// LINT: pin-ok` justification;
 //! * **job-thread** — `thread::scope` / `thread::spawn` / `.spawn(` inside
-//!   one job's execution (`engines/src/{ops,fused,exec}.rs`, `ires/src`).
-//!   Parallelism in this system is workers over jobs, in
-//!   `midas/src/runtime/`: sharding a join or overlapping a job's
-//!   fragments measured 0.33–1.02× of running them in order on the hosts
-//!   this serves, so a thread launched below the runtime needs a
-//!   `// LINT: thread-ok` justification;
+//!   one job's execution (`engines/src/{ops,fused,exec}.rs`, `ires/src`,
+//!   and `mlearn/src`, whose estimators can sit behind the `Modelling`
+//!   facade the runtime calls inside a job). Parallelism in this system is
+//!   workers over jobs, in `midas/src/runtime/`: sharding a join or
+//!   overlapping a job's fragments measured 0.33–1.02× of running them in
+//!   order on the hosts this serves, so a thread launched below the
+//!   runtime needs a `// LINT: thread-ok` justification naming its
+//!   measured gain;
 //! * **shared-mutation** — `Arc::make_mut` / `Arc::get_mut` /
 //!   `Arc::try_unwrap` in `engines/src`, `ires/src` and
 //!   `midas/src/runtime/`. Tables, columns and cached fragments are
@@ -348,6 +350,7 @@ const SERVING_PATH: &[&str] = &[
 /// Code that runs inside one job — the scope of the `job-thread` rule.
 const INSIDE_A_JOB: &[&str] = &[
     "crates/ires/src/",
+    "crates/mlearn/src/",
     "crates/engines/src/ops.rs",
     "crates/engines/src/fused.rs",
     "crates/engines/src/exec.rs",

@@ -15,8 +15,10 @@
 //!   bagging over bootstrap resamples,
 //! * [`mlp`] — a from-scratch multilayer perceptron with backprop,
 //! * [`selection`] — the [`selection::BmlEstimator`]: per cost metric, train
-//!   every family, validate on a held-out suffix, keep the best — behind the
-//!   same [`midas_dream::CostEstimator`] trait DREAM implements.
+//!   every family, score it on the training window (or, under
+//!   `SelectionPolicy::HoldoutValidation`, on a held-out suffix), keep the
+//!   best — behind the same [`midas_dream::CostEstimator`] trait DREAM
+//!   implements.
 //!
 //! All stochastic learners draw from seeded [`rand::rngs::StdRng`] state, so
 //! every experiment in the workspace is reproducible bit-for-bit.

@@ -2,7 +2,7 @@
 //!
 //! A counting `#[global_allocator]` (here, in the test crate — the library
 //! crates keep `#![forbid(unsafe_code)]`) counts what one thread asks the
-//! allocator for while it fits an MLP, runs a BML tournament, or evolves an
+//! allocator for while it fits an MLP or a bagging ensemble, or evolves an
 //! NSGA-II population (`midas-moo` is a dev-dependency for that), and
 //! asserts that each does its work once:
 //!
@@ -12,9 +12,6 @@
 //! * a regression tree, and a bagging ensemble of them, allocates the same
 //!   at depth 1 as at depth 4 (a `Box` per node and vectors per node and
 //!   candidate feature made it grow with the node count);
-//! * a `TrainingError` tournament allocates what fitting and scoring each
-//!   family once per metric allocates, plus a constant (training the
-//!   winner a second time added one more fit per metric);
 //! * an NSGA-II generation allocates its children and little else (cloning
 //!   every survivor's genome and cost vector, and one adjacency list per
 //!   population member per sort, added more than twice the children's
@@ -26,13 +23,11 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use midas_dream::{CostEstimator, History};
+use midas_dream::History;
 use midas_mlearn::bagging::BaggingConfig;
 use midas_mlearn::mlp::MlpConfig;
 use midas_mlearn::tree::{RegressionTree, TreeConfig};
-use midas_mlearn::{
-    BaggingRegressor, BmlEstimator, MlpRegressor, Regressor, RegressorFamily, WindowSpec,
-};
+use midas_mlearn::{BaggingRegressor, MlpRegressor, Regressor};
 use midas_moo::{IntBoxProblem, Nsga2, Nsga2Config};
 
 struct Counting;
@@ -176,59 +171,6 @@ fn a_bagging_fit_allocates_the_same_at_any_depth() {
     );
     // One node arena per tree, the tree list and the shared scratch.
     assert!(deep <= 15 + 7, "{deep} allocations for a 15-tree fit");
-}
-
-#[test]
-fn a_training_error_tournament_fits_each_family_once_per_metric() {
-    let h = history();
-    let window = h.latest(60);
-    let xs: Vec<&[f64]> = window.iter().map(|o| o.features.as_slice()).collect();
-
-    let mut bml = BmlEstimator::new(WindowSpec::All, 2);
-    let (report, whole_fit) = census(|| bml.fit(&h));
-    assert_eq!(report.expect("60 rows").window_used, 60);
-
-    // The tournament by hand: per metric, every family built, fitted on the
-    // window and scored on it — once.
-    let mut tournament = 0;
-    let mut cheapest_winner_fit = u64::MAX;
-    for metric in 0..2 {
-        let ys = History::targets_of(window, metric);
-        for family in RegressorFamily::paper_families() {
-            let (model, fit) = census(|| {
-                let mut model = family.build();
-                model.fit(&xs, &ys).expect("60 rows");
-                model
-            });
-            let (_, scoring) = census(|| {
-                xs.iter()
-                    .map(|x| model.predict(x))
-                    .collect::<Result<Vec<f64>, _>>()
-                    .expect("fitted")
-            });
-            tournament += fit + scoring;
-            if model.family() == bml.chosen_families()[metric] {
-                cheapest_winner_fit = cheapest_winner_fit.min(fit);
-            }
-        }
-    }
-    // What `fit` adds around the tournament: the window's row pointers, the
-    // target vector, the two result vectors and the report's R² vector.
-    // Now 5 (one target vector serves both metrics). Parent: 2 778 — the
-    // same plus one more fit of each metric's winner (1 318 allocations the
-    // cheaper of the two, at that commit). The slack was 12 while a
-    // winner's fit read ≥ 69; it is the reading itself since a bagging
-    // winner's fit reads 23, so the bar below stays four slacks.
-    const SLACK: u64 = 5;
-    let around = whole_fit - tournament;
-    assert!(
-        around <= SLACK,
-        "{around} allocations around the tournament"
-    );
-    assert!(
-        cheapest_winner_fit > 4 * SLACK,
-        "a winner's fit ({cheapest_winner_fit} allocations) must be unmistakable beside that slack"
-    );
 }
 
 #[test]
